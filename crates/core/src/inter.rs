@@ -49,9 +49,10 @@ use crate::plan::{
     BufRef, CopyCost, CtrRef, FlagRef, HandleSrc, Off, PairSel, PlanBuilder, SeqBase, Side, Step,
     Val,
 };
+use crate::smp::{plan_acc_to_user, plan_stage_acc, plan_xfer_consume, plan_xfer_produce};
 use crate::tuning::SrmTuning;
 use crate::world::SrmComm;
-use simnet::Rank;
+use simnet::NodeId;
 
 pub(crate) fn seq(base: SeqBase, rel: u64) -> Val {
     Val::Seq { base, rel }
@@ -65,53 +66,150 @@ pub(crate) fn poff(base: SeqBase, rel: u64, stride: usize) -> Off {
     Off::Parity { base, rel, stride }
 }
 
-/// The inter-node tree over the communicator's **group-node indices**
-/// (`0..cnodes()`), rotated so the root's node is relative vertex 0 —
-/// the group analogue of [`Embedding`](crate::embed::Embedding)'s
-/// vnode arithmetic. On the world communicator group-node indices are
-/// world node ids, so this is exactly the old embedding.
+/// My node's place in the inter-node tree over the communicator's
+/// **group-node indices** (`0..cnodes()`), rotated so the root's node
+/// is relative vertex 0 — the group analogue of
+/// [`Embedding`](crate::embed::Embedding)'s vnode arithmetic. On the
+/// world communicator group-node indices are world node ids, so this is
+/// exactly the old embedding.
 struct GroupTree {
     kind: TreeKind,
     n: usize,
     root_g: usize,
+    /// My relative vertex.
+    v: usize,
+    /// My child group nodes in broadcast send order.
+    down: Vec<usize>,
 }
 
 impl GroupTree {
     fn new(comm: &SrmComm, root_g: usize) -> Self {
-        GroupTree {
-            kind: comm.tree(),
-            n: comm.cnodes(),
+        let (kind, n) = (comm.tree(), comm.cnodes());
+        let v = (comm.cnode() + n - root_g) % n;
+        let mut tree = GroupTree {
+            kind,
+            n,
             root_g,
+            v,
+            down: Vec::new(),
+        };
+        tree.down = tree.unv(embed::children(kind, v, n));
+        tree
+    }
+
+    fn unv(&self, vs: Vec<usize>) -> Vec<usize> {
+        vs.into_iter().map(|v| (v + self.root_g) % self.n).collect()
+    }
+
+    /// My parent group node (None on the root's node).
+    fn parent(&self) -> Option<usize> {
+        embed::parent(self.kind, self.v, self.n).map(|p| (p + self.root_g) % self.n)
+    }
+
+    /// My child group nodes in reduce receive order.
+    fn up(&self) -> Vec<usize> {
+        self.unv(embed::children_ascending(self.kind, self.v, self.n))
+    }
+}
+
+/// One flow-controlled master-to-master channel (§2.3, Figure 4): the
+/// sender spends a credit from `free` (held at its node), puts into
+/// `landing` at the receiver and bumps `data` there; the receiver
+/// consumes `data` and, once the landing is reusable, returns the
+/// credit with a zero-byte put.
+#[derive(Clone, Copy)]
+pub(crate) struct Edge {
+    /// Sending group node (holds `free`).
+    pub(crate) src: NodeId,
+    /// Receiving group node (owns `landing` and `data`).
+    pub(crate) dst: NodeId,
+    /// The sender's credit counter.
+    pub(crate) free: CtrRef,
+    /// Where the puts land, and at which byte offset.
+    pub(crate) landing: BufRef,
+    pub(crate) off: Off,
+    /// The counter each put bumps at the receiver.
+    pub(crate) data: CtrRef,
+}
+
+impl Edge {
+    /// Broadcast edge parent `src` → child `dst`, landing-pair use `rel`.
+    fn bcast(src: NodeId, dst: NodeId, rel: u64) -> Edge {
+        Edge {
+            src,
+            dst,
+            free: CtrRef::BcastFree {
+                node: src,
+                child: dst,
+                rel,
+            },
+            landing: BufRef::Landing {
+                node: dst,
+                side: par(SeqBase::Landing, rel),
+            },
+            off: Off::Lit(0),
+            data: CtrRef::LandingData { node: dst, rel },
         }
     }
 
-    fn v(&self, g: usize) -> usize {
-        (g + self.n - self.root_g) % self.n
+    /// Reduce-landing edge `src` → `dst`, reduce chunk `rel`.
+    fn reduce(src: NodeId, dst: NodeId, rel: u64) -> Edge {
+        Edge {
+            src,
+            dst,
+            free: CtrRef::ReduceFree {
+                node: src,
+                dst,
+                rel,
+            },
+            landing: BufRef::ReduceLanding {
+                node: dst,
+                src,
+                rel,
+            },
+            off: Off::Lit(0),
+            data: CtrRef::ReduceData {
+                node: dst,
+                src,
+                rel,
+            },
+        }
     }
 
-    fn unv(&self, v: usize) -> usize {
-        (v + self.root_g) % self.n
+    /// Recursive-doubling edge of `round`.
+    fn rd(src: NodeId, dst: NodeId, round: usize) -> Edge {
+        Edge {
+            src,
+            dst,
+            free: CtrRef::RdFree { node: src, round },
+            landing: BufRef::RdLanding { node: dst, round },
+            off: Off::Lit(0),
+            data: CtrRef::RdData { node: dst, round },
+        }
     }
 
-    /// Parent group node (None for the root's node).
-    fn parent(&self, g: usize) -> Option<usize> {
-        embed::parent(self.kind, self.v(g), self.n).map(|p| self.unv(p))
+    /// Fold-in edge odd `src` → even `dst`.
+    fn fold(src: NodeId, dst: NodeId) -> Edge {
+        Edge {
+            src,
+            dst,
+            free: CtrRef::FoldFree { node: src },
+            landing: BufRef::FoldLanding { node: dst },
+            off: Off::Lit(0),
+            data: CtrRef::FoldData { node: dst },
+        }
     }
 
-    /// Child group nodes in broadcast send order.
-    fn children(&self, g: usize) -> Vec<usize> {
-        embed::children(self.kind, self.v(g), self.n)
-            .into_iter()
-            .map(|v| self.unv(v))
-            .collect()
-    }
-
-    /// Child group nodes in reduce receive order.
-    fn children_ascending(&self, g: usize) -> Vec<usize> {
-        embed::children_ascending(self.kind, self.v(g), self.n)
-            .into_iter()
-            .map(|v| self.unv(v))
-            .collect()
+    /// Pairwise stream `src` → `dst`, ring slot at byte `off`.
+    pub(crate) fn ring(src: NodeId, dst: NodeId, off: usize) -> Edge {
+        Edge {
+            src,
+            dst,
+            free: CtrRef::PairwiseFree { node: src, dst },
+            landing: BufRef::PairwiseRing { node: dst, src },
+            off: Off::Lit(off),
+            data: CtrRef::PairwiseData { node: dst, src },
+        }
     }
 }
 
@@ -125,7 +223,7 @@ impl SrmComm {
     /// READY, its consumer raises DONE); a slot whose channel went
     /// unused this operation — the consumer of a reduce tree, a gather
     /// root, every rank of a scatter — raises both itself so a later
-    /// operation's [`Step::DrainWait`] sees a fully drained channel.
+    /// operation's drain guard sees a fully drained channel.
     ///
     /// `ContribDone` is a statement about the *previous* operation's
     /// consumer, so the owner must not raise it past reads that have
@@ -138,11 +236,11 @@ impl SrmComm {
     /// only the owner itself ever raises it, in program order.
     pub(crate) fn plan_contrib_catchup(&self, b: &mut PlanBuilder, rel_end: u64) {
         let my = self.cslot();
-        b.push(Step::FlagWaitGe {
-            flag: FlagRef::ContribDone { slot: my },
-            val: seq(SeqBase::Reduce, b.rel(SeqBase::Reduce)),
-            label: "contrib drained before catch-up",
-        });
+        b.wait_flag(
+            FlagRef::ContribDone { slot: my },
+            seq(SeqBase::Reduce, b.rel(SeqBase::Reduce)),
+            "contrib drained before catch-up",
+        );
         b.push(Step::FlagRaise {
             flag: FlagRef::ContribReady { slot: my },
             val: seq(SeqBase::Reduce, rel_end),
@@ -153,9 +251,132 @@ impl SrmComm {
         });
     }
 
-    /// World rank of communicator rank `c`.
-    fn cworld(&self, c: usize) -> Rank {
-        self.group().ranks()[c]
+    // ----------------------------------------------------------------
+    // Master-to-master legs
+    // ----------------------------------------------------------------
+
+    /// Sender leg of an [`Edge`]: spend a credit, put `len` bytes of
+    /// `from` into the receiver's landing, bump its data counter. With
+    /// `stage_acc` the accumulator is first laid down at `from` (the
+    /// operator's output stream) so the put has an addressable source.
+    pub(crate) fn plan_credit_put(
+        &self,
+        b: &mut PlanBuilder,
+        e: Edge,
+        stage_acc: bool,
+        from: (BufRef, Off),
+        len: usize,
+    ) {
+        b.wait_ctr(e.free, 1);
+        if stage_acc {
+            plan_stage_acc(b, from.0, from.1, len);
+        }
+        b.push(Step::RmaPut {
+            to: self.cmaster_of(e.dst),
+            src: from.0,
+            src_off: from.1,
+            dst: e.landing,
+            dst_off: e.off,
+            len,
+            ctr: Some(e.data),
+        });
+    }
+
+    /// Receiver leg of an [`Edge`], second half: the landing is
+    /// reusable — hand the credit back to the sender.
+    pub(crate) fn plan_credit_return(&self, b: &mut PlanBuilder, e: Edge) {
+        b.push(Step::CounterPut {
+            to: self.cmaster_of(e.src),
+            ctr: e.free,
+        });
+    }
+
+    /// Receiver leg of an [`Edge`] whose payload is a reduce operand:
+    /// wait for the put, fold the landed chunk into the accumulator,
+    /// return the credit.
+    pub(crate) fn plan_fold_landed(&self, b: &mut PlanBuilder, e: Edge, len: usize) {
+        b.wait_ctr(e.data, 1);
+        b.push(Step::LocalReduce {
+            src: e.landing,
+            src_off: e.off,
+            len,
+        });
+        self.plan_credit_return(b, e);
+    }
+
+    /// Forward landing-pair use `rel` to every child node, honouring
+    /// the per-edge credits (Figure 4, left).
+    fn plan_forward_landing_chunk(
+        &self,
+        b: &mut PlanBuilder,
+        tree: &GroupTree,
+        rel: u64,
+        clen: usize,
+    ) {
+        let my_node = self.cnode();
+        let mine = BufRef::Landing {
+            node: my_node,
+            side: par(SeqBase::Landing, rel),
+        };
+        for &c in &tree.down {
+            self.plan_credit_put(
+                b,
+                Edge::bcast(my_node, c, rel),
+                false,
+                (mine, Off::Lit(0)),
+                clen,
+            );
+        }
+    }
+
+    /// One chunk up the inter-node tree (master only; the accumulator
+    /// holds my node's partial result): fold every child node's landed
+    /// chunk, then — off the root's node — ship the combined chunk to
+    /// my parent, staged in the master's otherwise idle contribution
+    /// buffer.
+    fn plan_tree_up(&self, b: &mut PlanBuilder, tree: &GroupTree, rel: u64, clen: usize) {
+        let my_node = self.cnode();
+        for c in tree.up() {
+            self.plan_fold_landed(b, Edge::reduce(c, my_node, rel), clen);
+        }
+        if let Some(parent) = tree.parent() {
+            let staging = (
+                BufRef::Contrib { slot: 0 },
+                poff(SeqBase::Reduce, rel, self.tuning().reduce_chunk),
+            );
+            self.plan_credit_put(b, Edge::reduce(my_node, parent, rel), true, staging, clen);
+        }
+    }
+
+    /// One chunk down the inter-node tree on a non-root node's master
+    /// (Figure 4, step 2): take the parent's put, publish it to the
+    /// node, send it down the tree first, copy my own part out, and
+    /// return the credit once the node has drained the side. `marks`
+    /// adds the broadcast's trace markers.
+    fn plan_tree_down(
+        &self,
+        b: &mut PlanBuilder,
+        tree: &GroupTree,
+        rel: u64,
+        off: usize,
+        clen: usize,
+        marks: bool,
+    ) {
+        let parent = tree.parent().expect("non-root node has a parent");
+        let e = Edge::bcast(parent, self.cnode(), rel);
+        let (pair, side) = (PairSel::Landing, par(SeqBase::Landing, rel));
+        b.wait_ctr(e.data, 1);
+        if marks {
+            b.push(Step::Trace("bcast:chunk-in"));
+        }
+        b.push(Step::PairPublish { pair, side });
+        self.plan_forward_landing_chunk(b, tree, rel, clen);
+        self.plan_pair_copy_out(b, pair, rel, (0, off, clen), self.peer_streams());
+        b.push(Step::PairWaitDrained { pair, side });
+        if marks {
+            b.push(Step::Trace("bcast:ack"));
+        }
+        self.plan_credit_return(b, e);
     }
 
     // ----------------------------------------------------------------
@@ -170,7 +391,7 @@ impl SrmComm {
             return;
         }
         if !self.cmulti() {
-            self.plan_smp_bcast(b, len, self.cworld(root));
+            self.plan_smp_bcast(b, len, self.cworld_of(root));
             return;
         }
         // Decision knobs (switch points) come from the builder's
@@ -193,178 +414,45 @@ impl SrmComm {
         }
     }
 
-    /// Forward one landing-buffer chunk to every child node, honouring
-    /// the per-edge credits (Figure 4, left). `rel` is the chunk index
-    /// against [`SeqBase::Landing`]; `children` are group nodes.
-    fn plan_forward_landing_chunk(
-        &self,
-        b: &mut PlanBuilder,
-        children: &[usize],
-        rel: u64,
-        clen: usize,
-    ) {
-        let my_node = self.cnode();
-        let side = par(SeqBase::Landing, rel);
-        for &c in children {
-            b.push(Step::CounterWait {
-                ctr: CtrRef::BcastFree {
-                    node: my_node,
-                    child: c,
-                    rel,
-                },
-                n: 1,
-            });
-            b.push(Step::RmaPut {
-                to: self.cmaster_of(c),
-                src: BufRef::Landing {
-                    node: my_node,
-                    side,
-                },
-                src_off: Off::Lit(0),
-                dst: BufRef::Landing { node: c, side },
-                dst_off: Off::Lit(0),
-                len: clen,
-                ctr: Some(CtrRef::LandingData { node: c, rel }),
-            });
-        }
-    }
-
     /// Small-message broadcast (≤ 64 KB): puts land in the node's two
     /// shared landing buffers; 8–32 KB messages are pipelined in 4 KB
     /// chunks through them (§2.4).
     fn plan_bcast_small(&self, b: &mut PlanBuilder, len: usize, root: usize, tree: &GroupTree) {
         let chunk = b.tuning().small_bcast_chunk(len);
         let chunks = SrmTuning::chunk_count(len, chunk);
-        let p = self.cslots_here();
-        let my_node = self.cnode();
-        let on_root_node = my_node == tree.root_g;
-        let children = if self.c_is_master() {
-            tree.children(my_node)
-        } else {
-            Vec::new()
-        };
+        let on_root_node = self.cnode() == tree.root_g;
         let rel0 = b.rel(SeqBase::Landing);
-        let read_streams = p.saturating_sub(1).max(1);
+        let pair = PairSel::Landing;
 
         for k in 0..chunks {
             let off = k * chunk;
             let clen = chunk.min(len - off);
             let rel = rel0 + k as u64;
-            let side = par(SeqBase::Landing, rel);
-            if on_root_node && self.crank() == root {
+            let mine = Some((0, off, clen));
+            if self.crank() == root {
                 // Stage the chunk into the landing buffer: it serves
                 // both the local distribution and the network puts.
-                b.push(Step::Trace("bcast:stage"));
-                b.push(Step::PairWaitFree {
-                    pair: PairSel::Landing,
-                    side,
-                });
-                b.push(Step::ShmCopy {
-                    src: BufRef::User,
-                    src_off: Off::Lit(off),
-                    dst: BufRef::Landing {
-                        node: my_node,
-                        side,
-                    },
-                    dst_off: Off::Lit(0),
-                    len: clen,
-                    cost: CopyCost::Write(1),
-                });
                 // Publish locally before the (possibly credit-blocked)
-                // network puts: the puts are one-sided and lose nothing,
-                // while the local readers can start draining at once.
-                b.push(Step::PairPublish {
-                    pair: PairSel::Landing,
-                    side,
-                });
+                // puts: they are one-sided and lose nothing, while the
+                // local readers can start draining at once.
+                b.push(Step::Trace("bcast:stage"));
+                self.plan_pair_write(b, pair, rel, (BufRef::User, Off::Lit(off)), clen, 1);
                 if self.c_is_master() {
-                    self.plan_forward_landing_chunk(b, &children, rel, clen);
+                    self.plan_forward_landing_chunk(b, tree, rel, clen);
                 }
             } else if on_root_node && self.c_is_master() {
                 // Root is another task on this node: read its published
                 // chunk, forward it down the tree, then consume it.
-                b.push(Step::PairWaitPublished {
-                    pair: PairSel::Landing,
-                    side,
-                });
-                self.plan_forward_landing_chunk(b, &children, rel, clen);
-                b.push(Step::ShmCopy {
-                    src: BufRef::Landing {
-                        node: my_node,
-                        side,
-                    },
-                    src_off: Off::Lit(0),
-                    dst: BufRef::User,
-                    dst_off: Off::Lit(off),
-                    len: clen,
-                    cost: CopyCost::Read(read_streams),
-                });
-                b.push(Step::PairRelease {
-                    pair: PairSel::Landing,
-                    side,
-                });
+                let forward =
+                    |b: &mut PlanBuilder| self.plan_forward_landing_chunk(b, tree, rel, clen);
+                self.plan_pair_read(b, pair, rel, forward, mine, self.peer_streams());
             } else if self.c_is_master() {
-                // Interior/leaf node master: wait for the parent's put,
-                // send the data down the tree first (Figure 4, step 2),
-                // then run the local distribution and return the credit.
-                b.push(Step::CounterWait {
-                    ctr: CtrRef::LandingData { node: my_node, rel },
-                    n: 1,
-                });
-                b.push(Step::Trace("bcast:chunk-in"));
-                b.push(Step::PairPublish {
-                    pair: PairSel::Landing,
-                    side,
-                });
-                self.plan_forward_landing_chunk(b, &children, rel, clen);
-                b.push(Step::ShmCopy {
-                    src: BufRef::Landing {
-                        node: my_node,
-                        side,
-                    },
-                    src_off: Off::Lit(0),
-                    dst: BufRef::User,
-                    dst_off: Off::Lit(off),
-                    len: clen,
-                    cost: CopyCost::Read(read_streams),
-                });
-                b.push(Step::PairWaitDrained {
-                    pair: PairSel::Landing,
-                    side,
-                });
-                b.push(Step::Trace("bcast:ack"));
-                let parent = tree.parent(my_node).expect("non-root node has a parent");
-                b.push(Step::CounterPut {
-                    to: self.cmaster_of(parent),
-                    ctr: CtrRef::BcastFree {
-                        node: parent,
-                        child: my_node,
-                        rel,
-                    },
-                });
+                self.plan_tree_down(b, tree, rel, off, clen, true);
             } else {
                 // Plain reader: the put target is shared memory, so the
                 // data is consumed with a single copy.
-                b.push(Step::PairWaitPublished {
-                    pair: PairSel::Landing,
-                    side,
-                });
-                b.push(Step::Trace("bcast:read"));
-                b.push(Step::ShmCopy {
-                    src: BufRef::Landing {
-                        node: my_node,
-                        side,
-                    },
-                    src_off: Off::Lit(0),
-                    dst: BufRef::User,
-                    dst_off: Off::Lit(off),
-                    len: clen,
-                    cost: CopyCost::Read(read_streams),
-                });
-                b.push(Step::PairRelease {
-                    pair: PairSel::Landing,
-                    side,
-                });
+                let mark = |b: &mut PlanBuilder| b.push(Step::Trace("bcast:read"));
+                self.plan_pair_read(b, pair, rel, mark, mine, self.peer_streams());
             }
         }
         b.advance(SeqBase::Landing, chunks as u64);
@@ -386,20 +474,18 @@ impl SrmComm {
 
         // Stage 1: address exchange (leaf→parent user-buffer handles).
         if master && my_node != root_node {
-            let parent = tree.parent(my_node).expect("non-root node has a parent");
+            let parent = tree.parent().expect("non-root node has a parent");
             b.push(Step::AddrSend {
                 to: self.cmaster_of(parent),
                 am: self.comm.am_addr_xchg,
                 src: HandleSrc::User,
             });
         }
-        let children = if master {
-            tree.children(my_node)
+        let child_idx: Vec<(usize, usize)> = if master {
+            tree.down.iter().map(|&c| (c, b.take_addr(c))).collect()
         } else {
             Vec::new()
         };
-        let child_idx: Vec<(usize, usize)> =
-            children.iter().map(|&c| (c, b.take_addr(c))).collect();
 
         let emit_puts_for_chunk = |b: &mut PlanBuilder, k: usize| {
             let coff = k * lc;
@@ -426,7 +512,7 @@ impl SrmComm {
                     }
                 }
                 // Stage 3: intra-node broadcast on the root node.
-                self.plan_smp_bcast(b, len, self.cworld(root));
+                self.plan_smp_bcast(b, len, self.cworld_of(root));
             } else if master {
                 // Master is an ordinary reader locally, but forwards
                 // each completed large chunk down the tree as soon as
@@ -445,7 +531,7 @@ impl SrmComm {
                 }
                 b.advance(SeqBase::Smp, cells as u64);
             } else {
-                self.plan_smp_bcast(b, len, self.cworld(root));
+                self.plan_smp_bcast(b, len, self.cworld_of(root));
             }
         } else if master {
             // Stage 4 driver on a non-root node: as each chunk lands in
@@ -457,10 +543,7 @@ impl SrmComm {
             for k in 0..chunks {
                 let coff = k * lc;
                 let cl = lc.min(len - coff);
-                b.push(Step::CounterWait {
-                    ctr: CtrRef::LargeData { node: my_node },
-                    n: 1,
-                });
+                b.wait_ctr(CtrRef::LargeData { node: my_node }, 1);
                 emit_puts_for_chunk(b, k);
                 if p > 1 {
                     while j < cells {
@@ -493,7 +576,6 @@ impl SrmComm {
         if len == 0 || self.csize() == 1 {
             return;
         }
-        let t = self.tuning();
         let (root_node, root_gslot) = self.ccoord_of(root);
         let tree = GroupTree::new(self, root_node);
         let toggles =
@@ -502,138 +584,38 @@ impl SrmComm {
             b.push(Step::SetInterrupts(false));
         }
 
-        let chunk = t.reduce_chunk;
+        let chunk = self.tuning().reduce_chunk;
         let chunks = SrmTuning::chunk_count(len, chunk);
-        let my_node = self.cnode();
-        let xfer_case = my_node == root_node && root_gslot != 0;
+        let xfer_case = self.cnode() == root_node && root_gslot != 0;
         let rel0 = b.rel(SeqBase::Reduce);
         let xrel0 = b.rel(SeqBase::Xfer);
 
         for k in 0..chunks {
             let off = k * chunk;
             let clen = chunk.min(len - off);
-            let rel = rel0 + k as u64;
-            let has_acc = self.plan_smp_reduce_chunk(b, off, clen, rel, 0);
+            let xrel = xrel0 + k as u64;
+            let has_acc = self.plan_smp_reduce_chunk(b, off, clen, rel0 + k as u64, 0);
 
             if self.c_is_master() {
                 debug_assert!(has_acc, "master is the intra-node subtree root");
-                for c in tree.children_ascending(my_node) {
-                    b.push(Step::CounterWait {
-                        ctr: CtrRef::ReduceData {
-                            node: my_node,
-                            src: c,
-                            rel,
-                        },
-                        n: 1,
-                    });
-                    b.push(Step::LocalReduce {
-                        src: BufRef::ReduceLanding {
-                            node: my_node,
-                            src: c,
-                            rel,
-                        },
-                        src_off: Off::Lit(0),
-                        len: clen,
-                    });
-                    b.push(Step::CounterPut {
-                        to: self.cmaster_of(c),
-                        ctr: CtrRef::ReduceFree {
-                            node: c,
-                            dst: my_node,
-                            rel,
-                        },
-                    });
+                self.plan_tree_up(b, &tree, rel0 + k as u64, clen);
+                if self.crank() == root {
+                    plan_acc_to_user(b, off, clen);
+                } else if xfer_case {
+                    // Root is a non-master task on this node: hand the
+                    // chunk over through the xfer buffer.
+                    plan_xfer_produce(b, xrel, chunk, (BufRef::Acc, Off::Lit(0)), clen);
                 }
-                if my_node != root_node {
-                    let parent = tree.parent(my_node).expect("non-root node");
-                    b.push(Step::CounterWait {
-                        ctr: CtrRef::ReduceFree {
-                            node: my_node,
-                            dst: parent,
-                            rel,
-                        },
-                        n: 1,
-                    });
-                    // Stage the combined chunk (the operator's output
-                    // stream) and ship it.
+            } else if self.crank() == root {
+                plan_xfer_consume(b, xrel, "xfer chunk ready", |b| {
                     b.push(Step::ShmCopy {
-                        src: BufRef::Acc,
-                        src_off: Off::Lit(0),
-                        dst: BufRef::Contrib { slot: 0 },
-                        dst_off: poff(SeqBase::Reduce, rel, chunk),
-                        len: clen,
-                        cost: CopyCost::Free,
-                    });
-                    b.push(Step::RmaPut {
-                        to: self.cmaster_of(parent),
-                        src: BufRef::Contrib { slot: 0 },
-                        src_off: poff(SeqBase::Reduce, rel, chunk),
-                        dst: BufRef::ReduceLanding {
-                            node: parent,
-                            src: my_node,
-                            rel,
-                        },
-                        dst_off: Off::Lit(0),
-                        len: clen,
-                        ctr: Some(CtrRef::ReduceData {
-                            node: parent,
-                            src: my_node,
-                            rel,
-                        }),
-                    });
-                } else if self.crank() == root {
-                    // The final operator pass writes directly at the
-                    // destination (no intermediate buffer, §4).
-                    b.push(Step::ShmCopy {
-                        src: BufRef::Acc,
-                        src_off: Off::Lit(0),
+                        src: BufRef::Xfer,
+                        src_off: poff(SeqBase::Xfer, xrel, chunk),
                         dst: BufRef::User,
                         dst_off: Off::Lit(off),
                         len: clen,
-                        cost: CopyCost::Free,
-                    });
-                } else {
-                    // Root is a non-master task on this node: hand the
-                    // chunk over through the xfer buffer.
-                    let xrel = xrel0 + k as u64;
-                    b.push(Step::DrainWait {
-                        flag: FlagRef::XferDone,
-                        base: SeqBase::Xfer,
-                        rel: xrel,
-                        scale: 1,
-                        label: "xfer side drained",
-                    });
-                    b.push(Step::ShmCopy {
-                        src: BufRef::Acc,
-                        src_off: Off::Lit(0),
-                        dst: BufRef::Xfer,
-                        dst_off: poff(SeqBase::Xfer, xrel, chunk),
-                        len: clen,
-                        cost: CopyCost::Free,
-                    });
-                    b.push(Step::FlagRaise {
-                        flag: FlagRef::XferReady,
-                        val: seq(SeqBase::Xfer, xrel + 1),
-                    });
-                }
-            } else if xfer_case && self.crank() == root {
-                let xrel = xrel0 + k as u64;
-                b.push(Step::FlagWaitGe {
-                    flag: FlagRef::XferReady,
-                    val: seq(SeqBase::Xfer, xrel + 1),
-                    label: "xfer chunk ready",
-                });
-                b.push(Step::ShmCopy {
-                    src: BufRef::Xfer,
-                    src_off: poff(SeqBase::Xfer, xrel, chunk),
-                    dst: BufRef::User,
-                    dst_off: Off::Lit(off),
-                    len: clen,
-                    cost: CopyCost::Read(1),
-                });
-                b.push(Step::FlagRaise {
-                    flag: FlagRef::XferDone,
-                    val: seq(SeqBase::Xfer, xrel + 1),
+                        cost: CopyCost::Read(1),
+                    })
                 });
             }
         }
@@ -702,112 +684,42 @@ impl SrmComm {
     /// recursive-doubling pairwise exchange between the masters,
     /// intra-node broadcast.
     fn plan_allreduce_small(&self, b: &mut PlanBuilder, len: usize) {
-        let chunk = self.tuning().reduce_chunk;
         let rel = b.rel(SeqBase::Reduce);
         let has_acc = self.plan_smp_reduce_chunk(b, 0, len, rel, 0);
-        let soff = poff(SeqBase::Reduce, rel, chunk);
+        // Puts ship the accumulator from the master's own (otherwise
+        // idle) contribution buffer.
+        let staging = (
+            BufRef::Contrib { slot: 0 },
+            poff(SeqBase::Reduce, rel, self.tuning().reduce_chunk),
+        );
 
         if self.c_is_master() {
             debug_assert!(has_acc, "master is the subtree root");
             let n = self.cnodes();
             if n > 1 {
                 let my = self.cnode();
-                // Staging a chunk for a put is the output stream of the
-                // last operator pass — no charged copy.
-                let stage = |b: &mut PlanBuilder| {
-                    b.push(Step::ShmCopy {
-                        src: BufRef::Acc,
-                        src_off: Off::Lit(0),
-                        dst: BufRef::Contrib { slot: 0 },
-                        dst_off: soff,
-                        len,
-                        cost: CopyCost::Free,
-                    });
-                };
                 let pof2 = 1usize << (usize::BITS - 1 - n.leading_zeros());
                 let rem = n - pof2;
 
                 // Fold the extra nodes into their even neighbours.
-                let newnode: isize = if my < 2 * rem {
-                    if my % 2 == 1 {
-                        b.push(Step::CounterWait {
-                            ctr: CtrRef::FoldFree { node: my },
-                            n: 1,
-                        });
-                        stage(b);
-                        b.push(Step::RmaPut {
-                            to: self.cmaster_of(my - 1),
-                            src: BufRef::Contrib { slot: 0 },
-                            src_off: soff,
-                            dst: BufRef::FoldLanding { node: my - 1 },
-                            dst_off: Off::Lit(0),
-                            len,
-                            ctr: Some(CtrRef::FoldData { node: my - 1 }),
-                        });
-                        -1
-                    } else {
-                        b.push(Step::CounterWait {
-                            ctr: CtrRef::FoldData { node: my },
-                            n: 1,
-                        });
-                        b.push(Step::LocalReduce {
-                            src: BufRef::FoldLanding { node: my },
-                            src_off: Off::Lit(0),
-                            len,
-                        });
-                        b.push(Step::CounterPut {
-                            to: self.cmaster_of(my + 1),
-                            ctr: CtrRef::FoldFree { node: my + 1 },
-                        });
-                        (my / 2) as isize
-                    }
+                let newnode = if my >= 2 * rem {
+                    Some(my - rem)
+                } else if my % 2 == 1 {
+                    self.plan_credit_put(b, Edge::fold(my, my - 1), true, staging, len);
+                    None
                 } else {
-                    (my - rem) as isize
+                    self.plan_fold_landed(b, Edge::fold(my + 1, my), len);
+                    Some(my / 2)
                 };
 
-                if newnode >= 0 {
-                    let newnode = newnode as usize;
+                if let Some(newnode) = newnode {
                     let mut mask = 1usize;
                     let mut round = 0usize;
                     while mask < pof2 {
                         let pn = newnode ^ mask;
                         let partner = if pn < rem { pn * 2 } else { pn + rem };
-                        b.push(Step::CounterWait {
-                            ctr: CtrRef::RdFree { node: my, round },
-                            n: 1,
-                        });
-                        stage(b);
-                        b.push(Step::RmaPut {
-                            to: self.cmaster_of(partner),
-                            src: BufRef::Contrib { slot: 0 },
-                            src_off: soff,
-                            dst: BufRef::RdLanding {
-                                node: partner,
-                                round,
-                            },
-                            dst_off: Off::Lit(0),
-                            len,
-                            ctr: Some(CtrRef::RdData {
-                                node: partner,
-                                round,
-                            }),
-                        });
-                        b.push(Step::CounterWait {
-                            ctr: CtrRef::RdData { node: my, round },
-                            n: 1,
-                        });
-                        b.push(Step::LocalReduce {
-                            src: BufRef::RdLanding { node: my, round },
-                            src_off: Off::Lit(0),
-                            len,
-                        });
-                        b.push(Step::CounterPut {
-                            to: self.cmaster_of(partner),
-                            ctr: CtrRef::RdFree {
-                                node: partner,
-                                round,
-                            },
-                        });
+                        self.plan_credit_put(b, Edge::rd(my, partner, round), true, staging, len);
+                        self.plan_fold_landed(b, Edge::rd(partner, my, round), len);
                         mask <<= 1;
                         round += 1;
                     }
@@ -816,21 +728,18 @@ impl SrmComm {
                 // Unfold: hand the result back to the folded-out nodes.
                 if my < 2 * rem {
                     if my.is_multiple_of(2) {
-                        stage(b);
+                        plan_stage_acc(b, staging.0, staging.1, len);
                         b.push(Step::RmaPut {
                             to: self.cmaster_of(my + 1),
-                            src: BufRef::Contrib { slot: 0 },
-                            src_off: soff,
+                            src: staging.0,
+                            src_off: staging.1,
                             dst: BufRef::FoldLanding { node: my + 1 },
                             dst_off: Off::Lit(0),
                             len,
                             ctr: Some(CtrRef::UnfoldData { node: my + 1 }),
                         });
                     } else {
-                        b.push(Step::CounterWait {
-                            ctr: CtrRef::UnfoldData { node: my },
-                            n: 1,
-                        });
+                        b.wait_ctr(CtrRef::UnfoldData { node: my }, 1);
                         b.push(Step::ShmCopy {
                             src: BufRef::FoldLanding { node: my },
                             src_off: Off::Lit(0),
@@ -842,16 +751,7 @@ impl SrmComm {
                     }
                 }
             }
-            b.push(Step::ShmCopy {
-                src: BufRef::Acc,
-                src_off: Off::Lit(0),
-                dst: BufRef::User,
-                dst_off: Off::Lit(0),
-                len,
-                cost: CopyCost::Free,
-            });
-        }
-        if self.c_is_master() {
+            plan_acc_to_user(b, 0, len);
             // The tree root's own contribution channel went unused.
             self.plan_contrib_catchup(b, rel + 1);
         }
@@ -865,185 +765,44 @@ impl SrmComm {
     /// broadcast. One-sided puts let the stages of consecutive chunks
     /// overlap.
     fn plan_allreduce_large(&self, b: &mut PlanBuilder, len: usize) {
-        let t = self.tuning();
         let tree = GroupTree::new(self, 0);
-        let chunk = t.reduce_chunk;
+        let chunk = self.tuning().reduce_chunk;
         let chunks = SrmTuning::chunk_count(len, chunk);
-        let p = self.cslots_here();
-        let my_node = self.cnode();
         let rel0 = b.rel(SeqBase::Reduce);
         let lrel0 = b.rel(SeqBase::Landing);
-        let read_streams = p.saturating_sub(1).max(1);
-        let bcast_children = if self.c_is_master() {
-            tree.children(my_node)
-        } else {
-            Vec::new()
-        };
+        let pair = PairSel::Landing;
 
         for k in 0..chunks {
             let off = k * chunk;
             let clen = chunk.min(len - off);
             let rel = rel0 + k as u64;
             let lrel = lrel0 + k as u64;
-            let lside = par(SeqBase::Landing, lrel);
             let has_acc = self.plan_smp_reduce_chunk(b, off, clen, rel, 0);
 
-            if self.c_is_master() {
-                debug_assert!(has_acc, "master is the subtree root");
-                // Inter-node reduce leg.
-                for c in tree.children_ascending(my_node) {
-                    b.push(Step::CounterWait {
-                        ctr: CtrRef::ReduceData {
-                            node: my_node,
-                            src: c,
-                            rel,
-                        },
-                        n: 1,
-                    });
-                    b.push(Step::LocalReduce {
-                        src: BufRef::ReduceLanding {
-                            node: my_node,
-                            src: c,
-                            rel,
-                        },
-                        src_off: Off::Lit(0),
-                        len: clen,
-                    });
-                    b.push(Step::CounterPut {
-                        to: self.cmaster_of(c),
-                        ctr: CtrRef::ReduceFree {
-                            node: c,
-                            dst: my_node,
-                            rel,
-                        },
-                    });
-                }
-                if my_node != 0 {
-                    let parent = tree.parent(my_node).expect("non-zero node");
-                    b.push(Step::CounterWait {
-                        ctr: CtrRef::ReduceFree {
-                            node: my_node,
-                            dst: parent,
-                            rel,
-                        },
-                        n: 1,
-                    });
-                    b.push(Step::ShmCopy {
-                        src: BufRef::Acc,
-                        src_off: Off::Lit(0),
-                        dst: BufRef::Contrib { slot: 0 },
-                        dst_off: poff(SeqBase::Reduce, rel, chunk),
-                        len: clen,
-                        cost: CopyCost::Free,
-                    });
-                    b.push(Step::RmaPut {
-                        to: self.cmaster_of(parent),
-                        src: BufRef::Contrib { slot: 0 },
-                        src_off: poff(SeqBase::Reduce, rel, chunk),
-                        dst: BufRef::ReduceLanding {
-                            node: parent,
-                            src: my_node,
-                            rel,
-                        },
-                        dst_off: Off::Lit(0),
-                        len: clen,
-                        ctr: Some(CtrRef::ReduceData {
-                            node: parent,
-                            src: my_node,
-                            rel,
-                        }),
-                    });
-                    // Inter-node broadcast leg: wait for the combined
-                    // chunk to come back, forward, distribute locally.
-                    b.push(Step::CounterWait {
-                        ctr: CtrRef::LandingData {
-                            node: my_node,
-                            rel: lrel,
-                        },
-                        n: 1,
-                    });
-                    b.push(Step::PairPublish {
-                        pair: PairSel::Landing,
-                        side: lside,
-                    });
-                    self.plan_forward_landing_chunk(b, &bcast_children, lrel, clen);
-                    b.push(Step::ShmCopy {
-                        src: BufRef::Landing {
-                            node: my_node,
-                            side: lside,
-                        },
-                        src_off: Off::Lit(0),
-                        dst: BufRef::User,
-                        dst_off: Off::Lit(off),
-                        len: clen,
-                        cost: CopyCost::Read(read_streams),
-                    });
-                    b.push(Step::PairWaitDrained {
-                        pair: PairSel::Landing,
-                        side: lside,
-                    });
-                    b.push(Step::CounterPut {
-                        to: self.cmaster_of(parent),
-                        ctr: CtrRef::BcastFree {
-                            node: parent,
-                            child: my_node,
-                            rel: lrel,
-                        },
-                    });
-                } else {
-                    // Group node 0: the chunk is fully combined; start
-                    // the broadcast leg from here.
-                    b.push(Step::PairWaitFree {
-                        pair: PairSel::Landing,
-                        side: lside,
-                    });
-                    b.push(Step::ShmCopy {
-                        src: BufRef::Acc,
-                        src_off: Off::Lit(0),
-                        dst: BufRef::Landing {
-                            node: my_node,
-                            side: lside,
-                        },
-                        dst_off: Off::Lit(0),
-                        len: clen,
-                        cost: CopyCost::Write(1),
-                    });
-                    b.push(Step::PairPublish {
-                        pair: PairSel::Landing,
-                        side: lside,
-                    });
-                    self.plan_forward_landing_chunk(b, &bcast_children, lrel, clen);
-                    b.push(Step::ShmCopy {
-                        src: BufRef::Acc,
-                        src_off: Off::Lit(0),
-                        dst: BufRef::User,
-                        dst_off: Off::Lit(off),
-                        len: clen,
-                        cost: CopyCost::Free,
-                    });
-                }
+            if !self.c_is_master() {
+                // Consume the broadcast chunk from the landing buffer.
+                self.plan_pair_read(
+                    b,
+                    pair,
+                    lrel,
+                    |_| {},
+                    Some((0, off, clen)),
+                    self.peer_streams(),
+                );
+                continue;
+            }
+            debug_assert!(has_acc, "master is the subtree root");
+            self.plan_tree_up(b, &tree, rel, clen);
+            if self.cnode() != 0 {
+                // Wait for the combined chunk to come back, forward,
+                // distribute locally.
+                self.plan_tree_down(b, &tree, lrel, off, clen, false);
             } else {
-                // Non-master: consume the broadcast chunk from the
-                // landing buffer.
-                b.push(Step::PairWaitPublished {
-                    pair: PairSel::Landing,
-                    side: lside,
-                });
-                b.push(Step::ShmCopy {
-                    src: BufRef::Landing {
-                        node: my_node,
-                        side: lside,
-                    },
-                    src_off: Off::Lit(0),
-                    dst: BufRef::User,
-                    dst_off: Off::Lit(off),
-                    len: clen,
-                    cost: CopyCost::Read(read_streams),
-                });
-                b.push(Step::PairRelease {
-                    pair: PairSel::Landing,
-                    side: lside,
-                });
+                // Group node 0: the chunk is fully combined; start the
+                // broadcast leg from here.
+                self.plan_pair_write(b, pair, lrel, (BufRef::Acc, Off::Lit(0)), clen, 1);
+                self.plan_forward_landing_chunk(b, &tree, lrel, clen);
+                plan_acc_to_user(b, off, clen);
             }
         }
         if self.c_is_master() {
@@ -1082,10 +841,10 @@ impl SrmComm {
                     to: self.cmaster_of(to),
                     ctr: CtrRef::BarRound { node: to, round },
                 });
-                b.push(Step::CounterWaitGe {
-                    ctr: CtrRef::BarRound { node: my, round },
-                    val: seq(SeqBase::Barrier, 1),
-                });
+                b.wait_ctr_ge(
+                    CtrRef::BarRound { node: my, round },
+                    seq(SeqBase::Barrier, 1),
+                );
                 dist <<= 1;
                 round += 1;
             }
@@ -1118,8 +877,7 @@ impl SrmComm {
         if len == 0 || self.csize() == 1 {
             return;
         }
-        let t = self.tuning();
-        let chunk = t.reduce_chunk;
+        let chunk = self.tuning().reduce_chunk;
         let chunks = SrmTuning::chunk_count(len, chunk);
         let p = self.cslots_here();
         let nodes = self.cnodes();
@@ -1135,42 +893,35 @@ impl SrmComm {
         let master_waits = multi && root_gslot != 0;
         let rel0 = b.rel(SeqBase::Reduce);
         let xrel0 = b.rel(SeqBase::Xfer);
-        let write_streams = p.saturating_sub(1).max(1);
-        // Remote pieces the root side absorbs: every member of every
-        // non-root node relays `chunks` pieces.
-        let remote_pieces = || -> u64 {
-            (0..nodes)
+        // Chunk `k` of a segment as `(chunk index, offset, bytes)`.
+        let pieces =
+            || (0..chunks).map(|k| (rel0 + k as u64, k * chunk, chunk.min(len - k * chunk)));
+        // Wait for every remote piece: every member of every non-root
+        // node relays `chunks` of them.
+        let absorb_remote = |b: &mut PlanBuilder| {
+            let n: usize = (0..nodes)
                 .filter(|&g| g != root_node)
                 .map(|g| self.cslots_on(g) * chunks)
-                .sum::<usize>() as u64
+                .sum();
+            b.wait_ctr(CtrRef::LargeData { node: root_node }, n as u64);
         };
-
+        // Ship the root's buffer handle to every remote master.
+        let send_root_addr = |b: &mut PlanBuilder, src: HandleSrc| {
+            for m in (0..nodes).filter(|&m| m != root_node) {
+                b.push(Step::AddrSend {
+                    to: self.cmaster_of(m),
+                    am: self.comm.am_gs_addr,
+                    src,
+                });
+            }
+        };
         // Relay my segment chunk-by-chunk through my contribution
         // buffer (producer half of the reduce-leaf pattern).
-        let contribute = |b: &mut PlanBuilder, comm: &SrmComm| {
-            for k in 0..chunks {
-                let rel = rel0 + k as u64;
-                let koff = k * chunk;
-                let clen = chunk.min(len - koff);
-                b.push(Step::DrainWait {
-                    flag: FlagRef::ContribDone { slot: my },
-                    base: SeqBase::Reduce,
-                    rel,
-                    scale: 1,
-                    label: "contrib side drained",
-                });
-                b.push(Step::ShmCopy {
-                    src: BufRef::User,
-                    src_off: Off::Lit(comm.crank() * len + koff),
-                    dst: BufRef::Contrib { slot: my },
-                    dst_off: poff(SeqBase::Reduce, rel, chunk),
-                    len: clen,
-                    cost: CopyCost::Write(write_streams),
-                });
-                b.push(Step::FlagRaise {
-                    flag: FlagRef::ContribReady { slot: my },
-                    val: seq(SeqBase::Reduce, rel + 1),
-                });
+        let contribute = |b: &mut PlanBuilder| {
+            let cost = CopyCost::Write(self.peer_streams());
+            for (rel, koff, clen) in pieces() {
+                let from = (BufRef::User, Off::Lit(self.crank() * len + koff));
+                self.plan_contrib_publish(b, rel, from, clen, cost);
             }
         };
 
@@ -1181,73 +932,36 @@ impl SrmComm {
                 b.push(Step::BoardAddrPut);
             }
             if multi && my == 0 {
-                for m in 0..nodes {
-                    if m != root_node {
-                        b.push(Step::AddrSend {
-                            to: self.cmaster_of(m),
-                            am: self.comm.am_gs_addr,
-                            src: HandleSrc::User,
-                        });
-                    }
-                }
+                send_root_addr(b, HandleSrc::User);
             }
             // Consume every other local slot's segment.
-            for s in 0..p {
-                if s == my {
-                    continue;
-                }
+            for s in (0..p).filter(|&s| s != my) {
                 let seg = self.crank_at(my_node, s) * len;
-                for k in 0..chunks {
-                    let rel = rel0 + k as u64;
-                    let koff = k * chunk;
-                    let clen = chunk.min(len - koff);
-                    b.push(Step::FlagWaitGe {
-                        flag: FlagRef::ContribReady { slot: s },
-                        val: seq(SeqBase::Reduce, rel + 1),
-                        label: "gather contribution ready",
-                    });
-                    b.push(Step::ShmCopy {
-                        src: BufRef::Contrib { slot: s },
-                        src_off: poff(SeqBase::Reduce, rel, chunk),
-                        dst: BufRef::User,
-                        dst_off: Off::Lit(seg + koff),
-                        len: clen,
-                        cost: CopyCost::Read(1),
-                    });
-                    if k == 0 && !crate::plan::skip_order_guards() {
-                        // Keep DONE skip-free across collectives: the
-                        // previous op's consumer of this channel may be
-                        // a different rank that hasn't drained yet (see
-                        // `plan_smp_reduce_chunk`).
-                        b.push(Step::FlagWaitGe {
-                            flag: FlagRef::ContribDone { slot: s },
-                            val: seq(SeqBase::Reduce, rel0),
-                            label: "contrib consumed in order",
-                        });
-                    }
-                    b.push(Step::FlagRaise {
-                        flag: FlagRef::ContribDone { slot: s },
-                        val: seq(SeqBase::Reduce, rel + 1),
-                    });
+                for (rel, koff, clen) in pieces() {
+                    self.plan_contrib_consume(
+                        b,
+                        s,
+                        rel,
+                        "gather contribution ready",
+                        |b, src, src_off| {
+                            b.push(Step::ShmCopy {
+                                src,
+                                src_off,
+                                dst: BufRef::User,
+                                dst_off: Off::Lit(seg + koff),
+                                len: clen,
+                                cost: CopyCost::Read(1),
+                            })
+                        },
+                    );
                 }
             }
             // Wait for every remote piece to land in my buffer.
             if multi {
                 if master_waits {
-                    b.push(Step::FlagWaitGe {
-                        flag: FlagRef::XferReady,
-                        val: seq(SeqBase::Xfer, xrel0 + 1),
-                        label: "gather remote pieces landed",
-                    });
-                    b.push(Step::FlagRaise {
-                        flag: FlagRef::XferDone,
-                        val: seq(SeqBase::Xfer, xrel0 + 1),
-                    });
+                    plan_xfer_consume(b, xrel0, "gather remote pieces landed", |_| {});
                 } else {
-                    b.push(Step::CounterWait {
-                        ctr: CtrRef::LargeData { node: root_node },
-                        n: remote_pieces(),
-                    });
+                    absorb_remote(b);
                 }
                 b.push(Step::Trace("gather:done"));
             }
@@ -1258,24 +972,13 @@ impl SrmComm {
             // root's handle before contributing its own segment.
             if multi && my == 0 {
                 b.push(Step::BoardAddrTake);
-                for m in 0..nodes {
-                    if m != root_node {
-                        b.push(Step::AddrSend {
-                            to: self.cmaster_of(m),
-                            am: self.comm.am_gs_addr,
-                            src: HandleSrc::RootUser,
-                        });
-                    }
-                }
+                send_root_addr(b, HandleSrc::RootUser);
             }
-            contribute(b, self);
+            contribute(b);
             if master_waits && my == 0 {
                 // I am the target of the remote puts: absorb them all,
                 // then wake the root through the xfer flags.
-                b.push(Step::CounterWait {
-                    ctr: CtrRef::LargeData { node: root_node },
-                    n: remote_pieces(),
-                });
+                absorb_remote(b);
                 b.push(Step::FlagRaise {
                     flag: FlagRef::XferReady,
                     val: seq(SeqBase::Xfer, xrel0 + 1),
@@ -1285,59 +988,41 @@ impl SrmComm {
             // Remote master: learn the root's buffer, put my own
             // segment, then relay every local slot's pieces.
             b.push(Step::GsRootTake);
-            for k in 0..chunks {
-                let koff = k * chunk;
-                let clen = chunk.min(len - koff);
-                b.push(Step::RmaPut {
-                    to: self.cmaster_of(root_node),
-                    src: BufRef::User,
-                    src_off: Off::Lit(self.crank() * len + koff),
-                    dst: BufRef::RootUser,
-                    dst_off: Off::Lit(self.crank() * len + koff),
-                    len: clen,
-                    ctr: Some(CtrRef::LargeData { node: root_node }),
-                });
+            let put =
+                |b: &mut PlanBuilder, src: BufRef, src_off: Off, dst_off: usize, len: usize| {
+                    b.push(Step::RmaPut {
+                        to: self.cmaster_of(root_node),
+                        src,
+                        src_off,
+                        dst: BufRef::RootUser,
+                        dst_off: Off::Lit(dst_off),
+                        len,
+                        ctr: Some(CtrRef::LargeData { node: root_node }),
+                    })
+                };
+            for (_, koff, clen) in pieces() {
+                let at = self.crank() * len + koff;
+                put(b, BufRef::User, Off::Lit(at), at, clen);
             }
             for s in 1..p {
                 let seg = self.crank_at(my_node, s) * len;
-                for k in 0..chunks {
-                    let rel = rel0 + k as u64;
-                    let koff = k * chunk;
-                    let clen = chunk.min(len - koff);
-                    b.push(Step::FlagWaitGe {
-                        flag: FlagRef::ContribReady { slot: s },
-                        val: seq(SeqBase::Reduce, rel + 1),
-                        label: "gather contribution ready",
-                    });
-                    b.push(Step::Trace("gather:relay"));
-                    b.push(Step::RmaPut {
-                        to: self.cmaster_of(root_node),
-                        src: BufRef::Contrib { slot: s },
-                        src_off: poff(SeqBase::Reduce, rel, chunk),
-                        dst: BufRef::RootUser,
-                        dst_off: Off::Lit(seg + koff),
-                        len: clen,
-                        ctr: Some(CtrRef::LargeData { node: root_node }),
-                    });
-                    if k == 0 && !crate::plan::skip_order_guards() {
-                        // DONE must stay skip-free across collectives
-                        // (see `plan_smp_reduce_chunk`).
-                        b.push(Step::FlagWaitGe {
-                            flag: FlagRef::ContribDone { slot: s },
-                            val: seq(SeqBase::Reduce, rel0),
-                            label: "contrib consumed in order",
-                        });
-                    }
-                    b.push(Step::FlagRaise {
-                        flag: FlagRef::ContribDone { slot: s },
-                        val: seq(SeqBase::Reduce, rel + 1),
-                    });
+                for (rel, koff, clen) in pieces() {
+                    self.plan_contrib_consume(
+                        b,
+                        s,
+                        rel,
+                        "gather contribution ready",
+                        |b, src, src_off| {
+                            b.push(Step::Trace("gather:relay"));
+                            put(b, src, src_off, seg + koff, clen);
+                        },
+                    );
                 }
             }
             // My own segment bypassed my contribution channel.
             self.plan_contrib_catchup(b, rel0 + chunks as u64);
         } else {
-            contribute(b, self);
+            contribute(b);
         }
         b.advance(SeqBase::Reduce, chunks as u64);
         if master_waits && my_node == root_node {
@@ -1384,6 +1069,22 @@ impl SrmComm {
         out
     }
 
+    /// Slot `s`'s part of the block piece `(block_off, plen)` on my
+    /// node, as `(offset in the piece, user-buffer offset, bytes)`.
+    pub(crate) fn block_overlap(
+        &self,
+        len: usize,
+        (boff, plen): (usize, usize),
+        s: usize,
+    ) -> Option<(usize, usize, usize)> {
+        let lo = boff.max(s * len);
+        let hi = (boff + plen).min((s + 1) * len);
+        (lo < hi).then(|| {
+            let user = self.crank_at(self.cnode(), s) * len + (lo - s * len);
+            (lo - boff, user, hi - lo)
+        })
+    }
+
     /// Plan a scatter: the root's `buf[..csize*len]` is cut into
     /// per-rank segments; communicator rank `c` receives
     /// `buf[c*len..(c+1)*len]`. `root` is a communicator rank.
@@ -1407,299 +1108,97 @@ impl SrmComm {
         let my_node = self.cnode();
         let my = self.cslot();
         let (root_node, root_gslot) = self.ccoord_of(root);
-        let multi = self.cmulti();
-        let xfer_relay = multi && root_gslot != 0;
+        let xfer_relay = self.cmulti() && root_gslot != 0;
         let rel0 = b.rel(SeqBase::Reduce);
         let lrel0 = b.rel(SeqBase::Landing);
         let xrel0 = b.rel(SeqBase::Xfer);
-        let read_streams = p.saturating_sub(1).max(1);
+        let pair = PairSel::Landing;
+        let pieces: Vec<Vec<(usize, usize, usize)>> = (0..nodes)
+            .map(|g| self.scatter_pieces(g, len, chunk))
+            .collect();
         // Uniform advance: per-node piece counts differ on uneven
         // groups, but the Reduce/Landing cumulatives must advance
         // identically on every member (see the module doc), so all
         // ranks advance by the maximum.
-        let max_pieces = (0..nodes)
-            .map(|g| self.scatter_pieces(g, len, chunk).len())
-            .max()
-            .expect("group has at least one node");
-        // Xfer pieces the root hands to its master, in stream order.
-        let xfer_total: u64 = (0..nodes)
-            .filter(|&g| g != root_node)
-            .map(|g| self.scatter_pieces(g, len, chunk).len() as u64)
-            .sum();
-
-        // Overlap of a piece `(block_off, plen)` with slot `s`'s
-        // segment, as `(landing_off, user_off, olen)`.
-        let overlap = |boff: usize, plen: usize, s: usize| -> Option<(usize, usize, usize)> {
-            let lo = boff.max(s * len);
-            let hi = (boff + plen).min((s + 1) * len);
-            (lo < hi).then(|| {
-                (
-                    lo - boff,
-                    self.crank_at(my_node, s) * len + (lo - s * len),
-                    hi - lo,
-                )
-            })
+        let max_pieces = pieces.iter().map(Vec::len).max().expect("nonempty group");
+        // The wire pieces in stream order, as `(destination node,
+        // reduce chunk, xfer use, root offset, bytes)`.
+        let stream = || {
+            (0..nodes)
+                .filter(|&c| c != root_node)
+                .flat_map(|c| {
+                    pieces[c]
+                        .iter()
+                        .enumerate()
+                        .map(move |(j, p)| (c, j as u64, p))
+                })
+                .enumerate()
+                .map(|(xi, (c, j, &(roff, _, plen)))| (c, rel0 + j, xrel0 + xi as u64, roff, plen))
         };
         // Reader side of the landing-pair distribution of my node's
         // block (every non-publishing slot must release every piece).
         let read_block = |b: &mut PlanBuilder| {
-            for (j, &(_, boff, plen)) in self.scatter_pieces(my_node, len, chunk).iter().enumerate()
-            {
-                let lrel = lrel0 + j as u64;
-                let lside = par(SeqBase::Landing, lrel);
-                b.push(Step::PairWaitPublished {
-                    pair: PairSel::Landing,
-                    side: lside,
-                });
-                if let Some((loff, uoff, olen)) = overlap(boff, plen, my) {
-                    b.push(Step::ShmCopy {
-                        src: BufRef::Landing {
-                            node: my_node,
-                            side: lside,
-                        },
-                        src_off: Off::Lit(loff),
-                        dst: BufRef::User,
-                        dst_off: Off::Lit(uoff),
-                        len: olen,
-                        cost: CopyCost::Read(read_streams),
-                    });
-                }
-                b.push(Step::PairRelease {
-                    pair: PairSel::Landing,
-                    side: lside,
-                });
+            for (j, &(_, boff, plen)) in pieces[my_node].iter().enumerate() {
+                let mine = self.block_overlap(len, (boff, plen), my);
+                self.plan_pair_read(b, pair, lrel0 + j as u64, |_| {}, mine, self.peer_streams());
             }
         };
 
         if self.crank() == root {
             // Ship every other node's block through the reduce landing
             // channels (directly, or via my master over `xfer`).
-            if multi {
-                let mut xi = 0u64;
-                for c in 0..nodes {
-                    if c == root_node {
-                        continue;
-                    }
-                    for (j, &(roff, _, plen)) in
-                        self.scatter_pieces(c, len, chunk).iter().enumerate()
-                    {
-                        let rel = rel0 + j as u64;
-                        if root_gslot == 0 {
-                            b.push(Step::CounterWait {
-                                ctr: CtrRef::ReduceFree {
-                                    node: root_node,
-                                    dst: c,
-                                    rel,
-                                },
-                                n: 1,
-                            });
-                            b.push(Step::RmaPut {
-                                to: self.cmaster_of(c),
-                                src: BufRef::User,
-                                src_off: Off::Lit(roff),
-                                dst: BufRef::ReduceLanding {
-                                    node: c,
-                                    src: root_node,
-                                    rel,
-                                },
-                                dst_off: Off::Lit(0),
-                                len: plen,
-                                ctr: Some(CtrRef::ReduceData {
-                                    node: c,
-                                    src: root_node,
-                                    rel,
-                                }),
-                            });
-                        } else {
-                            let xrel = xrel0 + xi;
-                            b.push(Step::DrainWait {
-                                flag: FlagRef::XferDone,
-                                base: SeqBase::Xfer,
-                                rel: xrel,
-                                scale: 1,
-                                label: "xfer side drained",
-                            });
-                            b.push(Step::ShmCopy {
-                                src: BufRef::User,
-                                src_off: Off::Lit(roff),
-                                dst: BufRef::Xfer,
-                                dst_off: poff(SeqBase::Xfer, xrel, chunk),
-                                len: plen,
-                                cost: CopyCost::Free,
-                            });
-                            b.push(Step::FlagRaise {
-                                flag: FlagRef::XferReady,
-                                val: seq(SeqBase::Xfer, xrel + 1),
-                            });
-                            xi += 1;
-                        }
-                    }
+            for (c, rel, xrel, roff, plen) in stream() {
+                let from = (BufRef::User, Off::Lit(roff));
+                if root_gslot == 0 {
+                    self.plan_credit_put(b, Edge::reduce(root_node, c, rel), false, from, plen);
+                } else {
+                    plan_xfer_produce(b, xrel, chunk, from, plen);
                 }
             }
             // Distribute my own node's block through the landing pair.
             if p > 1 {
-                for (j, &(roff, _, plen)) in
-                    self.scatter_pieces(my_node, len, chunk).iter().enumerate()
-                {
-                    let lrel = lrel0 + j as u64;
-                    let lside = par(SeqBase::Landing, lrel);
-                    b.push(Step::PairWaitFree {
-                        pair: PairSel::Landing,
-                        side: lside,
-                    });
-                    b.push(Step::ShmCopy {
-                        src: BufRef::User,
-                        src_off: Off::Lit(roff),
-                        dst: BufRef::Landing {
-                            node: my_node,
-                            side: lside,
-                        },
-                        dst_off: Off::Lit(0),
-                        len: plen,
-                        cost: CopyCost::Write(1),
-                    });
-                    b.push(Step::PairPublish {
-                        pair: PairSel::Landing,
-                        side: lside,
-                    });
+                for (j, &(roff, _, plen)) in pieces[my_node].iter().enumerate() {
+                    let from = (BufRef::User, Off::Lit(roff));
+                    self.plan_pair_write(b, pair, lrel0 + j as u64, from, plen, 1);
                 }
             }
         } else if my_node == root_node {
             if my == 0 && xfer_relay {
                 // Master relays the root's xfer pieces onto the wire.
-                let mut xi = 0u64;
-                for c in 0..nodes {
-                    if c == root_node {
-                        continue;
-                    }
-                    for (j, &(_, _, plen)) in self.scatter_pieces(c, len, chunk).iter().enumerate()
-                    {
-                        let rel = rel0 + j as u64;
-                        let xrel = xrel0 + xi;
-                        b.push(Step::FlagWaitGe {
-                            flag: FlagRef::XferReady,
-                            val: seq(SeqBase::Xfer, xrel + 1),
-                            label: "xfer chunk ready",
-                        });
-                        b.push(Step::CounterWait {
-                            ctr: CtrRef::ReduceFree {
-                                node: root_node,
-                                dst: c,
-                                rel,
-                            },
-                            n: 1,
-                        });
-                        b.push(Step::RmaPut {
-                            to: self.cmaster_of(c),
-                            src: BufRef::Xfer,
-                            src_off: poff(SeqBase::Xfer, xrel, chunk),
-                            dst: BufRef::ReduceLanding {
-                                node: c,
-                                src: root_node,
-                                rel,
-                            },
-                            dst_off: Off::Lit(0),
-                            len: plen,
-                            ctr: Some(CtrRef::ReduceData {
-                                node: c,
-                                src: root_node,
-                                rel,
-                            }),
-                        });
-                        // The put snapshots the source synchronously, so
-                        // the side is reusable as soon as it is issued.
-                        b.push(Step::FlagRaise {
-                            flag: FlagRef::XferDone,
-                            val: seq(SeqBase::Xfer, xrel + 1),
-                        });
-                        xi += 1;
-                    }
+                // The put snapshots the source synchronously, so the
+                // side is reusable as soon as it is issued.
+                for (c, rel, xrel, _, plen) in stream() {
+                    plan_xfer_consume(b, xrel, "xfer chunk ready", |b| {
+                        let from = (BufRef::Xfer, poff(SeqBase::Xfer, xrel, chunk));
+                        self.plan_credit_put(b, Edge::reduce(root_node, c, rel), false, from, plen);
+                    });
                 }
             }
             read_block(b);
         } else if my == 0 {
             // Destination-node master: land each piece, republish it on
             // the landing pair, return the credit, take my overlap.
-            for (j, &(_, boff, plen)) in self.scatter_pieces(my_node, len, chunk).iter().enumerate()
-            {
-                let rel = rel0 + j as u64;
+            for (j, &(_, boff, plen)) in pieces[my_node].iter().enumerate() {
+                let e = Edge::reduce(root_node, my_node, rel0 + j as u64);
                 let lrel = lrel0 + j as u64;
-                let lside = par(SeqBase::Landing, lrel);
-                b.push(Step::CounterWait {
-                    ctr: CtrRef::ReduceData {
-                        node: my_node,
-                        src: root_node,
-                        rel,
-                    },
-                    n: 1,
-                });
+                b.wait_ctr(e.data, 1);
                 b.push(Step::Trace("scatter:chunk-in"));
                 if p > 1 {
-                    b.push(Step::PairWaitFree {
-                        pair: PairSel::Landing,
-                        side: lside,
-                    });
-                    b.push(Step::ShmCopy {
-                        src: BufRef::ReduceLanding {
-                            node: my_node,
-                            src: root_node,
-                            rel,
-                        },
-                        src_off: Off::Lit(0),
-                        dst: BufRef::Landing {
-                            node: my_node,
-                            side: lside,
-                        },
-                        dst_off: Off::Lit(0),
-                        len: plen,
-                        cost: CopyCost::Write(1),
-                    });
-                    b.push(Step::PairPublish {
-                        pair: PairSel::Landing,
-                        side: lside,
-                    });
-                    b.push(Step::CounterPut {
-                        to: self.cmaster_of(root_node),
-                        ctr: CtrRef::ReduceFree {
-                            node: root_node,
-                            dst: my_node,
-                            rel,
-                        },
-                    });
-                    if let Some((loff, uoff, olen)) = overlap(boff, plen, my) {
-                        b.push(Step::ShmCopy {
-                            src: BufRef::Landing {
-                                node: my_node,
-                                side: lside,
-                            },
-                            src_off: Off::Lit(loff),
-                            dst: BufRef::User,
-                            dst_off: Off::Lit(uoff),
-                            len: olen,
-                            cost: CopyCost::Read(read_streams),
-                        });
+                    self.plan_pair_write(b, pair, lrel, (e.landing, e.off), plen, 1);
+                    self.plan_credit_return(b, e);
+                    if let Some(mine) = self.block_overlap(len, (boff, plen), my) {
+                        self.plan_pair_copy_out(b, pair, lrel, mine, self.peer_streams());
                     }
                 } else {
                     b.push(Step::ShmCopy {
-                        src: BufRef::ReduceLanding {
-                            node: my_node,
-                            src: root_node,
-                            rel,
-                        },
-                        src_off: Off::Lit(0),
+                        src: e.landing,
+                        src_off: e.off,
                         dst: BufRef::User,
                         dst_off: Off::Lit(self.crank() * len + boff),
                         len: plen,
                         cost: CopyCost::Read(1),
                     });
-                    b.push(Step::CounterPut {
-                        to: self.cmaster_of(root_node),
-                        ctr: CtrRef::ReduceFree {
-                            node: root_node,
-                            dst: my_node,
-                            rel,
-                        },
-                    });
+                    self.plan_credit_return(b, e);
                 }
             }
         } else {
@@ -1713,14 +1212,10 @@ impl SrmComm {
         // My node's landing pair carried only its own block's pieces
         // (none on a single-slot node); account the skipped uses of the
         // group-wide advance as released.
-        let mine = if p > 1 {
-            self.scatter_pieces(my_node, len, chunk).len()
-        } else {
-            0
-        };
+        let mine = if p > 1 { pieces[my_node].len() } else { 0 };
         if mine < max_pieces {
             b.push(Step::PairCatchUp {
-                pair: PairSel::Landing,
+                pair,
                 base: SeqBase::Landing,
                 rel: lrel0 + max_pieces as u64,
             });
@@ -1728,7 +1223,7 @@ impl SrmComm {
         b.advance(SeqBase::Reduce, max_pieces as u64);
         b.advance(SeqBase::Landing, max_pieces as u64);
         if xfer_relay && my_node == root_node {
-            b.advance(SeqBase::Xfer, xfer_total);
+            b.advance(SeqBase::Xfer, stream().count() as u64);
         }
     }
 

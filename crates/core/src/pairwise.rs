@@ -80,11 +80,12 @@
 //! over the *whole group* and applied on every member, even members
 //! whose own node moved less (DESIGN.md §12.3).
 
-use crate::inter::{par, poff, seq};
+use crate::inter::{seq, Edge};
 use crate::plan::{
     BufRef, CopyCost, CtrRef, FlagRef, HandleSrc, Off, PairSel, PlanBuilder, SeqBase, Step, Val,
 };
 use crate::route::{RouteClass, SegmentRoute};
+use crate::smp::{plan_acc_to_user, plan_stage_acc};
 use crate::tuning::SrmTuning;
 use crate::world::SrmComm;
 use rma::{CounterFamily, LapiCounter};
@@ -207,84 +208,57 @@ impl SrmComm {
         s: NodeId,
         d: NodeId,
     ) -> Vec<WirePiece> {
-        let sp = self.cslots_on(s);
+        if !self.ccontig(d) {
+            return self.cell_stream(len, |_, _| len, chunk, rbase, s, d);
+        }
         let dp = self.cslots_on(d);
+        let base = self.crank_at(d, 0) * len;
+        let block = dp * len;
         let mut out = Vec::new();
-        if self.ccontig(d) {
-            let base = self.crank_at(d, 0) * len;
-            let block = dp * len;
-            let per = SrmTuning::chunk_count(block, chunk);
-            for u in 0..sp {
-                let cu = self.crank_at(s, u);
-                for kc in 0..per {
-                    let koff = kc * chunk;
-                    let clen = chunk.min(block - koff);
-                    let mut overlaps = Vec::new();
-                    for t in 0..dp {
+        for u in 0..self.cslots_on(s) {
+            let cu = self.crank_at(s, u);
+            for kc in 0..SrmTuning::chunk_count(block, chunk) {
+                let koff = kc * chunk;
+                let clen = chunk.min(block - koff);
+                let overlaps = (0..dp)
+                    .filter_map(|t| {
                         let lo = koff.max(t * len);
                         let hi = (koff + clen).min((t + 1) * len);
-                        if lo < hi {
-                            overlaps.push((
-                                t,
-                                lo - koff,
-                                rbase + cu * len + (lo - t * len),
-                                hi - lo,
-                            ));
-                        }
-                    }
-                    out.push(WirePiece {
-                        src_slot: u,
-                        src_off: base + koff,
-                        len: clen,
-                        overlaps,
-                    });
-                }
-            }
-        } else {
-            let per = SrmTuning::chunk_count(len, chunk);
-            for u in 0..sp {
-                let cu = self.crank_at(s, u);
-                for t in 0..dp {
-                    let ct = self.crank_at(d, t);
-                    for kc in 0..per {
-                        let koff = kc * chunk;
-                        let clen = chunk.min(len - koff);
-                        out.push(WirePiece {
-                            src_slot: u,
-                            src_off: ct * len + koff,
-                            len: clen,
-                            overlaps: vec![(t, 0, rbase + cu * len + koff, clen)],
-                        });
-                    }
-                }
+                        (lo < hi)
+                            .then(|| (t, lo - koff, rbase + cu * len + (lo - t * len), hi - lo))
+                    })
+                    .collect();
+                out.push(WirePiece {
+                    src_slot: u,
+                    src_off: base + koff,
+                    len: clen,
+                    overlaps,
+                });
             }
         }
         out
     }
 
-    /// Pieces of the alltoallv stream `s → d` (group nodes): the ragged
-    /// `(src_slot, dst_slot)` cells of the communicator-rank count grid
+    /// Pieces of the stream `s → d` (group nodes) cut cell by cell: the
+    /// `(src_slot, dst_slot)` cells of the communicator-rank grid on
+    /// `seg`-strided segments, `count(src rank, dst rank)` bytes each,
     /// in a fixed nested order, each chunked. Every piece targets
     /// exactly one destination slot.
-    fn alltoallv_stream(
+    fn cell_stream(
         &self,
         seg: usize,
-        counts: &[usize],
+        count: impl Fn(usize, usize) -> usize,
         chunk: usize,
         rbase: usize,
         s: NodeId,
         d: NodeId,
     ) -> Vec<WirePiece> {
-        let n = self.csize();
         let mut out = Vec::new();
         for u in 0..self.cslots_on(s) {
             let cu = self.crank_at(s, u);
             for t in 0..self.cslots_on(d) {
                 let ct = self.crank_at(d, t);
-                let cnt = counts[cu * n + ct];
-                if cnt == 0 {
-                    continue;
-                }
+                let cnt = count(cu, ct);
                 for kc in 0..cnt.div_ceil(chunk) {
                     let koff = kc * chunk;
                     let clen = chunk.min(cnt - koff);
@@ -300,6 +274,22 @@ impl SrmComm {
         out
     }
 
+    /// Block until my node holds at least `n` credits toward `d`
+    /// without spending any. Before a credit put it narrows the window
+    /// (`n = geometry - w + 1` keeps at most `w` puts in flight, so
+    /// ring slot `r % w` is always drained before it is reused even
+    /// though the geometry credit pool is larger); with the full
+    /// geometry complement at the end of a plan it proves the ring
+    /// drained, so the next operation may index slots from zero again —
+    /// whatever window it compiles with.
+    fn plan_credits_ge(&self, b: &mut PlanBuilder, d: NodeId, n: usize) {
+        let ctr = CtrRef::PairwiseFree {
+            node: self.cnode(),
+            dst: d,
+        };
+        b.wait_ctr_ge(ctr, Val::Lit(n as u64));
+    }
+
     /// Emit the inter-node part of a pairwise exchange: the credit-
     /// windowed round-robin over every `(src, dst)` group-node stream
     /// produced by `streams`, with non-master outbound data staged
@@ -313,23 +303,20 @@ impl SrmComm {
         if nodes <= 1 {
             return;
         }
-        // Geometry: the contribution-buffer stride and the ring/credit
-        // capacity the world was built with.
-        let t = self.tuning();
-        let w_geom = t.pairwise_window;
+        // Geometry: the ring/credit capacity the world was built with.
+        let w_geom = self.tuning().pairwise_window;
         // Decisions: the effective per-shape put size and window. Both
         // ends of every stream compile from the same shape, so they
         // agree on the ring slot grid `(r % w) * chunk`, which always
         // fits the geometry ring (`chunk ≤ geometry chunk`,
         // `w ≤ w_geom`).
-        let eff = *b.tuning();
-        let chunk = eff.pairwise_chunk;
-        let w = eff.pairwise_window;
+        let chunk = b.tuning().pairwise_chunk;
+        let w = b.tuning().pairwise_window;
         let me = self.cnode();
         let my = self.cslot();
         let p = self.cslots_here();
         let local_multi = p > 1;
-        let read_streams = p.saturating_sub(1).max(1);
+        let pair = PairSel::Landing;
 
         // Stream lengths and per-slot staging totals of the whole
         // group: the sequence-base advances must be uniform across
@@ -373,19 +360,12 @@ impl SrmComm {
             .max()
             .unwrap_or(0);
 
-        // With a narrowed effective window the sender must not spend
-        // all `w_geom` geometry credits at once: a non-consuming
-        // threshold wait (credits ≥ w_geom - w + 1, i.e. at most w - 1
-        // already outstanding) before each consuming credit wait keeps
-        // at most `w` puts in flight, so ring slot `r % w` is always
-        // drained before it is reused.
-        let credit_guard = |b: &mut PlanBuilder, d: NodeId| {
+        // One credit-gated put of `from` into ring slot `e` toward `d`.
+        let ring_put = |b: &mut PlanBuilder, e: Edge, from: (BufRef, Off), len: usize| {
             if w < w_geom {
-                b.push(Step::CounterWaitGe {
-                    ctr: CtrRef::PairwiseFree { node: me, dst: d },
-                    val: Val::Lit((w_geom - w + 1) as u64),
-                });
+                self.plan_credits_ge(b, e.dst, w_geom - w + 1);
             }
+            self.plan_credit_put(b, e, false, from, len);
         };
 
         // Cursor into each slot's contribution channel (master:
@@ -396,185 +376,66 @@ impl SrmComm {
         let mut li = 0u64;
 
         for r in 0..rounds {
+            let ring_off = (r % w) * chunk;
             // Outbound: one piece toward every destination still active.
             for (d, pieces) in &out {
                 let Some(piece) = pieces.get(r) else { continue };
-                let ring_off = Off::Lit((r % w) * chunk);
-                if my == 0 {
-                    if piece.src_slot == 0 {
-                        credit_guard(b, *d);
-                        b.push(Step::CreditWait {
-                            ctr: CtrRef::PairwiseFree { node: me, dst: *d },
-                            n: 1,
-                        });
-                        b.push(Step::RmaPut {
-                            to: self.cmaster_of(*d),
-                            src: BufRef::User,
-                            src_off: Off::Lit(piece.src_off),
-                            dst: BufRef::PairwiseRing { node: *d, src: me },
-                            dst_off: ring_off,
-                            len: piece.len,
-                            ctr: Some(CtrRef::PairwiseData { node: *d, src: me }),
-                        });
-                    } else {
-                        let u = piece.src_slot;
-                        let rel = rel0 + crel[u];
-                        crel[u] += 1;
-                        b.push(Step::FlagWaitGe {
-                            flag: FlagRef::ContribReady { slot: u },
-                            val: seq(SeqBase::Reduce, rel + 1),
-                            label: "pairwise piece staged",
-                        });
-                        credit_guard(b, *d);
-                        b.push(Step::CreditWait {
-                            ctr: CtrRef::PairwiseFree { node: me, dst: *d },
-                            n: 1,
-                        });
-                        b.push(Step::RmaPut {
-                            to: self.cmaster_of(*d),
-                            src: BufRef::Contrib { slot: u },
-                            src_off: poff(SeqBase::Reduce, rel, t.reduce_chunk),
-                            dst: BufRef::PairwiseRing { node: *d, src: me },
-                            dst_off: ring_off,
-                            len: piece.len,
-                            ctr: Some(CtrRef::PairwiseData { node: *d, src: me }),
-                        });
+                let e = Edge::ring(me, *d, ring_off);
+                let u = piece.src_slot;
+                let user = (BufRef::User, Off::Lit(piece.src_off));
+                if my == 0 && u == 0 {
+                    ring_put(b, e, user, piece.len);
+                } else if my == 0 || u == my {
+                    let rel = rel0 + crel[u];
+                    crel[u] += 1;
+                    if my == 0 {
                         // The put snapshots the source synchronously,
                         // so the contribution side drains immediately.
-                        if rel == rel0 && !crate::plan::skip_order_guards() {
-                            // DONE must stay skip-free across
-                            // collectives (see
-                            // `plan_smp_reduce_chunk`).
-                            b.push(Step::FlagWaitGe {
-                                flag: FlagRef::ContribDone { slot: u },
-                                val: seq(SeqBase::Reduce, rel0),
-                                label: "contrib consumed in order",
-                            });
-                        }
-                        b.push(Step::FlagRaise {
-                            flag: FlagRef::ContribDone { slot: u },
-                            val: seq(SeqBase::Reduce, rel + 1),
-                        });
+                        self.plan_contrib_consume(
+                            b,
+                            u,
+                            rel,
+                            "pairwise piece staged",
+                            |b, src, off| ring_put(b, e, (src, off), piece.len),
+                        );
+                    } else {
+                        self.plan_contrib_publish(b, rel, user, piece.len, CopyCost::Write(1));
                     }
-                } else if piece.src_slot == my {
-                    let rel = rel0 + crel[my];
-                    crel[my] += 1;
-                    b.push(Step::DrainWait {
-                        flag: FlagRef::ContribDone { slot: my },
-                        base: SeqBase::Reduce,
-                        rel,
-                        scale: 1,
-                        label: "contrib side drained",
-                    });
-                    b.push(Step::ShmCopy {
-                        src: BufRef::User,
-                        src_off: Off::Lit(piece.src_off),
-                        dst: BufRef::Contrib { slot: my },
-                        dst_off: poff(SeqBase::Reduce, rel, t.reduce_chunk),
-                        len: piece.len,
-                        cost: CopyCost::Write(1),
-                    });
-                    b.push(Step::FlagRaise {
-                        flag: FlagRef::ContribReady { slot: my },
-                        val: seq(SeqBase::Reduce, rel + 1),
-                    });
                 }
             }
             // Inbound: drain one piece from every source still active.
             for (s, pieces) in &inb {
                 let Some(piece) = pieces.get(r) else { continue };
-                let ring_off = Off::Lit((r % w) * chunk);
-                if my == 0 {
-                    b.push(Step::CounterWait {
-                        ctr: CtrRef::PairwiseData { node: me, src: *s },
-                        n: 1,
-                    });
-                    if local_multi {
-                        let lrel = lrel0 + li;
-                        let lside = par(SeqBase::Landing, lrel);
-                        b.push(Step::PairWaitFree {
-                            pair: PairSel::Landing,
-                            side: lside,
-                        });
-                        b.push(Step::ShmCopy {
-                            src: BufRef::PairwiseRing { node: me, src: *s },
-                            src_off: ring_off,
-                            dst: BufRef::Landing {
-                                node: me,
-                                side: lside,
-                            },
-                            dst_off: Off::Lit(0),
-                            len: piece.len,
-                            cost: CopyCost::Write(1),
-                        });
-                        b.push(Step::PairPublish {
-                            pair: PairSel::Landing,
-                            side: lside,
-                        });
-                        // The ring slot is copied out: return the
-                        // credit before distributing locally.
-                        b.push(Step::CounterPut {
-                            to: self.cmaster_of(*s),
-                            ctr: CtrRef::PairwiseFree { node: *s, dst: me },
-                        });
-                        for &(tslot, po, recv_off, olen) in &piece.overlaps {
-                            if tslot == my {
-                                b.push(Step::ShmCopy {
-                                    src: BufRef::Landing {
-                                        node: me,
-                                        side: lside,
-                                    },
-                                    src_off: Off::Lit(po),
-                                    dst: BufRef::User,
-                                    dst_off: Off::Lit(recv_off),
-                                    len: olen,
-                                    cost: CopyCost::Read(read_streams),
-                                });
-                            }
-                        }
-                    } else {
-                        for &(tslot, po, recv_off, olen) in &piece.overlaps {
-                            debug_assert_eq!(tslot, 0);
-                            b.push(Step::ShmCopy {
-                                src: BufRef::PairwiseRing { node: me, src: *s },
-                                src_off: Off::Lit((r % w) * chunk + po),
-                                dst: BufRef::User,
-                                dst_off: Off::Lit(recv_off),
-                                len: olen,
-                                cost: CopyCost::Read(1),
-                            });
-                        }
-                        b.push(Step::CounterPut {
-                            to: self.cmaster_of(*s),
-                            ctr: CtrRef::PairwiseFree { node: *s, dst: me },
-                        });
+                let e = Edge::ring(*s, me, ring_off);
+                let lrel = lrel0 + li;
+                let mine = piece
+                    .overlaps
+                    .iter()
+                    .find(|o| o.0 == my)
+                    .map(|&(_, po, recv_off, olen)| (po, recv_off, olen));
+                if my != 0 {
+                    self.plan_pair_read(b, pair, lrel, |_| {}, mine, self.peer_streams());
+                } else if local_multi {
+                    b.wait_ctr(e.data, 1);
+                    self.plan_pair_write(b, pair, lrel, (e.landing, e.off), piece.len, 1);
+                    // The ring slot is copied out: return the credit
+                    // before distributing locally.
+                    self.plan_credit_return(b, e);
+                    if let Some(mine) = mine {
+                        self.plan_pair_copy_out(b, pair, lrel, mine, self.peer_streams());
                     }
                 } else {
-                    let lrel = lrel0 + li;
-                    let lside = par(SeqBase::Landing, lrel);
-                    b.push(Step::PairWaitPublished {
-                        pair: PairSel::Landing,
-                        side: lside,
+                    b.wait_ctr(e.data, 1);
+                    let (po, recv_off, olen) = mine.expect("single-slot node takes every piece");
+                    b.push(Step::ShmCopy {
+                        src: e.landing,
+                        src_off: Off::Lit(ring_off + po),
+                        dst: BufRef::User,
+                        dst_off: Off::Lit(recv_off),
+                        len: olen,
+                        cost: CopyCost::Read(1),
                     });
-                    for &(tslot, po, recv_off, olen) in &piece.overlaps {
-                        if tslot == my {
-                            b.push(Step::ShmCopy {
-                                src: BufRef::Landing {
-                                    node: me,
-                                    side: lside,
-                                },
-                                src_off: Off::Lit(po),
-                                dst: BufRef::User,
-                                dst_off: Off::Lit(recv_off),
-                                len: olen,
-                                cost: CopyCost::Read(read_streams),
-                            });
-                        }
-                    }
-                    b.push(Step::PairRelease {
-                        pair: PairSel::Landing,
-                        side: lside,
-                    });
+                    self.plan_credit_return(b, e);
                 }
                 if local_multi {
                     li += 1;
@@ -582,16 +443,11 @@ impl SrmComm {
             }
         }
 
-        // All credits home (the full geometry complement): the rings
-        // are drained, so the next operation may reuse literal ring
-        // offsets from slot zero — whatever window it compiles with.
+        // All credits home: the rings are drained.
         if my == 0 {
             for (d, pieces) in &out {
                 if !pieces.is_empty() {
-                    b.push(Step::CounterWaitGe {
-                        ctr: CtrRef::PairwiseFree { node: me, dst: *d },
-                        val: Val::Lit(w_geom as u64),
-                    });
+                    self.plan_credits_ge(b, *d, w_geom);
                 }
             }
         }
@@ -605,11 +461,11 @@ impl SrmComm {
         if r_adv > 0 {
             let mine = if my == 0 { 0 } else { crel[my] };
             if mine > 0 && mine < r_adv {
-                b.push(Step::FlagWaitGe {
-                    flag: FlagRef::ContribDone { slot: my },
-                    val: seq(SeqBase::Reduce, rel0 + mine),
-                    label: "pairwise contributions consumed",
-                });
+                b.wait_flag(
+                    FlagRef::ContribDone { slot: my },
+                    seq(SeqBase::Reduce, rel0 + mine),
+                    "pairwise contributions consumed",
+                );
             }
             if mine < r_adv {
                 self.plan_contrib_catchup(b, rel0 + r_adv);
@@ -624,7 +480,7 @@ impl SrmComm {
         if g_land > 0 {
             if li < g_land {
                 b.push(Step::PairCatchUp {
-                    pair: PairSel::Landing,
+                    pair,
                     base: SeqBase::Landing,
                     rel: lrel0 + g_land,
                 });
@@ -649,11 +505,11 @@ impl SrmComm {
     ///
     /// Buffer-reuse safety needs no extra drain steps: a put snapshots
     /// its source synchronously at issue (send side), and the
-    /// receiver's consuming [`Step::CounterWait`]s — one per inbound
-    /// stream — *are* the drain (receive side). They also leave every
-    /// per-pair counter back at zero, and a taken address slot is
-    /// provably empty again before the next call's send can land in it
-    /// (DESIGN.md §16).
+    /// receiver's consuming counter waits — one per inbound stream —
+    /// *are* the drain (receive side). They also leave every per-pair
+    /// counter back at zero, and a taken address slot is provably empty
+    /// again before the next call's send can land in it (DESIGN.md
+    /// §16).
     fn plan_pairwise_direct_wire<L, F>(&self, b: &mut PlanBuilder, local: L, xfer: F)
     where
         L: FnOnce(&mut PlanBuilder),
@@ -700,10 +556,7 @@ impl SrmComm {
         // are at zero for the next call.
         for &s in &remote {
             if xfer(s, me).is_some() {
-                b.push(Step::CounterWait {
-                    ctr: CtrRef::PairwiseDirect { src: s, dst: me },
-                    n: 1,
-                });
+                b.wait_ctr(CtrRef::PairwiseDirect { src: s, dst: me }, 1);
             }
         }
     }
@@ -715,132 +568,54 @@ impl SrmComm {
     /// publish per `(publisher, reader)` cell.
     fn plan_local_alltoall(&self, b: &mut PlanBuilder, len: usize) {
         let p = self.cslots_here();
+        let me = self.cnode();
         if p <= 1 {
             return;
         }
+        if !self.ccontig(me) {
+            return self.plan_local_cells(b, len, |_, _| len);
+        }
         let cs = b.tuning().pairwise_chunk.min(self.tuning().smp_buf);
-        let me = self.cnode();
         let my = self.cslot();
         let rbase = self.csize() * len;
         let srel0 = b.rel(SeqBase::Smp);
-        let streams = (p - 1).max(1);
-        if self.ccontig(me) {
-            let base = self.crank_at(me, 0) * len;
-            let block = p * len;
-            let per = SrmTuning::chunk_count(block, cs);
-            for u in 0..p {
-                let cu = self.crank_at(me, u);
-                for kc in 0..per {
-                    let srel = srel0 + (u * per + kc) as u64;
-                    let side = par(SeqBase::Smp, srel);
-                    let koff = kc * cs;
-                    let clen = cs.min(block - koff);
-                    if my == u {
-                        b.push(Step::PairWaitFree {
-                            pair: PairSel::Smp,
-                            side,
-                        });
-                        b.push(Step::ShmCopy {
-                            src: BufRef::User,
-                            src_off: Off::Lit(base + koff),
-                            dst: BufRef::Smp { side },
-                            dst_off: Off::Lit(0),
-                            len: clen,
-                            cost: CopyCost::Write(streams),
-                        });
-                        b.push(Step::PairPublish {
-                            pair: PairSel::Smp,
-                            side,
-                        });
-                    } else {
-                        b.push(Step::PairWaitPublished {
-                            pair: PairSel::Smp,
-                            side,
-                        });
-                        let lo = koff.max(my * len);
-                        let hi = (koff + clen).min((my + 1) * len);
-                        if lo < hi {
-                            b.push(Step::ShmCopy {
-                                src: BufRef::Smp { side },
-                                src_off: Off::Lit(lo - koff),
-                                dst: BufRef::User,
-                                dst_off: Off::Lit(rbase + cu * len + (lo - my * len)),
-                                len: hi - lo,
-                                cost: CopyCost::Read(streams),
-                            });
-                        }
-                        b.push(Step::PairRelease {
-                            pair: PairSel::Smp,
-                            side,
-                        });
-                    }
+        let streams = self.peer_streams();
+        let base = self.crank_at(me, 0) * len;
+        let block = p * len;
+        let per = SrmTuning::chunk_count(block, cs);
+        for u in 0..p {
+            let cu = self.crank_at(me, u);
+            for kc in 0..per {
+                let srel = srel0 + (u * per + kc) as u64;
+                let koff = kc * cs;
+                let clen = cs.min(block - koff);
+                if my == u {
+                    let from = (BufRef::User, Off::Lit(base + koff));
+                    self.plan_pair_write(b, PairSel::Smp, srel, from, clen, streams);
+                } else {
+                    let lo = koff.max(my * len);
+                    let hi = (koff + clen).min((my + 1) * len);
+                    let mine =
+                        (lo < hi).then(|| (lo - koff, rbase + cu * len + (lo - my * len), hi - lo));
+                    self.plan_pair_read(b, PairSel::Smp, srel, |_| {}, mine, streams);
                 }
             }
-            b.advance(SeqBase::Smp, (p * per) as u64);
-        } else {
-            let per = SrmTuning::chunk_count(len, cs);
-            let mut si = 0u64;
-            for u in 0..p {
-                let cu = self.crank_at(me, u);
-                for tl in 0..p {
-                    if tl == u {
-                        continue;
-                    }
-                    let ctl = self.crank_at(me, tl);
-                    for kc in 0..per {
-                        let koff = kc * cs;
-                        let clen = cs.min(len - koff);
-                        let side = par(SeqBase::Smp, srel0 + si);
-                        si += 1;
-                        if my == u {
-                            b.push(Step::PairWaitFree {
-                                pair: PairSel::Smp,
-                                side,
-                            });
-                            b.push(Step::ShmCopy {
-                                src: BufRef::User,
-                                src_off: Off::Lit(ctl * len + koff),
-                                dst: BufRef::Smp { side },
-                                dst_off: Off::Lit(0),
-                                len: clen,
-                                cost: CopyCost::Write(1),
-                            });
-                            b.push(Step::PairPublish {
-                                pair: PairSel::Smp,
-                                side,
-                            });
-                        } else {
-                            b.push(Step::PairWaitPublished {
-                                pair: PairSel::Smp,
-                                side,
-                            });
-                            if my == tl {
-                                b.push(Step::ShmCopy {
-                                    src: BufRef::Smp { side },
-                                    src_off: Off::Lit(0),
-                                    dst: BufRef::User,
-                                    dst_off: Off::Lit(rbase + cu * len + koff),
-                                    len: clen,
-                                    cost: CopyCost::Read(1),
-                                });
-                            }
-                            b.push(Step::PairRelease {
-                                pair: PairSel::Smp,
-                                side,
-                            });
-                        }
-                    }
-                }
-            }
-            b.advance(SeqBase::Smp, si);
         }
+        b.advance(SeqBase::Smp, (p * per) as u64);
     }
 
-    /// Intra-node leg of the alltoallv: ragged `(publisher, reader)`
-    /// cells through the SMP pair, one piece at a time. Every
-    /// non-publishing slot handshakes every piece (the pair protocol
-    /// needs all readers to release) but only the addressee copies.
-    fn plan_local_alltoallv(&self, b: &mut PlanBuilder, seg: usize, counts: &[usize]) {
+    /// Intra-node exchange cell by cell: the `(publisher, reader)`
+    /// cells of `count(publisher rank, reader rank)` bytes on
+    /// `seg`-strided segments go through the SMP pair one piece at a
+    /// time. Every non-publishing slot handshakes every piece (the pair
+    /// protocol needs all readers to release) but only the addressee
+    /// copies.
+    fn plan_local_cells(
+        &self,
+        b: &mut PlanBuilder,
+        seg: usize,
+        count: impl Fn(usize, usize) -> usize,
+    ) {
         let p = self.cslots_here();
         if p <= 1 {
             return;
@@ -848,67 +623,28 @@ impl SrmComm {
         let cs = b.tuning().pairwise_chunk.min(self.tuning().smp_buf);
         let me = self.cnode();
         let my = self.cslot();
-        let n = self.csize();
-        let rbase = n * seg;
-        let srel0 = b.rel(SeqBase::Smp);
-        let mut si = 0u64;
+        let rbase = self.csize() * seg;
+        let mut srel = b.rel(SeqBase::Smp);
         for u in 0..p {
             let cu = self.crank_at(me, u);
-            for tl in 0..p {
-                if tl == u {
-                    continue;
-                }
+            for tl in (0..p).filter(|&tl| tl != u) {
                 let ctl = self.crank_at(me, tl);
-                let cnt = counts[cu * n + ctl];
-                if cnt == 0 {
-                    continue;
-                }
+                let cnt = count(cu, ctl);
                 for kc in 0..cnt.div_ceil(cs) {
                     let koff = kc * cs;
                     let clen = cs.min(cnt - koff);
-                    let side = par(SeqBase::Smp, srel0 + si);
-                    si += 1;
                     if my == u {
-                        b.push(Step::PairWaitFree {
-                            pair: PairSel::Smp,
-                            side,
-                        });
-                        b.push(Step::ShmCopy {
-                            src: BufRef::User,
-                            src_off: Off::Lit(ctl * seg + koff),
-                            dst: BufRef::Smp { side },
-                            dst_off: Off::Lit(0),
-                            len: clen,
-                            cost: CopyCost::Write(1),
-                        });
-                        b.push(Step::PairPublish {
-                            pair: PairSel::Smp,
-                            side,
-                        });
+                        let from = (BufRef::User, Off::Lit(ctl * seg + koff));
+                        self.plan_pair_write(b, PairSel::Smp, srel, from, clen, 1);
                     } else {
-                        b.push(Step::PairWaitPublished {
-                            pair: PairSel::Smp,
-                            side,
-                        });
-                        if my == tl {
-                            b.push(Step::ShmCopy {
-                                src: BufRef::Smp { side },
-                                src_off: Off::Lit(0),
-                                dst: BufRef::User,
-                                dst_off: Off::Lit(rbase + cu * seg + koff),
-                                len: clen,
-                                cost: CopyCost::Read(1),
-                            });
-                        }
-                        b.push(Step::PairRelease {
-                            pair: PairSel::Smp,
-                            side,
-                        });
+                        let mine = (my == tl).then_some((0, rbase + cu * seg + koff, clen));
+                        self.plan_pair_read(b, PairSel::Smp, srel, |_| {}, mine, 1);
                     }
+                    srel += 1;
                 }
             }
         }
-        b.advance(SeqBase::Smp, si);
+        b.advance(SeqBase::Smp, srel - b.rel(SeqBase::Smp));
     }
 
     /// Plan an alltoall of `len`-byte segments: the send half of the
@@ -960,7 +696,8 @@ impl SrmComm {
         let chunk = eff.pairwise_chunk;
         let rbase = n * seg;
         let me = self.crank();
-        let own = counts[me * n + me];
+        let count = |i: usize, j: usize| counts[i * n + j];
+        let own = count(me, me);
         if own > 0 {
             b.push(Step::ShmCopy {
                 src: BufRef::User,
@@ -976,17 +713,15 @@ impl SrmComm {
         {
             self.plan_pairwise_direct_wire(
                 b,
-                |b| self.plan_local_alltoallv(b, seg, counts),
-                |s, d| match counts[s * n + d] {
+                |b| self.plan_local_cells(b, seg, count),
+                |s, d| match count(s, d) {
                     0 => None,
                     cnt => Some((d * seg, rbase + s * seg, cnt)),
                 },
             );
         } else {
-            self.plan_local_alltoallv(b, seg, counts);
-            self.plan_pairwise_wire(b, |s, d| {
-                self.alltoallv_stream(seg, counts, chunk, rbase, s, d)
-            });
+            self.plan_local_cells(b, seg, count);
+            self.plan_pairwise_wire(b, |s, d| self.cell_stream(seg, count, chunk, rbase, s, d));
         }
     }
 
@@ -1019,7 +754,7 @@ impl SrmComm {
         let my = self.cslot();
         let p = self.cslots_here();
         let multi = self.cmulti();
-        let read_streams = p.saturating_sub(1).max(1);
+        let pair = PairSel::Landing;
         let rel0 = b.rel(SeqBase::Reduce);
         let lrel0 = b.rel(SeqBase::Landing);
         let mut rel = rel0;
@@ -1028,6 +763,7 @@ impl SrmComm {
             .map(|d| self.scatter_pieces(d, len, chunk))
             .collect();
         let rounds = pieces.iter().map(|v| v.len()).max().unwrap_or(0);
+        let peers = || (0..nodes).filter(|&g| g != me);
 
         // Direct route: pieces rendezvous in a per-call scratch region
         // at the destination master instead of staging through the
@@ -1046,88 +782,61 @@ impl SrmComm {
             });
             // Sends strictly before takes: no master can stall a
             // peer's rendezvous setup.
-            for s in (0..nodes).filter(|&s| s != me) {
+            for s in peers() {
                 b.push(Step::AddrSend {
                     to: self.cmaster_of(s),
                     am: self.comm.am_pair_addr,
                     src: HandleSrc::Scratch,
                 });
             }
-            for d in (0..nodes).filter(|&d| d != me) {
+            for d in peers() {
                 scratch_idx[d] = Some(b.take_pair_addr(self.crank_at(d, 0)));
             }
         }
 
         for k in 0..rounds {
-            let ring_off = Off::Lit((k % w) * chunk);
+            let ring_off = (k % w) * chunk;
             // Peer-node blocks: reduce this piece to the master and
             // stream it out, round-robin over destinations.
-            if multi {
-                for d in (0..nodes).filter(|&d| d != me) {
-                    let Some(&(boff, blk, plen)) = pieces[d].get(k) else {
-                        continue;
-                    };
-                    let is_root = self.plan_smp_reduce_chunk(b, boff, plen, rel, 0);
-                    rel += 1;
-                    if is_root {
-                        if !direct {
-                            // Same narrowed-window guard as the wire:
-                            // cap outstanding puts at the effective
-                            // window even though the geometry credit
-                            // pool is larger.
-                            if w < w_geom {
-                                b.push(Step::CounterWaitGe {
-                                    ctr: CtrRef::PairwiseFree { node: me, dst: d },
-                                    val: Val::Lit((w_geom - w + 1) as u64),
-                                });
-                            }
-                            b.push(Step::CreditWait {
-                                ctr: CtrRef::PairwiseFree { node: me, dst: d },
-                                n: 1,
-                            });
-                        }
-                        // Stage the accumulator in the master's own
-                        // (otherwise idle) contribution buffer so the
-                        // put has an addressable source; the put
-                        // snapshots it synchronously.
-                        b.push(Step::ShmCopy {
-                            src: BufRef::Acc,
-                            src_off: Off::Lit(0),
-                            dst: BufRef::Contrib { slot: 0 },
-                            dst_off: Off::Lit(0),
-                            len: plen,
-                            cost: CopyCost::Free,
-                        });
-                        if direct {
-                            // Land the piece straight in the peer
-                            // master's scratch region — no credits, no
-                            // window, one counter bump at the target.
-                            b.push(Step::RmaPut {
-                                to: self.cmaster_of(d),
-                                src: BufRef::Contrib { slot: 0 },
-                                src_off: Off::Lit(0),
-                                dst: BufRef::ChildUser {
-                                    idx: scratch_idx[d].expect("scratch handle taken"),
-                                },
-                                dst_off: Off::Lit(region(d, me) * block_of(d) + blk),
-                                len: plen,
-                                ctr: Some(CtrRef::PairwiseDirect {
-                                    src: self.crank(),
-                                    dst: self.crank_at(d, 0),
-                                }),
-                            });
-                        } else {
-                            b.push(Step::RmaPut {
-                                to: self.cmaster_of(d),
-                                src: BufRef::Contrib { slot: 0 },
-                                src_off: Off::Lit(0),
-                                dst: BufRef::PairwiseRing { node: d, src: me },
-                                dst_off: ring_off,
-                                len: plen,
-                                ctr: Some(CtrRef::PairwiseData { node: d, src: me }),
-                            });
-                        }
+            for d in peers() {
+                let Some(&(boff, blk, plen)) = pieces[d].get(k) else {
+                    continue;
+                };
+                let is_root = self.plan_smp_reduce_chunk(b, boff, plen, rel, 0);
+                rel += 1;
+                if !is_root {
+                    continue;
+                }
+                // The accumulator ships from the master's own
+                // (otherwise idle) contribution buffer so the put has
+                // an addressable source; the put snapshots it
+                // synchronously.
+                let staging = (BufRef::Contrib { slot: 0 }, Off::Lit(0));
+                if direct {
+                    // Land the piece straight in the peer master's
+                    // scratch region — no credits, no window, one
+                    // counter bump at the target.
+                    plan_stage_acc(b, staging.0, staging.1, plen);
+                    b.push(Step::RmaPut {
+                        to: self.cmaster_of(d),
+                        src: staging.0,
+                        src_off: staging.1,
+                        dst: BufRef::ChildUser {
+                            idx: scratch_idx[d].expect("scratch handle taken"),
+                        },
+                        dst_off: Off::Lit(region(d, me) * block_of(d) + blk),
+                        len: plen,
+                        ctr: Some(CtrRef::PairwiseDirect {
+                            src: self.crank(),
+                            dst: self.crank_at(d, 0),
+                        }),
+                    });
+                } else {
+                    // Same narrowed-window guard as the wire.
+                    if w < w_geom {
+                        self.plan_credits_ge(b, d, w_geom - w + 1);
                     }
+                    self.plan_credit_put(b, Edge::ring(me, d, ring_off), true, staging, plen);
                 }
             }
             // Own block: reduce the node's contributions, fold in the
@@ -1137,130 +846,49 @@ impl SrmComm {
             };
             let is_root = self.plan_smp_reduce_chunk(b, boff, plen, rel, 0);
             rel += 1;
-            if is_root {
-                if multi {
-                    for s in (0..nodes).filter(|&s| s != me) {
-                        if direct {
-                            // Per-pair in-order delivery: the k-th
-                            // completion from `s` implies pieces
-                            // `0..=k` have landed, so piece `k`'s
-                            // scratch range is readable. These
-                            // consuming waits are also the drain — no
-                            // credit returns, no end-of-plan flush.
-                            b.push(Step::CounterWait {
-                                ctr: CtrRef::PairwiseDirect {
-                                    src: self.crank_at(s, 0),
-                                    dst: self.crank(),
-                                },
-                                n: 1,
-                            });
-                            b.push(Step::LocalReduce {
-                                src: BufRef::Scratch,
-                                src_off: Off::Lit(region(me, s) * block_of(me) + blk),
-                                len: plen,
-                            });
-                        } else {
-                            b.push(Step::CounterWait {
-                                ctr: CtrRef::PairwiseData { node: me, src: s },
-                                n: 1,
-                            });
-                            b.push(Step::LocalReduce {
-                                src: BufRef::PairwiseRing { node: me, src: s },
-                                src_off: ring_off,
-                                len: plen,
-                            });
-                            b.push(Step::CounterPut {
-                                to: self.cmaster_of(s),
-                                ctr: CtrRef::PairwiseFree { node: s, dst: me },
-                            });
-                        }
-                    }
-                }
-                // The subtree root is group slot 0, whose result
-                // segment occupies `[0, len)` of the logical block.
-                let lo = blk;
-                let hi = (blk + plen).min(len);
-                if p > 1 {
-                    let lside = par(SeqBase::Landing, lrel0 + k as u64);
-                    b.push(Step::PairWaitFree {
-                        pair: PairSel::Landing,
-                        side: lside,
-                    });
-                    b.push(Step::ShmCopy {
-                        src: BufRef::Acc,
-                        src_off: Off::Lit(0),
-                        dst: BufRef::Landing {
-                            node: me,
-                            side: lside,
-                        },
-                        dst_off: Off::Lit(0),
+            let lrel = lrel0 + k as u64;
+            // My result segment's part of the piece.
+            let mine = self.block_overlap(len, (blk, plen), my);
+            if !is_root {
+                self.plan_pair_read(b, pair, lrel, |_| {}, mine, self.peer_streams());
+                continue;
+            }
+            for s in peers() {
+                if direct {
+                    // Per-pair in-order delivery: the k-th completion
+                    // from `s` implies pieces `0..=k` have landed, so
+                    // piece `k`'s scratch range is readable. These
+                    // consuming waits are also the drain — no credit
+                    // returns, no end-of-plan flush.
+                    let done = CtrRef::PairwiseDirect {
+                        src: self.crank_at(s, 0),
+                        dst: self.crank(),
+                    };
+                    b.wait_ctr(done, 1);
+                    b.push(Step::LocalReduce {
+                        src: BufRef::Scratch,
+                        src_off: Off::Lit(region(me, s) * block_of(me) + blk),
                         len: plen,
-                        cost: CopyCost::Write(1),
                     });
-                    b.push(Step::PairPublish {
-                        pair: PairSel::Landing,
-                        side: lside,
-                    });
-                    if lo < hi {
-                        b.push(Step::ShmCopy {
-                            src: BufRef::Landing {
-                                node: me,
-                                side: lside,
-                            },
-                            src_off: Off::Lit(lo - blk),
-                            dst: BufRef::User,
-                            dst_off: Off::Lit(self.crank() * len + lo),
-                            len: hi - lo,
-                            cost: CopyCost::Read(read_streams),
-                        });
-                    }
                 } else {
-                    // Single-member node: the accumulator is the result.
-                    b.push(Step::ShmCopy {
-                        src: BufRef::Acc,
-                        src_off: Off::Lit(0),
-                        dst: BufRef::User,
-                        dst_off: Off::Lit(self.crank() * len + blk),
-                        len: plen,
-                        cost: CopyCost::Free,
-                    });
+                    self.plan_fold_landed(b, Edge::ring(s, me, ring_off), plen);
+                }
+            }
+            if p > 1 {
+                self.plan_pair_write(b, pair, lrel, (BufRef::Acc, Off::Lit(0)), plen, 1);
+                if let Some(mine) = mine {
+                    self.plan_pair_copy_out(b, pair, lrel, mine, self.peer_streams());
                 }
             } else {
-                // Non-root slot: read my result overlap off the pair.
-                let lside = par(SeqBase::Landing, lrel0 + k as u64);
-                b.push(Step::PairWaitPublished {
-                    pair: PairSel::Landing,
-                    side: lside,
-                });
-                let lo = blk.max(my * len);
-                let hi = (blk + plen).min((my + 1) * len);
-                if lo < hi {
-                    b.push(Step::ShmCopy {
-                        src: BufRef::Landing {
-                            node: me,
-                            side: lside,
-                        },
-                        src_off: Off::Lit(lo - blk),
-                        dst: BufRef::User,
-                        dst_off: Off::Lit(self.crank() * len + (lo - my * len)),
-                        len: hi - lo,
-                        cost: CopyCost::Read(read_streams),
-                    });
-                }
-                b.push(Step::PairRelease {
-                    pair: PairSel::Landing,
-                    side: lside,
-                });
+                // Single-member node: the accumulator is the result.
+                plan_acc_to_user(b, self.crank() * len + blk, plen);
             }
         }
 
         if multi && my == 0 && !direct {
-            for d in (0..nodes).filter(|&d| d != me) {
+            for d in peers() {
                 if !pieces[d].is_empty() {
-                    b.push(Step::CounterWaitGe {
-                        ctr: CtrRef::PairwiseFree { node: me, dst: d },
-                        val: Val::Lit(w_geom as u64),
-                    });
+                    self.plan_credits_ge(b, d, w_geom);
                 }
             }
         }
@@ -1282,7 +910,7 @@ impl SrmComm {
             let mine = if p > 1 { pieces[me].len() } else { 0 };
             if mine < rounds {
                 b.push(Step::PairCatchUp {
-                    pair: PairSel::Landing,
+                    pair,
                     base: SeqBase::Landing,
                     rel: lrel0 + rounds as u64,
                 });

@@ -755,6 +755,25 @@ impl PlanBuilder {
         self.steps.push(Step::Advance { base, by });
     }
 
+    /// Block until `flag >= val`.
+    pub fn wait_flag(&mut self, flag: FlagRef, val: Val, label: &'static str) {
+        self.push(Step::FlagWaitGe { flag, val, label });
+    }
+
+    /// Consume `n` from `ctr` (LAPI `Waitcntr`); a pairwise credit
+    /// counter makes it the credit wait the window metric observes.
+    pub fn wait_ctr(&mut self, ctr: CtrRef, n: u64) {
+        self.push(match ctr {
+            CtrRef::PairwiseFree { .. } => Step::CreditWait { ctr, n },
+            _ => Step::CounterWait { ctr, n },
+        });
+    }
+
+    /// Block until `ctr >= val` without consuming.
+    pub fn wait_ctr_ge(&mut self, ctr: CtrRef, val: Val) {
+        self.push(Step::CounterWaitGe { ctr, val });
+    }
+
     /// Emit an [`Step::AddrTake`] for `child` and return its capture
     /// index (for [`BufRef::ChildUser`]).
     pub fn take_addr(&mut self, child: NodeId) -> usize {

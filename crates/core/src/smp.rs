@@ -23,6 +23,7 @@
 //! buffers"). The inter-node planners interleave cell writes with
 //! network steps to build their pipelines.
 
+use crate::inter::{par, poff, seq};
 use crate::plan::{
     BufRef, CopyCost, FlagRef, Off, PairSel, PlanBuilder, PlanShape, SeqBase, Side, Step, Val,
 };
@@ -30,10 +31,241 @@ use crate::world::SrmComm;
 use shmem::ShmBuffer;
 use simnet::{Ctx, Rank};
 
+/// The sequence base a pair's uses are numbered against.
+fn pair_base(pair: PairSel) -> SeqBase {
+    match pair {
+        PairSel::Smp => SeqBase::Smp,
+        PairSel::Landing => SeqBase::Landing,
+    }
+}
+
+/// Producer half of the master↔root `xfer` handoff: wait until the
+/// parity side of use `xrel` is drained, fill it from `from`, raise
+/// READY. `stride` separates the two sides.
+pub(crate) fn plan_xfer_produce(
+    b: &mut PlanBuilder,
+    xrel: u64,
+    stride: usize,
+    from: (BufRef, Off),
+    len: usize,
+) {
+    b.push(Step::DrainWait {
+        flag: FlagRef::XferDone,
+        base: SeqBase::Xfer,
+        rel: xrel,
+        scale: 1,
+        label: "xfer side drained",
+    });
+    b.push(Step::ShmCopy {
+        src: from.0,
+        src_off: from.1,
+        dst: BufRef::Xfer,
+        dst_off: poff(SeqBase::Xfer, xrel, stride),
+        len,
+        cost: CopyCost::Free,
+    });
+    b.push(Step::FlagRaise {
+        flag: FlagRef::XferReady,
+        val: seq(SeqBase::Xfer, xrel + 1),
+    });
+}
+
+/// Consumer half of the `xfer` handoff: wait for use `xrel`, let
+/// `consume` emit whatever reads the side, raise DONE.
+pub(crate) fn plan_xfer_consume(
+    b: &mut PlanBuilder,
+    xrel: u64,
+    label: &'static str,
+    consume: impl FnOnce(&mut PlanBuilder),
+) {
+    b.wait_flag(FlagRef::XferReady, seq(SeqBase::Xfer, xrel + 1), label);
+    consume(b);
+    b.push(Step::FlagRaise {
+        flag: FlagRef::XferDone,
+        val: seq(SeqBase::Xfer, xrel + 1),
+    });
+}
+
+/// The last operator pass writes the accumulator straight to its
+/// destination in the user buffer (no intermediate buffer, §4).
+pub(crate) fn plan_acc_to_user(b: &mut PlanBuilder, off: usize, len: usize) {
+    plan_stage_acc(b, BufRef::User, Off::Lit(off), len);
+}
+
+/// Lay the accumulator down at `dst` — the operator's output stream,
+/// so no charged copy.
+pub(crate) fn plan_stage_acc(b: &mut PlanBuilder, dst: BufRef, dst_off: Off, len: usize) {
+    b.push(Step::ShmCopy {
+        src: BufRef::Acc,
+        src_off: Off::Lit(0),
+        dst,
+        dst_off,
+        len,
+        cost: CopyCost::Free,
+    });
+}
+
 impl SrmComm {
-    /// Writer side of one broadcast cell: claim the parity buffer,
-    /// fill it from `user[off..off+clen]`, raise every other task's
-    /// READY flag.
+    /// The other tasks on my node (at least one): how many concurrent
+    /// streams share the bus when everyone but one task copies.
+    pub(crate) fn peer_streams(&self) -> usize {
+        self.cslots_here().saturating_sub(1).max(1)
+    }
+
+    /// One side of one of my node's pairs as a buffer operand.
+    fn pair_buf(&self, pair: PairSel, side: Side) -> BufRef {
+        match pair {
+            PairSel::Smp => BufRef::Smp { side },
+            PairSel::Landing => BufRef::Landing {
+                node: self.cnode(),
+                side,
+            },
+        }
+    }
+
+    /// Writer leg of pair use `rel` (Figure 3): claim the parity
+    /// buffer, fill it from `from`, raise every other task's READY.
+    pub(crate) fn plan_pair_write(
+        &self,
+        b: &mut PlanBuilder,
+        pair: PairSel,
+        rel: u64,
+        from: (BufRef, Off),
+        len: usize,
+        streams: usize,
+    ) {
+        let side = par(pair_base(pair), rel);
+        b.push(Step::PairWaitFree { pair, side });
+        b.push(Step::ShmCopy {
+            src: from.0,
+            src_off: from.1,
+            dst: self.pair_buf(pair, side),
+            dst_off: Off::Lit(0),
+            len,
+            cost: CopyCost::Write(streams),
+        });
+        b.push(Step::PairPublish { pair, side });
+    }
+
+    /// Copy `(pair offset, user offset, bytes)` of pair use `rel` out
+    /// to the user buffer, sharing the bus with `streams` readers.
+    pub(crate) fn plan_pair_copy_out(
+        &self,
+        b: &mut PlanBuilder,
+        pair: PairSel,
+        rel: u64,
+        (src_off, dst_off, len): (usize, usize, usize),
+        streams: usize,
+    ) {
+        b.push(Step::ShmCopy {
+            src: self.pair_buf(pair, par(pair_base(pair), rel)),
+            src_off: Off::Lit(src_off),
+            dst: BufRef::User,
+            dst_off: Off::Lit(dst_off),
+            len,
+            cost: CopyCost::Read(streams),
+        });
+    }
+
+    /// Reader leg of pair use `rel`: wait for my READY, run
+    /// `after_wait` (trace markers, forwarding puts), copy my part out
+    /// if I have one, release the side.
+    pub(crate) fn plan_pair_read(
+        &self,
+        b: &mut PlanBuilder,
+        pair: PairSel,
+        rel: u64,
+        after_wait: impl FnOnce(&mut PlanBuilder),
+        copy: Option<(usize, usize, usize)>,
+        streams: usize,
+    ) {
+        let side = par(pair_base(pair), rel);
+        b.push(Step::PairWaitPublished { pair, side });
+        after_wait(b);
+        if let Some(copy) = copy {
+            self.plan_pair_copy_out(b, pair, rel, copy, streams);
+        }
+        b.push(Step::PairRelease { pair, side });
+    }
+
+    /// Contributor leg of my contribution channel, chunk `rel`: wait
+    /// until the parity side is drained, fill it from `from`, raise
+    /// READY.
+    pub(crate) fn plan_contrib_publish(
+        &self,
+        b: &mut PlanBuilder,
+        rel: u64,
+        from: (BufRef, Off),
+        len: usize,
+        cost: CopyCost,
+    ) {
+        let my = self.cslot();
+        b.push(Step::DrainWait {
+            flag: FlagRef::ContribDone { slot: my },
+            base: SeqBase::Reduce,
+            rel,
+            scale: 1,
+            label: "contrib side drained",
+        });
+        b.push(Step::ShmCopy {
+            src: from.0,
+            src_off: from.1,
+            dst: BufRef::Contrib { slot: my },
+            dst_off: poff(SeqBase::Reduce, rel, self.tuning().reduce_chunk),
+            len,
+            cost,
+        });
+        b.push(Step::FlagRaise {
+            flag: FlagRef::ContribReady { slot: my },
+            val: seq(SeqBase::Reduce, rel + 1),
+        });
+    }
+
+    /// Consumer leg of `slot`'s contribution channel, chunk `rel`: wait
+    /// for READY, let `consume` emit whatever reads the side (handed
+    /// the operand), raise DONE.
+    ///
+    /// DONE must advance without skipping sequence numbers: the
+    /// previous collective on this channel may have had a *different*
+    /// consumer rank (a gather root, say) that has not drained the
+    /// contributor's last chunk yet, and a max-raise past it would let
+    /// the contributor overwrite that side early. Within one plan the
+    /// single consumer is ordered, so only the first consume per plan
+    /// waits for the channel to be drained through the plan's entry
+    /// cumulative.
+    pub(crate) fn plan_contrib_consume(
+        &self,
+        b: &mut PlanBuilder,
+        slot: usize,
+        rel: u64,
+        label: &'static str,
+        consume: impl FnOnce(&mut PlanBuilder, BufRef, Off),
+    ) {
+        b.wait_flag(
+            FlagRef::ContribReady { slot },
+            seq(SeqBase::Reduce, rel + 1),
+            label,
+        );
+        consume(
+            b,
+            BufRef::Contrib { slot },
+            poff(SeqBase::Reduce, rel, self.tuning().reduce_chunk),
+        );
+        if rel == b.rel(SeqBase::Reduce) && !crate::plan::skip_order_guards() {
+            b.wait_flag(
+                FlagRef::ContribDone { slot },
+                seq(SeqBase::Reduce, rel),
+                "contrib consumed in order",
+            );
+        }
+        b.push(Step::FlagRaise {
+            flag: FlagRef::ContribDone { slot },
+            val: seq(SeqBase::Reduce, rel + 1),
+        });
+    }
+
+    /// Writer side of one broadcast cell: `user[off..off+clen]` through
+    /// pair use `rel`.
     pub(crate) fn plan_smp_cell_write(
         &self,
         b: &mut PlanBuilder,
@@ -41,31 +273,11 @@ impl SrmComm {
         clen: usize,
         rel: u64,
     ) {
-        let side = Side::Parity {
-            base: SeqBase::Smp,
-            rel,
-        };
-        b.push(Step::PairWaitFree {
-            pair: PairSel::Smp,
-            side,
-        });
-        b.push(Step::ShmCopy {
-            src: BufRef::User,
-            src_off: Off::Lit(off),
-            dst: BufRef::Smp { side },
-            dst_off: Off::Lit(0),
-            len: clen,
-            cost: CopyCost::Write(1),
-        });
-        b.push(Step::PairPublish {
-            pair: PairSel::Smp,
-            side,
-        });
+        self.plan_pair_write(b, PairSel::Smp, rel, (BufRef::User, Off::Lit(off)), clen, 1);
     }
 
-    /// Reader side of one broadcast cell: wait for the READY flag, copy
-    /// the cell out (all `p-1` readers drain concurrently and share the
-    /// bus), clear the flag.
+    /// Reader side of one broadcast cell (all `p-1` readers drain
+    /// concurrently and share the bus).
     pub(crate) fn plan_smp_cell_read(
         &self,
         b: &mut PlanBuilder,
@@ -73,28 +285,14 @@ impl SrmComm {
         clen: usize,
         rel: u64,
     ) {
-        let p = self.cslots_here();
-        let side = Side::Parity {
-            base: SeqBase::Smp,
+        self.plan_pair_read(
+            b,
+            PairSel::Smp,
             rel,
-        };
-        b.push(Step::PairWaitPublished {
-            pair: PairSel::Smp,
-            side,
-        });
-        b.push(Step::Trace("smp:read"));
-        b.push(Step::ShmCopy {
-            src: BufRef::Smp { side },
-            src_off: Off::Lit(0),
-            dst: BufRef::User,
-            dst_off: Off::Lit(off),
-            len: clen,
-            cost: CopyCost::Read(p.saturating_sub(1).max(1)),
-        });
-        b.push(Step::PairRelease {
-            pair: PairSel::Smp,
-            side,
-        });
+            |b| b.push(Step::Trace("smp:read")),
+            Some((0, off, clen)),
+            self.peer_streams(),
+        );
     }
 
     /// The global cell grid of a `len`-byte payload: `(offset, length)`
@@ -224,22 +422,15 @@ impl SrmComm {
             let off = k * chunk_cap;
             let clen = chunk_cap.min(len - off);
             let rel = rel0 + k as u64;
-            let side_off = Off::Parity {
-                base: SeqBase::Tree,
-                rel,
-                stride: chunk_cap,
-            };
+            let side_off = poff(SeqBase::Tree, rel, chunk_cap);
             if let Some(pslot) = parent {
                 // Copy the chunk out of the parent's shared buffer into
                 // the user buffer (one copy per tree level).
-                b.push(Step::FlagWaitGe {
-                    flag: FlagRef::TreeReady { slot: pslot },
-                    val: Val::Seq {
-                        base: SeqBase::Tree,
-                        rel: rel + 1,
-                    },
-                    label: "tree parent chunk",
-                });
+                b.wait_flag(
+                    FlagRef::TreeReady { slot: pslot },
+                    seq(SeqBase::Tree, rel + 1),
+                    "tree parent chunk",
+                );
                 b.push(Step::ShmCopy {
                     src: BufRef::Contrib { slot: pslot },
                     src_off: side_off,
@@ -273,10 +464,7 @@ impl SrmComm {
                 });
                 b.push(Step::FlagRaise {
                     flag: FlagRef::TreeReady { slot: my },
-                    val: Val::Seq {
-                        base: SeqBase::Tree,
-                        rel: rel + 1,
-                    },
+                    val: seq(SeqBase::Tree, rel + 1),
                 });
             }
         }
@@ -369,124 +557,46 @@ impl SrmComm {
         dst_slot: usize,
     ) -> bool {
         let p = self.cslots_here();
-        let kind = self.tree();
-        let chunk_cap = self.tuning().reduce_chunk;
-        debug_assert!(clen <= chunk_cap);
-        let side_off = Off::Parity {
-            base: SeqBase::Reduce,
-            rel,
-            stride: chunk_cap,
-        };
-
-        let my = self.cslot();
-        let vs = (my + p - dst_slot) % p;
-        let kids = crate::embed::children_ascending(kind, vs, p);
-        let unv = |v: usize| (v + dst_slot) % p;
+        debug_assert!(clen <= self.tuning().reduce_chunk);
+        let vs = (self.cslot() + p - dst_slot) % p;
+        let kids = crate::embed::children_ascending(self.tree(), vs, p);
 
         b.push(Step::LoadAcc { off, len: clen });
 
         if vs != 0 && kids.is_empty() {
             // Lowest level: the one real memory copy of the algorithm.
             // Roughly half the node's tasks copy concurrently.
-            b.push(Step::DrainWait {
-                flag: FlagRef::ContribDone { slot: my },
-                base: SeqBase::Reduce,
-                rel,
-                scale: 1,
-                label: "contrib side drained",
-            });
-            b.push(Step::ShmCopy {
-                src: BufRef::Acc,
-                src_off: Off::Lit(0),
-                dst: BufRef::Contrib { slot: my },
-                dst_off: side_off,
-                len: clen,
-                cost: CopyCost::Write((p / 2).max(1)),
-            });
-            b.push(Step::FlagRaise {
-                flag: FlagRef::ContribReady { slot: my },
-                val: Val::Seq {
-                    base: SeqBase::Reduce,
-                    rel: rel + 1,
-                },
-            });
+            let cost = CopyCost::Write((p / 2).max(1));
+            self.plan_contrib_publish(b, rel, (BufRef::Acc, Off::Lit(0)), clen, cost);
             return false;
         }
 
         // Interior (or root): fold each child's shared buffer into the
         // running chunk — operator execution only, no data movement.
-        let first = rel == b.rel(SeqBase::Reduce);
         for kv in kids {
-            let cslot = unv(kv);
-            b.push(Step::FlagWaitGe {
-                flag: FlagRef::ContribReady { slot: cslot },
-                val: Val::Seq {
-                    base: SeqBase::Reduce,
-                    rel: rel + 1,
+            let child = (kv + dst_slot) % p;
+            self.plan_contrib_consume(
+                b,
+                child,
+                rel,
+                "child contribution ready",
+                |b, src, src_off| {
+                    b.push(Step::LocalReduce {
+                        src,
+                        src_off,
+                        len: clen,
+                    })
                 },
-                label: "child contribution ready",
-            });
-            b.push(Step::LocalReduce {
-                src: BufRef::Contrib { slot: cslot },
-                src_off: side_off,
-                len: clen,
-            });
-            if first && !crate::plan::skip_order_guards() {
-                // The DONE flag must advance without skipping sequence
-                // numbers: the previous collective on this channel may
-                // have a *different* consumer rank (e.g. a gather root)
-                // that has not drained the child's last chunk yet, and
-                // a max-raise past it would let the child overwrite
-                // that chunk's side early. Within one plan the single
-                // consumer is ordered, so only the first fold per plan
-                // needs the guard.
-                b.push(Step::FlagWaitGe {
-                    flag: FlagRef::ContribDone { slot: cslot },
-                    val: Val::Seq {
-                        base: SeqBase::Reduce,
-                        rel,
-                    },
-                    label: "contrib consumed in order",
-                });
-            }
-            b.push(Step::FlagRaise {
-                flag: FlagRef::ContribDone { slot: cslot },
-                val: Val::Seq {
-                    base: SeqBase::Reduce,
-                    rel: rel + 1,
-                },
-            });
+            );
         }
 
-        if vs == 0 {
-            // Subtree root: the accumulator holds the result; the
-            // caller routes it onward (the last operator pass's output
-            // stream — no extra copy).
-            true
-        } else {
-            b.push(Step::DrainWait {
-                flag: FlagRef::ContribDone { slot: my },
-                base: SeqBase::Reduce,
-                rel,
-                scale: 1,
-                label: "contrib side drained",
-            });
-            b.push(Step::ShmCopy {
-                src: BufRef::Acc,
-                src_off: Off::Lit(0),
-                dst: BufRef::Contrib { slot: my },
-                dst_off: side_off,
-                len: clen,
-                cost: CopyCost::Free,
-            });
-            b.push(Step::FlagRaise {
-                flag: FlagRef::ContribReady { slot: my },
-                val: Val::Seq {
-                    base: SeqBase::Reduce,
-                    rel: rel + 1,
-                },
-            });
-            false
+        if vs != 0 {
+            // Publish the partial result (the last operator pass's
+            // output stream — no extra copy).
+            self.plan_contrib_publish(b, rel, (BufRef::Acc, Off::Lit(0)), clen, CopyCost::Free);
         }
+        // At the subtree root the accumulator holds the result; the
+        // caller routes it onward.
+        vs == 0
     }
 }
