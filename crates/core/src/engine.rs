@@ -27,14 +27,14 @@
 //! own predecessors.
 
 use crate::plan::{
-    BufRef, CopyCost, CtrRef, FlagRef, HandleSrc, Off, PairSel, Plan, PlanKey, SeqBase, Side, Step,
-    Val, SEQ_BASES,
+    AddrSlot, BufRef, CopyCost, CtrRef, FlagRef, HandleSrc, Off, PairSel, Plan, PlanKey, SeqBase,
+    Side, Step, Until, Val, WaitCell, SEQ_BASES,
 };
 use crate::world::SrmComm;
 use collops::{combine_from_buffer_costed, DType, ReduceOp};
-use rma::LapiCounter;
+use rma::{LapiCounter, Rma};
 use shmem::{BufPair, ShmBuffer, SpinFlag};
-use simnet::Ctx;
+use simnet::{Ctx, SimVar};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -158,7 +158,7 @@ pub(crate) struct CallState {
     pub(crate) acc: Vec<u8>,
     /// Handles captured by [`Step::AddrTake`], in take order.
     pub(crate) child_bufs: Vec<ShmBuffer>,
-    /// Handle captured by [`Step::GsRootTake`]/[`Step::BoardAddrTake`].
+    /// Handle captured from [`AddrSlot::Root`]/[`AddrSlot::Board`].
     pub(crate) root_buf: Option<ShmBuffer>,
     /// Per-call scratch allocated by [`Step::ScratchAlloc`]
     /// ([`BufRef::Scratch`]); dies with the call.
@@ -168,6 +168,9 @@ pub(crate) struct CallState {
     /// time (sequence-base relocation), so executing them again would
     /// double-count.
     pub(crate) skip_advance: bool,
+    /// The step about to execute has already failed a readiness probe
+    /// (see [`Watch::probe`]); cleared when a step executes.
+    pub(crate) stalled: bool,
 }
 
 impl CallState {
@@ -181,6 +184,222 @@ impl CallState {
             root_buf: None,
             scratch: None,
             skip_advance,
+            stalled: false,
+        }
+    }
+}
+
+/// What a blocking step waits on, resolved against one call's bases:
+/// the single place that knows, for every cell kind, how to probe it
+/// for free, which kernel keys wake a task parked on it, and how to
+/// block on it through the substrate's own wait.
+pub(crate) enum Watch<'a> {
+    /// Nothing to wait for (a drain guard over a still-fresh side):
+    /// executes as a no-op that is not even counted as a wait.
+    Nothing,
+    /// Every flag reaches `value` (`==` with `eq`, else `>=`): spin
+    /// flags and the use counters of a buffer pair.
+    Flags {
+        flags: &'a [SpinFlag],
+        eq: bool,
+        value: u64,
+        label: &'static str,
+    },
+    /// A LAPI counter reaches `value`, optionally consuming it; waited
+    /// inside a LAPI call. `credit` marks the pairwise window's credit
+    /// waits, the ones `credit_stalls` counts.
+    Counter {
+        rma: &'a Rma,
+        ctr: &'a LapiCounter,
+        value: u64,
+        consume: bool,
+        credit: bool,
+    },
+    /// An address mailbox fills. AM-fed slots park *inside a LAPI call*
+    /// (like the counter waits): with interrupts disabled the
+    /// dispatcher only delivers that AM to a polling target, so a task
+    /// parked outside a call would deadlock the exchange. The board
+    /// slot is filled through shared memory and needs no call.
+    Slot {
+        var: &'a SimVar<Option<ShmBuffer>>,
+        in_call: Option<&'a Rma>,
+        label: &'static str,
+    },
+}
+
+impl SrmComm {
+    /// Resolve what `step` would block on for the call `st`; `None` for
+    /// the steps that never block.
+    pub(crate) fn watch<'a>(&'a self, st: &CallState, step: &Step) -> Option<Watch<'a>> {
+        let bases = &st.bases;
+        Some(match *step {
+            Step::Wait {
+                cell,
+                until,
+                consume,
+                label,
+            } => {
+                if let (WaitCell::Pair { pair, side }, Until::Use(what)) = (cell, until) {
+                    let q = seq_of(bases, side);
+                    let (flags, value) = pair_of(self, pair).watch(q, what, self.cslot());
+                    return Some(Watch::Flags {
+                        flags,
+                        eq: false,
+                        value,
+                        label,
+                    });
+                }
+                let (eq, value) = match until {
+                    Until::Eq(v) => (true, val_of(bases, v)),
+                    Until::Ge(v) => (false, val_of(bases, v)),
+                    Until::SideDrained { base, rel, scale } => match bases[base.index()] + rel {
+                        cum if cum < 2 => return Some(Watch::Nothing),
+                        cum => (false, (cum - 1) * scale),
+                    },
+                    Until::Use(_) => panic!("a pair use is a condition on a pair cell"),
+                };
+                match cell {
+                    WaitCell::Flag(f) => Watch::Flags {
+                        flags: std::slice::from_ref(flag_of(self, f)),
+                        eq,
+                        value,
+                        label,
+                    },
+                    WaitCell::Ctr(c) => Watch::Counter {
+                        rma: &self.rma,
+                        ctr: ctr_of(self, bases, c),
+                        value,
+                        consume,
+                        credit: consume && matches!(c, CtrRef::PairwiseFree { .. }),
+                    },
+                    WaitCell::Pair { .. } => panic!("a pair cell waits for a pair use"),
+                }
+            }
+            Step::AddrTake { slot } => {
+                let inter = self.inter(self.cnode());
+                let (var, in_call, label) = match slot {
+                    AddrSlot::Child(c) => (&inter.addr_slot[c], true, "child user-buffer address"),
+                    AddrSlot::Peer(from) => {
+                        (self.pair_addr_slot(from), true, "pairwise peer address")
+                    }
+                    AddrSlot::Root => (&inter.gs_root, true, "gather root address"),
+                    AddrSlot::Board => (&self.board().gs_addr, false, "gather root address"),
+                };
+                Watch::Slot {
+                    var,
+                    in_call: in_call.then_some(&self.rma),
+                    label,
+                }
+            }
+            _ => return None,
+        })
+    }
+}
+
+impl Watch<'_> {
+    /// Costless probe: would [`Watch::block`] return promptly now? The
+    /// executed step still pays its modeled cost; in the turn-based
+    /// kernel nothing can run between a probe and the execution.
+    pub(crate) fn ready(&self) -> bool {
+        match *self {
+            Watch::Nothing => true,
+            Watch::Flags {
+                flags, eq, value, ..
+            } => flags.iter().all(|f| {
+                let v = f.peek();
+                if eq {
+                    v == value
+                } else {
+                    v >= value
+                }
+            }),
+            Watch::Counter { ctr, value, .. } => ctr.peek() >= value,
+            Watch::Slot { var, .. } => var.with(|s| s.is_some()),
+        }
+    }
+
+    /// [`Watch::ready`], remembering in `stalled` that the wait about
+    /// to execute was once found not ready. The first such finding of a
+    /// credit wait is one `credit_stalls` — however the executor then
+    /// waits it out (blocking in place, or parked and re-probed).
+    pub(crate) fn probe(&self, ctx: &Ctx, stalled: &mut bool) -> bool {
+        let ready = self.ready();
+        if !ready && !*stalled {
+            *stalled = true;
+            if matches!(self, Watch::Counter { credit: true, .. }) {
+                ctx.metrics().credit_stalls.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        ready
+    }
+
+    /// Kernel wake keys of the variables whose writes could make the
+    /// watch ready — what a parked executor sleeps on.
+    pub(crate) fn wake_keys(&self, out: &mut Vec<u64>) {
+        match *self {
+            Watch::Nothing => {}
+            Watch::Flags { flags, .. } => out.extend(flags.iter().map(SpinFlag::wait_key)),
+            Watch::Counter { ctr, .. } => out.push(ctr.wait_key()),
+            Watch::Slot { var, .. } => out.push(var.wait_key()),
+        }
+    }
+
+    /// Block until ready through the substrate's own wait (which
+    /// charges the modeled cost), returning the handle an address slot
+    /// gave up.
+    pub(crate) fn block(&self, ctx: &Ctx, stalled: &mut bool) -> Option<ShmBuffer> {
+        if matches!(self, Watch::Nothing) {
+            return None;
+        }
+        ctx.metrics()
+            .engine_wait_steps
+            .fetch_add(1, Ordering::Relaxed);
+        self.probe(ctx, stalled);
+        match *self {
+            Watch::Nothing => None,
+            Watch::Flags {
+                flags,
+                eq,
+                value,
+                label,
+            } => {
+                for f in flags {
+                    if eq {
+                        f.wait_eq(ctx, label, value);
+                    } else {
+                        f.wait_ge(ctx, label, value);
+                    }
+                }
+                None
+            }
+            Watch::Counter {
+                rma,
+                ctr,
+                value,
+                consume,
+                ..
+            } => {
+                if consume {
+                    rma.wait_counter(ctx, ctr, value);
+                } else {
+                    rma.wait_counter_ge(ctx, ctr, value);
+                }
+                None
+            }
+            Watch::Slot {
+                var,
+                in_call,
+                label,
+            } => {
+                if let Some(rma) = in_call {
+                    rma.begin_call(ctx);
+                }
+                let taken = var.wait_take(ctx, label, |s| s.take());
+                if let Some(rma) = in_call {
+                    rma.end_call(ctx);
+                }
+                Some(taken)
+            }
         }
     }
 }
@@ -294,19 +513,12 @@ impl SrmComm {
     /// Snapshot the live sequence cells (the bases a call entering now
     /// resolves its relative values against).
     pub(crate) fn sample_bases(&self) -> [u64; SEQ_BASES] {
-        [
-            self.seat.smp_seq.load(Ordering::Relaxed),
-            self.seat.landing_seq.load(Ordering::Relaxed),
-            self.seat.tree_seq.load(Ordering::Relaxed),
-            self.seat.reduce_cum.load(Ordering::Relaxed),
-            self.seat.xfer_cum.load(Ordering::Relaxed),
-            self.seat.barrier_seq.load(Ordering::Relaxed),
-        ]
+        std::array::from_fn(|i| self.seat.seq[i].load(Ordering::Relaxed))
     }
 
     /// Execute one step of a call. Blocking steps block in place; the
-    /// nonblocking executor only calls this after probing readiness
-    /// (see `crate::nb`), in which case they return promptly.
+    /// nonblocking executor only calls this after [`Watch::probe`]
+    /// succeeded, in which case they return promptly.
     pub(crate) fn exec_step(
         &self,
         ctx: &Ctx,
@@ -342,38 +554,25 @@ impl SrmComm {
                     let dofs = off_of(&bases, dst_off);
                     let resolve =
                         |r: BufRef| buf_of(self, &bases, buf, child_bufs, root_buf, scratch, r);
-                    match cost {
-                        CopyCost::Read(streams) => {
-                            // Charged read out of shared memory; the
-                            // private-side store rides along for free.
+                    // One source fetch (charged for a read out of shared
+                    // memory) and one destination store (charged for a
+                    // write into it); the private side of either rides
+                    // along, and operator output streams are free.
+                    let tmp = match (src, cost) {
+                        (BufRef::Acc, _) => acc[..len].to_vec(),
+                        (_, CopyCost::Read(streams)) => {
                             let mut tmp = vec![0u8; len];
                             resolve(src).read(ctx, so, &mut tmp, streams);
-                            match dst {
-                                BufRef::Acc => *acc = tmp,
-                                _ => resolve(dst)
-                                    .with_mut(|d| d[dofs..dofs + len].copy_from_slice(&tmp)),
-                            }
+                            tmp
                         }
-                        CopyCost::Write(streams) => {
-                            // Charged write into shared memory.
-                            let tmp = match src {
-                                BufRef::Acc => acc[..len].to_vec(),
-                                _ => resolve(src).with(|d| d[so..so + len].to_vec()),
-                            };
-                            resolve(dst).write(ctx, dofs, &tmp, streams);
+                        _ => resolve(src).with(|d| d[so..so + len].to_vec()),
+                    };
+                    match (dst, cost) {
+                        (BufRef::Acc, _) => *acc = tmp,
+                        (_, CopyCost::Write(streams)) => {
+                            resolve(dst).write(ctx, dofs, &tmp, streams)
                         }
-                        CopyCost::Free => {
-                            // Operator output stream: no charge.
-                            let tmp = match src {
-                                BufRef::Acc => acc[..len].to_vec(),
-                                _ => resolve(src).with(|d| d[so..so + len].to_vec()),
-                            };
-                            match dst {
-                                BufRef::Acc => *acc = tmp,
-                                _ => resolve(dst)
-                                    .with_mut(|d| d[dofs..dofs + len].copy_from_slice(&tmp)),
-                            }
-                        }
+                        _ => resolve(dst).with_mut(|d| d[dofs..dofs + len].copy_from_slice(&tmp)),
                     }
                 }
                 Step::LoadAcc { off, len } => {
@@ -406,44 +605,21 @@ impl SrmComm {
                 Step::FlagAdd { flag, n } => {
                     flag_of(self, flag).fetch_add(ctx, n);
                 }
-                Step::FlagWaitEq { flag, val, label } => {
-                    metrics.engine_wait_steps.fetch_add(1, Ordering::Relaxed);
-                    flag_of(self, flag).wait_eq(ctx, label, val_of(&bases, val));
-                }
-                Step::FlagWaitGe { flag, val, label } => {
-                    metrics.engine_wait_steps.fetch_add(1, Ordering::Relaxed);
-                    flag_of(self, flag).wait_ge(ctx, label, val_of(&bases, val));
-                }
-                Step::DrainWait {
-                    flag,
-                    base,
-                    rel,
-                    scale,
-                    label,
-                } => {
-                    let cum = bases[base.index()] + rel;
-                    if cum >= 2 {
-                        metrics.engine_wait_steps.fetch_add(1, Ordering::Relaxed);
-                        flag_of(self, flag).wait_ge(ctx, label, (cum - 1) * scale);
+                Step::Wait { .. } | Step::AddrTake { .. } => {
+                    let watch = self.watch(st, step).expect("blocking step");
+                    let taken = watch.block(ctx, &mut st.stalled);
+                    match *step {
+                        Step::AddrTake {
+                            slot: AddrSlot::Root | AddrSlot::Board,
+                        } => st.root_buf = taken,
+                        _ => st.child_bufs.extend(taken),
                     }
-                }
-                Step::PairWaitFree { pair, side } => {
-                    metrics.engine_wait_steps.fetch_add(1, Ordering::Relaxed);
-                    pair_of(self, pair).wait_free(ctx, seq_of(&bases, side));
                 }
                 Step::PairPublish { pair, side } => {
                     pair_of(self, pair).publish_from(ctx, seq_of(&bases, side), self.cslot());
                 }
-                Step::PairWaitPublished { pair, side } => {
-                    metrics.engine_wait_steps.fetch_add(1, Ordering::Relaxed);
-                    pair_of(self, pair).wait_published(ctx, seq_of(&bases, side), self.cslot());
-                }
                 Step::PairRelease { pair, side } => {
                     pair_of(self, pair).release(ctx, seq_of(&bases, side), self.cslot());
-                }
-                Step::PairWaitDrained { pair, side } => {
-                    metrics.engine_wait_steps.fetch_add(1, Ordering::Relaxed);
-                    pair_of(self, pair).wait_drained(ctx, seq_of(&bases, side));
                 }
                 Step::PairCatchUp { pair, base, rel } => {
                     let q_end = bases[base.index()] + rel;
@@ -480,23 +656,6 @@ impl SrmComm {
                     metrics.engine_put_steps.fetch_add(1, Ordering::Relaxed);
                     self.rma.put_counter(ctx, to, ctr_of(self, &bases, ctr));
                 }
-                Step::CounterWait { ctr, n } => {
-                    metrics.engine_wait_steps.fetch_add(1, Ordering::Relaxed);
-                    self.rma.wait_counter(ctx, ctr_of(self, &bases, ctr), n);
-                }
-                Step::CreditWait { ctr, n } => {
-                    metrics.engine_wait_steps.fetch_add(1, Ordering::Relaxed);
-                    let c = ctr_of(self, &bases, ctr);
-                    if c.peek() < n {
-                        metrics.credit_stalls.fetch_add(1, Ordering::Relaxed);
-                    }
-                    self.rma.wait_counter(ctx, c, n);
-                }
-                Step::CounterWaitGe { ctr, val } => {
-                    metrics.engine_wait_steps.fetch_add(1, Ordering::Relaxed);
-                    self.rma
-                        .wait_counter_ge(ctx, ctr_of(self, &bases, ctr), val_of(&bases, val));
-                }
                 Step::AddrSend { to, am, src } => {
                     metrics.engine_put_steps.fetch_add(1, Ordering::Relaxed);
                     let handle = match src {
@@ -510,73 +669,23 @@ impl SrmComm {
                     };
                     self.rma.am(ctx, to, am, Vec::new(), Some(handle));
                 }
-                // The address-take family parks on a slot an incoming
-                // AM fills, so the wait must count as *inside a LAPI
-                // call* (like the counter waits do): with interrupts
-                // disabled the dispatcher can only deliver that AM to
-                // a polling target, and a task parked outside a call
-                // would deadlock the exchange.
-                Step::AddrTake { child } => {
-                    metrics.engine_wait_steps.fetch_add(1, Ordering::Relaxed);
-                    self.rma.begin_call(ctx);
-                    let taken = self.inter(self.cnode()).addr_slot[child].wait_take(
-                        ctx,
-                        "child user-buffer address",
-                        |s| s.take(),
-                    );
-                    self.rma.end_call(ctx);
-                    child_bufs.push(taken);
-                }
-                Step::PairAddrTake { from } => {
-                    metrics.engine_wait_steps.fetch_add(1, Ordering::Relaxed);
-                    self.rma.begin_call(ctx);
-                    let taken =
-                        self.pair_addr_slot(from)
-                            .wait_take(ctx, "pairwise peer address", |s| s.take());
-                    self.rma.end_call(ctx);
-                    child_bufs.push(taken);
-                }
                 Step::ScratchAlloc { len } => {
                     *scratch = Some(ShmBuffer::new(len));
                 }
-                Step::GsRootTake => {
-                    metrics.engine_wait_steps.fetch_add(1, Ordering::Relaxed);
-                    self.rma.begin_call(ctx);
-                    *root_buf = Some(self.inter(self.cnode()).gs_root.wait_take(
-                        ctx,
-                        "gather root address",
-                        |s| s.take(),
-                    ));
-                    self.rma.end_call(ctx);
-                }
                 Step::BoardAddrPut => {
                     self.board().gs_addr.store(ctx, Some(buf.clone()));
-                }
-                Step::BoardAddrTake => {
-                    metrics.engine_wait_steps.fetch_add(1, Ordering::Relaxed);
-                    *root_buf = Some(self.board().gs_addr.wait_take(
-                        ctx,
-                        "gather root address",
-                        |s| s.take(),
-                    ));
                 }
                 Step::Advance { base, by } => {
                     // Nonblocking issue already relocated the live cells
                     // (see `nb_issue`), so a queued call must not advance
                     // them a second time when its schedule executes.
                     if !skip_advance {
-                        let cell = match base {
-                            SeqBase::Smp => &self.seat.smp_seq,
-                            SeqBase::Landing => &self.seat.landing_seq,
-                            SeqBase::Tree => &self.seat.tree_seq,
-                            SeqBase::Reduce => &self.seat.reduce_cum,
-                            SeqBase::Xfer => &self.seat.xfer_cum,
-                            SeqBase::Barrier => &self.seat.barrier_seq,
-                        };
+                        let cell = &self.seat.seq[base.index()];
                         cell.fetch_add(by, Ordering::Relaxed);
                     }
                 }
             }
         }
+        st.stalled = false;
     }
 }

@@ -46,12 +46,13 @@
 
 use crate::embed::{self, TreeKind};
 use crate::plan::{
-    BufRef, CopyCost, CtrRef, FlagRef, HandleSrc, Off, PairSel, PlanBuilder, SeqBase, Side, Step,
-    Val,
+    AddrSlot, BufRef, CopyCost, CtrRef, FlagRef, HandleSrc, Off, PairSel, PlanBuilder, SeqBase,
+    Side, Step, Until, Val, WaitCell,
 };
 use crate::smp::{plan_acc_to_user, plan_stage_acc, plan_xfer_consume, plan_xfer_produce};
 use crate::tuning::SrmTuning;
 use crate::world::SrmComm;
+use shmem::PairUse;
 use simnet::NodeId;
 
 pub(crate) fn seq(base: SeqBase, rel: u64) -> Val {
@@ -372,7 +373,8 @@ impl SrmComm {
         b.push(Step::PairPublish { pair, side });
         self.plan_forward_landing_chunk(b, tree, rel, clen);
         self.plan_pair_copy_out(b, pair, rel, (0, off, clen), self.peer_streams());
-        b.push(Step::PairWaitDrained { pair, side });
+        let cell = WaitCell::Pair { pair, side };
+        b.wait(cell, Until::Use(PairUse::Drained), "buffer use drained");
         if marks {
             b.push(Step::Trace("bcast:ack"));
         }
@@ -482,7 +484,10 @@ impl SrmComm {
             });
         }
         let child_idx: Vec<(usize, usize)> = if master {
-            tree.down.iter().map(|&c| (c, b.take_addr(c))).collect()
+            tree.down
+                .iter()
+                .map(|&c| (c, b.take_addr(AddrSlot::Child(c))))
+                .collect()
         } else {
             Vec::new()
         };
@@ -971,7 +976,9 @@ impl SrmComm {
             // Root-node master (when it is not the root) forwards the
             // root's handle before contributing its own segment.
             if multi && my == 0 {
-                b.push(Step::BoardAddrTake);
+                b.push(Step::AddrTake {
+                    slot: AddrSlot::Board,
+                });
                 send_root_addr(b, HandleSrc::RootUser);
             }
             contribute(b);
@@ -987,7 +994,9 @@ impl SrmComm {
         } else if my == 0 {
             // Remote master: learn the root's buffer, put my own
             // segment, then relay every local slot's pieces.
-            b.push(Step::GsRootTake);
+            b.push(Step::AddrTake {
+                slot: AddrSlot::Root,
+            });
             let put =
                 |b: &mut PlanBuilder, src: BufRef, src_off: Off, dst_off: usize, len: usize| {
                     b.push(Step::RmaPut {

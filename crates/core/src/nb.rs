@@ -13,8 +13,7 @@
 //!
 //! * **opportunistically** at issue and at every `test`/`wait`: the
 //!   executor sweeps the queue oldest-first, executing every step whose
-//!   readiness probe succeeds (see below), until a full sweep executes
-//!   nothing;
+//!   readiness probe succeeds, until a full sweep executes nothing;
 //! * **while waiting**: `nb_wait_id` collects the kernel wake keys of
 //!   every runnable-but-stuck head step and blocks on *any* of them
 //!   ([`simnet::Ctx::wait_any_until`]), bracketed by
@@ -24,13 +23,9 @@
 //!   only inside calls (§2.3 — the dispatcher runs on message arrival
 //!   or inside API calls).
 //!
-//! # Readiness probes
-//!
-//! Every blocking [`Step`] has a costless probe (`peek` on the flag or
-//! counter, `with` on an address mailbox) that decides whether the step
-//! would return promptly. Probes are free because the *executed* step
-//! still pays the modeled cost; the turn-based kernel makes the
-//! probe-then-execute pair atomic (no other LP runs in between).
+//! Whether a head step would return promptly, and which kernel keys
+//! wake a task parked on it, is answered for every cell kind by the
+//! engine's one resolver (`SrmComm::watch`, in [`crate::engine`]).
 //!
 //! # Ordering classes
 //!
@@ -71,8 +66,8 @@
 //! call had already finished — exactly the invariant blocking execution
 //! maintains (see DESIGN.md, "Catch-up under suspension").
 
-use crate::engine::{ctr_of, flag_of, pair_of, val_of, CallState};
-use crate::plan::{BufRef, CtrRef, FlagRef, PairSel, Plan, PlanKey, Step};
+use crate::engine::CallState;
+use crate::plan::{BufRef, CtrRef, FlagRef, PairSel, Plan, PlanKey, Step, WaitCell};
 use crate::world::SrmComm;
 use collops::{DType, ReduceOp};
 use shmem::ShmBuffer;
@@ -169,137 +164,23 @@ pub(crate) fn step_classes(step: &Step) -> u8 {
         Step::Trace(_) | Step::SetInterrupts(_) | Step::LoadAcc { .. } | Step::Advance { .. } => 0,
         Step::ShmCopy { src, dst, .. } => buf_class(src) | buf_class(dst),
         Step::LocalReduce { src, .. } => buf_class(src),
-        Step::FlagRaise { flag, .. }
-        | Step::FlagAdd { flag, .. }
-        | Step::FlagWaitEq { flag, .. }
-        | Step::FlagWaitGe { flag, .. }
-        | Step::DrainWait { flag, .. } => flag_class(flag),
-        Step::PairWaitFree { pair, .. }
-        | Step::PairPublish { pair, .. }
-        | Step::PairWaitPublished { pair, .. }
+        Step::FlagRaise { flag, .. } | Step::FlagAdd { flag, .. } => flag_class(flag),
+        Step::Wait { cell, .. } => match cell {
+            WaitCell::Flag(flag) => flag_class(flag),
+            WaitCell::Ctr(ctr) => ctr_class(ctr),
+            WaitCell::Pair { pair, .. } => pair_class(pair),
+        },
+        Step::PairPublish { pair, .. }
         | Step::PairRelease { pair, .. }
-        | Step::PairWaitDrained { pair, .. }
         | Step::PairCatchUp { pair, .. } => pair_class(pair),
         Step::RmaPut { src, dst, ctr, .. } => {
             buf_class(src) | buf_class(dst) | ctr.map_or(0, ctr_class)
         }
         Step::CounterPut { ctr, .. } => ctr_class(ctr),
-        Step::CounterWait { ctr, .. } => ctr_class(ctr),
-        Step::CounterWaitGe { ctr, .. } => ctr_class(ctr),
-        Step::CreditWait { ctr, .. } => ctr_class(ctr),
-        Step::AddrSend { .. }
-        | Step::AddrTake { .. }
-        | Step::PairAddrTake { .. }
-        | Step::GsRootTake
-        | Step::BoardAddrPut
-        | Step::BoardAddrTake => CL_ADDR,
+        Step::AddrSend { .. } | Step::AddrTake { .. } | Step::BoardAddrPut => CL_ADDR,
         // Allocating a per-call scratch touches only this call's own
         // state; it never orders against other schedules.
         Step::ScratchAlloc { .. } => 0,
-    }
-}
-
-/// Whether a step can block the executing task (and therefore needs a
-/// readiness probe before the interleaving executor runs it).
-fn step_blocks(step: &Step) -> bool {
-    matches!(
-        step,
-        Step::FlagWaitEq { .. }
-            | Step::FlagWaitGe { .. }
-            | Step::DrainWait { .. }
-            | Step::PairWaitFree { .. }
-            | Step::PairWaitPublished { .. }
-            | Step::PairWaitDrained { .. }
-            | Step::CounterWait { .. }
-            | Step::CounterWaitGe { .. }
-            | Step::CreditWait { .. }
-            | Step::AddrTake { .. }
-            | Step::PairAddrTake { .. }
-            | Step::GsRootTake
-            | Step::BoardAddrTake
-    )
-}
-
-/// Costless probe: would this (blocking) step return promptly if
-/// executed now? Steps that never block report ready. The executed
-/// step still pays its modeled cost; in the turn-based kernel nothing
-/// can run between the probe and the execution.
-fn step_ready(comm: &SrmComm, st: &CallState, step: &Step) -> bool {
-    let bases = &st.bases;
-    match *step {
-        Step::FlagWaitEq { flag, val, .. } => flag_of(comm, flag).peek() == val_of(bases, val),
-        Step::FlagWaitGe { flag, val, .. } => flag_of(comm, flag).peek() >= val_of(bases, val),
-        Step::DrainWait {
-            flag,
-            base,
-            rel,
-            scale,
-            ..
-        } => {
-            let cum = bases[base.index()] + rel;
-            cum < 2 || flag_of(comm, flag).peek() >= (cum - 1) * scale
-        }
-        Step::PairWaitFree { pair, side } => {
-            let q = crate::engine::seq_of(bases, side);
-            let bank = pair_of(comm, pair).released((q % 2) as usize);
-            (0..bank.len()).all(|i| bank.flag(i).peek() >= q / 2)
-        }
-        Step::PairWaitPublished { pair, side } => {
-            let q = crate::engine::seq_of(bases, side);
-            pair_of(comm, pair)
-                .ready((q % 2) as usize)
-                .flag(comm.cslot())
-                .peek()
-                > q / 2
-        }
-        Step::PairWaitDrained { pair, side } => {
-            let q = crate::engine::seq_of(bases, side);
-            let bank = pair_of(comm, pair).released((q % 2) as usize);
-            (0..bank.len()).all(|i| bank.flag(i).peek() > q / 2)
-        }
-        Step::CounterWait { ctr, n } | Step::CreditWait { ctr, n } => {
-            ctr_of(comm, bases, ctr).peek() >= n
-        }
-        Step::CounterWaitGe { ctr, val } => ctr_of(comm, bases, ctr).peek() >= val_of(bases, val),
-        Step::AddrTake { child } => comm.inter(comm.cnode()).addr_slot[child].with(|s| s.is_some()),
-        Step::PairAddrTake { from } => comm.pair_addr_slot(from).with(|s| s.is_some()),
-        Step::GsRootTake => comm.inter(comm.cnode()).gs_root.with(|s| s.is_some()),
-        Step::BoardAddrTake => comm.board().gs_addr.with(|s| s.is_some()),
-        _ => true,
-    }
-}
-
-/// Kernel wake keys of the variables whose writes could make `step`
-/// ready — the keys a parked executor sleeps on.
-fn step_wait_keys(comm: &SrmComm, st: &CallState, step: &Step, out: &mut Vec<u64>) {
-    let bases = &st.bases;
-    match *step {
-        Step::FlagWaitEq { flag, .. } | Step::FlagWaitGe { flag, .. } => {
-            out.push(flag_of(comm, flag).wait_key())
-        }
-        Step::DrainWait {
-            flag, base, rel, ..
-        } if bases[base.index()] + rel >= 2 => out.push(flag_of(comm, flag).wait_key()),
-        Step::PairWaitFree { pair, side } | Step::PairWaitDrained { pair, side } => {
-            let bank = pair_of(comm, pair).released(crate::engine::side_of(bases, side));
-            for i in 0..bank.len() {
-                out.push(bank.flag(i).wait_key());
-            }
-        }
-        Step::PairWaitPublished { pair, side } => out.push(
-            pair_of(comm, pair)
-                .ready(crate::engine::side_of(bases, side))
-                .flag(comm.cslot())
-                .wait_key(),
-        ),
-        Step::CounterWait { ctr, .. }
-        | Step::CounterWaitGe { ctr, .. }
-        | Step::CreditWait { ctr, .. } => out.push(ctr_of(comm, bases, ctr).wait_key()),
-        Step::AddrTake { child } => out.push(comm.inter(comm.cnode()).addr_slot[child].wait_key()),
-        Step::PairAddrTake { from } => out.push(comm.pair_addr_slot(from).wait_key()),
-        Step::GsRootTake => out.push(comm.inter(comm.cnode()).gs_root.wait_key()),
-        Step::BoardAddrTake => out.push(comm.board().gs_addr.wait_key()),
-        _ => {}
     }
 }
 
@@ -472,15 +353,7 @@ impl SrmComm {
         // The cells are per (rank, communicator) — a schedule on one
         // communicator never shifts another communicator's bases.
         let bases = self.sample_bases();
-        let cells = [
-            &self.seat.smp_seq,
-            &self.seat.landing_seq,
-            &self.seat.tree_seq,
-            &self.seat.reduce_cum,
-            &self.seat.xfer_cum,
-            &self.seat.barrier_seq,
-        ];
-        for (cell, by) in cells.iter().zip(plan.advances.iter()) {
+        for (cell, by) in self.seat.seq.iter().zip(plan.advances.iter()) {
             cell.fetch_add(*by, Ordering::Relaxed);
         }
         let id = self.shared.next_req.fetch_add(1, Ordering::Relaxed);
@@ -534,8 +407,10 @@ impl SrmComm {
                     if mask & older != 0 {
                         break; // class-blocked behind an older same-comm schedule
                     }
-                    if step_blocks(&step) && !step_ready(&call.comm, &call.st, &step) {
-                        break; // genuinely waiting: park here
+                    if let Some(watch) = call.comm.watch(&call.st, &step) {
+                        if !watch.probe(ctx, &mut call.st.stalled) {
+                            break; // genuinely waiting: park here
+                        }
                     }
                     let comm = call.comm.clone();
                     let buf = call.buf.clone();
@@ -600,7 +475,7 @@ impl SrmComm {
             if !call.done() {
                 let step = &call.plan.steps[call.pc];
                 if step_classes(step) & Self::older_mask(&older, call.comm_id()) == 0
-                    && step_ready(&call.comm, &call.st, step)
+                    && call.comm.watch(&call.st, step).is_none_or(|w| w.ready())
                 {
                     return true;
                 }
@@ -622,7 +497,9 @@ impl SrmComm {
             if !call.done() {
                 let step = &call.plan.steps[call.pc];
                 if step_classes(step) & Self::older_mask(&older, call.comm_id()) == 0 {
-                    step_wait_keys(&call.comm, &call.st, step, &mut keys);
+                    if let Some(watch) = call.comm.watch(&call.st, step) {
+                        watch.wake_keys(&mut keys);
+                    }
                 }
             }
             Self::fold_older(&mut older, call.comm_id(), call.rem_mask());

@@ -22,7 +22,8 @@
 //!   [`SrmTuning::pairwise_window`](crate::SrmTuning) puts outstanding
 //!   toward one destination (the ring has that many
 //!   [`pairwise_chunk`](crate::SrmTuning)-sized slots per source); it
-//!   spends a credit per put ([`Step::CreditWait`]) and the destination
+//!   spends a credit per put (a consuming [`Step::Wait`] on the credit
+//!   counter) and the destination
 //!   returns the credit once it drains the slot. Senders round-robin
 //!   across destinations piece by piece instead of finishing one peer
 //!   before starting the next, so all streams stay in flight together.
@@ -58,7 +59,7 @@
 //! this sound: the credit window keeps at most `window` *consecutive*
 //! pieces of a stream outstanding (consecutive indices map to distinct
 //! slots), and every master ends its plan waiting for all credits to
-//! return ([`Step::CounterWaitGe`] `== window` per destination), so the
+//! return (a non-consuming wait for `== window` per destination), so the
 //! rings are fully drained between operations and the next plan can
 //! restart indexing at zero.
 //!
@@ -82,7 +83,8 @@
 
 use crate::inter::{seq, Edge};
 use crate::plan::{
-    BufRef, CopyCost, CtrRef, FlagRef, HandleSrc, Off, PairSel, PlanBuilder, SeqBase, Step, Val,
+    AddrSlot, BufRef, CopyCost, CtrRef, FlagRef, HandleSrc, Off, PairSel, PlanBuilder, SeqBase,
+    Step, Val,
 };
 use crate::route::{RouteClass, SegmentRoute};
 use crate::smp::{plan_acc_to_user, plan_stage_acc};
@@ -540,7 +542,7 @@ impl SrmComm {
             let Some((src_off, dst_off, len)) = xfer(me, d) else {
                 continue;
             };
-            let idx = b.take_pair_addr(d);
+            let idx = b.take_addr(AddrSlot::Peer(d));
             b.push(Step::RmaPut {
                 to: self.cworld_of(d),
                 src: BufRef::User,
@@ -790,7 +792,7 @@ impl SrmComm {
                 });
             }
             for d in peers() {
-                scratch_idx[d] = Some(b.take_pair_addr(self.crank_at(d, 0)));
+                scratch_idx[d] = Some(b.take_addr(AddrSlot::Peer(self.crank_at(d, 0))));
             }
         }
 

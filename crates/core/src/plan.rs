@@ -26,6 +26,7 @@
 
 use crate::tuning::SrmTuning;
 use crate::world::SrmComm;
+use shmem::PairUse;
 use simnet::{NodeId, Rank};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -209,8 +210,8 @@ pub enum BufRef {
         /// Capture index.
         idx: usize,
     },
-    /// The gather root's user-buffer handle (captured by
-    /// [`Step::GsRootTake`] or [`Step::BoardAddrTake`]).
+    /// The gather root's user-buffer handle (captured from
+    /// [`AddrSlot::Root`] or [`AddrSlot::Board`]).
     RootUser,
     /// `node`'s pairwise landing ring for puts from node `src` — a ring
     /// of [`SrmTuning::pairwise_window`](crate::SrmTuning) slots of
@@ -385,6 +386,65 @@ pub enum PairSel {
     Landing,
 }
 
+/// The cell a [`Step::Wait`] watches.
+#[derive(Clone, Copy, Debug)]
+pub enum WaitCell {
+    /// A spin flag on my node's board.
+    Flag(FlagRef),
+    /// A LAPI counter.
+    Ctr(CtrRef),
+    /// The use counters of one side of one of my node's buffer pairs;
+    /// [`Until::Use`] says which of them, and how far.
+    Pair {
+        /// Which pair.
+        pair: PairSel,
+        /// Which side (resolves to the full use sequence number).
+        side: Side,
+    },
+}
+
+/// What a [`Step::Wait`] waits for its cell to show.
+#[derive(Clone, Copy, Debug)]
+pub enum Until {
+    /// `cell == val` (the 0/1 barrier flags).
+    Eq(Val),
+    /// `cell >= val`.
+    Ge(Val),
+    /// The double-buffer drain guard: with `cum = bases[base] + rel`,
+    /// nothing to wait for while `cum < 2` (both sides still fresh);
+    /// otherwise `cell >= (cum - 1) * scale` — the side about to be
+    /// overwritten has been drained `scale` times.
+    SideDrained {
+        /// Cumulative base.
+        base: SeqBase,
+        /// Chunk index within this plan.
+        rel: u64,
+        /// Consumers per chunk (1 except for the tree variant).
+        scale: u64,
+    },
+    /// The pair-protocol condition on the use a [`WaitCell::Pair`]
+    /// side resolves to.
+    Use(PairUse),
+}
+
+/// The mailbox an [`Step::AddrTake`] empties.
+#[derive(Clone, Copy, Debug)]
+pub enum AddrSlot {
+    /// The handle `child`'s master sent me (large broadcast); appended
+    /// to the capture list ([`BufRef::ChildUser`] indices).
+    Child(NodeId),
+    /// The handle comm rank `from` sent me through the per-call
+    /// pairwise address exchange (direct route); appended to the same
+    /// capture list.
+    Peer(usize),
+    /// The gather-root handle another master sent me
+    /// ([`BufRef::RootUser`]).
+    Root,
+    /// The gather-root handle published on my node's board
+    /// ([`BufRef::RootUser`]).
+    Board,
+}
+
 /// Which handle an [`Step::AddrSend`] ships.
 #[derive(Clone, Copy, Debug)]
 pub enum HandleSrc {
@@ -453,45 +513,22 @@ pub enum Step {
         /// Increment.
         n: u64,
     },
-    /// Block until `flag == val`.
-    FlagWaitEq {
-        /// Flag to watch.
-        flag: FlagRef,
-        /// Value to wait for.
-        val: Val,
-        /// Wait label for traces and deadlock reports.
+    /// Block until `cell` shows `until`. The one blocking step besides
+    /// [`Step::AddrTake`]: flag cells spin (spin-then-yield cost),
+    /// counter cells wait inside a LAPI call and, with `consume`,
+    /// subtract the awaited value (`LAPI_Waitcntr`). A consuming wait
+    /// on a [`CtrRef::PairwiseFree`] credit is what the `credit_stalls`
+    /// metric observes.
+    Wait {
+        /// Cell to watch.
+        cell: WaitCell,
+        /// Condition to wait for.
+        until: Until,
+        /// Subtract the awaited value once reached (counter cells).
+        consume: bool,
+        /// Wait label for traces and deadlock reports (flag and pair
+        /// cells; counter waits report under the RMA layer's label).
         label: &'static str,
-    },
-    /// Block until `flag >= val`.
-    FlagWaitGe {
-        /// Flag to watch.
-        flag: FlagRef,
-        /// Threshold.
-        val: Val,
-        /// Wait label.
-        label: &'static str,
-    },
-    /// The double-buffer drain guard: with `cum = bases[base] + rel`,
-    /// if `cum >= 2` wait until `flag >= (cum - 1) * scale` (the side
-    /// about to be overwritten has been drained `scale` times).
-    DrainWait {
-        /// Flag to watch.
-        flag: FlagRef,
-        /// Cumulative base.
-        base: SeqBase,
-        /// Chunk index within this plan.
-        rel: u64,
-        /// Consumers per chunk (1 except for the tree variant).
-        scale: u64,
-        /// Wait label.
-        label: &'static str,
-    },
-    /// Writer claim of a pair side (block until every reader released).
-    PairWaitFree {
-        /// Which pair.
-        pair: PairSel,
-        /// Which side.
-        side: Side,
     },
     /// Raise the READY flag of every other slot for a pair side.
     PairPublish {
@@ -500,25 +537,8 @@ pub enum Step {
         /// Which side.
         side: Side,
     },
-    /// Reader wait for my READY flag on a pair side.
-    PairWaitPublished {
-        /// Which pair.
-        pair: PairSel,
-        /// Which side.
-        side: Side,
-    },
     /// Reader release of a pair side.
     PairRelease {
-        /// Which pair.
-        pair: PairSel,
-        /// Which side.
-        side: Side,
-    },
-    /// Writer wait until the use it *published* is fully released (the
-    /// drain-acknowledge before returning a flow-control credit to a
-    /// remote producer). Distinct from [`Step::PairWaitFree`], which
-    /// waits for the *previous* use of the side.
-    PairWaitDrained {
         /// Which pair.
         pair: PairSel,
         /// Which side.
@@ -562,30 +582,6 @@ pub enum Step {
         /// Counter to bump.
         ctr: CtrRef,
     },
-    /// Consume `n` from a counter (LAPI `Waitcntr` semantics).
-    CounterWait {
-        /// Counter to drain.
-        ctr: CtrRef,
-        /// Count to consume.
-        n: u64,
-    },
-    /// Block until a counter reaches `val` without consuming.
-    CounterWaitGe {
-        /// Counter to watch.
-        ctr: CtrRef,
-        /// Threshold.
-        val: Val,
-    },
-    /// Consume `n` flow-control credits from a pairwise credit counter
-    /// (same wait semantics as [`Step::CounterWait`], but the engine
-    /// counts a `credit_stalls` metric when no credit is available —
-    /// the observable of the pairwise window).
-    CreditWait {
-        /// Credit counter to drain.
-        ctr: CtrRef,
-        /// Credits to consume.
-        n: u64,
-    },
     /// Ship a buffer handle to rank `to` via active message `am`.
     AddrSend {
         /// Target rank (a master).
@@ -595,19 +591,11 @@ pub enum Step {
         /// Which handle to ship.
         src: HandleSrc,
     },
-    /// Take the handle `child`'s master sent me (large broadcast) and
-    /// append it to the capture list ([`BufRef::ChildUser`] indices).
+    /// Block until `slot` holds a buffer handle and take it. The three
+    /// AM-fed slots wait inside a LAPI call; the board slot does not.
     AddrTake {
-        /// The child node.
-        child: NodeId,
-    },
-    /// Take the handle comm rank `from` sent me through the per-call
-    /// pairwise address exchange (direct route) and append it to the
-    /// capture list ([`BufRef::ChildUser`] indices — shared with
-    /// [`Step::AddrTake`]).
-    PairAddrTake {
-        /// The sending comm rank.
-        from: usize,
+        /// Mailbox to empty.
+        slot: AddrSlot,
     },
     /// Allocate this call's `len`-byte scratch buffer
     /// ([`BufRef::Scratch`]); its handle can then be shipped with
@@ -616,13 +604,9 @@ pub enum Step {
         /// Scratch capacity in bytes.
         len: usize,
     },
-    /// Take the gather-root handle another master sent me.
-    GsRootTake,
     /// Publish my user-buffer handle on my node's board (gather root
     /// that is not the node master).
     BoardAddrPut,
-    /// Take the handle the gather root published on my node's board.
-    BoardAddrTake,
     /// Advance a cumulative sequence cell (end-of-protocol bookkeeping;
     /// the engine's sampled bases are unaffected).
     Advance {
@@ -644,25 +628,20 @@ impl Step {
             Step::LocalReduce { .. } => "step:local-reduce",
             Step::FlagRaise { .. } => "step:flag-raise",
             Step::FlagAdd { .. } => "step:flag-add",
-            Step::FlagWaitEq { .. } | Step::FlagWaitGe { .. } => "step:flag-wait",
-            Step::DrainWait { .. } => "step:drain-wait",
-            Step::PairWaitFree { .. } => "step:pair-wait-free",
+            Step::Wait {
+                cell: WaitCell::Ctr(_),
+                ..
+            } => "step:counter-wait",
+            Step::Wait { .. } => "step:flag-wait",
             Step::PairPublish { .. } => "step:pair-publish",
-            Step::PairWaitPublished { .. } => "step:pair-wait-published",
             Step::PairRelease { .. } => "step:pair-release",
-            Step::PairWaitDrained { .. } => "step:pair-wait-drained",
             Step::PairCatchUp { .. } => "step:pair-catch-up",
             Step::RmaPut { .. } => "step:rma-put",
             Step::CounterPut { .. } => "step:counter-put",
-            Step::CounterWait { .. } | Step::CounterWaitGe { .. } => "step:counter-wait",
-            Step::CreditWait { .. } => "step:credit-wait",
             Step::AddrSend { .. } => "step:addr-send",
-            Step::AddrTake { .. } | Step::PairAddrTake { .. } | Step::GsRootTake => {
-                "step:addr-take"
-            }
+            Step::AddrTake { .. } => "step:addr-take",
             Step::ScratchAlloc { .. } => "step:scratch-alloc",
             Step::BoardAddrPut => "step:board-addr-put",
-            Step::BoardAddrTake => "step:board-addr-take",
             Step::Advance { .. } => "step:advance",
         }
     }
@@ -755,42 +734,61 @@ impl PlanBuilder {
         self.steps.push(Step::Advance { base, by });
     }
 
-    /// Block until `flag >= val`.
-    pub fn wait_flag(&mut self, flag: FlagRef, val: Val, label: &'static str) {
-        self.push(Step::FlagWaitGe { flag, val, label });
+    /// Block until `cell` shows `until` (no consumption).
+    pub fn wait(&mut self, cell: WaitCell, until: Until, label: &'static str) {
+        self.push(Step::Wait {
+            cell,
+            until,
+            consume: false,
+            label,
+        });
     }
 
-    /// Consume `n` from `ctr` (LAPI `Waitcntr`); a pairwise credit
-    /// counter makes it the credit wait the window metric observes.
+    /// Block until `flag >= val`.
+    pub fn wait_flag(&mut self, flag: FlagRef, val: Val, label: &'static str) {
+        self.wait(WaitCell::Flag(flag), Until::Ge(val), label);
+    }
+
+    /// The drain guard before overwriting a parity side of a
+    /// double-buffered staging area (see [`Until::SideDrained`]).
+    pub fn wait_side_drained(
+        &mut self,
+        flag: FlagRef,
+        base: SeqBase,
+        rel: u64,
+        scale: u64,
+        label: &'static str,
+    ) {
+        let until = Until::SideDrained { base, rel, scale };
+        self.wait(WaitCell::Flag(flag), until, label);
+    }
+
+    /// Consume `n` from `ctr` (LAPI `Waitcntr`).
     pub fn wait_ctr(&mut self, ctr: CtrRef, n: u64) {
-        self.push(match ctr {
-            CtrRef::PairwiseFree { .. } => Step::CreditWait { ctr, n },
-            _ => Step::CounterWait { ctr, n },
+        self.push(Step::Wait {
+            cell: WaitCell::Ctr(ctr),
+            until: Until::Ge(Val::Lit(n)),
+            consume: true,
+            label: "LAPI counter",
         });
     }
 
     /// Block until `ctr >= val` without consuming.
     pub fn wait_ctr_ge(&mut self, ctr: CtrRef, val: Val) {
-        self.push(Step::CounterWaitGe { ctr, val });
+        self.wait(
+            WaitCell::Ctr(ctr),
+            Until::Ge(val),
+            "LAPI counter (cumulative)",
+        );
     }
 
-    /// Emit an [`Step::AddrTake`] for `child` and return its capture
+    /// Emit an [`Step::AddrTake`] for one of the capture-list slots
+    /// ([`AddrSlot::Child`], [`AddrSlot::Peer`]) and return its capture
     /// index (for [`BufRef::ChildUser`]).
-    pub fn take_addr(&mut self, child: NodeId) -> usize {
+    pub fn take_addr(&mut self, slot: AddrSlot) -> usize {
         let idx = self.addrs;
         self.addrs += 1;
-        self.steps.push(Step::AddrTake { child });
-        idx
-    }
-
-    /// Emit a [`Step::PairAddrTake`] for the handle comm rank `from`
-    /// sent through the pairwise address exchange and return its
-    /// capture index (same [`BufRef::ChildUser`] index space as
-    /// [`PlanBuilder::take_addr`]).
-    pub fn take_pair_addr(&mut self, from: usize) -> usize {
-        let idx = self.addrs;
-        self.addrs += 1;
-        self.steps.push(Step::PairAddrTake { from });
+        self.steps.push(Step::AddrTake { slot });
         idx
     }
 
@@ -1130,8 +1128,8 @@ mod tests {
         b.advance(SeqBase::Landing, 3);
         assert_eq!(b.rel(SeqBase::Landing), 3);
         assert_eq!(b.rel(SeqBase::Smp), 0);
-        assert_eq!(b.take_addr(1), 0);
-        assert_eq!(b.take_addr(2), 1);
+        assert_eq!(b.take_addr(AddrSlot::Child(1)), 0);
+        assert_eq!(b.take_addr(AddrSlot::Peer(2)), 1);
         let plan = b.finish();
         assert_eq!(plan.len(), 3); // advance + 2 takes
         assert!(!plan.is_empty());

@@ -25,10 +25,11 @@
 
 use crate::inter::{par, poff, seq};
 use crate::plan::{
-    BufRef, CopyCost, FlagRef, Off, PairSel, PlanBuilder, PlanShape, SeqBase, Side, Step, Val,
+    BufRef, CopyCost, FlagRef, Off, PairSel, PlanBuilder, PlanShape, SeqBase, Side, Step, Until,
+    Val, WaitCell,
 };
 use crate::world::SrmComm;
-use shmem::ShmBuffer;
+use shmem::{PairUse, ShmBuffer};
 use simnet::{Ctx, Rank};
 
 /// The sequence base a pair's uses are numbered against.
@@ -49,13 +50,13 @@ pub(crate) fn plan_xfer_produce(
     from: (BufRef, Off),
     len: usize,
 ) {
-    b.push(Step::DrainWait {
-        flag: FlagRef::XferDone,
-        base: SeqBase::Xfer,
-        rel: xrel,
-        scale: 1,
-        label: "xfer side drained",
-    });
+    b.wait_side_drained(
+        FlagRef::XferDone,
+        SeqBase::Xfer,
+        xrel,
+        1,
+        "xfer side drained",
+    );
     b.push(Step::ShmCopy {
         src: from.0,
         src_off: from.1,
@@ -135,7 +136,12 @@ impl SrmComm {
         streams: usize,
     ) {
         let side = par(pair_base(pair), rel);
-        b.push(Step::PairWaitFree { pair, side });
+        let cell = WaitCell::Pair { pair, side };
+        b.wait(
+            cell,
+            Until::Use(PairUse::Free),
+            "buffer released by readers",
+        );
         b.push(Step::ShmCopy {
             src: from.0,
             src_off: from.1,
@@ -180,7 +186,8 @@ impl SrmComm {
         streams: usize,
     ) {
         let side = par(pair_base(pair), rel);
-        b.push(Step::PairWaitPublished { pair, side });
+        let cell = WaitCell::Pair { pair, side };
+        b.wait(cell, Until::Use(PairUse::Published), "buffer published");
         after_wait(b);
         if let Some(copy) = copy {
             self.plan_pair_copy_out(b, pair, rel, copy, streams);
@@ -200,13 +207,8 @@ impl SrmComm {
         cost: CopyCost,
     ) {
         let my = self.cslot();
-        b.push(Step::DrainWait {
-            flag: FlagRef::ContribDone { slot: my },
-            base: SeqBase::Reduce,
-            rel,
-            scale: 1,
-            label: "contrib side drained",
-        });
+        let done = FlagRef::ContribDone { slot: my };
+        b.wait_side_drained(done, SeqBase::Reduce, rel, 1, "contrib side drained");
         b.push(Step::ShmCopy {
             src: from.0,
             src_off: from.1,
@@ -355,11 +357,8 @@ impl SrmComm {
         }
         if self.c_is_master() {
             for s in 1..p {
-                b.push(Step::FlagWaitEq {
-                    flag: FlagRef::Barrier { slot: s },
-                    val: Val::Lit(1),
-                    label: "smp barrier check-in",
-                });
+                let cell = WaitCell::Flag(FlagRef::Barrier { slot: s });
+                b.wait(cell, Until::Eq(Val::Lit(1)), "smp barrier check-in");
             }
         } else {
             b.push(Step::FlagRaise {
@@ -384,11 +383,8 @@ impl SrmComm {
                 });
             }
         } else {
-            b.push(Step::FlagWaitEq {
-                flag: FlagRef::Barrier { slot: self.cslot() },
-                val: Val::Lit(0),
-                label: "smp barrier release",
-            });
+            let cell = WaitCell::Flag(FlagRef::Barrier { slot: self.cslot() });
+            b.wait(cell, Until::Eq(Val::Lit(0)), "smp barrier release");
         }
     }
 
@@ -447,13 +443,9 @@ impl SrmComm {
             if !kids.is_empty() {
                 // Stage the chunk for the children (store-and-forward);
                 // wait until every child drained the side being reused.
-                b.push(Step::DrainWait {
-                    flag: FlagRef::TreeDone { slot: my },
-                    base: SeqBase::Tree,
-                    rel,
-                    scale: kids.len() as u64,
-                    label: "tree buffer drained",
-                });
+                let done = FlagRef::TreeDone { slot: my };
+                let drains = kids.len() as u64;
+                b.wait_side_drained(done, SeqBase::Tree, rel, drains, "tree buffer drained");
                 b.push(Step::ShmCopy {
                     src: BufRef::User,
                     src_off: Off::Lit(off),

@@ -9,7 +9,7 @@
 
 use crate::embed::{GroupEmbedding, TreeKind};
 use crate::pairwise::PairwiseState;
-use crate::plan::{PlanCache, PlanShape};
+use crate::plan::{PlanCache, PlanShape, SEQ_BASES};
 use crate::tune::{TuneOp, TuneTable};
 use crate::tuning::SrmTuning;
 use rma::{LapiCounter, Rma, RmaWorld};
@@ -346,7 +346,7 @@ pub(crate) struct CommState {
     /// Per-call pairwise address-exchange slots for the **direct
     /// route**: `pair_addr[owner][sender]` holds the buffer handle comm
     /// rank `sender` shipped to comm rank `owner` (taken by the owner's
-    /// `PairAddrTake` step; the CL_ADDR ordering class keeps slots from
+    /// address-take step; the CL_ADDR ordering class keeps slots from
     /// being overrun across calls). Rows are `Arc`-shared with the
     /// per-member AM handlers.
     pub pair_addr: Vec<Arc<Vec<SimVar<Option<ShmBuffer>>>>>,
@@ -457,20 +457,13 @@ impl CommState {
 /// clones the nonblocking executor parks inside pending schedules — so
 /// all of them observe the same protocol position.
 pub(crate) struct CommSeat {
-    /// Cumulative intra-node broadcast chunks this node has pushed
-    /// through its [`NodeBoard::smp`] pair.
-    pub smp_seq: AtomicU64,
-    /// Cumulative chunks through the node's landing pair — consecutive
-    /// operations alternate buffers ("to improve concurrency", §2.2).
-    pub landing_seq: AtomicU64,
-    /// Cumulative chunks through the tree-variant broadcast buffers.
-    pub tree_seq: AtomicU64,
-    /// Cumulative reduce chunks this node has pushed through `contrib`.
-    pub reduce_cum: AtomicU64,
-    /// Cumulative chunks through the master→root `xfer` buffer.
-    pub xfer_cum: AtomicU64,
-    /// Barriers completed (drives the cumulative round counters).
-    pub barrier_seq: AtomicU64,
+    /// The cumulative sequence cells, indexed by
+    /// [`SeqBase::index`](crate::plan::SeqBase::index): chunks pushed
+    /// through the node's SMP pair, its landing pair ("consecutive
+    /// operations alternate buffers", §2.2), the tree-variant buffers,
+    /// the contribution buffers and the master→root `xfer` buffer, and
+    /// barriers completed.
+    pub seq: [AtomicU64; SEQ_BASES],
     /// Compiled-schedule cache, keyed by call shape (see
     /// [`crate::plan::PlanCache`]).
     pub plan_cache: Mutex<PlanCache>,
@@ -479,12 +472,7 @@ pub(crate) struct CommSeat {
 impl CommSeat {
     fn new(cache_cap: usize) -> Self {
         CommSeat {
-            smp_seq: AtomicU64::new(0),
-            landing_seq: AtomicU64::new(0),
-            tree_seq: AtomicU64::new(0),
-            reduce_cum: AtomicU64::new(0),
-            xfer_cum: AtomicU64::new(0),
-            barrier_seq: AtomicU64::new(0),
+            seq: Default::default(),
             plan_cache: Mutex::new(PlanCache::new(cache_cap)),
         }
     }

@@ -42,8 +42,23 @@
 //!   `q - 2`" from "use `q - 2` was never announced".
 
 use crate::buffer::ShmBuffer;
-use crate::flag::FlagBank;
+use crate::flag::{FlagBank, SpinFlag};
 use simnet::{Ctx, SimHandle};
+
+/// What a waiter needs of use `q` of a pair side (see
+/// [`BufPair::watch`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PairUse {
+    /// Writer claim: every slot has released use `q - 2` of this side
+    /// (trivially true for the first use of each side).
+    Free,
+    /// Reader: use `q` is published to my slot.
+    Published,
+    /// Writer drain-acknowledge: use `q` itself is fully released —
+    /// what a node master needs before returning a flow-control credit
+    /// to the remote producer that overwrites this side next.
+    Drained,
+}
 
 /// Two shared buffers with per-reader READY / RELEASED counter banks.
 #[derive(Clone)]
@@ -75,14 +90,25 @@ impl BufPair {
         &self.bufs[side & 1]
     }
 
-    /// READY counter bank for buffer `side`.
-    pub fn ready(&self, side: usize) -> &FlagBank {
-        &self.ready[side & 1]
+    /// The counters a waiter on use `q` watches, with the value all of
+    /// them must reach: the one place the `q → (side, per-side use)`
+    /// arithmetic of the module doc lives. `me` is the waiter's slot
+    /// (only [`PairUse::Published`] looks at it). Costless probes, wake
+    /// keys and blocking waits all derive from the returned pair.
+    pub fn watch(&self, q: u64, what: PairUse, me: usize) -> (&[SpinFlag], u64) {
+        let (side, use_idx) = ((q % 2) as usize, q / 2);
+        match what {
+            PairUse::Free => (self.released[side].flags(), use_idx),
+            PairUse::Published => (std::slice::from_ref(self.ready[side].flag(me)), use_idx + 1),
+            PairUse::Drained => (self.released[side].flags(), use_idx + 1),
+        }
     }
 
-    /// RELEASED counter bank for buffer `side`.
-    pub fn released(&self, side: usize) -> &FlagBank {
-        &self.released[side & 1]
+    fn wait(&self, ctx: &Ctx, label: &'static str, q: u64, what: PairUse, me: usize) {
+        let (flags, value) = self.watch(q, what, me);
+        for f in flags {
+            f.wait_ge(ctx, label, value);
+        }
     }
 
     /// Number of readers each buffer serves.
@@ -98,7 +124,7 @@ impl BufPair {
     /// Writer side: block until every slot has released use `q - 2` of
     /// this side (trivially true for the first use of each side).
     pub fn wait_free(&self, ctx: &Ctx, q: u64) {
-        self.released[(q % 2) as usize].wait_all_ge(ctx, "buffer released by readers", q / 2);
+        self.wait(ctx, "buffer released by readers", q, PairUse::Free, 0);
     }
 
     /// Writer side: publish use `q` to every reader. For a writer that
@@ -129,9 +155,7 @@ impl BufPair {
 
     /// Reader side: block until use `q` is published to reader `me`.
     pub fn wait_published(&self, ctx: &Ctx, q: u64, me: usize) {
-        self.ready[(q % 2) as usize]
-            .flag(me)
-            .wait_ge(ctx, "buffer published", q / 2 + 1);
+        self.wait(ctx, "buffer published", q, PairUse::Published, me);
     }
 
     /// Reader side: release use `q` (raise own RELEASED counter).
@@ -142,11 +166,9 @@ impl BufPair {
     }
 
     /// Writer side: block until use `q` itself is fully released (every
-    /// slot's RELEASED counter covers it) — the drain-acknowledge a
-    /// node master issues before returning a flow-control credit to the
-    /// remote producer that overwrites this side next.
+    /// slot's RELEASED counter covers it).
     pub fn wait_drained(&self, ctx: &Ctx, q: u64) {
-        self.released[(q % 2) as usize].wait_all_ge(ctx, "buffer use drained", q / 2 + 1);
+        self.wait(ctx, "buffer use drained", q, PairUse::Drained, 0);
     }
 
     /// Account every use below `q_end` as released by slot `me` on both

@@ -163,6 +163,11 @@ impl FlagBank {
         &self.flags[i]
     }
 
+    /// Every flag of the bank, in slot order.
+    pub fn flags(&self) -> &[SpinFlag] {
+        &self.flags
+    }
+
     /// Wait until *all* flags in the bank equal `value` (the master's
     /// side of a flat barrier). Each flag is checked in turn; the waits
     /// compose causally, so the result time is the latest setter.

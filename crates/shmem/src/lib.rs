@@ -24,5 +24,5 @@ pub mod bufpair;
 pub mod flag;
 
 pub use buffer::ShmBuffer;
-pub use bufpair::BufPair;
+pub use bufpair::{BufPair, PairUse};
 pub use flag::{set_nonmonotone_raise, FlagBank, SpinFlag};

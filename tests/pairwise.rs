@@ -4,7 +4,7 @@
 //! when it is ample), and the Rabenseifner allreduce composition built
 //! on reduce-scatter matches the pipeline path bit for bit.
 
-use collops::{reference_reduce, Collectives, DType, ReduceOp};
+use collops::{reference_reduce, Collectives, DType, NonblockingCollectives, ReduceOp};
 use simnet::{MachineConfig, MetricsSnapshot, Sim, Topology};
 use srm::{SrmTuning, SrmWorld};
 use std::sync::{Arc, Mutex};
@@ -120,27 +120,39 @@ fn credit_window_throttles_and_preserves_results() {
         pairwise_window: 64,
         ..SrmTuning::default()
     };
-    let run = move |t: SrmTuning| {
-        run_with_metrics(
-            topo,
-            t,
-            2 * n * len,
-            move |rank| send_half(rank, n, len),
-            move |ctx, comm, buf| comm.alltoall(ctx, buf, len),
-        )
-    };
-    let (res_tight, m_tight) = run(tight);
-    let (res_ample, m_ample) = run(ample);
-    assert!(
-        m_tight.credit_stalls > 0,
-        "window=1 with 64-piece streams must stall on credits"
-    );
-    assert_eq!(
-        m_ample.credit_stalls, 0,
-        "a window covering the whole stream must never stall"
-    );
-    assert_eq!(res_tight, res_ample, "throttling must not change data");
-    assert_eq!(m_tight.pairwise_puts, m_ample.pairwise_puts);
+    // Blocking, and the same call issued nonblocking then waited: the
+    // interleaving executor parks on an empty credit counter instead of
+    // blocking in place, and must observe the same stalls.
+    for nonblocking in [false, true] {
+        let run = move |t: SrmTuning| {
+            run_with_metrics(
+                topo,
+                t,
+                2 * n * len,
+                move |rank| send_half(rank, n, len),
+                move |ctx, comm, buf| {
+                    if nonblocking {
+                        let req = comm.ialltoall(ctx, buf, len);
+                        comm.wait(ctx, req);
+                    } else {
+                        comm.alltoall(ctx, buf, len);
+                    }
+                },
+            )
+        };
+        let (res_tight, m_tight) = run(tight);
+        let (res_ample, m_ample) = run(ample);
+        assert!(
+            m_tight.credit_stalls > 0,
+            "window=1 with 64-piece streams must stall on credits (nonblocking: {nonblocking})"
+        );
+        assert_eq!(
+            m_ample.credit_stalls, 0,
+            "a window covering the whole stream must never stall (nonblocking: {nonblocking})"
+        );
+        assert_eq!(res_tight, res_ample, "throttling must not change data");
+        assert_eq!(m_tight.pairwise_puts, m_ample.pairwise_puts);
+    }
 }
 
 /// Above `allreduce_rs_min` the allreduce switches to the Rabenseifner
