@@ -22,9 +22,7 @@
 //!                          disables comm_split scenarios)
 //!   --route direct|staged  force every pairwise segment down one
 //!                          route (direct: pairwise_direct_min = 0,
-//!                          staged: usize::MAX); the env var
-//!                          SRM_PAIRWISE_ROUTE is an equivalent
-//!                          lower-priority spelling for CI matrices
+//!                          staged: usize::MAX)
 //!   --inject raise-race    fault injection: revert SpinFlag::raise to
 //!                          a non-monotone store; the sweep must CATCH
 //!                          it (exit 0 on detection, 1 on a miss)
@@ -124,9 +122,7 @@ fn parse() -> Args {
         start_seed: 0,
         max_ops: 6,
         subgroups: true,
-        route: std::env::var("SRM_PAIRWISE_ROUTE")
-            .ok()
-            .map(|v| parse_route(&v).unwrap_or_else(|| usage("bad SRM_PAIRWISE_ROUTE"))),
+        route: None,
         inject: None,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();

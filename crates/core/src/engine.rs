@@ -194,9 +194,6 @@ impl CallState {
 /// for free, which kernel keys wake a task parked on it, and how to
 /// block on it through the substrate's own wait.
 pub(crate) enum Watch<'a> {
-    /// Nothing to wait for (a drain guard over a still-fresh side):
-    /// executes as a no-op that is not even counted as a wait.
-    Nothing,
     /// Every flag reaches `value` (`==` with `eq`, else `>=`): spin
     /// flags and the use counters of a buffer pair.
     Flags {
@@ -228,8 +225,10 @@ pub(crate) enum Watch<'a> {
 }
 
 impl SrmComm {
-    /// Resolve what `step` would block on for the call `st`; `None` for
-    /// the steps that never block.
+    /// Resolve what `step` would block on for the call `st`. `None` for
+    /// the steps that never block — including a drain guard over a
+    /// still-fresh side, which executes as a no-op that is not even
+    /// counted as a wait.
     pub(crate) fn watch<'a>(&'a self, st: &CallState, step: &Step) -> Option<Watch<'a>> {
         let bases = &st.bases;
         Some(match *step {
@@ -253,7 +252,7 @@ impl SrmComm {
                     Until::Eq(v) => (true, val_of(bases, v)),
                     Until::Ge(v) => (false, val_of(bases, v)),
                     Until::SideDrained { base, rel, scale } => match bases[base.index()] + rel {
-                        cum if cum < 2 => return Some(Watch::Nothing),
+                        cum if cum < 2 => return None,
                         cum => (false, (cum - 1) * scale),
                     },
                     Until::Use(_) => panic!("a pair use is a condition on a pair cell"),
@@ -302,7 +301,6 @@ impl Watch<'_> {
     /// kernel nothing can run between a probe and the execution.
     pub(crate) fn ready(&self) -> bool {
         match *self {
-            Watch::Nothing => true,
             Watch::Flags {
                 flags, eq, value, ..
             } => flags.iter().all(|f| {
@@ -337,7 +335,6 @@ impl Watch<'_> {
     /// watch ready — what a parked executor sleeps on.
     pub(crate) fn wake_keys(&self, out: &mut Vec<u64>) {
         match *self {
-            Watch::Nothing => {}
             Watch::Flags { flags, .. } => out.extend(flags.iter().map(SpinFlag::wait_key)),
             Watch::Counter { ctr, .. } => out.push(ctr.wait_key()),
             Watch::Slot { var, .. } => out.push(var.wait_key()),
@@ -348,15 +345,11 @@ impl Watch<'_> {
     /// charges the modeled cost), returning the handle an address slot
     /// gave up.
     pub(crate) fn block(&self, ctx: &Ctx, stalled: &mut bool) -> Option<ShmBuffer> {
-        if matches!(self, Watch::Nothing) {
-            return None;
-        }
         ctx.metrics()
             .engine_wait_steps
             .fetch_add(1, Ordering::Relaxed);
         self.probe(ctx, stalled);
         match *self {
-            Watch::Nothing => None,
             Watch::Flags {
                 flags,
                 eq,
@@ -606,8 +599,9 @@ impl SrmComm {
                     flag_of(self, flag).fetch_add(ctx, n);
                 }
                 Step::Wait { .. } | Step::AddrTake { .. } => {
-                    let watch = self.watch(st, step).expect("blocking step");
-                    let taken = watch.block(ctx, &mut st.stalled);
+                    let taken = self
+                        .watch(st, step)
+                        .and_then(|w| w.block(ctx, &mut st.stalled));
                     match *step {
                         Step::AddrTake {
                             slot: AddrSlot::Root | AddrSlot::Board,

@@ -87,29 +87,33 @@ impl GroupTree {
     fn new(comm: &SrmComm, root_g: usize) -> Self {
         let (kind, n) = (comm.tree(), comm.cnodes());
         let v = (comm.cnode() + n - root_g) % n;
-        let mut tree = GroupTree {
+        let down = embed::children(kind, v, n)
+            .into_iter()
+            .map(|c| (c + root_g) % n)
+            .collect();
+        GroupTree {
             kind,
             n,
             root_g,
             v,
-            down: Vec::new(),
-        };
-        tree.down = tree.unv(embed::children(kind, v, n));
-        tree
+            down,
+        }
     }
 
-    fn unv(&self, vs: Vec<usize>) -> Vec<usize> {
-        vs.into_iter().map(|v| (v + self.root_g) % self.n).collect()
+    /// Group node of relative vertex `v`.
+    fn unv(&self, v: usize) -> usize {
+        (v + self.root_g) % self.n
     }
 
     /// My parent group node (None on the root's node).
     fn parent(&self) -> Option<usize> {
-        embed::parent(self.kind, self.v, self.n).map(|p| (p + self.root_g) % self.n)
+        embed::parent(self.kind, self.v, self.n).map(|p| self.unv(p))
     }
 
     /// My child group nodes in reduce receive order.
     fn up(&self) -> Vec<usize> {
-        self.unv(embed::children_ascending(self.kind, self.v, self.n))
+        let kids = embed::children_ascending(self.kind, self.v, self.n);
+        kids.into_iter().map(|c| self.unv(c)).collect()
     }
 }
 

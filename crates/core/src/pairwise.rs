@@ -277,19 +277,33 @@ impl SrmComm {
     }
 
     /// Block until my node holds at least `n` credits toward `d`
-    /// without spending any. Before a credit put it narrows the window
-    /// (`n = geometry - w + 1` keeps at most `w` puts in flight, so
-    /// ring slot `r % w` is always drained before it is reused even
-    /// though the geometry credit pool is larger); with the full
-    /// geometry complement at the end of a plan it proves the ring
-    /// drained, so the next operation may index slots from zero again —
-    /// whatever window it compiles with.
+    /// without spending any.
     fn plan_credits_ge(&self, b: &mut PlanBuilder, d: NodeId, n: usize) {
         let ctr = CtrRef::PairwiseFree {
             node: self.cnode(),
             dst: d,
         };
         b.wait_ctr_ge(ctr, Val::Lit(n as u64));
+    }
+
+    /// Credit-gated put into ring slot `e` under the effective window
+    /// `w` of the shape being compiled. When `w` is narrower than the
+    /// geometry credit pool, a non-consuming wait for `geometry - w +
+    /// 1` credits first keeps at most `w` puts in flight, so ring slot
+    /// `r % w` is always drained before it is reused.
+    fn plan_ring_put(
+        &self,
+        b: &mut PlanBuilder,
+        e: Edge,
+        stage_acc: bool,
+        from: (BufRef, Off),
+        len: usize,
+    ) {
+        let (w, w_geom) = (b.tuning().pairwise_window, self.tuning().pairwise_window);
+        if w < w_geom {
+            self.plan_credits_ge(b, e.dst, w_geom - w + 1);
+        }
+        self.plan_credit_put(b, e, stage_acc, from, len);
     }
 
     /// Emit the inter-node part of a pairwise exchange: the credit-
@@ -362,14 +376,6 @@ impl SrmComm {
             .max()
             .unwrap_or(0);
 
-        // One credit-gated put of `from` into ring slot `e` toward `d`.
-        let ring_put = |b: &mut PlanBuilder, e: Edge, from: (BufRef, Off), len: usize| {
-            if w < w_geom {
-                self.plan_credits_ge(b, e.dst, w_geom - w + 1);
-            }
-            self.plan_credit_put(b, e, false, from, len);
-        };
-
         // Cursor into each slot's contribution channel (master:
         // consumption order; slot: its own publication order). The
         // orders agree because both sides walk rounds ascending with
@@ -386,7 +392,7 @@ impl SrmComm {
                 let u = piece.src_slot;
                 let user = (BufRef::User, Off::Lit(piece.src_off));
                 if my == 0 && u == 0 {
-                    ring_put(b, e, user, piece.len);
+                    self.plan_ring_put(b, e, false, user, piece.len);
                 } else if my == 0 || u == my {
                     let rel = rel0 + crel[u];
                     crel[u] += 1;
@@ -398,7 +404,7 @@ impl SrmComm {
                             u,
                             rel,
                             "pairwise piece staged",
-                            |b, src, off| ring_put(b, e, (src, off), piece.len),
+                            |b, src, off| self.plan_ring_put(b, e, false, (src, off), piece.len),
                         );
                     } else {
                         self.plan_contrib_publish(b, rel, user, piece.len, CopyCost::Write(1));
@@ -445,7 +451,9 @@ impl SrmComm {
             }
         }
 
-        // All credits home: the rings are drained.
+        // All credits home (the full geometry complement): the rings
+        // are drained, so the next operation may index slots from zero
+        // again — whatever window it compiles with.
         if my == 0 {
             for (d, pieces) in &out {
                 if !pieces.is_empty() {
@@ -834,11 +842,7 @@ impl SrmComm {
                         }),
                     });
                 } else {
-                    // Same narrowed-window guard as the wire.
-                    if w < w_geom {
-                        self.plan_credits_ge(b, d, w_geom - w + 1);
-                    }
-                    self.plan_credit_put(b, Edge::ring(me, d, ring_off), true, staging, plen);
+                    self.plan_ring_put(b, Edge::ring(me, d, ring_off), true, staging, plen);
                 }
             }
             // Own block: reduce the node's contributions, fold in the

@@ -165,12 +165,6 @@ impl BufPair {
             .raise(ctx, q / 2 + 1);
     }
 
-    /// Writer side: block until use `q` itself is fully released (every
-    /// slot's RELEASED counter covers it).
-    pub fn wait_drained(&self, ctx: &Ctx, q: u64) {
-        self.wait(ctx, "buffer use drained", q, PairUse::Drained, 0);
-    }
-
     /// Account every use below `q_end` as released by slot `me` on both
     /// sides. Used when a globally-advancing use sequence skips this
     /// node (it had fewer stream pieces than the group maximum): the

@@ -183,14 +183,6 @@ impl FlagBank {
             f.set(ctx, value);
         }
     }
-
-    /// Wait until *all* flags in the bank are at least `value`
-    /// (cumulative-counter banks; see [`SpinFlag::wait_ge`]).
-    pub fn wait_all_ge(&self, ctx: &Ctx, label: &'static str, value: u64) {
-        for f in &self.flags {
-            f.wait_ge(ctx, label, value);
-        }
-    }
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@ use shmem::ShmBuffer;
 use simnet::{Ctx, MachineConfig, Sim, Topology, Trace};
 use srm::{SrmComm, SrmTuning, SrmWorld};
 use srm_cluster::{ragged_counts, Op};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 
 const TABLE: &str = include_str!("schedule_golden.digests");
@@ -158,16 +158,12 @@ fn digest(topo: Topology, tuning: SrmTuning, split: bool, call: Call, len: usize
 
     // Only rank LPs log `step:*` events, and they were spawned in rank
     // order, so ascending LP id is ascending rank.
-    let mut by_lp: Vec<(usize, Vec<u64>)> = Vec::new();
+    let mut by_lp: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
     for e in trace.with_prefix("step:") {
-        match by_lp.iter_mut().find(|(lp, _)| *lp == e.lp) {
-            Some((_, v)) => v.push(e.at.as_ps()),
-            None => by_lp.push((e.lp, vec![e.at.as_ps()])),
-        }
+        by_lp.entry(e.lp).or_default().push(e.at.as_ps());
     }
-    by_lp.sort_by_key(|(lp, _)| *lp);
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for (_, stamps) in &by_lp {
+    for stamps in by_lp.values() {
         fnv(&mut h, &(stamps.len() as u64).to_le_bytes());
         for at in stamps {
             fnv(&mut h, &at.to_le_bytes());
