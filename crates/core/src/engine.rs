@@ -156,6 +156,9 @@ pub(crate) struct CallState {
     pub(crate) bases: [u64; SEQ_BASES],
     /// Operator scratch ([`BufRef::Acc`]).
     pub(crate) acc: Vec<u8>,
+    /// Bounce buffer of [`Step::ShmCopy`], reused across the call's
+    /// copy steps.
+    pub(crate) bounce: Vec<u8>,
     /// Handles captured by [`Step::AddrTake`], in take order.
     pub(crate) child_bufs: Vec<ShmBuffer>,
     /// Handle captured from [`AddrSlot::Root`]/[`AddrSlot::Board`].
@@ -180,6 +183,7 @@ impl CallState {
         CallState {
             bases,
             acc: Vec::new(),
+            bounce: Vec::new(),
             child_bufs: Vec::new(),
             root_buf: None,
             scratch: None,
@@ -523,6 +527,7 @@ impl SrmComm {
         let bases = st.bases;
         let skip_advance = st.skip_advance;
         let acc = &mut st.acc;
+        let bounce = &mut st.bounce;
         let child_bufs = &mut st.child_bufs;
         let root_buf = &mut st.root_buf;
         let scratch = &mut st.scratch;
@@ -551,21 +556,18 @@ impl SrmComm {
                     // memory) and one destination store (charged for a
                     // write into it); the private side of either rides
                     // along, and operator output streams are free.
-                    let tmp = match (src, cost) {
-                        (BufRef::Acc, _) => acc[..len].to_vec(),
-                        (_, CopyCost::Read(streams)) => {
-                            let mut tmp = vec![0u8; len];
-                            resolve(src).read(ctx, so, &mut tmp, streams);
-                            tmp
-                        }
-                        _ => resolve(src).with(|d| d[so..so + len].to_vec()),
-                    };
+                    bounce.resize(len, 0);
+                    match (src, cost) {
+                        (BufRef::Acc, _) => bounce.copy_from_slice(&acc[..len]),
+                        (_, CopyCost::Read(streams)) => resolve(src).read(ctx, so, bounce, streams),
+                        _ => resolve(src).with(|d| bounce.copy_from_slice(&d[so..so + len])),
+                    }
                     match (dst, cost) {
-                        (BufRef::Acc, _) => *acc = tmp,
+                        (BufRef::Acc, _) => std::mem::swap(acc, bounce),
                         (_, CopyCost::Write(streams)) => {
-                            resolve(dst).write(ctx, dofs, &tmp, streams)
+                            resolve(dst).write(ctx, dofs, bounce, streams)
                         }
-                        _ => resolve(dst).with_mut(|d| d[dofs..dofs + len].copy_from_slice(&tmp)),
+                        _ => resolve(dst).with_mut(|d| d[dofs..dofs + len].copy_from_slice(bounce)),
                     }
                 }
                 Step::LoadAcc { off, len } => {

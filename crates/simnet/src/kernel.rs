@@ -1,17 +1,26 @@
 //! The deterministic virtual-time kernel.
 //!
-//! Every simulated MPI task is a **logical process (LP)**: a real OS
-//! thread running real protocol code, with a private virtual clock.
-//! The kernel enforces two invariants that together make runs
+//! Every simulated MPI task is a **logical process (LP)**: a stackful
+//! user-space fiber (see `fiber.rs`) running real protocol code, with a
+//! private virtual clock. [`Sim::run`] runs all of a world's fibers on
+//! the calling host thread; giving up the turn is one register-save
+//! stack switch back to the scheduler loop, which switches into the
+//! next LP. The kernel enforces two invariants that together make runs
 //! bit-deterministic on any host, regardless of core count or load:
 //!
 //! 1. **One turn at a time.** Exactly one LP executes simulated code at
-//!    any instant. All others are parked on per-LP condvars.
+//!    any instant. All others are suspended on their own stacks.
 //! 2. **Minimum time first.** The turn is always handed to the runnable
 //!    LP with the smallest virtual clock (ties broken by lowest id).
 //!    Consequently simulated actions execute in globally nondecreasing
 //!    time order, which is what makes the causal wake-up rule of
 //!    [`SimVar`](crate::simvar::SimVar) correct.
+//!
+//! Runnable LPs sit in a ready heap ordered by `(effective time, id)`;
+//! blocked LPs sit in per-variable waiter lists, so an `advance` costs
+//! one comparison against the heap's minimum (and keeps the turn when
+//! the caller is still the earliest) and a `SimVar` store touches only
+//! the LPs waiting on that variable.
 //!
 //! Virtual time only moves when an LP calls [`Ctx::advance`] (modelling
 //! busy work: a memory copy, per-message CPU overhead, a reduction) or
@@ -20,11 +29,15 @@
 
 use crate::config::MachineConfig;
 use crate::error::{BlockedLp, SimError};
+use crate::fiber::{self, Fiber};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::time::SimTime;
-use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use parking_lot::{Mutex, MutexGuard};
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap};
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Identifier of a logical process, dense from 0.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -45,10 +58,10 @@ enum WaitTarget {
 }
 
 impl WaitTarget {
-    fn contains(&self, key: u64) -> bool {
+    fn keys(&self) -> &[u64] {
         match self {
-            WaitTarget::One(v) => *v == key,
-            WaitTarget::Any(vs) => vs.contains(&key),
+            WaitTarget::One(k) => std::slice::from_ref(k),
+            WaitTarget::Any(ks) => ks,
         }
     }
 }
@@ -60,7 +73,7 @@ enum LpState {
     Ready,
     /// Currently holds the turn.
     Running,
-    /// Parked in a wait on one or more SimVars.
+    /// Suspended in a wait on one or more SimVars.
     Blocked {
         target: WaitTarget,
         label: &'static str,
@@ -82,7 +95,13 @@ struct Lp {
 
 pub(crate) struct Sched {
     lps: Vec<Lp>,
-    cvs: Vec<Arc<Condvar>>,
+    /// Every LP that wants the turn — `Ready`, or `Blocked` and poked —
+    /// keyed by the time it would resume at; the minimum runs next.
+    /// Entries leave only by being granted the turn.
+    ready: BinaryHeap<Reverse<(SimTime, usize)>>,
+    /// `(variable key, LP)` for every key of every `Blocked`, unpoked
+    /// LP's target: the LPs a store to that variable must poke.
+    waiters: BTreeSet<(u64, usize)>,
     live: usize,
     /// First fatal outcome (deadlock or LP panic); ends the run.
     outcome: Option<SimError>,
@@ -97,32 +116,75 @@ pub(crate) struct Shared {
     pub(crate) tune_by_comm: crate::metrics::PlanByComm,
     pub(crate) config: MachineConfig,
     pub(crate) next_var_key: AtomicU64,
-    pub(crate) trace: parking_lot::RwLock<Option<crate::trace::Trace>>,
-    pub(crate) perturb: parking_lot::RwLock<Option<Arc<crate::perturb::PerturbState>>>,
+    /// Set at most once, by [`Sim::run`] before any LP starts.
+    pub(crate) trace: OnceLock<crate::trace::Trace>,
+    /// Set at most once, by [`Sim::run`] before any LP starts.
+    pub(crate) perturb: OnceLock<crate::perturb::PerturbState>,
+    /// Where the scheduler loop in [`Sim::run`] is suspended while an LP
+    /// holds the turn: the context [`Ctx::yield_turn`] switches back to.
+    /// Only the run's host thread reads or writes it (`Relaxed`).
+    host_sp: AtomicPtr<u8>,
+    /// Raised by the scheduler loop before it resumes suspended LPs only
+    /// to unwind them; read by the LP coming out of the switch, on the
+    /// same thread (`Relaxed`).
+    aborting: AtomicBool,
 }
 
-/// Payload used to unwind LP threads quietly when the run is aborted
+/// Payload used to unwind LP fibers quietly when the run is aborted
 /// (deadlock detected or another LP panicked). Never observed by users.
 struct AbortSim;
 
-impl Shared {
-    fn abort_all(sched: &mut Sched, outcome: SimError) {
-        if sched.outcome.is_none() {
-            sched.outcome = Some(outcome);
-        }
-        for cv in &sched.cvs {
-            cv.notify_one();
-        }
+impl Sched {
+    /// The LP `id`, which the caller claims holds the turn. Every path
+    /// that goes on to switch stacks passes through here: the holder of
+    /// the turn is the LP whose fiber the scheduler loop resumed, so
+    /// the check is what ties a `Ctx` to the stack it is used on.
+    fn running(&mut self, id: usize) -> &mut Lp {
+        let lp = &mut self.lps[id];
+        assert!(
+            matches!(lp.state, LpState::Running),
+            "LP {} acted without holding the turn",
+            lp.name
+        );
+        lp
     }
 
-    /// Pick the runnable LP with the minimum effective time; ties go to
-    /// the lowest id. Blocked-but-poked LPs compete at
-    /// `max(block_time, poke_time)`.
-    fn pick_next(sched: &Sched) -> Option<usize> {
+    /// The LP that runs next and the time it resumes at: minimum
+    /// effective time, ties to the lowest id.
+    fn next_ready(&self) -> Option<(SimTime, usize)> {
+        let next = self.ready.peek().map(|r| r.0);
+        #[cfg(test)]
+        assert_eq!(next, self.next_by_scan(None), "ready heap != reference");
+        next
+    }
+
+    /// `id` holds the turn and has just moved its clock: if an LP in
+    /// the ready heap is now earlier, the heap key `id` queues under.
+    fn gives_way(&self, id: usize) -> Option<(SimTime, usize)> {
+        let key = (self.lps[id].time, id);
+        let gives_way = self.next_ready().is_some_and(|next| next < key);
+        #[cfg(test)]
+        assert_eq!(
+            !gives_way,
+            self.next_by_scan(Some(id)) == Some(key),
+            "advance fast path != reference"
+        );
+        gives_way.then_some(key)
+    }
+
+    /// The reference every scheduling decision is checked against in
+    /// this crate's tests, a scan instead of a heap: of all LPs, the
+    /// runnable one with the minimum effective time; ties go to the
+    /// lowest id. Blocked-but-poked LPs compete at
+    /// `max(block_time, poke_time)`; `contender` (the turn holder
+    /// inside `advance`) competes as if already `Ready`.
+    #[cfg(test)]
+    fn next_by_scan(&self, contender: Option<usize>) -> Option<(SimTime, usize)> {
         let mut best: Option<(SimTime, usize)> = None;
-        for (i, lp) in sched.lps.iter().enumerate() {
+        for (i, lp) in self.lps.iter().enumerate() {
             let eff = match lp.state {
                 LpState::Ready => lp.time,
+                LpState::Running if contender == Some(i) => lp.time,
                 LpState::Blocked {
                     poked: true,
                     poke_time,
@@ -135,54 +197,36 @@ impl Shared {
                 _ => best = Some((eff, i)),
             }
         }
-        best.map(|(_, i)| i)
+        best
     }
 
-    /// Hand the turn to `next`, committing a poked LP's tentative resume
-    /// time (the wait loop overwrites or rolls it back after the
-    /// predicate re-check).
-    fn grant(sched: &mut Sched, next: usize) {
-        let lp = &mut sched.lps[next];
-        if let LpState::Blocked {
-            poked: true,
-            poke_time,
-            ..
-        } = lp.state
-        {
-            lp.time = lp.time.max(poke_time);
-        }
+    /// Hand the turn to the minimum of the ready heap, committing a
+    /// poked LP's tentative resume time (the wait loop overwrites or
+    /// rolls it back after the predicate re-check).
+    fn grant_next(&mut self) -> Option<usize> {
+        let (eff, next) = self.next_ready()?;
+        self.ready.pop();
+        let lp = &mut self.lps[next];
+        debug_assert!(eff >= lp.time);
+        lp.time = eff;
         lp.state = LpState::Running;
-        sched.cvs[next].notify_one();
+        Some(next)
     }
 
-    /// Called by the turn holder after changing its own state away from
-    /// `Running`: pass the turn on, or end the run (completion/deadlock).
-    fn dispatch(sched: &mut Sched) {
-        if sched.outcome.is_some() {
-            Self::abort_all(sched, sched.outcome.clone().expect("just checked"));
-            return;
-        }
-        match Self::pick_next(sched) {
-            Some(next) => Self::grant(sched, next),
-            None => {
-                if sched.live > 0 {
-                    let blocked = sched
-                        .lps
-                        .iter()
-                        .filter_map(|lp| match lp.state {
-                            LpState::Blocked { label, .. } => Some(BlockedLp {
-                                name: lp.name.clone(),
-                                time: lp.time,
-                                waiting_on: label,
-                            }),
-                            _ => None,
-                        })
-                        .collect();
-                    Self::abort_all(sched, SimError::Deadlock { blocked });
-                }
-                // live == 0: run complete, nothing to do.
-            }
-        }
+    fn deadlock(&self) -> SimError {
+        let blocked = self
+            .lps
+            .iter()
+            .filter_map(|lp| match lp.state {
+                LpState::Blocked { label, .. } => Some(BlockedLp {
+                    name: lp.name.clone(),
+                    time: lp.time,
+                    waiting_on: label,
+                }),
+                _ => None,
+            })
+            .collect();
+        SimError::Deadlock { blocked }
     }
 }
 
@@ -190,10 +234,14 @@ impl Shared {
 ///
 /// All simulated actions (time advances, [`SimVar`](crate::SimVar)
 /// operations) go through the `Ctx`; it is the capability proving the
-/// caller holds the turn.
+/// caller holds the turn. It stays on the fiber it was handed to: a
+/// `Ctx` is neither `Send` nor `Sync`.
 pub struct Ctx {
     pub(crate) shared: Arc<Shared>,
     pub(crate) id: usize,
+    /// Giving up the turn switches stacks under the caller, which is
+    /// only sound on the host thread running this LP's fiber.
+    _on_its_fiber: PhantomData<*mut ()>,
 }
 
 impl Ctx {
@@ -256,12 +304,13 @@ impl Ctx {
             return;
         }
         let mut sched = self.shared.sched.lock();
-        debug_assert!(
-            matches!(sched.lps[self.id].state, LpState::Running),
-            "advance() without holding the turn"
-        );
-        sched.lps[self.id].time += d;
-        self.reschedule(sched);
+        sched.running(self.id).time += d;
+        // Still the earliest: keep the turn, no switch.
+        if let Some(key) = sched.gives_way(self.id) {
+            sched.lps[self.id].state = LpState::Ready;
+            sched.ready.push(Reverse(key));
+            self.yield_turn(sched);
+        }
     }
 
     /// Advance this LP's clock to absolute time `t` (no-op if already
@@ -274,60 +323,53 @@ impl Ctx {
         }
     }
 
-    /// Give up the turn and wait for it back; used after this LP's clock
-    /// moved or when it transitioned to Ready.
-    fn reschedule(&self, mut sched: parking_lot::MutexGuard<'_, Sched>) {
-        sched.lps[self.id].state = LpState::Ready;
-        match Shared::pick_next(&sched) {
-            Some(next) if next == self.id => {
-                sched.lps[self.id].state = LpState::Running;
-            }
-            Some(next) => {
-                Shared::grant(&mut sched, next);
-                self.wait_for_turn(sched);
-            }
-            None => unreachable!("the calling LP is Ready"),
+    /// Switch to the scheduler loop in [`Sim::run`] and return when it
+    /// hands the turn back, or unwind quietly if the run was aborted
+    /// meanwhile. The caller has already moved this LP out of `Running`
+    /// (via [`Sched::running`], which vouches that it held the turn).
+    fn yield_turn(&self, sched: MutexGuard<'_, Sched>) {
+        let mut aborted = sched.outcome.is_some();
+        // Never across a switch: another LP (or the loop) needs the lock.
+        drop(sched);
+        if !aborted {
+            let host = self.shared.host_sp.load(Ordering::Relaxed);
+            // SAFETY: this LP held the turn, so we are on its fiber, on
+            // the host thread of `Sim::run` (a `Ctx` cannot leave it),
+            // and `host` is the loop's suspension from the `resume`
+            // that gave us the turn — still mapped, not yet continued.
+            // No guard is live.
+            let host = unsafe { fiber::switch(host) };
+            self.shared.host_sp.store(host, Ordering::Relaxed);
+            aborted = self.shared.aborting.load(Ordering::Relaxed);
+        }
+        if aborted {
+            std::panic::resume_unwind(Box::new(AbortSim));
         }
     }
 
-    /// Park until this LP is `Running` again (or the run is aborted).
-    pub(crate) fn wait_for_turn(&self, mut sched: parking_lot::MutexGuard<'_, Sched>) {
-        loop {
-            if sched.outcome.is_some() {
-                drop(sched);
-                std::panic::resume_unwind(Box::new(AbortSim));
-            }
-            if matches!(sched.lps[self.id].state, LpState::Running) {
-                return;
-            }
-            let cv = sched.cvs[self.id].clone();
-            cv.wait(&mut sched);
-        }
+    /// Block this LP at time `at` on SimVar `var_key` with a diagnostic
+    /// `label`, hand the turn on, and return when poked and granted, the
+    /// clock tentatively at the poke. The caller re-checks its predicate
+    /// and either commits a resume time or blocks again at the same
+    /// `at` — the time it first blocked — which rolls the clock back: a
+    /// failed re-check consumed no simulated work.
+    pub(crate) fn block_on(&self, var_key: u64, label: &'static str, at: SimTime) {
+        self.block_on_target(WaitTarget::One(var_key), label, at);
     }
 
-    /// Block this LP on SimVar `var_key` with a diagnostic `label`, hand
-    /// the turn on, and return when poked and granted. The caller
-    /// re-checks its predicate and either commits a resume time or calls
-    /// [`Ctx::rollback_time`].
-    pub(crate) fn block_on(&self, var_key: u64, label: &'static str) {
-        self.block_on_target(WaitTarget::One(var_key), label);
-    }
-
-    /// Like [`Ctx::block_on`], but wakes on a store to *any* of `keys`.
-    pub(crate) fn block_on_any(&self, keys: &[u64], label: &'static str) {
-        self.block_on_target(WaitTarget::Any(keys.to_vec()), label);
-    }
-
-    fn block_on_target(&self, target: WaitTarget, label: &'static str) {
+    fn block_on_target(&self, target: WaitTarget, label: &'static str, at: SimTime) {
         let mut sched = self.shared.sched.lock();
+        sched.running(self.id).time = at;
+        for &key in target.keys() {
+            sched.waiters.insert((key, self.id));
+        }
         sched.lps[self.id].state = LpState::Blocked {
             target,
             label,
             poked: false,
             poke_time: SimTime::ZERO,
         };
-        Shared::dispatch(&mut sched);
-        self.wait_for_turn(sched);
+        self.yield_turn(sched);
     }
 
     /// Block until `ready()` holds, waking whenever any of the SimVars
@@ -356,21 +398,11 @@ impl Ctx {
         debug_assert!(!keys.is_empty(), "wait_any_until with no wake keys");
         let block_time = self.now();
         loop {
-            self.block_on_any(keys, label);
+            self.block_on_target(WaitTarget::Any(keys.to_vec()), label, block_time);
             if ready() {
                 return;
             }
-            self.rollback_time(block_time);
         }
-    }
-
-    /// Predicate re-check failed after a poke: restore the clock to the
-    /// time at which the LP originally blocked (the tentative poke time
-    /// consumed no simulated work) and hand the turn back. The caller
-    /// loops back into [`Ctx::block_on`].
-    pub(crate) fn rollback_time(&self, to: SimTime) {
-        let mut sched = self.shared.sched.lock();
-        sched.lps[self.id].time = to;
     }
 
     /// Set this LP's clock (used by SimVar to commit a causal resume time;
@@ -383,20 +415,28 @@ impl Ctx {
     /// Wake every LP currently blocked on `var_key`, stamping the first
     /// poke with the writer's current time.
     pub(crate) fn poke_waiters(&self, var_key: u64, at: SimTime) {
-        let mut sched = self.shared.sched.lock();
-        for lp in &mut sched.lps {
-            if let LpState::Blocked {
+        let sched = &mut *self.shared.sched.lock();
+        while let Some(&(key, id)) = sched.waiters.range((var_key, 0)..).next() {
+            if key != var_key {
+                break;
+            }
+            let lp = &mut sched.lps[id];
+            let LpState::Blocked {
                 target,
                 poked,
                 poke_time,
                 ..
             } = &mut lp.state
-            {
-                if target.contains(var_key) && !*poked {
-                    *poked = true;
-                    *poke_time = at;
-                }
+            else {
+                unreachable!("only blocked LPs are in waiter lists");
+            };
+            // The first poke wins: off every list, onto the ready heap.
+            for &k in target.keys() {
+                sched.waiters.remove(&(k, id));
             }
+            *poked = true;
+            *poke_time = at;
+            sched.ready.push(Reverse((lp.time.max(at), id)));
         }
     }
 
@@ -410,13 +450,13 @@ impl Ctx {
     /// Record a labelled event in the attached [`Trace`](crate::Trace)
     /// at this LP's current time. A no-op when no trace is attached.
     pub fn trace(&self, label: &'static str) {
-        if let Some(t) = self.shared.trace.read().as_ref() {
+        if let Some(t) = self.shared.trace.get() {
             t.record(self.id, self.now(), label);
         }
     }
 
-    fn perturb_state(&self) -> Option<Arc<crate::perturb::PerturbState>> {
-        self.shared.perturb.read().clone()
+    fn perturb_state(&self) -> Option<&crate::perturb::PerturbState> {
+        self.shared.perturb.get()
     }
 
     /// The installed perturbation config, if any.
@@ -632,6 +672,10 @@ type LpMain = Box<dyn FnOnce(Ctx) + Send + 'static>;
 pub struct Sim {
     shared: Arc<Shared>,
     mains: Vec<LpMain>,
+    /// Installed into `shared` by [`Sim::run`], so LPs read them
+    /// without a lock.
+    trace: Option<crate::trace::Trace>,
+    perturb: Option<crate::perturb::Perturb>,
 }
 
 /// Result of a completed run.
@@ -658,7 +702,8 @@ impl Sim {
             shared: Arc::new(Shared {
                 sched: Mutex::new(Sched {
                     lps: Vec::new(),
-                    cvs: Vec::new(),
+                    ready: BinaryHeap::new(),
+                    waiters: BTreeSet::new(),
                     live: 0,
                     outcome: None,
                     started: false,
@@ -668,17 +713,21 @@ impl Sim {
                 tune_by_comm: crate::metrics::PlanByComm::default(),
                 config,
                 next_var_key: AtomicU64::new(0),
-                trace: parking_lot::RwLock::new(None),
-                perturb: parking_lot::RwLock::new(None),
+                trace: OnceLock::new(),
+                perturb: OnceLock::new(),
+                host_sp: AtomicPtr::new(std::ptr::null_mut()),
+                aborting: AtomicBool::new(false),
             }),
             mains: Vec::new(),
+            trace: None,
+            perturb: None,
         }
     }
 
     /// Attach an event-trace recorder; protocol calls to [`Ctx::trace`]
     /// will append to it. Call before [`Sim::run`].
     pub fn attach_trace(&mut self, trace: crate::trace::Trace) {
-        *self.shared.trace.write() = Some(trace);
+        self.trace = Some(trace);
     }
 
     /// Install a seeded perturbation config
@@ -689,7 +738,7 @@ impl Sim {
     /// alone. Call before [`Sim::run`]. Without this call the run is
     /// exactly the unperturbed deterministic schedule.
     pub fn set_perturb(&mut self, cfg: crate::perturb::Perturb) {
-        *self.shared.perturb.write() = Some(Arc::new(crate::perturb::PerturbState::new(cfg)));
+        self.perturb = Some(cfg);
     }
 
     /// Handle for creating shared [`SimVar`](crate::SimVar)s.
@@ -710,36 +759,34 @@ impl Sim {
             state: LpState::Ready,
             name: name.into(),
         });
-        sched.cvs.push(Arc::new(Condvar::new()));
+        // All clocks start at zero; the lowest id wins the tie, same
+        // rule the scheduler uses throughout.
+        sched.ready.push(Reverse((SimTime::ZERO, id)));
         sched.live += 1;
         drop(sched);
         self.mains.push(Box::new(f));
         LpId(id)
     }
 
-    /// Run to completion. Returns the report, or the first fatal outcome
-    /// (deadlock with a per-LP diagnosis, or an LP panic).
+    /// Run to completion on the calling thread. Returns the report, or
+    /// the first fatal outcome (deadlock with a per-LP diagnosis, or an
+    /// LP panic).
     pub fn run(self) -> Result<Report, SimError> {
-        let Sim { shared, mains } = self;
-        let n = mains.len();
-        assert!(n > 0, "no logical processes spawned");
-        {
-            let mut sched = shared.sched.lock();
-            sched.started = true;
+        let Sim {
+            shared,
+            mains,
+            trace,
+            perturb,
+        } = self;
+        assert!(!mains.is_empty(), "no logical processes spawned");
+        shared.sched.lock().started = true;
+        // `run` consumes the `Sim`, so these are the only writes.
+        if let Some(t) = trace {
+            let _ = shared.trace.set(t);
         }
-
-        let handles: Vec<_> = mains
-            .into_iter()
-            .enumerate()
-            .map(|(id, main)| {
-                let shared = shared.clone();
-                std::thread::Builder::new()
-                    .name(format!("lp{id}"))
-                    .stack_size(512 * 1024)
-                    .spawn(move || lp_thread(shared, id, main))
-                    .expect("spawn LP thread")
-            })
-            .collect();
+        if let Some(cfg) = perturb {
+            let _ = shared.perturb.set(crate::perturb::PerturbState::new(cfg));
+        }
 
         // Optional hang diagnosis: SIMNET_WATCHDOG=1 dumps every LP's
         // scheduler state periodically.
@@ -764,16 +811,62 @@ impl Sim {
             });
         }
 
-        // Kick off: hand the turn to LP 0 (all clocks are zero; lowest id
-        // wins the tie, same rule the scheduler uses throughout).
-        {
-            let mut sched = shared.sched.lock();
-            Shared::dispatch(&mut sched);
+        // Each fiber borrows its `LpStart` through a raw pointer for as
+        // long as it lives, so the vector is only touched through
+        // `starts_ptr` until the fibers are gone.
+        let mut starts: Vec<LpStart<'_>> = mains
+            .into_iter()
+            .enumerate()
+            .map(|(id, main)| LpStart {
+                shared: &shared,
+                id,
+                main: Some(main),
+            })
+            .collect();
+        let starts_ptr = starts.as_mut_ptr();
+        // A fiber (and its stack) exists from its LP's first turn on.
+        let mut fibers: Vec<Option<Fiber>> = starts.iter().map(|_| None).collect();
+
+        // The scheduler loop: hand the turn to the earliest runnable LP
+        // until none is left or the run is aborted.
+        loop {
+            let next = {
+                let mut sched = shared.sched.lock();
+                if sched.outcome.is_some() {
+                    break;
+                }
+                let Some(next) = sched.grant_next() else {
+                    if sched.live > 0 {
+                        sched.outcome = Some(sched.deadlock());
+                    }
+                    break;
+                };
+                next
+            };
+            let fiber = fibers[next].get_or_insert_with(|| {
+                // SAFETY: `next < starts.len()`, so the pointer is in
+                // bounds of the vector.
+                Fiber::new(lp_entry, unsafe { starts_ptr.add(next) }.cast())
+            });
+            // SAFETY: the fiber is fresh or suspended in `yield_turn`
+            // (a finished LP is `Done` and never in the ready heap
+            // again), was created on this thread, and the `sched` guard
+            // was dropped at the end of the block above.
+            unsafe { fiber.resume() };
         }
 
-        for h in handles {
-            // AbortSim unwinds are quiet and expected on failure paths.
-            let _ = h.join();
+        // Aborted (deadlock or LP panic): resume every suspended fiber
+        // once so that `yield_turn` unwinds its frames — dropping what
+        // they own — up to the `catch_unwind` in `lp_run`. Closures of
+        // LPs that never started are dropped unrun with `starts`.
+        shared.aborting.store(true, Ordering::Relaxed);
+        for (id, slot) in fibers.iter_mut().enumerate() {
+            let Some(fiber) = slot else { continue };
+            if !matches!(shared.sched.lock().lps[id].state, LpState::Done) {
+                // SAFETY: as in the loop; an unfinished fiber is
+                // suspended in `yield_turn`.
+                unsafe { fiber.resume() };
+            }
         }
 
         let sched = shared.sched.lock();
@@ -792,38 +885,64 @@ impl Sim {
     }
 }
 
-fn lp_thread(shared: Arc<Shared>, id: usize, main: LpMain) {
+/// What a fiber needs to start its LP; owned by [`Sim::run`], borrowed
+/// by [`lp_entry`].
+struct LpStart<'a> {
+    shared: &'a Arc<Shared>,
+    id: usize,
+    /// Taken when the LP first gets the turn.
+    main: Option<LpMain>,
+}
+
+/// Entry function of every LP fiber. Owns nothing itself: the fiber's
+/// stack is unmapped, not unwound, after the final switch.
+unsafe extern "C" fn lp_entry(arg: *mut u8, host: *mut u8) -> ! {
+    // SAFETY: `arg` is this fiber's element of `starts` in `Sim::run`,
+    // which outlives the fiber and is touched by nothing else while the
+    // fiber exists.
+    let start = unsafe { &mut *arg.cast::<LpStart<'_>>() };
+    let shared: &Shared = start.shared;
+    shared.host_sp.store(host, Ordering::Relaxed);
+    lp_run(start);
+    let host = shared.host_sp.load(Ordering::Relaxed);
+    // SAFETY: `host` is the scheduler loop's suspension from the resume
+    // that gave this LP its last turn. `lp_run` has returned, so this
+    // frame holds only borrows of `Sim::run`'s locals, and no guard.
+    unsafe { fiber::switch(host) };
+    // A finished LP is `Done` and never resumed.
+    std::process::abort()
+}
+
+/// Run the LP closure to completion and record how it ended. Every
+/// owned value (closure, `Ctx`, panic payload) is dropped on return; no
+/// panic escapes.
+fn lp_run(start: &mut LpStart<'_>) {
+    let (shared, id) = (start.shared, start.id);
+    let main = start.main.take().expect("an LP starts once");
     let ctx = Ctx {
         shared: shared.clone(),
         id,
+        _on_its_fiber: PhantomData,
     };
-    // Wait for the initial grant.
-    {
-        let sched = shared.sched.lock();
-        ctx.wait_for_turn(sched);
-    }
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || main(ctx)));
-    let mut sched = shared.sched.lock();
-    match result {
-        Ok(()) => {
-            sched.lps[id].state = LpState::Done;
-            sched.live -= 1;
-            Shared::dispatch(&mut sched);
-        }
-        Err(payload) => {
-            if payload.downcast_ref::<AbortSim>().is_some() {
-                // Unwound because the run was already aborted; nothing to record.
-                return;
-            }
-            let message = payload
+    let panic_message = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || main(ctx)))
+        .err()
+        // An `AbortSim` unwind means the run was already aborted;
+        // nothing to record.
+        .filter(|payload| !payload.is::<AbortSim>())
+        .map(|payload| {
+            payload
                 .downcast_ref::<&'static str>()
                 .map(|s| s.to_string())
                 .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "<non-string panic payload>".to_string());
+                .unwrap_or_else(|| "<non-string panic payload>".to_string())
+        });
+    let mut sched = shared.sched.lock();
+    sched.lps[id].state = LpState::Done;
+    sched.live -= 1;
+    if let Some(message) = panic_message {
+        if sched.outcome.is_none() {
             let name = sched.lps[id].name.clone();
-            sched.lps[id].state = LpState::Done;
-            sched.live -= 1;
-            Shared::abort_all(&mut sched, SimError::LpPanic { name, message });
+            sched.outcome = Some(SimError::LpPanic { name, message });
         }
     }
 }
@@ -1023,6 +1142,266 @@ mod tests {
                 assert_eq!(blocked[0].waiting_on, "never satisfied");
             }
             other => panic!("expected deadlock, got {other:?}"),
+        }
+    }
+    /// Counts its drops: stands in for whatever an LP's frames own
+    /// when the run is torn down under them.
+    struct CountDrop(Arc<std::sync::atomic::AtomicUsize>);
+
+    impl Drop for CountDrop {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Eight LPs suspended mid-`wait`, each holding a guard, with a
+    /// ninth that panics late (or nobody, so the run deadlocks).
+    fn abort_with_suspended_waiters(panics: bool) -> (Result<Report, SimError>, usize) {
+        let dropped = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let mut s = sim();
+        let never = s.handle().var(false);
+        for i in 0..8u64 {
+            let (never, dropped) = (never.clone(), dropped.clone());
+            s.spawn(format!("waiter{i}"), move |ctx| {
+                let _guard = CountDrop(dropped);
+                ctx.advance(SimTime::from_us(i + 1));
+                never.wait(&ctx, "never", |b| *b);
+                unreachable!("the flag is never set");
+            });
+        }
+        if panics {
+            s.spawn("bad", |ctx| {
+                ctx.advance(SimTime::from_us(100));
+                panic!("boom");
+            });
+        }
+        let result = s.run();
+        (result, dropped.load(Ordering::Relaxed))
+    }
+
+    #[test]
+    fn lp_panic_unwinds_every_suspended_lp() {
+        let (result, dropped) = abort_with_suspended_waiters(true);
+        assert!(
+            matches!(&result, Err(SimError::LpPanic { name, .. }) if name == "bad"),
+            "{result:?}"
+        );
+        assert_eq!(dropped, 8);
+    }
+
+    #[test]
+    fn deadlock_unwinds_every_suspended_lp() {
+        let (result, dropped) = abort_with_suspended_waiters(false);
+        assert!(
+            matches!(&result, Err(SimError::Deadlock { blocked }) if blocked.len() == 8),
+            "{result:?}"
+        );
+        assert_eq!(dropped, 8);
+    }
+
+    /// A world whose every closure captures `token`; `fail_at` makes
+    /// LP 0 panic at that time (at zero, before any other LP started).
+    fn run_capturing(
+        token: &Arc<()>,
+        fail_at: Option<SimTime>,
+    ) -> (Result<Report, SimError>, SimHandle) {
+        let mut s = sim();
+        let h = s.handle();
+        let flag = h.var(false);
+        for i in 0..6u64 {
+            let (token, flag) = (token.clone(), flag.clone());
+            s.spawn(format!("lp{i}"), move |ctx| {
+                let _held = &token;
+                if i == 0 {
+                    if let Some(t) = fail_at {
+                        ctx.advance_to(t);
+                        panic!("boom");
+                    }
+                    ctx.advance(SimTime::from_us(9));
+                    flag.store(&ctx, true);
+                } else {
+                    ctx.advance(SimTime::from_us(i));
+                    flag.wait(&ctx, "flag", |b| *b);
+                }
+            });
+        }
+        (s.run(), h)
+    }
+
+    #[test]
+    fn nothing_outlives_run() {
+        for fail_at in [None, Some(SimTime::ZERO), Some(SimTime::from_us(7))] {
+            let token = Arc::new(());
+            let (result, h) = run_capturing(&token, fail_at);
+            assert_eq!(result.is_ok(), fail_at.is_none(), "{result:?}");
+            assert_eq!(Arc::strong_count(&token), 1, "closure leaked ({fail_at:?})");
+            // Our handle is the last owner of the scheduler state: no
+            // `Ctx` clone was abandoned on an unmapped stack.
+            assert_eq!(
+                Arc::strong_count(&h.shared),
+                1,
+                "Shared leaked ({fail_at:?})"
+            );
+        }
+    }
+
+    #[test]
+    fn concurrent_sims_on_two_host_threads_agree() {
+        // Both worlds are mid-run, fibers suspended, at the same moment:
+        // LP 0 of each meets the other at a real barrier.
+        let meet = Arc::new(std::sync::Barrier::new(2));
+        let world = move |meet: Arc<std::sync::Barrier>| {
+            let mut s = sim();
+            let q = s.handle().var(0u64);
+            for i in 0..32u64 {
+                let (q, meet) = (q.clone(), meet.clone());
+                s.spawn(format!("lp{i}"), move |ctx| {
+                    ctx.advance(SimTime::from_ns(10 * (i % 5 + 1)));
+                    q.update(&ctx, |v| *v += 1);
+                    if i == 0 {
+                        meet.wait();
+                    }
+                    q.wait(&ctx, "all arrived", |v| *v == 32);
+                    ctx.advance(SimTime::from_ns(i + 1));
+                });
+            }
+            s.run().unwrap()
+        };
+        let threads: Vec<_> = (0..2)
+            .map(|_| {
+                let meet = meet.clone();
+                std::thread::spawn(move || world(meet))
+            })
+            .collect();
+        let reports: Vec<Report> = threads.into_iter().map(|t| t.join().unwrap()).collect();
+        let (a, b) = (&reports[0], &reports[1]);
+        assert_eq!(a.end_time, b.end_time);
+        assert_eq!(a.lp_times, b.lp_times);
+        assert_eq!(a.metrics, b.metrics);
+        assert_eq!(a.plan_by_comm, b.plan_by_comm);
+        assert_eq!(a.tune_by_comm, b.tune_by_comm);
+    }
+
+    #[test]
+    fn ctx_of_another_lp_is_refused() {
+        // A `Ctx` smuggled to another LP on the same host thread must
+        // not switch stacks on its behalf.
+        let mut s = sim();
+        let stash: Arc<std::sync::Mutex<Option<usize>>> = Arc::default();
+        let stash2 = stash.clone();
+        s.spawn("owner", move |ctx| {
+            *stash.lock().unwrap() = Some(Box::into_raw(Box::new(ctx)) as usize);
+        });
+        s.spawn("thief", move |ctx| {
+            ctx.advance(SimTime::from_us(1));
+            let stolen = stash2.lock().unwrap().take().expect("owner ran first");
+            // SAFETY: the pointer is the box leaked above, reclaimed once.
+            let stolen = unsafe { Box::from_raw(stolen as *mut Ctx) };
+            stolen.advance(SimTime::from_us(1));
+        });
+        match s.run() {
+            Err(SimError::LpPanic { name, message }) => {
+                assert_eq!(name, "thief");
+                assert!(message.contains("without holding the turn"), "{message}");
+            }
+            other => panic!("expected the thief to be refused, got {other:?}"),
+        }
+    }
+
+    mod ordering {
+        //! Random programs over 64+ LPs. Every scheduling decision they
+        //! cause — each grant, each `advance` that keeps or gives up
+        //! the turn — is checked inside the kernel against
+        //! [`Sched::next_ready_by_scan`], the linear reference.
+
+        use super::*;
+        use proptest::prelude::*;
+
+        #[derive(Clone, Debug)]
+        enum Action {
+            Advance(u64),
+            /// Bump counter `var`.
+            Store(usize),
+            /// Wait until counter `var` has had `pct`% of its writes.
+            Wait(usize, u64),
+            /// The same on two counters, whichever comes first.
+            WaitAny((usize, u64), (usize, u64)),
+        }
+
+        const VARS: usize = 12;
+
+        fn action() -> impl Strategy<Value = Action> {
+            let cond = || (0..VARS, 1u64..=100);
+            prop_oneof![
+                // Few distinct durations, so clocks tie often.
+                (0u64..4).prop_map(|d| Action::Advance(d * 5)),
+                (0..VARS).prop_map(Action::Store),
+                cond().prop_map(|(v, pct)| Action::Wait(v, pct)),
+                (cond(), cond()).prop_map(|(a, b)| Action::WaitAny(a, b)),
+            ]
+        }
+
+        /// Run the programs; returns the global `(lp, step)` action log
+        /// and the report. Deadlock-free by construction: the first
+        /// half of the LPs never wait, and every threshold is a share
+        /// of the writes those LPs alone will make.
+        fn execute(programs: &[Vec<Action>]) -> (Vec<(usize, usize)>, Report) {
+            let writers = programs.len() / 2;
+            let mut writes = [0u64; VARS];
+            for prog in &programs[..writers] {
+                for a in prog {
+                    if let Action::Store(v) = a {
+                        writes[*v] += 1;
+                    }
+                }
+            }
+            let mut s = Sim::new(MachineConfig::uniform_test());
+            let vars: Vec<_> = (0..VARS).map(|_| s.handle().var(0u64)).collect();
+            let log = Arc::new(std::sync::Mutex::new(Vec::new()));
+            for (id, prog) in programs.iter().enumerate() {
+                let (prog, vars, log) = (prog.clone(), vars.clone(), log.clone());
+                s.spawn(format!("lp{id}"), move |ctx| {
+                    let need = |(v, pct): (usize, u64)| writes[v] * pct / 100;
+                    for (step, a) in prog.iter().enumerate() {
+                        match *a {
+                            Action::Advance(d) => ctx.advance(SimTime::from_ns(d)),
+                            Action::Store(v) => vars[v].update(&ctx, |x| *x += 1),
+                            Action::Wait(..) | Action::WaitAny(..) if id < writers => {}
+                            Action::Wait(v, pct) => {
+                                let n = need((v, pct));
+                                vars[v].wait(&ctx, "threshold", |x| *x >= n);
+                            }
+                            Action::WaitAny(a, b) => {
+                                let keys = [vars[a.0].wait_key(), vars[b.0].wait_key()];
+                                ctx.wait_any_until(&keys, "either threshold", || {
+                                    vars[a.0].with(|x| *x >= need(a))
+                                        || vars[b.0].with(|x| *x >= need(b))
+                                });
+                            }
+                        }
+                        log.lock().unwrap().push((id, step));
+                    }
+                });
+            }
+            let report = s.run().expect("programs are deadlock-free");
+            let log = log.lock().unwrap().clone();
+            (log, report)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 48, .. ProptestConfig::default() })]
+
+            #[test]
+            fn ready_heap_picks_what_the_scan_picks(programs in prop::collection::vec(
+                prop::collection::vec(action(), 0..24), 64..80)) {
+                let (log, report) = execute(&programs);
+                let steps: usize = programs.iter().map(Vec::len).sum();
+                prop_assert_eq!(log.len(), steps);
+                // And the order is a function of the programs alone.
+                let (log2, report2) = execute(&programs);
+                prop_assert_eq!(log, log2);
+                prop_assert_eq!(report.lp_times, report2.lp_times);
+            }
         }
     }
 }

@@ -1,9 +1,14 @@
 //! # simnet — deterministic virtual-time cluster simulation
 //!
 //! The substrate under the SRM-collectives reproduction: a simulator in
-//! which every MPI task is a real OS thread (a *logical process*, LP)
-//! executing real protocol code, while a turn-based kernel keeps a
-//! virtual clock per LP and always runs the LP with the smallest clock.
+//! which every MPI task is a stackful user-space fiber (a *logical
+//! process*, LP) executing real protocol code, while a turn-based
+//! kernel keeps a virtual clock per LP and always runs the LP with the
+//! smallest clock. All of a world's fibers run on the host thread that
+//! calls [`Sim::run`]; handing the turn over is a stack switch, not an
+//! OS context switch (the `unsafe` that takes lives in `fiber.rs`,
+//! next to the argument for why it is sound, and at its resume/yield
+//! call sites in `kernel.rs`).
 //! Results are bit-deterministic: the same program produces the same
 //! virtual times and event counts on any host.
 //!
@@ -43,6 +48,7 @@
 
 pub mod config;
 pub mod error;
+mod fiber;
 pub mod kernel;
 pub mod metrics;
 pub mod perturb;

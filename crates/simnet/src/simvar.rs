@@ -119,8 +119,7 @@ impl<T: Send + 'static> SimVar<T> {
                     return;
                 }
             }
-            ctx.rollback_time(block_time);
-            ctx.block_on(self.inner.key, label);
+            ctx.block_on(self.inner.key, label, block_time);
         }
     }
 
@@ -146,8 +145,7 @@ impl<T: Send + 'static> SimVar<T> {
                     return r;
                 }
             }
-            ctx.rollback_time(block_time);
-            ctx.block_on(self.inner.key, label);
+            ctx.block_on(self.inner.key, label, block_time);
         }
     }
 }
