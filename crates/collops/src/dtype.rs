@@ -91,69 +91,49 @@ impl ReduceOp {
     }
 }
 
-macro_rules! combine_float {
-    ($t:ty, $op:expr, $acc:expr, $src:expr) => {{
+/// One tight `acc[i] = f(acc[i], src[i])` loop over `$t` elements: the
+/// operator is fixed by the caller, so the body is branch-free and the
+/// compiler can vectorise it.
+macro_rules! zip_elems {
+    ($t:ty, $acc:expr, $src:expr, |$a:ident, $s:ident| $r:expr) => {{
         const W: usize = std::mem::size_of::<$t>();
-        for (a, s) in $acc.chunks_exact_mut(W).zip($src.chunks_exact(W)) {
-            let av = <$t>::from_le_bytes(a.try_into().expect("chunk width"));
-            let sv = <$t>::from_le_bytes(s.try_into().expect("chunk width"));
-            let r: $t = match $op {
-                ReduceOp::Sum => av + sv,
-                ReduceOp::Prod => av * sv,
-                ReduceOp::Min => {
-                    if sv < av {
-                        sv
-                    } else {
-                        av
-                    }
-                }
-                ReduceOp::Max => {
-                    if sv > av {
-                        sv
-                    } else {
-                        av
-                    }
-                }
-                other => panic!("operator {} undefined for floating point", other.name()),
-            };
-            a.copy_from_slice(&r.to_le_bytes());
+        for (ab, sb) in $acc.chunks_exact_mut(W).zip($src.chunks_exact(W)) {
+            let $a = <$t>::from_le_bytes((&*ab).try_into().expect("chunk width"));
+            let $s = <$t>::from_le_bytes(sb.try_into().expect("chunk width"));
+            let r: $t = $r;
+            ab.copy_from_slice(&r.to_le_bytes());
         }
     }};
+}
+
+macro_rules! combine_float {
+    ($t:ty, $op:expr, $acc:expr, $src:expr) => {
+        match $op {
+            ReduceOp::Sum => zip_elems!($t, $acc, $src, |a, s| a + s),
+            ReduceOp::Prod => zip_elems!($t, $acc, $src, |a, s| a * s),
+            ReduceOp::Min => zip_elems!($t, $acc, $src, |a, s| if s < a { s } else { a }),
+            ReduceOp::Max => zip_elems!($t, $acc, $src, |a, s| if s > a { s } else { a }),
+            other => panic!("operator {} undefined for floating point", other.name()),
+        }
+    };
 }
 
 macro_rules! combine_int {
-    ($t:ty, $op:expr, $acc:expr, $src:expr) => {{
-        const W: usize = std::mem::size_of::<$t>();
-        for (a, s) in $acc.chunks_exact_mut(W).zip($src.chunks_exact(W)) {
-            let av = <$t>::from_le_bytes(a.try_into().expect("chunk width"));
-            let sv = <$t>::from_le_bytes(s.try_into().expect("chunk width"));
-            let r: $t = match $op {
-                ReduceOp::Sum => av.wrapping_add(sv),
-                ReduceOp::Prod => av.wrapping_mul(sv),
-                ReduceOp::Min => {
-                    if sv < av {
-                        sv
-                    } else {
-                        av
-                    }
-                }
-                ReduceOp::Max => {
-                    if sv > av {
-                        sv
-                    } else {
-                        av
-                    }
-                }
-                ReduceOp::Band => av & sv,
-                ReduceOp::Bor => av | sv,
-                ReduceOp::Bxor => av ^ sv,
-            };
-            a.copy_from_slice(&r.to_le_bytes());
+    ($t:ty, $op:expr, $acc:expr, $src:expr) => {
+        match $op {
+            ReduceOp::Sum => zip_elems!($t, $acc, $src, |a, s| a.wrapping_add(s)),
+            ReduceOp::Prod => zip_elems!($t, $acc, $src, |a, s| a.wrapping_mul(s)),
+            ReduceOp::Min => zip_elems!($t, $acc, $src, |a, s| a.min(s)),
+            ReduceOp::Max => zip_elems!($t, $acc, $src, |a, s| a.max(s)),
+            ReduceOp::Band => zip_elems!($t, $acc, $src, |a, s| a & s),
+            ReduceOp::Bor => zip_elems!($t, $acc, $src, |a, s| a | s),
+            ReduceOp::Bxor => zip_elems!($t, $acc, $src, |a, s| a ^ s),
         }
-    }};
+    };
 }
 
 /// Combine `src` into `acc` elementwise: `acc[i] = op(acc[i], src[i])`.
+/// The operator is selected once per call, not per element.
 ///
 /// # Panics
 /// If the slices differ in length or are not a whole number of elements.
@@ -184,20 +164,19 @@ pub fn combine(dtype: DType, op: ReduceOp, acc: &mut [u8], src: &[u8]) {
 /// what every collective implementation calls on its combining path.
 pub fn combine_costed(ctx: &Ctx, dtype: DType, op: ReduceOp, acc: &mut [u8], src: &[u8]) {
     combine(dtype, op, acc, src);
-    ctx.advance(ctx.config().reduce_cost(src.len()));
-    ctx.metrics()
-        .reduce_bytes
-        .fetch_add(src.len() as u64, Ordering::Relaxed);
+    charge_reduce(ctx, src.len());
 }
 
-/// Combine `src[range]` from a shared buffer into `acc`, with cost.
+/// Combine `src[offset..offset + acc.len()]` from a shared buffer into
+/// `acc`, with cost.
 ///
-/// The operand is snapshotted out of the buffer *before* the costed
-/// combine: simulation operations (which may suspend the calling
-/// logical process) must never run while a host-level buffer lock is
-/// held, or a task writing the same buffer can wedge the whole
-/// simulation. Always use this instead of calling [`combine_costed`]
-/// inside [`shmem::ShmBuffer::with`].
+/// Combine under the lock, advance after it: the operator reads its
+/// operand in place, under the buffer's host-level lock, and the clock
+/// moves only once the lock is released. Simulation operations (which
+/// may suspend the calling logical process) must never run while a
+/// buffer lock is held, or a task writing the same buffer can wedge the
+/// whole simulation. Always use this instead of calling
+/// [`combine_costed`] inside [`shmem::ShmBuffer::with`].
 pub fn combine_from_buffer_costed(
     ctx: &Ctx,
     dtype: DType,
@@ -206,8 +185,16 @@ pub fn combine_from_buffer_costed(
     src: &shmem::ShmBuffer,
     offset: usize,
 ) {
-    let operand = src.with(|d| d[offset..offset + acc.len()].to_vec());
-    combine_costed(ctx, dtype, op, acc, &operand);
+    src.with(|d| combine(dtype, op, acc, &d[offset..offset + acc.len()]));
+    charge_reduce(ctx, acc.len());
+}
+
+/// Charge the operator pass over `len` operand bytes.
+fn charge_reduce(ctx: &Ctx, len: usize) {
+    ctx.advance(ctx.config().reduce_cost(len));
+    ctx.metrics()
+        .reduce_bytes
+        .fetch_add(len as u64, Ordering::Relaxed);
 }
 
 /// Encode a typed slice into little-endian bytes.
@@ -248,6 +235,7 @@ pub fn reference_reduce(dtype: DType, op: ReduceOp, contributions: &[Vec<u8>]) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn sum_f64() {
@@ -350,6 +338,107 @@ mod tests {
         assert!(ReduceOp::Band.supports(DType::U64));
         assert!(!ReduceOp::Band.supports(DType::F32));
         assert!(!ReduceOp::Bxor.supports(DType::F64));
+    }
+
+    /// The obvious implementation: decode one element pair, pick the
+    /// operator, encode the result.
+    fn naive_combine(dtype: DType, op: ReduceOp, acc: &[u8], src: &[u8]) -> Vec<u8> {
+        macro_rules! per_elem {
+            ($t:ty, $f:expr) => {{
+                const W: usize = std::mem::size_of::<$t>();
+                let f: fn($t, $t) -> $t = $f;
+                let dec = |b: &[u8]| <$t>::from_le_bytes(b.try_into().unwrap());
+                let pairs = acc.chunks(W).zip(src.chunks(W));
+                pairs
+                    .flat_map(|(a, s)| f(dec(a), dec(s)).to_le_bytes())
+                    .collect()
+            }};
+        }
+        macro_rules! float {
+            ($t:ty) => {
+                match op {
+                    ReduceOp::Sum => per_elem!($t, |a, s| a + s),
+                    ReduceOp::Prod => per_elem!($t, |a, s| a * s),
+                    ReduceOp::Min => per_elem!($t, |a, s| if s < a { s } else { a }),
+                    ReduceOp::Max => per_elem!($t, |a, s| if s > a { s } else { a }),
+                    _ => unreachable!("unsupported pairs are filtered out"),
+                }
+            };
+        }
+        macro_rules! int {
+            ($t:ty) => {
+                match op {
+                    ReduceOp::Sum => per_elem!($t, |a, s| a.wrapping_add(s)),
+                    ReduceOp::Prod => per_elem!($t, |a, s| a.wrapping_mul(s)),
+                    ReduceOp::Min => per_elem!($t, |a, s| if s < a { s } else { a }),
+                    ReduceOp::Max => per_elem!($t, |a, s| if s > a { s } else { a }),
+                    ReduceOp::Band => per_elem!($t, |a, s| a & s),
+                    ReduceOp::Bor => per_elem!($t, |a, s| a | s),
+                    ReduceOp::Bxor => per_elem!($t, |a, s| a ^ s),
+                }
+            };
+        }
+        match dtype {
+            DType::F64 => float!(f64),
+            DType::F32 => float!(f32),
+            DType::I64 => int!(i64),
+            DType::I32 => int!(i32),
+            DType::U64 => int!(u64),
+        }
+    }
+
+    /// Bitwise equality, except that any NaN matches any NaN: which
+    /// operand's payload survives an addition is not pinned down.
+    fn same_elems(dtype: DType, got: &[u8], want: &[u8]) -> bool {
+        let nan = |b: &[u8]| match dtype {
+            DType::F64 => f64::from_le_bytes(b.try_into().unwrap()).is_nan(),
+            DType::F32 => f32::from_le_bytes(b.try_into().unwrap()).is_nan(),
+            _ => false,
+        };
+        let w = dtype.size();
+        got.len() == want.len()
+            && got
+                .chunks(w)
+                .zip(want.chunks(w))
+                .all(|(g, e)| g == e || (nan(g) && nan(e)))
+    }
+
+    const MAX_ELEMS: usize = 67;
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, .. ProptestConfig::default() })]
+
+        /// Every per-`(dtype, op)` loop agrees with the naive reference
+        /// on arbitrary bit patterns, through vector bodies and scalar
+        /// tails alike (0 to 67 elements).
+        #[test]
+        fn combine_matches_naive_reference(
+            elems in 0usize..=MAX_ELEMS,
+            raw in prop::collection::vec(any::<u8>(), 2 * MAX_ELEMS * 8),
+        ) {
+            const DTYPES: [DType; 5] = [DType::F64, DType::F32, DType::I64, DType::I32, DType::U64];
+            const OPS: [ReduceOp; 7] = [
+                ReduceOp::Sum, ReduceOp::Prod, ReduceOp::Min, ReduceOp::Max,
+                ReduceOp::Band, ReduceOp::Bor, ReduceOp::Bxor,
+            ];
+            let mut checked = 0;
+            for dtype in DTYPES {
+                let bytes = elems * dtype.size();
+                let (acc0, src) = (&raw[..bytes], &raw[MAX_ELEMS * 8..][..bytes]);
+                for op in OPS.into_iter().filter(|op| op.supports(dtype)) {
+                    let mut acc = acc0.to_vec();
+                    combine(dtype, op, &mut acc, src);
+                    let want = naive_combine(dtype, op, acc0, src);
+                    prop_assert!(
+                        same_elems(dtype, &acc, &want),
+                        "{} {} over {} elements: {:?} != {:?}",
+                        dtype.name(), op.name(), elems, acc, want
+                    );
+                    checked += 1;
+                }
+            }
+            prop_assert_eq!(checked, 2 * 4 + 3 * 7);
+        }
     }
 
     #[test]

@@ -156,9 +156,6 @@ pub(crate) struct CallState {
     pub(crate) bases: [u64; SEQ_BASES],
     /// Operator scratch ([`BufRef::Acc`]).
     pub(crate) acc: Vec<u8>,
-    /// Bounce buffer of [`Step::ShmCopy`], reused across the call's
-    /// copy steps.
-    pub(crate) bounce: Vec<u8>,
     /// Handles captured by [`Step::AddrTake`], in take order.
     pub(crate) child_bufs: Vec<ShmBuffer>,
     /// Handle captured from [`AddrSlot::Root`]/[`AddrSlot::Board`].
@@ -183,7 +180,6 @@ impl CallState {
         CallState {
             bases,
             acc: Vec::new(),
-            bounce: Vec::new(),
             child_bufs: Vec::new(),
             root_buf: None,
             scratch: None,
@@ -527,7 +523,6 @@ impl SrmComm {
         let bases = st.bases;
         let skip_advance = st.skip_advance;
         let acc = &mut st.acc;
-        let bounce = &mut st.bounce;
         let child_bufs = &mut st.child_bufs;
         let root_buf = &mut st.root_buf;
         let scratch = &mut st.scratch;
@@ -552,27 +547,31 @@ impl SrmComm {
                     let dofs = off_of(&bases, dst_off);
                     let resolve =
                         |r: BufRef| buf_of(self, &bases, buf, child_bufs, root_buf, scratch, r);
-                    // One source fetch (charged for a read out of shared
-                    // memory) and one destination store (charged for a
-                    // write into it); the private side of either rides
-                    // along, and operator output streams are free.
-                    bounce.resize(len, 0);
-                    match (src, cost) {
-                        (BufRef::Acc, _) => bounce.copy_from_slice(&acc[..len]),
-                        (_, CopyCost::Read(streams)) => resolve(src).read(ctx, so, bounce, streams),
-                        _ => resolve(src).with(|d| bounce.copy_from_slice(&d[so..so + len])),
-                    }
-                    match (dst, cost) {
-                        (BufRef::Acc, _) => std::mem::swap(acc, bounce),
-                        (_, CopyCost::Write(streams)) => {
-                            resolve(dst).write(ctx, dofs, bounce, streams)
+                    // One pass over the bytes, charged once: as a read
+                    // out of shared memory or a write into it; the
+                    // private side of either rides along, and operator
+                    // output streams are free.
+                    match (src, dst) {
+                        (BufRef::Acc, _) => resolve(dst)
+                            .with_mut(|d| d[dofs..dofs + len].copy_from_slice(&acc[..len])),
+                        (_, BufRef::Acc) => {
+                            acc.clear();
+                            resolve(src).with(|d| acc.extend_from_slice(&d[so..so + len]));
                         }
-                        _ => resolve(dst).with_mut(|d| d[dofs..dofs + len].copy_from_slice(bounce)),
+                        _ => resolve(src).copy_to(so, resolve(dst), dofs, len),
+                    }
+                    let charged = match cost {
+                        CopyCost::Free => None,
+                        CopyCost::Read(streams) => Some((src, streams)),
+                        CopyCost::Write(streams) => Some((dst, streams)),
+                    };
+                    if let Some((side, n)) = charged.filter(|c| !matches!(c.0, BufRef::Acc)) {
+                        resolve(side).charge_copy(ctx, len, n);
                     }
                 }
                 Step::LoadAcc { off, len } => {
-                    acc.resize(len, 0);
-                    buf.with(|d| acc.copy_from_slice(&d[off..off + len]));
+                    acc.clear();
+                    buf.with(|d| acc.extend_from_slice(&d[off..off + len]));
                 }
                 Step::LocalReduce { src, src_off, len } => {
                     metrics.engine_copy_steps.fetch_add(1, Ordering::Relaxed);
@@ -641,10 +640,6 @@ impl SrmComm {
                     let dofs = off_of(&bases, dst_off);
                     let src = buf_of(self, &bases, buf, child_bufs, root_buf, scratch, src);
                     let dst = buf_of(self, &bases, buf, child_bufs, root_buf, scratch, dst);
-                    debug_assert!(
-                        dst.fits(dofs, len),
-                        "direct put overruns the destination buffer"
-                    );
                     let ctr = ctr.map(|c| ctr_of(self, &bases, c));
                     self.rma.put(ctx, to, src, so, len, dst, dofs, ctr);
                 }

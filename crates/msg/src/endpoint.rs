@@ -209,7 +209,7 @@ impl MsgEndpoint {
     /// [`MsgEndpoint::wait_send`].
     pub fn isend(&self, ctx: &Ctx, dst: Rank, tag: Tag, data: &[u8]) -> SendReq {
         assert!(dst < self.inner.topo.nprocs(), "send to unknown rank");
-        let cfg = ctx.config().clone();
+        let cfg = ctx.config();
         let extra = self.inner.vendor.extra_per_msg();
         self.acquire_credit(ctx, dst);
         let m = ctx.metrics();
@@ -319,7 +319,7 @@ impl MsgEndpoint {
         match req.state {
             SendState::Complete => {}
             SendState::Rndv { handshake, len } => {
-                let cfg = ctx.config().clone();
+                let cfg = ctx.config();
                 // Wait for the receiver's clear-to-send...
                 handshake.wait(ctx, "rendezvous CTS", |g| *g);
                 // ...which still has to travel back to us...
@@ -341,7 +341,7 @@ impl MsgEndpoint {
     /// If the matched message is longer than `buf` (truncation is an
     /// application error in this codebase).
     pub fn recv(&self, ctx: &Ctx, src: Rank, tag: Tag, buf: &mut [u8]) -> usize {
-        let cfg = ctx.config().clone();
+        let cfg = ctx.config();
         let extra = self.inner.vendor.extra_per_msg();
         let m = ctx.metrics();
         let posted_at = ctx.now();

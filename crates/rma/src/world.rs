@@ -142,6 +142,27 @@ struct TaskNet {
 
 struct WorldInner {
     tasks: Vec<TaskNet>,
+    /// Free list of put snapshot buffers: an origin draws one at issue,
+    /// the landing dispatcher returns it, so a steady stream of puts
+    /// allocates (and page-faults) each buffer once, not per message.
+    snapshots: Mutex<Vec<Vec<u8>>>,
+}
+
+impl WorldInner {
+    /// Snapshot `src[off..off + len]` into a pooled buffer. The copy is
+    /// made now, at issue: later writes to `src` never reach the wire.
+    fn snapshot(&self, src: &ShmBuffer, off: usize, len: usize) -> Vec<u8> {
+        let mut bytes = self.snapshots.lock().pop().unwrap_or_default();
+        bytes.clear();
+        src.with(|d| bytes.extend_from_slice(&d[off..off + len]));
+        bytes
+    }
+
+    /// Land a snapshot into `dst[off..]` and return it to the pool.
+    fn land(&self, bytes: Vec<u8>, dst: &ShmBuffer, off: usize) {
+        dst.with_mut(|d| d[off..off + bytes.len()].copy_from_slice(&bytes));
+        self.snapshots.lock().push(bytes);
+    }
 }
 
 /// The cluster-wide RMA fabric. Create once at setup; it spawns one
@@ -166,7 +187,10 @@ impl RmaWorld {
                 handlers: Mutex::new(HashMap::new()),
             })
             .collect();
-        let inner = Arc::new(WorldInner { tasks });
+        let inner = Arc::new(WorldInner {
+            tasks,
+            snapshots: Mutex::new(Vec::new()),
+        });
         for me in 0..nprocs {
             let world = inner.clone();
             sim.spawn(format!("lapi-dispatcher-{me}"), move |ctx| {
@@ -206,9 +230,14 @@ impl Rma {
 
     /// Nonblocking put: transfer `len` bytes from `src[src_off..]` into
     /// `dst[dst_off..]` on `target`. Returns after the origin overhead;
-    /// the transfer completes in the background. If `tgt_counter` is
-    /// given, the target dispatcher increments it after landing the
-    /// data.
+    /// the transfer completes in the background. The source is
+    /// snapshotted before the call returns, so the origin may reuse it
+    /// at once. If `tgt_counter` is given, the target dispatcher
+    /// increments it after landing the data.
+    ///
+    /// # Panics
+    /// At issue, naming the origin rank, if the put would run past
+    /// `dst`'s capacity.
     #[allow(clippy::too_many_arguments)]
     pub fn put(
         &self,
@@ -221,9 +250,18 @@ impl Rma {
         dst_off: usize,
         tgt_counter: Option<&LapiCounter>,
     ) {
+        // Checked here, at issue: the landing runs in the target's
+        // dispatcher LP, where an overrun would blame the wrong rank.
+        assert!(
+            dst.fits(dst_off, len),
+            "put from rank {} overruns the destination buffer: \
+             offset {dst_off} + len {len} > capacity {}",
+            self.me,
+            dst.capacity()
+        );
         ctx.advance(ctx.config().lapi_origin_overhead);
         ctx.metrics().rma_puts.fetch_add(1, Ordering::Relaxed);
-        let bytes = src.with(|d| d[src_off..src_off + len].to_vec());
+        let bytes = self.world.snapshot(src, src_off, len);
         self.send(
             ctx,
             target,
@@ -477,7 +515,7 @@ fn dispatcher_main(ctx: Ctx, world: Arc<WorldInner>, me: Rank) {
 }
 
 fn deliver(ctx: &Ctx, world: &Arc<WorldInner>, me: Rank, a: Arrival) {
-    let cfg = ctx.config().clone();
+    let cfg = ctx.config();
     let t = &world.tasks[me];
     // NIC-side arrival instant.
     ctx.advance_to(a.deliver_at);
@@ -518,9 +556,7 @@ fn deliver(ctx: &Ctx, world: &Arc<WorldInner>, me: Rank, a: Arrival) {
             dst,
             dst_off,
             bytes,
-        } => {
-            dst.with_mut(|d| d[dst_off..dst_off + bytes.len()].copy_from_slice(&bytes));
-        }
+        } => world.land(bytes, &dst, dst_off),
         Payload::CounterOnly => {}
         Payload::Am { handler, msg } => {
             let h = t.handlers.lock().get(&handler).cloned();
@@ -536,7 +572,7 @@ fn deliver(ctx: &Ctx, world: &Arc<WorldInner>, me: Rank, a: Arrival) {
             reply_counter,
             requester,
         } => {
-            let bytes = src.with(|d| d[src_off..src_off + len].to_vec());
+            let bytes = world.snapshot(&src, src_off, len);
             let start = ctx.now().max(t.link_free.get());
             let wire = ctx.perturb_wire(me, requester, cfg.net_per_byte.cost_of(len));
             let ser_done = start + wire;
@@ -564,5 +600,90 @@ fn deliver(ctx: &Ctx, world: &Arc<WorldInner>, me: Rank, a: Arrival) {
         if let Some(c) = a.counter {
             c.incr(ctx, 1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use simnet::MachineConfig;
+
+    #[test]
+    fn origin_overwriting_src_after_put_does_not_change_what_lands() {
+        let mut sim = Sim::new(MachineConfig::uniform_test());
+        let world = RmaWorld::new(&mut sim, 2);
+        let done = LapiCounter::new(&sim.handle(), 0);
+        let dst = ShmBuffer::new(32);
+        let (r0, r1) = (world.endpoint(0), world.endpoint(1));
+        let (d, c) = (dst.clone(), done.clone());
+        sim.spawn("origin", move |ctx| {
+            let src = ShmBuffer::new(32);
+            src.with_mut(|s| s.fill(7));
+            r0.put(&ctx, 1, &src, 0, 32, &d, 0, Some(&c));
+            // Long before the wire delivers anything.
+            src.with_mut(|s| s.fill(9));
+            r0.shutdown(&ctx);
+        });
+        sim.spawn("target", move |ctx| {
+            r1.wait_counter(&ctx, &done, 1);
+            r1.shutdown(&ctx);
+        });
+        sim.run().unwrap();
+        dst.with(|got| assert_eq!(got, [7u8; 32]));
+    }
+
+    #[test]
+    #[should_panic(expected = "put from rank 1 overruns the destination buffer: \
+                               offset 8 + len 16 > capacity 16")]
+    fn put_past_the_destination_panics_at_issue_naming_the_origin() {
+        let mut sim = Sim::new(MachineConfig::uniform_test());
+        let world = RmaWorld::new(&mut sim, 2);
+        let r1 = world.endpoint(1);
+        sim.spawn("origin", move |ctx| {
+            let (src, dst) = (ShmBuffer::new(16), ShmBuffer::new(16));
+            r1.put(&ctx, 0, &src, 0, 16, &dst, 8, None);
+        });
+        if let Err(e) = sim.run() {
+            panic!("{e}");
+        }
+    }
+
+    #[test]
+    fn small_put_reusing_a_large_pooled_snapshot_lands_only_its_bytes() {
+        const BIG: usize = 1 << 20;
+        let mut sim = Sim::new(MachineConfig::uniform_test());
+        let world = RmaWorld::new(&mut sim, 2);
+        let h = sim.handle();
+        let (landed, acked) = (LapiCounter::new(&h, 0), LapiCounter::new(&h, 0));
+        let dst = ShmBuffer::new(BIG);
+        let (r0, r1) = (world.endpoint(0), world.endpoint(1));
+        let (d, l, a) = (dst.clone(), landed.clone(), acked.clone());
+        sim.spawn("origin", move |ctx| {
+            let src = ShmBuffer::new(BIG);
+            src.with_mut(|s| s.fill(1));
+            r0.put(&ctx, 1, &src, 0, BIG, &d, 0, Some(&l));
+            // The first snapshot is back in the pool once the target
+            // acknowledges its landing.
+            r0.wait_counter(&ctx, &a, 1);
+            src.with_mut(|s| s.fill(2));
+            r0.put(&ctx, 1, &src, 0, 64, &d, 128, Some(&l));
+            r0.shutdown(&ctx);
+        });
+        sim.spawn("target", move |ctx| {
+            r1.wait_counter(&ctx, &landed, 1);
+            r1.put_counter(&ctx, 0, &acked);
+            r1.wait_counter(&ctx, &landed, 1);
+            r1.shutdown(&ctx);
+        });
+        sim.run().unwrap();
+        dst.with(|got| {
+            assert!(got[..128].iter().all(|&b| b == 1));
+            assert_eq!(got[128..192], [2u8; 64]);
+            assert!(got[192..].iter().all(|&b| b == 1));
+        });
+        // One buffer served both puts.
+        let pool = world.inner.snapshots.lock();
+        assert_eq!(pool.len(), 1);
+        assert!(pool[0].capacity() >= BIG && pool[0].len() == 64);
     }
 }

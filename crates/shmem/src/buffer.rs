@@ -17,6 +17,18 @@ use simnet::Ctx;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+/// End of the range `[off, off + len)` inside a buffer of `cap` bytes.
+///
+/// # Panics
+/// Naming the access (`what`), if the range overflows or runs past `cap`.
+fn end_within(what: &str, off: usize, len: usize, cap: usize) -> usize {
+    off.checked_add(len)
+        .filter(|&end| end <= cap)
+        .unwrap_or_else(|| {
+            panic!("shm {what} out of bounds: offset {off} + len {len} > capacity {cap}")
+        })
+}
+
 /// Fixed-capacity shared byte buffer.
 #[derive(Clone)]
 pub struct ShmBuffer {
@@ -37,8 +49,8 @@ impl ShmBuffer {
     }
 
     /// Does the range `[offset, offset + len)` lie within this buffer?
-    /// Overflow-safe; used by the engine to bounds-check direct puts
-    /// into remotely-supplied buffer handles before touching them.
+    /// Overflow-safe; `rma` bounds-checks every put with it at issue,
+    /// before the bytes travel to a remotely-supplied buffer handle.
     pub fn fits(&self, offset: usize, len: usize) -> bool {
         offset
             .checked_add(len)
@@ -62,17 +74,7 @@ impl ShmBuffer {
     pub fn write(&self, ctx: &Ctx, offset: usize, src: &[u8], streams: usize) {
         {
             let mut data = self.data.lock();
-            let end = offset
-                .checked_add(src.len())
-                .filter(|&e| e <= data.len())
-                .unwrap_or_else(|| {
-                    panic!(
-                        "shm write out of bounds: offset {} + len {} > capacity {}",
-                        offset,
-                        src.len(),
-                        data.len()
-                    )
-                });
+            let end = end_within("write", offset, src.len(), data.len());
             data[offset..end].copy_from_slice(src);
         }
         self.charge_copy(ctx, src.len(), streams);
@@ -83,17 +85,7 @@ impl ShmBuffer {
     pub fn read(&self, ctx: &Ctx, offset: usize, dst: &mut [u8], streams: usize) {
         {
             let data = self.data.lock();
-            let end = offset
-                .checked_add(dst.len())
-                .filter(|&e| e <= data.len())
-                .unwrap_or_else(|| {
-                    panic!(
-                        "shm read out of bounds: offset {} + len {} > capacity {}",
-                        offset,
-                        dst.len(),
-                        data.len()
-                    )
-                });
+            let end = end_within("read", offset, dst.len(), data.len());
             dst.copy_from_slice(&data[offset..end]);
         }
         self.charge_copy(ctx, dst.len(), streams);
@@ -109,6 +101,31 @@ impl ShmBuffer {
     /// Mutate the contents without cost (see [`ShmBuffer::with`]).
     pub fn with_mut<R>(&self, f: impl FnOnce(&mut [u8]) -> R) -> R {
         f(&mut self.data.lock())
+    }
+
+    /// Copy `len` bytes from `self[src_off..]` into `dst[dst_off..]`
+    /// without cost (see [`ShmBuffer::with`]): one `memcpy` between two
+    /// buffers, a `memmove` when both handles share storage, so
+    /// overlapping ranges copy as if through a temporary.
+    ///
+    /// Both locks are held only for the copy itself; no simulation
+    /// operation runs under them.
+    ///
+    /// # Panics
+    /// If either range runs past its buffer's capacity.
+    pub fn copy_to(&self, src_off: usize, dst: &ShmBuffer, dst_off: usize, len: usize) {
+        if self.same_storage(dst) {
+            let mut data = self.data.lock();
+            let src_end = end_within("copy source", src_off, len, data.len());
+            end_within("copy destination", dst_off, len, data.len());
+            data.copy_within(src_off..src_end, dst_off);
+        } else {
+            let from = self.data.lock();
+            let mut to = dst.data.lock();
+            let src_end = end_within("copy source", src_off, len, from.len());
+            let dst_end = end_within("copy destination", dst_off, len, to.len());
+            to[dst_off..dst_end].copy_from_slice(&from[src_off..src_end]);
+        }
     }
 
     /// Account one copy of `len` bytes by `streams` concurrent streams.
@@ -200,6 +217,51 @@ mod tests {
         });
         let r = s.run().unwrap();
         assert_eq!(r.metrics.shm_copies, 0);
+    }
+
+    fn counting(cap: usize) -> ShmBuffer {
+        let buf = ShmBuffer::new(cap);
+        buf.with_mut(|d| d.iter_mut().enumerate().for_each(|(i, b)| *b = i as u8));
+        buf
+    }
+
+    #[test]
+    fn copy_to_between_disjoint_buffers() {
+        let (src, dst) = (counting(32), ShmBuffer::new(16));
+        src.copy_to(8, &dst, 4, 6);
+        dst.with(|d| assert_eq!(d, [0, 0, 0, 0, 8, 9, 10, 11, 12, 13, 0, 0, 0, 0, 0, 0]));
+        src.with(|d| assert!(d.iter().enumerate().all(|(i, &b)| b == i as u8)));
+    }
+
+    #[test]
+    fn copy_to_same_storage_overlapping_either_way() {
+        // Forward overlap (destination above the source) …
+        let buf = counting(16);
+        buf.copy_to(0, &buf.clone(), 4, 8);
+        buf.with(|d| assert_eq!(d[..12], [0, 1, 2, 3, 0, 1, 2, 3, 4, 5, 6, 7]));
+        // … and backward overlap (destination below it).
+        let buf = counting(16);
+        buf.copy_to(4, &buf.clone(), 0, 8);
+        buf.with(|d| assert_eq!(d[..12], [4, 5, 6, 7, 8, 9, 10, 11, 8, 9, 10, 11]));
+    }
+
+    #[test]
+    #[should_panic(expected = "source out of bounds: offset 12 + len 8 > capacity 16")]
+    fn copy_to_source_overrun_panics() {
+        ShmBuffer::new(16).copy_to(12, &ShmBuffer::new(64), 0, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "destination out of bounds: offset 60 + len 8 > capacity 64")]
+    fn copy_to_destination_overrun_panics() {
+        ShmBuffer::new(16).copy_to(0, &ShmBuffer::new(64), 60, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "destination out of bounds: offset 10 + len 8 > capacity 16")]
+    fn copy_to_same_storage_overrun_panics() {
+        let buf = ShmBuffer::new(16);
+        buf.copy_to(0, &buf.clone(), 10, 8);
     }
 
     #[test]
