@@ -139,20 +139,28 @@ fn run_sweep(op: Op) -> Sweep {
 }
 
 /// Barrier sweep: time vs processor count for all implementations
-/// (the paper's Figure 12).
+/// (the paper's Figure 12, which stops at 16 nodes), continued to 256
+/// nodes = 4 096 processors. The fast grid keeps one point past the
+/// paper, SRM only: a 1 024-rank world in CI's smoke run.
 pub fn sweep_barrier() -> Vec<Point> {
     let machine = MachineConfig::ibm_sp_colony();
-    let nodes: &[usize] = if fast_mode() {
-        &[1, 4, 16]
+    let fast = fast_mode();
+    let nodes: &[usize] = if fast {
+        &[1, 4, 16, 64]
     } else {
-        &[1, 2, 3, 4, 6, 8, 12, 16]
+        &[1, 2, 3, 4, 6, 8, 12, 16, 32, 64, 128, 256]
     };
     let mut points = Vec::new();
     for &n in nodes {
         let topo = Topology::sp_16way(n);
-        for imp in Impl::ALL {
+        let imps = if fast && n > 16 {
+            &Impl::ALL[..1]
+        } else {
+            &Impl::ALL[..]
+        };
+        for &imp in imps {
             let opts = HarnessOpts {
-                iters: if fast_mode() { 3 } else { 8 },
+                iters: if fast { 3 } else { 8 },
                 ..Default::default()
             };
             let m = measure(imp, machine.clone(), topo, Op::Barrier, 8, opts);

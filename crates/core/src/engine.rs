@@ -95,9 +95,11 @@ pub(crate) fn ctr_of<'a>(
     let rpar = |rel| ((bases[SeqBase::Reduce.index()] + rel) % 2) as usize;
     match c {
         CtrRef::LandingData { node, rel } => &comm.comm.boards[node].landing_data[lpar(rel)],
-        CtrRef::BcastFree { node, child, rel } => &comm.inter(node).bcast_free[child][lpar(rel)],
-        CtrRef::ReduceData { node, src, rel } => &comm.inter(node).reduce_data[src][rpar(rel)],
-        CtrRef::ReduceFree { node, dst, rel } => &comm.inter(node).reduce_free[dst][rpar(rel)],
+        CtrRef::BcastFree { node, child, rel } => {
+            &comm.inter(node).peer(child).bcast_free[lpar(rel)]
+        }
+        CtrRef::ReduceData { node, src, rel } => &comm.inter(node).peer(src).reduce_data[rpar(rel)],
+        CtrRef::ReduceFree { node, dst, rel } => &comm.inter(node).peer(dst).reduce_free[rpar(rel)],
         CtrRef::LargeData { node } => &comm.inter(node).large_data,
         CtrRef::RdData { node, round } => &comm.inter(node).rd_data[round],
         CtrRef::RdFree { node, round } => &comm.inter(node).rd_free[round],
@@ -105,9 +107,9 @@ pub(crate) fn ctr_of<'a>(
         CtrRef::FoldFree { node } => &comm.inter(node).fold_free,
         CtrRef::UnfoldData { node } => &comm.inter(node).unfold_data,
         CtrRef::BarRound { node, round } => &comm.inter(node).bar_round[round],
-        CtrRef::PairwiseData { node, src } => comm.comm.pairwise.data(src, node),
-        CtrRef::PairwiseFree { node, dst } => comm.comm.pairwise.free(node, dst),
-        CtrRef::PairwiseDirect { src, dst } => comm.comm.pairwise.direct(src, dst),
+        CtrRef::PairwiseData { node, src } => comm.pairwise().data(src, node),
+        CtrRef::PairwiseFree { node, dst } => comm.pairwise().free(node, dst),
+        CtrRef::PairwiseDirect { src, dst } => comm.pairwise().direct(src, dst),
     }
 }
 
@@ -131,11 +133,11 @@ pub(crate) fn buf_of<'a>(
         BufRef::Contrib { slot } => &comm.board().contrib[slot],
         BufRef::Xfer => &comm.board().xfer,
         BufRef::ReduceLanding { node, src, rel } => {
-            &comm.inter(node).reduce_landing[src][rpar(rel)]
+            &comm.inter(node).peer(src).reduce_landing[rpar(rel)]
         }
         BufRef::RdLanding { node, round } => &comm.inter(node).rd_landing[round],
         BufRef::FoldLanding { node } => &comm.inter(node).fold_landing,
-        BufRef::PairwiseRing { node, src } => comm.comm.pairwise.ring(node, src),
+        BufRef::PairwiseRing { node, src } => comm.pairwise().ring(node, src),
         BufRef::ChildUser { idx } => &child_bufs[idx],
         BufRef::RootUser => root_buf
             .as_ref()
@@ -277,10 +279,14 @@ impl SrmComm {
             Step::AddrTake { slot } => {
                 let inter = self.inter(self.cnode());
                 let (var, in_call, label) = match slot {
-                    AddrSlot::Child(c) => (&inter.addr_slot[c], true, "child user-buffer address"),
-                    AddrSlot::Peer(from) => {
-                        (self.pair_addr_slot(from), true, "pairwise peer address")
+                    AddrSlot::Child(c) => {
+                        (&inter.peer(c).addr_slot, true, "child user-buffer address")
                     }
+                    AddrSlot::Peer(from) => (
+                        self.pairwise().addr_slot(self.crank(), from),
+                        true,
+                        "pairwise peer address",
+                    ),
                     AddrSlot::Root => (&inter.gs_root, true, "gather root address"),
                     AddrSlot::Board => (&self.board().gs_addr, false, "gather root address"),
                 };

@@ -6,13 +6,13 @@
 //! rooted protocols use — one landing channel per node, one counter per
 //! collective — cannot express that, so this module adds three pieces:
 //!
-//! * **An address-exchange registry** ([`PairwiseState`]): at
-//!   communicator-creation time every group-node master allocates one
-//!   inbound *landing ring* per peer group node and the handles are
-//!   exchanged like registered memory, so any master can put into any
-//!   peer's ring with no per-call address traffic (contrast the
-//!   large-broadcast protocol, which exchanges user-buffer addresses
-//!   every call).
+//! * **An address-exchange registry** ([`PairwiseState`]): when a
+//!   communicator compiles its first pairwise shape every group-node
+//!   master allocates one inbound *landing ring* per peer group node
+//!   and the handles are exchanged like registered memory, so any
+//!   master can put into any peer's ring with no per-call address
+//!   traffic (contrast the large-broadcast protocol, which exchanges
+//!   user-buffer addresses every call).
 //! * **Per-pair counter families** ([`rma::CounterFamily`]): one data
 //!   counter and one credit counter per ordered `(src, dst)` group-node
 //!   pair, so each of the `n·(n-1)` concurrent streams synchronizes
@@ -33,8 +33,8 @@
 //! The pieces above implement the **staged** route. Above
 //! [`SrmTuning::pairwise_direct_min`](crate::SrmTuning) the planner
 //! resolves [`SegmentRoute::Direct`] instead (see [`crate::route`]):
-//! a per-call address exchange over the per-communicator `pair_addr`
-//! slots, then one rendezvous put per remote peer straight into its
+//! a per-call address exchange over the registry's address slots,
+//! then one rendezvous put per remote peer straight into its
 //! user buffer (alltoall/alltoallv) or per-call scratch region
 //! (reduce-scatter), completion-counted by the `direct`
 //! [`rma::CounterFamily`] — skipping the rings, the credits and their
@@ -89,17 +89,19 @@ use crate::plan::{
 use crate::route::{RouteClass, SegmentRoute};
 use crate::smp::{plan_acc_to_user, plan_stage_acc};
 use crate::tuning::SrmTuning;
-use crate::world::SrmComm;
+use crate::world::{CommGroup, SrmComm, WorldInner};
 use rma::{CounterFamily, LapiCounter};
 use shmem::ShmBuffer;
-use simnet::{NodeId, SimHandle};
+use simnet::{NodeId, SimVar};
+use std::sync::Arc;
 
-/// The setup-time registry of the pairwise exchange subsystem: every
-/// group node's inbound landing rings plus the two per-communicator
-/// per-pair counter families. Built once per communicator (by
-/// [`SrmWorld::new`](crate::SrmWorld) for the world, by `comm_create`
-/// for subgroups) over the group's node count, exactly like
-/// registered-memory handles exchanged at initialization.
+/// The registry of the pairwise exchange subsystem: every group
+/// node's inbound landing rings, the per-communicator per-pair counter
+/// families and the direct route's address slots. Everything in it
+/// grows with nodes² or ranks² and no tree collective uses any of it,
+/// so a communicator builds it — whole, for every member, like
+/// registered-memory handles exchanged at initialization — when its
+/// first pairwise shape is compiled ([`SrmComm::pairwise`]).
 pub struct PairwiseState {
     window: usize,
     chunk: usize,
@@ -118,10 +120,48 @@ pub struct PairwiseState {
     /// `src`'s direct puts into `dst`'s user or scratch buffer. The
     /// receiver's consuming waits drain it back to zero every call.
     direct: CounterFamily,
+    /// Per-call address-exchange slots of the direct route:
+    /// `addr[owner][sender]` holds the buffer handle comm rank `sender`
+    /// shipped to comm rank `owner` (taken by the owner's address-take
+    /// step; the CL_ADDR ordering class keeps slots from being overrun
+    /// across calls). Rows are shared with the members' AM handlers.
+    addr: Vec<Arc<Vec<SimVar<Option<ShmBuffer>>>>>,
+    /// AM id of that exchange, registered on **every** member rank —
+    /// direct-route puts are rank-to-rank, not master-to-master.
+    am_addr: u32,
 }
 
 impl PairwiseState {
-    pub(crate) fn new(handle: &SimHandle, nodes: usize, ranks: usize, tuning: &SrmTuning) -> Self {
+    pub(crate) fn new(world: &WorldInner, group: &CommGroup) -> Self {
+        let (handle, tuning) = (&world.handle, &world.tuning);
+        let (nodes, ranks) = (group.node_count(), group.len());
+        // Every member rank accepts handles, keyed by the sender's comm
+        // rank. A slot must be empty when a handle arrives — the
+        // CL_ADDR ordering class serializes the exchange across calls.
+        let am_addr = (3 + 3 * group.id()) as u32;
+        let crank_of_rank: Arc<Vec<Option<usize>>> = Arc::new(
+            (0..world.topo.nprocs())
+                .map(|r| group.comm_rank_of(r))
+                .collect(),
+        );
+        let addr: Vec<Arc<Vec<SimVar<Option<ShmBuffer>>>>> = (0..ranks)
+            .map(|_| Arc::new((0..ranks).map(|_| handle.var(None)).collect()))
+            .collect();
+        for (c, row) in addr.iter().enumerate() {
+            let (row, cmap) = (row.clone(), crank_of_rank.clone());
+            let ep = world.rma.endpoint(group.ranks()[c]);
+            ep.register_handler(am_addr, move |hctx, msg| {
+                let src = cmap[msg.from].expect("sender is a group member");
+                assert!(
+                    row[src].with(|s| s.is_none()),
+                    "pairwise address slot overrun (sender comm rank {src})"
+                );
+                row[src].store(
+                    hctx,
+                    Some(msg.buf.expect("address exchange carries a handle")),
+                );
+            });
+        }
         PairwiseState {
             window: tuning.pairwise_window,
             chunk: tuning.pairwise_chunk,
@@ -140,7 +180,20 @@ impl PairwiseState {
             data: CounterFamily::new(handle, nodes, 0),
             free: CounterFamily::new(handle, nodes, tuning.pairwise_window as u64),
             direct: CounterFamily::new(handle, ranks, 0),
+            addr,
+            am_addr,
         }
+    }
+
+    /// Comm rank `owner`'s address slot for handles shipped by comm
+    /// rank `from`.
+    pub(crate) fn addr_slot(&self, owner: usize, from: usize) -> &SimVar<Option<ShmBuffer>> {
+        &self.addr[owner][from]
+    }
+
+    /// AM id of the direct route's address exchange.
+    pub(crate) fn am_addr(&self) -> u32 {
+        self.am_addr
     }
 
     /// The landing ring at group node `node` for the stream
@@ -299,7 +352,7 @@ impl SrmComm {
         from: (BufRef, Off),
         len: usize,
     ) {
-        let (w, w_geom) = (b.tuning().pairwise_window, self.tuning().pairwise_window);
+        let (w, w_geom) = (b.tuning().pairwise_window, self.pairwise().window());
         if w < w_geom {
             self.plan_credits_ge(b, e.dst, w_geom - w + 1);
         }
@@ -319,8 +372,10 @@ impl SrmComm {
         if nodes <= 1 {
             return;
         }
-        // Geometry: the ring/credit capacity the world was built with.
-        let w_geom = self.tuning().pairwise_window;
+        // Geometry: the ring/credit capacity of the registry, which
+        // this first look creates if no pairwise shape was compiled on
+        // the communicator before.
+        let w_geom = self.pairwise().window();
         // Decisions: the effective per-shape put size and window. Both
         // ends of every stream compile from the same shape, so they
         // agree on the ring slot grid `(r % w) * chunk`, which always
@@ -537,7 +592,7 @@ impl SrmComm {
             if xfer(s, me).is_some() {
                 b.push(Step::AddrSend {
                     to: self.cworld_of(s),
-                    am: self.comm.am_pair_addr,
+                    am: self.pairwise().am_addr(),
                     src: HandleSrc::User,
                 });
             }
@@ -759,7 +814,6 @@ impl SrmComm {
         // element size).
         let chunk = (b.tuning().pairwise_chunk & !7).max(8);
         let w = b.tuning().pairwise_window;
-        let w_geom = self.tuning().pairwise_window;
         let me = self.cnode();
         let my = self.cslot();
         let p = self.cslots_here();
@@ -795,7 +849,7 @@ impl SrmComm {
             for s in peers() {
                 b.push(Step::AddrSend {
                     to: self.cmaster_of(s),
-                    am: self.comm.am_pair_addr,
+                    am: self.pairwise().am_addr(),
                     src: HandleSrc::Scratch,
                 });
             }
@@ -894,7 +948,7 @@ impl SrmComm {
         if multi && my == 0 && !direct {
             for d in peers() {
                 if !pieces[d].is_empty() {
-                    self.plan_credits_ge(b, d, w_geom);
+                    self.plan_credits_ge(b, d, self.pairwise().window());
                 }
             }
         }

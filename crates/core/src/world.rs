@@ -6,6 +6,11 @@
 //! [`SrmWorld::comm_split`] gets its own group-relative boards, landing
 //! structures and pairwise registry, so collectives on disjoint groups
 //! never share a flag, counter or buffer.
+//!
+//! Setup builds what is linear in the group. What grows with a product
+//! of two group dimensions — a master's state toward each peer node
+//! ([`PeerLink`]), the pairwise registry — is created when first used,
+//! so building a world costs O(ranks) whatever it goes on to run.
 
 use crate::embed::{GroupEmbedding, TreeKind};
 use crate::pairwise::PairwiseState;
@@ -17,7 +22,7 @@ use shmem::{BufPair, FlagBank, ShmBuffer, SpinFlag};
 use simnet::{NodeId, Rank, Sim, SimHandle, SimVar, Topology};
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Shared-memory structures of one SMP node, used by every task on it.
 /// Allocated **per communicator**: a subgroup's board is sized by the
@@ -91,25 +96,37 @@ impl NodeBoard {
     }
 }
 
+/// One group node master's state toward one peer group node: a
+/// communicator has nodes² of these and a tree collective touches only
+/// its tree edges, so each is created on first use
+/// ([`InterState::peer`]).
+pub struct PeerLink {
+    /// Flow-control credits for my small-broadcast puts toward this
+    /// child node (init 1 per side; the child's zero-byte put restores
+    /// a credit when its landing side drains).
+    pub bcast_free: [LapiCounter; 2],
+    /// Landing buffers for this source node's pipelined-reduce puts.
+    pub reduce_landing: [ShmBuffer; 2],
+    /// Data counters for `reduce_landing`, bumped by the source's puts.
+    pub reduce_data: [LapiCounter; 2],
+    /// Credits for my reduce puts toward this destination node (init 1
+    /// per side; destination acks restore).
+    pub reduce_free: [LapiCounter; 2],
+    /// Address-exchange slot: the user-buffer handle this child's
+    /// master sent me for the large broadcast.
+    pub addr_slot: SimVar<Option<ShmBuffer>>,
+}
+
 /// Network-facing state of one node's master, addressable by the other
 /// masters (handles distributed at setup, like registered memory).
 /// Like [`NodeBoard`], allocated per communicator and indexed by
 /// **group node** numbers.
 pub struct InterState {
-    /// Flow-control credits for my small-broadcast puts toward each
-    /// child node (init 1 per side; the child's zero-byte put restores
-    /// a credit when its landing side drains).
-    pub bcast_free: Vec<[LapiCounter; 2]>,
-    /// Per-source-node landing buffers for pipelined-reduce puts.
-    pub reduce_landing: Vec<[ShmBuffer; 2]>,
-    /// Data counters for `reduce_landing`, bumped by the source's puts.
-    pub reduce_data: Vec<[LapiCounter; 2]>,
-    /// Credits for my reduce puts toward each destination node (init 1
-    /// per side; destination acks restore).
-    pub reduce_free: Vec<[LapiCounter; 2]>,
-    /// Address-exchange slots: the user-buffer handle a child master
-    /// sent me for the large broadcast, indexed by child node.
-    pub addr_slot: Vec<SimVar<Option<ShmBuffer>>>,
+    /// Per-peer-node state, each link created when first resolved — by
+    /// the engine's cell resolvers or by the address AM handler.
+    peers: Vec<OnceLock<PeerLink>>,
+    handle: SimHandle,
+    reduce_chunk: usize,
     /// Cumulative counter of large-broadcast chunks landed in my user
     /// buffer.
     pub large_data: LapiCounter,
@@ -139,29 +156,10 @@ pub struct InterState {
 impl InterState {
     fn new(handle: &SimHandle, nodes: usize, tuning: &SrmTuning) -> Self {
         let rounds = usize::BITS as usize - nodes.leading_zeros() as usize + 1;
-        let pair_counters = |init: u64| -> Vec<[LapiCounter; 2]> {
-            (0..nodes)
-                .map(|_| {
-                    [
-                        LapiCounter::new(handle, init),
-                        LapiCounter::new(handle, init),
-                    ]
-                })
-                .collect()
-        };
         InterState {
-            bcast_free: pair_counters(1),
-            reduce_landing: (0..nodes)
-                .map(|_| {
-                    [
-                        ShmBuffer::new(tuning.reduce_chunk),
-                        ShmBuffer::new(tuning.reduce_chunk),
-                    ]
-                })
-                .collect(),
-            reduce_data: pair_counters(0),
-            reduce_free: pair_counters(1),
-            addr_slot: (0..nodes).map(|_| handle.var(None)).collect(),
+            peers: (0..nodes).map(|_| OnceLock::new()).collect(),
+            handle: handle.clone(),
+            reduce_chunk: tuning.reduce_chunk,
             large_data: LapiCounter::new(handle, 0),
             rd_landing: (0..rounds)
                 .map(|_| ShmBuffer::new(tuning.allreduce_rd_max))
@@ -175,6 +173,20 @@ impl InterState {
             bar_round: (0..rounds).map(|_| LapiCounter::new(handle, 0)).collect(),
             gs_root: handle.var(None),
         }
+    }
+
+    /// My state toward peer group node `g`.
+    pub fn peer(&self, g: usize) -> &PeerLink {
+        self.peers[g].get_or_init(|| {
+            let pair = |init| [0, 1].map(|_| LapiCounter::new(&self.handle, init));
+            PeerLink {
+                bcast_free: pair(1),
+                reduce_landing: [0, 1].map(|_| ShmBuffer::new(self.reduce_chunk)),
+                reduce_data: pair(0),
+                reduce_free: pair(1),
+                addr_slot: self.handle.var(None),
+            }
+        })
     }
 }
 
@@ -335,35 +347,27 @@ impl CommGroup {
 
 /// Everything one communicator owns: its group, its per-node boards and
 /// landing structures (indexed by **group node**), its pairwise
-/// exchange registry, and its pair of AM handler ids.
+/// exchange registry, and its AM handler ids.
 pub(crate) struct CommState {
     pub group: CommGroup,
     pub boards: Vec<Arc<NodeBoard>>,
     pub inter: Vec<Arc<InterState>>,
-    pub pairwise: PairwiseState,
+    /// Created, for the whole group, when the first member compiles a
+    /// pairwise shape ([`SrmComm::pairwise`]).
+    pub pairwise: OnceLock<PairwiseState>,
     pub am_addr_xchg: u32,
     pub am_gs_addr: u32,
-    /// Per-call pairwise address-exchange slots for the **direct
-    /// route**: `pair_addr[owner][sender]` holds the buffer handle comm
-    /// rank `sender` shipped to comm rank `owner` (taken by the owner's
-    /// address-take step; the CL_ADDR ordering class keeps slots from
-    /// being overrun across calls). Rows are `Arc`-shared with the
-    /// per-member AM handlers.
-    pub pair_addr: Vec<Arc<Vec<SimVar<Option<ShmBuffer>>>>>,
-    /// AM id of the pairwise address exchange (registered on **every**
-    /// member rank — direct-route puts are rank-to-rank, not
-    /// master-to-master).
-    pub am_pair_addr: u32,
     /// Per-member protocol sequence cells and plan cache (comm rank →
     /// seat), shared by every handle clone of that member.
     pub seats: Vec<Arc<CommSeat>>,
 }
 
 impl CommState {
-    /// Allocate the full substrate for `group`: one board per group
-    /// node sized by that node's member count, inter-node state sized
-    /// by the group's node count, a group-local pairwise registry, and
-    /// the comm-scoped AM handlers on every group master.
+    /// Allocate what is linear in `group`: one board per group node
+    /// sized by that node's member count, one [`InterState`] per group
+    /// node, the seats, and the comm-scoped AM handlers on every group
+    /// master. What grows with a *product* of group dimensions — the
+    /// per-peer links, the pairwise registry — waits for its first use.
     fn new(
         handle: &SimHandle,
         rma: &RmaWorld,
@@ -380,7 +384,6 @@ impl CommState {
             .collect();
         let am_addr_xchg = (1 + 3 * group.id()) as u32;
         let am_gs_addr = (2 + 3 * group.id()) as u32;
-        let am_pair_addr = (3 + 3 * group.id()) as u32;
         // Address-exchange handlers on every group master: store the
         // sending master's handle in the slot for its **group** node.
         let gnode_of_rank: Arc<Vec<Option<usize>>> = Arc::new(
@@ -395,7 +398,7 @@ impl CommState {
             ep.register_handler(am_addr_xchg, move |hctx, msg| {
                 let src_gnode = gmap[msg.from].expect("sender is a group member");
                 let buf = msg.buf.expect("address exchange carries a handle");
-                my_inter.addr_slot[src_gnode].store(hctx, Some(buf));
+                my_inter.peer(src_gnode).addr_slot.store(hctx, Some(buf));
             });
             let my_inter = node_inter.clone();
             ep.register_handler(am_gs_addr, move |hctx, msg| {
@@ -403,32 +406,6 @@ impl CommState {
                 my_inter.gs_root.store(hctx, Some(buf));
             });
         }
-        // Direct-route pairwise address exchange: every member rank
-        // (not just masters) accepts handles, keyed by the sender's
-        // comm rank. A slot must be empty when a handle arrives — the
-        // CL_ADDR ordering class serializes the exchange across calls.
-        let crank_of_rank: Arc<Vec<Option<usize>>> =
-            Arc::new((0..topo.nprocs()).map(|r| group.comm_rank_of(r)).collect());
-        let pair_addr: Vec<Arc<Vec<SimVar<Option<ShmBuffer>>>>> = (0..group.len())
-            .map(|_| Arc::new((0..group.len()).map(|_| handle.var(None)).collect()))
-            .collect();
-        for (c, row) in pair_addr.iter().enumerate() {
-            let ep = rma.endpoint(group.ranks()[c]);
-            let row = row.clone();
-            let cmap = crank_of_rank.clone();
-            ep.register_handler(am_pair_addr, move |hctx, msg| {
-                let src = cmap[msg.from].expect("sender is a group member");
-                assert!(
-                    row[src].with(|s| s.is_none()),
-                    "pairwise address slot overrun (sender comm rank {src})"
-                );
-                row[src].store(
-                    hctx,
-                    Some(msg.buf.expect("address exchange carries a handle")),
-                );
-            });
-        }
-        let pairwise = PairwiseState::new(handle, gnodes, group.len(), tuning);
         let seats = (0..group.len())
             .map(|_| Arc::new(CommSeat::new(tuning.plan_cache_cap)))
             .collect();
@@ -440,11 +417,9 @@ impl CommState {
             group,
             boards,
             inter,
-            pairwise,
+            pairwise: OnceLock::new(),
             am_addr_xchg,
             am_gs_addr,
-            pair_addr,
-            am_pair_addr,
             seats,
         })
     }
@@ -627,7 +602,7 @@ impl SrmWorld {
     /// Create a subgroup communicator over `ranks` (caller order =
     /// comm rank order; no duplicates). Returns one [`SrmComm`] handle
     /// per member, in the same order. The group gets its own boards,
-    /// landing structures, pairwise registry and AM handler pair, so
+    /// landing structures, pairwise registry and AM handler ids, so
     /// collectives on disjoint groups share no protocol state.
     ///
     /// Call during setup (before `Sim::run`), like [`SrmWorld::new`].
@@ -911,12 +886,6 @@ impl SrmComm {
         self.comm.group.ranks()[c]
     }
 
-    /// My direct-route address-exchange slot for handles shipped by
-    /// comm rank `from`.
-    pub(crate) fn pair_addr_slot(&self, from: usize) -> &SimVar<Option<ShmBuffer>> {
-        &self.comm.pair_addr[self.crank][from]
-    }
-
     /// My group node's shared-memory board.
     pub fn board(&self) -> &NodeBoard {
         &self.comm.boards[self.gnode]
@@ -927,10 +896,16 @@ impl SrmComm {
         &self.comm.inter[g]
     }
 
-    /// This communicator's pairwise exchange registry (landing rings
-    /// and per-pair counter families; see [`crate::pairwise`]).
+    /// This communicator's pairwise exchange registry (landing rings,
+    /// per-pair counter families and address slots; see
+    /// [`crate::pairwise`]), created for the whole group by the first
+    /// call on any member. The pairwise planners call it while they
+    /// compile, so every member's address handler is registered before
+    /// any member can execute an address send.
     pub fn pairwise(&self) -> &PairwiseState {
-        &self.comm.pairwise
+        self.comm
+            .pairwise
+            .get_or_init(|| PairwiseState::new(&self.world, &self.comm.group))
     }
 
     /// The RMA endpoint (exposed for tests and extensions).
@@ -961,5 +936,69 @@ impl SrmComm {
             self.shared.pending.lock().expect("queue poisoned").len()
         );
         self.rma.shutdown(ctx);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use collops::{Collectives, DType, ReduceOp};
+    use simnet::MachineConfig;
+
+    /// SimVars `SrmWorld::new` allocates for `topo`.
+    fn vars_allocated_by_new(topo: Topology) -> u64 {
+        let mut sim = Sim::new(MachineConfig::ibm_sp_colony());
+        let before = sim.handle().var(()).wait_key();
+        let _world = SrmWorld::new(&mut sim, topo, SrmTuning::default());
+        sim.handle().var(()).wait_key() - before - 1
+    }
+
+    #[test]
+    fn construction_allocates_simvars_linear_in_ranks() {
+        // Per rank 3 in `rma` and 13 on its board; per node 10 plus 3
+        // per barrier / recursive-doubling round (6 rounds at 16 nodes,
+        // 8 at 64). The two P² tables alone were 131 072 at 16x16.
+        assert_eq!(
+            vars_allocated_by_new(Topology::new(16, 16)),
+            256 * 16 + 16 * 28
+        );
+        assert_eq!(
+            vars_allocated_by_new(Topology::new(64, 16)),
+            1024 * 16 + 64 * 34
+        );
+    }
+
+    #[test]
+    fn tree_collectives_create_no_pairwise_state_and_only_tree_edge_links() {
+        let topo = Topology::new(8, 2);
+        let mut sim = Sim::new(MachineConfig::ibm_sp_colony());
+        let world = SrmWorld::new(&mut sim, topo, SrmTuning::default());
+        for rank in 0..topo.nprocs() {
+            let comm = world.comm(rank);
+            sim.spawn(format!("rank{rank}"), move |ctx| {
+                let buf = comm.alloc_buffer(256 << 10);
+                comm.barrier(&ctx);
+                for len in [64, 256 << 10] {
+                    comm.broadcast(&ctx, &buf, len, 0);
+                    comm.reduce(&ctx, &buf, len, DType::U64, ReduceOp::Max, 0);
+                    comm.allreduce(&ctx, &buf, len, DType::U64, ReduceOp::Max);
+                }
+                comm.shutdown(&ctx);
+            });
+        }
+        sim.run().expect("simulation completes");
+        let comm = &world.inner.world_comm;
+        assert!(comm.pairwise.get().is_none());
+        let edges: Vec<(NodeId, NodeId)> = (comm.group.embedding().inter_edges().iter())
+            .map(|&(parent, child)| (topo.node_of(parent), topo.node_of(child)))
+            .collect();
+        assert_eq!(edges.len(), 7);
+        for a in 0..8 {
+            for b in 0..8 {
+                let linked = comm.inter[a].peers[b].get().is_some();
+                let edge = edges.contains(&(a, b)) || edges.contains(&(b, a));
+                assert_eq!(linked, edge, "link {a} -> {b}");
+            }
+        }
     }
 }

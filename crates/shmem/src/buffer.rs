@@ -12,7 +12,7 @@
 //! makes unsynchronized access deterministic rather than undefined, so
 //! protocol races show up as stable, debuggable wrong answers in tests.
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use simnet::Ctx;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -30,31 +30,48 @@ fn end_within(what: &str, off: usize, len: usize, cap: usize) -> usize {
 }
 
 /// Fixed-capacity shared byte buffer.
+///
+/// The bytes are allocated by the first data access, not by
+/// [`ShmBuffer::new`]: a world sizes every landing, contribution and
+/// ring buffer for the largest call it could be asked for, and most
+/// are never touched. An unwritten buffer reads as zeros either way.
 #[derive(Clone)]
 pub struct ShmBuffer {
+    /// Fixed at creation and kept beside the `Arc`, so bounds checks
+    /// (one per put) take no lock.
+    cap: usize,
+    /// Empty until the first data access, `cap` bytes from then on.
     data: Arc<Mutex<Vec<u8>>>,
 }
 
 impl ShmBuffer {
-    /// Allocate `capacity` zeroed bytes of shared memory.
+    /// `capacity` zeroed bytes of shared memory.
     pub fn new(capacity: usize) -> Self {
         ShmBuffer {
-            data: Arc::new(Mutex::new(vec![0u8; capacity])),
+            cap: capacity,
+            data: Arc::new(Mutex::new(Vec::new())),
         }
+    }
+
+    /// The bytes, allocated (zeroed) on the first call.
+    fn bytes(&self) -> MutexGuard<'_, Vec<u8>> {
+        let mut data = self.data.lock();
+        if data.len() != self.cap {
+            *data = vec![0u8; self.cap];
+        }
+        data
     }
 
     /// Capacity in bytes.
     pub fn capacity(&self) -> usize {
-        self.data.lock().len()
+        self.cap
     }
 
     /// Does the range `[offset, offset + len)` lie within this buffer?
     /// Overflow-safe; `rma` bounds-checks every put with it at issue,
     /// before the bytes travel to a remotely-supplied buffer handle.
     pub fn fits(&self, offset: usize, len: usize) -> bool {
-        offset
-            .checked_add(len)
-            .is_some_and(|end| end <= self.capacity())
+        offset.checked_add(len).is_some_and(|end| end <= self.cap)
     }
 
     /// `true` when `other` is a clone of this buffer, i.e. both handles
@@ -72,22 +89,16 @@ impl ShmBuffer {
     /// If the write would run past the buffer's capacity (fixed shared
     /// segments do not grow).
     pub fn write(&self, ctx: &Ctx, offset: usize, src: &[u8], streams: usize) {
-        {
-            let mut data = self.data.lock();
-            let end = end_within("write", offset, src.len(), data.len());
-            data[offset..end].copy_from_slice(src);
-        }
+        let end = end_within("write", offset, src.len(), self.cap);
+        self.bytes()[offset..end].copy_from_slice(src);
         self.charge_copy(ctx, src.len(), streams);
     }
 
     /// Copy `dst.len()` bytes out of the buffer starting at `offset`,
     /// charging the copy cost for `streams` concurrent streams.
     pub fn read(&self, ctx: &Ctx, offset: usize, dst: &mut [u8], streams: usize) {
-        {
-            let data = self.data.lock();
-            let end = end_within("read", offset, dst.len(), data.len());
-            dst.copy_from_slice(&data[offset..end]);
-        }
+        let end = end_within("read", offset, dst.len(), self.cap);
+        dst.copy_from_slice(&self.bytes()[offset..end]);
         self.charge_copy(ctx, dst.len(), streams);
     }
 
@@ -95,12 +106,12 @@ impl ShmBuffer {
     /// charged separately (e.g. a reduction that reads two operands and
     /// writes one result charges `reduce_cost`, not three copies).
     pub fn with<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
-        f(&self.data.lock())
+        f(&self.bytes())
     }
 
     /// Mutate the contents without cost (see [`ShmBuffer::with`]).
     pub fn with_mut<R>(&self, f: impl FnOnce(&mut [u8]) -> R) -> R {
-        f(&mut self.data.lock())
+        f(&mut self.bytes())
     }
 
     /// Copy `len` bytes from `self[src_off..]` into `dst[dst_off..]`
@@ -114,17 +125,13 @@ impl ShmBuffer {
     /// # Panics
     /// If either range runs past its buffer's capacity.
     pub fn copy_to(&self, src_off: usize, dst: &ShmBuffer, dst_off: usize, len: usize) {
+        let src_end = end_within("copy source", src_off, len, self.cap);
+        let dst_end = end_within("copy destination", dst_off, len, dst.cap);
         if self.same_storage(dst) {
-            let mut data = self.data.lock();
-            let src_end = end_within("copy source", src_off, len, data.len());
-            end_within("copy destination", dst_off, len, data.len());
-            data.copy_within(src_off..src_end, dst_off);
+            self.bytes().copy_within(src_off..src_end, dst_off);
         } else {
-            let from = self.data.lock();
-            let mut to = dst.data.lock();
-            let src_end = end_within("copy source", src_off, len, from.len());
-            let dst_end = end_within("copy destination", dst_off, len, to.len());
-            to[dst_off..dst_end].copy_from_slice(&from[src_off..src_end]);
+            let from = self.bytes();
+            dst.bytes()[dst_off..dst_end].copy_from_slice(&from[src_off..src_end]);
         }
     }
 
@@ -268,5 +275,73 @@ mod tests {
     fn capacity_reported() {
         let buf = ShmBuffer::new(4096);
         assert_eq!(buf.capacity(), 4096);
+    }
+
+    /// Have the bytes been allocated yet?
+    fn allocated(buf: &ShmBuffer) -> bool {
+        buf.data.lock().capacity() != 0
+    }
+
+    #[test]
+    fn capacity_fits_same_storage_and_clone_do_not_allocate() {
+        let buf = ShmBuffer::new(4096);
+        let other = ShmBuffer::new(4096);
+        assert_eq!(buf.capacity(), 4096);
+        assert!(buf.fits(4000, 96) && !buf.fits(4000, 97));
+        let twin = buf.clone();
+        assert!(buf.same_storage(&twin) && !buf.same_storage(&other));
+        assert!(!allocated(&buf) && !allocated(&other));
+        // The first data access through either handle allocates for both.
+        twin.with_mut(|d| d[7] = 7);
+        assert!(allocated(&buf) && !allocated(&other));
+        assert_eq!(buf.with(|d| (d.len(), d[7])), (4096, 7));
+    }
+
+    #[test]
+    fn unwritten_buffer_reads_as_zeros() {
+        assert!(ShmBuffer::new(48).with(|d| d.len() == 48 && d.iter().all(|&b| b == 0)));
+        // As a copy source, over bytes that were not zero before.
+        let dst = counting(16);
+        ShmBuffer::new(48).copy_to(40, &dst, 4, 8);
+        dst.with(|d| assert_eq!(d, [0, 1, 2, 3, 0, 0, 0, 0, 0, 0, 0, 0, 12, 13, 14, 15]));
+        // And through the costed read.
+        let mut s = Sim::new(MachineConfig::uniform_test());
+        s.spawn("lp", move |ctx| {
+            let mut out = [0xffu8; 8];
+            ShmBuffer::new(48).read(&ctx, 40, &mut out, 1);
+            assert_eq!(out, [0u8; 8]);
+        });
+        s.run().unwrap();
+    }
+
+    #[test]
+    fn out_of_bounds_on_an_unwritten_buffer_names_its_offsets_and_allocates_nothing() {
+        let buf = ShmBuffer::new(16);
+        let overrun = |f: &dyn Fn()| {
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+            *caught.unwrap_err().downcast::<String>().unwrap()
+        };
+        assert_eq!(
+            overrun(&|| buf.copy_to(12, &ShmBuffer::new(64), 0, 8)),
+            "shm copy source out of bounds: offset 12 + len 8 > capacity 16"
+        );
+        assert_eq!(
+            overrun(&|| ShmBuffer::new(64).copy_to(0, &buf, 10, 8)),
+            "shm copy destination out of bounds: offset 10 + len 8 > capacity 16"
+        );
+        assert!(!allocated(&buf));
+    }
+
+    #[test]
+    fn zero_capacity_buffer_is_valid() {
+        let (a, b) = (ShmBuffer::new(0), ShmBuffer::new(0));
+        assert_eq!(a.capacity(), 0);
+        assert!(a.fits(0, 0) && !a.fits(0, 1));
+        assert!(a.with(|d| d.is_empty()));
+        a.with_mut(|d| assert!(d.is_empty()));
+        a.copy_to(0, &b, 0, 0);
+        a.copy_to(0, &a.clone(), 0, 0);
+        assert!(!a.same_storage(&b));
+        assert!(!allocated(&a) && !allocated(&b));
     }
 }

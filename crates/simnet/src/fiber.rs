@@ -17,18 +17,27 @@
 //! # Why the `unsafe` is sound
 //!
 //! * **One host thread per `Sim`.** Fibers are created, resumed and
-//!   unmapped by the thread inside [`Sim::run`](crate::Sim::run), and
+//!   dropped by the thread inside [`Sim::run`](crate::Sim::run), and
 //!   they suspend through a [`Ctx`](crate::Ctx), which is neither
 //!   `Send` nor `Sync` and refuses to act for an LP that is not the
 //!   one holding the turn. So a saved stack pointer is only installed
 //!   on the thread that saved it, while its stack is mapped, and each
-//!   save is resumed at most once. No fiber state lives in statics or
-//!   thread-locals; concurrent `Sim`s on different threads share
+//!   save is resumed at most once.
+//! * **A listed stack holds no live context.** A dropped fiber's
+//!   mapping, guard region intact, goes to a free list local to its
+//!   thread, which [`Fiber::new`] draws from before it maps, and which
+//!   is unmapped when the thread exits: a world after the first of its
+//!   size on a thread pays no `mmap`, `mprotect`, `munmap` or
+//!   first-touch fault. The saved stack pointer dies with the `Fiber`,
+//!   so nothing can resume into a listed stack; whatever its abandoned
+//!   frames left behind is dead bytes, overwritten by the next initial
+//!   frame. Only the owning thread ever sees the list (a `Fiber` is not
+//!   `Send`), so concurrent `Sim`s on different threads still share
 //!   nothing.
 //! * **No guard across a switch.** The kernel drops its scheduler
 //!   `MutexGuard` before every `switch` and re-locks after, so no lock
 //!   is held by a suspended context.
-//! * **The entry frame owns nothing.** A fiber's stack is unmapped
+//! * **The entry frame owns nothing.** A fiber's stack is given up
 //!   without running destructors, so by the time an LP switches out
 //!   for the last time its entry function holds only borrows of data
 //!   owned by `Sim::run`; everything the LP owned was dropped when its
@@ -40,6 +49,7 @@
 //!   stack base. The base holds a null return address (and a null
 //!   frame pointer), which is also where backtraces end.
 
+use std::cell::RefCell;
 use std::ffi::c_void;
 use std::ptr;
 
@@ -78,6 +88,78 @@ extern "C" {
 /// [`switch`] away that is never answered.
 pub(crate) type Entry = unsafe extern "C" fn(arg: *mut u8, from: *mut u8) -> !;
 
+/// Bytes per mapping: the guard region, then the stack above it.
+const MAP_BYTES: usize = GUARD_BYTES + STACK_BYTES;
+
+/// Mappings of this thread's dropped fibers, lowest addresses, for its
+/// next fibers to run on (see the module docs).
+struct StackList {
+    free: Vec<*mut u8>,
+    /// Where the thread's exit reports how many mappings it returned.
+    #[cfg(test)]
+    unmapped_at_exit: Option<std::sync::Arc<std::sync::atomic::AtomicUsize>>,
+}
+
+thread_local! {
+    static STACKS: RefCell<StackList> = const {
+        RefCell::new(StackList {
+            free: Vec::new(),
+            #[cfg(test)]
+            unmapped_at_exit: None,
+        })
+    };
+}
+
+impl Drop for StackList {
+    fn drop(&mut self) {
+        for &base in &self.free {
+            // SAFETY: a listed mapping was made by `map_stack` and its
+            // fiber is gone: nothing refers into it.
+            unsafe { munmap(base.cast(), MAP_BYTES) };
+        }
+        #[cfg(test)]
+        if let Some(count) = &self.unmapped_at_exit {
+            count.fetch_add(self.free.len(), std::sync::atomic::Ordering::SeqCst);
+        }
+    }
+}
+
+/// Map a stack with its guard region below it; returns the lowest
+/// address of the mapping.
+///
+/// # Panics
+/// If the kernel refuses the mapping (address space or
+/// `vm.max_map_count` exhausted) — the fiber equivalent of a failed
+/// thread spawn.
+fn map_stack() -> *mut u8 {
+    // SAFETY: an anonymous private mapping at an address of the
+    // kernel's choosing aliases nothing; the result is checked.
+    let base = unsafe {
+        mmap(
+            ptr::null_mut(),
+            MAP_BYTES,
+            PROT_READ_WRITE,
+            MAP_PRIVATE | MAP_ANONYMOUS,
+            -1,
+            0,
+        )
+    };
+    assert!(
+        base.addr() != usize::MAX, // MAP_FAILED
+        "mmap of a fiber stack failed: {}",
+        std::io::Error::last_os_error()
+    );
+    // SAFETY: the guard region is the low end of the mapping just
+    // made, page-aligned at both ends.
+    let rc = unsafe { mprotect(base, GUARD_BYTES, PROT_NONE) };
+    assert!(
+        rc == 0,
+        "mprotect of a fiber guard region failed: {}",
+        std::io::Error::last_os_error()
+    );
+    base.cast()
+}
+
 /// A suspended execution context on a stack of its own.
 pub(crate) struct Fiber {
     /// Lowest address of the mapping (the guard region comes first).
@@ -87,50 +169,22 @@ pub(crate) struct Fiber {
 }
 
 impl Fiber {
-    /// Map a stack and lay out its first frame so that the first
-    /// [`Fiber::resume`] enters `entry(arg, resumer's stack pointer)`.
+    /// Take a stack off this thread's free list, or map one, and lay
+    /// out its first frame so that the first [`Fiber::resume`] enters
+    /// `entry(arg, resumer's stack pointer)`.
     ///
     /// # Panics
-    /// If the kernel refuses the mapping (address space or
-    /// `vm.max_map_count` exhausted) — the fiber equivalent of a
-    /// failed thread spawn.
+    /// If a stack has to be mapped and the kernel refuses.
     pub(crate) fn new(entry: Entry, arg: *mut u8) -> Fiber {
-        let len = GUARD_BYTES + STACK_BYTES;
-        // SAFETY: an anonymous private mapping at an address of the
-        // kernel's choosing aliases nothing; the result is checked.
-        let base = unsafe {
-            mmap(
-                ptr::null_mut(),
-                len,
-                PROT_READ_WRITE,
-                MAP_PRIVATE | MAP_ANONYMOUS,
-                -1,
-                0,
-            )
-        };
-        assert!(
-            base.addr() != usize::MAX, // MAP_FAILED
-            "mmap of a fiber stack failed: {}",
-            std::io::Error::last_os_error()
-        );
-        let base = base.cast::<u8>();
-        let mut fiber = Fiber {
-            base,
-            sp: ptr::null_mut(),
-        };
-        // SAFETY: the guard region is the low end of the mapping just
-        // made, page-aligned at both ends.
-        let rc = unsafe { mprotect(base.cast(), GUARD_BYTES, PROT_NONE) };
-        assert!(
-            rc == 0,
-            "mprotect of a fiber guard region failed: {}",
-            std::io::Error::last_os_error()
-        );
-        // SAFETY: `top` is one past the end of the mapping, 16-byte
+        let base = STACKS
+            .with_borrow_mut(|stacks| stacks.free.pop())
+            .unwrap_or_else(map_stack);
+        // SAFETY: the top is one past the end of the mapping, 16-byte
         // aligned because mappings are page-aligned; the frame written
-        // below it lies inside the writable part.
-        fiber.sp = unsafe { initial_frame(base.add(len), entry, arg) };
-        fiber
+        // below it lies inside the writable part, which no context
+        // uses (a fresh mapping, or a dropped fiber's).
+        let sp = unsafe { initial_frame(base.add(MAP_BYTES), entry, arg) };
+        Fiber { base, sp }
     }
 
     /// Run this fiber on the calling thread until it switches back.
@@ -150,11 +204,29 @@ impl Fiber {
 
 impl Drop for Fiber {
     fn drop(&mut self) {
-        // SAFETY: exactly the mapping made in `new`. Frames still on
-        // the stack are abandoned, not unwound; the kernel makes sure
-        // they own nothing (see the module docs).
-        unsafe { munmap(self.base.cast(), GUARD_BYTES + STACK_BYTES) };
+        // Frames still on the stack are abandoned, not unwound; the
+        // kernel makes sure they own nothing (see the module docs).
+        let listed = STACKS.try_with(|stacks| stacks.borrow_mut().free.push(self.base));
+        if listed.is_err() {
+            // The thread is exiting and its list is already gone.
+            // SAFETY: exactly the mapping `new` took or made.
+            unsafe { munmap(self.base.cast(), MAP_BYTES) };
+        }
     }
+}
+
+/// Stacks on the calling thread's free list: with no fiber alive, every
+/// mapping the thread has made.
+#[cfg(test)]
+pub(crate) fn stacks_listed() -> usize {
+    STACKS.with_borrow(|stacks| stacks.free.len())
+}
+
+/// Have the calling thread add to `count`, when it exits, the number
+/// of listed stacks it unmapped.
+#[cfg(test)]
+pub(crate) fn report_unmapped_at_exit(count: std::sync::Arc<std::sync::atomic::AtomicUsize>) {
+    STACKS.with_borrow_mut(|stacks| stacks.unmapped_at_exit = Some(count));
 }
 
 /// The frame a first [`switch`] into a new stack pops, as 8-byte slot

@@ -1270,7 +1270,13 @@ mod tests {
         let threads: Vec<_> = (0..2)
             .map(|_| {
                 let meet = meet.clone();
-                std::thread::spawn(move || world(meet))
+                std::thread::spawn(move || {
+                    let report = world(meet);
+                    // Each thread mapped its own 32 stacks and got all
+                    // of them back: the free lists are independent.
+                    assert_eq!(fiber::stacks_listed(), 32);
+                    report
+                })
             })
             .collect();
         let reports: Vec<Report> = threads.into_iter().map(|t| t.join().unwrap()).collect();
@@ -1280,6 +1286,69 @@ mod tests {
         assert_eq!(a.metrics, b.metrics);
         assert_eq!(a.plan_by_comm, b.plan_by_comm);
         assert_eq!(a.tune_by_comm, b.tune_by_comm);
+    }
+
+    /// Run `f` on a thread of its own, whose stack list starts empty.
+    fn on_fresh_thread<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> R {
+        std::thread::spawn(f)
+            .join()
+            .expect("the thread's assertions hold")
+    }
+
+    /// `n` LPs that each take a few turns.
+    fn run_idle_world(n: u64) {
+        let mut s = sim();
+        for i in 0..n {
+            s.spawn(format!("lp{i}"), move |ctx| {
+                ctx.advance(SimTime::from_ns(i % 7 + 1));
+                ctx.advance(SimTime::from_ns(3));
+            });
+        }
+        s.run().unwrap();
+    }
+
+    #[test]
+    fn back_to_back_sims_on_one_thread_map_stacks_once() {
+        // Every mapping ends up on the idle thread's list, so a list
+        // that has not grown means the run mapped nothing.
+        on_fresh_thread(|| {
+            run_idle_world(40);
+            assert_eq!(fiber::stacks_listed(), 40);
+            run_idle_world(40);
+            assert_eq!(fiber::stacks_listed(), 40);
+            // A larger world maps only the difference.
+            run_idle_world(48);
+            assert_eq!(fiber::stacks_listed(), 48);
+        });
+    }
+
+    #[test]
+    fn aborted_runs_return_every_stack_and_the_next_sim_runs_clean_on_them() {
+        on_fresh_thread(|| {
+            for panics in [false, true] {
+                let (result, dropped) = abort_with_suspended_waiters(panics);
+                assert!(result.is_err());
+                assert_eq!(dropped, 8);
+                // The stacks come back only after every suspended LP was
+                // unwound on its own: 8 waiters, plus the one that panics.
+                assert_eq!(fiber::stacks_listed(), 8 + usize::from(panics));
+            }
+            // Stacks that last held an unwound wait and a caught panic.
+            run_idle_world(9);
+            assert_eq!(fiber::stacks_listed(), 9);
+        });
+    }
+
+    #[test]
+    fn a_thread_that_ran_a_sim_unmaps_its_list_when_it_exits() {
+        let unmapped = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let count = unmapped.clone();
+        on_fresh_thread(move || {
+            fiber::report_unmapped_at_exit(count);
+            run_idle_world(24);
+            run_idle_world(24);
+        });
+        assert_eq!(unmapped.load(Ordering::SeqCst), 24);
     }
 
     #[test]

@@ -245,7 +245,12 @@ fn run_rank(
     };
     init(&buf);
 
-    let counts = ragged_counts(nprocs, len);
+    // P² entries per rank: only for the one op that reads them.
+    let counts = if op == Op::Alltoallv {
+        ragged_counts(nprocs, len)
+    } else {
+        Vec::new()
+    };
     let one_call = |ctx: &simnet::Ctx| match op {
         Op::Bcast => coll.broadcast(ctx, &buf, len, 0),
         Op::Reduce => coll.reduce(ctx, &buf, len, DType::F64, ReduceOp::Sum, 0),

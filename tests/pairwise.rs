@@ -200,3 +200,129 @@ fn rabenseifner_allreduce_matches_pipeline() {
         assert_eq!(&r[..len], &expect[..], "wrong reduction on rank {rank}");
     }
 }
+
+// --- First use -------------------------------------------------------
+//
+// The pairwise registry (rings, counter families, address slots and
+// the per-member address handlers) is created when a communicator
+// compiles its first pairwise shape. These are the orderings in which
+// that first compile could come too late for a peer's address send.
+
+/// The 64 KB per-pair segment that takes the direct route by default.
+const DIRECT_LEN: usize = 64 * 1024;
+
+/// What member `me` of an `n`-member alltoall must hold afterwards:
+/// its own send half untouched, then segment `i` of the receive half
+/// from member `i`. `world_of` maps a member to the rank whose
+/// [`send_half`] it sent.
+fn alltoall_expect(me: usize, n: usize, len: usize, world_of: impl Fn(usize) -> usize) -> Vec<u8> {
+    let mut want = send_half(world_of(me), n, len);
+    for i in 0..n {
+        want.extend_from_slice(&send_half(world_of(i), n, len)[me * len..(me + 1) * len]);
+    }
+    want
+}
+
+/// (a) blocking and (c) nonblocking: the first pairwise call of a
+/// world is a direct-route alltoall.
+#[test]
+fn first_pairwise_call_of_a_world_takes_the_direct_route() {
+    let topo = Topology::new(3, 2);
+    let n = topo.nprocs();
+    for nonblocking in [false, true] {
+        let (got, m) = run_with_metrics(
+            topo,
+            SrmTuning::default(),
+            2 * n * DIRECT_LEN,
+            move |rank| send_half(rank, n, DIRECT_LEN),
+            move |ctx, comm, buf| {
+                if nonblocking {
+                    let req = comm.ialltoall(ctx, buf, DIRECT_LEN);
+                    comm.wait(ctx, req);
+                } else {
+                    comm.alltoall(ctx, buf, DIRECT_LEN);
+                }
+            },
+        );
+        // One put per ordered remote pair, as pinned above.
+        assert_eq!(m.pairwise_direct_puts, 24, "nonblocking: {nonblocking}");
+        assert_eq!(m.pairwise_puts, 0);
+        for (rank, buf) in got.iter().enumerate() {
+            assert!(
+                buf == &alltoall_expect(rank, n, DIRECT_LEN, |c| c),
+                "rank {rank} (nonblocking: {nonblocking})"
+            );
+        }
+    }
+}
+
+/// (b) The first pairwise call anywhere is on `comm_split`
+/// sub-communicators; the world communicator only ever runs barriers.
+#[test]
+fn first_pairwise_call_on_a_split_communicator() {
+    let topo = Topology::new(3, 2);
+    let n = topo.nprocs();
+    let mut sim = Sim::new(MachineConfig::ibm_sp_colony());
+    let world = SrmWorld::new(&mut sim, topo, SrmTuning::default());
+    // Parity groups: one member per node, three nodes each.
+    let colors: Vec<i64> = (0..n).map(|r| (r % 2) as i64).collect();
+    let subs = world.comm_split(&colors, &vec![0; n]);
+    let out = Arc::new(Mutex::new(vec![Vec::new(); n]));
+    for (rank, sub) in subs.into_iter().enumerate() {
+        let sub = sub.expect("every rank has a color");
+        let comm = world.comm(rank);
+        let out = out.clone();
+        sim.spawn(format!("rank{rank}"), move |ctx| {
+            let gn = sub.size();
+            let buf = sub.alloc_buffer(2 * gn * DIRECT_LEN);
+            let image = send_half(rank, gn, DIRECT_LEN);
+            buf.with_mut(|d| d[..image.len()].copy_from_slice(&image));
+            comm.barrier(&ctx);
+            sub.alltoall(&ctx, &buf, DIRECT_LEN);
+            comm.barrier(&ctx);
+            out.lock().unwrap()[rank] = buf.with(|d| d.to_vec());
+            comm.shutdown(&ctx);
+        });
+    }
+    let report = sim.run().expect("simulation completes");
+    // Two groups of three single-member nodes: 3 x 2 puts each.
+    assert_eq!(report.metrics.pairwise_direct_puts, 12);
+    assert_eq!(report.metrics.pairwise_puts, 0);
+    for (rank, buf) in out.lock().unwrap().iter().enumerate() {
+        let want = alltoall_expect(rank / 2, 3, DIRECT_LEN, |c| 2 * c + rank % 2);
+        assert!(buf == &want, "rank {rank}");
+    }
+}
+
+/// (d) The first pairwise call is a direct-route reduce_scatter, whose
+/// scratch handles travel over the same address AM.
+#[test]
+fn first_pairwise_call_is_a_direct_reduce_scatter() {
+    let topo = Topology::new(3, 2);
+    let n = topo.nprocs();
+    let elems = DIRECT_LEN / 8;
+    let contribs: Vec<Vec<u8>> = (0..n)
+        .map(|r| {
+            let words: Vec<u64> = (0..n * elems)
+                .map(|i| (r * 6007 + i * 13 + 1) as u64)
+                .collect();
+            collops::to_bytes_u64(&words)
+        })
+        .collect();
+    let expect = reference_reduce(DType::U64, ReduceOp::Sum, &contribs);
+    let (got, m) = run_with_metrics(
+        topo,
+        SrmTuning::default(),
+        n * DIRECT_LEN,
+        move |rank| contribs[rank].clone(),
+        move |ctx, comm, buf| comm.reduce_scatter(ctx, buf, DIRECT_LEN, DType::U64, ReduceOp::Sum),
+    );
+    // Each master streams its 2 x 64 KB block for either peer node in
+    // 16 KB pieces: 3 masters x 2 peers x 8 pieces.
+    assert_eq!(m.pairwise_direct_puts, 48);
+    assert_eq!(m.pairwise_puts, 0);
+    for (rank, buf) in got.iter().enumerate() {
+        let seg = rank * DIRECT_LEN..(rank + 1) * DIRECT_LEN;
+        assert!(buf[seg.clone()] == expect[seg], "rank {rank}");
+    }
+}
