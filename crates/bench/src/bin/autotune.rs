@@ -20,7 +20,7 @@
 //!
 //! ```sh
 //! cargo run --release -p srm-bench --bin autotune -- \
-//!     --nodes 4 --tasks 4 --out bench_results/tuned_4x4.txt --check
+//!     --nodes 4 --tasks 4 --out tuned_4x4.txt --check
 //! ```
 
 use collops::{Collectives, DType, ReduceOp};

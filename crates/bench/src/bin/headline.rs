@@ -4,7 +4,7 @@
 //! - SRM allreduce outperforms MPI_Allreduce by 30%-73%
 //! - SRM barrier outperforms MPI_Barrier by 73% on 256 processors
 //!
-//! This binary recomputes the bands from the cached sweeps.
+//! This binary measures the three sweeps and computes the bands.
 
 use srm_bench::{improvement_band, sweep, sweep_barrier};
 use srm_cluster::{Impl, Op};

@@ -1,21 +1,19 @@
 //! Sweep driver and reporting for the per-figure benchmark binaries.
 //!
-//! Every figure binary runs (or loads from the CSV cache under
-//! `bench_results/`) a **sweep**: the full grid of message sizes ×
-//! processor counts × implementations for one collective, measured in
-//! virtual time by the root crate's harness. Figures 6–8 print the
-//! absolute series; Figures 9–11 print the `T_SRM/T_MPI` ratios from
-//! the same data; Figure 12 sweeps processor counts for the barrier.
+//! Every figure binary runs a **sweep**: the full grid of message
+//! sizes × processor counts × implementations for one collective,
+//! measured in virtual time by the root crate's harness. Each of the
+//! `fig06`–`fig08` binaries prints the absolute series (Figures 6–8)
+//! and the `T_SRM/T_MPI` ratios of the same sweep (Figures 9–11);
+//! Figure 12 sweeps processor counts for the barrier.
 //!
 //! Environment:
 //! * `SRM_BENCH_FAST=1` — coarse grid (fewer sizes, fewer processor
-//!   counts, fewer iterations); used by CI and `cargo bench` smoke runs.
-//! * `SRM_BENCH_NO_CACHE=1` — ignore and overwrite the CSV cache.
+//!   counts, fewer iterations); used by CI's smoke run.
 
 use simnet::{MachineConfig, SimTime, Topology};
 use srm_cluster::{measure, HarnessOpts, Impl, Op};
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
 /// One measured point of a sweep.
 #[derive(Clone, Debug)]
@@ -81,31 +79,8 @@ pub fn iters_for(len: usize) -> usize {
     }
 }
 
-/// Run (or load) the full sweep for `op`.
+/// Measure the full sweep for `op`.
 pub fn sweep(op: Op) -> Sweep {
-    let cache = cache_path(op);
-    if std::env::var("SRM_BENCH_NO_CACHE")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-    {
-        let s = run_sweep(op);
-        save(&cache, &s);
-        return s;
-    }
-    if let Some(s) = load(&cache) {
-        eprintln!(
-            "[cache] loaded {} points from {}",
-            s.points.len(),
-            cache.display()
-        );
-        return s;
-    }
-    let s = run_sweep(op);
-    save(&cache, &s);
-    s
-}
-
-fn run_sweep(op: Op) -> Sweep {
     let machine = MachineConfig::ibm_sp_colony();
     let mut points = Vec::new();
     for topo in proc_grid() {
@@ -303,52 +278,6 @@ pub fn print_ratio_panels(title: &str, s: &Sweep) {
     }
 }
 
-// ---------------------------------------------------------------------
-// CSV cache
-// ---------------------------------------------------------------------
-
-fn cache_path(op: Op) -> PathBuf {
-    let dir = PathBuf::from("bench_results");
-    let _ = std::fs::create_dir_all(&dir);
-    dir.join(format!(
-        "{}{}.csv",
-        op.name(),
-        if fast_mode() { "_fast" } else { "" }
-    ))
-}
-
-fn save(path: &PathBuf, s: &Sweep) {
-    let mut out = String::from("impl,nprocs,bytes,us\n");
-    for p in &s.points {
-        let _ = writeln!(out, "{},{},{},{}", p.imp.name(), p.nprocs, p.len, p.us);
-    }
-    if let Err(e) = std::fs::write(path, out) {
-        eprintln!("[cache] could not write {}: {e}", path.display());
-    }
-}
-
-fn load(path: &PathBuf) -> Option<Sweep> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let mut points = Vec::new();
-    for line in text.lines().skip(1) {
-        let mut f = line.split(',');
-        let name = f.next()?;
-        let imp = match name {
-            "SRM" => Impl::Srm,
-            "IBM MPI" => Impl::IbmMpi,
-            "MPICH" => Impl::Mpich,
-            _ => return None,
-        };
-        points.push(Point {
-            imp,
-            nprocs: f.next()?.parse().ok()?,
-            len: f.next()?.parse().ok()?,
-            us: f.next()?.parse().ok()?,
-        });
-    }
-    Some(Sweep { points })
-}
-
 /// Improvement band `(min%, max%)` of SRM over `base` across a sweep:
 /// `100 - ratio`, i.e. "SRM outperforms by X%".
 pub fn improvement_band(s: &Sweep, base: Impl) -> (f64, f64) {
@@ -395,33 +324,6 @@ mod tests {
     fn iters_scale_down_with_size() {
         assert!(iters_for(8) >= iters_for(1 << 20));
         assert!(iters_for(1 << 20) >= iters_for(8 << 20));
-    }
-
-    #[test]
-    fn csv_roundtrip() {
-        let s = Sweep {
-            points: vec![
-                Point {
-                    imp: Impl::Srm,
-                    nprocs: 16,
-                    len: 8,
-                    us: 12.5,
-                },
-                Point {
-                    imp: Impl::IbmMpi,
-                    nprocs: 16,
-                    len: 8,
-                    us: 30.0,
-                },
-            ],
-        };
-        let path = std::env::temp_dir().join("srm_bench_csv_roundtrip.csv");
-        save(&path, &s);
-        let loaded = load(&path).expect("loads back");
-        assert_eq!(loaded.points.len(), 2);
-        assert_eq!(loaded.get(Impl::Srm, 16, 8), Some(12.5));
-        assert_eq!(loaded.get(Impl::IbmMpi, 16, 8), Some(30.0));
-        let _ = std::fs::remove_file(path);
     }
 
     #[test]

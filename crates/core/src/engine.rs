@@ -27,14 +27,14 @@
 //! own predecessors.
 
 use crate::plan::{
-    AddrSlot, BufRef, CopyCost, CtrRef, FlagRef, HandleSrc, Off, PairSel, Plan, PlanKey, SeqBase,
-    Side, Step, Until, Val, WaitCell, SEQ_BASES,
+    BufRef, Chan, ChanKind, CopyCost, CtrRef, FlagRef, HandleSrc, Off, PairSel, Plan, PlanKey,
+    SeqBase, Side, Step, Until, Val, WaitCell, SEQ_BASES,
 };
-use crate::world::SrmComm;
+use crate::world::{Channel, HandleSlot, SrmComm};
 use collops::{combine_from_buffer_costed, DType, ReduceOp};
 use rma::{LapiCounter, Rma};
 use shmem::{BufPair, ShmBuffer, SpinFlag};
-use simnet::{Ctx, SimVar};
+use simnet::Ctx;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -86,29 +86,30 @@ pub(crate) fn flag_of(comm: &SrmComm, f: FlagRef) -> &SpinFlag {
     }
 }
 
+/// Resolve a channel operand to its stored state — the one place that
+/// knows where each family keeps its channels and what its lane means.
+/// Every channel lives with its receiver.
+pub(crate) fn chan_of<'a>(comm: &'a SrmComm, bases: &[u64; SEQ_BASES], c: Chan) -> &'a Channel {
+    let parity = |base: SeqBase| ((bases[base.index()] + c.lane as u64) % 2) as usize;
+    match c.kind {
+        ChanKind::Bcast => &comm.peer(c.dst, c.src).bcast[parity(SeqBase::Landing)],
+        ChanKind::Reduce => &comm.peer(c.dst, c.src).reduce[parity(SeqBase::Reduce)],
+        ChanKind::Rd => &comm.inter(c.dst).rd[c.lane as usize],
+        ChanKind::Fold => &comm.inter(c.dst).fold,
+        ChanKind::Ring => comm.pairwise().ring(c.src, c.dst),
+    }
+}
+
 pub(crate) fn ctr_of<'a>(
     comm: &'a SrmComm,
     bases: &[u64; SEQ_BASES],
     c: CtrRef,
 ) -> &'a LapiCounter {
-    let lpar = |rel| ((bases[SeqBase::Landing.index()] + rel) % 2) as usize;
-    let rpar = |rel| ((bases[SeqBase::Reduce.index()] + rel) % 2) as usize;
     match c {
-        CtrRef::LandingData { node, rel } => &comm.comm.boards[node].landing_data[lpar(rel)],
-        CtrRef::BcastFree { node, child, rel } => {
-            &comm.inter(node).peer(child).bcast_free[lpar(rel)]
-        }
-        CtrRef::ReduceData { node, src, rel } => &comm.inter(node).peer(src).reduce_data[rpar(rel)],
-        CtrRef::ReduceFree { node, dst, rel } => &comm.inter(node).peer(dst).reduce_free[rpar(rel)],
+        CtrRef::Data(ch) => &chan_of(comm, bases, ch).data,
+        CtrRef::Free(ch) => &chan_of(comm, bases, ch).free,
         CtrRef::LargeData { node } => &comm.inter(node).large_data,
-        CtrRef::RdData { node, round } => &comm.inter(node).rd_data[round],
-        CtrRef::RdFree { node, round } => &comm.inter(node).rd_free[round],
-        CtrRef::FoldData { node } => &comm.inter(node).fold_data,
-        CtrRef::FoldFree { node } => &comm.inter(node).fold_free,
-        CtrRef::UnfoldData { node } => &comm.inter(node).unfold_data,
         CtrRef::BarRound { node, round } => &comm.inter(node).bar_round[round],
-        CtrRef::PairwiseData { node, src } => comm.pairwise().data(src, node),
-        CtrRef::PairwiseFree { node, dst } => comm.pairwise().free(node, dst),
         CtrRef::PairwiseDirect { src, dst } => comm.pairwise().direct(src, dst),
     }
 }
@@ -119,29 +120,18 @@ pub(crate) fn buf_of<'a>(
     comm: &'a SrmComm,
     bases: &[u64; SEQ_BASES],
     user: &'a ShmBuffer,
-    child_bufs: &'a [ShmBuffer],
-    root_buf: &'a Option<ShmBuffer>,
+    taken: &'a [ShmBuffer],
     scratch: &'a Option<ShmBuffer>,
     r: BufRef,
 ) -> &'a ShmBuffer {
-    let rpar = |rel| ((bases[SeqBase::Reduce.index()] + rel) % 2) as usize;
     match r {
         BufRef::User => user,
         BufRef::Acc => panic!("accumulator is not an addressable buffer"),
-        BufRef::Smp { side } => comm.board().smp.buf(side_of(bases, side)),
-        BufRef::Landing { node, side } => comm.comm.boards[node].landing.buf(side_of(bases, side)),
+        BufRef::Pair { pair, side } => pair_of(comm, pair).buf(side_of(bases, side)),
         BufRef::Contrib { slot } => &comm.board().contrib[slot],
         BufRef::Xfer => &comm.board().xfer,
-        BufRef::ReduceLanding { node, src, rel } => {
-            &comm.inter(node).peer(src).reduce_landing[rpar(rel)]
-        }
-        BufRef::RdLanding { node, round } => &comm.inter(node).rd_landing[round],
-        BufRef::FoldLanding { node } => &comm.inter(node).fold_landing,
-        BufRef::PairwiseRing { node, src } => comm.pairwise().ring(node, src),
-        BufRef::ChildUser { idx } => &child_bufs[idx],
-        BufRef::RootUser => root_buf
-            .as_ref()
-            .expect("root user-buffer handle not captured yet"),
+        BufRef::Chan(ch) => &chan_of(comm, bases, ch).landing,
+        BufRef::Taken { idx } => &taken[idx],
         BufRef::Scratch => scratch
             .as_ref()
             .expect("scratch not allocated (missing ScratchAlloc)"),
@@ -158,10 +148,9 @@ pub(crate) struct CallState {
     pub(crate) bases: [u64; SEQ_BASES],
     /// Operator scratch ([`BufRef::Acc`]).
     pub(crate) acc: Vec<u8>,
-    /// Handles captured by [`Step::AddrTake`], in take order.
-    pub(crate) child_bufs: Vec<ShmBuffer>,
-    /// Handle captured from [`AddrSlot::Root`]/[`AddrSlot::Board`].
-    pub(crate) root_buf: Option<ShmBuffer>,
+    /// Handles captured by [`Step::AddrTake`], in take order
+    /// ([`BufRef::Taken`]).
+    pub(crate) taken: Vec<ShmBuffer>,
     /// Per-call scratch allocated by [`Step::ScratchAlloc`]
     /// ([`BufRef::Scratch`]); dies with the call.
     pub(crate) scratch: Option<ShmBuffer>,
@@ -182,8 +171,7 @@ impl CallState {
         CallState {
             bases,
             acc: Vec::new(),
-            child_bufs: Vec::new(),
-            root_buf: None,
+            taken: Vec::new(),
             scratch: None,
             skip_advance,
             stalled: false,
@@ -214,15 +202,14 @@ pub(crate) enum Watch<'a> {
         consume: bool,
         credit: bool,
     },
-    /// An address mailbox fills. AM-fed slots park *inside a LAPI call*
+    /// A mailbox slot fills. AM-fed slots park *inside a LAPI call*
     /// (like the counter waits): with interrupts disabled the
     /// dispatcher only delivers that AM to a polling target, so a task
-    /// parked outside a call would deadlock the exchange. The board
-    /// slot is filled through shared memory and needs no call.
+    /// parked outside a call would deadlock the exchange. A slot a task
+    /// on my node fills through shared memory needs no call.
     Slot {
-        var: &'a SimVar<Option<ShmBuffer>>,
+        var: HandleSlot,
         in_call: Option<&'a Rma>,
-        label: &'static str,
     },
 }
 
@@ -271,31 +258,16 @@ impl SrmComm {
                         ctr: ctr_of(self, bases, c),
                         value,
                         consume,
-                        credit: consume && matches!(c, CtrRef::PairwiseFree { .. }),
+                        credit: consume
+                            && matches!(c, CtrRef::Free(ch) if ch.kind == ChanKind::Ring),
                     },
                     WaitCell::Pair { .. } => panic!("a pair cell waits for a pair use"),
                 }
             }
-            Step::AddrTake { slot } => {
-                let inter = self.inter(self.cnode());
-                let (var, in_call, label) = match slot {
-                    AddrSlot::Child(c) => {
-                        (&inter.peer(c).addr_slot, true, "child user-buffer address")
-                    }
-                    AddrSlot::Peer(from) => (
-                        self.pairwise().addr_slot(self.crank(), from),
-                        true,
-                        "pairwise peer address",
-                    ),
-                    AddrSlot::Root => (&inter.gs_root, true, "gather root address"),
-                    AddrSlot::Board => (&self.board().gs_addr, false, "gather root address"),
-                };
-                Watch::Slot {
-                    var,
-                    in_call: in_call.then_some(&self.rma),
-                    label,
-                }
-            }
+            Step::AddrTake { from } => Watch::Slot {
+                var: self.comm.mailbox.slot(self.crank(), from),
+                in_call: (self.cnode_of(from) != self.cnode()).then_some(&self.rma),
+            },
             _ => return None,
         })
     }
@@ -318,7 +290,7 @@ impl Watch<'_> {
                 }
             }),
             Watch::Counter { ctr, value, .. } => ctr.peek() >= value,
-            Watch::Slot { var, .. } => var.with(|s| s.is_some()),
+            Watch::Slot { ref var, .. } => var.with(|s| s.is_some()),
         }
     }
 
@@ -343,7 +315,7 @@ impl Watch<'_> {
         match *self {
             Watch::Flags { flags, .. } => out.extend(flags.iter().map(SpinFlag::wait_key)),
             Watch::Counter { ctr, .. } => out.push(ctr.wait_key()),
-            Watch::Slot { var, .. } => out.push(var.wait_key()),
+            Watch::Slot { ref var, .. } => out.push(var.wait_key()),
         }
     }
 
@@ -385,15 +357,11 @@ impl Watch<'_> {
                 }
                 None
             }
-            Watch::Slot {
-                var,
-                in_call,
-                label,
-            } => {
+            Watch::Slot { ref var, in_call } => {
                 if let Some(rma) = in_call {
                     rma.begin_call(ctx);
                 }
-                let taken = var.wait_take(ctx, label, |s| s.take());
+                let taken = var.wait_take(ctx, "peer buffer address", |s| s.take());
                 if let Some(rma) = in_call {
                     rma.end_call(ctx);
                 }
@@ -529,8 +497,7 @@ impl SrmComm {
         let bases = st.bases;
         let skip_advance = st.skip_advance;
         let acc = &mut st.acc;
-        let child_bufs = &mut st.child_bufs;
-        let root_buf = &mut st.root_buf;
+        let taken = &st.taken;
         let scratch = &mut st.scratch;
         let metrics = ctx.metrics();
         if self.tuning().trace_steps {
@@ -551,8 +518,7 @@ impl SrmComm {
                     metrics.engine_copy_steps.fetch_add(1, Ordering::Relaxed);
                     let so = off_of(&bases, src_off);
                     let dofs = off_of(&bases, dst_off);
-                    let resolve =
-                        |r: BufRef| buf_of(self, &bases, buf, child_bufs, root_buf, scratch, r);
+                    let resolve = |r: BufRef| buf_of(self, &bases, buf, taken, scratch, r);
                     // One pass over the bytes, charged once: as a read
                     // out of shared memory or a write into it; the
                     // private side of either rides along, and operator
@@ -585,7 +551,7 @@ impl SrmComm {
                         reduce.expect("plan reduces but the call carries no operator");
                     debug_assert_eq!(acc.len(), len);
                     let so = off_of(&bases, src_off);
-                    let src = buf_of(self, &bases, buf, child_bufs, root_buf, scratch, src);
+                    let src = buf_of(self, &bases, buf, taken, scratch, src);
                     combine_from_buffer_costed(ctx, dtype, op, acc, src, so);
                 }
                 Step::FlagRaise { flag, val } => {
@@ -606,15 +572,10 @@ impl SrmComm {
                     flag_of(self, flag).fetch_add(ctx, n);
                 }
                 Step::Wait { .. } | Step::AddrTake { .. } => {
-                    let taken = self
+                    let handle = self
                         .watch(st, step)
                         .and_then(|w| w.block(ctx, &mut st.stalled));
-                    match *step {
-                        Step::AddrTake {
-                            slot: AddrSlot::Root | AddrSlot::Board,
-                        } => st.root_buf = taken,
-                        _ => st.child_bufs.extend(taken),
-                    }
+                    st.taken.extend(handle);
                 }
                 Step::PairPublish { pair, side } => {
                     pair_of(self, pair).publish_from(ctx, seq_of(&bases, side), self.cslot());
@@ -636,7 +597,7 @@ impl SrmComm {
                     ctr,
                 } => {
                     metrics.engine_put_steps.fetch_add(1, Ordering::Relaxed);
-                    if matches!(dst, BufRef::PairwiseRing { .. }) {
+                    if matches!(dst, BufRef::Chan(ch) if ch.kind == ChanKind::Ring) {
                         metrics.pairwise_puts.fetch_add(1, Ordering::Relaxed);
                     }
                     if matches!(ctr, Some(CtrRef::PairwiseDirect { .. })) {
@@ -644,8 +605,8 @@ impl SrmComm {
                     }
                     let so = off_of(&bases, src_off);
                     let dofs = off_of(&bases, dst_off);
-                    let src = buf_of(self, &bases, buf, child_bufs, root_buf, scratch, src);
-                    let dst = buf_of(self, &bases, buf, child_bufs, root_buf, scratch, dst);
+                    let src = buf_of(self, &bases, buf, taken, scratch, src);
+                    let dst = buf_of(self, &bases, buf, taken, scratch, dst);
                     let ctr = ctr.map(|c| ctr_of(self, &bases, c));
                     self.rma.put(ctx, to, src, so, len, dst, dofs, ctr);
                 }
@@ -653,24 +614,23 @@ impl SrmComm {
                     metrics.engine_put_steps.fetch_add(1, Ordering::Relaxed);
                     self.rma.put_counter(ctx, to, ctr_of(self, &bases, ctr));
                 }
-                Step::AddrSend { to, am, src } => {
+                Step::AddrSend { to, src } => {
                     metrics.engine_put_steps.fetch_add(1, Ordering::Relaxed);
-                    let handle = match src {
-                        HandleSrc::User => buf.clone(),
-                        HandleSrc::RootUser => root_buf
-                            .clone()
-                            .expect("root user-buffer handle not captured yet"),
-                        HandleSrc::Scratch => scratch
-                            .clone()
-                            .expect("scratch not allocated (missing ScratchAlloc)"),
+                    let src = match src {
+                        HandleSrc::User => BufRef::User,
+                        HandleSrc::Taken { idx } => BufRef::Taken { idx },
+                        HandleSrc::Scratch => BufRef::Scratch,
                     };
-                    self.rma.am(ctx, to, am, Vec::new(), Some(handle));
+                    let handle = buf_of(self, &bases, buf, taken, scratch, src).clone();
+                    self.rma
+                        .am(ctx, to, self.comm.am_addr, Vec::new(), Some(handle));
                 }
                 Step::ScratchAlloc { len } => {
                     *scratch = Some(ShmBuffer::new(len));
                 }
                 Step::BoardAddrPut => {
-                    self.board().gs_addr.store(ctx, Some(buf.clone()));
+                    let (mailbox, master) = (&self.comm.mailbox, self.crank_at(self.cnode(), 0));
+                    mailbox.deposit(ctx, master, self.crank(), buf.clone());
                 }
                 Step::Advance { base, by } => {
                     // Nonblocking issue already relocated the live cells

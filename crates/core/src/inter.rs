@@ -46,14 +46,13 @@
 
 use crate::embed::{self, TreeKind};
 use crate::plan::{
-    AddrSlot, BufRef, CopyCost, CtrRef, FlagRef, HandleSrc, Off, PairSel, PlanBuilder, SeqBase,
-    Side, Step, Until, Val, WaitCell,
+    BufRef, Chan, ChanKind, CopyCost, CtrRef, FlagRef, HandleSrc, Off, PairSel, PlanBuilder,
+    SeqBase, Side, Step, Until, Val, WaitCell,
 };
 use crate::smp::{plan_acc_to_user, plan_stage_acc, plan_xfer_consume, plan_xfer_produce};
 use crate::tuning::SrmTuning;
 use crate::world::SrmComm;
 use shmem::PairUse;
-use simnet::NodeId;
 
 pub(crate) fn seq(base: SeqBase, rel: u64) -> Val {
     Val::Seq { base, rel }
@@ -117,107 +116,6 @@ impl GroupTree {
     }
 }
 
-/// One flow-controlled master-to-master channel (§2.3, Figure 4): the
-/// sender spends a credit from `free` (held at its node), puts into
-/// `landing` at the receiver and bumps `data` there; the receiver
-/// consumes `data` and, once the landing is reusable, returns the
-/// credit with a zero-byte put.
-#[derive(Clone, Copy)]
-pub(crate) struct Edge {
-    /// Sending group node (holds `free`).
-    pub(crate) src: NodeId,
-    /// Receiving group node (owns `landing` and `data`).
-    pub(crate) dst: NodeId,
-    /// The sender's credit counter.
-    pub(crate) free: CtrRef,
-    /// Where the puts land, and at which byte offset.
-    pub(crate) landing: BufRef,
-    pub(crate) off: Off,
-    /// The counter each put bumps at the receiver.
-    pub(crate) data: CtrRef,
-}
-
-impl Edge {
-    /// Broadcast edge parent `src` → child `dst`, landing-pair use `rel`.
-    fn bcast(src: NodeId, dst: NodeId, rel: u64) -> Edge {
-        Edge {
-            src,
-            dst,
-            free: CtrRef::BcastFree {
-                node: src,
-                child: dst,
-                rel,
-            },
-            landing: BufRef::Landing {
-                node: dst,
-                side: par(SeqBase::Landing, rel),
-            },
-            off: Off::Lit(0),
-            data: CtrRef::LandingData { node: dst, rel },
-        }
-    }
-
-    /// Reduce-landing edge `src` → `dst`, reduce chunk `rel`.
-    fn reduce(src: NodeId, dst: NodeId, rel: u64) -> Edge {
-        Edge {
-            src,
-            dst,
-            free: CtrRef::ReduceFree {
-                node: src,
-                dst,
-                rel,
-            },
-            landing: BufRef::ReduceLanding {
-                node: dst,
-                src,
-                rel,
-            },
-            off: Off::Lit(0),
-            data: CtrRef::ReduceData {
-                node: dst,
-                src,
-                rel,
-            },
-        }
-    }
-
-    /// Recursive-doubling edge of `round`.
-    fn rd(src: NodeId, dst: NodeId, round: usize) -> Edge {
-        Edge {
-            src,
-            dst,
-            free: CtrRef::RdFree { node: src, round },
-            landing: BufRef::RdLanding { node: dst, round },
-            off: Off::Lit(0),
-            data: CtrRef::RdData { node: dst, round },
-        }
-    }
-
-    /// Fold-in edge odd `src` → even `dst`.
-    fn fold(src: NodeId, dst: NodeId) -> Edge {
-        Edge {
-            src,
-            dst,
-            free: CtrRef::FoldFree { node: src },
-            landing: BufRef::FoldLanding { node: dst },
-            off: Off::Lit(0),
-            data: CtrRef::FoldData { node: dst },
-        }
-    }
-
-    /// Pairwise stream `src` → `dst`, ring slot at byte `off`.
-    pub(crate) fn ring(src: NodeId, dst: NodeId, off: usize) -> Edge {
-        Edge {
-            src,
-            dst,
-            free: CtrRef::PairwiseFree { node: src, dst },
-            landing: BufRef::PairwiseRing { node: dst, src },
-            off: Off::Lit(off),
-            data: CtrRef::PairwiseData { node: dst, src },
-        }
-    }
-}
-
 impl SrmComm {
     /// Re-synchronize my contribution channel with [`SeqBase::Reduce`].
     ///
@@ -260,53 +158,54 @@ impl SrmComm {
     // Master-to-master legs
     // ----------------------------------------------------------------
 
-    /// Sender leg of an [`Edge`]: spend a credit, put `len` bytes of
-    /// `from` into the receiver's landing, bump its data counter. With
-    /// `stage_acc` the accumulator is first laid down at `from` (the
-    /// operator's output stream) so the put has an addressable source.
+    /// Sender leg of channel `c`: spend a credit, put `len` bytes of
+    /// `from` at byte `at` of the receiver's landing, bump its data
+    /// counter. With `stage_acc` the accumulator is first laid down at
+    /// `from` (the operator's output stream) so the put has an
+    /// addressable source.
     pub(crate) fn plan_credit_put(
         &self,
         b: &mut PlanBuilder,
-        e: Edge,
+        (c, at): (Chan, usize),
         stage_acc: bool,
         from: (BufRef, Off),
         len: usize,
     ) {
-        b.wait_ctr(e.free, 1);
+        b.wait_ctr(CtrRef::Free(c), 1);
         if stage_acc {
             plan_stage_acc(b, from.0, from.1, len);
         }
         b.push(Step::RmaPut {
-            to: self.cmaster_of(e.dst),
+            to: self.cmaster_of(c.dst),
             src: from.0,
             src_off: from.1,
-            dst: e.landing,
-            dst_off: e.off,
+            dst: BufRef::Chan(c),
+            dst_off: Off::Lit(at),
             len,
-            ctr: Some(e.data),
+            ctr: Some(CtrRef::Data(c)),
         });
     }
 
-    /// Receiver leg of an [`Edge`], second half: the landing is
+    /// Receiver leg of channel `c`, second half: the landing is
     /// reusable — hand the credit back to the sender.
-    pub(crate) fn plan_credit_return(&self, b: &mut PlanBuilder, e: Edge) {
+    pub(crate) fn plan_credit_return(&self, b: &mut PlanBuilder, c: Chan) {
         b.push(Step::CounterPut {
-            to: self.cmaster_of(e.src),
-            ctr: e.free,
+            to: self.cmaster_of(c.src),
+            ctr: CtrRef::Free(c),
         });
     }
 
-    /// Receiver leg of an [`Edge`] whose payload is a reduce operand:
-    /// wait for the put, fold the landed chunk into the accumulator,
-    /// return the credit.
-    pub(crate) fn plan_fold_landed(&self, b: &mut PlanBuilder, e: Edge, len: usize) {
-        b.wait_ctr(e.data, 1);
+    /// Receiver leg of a channel whose payload is a reduce operand:
+    /// wait for the put, fold the chunk landed at byte `at` into the
+    /// accumulator, return the credit.
+    pub(crate) fn plan_fold_landed(&self, b: &mut PlanBuilder, (c, at): (Chan, usize), len: usize) {
+        b.wait_ctr(CtrRef::Data(c), 1);
         b.push(Step::LocalReduce {
-            src: e.landing,
-            src_off: e.off,
+            src: BufRef::Chan(c),
+            src_off: Off::Lit(at),
             len,
         });
-        self.plan_credit_return(b, e);
+        self.plan_credit_return(b, c);
     }
 
     /// Forward landing-pair use `rel` to every child node, honouring
@@ -318,19 +217,13 @@ impl SrmComm {
         rel: u64,
         clen: usize,
     ) {
-        let my_node = self.cnode();
-        let mine = BufRef::Landing {
-            node: my_node,
+        let mine = BufRef::Pair {
+            pair: PairSel::Landing,
             side: par(SeqBase::Landing, rel),
         };
         for &c in &tree.down {
-            self.plan_credit_put(
-                b,
-                Edge::bcast(my_node, c, rel),
-                false,
-                (mine, Off::Lit(0)),
-                clen,
-            );
+            let to = Chan::new(ChanKind::Bcast, self.cnode(), c, rel);
+            self.plan_credit_put(b, (to, 0), false, (mine, Off::Lit(0)), clen);
         }
     }
 
@@ -342,14 +235,16 @@ impl SrmComm {
     fn plan_tree_up(&self, b: &mut PlanBuilder, tree: &GroupTree, rel: u64, clen: usize) {
         let my_node = self.cnode();
         for c in tree.up() {
-            self.plan_fold_landed(b, Edge::reduce(c, my_node, rel), clen);
+            let from = Chan::new(ChanKind::Reduce, c, my_node, rel);
+            self.plan_fold_landed(b, (from, 0), clen);
         }
         if let Some(parent) = tree.parent() {
             let staging = (
                 BufRef::Contrib { slot: 0 },
                 poff(SeqBase::Reduce, rel, self.tuning().reduce_chunk),
             );
-            self.plan_credit_put(b, Edge::reduce(my_node, parent, rel), true, staging, clen);
+            let to = Chan::new(ChanKind::Reduce, my_node, parent, rel);
+            self.plan_credit_put(b, (to, 0), true, staging, clen);
         }
     }
 
@@ -368,9 +263,9 @@ impl SrmComm {
         marks: bool,
     ) {
         let parent = tree.parent().expect("non-root node has a parent");
-        let e = Edge::bcast(parent, self.cnode(), rel);
+        let from = Chan::new(ChanKind::Bcast, parent, self.cnode(), rel);
         let (pair, side) = (PairSel::Landing, par(SeqBase::Landing, rel));
-        b.wait_ctr(e.data, 1);
+        b.wait_ctr(CtrRef::Data(from), 1);
         if marks {
             b.push(Step::Trace("bcast:chunk-in"));
         }
@@ -382,7 +277,7 @@ impl SrmComm {
         if marks {
             b.push(Step::Trace("bcast:ack"));
         }
-        self.plan_credit_return(b, e);
+        self.plan_credit_return(b, from);
     }
 
     // ----------------------------------------------------------------
@@ -483,14 +378,13 @@ impl SrmComm {
             let parent = tree.parent().expect("non-root node has a parent");
             b.push(Step::AddrSend {
                 to: self.cmaster_of(parent),
-                am: self.comm.am_addr_xchg,
                 src: HandleSrc::User,
             });
         }
         let child_idx: Vec<(usize, usize)> = if master {
             tree.down
                 .iter()
-                .map(|&c| (c, b.take_addr(AddrSlot::Child(c))))
+                .map(|&c| (c, b.take_addr(self.crank_at(c, 0))))
                 .collect()
         } else {
             Vec::new()
@@ -504,7 +398,7 @@ impl SrmComm {
                     to: self.cmaster_of(c),
                     src: BufRef::User,
                     src_off: Off::Lit(coff),
-                    dst: BufRef::ChildUser { idx },
+                    dst: BufRef::Taken { idx },
                     dst_off: Off::Lit(coff),
                     len: cl,
                     ctr: Some(CtrRef::LargeData { node: c }),
@@ -714,43 +608,53 @@ impl SrmComm {
                 let newnode = if my >= 2 * rem {
                     Some(my - rem)
                 } else if my % 2 == 1 {
-                    self.plan_credit_put(b, Edge::fold(my, my - 1), true, staging, len);
+                    let to = Chan::new(ChanKind::Fold, my, my - 1, 0);
+                    self.plan_credit_put(b, (to, 0), true, staging, len);
                     None
                 } else {
-                    self.plan_fold_landed(b, Edge::fold(my + 1, my), len);
+                    let from = Chan::new(ChanKind::Fold, my + 1, my, 0);
+                    self.plan_fold_landed(b, (from, 0), len);
                     Some(my / 2)
                 };
 
                 if let Some(newnode) = newnode {
                     let mut mask = 1usize;
-                    let mut round = 0usize;
+                    let mut round = 0u64;
                     while mask < pof2 {
                         let pn = newnode ^ mask;
                         let partner = if pn < rem { pn * 2 } else { pn + rem };
-                        self.plan_credit_put(b, Edge::rd(my, partner, round), true, staging, len);
-                        self.plan_fold_landed(b, Edge::rd(partner, my, round), len);
+                        let to = Chan::new(ChanKind::Rd, my, partner, round);
+                        self.plan_credit_put(b, (to, 0), true, staging, len);
+                        let from = Chan::new(ChanKind::Rd, partner, my, round);
+                        self.plan_fold_landed(b, (from, 0), len);
                         mask <<= 1;
                         round += 1;
                     }
                 }
 
-                // Unfold: hand the result back to the folded-out nodes.
+                // Unfold: hand the result back to the folded-out nodes
+                // over the fold channel the other way. No credit: the
+                // odd node's fold-in of the next call follows its
+                // read, and the even node folds that in before it can
+                // put here again.
                 if my < 2 * rem {
                     if my.is_multiple_of(2) {
+                        let back = Chan::new(ChanKind::Fold, my, my + 1, 0);
                         plan_stage_acc(b, staging.0, staging.1, len);
                         b.push(Step::RmaPut {
                             to: self.cmaster_of(my + 1),
                             src: staging.0,
                             src_off: staging.1,
-                            dst: BufRef::FoldLanding { node: my + 1 },
+                            dst: BufRef::Chan(back),
                             dst_off: Off::Lit(0),
                             len,
-                            ctr: Some(CtrRef::UnfoldData { node: my + 1 }),
+                            ctr: Some(CtrRef::Data(back)),
                         });
                     } else {
-                        b.wait_ctr(CtrRef::UnfoldData { node: my }, 1);
+                        let back = Chan::new(ChanKind::Fold, my - 1, my, 0);
+                        b.wait_ctr(CtrRef::Data(back), 1);
                         b.push(Step::ShmCopy {
-                            src: BufRef::FoldLanding { node: my },
+                            src: BufRef::Chan(back),
                             src_off: Off::Lit(0),
                             dst: BufRef::Acc,
                             dst_off: Off::Lit(0),
@@ -919,7 +823,6 @@ impl SrmComm {
             for m in (0..nodes).filter(|&m| m != root_node) {
                 b.push(Step::AddrSend {
                     to: self.cmaster_of(m),
-                    am: self.comm.am_gs_addr,
                     src,
                 });
             }
@@ -980,10 +883,8 @@ impl SrmComm {
             // Root-node master (when it is not the root) forwards the
             // root's handle before contributing its own segment.
             if multi && my == 0 {
-                b.push(Step::AddrTake {
-                    slot: AddrSlot::Board,
-                });
-                send_root_addr(b, HandleSrc::RootUser);
+                let idx = b.take_addr(root);
+                send_root_addr(b, HandleSrc::Taken { idx });
             }
             contribute(b);
             if master_waits && my == 0 {
@@ -996,18 +897,17 @@ impl SrmComm {
                 });
             }
         } else if my == 0 {
-            // Remote master: learn the root's buffer, put my own
-            // segment, then relay every local slot's pieces.
-            b.push(Step::AddrTake {
-                slot: AddrSlot::Root,
-            });
+            // Remote master: learn the root's buffer from the root
+            // node's master, put my own segment, then relay every local
+            // slot's pieces.
+            let idx = b.take_addr(self.crank_at(root_node, 0));
             let put =
                 |b: &mut PlanBuilder, src: BufRef, src_off: Off, dst_off: usize, len: usize| {
                     b.push(Step::RmaPut {
                         to: self.cmaster_of(root_node),
                         src,
                         src_off,
-                        dst: BufRef::RootUser,
+                        dst: BufRef::Taken { idx },
                         dst_off: Off::Lit(dst_off),
                         len,
                         ctr: Some(CtrRef::LargeData { node: root_node }),
@@ -1163,7 +1063,8 @@ impl SrmComm {
             for (c, rel, xrel, roff, plen) in stream() {
                 let from = (BufRef::User, Off::Lit(roff));
                 if root_gslot == 0 {
-                    self.plan_credit_put(b, Edge::reduce(root_node, c, rel), false, from, plen);
+                    let to = Chan::new(ChanKind::Reduce, root_node, c, rel);
+                    self.plan_credit_put(b, (to, 0), false, from, plen);
                 } else {
                     plan_xfer_produce(b, xrel, chunk, from, plen);
                 }
@@ -1183,7 +1084,8 @@ impl SrmComm {
                 for (c, rel, xrel, _, plen) in stream() {
                     plan_xfer_consume(b, xrel, "xfer chunk ready", |b| {
                         let from = (BufRef::Xfer, poff(SeqBase::Xfer, xrel, chunk));
-                        self.plan_credit_put(b, Edge::reduce(root_node, c, rel), false, from, plen);
+                        let to = Chan::new(ChanKind::Reduce, root_node, c, rel);
+                        self.plan_credit_put(b, (to, 0), false, from, plen);
                     });
                 }
             }
@@ -1192,26 +1094,27 @@ impl SrmComm {
             // Destination-node master: land each piece, republish it on
             // the landing pair, return the credit, take my overlap.
             for (j, &(_, boff, plen)) in pieces[my_node].iter().enumerate() {
-                let e = Edge::reduce(root_node, my_node, rel0 + j as u64);
+                let from = Chan::new(ChanKind::Reduce, root_node, my_node, rel0 + j as u64);
+                let landed = (BufRef::Chan(from), Off::Lit(0));
                 let lrel = lrel0 + j as u64;
-                b.wait_ctr(e.data, 1);
+                b.wait_ctr(CtrRef::Data(from), 1);
                 b.push(Step::Trace("scatter:chunk-in"));
                 if p > 1 {
-                    self.plan_pair_write(b, pair, lrel, (e.landing, e.off), plen, 1);
-                    self.plan_credit_return(b, e);
+                    self.plan_pair_write(b, pair, lrel, landed, plen, 1);
+                    self.plan_credit_return(b, from);
                     if let Some(mine) = self.block_overlap(len, (boff, plen), my) {
                         self.plan_pair_copy_out(b, pair, lrel, mine, self.peer_streams());
                     }
                 } else {
                     b.push(Step::ShmCopy {
-                        src: e.landing,
-                        src_off: e.off,
+                        src: landed.0,
+                        src_off: landed.1,
                         dst: BufRef::User,
                         dst_off: Off::Lit(self.crank() * len + boff),
                         len: plen,
                         cost: CopyCost::Read(1),
                     });
-                    self.plan_credit_return(b, e);
+                    self.plan_credit_return(b, from);
                 }
             }
         } else {

@@ -32,7 +32,7 @@
 //! * [`pairwise`] (methods on [`SrmComm`]) — the pairwise RMA exchange
 //!   subsystem: alltoall, alltoallv and reduce-scatter as credit-
 //!   windowed per-node-pair put streams over landing rings registered
-//!   when a communicator compiles its first pairwise shape;
+//!   when a communicator first uses them;
 //! * [`route`] — the segment-routing decision ([`SegmentRoute`]):
 //!   staged through shared landing structures vs one direct rendezvous
 //!   put after a per-call address exchange, resolved per (protocol
@@ -102,4 +102,4 @@ pub use plan::{set_skip_order_guards, Plan, PlanBuilder, PlanCache, PlanKey, Pla
 pub use route::{RouteClass, SegmentRoute};
 pub use tune::{TableParseError, TuneEntry, TuneEntryError, TuneKey, TuneOp, TuneTable};
 pub use tuning::{SrmTuning, TuningError};
-pub use world::{CommGroup, InterState, NodeBoard, PeerLink, SrmComm, SrmWorld};
+pub use world::{Channel, CommGroup, InterState, NodeBoard, PeerLink, SrmComm, SrmWorld};

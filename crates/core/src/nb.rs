@@ -67,7 +67,7 @@
 //! maintains (see DESIGN.md, "Catch-up under suspension").
 
 use crate::engine::CallState;
-use crate::plan::{BufRef, CtrRef, FlagRef, PairSel, Plan, PlanKey, Step, WaitCell};
+use crate::plan::{BufRef, ChanKind, CtrRef, FlagRef, PairSel, Plan, PlanKey, Step, WaitCell};
 use crate::world::SrmComm;
 use collops::{DType, ReduceOp};
 use shmem::ShmBuffer;
@@ -85,13 +85,13 @@ const CL_TREE: u8 = 1 << 2;
 const CL_REDUCE: u8 = 1 << 3;
 /// Substrate class: the master→root `xfer` handoff.
 const CL_XFER: u8 = 1 << 4;
-/// Substrate class: address mailboxes (handle exchange) and the
-/// large-transfer counter.
+/// Substrate class: the address mailbox (handle exchange) and the
+/// completion counters of the transfers it sets up.
 const CL_ADDR: u8 = 1 << 5;
 /// Substrate class: barrier flags and round counters.
 const CL_BARRIER: u8 = 1 << 6;
-/// Substrate class: the pairwise exchange subsystem — landing rings,
-/// per-pair data/credit counter families (see [`crate::pairwise`]).
+/// Substrate class: the pairwise exchange subsystem's ring channels
+/// (see [`crate::pairwise`]).
 const CL_PAIRWISE: u8 = 1 << 7;
 
 /// Number of substrate classes (width of the per-call remaining-step
@@ -107,45 +107,41 @@ fn flag_class(f: FlagRef) -> u8 {
     }
 }
 
+/// The class a channel family's landing, data counter and credits
+/// order in.
+fn chan_class(kind: ChanKind) -> u8 {
+    match kind {
+        ChanKind::Bcast => CL_LANDING,
+        ChanKind::Reduce | ChanKind::Rd | ChanKind::Fold => CL_REDUCE,
+        ChanKind::Ring => CL_PAIRWISE,
+    }
+}
+
 fn ctr_class(c: CtrRef) -> u8 {
     match c {
-        CtrRef::LandingData { .. } | CtrRef::BcastFree { .. } => CL_LANDING,
-        CtrRef::ReduceData { .. }
-        | CtrRef::ReduceFree { .. }
-        | CtrRef::RdData { .. }
-        | CtrRef::RdFree { .. }
-        | CtrRef::FoldData { .. }
-        | CtrRef::FoldFree { .. }
-        | CtrRef::UnfoldData { .. } => CL_REDUCE,
-        CtrRef::LargeData { .. } => CL_ADDR,
+        CtrRef::Data(ch) | CtrRef::Free(ch) => chan_class(ch.kind),
         CtrRef::BarRound { .. } => CL_BARRIER,
-        CtrRef::PairwiseData { .. } | CtrRef::PairwiseFree { .. } => CL_PAIRWISE,
-        // Direct-route completions serialize with the address exchange
+        // Both completion counters serialize with the address exchange
         // they rendezvous through: an older call's consuming waits must
         // retire before a younger call's AddrSend may land in the same
-        // slot (the cross-call slot-safety argument, DESIGN.md §16).
-        CtrRef::PairwiseDirect { .. } => CL_ADDR,
+        // mailbox slot (the cross-call slot argument, DESIGN.md §16.2).
+        CtrRef::LargeData { .. } | CtrRef::PairwiseDirect { .. } => CL_ADDR,
     }
 }
 
 fn buf_class(b: BufRef) -> u8 {
     match b {
         BufRef::User | BufRef::Acc => 0,
-        BufRef::Smp { .. } => CL_SMP,
-        BufRef::Landing { .. } => CL_LANDING,
+        BufRef::Pair { pair, .. } => pair_class(pair),
         // The contribution buffers are shared between the reduce
         // protocols and the tree-variant broadcast, so steps touching
         // them order against both classes.
         BufRef::Contrib { .. } => CL_REDUCE | CL_TREE,
         BufRef::Xfer => CL_XFER,
-        BufRef::ReduceLanding { .. } | BufRef::RdLanding { .. } | BufRef::FoldLanding { .. } => {
-            CL_REDUCE
-        }
-        BufRef::ChildUser { .. } | BufRef::RootUser => CL_ADDR,
-        BufRef::PairwiseRing { .. } => CL_PAIRWISE,
+        BufRef::Chan(ch) => chan_class(ch.kind),
         // Scratch is per-call private, but it is published through the
         // address exchange, so its uses order with that class.
-        BufRef::Scratch => CL_ADDR,
+        BufRef::Taken { .. } | BufRef::Scratch => CL_ADDR,
     }
 }
 

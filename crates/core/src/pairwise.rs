@@ -3,21 +3,20 @@
 //!
 //! Total-exchange collectives have no root and no tree: every node pair
 //! carries its own data stream concurrently. The machinery the paper's
-//! rooted protocols use — one landing channel per node, one counter per
-//! collective — cannot express that, so this module adds three pieces:
+//! rooted protocols use — channels along the edges of one tree — cannot
+//! express that, so this module adds two pieces:
 //!
-//! * **An address-exchange registry** ([`PairwiseState`]): when a
-//!   communicator compiles its first pairwise shape every group-node
-//!   master allocates one inbound *landing ring* per peer group node
-//!   and the handles are exchanged like registered memory, so any
+//! * **A registry of ring channels** ([`PairwiseState`]): one
+//!   [`ChanKind::Ring`] channel per ordered `(src, dst)` group-node
+//!   pair — an inbound *landing ring* at `dst`, its data counter and
+//!   `src`'s credits — created when the communicator first touches the
+//!   registry, the handles exchanged like registered memory, so any
 //!   master can put into any peer's ring with no per-call address
 //!   traffic (contrast the large-broadcast protocol, which exchanges
-//!   user-buffer addresses every call).
-//! * **Per-pair counter families** ([`rma::CounterFamily`]): one data
-//!   counter and one credit counter per ordered `(src, dst)` group-node
-//!   pair, so each of the `n·(n-1)` concurrent streams synchronizes
-//!   independently. Disjoint communicators own disjoint families, so
-//!   their exchanges never share a counter.
+//!   user-buffer addresses every call) and each of the `n·(n-1)`
+//!   concurrent streams synchronizes independently. Disjoint
+//!   communicators own disjoint registries, so their exchanges never
+//!   share a counter.
 //! * **A segment-interleaved credit scheme**: a source may have at most
 //!   [`SrmTuning::pairwise_window`](crate::SrmTuning) puts outstanding
 //!   toward one destination (the ring has that many
@@ -33,7 +32,7 @@
 //! The pieces above implement the **staged** route. Above
 //! [`SrmTuning::pairwise_direct_min`](crate::SrmTuning) the planner
 //! resolves [`SegmentRoute::Direct`] instead (see [`crate::route`]):
-//! a per-call address exchange over the registry's address slots,
+//! a per-call address exchange through the communicator's mailbox,
 //! then one rendezvous put per remote peer straight into its
 //! user buffer (alltoall/alltoallv) or per-call scratch region
 //! (reduce-scatter), completion-counted by the `direct`
@@ -81,151 +80,66 @@
 //! over the *whole group* and applied on every member, even members
 //! whose own node moved less (DESIGN.md §12.3).
 
-use crate::inter::{seq, Edge};
+use crate::inter::seq;
 use crate::plan::{
-    AddrSlot, BufRef, CopyCost, CtrRef, FlagRef, HandleSrc, Off, PairSel, PlanBuilder, SeqBase,
-    Step, Val,
+    BufRef, Chan, ChanKind, CopyCost, CtrRef, FlagRef, HandleSrc, Off, PairSel, PlanBuilder,
+    SeqBase, Step, Val,
 };
 use crate::route::{RouteClass, SegmentRoute};
 use crate::smp::{plan_acc_to_user, plan_stage_acc};
 use crate::tuning::SrmTuning;
-use crate::world::{CommGroup, SrmComm, WorldInner};
+use crate::world::{Channel, SrmComm};
 use rma::{CounterFamily, LapiCounter};
 use shmem::ShmBuffer;
-use simnet::{NodeId, SimVar};
-use std::sync::Arc;
+use simnet::{NodeId, SimHandle};
 
-/// The registry of the pairwise exchange subsystem: every group
-/// node's inbound landing rings, the per-communicator per-pair counter
-/// families and the direct route's address slots. Everything in it
-/// grows with nodes² or ranks² and no tree collective uses any of it,
-/// so a communicator builds it — whole, for every member, like
-/// registered-memory handles exchanged at initialization — when its
-/// first pairwise shape is compiled ([`SrmComm::pairwise`]).
+/// The registry of the pairwise exchange subsystem: the ring channel of
+/// every ordered group-node pair and the direct route's completion
+/// counters. Everything in it grows with nodes² or ranks² and no tree
+/// collective uses any of it, so a communicator builds it — whole, like
+/// registered-memory handles exchanged at initialization — when a
+/// member first touches it ([`SrmComm::pairwise`]).
 pub struct PairwiseState {
-    window: usize,
-    chunk: usize,
-    /// `rings[dst][src]`: the ring at group node `dst` receiving the
-    /// stream from group node `src` (`window` slots of `chunk` bytes).
-    rings: Vec<Vec<ShmBuffer>>,
-    /// Data counters: `pair(src, dst)` lives at `dst` and is bumped by
-    /// `src`'s puts (consumed one per piece by the destination master).
-    data: CounterFamily,
-    /// Credit counters: `pair(src, dst)` lives at `src`, starts at the
-    /// window size, is spent by `src` per put and restored by `dst`'s
-    /// zero-byte put when the ring slot drains.
-    free: CounterFamily,
+    nodes: usize,
+    /// `rings[dst * nodes + src]`: the [`ChanKind::Ring`] channel of the
+    /// stream `src → dst` — a landing ring of `window` slots of
+    /// `pairwise_chunk` bytes at `dst`, its data counter (consumed one
+    /// per piece by the destination master) and the source's credits
+    /// (init `window`, spent per put, restored by `dst`'s zero-byte put
+    /// when a ring slot drains).
+    rings: Vec<Channel>,
     /// Direct-route completion counters, one per ordered **comm-rank**
     /// pair: `pair(src, dst)` lives at `dst` and is bumped by each of
     /// `src`'s direct puts into `dst`'s user or scratch buffer. The
     /// receiver's consuming waits drain it back to zero every call.
     direct: CounterFamily,
-    /// Per-call address-exchange slots of the direct route:
-    /// `addr[owner][sender]` holds the buffer handle comm rank `sender`
-    /// shipped to comm rank `owner` (taken by the owner's address-take
-    /// step; the CL_ADDR ordering class keeps slots from being overrun
-    /// across calls). Rows are shared with the members' AM handlers.
-    addr: Vec<Arc<Vec<SimVar<Option<ShmBuffer>>>>>,
-    /// AM id of that exchange, registered on **every** member rank —
-    /// direct-route puts are rank-to-rank, not master-to-master.
-    am_addr: u32,
 }
 
 impl PairwiseState {
-    pub(crate) fn new(world: &WorldInner, group: &CommGroup) -> Self {
-        let (handle, tuning) = (&world.handle, &world.tuning);
-        let (nodes, ranks) = (group.node_count(), group.len());
-        // Every member rank accepts handles, keyed by the sender's comm
-        // rank. A slot must be empty when a handle arrives — the
-        // CL_ADDR ordering class serializes the exchange across calls.
-        let am_addr = (3 + 3 * group.id()) as u32;
-        let crank_of_rank: Arc<Vec<Option<usize>>> = Arc::new(
-            (0..world.topo.nprocs())
-                .map(|r| group.comm_rank_of(r))
-                .collect(),
-        );
-        let addr: Vec<Arc<Vec<SimVar<Option<ShmBuffer>>>>> = (0..ranks)
-            .map(|_| Arc::new((0..ranks).map(|_| handle.var(None)).collect()))
-            .collect();
-        for (c, row) in addr.iter().enumerate() {
-            let (row, cmap) = (row.clone(), crank_of_rank.clone());
-            let ep = world.rma.endpoint(group.ranks()[c]);
-            ep.register_handler(am_addr, move |hctx, msg| {
-                let src = cmap[msg.from].expect("sender is a group member");
-                assert!(
-                    row[src].with(|s| s.is_none()),
-                    "pairwise address slot overrun (sender comm rank {src})"
-                );
-                row[src].store(
-                    hctx,
-                    Some(msg.buf.expect("address exchange carries a handle")),
-                );
-            });
-        }
+    pub(crate) fn new(handle: &SimHandle, tuning: &SrmTuning, nodes: usize, ranks: usize) -> Self {
+        let window = tuning.pairwise_window;
+        // Slots hold at least 8 bytes: reduce-scatter rounds its piece
+        // size up to the element grid even when `pairwise_chunk` is
+        // configured smaller.
+        let ring = window * tuning.pairwise_chunk.max(8);
         PairwiseState {
-            window: tuning.pairwise_window,
-            chunk: tuning.pairwise_chunk,
-            rings: (0..nodes)
-                .map(|_| {
-                    // Slots hold at least 8 bytes: reduce-scatter rounds
-                    // its piece size up to the element grid even when
-                    // `pairwise_chunk` is configured smaller.
-                    (0..nodes)
-                        .map(|_| {
-                            ShmBuffer::new(tuning.pairwise_window * tuning.pairwise_chunk.max(8))
-                        })
-                        .collect()
-                })
+            nodes,
+            rings: (0..nodes * nodes)
+                .map(|_| Channel::new(handle, ShmBuffer::new(ring), window as u64))
                 .collect(),
-            data: CounterFamily::new(handle, nodes, 0),
-            free: CounterFamily::new(handle, nodes, tuning.pairwise_window as u64),
             direct: CounterFamily::new(handle, ranks, 0),
-            addr,
-            am_addr,
         }
     }
 
-    /// Comm rank `owner`'s address slot for handles shipped by comm
-    /// rank `from`.
-    pub(crate) fn addr_slot(&self, owner: usize, from: usize) -> &SimVar<Option<ShmBuffer>> {
-        &self.addr[owner][from]
-    }
-
-    /// AM id of the direct route's address exchange.
-    pub(crate) fn am_addr(&self) -> u32 {
-        self.am_addr
-    }
-
-    /// The landing ring at group node `node` for the stream
-    /// `src → node`.
-    pub fn ring(&self, node: NodeId, src: NodeId) -> &ShmBuffer {
-        &self.rings[node][src]
-    }
-
-    /// The data counter of the stream `src → dst` (lives at `dst`).
-    pub fn data(&self, src: NodeId, dst: NodeId) -> &LapiCounter {
-        self.data.pair(src, dst)
-    }
-
-    /// The credit counter of the stream `src → dst` (lives at `src`).
-    pub fn free(&self, src: NodeId, dst: NodeId) -> &LapiCounter {
-        self.free.pair(src, dst)
+    /// The ring channel of the group-node stream `src → dst`.
+    pub fn ring(&self, src: NodeId, dst: NodeId) -> &Channel {
+        &self.rings[dst * self.nodes + src]
     }
 
     /// The direct-route completion counter of the **comm-rank** stream
     /// `src → dst` (lives at `dst`).
     pub fn direct(&self, src: usize, dst: usize) -> &LapiCounter {
         self.direct.pair(src, dst)
-    }
-
-    /// Ring slots per stream (the credit window).
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
-    /// Bytes per ring slot.
-    pub fn chunk(&self) -> usize {
-        self.chunk
     }
 }
 
@@ -332,31 +246,30 @@ impl SrmComm {
     /// Block until my node holds at least `n` credits toward `d`
     /// without spending any.
     fn plan_credits_ge(&self, b: &mut PlanBuilder, d: NodeId, n: usize) {
-        let ctr = CtrRef::PairwiseFree {
-            node: self.cnode(),
-            dst: d,
-        };
-        b.wait_ctr_ge(ctr, Val::Lit(n as u64));
+        let ring = Chan::new(ChanKind::Ring, self.cnode(), d, 0);
+        b.wait_ctr_ge(CtrRef::Free(ring), Val::Lit(n as u64));
     }
 
-    /// Credit-gated put into ring slot `e` under the effective window
-    /// `w` of the shape being compiled. When `w` is narrower than the
-    /// geometry credit pool, a non-consuming wait for `geometry - w +
-    /// 1` credits first keeps at most `w` puts in flight, so ring slot
-    /// `r % w` is always drained before it is reused.
+    /// Credit-gated put toward group node `d` into the ring slot at
+    /// byte `at`, under the effective window `w` of the shape being
+    /// compiled. When `w` is narrower than the geometry credit pool, a
+    /// non-consuming wait for `geometry - w + 1` credits first keeps at
+    /// most `w` puts in flight, so ring slot `r % w` is always drained
+    /// before it is reused.
     fn plan_ring_put(
         &self,
         b: &mut PlanBuilder,
-        e: Edge,
+        (d, at): (NodeId, usize),
         stage_acc: bool,
         from: (BufRef, Off),
         len: usize,
     ) {
-        let (w, w_geom) = (b.tuning().pairwise_window, self.pairwise().window());
+        let (w, w_geom) = (b.tuning().pairwise_window, self.tuning().pairwise_window);
         if w < w_geom {
-            self.plan_credits_ge(b, e.dst, w_geom - w + 1);
+            self.plan_credits_ge(b, d, w_geom - w + 1);
         }
-        self.plan_credit_put(b, e, stage_acc, from, len);
+        let ring = Chan::new(ChanKind::Ring, self.cnode(), d, 0);
+        self.plan_credit_put(b, (ring, at), stage_acc, from, len);
     }
 
     /// Emit the inter-node part of a pairwise exchange: the credit-
@@ -372,10 +285,8 @@ impl SrmComm {
         if nodes <= 1 {
             return;
         }
-        // Geometry: the ring/credit capacity of the registry, which
-        // this first look creates if no pairwise shape was compiled on
-        // the communicator before.
-        let w_geom = self.pairwise().window();
+        // Geometry: the ring/credit capacity of the registry.
+        let w_geom = self.tuning().pairwise_window;
         // Decisions: the effective per-shape put size and window. Both
         // ends of every stream compile from the same shape, so they
         // agree on the ring slot grid `(r % w) * chunk`, which always
@@ -443,11 +354,11 @@ impl SrmComm {
             // Outbound: one piece toward every destination still active.
             for (d, pieces) in &out {
                 let Some(piece) = pieces.get(r) else { continue };
-                let e = Edge::ring(me, *d, ring_off);
+                let to = (*d, ring_off);
                 let u = piece.src_slot;
                 let user = (BufRef::User, Off::Lit(piece.src_off));
                 if my == 0 && u == 0 {
-                    self.plan_ring_put(b, e, false, user, piece.len);
+                    self.plan_ring_put(b, to, false, user, piece.len);
                 } else if my == 0 || u == my {
                     let rel = rel0 + crel[u];
                     crel[u] += 1;
@@ -459,7 +370,7 @@ impl SrmComm {
                             u,
                             rel,
                             "pairwise piece staged",
-                            |b, src, off| self.plan_ring_put(b, e, false, (src, off), piece.len),
+                            |b, src, off| self.plan_ring_put(b, to, false, (src, off), piece.len),
                         );
                     } else {
                         self.plan_contrib_publish(b, rel, user, piece.len, CopyCost::Write(1));
@@ -469,7 +380,8 @@ impl SrmComm {
             // Inbound: drain one piece from every source still active.
             for (s, pieces) in &inb {
                 let Some(piece) = pieces.get(r) else { continue };
-                let e = Edge::ring(*s, me, ring_off);
+                let from = Chan::new(ChanKind::Ring, *s, me, 0);
+                let landed = BufRef::Chan(from);
                 let lrel = lrel0 + li;
                 let mine = piece
                     .overlaps
@@ -479,26 +391,27 @@ impl SrmComm {
                 if my != 0 {
                     self.plan_pair_read(b, pair, lrel, |_| {}, mine, self.peer_streams());
                 } else if local_multi {
-                    b.wait_ctr(e.data, 1);
-                    self.plan_pair_write(b, pair, lrel, (e.landing, e.off), piece.len, 1);
+                    b.wait_ctr(CtrRef::Data(from), 1);
+                    let slot = (landed, Off::Lit(ring_off));
+                    self.plan_pair_write(b, pair, lrel, slot, piece.len, 1);
                     // The ring slot is copied out: return the credit
                     // before distributing locally.
-                    self.plan_credit_return(b, e);
+                    self.plan_credit_return(b, from);
                     if let Some(mine) = mine {
                         self.plan_pair_copy_out(b, pair, lrel, mine, self.peer_streams());
                     }
                 } else {
-                    b.wait_ctr(e.data, 1);
+                    b.wait_ctr(CtrRef::Data(from), 1);
                     let (po, recv_off, olen) = mine.expect("single-slot node takes every piece");
                     b.push(Step::ShmCopy {
-                        src: e.landing,
+                        src: landed,
                         src_off: Off::Lit(ring_off + po),
                         dst: BufRef::User,
                         dst_off: Off::Lit(recv_off),
                         len: olen,
                         cost: CopyCost::Read(1),
                     });
-                    self.plan_credit_return(b, e);
+                    self.plan_credit_return(b, from);
                 }
                 if local_multi {
                     li += 1;
@@ -572,9 +485,9 @@ impl SrmComm {
     /// its source synchronously at issue (send side), and the
     /// receiver's consuming counter waits — one per inbound stream —
     /// *are* the drain (receive side). They also leave every per-pair
-    /// counter back at zero, and a taken address slot is provably empty
+    /// counter back at zero, and a taken mailbox slot is provably empty
     /// again before the next call's send can land in it (DESIGN.md
-    /// §16).
+    /// §16.2).
     fn plan_pairwise_direct_wire<L, F>(&self, b: &mut PlanBuilder, local: L, xfer: F)
     where
         L: FnOnce(&mut PlanBuilder),
@@ -592,7 +505,6 @@ impl SrmComm {
             if xfer(s, me).is_some() {
                 b.push(Step::AddrSend {
                     to: self.cworld_of(s),
-                    am: self.pairwise().am_addr(),
                     src: HandleSrc::User,
                 });
             }
@@ -605,12 +517,12 @@ impl SrmComm {
             let Some((src_off, dst_off, len)) = xfer(me, d) else {
                 continue;
             };
-            let idx = b.take_addr(AddrSlot::Peer(d));
+            let idx = b.take_addr(d);
             b.push(Step::RmaPut {
                 to: self.cworld_of(d),
                 src: BufRef::User,
                 src_off: Off::Lit(src_off),
-                dst: BufRef::ChildUser { idx },
+                dst: BufRef::Taken { idx },
                 dst_off: Off::Lit(dst_off),
                 len,
                 ctr: Some(CtrRef::PairwiseDirect { src: me, dst: d }),
@@ -849,12 +761,11 @@ impl SrmComm {
             for s in peers() {
                 b.push(Step::AddrSend {
                     to: self.cmaster_of(s),
-                    am: self.pairwise().am_addr(),
                     src: HandleSrc::Scratch,
                 });
             }
             for d in peers() {
-                scratch_idx[d] = Some(b.take_addr(AddrSlot::Peer(self.crank_at(d, 0))));
+                scratch_idx[d] = Some(b.take_addr(self.crank_at(d, 0)));
             }
         }
 
@@ -885,7 +796,7 @@ impl SrmComm {
                         to: self.cmaster_of(d),
                         src: staging.0,
                         src_off: staging.1,
-                        dst: BufRef::ChildUser {
+                        dst: BufRef::Taken {
                             idx: scratch_idx[d].expect("scratch handle taken"),
                         },
                         dst_off: Off::Lit(region(d, me) * block_of(d) + blk),
@@ -896,7 +807,7 @@ impl SrmComm {
                         }),
                     });
                 } else {
-                    self.plan_ring_put(b, Edge::ring(me, d, ring_off), true, staging, plen);
+                    self.plan_ring_put(b, (d, ring_off), true, staging, plen);
                 }
             }
             // Own block: reduce the node's contributions, fold in the
@@ -931,7 +842,8 @@ impl SrmComm {
                         len: plen,
                     });
                 } else {
-                    self.plan_fold_landed(b, Edge::ring(s, me, ring_off), plen);
+                    let from = Chan::new(ChanKind::Ring, s, me, 0);
+                    self.plan_fold_landed(b, (from, ring_off), plen);
                 }
             }
             if p > 1 {
@@ -948,7 +860,7 @@ impl SrmComm {
         if multi && my == 0 && !direct {
             for d in peers() {
                 if !pieces[d].is_empty() {
-                    self.plan_credits_ge(b, d, self.pairwise().window());
+                    self.plan_credits_ge(b, d, self.tuning().pairwise_window);
                 }
             }
         }

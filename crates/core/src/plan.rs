@@ -154,24 +154,75 @@ pub enum CopyCost {
     Write(usize),
 }
 
+/// Which of the communicator's flow-controlled master-to-master channel
+/// families a [`Chan`] belongs to. The family fixes what the channel's
+/// `lane` means and which substrate ordering class its steps join.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ChanKind {
+    /// Small-broadcast edge parent → child: lands in the child node's
+    /// landing pair; lane = chunk index ([`SeqBase::Landing`] parity).
+    Bcast,
+    /// Pipelined-reduce edge child → parent (scatter borrows it the
+    /// other way); lane = chunk index ([`SeqBase::Reduce`] parity).
+    Reduce,
+    /// Recursive-doubling exchange; lane = round.
+    Rd,
+    /// Non-power-of-two fold: odd → even carries the fold-in, even →
+    /// odd the result return (uncredited: the odd node's next fold-in
+    /// follows its read of the result). One lane, 0.
+    Fold,
+    /// Pairwise stream into the destination's landing ring of
+    /// [`SrmTuning::pairwise_window`](crate::SrmTuning) slots (credits
+    /// start at the window; ring offsets are plan literals because
+    /// every ring is drained when a pairwise operation completes). One
+    /// lane, 0.
+    Ring,
+}
+
+/// One flow-controlled channel between two group-node masters (§2.3,
+/// Figure 4), named structurally: the sender spends a credit
+/// ([`CtrRef::Free`], held at `src`), puts into the landing
+/// ([`BufRef::Chan`], at `dst`) and bumps the data counter there
+/// ([`CtrRef::Data`]); the receiver consumes the data counter and, once
+/// the landing is reusable, restores the credit with a zero-byte put.
+#[derive(Clone, Copy, Debug)]
+pub struct Chan {
+    /// The channel family.
+    pub kind: ChanKind,
+    /// Sending group node.
+    pub src: NodeId,
+    /// Receiving group node.
+    pub dst: NodeId,
+    /// Which of the pair's parallel channels (see [`ChanKind`]). Kept
+    /// narrow: every step carries up to three channel operands.
+    pub lane: u32,
+}
+
+impl Chan {
+    /// The `kind` channel `src → dst`, lane `lane`.
+    pub fn new(kind: ChanKind, src: NodeId, dst: NodeId, lane: u64) -> Chan {
+        Chan {
+            kind,
+            src,
+            dst,
+            lane: u32::try_from(lane).expect("a plan has fewer than 2^32 chunks"),
+        }
+    }
+}
+
 /// A buffer operand. `User` is the executing call's payload buffer;
 /// everything else names a shared structure of the fabric or a handle
-/// the plan captured earlier ([`Step::AddrTake`] and friends).
+/// the plan captured earlier ([`Step::AddrTake`]).
 #[derive(Clone, Copy, Debug)]
 pub enum BufRef {
     /// The collective call's user payload buffer.
     User,
     /// The executor's private accumulator (operator scratch).
     Acc,
-    /// My node's intra-node broadcast pair, one side.
-    Smp {
-        /// Which side.
-        side: Side,
-    },
-    /// `node`'s landing pair, one side (remote for put targets).
-    Landing {
-        /// Whose landing pair.
-        node: NodeId,
+    /// One side of one of my node's double-buffer pairs.
+    Pair {
+        /// Which pair.
+        pair: PairSel,
         /// Which side.
         side: Side,
     },
@@ -182,47 +233,14 @@ pub enum BufRef {
     },
     /// My node's master→root `xfer` handoff buffer.
     Xfer,
-    /// `node`'s reduce landing buffer for puts from `src`, side by
-    /// [`SeqBase::Reduce`] parity.
-    ReduceLanding {
-        /// Whose landing (the put target's node).
-        node: NodeId,
-        /// The sending node.
-        src: NodeId,
-        /// Chunk index within this plan (parity).
-        rel: u64,
-    },
-    /// `node`'s recursive-doubling landing for `round`.
-    RdLanding {
-        /// Whose landing.
-        node: NodeId,
-        /// Recursive-doubling round.
-        round: usize,
-    },
-    /// `node`'s fold/unfold landing.
-    FoldLanding {
-        /// Whose landing.
-        node: NodeId,
-    },
-    /// The user-buffer handle taken by the `idx`-th [`Step::AddrTake`]
-    /// of this plan (large-broadcast children, in take order).
-    ChildUser {
+    /// The landing of a channel (remote for put targets, mine when I
+    /// read what landed).
+    Chan(Chan),
+    /// The buffer handle taken by the `idx`-th [`Step::AddrTake`] of
+    /// this plan.
+    Taken {
         /// Capture index.
         idx: usize,
-    },
-    /// The gather root's user-buffer handle (captured from
-    /// [`AddrSlot::Root`] or [`AddrSlot::Board`]).
-    RootUser,
-    /// `node`'s pairwise landing ring for puts from node `src` — a ring
-    /// of [`SrmTuning::pairwise_window`](crate::SrmTuning) slots of
-    /// `pairwise_chunk` bytes each. Ring offsets are plan literals: the
-    /// credit protocol guarantees every ring is drained when a pairwise
-    /// operation completes, so each call indexes slots from 0.
-    PairwiseRing {
-        /// Whose landing ring (the put target's node).
-        node: NodeId,
-        /// The sending node.
-        src: NodeId,
     },
     /// The executing call's per-call scratch buffer, allocated by
     /// [`Step::ScratchAlloc`] (direct-route reduce_scatter fold
@@ -230,77 +248,15 @@ pub enum BufRef {
     Scratch,
 }
 
-/// A LAPI-style counter operand, named structurally. Counters indexed
-/// by a buffer side resolve it from the indicated cumulative base.
+/// A LAPI-style counter operand, named structurally.
 #[derive(Clone, Copy, Debug)]
 pub enum CtrRef {
-    /// `node`'s landing-pair data counter ([`SeqBase::Landing`] side).
-    LandingData {
-        /// Whose counter.
-        node: NodeId,
-        /// Chunk index (parity).
-        rel: u64,
-    },
-    /// `node`'s broadcast credit toward `child` ([`SeqBase::Landing`]).
-    BcastFree {
-        /// Whose credit pool.
-        node: NodeId,
-        /// The child edge.
-        child: NodeId,
-        /// Chunk index (parity).
-        rel: u64,
-    },
-    /// `node`'s reduce data counter for puts from `src`
-    /// ([`SeqBase::Reduce`] side).
-    ReduceData {
-        /// Whose counter.
-        node: NodeId,
-        /// The sending node.
-        src: NodeId,
-        /// Chunk index (parity).
-        rel: u64,
-    },
-    /// `node`'s reduce credit toward destination `dst`
-    /// ([`SeqBase::Reduce`] side).
-    ReduceFree {
-        /// Whose credit pool.
-        node: NodeId,
-        /// The destination node.
-        dst: NodeId,
-        /// Chunk index (parity).
-        rel: u64,
-    },
+    /// The data counter of a channel, at its receiver.
+    Data(Chan),
+    /// The credit counter of a channel, at its sender.
+    Free(Chan),
     /// `node`'s large-transfer chunk counter.
     LargeData {
-        /// Whose counter.
-        node: NodeId,
-    },
-    /// `node`'s recursive-doubling data counter for `round`.
-    RdData {
-        /// Whose counter.
-        node: NodeId,
-        /// Round.
-        round: usize,
-    },
-    /// `node`'s recursive-doubling credit for `round`.
-    RdFree {
-        /// Whose counter.
-        node: NodeId,
-        /// Round.
-        round: usize,
-    },
-    /// `node`'s fold-in data counter.
-    FoldData {
-        /// Whose counter.
-        node: NodeId,
-    },
-    /// `node`'s fold-in credit.
-    FoldFree {
-        /// Whose counter.
-        node: NodeId,
-    },
-    /// `node`'s unfold data counter.
-    UnfoldData {
         /// Whose counter.
         node: NodeId,
     },
@@ -310,25 +266,6 @@ pub enum CtrRef {
         node: NodeId,
         /// Round.
         round: usize,
-    },
-    /// The pairwise data counter of the `(src → node)` stream, bumped
-    /// by each of `src`'s puts into `node`'s landing ring (one counter
-    /// per ordered node pair — see [`rma::CounterFamily`]).
-    PairwiseData {
-        /// The receiving node (counter owner).
-        node: NodeId,
-        /// The sending node.
-        src: NodeId,
-    },
-    /// The pairwise credit counter of the `(node → dst)` stream, held
-    /// at the source and restored by the destination's zero-byte put
-    /// when a ring slot drains (init
-    /// [`SrmTuning::pairwise_window`](crate::SrmTuning)).
-    PairwiseFree {
-        /// The sending node (counter owner).
-        node: NodeId,
-        /// The destination node.
-        dst: NodeId,
     },
     /// The **direct-route** completion counter of the `(src → dst)`
     /// comm-rank stream, bumped at `dst` by each of `src`'s direct puts
@@ -427,31 +364,17 @@ pub enum Until {
     Use(PairUse),
 }
 
-/// The mailbox an [`Step::AddrTake`] empties.
-#[derive(Clone, Copy, Debug)]
-pub enum AddrSlot {
-    /// The handle `child`'s master sent me (large broadcast); appended
-    /// to the capture list ([`BufRef::ChildUser`] indices).
-    Child(NodeId),
-    /// The handle comm rank `from` sent me through the per-call
-    /// pairwise address exchange (direct route); appended to the same
-    /// capture list.
-    Peer(usize),
-    /// The gather-root handle another master sent me
-    /// ([`BufRef::RootUser`]).
-    Root,
-    /// The gather-root handle published on my node's board
-    /// ([`BufRef::RootUser`]).
-    Board,
-}
-
 /// Which handle an [`Step::AddrSend`] ships.
 #[derive(Clone, Copy, Debug)]
 pub enum HandleSrc {
     /// The executing call's user buffer.
     User,
-    /// The gather root's captured user buffer.
-    RootUser,
+    /// The handle taken by the `idx`-th [`Step::AddrTake`] of this plan
+    /// (a master forwarding the gather root's buffer).
+    Taken {
+        /// Capture index.
+        idx: usize,
+    },
     /// The executing call's scratch buffer (must have been allocated by
     /// an earlier [`Step::ScratchAlloc`] of the same plan).
     Scratch,
@@ -517,7 +440,7 @@ pub enum Step {
     /// [`Step::AddrTake`]: flag cells spin (spin-then-yield cost),
     /// counter cells wait inside a LAPI call and, with `consume`,
     /// subtract the awaited value (`LAPI_Waitcntr`). A consuming wait
-    /// on a [`CtrRef::PairwiseFree`] credit is what the `credit_stalls`
+    /// on a [`ChanKind::Ring`] credit is what the `credit_stalls`
     /// metric observes.
     Wait {
         /// Cell to watch.
@@ -582,20 +505,21 @@ pub enum Step {
         /// Counter to bump.
         ctr: CtrRef,
     },
-    /// Ship a buffer handle to rank `to` via active message `am`.
+    /// Ship a buffer handle to rank `to` through the communicator's
+    /// address active message; it lands in `to`'s mailbox slot for me.
     AddrSend {
-        /// Target rank (a master).
+        /// Target rank.
         to: Rank,
-        /// Active-message handler id.
-        am: u32,
         /// Which handle to ship.
         src: HandleSrc,
     },
-    /// Block until `slot` holds a buffer handle and take it. The three
-    /// AM-fed slots wait inside a LAPI call; the board slot does not.
+    /// Block until my mailbox slot for comm rank `from` holds a buffer
+    /// handle, take it and append it to the call's capture list
+    /// ([`BufRef::Taken`]). Waits inside a LAPI call unless `from` is on
+    /// my node (its handle arrives through shared memory, not by AM).
     AddrTake {
-        /// Mailbox to empty.
-        slot: AddrSlot,
+        /// The comm rank whose handle I take.
+        from: usize,
     },
     /// Allocate this call's `len`-byte scratch buffer
     /// ([`BufRef::Scratch`]); its handle can then be shipped with
@@ -604,8 +528,9 @@ pub enum Step {
         /// Scratch capacity in bytes.
         len: usize,
     },
-    /// Publish my user-buffer handle on my node's board (gather root
-    /// that is not the node master).
+    /// Leave my user-buffer handle in my node master's mailbox slot for
+    /// me, through shared memory (gather root that is not the node
+    /// master).
     BoardAddrPut,
     /// Advance a cumulative sequence cell (end-of-protocol bookkeeping;
     /// the engine's sampled bases are unaffected).
@@ -782,13 +707,12 @@ impl PlanBuilder {
         );
     }
 
-    /// Emit an [`Step::AddrTake`] for one of the capture-list slots
-    /// ([`AddrSlot::Child`], [`AddrSlot::Peer`]) and return its capture
-    /// index (for [`BufRef::ChildUser`]).
-    pub fn take_addr(&mut self, slot: AddrSlot) -> usize {
+    /// Emit an [`Step::AddrTake`] of comm rank `from`'s handle and
+    /// return its capture index (for [`BufRef::Taken`]).
+    pub fn take_addr(&mut self, from: usize) -> usize {
         let idx = self.addrs;
         self.addrs += 1;
-        self.steps.push(Step::AddrTake { slot });
+        self.steps.push(Step::AddrTake { from });
         idx
     }
 
@@ -1128,8 +1052,8 @@ mod tests {
         b.advance(SeqBase::Landing, 3);
         assert_eq!(b.rel(SeqBase::Landing), 3);
         assert_eq!(b.rel(SeqBase::Smp), 0);
-        assert_eq!(b.take_addr(AddrSlot::Child(1)), 0);
-        assert_eq!(b.take_addr(AddrSlot::Peer(2)), 1);
+        assert_eq!(b.take_addr(1), 0);
+        assert_eq!(b.take_addr(2), 1);
         let plan = b.finish();
         assert_eq!(plan.len(), 3); // advance + 2 takes
         assert!(!plan.is_empty());

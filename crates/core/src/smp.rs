@@ -113,17 +113,6 @@ impl SrmComm {
         self.cslots_here().saturating_sub(1).max(1)
     }
 
-    /// One side of one of my node's pairs as a buffer operand.
-    fn pair_buf(&self, pair: PairSel, side: Side) -> BufRef {
-        match pair {
-            PairSel::Smp => BufRef::Smp { side },
-            PairSel::Landing => BufRef::Landing {
-                node: self.cnode(),
-                side,
-            },
-        }
-    }
-
     /// Writer leg of pair use `rel` (Figure 3): claim the parity
     /// buffer, fill it from `from`, raise every other task's READY.
     pub(crate) fn plan_pair_write(
@@ -145,7 +134,7 @@ impl SrmComm {
         b.push(Step::ShmCopy {
             src: from.0,
             src_off: from.1,
-            dst: self.pair_buf(pair, side),
+            dst: BufRef::Pair { pair, side },
             dst_off: Off::Lit(0),
             len,
             cost: CopyCost::Write(streams),
@@ -163,8 +152,9 @@ impl SrmComm {
         (src_off, dst_off, len): (usize, usize, usize),
         streams: usize,
     ) {
+        let side = par(pair_base(pair), rel);
         b.push(Step::ShmCopy {
-            src: self.pair_buf(pair, par(pair_base(pair), rel)),
+            src: BufRef::Pair { pair, side },
             src_off: Off::Lit(src_off),
             dst: BufRef::User,
             dst_off: Off::Lit(dst_off),
@@ -489,6 +479,10 @@ impl SrmComm {
         let chunk = self.tuning().smp_buf;
         let chunks = crate::tuning::SrmTuning::chunk_count(len, chunk);
         let am_writer = self.me == writer;
+        let single = BufRef::Pair {
+            pair: PairSel::Smp,
+            side: Side::Lit(0),
+        };
         for k in 0..chunks {
             let off = k * chunk;
             let clen = chunk.min(len - off);
@@ -500,7 +494,7 @@ impl SrmComm {
                 b.push(Step::ShmCopy {
                     src: BufRef::User,
                     src_off: Off::Lit(off),
-                    dst: BufRef::Smp { side: Side::Lit(0) },
+                    dst: single,
                     dst_off: Off::Lit(0),
                     len: clen,
                     cost: CopyCost::Write(1),
@@ -511,7 +505,7 @@ impl SrmComm {
             self.plan_smp_barrier_release(b);
             if !am_writer {
                 b.push(Step::ShmCopy {
-                    src: BufRef::Smp { side: Side::Lit(0) },
+                    src: single,
                     src_off: Off::Lit(0),
                     dst: BufRef::User,
                     dst_off: Off::Lit(off),

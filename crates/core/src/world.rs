@@ -8,9 +8,10 @@
 //! never share a flag, counter or buffer.
 //!
 //! Setup builds what is linear in the group. What grows with a product
-//! of two group dimensions — a master's state toward each peer node
-//! ([`PeerLink`]), the pairwise registry — is created when first used,
-//! so building a world costs O(ranks) whatever it goes on to run.
+//! of two group dimensions — a master's channels from each peer node
+//! ([`PeerLink`]), the pairwise registry, the address mailbox's slots —
+//! is created when first used, so building a world costs O(ranks)
+//! whatever it goes on to run.
 
 use crate::embed::{GroupEmbedding, TreeKind};
 use crate::pairwise::PairwiseState;
@@ -19,8 +20,8 @@ use crate::tune::{TuneOp, TuneTable};
 use crate::tuning::SrmTuning;
 use rma::{LapiCounter, Rma, RmaWorld};
 use shmem::{BufPair, FlagBank, ShmBuffer, SpinFlag};
-use simnet::{NodeId, Rank, Sim, SimHandle, SimVar, Topology};
-use std::collections::{HashSet, VecDeque};
+use simnet::{Ctx, NodeId, Rank, Sim, SimHandle, SimVar, Topology};
+use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -35,9 +36,6 @@ pub struct NodeBoard {
     /// as the intra-node distribution buffer without re-copying
     /// ("data moved by LAPI is directly available to all the tasks").
     pub landing: BufPair,
-    /// Target counters bumped by the parent's puts into `landing`
-    /// (one per buffer side).
-    pub landing_data: [LapiCounter; 2],
     /// Flat-barrier flags, one cache line per slot.
     pub barrier_flags: FlagBank,
     /// Per-slot reduce contribution buffers (Figure 2), double-buffered
@@ -61,9 +59,6 @@ pub struct NodeBoard {
     /// Consumption counters for `tree_ready` (children of a slot count
     /// their reads so the writer can reuse its buffer side).
     pub tree_done: Vec<SpinFlag>,
-    /// Mailbox a gather root that is not the node master uses to hand
-    /// its user-buffer handle to the master for distribution.
-    pub gs_addr: SimVar<Option<ShmBuffer>>,
 }
 
 impl NodeBoard {
@@ -71,7 +66,6 @@ impl NodeBoard {
         NodeBoard {
             smp: BufPair::new(handle, tuning.smp_buf, tasks_per_node),
             landing: BufPair::new(handle, tuning.small_large_switch, tasks_per_node),
-            landing_data: [LapiCounter::new(handle, 0), LapiCounter::new(handle, 0)],
             barrier_flags: FlagBank::new(handle, tasks_per_node, 0),
             contrib: (0..tasks_per_node)
                 .map(|_| ShmBuffer::new(2 * tuning.reduce_chunk))
@@ -91,102 +85,124 @@ impl NodeBoard {
             tree_done: (0..tasks_per_node)
                 .map(|_| SpinFlag::new(handle, 0))
                 .collect(),
-            gs_addr: handle.var(None),
         }
     }
 }
 
-/// One group node master's state toward one peer group node: a
-/// communicator has nodes² of these and a tree collective touches only
-/// its tree edges, so each is created on first use
-/// ([`InterState::peer`]).
+/// One flow-controlled master-to-master channel (§2.3, Figure 4), the
+/// stored form of a [`Chan`](crate::plan::Chan) operand: the landing
+/// the sender's puts target, the data counter each put bumps, and the
+/// sender's credits, restored by the receiver's zero-byte puts.
+pub struct Channel {
+    /// Where the puts land.
+    pub landing: ShmBuffer,
+    /// Bumped at the receiver by each put.
+    pub data: LapiCounter,
+    /// The sender's credits.
+    pub free: LapiCounter,
+}
+
+impl Channel {
+    pub(crate) fn new(handle: &SimHandle, landing: ShmBuffer, credits: u64) -> Self {
+        Channel {
+            landing,
+            data: LapiCounter::new(handle, 0),
+            free: LapiCounter::new(handle, credits),
+        }
+    }
+}
+
+/// One group node master's inbound tree channels from one peer group
+/// node, one per buffer side: a communicator has nodes² of these and a
+/// tree collective touches only its tree edges, so each is created on
+/// first use (`SrmComm::peer`).
 pub struct PeerLink {
-    /// Flow-control credits for my small-broadcast puts toward this
-    /// child node (init 1 per side; the child's zero-byte put restores
-    /// a credit when its landing side drains).
-    pub bcast_free: [LapiCounter; 2],
-    /// Landing buffers for this source node's pipelined-reduce puts.
-    pub reduce_landing: [ShmBuffer; 2],
-    /// Data counters for `reduce_landing`, bumped by the source's puts.
-    pub reduce_data: [LapiCounter; 2],
-    /// Credits for my reduce puts toward this destination node (init 1
-    /// per side; destination acks restore).
-    pub reduce_free: [LapiCounter; 2],
-    /// Address-exchange slot: the user-buffer handle this child's
-    /// master sent me for the large broadcast.
-    pub addr_slot: SimVar<Option<ShmBuffer>>,
+    /// Small-broadcast channels from this parent node; they land in my
+    /// node's landing pair.
+    pub bcast: [Channel; 2],
+    /// Pipelined-reduce (and scatter) channels from this node.
+    pub reduce: [Channel; 2],
 }
 
 /// Network-facing state of one node's master, addressable by the other
-/// masters (handles distributed at setup, like registered memory).
-/// Like [`NodeBoard`], allocated per communicator and indexed by
-/// **group node** numbers.
+/// masters (handles distributed at setup, like registered memory): the
+/// channels **into** this node and its stand-alone counters. Like
+/// [`NodeBoard`], allocated per communicator and indexed by **group
+/// node** numbers.
 pub struct InterState {
-    /// Per-peer-node state, each link created when first resolved — by
-    /// the engine's cell resolvers or by the address AM handler.
+    /// Per-peer-node channels, each link created when first resolved
+    /// (`SrmComm::peer`).
     peers: Vec<OnceLock<PeerLink>>,
-    handle: SimHandle,
-    reduce_chunk: usize,
     /// Cumulative counter of large-broadcast chunks landed in my user
     /// buffer.
     pub large_data: LapiCounter,
-    /// Per-round recursive-doubling landing buffers (allreduce ≤16 KB).
-    pub rd_landing: Vec<ShmBuffer>,
-    /// Data counters for `rd_landing`.
-    pub rd_data: Vec<LapiCounter>,
-    /// Credits to put round `r` data at my partner (init 1; partner
-    /// acks after consuming).
-    pub rd_free: Vec<LapiCounter>,
-    /// Landing for the non-power-of-two fold/unfold exchanges.
-    pub fold_landing: ShmBuffer,
-    /// Fold-in data counter (odd extra node → even neighbour).
-    pub fold_data: LapiCounter,
-    /// Credit for the fold-in put (init 1).
-    pub fold_free: LapiCounter,
-    /// Unfold (result return) data counter.
-    pub unfold_data: LapiCounter,
+    /// Recursive-doubling channels, one per round (allreduce ≤16 KB): a
+    /// node has one partner per round.
+    pub rd: Vec<Channel>,
+    /// The non-power-of-two fold channel: the fold-in on an even node,
+    /// the result return on an odd one.
+    pub fold: Channel,
     /// Cumulative barrier round counters (dissemination).
     pub bar_round: Vec<LapiCounter>,
-    /// The gather root's user-buffer handle, delivered by
-    /// the gather/scatter address AM (taken once per gather by the
-    /// master).
-    pub gs_root: SimVar<Option<ShmBuffer>>,
 }
 
 impl InterState {
     fn new(handle: &SimHandle, nodes: usize, tuning: &SrmTuning) -> Self {
         let rounds = usize::BITS as usize - nodes.leading_zeros() as usize + 1;
+        let exchange = || Channel::new(handle, ShmBuffer::new(tuning.allreduce_rd_max), 1);
         InterState {
             peers: (0..nodes).map(|_| OnceLock::new()).collect(),
-            handle: handle.clone(),
-            reduce_chunk: tuning.reduce_chunk,
             large_data: LapiCounter::new(handle, 0),
-            rd_landing: (0..rounds)
-                .map(|_| ShmBuffer::new(tuning.allreduce_rd_max))
-                .collect(),
-            rd_data: (0..rounds).map(|_| LapiCounter::new(handle, 0)).collect(),
-            rd_free: (0..rounds).map(|_| LapiCounter::new(handle, 1)).collect(),
-            fold_landing: ShmBuffer::new(tuning.allreduce_rd_max),
-            fold_data: LapiCounter::new(handle, 0),
-            fold_free: LapiCounter::new(handle, 1),
-            unfold_data: LapiCounter::new(handle, 0),
+            rd: (0..rounds).map(|_| exchange()).collect(),
+            fold: exchange(),
             bar_round: (0..rounds).map(|_| LapiCounter::new(handle, 0)).collect(),
-            gs_root: handle.var(None),
+        }
+    }
+}
+
+/// One mailbox slot: empty, or the handle left in it.
+pub(crate) type HandleSlot = SimVar<Option<ShmBuffer>>;
+
+/// The communicator's one address mailbox: slot `(owner, sender)` holds
+/// the buffer handle comm rank `sender` handed comm rank `owner` until
+/// the owner's [`Step::AddrTake`](crate::plan::Step::AddrTake) empties
+/// it. Fed by the communicator's address active message and, between
+/// tasks of one node, through shared memory. A slot is created by
+/// whichever of the deposit and the take touches it first.
+pub(crate) struct Mailbox {
+    handle: SimHandle,
+    slots: Mutex<BTreeMap<(usize, usize), HandleSlot>>,
+}
+
+impl Mailbox {
+    fn new(handle: &SimHandle) -> Self {
+        Mailbox {
+            handle: handle.clone(),
+            slots: Mutex::default(),
         }
     }
 
-    /// My state toward peer group node `g`.
-    pub fn peer(&self, g: usize) -> &PeerLink {
-        self.peers[g].get_or_init(|| {
-            let pair = |init| [0, 1].map(|_| LapiCounter::new(&self.handle, init));
-            PeerLink {
-                bcast_free: pair(1),
-                reduce_landing: [0, 1].map(|_| ShmBuffer::new(self.reduce_chunk)),
-                reduce_data: pair(0),
-                reduce_free: pair(1),
-                addr_slot: self.handle.var(None),
-            }
-        })
+    /// Comm rank `owner`'s slot for handles from comm rank `sender`.
+    pub(crate) fn slot(&self, owner: usize, sender: usize) -> HandleSlot {
+        let mut slots = self.slots.lock().expect("mailbox poisoned");
+        let slot = slots.entry((owner, sender));
+        slot.or_insert_with(|| self.handle.var(None)).clone()
+    }
+
+    /// Leave `handle` in slot `(owner, sender)`.
+    ///
+    /// # Panics
+    /// Naming both ranks, if the slot still holds an untaken handle. A
+    /// sender cannot finish a call before the owner has taken, so the
+    /// slot is empty again by its next deposit (DESIGN.md §16.2).
+    pub(crate) fn deposit(&self, ctx: &Ctx, owner: usize, sender: usize, handle: ShmBuffer) {
+        let slot = self.slot(owner, sender);
+        assert!(
+            slot.with(|s| s.is_none()),
+            "address mailbox overrun: owner comm rank {owner} has not taken \
+             the handle sender comm rank {sender} left before"
+        );
+        slot.store(ctx, Some(handle));
     }
 }
 
@@ -347,16 +363,16 @@ impl CommGroup {
 
 /// Everything one communicator owns: its group, its per-node boards and
 /// landing structures (indexed by **group node**), its pairwise
-/// exchange registry, and its AM handler ids.
+/// exchange registry, its address mailbox and the AM id that feeds it.
 pub(crate) struct CommState {
     pub group: CommGroup,
     pub boards: Vec<Arc<NodeBoard>>,
     pub inter: Vec<Arc<InterState>>,
-    /// Created, for the whole group, when the first member compiles a
-    /// pairwise shape ([`SrmComm::pairwise`]).
+    /// Created, for the whole group, when a member first touches it
+    /// ([`SrmComm::pairwise`]).
     pub pairwise: OnceLock<PairwiseState>,
-    pub am_addr_xchg: u32,
-    pub am_gs_addr: u32,
+    pub mailbox: Arc<Mailbox>,
+    pub am_addr: u32,
     /// Per-member protocol sequence cells and plan cache (comm rank →
     /// seat), shared by every handle clone of that member.
     pub seats: Vec<Arc<CommSeat>>,
@@ -365,13 +381,13 @@ pub(crate) struct CommState {
 impl CommState {
     /// Allocate what is linear in `group`: one board per group node
     /// sized by that node's member count, one [`InterState`] per group
-    /// node, the seats, and the comm-scoped AM handlers on every group
-    /// master. What grows with a *product* of group dimensions — the
-    /// per-peer links, the pairwise registry — waits for its first use.
+    /// node, the seats, and the address handler on every member. What
+    /// grows with a *product* of group dimensions — the per-peer links,
+    /// the pairwise registry, the mailbox slots — waits for its first
+    /// use.
     fn new(
         handle: &SimHandle,
         rma: &RmaWorld,
-        topo: Topology,
         tuning: &SrmTuning,
         group: CommGroup,
     ) -> Arc<CommState> {
@@ -379,32 +395,22 @@ impl CommState {
         let boards = (0..gnodes)
             .map(|g| Arc::new(NodeBoard::new(handle, group.slots_on(g), tuning)))
             .collect();
-        let inter: Vec<Arc<InterState>> = (0..gnodes)
+        let inter = (0..gnodes)
             .map(|_| Arc::new(InterState::new(handle, gnodes, tuning)))
             .collect();
-        let am_addr_xchg = (1 + 3 * group.id()) as u32;
-        let am_gs_addr = (2 + 3 * group.id()) as u32;
-        // Address-exchange handlers on every group master: store the
-        // sending master's handle in the slot for its **group** node.
-        let gnode_of_rank: Arc<Vec<Option<usize>>> = Arc::new(
-            (0..topo.nprocs())
-                .map(|r| group.comm_rank_of(r).map(|c| group.coord_of(c).0))
-                .collect(),
-        );
-        for (g, node_inter) in inter.iter().enumerate() {
-            let ep = rma.endpoint(group.master_of(g));
-            let my_inter = node_inter.clone();
-            let gmap = gnode_of_rank.clone();
-            ep.register_handler(am_addr_xchg, move |hctx, msg| {
-                let src_gnode = gmap[msg.from].expect("sender is a group member");
-                let buf = msg.buf.expect("address exchange carries a handle");
-                my_inter.peer(src_gnode).addr_slot.store(hctx, Some(buf));
-            });
-            let my_inter = node_inter.clone();
-            ep.register_handler(am_gs_addr, move |hctx, msg| {
-                let buf = msg.buf.expect("gather root address carries a handle");
-                my_inter.gs_root.store(hctx, Some(buf));
-            });
+        // Every member accepts handles into its mailbox row, keyed by
+        // the sender's comm rank.
+        let am_addr = group.id() as u32;
+        let mailbox = Arc::new(Mailbox::new(handle));
+        let crank_of = Arc::new(group.crank_of.clone());
+        for (owner, &rank) in group.ranks().iter().enumerate() {
+            let (mailbox, crank_of) = (mailbox.clone(), crank_of.clone());
+            rma.endpoint(rank)
+                .register_handler(am_addr, move |hctx, msg| {
+                    let sender = crank_of[msg.from].expect("sender is a group member");
+                    let handle = msg.buf.expect("address exchange carries a handle");
+                    mailbox.deposit(hctx, owner, sender, handle);
+                });
         }
         let seats = (0..group.len())
             .map(|_| Arc::new(CommSeat::new(tuning.plan_cache_cap)))
@@ -418,8 +424,8 @@ impl CommState {
             boards,
             inter,
             pairwise: OnceLock::new(),
-            am_addr_xchg,
-            am_gs_addr,
+            mailbox,
+            am_addr,
             seats,
         })
     }
@@ -558,7 +564,7 @@ impl SrmWorld {
         let handle = sim.handle();
         let rma = RmaWorld::new(sim, topo.nprocs());
         let world_group = CommGroup::new(topo, geometry.tree, 0, (0..topo.nprocs()).collect());
-        let world_comm = CommState::new(&handle, &rma, topo, &geometry, world_group);
+        let world_comm = CommState::new(&handle, &rma, &geometry, world_group);
         let per_rank = (0..topo.nprocs())
             .map(|_| Arc::new(RankShared::new()))
             .collect();
@@ -609,13 +615,8 @@ impl SrmWorld {
     pub fn comm_create(&self, ranks: &[Rank]) -> Vec<SrmComm> {
         let id = self.next_comm.fetch_add(1, Ordering::Relaxed);
         let group = CommGroup::new(self.inner.topo, self.inner.tuning.tree, id, ranks.to_vec());
-        let comm = CommState::new(
-            &self.inner.handle,
-            &self.inner.rma,
-            self.inner.topo,
-            &self.inner.tuning,
-            group,
-        );
+        let (handle, rma) = (&self.inner.handle, &self.inner.rma);
+        let comm = CommState::new(handle, rma, &self.inner.tuning, group);
         (0..comm.group.len())
             .map(|c| self.handle_for(&comm, c))
             .collect()
@@ -896,16 +897,25 @@ impl SrmComm {
         &self.comm.inter[g]
     }
 
-    /// This communicator's pairwise exchange registry (landing rings,
-    /// per-pair counter families and address slots; see
-    /// [`crate::pairwise`]), created for the whole group by the first
-    /// call on any member. The pairwise planners call it while they
-    /// compile, so every member's address handler is registered before
-    /// any member can execute an address send.
+    /// Group node `dst`'s inbound tree channels from group node `src`.
+    pub(crate) fn peer(&self, dst: usize, src: usize) -> &PeerLink {
+        self.comm.inter[dst].peers[src].get_or_init(|| {
+            let (handle, chunk) = (&self.world.handle, self.world.tuning.reduce_chunk);
+            let landing = &self.comm.boards[dst].landing;
+            PeerLink {
+                bcast: [0, 1].map(|side| Channel::new(handle, landing.buf(side).clone(), 1)),
+                reduce: [0, 1].map(|_| Channel::new(handle, ShmBuffer::new(chunk), 1)),
+            }
+        })
+    }
+
+    /// This communicator's pairwise exchange registry (ring channels
+    /// and direct-route completion counters; see [`crate::pairwise`]),
+    /// created for the whole group by the first call on any member.
     pub fn pairwise(&self) -> &PairwiseState {
-        self.comm
-            .pairwise
-            .get_or_init(|| PairwiseState::new(&self.world, &self.comm.group))
+        let (handle, tuning) = (&self.world.handle, &self.world.tuning);
+        let registry = || PairwiseState::new(handle, tuning, self.cnodes(), self.csize());
+        self.comm.pairwise.get_or_init(registry)
     }
 
     /// The RMA endpoint (exposed for tests and extensions).
@@ -955,39 +965,46 @@ mod tests {
 
     #[test]
     fn construction_allocates_simvars_linear_in_ranks() {
-        // Per rank 3 in `rma` and 13 on its board; per node 10 plus 3
-        // per barrier / recursive-doubling round (6 rounds at 16 nodes,
-        // 8 at 64). The two P² tables alone were 131 072 at 16x16.
+        // Per rank 3 in `rma` and 13 on its board; per node 5 (the xfer
+        // flags, `large_data`, the fold channel) plus 3 per barrier /
+        // recursive-doubling round (6 rounds at 16 nodes, 8 at 64).
         assert_eq!(
             vars_allocated_by_new(Topology::new(16, 16)),
-            256 * 16 + 16 * 28
+            256 * 16 + 16 * 23
         );
         assert_eq!(
             vars_allocated_by_new(Topology::new(64, 16)),
-            1024 * 16 + 64 * 34
+            1024 * 16 + 64 * 29
         );
     }
 
-    #[test]
-    fn tree_collectives_create_no_pairwise_state_and_only_tree_edge_links() {
-        let topo = Topology::new(8, 2);
+    /// Run `body` on every rank of a fresh `topo` world with a 2 MiB
+    /// buffer, and hand back the world communicator's state.
+    fn run_world(topo: Topology, body: fn(&Ctx, &SrmComm, &ShmBuffer)) -> Arc<CommState> {
         let mut sim = Sim::new(MachineConfig::ibm_sp_colony());
         let world = SrmWorld::new(&mut sim, topo, SrmTuning::default());
         for rank in 0..topo.nprocs() {
             let comm = world.comm(rank);
             sim.spawn(format!("rank{rank}"), move |ctx| {
-                let buf = comm.alloc_buffer(256 << 10);
-                comm.barrier(&ctx);
-                for len in [64, 256 << 10] {
-                    comm.broadcast(&ctx, &buf, len, 0);
-                    comm.reduce(&ctx, &buf, len, DType::U64, ReduceOp::Max, 0);
-                    comm.allreduce(&ctx, &buf, len, DType::U64, ReduceOp::Max);
-                }
+                body(&ctx, &comm, &comm.alloc_buffer(2 << 20));
                 comm.shutdown(&ctx);
             });
         }
         sim.run().expect("simulation completes");
-        let comm = &world.inner.world_comm;
+        world.inner.world_comm.clone()
+    }
+
+    #[test]
+    fn tree_collectives_create_no_pairwise_state_and_only_tree_edge_links() {
+        let topo = Topology::new(8, 2);
+        let comm = run_world(topo, |ctx, comm, buf| {
+            comm.barrier(ctx);
+            for len in [64, 256 << 10] {
+                comm.broadcast(ctx, buf, len, 0);
+                comm.reduce(ctx, buf, len, DType::U64, ReduceOp::Max, 0);
+                comm.allreduce(ctx, buf, len, DType::U64, ReduceOp::Max);
+            }
+        });
         assert!(comm.pairwise.get().is_none());
         let edges: Vec<(NodeId, NodeId)> = (comm.group.embedding().inter_edges().iter())
             .map(|&(parent, child)| (topo.node_of(parent), topo.node_of(child)))
@@ -1000,5 +1017,57 @@ mod tests {
                 assert_eq!(linked, edge, "link {a} -> {b}");
             }
         }
+    }
+
+    /// The `(owner, sender)` mailbox slots that exist, ascending.
+    fn mailbox_slots(comm: &CommState) -> Vec<(usize, usize)> {
+        comm.mailbox.slots.lock().unwrap().keys().copied().collect()
+    }
+
+    /// One mailbox serves all three exchanges, and a slot exists only
+    /// where a handle travelled. (The `Overlap` scenarios of
+    /// `tests/schedule_golden.rs` at 128 KB keep a large `ibroadcast`
+    /// and a direct-route `ialltoall` in flight through it together.)
+    #[test]
+    fn mailbox_slots_exist_only_for_pairs_that_exchanged_a_handle() {
+        let topo = Topology::new(8, 2);
+        // Large broadcast: each child node's master to its parent's
+        // (on the world communicator a master's comm rank is its rank).
+        let bcast = run_world(topo, |ctx, comm, buf| {
+            comm.broadcast(ctx, buf, 256 << 10, 0)
+        });
+        let mut edges = bcast.group.embedding().inter_edges();
+        edges.sort_unstable();
+        assert_eq!(edges.len(), 7);
+        assert_eq!(mailbox_slots(&bcast), edges);
+        // Gather rooted at rank 3, not its node's master: the root to
+        // master 2 through shared memory, master 2 to the other seven.
+        let gather = run_world(topo, |ctx, comm, buf| comm.gather(ctx, buf, 64, 3));
+        let mut want: Vec<(usize, usize)> = (0..16).step_by(2).map(|m| (m, 2)).collect();
+        want[1] = (2, 3);
+        assert_eq!(mailbox_slots(&gather), want);
+        // Direct-route alltoall: every ordered pair of ranks on
+        // different nodes.
+        let alltoall = run_world(topo, |ctx, comm, buf| comm.alltoall(ctx, buf, 64 << 10));
+        let pairs = (0..16).flat_map(|owner| (0..16).map(move |sender| (owner, sender)));
+        let want: Vec<(usize, usize)> = pairs.filter(|&(o, s)| o / 2 != s / 2).collect();
+        assert_eq!(mailbox_slots(&alltoall), want);
+        // A world that exchanges no address has no slot.
+        let barriers = run_world(Topology::new(64, 16), |ctx, comm, _| comm.barrier(ctx));
+        assert_eq!(mailbox_slots(&barriers), []);
+    }
+
+    #[test]
+    fn a_second_deposit_before_the_take_panics_naming_both_ranks() {
+        let mut sim = Sim::new(MachineConfig::ibm_sp_colony());
+        let mailbox = Mailbox::new(&sim.handle());
+        sim.spawn("depositor", move |ctx| {
+            for _ in 0..2 {
+                mailbox.deposit(&ctx, 2, 1, ShmBuffer::new(8));
+            }
+        });
+        let error = format!("{:?}", sim.run().expect_err("the second deposit panics"));
+        assert!(error.contains("owner comm rank 2"), "{error}");
+        assert!(error.contains("sender comm rank 1"), "{error}");
     }
 }

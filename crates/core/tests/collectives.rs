@@ -3,9 +3,12 @@
 //! (master and non-master), tree kinds, and repeated operations
 //! (exercising buffer/flag/credit reuse).
 
-use collops::{from_bytes_u64, reference_reduce, to_bytes_u64, Collectives, DType, ReduceOp};
-use simnet::{MachineConfig, Rank, Report, Sim, Topology};
-use srm::{SrmTuning, SrmWorld};
+use collops::{
+    from_bytes_u64, reference_reduce, to_bytes_u64, Collectives, DType, NonblockingCollectives,
+    ReduceOp,
+};
+use simnet::{Ctx, MachineConfig, Rank, Report, Sim, Topology};
+use srm::{SrmComm, SrmTuning, SrmWorld};
 use std::sync::{Arc, Mutex};
 
 /// Run `body` on every rank; collect per-rank output bytes.
@@ -539,5 +542,134 @@ fn payload_larger_than_buffer_is_caught() {
             assert!(message.contains("payload longer than buffer"), "{message}");
         }
         other => panic!("expected an LpPanic, got {other:?}"),
+    }
+}
+
+/// One call of `op` on either face with every argument explicit.
+#[allow(clippy::too_many_arguments)]
+fn call(
+    ctx: &Ctx,
+    comm: &SrmComm,
+    op: &str,
+    nonblocking: bool,
+    buf: &shmem::ShmBuffer,
+    len: usize,
+    root: usize,
+    counts: &[usize],
+) {
+    let (dt, sum) = (DType::U64, ReduceOp::Sum);
+    if nonblocking {
+        let req = match op {
+            "bcast" => comm.ibroadcast(ctx, buf, len, root),
+            "reduce" => comm.ireduce(ctx, buf, len, dt, sum, root),
+            "allreduce" => comm.iallreduce(ctx, buf, len, dt, sum),
+            "barrier" => comm.ibarrier(ctx),
+            "gather" => comm.igather(ctx, buf, len, root),
+            "scatter" => comm.iscatter(ctx, buf, len, root),
+            "allgather" => comm.iallgather(ctx, buf, len),
+            "alltoall" => comm.ialltoall(ctx, buf, len),
+            "alltoallv" => comm.ialltoallv(ctx, buf, len, counts),
+            "reduce_scatter" => comm.ireduce_scatter(ctx, buf, len, dt, sum),
+            other => panic!("unknown op {other}"),
+        };
+        comm.wait(ctx, req);
+    } else {
+        match op {
+            "bcast" => comm.broadcast(ctx, buf, len, root),
+            "reduce" => comm.reduce(ctx, buf, len, dt, sum, root),
+            "allreduce" => comm.allreduce(ctx, buf, len, dt, sum),
+            "barrier" => comm.barrier(ctx),
+            "gather" => comm.gather(ctx, buf, len, root),
+            "scatter" => comm.scatter(ctx, buf, len, root),
+            "allgather" => comm.allgather(ctx, buf, len),
+            "alltoall" => comm.alltoall(ctx, buf, len),
+            "alltoallv" => comm.alltoallv(ctx, buf, len, counts),
+            "reduce_scatter" => comm.reduce_scatter(ctx, buf, len, dt, sum),
+            other => panic!("unknown op {other}"),
+        }
+    }
+}
+
+/// Every rank of a 2x2 world makes one call of `op` with a `cap`-byte
+/// buffer: `None` if the world completes, else the panic message.
+fn call_outcome(
+    op: &'static str,
+    nonblocking: bool,
+    cap: usize,
+    root: usize,
+    counts: Vec<usize>,
+) -> Option<String> {
+    let topo = Topology::new(2, 2);
+    let mut sim = Sim::new(MachineConfig::ibm_sp_colony());
+    let world = SrmWorld::new(&mut sim, topo, SrmTuning::default());
+    for rank in 0..topo.nprocs() {
+        let (comm, counts) = (world.comm(rank), counts.clone());
+        sim.spawn(format!("rank{rank}"), move |ctx| {
+            let buf = comm.alloc_buffer(cap);
+            call(&ctx, &comm, op, nonblocking, &buf, 64, root, &counts);
+            comm.shutdown(&ctx);
+        });
+    }
+    match sim.run() {
+        Ok(_) => None,
+        Err(simnet::SimError::LpPanic { message, .. }) => Some(message),
+        Err(other) => panic!("{op}: {other:?}"),
+    }
+}
+
+/// Every operation, on both faces, names the rule a bad root, a short
+/// buffer or a bad count matrix breaks — and admits the tightest valid
+/// call. 64-byte segments on 4 ranks.
+#[test]
+fn every_call_shape_is_validated_on_both_faces() {
+    // (op, bytes its layout needs, the capacity rule, rooted).
+    let table: [(&'static str, usize, &str, bool); 10] = [
+        ("bcast", 64, "payload longer than buffer", true),
+        ("reduce", 64, "payload longer than buffer", true),
+        ("allreduce", 64, "payload longer than buffer", false),
+        ("barrier", 0, "", false),
+        ("gather", 256, "gather needs size*len capacity", true),
+        ("scatter", 256, "scatter needs size*len capacity", true),
+        ("allgather", 256, "allgather needs size*len capacity", false),
+        ("alltoall", 512, "alltoall needs 2*size*len capacity", false),
+        (
+            "alltoallv",
+            512,
+            "alltoallv needs 2*size*seg capacity",
+            false,
+        ),
+        (
+            "reduce_scatter",
+            256,
+            "reduce_scatter needs size*len capacity",
+            false,
+        ),
+    ];
+    let full = vec![64usize; 16];
+    for nb in [false, true] {
+        let expect = |got: Option<String>, rule: &str, what: &str| {
+            let got = got.unwrap_or_else(|| panic!("{what} (nonblocking {nb}) was admitted"));
+            assert!(got.contains(rule), "{what} (nonblocking {nb}): {got}");
+        };
+        for (op, need, rule, rooted) in table {
+            assert_eq!(call_outcome(op, nb, need, 3, full.clone()), None, "{op}");
+            if need > 0 {
+                let short = call_outcome(op, nb, need - 1, 0, full.clone());
+                expect(short, rule, &format!("{op} with a short buffer"));
+            }
+            if rooted {
+                let bad_root = call_outcome(op, nb, need, 4, full.clone());
+                let what = format!("{op} rooted outside the communicator");
+                expect(bad_root, "root out of communicator range", &what);
+            }
+        }
+        let ragged = call_outcome("alltoallv", nb, 512, 0, vec![64; 15]);
+        let rule = "alltoallv counts must be the full size*size matrix";
+        expect(ragged, rule, "alltoallv with 15 counts");
+        let mut wide = full.clone();
+        wide[5] = 65;
+        let wide = call_outcome("alltoallv", nb, 512, 0, wide);
+        let rule = "alltoallv count exceeds its segment capacity";
+        expect(wide, rule, "alltoallv with a count past its segment");
     }
 }

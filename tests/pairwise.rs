@@ -203,10 +203,11 @@ fn rabenseifner_allreduce_matches_pipeline() {
 
 // --- First use -------------------------------------------------------
 //
-// The pairwise registry (rings, counter families, address slots and
-// the per-member address handlers) is created when a communicator
-// compiles its first pairwise shape. These are the orderings in which
-// that first compile could come too late for a peer's address send.
+// The pairwise registry (ring channels and direct-route counters) and
+// the mailbox slots of the address exchange are created when a
+// communicator first touches them. These are the orderings in which a
+// peer's address send could arrive before its target has touched
+// anything pairwise.
 
 /// The 64 KB per-pair segment that takes the direct route by default.
 const DIRECT_LEN: usize = 64 * 1024;
