@@ -5,18 +5,31 @@
 //! over communicator rank order, plus the dependent-hop heights.
 
 use simnet::Topology;
-use srm::{GroupEmbedding, TreeKind};
+use srm::{embed, CommGroup, TreeKind};
+
+/// Inter-node edge count of the *naive* embedding: the same tree built
+/// over the group's **communicator order** (the order the caller listed
+/// the ranks, as `MPI_Group_incl` does), rooted at its first rank and
+/// ignoring topology.
+fn naive_inter_edges(topo: Topology, order: &[usize]) -> usize {
+    (1..order.len())
+        .filter(|&v| {
+            let p = embed::parent(TreeKind::Binomial, v, order.len()).expect("non-root");
+            !topo.same_node(order[v], order[p])
+        })
+        .count()
+}
 
 fn study(name: &str, topo: Topology, group: Vec<usize>) {
-    let root = group[0];
-    let g = GroupEmbedding::new(topo, &group, root, TreeKind::Binomial);
+    let naive = naive_inter_edges(topo, &group);
+    let g = CommGroup::new(topo, TreeKind::Binomial, 1, group);
     println!(
         "{:>34}: |group|={:3} nodes={:2}  net edges {:3} (naive {:3})  height {}",
         name,
         g.len(),
         g.node_count(),
-        g.inter_edges().len(),
-        g.naive_inter_edges(),
+        g.inter_edges(0).len(),
+        naive,
         g.embedded_height(),
     );
 }

@@ -58,9 +58,7 @@ fn check(shape: &PlanShape, n: usize, buf: &ShmBuffer) {
             2 * n * seg,
             "alltoallv needs 2*size*seg capacity (send half + recv half)",
         ),
-        S::Barrier | S::SmpBcast { .. } | S::SmpBcastTree { .. } | S::SmpBcastSistare { .. } => {
-            return
-        }
+        S::Barrier => return,
     };
     assert!(need <= buf.capacity(), "{rule}");
 }

@@ -15,8 +15,6 @@
 //! binomial trees perform the best": binomial (distance power-of-two),
 //! binary, and Fibonacci (postal-model trees for send latency 2).
 
-use simnet::{NodeId, Rank, Topology};
-
 /// Shape of the inter-node (and intra-node reduce) tree.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum TreeKind {
@@ -137,271 +135,62 @@ fn rounds_tree_parents(size: usize, delay: usize) -> Vec<usize> {
     parent
 }
 
-/// The SMP-aware embedding of a collective tree for one (topology,
-/// root, kind) triple. All rank-level questions (who is my SMP parent,
-/// which nodes does my master talk to) are answered here.
+/// One group node's place in the inter-node tree of a rooted
+/// operation: the tree over a communicator's **group-node indices**
+/// (`0..nodes`), rotated so the root's node is relative vertex 0. This
+/// is the one description of the embedded tree: the planners walk it to
+/// emit the master-to-master legs, and
+/// [`CommGroup::inter_edges`](crate::CommGroup::inter_edges) lists its
+/// edges. On the world communicator group-node indices are world node
+/// ids.
 #[derive(Clone, Debug)]
-pub struct Embedding {
-    topo: Topology,
-    root: Rank,
-    kind: TreeKind,
+pub struct GroupTree {
+    root: usize,
+    parent: Option<usize>,
+    down: Vec<usize>,
 }
 
-impl Embedding {
-    /// Build the embedding of the `kind` tree rooted at `root`.
-    pub fn new(topo: Topology, root: Rank, kind: TreeKind) -> Self {
-        assert!(root < topo.nprocs());
-        Embedding { topo, root, kind }
+impl GroupTree {
+    /// The view from group node `my_node` of the `kind` tree over
+    /// `nodes` group nodes rooted at group node `root_node`.
+    pub fn new(kind: TreeKind, nodes: usize, root_node: usize, my_node: usize) -> Self {
+        assert!(root_node < nodes && my_node < nodes);
+        let v = (my_node + nodes - root_node) % nodes;
+        let node_of = |v: usize| (v + root_node) % nodes;
+        GroupTree {
+            root: root_node,
+            parent: parent(kind, v, nodes).map(node_of),
+            down: children(kind, v, nodes).into_iter().map(node_of).collect(),
+        }
     }
 
-    /// The global root rank.
-    pub fn root(&self) -> Rank {
+    /// The group node the tree is rooted at.
+    pub fn root(&self) -> usize {
         self.root
     }
 
-    /// The node hosting the root.
-    pub fn root_node(&self) -> NodeId {
-        self.topo.node_of(self.root)
+    /// My parent group node (None on the root's node).
+    pub fn parent(&self) -> Option<usize> {
+        self.parent
     }
 
-    /// Relative node number of `node` (root's node is 0).
-    fn vnode(&self, node: NodeId) -> usize {
-        let n = self.topo.nodes();
-        (node + n - self.root_node()) % n
+    /// My child group nodes in broadcast send order (subtrees that take
+    /// longest first).
+    pub fn down(&self) -> &[usize] {
+        &self.down
     }
 
-    fn unvnode(&self, vnode: usize) -> NodeId {
-        let n = self.topo.nodes();
-        (vnode + self.root_node()) % n
-    }
-
-    /// Parent node of `node` in the inter-node tree (None for the
-    /// root's node).
-    pub fn node_parent(&self, node: NodeId) -> Option<NodeId> {
-        parent(self.kind, self.vnode(node), self.topo.nodes()).map(|p| self.unvnode(p))
-    }
-
-    /// Child nodes of `node` in broadcast send order.
-    pub fn node_children(&self, node: NodeId) -> Vec<NodeId> {
-        children(self.kind, self.vnode(node), self.topo.nodes())
-            .into_iter()
-            .map(|c| self.unvnode(c))
-            .collect()
-    }
-
-    /// Child nodes in reduce receive order.
-    pub fn node_children_ascending(&self, node: NodeId) -> Vec<NodeId> {
-        children_ascending(self.kind, self.vnode(node), self.topo.nodes())
-            .into_iter()
-            .map(|c| self.unvnode(c))
-            .collect()
-    }
-
-    /// The rank on `node` that the intra-node reduce subtree is rooted
-    /// at: the node master (it feeds the inter-node tree).
-    pub fn smp_root(&self, node: NodeId) -> Rank {
-        self.topo.master_of(node)
-    }
-
-    /// Relative slot numbering for the intra-node subtree on `rank`'s
-    /// node: the subtree is rooted at the master's slot.
-    fn vslot(&self, rank: Rank) -> usize {
-        self.topo.slot_of(rank)
-    }
-
-    /// Parent rank of `rank` within its node's subtree (None for the
-    /// node master).
-    pub fn smp_parent(&self, rank: Rank) -> Option<Rank> {
-        let p = self.topo.tasks_per_node();
-        let node = self.topo.node_of(rank);
-        parent(self.kind, self.vslot(rank), p).map(|v| self.topo.rank_of(node, v))
-    }
-
-    /// Child ranks of `rank` within its node's subtree (reduce receive
-    /// order).
-    pub fn smp_children_ascending(&self, rank: Rank) -> Vec<Rank> {
-        let p = self.topo.tasks_per_node();
-        let node = self.topo.node_of(rank);
-        children_ascending(self.kind, self.vslot(rank), p)
-            .into_iter()
-            .map(|v| self.topo.rank_of(node, v))
-            .collect()
-    }
-
-    /// Total dependent steps of the embedded tree: intra-node height
-    /// plus inter-node height.
-    pub fn embedded_height(&self) -> usize {
-        height(self.kind, self.topo.tasks_per_node()) + height(self.kind, self.topo.nodes())
-    }
-}
-
-/// SMP-aware embedding for an **arbitrary task group** — the open
-/// problem the paper leaves for future work (§5: "optimal embedding
-/// spanning trees for arbitrary MPI task groups in the SMP clusters").
-///
-/// Given any subset of ranks, the embedding groups members by SMP
-/// node, elects the lowest-ranked member of each node as that node's
-/// *group master*, builds the inter-node tree over the masters'
-/// nodes (root's node first), and an intra-node subtree over each
-/// node's members. The payoff metric is the same as for full
-/// communicators: inter-node edges cost network messages, intra-node
-/// edges cost shared memory.
-#[derive(Clone, Debug)]
-pub struct GroupEmbedding {
-    topo: Topology,
-    kind: TreeKind,
-    root: Rank,
-    /// Distinct member nodes, root's node first, then ascending.
-    nodes: Vec<NodeId>,
-    /// Members per node (ascending rank), parallel to `nodes`.
-    members: Vec<Vec<Rank>>,
-    /// The group in caller order (MPI communicator rank order — what a
-    /// topology-unaware implementation builds its tree over).
-    order: Vec<Rank>,
-}
-
-impl GroupEmbedding {
-    /// Embed the `kind` tree for `group` (deduplicated, any order)
-    /// rooted at `root`, which must be a member.
-    ///
-    /// # Panics
-    /// If the group is empty, contains an out-of-range rank, or does
-    /// not contain `root`.
-    pub fn new(topo: Topology, group: &[Rank], root: Rank, kind: TreeKind) -> Self {
-        assert!(!group.is_empty(), "empty group");
-        let mut sorted: Vec<Rank> = group.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert!(
-            sorted.iter().all(|&r| r < topo.nprocs()),
-            "group member out of range"
-        );
-        assert!(sorted.binary_search(&root).is_ok(), "root not in group");
-
-        let root_node = topo.node_of(root);
-        let mut nodes: Vec<NodeId> = sorted.iter().map(|&r| topo.node_of(r)).collect();
-        nodes.sort_unstable();
-        nodes.dedup();
-        // Rotate so the root's node leads (relative node 0).
-        let pos = nodes
-            .iter()
-            .position(|&n| n == root_node)
-            .expect("root's node is present");
-        nodes.rotate_left(pos);
-        let members = nodes
-            .iter()
-            .map(|&n| {
-                sorted
-                    .iter()
-                    .copied()
-                    .filter(|&r| topo.node_of(r) == n)
-                    .collect()
-            })
-            .collect();
-        let mut order: Vec<Rank> = Vec::with_capacity(sorted.len());
-        for &r in group {
-            if !order.contains(&r) {
-                order.push(r);
-            }
-        }
-        GroupEmbedding {
-            topo,
-            kind,
-            root,
-            nodes,
-            members,
-            order,
-        }
-    }
-
-    /// Group size.
-    pub fn len(&self) -> usize {
-        self.members.iter().map(Vec::len).sum()
-    }
-
-    /// Is the group empty? (Never true for a constructed embedding.)
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Distinct nodes the group touches.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// The group master of member node index `i`: the task that talks
-    /// to the network on that node (the root itself on the root's node).
-    pub fn group_master(&self, i: usize) -> Rank {
-        if i == 0 {
-            self.root
-        } else {
-            self.members[i][0]
-        }
-    }
-
-    /// Inter-node edges of the embedded tree as `(parent_master,
-    /// child_master)` pairs.
-    pub fn inter_edges(&self) -> Vec<(Rank, Rank)> {
-        let n = self.nodes.len();
-        (1..n)
-            .filter_map(|v| {
-                parent(self.kind, v, n).map(|p| (self.group_master(p), self.group_master(v)))
-            })
-            .collect()
-    }
-
-    /// Intra-node edges as `(parent, child)` rank pairs, over all nodes.
-    pub fn smp_edges(&self) -> Vec<(Rank, Rank)> {
-        let mut out = Vec::new();
-        for (i, members) in self.members.iter().enumerate() {
-            // Order members so the group master leads.
-            let master = self.group_master(i);
-            let mut order: Vec<Rank> = Vec::with_capacity(members.len());
-            order.push(master);
-            order.extend(members.iter().copied().filter(|&r| r != master));
-            for v in 1..order.len() {
-                if let Some(p) = parent(self.kind, v, order.len()) {
-                    out.push((order[p], order[v]));
-                }
-            }
-        }
-        out
-    }
-
-    /// Total dependent hops of the embedded tree.
-    pub fn embedded_height(&self) -> usize {
-        let intra = self
-            .members
-            .iter()
-            .map(|m| height(self.kind, m.len()))
-            .max()
-            .unwrap_or(0);
-        intra + height(self.kind, self.nodes.len())
-    }
-
-    /// Inter-node edge count of the *naive* embedding: the same tree
-    /// built over the group's **communicator order** (the order the
-    /// caller listed the ranks, as `MPI_Group_incl` does), ignoring
-    /// topology. Used to quantify the benefit of SMP-awareness.
-    pub fn naive_inter_edges(&self) -> usize {
-        let order = &self.order;
-        let root_idx = order.iter().position(|&r| r == self.root).expect("member");
-        let n = order.len();
-        // Relative index i corresponds to communicator position
-        // (i + root_idx) mod n.
-        let real = |v: usize| order[(v + root_idx) % n];
-        (1..n)
-            .filter(|&v| {
-                let p = parent(self.kind, v, n).expect("non-root");
-                !self.topo.same_node(real(v), real(p))
-            })
-            .count()
+    /// My child group nodes in reduce receive order: the reverse.
+    pub fn up(&self) -> impl Iterator<Item = usize> + '_ {
+        self.down.iter().rev().copied()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::world::CommGroup;
+    use simnet::{Rank, Topology};
     use std::collections::HashSet;
 
     fn check_spanning(kind: TreeKind, size: usize) {
@@ -465,30 +254,40 @@ mod tests {
         }
     }
 
+    /// The communicator of `ranks` (comm rank order) on `topo`, binomial.
+    fn group(topo: Topology, ranks: &[Rank]) -> CommGroup {
+        CommGroup::new(topo, TreeKind::Binomial, 1, ranks.to_vec())
+    }
+
+    fn world(nodes: usize, tpn: usize) -> CommGroup {
+        group(
+            Topology::new(nodes, tpn),
+            &(0..nodes * tpn).collect::<Vec<_>>(),
+        )
+    }
+
     #[test]
     fn embedding_figure1_shape() {
         // The paper's Figure 1: 128 procs on 8 x 16.
-        let topo = Topology::new(8, 16);
-        let e = Embedding::new(topo, 0, TreeKind::Binomial);
+        let g = world(8, 16);
         // Inter-node binomial on 8 nodes from node 0.
-        assert_eq!(e.node_children(0), vec![4, 2, 1]);
-        assert_eq!(e.node_parent(3), Some(2));
-        assert_eq!(e.node_parent(0), None);
-        // Intra-node subtree rooted at each master.
-        assert_eq!(e.smp_parent(0), None);
-        assert_eq!(e.smp_parent(17), Some(16)); // slot 1 -> master of node 1
-        assert_eq!(e.smp_parent(24), Some(16)); // slot 8 -> master
-                                                // Total steps: log2(16) + log2(8) = 4 + 3 = 7 = log2(128).
-        assert_eq!(e.embedded_height(), 7);
+        assert_eq!(g.tree(0, 0).down(), [4, 2, 1]);
+        assert_eq!(g.tree(0, 3).parent(), Some(2));
+        assert_eq!(g.tree(0, 0).parent(), None);
+        // Intra-node subtree over each node's slots, rooted at the
+        // master (slot 0).
+        assert_eq!(parent(TreeKind::Binomial, 1, 16), Some(0));
+        assert_eq!(parent(TreeKind::Binomial, 8, 16), Some(0));
+        // Total steps: log2(16) + log2(8) = 4 + 3 = 7 = log2(128).
+        assert_eq!(g.embedded_height(), 7);
     }
 
     #[test]
     fn height_optimality_power_of_two() {
         // n*p a power of two: embedding adds no steps.
         for (n, p) in [(8usize, 16usize), (16, 16), (4, 8), (2, 2)] {
-            let e = Embedding::new(Topology::new(n, p), 0, TreeKind::Binomial);
             let flat = height(TreeKind::Binomial, n * p);
-            assert_eq!(e.embedded_height(), flat, "{n}x{p}");
+            assert_eq!(world(n, p).embedded_height(), flat, "{n}x{p}");
         }
     }
 
@@ -498,25 +297,25 @@ mod tests {
         // optimal — intra (15 slots, deepest 0b111 = 3 hops) plus inter
         // (8 nodes, 3 hops) equals the flat tree on 120 (deepest
         // 0b1110111 = 6 hops).
-        let e = Embedding::new(Topology::new(8, 15), 0, TreeKind::Binomial);
-        let flat = height(TreeKind::Binomial, 120);
-        assert_eq!(e.embedded_height(), 6);
-        assert_eq!(e.embedded_height(), flat);
+        let g = world(8, 15);
+        assert_eq!(g.embedded_height(), 6);
+        assert_eq!(g.embedded_height(), height(TreeKind::Binomial, 120));
     }
 
     #[test]
     fn arbitrary_root_rotates_node_tree() {
-        let topo = Topology::new(4, 4);
-        let e = Embedding::new(topo, 9, TreeKind::Binomial); // root on node 2
-        assert_eq!(e.root_node(), 2);
-        assert_eq!(e.node_parent(2), None);
+        let g = world(4, 4);
+        let root_node = g.coord_of(9).0;
+        assert_eq!(root_node, 2);
+        assert_eq!(g.tree(root_node, 2).parent(), None);
         // Node children of root's node: vnodes 2,1 -> nodes (2+2)%4=0, 3.
-        assert_eq!(e.node_children(2), vec![0, 3]);
+        assert_eq!(g.tree(root_node, 2).down(), [0, 3]);
         // All nodes reachable.
         let mut seen = HashSet::from([2usize]);
         for node in 0..4 {
-            for c in e.node_children(node) {
+            for &c in g.tree(root_node, node).down() {
                 assert!(seen.insert(c));
+                assert_eq!(g.tree(root_node, c).parent(), Some(node));
             }
         }
         assert_eq!(seen.len(), 4);
@@ -524,118 +323,101 @@ mod tests {
 
     #[test]
     fn smp_children_orders_are_reversed() {
-        let topo = Topology::new(1, 8);
-        let e = Embedding::new(topo, 0, TreeKind::Binomial);
-        let asc = e.smp_children_ascending(0);
-        assert_eq!(asc, vec![1, 2, 4]);
-    }
-
-    fn edges_span_group(g: &GroupEmbedding, group: &[Rank]) {
-        let mut reached: HashSet<Rank> = HashSet::from([g.group_master(0)]);
-        for (p, c) in g.inter_edges() {
-            assert!(
-                reached.contains(&p) || p == g.group_master(0) || {
-                    // inter edges may come in any order; do a fixpoint below
-                    true
-                }
-            );
-            let _ = (p, c);
-        }
-        // Fixpoint reachability over all edges.
-        let all_edges: Vec<(Rank, Rank)> =
-            g.inter_edges().into_iter().chain(g.smp_edges()).collect();
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &(p, c) in &all_edges {
-                if reached.contains(&p) && reached.insert(c) {
-                    changed = true;
-                }
-            }
-        }
-        for &r in group {
-            assert!(reached.contains(&r), "rank {r} unreachable");
-        }
-        assert_eq!(reached.len(), group.len(), "extra ranks reached");
+        assert_eq!(children_ascending(TreeKind::Binomial, 0, 8), [1, 2, 4]);
+        let t = GroupTree::new(TreeKind::Binomial, 8, 3, 3);
+        assert_eq!(t.down(), [7, 5, 4]);
+        assert_eq!(t.up().collect::<Vec<_>>(), [4, 5, 7]);
     }
 
     #[test]
     fn group_embedding_spans_arbitrary_subsets() {
         let topo = Topology::new(4, 4);
-        for group in [
+        for ranks in [
             vec![0usize, 1, 2, 3],          // one node
             vec![3, 7, 11, 15],             // one rank per node
             vec![1, 2, 5, 9, 10, 14],       // mixed
             vec![6],                        // singleton
             vec![0, 4, 8, 12, 1, 5, 9, 13], // two per node
         ] {
-            let root = group[group.len() / 2];
-            let g = GroupEmbedding::new(topo, &group, root, TreeKind::Binomial);
-            assert_eq!(g.len(), group.len());
-            edges_span_group(&g, &group);
+            let g = group(topo, &ranks);
+            let root = ranks.len() / 2;
+            // The network edges hang every node's master off the master
+            // of the root's node (the root is one shared-memory hop
+            // from it, as is every member from its own master).
+            let edges = g.inter_edges(root);
+            let mut reached = HashSet::from([g.master_of(g.coord_of(root).0)]);
+            while let Some(&(_, c)) = edges
+                .iter()
+                .find(|&&(p, c)| reached.contains(&p) && !reached.contains(&c))
+            {
+                reached.insert(c);
+            }
+            let masters: HashSet<Rank> = (0..g.node_count()).map(|n| g.master_of(n)).collect();
+            assert_eq!(reached, masters);
+            assert_eq!(edges.len(), masters.len() - 1, "a tree: one parent each");
         }
     }
 
     #[test]
     fn group_embedding_cuts_network_edges() {
-        // A group of 4 full nodes: the SMP-aware embedding uses
-        // node_count-1 network edges; the naive rank-order tree uses
-        // more whenever binomial distances cross node boundaries.
-        // A group listed in round-robin-over-nodes communicator order
-        // (a common application pattern: "one process per node first").
+        // A group of 4 full nodes listed in round-robin-over-nodes
+        // communicator order (a common application pattern: "one
+        // process per node first"): the embedding uses node_count-1
+        // network edges, while the same tree built over communicator
+        // rank order crosses nodes on almost every edge.
         let topo = Topology::new(4, 8);
-        let mut group: Vec<Rank> = Vec::new();
-        for slot in 0..8 {
-            for node in 0..4 {
-                group.push(topo.rank_of(node, slot));
-            }
-        }
-        let g = GroupEmbedding::new(topo, &group, 0, TreeKind::Binomial);
-        assert_eq!(g.inter_edges().len(), 3); // n-1 for 4 nodes
-                                              // The rank-order tree crosses nodes on almost every edge.
-        assert!(
-            g.naive_inter_edges() > 4 * g.inter_edges().len(),
-            "naive {} vs aware {}",
-            g.naive_inter_edges(),
-            g.inter_edges().len()
-        );
+        let ranks: Vec<Rank> = (0..8)
+            .flat_map(|slot| (0..4).map(move |node| topo.rank_of(node, slot)))
+            .collect();
+        let g = group(topo, &ranks);
+        assert_eq!(g.inter_edges(0).len(), 3);
+        let naive = (1..ranks.len())
+            .filter(|&v| {
+                let p = parent(TreeKind::Binomial, v, ranks.len()).expect("non-root");
+                !topo.same_node(ranks[v], ranks[p])
+            })
+            .count();
+        assert!(naive > 4 * 3, "naive {naive} vs aware 3");
     }
 
     #[test]
     fn group_masters_lead_their_nodes() {
         let topo = Topology::new(3, 4);
-        let group = vec![2usize, 3, 5, 6, 9, 11];
-        let g = GroupEmbedding::new(topo, &group, 5, TreeKind::Binomial);
-        // Root's node (node 1) leads; the root itself is its master.
-        assert_eq!(g.group_master(0), 5);
+        let ranks = [2usize, 3, 5, 6, 9, 11];
+        let g = group(topo, &ranks);
         assert_eq!(g.node_count(), 3);
+        // A node's master is its lowest member whatever the root: the
+        // rank that issues the puts (rooted at 5, node 1's is still 5
+        // only because 5 < 6).
+        assert_eq!(
+            (0..3).map(|n| g.master_of(n)).collect::<Vec<_>>(),
+            [2, 5, 9]
+        );
         // Each inter edge connects masters of distinct nodes.
-        for (p, c) in g.inter_edges() {
-            assert!(!topo.same_node(p, c));
-            assert!(group.contains(&p) && group.contains(&c));
+        for root in 0..ranks.len() {
+            for (p, c) in g.inter_edges(root) {
+                assert!(!topo.same_node(p, c));
+                assert!([2, 5, 9].contains(&p) && [2, 5, 9].contains(&c));
+            }
         }
     }
 
     #[test]
     fn group_embedding_height_never_exceeds_naive_plus_one_level() {
-        let topo = Topology::new(4, 4);
-        let group: Vec<Rank> = vec![0, 1, 4, 5, 8, 9, 12, 13];
-        let g = GroupEmbedding::new(topo, &group, 0, TreeKind::Binomial);
+        let g = group(Topology::new(4, 4), &[0, 1, 4, 5, 8, 9, 12, 13]);
         // 4 nodes x 2 members: 1 + 2 = 3 hops; flat tree on 8: 3.
         assert_eq!(g.embedded_height(), 3);
     }
 
     #[test]
-    #[should_panic(expected = "root not in group")]
+    #[should_panic(expected = "root out of communicator range")]
     fn group_requires_root_membership() {
-        let topo = Topology::new(2, 2);
-        let _ = GroupEmbedding::new(topo, &[0, 1], 3, TreeKind::Binomial);
+        let _ = group(Topology::new(2, 2), &[0, 1]).inter_edges(3);
     }
 
     #[test]
-    #[should_panic(expected = "empty group")]
+    #[should_panic(expected = "empty communicator group")]
     fn empty_group_rejected() {
-        let topo = Topology::new(2, 2);
-        let _ = GroupEmbedding::new(topo, &[], 0, TreeKind::Binomial);
+        let _ = group(Topology::new(2, 2), &[]);
     }
 }

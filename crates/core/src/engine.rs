@@ -53,10 +53,7 @@ pub(crate) fn side_of(bases: &[u64; SEQ_BASES], s: Side) -> usize {
 /// protocol counts *uses*, not parities, so writer handoffs between
 /// uses of the same side stay ordered (see [`shmem::BufPair`]).
 pub(crate) fn seq_of(bases: &[u64; SEQ_BASES], s: Side) -> u64 {
-    match s {
-        Side::Lit(x) => x as u64,
-        Side::Parity { base, rel } => bases[base.index()] + rel,
-    }
+    bases[s.base.index()] + s.rel
 }
 
 pub(crate) fn off_of(bases: &[u64; SEQ_BASES], o: Off) -> usize {
@@ -81,8 +78,6 @@ pub(crate) fn flag_of(comm: &SrmComm, f: FlagRef) -> &SpinFlag {
         FlagRef::ContribDone { slot } => &board.contrib_done[slot],
         FlagRef::XferReady => &board.xfer_ready,
         FlagRef::XferDone => &board.xfer_done,
-        FlagRef::TreeReady { slot } => &board.tree_ready[slot],
-        FlagRef::TreeDone { slot } => &board.tree_done[slot],
     }
 }
 
@@ -240,9 +235,9 @@ impl SrmComm {
                 let (eq, value) = match until {
                     Until::Eq(v) => (true, val_of(bases, v)),
                     Until::Ge(v) => (false, val_of(bases, v)),
-                    Until::SideDrained { base, rel, scale } => match bases[base.index()] + rel {
+                    Until::SideDrained { base, rel } => match bases[base.index()] + rel {
                         cum if cum < 2 => return None,
-                        cum => (false, (cum - 1) * scale),
+                        cum => (false, cum - 1),
                     },
                     Until::Use(_) => panic!("a pair use is a condition on a pair cell"),
                 };
@@ -567,9 +562,6 @@ impl SrmComm {
                     } else {
                         flag_of(self, flag).raise(ctx, v);
                     }
-                }
-                Step::FlagAdd { flag, n } => {
-                    flag_of(self, flag).fetch_add(ctx, n);
                 }
                 Step::Wait { .. } | Step::AddrTake { .. } => {
                     let handle = self

@@ -44,12 +44,14 @@
 //! are stateless and the contribution channels re-synchronize through
 //! `SrmComm::plan_contrib_catchup`.
 
-use crate::embed::{self, TreeKind};
+use crate::embed::GroupTree;
 use crate::plan::{
     BufRef, Chan, ChanKind, CopyCost, CtrRef, FlagRef, HandleSrc, Off, PairSel, PlanBuilder,
     SeqBase, Side, Step, Until, Val, WaitCell,
 };
-use crate::smp::{plan_acc_to_user, plan_stage_acc, plan_xfer_consume, plan_xfer_produce};
+use crate::smp::{
+    plan_acc_to_user, plan_stage_acc, plan_xfer_consume, plan_xfer_produce, smp_cell, smp_cells,
+};
 use crate::tuning::SrmTuning;
 use crate::world::SrmComm;
 use shmem::PairUse;
@@ -59,61 +61,11 @@ pub(crate) fn seq(base: SeqBase, rel: u64) -> Val {
 }
 
 pub(crate) fn par(base: SeqBase, rel: u64) -> Side {
-    Side::Parity { base, rel }
+    Side { base, rel }
 }
 
 pub(crate) fn poff(base: SeqBase, rel: u64, stride: usize) -> Off {
     Off::Parity { base, rel, stride }
-}
-
-/// My node's place in the inter-node tree over the communicator's
-/// **group-node indices** (`0..cnodes()`), rotated so the root's node
-/// is relative vertex 0 — the group analogue of
-/// [`Embedding`](crate::embed::Embedding)'s vnode arithmetic. On the
-/// world communicator group-node indices are world node ids, so this is
-/// exactly the old embedding.
-struct GroupTree {
-    kind: TreeKind,
-    n: usize,
-    root_g: usize,
-    /// My relative vertex.
-    v: usize,
-    /// My child group nodes in broadcast send order.
-    down: Vec<usize>,
-}
-
-impl GroupTree {
-    fn new(comm: &SrmComm, root_g: usize) -> Self {
-        let (kind, n) = (comm.tree(), comm.cnodes());
-        let v = (comm.cnode() + n - root_g) % n;
-        let down = embed::children(kind, v, n)
-            .into_iter()
-            .map(|c| (c + root_g) % n)
-            .collect();
-        GroupTree {
-            kind,
-            n,
-            root_g,
-            v,
-            down,
-        }
-    }
-
-    /// Group node of relative vertex `v`.
-    fn unv(&self, v: usize) -> usize {
-        (v + self.root_g) % self.n
-    }
-
-    /// My parent group node (None on the root's node).
-    fn parent(&self) -> Option<usize> {
-        embed::parent(self.kind, self.v, self.n).map(|p| self.unv(p))
-    }
-
-    /// My child group nodes in reduce receive order.
-    fn up(&self) -> Vec<usize> {
-        let kids = embed::children_ascending(self.kind, self.v, self.n);
-        kids.into_iter().map(|c| self.unv(c)).collect()
-    }
 }
 
 impl SrmComm {
@@ -221,7 +173,7 @@ impl SrmComm {
             pair: PairSel::Landing,
             side: par(SeqBase::Landing, rel),
         };
-        for &c in &tree.down {
+        for &c in tree.down() {
             let to = Chan::new(ChanKind::Bcast, self.cnode(), c, rel);
             self.plan_credit_put(b, (to, 0), false, (mine, Off::Lit(0)), clen);
         }
@@ -298,7 +250,7 @@ impl SrmComm {
         // Decision knobs (switch points) come from the builder's
         // effective per-shape tuning; buffer geometry stays world-wide.
         let t = *b.tuning();
-        let tree = GroupTree::new(self, self.cnode_of(root));
+        let tree = self.group().tree(self.cnode_of(root), self.cnode());
         let toggles = self.c_is_master() && len <= t.interrupt_disable_max;
         if toggles {
             b.push(Step::SetInterrupts(false));
@@ -321,7 +273,7 @@ impl SrmComm {
     fn plan_bcast_small(&self, b: &mut PlanBuilder, len: usize, root: usize, tree: &GroupTree) {
         let chunk = b.tuning().small_bcast_chunk(len);
         let chunks = SrmTuning::chunk_count(len, chunk);
-        let on_root_node = self.cnode() == tree.root_g;
+        let on_root_node = self.cnode() == tree.root();
         let rel0 = b.rel(SeqBase::Landing);
         let pair = PairSel::Landing;
 
@@ -364,13 +316,13 @@ impl SrmComm {
     /// no intermediate buffers whatsoever — overlapped with the
     /// intra-node two-buffer broadcast.
     fn plan_bcast_large(&self, b: &mut PlanBuilder, len: usize, root: usize, tree: &GroupTree) {
-        // Effective put size (a whole number of smp_buf cells, so the
+        // Effective put size (a whole number of SMP_BUF cells, so the
         // chunk boundaries stay aligned with the intra-node cell grid).
         let lc = b.tuning().large_chunk;
         let chunks = SrmTuning::chunk_count(len, lc);
         let p = self.cslots_here();
         let my_node = self.cnode();
-        let root_node = tree.root_g;
+        let root_node = tree.root();
         let master = self.c_is_master();
 
         // Stage 1: address exchange (leaf→parent user-buffer handles).
@@ -382,8 +334,7 @@ impl SrmComm {
             });
         }
         let child_idx: Vec<(usize, usize)> = if master {
-            tree.down
-                .iter()
+            (tree.down().iter())
                 .map(|&c| (c, b.take_addr(self.crank_at(c, 0))))
                 .collect()
         } else {
@@ -420,11 +371,11 @@ impl SrmComm {
                 // Master is an ordinary reader locally, but forwards
                 // each completed large chunk down the tree as soon as
                 // its cells have arrived through shared memory.
-                let cells = self.smp_cells(len);
+                let cells = smp_cells(len);
                 let rel0 = b.rel(SeqBase::Smp);
                 let mut next_chunk = 0usize;
                 for j in 0..cells {
-                    let (off, clen) = self.smp_cell(len, j);
+                    let (off, clen) = smp_cell(len, j);
                     self.plan_smp_cell_read(b, off, clen, rel0 + j as u64);
                     let done = off + clen;
                     while next_chunk < chunks && done >= (next_chunk * lc + lc).min(len) {
@@ -440,7 +391,7 @@ impl SrmComm {
             // Stage 4 driver on a non-root node: as each chunk lands in
             // the user buffer, forward it, then feed the intra-node
             // pipeline cell by cell.
-            let cells = self.smp_cells(len);
+            let cells = smp_cells(len);
             let rel0 = b.rel(SeqBase::Smp);
             let mut j = 0usize;
             for k in 0..chunks {
@@ -450,7 +401,7 @@ impl SrmComm {
                 emit_puts_for_chunk(b, k);
                 if p > 1 {
                     while j < cells {
-                        let (off, clen) = self.smp_cell(len, j);
+                        let (off, clen) = smp_cell(len, j);
                         if off + clen > coff + cl {
                             break;
                         }
@@ -480,7 +431,7 @@ impl SrmComm {
             return;
         }
         let (root_node, root_gslot) = self.ccoord_of(root);
-        let tree = GroupTree::new(self, root_node);
+        let tree = self.group().tree(root_node, self.cnode());
         let toggles =
             self.cmulti() && self.c_is_master() && len <= b.tuning().interrupt_disable_max;
         if toggles {
@@ -678,7 +629,7 @@ impl SrmComm {
     /// broadcast. One-sided puts let the stages of consecutive chunks
     /// overlap.
     fn plan_allreduce_large(&self, b: &mut PlanBuilder, len: usize) {
-        let tree = GroupTree::new(self, 0);
+        let tree = self.group().tree(0, self.cnode());
         let chunk = self.tuning().reduce_chunk;
         let chunks = SrmTuning::chunk_count(len, chunk);
         let rel0 = b.rel(SeqBase::Reduce);

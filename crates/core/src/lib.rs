@@ -95,7 +95,7 @@ pub mod tune;
 pub mod tuning;
 pub mod world;
 
-pub use embed::{Embedding, GroupEmbedding, TreeKind};
+pub use embed::{GroupTree, TreeKind};
 pub use model::SrmModel;
 pub use pairwise::PairwiseState;
 pub use plan::{set_skip_order_guards, Plan, PlanBuilder, PlanCache, PlanKey, PlanShape, Step};

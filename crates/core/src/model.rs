@@ -76,7 +76,7 @@ impl SrmModel {
         if !self.topo.multi_node() {
             // Chunked flat broadcast; chunks pipeline, so one staging
             // plus the drain of every chunk's reader phase.
-            let cell = self.tuning.smp_buf;
+            let cell = SrmTuning::SMP_BUF;
             let chunks = SrmTuning::chunk_count(len, cell) as u64;
             let last = len - (chunks as usize - 1) * cell.min(len);
             return self.stage(cell.min(len))
@@ -110,10 +110,10 @@ impl SrmModel {
                 .len()
                 .max(1) as u64;
             let interval = self.cfg.net_per_byte.cost_of(chunk) * fanout;
-            let smp_cells = SrmTuning::chunk_count(chunk, self.tuning.smp_buf) as u64;
+            let smp_cells = SrmTuning::chunk_count(chunk, SrmTuning::SMP_BUF) as u64;
             addr + per_hop * hops
                 + interval * (chunks - 1)
-                + (self.stage(self.tuning.smp_buf) + self.smp_chunk_out(self.tuning.smp_buf))
+                + (self.stage(SrmTuning::SMP_BUF) + self.smp_chunk_out(SrmTuning::SMP_BUF))
                     * smp_cells
         }
     }

@@ -68,6 +68,7 @@
 
 use crate::engine::CallState;
 use crate::plan::{BufRef, ChanKind, CtrRef, FlagRef, PairSel, Plan, PlanKey, Step, WaitCell};
+use crate::tuning::SrmTuning;
 use crate::world::SrmComm;
 use collops::{DType, ReduceOp};
 use shmem::ShmBuffer;
@@ -79,31 +80,28 @@ use std::sync::Arc;
 const CL_SMP: u8 = 1 << 0;
 /// Substrate class: the landing pair and its flow-control counters.
 const CL_LANDING: u8 = 1 << 1;
-/// Substrate class: the tree-variant broadcast flags and buffers.
-const CL_TREE: u8 = 1 << 2;
 /// Substrate class: reduce contribution/landing state and counters.
-const CL_REDUCE: u8 = 1 << 3;
+const CL_REDUCE: u8 = 1 << 2;
 /// Substrate class: the master→root `xfer` handoff.
-const CL_XFER: u8 = 1 << 4;
+const CL_XFER: u8 = 1 << 3;
 /// Substrate class: the address mailbox (handle exchange) and the
 /// completion counters of the transfers it sets up.
-const CL_ADDR: u8 = 1 << 5;
+const CL_ADDR: u8 = 1 << 4;
 /// Substrate class: barrier flags and round counters.
-const CL_BARRIER: u8 = 1 << 6;
+const CL_BARRIER: u8 = 1 << 5;
 /// Substrate class: the pairwise exchange subsystem's ring channels
 /// (see [`crate::pairwise`]).
-const CL_PAIRWISE: u8 = 1 << 7;
+const CL_PAIRWISE: u8 = 1 << 6;
 
 /// Number of substrate classes (width of the per-call remaining-step
 /// counters).
-const NCLASSES: usize = 8;
+const NCLASSES: usize = 7;
 
 fn flag_class(f: FlagRef) -> u8 {
     match f {
         FlagRef::Barrier { .. } => CL_BARRIER,
         FlagRef::ContribReady { .. } | FlagRef::ContribDone { .. } => CL_REDUCE,
         FlagRef::XferReady | FlagRef::XferDone => CL_XFER,
-        FlagRef::TreeReady { .. } | FlagRef::TreeDone { .. } => CL_TREE,
     }
 }
 
@@ -133,10 +131,7 @@ fn buf_class(b: BufRef) -> u8 {
     match b {
         BufRef::User | BufRef::Acc => 0,
         BufRef::Pair { pair, .. } => pair_class(pair),
-        // The contribution buffers are shared between the reduce
-        // protocols and the tree-variant broadcast, so steps touching
-        // them order against both classes.
-        BufRef::Contrib { .. } => CL_REDUCE | CL_TREE,
+        BufRef::Contrib { .. } => CL_REDUCE,
         BufRef::Xfer => CL_XFER,
         BufRef::Chan(ch) => chan_class(ch.kind),
         // Scratch is per-call private, but it is published through the
@@ -160,7 +155,7 @@ pub(crate) fn step_classes(step: &Step) -> u8 {
         Step::Trace(_) | Step::SetInterrupts(_) | Step::LoadAcc { .. } | Step::Advance { .. } => 0,
         Step::ShmCopy { src, dst, .. } => buf_class(src) | buf_class(dst),
         Step::LocalReduce { src, .. } => buf_class(src),
-        Step::FlagRaise { flag, .. } | Step::FlagAdd { flag, .. } => flag_class(flag),
+        Step::FlagRaise { flag, .. } => flag_class(flag),
         Step::Wait { cell, .. } => match cell {
             WaitCell::Flag(flag) => flag_class(flag),
             WaitCell::Ctr(ctr) => ctr_class(ctr),
@@ -181,9 +176,8 @@ pub(crate) fn step_classes(step: &Step) -> u8 {
 }
 
 /// Whether a schedule of this shape writes into the user buffer of the
-/// rank whose communicator-relative rank is `crank`. Conservative for
-/// shapes the normalizer does not name explicitly (`true`): the
-/// aliasing guard only needs "definitely read-only" to admit sharing.
+/// rank whose communicator-relative rank is `crank`: the aliasing guard
+/// admits sharing only between schedules that definitely do not.
 pub(crate) fn shape_writes_user(shape: &crate::plan::PlanShape, crank: usize) -> bool {
     use crate::plan::PlanShape as S;
     match *shape {
@@ -204,7 +198,6 @@ pub(crate) fn shape_writes_user(shape: &crate::plan::PlanShape, crank: usize) ->
         | S::ReduceScatter { .. }
         | S::Allgather { .. }
         | S::Allreduce { .. } => true,
-        _ => true,
     }
 }
 
@@ -303,11 +296,10 @@ impl PendingCall {
 impl SrmComm {
     /// Compile (or fetch) the plan for `key`, relocate the sequence
     /// bases, and park the call on the pending queue. Returns the
-    /// request id. When [`SrmTuning::max_outstanding`] (see
-    /// [`crate::SrmTuning`]) schedules are already pending, blocks
-    /// until *any* of them retires — not specifically the oldest, which
-    /// could force a long wait while a younger schedule was one step
-    /// from done.
+    /// request id. When [`SrmTuning::MAX_OUTSTANDING`] schedules are
+    /// already pending, blocks until *any* of them retires — not
+    /// specifically the oldest, which could force a long wait while a
+    /// younger schedule was one step from done.
     pub(crate) fn nb_issue(
         &self,
         ctx: &Ctx,
@@ -316,7 +308,7 @@ impl SrmComm {
         reduce: Option<(DType, ReduceOp)>,
     ) -> u64 {
         ctx.perturb_straggler(self.rank());
-        let cap = self.tuning().max_outstanding;
+        let cap = SrmTuning::MAX_OUTSTANDING;
         if self.shared.pending.lock().expect("queue poisoned").len() >= cap {
             self.nb_wait_below(ctx, cap);
         }

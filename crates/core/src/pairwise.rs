@@ -552,7 +552,7 @@ impl SrmComm {
         if !self.ccontig(me) {
             return self.plan_local_cells(b, len, |_, _| len);
         }
-        let cs = b.tuning().pairwise_chunk.min(self.tuning().smp_buf);
+        let cs = b.tuning().pairwise_chunk.min(SrmTuning::SMP_BUF);
         let my = self.cslot();
         let rbase = self.csize() * len;
         let srel0 = b.rel(SeqBase::Smp);
@@ -597,7 +597,7 @@ impl SrmComm {
         if p <= 1 {
             return;
         }
-        let cs = b.tuning().pairwise_chunk.min(self.tuning().smp_buf);
+        let cs = b.tuning().pairwise_chunk.min(SrmTuning::SMP_BUF);
         let me = self.cnode();
         let my = self.cslot();
         let rbase = self.csize() * seg;

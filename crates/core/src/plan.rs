@@ -63,8 +63,6 @@ pub enum SeqBase {
     Smp,
     /// Chunks through the node's landing pair.
     Landing,
-    /// Chunks through the tree-variant broadcast buffers.
-    Tree,
     /// Reduce chunks through the contribution buffers.
     Reduce,
     /// Chunks through the master→root `xfer` handoff buffer.
@@ -74,7 +72,7 @@ pub enum SeqBase {
 }
 
 /// Number of [`SeqBase`] cells (size of the engine's sample array).
-pub const SEQ_BASES: usize = 6;
+pub const SEQ_BASES: usize = 5;
 
 impl SeqBase {
     /// Index of this base in the engine's sample array.
@@ -82,10 +80,9 @@ impl SeqBase {
         match self {
             SeqBase::Smp => 0,
             SeqBase::Landing => 1,
-            SeqBase::Tree => 2,
-            SeqBase::Reduce => 3,
-            SeqBase::Xfer => 4,
-            SeqBase::Barrier => 5,
+            SeqBase::Reduce => 2,
+            SeqBase::Xfer => 3,
+            SeqBase::Barrier => 4,
         }
     }
 }
@@ -104,19 +101,15 @@ pub enum Val {
     },
 }
 
-/// A double-buffer side (0 or 1) resolved at execution time.
+/// A double-buffer side (0 or 1), resolved at execution time to
+/// `(bases[base] + rel) % 2` — consecutive operations alternate
+/// buffers.
 #[derive(Clone, Copy, Debug)]
-pub enum Side {
-    /// A fixed side (the Sistare variant uses a single buffer).
-    Lit(usize),
-    /// `(bases[base] + rel) % 2` — consecutive operations alternate
-    /// buffers.
-    Parity {
-        /// Sequence cell driving the alternation.
-        base: SeqBase,
-        /// Chunk index within this plan.
-        rel: u64,
-    },
+pub struct Side {
+    /// Sequence cell driving the alternation.
+    pub base: SeqBase,
+    /// Chunk index within this plan.
+    pub rel: u64,
 }
 
 /// A byte offset resolved at execution time.
@@ -302,16 +295,6 @@ pub enum FlagRef {
     XferReady,
     /// Cumulative chunks the root consumed from `xfer`.
     XferDone,
-    /// Tree-variant publish counter of `slot`.
-    TreeReady {
-        /// Which slot's flag.
-        slot: usize,
-    },
-    /// Tree-variant drain counter of `slot`.
-    TreeDone {
-        /// Which slot's flag.
-        slot: usize,
-    },
 }
 
 /// Which of my node's double-buffer pairs a pair-protocol step drives.
@@ -349,15 +332,13 @@ pub enum Until {
     Ge(Val),
     /// The double-buffer drain guard: with `cum = bases[base] + rel`,
     /// nothing to wait for while `cum < 2` (both sides still fresh);
-    /// otherwise `cell >= (cum - 1) * scale` — the side about to be
-    /// overwritten has been drained `scale` times.
+    /// otherwise `cell >= cum - 1` — the side about to be overwritten
+    /// has been drained.
     SideDrained {
         /// Cumulative base.
         base: SeqBase,
         /// Chunk index within this plan.
         rel: u64,
-        /// Consumers per chunk (1 except for the tree variant).
-        scale: u64,
     },
     /// The pair-protocol condition on the use a [`WaitCell::Pair`]
     /// side resolves to.
@@ -428,13 +409,6 @@ pub enum Step {
         flag: FlagRef,
         /// New value.
         val: Val,
-    },
-    /// `fetch_add(n)` on `flag` (tree-variant drain counting).
-    FlagAdd {
-        /// Target flag.
-        flag: FlagRef,
-        /// Increment.
-        n: u64,
     },
     /// Block until `cell` shows `until`. The one blocking step besides
     /// [`Step::AddrTake`]: flag cells spin (spin-then-yield cost),
@@ -552,7 +526,6 @@ impl Step {
             Step::LoadAcc { .. } => "step:load-acc",
             Step::LocalReduce { .. } => "step:local-reduce",
             Step::FlagRaise { .. } => "step:flag-raise",
-            Step::FlagAdd { .. } => "step:flag-add",
             Step::Wait {
                 cell: WaitCell::Ctr(_),
                 ..
@@ -681,10 +654,9 @@ impl PlanBuilder {
         flag: FlagRef,
         base: SeqBase,
         rel: u64,
-        scale: u64,
         label: &'static str,
     ) {
-        let until = Until::SideDrained { base, rel, scale };
+        let until = Until::SideDrained { base, rel };
         self.wait(WaitCell::Flag(flag), until, label);
     }
 
@@ -792,27 +764,6 @@ pub enum PlanShape {
     ReduceScatter {
         /// Per-rank segment bytes.
         len: usize,
-    },
-    /// Stand-alone intra-node broadcast (flat two-buffer algorithm).
-    SmpBcast {
-        /// Payload bytes.
-        len: usize,
-        /// Writing rank.
-        writer: Rank,
-    },
-    /// Intra-node broadcast, tree-based ablation variant.
-    SmpBcastTree {
-        /// Payload bytes.
-        len: usize,
-        /// Writing rank.
-        writer: Rank,
-    },
-    /// Intra-node broadcast, barrier-synchronized ablation variant.
-    SmpBcastSistare {
-        /// Payload bytes.
-        len: usize,
-        /// Writing rank.
-        writer: Rank,
     },
 }
 
@@ -947,13 +898,6 @@ impl SrmComm {
             PlanShape::Alltoall { len } => self.plan_alltoall(&mut b, *len),
             PlanShape::Alltoallv { seg, counts } => self.plan_alltoallv(&mut b, *seg, counts),
             PlanShape::ReduceScatter { len } => self.plan_reduce_scatter(&mut b, *len),
-            PlanShape::SmpBcast { len, writer } => self.plan_smp_bcast(&mut b, *len, *writer),
-            PlanShape::SmpBcastTree { len, writer } => {
-                self.plan_smp_bcast_tree(&mut b, *len, *writer)
-            }
-            PlanShape::SmpBcastSistare { len, writer } => {
-                self.plan_smp_bcast_sistare(&mut b, *len, *writer)
-            }
         }
         b.finish()
     }

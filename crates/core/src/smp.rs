@@ -17,20 +17,20 @@
 //!   process, master collects and resets.
 //!
 //! The broadcast is exposed as *cell* operations: the message is cut on
-//! a global grid of `smp_buf`-sized cells, and each cell moves through
-//! one side of the two-buffer pair (side = cumulative cell sequence mod
-//! 2 — "consecutive broadcast operations alternate between the
-//! buffers"). The inter-node planners interleave cell writes with
+//! a global grid of [`SrmTuning::SMP_BUF`]-byte cells, and each cell
+//! moves through one side of the two-buffer pair (side = cumulative
+//! cell sequence mod 2 — "consecutive broadcast operations alternate
+//! between the buffers"). The inter-node planners interleave cell writes with
 //! network steps to build their pipelines.
 
 use crate::inter::{par, poff, seq};
 use crate::plan::{
-    BufRef, CopyCost, FlagRef, Off, PairSel, PlanBuilder, PlanShape, SeqBase, Side, Step, Until,
-    Val, WaitCell,
+    BufRef, CopyCost, FlagRef, Off, PairSel, PlanBuilder, SeqBase, Step, Until, Val, WaitCell,
 };
+use crate::tuning::SrmTuning;
 use crate::world::SrmComm;
-use shmem::{PairUse, ShmBuffer};
-use simnet::{Ctx, Rank};
+use shmem::PairUse;
+use simnet::Rank;
 
 /// The sequence base a pair's uses are numbered against.
 fn pair_base(pair: PairSel) -> SeqBase {
@@ -50,13 +50,7 @@ pub(crate) fn plan_xfer_produce(
     from: (BufRef, Off),
     len: usize,
 ) {
-    b.wait_side_drained(
-        FlagRef::XferDone,
-        SeqBase::Xfer,
-        xrel,
-        1,
-        "xfer side drained",
-    );
+    b.wait_side_drained(FlagRef::XferDone, SeqBase::Xfer, xrel, "xfer side drained");
     b.push(Step::ShmCopy {
         src: from.0,
         src_off: from.1,
@@ -104,6 +98,18 @@ pub(crate) fn plan_stage_acc(b: &mut PlanBuilder, dst: BufRef, dst_off: Off, len
         len,
         cost: CopyCost::Free,
     });
+}
+
+/// The global cell grid of a `len`-byte payload: `(offset, length)` of
+/// cell `j`.
+pub(crate) fn smp_cell(len: usize, j: usize) -> (usize, usize) {
+    let off = j * SrmTuning::SMP_BUF;
+    (off, SrmTuning::SMP_BUF.min(len - off))
+}
+
+/// Number of cells in a `len`-byte payload.
+pub(crate) fn smp_cells(len: usize) -> usize {
+    len.div_ceil(SrmTuning::SMP_BUF)
 }
 
 impl SrmComm {
@@ -198,7 +204,7 @@ impl SrmComm {
     ) {
         let my = self.cslot();
         let done = FlagRef::ContribDone { slot: my };
-        b.wait_side_drained(done, SeqBase::Reduce, rel, 1, "contrib side drained");
+        b.wait_side_drained(done, SeqBase::Reduce, rel, "contrib side drained");
         b.push(Step::ShmCopy {
             src: from.0,
             src_off: from.1,
@@ -287,23 +293,6 @@ impl SrmComm {
         );
     }
 
-    /// The global cell grid of a `len`-byte payload: `(offset, length)`
-    /// of cell `j`.
-    pub(crate) fn smp_cell(&self, len: usize, j: usize) -> (usize, usize) {
-        let cell = self.tuning().smp_buf;
-        let off = j * cell;
-        (off, cell.min(len - off))
-    }
-
-    /// Number of cells in a `len`-byte payload.
-    pub(crate) fn smp_cells(&self, len: usize) -> usize {
-        if len == 0 {
-            0
-        } else {
-            len.div_ceil(self.tuning().smp_buf)
-        }
-    }
-
     /// Plan the flat double-buffer broadcast within the node: the
     /// writer's `user[..len]` reaches every node task's `user[..len]`.
     pub(crate) fn plan_smp_bcast(&self, b: &mut PlanBuilder, len: usize, writer: Rank) {
@@ -311,11 +300,11 @@ impl SrmComm {
         if self.cslots_here() == 1 || len == 0 {
             return;
         }
-        let cells = self.smp_cells(len);
+        let cells = smp_cells(len);
         let rel0 = b.rel(SeqBase::Smp);
         let am_writer = self.me == writer;
         for j in 0..cells {
-            let (off, clen) = self.smp_cell(len, j);
+            let (off, clen) = smp_cell(len, j);
             let rel = rel0 + j as u64;
             if am_writer {
                 self.plan_smp_cell_write(b, off, clen, rel);
@@ -324,18 +313,6 @@ impl SrmComm {
             }
         }
         b.advance(SeqBase::Smp, cells as u64);
-    }
-
-    /// Flat double-buffer broadcast within the node: `writer`'s
-    /// `buf[..len]` reaches every node task's `buf[..len]`.
-    pub fn smp_bcast(&self, ctx: &Ctx, buf: &ShmBuffer, len: usize, writer: Rank) {
-        debug_assert!(self.topology().same_node(self.me, writer));
-        self.run_planned(
-            ctx,
-            self.key(PlanShape::SmpBcast { len, writer }),
-            buf,
-            None,
-        );
     }
 
     /// First half of the flat barrier: non-masters check in; the master
@@ -376,156 +353,6 @@ impl SrmComm {
             let cell = WaitCell::Flag(FlagRef::Barrier { slot: self.cslot() });
             b.wait(cell, Until::Eq(Val::Lit(0)), "smp barrier release");
         }
-    }
-
-    /// Plan the **tree-based** intra-node broadcast the paper
-    /// implemented, measured, and rejected in favour of the flat
-    /// two-buffer algorithm (§2.2: "Despite the contention in
-    /// simultaneous read access to the shared memory buffer, this
-    /// \[flat\] algorithm has achieved a much better performance than
-    /// the tree-based algorithms"). Kept for the ablation study: data
-    /// store-and-forwards down a binomial tree of per-slot shared
-    /// buffers, so every level adds a full copy to the critical path.
-    pub(crate) fn plan_smp_bcast_tree(&self, b: &mut PlanBuilder, len: usize, writer: Rank) {
-        let p = self.cslots_here();
-        if p == 1 || len == 0 {
-            return;
-        }
-        let kind = self.tree();
-        let chunk_cap = self.tuning().reduce_chunk;
-        let chunks = crate::tuning::SrmTuning::chunk_count(len, chunk_cap);
-        let rel0 = b.rel(SeqBase::Tree);
-        let wslot = self.cgslot_of(writer);
-        let my = self.cslot();
-        let vs = (my + p - wslot) % p;
-        let parent = crate::embed::parent(kind, vs, p).map(|v| (v + wslot) % p);
-        let kids: Vec<usize> = crate::embed::children(kind, vs, p)
-            .into_iter()
-            .map(|v| (v + wslot) % p)
-            .collect();
-
-        for k in 0..chunks {
-            let off = k * chunk_cap;
-            let clen = chunk_cap.min(len - off);
-            let rel = rel0 + k as u64;
-            let side_off = poff(SeqBase::Tree, rel, chunk_cap);
-            if let Some(pslot) = parent {
-                // Copy the chunk out of the parent's shared buffer into
-                // the user buffer (one copy per tree level).
-                b.wait_flag(
-                    FlagRef::TreeReady { slot: pslot },
-                    seq(SeqBase::Tree, rel + 1),
-                    "tree parent chunk",
-                );
-                b.push(Step::ShmCopy {
-                    src: BufRef::Contrib { slot: pslot },
-                    src_off: side_off,
-                    dst: BufRef::User,
-                    dst_off: Off::Lit(off),
-                    len: clen,
-                    cost: CopyCost::Read(2),
-                });
-                b.push(Step::FlagAdd {
-                    flag: FlagRef::TreeDone { slot: pslot },
-                    n: 1,
-                });
-            }
-            if !kids.is_empty() {
-                // Stage the chunk for the children (store-and-forward);
-                // wait until every child drained the side being reused.
-                let done = FlagRef::TreeDone { slot: my };
-                let drains = kids.len() as u64;
-                b.wait_side_drained(done, SeqBase::Tree, rel, drains, "tree buffer drained");
-                b.push(Step::ShmCopy {
-                    src: BufRef::User,
-                    src_off: Off::Lit(off),
-                    dst: BufRef::Contrib { slot: my },
-                    dst_off: side_off,
-                    len: clen,
-                    cost: CopyCost::Write(1),
-                });
-                b.push(Step::FlagRaise {
-                    flag: FlagRef::TreeReady { slot: my },
-                    val: seq(SeqBase::Tree, rel + 1),
-                });
-            }
-        }
-        b.advance(SeqBase::Tree, chunks as u64);
-    }
-
-    /// Tree-based intra-node broadcast (ablation variant; see
-    /// `plan_smp_bcast_tree`).
-    pub fn smp_bcast_tree(&self, ctx: &Ctx, buf: &ShmBuffer, len: usize, writer: Rank) {
-        debug_assert!(self.topology().same_node(self.me, writer));
-        self.run_planned(
-            ctx,
-            self.key(PlanShape::SmpBcastTree { len, writer }),
-            buf,
-            None,
-        );
-    }
-
-    /// Plan the **barrier-synchronized** intra-node broadcast in the
-    /// style of Sistare et al. \[11\], which the paper contrasts with
-    /// SRM in §4: access to the shared buffer is arbitrated with full
-    /// node barriers instead of per-pair flags, making the algorithm
-    /// stiffer against late arrivals and adding two barriers per
-    /// buffer-full of data. Kept for the ablation study.
-    pub(crate) fn plan_smp_bcast_sistare(&self, b: &mut PlanBuilder, len: usize, writer: Rank) {
-        let p = self.cslots_here();
-        if p == 1 || len == 0 {
-            return;
-        }
-        let chunk = self.tuning().smp_buf;
-        let chunks = crate::tuning::SrmTuning::chunk_count(len, chunk);
-        let am_writer = self.me == writer;
-        let single = BufRef::Pair {
-            pair: PairSel::Smp,
-            side: Side::Lit(0),
-        };
-        for k in 0..chunks {
-            let off = k * chunk;
-            let clen = chunk.min(len - off);
-            // Barrier #1: everyone (including the writer) agrees the
-            // single buffer is free.
-            self.plan_smp_barrier_enter(b);
-            self.plan_smp_barrier_release(b);
-            if am_writer {
-                b.push(Step::ShmCopy {
-                    src: BufRef::User,
-                    src_off: Off::Lit(off),
-                    dst: single,
-                    dst_off: Off::Lit(0),
-                    len: clen,
-                    cost: CopyCost::Write(1),
-                });
-            }
-            // Barrier #2: the data is published.
-            self.plan_smp_barrier_enter(b);
-            self.plan_smp_barrier_release(b);
-            if !am_writer {
-                b.push(Step::ShmCopy {
-                    src: single,
-                    src_off: Off::Lit(0),
-                    dst: BufRef::User,
-                    dst_off: Off::Lit(off),
-                    len: clen,
-                    cost: CopyCost::Read(p - 1),
-                });
-            }
-        }
-    }
-
-    /// Barrier-synchronized intra-node broadcast (ablation variant; see
-    /// `plan_smp_bcast_sistare`).
-    pub fn smp_bcast_sistare(&self, ctx: &Ctx, buf: &ShmBuffer, len: usize, writer: Rank) {
-        debug_assert!(self.topology().same_node(self.me, writer));
-        self.run_planned(
-            ctx,
-            self.key(PlanShape::SmpBcastSistare { len, writer }),
-            buf,
-            None,
-        );
     }
 
     /// Plan one chunk of the intra-node reduce tree (Figure 2) for

@@ -16,11 +16,10 @@
 //!
 //! Only knobs that steer *which schedule is compiled* may vary per
 //! shape (the [`TuneEntry`] fields). Knobs that size **shared buffers
-//! at world construction** — `smp_buf`, `reduce_chunk`,
-//! `plan_cache_cap`, `max_outstanding`, `tree`, `trace_steps` — stay
-//! world-global: consecutive collectives stride the same contribution
-//! and transfer buffers, and a per-shape stride would overlap live
-//! parity regions across calls. The world instead builds a **geometry
+//! at world construction** — `reduce_chunk`, `plan_cache_cap`, `tree`,
+//! `trace_steps` — stay world-global: consecutive collectives stride
+//! the same contribution and transfer buffers, and a per-shape stride
+//! would overlap live parity regions across calls. The world instead builds a **geometry
 //! envelope**: capacity-relevant decision knobs
 //! (`small_large_switch`, `allreduce_rd_max`, `pairwise_chunk`,
 //! `pairwise_window`) are raised to the table's maxima so every
@@ -55,8 +54,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 /// The operations a tuning table can hold entries for — the ten
-/// engine-compiled collectives. (The stand-alone `SmpBcast*` ablation
-/// shapes are deliberately untunable.)
+/// collectives, one per [`PlanShape`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TuneOp {
     /// `broadcast`.
@@ -117,11 +115,10 @@ impl TuneOp {
         TuneOp::ALL.into_iter().find(|op| op.as_str() == s)
     }
 
-    /// The tunable operation and classing length of a call shape, or
-    /// `None` for the untunable ablation shapes. Alltoallv classes by
-    /// its segment stride; the barrier has length 0.
-    pub fn of_shape(shape: &PlanShape) -> Option<(TuneOp, usize)> {
-        Some(match shape {
+    /// The operation and classing length of a call shape. Alltoallv
+    /// classes by its segment stride; the barrier has length 0.
+    pub fn of_shape(shape: &PlanShape) -> (TuneOp, usize) {
+        match shape {
             PlanShape::Bcast { len, .. } => (TuneOp::Bcast, *len),
             PlanShape::Reduce { len, .. } => (TuneOp::Reduce, *len),
             PlanShape::Allreduce { len } => (TuneOp::Allreduce, *len),
@@ -132,10 +129,7 @@ impl TuneOp {
             PlanShape::Alltoall { len } => (TuneOp::Alltoall, *len),
             PlanShape::Alltoallv { seg, .. } => (TuneOp::Alltoallv, *seg),
             PlanShape::ReduceScatter { len } => (TuneOp::ReduceScatter, *len),
-            PlanShape::SmpBcast { .. }
-            | PlanShape::SmpBcastTree { .. }
-            | PlanShape::SmpBcastSistare { .. } => return None,
-        })
+        }
     }
 }
 
@@ -225,7 +219,8 @@ impl TuneEntry {
     /// clamped to `geometry` (the world's buffer envelope) so the
     /// result can never address past an allocated buffer:
     /// chunk/threshold knobs are capped at the envelope's, the large
-    /// chunk is rounded to a whole number of `smp_buf` cells, and the
+    /// chunk is rounded to a whole number of [`SrmTuning::SMP_BUF`]
+    /// cells, and the
     /// pipeline range is kept internally consistent. The result always
     /// passes [`SrmTuning::validate`] when `geometry` does.
     pub fn apply(&self, base: &SrmTuning, geometry: &SrmTuning) -> SrmTuning {
@@ -235,7 +230,7 @@ impl TuneEntry {
         let pmax = self.pipeline_max.min(sls);
         let pmin = self.pipeline_min.min(pmax);
         let pchunk = self.pipeline_chunk.clamp(1, sls);
-        let cells = (self.large_chunk / geometry.smp_buf).max(1);
+        let cells = (self.large_chunk / SrmTuning::SMP_BUF).max(1);
         let cap = geometry.allreduce_rd_max.min(geometry.reduce_chunk);
         let pw_cap = geometry.pairwise_chunk.min(geometry.reduce_chunk);
         SrmTuning {
@@ -243,7 +238,7 @@ impl TuneEntry {
             pipeline_min: pmin,
             pipeline_max: pmax,
             pipeline_chunk: pchunk,
-            large_chunk: cells * geometry.smp_buf,
+            large_chunk: cells * SrmTuning::SMP_BUF,
             allreduce_rd_max: self.allreduce_rd_max.min(cap),
             allreduce_rs_min: self.allreduce_rs_min,
             interrupt_disable_max: self.interrupt_disable_max,
@@ -720,7 +715,7 @@ mod tests {
             pipeline_max: base.small_large_switch * 8,
             pipeline_min: base.small_large_switch * 8,
             pipeline_chunk: 0,
-            large_chunk: base.smp_buf + 1,
+            large_chunk: SrmTuning::SMP_BUF + 1,
             allreduce_rd_max: base.reduce_chunk * 2,
             allreduce_rs_min: 1,
             interrupt_disable_max: 0,
@@ -732,7 +727,7 @@ mod tests {
         assert_eq!(eff.validate(), Ok(()));
         assert_eq!(eff.small_large_switch, geom.small_large_switch);
         assert_eq!(eff.pipeline_max, geom.small_large_switch);
-        assert_eq!(eff.large_chunk, geom.smp_buf);
+        assert_eq!(eff.large_chunk, SrmTuning::SMP_BUF);
         assert_eq!(eff.allreduce_rd_max, geom.allreduce_rd_max);
         assert_eq!(eff.pairwise_chunk, geom.pairwise_chunk);
         assert_eq!(eff.pairwise_window, 1);
@@ -740,7 +735,6 @@ mod tests {
         assert_eq!(eff.pairwise_direct_min, 1);
         // Fixed knobs come from base untouched.
         assert_eq!(eff.reduce_chunk, base.reduce_chunk);
-        assert_eq!(eff.smp_buf, base.smp_buf);
     }
 
     #[test]
@@ -771,17 +765,16 @@ mod tests {
         use crate::plan::PlanShape as S;
         assert_eq!(
             TuneOp::of_shape(&S::Bcast { len: 7, root: 3 }),
-            Some((TuneOp::Bcast, 7))
+            (TuneOp::Bcast, 7)
         );
-        assert_eq!(TuneOp::of_shape(&S::Barrier), Some((TuneOp::Barrier, 0)));
+        assert_eq!(TuneOp::of_shape(&S::Barrier), (TuneOp::Barrier, 0));
         assert_eq!(
             TuneOp::of_shape(&S::Alltoallv {
                 seg: 9,
                 counts: vec![0usize; 4].into()
             }),
-            Some((TuneOp::Alltoallv, 9))
+            (TuneOp::Alltoallv, 9)
         );
-        assert_eq!(TuneOp::of_shape(&S::SmpBcast { len: 7, writer: 0 }), None);
         for op in TuneOp::ALL {
             assert_eq!(TuneOp::from_name(op.as_str()), Some(op));
         }

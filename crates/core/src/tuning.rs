@@ -15,11 +15,12 @@ use std::fmt;
 /// [`crate::SrmWorld::new`] panics with the same messages.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TuningError {
-    /// `smp_buf`, `reduce_chunk` or `large_chunk` is zero — every
-    /// protocol chunks through buffers of these sizes.
+    /// `reduce_chunk` or `large_chunk` is zero — every protocol chunks
+    /// through buffers of these sizes.
     ZeroGeometry,
-    /// `large_chunk` is not a whole number of `smp_buf` cells; the
-    /// zero-copy broadcast pipeline shares the intra-node cell grid.
+    /// `large_chunk` is not a whole number of
+    /// [`SrmTuning::SMP_BUF`]-byte cells; the zero-copy broadcast
+    /// pipeline shares the intra-node cell grid.
     LargeChunkNotCellMultiple,
     /// `allreduce_rd_max > reduce_chunk`: recursive-doubling payloads
     /// are staged in reduce-chunk-sized buffers.
@@ -40,8 +41,8 @@ pub enum TuningError {
 impl fmt::Display for TuningError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let msg = match self {
-            TuningError::ZeroGeometry => "smp_buf, reduce_chunk and large_chunk must be nonzero",
-            TuningError::LargeChunkNotCellMultiple => "large_chunk must be a multiple of smp_buf",
+            TuningError::ZeroGeometry => "reduce_chunk and large_chunk must be nonzero",
+            TuningError::LargeChunkNotCellMultiple => "large_chunk must be a multiple of SMP_BUF",
             TuningError::RdMaxExceedsReduceChunk => {
                 "recursive-doubling payloads are staged in reduce-chunk-sized buffers"
             }
@@ -67,9 +68,6 @@ pub struct SrmTuning {
     /// Tree shape for the inter-node and intra-node reduce trees
     /// (broadcast within a node is flat; see §2.2).
     pub tree: TreeKind,
-    /// Capacity of each of the two intra-node broadcast buffers
-    /// (Figure 3); messages longer than this are chunked through them.
-    pub smp_buf: usize,
     /// Broadcasts at or below this size use the buffered small-message
     /// protocol; above it, the zero-copy large-message protocol
     /// (Figure 4; the paper's switch is 64 KB).
@@ -104,11 +102,6 @@ pub struct SrmTuning {
     /// the protocol-level markers — the raw material for per-step
     /// timeline rendering. Off by default: it multiplies trace volume.
     pub trace_steps: bool,
-    /// Maximum nonblocking collectives outstanding per rank. Issuing
-    /// one more blocks until *some* outstanding request completes (MPI
-    /// allows implementations to throttle; bounding the queue bounds
-    /// the interleaving executor's per-poll scan).
-    pub max_outstanding: usize,
     /// Chunk size of the pairwise exchange streams
     /// (alltoall/alltoallv/reduce_scatter): each (src, dst) node pair
     /// moves its data in puts of at most this many bytes. Must not
@@ -139,7 +132,6 @@ impl Default for SrmTuning {
     fn default() -> Self {
         SrmTuning {
             tree: TreeKind::Binomial,
-            smp_buf: 32 * 1024,
             small_large_switch: 64 * 1024,
             pipeline_min: 8 * 1024,
             pipeline_max: 32 * 1024,
@@ -150,7 +142,6 @@ impl Default for SrmTuning {
             interrupt_disable_max: 8 * 1024,
             plan_cache_cap: 32,
             trace_steps: false,
-            max_outstanding: 8,
             pairwise_chunk: 16 * 1024,
             pairwise_window: 2,
             allreduce_rs_min: usize::MAX,
@@ -160,6 +151,16 @@ impl Default for SrmTuning {
 }
 
 impl SrmTuning {
+    /// Capacity of each of the two intra-node broadcast buffers
+    /// (Figure 3); messages longer than this are chunked through them.
+    pub const SMP_BUF: usize = 32 * 1024;
+
+    /// Maximum nonblocking collectives outstanding per rank. Issuing
+    /// one more blocks until *some* outstanding request completes (MPI
+    /// allows implementations to throttle; bounding the queue bounds
+    /// the interleaving executor's per-poll scan).
+    pub const MAX_OUTSTANDING: usize = 8;
+
     /// Check the knob combinations for internal consistency. The world
     /// constructors call this and panic on error; callers assembling a
     /// tuning programmatically (e.g. the autotuner) can check first.
@@ -168,10 +169,10 @@ impl SrmTuning {
     /// pipelined sub-range (no length is strictly above the min and at
     /// or below the max), which the ablation studies rely on.
     pub fn validate(&self) -> Result<(), TuningError> {
-        if self.smp_buf == 0 || self.reduce_chunk == 0 || self.large_chunk == 0 {
+        if self.reduce_chunk == 0 || self.large_chunk == 0 {
             return Err(TuningError::ZeroGeometry);
         }
-        if !self.large_chunk.is_multiple_of(self.smp_buf) {
+        if !self.large_chunk.is_multiple_of(Self::SMP_BUF) {
             return Err(TuningError::LargeChunkNotCellMultiple);
         }
         if self.allreduce_rd_max > self.reduce_chunk {
@@ -246,10 +247,16 @@ mod tests {
     fn validate_typed_errors() {
         let d = SrmTuning::default();
         let cases = [
-            (SrmTuning { smp_buf: 0, ..d }, TuningError::ZeroGeometry),
             (
                 SrmTuning {
-                    large_chunk: d.smp_buf + 1,
+                    large_chunk: 0,
+                    ..d
+                },
+                TuningError::ZeroGeometry,
+            ),
+            (
+                SrmTuning {
+                    large_chunk: SrmTuning::SMP_BUF + 1,
                     ..d
                 },
                 TuningError::LargeChunkNotCellMultiple,

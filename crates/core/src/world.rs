@@ -13,7 +13,7 @@
 //! is created when first used, so building a world costs O(ranks)
 //! whatever it goes on to run.
 
-use crate::embed::{GroupEmbedding, TreeKind};
+use crate::embed::{self, GroupTree, TreeKind};
 use crate::pairwise::PairwiseState;
 use crate::plan::{PlanCache, PlanShape, SEQ_BASES};
 use crate::tune::{TuneOp, TuneTable};
@@ -52,19 +52,12 @@ pub struct NodeBoard {
     pub xfer_ready: SpinFlag,
     /// Cumulative chunks the root consumed from `xfer`.
     pub xfer_done: SpinFlag,
-    /// Cumulative per-slot chunk counters for the *tree-based* SMP
-    /// broadcast variant kept for the ablation study (§2.2 compares it
-    /// against the flat algorithm and rejects it).
-    pub tree_ready: Vec<SpinFlag>,
-    /// Consumption counters for `tree_ready` (children of a slot count
-    /// their reads so the writer can reuse its buffer side).
-    pub tree_done: Vec<SpinFlag>,
 }
 
 impl NodeBoard {
     fn new(handle: &SimHandle, tasks_per_node: usize, tuning: &SrmTuning) -> Self {
         NodeBoard {
-            smp: BufPair::new(handle, tuning.smp_buf, tasks_per_node),
+            smp: BufPair::new(handle, SrmTuning::SMP_BUF, tasks_per_node),
             landing: BufPair::new(handle, tuning.small_large_switch, tasks_per_node),
             barrier_flags: FlagBank::new(handle, tasks_per_node, 0),
             contrib: (0..tasks_per_node)
@@ -79,12 +72,6 @@ impl NodeBoard {
             xfer: ShmBuffer::new(2 * tuning.reduce_chunk),
             xfer_ready: SpinFlag::new(handle, 0),
             xfer_done: SpinFlag::new(handle, 0),
-            tree_ready: (0..tasks_per_node)
-                .map(|_| SpinFlag::new(handle, 0))
-                .collect(),
-            tree_done: (0..tasks_per_node)
-                .map(|_| SpinFlag::new(handle, 0))
-                .collect(),
         }
     }
 }
@@ -209,11 +196,13 @@ impl Mailbox {
 /// A communicator's membership and its mapping onto the machine: the
 /// stable comm id, the member world ranks in caller order (= comm rank
 /// order), the distinct SMP nodes the group touches, and per-node
-/// member lists. The group's [`GroupEmbedding`] (rooted at comm rank 0)
-/// is carried along for inspection.
+/// member lists — plus the tree kind, which with the node list fixes
+/// the SMP-aware embedding of every rooted operation
+/// ([`CommGroup::tree`]).
 #[derive(Clone, Debug)]
 pub struct CommGroup {
     id: u64,
+    kind: TreeKind,
     /// Comm rank → world rank (caller order).
     ranks: Vec<Rank>,
     /// Group node index → world node id, ascending.
@@ -229,12 +218,18 @@ pub struct CommGroup {
     /// in slot order**? (Always true for the world communicator; lets
     /// planners stream whole node blocks with single puts.)
     contig: Vec<bool>,
-    /// The SMP-aware embedding rooted at comm rank 0.
-    embedding: GroupEmbedding,
 }
 
 impl CommGroup {
-    fn new(topo: Topology, kind: TreeKind, id: u64, ranks: Vec<Rank>) -> Self {
+    /// The group of `ranks` (comm rank order) on `topo`, with id `id`
+    /// and inter-node trees of shape `kind`. Worlds build theirs in
+    /// [`SrmWorld::comm_create`]; building one directly needs no
+    /// simulator, for studying embeddings.
+    ///
+    /// # Panics
+    /// If `ranks` is empty, names a rank outside `topo`, or names one
+    /// twice.
+    pub fn new(topo: Topology, kind: TreeKind, id: u64, ranks: Vec<Rank>) -> Self {
         assert!(!ranks.is_empty(), "empty communicator group");
         assert!(
             ranks.iter().all(|&r| r < topo.nprocs()),
@@ -275,16 +270,15 @@ impl CommGroup {
                     .all(|(s, &r)| crank_of[r] == Some(base + s))
             })
             .collect();
-        let embedding = GroupEmbedding::new(topo, &ranks, ranks[0], kind);
         CommGroup {
             id,
+            kind,
             ranks,
             nodes,
             members,
             crank_of,
             coord_of,
             contig,
-            embedding,
         }
     }
 
@@ -355,9 +349,35 @@ impl CommGroup {
         self.contig[g]
     }
 
-    /// The group's SMP-aware tree embedding, rooted at comm rank 0.
-    pub fn embedding(&self) -> &GroupEmbedding {
-        &self.embedding
+    /// Group node `my_node`'s place in the inter-node tree of an
+    /// operation rooted on group node `root_node` — what the planners
+    /// compile the master-to-master legs from.
+    pub fn tree(&self, root_node: usize, my_node: usize) -> GroupTree {
+        GroupTree::new(self.kind, self.nodes.len(), root_node, my_node)
+    }
+
+    /// The network edges of an operation rooted at comm rank `root`, as
+    /// `(parent, child)` pairs of the world ranks that talk over them —
+    /// the two nodes' masters ([`CommGroup::master_of`]) — in relative
+    /// vertex order.
+    ///
+    /// # Panics
+    /// If `root` is not a comm rank of the group.
+    pub fn inter_edges(&self, root: usize) -> Vec<(Rank, Rank)> {
+        assert!(root < self.len(), "root out of communicator range");
+        let (n, root_node) = (self.nodes.len(), self.coord_of[root].0);
+        let edge = |child: usize| {
+            let parent = self.tree(root_node, child).parent().expect("non-root");
+            (self.master_of(parent), self.master_of(child))
+        };
+        (1..n).map(|v| edge((v + root_node) % n)).collect()
+    }
+
+    /// Dependent hops of the embedded tree: the deepest intra-node
+    /// subtree plus the inter-node tree.
+    pub fn embedded_height(&self) -> usize {
+        let intra = (self.members.iter()).map(|m| embed::height(self.kind, m.len()));
+        intra.max().expect("nonempty group") + embed::height(self.kind, self.nodes.len())
     }
 }
 
@@ -431,7 +451,7 @@ impl CommState {
     }
 }
 
-/// One member's per-communicator protocol state: the six cumulative
+/// One member's per-communicator protocol state: the five cumulative
 /// sequence cells the plan engine resolves relative values against, and
 /// the compiled-schedule cache. Shared (via `Arc`) between every
 /// [`SrmComm`] handle of that (rank, communicator) pair — including the
@@ -441,9 +461,8 @@ pub(crate) struct CommSeat {
     /// The cumulative sequence cells, indexed by
     /// [`SeqBase::index`](crate::plan::SeqBase::index): chunks pushed
     /// through the node's SMP pair, its landing pair ("consecutive
-    /// operations alternate buffers", §2.2), the tree-variant buffers,
-    /// the contribution buffers and the master→root `xfer` buffer, and
-    /// barriers completed.
+    /// operations alternate buffers", §2.2), the contribution buffers
+    /// and the master→root `xfer` buffer, and barriers completed.
     pub seq: [AtomicU64; SEQ_BASES],
     /// Compiled-schedule cache, keyed by call shape (see
     /// [`crate::plan::PlanCache`]).
@@ -729,7 +748,7 @@ impl SrmComm {
         self.comm.group.id()
     }
 
-    /// The communicator's group (membership, node mapping, embedding).
+    /// The communicator's group (membership, node mapping, tree).
     pub fn group(&self) -> &CommGroup {
         &self.comm.group
     }
@@ -759,16 +778,13 @@ impl SrmComm {
 
     /// [`SrmComm::effective_tuning`] plus the table-consultation
     /// outcome: `Some(true)` table entry hit, `Some(false)` table
-    /// loaded but no entry for this shape, `None` not applicable (no
-    /// table, or an untunable ablation shape).
+    /// loaded but no entry for this shape, `None` no table.
     pub(crate) fn tune_consult(&self, shape: &PlanShape) -> (SrmTuning, Option<bool>) {
         let base = self.world.base;
         let Some(table) = self.world.table.as_deref() else {
             return (base, None);
         };
-        let Some((op, len)) = TuneOp::of_shape(shape) else {
-            return (base, None);
-        };
+        let (op, len) = TuneOp::of_shape(shape);
         let nodes = self.comm.group.node_count();
         let ranks = self.comm.group.len();
         match table.lookup(op, len, nodes, ranks) {
@@ -779,7 +795,7 @@ impl SrmComm {
 
     /// The tree kind in effect.
     pub fn tree(&self) -> TreeKind {
-        self.world.tuning.tree
+        self.comm.group.kind
     }
 
     /// My world node id.
@@ -864,16 +880,6 @@ impl SrmComm {
     /// Am I my group node's master?
     pub(crate) fn c_is_master(&self) -> bool {
         self.gslot == 0
-    }
-
-    /// Group slot of member world rank `r` (which must be on my node).
-    pub(crate) fn cgslot_of(&self, r: Rank) -> usize {
-        let c = self
-            .comm
-            .group
-            .comm_rank_of(r)
-            .expect("rank is a group member");
-        self.comm.group.coord_of(c).1
     }
 
     /// Do group node `g`'s members hold consecutive comm ranks in slot
@@ -965,39 +971,51 @@ mod tests {
 
     #[test]
     fn construction_allocates_simvars_linear_in_ranks() {
-        // Per rank 3 in `rma` and 13 on its board; per node 5 (the xfer
+        // Per rank 3 in `rma` and 11 on its board; per node 5 (the xfer
         // flags, `large_data`, the fold channel) plus 3 per barrier /
         // recursive-doubling round (6 rounds at 16 nodes, 8 at 64).
         assert_eq!(
             vars_allocated_by_new(Topology::new(16, 16)),
-            256 * 16 + 16 * 23
+            256 * 14 + 16 * 23
         );
         assert_eq!(
             vars_allocated_by_new(Topology::new(64, 16)),
-            1024 * 16 + 64 * 29
+            1024 * 14 + 64 * 29
         );
     }
 
-    /// Run `body` on every rank of a fresh `topo` world with a 2 MiB
-    /// buffer, and hand back the world communicator's state.
-    fn run_world(topo: Topology, body: fn(&Ctx, &SrmComm, &ShmBuffer)) -> Arc<CommState> {
+    /// Run `body` on every member of a fresh `topo` world's communicator
+    /// over `group` (the world communicator when `None`) with a 2 MiB
+    /// buffer, and hand back that communicator's state.
+    fn run_comm(
+        topo: Topology,
+        group: Option<&[Rank]>,
+        body: fn(&Ctx, &SrmComm, &ShmBuffer),
+    ) -> Arc<CommState> {
         let mut sim = Sim::new(MachineConfig::ibm_sp_colony());
         let world = SrmWorld::new(&mut sim, topo, SrmTuning::default());
+        let handles = match group {
+            Some(ranks) => world.comm_create(ranks),
+            None => (0..topo.nprocs()).map(|r| world.comm(r)).collect(),
+        };
         for rank in 0..topo.nprocs() {
-            let comm = world.comm(rank);
+            let wcomm = world.comm(rank);
+            let member = handles.iter().find(|h| h.rank() == rank).cloned();
             sim.spawn(format!("rank{rank}"), move |ctx| {
-                body(&ctx, &comm, &comm.alloc_buffer(2 << 20));
-                comm.shutdown(&ctx);
+                if let Some(comm) = member {
+                    body(&ctx, &comm, &comm.alloc_buffer(2 << 20));
+                }
+                wcomm.shutdown(&ctx);
             });
         }
         sim.run().expect("simulation completes");
-        world.inner.world_comm.clone()
+        handles[0].comm.clone()
     }
 
     #[test]
     fn tree_collectives_create_no_pairwise_state_and_only_tree_edge_links() {
         let topo = Topology::new(8, 2);
-        let comm = run_world(topo, |ctx, comm, buf| {
+        let comm = run_comm(topo, None, |ctx, comm, buf| {
             comm.barrier(ctx);
             for len in [64, 256 << 10] {
                 comm.broadcast(ctx, buf, len, 0);
@@ -1006,7 +1024,7 @@ mod tests {
             }
         });
         assert!(comm.pairwise.get().is_none());
-        let edges: Vec<(NodeId, NodeId)> = (comm.group.embedding().inter_edges().iter())
+        let edges: Vec<(NodeId, NodeId)> = (comm.group.inter_edges(0).iter())
             .map(|&(parent, child)| (topo.node_of(parent), topo.node_of(child)))
             .collect();
         assert_eq!(edges.len(), 7);
@@ -1017,6 +1035,25 @@ mod tests {
                 assert_eq!(linked, edge, "link {a} -> {b}");
             }
         }
+
+        // A group whose root shares its node with a lower rank: the
+        // edge the group reports joins the ranks that put over it — the
+        // masters, 1 and 4 — not the root. The large broadcast's
+        // address exchange names them: child master to parent master.
+        let sub = run_comm(
+            Topology::new(2, 4),
+            Some(&[3, 1, 4, 6]),
+            |ctx, comm, buf| {
+                comm.broadcast(ctx, buf, 64, 0);
+                comm.broadcast(ctx, buf, 256 << 10, 0);
+            },
+        );
+        assert_eq!(sub.group.inter_edges(0), [(1, 4)]);
+        assert!(sub.inter[1].peers[0].get().is_some());
+        let exchanged: Vec<(Rank, Rank)> = (mailbox_slots(&sub).iter())
+            .map(|&(owner, sender)| (sub.group.ranks()[owner], sub.group.ranks()[sender]))
+            .collect();
+        assert_eq!(exchanged, [(1, 4)]);
     }
 
     /// The `(owner, sender)` mailbox slots that exist, ascending.
@@ -1033,27 +1070,31 @@ mod tests {
         let topo = Topology::new(8, 2);
         // Large broadcast: each child node's master to its parent's
         // (on the world communicator a master's comm rank is its rank).
-        let bcast = run_world(topo, |ctx, comm, buf| {
+        let bcast = run_comm(topo, None, |ctx, comm, buf| {
             comm.broadcast(ctx, buf, 256 << 10, 0)
         });
-        let mut edges = bcast.group.embedding().inter_edges();
+        let mut edges = bcast.group.inter_edges(0);
         edges.sort_unstable();
         assert_eq!(edges.len(), 7);
         assert_eq!(mailbox_slots(&bcast), edges);
         // Gather rooted at rank 3, not its node's master: the root to
         // master 2 through shared memory, master 2 to the other seven.
-        let gather = run_world(topo, |ctx, comm, buf| comm.gather(ctx, buf, 64, 3));
+        let gather = run_comm(topo, None, |ctx, comm, buf| comm.gather(ctx, buf, 64, 3));
         let mut want: Vec<(usize, usize)> = (0..16).step_by(2).map(|m| (m, 2)).collect();
         want[1] = (2, 3);
         assert_eq!(mailbox_slots(&gather), want);
         // Direct-route alltoall: every ordered pair of ranks on
         // different nodes.
-        let alltoall = run_world(topo, |ctx, comm, buf| comm.alltoall(ctx, buf, 64 << 10));
+        let alltoall = run_comm(topo, None, |ctx, comm, buf| {
+            comm.alltoall(ctx, buf, 64 << 10)
+        });
         let pairs = (0..16).flat_map(|owner| (0..16).map(move |sender| (owner, sender)));
         let want: Vec<(usize, usize)> = pairs.filter(|&(o, s)| o / 2 != s / 2).collect();
         assert_eq!(mailbox_slots(&alltoall), want);
         // A world that exchanges no address has no slot.
-        let barriers = run_world(Topology::new(64, 16), |ctx, comm, _| comm.barrier(ctx));
+        let barriers = run_comm(Topology::new(64, 16), None, |ctx, comm, _| {
+            comm.barrier(ctx)
+        });
         assert_eq!(mailbox_slots(&barriers), []);
     }
 

@@ -348,55 +348,6 @@ fn alternative_tree_kinds_are_correct() {
 }
 
 #[test]
-fn smp_bcast_variants_all_correct() {
-    // The flat winner plus the two comparative variants (tree-based
-    // §2.2, barrier-synchronized §4 [11]) must all move the right bytes,
-    // including across repeated, chunked operations.
-    let tuning = SrmTuning::default();
-    let topo = Topology::new(1, 8);
-    for variant in 0..3usize {
-        let sizes = [100usize, 40 << 10, 100 << 10];
-        let (results, _) = run_srm(topo, tuning, move |ctx, comm, rank| {
-            let mut transcript = Vec::new();
-            for (round, &len) in sizes.iter().enumerate() {
-                let buf = comm.alloc_buffer(len);
-                if rank == 3 {
-                    buf.with_mut(|d| d.copy_from_slice(&pattern(len, round as u8)));
-                }
-                match variant {
-                    0 => comm.smp_bcast(ctx, &buf, len, 3),
-                    1 => comm.smp_bcast_tree(ctx, &buf, len, 3),
-                    _ => comm.smp_bcast_sistare(ctx, &buf, len, 3),
-                }
-                transcript.extend(buf.with(|d| {
-                    let mut v = d[..16].to_vec();
-                    v.extend_from_slice(&d[len - 16..]);
-                    v
-                }));
-            }
-            transcript
-        });
-        for (rank, r) in results.iter().enumerate() {
-            assert_eq!(r, &results[0], "variant {variant}, rank {rank}");
-        }
-        for (round, &len) in sizes.iter().enumerate() {
-            let pat = pattern(len, round as u8);
-            let start = round * 32;
-            assert_eq!(
-                &results[0][start..start + 16],
-                &pat[..16],
-                "variant {variant} head"
-            );
-            assert_eq!(
-                &results[0][start + 16..start + 32],
-                &pat[len - 16..],
-                "variant {variant} tail"
-            );
-        }
-    }
-}
-
-#[test]
 fn small_bcast_counts_no_interrupts_and_few_messages() {
     // 2 nodes, one 1 KB chunk: one data put + one credit ack. With
     // interrupts disabled and counter waits polling, zero interrupts.

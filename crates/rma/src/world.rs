@@ -82,17 +82,6 @@ enum Payload {
     CounterOnly,
     /// An active message for the registered handler `handler`.
     Am { handler: u32, msg: AmMsg },
-    /// A get request: the dispatcher reads `len` bytes at `src_off` of
-    /// `src` and sends them back to `requester`.
-    GetRequest {
-        src: ShmBuffer,
-        src_off: usize,
-        len: usize,
-        reply_dst: ShmBuffer,
-        reply_dst_off: usize,
-        reply_counter: Option<LapiCounter>,
-        requester: Rank,
-    },
 }
 
 struct Arrival {
@@ -285,40 +274,6 @@ impl Rma {
             target,
             Payload::CounterOnly,
             Some(tgt_counter.clone()),
-            0,
-        );
-    }
-
-    /// Nonblocking get: fetch `len` bytes from `src[src_off..]` on
-    /// `target` into local `dst[dst_off..]`. `done` is incremented by
-    /// this task's own dispatcher when the data lands.
-    #[allow(clippy::too_many_arguments)]
-    pub fn get(
-        &self,
-        ctx: &Ctx,
-        target: Rank,
-        src: &ShmBuffer,
-        src_off: usize,
-        len: usize,
-        dst: &ShmBuffer,
-        dst_off: usize,
-        done: &LapiCounter,
-    ) {
-        ctx.advance(ctx.config().lapi_origin_overhead);
-        ctx.metrics().rma_gets.fetch_add(1, Ordering::Relaxed);
-        self.send(
-            ctx,
-            target,
-            Payload::GetRequest {
-                src: src.clone(),
-                src_off,
-                len,
-                reply_dst: dst.clone(),
-                reply_dst_off: dst_off,
-                reply_counter: Some(done.clone()),
-                requester: self.me,
-            },
-            None,
             0,
         );
     }
@@ -536,8 +491,8 @@ fn deliver(ctx: &Ctx, world: &Arc<WorldInner>, me: Rank, a: Arrival) {
         ctx.advance(cfg.dispatcher_starve_penalty);
     }
     ctx.advance(cfg.lapi_target_overhead);
-    // Dispatcher-side perturbation: the handler (data landing, AM, get
-    // service) may stall before touching the payload. Under the
+    // Dispatcher-side perturbation: the handler (data landing, AM) may
+    // stall before touching the payload. Under the
     // planted am-stall-race fault the completion counter fires early,
     // inside that stall window, before the payload lands.
     let stall = ctx.perturb_am_stall_draw();
@@ -562,38 +517,6 @@ fn deliver(ctx: &Ctx, world: &Arc<WorldInner>, me: Rank, a: Arrival) {
             let h = t.handlers.lock().get(&handler).cloned();
             let h = h.unwrap_or_else(|| panic!("no AM handler {handler} on rank {me}"));
             h(ctx, msg);
-        }
-        Payload::GetRequest {
-            src,
-            src_off,
-            len,
-            reply_dst,
-            reply_dst_off,
-            reply_counter,
-            requester,
-        } => {
-            let bytes = world.snapshot(&src, src_off, len);
-            let start = ctx.now().max(t.link_free.get());
-            let wire = ctx.perturb_wire(me, requester, cfg.net_per_byte.cost_of(len));
-            let ser_done = start + wire;
-            t.link_free.store(ctx, ser_done);
-            let deliver_at = ctx.perturb_delivery(me, requester, ser_done + cfg.net_latency);
-            let m = ctx.metrics();
-            m.net_messages.fetch_add(1, Ordering::Relaxed);
-            m.net_bytes.fetch_add(len as u64, Ordering::Relaxed);
-            world.tasks[requester].inbox.update(ctx, move |q| {
-                q.push(Item::Arrival(Box::new(Arrival {
-                    deliver_at,
-                    wire_bytes: len,
-                    payload: Payload::Data {
-                        dst: reply_dst,
-                        dst_off: reply_dst_off,
-                        bytes,
-                    },
-                    counter: reply_counter,
-                    from: me,
-                })));
-            });
         }
     }
     if !counted_early {

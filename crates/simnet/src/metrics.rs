@@ -63,8 +63,6 @@ metrics! {
     net_bytes,
     /// RMA put operations issued.
     rma_puts,
-    /// RMA get operations issued.
-    rma_gets,
     /// Active messages issued.
     rma_ams,
     /// Interrupts taken by LAPI-style dispatchers (data arrived while the

@@ -14,28 +14,28 @@
 
 use collops::Collectives;
 use simnet::{MachineConfig, Sim, Topology};
-use srm::{embed, Embedding, GroupEmbedding, SrmComm, SrmTuning, SrmWorld, TreeKind};
+use srm::{embed, CommGroup, SrmComm, SrmTuning, SrmWorld, TreeKind};
 use std::sync::{Arc, Mutex};
 
 fn describe(topo: Topology, kind: TreeKind) {
-    let e = Embedding::new(topo, 0, kind);
+    let world = CommGroup::new(topo, kind, 0, (0..topo.nprocs()).collect());
     println!("\n{kind:?} tree embedded in {topo}");
     println!(
         "  intra-node height {} + inter-node height {} = {} dependent hops (flat tree on {}: {})",
         embed::height(kind, topo.tasks_per_node()),
         embed::height(kind, topo.nodes()),
-        e.embedded_height(),
+        world.embedded_height(),
         topo.nprocs(),
         embed::height(kind, topo.nprocs()),
     );
     println!("  inter-node tree (node -> children):");
     for node in 0..topo.nodes() {
-        let children = e.node_children(node);
-        if !children.is_empty() {
-            println!("    node {node:2} -> {children:?}");
+        let tree = world.tree(0, node);
+        if !tree.down().is_empty() {
+            println!("    node {node:2} -> {:?}", tree.down());
         }
     }
-    let masters: Vec<_> = topo.masters().collect();
+    let masters: Vec<_> = (0..topo.nodes()).map(|n| world.master_of(n)).collect();
     println!("  masters (the only ranks that touch the network): {masters:?}");
 }
 
@@ -47,11 +47,10 @@ fn main() {
 
     // The intra-node subtree of one node, rooted at its master.
     let topo = Topology::new(8, 16);
-    let e = Embedding::new(topo, 0, TreeKind::Binomial);
     println!("\n  intra-node subtree on node 1 (ranks 16..32):");
     for rank in topo.ranks_on(1) {
-        match e.smp_parent(rank) {
-            Some(p) => println!("    rank {rank:3} <- parent {p}"),
+        match embed::parent(TreeKind::Binomial, topo.slot_of(rank), 16) {
+            Some(p) => println!("    rank {rank:3} <- parent {}", topo.rank_of(1, p)),
             None => println!("    rank {rank:3} (master, feeds the inter-node tree)"),
         }
     }
@@ -86,39 +85,54 @@ fn main() {
     describe_group(Topology::new(2, 4), &group, root);
 }
 
-/// Print `group`'s embedding on `topo` and run a broadcast over it.
-fn describe_group(topo: Topology, group: &[usize], root: usize) {
-    let e = GroupEmbedding::new(topo, group, root, TreeKind::Binomial);
-    println!("\nGroup {group:?} (root {root}) embedded in {topo}");
-    println!(
-        "  {} members on {} node(s), embedded height {}",
-        e.len(),
-        e.node_count(),
-        e.embedded_height()
-    );
-    println!(
-        "  group masters: {:?}",
-        (0..e.node_count())
-            .map(|i| e.group_master(i))
-            .collect::<Vec<_>>()
-    );
-    println!("  inter-node edges (network): {:?}", e.inter_edges());
-    println!("  intra-node edges (shared memory): {:?}", e.smp_edges());
-    println!(
-        "  SMP-aware inter-node messages: {} (communicator-order tree: {})",
-        e.inter_edges().len(),
-        e.naive_inter_edges()
-    );
+/// The intra-node subtrees the reduce walks: per group node, the tree
+/// over its members rooted at the master, as `(parent, child)` ranks.
+fn smp_edges(g: &CommGroup) -> Vec<(usize, usize)> {
+    let mut out = Vec::new();
+    for node in 0..g.node_count() {
+        let m = g.members_on(node);
+        for v in 1..m.len() {
+            let p = embed::parent(TreeKind::Binomial, v, m.len()).expect("non-root");
+            out.push((m[p], m[v]));
+        }
+    }
+    out
+}
 
-    // Run the broadcast for real: the root fills a buffer; every
-    // member must read the same bytes back through its subcommunicator.
-    let len = 1024usize;
+/// Print the embedding the subcommunicator over `group` reports for a
+/// collective rooted at `root`, and run a broadcast over it.
+fn describe_group(topo: Topology, group: &[usize], root: usize) {
     let mut sim = Sim::new(MachineConfig::ibm_sp_colony());
     let world = SrmWorld::new(&mut sim, topo, SrmTuning::default());
     let mut sub_of: Vec<Option<SrmComm>> = (0..topo.nprocs()).map(|_| None).collect();
     for (sub, &r) in world.comm_create(group).into_iter().zip(group) {
         sub_of[r] = Some(sub);
     }
+    let g = sub_of[root]
+        .as_ref()
+        .expect("root in group")
+        .group()
+        .clone();
+    let croot = g.comm_rank_of(root).expect("root in group");
+    println!("\nGroup {group:?} (root {root}) embedded in {topo}");
+    println!(
+        "  {} members on {} node(s), embedded height {}",
+        g.len(),
+        g.node_count(),
+        g.embedded_height()
+    );
+    println!(
+        "  group masters: {:?}",
+        (0..g.node_count())
+            .map(|n| g.master_of(n))
+            .collect::<Vec<_>>()
+    );
+    println!("  inter-node edges (network): {:?}", g.inter_edges(croot));
+    println!("  intra-node edges (shared memory): {:?}", smp_edges(&g));
+
+    // Run the broadcast for real: the root fills a buffer; every
+    // member must read the same bytes back through its subcommunicator.
+    let len = 1024usize;
     let ok = Arc::new(Mutex::new(0usize));
     for (rank, sub) in sub_of.into_iter().enumerate() {
         let comm = world.comm(rank);
@@ -129,7 +143,6 @@ fn describe_group(topo: Topology, group: &[usize], root: usize) {
                 if sub.rank() == root {
                     buf.with_mut(|d| d.fill(0x5a));
                 }
-                let croot = sub.group().ranks().iter().position(|&r| r == root).unwrap();
                 sub.broadcast(&ctx, &buf, len, croot);
                 if buf.with(|d| d.iter().all(|&b| b == 0x5a)) {
                     *ok.lock().unwrap() += 1;

@@ -728,29 +728,39 @@ proptest! {
     fn embedding_covers_every_rank(nodes in 1usize..12, tpn in 1usize..12, root_seed in 0usize..144) {
         let topo = Topology::new(nodes, tpn);
         let root = root_seed % topo.nprocs();
-        let e = srm::Embedding::new(topo, root, TreeKind::Binomial);
-        // Every node is reachable from the root's node.
+        let g = srm::CommGroup::new(topo, TreeKind::Binomial, 0, (0..topo.nprocs()).collect());
+        let root_node = g.coord_of(root).0;
+        // Every node is reachable from the root's node, and the tree
+        // each node sees agrees with its children's.
         let mut seen_nodes = vec![false; nodes];
-        seen_nodes[e.root_node()] = true;
-        let mut stack = vec![e.root_node()];
+        seen_nodes[root_node] = true;
+        let mut stack = vec![root_node];
         while let Some(n) = stack.pop() {
-            for c in e.node_children(n) {
+            for &c in g.tree(root_node, n).down() {
                 prop_assert!(!seen_nodes[c]);
+                prop_assert_eq!(g.tree(root_node, c).parent(), Some(n));
                 seen_nodes[c] = true;
                 stack.push(c);
             }
         }
         prop_assert!(seen_nodes.iter().all(|&b| b));
+        // The reported network edges are that tree, between masters.
+        let edges = g.inter_edges(root);
+        prop_assert_eq!(edges.len(), nodes - 1);
+        for (p, c) in edges {
+            prop_assert!(topo.is_master(p) && topo.is_master(c));
+            prop_assert_eq!(g.tree(root_node, topo.node_of(c)).parent(), Some(topo.node_of(p)));
+        }
         // Every rank has a path to its node master.
         for rank in 0..topo.nprocs() {
-            let mut cur = rank;
+            let mut slot = topo.slot_of(rank);
             let mut hops = 0;
-            while let Some(p) = e.smp_parent(cur) {
-                cur = p;
+            while let Some(p) = srm::embed::parent(TreeKind::Binomial, slot, tpn) {
+                slot = p;
                 hops += 1;
                 prop_assert!(hops <= tpn, "cycle in smp tree");
             }
-            prop_assert_eq!(cur, topo.master_of(topo.node_of(rank)));
+            prop_assert_eq!(topo.rank_of(topo.node_of(rank), slot), g.master_of(topo.node_of(rank)));
         }
     }
 }

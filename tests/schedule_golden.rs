@@ -44,9 +44,10 @@ enum Call {
     /// One of the ten collectives; `last` roots it at the last comm
     /// rank instead of rank 0.
     Coll { op: Op, last: bool },
-    /// Stand-alone intra-node broadcast: flat (0), tree (1) or
-    /// barrier-synchronized (2) variant; `last` picks the writer.
-    SmpBcast { variant: u8, last: bool },
+    /// Broadcast on a single-node world — the flat two-buffer
+    /// algorithm alone — in a buffer of alltoall capacity (the scenarios
+    /// predate the ten-op lattice and keep their names and digests).
+    SmpBcast { last: bool },
     /// Four nonblocking collectives outstanding together, then waited.
     Overlap,
 }
@@ -86,15 +87,7 @@ fn one_call(ctx: &Ctx, comm: &SrmComm, bufs: &[ShmBuffer], call: Call, len: usiz
                 Op::ReduceScatter => comm.reduce_scatter(ctx, buf, len, DType::U64, ReduceOp::Sum),
             }
         }
-        Call::SmpBcast { variant, last } => {
-            // Single-node worlds only: comm rank == world rank.
-            let writer = root_of(last);
-            match variant {
-                0 => comm.smp_bcast(ctx, buf, len, writer),
-                1 => comm.smp_bcast_tree(ctx, buf, len, writer),
-                _ => comm.smp_bcast_sistare(ctx, buf, len, writer),
-            }
-        }
+        Call::SmpBcast { last } => comm.broadcast(ctx, buf, len, root_of(last)),
         Call::Overlap => {
             let reqs = vec![
                 comm.ibroadcast(ctx, &bufs[0], len, 0),
@@ -255,33 +248,20 @@ fn lattice_4x4() {
     lattice(4, 4);
 }
 
-/// The SMP-broadcast variants, forced algorithm and route choices, and
+/// The single-node broadcast, forced algorithm and route choices, and
 /// overlapped nonblocking calls.
 #[test]
 fn forced_variants() {
     let mut out = Vec::new();
     let smp = Topology::new(1, 4);
-    for (variant, name) in ["smp-bcast", "smp-bcast-tree", "smp-bcast-sistare"]
-        .iter()
-        .enumerate()
-    {
-        for len in SIZES {
-            for last in [false, true] {
-                let w = if last { "last" } else { "0" };
-                out.push((
-                    format!("{name}/{len}/1x4/w{w}"),
-                    digest(
-                        smp,
-                        SrmTuning::default(),
-                        false,
-                        Call::SmpBcast {
-                            variant: variant as u8,
-                            last,
-                        },
-                        len,
-                    ),
-                ));
-            }
+    for len in SIZES {
+        for last in [false, true] {
+            let w = if last { "last" } else { "0" };
+            let call = Call::SmpBcast { last };
+            out.push((
+                format!("smp-bcast/{len}/1x4/w{w}"),
+                digest(smp, SrmTuning::default(), false, call, len),
+            ));
         }
     }
     for (nodes, tpn) in [(2, 3), (3, 2), (4, 4)] {
