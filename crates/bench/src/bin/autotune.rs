@@ -221,6 +221,13 @@ fn candidates_for(op: TuneOp, base: SrmTuning) -> Vec<SrmTuning> {
                     ..base
                 });
             }
+            // The exchanges have one wire, direct at every size: the
+            // chunk (it cuts their intra-node cells) is the only knob
+            // that changes their plans. Window and route threshold
+            // steer reduce_scatter's master-to-master streams.
+            if op != TuneOp::ReduceScatter {
+                return cands;
+            }
             for w in [1, 4] {
                 push(SrmTuning {
                     pairwise_window: w,

@@ -1,23 +1,19 @@
-//! Extra figure X16: staged vs direct segment routing for the
-//! pairwise collectives (alltoall, alltoallv, reduce_scatter) on the
-//! paper's D6 configuration (P = 16 as 4 nodes x 4 tasks), per-pair
-//! segments 16 KB – 1 MB.
+//! Extra figure X16: staged vs direct segment routing for
+//! reduce_scatter, the one pairwise collective that still has two
+//! routes (alltoall and alltoallv have one wire, direct at every
+//! size), per-rank segments 8 B – 256 KB on four cluster shapes.
 //!
 //! Three runs per point, identical except for `pairwise_direct_min`:
-//! **staged** (`usize::MAX`) chunks every inter-node segment through
-//! the credit-windowed landing rings (put to ring slot, copy out, put
-//! a credit back); **direct** (`0`) exchanges user-buffer addresses at
-//! call time and lands each segment with one put and no intermediate
-//! copies; **default** leaves the 64 KB threshold in place, so the
+//! **staged** (`usize::MAX`) chunks every master-to-master piece
+//! through the credit-windowed landing rings (put to ring slot, fold,
+//! put a credit back); **direct** (`0`) exchanges scratch addresses at
+//! call time and lands every piece in the peer master's scratch with
+//! no credits; **default** leaves the 64 KB threshold in place, so the
 //! printed route column shows which side the planner picked on its
-//! own. The acceptance line this figure documents: the default route
-//! must match the better side at and above the threshold with zero
-//! regressions below it. The measured surprise — direct also wins in
-//! the model *below* 64 KB, because the address exchange overlaps
-//! across destinations while ring credits serialize — is why the
-//! autotuner's candidate grid includes a 16 KB `pairwise_direct_min`
-//! (EXPERIMENTS.md X16 discusses why the shipped default stays
-//! conservative anyway).
+//! own. The two routes differ only in their flow control — the
+//! reduction needs a landing place either way — so they tie within a
+//! few percent wherever bandwidth dominates; the figure is the grid a
+//! collapse to one route has to be judged on (ROADMAP item 4).
 //!
 //! ```sh
 //! cargo run --release -p srm-bench --bin fig_direct_route
@@ -28,69 +24,57 @@ use srm::SrmTuning;
 use srm_bench::{fast_mode, iters_for};
 use srm_cluster::{measure, HarnessOpts, Impl, Op};
 
-fn tuning(direct_min: usize) -> SrmTuning {
-    SrmTuning {
-        pairwise_direct_min: direct_min,
-        ..SrmTuning::default()
-    }
-}
-
-fn time_us(topo: Topology, op: Op, len: usize, direct_min: usize) -> f64 {
-    measure(
-        Impl::Srm,
-        MachineConfig::ibm_sp_colony(),
-        topo,
-        op,
-        len,
-        HarnessOpts {
-            iters: iters_for(len * topo.nprocs()),
-            srm: tuning(direct_min),
+fn time_us(topo: Topology, len: usize, direct_min: usize) -> f64 {
+    let opts = HarnessOpts {
+        iters: iters_for(len * topo.nprocs()),
+        srm: SrmTuning {
+            pairwise_direct_min: direct_min,
+            ..SrmTuning::default()
         },
-    )
-    .per_call
-    .as_us()
+    };
+    let machine = MachineConfig::ibm_sp_colony();
+    measure(Impl::Srm, machine, topo, Op::ReduceScatter, len, opts)
+        .per_call
+        .as_us()
 }
 
 fn main() {
-    let topo = Topology::new(4, 4); // D6: P = 16
-    let sizes: Vec<usize> = if fast_mode() {
-        vec![16 << 10, 64 << 10, 256 << 10]
+    let (shapes, sizes): (&[(usize, usize)], &[usize]) = if fast_mode() {
+        (&[(4, 4), (16, 4)], &[8, 4 << 10, 64 << 10])
     } else {
-        vec![
-            16 << 10,
-            32 << 10,
-            64 << 10,
-            128 << 10,
-            256 << 10,
-            512 << 10,
-            1 << 20,
-        ]
+        (
+            &[(4, 4), (4, 16), (16, 4), (16, 16)],
+            &[8, 512, 4 << 10, 16 << 10, 64 << 10, 256 << 10],
+        )
     };
     let threshold = SrmTuning::default().pairwise_direct_min;
     println!(
-        "Segment routing on {topo}: staged (landing rings) vs direct \
-         (address exchange + one put)\ndefault pairwise_direct_min = {threshold} B\n"
+        "reduce_scatter segment routing: staged (landing rings + credits) vs direct \
+         (address exchange + scratch)\ndefault pairwise_direct_min = {threshold} B\n"
     );
-    for op in [Op::Alltoall, Op::Alltoallv, Op::ReduceScatter] {
-        println!("{}", op.name());
+    for &(nodes, tpn) in shapes {
+        let topo = Topology::new(nodes, tpn);
+        println!("{topo}");
         println!("{}", "-".repeat(74));
         println!(
             "{:>10} {:>13} {:>13} {:>13} {:>9} {:>8}",
             "seg bytes", "staged (us)", "direct (us)", "default (us)", "route", "dir/stg"
         );
-        for &len in &sizes {
-            let staged = time_us(topo, op, len, usize::MAX);
-            let direct = time_us(topo, op, len, 0);
-            let default = time_us(topo, op, len, threshold);
+        // Every rank holds `nprocs` segments: stop at 1 GiB in all.
+        let fits = |len: usize| topo.nprocs() * topo.nprocs() * len <= 1 << 30;
+        for &len in sizes.iter().filter(|&&len| fits(len)) {
+            let staged = time_us(topo, len, usize::MAX);
+            let direct = time_us(topo, len, 0);
+            let default = time_us(topo, len, threshold);
             let route = if len >= threshold { "direct" } else { "staged" };
             println!(
-                "{:>10} {:>13.1} {:>13.1} {:>13.1} {:>9} {:>7.0}%",
+                "{:>10} {:>13.1} {:>13.1} {:>13.1} {:>9} {:>+7.1}%",
                 len,
                 staged,
                 direct,
                 default,
                 route,
-                100.0 * direct / staged
+                100.0 * (direct / staged - 1.0)
             );
         }
         println!();

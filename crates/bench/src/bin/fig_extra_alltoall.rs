@@ -1,15 +1,16 @@
-//! Extra figure: the pairwise RMA exchange family — alltoall and
-//! reduce-scatter over the credit-windowed landing rings — against
+//! Extra figure: the pairwise RMA exchange family — alltoall (one put
+//! per remote rank pair over a node-local rotation) and reduce-scatter
+//! (credit-windowed landing rings below 64 KB, direct above) — against
 //! both MPI baselines, plus the Rabenseifner allreduce switch built
-//! on it. (alltoallv rides the same rings; its ragged harness counts
-//! make it a per-piece-overhead microbenchmark rather than a
-//! bandwidth sweep, so the figure sticks to the uniform ops.)
+//! on it. (alltoallv compiles through the same planner as alltoall
+//! with a third of its harness cells empty, so the figure sticks to
+//! the uniform ops.)
 //!
 //! `len` is the per-pair segment, so an alltoall point moves
 //! `nprocs² × len` bytes in total; the grid is filtered so each rank's
 //! working set stays within the figures' 8 MB ceiling. The paper did
-//! not measure these operations; this sweep documents that its setup-
-//! time address exchange and counter flow control extend to fully
+//! not measure these operations; this sweep documents that its
+//! address exchange and counter flow control extend to fully
 //! personalized traffic patterns.
 
 use simnet::MachineConfig;

@@ -15,12 +15,39 @@ fn main() {
     let machine = MachineConfig::ibm_sp_colony();
     println!(
         "{:>10} {:>6} {:>8} {:>12} {:>12} {:>8}",
-        "op", "nodes", "bytes", "model (us)", "sim (us)", "ratio"
+        "op", "topo", "bytes", "model (us)", "sim (us)", "ratio"
     );
     let mut worst: f64 = 1.0;
-    for nodes in [2usize, 4, 16] {
-        let topo = Topology::sp_16way(nodes);
+    let mut row = |topo: Topology, op: Op, len: usize| {
         let model = SrmModel::new(machine.clone(), topo, SrmTuning::default());
+        let predicted = match op {
+            Op::Bcast => model.bcast(len),
+            Op::Reduce => model.reduce(len),
+            Op::Allreduce => model.allreduce(len),
+            Op::Barrier => model.barrier(),
+            Op::Alltoall => model.alltoall(len),
+            // The other segment and pairwise ops are simulation-only
+            // for now.
+            _ => unreachable!(),
+        };
+        let opts = HarnessOpts {
+            iters: srm_bench::iters_for(len),
+            ..Default::default()
+        };
+        let sim = measure(Impl::Srm, machine.clone(), topo, op, len, opts);
+        let ratio = sim.per_call.as_us() / predicted.as_us();
+        worst = worst.max(ratio.max(1.0 / ratio));
+        println!(
+            "{:>10} {:>6} {:>8} {:>12.1} {:>12.1} {:>8.2}",
+            op.name(),
+            format!("{}x{}", topo.nodes(), topo.tasks_per_node()),
+            len,
+            predicted.as_us(),
+            sim.per_call.as_us(),
+            ratio
+        );
+    };
+    for nodes in [2usize, 4, 16] {
         for (op, lens) in [
             (Op::Bcast, vec![512usize, 8 << 10, 64 << 10, 1 << 20]),
             (Op::Reduce, vec![512, 64 << 10, 1 << 20]),
@@ -28,44 +55,20 @@ fn main() {
             (Op::Barrier, vec![8]),
         ] {
             for len in lens {
-                let predicted = match op {
-                    Op::Bcast => model.bcast(len),
-                    Op::Reduce => model.reduce(len),
-                    Op::Allreduce => model.allreduce(len),
-                    Op::Barrier => model.barrier(),
-                    // The model covers the paper's four measured ops;
-                    // the segment ops are simulation-only for now.
-                    Op::Gather
-                    | Op::Scatter
-                    | Op::Allgather
-                    | Op::Alltoall
-                    | Op::Alltoallv
-                    | Op::ReduceScatter => unreachable!(),
-                };
-                let sim = measure(
-                    Impl::Srm,
-                    machine.clone(),
-                    topo,
-                    op,
-                    len,
-                    HarnessOpts {
-                        iters: srm_bench::iters_for(len),
-                        ..Default::default()
-                    },
-                );
-                let ratio = sim.per_call.as_us() / predicted.as_us();
-                worst = worst.max(ratio.max(1.0 / ratio));
-                println!(
-                    "{:>10} {:>6} {:>8} {:>12.1} {:>12.1} {:>8.2}",
-                    op.name(),
-                    nodes,
-                    len,
-                    predicted.as_us(),
-                    sim.per_call.as_us(),
-                    ratio
-                );
+                row(Topology::sp_16way(nodes), op, len);
             }
         }
+    }
+    // Alltoall buffers grow with the rank count: the shapes
+    // `tests/model_accuracy.rs` holds to a factor of 1.8.
+    for (nodes, tpn, len) in [
+        (4usize, 4usize, 16usize << 10),
+        (4, 4, 256 << 10),
+        (1, 16, 16 << 10),
+        (4, 16, 16 << 10),
+        (16, 4, 4 << 10),
+    ] {
+        row(Topology::new(nodes, tpn), Op::Alltoall, len);
     }
     println!("\nworst-case model/sim discrepancy factor: {worst:.2}");
 }

@@ -805,6 +805,7 @@ impl SrmComm {
                         b,
                         s,
                         rel,
+                        rel == rel0,
                         "gather contribution ready",
                         |b, src, src_off| {
                             b.push(Step::ShmCopy {
@@ -875,6 +876,7 @@ impl SrmComm {
                         b,
                         s,
                         rel,
+                        rel == rel0,
                         "gather contribution ready",
                         |b, src, src_off| {
                             b.push(Step::Trace("gather:relay"));

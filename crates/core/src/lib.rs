@@ -30,9 +30,10 @@
 //!   with address exchange, pipelined reduce, recursive-doubling and
 //!   four-stage-pipeline allreduce, and the dissemination barrier;
 //! * [`pairwise`] (methods on [`SrmComm`]) — the pairwise RMA exchange
-//!   subsystem: alltoall, alltoallv and reduce-scatter as credit-
-//!   windowed per-node-pair put streams over landing rings registered
-//!   when a communicator first uses them;
+//!   subsystem: alltoall and alltoallv as one put per remote rank pair
+//!   over a node-local rotation through the contribution buffers, and
+//!   reduce-scatter as per-node-pair put streams, credit-windowed over
+//!   landing rings or direct into per-call scratch;
 //! * [`route`] — the segment-routing decision ([`SegmentRoute`]):
 //!   staged through shared landing structures vs one direct rendezvous
 //!   put after a per-call address exchange, resolved per (protocol

@@ -195,6 +195,33 @@ impl SrmModel {
         }
     }
 
+    /// Predicted alltoall latency for `len`-byte segments. Two terms
+    /// bound it (Task & Chauhan's multi-core cluster model): every
+    /// rank's own port serializes its `remote` outbound segments, and
+    /// under that wire the node rotates `p - 1` rounds of one publish
+    /// and one consume with all `p` slots on the memory bus. Around the
+    /// larger of the two sit the own-segment copy, the origin overhead
+    /// of one address message and one put per remote peer, and the
+    /// flight of the first address and of the last put.
+    pub fn alltoall(&self, len: usize) -> SimTime {
+        if len == 0 {
+            return SimTime::ZERO;
+        }
+        let p = self.topo.tasks_per_node();
+        let remote = (self.topo.nprocs() - p) as u64;
+        let local = self.cfg.shm_copy_cost(len, p) * (2 * (p as u64 - 1));
+        if remote == 0 {
+            return self.stage(len) + local;
+        }
+        let wire = self.cfg.net_per_byte.cost_of(len) * remote;
+        let flight = self.cfg.net_latency + self.cfg.lapi_target_overhead;
+        self.stage(len)
+            + self.cfg.lapi_origin_overhead * (2 * remote)
+            + flight * 2
+            + wire.max(local)
+            + self.cfg.lapi_counter_check
+    }
+
     /// Predicted barrier latency: flat check-in, `⌈log₂ n⌉`
     /// dissemination rounds, flat release.
     pub fn barrier(&self) -> SimTime {
@@ -261,6 +288,22 @@ mod tests {
         let above = m.bcast(t.small_large_switch + 1);
         let ratio = above.as_ps() as f64 / below.as_ps() as f64;
         assert!((0.33..3.0).contains(&ratio), "discontinuity {ratio}");
+    }
+
+    #[test]
+    fn alltoall_is_bound_by_the_wire_or_by_the_bus() {
+        let len = 16 << 10;
+        let cfg = MachineConfig::ibm_sp_colony();
+        // One 16-way node: 15 rounds of two bus-bound copies.
+        let bus = cfg.shm_copy_cost(len, 16) * 30;
+        assert_eq!(model(1, 16).alltoall(len), bus + cfg.shm_copy_cost(len, 1));
+        // 4x4: twelve segments through each rank's port dwarf the
+        // node's six copies; 4x16 adds wire, not bus time.
+        let wire = cfg.net_per_byte.cost_of(len) * 12;
+        let t = model(4, 4).alltoall(len);
+        assert!(wire < t && t < wire + SimTime::from_us(100), "{t}");
+        assert!(model(4, 16).alltoall(len) > wire * 4);
+        assert_eq!(model(4, 4).alltoall(0), SimTime::ZERO);
     }
 
     #[test]

@@ -89,8 +89,9 @@ const CL_XFER: u8 = 1 << 3;
 const CL_ADDR: u8 = 1 << 4;
 /// Substrate class: barrier flags and round counters.
 const CL_BARRIER: u8 = 1 << 5;
-/// Substrate class: the pairwise exchange subsystem's ring channels
-/// (see [`crate::pairwise`]).
+/// Substrate class: the ring channels of the staged reduce_scatter
+/// (see [`crate::pairwise`]). The exchanges order in `CL_ADDR` (their
+/// wire) and `CL_REDUCE` (their intra-node leg).
 const CL_PAIRWISE: u8 = 1 << 6;
 
 /// Number of substrate classes (width of the per-call remaining-step
@@ -188,11 +189,11 @@ pub(crate) fn shape_writes_user(shape: &crate::plan::PlanShape, crank: usize) ->
         // Reduce/gather write only at the root.
         S::Reduce { root, .. } | S::Gather { root, .. } => crank == root,
         // Every pairwise/all-to-all shape writes every rank's buffer.
-        // Named explicitly because the *direct* route makes the timing
+        // Named explicitly because the exchanges make the timing
         // stricter, not looser: remote peers put straight into the user
         // buffer as soon as the address exchange lands — earlier than
-        // the staged route's final copy-out — so write-aliased sharing
-        // between outstanding schedules must stay rejected at issue.
+        // any final copy-out — so write-aliased sharing between
+        // outstanding schedules must stay rejected at issue.
         S::Alltoall { .. }
         | S::Alltoallv { .. }
         | S::ReduceScatter { .. }

@@ -1,84 +1,104 @@
 //! The pairwise RMA exchange subsystem: alltoall, alltoallv and
-//! reduce-scatter built on per-node-pair put streams.
+//! reduce-scatter, the collectives in which every rank holds distinct
+//! data for every other rank.
 //!
-//! Total-exchange collectives have no root and no tree: every node pair
-//! carries its own data stream concurrently. The machinery the paper's
-//! rooted protocols use — channels along the edges of one tree — cannot
-//! express that, so this module adds two pieces:
+//! Total-exchange collectives have no root and no tree, so the channels
+//! the paper's rooted protocols lay along the edges of one tree cannot
+//! express them. What the paper's premise still gives is that a put
+//! costs its origin only the issue overhead: shared-memory work can run
+//! under the wire.
 //!
-//! * **A registry of ring channels** ([`PairwiseState`]): one
-//!   [`ChanKind::Ring`] channel per ordered `(src, dst)` group-node
-//!   pair — an inbound *landing ring* at `dst`, its data counter and
-//!   `src`'s credits — created when the communicator first touches the
-//!   registry, the handles exchanged like registered memory, so any
-//!   master can put into any peer's ring with no per-call address
-//!   traffic (contrast the large-broadcast protocol, which exchanges
-//!   user-buffer addresses every call) and each of the `n·(n-1)`
-//!   concurrent streams synchronizes independently. Disjoint
-//!   communicators own disjoint registries, so their exchanges never
-//!   share a counter.
-//! * **A segment-interleaved credit scheme**: a source may have at most
-//!   [`SrmTuning::pairwise_window`](crate::SrmTuning) puts outstanding
-//!   toward one destination (the ring has that many
+//! ## Alltoall and alltoallv: one wire, every rank drives its own
+//!
+//! `SrmComm::plan_exchange` compiles both. Each rank ships its user
+//! buffer's handle to every remote rank with data for it (a per-call
+//! address exchange through the communicator's mailbox), then takes
+//! each remote peer's handle and lands that peer's whole segment in its
+//! receive half with **one put**, completion-counted by the `direct`
+//! [`rma::CounterFamily`] — no node master in between, no staging copy,
+//! no credits, at every segment size. Two orderings make it a wire a
+//! one-sided transport likes:
+//!
+//! * **Puts before the intra-node leg.** A put occupies its origin for
+//!   the issue overhead only, so the node's shared-memory copies run
+//!   while the adapters drain the puts, not in front of them.
+//! * **Destinations in a permuted order** (`SrmComm::remote_order`):
+//!   node distance first, slot distance second, the address sends in
+//!   the mirror order. On a uniform communicator the `k`-th put of
+//!   every rank therefore targets a different rank — an ascending walk
+//!   would converge every remote sender on one inbound adapter at a
+//!   time.
+//!
+//! The intra-node leg (`SrmComm::plan_local_exchange`) is a rotation
+//! over the per-slot contribution channels, the same
+//! contributor/consumer flag protocol the reduce tree uses: in round
+//! `r` slot `u` publishes its cell for slot `(u + r) mod p` in its own
+//! parity buffer and consumes slot `(u - r) mod p`'s. All `p` slots copy
+//! at once, so every copy is charged at full bus contention. A channel
+//! changes consumer every round; the consumed-in-order guard of
+//! `SrmComm::plan_contrib_consume` at each hand-over keeps its DONE
+//! flag skip-free.
+//!
+//! ## Reduce-scatter: two routes between node masters
+//!
+//! Reduce-scatter pre-reduces inside the node, so its wire runs between
+//! node masters, and it keeps both routes of [`crate::route`]:
+//!
+//! * **Staged**, below
+//!   [`SrmTuning::pairwise_direct_min`](crate::SrmTuning): a registry
+//!   of [`ChanKind::Ring`] channels ([`PairwiseState`]), one per
+//!   ordered `(src, dst)` group-node pair — an inbound *landing ring*
+//!   at `dst`, its data counter and `src`'s credits — whose handles are
+//!   exchanged like registered memory, so a put needs no per-call
+//!   address traffic. A source may have at most
+//!   [`pairwise_window`](crate::SrmTuning) puts outstanding toward one
+//!   destination (the ring has that many
 //!   [`pairwise_chunk`](crate::SrmTuning)-sized slots per source); it
 //!   spends a credit per put (a consuming [`Step::Wait`] on the credit
-//!   counter) and the destination
-//!   returns the credit once it drains the slot. Senders round-robin
-//!   across destinations piece by piece instead of finishing one peer
-//!   before starting the next, so all streams stay in flight together.
-//!
-//! ## Two routes
-//!
-//! The pieces above implement the **staged** route. Above
-//! [`SrmTuning::pairwise_direct_min`](crate::SrmTuning) the planner
-//! resolves [`SegmentRoute::Direct`] instead (see [`crate::route`]):
-//! a per-call address exchange through the communicator's mailbox,
-//! then one rendezvous put per remote peer straight into its
-//! user buffer (alltoall/alltoallv) or per-call scratch region
-//! (reduce-scatter), completion-counted by the `direct`
-//! [`rma::CounterFamily`] — skipping the rings, the credits and their
-//! two extra copies entirely.
+//!   counter) and the destination returns the credit once it drains the
+//!   slot. Masters round-robin across destinations piece by piece, so
+//!   all streams stay in flight together.
+//! * **Direct**, at or above it: the masters exchange per-call scratch
+//!   handles and put every piece straight into the peer's scratch
+//!   region, counted by the `direct` family — no rings, no credits.
 //!
 //! ## Group coordinates
 //!
 //! Everything here is phrased over the communicator's shape: node
 //! indices are *group-node* indices (`0..cnodes()`), slot indices are
 //! group slots, and user-buffer segments are indexed by communicator
-//! rank. When a group node's members hold consecutive communicator
-//! ranks its segments form one contiguous block of the send buffer and
-//! the stream chunks the whole block (the world fast path); otherwise
-//! the stream degrades to per-`(src_slot, dst_slot)` cell runs, because
-//! a single put needs a contiguous source. Both endpoints of a stream
-//! derive the identical piece sequence from the group shape alone.
+//! rank. Both endpoints of every stream derive its pieces from the
+//! group shape and the call shape alone.
 //!
 //! ## Why literal ring offsets are safe
 //!
-//! Piece `k` of a stream lands at ring offset `(k % window) · chunk`,
-//! a plan-time constant — no sequence base is consumed. Two facts make
-//! this sound: the credit window keeps at most `window` *consecutive*
-//! pieces of a stream outstanding (consecutive indices map to distinct
-//! slots), and every master ends its plan waiting for all credits to
-//! return (a non-consuming wait for `== window` per destination), so the
-//! rings are fully drained between operations and the next plan can
-//! restart indexing at zero.
+//! Piece `k` of a ring stream lands at ring offset `(k % window) ·
+//! chunk`, a plan-time constant — no sequence base is consumed. Two
+//! facts make this sound: the credit window keeps at most `window`
+//! *consecutive* pieces of a stream outstanding (consecutive indices
+//! map to distinct slots), and every master ends its plan waiting for
+//! all credits to return (a non-consuming wait for `== window` per
+//! destination), so the rings are fully drained between operations and
+//! the next plan can restart indexing at zero.
 //!
 //! ## Deadlock freedom
 //!
 //! Every rank walks the same global round sequence; each blocking step
 //! of round `k` waits only on events of rounds `< k` (credit of piece
-//! `k - window`, contribution drain of the previous piece, landing-pair
+//! `k - window`, contribution drain two chunks back, landing-pair
 //! release two pieces back) or on same-round predecessors that are
 //! unconditionally reachable. Induction over the round order gives
-//! progress for any `window ≥ 1`.
+//! progress for any `window ≥ 1`. The exchange wire blocks only on
+//! address takes and completion counters, and every rank issues all its
+//! address sends and all its puts before its first wait on a peer's
+//! put.
 //!
-//! Non-master slots route their outbound data to the master through the
-//! per-slot contribution buffers — the same contributor/consumer flag
-//! protocol the reduce tree uses, which is what keeps the node-wide
-//! contribution-channel invariant (`plan_contrib_catchup`, DESIGN.md
-//! §10.5) intact. Because the Reduce and Landing sequence bases index
-//! cross-node buffer parities, their advances are computed as maxima
-//! over the *whole group* and applied on every member, even members
-//! whose own node moved less (DESIGN.md §12.3).
+//! Because the Reduce and Landing sequence bases index cross-node
+//! buffer parities, their advances are computed as maxima over the
+//! *whole group* and applied on every member, even members whose own
+//! node moved less; a slot that published less than the maximum
+//! re-synchronizes its contribution channel through
+//! `plan_contrib_catchup` (DESIGN.md §9.3, §12.3).
 
 use crate::inter::seq;
 use crate::plan::{
@@ -92,157 +112,72 @@ use crate::world::{Channel, SrmComm};
 use rma::{CounterFamily, LapiCounter};
 use shmem::ShmBuffer;
 use simnet::{NodeId, SimHandle};
+use std::sync::OnceLock;
 
 /// The registry of the pairwise exchange subsystem: the ring channel of
-/// every ordered group-node pair and the direct route's completion
-/// counters. Everything in it grows with nodes² or ranks² and no tree
-/// collective uses any of it, so a communicator builds it — whole, like
-/// registered-memory handles exchanged at initialization — when a
-/// member first touches it ([`SrmComm::pairwise`]).
+/// every ordered group-node pair and the per-rank-pair completion
+/// counters. The two families grow with nodes² and ranks², no tree
+/// collective uses either, and each pairwise collective uses one of
+/// them — staged reduce-scatter the rings, alltoall, alltoallv and
+/// direct reduce-scatter the counters — so each is built, whole, like
+/// registered-memory handles exchanged at initialization, when a member
+/// first resolves one of its operands.
 pub struct PairwiseState {
+    handle: SimHandle,
     nodes: usize,
+    ranks: usize,
+    window: usize,
+    /// Bytes of one ring: `window` slots of at least 8 bytes each —
+    /// reduce-scatter rounds its piece size up to the element grid even
+    /// when `pairwise_chunk` is configured smaller.
+    ring: usize,
     /// `rings[dst * nodes + src]`: the [`ChanKind::Ring`] channel of the
     /// stream `src → dst` — a landing ring of `window` slots of
     /// `pairwise_chunk` bytes at `dst`, its data counter (consumed one
     /// per piece by the destination master) and the source's credits
     /// (init `window`, spent per put, restored by `dst`'s zero-byte put
     /// when a ring slot drains).
-    rings: Vec<Channel>,
-    /// Direct-route completion counters, one per ordered **comm-rank**
-    /// pair: `pair(src, dst)` lives at `dst` and is bumped by each of
-    /// `src`'s direct puts into `dst`'s user or scratch buffer. The
-    /// receiver's consuming waits drain it back to zero every call.
-    direct: CounterFamily,
+    pub(crate) rings: OnceLock<Vec<Channel>>,
+    /// Completion counters, one per ordered **comm-rank** pair:
+    /// `pair(src, dst)` lives at `dst` and is bumped by each of `src`'s
+    /// direct puts into `dst`'s user or scratch buffer. The receiver's
+    /// consuming waits drain it back to zero every call.
+    pub(crate) direct: OnceLock<CounterFamily>,
 }
 
 impl PairwiseState {
+    /// The empty registry of a `nodes`-node, `ranks`-member group.
     pub(crate) fn new(handle: &SimHandle, tuning: &SrmTuning, nodes: usize, ranks: usize) -> Self {
-        let window = tuning.pairwise_window;
-        // Slots hold at least 8 bytes: reduce-scatter rounds its piece
-        // size up to the element grid even when `pairwise_chunk` is
-        // configured smaller.
-        let ring = window * tuning.pairwise_chunk.max(8);
         PairwiseState {
+            handle: handle.clone(),
             nodes,
-            rings: (0..nodes * nodes)
-                .map(|_| Channel::new(handle, ShmBuffer::new(ring), window as u64))
-                .collect(),
-            direct: CounterFamily::new(handle, ranks, 0),
+            ranks,
+            window: tuning.pairwise_window,
+            ring: tuning.pairwise_window * tuning.pairwise_chunk.max(8),
+            rings: OnceLock::new(),
+            direct: OnceLock::new(),
         }
     }
 
     /// The ring channel of the group-node stream `src → dst`.
     pub fn ring(&self, src: NodeId, dst: NodeId) -> &Channel {
-        &self.rings[dst * self.nodes + src]
+        let rings = self.rings.get_or_init(|| {
+            (0..self.nodes * self.nodes)
+                .map(|_| Channel::new(&self.handle, ShmBuffer::new(self.ring), self.window as u64))
+                .collect()
+        });
+        &rings[dst * self.nodes + src]
     }
 
-    /// The direct-route completion counter of the **comm-rank** stream
-    /// `src → dst` (lives at `dst`).
+    /// The completion counter of the **comm-rank** stream `src → dst`
+    /// (lives at `dst`).
     pub fn direct(&self, src: usize, dst: usize) -> &LapiCounter {
-        self.direct.pair(src, dst)
+        let family = || CounterFamily::new(&self.handle, self.ranks, 0);
+        self.direct.get_or_init(family).pair(src, dst)
     }
-}
-
-/// One wire piece of a node-pair stream, in issue order. Every role
-/// (source slot, source master, destination master, destination slots)
-/// derives the identical piece sequence from the group shape, which is
-/// what lets the four plans meet without any per-call metadata
-/// exchange.
-struct WirePiece {
-    /// Group slot on the source node whose user buffer holds the piece.
-    src_slot: usize,
-    /// Offset of the piece in that slot's user buffer.
-    src_off: usize,
-    /// Piece length in bytes (at most `pairwise_chunk`).
-    len: usize,
-    /// Destination-side scatter: `(dst_slot, piece_off, recv_off,
-    /// len)` — the sub-range starting `piece_off` into the piece lands
-    /// at `recv_off` of `dst_slot`'s user buffer.
-    overlaps: Vec<(usize, usize, usize, usize)>,
 }
 
 impl SrmComm {
-    /// Pieces of the alltoall stream `s → d` (group nodes): each source
-    /// slot's send segments for the destination node's members,
-    /// chunked. When `d`'s members hold consecutive communicator ranks
-    /// the segments are one contiguous `slots·len` block and a chunk
-    /// may span several destination-slot segments (the overlap list
-    /// splits it); otherwise every `(src_slot, dst_slot)` cell is its
-    /// own chunk run.
-    fn alltoall_stream(
-        &self,
-        len: usize,
-        chunk: usize,
-        rbase: usize,
-        s: NodeId,
-        d: NodeId,
-    ) -> Vec<WirePiece> {
-        if !self.ccontig(d) {
-            return self.cell_stream(len, |_, _| len, chunk, rbase, s, d);
-        }
-        let dp = self.cslots_on(d);
-        let base = self.crank_at(d, 0) * len;
-        let block = dp * len;
-        let mut out = Vec::new();
-        for u in 0..self.cslots_on(s) {
-            let cu = self.crank_at(s, u);
-            for kc in 0..SrmTuning::chunk_count(block, chunk) {
-                let koff = kc * chunk;
-                let clen = chunk.min(block - koff);
-                let overlaps = (0..dp)
-                    .filter_map(|t| {
-                        let lo = koff.max(t * len);
-                        let hi = (koff + clen).min((t + 1) * len);
-                        (lo < hi)
-                            .then(|| (t, lo - koff, rbase + cu * len + (lo - t * len), hi - lo))
-                    })
-                    .collect();
-                out.push(WirePiece {
-                    src_slot: u,
-                    src_off: base + koff,
-                    len: clen,
-                    overlaps,
-                });
-            }
-        }
-        out
-    }
-
-    /// Pieces of the stream `s → d` (group nodes) cut cell by cell: the
-    /// `(src_slot, dst_slot)` cells of the communicator-rank grid on
-    /// `seg`-strided segments, `count(src rank, dst rank)` bytes each,
-    /// in a fixed nested order, each chunked. Every piece targets
-    /// exactly one destination slot.
-    fn cell_stream(
-        &self,
-        seg: usize,
-        count: impl Fn(usize, usize) -> usize,
-        chunk: usize,
-        rbase: usize,
-        s: NodeId,
-        d: NodeId,
-    ) -> Vec<WirePiece> {
-        let mut out = Vec::new();
-        for u in 0..self.cslots_on(s) {
-            let cu = self.crank_at(s, u);
-            for t in 0..self.cslots_on(d) {
-                let ct = self.crank_at(d, t);
-                let cnt = count(cu, ct);
-                for kc in 0..cnt.div_ceil(chunk) {
-                    let koff = kc * chunk;
-                    let clen = chunk.min(cnt - koff);
-                    out.push(WirePiece {
-                        src_slot: u,
-                        src_off: ct * seg + koff,
-                        len: clen,
-                        overlaps: vec![(t, 0, rbase + cu * seg + koff, clen)],
-                    });
-                }
-            }
-        }
-        out
-    }
-
     /// Block until my node holds at least `n` credits toward `d`
     /// without spending any.
     fn plan_credits_ge(&self, b: &mut PlanBuilder, d: NodeId, n: usize) {
@@ -272,214 +207,39 @@ impl SrmComm {
         self.plan_credit_put(b, (ring, at), stage_acc, from, len);
     }
 
-    /// Emit the inter-node part of a pairwise exchange: the credit-
-    /// windowed round-robin over every `(src, dst)` group-node stream
-    /// produced by `streams`, with non-master outbound data staged
-    /// through the contribution buffers and inbound pieces republished
-    /// on the landing pair. Caller handles the intra-node exchange.
-    fn plan_pairwise_wire<F>(&self, b: &mut PlanBuilder, streams: F)
-    where
-        F: Fn(NodeId, NodeId) -> Vec<WirePiece>,
-    {
-        let nodes = self.cnodes();
-        if nodes <= 1 {
-            return;
-        }
-        // Geometry: the ring/credit capacity of the registry.
-        let w_geom = self.tuning().pairwise_window;
-        // Decisions: the effective per-shape put size and window. Both
-        // ends of every stream compile from the same shape, so they
-        // agree on the ring slot grid `(r % w) * chunk`, which always
-        // fits the geometry ring (`chunk ≤ geometry chunk`,
-        // `w ≤ w_geom`).
-        let chunk = b.tuning().pairwise_chunk;
-        let w = b.tuning().pairwise_window;
-        let me = self.cnode();
-        let my = self.cslot();
-        let p = self.cslots_here();
-        let local_multi = p > 1;
-        let pair = PairSel::Landing;
-
-        // Stream lengths and per-slot staging totals of the whole
-        // group: the sequence-base advances must be uniform across
-        // every communicator member (cross-node protocols resolve
-        // buffer parities against their own bases), so every rank
-        // advances by the group-wide maxima even when its own node
-        // moved less.
-        let mut inbound = vec![0u64; nodes];
-        let mut staged: Vec<Vec<u64>> = (0..nodes).map(|g| vec![0u64; self.cslots_on(g)]).collect();
-        for (s, stage) in staged.iter_mut().enumerate() {
-            for (d, inb) in inbound.iter_mut().enumerate() {
-                if s == d {
-                    continue;
-                }
-                for piece in streams(s, d) {
-                    *inb += 1;
-                    if piece.src_slot != 0 {
-                        stage[piece.src_slot] += 1;
-                    }
-                }
+    /// The comm ranks off my node in the order this rank's wire visits
+    /// them: node distance first, slot distance second. `outbound`
+    /// lists the ranks I put to (me plus the distance); otherwise the
+    /// mirror walk (me minus the distance) — on a communicator with
+    /// equally many members per node, the rank whose `k`-th put targets
+    /// me is the `k`-th entry, and the `k`-th destinations of all ranks
+    /// are pairwise distinct.
+    fn remote_order(&self, outbound: bool) -> Vec<usize> {
+        let (n, g, u) = (self.cnodes(), self.cnode(), self.cslot());
+        let mut order = Vec::with_capacity(self.csize() - self.cslots_here());
+        for dn in 1..n {
+            let d = if outbound { g + dn } else { g + n - dn } % n;
+            let p = self.cslots_on(d);
+            for ds in 0..p {
+                let t = if outbound { u + ds } else { u % p + p - ds } % p;
+                order.push(self.crank_at(d, t));
             }
         }
-        let r_adv = staged.iter().flatten().copied().max().unwrap_or(0);
-        let g_land = inbound.iter().copied().max().unwrap_or(0);
-
-        let rel0 = b.rel(SeqBase::Reduce);
-        let lrel0 = b.rel(SeqBase::Landing);
-
-        let out: Vec<(NodeId, Vec<WirePiece>)> = (0..nodes)
-            .filter(|&d| d != me)
-            .map(|d| (d, streams(me, d)))
-            .collect();
-        let inb: Vec<(NodeId, Vec<WirePiece>)> = (0..nodes)
-            .filter(|&s| s != me)
-            .map(|s| (s, streams(s, me)))
-            .collect();
-        let rounds = out
-            .iter()
-            .map(|(_, v)| v.len())
-            .chain(inb.iter().map(|(_, v)| v.len()))
-            .max()
-            .unwrap_or(0);
-
-        // Cursor into each slot's contribution channel (master:
-        // consumption order; slot: its own publication order). The
-        // orders agree because both sides walk rounds ascending with
-        // destinations ascending inside a round.
-        let mut crel = vec![0u64; p];
-        let mut li = 0u64;
-
-        for r in 0..rounds {
-            let ring_off = (r % w) * chunk;
-            // Outbound: one piece toward every destination still active.
-            for (d, pieces) in &out {
-                let Some(piece) = pieces.get(r) else { continue };
-                let to = (*d, ring_off);
-                let u = piece.src_slot;
-                let user = (BufRef::User, Off::Lit(piece.src_off));
-                if my == 0 && u == 0 {
-                    self.plan_ring_put(b, to, false, user, piece.len);
-                } else if my == 0 || u == my {
-                    let rel = rel0 + crel[u];
-                    crel[u] += 1;
-                    if my == 0 {
-                        // The put snapshots the source synchronously,
-                        // so the contribution side drains immediately.
-                        self.plan_contrib_consume(
-                            b,
-                            u,
-                            rel,
-                            "pairwise piece staged",
-                            |b, src, off| self.plan_ring_put(b, to, false, (src, off), piece.len),
-                        );
-                    } else {
-                        self.plan_contrib_publish(b, rel, user, piece.len, CopyCost::Write(1));
-                    }
-                }
-            }
-            // Inbound: drain one piece from every source still active.
-            for (s, pieces) in &inb {
-                let Some(piece) = pieces.get(r) else { continue };
-                let from = Chan::new(ChanKind::Ring, *s, me, 0);
-                let landed = BufRef::Chan(from);
-                let lrel = lrel0 + li;
-                let mine = piece
-                    .overlaps
-                    .iter()
-                    .find(|o| o.0 == my)
-                    .map(|&(_, po, recv_off, olen)| (po, recv_off, olen));
-                if my != 0 {
-                    self.plan_pair_read(b, pair, lrel, |_| {}, mine, self.peer_streams());
-                } else if local_multi {
-                    b.wait_ctr(CtrRef::Data(from), 1);
-                    let slot = (landed, Off::Lit(ring_off));
-                    self.plan_pair_write(b, pair, lrel, slot, piece.len, 1);
-                    // The ring slot is copied out: return the credit
-                    // before distributing locally.
-                    self.plan_credit_return(b, from);
-                    if let Some(mine) = mine {
-                        self.plan_pair_copy_out(b, pair, lrel, mine, self.peer_streams());
-                    }
-                } else {
-                    b.wait_ctr(CtrRef::Data(from), 1);
-                    let (po, recv_off, olen) = mine.expect("single-slot node takes every piece");
-                    b.push(Step::ShmCopy {
-                        src: landed,
-                        src_off: Off::Lit(ring_off + po),
-                        dst: BufRef::User,
-                        dst_off: Off::Lit(recv_off),
-                        len: olen,
-                        cost: CopyCost::Read(1),
-                    });
-                    self.plan_credit_return(b, from);
-                }
-                if local_multi {
-                    li += 1;
-                }
-            }
-        }
-
-        // All credits home (the full geometry complement): the rings
-        // are drained, so the next operation may index slots from zero
-        // again — whatever window it compiles with.
-        if my == 0 {
-            for (d, pieces) in &out {
-                if !pieces.is_empty() {
-                    self.plan_credits_ge(b, *d, w_geom);
-                }
-            }
-        }
-
-        // Re-synchronize the contribution channels with the group-wide
-        // uniform advance. A slot that staged fewer pieces than the
-        // group maximum (ragged counts, uneven nodes, or the master,
-        // which stages nothing) raises its own flags the rest of the
-        // way — but only after its consumer finished, so the flags
-        // never move backwards.
-        if r_adv > 0 {
-            let mine = if my == 0 { 0 } else { crel[my] };
-            if mine > 0 && mine < r_adv {
-                b.wait_flag(
-                    FlagRef::ContribDone { slot: my },
-                    seq(SeqBase::Reduce, rel0 + mine),
-                    "pairwise contributions consumed",
-                );
-            }
-            if mine < r_adv {
-                self.plan_contrib_catchup(b, rel0 + r_adv);
-            }
-            b.advance(SeqBase::Reduce, r_adv);
-        }
-        // Uniform even for members whose node has a single slot or
-        // fewer inbound pieces than the group maximum: the parity base
-        // must track the rest of the group. The pair's RELEASED
-        // counters index uses absolutely, so each slot accounts the
-        // uses its node skipped as released.
-        if g_land > 0 {
-            if li < g_land {
-                b.push(Step::PairCatchUp {
-                    pair,
-                    base: SeqBase::Landing,
-                    rel: lrel0 + g_land,
-                });
-            }
-            b.advance(SeqBase::Landing, g_land);
-        }
+        order
     }
 
-    /// Emit the **direct route** of a pairwise exchange
-    /// ([`SegmentRoute::Direct`]): a per-call address exchange followed
-    /// by one rendezvous put per remote peer straight into its receive
-    /// segment, with a per-pair completion counter instead of ring
-    /// credits — the same shape as the zero-copy large-message
-    /// broadcast, generalized to `n·(n-1)` concurrent rank streams.
+    /// Plan the total exchange on the `seg`-strided grid layout:
+    /// communicator rank `i` sends `count(i, j)` bytes from send segment
+    /// `j` (at `j·seg`) to communicator rank `j`, which receives them in
+    /// segment `i` of the second half (at `csize·seg + i·seg`).
     ///
-    /// `xfer(s, d)` describes the comm-rank stream `s → d` as
-    /// `(offset in s's user buffer, offset in d's user buffer, bytes)`,
-    /// or `None` for an empty stream; both endpoints derive it from the
-    /// call shape alone. `local` plans the intra-node leg; it runs
-    /// between the outbound address sends and the takes/puts so remote
-    /// peers can start putting while this node is busy locally.
+    /// The wire is a per-call address exchange followed by one put per
+    /// remote peer straight into its receive segment, with a per-pair
+    /// completion counter — the shape of the zero-copy large-message
+    /// broadcast, generalized to one stream per ordered rank pair. The
+    /// address sends are non-blocking and precede every blocking step,
+    /// so no rank can stall a peer's rendezvous; the puts precede the
+    /// intra-node leg, which then runs under the wire.
     ///
     /// Buffer-reuse safety needs no extra drain steps: a put snapshots
     /// its source synchronously at issue (send side), and the
@@ -488,140 +248,150 @@ impl SrmComm {
     /// counter back at zero, and a taken mailbox slot is provably empty
     /// again before the next call's send can land in it (DESIGN.md
     /// §16.2).
-    fn plan_pairwise_direct_wire<L, F>(&self, b: &mut PlanBuilder, local: L, xfer: F)
-    where
-        L: FnOnce(&mut PlanBuilder),
-        F: Fn(usize, usize) -> Option<(usize, usize, usize)>,
-    {
-        let me = self.crank();
-        let mynode = self.cnode();
-        let remote: Vec<usize> = (0..self.csize())
-            .filter(|&c| self.cnode_of(c) != mynode)
-            .collect();
-        // Ship my user-buffer handle to every remote peer with data
-        // for me. Non-blocking, and ahead of every blocking step of
-        // this plan — no rank can stall a peer's rendezvous.
-        for &s in &remote {
-            if xfer(s, me).is_some() {
-                b.push(Step::AddrSend {
-                    to: self.cworld_of(s),
-                    src: HandleSrc::User,
-                });
-            }
-        }
-        local(b);
-        // One unchunked put per remote destination, ascending comm
-        // rank: take the peer's address, land the whole segment in its
-        // receive half, bump its completion counter.
-        for &d in &remote {
-            let Some((src_off, dst_off, len)) = xfer(me, d) else {
-                continue;
-            };
-            let idx = b.take_addr(d);
-            b.push(Step::RmaPut {
-                to: self.cworld_of(d),
-                src: BufRef::User,
-                src_off: Off::Lit(src_off),
-                dst: BufRef::Taken { idx },
-                dst_off: Off::Lit(dst_off),
-                len,
-                ctr: Some(CtrRef::PairwiseDirect { src: me, dst: d }),
-            });
-        }
-        // Drain: consume one completion per inbound stream. When these
-        // return, every expected segment has landed and the counters
-        // are at zero for the next call.
-        for &s in &remote {
-            if xfer(s, me).is_some() {
-                b.wait_ctr(CtrRef::PairwiseDirect { src: s, dst: me }, 1);
-            }
-        }
-    }
-
-    /// Intra-node leg of the alltoall: every group slot in turn
-    /// publishes its send segments for this node's members through the
-    /// SMP broadcast pair; the other slots copy out their segments.
-    /// Contiguous-rank nodes publish the whole block per chunk; others
-    /// publish per `(publisher, reader)` cell.
-    fn plan_local_alltoall(&self, b: &mut PlanBuilder, len: usize) {
-        let p = self.cslots_here();
-        let me = self.cnode();
-        if p <= 1 {
-            return;
-        }
-        if !self.ccontig(me) {
-            return self.plan_local_cells(b, len, |_, _| len);
-        }
-        let cs = b.tuning().pairwise_chunk.min(SrmTuning::SMP_BUF);
-        let my = self.cslot();
-        let rbase = self.csize() * len;
-        let srel0 = b.rel(SeqBase::Smp);
-        let streams = self.peer_streams();
-        let base = self.crank_at(me, 0) * len;
-        let block = p * len;
-        let per = SrmTuning::chunk_count(block, cs);
-        for u in 0..p {
-            let cu = self.crank_at(me, u);
-            for kc in 0..per {
-                let srel = srel0 + (u * per + kc) as u64;
-                let koff = kc * cs;
-                let clen = cs.min(block - koff);
-                if my == u {
-                    let from = (BufRef::User, Off::Lit(base + koff));
-                    self.plan_pair_write(b, PairSel::Smp, srel, from, clen, streams);
-                } else {
-                    let lo = koff.max(my * len);
-                    let hi = (koff + clen).min((my + 1) * len);
-                    let mine =
-                        (lo < hi).then(|| (lo - koff, rbase + cu * len + (lo - my * len), hi - lo));
-                    self.plan_pair_read(b, PairSel::Smp, srel, |_| {}, mine, streams);
-                }
-            }
-        }
-        b.advance(SeqBase::Smp, (p * per) as u64);
-    }
-
-    /// Intra-node exchange cell by cell: the `(publisher, reader)`
-    /// cells of `count(publisher rank, reader rank)` bytes on
-    /// `seg`-strided segments go through the SMP pair one piece at a
-    /// time. Every non-publishing slot handshakes every piece (the pair
-    /// protocol needs all readers to release) but only the addressee
-    /// copies.
-    fn plan_local_cells(
+    fn plan_exchange(
         &self,
         b: &mut PlanBuilder,
         seg: usize,
         count: impl Fn(usize, usize) -> usize,
     ) {
-        let p = self.cslots_here();
-        if p <= 1 {
+        if seg == 0 {
             return;
         }
-        let cs = b.tuning().pairwise_chunk.min(SrmTuning::SMP_BUF);
-        let me = self.cnode();
-        let my = self.cslot();
+        let me = self.crank();
         let rbase = self.csize() * seg;
-        let mut srel = b.rel(SeqBase::Smp);
-        for u in 0..p {
-            let cu = self.crank_at(me, u);
-            for tl in (0..p).filter(|&tl| tl != u) {
-                let ctl = self.crank_at(me, tl);
-                let cnt = count(cu, ctl);
-                for kc in 0..cnt.div_ceil(cs) {
-                    let koff = kc * cs;
-                    let clen = cs.min(cnt - koff);
-                    if my == u {
-                        let from = (BufRef::User, Off::Lit(ctl * seg + koff));
-                        self.plan_pair_write(b, PairSel::Smp, srel, from, clen, 1);
-                    } else {
-                        let mine = (my == tl).then_some((0, rbase + cu * seg + koff, clen));
-                        self.plan_pair_read(b, PairSel::Smp, srel, |_| {}, mine, 1);
-                    }
-                    srel += 1;
+        // Own segment: already local, one private copy.
+        if count(me, me) > 0 {
+            b.push(Step::ShmCopy {
+                src: BufRef::User,
+                src_off: Off::Lit(me * seg),
+                dst: BufRef::User,
+                dst_off: Off::Lit(rbase + me * seg),
+                len: count(me, me),
+                cost: CopyCost::Read(1),
+            });
+        }
+        let mut inbound = self.remote_order(false);
+        inbound.retain(|&s| count(s, me) > 0);
+        for &s in &inbound {
+            b.push(Step::AddrSend {
+                to: self.cworld_of(s),
+                src: HandleSrc::User,
+            });
+        }
+        for d in self.remote_order(true) {
+            let len = count(me, d);
+            if len == 0 {
+                continue;
+            }
+            let idx = b.take_addr(d);
+            b.push(Step::RmaPut {
+                to: self.cworld_of(d),
+                src: BufRef::User,
+                src_off: Off::Lit(d * seg),
+                dst: BufRef::Taken { idx },
+                dst_off: Off::Lit(rbase + me * seg),
+                len,
+                ctr: Some(CtrRef::PairwiseDirect { src: me, dst: d }),
+            });
+        }
+        self.plan_local_exchange(b, seg, &count);
+        // Drain: consume one completion per inbound stream. When these
+        // return, every expected segment has landed and the counters
+        // are at zero for the next call.
+        for &s in &inbound {
+            b.wait_ctr(CtrRef::PairwiseDirect { src: s, dst: me }, 1);
+        }
+    }
+
+    /// Intra-node leg of the exchange: a rotation over the per-slot
+    /// contribution channels. In round `r` slot `u` publishes its cell
+    /// for slot `(u + r) mod p` in its own parity buffer and consumes
+    /// slot `(u - r) mod p`'s, cut into `pairwise_chunk` pieces and
+    /// interleaved piece by piece (a slot that published a whole
+    /// three-piece cell before reading would wait on a reader that is
+    /// waiting the same way). All `p` slots copy at once, so every copy
+    /// is charged with `p` streams on the bus.
+    fn plan_local_exchange(
+        &self,
+        b: &mut PlanBuilder,
+        seg: usize,
+        count: &impl Fn(usize, usize) -> usize,
+    ) {
+        let cs = b.tuning().pairwise_chunk;
+        // Pieces of the cell slot `u` of group node `g` publishes in
+        // round `r`.
+        let pieces = |g: NodeId, u: usize, r: usize| {
+            let to = self.crank_at(g, (u + r) % self.cslots_on(g));
+            count(self.crank_at(g, u), to).div_ceil(cs) as u64
+        };
+        let published =
+            |g: NodeId, u: usize, rounds: usize| (1..rounds).map(|r| pieces(g, u, r)).sum::<u64>();
+        // The Reduce base indexes cross-node parities, so every member
+        // advances it by the most any slot of the group publishes.
+        let r_adv = (0..self.cnodes())
+            .flat_map(|g| (0..self.cslots_on(g)).map(move |u| (g, u)))
+            .map(|(g, u)| published(g, u, self.cslots_on(g)))
+            .max()
+            .expect("nonempty group");
+        if r_adv == 0 {
+            return;
+        }
+        let (g, my, p) = (self.cnode(), self.cslot(), self.cslots_here());
+        let me = self.crank();
+        let rbase = self.csize() * seg;
+        let rel0 = b.rel(SeqBase::Reduce);
+        let mut sent = 0u64;
+        for r in 1..p {
+            let from = (my + p - r) % p;
+            let (cto, cfrom) = (self.crank_at(g, (my + r) % p), self.crank_at(g, from));
+            let (out, inb) = (count(me, cto), count(cfrom, me));
+            // Where this round's cell starts in `from`'s channel.
+            let rel_in = rel0 + published(g, from, r);
+            for k in 0..out.max(inb).div_ceil(cs) {
+                let koff = k * cs;
+                if koff < out {
+                    let user = (BufRef::User, Off::Lit(cto * seg + koff));
+                    let len = cs.min(out - koff);
+                    self.plan_contrib_publish(b, rel0 + sent, user, len, CopyCost::Write(p));
+                    sent += 1;
+                }
+                if koff < inb {
+                    self.plan_contrib_consume(
+                        b,
+                        from,
+                        rel_in + k as u64,
+                        k == 0,
+                        "exchange cell published",
+                        |b, src, src_off| {
+                            b.push(Step::ShmCopy {
+                                src,
+                                src_off,
+                                dst: BufRef::User,
+                                dst_off: Off::Lit(rbase + cfrom * seg + koff),
+                                len: cs.min(inb - koff),
+                                cost: CopyCost::Read(p),
+                            })
+                        },
+                    );
                 }
             }
         }
-        b.advance(SeqBase::Smp, srel - b.rel(SeqBase::Smp));
+        // Re-synchronize my channel with the group-wide advance. A slot
+        // that published fewer pieces than the group maximum (ragged
+        // counts, uneven nodes) raises its own flags the rest of the
+        // way — but only after its last consumer finished, so the
+        // flags never move backwards.
+        if sent < r_adv {
+            if sent > 0 {
+                b.wait_flag(
+                    FlagRef::ContribDone { slot: my },
+                    seq(SeqBase::Reduce, rel0 + sent),
+                    "exchange cells consumed",
+                );
+            }
+            self.plan_contrib_catchup(b, rel0 + r_adv);
+        }
+        b.advance(SeqBase::Reduce, r_adv);
     }
 
     /// Plan an alltoall of `len`-byte segments: the send half of the
@@ -629,35 +399,7 @@ impl SrmComm {
     /// rank `j`) is exchanged into the receive half (the next
     /// `csize·len` bytes, segment `i` from communicator rank `i`).
     pub(crate) fn plan_alltoall(&self, b: &mut PlanBuilder, len: usize) {
-        if len == 0 {
-            return;
-        }
-        let n = self.csize();
-        let eff = *b.tuning();
-        let chunk = eff.pairwise_chunk;
-        let rbase = n * len;
-        let me = self.crank();
-        // Own segment: already local, one private copy.
-        b.push(Step::ShmCopy {
-            src: BufRef::User,
-            src_off: Off::Lit(me * len),
-            dst: BufRef::User,
-            dst_off: Off::Lit(rbase + me * len),
-            len,
-            cost: CopyCost::Read(1),
-        });
-        if self.cmulti()
-            && self.segment_route(&eff, RouteClass::Pairwise, len) == SegmentRoute::Direct
-        {
-            self.plan_pairwise_direct_wire(
-                b,
-                |b| self.plan_local_alltoall(b, len),
-                |s, d| Some((d * len, rbase + s * len, len)),
-            );
-        } else {
-            self.plan_local_alltoall(b, len);
-            self.plan_pairwise_wire(b, |s, d| self.alltoall_stream(len, chunk, rbase, s, d));
-        }
+        self.plan_exchange(b, len, |_, _| len);
     }
 
     /// Plan an alltoallv on the `seg`-strided grid layout: communicator
@@ -666,40 +408,7 @@ impl SrmComm {
     /// second half.
     pub(crate) fn plan_alltoallv(&self, b: &mut PlanBuilder, seg: usize, counts: &[usize]) {
         let n = self.csize();
-        if seg == 0 {
-            return;
-        }
-        let eff = *b.tuning();
-        let chunk = eff.pairwise_chunk;
-        let rbase = n * seg;
-        let me = self.crank();
-        let count = |i: usize, j: usize| counts[i * n + j];
-        let own = count(me, me);
-        if own > 0 {
-            b.push(Step::ShmCopy {
-                src: BufRef::User,
-                src_off: Off::Lit(me * seg),
-                dst: BufRef::User,
-                dst_off: Off::Lit(rbase + me * seg),
-                len: own,
-                cost: CopyCost::Read(1),
-            });
-        }
-        if self.cmulti()
-            && self.segment_route(&eff, RouteClass::Pairwise, seg) == SegmentRoute::Direct
-        {
-            self.plan_pairwise_direct_wire(
-                b,
-                |b| self.plan_local_cells(b, seg, count),
-                |s, d| match count(s, d) {
-                    0 => None,
-                    cnt => Some((d * seg, rbase + s * seg, cnt)),
-                },
-            );
-        } else {
-            self.plan_local_cells(b, seg, count);
-            self.plan_pairwise_wire(b, |s, d| self.cell_stream(seg, count, chunk, rbase, s, d));
-        }
+        self.plan_exchange(b, seg, |i, j| counts[i * n + j]);
     }
 
     /// Plan a reduce-scatter of `len`-byte result segments: the user

@@ -164,10 +164,10 @@ pub enum ChanKind {
     /// odd the result return (uncredited: the odd node's next fold-in
     /// follows its read of the result). One lane, 0.
     Fold,
-    /// Pairwise stream into the destination's landing ring of
-    /// [`SrmTuning::pairwise_window`](crate::SrmTuning) slots (credits
-    /// start at the window; ring offsets are plan literals because
-    /// every ring is drained when a pairwise operation completes). One
+    /// Staged reduce_scatter stream into the destination's landing ring
+    /// of [`SrmTuning::pairwise_window`](crate::SrmTuning) slots
+    /// (credits start at the window; ring offsets are plan literals
+    /// because every ring is drained when the operation completes). One
     /// lane, 0.
     Ring,
 }
@@ -260,11 +260,12 @@ pub enum CtrRef {
         /// Round.
         round: usize,
     },
-    /// The **direct-route** completion counter of the `(src → dst)`
-    /// comm-rank stream, bumped at `dst` by each of `src`'s direct puts
-    /// into `dst`'s user or scratch buffer (one counter per ordered
-    /// comm-rank pair). The receiver's consuming waits are the drain:
-    /// the counter is back at zero when the call returns.
+    /// The completion counter of the `(src → dst)` comm-rank stream,
+    /// bumped at `dst` by each of `src`'s puts into `dst`'s user buffer
+    /// (alltoall, alltoallv) or scratch buffer (direct-route
+    /// reduce_scatter) — one counter per ordered comm-rank pair. The
+    /// receiver's consuming waits are the drain: the counter is back at
+    /// zero when the call returns.
     PairwiseDirect {
         /// The sending comm rank.
         src: usize,

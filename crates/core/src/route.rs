@@ -8,15 +8,13 @@
 //! straight into the destination buffer (the paper's §2 large-message
 //! protocol; the same shape as MPICH's large-message rendezvous).
 //!
-//! Before this module the answer was hard-wired per collective:
-//! broadcast had its own ad-hoc 64 KB switch
-//! ([`SrmTuning::small_large_switch`]), the pairwise exchanges always
-//! staged. [`SegmentRoute`] makes the answer a first-class planner
-//! decision, resolved per (operation family, segment size, effective
-//! tuning) by [`SrmComm::segment_route`] — so the broadcast switch and
-//! the pairwise [`SrmTuning::pairwise_direct_min`] threshold are two
-//! rows of the same routing decision, and the next protocol gets a
-//! routing-table entry instead of a rewrite.
+//! [`SegmentRoute`] makes the answer a first-class planner decision,
+//! resolved per (operation family, segment size, effective tuning) by
+//! [`SrmComm::segment_route`] — so the broadcast's 64 KB switch
+//! ([`SrmTuning::small_large_switch`]) and reduce-scatter's
+//! [`SrmTuning::pairwise_direct_min`] threshold are two rows of the
+//! same routing decision. Alltoall and alltoallv are not routed: their
+//! one wire is direct at every size ([`crate::pairwise`]).
 
 use crate::plan::PlanShape;
 use crate::tuning::SrmTuning;
@@ -57,9 +55,8 @@ pub enum RouteClass {
     /// Rooted tree protocols (broadcast): direct above
     /// [`SrmTuning::small_large_switch`].
     Rooted,
-    /// Pairwise total exchanges (alltoall / alltoallv /
-    /// reduce_scatter): direct at or above
-    /// [`SrmTuning::pairwise_direct_min`].
+    /// The master-to-master streams of reduce_scatter: direct at or
+    /// above [`SrmTuning::pairwise_direct_min`].
     Pairwise,
 }
 
@@ -81,8 +78,9 @@ impl SrmComm {
     }
 
     /// The route `shape` compiles with under `eff`, or `None` for
-    /// shapes without a routed wire leg (non-routed protocols, empty
-    /// payloads, single-node communicators). Drives the compile-time
+    /// shapes without a routed wire leg (non-routed protocols — the
+    /// total exchanges among them — empty payloads, single-node
+    /// communicators). Drives the compile-time
     /// `route:*` trace label.
     pub(crate) fn route_of_shape(
         &self,
@@ -95,8 +93,6 @@ impl SrmComm {
         use PlanShape as S;
         let (class, seg) = match shape {
             S::Bcast { len, .. } if *len > 0 => (RouteClass::Rooted, *len),
-            S::Alltoall { len } if *len > 0 => (RouteClass::Pairwise, *len),
-            S::Alltoallv { seg, .. } if *seg > 0 => (RouteClass::Pairwise, *seg),
             S::ReduceScatter { len } if *len > 0 => (RouteClass::Pairwise, *len),
             _ => return None,
         };

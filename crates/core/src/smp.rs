@@ -223,19 +223,20 @@ impl SrmComm {
     /// for READY, let `consume` emit whatever reads the side (handed
     /// the operand), raise DONE.
     ///
-    /// DONE must advance without skipping sequence numbers: the
-    /// previous collective on this channel may have had a *different*
-    /// consumer rank (a gather root, say) that has not drained the
-    /// contributor's last chunk yet, and a max-raise past it would let
-    /// the contributor overwrite that side early. Within one plan the
-    /// single consumer is ordered, so only the first consume per plan
-    /// waits for the channel to be drained through the plan's entry
-    /// cumulative.
+    /// DONE must advance without skipping sequence numbers: the chunk
+    /// before `rel` may have had a *different* consumer rank — the
+    /// previous collective's (a gather root, say), or the previous
+    /// round's in the exchange rotation — that has not drained it yet,
+    /// and a max-raise past it would let the contributor overwrite that
+    /// side early. One consumer's consecutive chunks are ordered, so
+    /// only its `first` waits for the channel to be drained through
+    /// `rel`.
     pub(crate) fn plan_contrib_consume(
         &self,
         b: &mut PlanBuilder,
         slot: usize,
         rel: u64,
+        first: bool,
         label: &'static str,
         consume: impl FnOnce(&mut PlanBuilder, BufRef, Off),
     ) {
@@ -249,7 +250,7 @@ impl SrmComm {
             BufRef::Contrib { slot },
             poff(SeqBase::Reduce, rel, self.tuning().reduce_chunk),
         );
-        if rel == b.rel(SeqBase::Reduce) && !crate::plan::skip_order_guards() {
+        if first && !crate::plan::skip_order_guards() {
             b.wait_flag(
                 FlagRef::ContribDone { slot },
                 seq(SeqBase::Reduce, rel),
@@ -392,6 +393,7 @@ impl SrmComm {
                 b,
                 child,
                 rel,
+                rel == b.rel(SeqBase::Reduce),
                 "child contribution ready",
                 |b, src, src_off| {
                     b.push(Step::LocalReduce {

@@ -170,14 +170,17 @@ pub struct TuneEntry {
     pub allreduce_rs_min: usize,
     /// Interrupt-disable payload cap.
     pub interrupt_disable_max: usize,
-    /// Pairwise exchange put size.
+    /// Piece size of reduce_scatter's streams and of the intra-node
+    /// cells of alltoall/alltoallv.
     pub pairwise_chunk: usize,
-    /// Pairwise exchange credit window.
+    /// Credit window of reduce_scatter's staged streams (alltoall and
+    /// alltoallv have no credits).
     pub pairwise_window: usize,
-    /// Pairwise direct-route switch: segments at or above this size
-    /// skip the landing rings and put straight into the destination
-    /// buffer; `usize::MAX` (`off` in table files) disables the direct
-    /// route for the shape.
+    /// reduce_scatter's direct-route switch: segments at or above this
+    /// size skip the landing rings and put straight into the
+    /// destination master's scratch buffer; `usize::MAX` (`off` in
+    /// table files) disables the direct route for the shape. Alltoall
+    /// and alltoallv are direct at every size and ignore it.
     pub pairwise_direct_min: usize,
 }
 

@@ -30,8 +30,8 @@ pub enum TuningError {
     /// `pipeline_max` above `small_large_switch`. (Equal min and max
     /// is legal — it disables pipelining.)
     PipelineRangeInvalid,
-    /// `pairwise_chunk` is zero or exceeds `reduce_chunk` (non-master
-    /// contributions stage through the contribution buffers).
+    /// `pairwise_chunk` is zero or exceeds `reduce_chunk` (pairwise
+    /// pieces stage through the contribution buffers).
     PairwiseChunkInvalid,
     /// `pairwise_window == 0`: the credit window must allow at least
     /// one outstanding put or every pairwise stream deadlocks.
@@ -102,16 +102,18 @@ pub struct SrmTuning {
     /// the protocol-level markers — the raw material for per-step
     /// timeline rendering. Off by default: it multiplies trace volume.
     pub trace_steps: bool,
-    /// Chunk size of the pairwise exchange streams
-    /// (alltoall/alltoallv/reduce_scatter): each (src, dst) node pair
-    /// moves its data in puts of at most this many bytes. Must not
-    /// exceed `reduce_chunk` (non-master contributions stage through
-    /// the contribution buffers).
+    /// Piece size of the pairwise collectives: each reduce_scatter
+    /// stream between two node masters moves in puts of at most this
+    /// many bytes, and alltoall/alltoallv cut their intra-node cells
+    /// into pieces of it (their remote segments travel whole). Must not
+    /// exceed `reduce_chunk` (the pieces stage through the contribution
+    /// buffers).
     pub pairwise_chunk: usize,
-    /// Credit window of the pairwise exchange: how many puts a source
-    /// may have outstanding toward one destination before it must wait
-    /// for the destination to drain its landing ring (the ring has this
-    /// many `pairwise_chunk` slots per source). At least 1.
+    /// Credit window of reduce_scatter's staged streams: how many puts
+    /// a source master may have outstanding toward one destination
+    /// before it must wait for the destination to drain its landing
+    /// ring (the ring has this many `pairwise_chunk` slots per source).
+    /// At least 1. Alltoall and alltoallv have no credits.
     pub pairwise_window: usize,
     /// Allreduce payloads at or above this size switch from the paper's
     /// four-stage pipeline to `reduce_scatter + allgather`
@@ -119,12 +121,13 @@ pub struct SrmTuning {
     /// ranks, else the pipeline is kept. `usize::MAX` (the default)
     /// disables the switch — the paper's protocol everywhere.
     pub allreduce_rs_min: usize,
-    /// Pairwise-exchange segments (alltoall/alltoallv/reduce_scatter)
-    /// at or above this size take the **direct route**: a per-call
-    /// address exchange followed by one put straight into the
-    /// destination buffer, skipping the landing rings and their two
-    /// extra copies. `usize::MAX` disables the direct route (staged
-    /// everywhere); 0 forces it for every segment size.
+    /// reduce_scatter segments at or above this size take the **direct
+    /// route**: a per-call address exchange between the node masters,
+    /// then puts straight into the destination master's scratch buffer,
+    /// skipping the landing rings and their credits. `usize::MAX`
+    /// disables the direct route (staged everywhere); 0 forces it for
+    /// every segment size. Alltoall and alltoallv are direct at every
+    /// size and ignore it.
     pub pairwise_direct_min: usize,
 }
 

@@ -388,9 +388,9 @@ pub(crate) struct CommState {
     pub group: CommGroup,
     pub boards: Vec<Arc<NodeBoard>>,
     pub inter: Vec<Arc<InterState>>,
-    /// Created, for the whole group, when a member first touches it
-    /// ([`SrmComm::pairwise`]).
-    pub pairwise: OnceLock<PairwiseState>,
+    /// Empty until a member first resolves a ring channel or a
+    /// completion counter ([`PairwiseState`]).
+    pub pairwise: PairwiseState,
     pub mailbox: Arc<Mailbox>,
     pub am_addr: u32,
     /// Per-member protocol sequence cells and plan cache (comm rank →
@@ -439,11 +439,12 @@ impl CommState {
             .metrics()
             .comm_creates
             .fetch_add(1, Ordering::Relaxed);
+        let pairwise = PairwiseState::new(handle, tuning, gnodes, group.len());
         Arc::new(CommState {
             group,
             boards,
             inter,
-            pairwise: OnceLock::new(),
+            pairwise,
             mailbox,
             am_addr,
             seats,
@@ -916,12 +917,10 @@ impl SrmComm {
     }
 
     /// This communicator's pairwise exchange registry (ring channels
-    /// and direct-route completion counters; see [`crate::pairwise`]),
-    /// created for the whole group by the first call on any member.
+    /// and completion counters; see [`crate::pairwise`]), each family
+    /// created for the whole group when a member first resolves it.
     pub fn pairwise(&self) -> &PairwiseState {
-        let (handle, tuning) = (&self.world.handle, &self.world.tuning);
-        let registry = || PairwiseState::new(handle, tuning, self.cnodes(), self.csize());
-        self.comm.pairwise.get_or_init(registry)
+        &self.comm.pairwise
     }
 
     /// The RMA endpoint (exposed for tests and extensions).
@@ -1023,7 +1022,7 @@ mod tests {
                 comm.allreduce(ctx, buf, len, DType::U64, ReduceOp::Max);
             }
         });
-        assert!(comm.pairwise.get().is_none());
+        assert_eq!(pairwise_families(&comm), (false, false));
         let edges: Vec<(NodeId, NodeId)> = (comm.group.inter_edges(0).iter())
             .map(|&(parent, child)| (topo.node_of(parent), topo.node_of(child)))
             .collect();
@@ -1056,6 +1055,35 @@ mod tests {
         assert_eq!(exchanged, [(1, 4)]);
     }
 
+    /// Which of the pairwise registry's two families exist: `(ring
+    /// channels, completion counters)`.
+    fn pairwise_families(comm: &CommState) -> (bool, bool) {
+        let pairwise = &comm.pairwise;
+        (
+            pairwise.rings.get().is_some(),
+            pairwise.direct.get().is_some(),
+        )
+    }
+
+    /// The pairwise registry pays only for what ran: alltoall at any
+    /// size needs the rank-pair completion counters and no ring; a
+    /// reduce_scatter below the direct threshold the rings and no
+    /// counter family.
+    #[test]
+    fn pairwise_families_appear_with_the_collective_that_uses_them() {
+        let topo = Topology::new(4, 4);
+        let alltoall = run_comm(topo, None, |ctx, comm, buf| {
+            for len in [8, 4 << 10, 64 << 10] {
+                comm.alltoall(ctx, buf, len);
+            }
+        });
+        assert_eq!(pairwise_families(&alltoall), (false, true));
+        let staged = run_comm(topo, None, |ctx, comm, buf| {
+            comm.reduce_scatter(ctx, buf, 4 << 10, DType::U64, ReduceOp::Max)
+        });
+        assert_eq!(pairwise_families(&staged), (true, false));
+    }
+
     /// The `(owner, sender)` mailbox slots that exist, ascending.
     fn mailbox_slots(comm: &CommState) -> Vec<(usize, usize)> {
         comm.mailbox.slots.lock().unwrap().keys().copied().collect()
@@ -1064,7 +1092,7 @@ mod tests {
     /// One mailbox serves all three exchanges, and a slot exists only
     /// where a handle travelled. (The `Overlap` scenarios of
     /// `tests/schedule_golden.rs` at 128 KB keep a large `ibroadcast`
-    /// and a direct-route `ialltoall` in flight through it together.)
+    /// and an `ialltoall` in flight through it together.)
     #[test]
     fn mailbox_slots_exist_only_for_pairs_that_exchanged_a_handle() {
         let topo = Topology::new(8, 2);
@@ -1083,8 +1111,7 @@ mod tests {
         let mut want: Vec<(usize, usize)> = (0..16).step_by(2).map(|m| (m, 2)).collect();
         want[1] = (2, 3);
         assert_eq!(mailbox_slots(&gather), want);
-        // Direct-route alltoall: every ordered pair of ranks on
-        // different nodes.
+        // Alltoall: every ordered pair of ranks on different nodes.
         let alltoall = run_comm(topo, None, |ctx, comm, buf| {
             comm.alltoall(ctx, buf, 64 << 10)
         });

@@ -97,16 +97,18 @@ metrics! {
     /// Times an outstanding schedule was parked at a blocking step by
     /// the interleaving executor (its head probe came back not-ready).
     nb_parks,
-    /// One-sided puts issued by the pairwise exchange subsystem
-    /// (alltoall/alltoallv/reduce_scatter ring traffic).
+    /// One-sided data puts into the pairwise landing rings: the staged
+    /// route of reduce_scatter, the rings' only user (alltoall and
+    /// alltoallv put nothing through them).
     pairwise_puts,
     /// Times a pairwise sender reached a credit wait with no credit
-    /// available (its destination's landing ring was full), counted on
-    /// the blocking execution path.
+    /// available (its destination's landing ring was full), blocking or
+    /// nonblocking — staged reduce_scatter only.
     credit_stalls,
-    /// One-sided puts issued by the pairwise **direct route** (segments
-    /// landed straight in the destination user or scratch buffer after
-    /// a per-call address exchange, skipping the landing rings).
+    /// One-sided puts landed straight in the destination user buffer
+    /// (alltoall, alltoallv: one per remote rank pair, at every size) or
+    /// per-call scratch buffer (reduce_scatter's direct route) after a
+    /// per-call address exchange, skipping the landing rings.
     pairwise_direct_puts,
     /// Communicators created (the world communicator counts once; each
     /// `comm_create`/`comm_split` group counts once more).

@@ -12,16 +12,17 @@
 //! ranks on the same role show the same step sequence at different
 //! times — the step list is the Schedule, the times are the execution.
 //!
-//! After the world broadcast, a 64 KB world **alltoall** crosses the
-//! default `pairwise_direct_min` threshold and takes the direct route
-//! (address exchange + one put per remote pair), and the
+//! After the world broadcast, a 64 KB world **reduce_scatter** sits on
+//! the default `pairwise_direct_min` threshold and takes the direct
+//! route (the masters exchange scratch addresses and put every piece
+//! straight into the peer's scratch), and the
 //! non-contiguous subgroup `[1, 3, 6]` runs an allreduce through its
 //! own communicator, so the swimlane headers also show the
 //! per-communicator plan-cache traffic the run generated (`comm 0` is
 //! the world; subgroups get fresh ids). Every plan compile also traces
 //! the planner's segment-routing decision as a `route:*` label —
 //! `route:staged` for the 2 KB broadcast, `route:direct` for the
-//! alltoall — rendered in their own section.
+//! reduce_scatter — rendered in their own section.
 //!
 //! Output format:
 //!
@@ -63,9 +64,10 @@ use std::sync::Arc;
 
 const GROUP: [usize; 3] = [1, 3, 6];
 
-/// Per-pair alltoall segment: at the default `pairwise_direct_min`,
-/// so the planner picks the direct route without any forcing.
-const A2A_SEG: usize = 64 * 1024;
+/// Per-rank reduce_scatter segment: at the default
+/// `pairwise_direct_min`, so the planner picks the direct route without
+/// any forcing.
+const RS_SEG: usize = 64 * 1024;
 
 /// Run the example program — a world broadcast, then an allreduce on
 /// the subgroup — with step tracing on, optionally perturbed, and
@@ -99,12 +101,12 @@ fn run_once(
         let comm = world.comm(rank);
         let nprocs = topo.nprocs();
         sim.spawn(format!("rank{rank}"), move |ctx| {
-            let buf = comm.alloc_buffer(2 * nprocs * A2A_SEG);
+            let buf = comm.alloc_buffer(nprocs * RS_SEG);
             if rank == 0 {
                 buf.with_mut(|d| d.fill(9));
             }
             comm.broadcast(&ctx, &buf, 2048, 0);
-            comm.alltoall(&ctx, &buf, A2A_SEG);
+            comm.reduce_scatter(&ctx, &buf, RS_SEG, DType::U64, ReduceOp::Sum);
             if let Some(sub) = sub {
                 let sbuf = sub.alloc_buffer(2048);
                 sub.allreduce(&ctx, &sbuf, 2048, DType::U64, ReduceOp::Sum);
@@ -125,7 +127,7 @@ fn main() {
     let mut names: Vec<String> = (0..topo.nprocs()).map(|i| format!("disp{i}")).collect();
     names.extend((0..topo.nprocs()).map(|i| format!("rank{i}")));
     println!(
-        "One 2 KB SRM broadcast on {topo}, a 64 KB alltoall, then an allreduce \
+        "One 2 KB SRM broadcast on {topo}, a 64 KB reduce_scatter, then an allreduce \
          on subgroup {group:?} ({} comm creates):\n",
         report.metrics.comm_creates
     );
@@ -136,8 +138,8 @@ fn main() {
 
     // The planner's segment-routing decisions, one `route:*` label per
     // plan compile: the 2 KB broadcast stages through the landing
-    // buffers, the 64 KB alltoall goes direct into the peers' user
-    // buffers.
+    // buffers, the 64 KB reduce_scatter goes direct into the peer
+    // masters' scratch buffers.
     let who_of = |lp: usize| names.get(lp).cloned().unwrap_or_else(|| format!("lp{lp}"));
     println!(
         "\nSegment routes chosen at plan compile ({} direct puts issued):",

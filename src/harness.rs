@@ -68,14 +68,22 @@ pub enum Op {
     ReduceScatter,
 }
 
-/// The deterministic ragged count matrix used by [`Op::Alltoallv`]:
-/// `counts[i*n+j] = (i*7 + j*13 + 3) % (seg+1)` — full coverage of
-/// empty, partial and full slots, identical on every rank.
+/// The deterministic ragged count matrix used by [`Op::Alltoallv`], a
+/// pure function of `(nprocs, seg)` and so identical on every rank:
+/// with `h = i·7 + j·13 + 3`, slot `(i, j)` is empty, full (`seg`
+/// bytes) or strictly partial as `h mod 3` is 0, 1 or 2 — a third of
+/// the pairs each, for every `seg`, and the partial sizes differ from
+/// pair to pair, so row and column sums are uneven.
 pub fn ragged_counts(nprocs: usize, seg: usize) -> Vec<usize> {
     (0..nprocs * nprocs)
         .map(|k| {
-            let (i, j) = (k / nprocs, k % nprocs);
-            (i * 7 + j * 13 + 3) % (seg + 1)
+            let h = (k / nprocs) * 7 + (k % nprocs) * 13 + 3;
+            match h % 3 {
+                0 => 0,
+                1 => seg,
+                // In `1..seg` wherever that range is not empty.
+                _ => (1 + h * 7919 % seg.saturating_sub(1).max(1)).min(seg),
+            }
         })
         .collect()
 }
@@ -283,4 +291,36 @@ fn run_rank(
 /// (lower is better; < 100 means SRM is faster).
 pub fn ratio_percent(srm: SimTime, mpi: SimTime) -> f64 {
     100.0 * srm.as_ps() as f64 / mpi.as_ps() as f64
+}
+
+#[cfg(test)]
+mod tests {
+    use super::ragged_counts;
+
+    #[test]
+    fn ragged_counts_span_empty_partial_and_full_slots_at_every_seg() {
+        for n in [2usize, 3, 6, 16] {
+            for seg in [1usize, 8, 303, 304, 4096, 1 << 20] {
+                let counts = ragged_counts(n, seg);
+                assert_eq!(counts.len(), n * n);
+                assert!(counts.iter().all(|&c| c <= seg), "n {n} seg {seg}");
+                assert!(counts.contains(&0), "no empty slot: n {n} seg {seg}");
+                assert!(counts.contains(&seg), "no full slot: n {n} seg {seg}");
+                let partial = counts.iter().any(|&c| 0 < c && c < seg);
+                assert_eq!(partial, seg >= 2, "n {n} seg {seg}");
+                // Uneven loads, once a partial slot has sizes to choose from.
+                if seg < 8 {
+                    continue;
+                }
+                let rows: Vec<usize> = counts.chunks(n).map(|r| r.iter().sum()).collect();
+                let cols: Vec<usize> = (0..n)
+                    .map(|j| counts.iter().skip(j).step_by(n).sum())
+                    .collect();
+                for sums in [rows, cols] {
+                    assert!(sums.iter().any(|&s| s != sums[0]), "n {n} seg {seg}");
+                }
+            }
+        }
+        assert!(ragged_counts(4, 0).iter().all(|&c| c == 0));
+    }
 }

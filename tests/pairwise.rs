@@ -1,12 +1,15 @@
 //! The pairwise RMA exchange subsystem observed through the simulator
-//! metrics: puts route through the landing rings, the credit window
+//! metrics: alltoall takes its one wire with exact message counts at
+//! every size, reduce_scatter's two routes agree, its credit window
 //! genuinely throttles (stalls appear when it is tight and disappear
 //! when it is ample), and the Rabenseifner allreduce composition built
 //! on reduce-scatter matches the pipeline path bit for bit.
 
 use collops::{reference_reduce, Collectives, DType, NonblockingCollectives, ReduceOp};
 use simnet::{MachineConfig, MetricsSnapshot, Sim, Topology};
-use srm::{SrmTuning, SrmWorld};
+use srm::plan::{BufRef, Step};
+use srm::{PlanShape, SrmComm, SrmTuning, SrmWorld};
+use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
 /// Run `body` on every rank; return final buffers and the run metrics.
@@ -48,49 +51,88 @@ fn send_half(rank: usize, n: usize, len: usize) -> Vec<u8> {
         .collect()
 }
 
-/// Inter-node alltoall traffic moves exclusively through the landing
-/// rings: every wire piece is counted by `pairwise_puts`.
-#[test]
-fn alltoall_routes_through_pairwise_rings() {
-    let topo = Topology::new(3, 2);
-    let n = topo.nprocs();
-    let len = 4096usize;
-    let (_, m) = run_with_metrics(
-        topo,
-        SrmTuning::default(),
-        2 * n * len,
-        move |rank| send_half(rank, n, len),
-        move |ctx, comm, buf| comm.alltoall(ctx, buf, len),
-    );
-    assert!(m.pairwise_puts > 0, "alltoall must put through the rings");
-    // 3 nodes x 2 ordered peers x (2 tasks x 4096 B / 16 KB chunk -> 1
-    // piece per source slot x 2 slots) = 12 data puts; credit-return
-    // puts are zero-byte RMA and counted separately.
-    assert_eq!(m.pairwise_puts, 12);
+/// Every member's `elems`-word reduce_scatter contribution per result
+/// segment, as bytes, and the element-wise sum of them all.
+fn reduce_scatter_inputs(n: usize, elems: usize) -> (Vec<Vec<u8>>, Vec<u8>) {
+    let contribs: Vec<Vec<u8>> = (0..n)
+        .map(|r| {
+            let words: Vec<u64> = (0..n * elems)
+                .map(|i| (r * 6007 + i * 13 + 1) as u64)
+                .collect();
+            collops::to_bytes_u64(&words)
+        })
+        .collect();
+    let expect = reference_reduce(DType::U64, ReduceOp::Sum, &contribs);
+    (contribs, expect)
 }
 
-/// At the default 64 KB threshold the planner takes the direct route:
-/// exactly one address-exchanged put per ordered remote pair, nothing
-/// through the rings, and no credit traffic at all — with results
+/// Alltoall has one route at default tuning, whatever the segment size:
+/// one address message and one put per ordered remote pair, nothing
+/// through the rings.
+#[test]
+fn alltoall_takes_its_one_route_with_exact_counts() {
+    let topo = Topology::new(3, 2);
+    let n = topo.nprocs();
+    for len in [4096usize, 8] {
+        let (got, m) = run_with_metrics(
+            topo,
+            SrmTuning::default(),
+            2 * n * len,
+            move |rank| send_half(rank, n, len),
+            move |ctx, comm, buf| comm.alltoall(ctx, buf, len),
+        );
+        // 6 ranks x 4 remote peers = 24 ordered pairs.
+        assert_eq!(m.pairwise_direct_puts, 24, "{len} B");
+        assert_eq!(m.rma_ams, 24, "{len} B");
+        assert_eq!(m.rma_puts, 24, "{len} B: no credit or other put");
+        assert_eq!(m.pairwise_puts, 0, "{len} B");
+        for (rank, buf) in got.iter().enumerate() {
+            assert!(buf == &alltoall_expect(rank, n, len, |c| c), "rank {rank}");
+        }
+    }
+}
+
+/// At 64 KB alltoall issues exactly one address-exchanged put per
+/// ordered remote pair and matches the sequential reference; at the
+/// default 64 KB threshold reduce_scatter takes the direct route too —
+/// nothing through the rings, no credit traffic at all — with results
 /// bit-identical to a forced-staged run of the same call.
 #[test]
 fn direct_route_exact_put_count_and_staged_parity() {
     let topo = Topology::new(3, 2);
     let n = topo.nprocs();
     let len = 64 * 1024usize;
+    let (got, m) = run_with_metrics(
+        topo,
+        SrmTuning::default(),
+        2 * n * len,
+        move |rank| send_half(rank, n, len),
+        move |ctx, comm, buf| comm.alltoall(ctx, buf, len),
+    );
+    // 6 ranks x 4 remote peers = 24 ordered pairs, one unchunked put
+    // each.
+    assert_eq!(m.pairwise_direct_puts, 24);
+    assert_eq!(m.pairwise_puts, 0, "alltoall must not touch the rings");
+    assert_eq!(m.credit_stalls, 0, "no ring credits, no credit stalls");
+    for (rank, buf) in got.iter().enumerate() {
+        assert!(buf == &alltoall_expect(rank, n, len, |c| c), "rank {rank}");
+    }
+
+    let (contribs, expect) = reduce_scatter_inputs(n, len / 8);
     let run = move |t: SrmTuning| {
+        let contribs = contribs.clone();
         run_with_metrics(
             topo,
             t,
-            2 * n * len,
-            move |rank| send_half(rank, n, len),
-            move |ctx, comm, buf| comm.alltoall(ctx, buf, len),
+            n * len,
+            move |rank| contribs[rank].clone(),
+            move |ctx, comm, buf| comm.reduce_scatter(ctx, buf, len, DType::U64, ReduceOp::Sum),
         )
     };
     let (res_direct, m) = run(SrmTuning::default());
-    // 6 ranks x 4 remote peers = 24 ordered pairs, one unchunked put
-    // each; the 64 KB segment would have been 4 ring pieces per pair.
-    assert_eq!(m.pairwise_direct_puts, 24);
+    // Each master streams its 2 x 64 KB block for either peer node in
+    // 16 KB pieces: 3 masters x 2 peers x 8 pieces.
+    assert_eq!(m.pairwise_direct_puts, 48);
     assert_eq!(m.pairwise_puts, 0, "direct route must bypass the rings");
     assert_eq!(m.credit_stalls, 0, "no ring credits, no credit stalls");
     let (res_staged, m_staged) = run(SrmTuning {
@@ -98,13 +140,18 @@ fn direct_route_exact_put_count_and_staged_parity() {
         ..SrmTuning::default()
     });
     assert_eq!(m_staged.pairwise_direct_puts, 0);
-    assert!(m_staged.pairwise_puts > 0);
-    assert_eq!(res_direct, res_staged, "routes must agree bit for bit");
+    assert_eq!(m_staged.pairwise_puts, 48, "the same pieces, ring by ring");
+    for rank in 0..n {
+        let seg = rank * len..(rank + 1) * len;
+        assert!(res_direct[rank][seg.clone()] == expect[seg.clone()]);
+        assert!(res_staged[rank][seg.clone()] == expect[seg], "rank {rank}");
+    }
 }
 
-/// The credit window is real back-pressure: a window of 1 with many
-/// pieces per stream stalls the sender, an ample window does not, and
-/// the results are identical either way.
+/// The credit window is real back-pressure on the staged reduce_scatter
+/// streams, its one user: a window of 1 with many pieces per stream
+/// stalls the sender, an ample window does not, and the results are
+/// identical either way.
 #[test]
 fn credit_window_throttles_and_preserves_results() {
     let topo = Topology::new(2, 2);
@@ -120,22 +167,24 @@ fn credit_window_throttles_and_preserves_results() {
         pairwise_window: 64,
         ..SrmTuning::default()
     };
+    let (contribs, expect) = reduce_scatter_inputs(n, len / 8);
     // Blocking, and the same call issued nonblocking then waited: the
     // interleaving executor parks on an empty credit counter instead of
     // blocking in place, and must observe the same stalls.
     for nonblocking in [false, true] {
-        let run = move |t: SrmTuning| {
+        let run = |t: SrmTuning| {
+            let contribs = contribs.clone();
             run_with_metrics(
                 topo,
                 t,
-                2 * n * len,
-                move |rank| send_half(rank, n, len),
+                n * len,
+                move |rank| contribs[rank].clone(),
                 move |ctx, comm, buf| {
                     if nonblocking {
-                        let req = comm.ialltoall(ctx, buf, len);
+                        let req = comm.ireduce_scatter(ctx, buf, len, DType::U64, ReduceOp::Sum);
                         comm.wait(ctx, req);
                     } else {
-                        comm.alltoall(ctx, buf, len);
+                        comm.reduce_scatter(ctx, buf, len, DType::U64, ReduceOp::Sum);
                     }
                 },
             )
@@ -150,8 +199,101 @@ fn credit_window_throttles_and_preserves_results() {
             m_ample.credit_stalls, 0,
             "a window covering the whole stream must never stall (nonblocking: {nonblocking})"
         );
-        assert_eq!(res_tight, res_ample, "throttling must not change data");
+        assert_eq!(m_tight.pairwise_puts, 128, "2 masters x 64 pieces");
         assert_eq!(m_tight.pairwise_puts, m_ample.pairwise_puts);
+        for rank in 0..n {
+            let seg = rank * len..(rank + 1) * len;
+            assert!(res_tight[rank][seg.clone()] == expect[seg.clone()]);
+            assert!(res_ample[rank][seg.clone()] == expect[seg], "rank {rank}");
+        }
+    }
+}
+
+/// The exchange's orderings, read off the **compiled plans** of every
+/// member of a uniform communicator (plans are data; nothing runs):
+/// the `k`-th put of all ranks targets pairwise distinct ranks, every
+/// put precedes the first intra-node copy into a contribution buffer,
+/// and the intra-node rounds pair every (publisher, consumer) of a node
+/// exactly once, each round a permutation.
+#[test]
+fn exchange_plans_permute_the_wire_and_rotate_the_node() {
+    for (nodes, tpn, split) in [(4, 4, false), (4, 16, false), (3, 2, true)] {
+        let topo = Topology::new(nodes, tpn);
+        let n = topo.nprocs();
+        let mut sim = Sim::new(MachineConfig::ibm_sp_colony());
+        let world = SrmWorld::new(&mut sim, topo, SrmTuning::default());
+        let handles: Vec<SrmComm> = if split {
+            let colors: Vec<i64> = (0..n).map(|r| (r % 2) as i64).collect();
+            let subs = world.comm_split(&colors, &vec![0; n]);
+            subs.into_iter().map(|c| c.expect("colored")).collect()
+        } else {
+            (0..n).map(|r| world.comm(r)).collect()
+        };
+        let comm_ids: BTreeSet<u64> = handles.iter().map(|c| c.comm_id()).collect();
+        for id in comm_ids {
+            let members: Vec<&SrmComm> = handles.iter().filter(|c| c.comm_id() == id).collect();
+            let what = format!("{nodes}x{tpn} comm {id}");
+            // Per member: its group coordinates, put targets in issue
+            // order, and the slots whose contribution buffer it reads.
+            let mut wires: Vec<Vec<usize>> = Vec::new();
+            let mut reads: Vec<((usize, usize), Vec<usize>)> = Vec::new();
+            for comm in &members {
+                let plan = comm.build_plan(&comm.key(PlanShape::Alltoall { len: 4096 }));
+                let (node, slot) = comm.group().coord_of(comm.comm_rank());
+                let mut puts = Vec::new();
+                let mut from = Vec::new();
+                let mut published = 0;
+                for step in &plan.steps {
+                    match *step {
+                        Step::RmaPut { to, .. } => {
+                            assert_eq!(published, 0, "{what}: a put after the local leg began");
+                            puts.push(to);
+                        }
+                        Step::ShmCopy {
+                            dst: BufRef::Contrib { slot: s },
+                            ..
+                        } => {
+                            assert_eq!(s, slot, "{what}: published in a foreign buffer");
+                            published += 1;
+                        }
+                        Step::ShmCopy {
+                            src: BufRef::Contrib { slot: s },
+                            ..
+                        } => from.push(s),
+                        _ => {}
+                    }
+                }
+                let local = comm.group().slots_on(node) - 1;
+                assert_eq!(puts.len(), members.len() - local - 1, "{what}");
+                assert_eq!((published, from.len()), (local, local), "{what}");
+                wires.push(puts);
+                reads.push(((node, slot), from));
+            }
+            for k in 0..wires[0].len() {
+                let targets: BTreeSet<usize> = wires.iter().map(|w| w[k]).collect();
+                assert_eq!(targets.len(), members.len(), "{what}: put {k} converges");
+            }
+            let mut pairs = BTreeSet::new();
+            for r in 0..reads[0].1.len() {
+                // (node, publisher) of round `r`, over all consumers.
+                let round: BTreeSet<(usize, usize)> = reads
+                    .iter()
+                    .map(|((node, _), from)| (*node, from[r]))
+                    .collect();
+                assert_eq!(
+                    round.len(),
+                    members.len(),
+                    "{what}: round {r} shares a publisher"
+                );
+                for ((node, slot), from) in &reads {
+                    assert_ne!(from[r], *slot, "{what}: a slot consumed itself");
+                    assert!(
+                        pairs.insert((*node, from[r], *slot)),
+                        "{what}: pair met twice"
+                    );
+                }
+            }
+        }
     }
 }
 
@@ -203,13 +345,14 @@ fn rabenseifner_allreduce_matches_pipeline() {
 
 // --- First use -------------------------------------------------------
 //
-// The pairwise registry (ring channels and direct-route counters) and
-// the mailbox slots of the address exchange are created when a
+// The pairwise registry (ring channels, completion counters) and the
+// mailbox slots of the address exchange are created when a
 // communicator first touches them. These are the orderings in which a
 // peer's address send could arrive before its target has touched
 // anything pairwise.
 
-/// The 64 KB per-pair segment that takes the direct route by default.
+/// The 64 KB segment at which reduce_scatter takes the direct route by
+/// default.
 const DIRECT_LEN: usize = 64 * 1024;
 
 /// What member `me` of an `n`-member alltoall must hold afterwards:
@@ -225,7 +368,7 @@ fn alltoall_expect(me: usize, n: usize, len: usize, world_of: impl Fn(usize) -> 
 }
 
 /// (a) blocking and (c) nonblocking: the first pairwise call of a
-/// world is a direct-route alltoall.
+/// world is an alltoall.
 #[test]
 fn first_pairwise_call_of_a_world_takes_the_direct_route() {
     let topo = Topology::new(3, 2);
@@ -301,16 +444,7 @@ fn first_pairwise_call_on_a_split_communicator() {
 fn first_pairwise_call_is_a_direct_reduce_scatter() {
     let topo = Topology::new(3, 2);
     let n = topo.nprocs();
-    let elems = DIRECT_LEN / 8;
-    let contribs: Vec<Vec<u8>> = (0..n)
-        .map(|r| {
-            let words: Vec<u64> = (0..n * elems)
-                .map(|i| (r * 6007 + i * 13 + 1) as u64)
-                .collect();
-            collops::to_bytes_u64(&words)
-        })
-        .collect();
-    let expect = reference_reduce(DType::U64, ReduceOp::Sum, &contribs);
+    let (contribs, expect) = reduce_scatter_inputs(n, DIRECT_LEN / 8);
     let (got, m) = run_with_metrics(
         topo,
         SrmTuning::default(),

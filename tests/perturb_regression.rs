@@ -15,7 +15,11 @@
 //!    previous writer was stalled mid-publish, overwrite the side, and
 //!    feed readers the wrong cell. Fixed by the monotone use-counter
 //!    protocol in `shmem::BufPair` (`ready`/`released` counter banks);
-//!    the alltoallv stall+straggler sweep here replays the trigger.
+//!    the stall+straggler sweep here replays the trigger — the original
+//!    alltoallv program (its cells have since moved from the pair onto
+//!    the contribution channels, where the same sweep now stresses the
+//!    per-round consumer hand-over) and a rotating-root scatter and
+//!    broadcast program that still hands the pair's writer role around.
 //!
 //! Both bugs depended on `SpinFlag::raise` monotonicity for their fix,
 //! so these sweeps (run with the monotone default ON — see
@@ -106,10 +110,13 @@ fn done_skip_gather_then_reduce_scatter() {
     }
 }
 
-/// Pair writer-handoff trigger: rotating-writer alltoallv cells under
-/// heavy compute stalls plus a straggler — the exact mechanism of seed
-/// 0x65. Stall-heavy because only stall+straggler widened the publish
-/// window enough for a reader to lap a stalled publisher.
+/// Pair writer-handoff trigger: rotating writers under heavy compute
+/// stalls plus a straggler — the exact mechanism of seed 0x65.
+/// Stall-heavy because only stall+straggler widened the publish window
+/// enough for a reader to lap a stalled publisher. The alltoallv
+/// program is the original trigger; the scatter and broadcast roots of
+/// the second rotate over both slots of every node, so consecutive
+/// pair uses change writer.
 #[test]
 fn pair_handoff_alltoallv_stall_straggler() {
     for seed in 0..8u64 {
@@ -126,6 +133,18 @@ fn pair_handoff_alltoallv_stall_straggler() {
                 step(Op::Alltoallv, 1024, 0, false),
                 step(Op::Bcast, 4096, (seed as usize) % 8, true),
                 step(Op::Alltoallv, 256, 0, false),
+            ],
+            perturb,
+        );
+        let root = |k: usize| (seed as usize + 3 * k) % 8;
+        run_pinned(
+            4,
+            2,
+            vec![
+                step(Op::Scatter, 1024, root(0), false),
+                step(Op::Bcast, 4096, root(1), true),
+                step(Op::Scatter, 256, root(2), false),
+                step(Op::Bcast, 64, root(3), false),
             ],
             perturb,
         );

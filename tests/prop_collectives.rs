@@ -431,6 +431,44 @@ fn run_pair_srm(
     Arc::try_unwrap(out).unwrap().into_inner().unwrap()
 }
 
+/// Run an alltoallv on the sub-communicator of `ranks` (comm rank
+/// order) of a `topo` world; `init[c]` is comm rank `c`'s initial
+/// buffer image. Returns the final buffers by comm rank.
+fn run_group_alltoallv(
+    topo: Topology,
+    tuning: SrmTuning,
+    ranks: &[usize],
+    seg_cap: usize,
+    counts: Arc<[usize]>,
+    init: Vec<Vec<u8>>,
+) -> Vec<Vec<u8>> {
+    let mut sim = Sim::new(MachineConfig::ibm_sp_colony());
+    let world = SrmWorld::new(&mut sim, topo, tuning);
+    let out = Arc::new(Mutex::new(vec![Vec::new(); ranks.len()]));
+    let init = Arc::new(init);
+    let mut members: Vec<Option<srm::SrmComm>> = (0..topo.nprocs()).map(|_| None).collect();
+    for handle in world.comm_create(ranks) {
+        let rank = handle.rank();
+        members[rank] = Some(handle);
+    }
+    for (rank, member) in members.into_iter().enumerate() {
+        let wcomm = world.comm(rank);
+        let (out, init, counts) = (out.clone(), init.clone(), counts.clone());
+        sim.spawn(format!("rank{rank}"), move |ctx| {
+            if let Some(comm) = member {
+                let c = comm.comm_rank();
+                let buf = comm.alloc_buffer(init[c].len());
+                buf.with_mut(|d| d.copy_from_slice(&init[c]));
+                comm.alltoallv(&ctx, &buf, seg_cap, &counts);
+                out.lock().unwrap()[c] = buf.with(|d| d.to_vec());
+            }
+            wcomm.shutdown(&ctx);
+        });
+    }
+    sim.run().expect("simulation completes");
+    Arc::try_unwrap(out).unwrap().into_inner().unwrap()
+}
+
 /// A pairwise tuning drawn from the interesting corners: tiny chunks
 /// (many pieces per segment) and a window of 1 (every put waits for a
 /// credit) up to the defaults.
@@ -526,6 +564,63 @@ proptest! {
                     &res[slot + c..slot + seg_cap],
                     &init[r][slot + c..slot + seg_cap],
                     "rank {} slack bytes from {} were touched", r, i
+                );
+            }
+        }
+    }
+
+    /// Ragged alltoallv — a third of the cells empty — on a
+    /// sub-communicator whose nodes hold unequal member counts in
+    /// scrambled comm-rank order: the wire's permuted walk and the
+    /// intra-node rotation must still pair every sender with every
+    /// receiver exactly once.
+    #[test]
+    fn alltoallv_matches_reference_on_uneven_scrambled_groups(
+        nodes in 2usize..=4,
+        tpn in 2usize..=5,
+        seg_cap in 1usize..120,
+        seed in any::<u64>(),
+        chunk_pick in 0usize..3,
+    ) {
+        let topo = Topology::new(nodes, tpn);
+        let mix = |k: usize| {
+            (seed ^ k as u64).wrapping_mul(0x9e3779b97f4a7c15).rotate_left(29) as usize
+        };
+        // About two ranks in three, never fewer than two, ordered by
+        // hash: neither whole nodes nor consecutive comm ranks per node.
+        let mut ranks: Vec<usize> = (0..topo.nprocs()).filter(|&r| r < 2 || mix(r) % 3 != 0).collect();
+        ranks.sort_by_key(|&r| mix(r + 1000));
+        let n = ranks.len();
+        let counts: Vec<usize> = (0..n * n)
+            .map(|k| match mix(k + 2000) {
+                h if h % 3 == 0 => 0,
+                h => h / 3 % (seg_cap + 1),
+            })
+            .collect();
+        let init = seg_init(n, 2 * seg_cap, seed);
+        let results = run_group_alltoallv(
+            topo,
+            pair_tuning(chunk_pick, 1),
+            &ranks,
+            seg_cap,
+            Arc::from(counts.clone()),
+            init.clone(),
+        );
+        let rbase = n * seg_cap;
+        for (r, res) in results.iter().enumerate() {
+            prop_assert_eq!(&res[..rbase], &init[r][..rbase], "rank {}'s send half", r);
+            for i in 0..n {
+                let c = counts[i * n + r];
+                let slot = rbase + i * seg_cap;
+                prop_assert_eq!(
+                    &res[slot..slot + c],
+                    &init[i][r * seg_cap..r * seg_cap + c],
+                    "group {:?}: comm rank {} live prefix from {}", &ranks, r, i
+                );
+                prop_assert_eq!(
+                    &res[slot + c..slot + seg_cap],
+                    &init[r][slot + c..slot + seg_cap],
+                    "group {:?}: comm rank {} slack bytes from {}", &ranks, r, i
                 );
             }
         }

@@ -1,10 +1,12 @@
-//! Route equivalence for the pairwise collectives: the staged route
-//! (chunked puts through the landing rings, credit-throttled) and the
-//! direct route (per-call address exchange, one put straight into the
-//! destination user buffer) must produce bit-identical results for
-//! alltoall, alltoallv and reduce_scatter — on plain runs straddling
-//! the default threshold, on perturbed pinned scenarios, and across
-//! explorer seeds with either route forced for every segment size.
+//! Route equivalence for reduce_scatter, the routed pairwise
+//! collective: the staged route (chunked puts through the landing
+//! rings, credit-throttled) and the direct route (per-call address
+//! exchange, puts straight into the destination master's scratch
+//! buffer) must produce bit-identical results — on plain runs
+//! straddling the default threshold, on perturbed pinned scenarios, and
+//! across explorer seeds with either route forced for every segment
+//! size. Alltoall and alltoallv have one wire and are held to the
+//! sequential reference.
 
 use collops::{Collectives, DType, ReduceOp};
 use simnet::{MachineConfig, MetricsSnapshot, Perturb, Sim, Topology};
@@ -14,7 +16,7 @@ use srm_cluster::{
 };
 use std::sync::{Arc, Mutex};
 
-/// A tuning that forces every pairwise segment down `route`.
+/// A tuning that forces every reduce_scatter segment down `route`.
 fn forced(route: SegmentRoute) -> SrmTuning {
     SrmTuning {
         pairwise_direct_min: match route {
@@ -23,6 +25,24 @@ fn forced(route: SegmentRoute) -> SrmTuning {
         },
         ..SrmTuning::default()
     }
+}
+
+/// Byte `i` of rank `rank`'s buffer before the call.
+fn initial(rank: usize, i: usize) -> u8 {
+    (i as u8).wrapping_mul(29).wrapping_add(rank as u8 ^ 0xC3)
+}
+
+/// What rank `me` must hold after an alltoall(v) of `counts` on
+/// `len`-byte slots: the send half and every byte a peer did not send
+/// as they were, the head of receive slot `i` from rank `i`.
+fn exchange_expect(me: usize, n: usize, len: usize, counts: &[usize]) -> Vec<u8> {
+    let mut want: Vec<u8> = (0..2 * n * len).map(|i| initial(me, i)).collect();
+    for i in 0..n {
+        for k in 0..counts[i * n + me] {
+            want[n * len + i * len + k] = initial(i, me * len + k);
+        }
+    }
+    want
 }
 
 /// Run one pairwise collective on every rank with deterministic
@@ -46,7 +66,7 @@ fn run_op(
             let buf = comm.alloc_buffer(op.buf_len(len, n));
             buf.with_mut(|d| {
                 for (i, x) in d.iter_mut().enumerate() {
-                    *x = (i as u8).wrapping_mul(29).wrapping_add(rank as u8 ^ 0xC3);
+                    *x = initial(rank, i);
                 }
             });
             match op {
@@ -66,58 +86,64 @@ fn run_op(
     (results, report.metrics)
 }
 
-/// Both routes, bit for bit, for every pairwise op at sizes below, at
-/// and above the default 64 KB threshold — the forced-direct run must
+/// Both routes, bit for bit, for reduce_scatter at sizes below, at and
+/// above the default 64 KB threshold — the forced-direct run must
 /// actually take the direct route (and skip the rings entirely), the
-/// forced-staged run must never touch it.
+/// forced-staged run must never touch it. Alltoall and alltoallv have
+/// no route to force: one put per remote pair with data, nothing
+/// through the rings, and the sequential reference's bytes.
 #[test]
 fn forced_routes_bit_exact_for_all_pairwise_ops() {
     let topo = Topology::new(3, 2);
-    for op in [Op::Alltoall, Op::Alltoallv, Op::ReduceScatter] {
-        for len in [8 * 1024usize, 64 * 1024, 128 * 1024] {
-            let (staged, ms) = run_op(topo, forced(SegmentRoute::Staged), op, len);
-            let (direct, md) = run_op(topo, forced(SegmentRoute::Direct), op, len);
+    let n = topo.nprocs();
+    for len in [8 * 1024usize, 64 * 1024, 128 * 1024] {
+        let (staged, ms) = run_op(topo, forced(SegmentRoute::Staged), Op::ReduceScatter, len);
+        let (direct, md) = run_op(topo, forced(SegmentRoute::Direct), Op::ReduceScatter, len);
+        assert_eq!(staged, direct, "{len} B: routes disagree on the results");
+        assert_eq!(ms.pairwise_direct_puts, 0, "{len}: staged went direct");
+        assert!(ms.pairwise_puts > 0, "{len}: staged run must use the rings");
+        assert!(md.pairwise_direct_puts > 0, "{len}: no direct put");
+        assert_eq!(md.pairwise_puts, 0, "{len}: direct run touched the rings");
+
+        for (op, counts) in [
+            (Op::Alltoall, vec![len; n * n]),
+            (Op::Alltoallv, ragged_counts(n, len)),
+        ] {
+            let streams = (0..n * n).filter(|k| k / n / 2 != k % n / 2 && counts[*k] > 0);
+            let (got, m) = run_op(topo, SrmTuning::default(), op, len);
             assert_eq!(
-                staged, direct,
-                "{op:?} at {len} B: routes disagree on the results"
+                m.pairwise_direct_puts,
+                streams.count() as u64,
+                "{op:?}/{len}"
             );
-            assert_eq!(
-                ms.pairwise_direct_puts, 0,
-                "{op:?}/{len}: staged went direct"
-            );
-            assert!(
-                ms.pairwise_puts > 0,
-                "{op:?}/{len}: staged run must use the rings"
-            );
-            assert!(
-                md.pairwise_direct_puts > 0,
-                "{op:?}/{len}: direct run must issue direct puts"
-            );
-            assert_eq!(
-                md.pairwise_puts, 0,
-                "{op:?}/{len}: direct run must not touch the rings"
-            );
+            assert_eq!(m.pairwise_puts, 0, "{op:?}/{len}");
+            for (rank, buf) in got.iter().enumerate() {
+                assert!(
+                    buf == &exchange_expect(rank, n, len, &counts),
+                    "{op:?} at {len} B: rank {rank} differs from the reference"
+                );
+            }
         }
     }
 }
 
-/// The default tuning switches routes exactly at `pairwise_direct_min`
-/// (64 KB): below it the rings carry the data, at it the planner goes
-/// direct — without any forcing.
+/// The default tuning switches reduce_scatter's route exactly at
+/// `pairwise_direct_min` (64 KB): below it the rings carry the data,
+/// at it the planner goes direct — without any forcing.
 #[test]
 fn default_threshold_picks_the_route() {
     let topo = Topology::new(2, 2);
-    let (_, below) = run_op(topo, SrmTuning::default(), Op::Alltoall, 32 * 1024);
+    let (_, below) = run_op(topo, SrmTuning::default(), Op::ReduceScatter, 32 * 1024);
     assert_eq!(below.pairwise_direct_puts, 0);
     assert!(below.pairwise_puts > 0);
-    let (_, at) = run_op(topo, SrmTuning::default(), Op::Alltoall, 64 * 1024);
+    let (_, at) = run_op(topo, SrmTuning::default(), Op::ReduceScatter, 64 * 1024);
     assert!(at.pairwise_direct_puts > 0);
     assert_eq!(at.pairwise_puts, 0);
 }
 
 /// A pinned perturbed scenario mixing all three pairwise ops (one of
-/// them nonblocking, overlapping the next step) verifies on both
-/// forced routes — `run_scenario` checks every rank's buffer against
+/// them nonblocking, overlapping the next step) verifies with either
+/// reduce_scatter route forced — `run_scenario` checks every rank's buffer against
 /// the sequential references, so a clean pass IS bit-exactness.
 #[test]
 fn pinned_perturbed_pairwise_scenario_on_both_routes() {
@@ -156,7 +182,7 @@ fn pinned_perturbed_pairwise_scenario_on_both_routes() {
 }
 
 /// Explorer seeds stay clean with either route forced for EVERY
-/// pairwise segment: same seeds, same scenarios, both routes — every
+/// reduce_scatter segment: same seeds, same scenarios, both routes — every
 /// collective call still verifies against its reference under the full
 /// perturbation surface (the CI smoke runs a larger such sweep).
 #[test]
