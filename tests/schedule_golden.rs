@@ -153,6 +153,11 @@ fn digest(topo: Topology, tuning: SrmTuning, split: bool, call: Call, len: usize
     // order, so ascending LP id is ascending rank.
     let mut by_lp: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
     for e in trace.with_prefix("step:") {
+        // Steps that executed nothing (deleted since): not digested, so
+        // the table pins protocol steps only.
+        if e.label == "step:trace" || e.label == "step:advance" {
+            continue;
+        }
         by_lp.entry(e.lp).or_default().push(e.at.as_ps());
     }
     let mut h = 0xcbf2_9ce4_8422_2325u64;
