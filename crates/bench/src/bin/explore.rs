@@ -20,9 +20,9 @@
 //!   --max-ops K            program length upper bound (default 6)
 //!   --no-subgroups         world-communicator steps only (also
 //!                          disables comm_split scenarios)
-//!   --route direct|staged  force every pairwise segment down one
-//!                          route (direct: pairwise_direct_min = 0,
-//!                          staged: usize::MAX)
+//!   --route direct|staged  force every reduce_scatter segment down
+//!                          one route (direct: pairwise_direct_min =
+//!                          0, staged: usize::MAX)
 //!   --inject raise-race    fault injection: revert SpinFlag::raise to
 //!                          a non-monotone store; the sweep must CATCH
 //!                          it (exit 0 on detection, 1 on a miss)
@@ -60,8 +60,8 @@
 //! explore --seeds 128 --inject am-stall-race
 //! ```
 
-use simnet::{MachineConfig, Topology};
-use srm::{SegmentRoute, SrmTuning, TreeKind};
+use simnet::{Faults, MachineConfig, Topology};
+use srm::{SrmTuning, TreeKind};
 use srm_cluster::{explore_sweep, measure, ExploreOpts, HarnessOpts, Impl, Op};
 
 struct Args {
@@ -79,16 +79,9 @@ struct Args {
     start_seed: u64,
     max_ops: usize,
     subgroups: bool,
-    route: Option<SegmentRoute>,
+    /// `--route`: the `pairwise_direct_min` that forces it.
+    route: Option<usize>,
     inject: Option<String>,
-}
-
-fn parse_route(val: &str) -> Option<SegmentRoute> {
-    match val {
-        "direct" => Some(SegmentRoute::Direct),
-        "staged" => Some(SegmentRoute::Staged),
-        _ => None,
-    }
 }
 
 fn usage(msg: &str) -> ! {
@@ -161,8 +154,11 @@ fn parse() -> Args {
             }
             "--max-ops" => a.max_ops = val.parse().unwrap_or_else(|_| usage("bad --max-ops")),
             "--route" => {
-                a.route =
-                    Some(parse_route(val).unwrap_or_else(|| usage("bad --route (direct|staged)")))
+                a.route = Some(match val.as_str() {
+                    "direct" => 0,
+                    "staged" => usize::MAX,
+                    _ => usage("bad --route (direct|staged)"),
+                })
             }
             "--inject" => {
                 if val != "raise-race" && val != "am-stall-race" {
@@ -210,35 +206,43 @@ fn parse() -> Args {
 
 /// Stress mode: sweep seeded perturbation scenarios and report.
 fn stress(a: &Args, count: u64) -> ! {
-    let opts = ExploreOpts {
-        nodes: a.nodes_set.then_some(a.nodes),
-        tpn: a.tpn_set.then_some(a.tpn),
-        max_ops: a.max_ops,
-        subgroups: a.subgroups,
-        route: a.route,
-    };
-    if let Some(route) = a.route {
-        println!("route forcing: every pairwise segment {}", route.label());
+    let defaults = ExploreOpts::default();
+    if let Some(min) = a.route {
+        println!("route forcing: pairwise_direct_min = {min}");
     }
     let injecting = a.inject.is_some();
-    match a.inject.as_deref() {
+    let faults = match a.inject.as_deref() {
         Some("raise-race") => {
             println!(
                 "fault injection: SpinFlag::raise reverted to a non-monotone store, \
                  contrib consumed-in-order guards omitted"
             );
-            shmem::set_nonmonotone_raise(true);
-            srm::set_skip_order_guards(true);
+            Faults {
+                nonmonotone_raise: true,
+                skip_order_guards: true,
+                ..Faults::default()
+            }
         }
         Some("am-stall-race") => {
             println!(
                 "fault injection: RMA dispatcher acknowledges completion counters \
                  before AM-handler stalls land the payload (premature ack)"
             );
-            rma::set_stall_counter_race(true);
+            Faults {
+                stall_counter_race: true,
+                ..Faults::default()
+            }
         }
-        _ => {}
-    }
+        _ => Faults::default(),
+    };
+    let opts = ExploreOpts {
+        nodes: a.nodes_set.then_some(a.nodes),
+        tpn: a.tpn_set.then_some(a.tpn),
+        max_ops: a.max_ops,
+        subgroups: a.subgroups,
+        pairwise_direct_min: a.route.unwrap_or(defaults.pairwise_direct_min),
+        faults,
+    };
     println!(
         "exploring {count} seed(s) from 0x{:016x} (topology {}, max {} ops, subgroups {})",
         a.start_seed,

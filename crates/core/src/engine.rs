@@ -27,8 +27,8 @@
 //! own predecessors.
 
 use crate::plan::{
-    BufRef, Chan, ChanKind, CopyCost, CtrRef, FlagRef, HandleSrc, Off, PairSel, Plan, PlanKey,
-    SeqBase, Side, Step, Until, Val, WaitCell, SEQ_BASES,
+    BufRef, Chan, ChanKind, CopyCost, CtrRef, FlagRef, Hand, Off, PairSel, Plan, PlanKey, SeqBase,
+    Side, Step, Until, Val, WaitCell, SEQ_BASES,
 };
 use crate::world::{Channel, HandleSlot, SrmComm};
 use collops::{combine_from_buffer_costed, DType, ReduceOp};
@@ -74,10 +74,10 @@ pub(crate) fn flag_of(comm: &SrmComm, f: FlagRef) -> &SpinFlag {
     let board = comm.board();
     match f {
         FlagRef::Barrier { slot } => board.barrier_flags.flag(slot),
-        FlagRef::ContribReady { slot } => &board.contrib_ready[slot],
-        FlagRef::ContribDone { slot } => &board.contrib_done[slot],
-        FlagRef::XferReady => &board.xfer_ready,
-        FlagRef::XferDone => &board.xfer_done,
+        FlagRef::Ready(Hand::Slot(slot)) => &board.contrib_ready[slot],
+        FlagRef::Done(Hand::Slot(slot)) => &board.contrib_done[slot],
+        FlagRef::Ready(Hand::Xfer) => &board.xfer_ready,
+        FlagRef::Done(Hand::Xfer) => &board.xfer_done,
     }
 }
 
@@ -123,8 +123,8 @@ pub(crate) fn buf_of<'a>(
         BufRef::User => user,
         BufRef::Acc => panic!("accumulator is not an addressable buffer"),
         BufRef::Pair { pair, side } => pair_of(comm, pair).buf(side_of(bases, side)),
-        BufRef::Contrib { slot } => &comm.board().contrib[slot],
-        BufRef::Xfer => &comm.board().xfer,
+        BufRef::Hand(Hand::Slot(slot)) => &comm.board().contrib[slot],
+        BufRef::Hand(Hand::Xfer) => &comm.board().xfer,
         BufRef::Chan(ch) => &chan_of(comm, bases, ch).landing,
         BufRef::Taken { idx } => &taken[idx],
         BufRef::Scratch => scratch
@@ -139,7 +139,8 @@ pub(crate) fn buf_of<'a>(
 /// the executor loop is what lets the nonblocking engine park a call at
 /// a blocking step and resume it later with nothing lost.
 pub(crate) struct CallState {
-    /// [`SeqBase`] cells sampled once when the call entered.
+    /// [`SeqBase`] cells sampled once when the call entered
+    /// ([`SrmComm::enter_call`]).
     pub(crate) bases: [u64; SEQ_BASES],
     /// Operator scratch ([`BufRef::Acc`]).
     pub(crate) acc: Vec<u8>,
@@ -149,29 +150,9 @@ pub(crate) struct CallState {
     /// Per-call scratch allocated by [`Step::ScratchAlloc`]
     /// ([`BufRef::Scratch`]); dies with the call.
     pub(crate) scratch: Option<ShmBuffer>,
-    /// Suppress [`Step::Advance`]: the nonblocking issue path already
-    /// applied the plan's advance totals to the live cells at issue
-    /// time (sequence-base relocation), so executing them again would
-    /// double-count.
-    pub(crate) skip_advance: bool,
     /// The step about to execute has already failed a readiness probe
     /// (see [`Watch::probe`]); cleared when a step executes.
     pub(crate) stalled: bool,
-}
-
-impl CallState {
-    /// State for a call entering now, with `bases` sampled from the
-    /// communicator's live cells.
-    pub(crate) fn new(bases: [u64; SEQ_BASES], skip_advance: bool) -> Self {
-        CallState {
-            bases,
-            acc: Vec::new(),
-            taken: Vec::new(),
-            scratch: None,
-            skip_advance,
-            stalled: false,
-        }
-    }
 }
 
 /// What a blocking step waits on, resolved against one call's bases:
@@ -390,8 +371,7 @@ impl SrmComm {
         // Compile-time tuning-table consultation accounting: only on
         // the miss path (a cached plan was compiled under the same
         // effective tuning — the lookup is a pure function of the key).
-        let (eff, consulted) = self.tune_consult(&key.shape);
-        match consulted {
+        match self.tune_consult(&key.shape).1 {
             Some(true) => {
                 ctx.metrics()
                     .tune_table_hits
@@ -407,11 +387,6 @@ impl SrmComm {
                 ctx.trace("tuned:default");
             }
             None => {}
-        }
-        // Compile-time routing decision, traced alongside the `tuned:*`
-        // labels (timeline renders both).
-        if let Some(route) = self.route_of_shape(&key.shape, &eff) {
-            ctx.trace(route.label());
         }
         let plan = Arc::new(self.build_plan(&key));
         self.seat
@@ -463,7 +438,7 @@ impl SrmComm {
         buf: &ShmBuffer,
         reduce: Option<(DType, ReduceOp)>,
     ) {
-        let mut st = CallState::new(self.sample_bases(), false);
+        let mut st = self.enter_call(plan);
         ctx.metrics()
             .engine_steps
             .fetch_add(plan.steps.len() as u64, Ordering::Relaxed);
@@ -472,10 +447,23 @@ impl SrmComm {
         }
     }
 
-    /// Snapshot the live sequence cells (the bases a call entering now
-    /// resolves its relative values against).
-    pub(crate) fn sample_bases(&self) -> [u64; SEQ_BASES] {
-        std::array::from_fn(|i| self.seat.seq[i].load(Ordering::Relaxed))
+    /// Call entry, the same for a call that runs to completion now and
+    /// one that is parked on the pending queue: sample the live
+    /// sequence cells — the bases this call resolves its relative
+    /// values against — then relocate them by [`Plan::advances`], so
+    /// the next call to enter samples bases as if this one had already
+    /// completed. The cells are per (rank, communicator): a call on one
+    /// communicator never shifts another's bases.
+    pub(crate) fn enter_call(&self, plan: &Plan) -> CallState {
+        CallState {
+            bases: std::array::from_fn(|i| {
+                self.seat.seq[i].fetch_add(plan.advances[i], Ordering::Relaxed)
+            }),
+            acc: Vec::new(),
+            taken: Vec::new(),
+            scratch: None,
+            stalled: false,
+        }
     }
 
     /// Execute one step of a call. Blocking steps block in place; the
@@ -490,151 +478,223 @@ impl SrmComm {
         step: &Step,
     ) {
         let bases = st.bases;
-        let skip_advance = st.skip_advance;
         let acc = &mut st.acc;
         let taken = &st.taken;
         let scratch = &mut st.scratch;
         let metrics = ctx.metrics();
-        if self.tuning().trace_steps {
+        if self.world.tuning.trace_steps {
             ctx.trace(step.label());
         }
-        {
-            match *step {
-                Step::Trace(label) => ctx.trace(label),
-                Step::SetInterrupts(on) => self.rma.set_interrupts(ctx, on),
-                Step::ShmCopy {
-                    src,
-                    src_off,
-                    dst,
-                    dst_off,
-                    len,
-                    cost,
-                } => {
-                    metrics.engine_copy_steps.fetch_add(1, Ordering::Relaxed);
-                    let so = off_of(&bases, src_off);
-                    let dofs = off_of(&bases, dst_off);
-                    let resolve = |r: BufRef| buf_of(self, &bases, buf, taken, scratch, r);
-                    // One pass over the bytes, charged once: as a read
-                    // out of shared memory or a write into it; the
-                    // private side of either rides along, and operator
-                    // output streams are free.
-                    match (src, dst) {
-                        (BufRef::Acc, _) => resolve(dst)
-                            .with_mut(|d| d[dofs..dofs + len].copy_from_slice(&acc[..len])),
-                        (_, BufRef::Acc) => {
-                            acc.clear();
-                            resolve(src).with(|d| acc.extend_from_slice(&d[so..so + len]));
-                        }
-                        _ => resolve(src).copy_to(so, resolve(dst), dofs, len),
+        match *step {
+            Step::SetInterrupts(on) => self.rma.set_interrupts(ctx, on),
+            Step::ShmCopy {
+                src,
+                src_off,
+                dst,
+                dst_off,
+                len,
+                cost,
+            } => {
+                metrics.engine_copy_steps.fetch_add(1, Ordering::Relaxed);
+                let so = off_of(&bases, src_off);
+                let dofs = off_of(&bases, dst_off);
+                let resolve = |r: BufRef| buf_of(self, &bases, buf, taken, scratch, r);
+                // One pass over the bytes, charged once: as a read
+                // out of shared memory or a write into it; the
+                // private side of either rides along, and operator
+                // output streams are free.
+                match (src, dst) {
+                    (BufRef::Acc, _) => {
+                        resolve(dst).with_mut(|d| d[dofs..dofs + len].copy_from_slice(&acc[..len]))
                     }
-                    let charged = match cost {
-                        CopyCost::Free => None,
-                        CopyCost::Read(streams) => Some((src, streams)),
-                        CopyCost::Write(streams) => Some((dst, streams)),
-                    };
-                    if let Some((side, n)) = charged.filter(|c| !matches!(c.0, BufRef::Acc)) {
-                        resolve(side).charge_copy(ctx, len, n);
+                    (_, BufRef::Acc) => {
+                        acc.clear();
+                        resolve(src).with(|d| acc.extend_from_slice(&d[so..so + len]));
                     }
+                    _ => resolve(src).copy_to(so, resolve(dst), dofs, len),
                 }
-                Step::LoadAcc { off, len } => {
-                    acc.clear();
-                    buf.with(|d| acc.extend_from_slice(&d[off..off + len]));
+                let charged = match cost {
+                    CopyCost::Free => None,
+                    CopyCost::Read(streams) => Some((src, streams)),
+                    CopyCost::Write(streams) => Some((dst, streams)),
+                };
+                if let Some((side, n)) = charged.filter(|c| !matches!(c.0, BufRef::Acc)) {
+                    resolve(side).charge_copy(ctx, len, n);
                 }
-                Step::LocalReduce { src, src_off, len } => {
-                    metrics.engine_copy_steps.fetch_add(1, Ordering::Relaxed);
-                    let (dtype, op) =
-                        reduce.expect("plan reduces but the call carries no operator");
-                    debug_assert_eq!(acc.len(), len);
-                    let so = off_of(&bases, src_off);
-                    let src = buf_of(self, &bases, buf, taken, scratch, src);
-                    combine_from_buffer_costed(ctx, dtype, op, acc, src, so);
+            }
+            Step::LoadAcc { off, len } => {
+                acc.clear();
+                buf.with(|d| acc.extend_from_slice(&d[off..off + len]));
+            }
+            Step::LocalReduce { src, src_off, len } => {
+                metrics.engine_copy_steps.fetch_add(1, Ordering::Relaxed);
+                let (dtype, op) = reduce.expect("plan reduces but the call carries no operator");
+                debug_assert_eq!(acc.len(), len);
+                let so = off_of(&bases, src_off);
+                let src = buf_of(self, &bases, buf, taken, scratch, src);
+                combine_from_buffer_costed(ctx, dtype, op, acc, src, so);
+            }
+            Step::FlagRaise { flag, val } => {
+                // Cumulative sequence flags can be raised out of
+                // order by a lagging consumer racing a catch-up
+                // raise, so they use a max-store and never regress.
+                // The flat-barrier flags are 0/1 toggles (the
+                // release genuinely stores 0) and keep plain-store
+                // semantics.
+                let v = val_of(&bases, val);
+                if matches!(flag, FlagRef::Barrier { .. }) {
+                    flag_of(self, flag).set(ctx, v);
+                } else {
+                    flag_of(self, flag).raise(ctx, v);
                 }
-                Step::FlagRaise { flag, val } => {
-                    // Cumulative sequence flags can be raised out of
-                    // order by a lagging consumer racing a catch-up
-                    // raise, so they use a max-store and never regress.
-                    // The flat-barrier flags are 0/1 toggles (the
-                    // release genuinely stores 0) and keep plain-store
-                    // semantics.
-                    let v = val_of(&bases, val);
-                    if matches!(flag, FlagRef::Barrier { .. }) {
-                        flag_of(self, flag).set(ctx, v);
-                    } else {
-                        flag_of(self, flag).raise(ctx, v);
-                    }
+            }
+            Step::Wait { .. } | Step::AddrTake { .. } => {
+                let handle = self
+                    .watch(st, step)
+                    .and_then(|w| w.block(ctx, &mut st.stalled));
+                st.taken.extend(handle);
+            }
+            Step::PairPublish { pair, side } => {
+                pair_of(self, pair).publish_from(ctx, seq_of(&bases, side), self.cslot());
+            }
+            Step::PairRelease { pair, side } => {
+                pair_of(self, pair).release(ctx, seq_of(&bases, side), self.cslot());
+            }
+            Step::PairCatchUp { pair, base, rel } => {
+                let q_end = bases[base.index()] + rel;
+                pair_of(self, pair).catch_up(ctx, q_end, self.cslot());
+            }
+            Step::RmaPut {
+                to,
+                src,
+                src_off,
+                dst,
+                dst_off,
+                len,
+                ctr,
+            } => {
+                metrics.engine_put_steps.fetch_add(1, Ordering::Relaxed);
+                if matches!(dst, BufRef::Chan(ch) if ch.kind == ChanKind::Ring) {
+                    metrics.pairwise_puts.fetch_add(1, Ordering::Relaxed);
                 }
-                Step::Wait { .. } | Step::AddrTake { .. } => {
-                    let handle = self
-                        .watch(st, step)
-                        .and_then(|w| w.block(ctx, &mut st.stalled));
-                    st.taken.extend(handle);
+                if matches!(ctr, Some(CtrRef::PairwiseDirect { .. })) {
+                    metrics.pairwise_direct_puts.fetch_add(1, Ordering::Relaxed);
                 }
-                Step::PairPublish { pair, side } => {
-                    pair_of(self, pair).publish_from(ctx, seq_of(&bases, side), self.cslot());
-                }
-                Step::PairRelease { pair, side } => {
-                    pair_of(self, pair).release(ctx, seq_of(&bases, side), self.cslot());
-                }
-                Step::PairCatchUp { pair, base, rel } => {
-                    let q_end = bases[base.index()] + rel;
-                    pair_of(self, pair).catch_up(ctx, q_end, self.cslot());
-                }
-                Step::RmaPut {
-                    to,
-                    src,
-                    src_off,
-                    dst,
-                    dst_off,
-                    len,
-                    ctr,
-                } => {
+                let so = off_of(&bases, src_off);
+                let dofs = off_of(&bases, dst_off);
+                let src = buf_of(self, &bases, buf, taken, scratch, src);
+                let dst = buf_of(self, &bases, buf, taken, scratch, dst);
+                let ctr = ctr.map(|c| ctr_of(self, &bases, c));
+                self.rma.put(ctx, to, src, so, len, dst, dofs, ctr);
+            }
+            Step::CounterPut { to, ctr } => {
+                metrics.engine_put_steps.fetch_add(1, Ordering::Relaxed);
+                self.rma.put_counter(ctx, to, ctr_of(self, &bases, ctr));
+            }
+            Step::AddrSend { to, src } => {
+                let handle = buf_of(self, &bases, buf, taken, scratch, src).clone();
+                let group = &self.comm.group;
+                let owner = group.comm_rank_of(to).expect("handle sent to a member");
+                // The mirror of `AddrTake`'s choice: a task on my
+                // node is handed the handle through shared memory.
+                if self.cnode_of(owner) == self.cnode() {
+                    (self.comm.mailbox).deposit(ctx, owner, self.crank(), handle);
+                } else {
                     metrics.engine_put_steps.fetch_add(1, Ordering::Relaxed);
-                    if matches!(dst, BufRef::Chan(ch) if ch.kind == ChanKind::Ring) {
-                        metrics.pairwise_puts.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if matches!(ctr, Some(CtrRef::PairwiseDirect { .. })) {
-                        metrics.pairwise_direct_puts.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let so = off_of(&bases, src_off);
-                    let dofs = off_of(&bases, dst_off);
-                    let src = buf_of(self, &bases, buf, taken, scratch, src);
-                    let dst = buf_of(self, &bases, buf, taken, scratch, dst);
-                    let ctr = ctr.map(|c| ctr_of(self, &bases, c));
-                    self.rma.put(ctx, to, src, so, len, dst, dofs, ctr);
-                }
-                Step::CounterPut { to, ctr } => {
-                    metrics.engine_put_steps.fetch_add(1, Ordering::Relaxed);
-                    self.rma.put_counter(ctx, to, ctr_of(self, &bases, ctr));
-                }
-                Step::AddrSend { to, src } => {
-                    metrics.engine_put_steps.fetch_add(1, Ordering::Relaxed);
-                    let src = match src {
-                        HandleSrc::User => BufRef::User,
-                        HandleSrc::Taken { idx } => BufRef::Taken { idx },
-                        HandleSrc::Scratch => BufRef::Scratch,
-                    };
-                    let handle = buf_of(self, &bases, buf, taken, scratch, src).clone();
                     self.rma
                         .am(ctx, to, self.comm.am_addr, Vec::new(), Some(handle));
                 }
-                Step::ScratchAlloc { len } => {
-                    *scratch = Some(ShmBuffer::new(len));
-                }
-                Step::BoardAddrPut => {
-                    let (mailbox, master) = (&self.comm.mailbox, self.crank_at(self.cnode(), 0));
-                    mailbox.deposit(ctx, master, self.crank(), buf.clone());
-                }
-                Step::Advance { base, by } => {
-                    // Nonblocking issue already relocated the live cells
-                    // (see `nb_issue`), so a queued call must not advance
-                    // them a second time when its schedule executes.
-                    if !skip_advance {
-                        let cell = &self.seat.seq[base.index()];
-                        cell.fetch_add(by, Ordering::Relaxed);
-                    }
-                }
+            }
+            Step::ScratchAlloc { len } => {
+                *scratch = Some(ShmBuffer::new(len));
             }
         }
         st.stalled = false;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::plan::PlanShape;
+    use crate::tuning::SrmTuning;
+    use crate::world::SrmWorld;
+    use simnet::{MachineConfig, Sim, Topology};
+
+    /// The ten shapes on 2×3, rooted where they have a root at rank 1 —
+    /// not its node's master, so the `xfer` cell moves too.
+    fn shapes(n: usize, len: usize) -> Vec<PlanShape> {
+        use PlanShape as S;
+        let root = 1;
+        vec![
+            S::Bcast { len, root },
+            S::Reduce { len, root },
+            S::Allreduce { len },
+            S::Barrier,
+            S::Gather { len, root },
+            S::Scatter { len, root },
+            S::Allgather { len },
+            S::Alltoall { len },
+            S::Alltoallv {
+                seg: len,
+                counts: vec![len; n * n].into(),
+            },
+            S::ReduceScatter { len },
+        ]
+    }
+
+    /// One call of every shape moves the live sequence cells from
+    /// `entry` to `entry + plan.advances` — at entry, and exactly once —
+    /// whichever of the three faces it enters through: blocking,
+    /// nonblocking, or blocking behind a non-empty pending queue.
+    #[test]
+    fn every_face_relocates_the_cells_by_the_plan_totals_once() {
+        let topo = Topology::new(2, 3);
+        let (n, len) = (topo.nprocs(), 4096);
+        for face in ["blocking", "nonblocking", "blocking behind a pending call"] {
+            for shape in shapes(n, len) {
+                let mut sim = Sim::new(MachineConfig::ibm_sp_colony());
+                let world = SrmWorld::new(&mut sim, topo, SrmTuning::default());
+                for rank in 0..n {
+                    let (comm, shape) = (world.comm(rank), shape.clone());
+                    sim.spawn(format!("rank{rank}"), move |ctx| {
+                        let cells = || -> [u64; SEQ_BASES] {
+                            std::array::from_fn(|i| comm.seat.seq[i].load(Ordering::Relaxed))
+                        };
+                        let pending = || comm.shared.pending.lock().unwrap().len();
+                        let buf = comm.alloc_buffer(2 * n * len);
+                        let op = Some((DType::U64, ReduceOp::Sum));
+                        let key = comm.key(shape.clone());
+                        let what = format!("{face}, {shape:?}, rank {rank}");
+                        // An outstanding barrier no rank can finish alone.
+                        let parked = (face == "blocking behind a pending call").then(|| {
+                            let none = ShmBuffer::new(0);
+                            comm.nb_issue(&ctx, comm.key(PlanShape::Barrier), &none, None)
+                        });
+                        assert_eq!(pending(), usize::from(parked.is_some()), "{what}");
+
+                        let entry = cells();
+                        let advances = comm.plan_for(&ctx, key.clone()).advances;
+                        let moved: [u64; SEQ_BASES] =
+                            std::array::from_fn(|i| entry[i] + advances[i]);
+                        assert_ne!(moved, entry, "{what}: the shape moves no cell");
+                        if face == "nonblocking" {
+                            let id = comm.nb_issue(&ctx, key, &buf, op);
+                            assert_eq!(cells(), moved, "{what}: at issue");
+                            comm.nb_wait_id(&ctx, id);
+                        } else {
+                            comm.run_planned(&ctx, key, &buf, op);
+                        }
+                        assert_eq!(cells(), moved, "{what}: after the call");
+                        if let Some(id) = parked {
+                            comm.nb_wait_id(&ctx, id);
+                            assert_eq!(cells(), moved, "{what}: after the parked call");
+                        }
+                        comm.shutdown(&ctx);
+                    });
+                }
+                sim.run().expect("simulation completes");
+            }
+        }
     }
 }

@@ -43,15 +43,18 @@
 //! the parities; over-advancing is safe because the landing-pair flags
 //! are stateless and the contribution channels re-synchronize through
 //! `SrmComm::plan_contrib_catchup`.
+//!
+//! A plan holds only what the protocol does — copies, flag operations,
+//! puts and waits. How far it moves each cumulative is a total beside
+//! the steps ([`Plan::advances`](crate::plan::Plan)), applied when the
+//! call enters.
 
 use crate::embed::GroupTree;
 use crate::plan::{
-    BufRef, Chan, ChanKind, CopyCost, CtrRef, FlagRef, HandleSrc, Off, PairSel, PlanBuilder,
-    SeqBase, Side, Step, Until, Val, WaitCell,
+    BufRef, Chan, ChanKind, CopyCost, CtrRef, FlagRef, Hand, Off, PairSel, PlanBuilder, SeqBase,
+    Side, Step, Until, Val, WaitCell,
 };
-use crate::smp::{
-    plan_acc_to_user, plan_stage_acc, plan_xfer_consume, plan_xfer_produce, smp_cell, smp_cells,
-};
+use crate::smp::{plan_acc_to_user, plan_stage_acc, smp_cell, smp_cells};
 use crate::tuning::SrmTuning;
 use crate::world::SrmComm;
 use shmem::PairUse;
@@ -72,15 +75,15 @@ impl SrmComm {
     /// Re-synchronize my contribution channel with [`SeqBase::Reduce`].
     ///
     /// Invariant of the contrib channels: after every operation that
-    /// advances the reduce cumulative, **every** slot's `ContribReady`
-    /// and `ContribDone` equal the new cumulative. Contributing slots
+    /// advances the reduce cumulative, **every** slot's READY and DONE
+    /// equal the new cumulative. Contributing slots
     /// get there through the protocol itself (the contributor raises
     /// READY, its consumer raises DONE); a slot whose channel went
     /// unused this operation — the consumer of a reduce tree, a gather
     /// root, every rank of a scatter — raises both itself so a later
     /// operation's drain guard sees a fully drained channel.
     ///
-    /// `ContribDone` is a statement about the *previous* operation's
+    /// DONE is a statement about the *previous* operation's
     /// consumer, so the owner must not raise it past reads that have
     /// not happened yet: a gather's relaying master can lag a full
     /// operation behind (it blocks on the root's address AM before it
@@ -90,20 +93,16 @@ impl SrmComm {
     /// operation's entry cumulative. Raising READY needs no such wait —
     /// only the owner itself ever raises it, in program order.
     pub(crate) fn plan_contrib_catchup(&self, b: &mut PlanBuilder, rel_end: u64) {
-        let my = self.cslot();
+        let mine = Hand::Slot(self.cslot());
         b.wait_flag(
-            FlagRef::ContribDone { slot: my },
+            FlagRef::Done(mine),
             seq(SeqBase::Reduce, b.rel(SeqBase::Reduce)),
             "contrib drained before catch-up",
         );
-        b.push(Step::FlagRaise {
-            flag: FlagRef::ContribReady { slot: my },
-            val: seq(SeqBase::Reduce, rel_end),
-        });
-        b.push(Step::FlagRaise {
-            flag: FlagRef::ContribDone { slot: my },
-            val: seq(SeqBase::Reduce, rel_end),
-        });
+        for flag in [FlagRef::Ready(mine), FlagRef::Done(mine)] {
+            let val = seq(SeqBase::Reduce, rel_end);
+            b.push(Step::FlagRaise { flag, val });
+        }
     }
 
     // ----------------------------------------------------------------
@@ -191,10 +190,7 @@ impl SrmComm {
             self.plan_fold_landed(b, (from, 0), clen);
         }
         if let Some(parent) = tree.parent() {
-            let staging = (
-                BufRef::Contrib { slot: 0 },
-                poff(SeqBase::Reduce, rel, self.tuning().reduce_chunk),
-            );
+            let staging = self.hand_side(Hand::Slot(0), rel);
             let to = Chan::new(ChanKind::Reduce, my_node, parent, rel);
             self.plan_credit_put(b, (to, 0), true, staging, clen);
         }
@@ -203,8 +199,7 @@ impl SrmComm {
     /// One chunk down the inter-node tree on a non-root node's master
     /// (Figure 4, step 2): take the parent's put, publish it to the
     /// node, send it down the tree first, copy my own part out, and
-    /// return the credit once the node has drained the side. `marks`
-    /// adds the broadcast's trace markers.
+    /// return the credit once the node has drained the side.
     fn plan_tree_down(
         &self,
         b: &mut PlanBuilder,
@@ -212,23 +207,16 @@ impl SrmComm {
         rel: u64,
         off: usize,
         clen: usize,
-        marks: bool,
     ) {
         let parent = tree.parent().expect("non-root node has a parent");
         let from = Chan::new(ChanKind::Bcast, parent, self.cnode(), rel);
         let (pair, side) = (PairSel::Landing, par(SeqBase::Landing, rel));
         b.wait_ctr(CtrRef::Data(from), 1);
-        if marks {
-            b.push(Step::Trace("bcast:chunk-in"));
-        }
         b.push(Step::PairPublish { pair, side });
         self.plan_forward_landing_chunk(b, tree, rel, clen);
-        self.plan_pair_copy_out(b, pair, rel, (0, off, clen), self.peer_streams());
+        self.plan_pair_copy_out(b, pair, rel, (0, off, clen));
         let cell = WaitCell::Pair { pair, side };
         b.wait(cell, Until::Use(PairUse::Drained), "buffer use drained");
-        if marks {
-            b.push(Step::Trace("bcast:ack"));
-        }
         self.plan_credit_return(b, from);
     }
 
@@ -255,12 +243,12 @@ impl SrmComm {
         if toggles {
             b.push(Step::SetInterrupts(false));
         }
-        // The small/large protocol split is the rooted row of the
-        // segment-routing table: staged through the landing buffers vs
-        // one direct put per child after an address exchange.
-        match self.segment_route(&t, crate::route::RouteClass::Rooted, len) {
-            crate::route::SegmentRoute::Staged => self.plan_bcast_small(b, len, root, &tree),
-            crate::route::SegmentRoute::Direct => self.plan_bcast_large(b, len, root, &tree),
+        // Staged through the landing buffers, or one direct put per
+        // child after an address exchange.
+        if len > t.small_large_switch {
+            self.plan_bcast_large(b, len, root, &tree);
+        } else {
+            self.plan_bcast_small(b, len, root, &tree);
         }
         if toggles {
             b.push(Step::SetInterrupts(true));
@@ -288,7 +276,6 @@ impl SrmComm {
                 // Publish locally before the (possibly credit-blocked)
                 // puts: they are one-sided and lose nothing, while the
                 // local readers can start draining at once.
-                b.push(Step::Trace("bcast:stage"));
                 self.plan_pair_write(b, pair, rel, (BufRef::User, Off::Lit(off)), clen, 1);
                 if self.c_is_master() {
                     self.plan_forward_landing_chunk(b, tree, rel, clen);
@@ -298,14 +285,13 @@ impl SrmComm {
                 // chunk, forward it down the tree, then consume it.
                 let forward =
                     |b: &mut PlanBuilder| self.plan_forward_landing_chunk(b, tree, rel, clen);
-                self.plan_pair_read(b, pair, rel, forward, mine, self.peer_streams());
+                self.plan_pair_read_then(b, pair, rel, forward, mine);
             } else if self.c_is_master() {
-                self.plan_tree_down(b, tree, rel, off, clen, true);
+                self.plan_tree_down(b, tree, rel, off, clen);
             } else {
                 // Plain reader: the put target is shared memory, so the
                 // data is consumed with a single copy.
-                let mark = |b: &mut PlanBuilder| b.push(Step::Trace("bcast:read"));
-                self.plan_pair_read(b, pair, rel, mark, mine, self.peer_streams());
+                self.plan_pair_read(b, pair, rel, mine);
             }
         }
         b.advance(SeqBase::Landing, chunks as u64);
@@ -330,7 +316,7 @@ impl SrmComm {
             let parent = tree.parent().expect("non-root node has a parent");
             b.push(Step::AddrSend {
                 to: self.cmaster_of(parent),
-                src: HandleSrc::User,
+                src: BufRef::User,
             });
         }
         let child_idx: Vec<(usize, usize)> = if master {
@@ -458,13 +444,15 @@ impl SrmComm {
                 } else if xfer_case {
                     // Root is a non-master task on this node: hand the
                     // chunk over through the xfer buffer.
-                    plan_xfer_produce(b, xrel, chunk, (BufRef::Acc, Off::Lit(0)), clen);
+                    let acc = (BufRef::Acc, Off::Lit(0));
+                    self.plan_hand_publish(b, (Hand::Xfer, xrel), acc, clen, CopyCost::Free);
                 }
             } else if self.crank() == root {
-                plan_xfer_consume(b, xrel, "xfer chunk ready", |b| {
+                let label = "xfer chunk ready";
+                self.plan_hand_consume(b, (Hand::Xfer, xrel), false, label, |b, src, src_off| {
                     b.push(Step::ShmCopy {
-                        src: BufRef::Xfer,
-                        src_off: poff(SeqBase::Xfer, xrel, chunk),
+                        src,
+                        src_off,
                         dst: BufRef::User,
                         dst_off: Off::Lit(off),
                         len: clen,
@@ -542,10 +530,7 @@ impl SrmComm {
         let has_acc = self.plan_smp_reduce_chunk(b, 0, len, rel, 0);
         // Puts ship the accumulator from the master's own (otherwise
         // idle) contribution buffer.
-        let staging = (
-            BufRef::Contrib { slot: 0 },
-            poff(SeqBase::Reduce, rel, self.tuning().reduce_chunk),
-        );
+        let staging = self.hand_side(Hand::Slot(0), rel);
 
         if self.c_is_master() {
             debug_assert!(has_acc, "master is the subtree root");
@@ -645,14 +630,7 @@ impl SrmComm {
 
             if !self.c_is_master() {
                 // Consume the broadcast chunk from the landing buffer.
-                self.plan_pair_read(
-                    b,
-                    pair,
-                    lrel,
-                    |_| {},
-                    Some((0, off, clen)),
-                    self.peer_streams(),
-                );
+                self.plan_pair_read(b, pair, lrel, Some((0, off, clen)));
                 continue;
             }
             debug_assert!(has_acc, "master is the subtree root");
@@ -660,7 +638,7 @@ impl SrmComm {
             if self.cnode() != 0 {
                 // Wait for the combined chunk to come back, forward,
                 // distribute locally.
-                self.plan_tree_down(b, &tree, lrel, off, clen, false);
+                self.plan_tree_down(b, &tree, lrel, off, clen);
             } else {
                 // Group node 0: the chunk is fully combined; start the
                 // broadcast leg from here.
@@ -770,7 +748,7 @@ impl SrmComm {
             b.wait_ctr(CtrRef::LargeData { node: root_node }, n as u64);
         };
         // Ship the root's buffer handle to every remote master.
-        let send_root_addr = |b: &mut PlanBuilder, src: HandleSrc| {
+        let send_root_addr = |b: &mut PlanBuilder, src: BufRef| {
             for m in (0..nodes).filter(|&m| m != root_node) {
                 b.push(Step::AddrSend {
                     to: self.cmaster_of(m),
@@ -784,27 +762,29 @@ impl SrmComm {
             let cost = CopyCost::Write(self.peer_streams());
             for (rel, koff, clen) in pieces() {
                 let from = (BufRef::User, Off::Lit(self.crank() * len + koff));
-                self.plan_contrib_publish(b, rel, from, clen, cost);
+                self.plan_hand_publish(b, (Hand::Slot(my), rel), from, clen, cost);
             }
         };
 
         if self.crank() == root {
-            // Hand my buffer handle to my master so it can forward it
-            // to the remote masters.
+            // Ship my buffer handle to the remote masters — through my
+            // own master (a shared-memory hand-over) if I am not it.
             if multi && my != 0 {
-                b.push(Step::BoardAddrPut);
+                b.push(Step::AddrSend {
+                    to: self.cmaster_of(my_node),
+                    src: BufRef::User,
+                });
             }
             if multi && my == 0 {
-                send_root_addr(b, HandleSrc::User);
+                send_root_addr(b, BufRef::User);
             }
             // Consume every other local slot's segment.
             for s in (0..p).filter(|&s| s != my) {
                 let seg = self.crank_at(my_node, s) * len;
                 for (rel, koff, clen) in pieces() {
-                    self.plan_contrib_consume(
+                    self.plan_hand_consume(
                         b,
-                        s,
-                        rel,
+                        (Hand::Slot(s), rel),
                         rel == rel0,
                         "gather contribution ready",
                         |b, src, src_off| {
@@ -823,11 +803,11 @@ impl SrmComm {
             // Wait for every remote piece to land in my buffer.
             if multi {
                 if master_waits {
-                    plan_xfer_consume(b, xrel0, "gather remote pieces landed", |_| {});
+                    let label = "gather remote pieces landed";
+                    self.plan_hand_consume(b, (Hand::Xfer, xrel0), false, label, |_, _, _| {});
                 } else {
                     absorb_remote(b);
                 }
-                b.push(Step::Trace("gather:done"));
             }
             // The root's own contribution channel went unused.
             self.plan_contrib_catchup(b, rel0 + chunks as u64);
@@ -836,7 +816,7 @@ impl SrmComm {
             // root's handle before contributing its own segment.
             if multi && my == 0 {
                 let idx = b.take_addr(root);
-                send_root_addr(b, HandleSrc::Taken { idx });
+                send_root_addr(b, BufRef::Taken { idx });
             }
             contribute(b);
             if master_waits && my == 0 {
@@ -844,7 +824,7 @@ impl SrmComm {
                 // then wake the root through the xfer flags.
                 absorb_remote(b);
                 b.push(Step::FlagRaise {
-                    flag: FlagRef::XferReady,
+                    flag: FlagRef::Ready(Hand::Xfer),
                     val: seq(SeqBase::Xfer, xrel0 + 1),
                 });
             }
@@ -872,16 +852,12 @@ impl SrmComm {
             for s in 1..p {
                 let seg = self.crank_at(my_node, s) * len;
                 for (rel, koff, clen) in pieces() {
-                    self.plan_contrib_consume(
+                    self.plan_hand_consume(
                         b,
-                        s,
-                        rel,
+                        (Hand::Slot(s), rel),
                         rel == rel0,
                         "gather contribution ready",
-                        |b, src, src_off| {
-                            b.push(Step::Trace("gather:relay"));
-                            put(b, src, src_off, seg + koff, clen);
-                        },
+                        |b, src, src_off| put(b, src, src_off, seg + koff, clen),
                     );
                 }
             }
@@ -1006,7 +982,7 @@ impl SrmComm {
         let read_block = |b: &mut PlanBuilder| {
             for (j, &(_, boff, plen)) in pieces[my_node].iter().enumerate() {
                 let mine = self.block_overlap(len, (boff, plen), my);
-                self.plan_pair_read(b, pair, lrel0 + j as u64, |_| {}, mine, self.peer_streams());
+                self.plan_pair_read(b, pair, lrel0 + j as u64, mine);
             }
         };
 
@@ -1019,7 +995,7 @@ impl SrmComm {
                     let to = Chan::new(ChanKind::Reduce, root_node, c, rel);
                     self.plan_credit_put(b, (to, 0), false, from, plen);
                 } else {
-                    plan_xfer_produce(b, xrel, chunk, from, plen);
+                    self.plan_hand_publish(b, (Hand::Xfer, xrel), from, plen, CopyCost::Free);
                 }
             }
             // Distribute my own node's block through the landing pair.
@@ -1035,10 +1011,10 @@ impl SrmComm {
                 // The put snapshots the source synchronously, so the
                 // side is reusable as soon as it is issued.
                 for (c, rel, xrel, _, plen) in stream() {
-                    plan_xfer_consume(b, xrel, "xfer chunk ready", |b| {
-                        let from = (BufRef::Xfer, poff(SeqBase::Xfer, xrel, chunk));
+                    let label = "xfer chunk ready";
+                    self.plan_hand_consume(b, (Hand::Xfer, xrel), false, label, |b, src, off| {
                         let to = Chan::new(ChanKind::Reduce, root_node, c, rel);
-                        self.plan_credit_put(b, (to, 0), false, from, plen);
+                        self.plan_credit_put(b, (to, 0), false, (src, off), plen);
                     });
                 }
             }
@@ -1051,12 +1027,11 @@ impl SrmComm {
                 let landed = (BufRef::Chan(from), Off::Lit(0));
                 let lrel = lrel0 + j as u64;
                 b.wait_ctr(CtrRef::Data(from), 1);
-                b.push(Step::Trace("scatter:chunk-in"));
                 if p > 1 {
                     self.plan_pair_write(b, pair, lrel, landed, plen, 1);
                     self.plan_credit_return(b, from);
                     if let Some(mine) = self.block_overlap(len, (boff, plen), my) {
-                        self.plan_pair_copy_out(b, pair, lrel, mine, self.peer_streams());
+                        self.plan_pair_copy_out(b, pair, lrel, mine);
                     }
                 } else {
                     b.push(Step::ShmCopy {

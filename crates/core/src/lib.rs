@@ -34,10 +34,6 @@
 //!   over a node-local rotation through the contribution buffers, and
 //!   reduce-scatter as per-node-pair put streams, credit-windowed over
 //!   landing rings or direct into per-call scratch;
-//! * [`route`] — the segment-routing decision ([`SegmentRoute`]):
-//!   staged through shared landing structures vs one direct rendezvous
-//!   put after a per-call address exchange, resolved per (protocol
-//!   family, segment size, effective tuning) at plan compile;
 //! * [`plan`] — the schedule IR: every collective call compiles to a
 //!   per-rank [`Plan`] of primitive steps, cached per call shape;
 //! * [`engine`] (methods on [`SrmComm`]) — the executor that replays a
@@ -90,7 +86,6 @@ pub mod model;
 pub mod nb;
 pub mod pairwise;
 pub mod plan;
-pub mod route;
 pub mod smp;
 pub mod tune;
 pub mod tuning;
@@ -99,8 +94,7 @@ pub mod world;
 pub use embed::{GroupTree, TreeKind};
 pub use model::SrmModel;
 pub use pairwise::PairwiseState;
-pub use plan::{set_skip_order_guards, Plan, PlanBuilder, PlanCache, PlanKey, PlanShape, Step};
-pub use route::{RouteClass, SegmentRoute};
+pub use plan::{Plan, PlanBuilder, PlanCache, PlanKey, PlanShape, Step};
 pub use tune::{TableParseError, TuneEntry, TuneEntryError, TuneKey, TuneOp, TuneTable};
 pub use tuning::{SrmTuning, TuningError};
 pub use world::{Channel, CommGroup, InterState, NodeBoard, PeerLink, SrmComm, SrmWorld};

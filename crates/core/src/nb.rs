@@ -60,14 +60,16 @@
 //! class-blocked, so the executor can always name a wake key and the
 //! wait cannot sleep forever.
 //!
-//! Sequence-base relocation happens at **issue** time: the plan's
-//! [`Plan::advances`] totals are applied to the live cells immediately,
-//! so a later call (blocking or not) samples bases as if every earlier
-//! call had already finished — exactly the invariant blocking execution
-//! maintains (see DESIGN.md, "Catch-up under suspension").
+//! A parked call entered like any other (`SrmComm::enter_call`): its
+//! [`Plan::advances`] totals moved the live sequence cells at issue, so
+//! a later call (blocking or not) samples bases as if every earlier
+//! call had already finished (see DESIGN.md, "Catch-up under
+//! suspension").
 
 use crate::engine::CallState;
-use crate::plan::{BufRef, ChanKind, CtrRef, FlagRef, PairSel, Plan, PlanKey, Step, WaitCell};
+use crate::plan::{
+    BufRef, ChanKind, CtrRef, FlagRef, Hand, PairSel, Plan, PlanKey, Step, WaitCell,
+};
 use crate::tuning::SrmTuning;
 use crate::world::SrmComm;
 use collops::{DType, ReduceOp};
@@ -101,8 +103,14 @@ const NCLASSES: usize = 7;
 fn flag_class(f: FlagRef) -> u8 {
     match f {
         FlagRef::Barrier { .. } => CL_BARRIER,
-        FlagRef::ContribReady { .. } | FlagRef::ContribDone { .. } => CL_REDUCE,
-        FlagRef::XferReady | FlagRef::XferDone => CL_XFER,
+        FlagRef::Ready(hand) | FlagRef::Done(hand) => hand_class(hand),
+    }
+}
+
+fn hand_class(h: Hand) -> u8 {
+    match h {
+        Hand::Slot(_) => CL_REDUCE,
+        Hand::Xfer => CL_XFER,
     }
 }
 
@@ -132,8 +140,7 @@ fn buf_class(b: BufRef) -> u8 {
     match b {
         BufRef::User | BufRef::Acc => 0,
         BufRef::Pair { pair, .. } => pair_class(pair),
-        BufRef::Contrib { .. } => CL_REDUCE,
-        BufRef::Xfer => CL_XFER,
+        BufRef::Hand(hand) => hand_class(hand),
         BufRef::Chan(ch) => chan_class(ch.kind),
         // Scratch is per-call private, but it is published through the
         // address exchange, so its uses order with that class.
@@ -149,11 +156,13 @@ fn pair_class(p: PairSel) -> u8 {
 }
 
 /// Bitset of substrate classes a step touches. Steps with class 0
-/// (traces, accumulator loads, interrupt toggles, sequence advances)
-/// never order against other schedules.
+/// (accumulator loads, interrupt toggles, the scratch allocation) never
+/// order against other schedules.
 pub(crate) fn step_classes(step: &Step) -> u8 {
     match *step {
-        Step::Trace(_) | Step::SetInterrupts(_) | Step::LoadAcc { .. } | Step::Advance { .. } => 0,
+        // Allocating a per-call scratch touches only this call's own
+        // state.
+        Step::SetInterrupts(_) | Step::LoadAcc { .. } | Step::ScratchAlloc { .. } => 0,
         Step::ShmCopy { src, dst, .. } => buf_class(src) | buf_class(dst),
         Step::LocalReduce { src, .. } => buf_class(src),
         Step::FlagRaise { flag, .. } => flag_class(flag),
@@ -169,10 +178,7 @@ pub(crate) fn step_classes(step: &Step) -> u8 {
             buf_class(src) | buf_class(dst) | ctr.map_or(0, ctr_class)
         }
         Step::CounterPut { ctr, .. } => ctr_class(ctr),
-        Step::AddrSend { .. } | Step::AddrTake { .. } | Step::BoardAddrPut => CL_ADDR,
-        // Allocating a per-call scratch touches only this call's own
-        // state; it never orders against other schedules.
-        Step::ScratchAlloc { .. } => 0,
+        Step::AddrSend { .. } | Step::AddrTake { .. } => CL_ADDR,
     }
 }
 
@@ -231,36 +237,16 @@ pub(crate) struct PendingCall {
 }
 
 impl PendingCall {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        id: u64,
-        comm: SrmComm,
-        plan: Arc<Plan>,
-        buf: ShmBuffer,
-        writes_user: bool,
-        reduce: Option<(DType, ReduceOp)>,
-        st: CallState,
-    ) -> Self {
-        let mut class_rem = [0u32; NCLASSES];
+    /// How many steps `plan` has in each substrate class.
+    fn class_counts(plan: &Plan) -> [u32; NCLASSES] {
+        let mut counts = [0; NCLASSES];
         for step in &plan.steps {
-            let m = step_classes(step);
-            for (c, rem) in class_rem.iter_mut().enumerate() {
-                if m & (1 << c) != 0 {
-                    *rem += 1;
-                }
+            let mask = step_classes(step);
+            for (c, n) in counts.iter_mut().enumerate() {
+                *n += u32::from(mask >> c & 1);
             }
         }
-        PendingCall {
-            id,
-            comm,
-            plan,
-            buf,
-            writes_user,
-            reduce,
-            st,
-            pc: 0,
-            class_rem,
-        }
+        counts
     }
 
     /// Id of the communicator this call was issued on (the ordering
@@ -275,21 +261,13 @@ impl PendingCall {
 
     /// OR of the classes this call still has steps in.
     fn rem_mask(&self) -> u8 {
-        let mut m = 0u8;
-        for (c, rem) in self.class_rem.iter().enumerate() {
-            if *rem > 0 {
-                m |= 1 << c;
-            }
-        }
-        m
+        let live = (0..NCLASSES).filter(|&c| self.class_rem[c] > 0);
+        live.fold(0, |m, c| m | 1 << c)
     }
 
     fn retire_step_classes(&mut self, mask: u8) {
         for (c, rem) in self.class_rem.iter_mut().enumerate() {
-            if mask & (1 << c) != 0 {
-                debug_assert!(*rem > 0);
-                *rem -= 1;
-            }
+            *rem -= u32::from(mask >> c & 1);
         }
     }
 }
@@ -335,31 +313,23 @@ impl SrmComm {
             }
         }
         let plan = self.plan_for(ctx, key);
-        // Sequence-base relocation: sample the cells for *this* call,
-        // then advance them by the plan's totals immediately, so every
-        // later call samples bases as if this one had already run to
-        // completion (the catch-up invariant blocking execution keeps).
-        // The cells are per (rank, communicator) — a schedule on one
-        // communicator never shifts another communicator's bases.
-        let bases = self.sample_bases();
-        for (cell, by) in self.seat.seq.iter().zip(plan.advances.iter()) {
-            cell.fetch_add(*by, Ordering::Relaxed);
-        }
+        let st = self.enter_call(&plan);
         let id = self.shared.next_req.fetch_add(1, Ordering::Relaxed);
         ctx.metrics().nb_issued.fetch_add(1, Ordering::Relaxed);
-        self.shared
-            .pending
-            .lock()
-            .expect("queue poisoned")
-            .push_back(PendingCall::new(
-                id,
-                self.clone(),
-                plan,
-                buf.clone(),
-                writes,
-                reduce,
-                CallState::new(bases, true),
-            ));
+        let call = PendingCall {
+            id,
+            comm: self.clone(),
+            class_rem: PendingCall::class_counts(&plan),
+            plan,
+            buf: buf.clone(),
+            writes_user: writes,
+            reduce,
+            st,
+            pc: 0,
+        };
+        let mut pending = self.shared.pending.lock().expect("queue poisoned");
+        pending.push_back(call);
+        drop(pending);
         self.nb_progress(ctx);
         id
     }
@@ -372,28 +342,17 @@ impl SrmComm {
     pub(crate) fn nb_progress(&self, ctx: &Ctx) {
         loop {
             let mut progressed = false;
+            let mut older: Vec<(u64, u8)> = Vec::new();
             let mut i = 0;
             loop {
-                if i >= self.shared.pending.lock().expect("queue poisoned").len() {
-                    break;
-                }
+                let mut q = self.shared.pending.lock().expect("queue poisoned");
+                let Some(call) = q.get_mut(i) else { break };
+                let blocked = Self::older_mask(&older, call.comm_id());
                 // Run call i as far as it can go right now.
-                loop {
-                    let mut q = self.shared.pending.lock().expect("queue poisoned");
-                    let my_comm = q[i].comm_id();
-                    let mut older: u8 = 0;
-                    for c in q.iter().take(i) {
-                        if c.comm_id() == my_comm {
-                            older |= c.rem_mask();
-                        }
-                    }
-                    let call = &mut q[i];
-                    if call.done() {
-                        break;
-                    }
+                while !call.done() {
                     let step = call.plan.steps[call.pc];
                     let mask = step_classes(&step);
-                    if mask & older != 0 {
+                    if mask & blocked != 0 {
                         break; // class-blocked behind an older same-comm schedule
                     }
                     if let Some(watch) = call.comm.watch(&call.st, &step) {
@@ -403,32 +362,21 @@ impl SrmComm {
                     }
                     let comm = call.comm.clone();
                     let buf = call.buf.clone();
-                    let reduce = call.reduce;
                     call.pc += 1;
                     call.retire_step_classes(mask);
-                    comm.exec_step(ctx, &mut call.st, &buf, reduce, &step);
+                    comm.exec_step(ctx, &mut call.st, &buf, call.reduce, &step);
                     ctx.metrics().engine_steps.fetch_add(1, Ordering::Relaxed);
                     progressed = true;
                 }
-                let retired = {
-                    let mut q = self.shared.pending.lock().expect("queue poisoned");
-                    if q[i].done() {
-                        Some(q.remove(i).expect("index in bounds").id)
-                    } else {
-                        None
-                    }
-                };
-                match retired {
-                    Some(id) => {
-                        self.shared
-                            .completed
-                            .lock()
-                            .expect("set poisoned")
-                            .insert(id);
-                        progressed = true;
-                        // Do not bump i: the next call shifted down.
-                    }
-                    None => i += 1,
+                if call.done() {
+                    // Do not bump i: the next call shifts down.
+                    let id = q.remove(i).expect("index in bounds").id;
+                    let mut completed = self.shared.completed.lock().expect("set poisoned");
+                    completed.insert(id);
+                    progressed = true;
+                } else {
+                    Self::fold_older(&mut older, call.comm_id(), call.rem_mask());
+                    i += 1;
                 }
             }
             if !progressed {

@@ -36,13 +36,13 @@
 //! parity buffer and consumes slot `(u - r) mod p`'s. All `p` slots copy
 //! at once, so every copy is charged at full bus contention. A channel
 //! changes consumer every round; the consumed-in-order guard of
-//! `SrmComm::plan_contrib_consume` at each hand-over keeps its DONE
-//! flag skip-free.
+//! `SrmComm::plan_hand_consume` at each hand-over keeps its DONE flag
+//! skip-free.
 //!
 //! ## Reduce-scatter: two routes between node masters
 //!
 //! Reduce-scatter pre-reduces inside the node, so its wire runs between
-//! node masters, and it keeps both routes of [`crate::route`]:
+//! node masters, and it has two routes:
 //!
 //! * **Staged**, below
 //!   [`SrmTuning::pairwise_direct_min`](crate::SrmTuning): a registry
@@ -102,10 +102,9 @@
 
 use crate::inter::seq;
 use crate::plan::{
-    BufRef, Chan, ChanKind, CopyCost, CtrRef, FlagRef, HandleSrc, Off, PairSel, PlanBuilder,
-    SeqBase, Step, Val,
+    BufRef, Chan, ChanKind, CopyCost, CtrRef, FlagRef, Hand, Off, PairSel, PlanBuilder, SeqBase,
+    Step, Val,
 };
-use crate::route::{RouteClass, SegmentRoute};
 use crate::smp::{plan_acc_to_user, plan_stage_acc};
 use crate::tuning::SrmTuning;
 use crate::world::{Channel, SrmComm};
@@ -275,7 +274,7 @@ impl SrmComm {
         for &s in &inbound {
             b.push(Step::AddrSend {
                 to: self.cworld_of(s),
-                src: HandleSrc::User,
+                src: BufRef::User,
             });
         }
         for d in self.remote_order(true) {
@@ -352,14 +351,14 @@ impl SrmComm {
                 if koff < out {
                     let user = (BufRef::User, Off::Lit(cto * seg + koff));
                     let len = cs.min(out - koff);
-                    self.plan_contrib_publish(b, rel0 + sent, user, len, CopyCost::Write(p));
+                    let mine = (Hand::Slot(my), rel0 + sent);
+                    self.plan_hand_publish(b, mine, user, len, CopyCost::Write(p));
                     sent += 1;
                 }
                 if koff < inb {
-                    self.plan_contrib_consume(
+                    self.plan_hand_consume(
                         b,
-                        from,
-                        rel_in + k as u64,
+                        (Hand::Slot(from), rel_in + k as u64),
                         k == 0,
                         "exchange cell published",
                         |b, src, src_off| {
@@ -384,7 +383,7 @@ impl SrmComm {
         if sent < r_adv {
             if sent > 0 {
                 b.wait_flag(
-                    FlagRef::ContribDone { slot: my },
+                    FlagRef::Done(Hand::Slot(my)),
                     seq(SeqBase::Reduce, rel0 + sent),
                     "exchange cells consumed",
                 );
@@ -456,8 +455,7 @@ impl SrmComm {
         // distribution are unchanged, only the wire differs. The
         // scratch holds one logical block per peer; `region(d, s)` is
         // source `s`'s index among `d`'s peers, ascending.
-        let direct = multi
-            && self.segment_route(b.tuning(), RouteClass::Pairwise, len) == SegmentRoute::Direct;
+        let direct = multi && len >= b.tuning().pairwise_direct_min;
         let block_of = |g: usize| self.cslots_on(g) * len;
         let region = |d: usize, s: usize| if s < d { s } else { s - 1 };
         let mut scratch_idx: Vec<Option<usize>> = vec![None; nodes];
@@ -470,7 +468,7 @@ impl SrmComm {
             for s in peers() {
                 b.push(Step::AddrSend {
                     to: self.cmaster_of(s),
-                    src: HandleSrc::Scratch,
+                    src: BufRef::Scratch,
                 });
             }
             for d in peers() {
@@ -495,7 +493,7 @@ impl SrmComm {
                 // (otherwise idle) contribution buffer so the put has
                 // an addressable source; the put snapshots it
                 // synchronously.
-                let staging = (BufRef::Contrib { slot: 0 }, Off::Lit(0));
+                let staging = (BufRef::Hand(Hand::Slot(0)), Off::Lit(0));
                 if direct {
                     // Land the piece straight in the peer master's
                     // scratch region — no credits, no window, one
@@ -530,7 +528,7 @@ impl SrmComm {
             // My result segment's part of the piece.
             let mine = self.block_overlap(len, (blk, plen), my);
             if !is_root {
-                self.plan_pair_read(b, pair, lrel, |_| {}, mine, self.peer_streams());
+                self.plan_pair_read(b, pair, lrel, mine);
                 continue;
             }
             for s in peers() {
@@ -558,7 +556,7 @@ impl SrmComm {
             if p > 1 {
                 self.plan_pair_write(b, pair, lrel, (BufRef::Acc, Off::Lit(0)), plen, 1);
                 if let Some(mine) = mine {
-                    self.plan_pair_copy_out(b, pair, lrel, mine, self.peer_streams());
+                    self.plan_pair_copy_out(b, pair, lrel, mine);
                 }
             } else {
                 // Single-member node: the accumulator is the result.

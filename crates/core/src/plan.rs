@@ -28,31 +28,7 @@ use crate::tuning::SrmTuning;
 use crate::world::SrmComm;
 use shmem::PairUse;
 use simnet::{NodeId, Rank};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-/// Fault-injection switch: when enabled, planners omit the
-/// "contrib consumed in order" guards that keep the contribution DONE
-/// flags skip-free when the consumer set changes between collectives
-/// (a gather root handing over to an SMP-tree interior rank, say).
-/// Combined with [`shmem::set_nonmonotone_raise`] this re-opens the
-/// cross-collective overwrite race the schedule-exploration harness
-/// originally found, so the harness can prove it still detects that
-/// bug class. Test-harness machinery: process-global, read at *plan
-/// build* time (set it before any collective runs), never for
-/// protocol use.
-static SKIP_ORDER_GUARDS: AtomicBool = AtomicBool::new(false);
-
-/// Enable or disable the order-guard omission fault injection; returns
-/// the previous setting. See `SKIP_ORDER_GUARDS`'s caveats.
-pub fn set_skip_order_guards(enabled: bool) -> bool {
-    SKIP_ORDER_GUARDS.swap(enabled, Ordering::SeqCst)
-}
-
-/// Whether planners should omit the skip-free DONE-flag guards.
-pub(crate) fn skip_order_guards() -> bool {
-    SKIP_ORDER_GUARDS.load(Ordering::SeqCst)
-}
 
 /// The per-rank cumulative sequence cells a plan's relative values are
 /// resolved against. The engine samples all of them once when a call
@@ -77,13 +53,7 @@ pub const SEQ_BASES: usize = 5;
 impl SeqBase {
     /// Index of this base in the engine's sample array.
     pub fn index(self) -> usize {
-        match self {
-            SeqBase::Smp => 0,
-            SeqBase::Landing => 1,
-            SeqBase::Reduce => 2,
-            SeqBase::Xfer => 3,
-            SeqBase::Barrier => 4,
-        }
+        self as usize
     }
 }
 
@@ -203,6 +173,30 @@ impl Chan {
     }
 }
 
+/// One of my node's handoff channels: a parity-double-buffered staging
+/// area ([`BufRef::Hand`]) its producer fills and flags
+/// [`FlagRef::Ready`], and its consumer drains and flags
+/// [`FlagRef::Done`] — both cumulative use counts against
+/// [`Hand::base`].
+#[derive(Clone, Copy, Debug)]
+pub enum Hand {
+    /// The contribution channel slot `.0` produces into (Figure 2).
+    Slot(usize),
+    /// The master↔root `xfer` channel, for roots that are not their
+    /// node's master.
+    Xfer,
+}
+
+impl Hand {
+    /// The sequence base the channel's uses are numbered against.
+    pub fn base(self) -> SeqBase {
+        match self {
+            Hand::Slot(_) => SeqBase::Reduce,
+            Hand::Xfer => SeqBase::Xfer,
+        }
+    }
+}
+
 /// A buffer operand. `User` is the executing call's payload buffer;
 /// everything else names a shared structure of the fabric or a handle
 /// the plan captured earlier ([`Step::AddrTake`]).
@@ -219,13 +213,8 @@ pub enum BufRef {
         /// Which side.
         side: Side,
     },
-    /// My node's per-slot contribution buffer.
-    Contrib {
-        /// Which slot's buffer.
-        slot: usize,
-    },
-    /// My node's master→root `xfer` handoff buffer.
-    Xfer,
+    /// The staging area of one of my node's handoff channels.
+    Hand(Hand),
     /// The landing of a channel (remote for put targets, mine when I
     /// read what landed).
     Chan(Chan),
@@ -282,20 +271,10 @@ pub enum FlagRef {
         /// Which slot's flag.
         slot: usize,
     },
-    /// Cumulative chunks `slot` published in its contribution buffer.
-    ContribReady {
-        /// Which slot's flag.
-        slot: usize,
-    },
-    /// Cumulative chunks of `slot` its consumer has drained.
-    ContribDone {
-        /// Which slot's flag.
-        slot: usize,
-    },
-    /// Cumulative chunks the master wrote into `xfer`.
-    XferReady,
-    /// Cumulative chunks the root consumed from `xfer`.
-    XferDone,
+    /// Cumulative chunks the channel's producer has published.
+    Ready(Hand),
+    /// Cumulative chunks the channel's consumer has drained.
+    Done(Hand),
 }
 
 /// Which of my node's double-buffer pairs a pair-protocol step drives.
@@ -346,29 +325,11 @@ pub enum Until {
     Use(PairUse),
 }
 
-/// Which handle an [`Step::AddrSend`] ships.
-#[derive(Clone, Copy, Debug)]
-pub enum HandleSrc {
-    /// The executing call's user buffer.
-    User,
-    /// The handle taken by the `idx`-th [`Step::AddrTake`] of this plan
-    /// (a master forwarding the gather root's buffer).
-    Taken {
-        /// Capture index.
-        idx: usize,
-    },
-    /// The executing call's scratch buffer (must have been allocated by
-    /// an earlier [`Step::ScratchAlloc`] of the same plan).
-    Scratch,
-}
-
 /// One primitive operation of a schedule. The engine executes steps in
 /// order; blocking steps yield to the simulator exactly like the
 /// direct-style protocols they were compiled from.
 #[derive(Clone, Copy, Debug)]
 pub enum Step {
-    /// Emit a protocol trace event (preserves the legacy markers).
-    Trace(&'static str),
     /// Toggle LAPI interrupts on my dispatcher.
     SetInterrupts(bool),
     /// Copy `len` bytes between buffers, charging per [`CopyCost`].
@@ -480,13 +441,17 @@ pub enum Step {
         /// Counter to bump.
         ctr: CtrRef,
     },
-    /// Ship a buffer handle to rank `to` through the communicator's
-    /// address active message; it lands in `to`'s mailbox slot for me.
+    /// Leave a buffer handle in rank `to`'s mailbox slot for me:
+    /// through shared memory when `to` is on my node (a gather root
+    /// handing its buffer to its master), by the communicator's address
+    /// active message otherwise.
     AddrSend {
         /// Target rank.
         to: Rank,
-        /// Which handle to ship.
-        src: HandleSrc,
+        /// The buffer whose handle to ship ([`BufRef::User`], a
+        /// [`BufRef::Taken`] one being forwarded, or the
+        /// [`BufRef::Scratch`] an earlier step allocated).
+        src: BufRef,
     },
     /// Block until my mailbox slot for comm rank `from` holds a buffer
     /// handle, take it and append it to the call's capture list
@@ -497,23 +462,11 @@ pub enum Step {
         from: usize,
     },
     /// Allocate this call's `len`-byte scratch buffer
-    /// ([`BufRef::Scratch`]); its handle can then be shipped with
-    /// [`HandleSrc::Scratch`].
+    /// ([`BufRef::Scratch`]); an [`Step::AddrSend`] can then ship its
+    /// handle.
     ScratchAlloc {
         /// Scratch capacity in bytes.
         len: usize,
-    },
-    /// Leave my user-buffer handle in my node master's mailbox slot for
-    /// me, through shared memory (gather root that is not the node
-    /// master).
-    BoardAddrPut,
-    /// Advance a cumulative sequence cell (end-of-protocol bookkeeping;
-    /// the engine's sampled bases are unaffected).
-    Advance {
-        /// Which cell.
-        base: SeqBase,
-        /// Chunks pushed through it by this plan.
-        by: u64,
     },
 }
 
@@ -521,7 +474,6 @@ impl Step {
     /// Short static label for the per-step trace hook and debugging.
     pub fn label(&self) -> &'static str {
         match self {
-            Step::Trace(_) => "step:trace",
             Step::SetInterrupts(_) => "step:interrupts",
             Step::ShmCopy { .. } => "step:shm-copy",
             Step::LoadAcc { .. } => "step:load-acc",
@@ -540,8 +492,6 @@ impl Step {
             Step::AddrSend { .. } => "step:addr-send",
             Step::AddrTake { .. } => "step:addr-take",
             Step::ScratchAlloc { .. } => "step:scratch-alloc",
-            Step::BoardAddrPut => "step:board-addr-put",
-            Step::Advance { .. } => "step:advance",
         }
     }
 }
@@ -552,12 +502,12 @@ impl Step {
 pub struct Plan {
     /// The steps, executed in order.
     pub steps: Vec<Step>,
-    /// Total amount this plan advances each [`SeqBase`] cell (the sum
-    /// of its [`Step::Advance`] steps, indexed by [`SeqBase::index`]).
-    /// The nonblocking issue path applies these to the live cells *at
-    /// issue time* — see the sequence-base relocation rule in
-    /// `DESIGN.md` — so a later call outstanding concurrently samples
-    /// bases as if this one had already completed.
+    /// How many uses this plan pushes through each [`SeqBase`] cell
+    /// (indexed by [`SeqBase::index`]). Call entry adds these to the
+    /// live cells right after sampling them — the sequence-base
+    /// relocation rule of `DESIGN.md` — so whatever call enters next,
+    /// even with this one still outstanding, samples bases as if this
+    /// one had already completed.
     pub advances: [u64; SEQ_BASES],
 }
 
@@ -592,12 +542,6 @@ pub struct PlanBuilder {
 }
 
 impl PlanBuilder {
-    /// Fresh, empty builder with default decision knobs (unit tests;
-    /// production compiles go through [`PlanBuilder::with_tuning`]).
-    pub fn new() -> Self {
-        PlanBuilder::default()
-    }
-
     /// Fresh, empty builder compiling under `tuning` — the effective
     /// per-shape decision knobs.
     pub fn with_tuning(tuning: SrmTuning) -> Self {
@@ -623,14 +567,10 @@ impl PlanBuilder {
         self.adv[base.index()]
     }
 
-    /// Record that the plan pushes `by` chunks through `base` (emits
-    /// the [`Step::Advance`] and shifts subsequent [`Self::rel`]s).
+    /// Record that the plan pushes `by` chunks through `base`: shifts
+    /// subsequent [`Self::rel`]s and adds to [`Plan::advances`].
     pub fn advance(&mut self, base: SeqBase, by: u64) {
-        if by == 0 {
-            return;
-        }
         self.adv[base.index()] += by;
-        self.steps.push(Step::Advance { base, by });
     }
 
     /// Block until `cell` shows `until` (no consumption).
@@ -646,19 +586,6 @@ impl PlanBuilder {
     /// Block until `flag >= val`.
     pub fn wait_flag(&mut self, flag: FlagRef, val: Val, label: &'static str) {
         self.wait(WaitCell::Flag(flag), Until::Ge(val), label);
-    }
-
-    /// The drain guard before overwriting a parity side of a
-    /// double-buffered staging area (see [`Until::SideDrained`]).
-    pub fn wait_side_drained(
-        &mut self,
-        flag: FlagRef,
-        base: SeqBase,
-        rel: u64,
-        label: &'static str,
-    ) {
-        let until = Until::SideDrained { base, rel };
-        self.wait(WaitCell::Flag(flag), until, label);
     }
 
     /// Consume `n` from `ctr` (LAPI `Waitcntr`).
@@ -992,7 +919,7 @@ mod tests {
 
     #[test]
     fn builder_tracks_rel_and_addrs() {
-        let mut b = PlanBuilder::new();
+        let mut b = PlanBuilder::default();
         assert_eq!(b.rel(SeqBase::Landing), 0);
         b.advance(SeqBase::Landing, 3);
         assert_eq!(b.rel(SeqBase::Landing), 3);
@@ -1000,7 +927,7 @@ mod tests {
         assert_eq!(b.take_addr(1), 0);
         assert_eq!(b.take_addr(2), 1);
         let plan = b.finish();
-        assert_eq!(plan.len(), 3); // advance + 2 takes
+        assert_eq!(plan.len(), 2); // the two takes: an advance is not a step
         assert!(!plan.is_empty());
         assert_eq!(plan.advances[SeqBase::Landing.index()], 3);
         assert_eq!(plan.advances[SeqBase::Smp.index()], 0);

@@ -25,7 +25,7 @@
 
 use crate::inter::{par, poff, seq};
 use crate::plan::{
-    BufRef, CopyCost, FlagRef, Off, PairSel, PlanBuilder, SeqBase, Step, Until, Val, WaitCell,
+    BufRef, CopyCost, FlagRef, Hand, Off, PairSel, PlanBuilder, SeqBase, Step, Until, Val, WaitCell,
 };
 use crate::tuning::SrmTuning;
 use crate::world::SrmComm;
@@ -38,47 +38,6 @@ fn pair_base(pair: PairSel) -> SeqBase {
         PairSel::Smp => SeqBase::Smp,
         PairSel::Landing => SeqBase::Landing,
     }
-}
-
-/// Producer half of the master↔root `xfer` handoff: wait until the
-/// parity side of use `xrel` is drained, fill it from `from`, raise
-/// READY. `stride` separates the two sides.
-pub(crate) fn plan_xfer_produce(
-    b: &mut PlanBuilder,
-    xrel: u64,
-    stride: usize,
-    from: (BufRef, Off),
-    len: usize,
-) {
-    b.wait_side_drained(FlagRef::XferDone, SeqBase::Xfer, xrel, "xfer side drained");
-    b.push(Step::ShmCopy {
-        src: from.0,
-        src_off: from.1,
-        dst: BufRef::Xfer,
-        dst_off: poff(SeqBase::Xfer, xrel, stride),
-        len,
-        cost: CopyCost::Free,
-    });
-    b.push(Step::FlagRaise {
-        flag: FlagRef::XferReady,
-        val: seq(SeqBase::Xfer, xrel + 1),
-    });
-}
-
-/// Consumer half of the `xfer` handoff: wait for use `xrel`, let
-/// `consume` emit whatever reads the side, raise DONE.
-pub(crate) fn plan_xfer_consume(
-    b: &mut PlanBuilder,
-    xrel: u64,
-    label: &'static str,
-    consume: impl FnOnce(&mut PlanBuilder),
-) {
-    b.wait_flag(FlagRef::XferReady, seq(SeqBase::Xfer, xrel + 1), label);
-    consume(b);
-    b.push(Step::FlagRaise {
-        flag: FlagRef::XferDone,
-        val: seq(SeqBase::Xfer, xrel + 1),
-    });
 }
 
 /// The last operator pass writes the accumulator straight to its
@@ -149,14 +108,14 @@ impl SrmComm {
     }
 
     /// Copy `(pair offset, user offset, bytes)` of pair use `rel` out
-    /// to the user buffer, sharing the bus with `streams` readers.
+    /// to the user buffer, sharing the bus with the node's other
+    /// readers.
     pub(crate) fn plan_pair_copy_out(
         &self,
         b: &mut PlanBuilder,
         pair: PairSel,
         rel: u64,
         (src_off, dst_off, len): (usize, usize, usize),
-        streams: usize,
     ) {
         let side = par(pair_base(pair), rel);
         b.push(Step::ShmCopy {
@@ -165,101 +124,111 @@ impl SrmComm {
             dst: BufRef::User,
             dst_off: Off::Lit(dst_off),
             len,
-            cost: CopyCost::Read(streams),
+            cost: CopyCost::Read(self.peer_streams()),
         });
     }
 
     /// Reader leg of pair use `rel`: wait for my READY, run
-    /// `after_wait` (trace markers, forwarding puts), copy my part out
-    /// if I have one, release the side.
-    pub(crate) fn plan_pair_read(
+    /// `after_wait` (a master's forwarding puts), copy my part out if I
+    /// have one, release the side.
+    pub(crate) fn plan_pair_read_then(
         &self,
         b: &mut PlanBuilder,
         pair: PairSel,
         rel: u64,
         after_wait: impl FnOnce(&mut PlanBuilder),
         copy: Option<(usize, usize, usize)>,
-        streams: usize,
     ) {
         let side = par(pair_base(pair), rel);
         let cell = WaitCell::Pair { pair, side };
         b.wait(cell, Until::Use(PairUse::Published), "buffer published");
         after_wait(b);
         if let Some(copy) = copy {
-            self.plan_pair_copy_out(b, pair, rel, copy, streams);
+            self.plan_pair_copy_out(b, pair, rel, copy);
         }
         b.push(Step::PairRelease { pair, side });
     }
 
-    /// Contributor leg of my contribution channel, chunk `rel`: wait
-    /// until the parity side is drained, fill it from `from`, raise
-    /// READY.
-    pub(crate) fn plan_contrib_publish(
+    /// The plain reader leg: [`SrmComm::plan_pair_read_then`] with
+    /// nothing between the wait and the copy.
+    pub(crate) fn plan_pair_read(
         &self,
         b: &mut PlanBuilder,
+        pair: PairSel,
         rel: u64,
+        copy: Option<(usize, usize, usize)>,
+    ) {
+        self.plan_pair_read_then(b, pair, rel, |_| {}, copy);
+    }
+
+    /// The parity side of handoff channel `hand` that use `rel` goes
+    /// through (the two sides lie one reduce chunk apart).
+    pub(crate) fn hand_side(&self, hand: Hand, rel: u64) -> (BufRef, Off) {
+        let side = poff(hand.base(), rel, self.tuning().reduce_chunk);
+        (BufRef::Hand(hand), side)
+    }
+
+    /// Producer leg of handoff channel `hand`, use `rel`: wait until
+    /// the parity side is drained, fill it from `from`, raise READY.
+    pub(crate) fn plan_hand_publish(
+        &self,
+        b: &mut PlanBuilder,
+        (hand, rel): (Hand, u64),
         from: (BufRef, Off),
         len: usize,
         cost: CopyCost,
     ) {
-        let my = self.cslot();
-        let done = FlagRef::ContribDone { slot: my };
-        b.wait_side_drained(done, SeqBase::Reduce, rel, "contrib side drained");
+        let (dst, dst_off) = self.hand_side(hand, rel);
+        let base = hand.base();
+        let drained = Until::SideDrained { base, rel };
+        let done = WaitCell::Flag(FlagRef::Done(hand));
+        b.wait(done, drained, "handoff side drained");
         b.push(Step::ShmCopy {
             src: from.0,
             src_off: from.1,
-            dst: BufRef::Contrib { slot: my },
-            dst_off: poff(SeqBase::Reduce, rel, self.tuning().reduce_chunk),
+            dst,
+            dst_off,
             len,
             cost,
         });
         b.push(Step::FlagRaise {
-            flag: FlagRef::ContribReady { slot: my },
-            val: seq(SeqBase::Reduce, rel + 1),
+            flag: FlagRef::Ready(hand),
+            val: seq(base, rel + 1),
         });
     }
 
-    /// Consumer leg of `slot`'s contribution channel, chunk `rel`: wait
-    /// for READY, let `consume` emit whatever reads the side (handed
-    /// the operand), raise DONE.
+    /// Consumer leg of handoff channel `hand`, use `rel`: wait for
+    /// READY, let `consume` emit whatever reads the side (handed the
+    /// operand), raise DONE.
     ///
-    /// DONE must advance without skipping sequence numbers: the chunk
-    /// before `rel` may have had a *different* consumer rank — the
-    /// previous collective's (a gather root, say), or the previous
-    /// round's in the exchange rotation — that has not drained it yet,
-    /// and a max-raise past it would let the contributor overwrite that
-    /// side early. One consumer's consecutive chunks are ordered, so
-    /// only its `first` waits for the channel to be drained through
-    /// `rel`.
-    pub(crate) fn plan_contrib_consume(
+    /// A contribution channel's DONE must advance without skipping
+    /// sequence numbers: the chunk before `rel` may have had a
+    /// *different* consumer rank — the previous collective's (a gather
+    /// root, say), or the previous round's in the exchange rotation —
+    /// that has not drained it yet, and a max-raise past it would let
+    /// the contributor overwrite that side early. One consumer's
+    /// consecutive chunks are ordered, so only its `first` waits for
+    /// the channel to be drained through `rel`. (The `xfer` channel has
+    /// never carried the guard; its consumers pass `false`.)
+    pub(crate) fn plan_hand_consume(
         &self,
         b: &mut PlanBuilder,
-        slot: usize,
-        rel: u64,
+        (hand, rel): (Hand, u64),
         first: bool,
         label: &'static str,
         consume: impl FnOnce(&mut PlanBuilder, BufRef, Off),
     ) {
-        b.wait_flag(
-            FlagRef::ContribReady { slot },
-            seq(SeqBase::Reduce, rel + 1),
-            label,
-        );
-        consume(
-            b,
-            BufRef::Contrib { slot },
-            poff(SeqBase::Reduce, rel, self.tuning().reduce_chunk),
-        );
-        if first && !crate::plan::skip_order_guards() {
-            b.wait_flag(
-                FlagRef::ContribDone { slot },
-                seq(SeqBase::Reduce, rel),
-                "contrib consumed in order",
-            );
+        let base = hand.base();
+        b.wait_flag(FlagRef::Ready(hand), seq(base, rel + 1), label);
+        let (src, src_off) = self.hand_side(hand, rel);
+        consume(b, src, src_off);
+        if first && !self.world.handle.faults().skip_order_guards {
+            let done = FlagRef::Done(hand);
+            b.wait_flag(done, seq(base, rel), "handoff consumed in order");
         }
         b.push(Step::FlagRaise {
-            flag: FlagRef::ContribDone { slot },
-            val: seq(SeqBase::Reduce, rel + 1),
+            flag: FlagRef::Done(hand),
+            val: seq(base, rel + 1),
         });
     }
 
@@ -284,14 +253,7 @@ impl SrmComm {
         clen: usize,
         rel: u64,
     ) {
-        self.plan_pair_read(
-            b,
-            PairSel::Smp,
-            rel,
-            |b| b.push(Step::Trace("smp:read")),
-            Some((0, off, clen)),
-            self.peer_streams(),
-        );
+        self.plan_pair_read(b, PairSel::Smp, rel, Some((0, off, clen)));
     }
 
     /// Plan the flat double-buffer broadcast within the node: the
@@ -374,6 +336,7 @@ impl SrmComm {
         debug_assert!(clen <= self.tuning().reduce_chunk);
         let vs = (self.cslot() + p - dst_slot) % p;
         let kids = crate::embed::children_ascending(self.tree(), vs, p);
+        let mine = Hand::Slot(self.cslot());
 
         b.push(Step::LoadAcc { off, len: clen });
 
@@ -381,7 +344,7 @@ impl SrmComm {
             // Lowest level: the one real memory copy of the algorithm.
             // Roughly half the node's tasks copy concurrently.
             let cost = CopyCost::Write((p / 2).max(1));
-            self.plan_contrib_publish(b, rel, (BufRef::Acc, Off::Lit(0)), clen, cost);
+            self.plan_hand_publish(b, (mine, rel), (BufRef::Acc, Off::Lit(0)), clen, cost);
             return false;
         }
 
@@ -389,10 +352,9 @@ impl SrmComm {
         // running chunk — operator execution only, no data movement.
         for kv in kids {
             let child = (kv + dst_slot) % p;
-            self.plan_contrib_consume(
+            self.plan_hand_consume(
                 b,
-                child,
-                rel,
+                (Hand::Slot(child), rel),
                 rel == b.rel(SeqBase::Reduce),
                 "child contribution ready",
                 |b, src, src_off| {
@@ -408,7 +370,8 @@ impl SrmComm {
         if vs != 0 {
             // Publish the partial result (the last operator pass's
             // output stream — no extra copy).
-            self.plan_contrib_publish(b, rel, (BufRef::Acc, Off::Lit(0)), clen, CopyCost::Free);
+            let acc = (BufRef::Acc, Off::Lit(0));
+            self.plan_hand_publish(b, (mine, rel), acc, clen, CopyCost::Free);
         }
         // At the subtree root the accumulator holds the result; the
         // caller routes it onward.

@@ -307,11 +307,6 @@ impl CommGroup {
         self.nodes.len()
     }
 
-    /// World node id of group node `g`.
-    pub fn world_node(&self, g: usize) -> NodeId {
-        self.nodes[g]
-    }
-
     /// Member world ranks on group node `g`, in group slot order.
     pub fn members_on(&self, g: usize) -> &[Rank] {
         &self.members[g]
@@ -676,17 +671,6 @@ impl SrmWorld {
     pub fn tuning(&self) -> SrmTuning {
         self.inner.tuning
     }
-
-    /// The decision defaults a call shape compiles under when no table
-    /// entry matches (equals [`SrmWorld::tuning`] on default worlds).
-    pub fn base_tuning(&self) -> SrmTuning {
-        self.inner.base
-    }
-
-    /// The loaded per-shape tuning table, if any.
-    pub fn tuning_table(&self) -> Option<&Arc<TuneTable>> {
-        self.inner.table.as_ref()
-    }
 }
 
 /// One rank's handle on one communicator (the world communicator from
@@ -694,6 +678,7 @@ impl SrmWorld {
 /// Cheap to clone; clones share the same per-(rank, comm) protocol
 /// seat and the rank-wide nonblocking queue. Belongs to exactly one
 /// logical process.
+#[derive(Clone)]
 pub struct SrmComm {
     pub(crate) world: Arc<WorldInner>,
     pub(crate) comm: Arc<CommState>,
@@ -708,22 +693,6 @@ pub struct SrmComm {
     pub(crate) rma: Rma,
     pub(crate) seat: Arc<CommSeat>,
     pub(crate) shared: Arc<RankShared>,
-}
-
-impl Clone for SrmComm {
-    fn clone(&self) -> Self {
-        SrmComm {
-            world: self.world.clone(),
-            comm: self.comm.clone(),
-            me: self.me,
-            crank: self.crank,
-            gnode: self.gnode,
-            gslot: self.gslot,
-            rma: self.rma.clone(),
-            seat: self.seat.clone(),
-            shared: self.shared.clone(),
-        }
-    }
 }
 
 impl SrmComm {
@@ -991,6 +960,15 @@ mod tests {
         group: Option<&[Rank]>,
         body: fn(&Ctx, &SrmComm, &ShmBuffer),
     ) -> Arc<CommState> {
+        run_comm_counted(topo, group, body).0
+    }
+
+    /// [`run_comm`], with the run's final counters.
+    fn run_comm_counted(
+        topo: Topology,
+        group: Option<&[Rank]>,
+        body: fn(&Ctx, &SrmComm, &ShmBuffer),
+    ) -> (Arc<CommState>, simnet::MetricsSnapshot) {
         let mut sim = Sim::new(MachineConfig::ibm_sp_colony());
         let world = SrmWorld::new(&mut sim, topo, SrmTuning::default());
         let handles = match group {
@@ -1007,8 +985,8 @@ mod tests {
                 wcomm.shutdown(&ctx);
             });
         }
-        sim.run().expect("simulation completes");
-        handles[0].comm.clone()
+        let report = sim.run().expect("simulation completes");
+        (handles[0].comm.clone(), report.metrics)
     }
 
     #[test]
@@ -1106,11 +1084,14 @@ mod tests {
         assert_eq!(edges.len(), 7);
         assert_eq!(mailbox_slots(&bcast), edges);
         // Gather rooted at rank 3, not its node's master: the root to
-        // master 2 through shared memory, master 2 to the other seven.
-        let gather = run_comm(topo, None, |ctx, comm, buf| comm.gather(ctx, buf, 64, 3));
+        // master 2 through shared memory — the same `AddrSend` step,
+        // but no active message — master 2 to the other seven by AM.
+        let (gather, counted) =
+            run_comm_counted(topo, None, |ctx, comm, buf| comm.gather(ctx, buf, 64, 3));
         let mut want: Vec<(usize, usize)> = (0..16).step_by(2).map(|m| (m, 2)).collect();
         want[1] = (2, 3);
         assert_eq!(mailbox_slots(&gather), want);
+        assert_eq!(counted.rma_ams, 7);
         // Alltoall: every ordered pair of ranks on different nodes.
         let alltoall = run_comm(topo, None, |ctx, comm, buf| {
             comm.alltoall(ctx, buf, 64 << 10)

@@ -165,12 +165,8 @@ impl Collectives for MpiColl {
         ctx.advance(ctx.config().mpi_coll_call_overhead);
         // Both era implementations synchronized over a gather/release
         // tree of point-to-point messages (MPICH1's combine+broadcast
-        // structure; IBM's was tree-shaped as well). The dissemination
-        // variant is kept in `ops` for the ablation studies.
-        match self.ep.vendor() {
-            Vendor::IbmMpi => ops::barrier_tree(&self.view(), ctx),
-            Vendor::Mpich => ops::barrier_tree(&self.view(), ctx),
-        }
+        // structure; IBM's was tree-shaped as well).
+        ops::barrier_tree(&self.view(), ctx);
     }
 
     fn gather(&self, ctx: &Ctx, buf: &ShmBuffer, len: usize, root: Rank) {

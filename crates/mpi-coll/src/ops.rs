@@ -7,8 +7,7 @@
 //! * reduce — binomial tree, combining at every level;
 //! * allreduce — recursive doubling (IBM profile) or reduce-then-
 //!   broadcast (MPICH profile);
-//! * barrier — dissemination (IBM profile) or binomial gather+release
-//!   (MPICH profile);
+//! * barrier — binomial gather+release (both vendors);
 //! * gather / scatter — linear at the root (both vendors);
 //! * allgather — gather+broadcast (IBM profile) or ring (MPICH
 //!   profile);
@@ -35,7 +34,7 @@
 
 use crate::tree;
 use collops::{combine_costed, DType, ReduceOp};
-use msg::{MsgEndpoint, SendReq, Tag};
+use msg::{MsgEndpoint, Tag};
 use simnet::{Ctx, Rank};
 
 const TAG_BCAST: Tag = 0x0100;
@@ -43,7 +42,6 @@ const TAG_REDUCE: Tag = 0x0200;
 const TAG_ALLREDUCE: Tag = 0x0300;
 const TAG_BARRIER_UP: Tag = 0x0400;
 const TAG_BARRIER_DOWN: Tag = 0x0401;
-const TAG_BARRIER_DISS: Tag = 0x0402;
 const TAG_GATHER: Tag = 0x0500;
 const TAG_SCATTER: Tag = 0x0600;
 const TAG_ALLGATHER: Tag = 0x0700;
@@ -131,15 +129,6 @@ impl<'a> CommView<'a> {
     fn send(&self, ctx: &Ctx, dst: usize, tag: Tag, data: &[u8]) {
         self.ep
             .send(ctx, self.world_rank(dst), self.tag_base | tag, data);
-    }
-
-    fn isend(&self, ctx: &Ctx, dst: usize, tag: Tag, data: &[u8]) -> SendReq {
-        self.ep
-            .isend(ctx, self.world_rank(dst), self.tag_base | tag, data)
-    }
-
-    fn wait_send(&self, ctx: &Ctx, req: SendReq) {
-        self.ep.wait_send(ctx, req);
     }
 
     fn recv(&self, ctx: &Ctx, src: usize, tag: Tag, buf: &mut [u8]) -> usize {
@@ -290,27 +279,7 @@ pub fn allreduce_reduce_bcast(
     bcast_binomial(cv, ctx, data, 0);
 }
 
-/// Dissemination barrier (IBM profile): ⌈log₂ P⌉ rounds of zero-byte
-/// exchanges; works for any P.
-pub fn barrier_dissemination(cv: &CommView, ctx: &Ctx) {
-    let size = cv.size();
-    if size == 1 {
-        return;
-    }
-    let me = cv.rank();
-    let mut dist = 1usize;
-    while dist < size {
-        let to = (me + dist) % size;
-        let from = (me + size - dist) % size;
-        let mut sink = [0u8; 0];
-        let req = cv.isend(ctx, to, TAG_BARRIER_DISS, &[]);
-        cv.recv(ctx, from, TAG_BARRIER_DISS, &mut sink);
-        cv.wait_send(ctx, req);
-        dist <<= 1;
-    }
-}
-
-/// Binomial gather + binomial release barrier (MPICH profile).
+/// Binomial gather + binomial release barrier (both profiles).
 pub fn barrier_tree(cv: &CommView, ctx: &Ctx) {
     let size = cv.size();
     if size == 1 {
@@ -533,7 +502,6 @@ mod tests {
             TAG_ALLREDUCE,
             TAG_BARRIER_UP,
             TAG_BARRIER_DOWN,
-            TAG_BARRIER_DISS,
             TAG_GATHER,
             TAG_SCATTER,
             TAG_ALLGATHER,

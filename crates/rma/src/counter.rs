@@ -39,8 +39,7 @@ impl LapiCounter {
 
     /// Current value, without cost (tests, diagnostics, and the
     /// nonblocking executor's readiness probes — blocking protocol code
-    /// must use [`Rma::wait_counter`](crate::Rma::wait_counter) or
-    /// [`Rma::probe_counter`](crate::Rma::probe_counter)).
+    /// must use [`Rma::wait_counter`](crate::Rma::wait_counter)).
     pub fn peek(&self) -> u64 {
         self.var.get()
     }

@@ -16,7 +16,7 @@ pub mod counter;
 pub mod world;
 
 pub use counter::{CounterFamily, LapiCounter};
-pub use world::{set_stall_counter_race, AmMsg, Rma, RmaWorld};
+pub use world::{AmMsg, Rma, RmaWorld};
 
 #[cfg(test)]
 mod tests {

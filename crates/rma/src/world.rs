@@ -44,31 +44,8 @@ use parking_lot::Mutex;
 use shmem::ShmBuffer;
 use simnet::{Ctx, Rank, Sim, SimTime, SimVar};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-
-/// Fault-injection switch (see [`set_stall_counter_race`]).
-static STALL_COUNTER_RACE: AtomicBool = AtomicBool::new(false);
-
-/// Plant the **am-stall-race** fault: whenever a dispatcher draws a
-/// perturbation handler stall for an arrival that carries a completion
-/// counter, the counter is incremented *before* the stall and the data
-/// landing — the classic premature acknowledgement of a handler that
-/// signals completion before its payload is flushed. A consumer parked
-/// on the counter wakes at the pre-stall time, beats the dispatcher to
-/// the turn (minimum-time-first), and reads the destination buffer
-/// before the bytes arrive. Process-global and test-only: the stress
-/// harness must *detect* the stale read (the `explore` binary's
-/// `--inject am-stall-race` mode). Only fires when a
-/// [`simnet::Perturb`] config with `am_stall_permille > 0` is
-/// installed.
-pub fn set_stall_counter_race(on: bool) {
-    STALL_COUNTER_RACE.store(on, Ordering::SeqCst);
-}
-
-fn stall_counter_race() -> bool {
-    STALL_COUNTER_RACE.load(Ordering::Relaxed)
-}
 
 /// Payload carried to a dispatcher by one network arrival.
 enum Payload {
@@ -90,8 +67,6 @@ struct Arrival {
     wire_bytes: usize,
     payload: Payload,
     counter: Option<LapiCounter>,
-    #[allow(dead_code)]
-    from: Rank,
 }
 
 enum Item {
@@ -342,13 +317,6 @@ impl Rma {
         ctx.advance(ctx.config().lapi_counter_check);
     }
 
-    /// Probe a counter's current value (one cheap LAPI call). Does not
-    /// guarantee dispatcher progress — use [`Rma::poll`] for that.
-    pub fn probe_counter(&self, ctx: &Ctx, cntr: &LapiCounter) -> u64 {
-        ctx.advance(ctx.config().lapi_counter_check);
-        cntr.peek()
-    }
-
     /// Spend `dt` inside a LAPI progress call, letting the dispatcher
     /// deliver pending arrivals without interrupts.
     pub fn poll(&self, ctx: &Ctx, dt: SimTime) {
@@ -417,14 +385,12 @@ impl Rma {
         let m = ctx.metrics();
         m.net_messages.fetch_add(1, Ordering::Relaxed);
         m.net_bytes.fetch_add(wire_bytes as u64, Ordering::Relaxed);
-        let from = self.me;
         self.world.tasks[target].inbox.update(ctx, move |q| {
             q.push(Item::Arrival(Box::new(Arrival {
                 deliver_at,
                 wire_bytes,
                 payload,
                 counter,
-                from,
             })));
         });
     }
@@ -498,7 +464,8 @@ fn deliver(ctx: &Ctx, world: &Arc<WorldInner>, me: Rank, a: Arrival) {
     let stall = ctx.perturb_am_stall_draw();
     let mut counted_early = false;
     if !stall.is_zero() {
-        if stall_counter_race() {
+        // Planted fault: acknowledge before the payload lands.
+        if ctx.faults().stall_counter_race {
             if let Some(c) = &a.counter {
                 c.incr(ctx, 1);
                 counted_early = true;

@@ -14,22 +14,7 @@
 //! disturbed by traffic on another.
 
 use simnet::{Ctx, SimHandle, SimVar};
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Fault-injection switch: when enabled, [`SpinFlag::raise`] degrades
-/// to a plain store — the pre-fix behaviour of the contribution
-/// catch-up race (a lagging raiser can then *regress* a cumulative
-/// flag). Exists so the schedule-exploration stress harness can prove
-/// it detects that bug class; never enable outside a dedicated test
-/// process (the switch is process-global).
-static NONMONOTONE_RAISE: AtomicBool = AtomicBool::new(false);
-
-/// Enable or disable the non-monotone-raise fault injection; returns
-/// the previous setting. This is test-harness machinery, process-global
-/// and not for protocol use — see the caveats above.
-pub fn set_nonmonotone_raise(enabled: bool) -> bool {
-    NONMONOTONE_RAISE.swap(enabled, Ordering::SeqCst)
-}
+use std::sync::atomic::Ordering;
 
 /// One synchronization word in simulated shared memory.
 #[derive(Clone)]
@@ -61,9 +46,8 @@ impl SpinFlag {
     pub fn raise(&self, ctx: &Ctx, value: u64) {
         ctx.advance(ctx.config().flag_set_op);
         ctx.metrics().flag_ops.fetch_add(1, Ordering::Relaxed);
-        if NONMONOTONE_RAISE.load(Ordering::Relaxed) {
-            // Injected fault: the unfixed plain store (see
-            // `set_nonmonotone_raise`).
+        if ctx.faults().nonmonotone_raise {
+            // Planted fault: the unfixed plain store.
             self.var.store(ctx, value);
         } else {
             self.var.update(ctx, move |v| *v = (*v).max(value));
@@ -166,22 +150,6 @@ impl FlagBank {
     /// Every flag of the bank, in slot order.
     pub fn flags(&self) -> &[SpinFlag] {
         &self.flags
-    }
-
-    /// Wait until *all* flags in the bank equal `value` (the master's
-    /// side of a flat barrier). Each flag is checked in turn; the waits
-    /// compose causally, so the result time is the latest setter.
-    pub fn wait_all_eq(&self, ctx: &Ctx, label: &'static str, value: u64) {
-        for f in &self.flags {
-            f.wait_eq(ctx, label, value);
-        }
-    }
-
-    /// Set every flag to `value` (the master's release step).
-    pub fn set_all(&self, ctx: &Ctx, value: u64) {
-        for f in &self.flags {
-            f.set(ctx, value);
-        }
     }
 }
 
@@ -313,8 +281,14 @@ mod tests {
         let b = bank.clone();
         let d = done.clone();
         s.spawn("master", move |ctx| {
-            b.wait_all_eq(&ctx, "all checked in", 1);
-            b.set_all(&ctx, 0);
+            // Each flag is checked in turn; the waits compose causally,
+            // so the result time is the latest setter.
+            for f in b.flags() {
+                f.wait_eq(&ctx, "all checked in", 1);
+            }
+            for f in b.flags() {
+                f.set(&ctx, 0);
+            }
             d.set(&ctx, 1);
         });
         for i in 0..4usize {

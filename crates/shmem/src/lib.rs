@@ -25,4 +25,4 @@ pub mod flag;
 
 pub use buffer::ShmBuffer;
 pub use bufpair::{BufPair, PairUse};
-pub use flag::{set_nonmonotone_raise, FlagBank, SpinFlag};
+pub use flag::{FlagBank, SpinFlag};

@@ -120,6 +120,8 @@ pub(crate) struct Shared {
     pub(crate) trace: OnceLock<crate::trace::Trace>,
     /// Set at most once, by [`Sim::run`] before any LP starts.
     pub(crate) perturb: OnceLock<crate::perturb::PerturbState>,
+    /// Set at most once, by [`Sim::set_faults`].
+    faults: OnceLock<Faults>,
     /// Where the scheduler loop in [`Sim::run`] is suspended while an LP
     /// holds the turn: the context [`Ctx::yield_turn`] switches back to.
     /// Only the run's host thread reads or writes it (`Relaxed`).
@@ -128,6 +130,35 @@ pub(crate) struct Shared {
     /// to unwind them; read by the LP coming out of the switch, on the
     /// same thread (`Relaxed`).
     aborting: AtomicBool,
+}
+
+/// Planted faults of one simulated world: switches that re-open a known
+/// bug class so the schedule-exploration harness can prove it still
+/// detects it. Installed with [`Sim::set_faults`] and read by the layer
+/// each one breaks through [`Ctx::faults`] or [`SimHandle::faults`]; all
+/// off unless installed. Test-harness machinery, never for protocol use.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Faults {
+    /// The SRM planners omit the "contrib consumed in order" guards
+    /// that keep a contribution channel's DONE flag skip-free when its
+    /// consumer changes between collectives (a gather root handing over
+    /// to an SMP-tree interior rank, say). Read when a plan is built.
+    /// With `nonmonotone_raise` this re-opens the cross-collective
+    /// overwrite race the harness originally found.
+    pub skip_order_guards: bool,
+    /// The RMA dispatcher bumps an arrival's completion counter
+    /// *before* a drawn AM-handler stall and the data landing — the
+    /// premature acknowledgement of a handler that signals completion
+    /// before its payload is flushed. A consumer parked on the counter
+    /// wakes at the pre-stall time, beats the dispatcher to the turn
+    /// (minimum-time-first) and reads the destination before the bytes
+    /// arrive. Fires only under a [`Perturb`](crate::perturb::Perturb)
+    /// with `am_stall_permille > 0`.
+    pub stall_counter_race: bool,
+    /// The cumulative spin flags' raise reverts to the plain store it
+    /// was before the out-of-order overwrite race was fixed: a lagging
+    /// raise can move a flag backwards.
+    pub nonmonotone_raise: bool,
 }
 
 /// Payload used to unwind LP fibers quietly when the run is aborted
@@ -459,9 +490,10 @@ impl Ctx {
         self.shared.perturb.get()
     }
 
-    /// The installed perturbation config, if any.
-    pub fn perturb_config(&self) -> Option<crate::perturb::Perturb> {
-        self.perturb_state().map(|p| *p.cfg())
+    /// The planted faults of this world (none unless
+    /// [`Sim::set_faults`] installed some).
+    pub fn faults(&self) -> Faults {
+        self.shared.faults.get().copied().unwrap_or_default()
     }
 
     /// Account one injected perturbation event of `added` delay: bump
@@ -646,6 +678,11 @@ impl SimHandle {
     pub fn tune_by_comm(&self) -> &crate::metrics::PlanByComm {
         &self.shared.tune_by_comm
     }
+
+    /// The planted faults of this world (see [`Ctx::faults`]).
+    pub fn faults(&self) -> Faults {
+        self.shared.faults.get().copied().unwrap_or_default()
+    }
 }
 
 type LpMain = Box<dyn FnOnce(Ctx) + Send + 'static>;
@@ -715,6 +752,7 @@ impl Sim {
                 next_var_key: AtomicU64::new(0),
                 trace: OnceLock::new(),
                 perturb: OnceLock::new(),
+                faults: OnceLock::new(),
                 host_sp: AtomicPtr::new(std::ptr::null_mut()),
                 aborting: AtomicBool::new(false),
             }),
@@ -739,6 +777,16 @@ impl Sim {
     /// exactly the unperturbed deterministic schedule.
     pub fn set_perturb(&mut self, cfg: crate::perturb::Perturb) {
         self.perturb = Some(cfg);
+    }
+
+    /// Plant `faults` in this world, once, before anything that reads
+    /// them runs (plans are built, flags raised, arrivals dispatched).
+    ///
+    /// # Panics
+    /// If faults were already planted.
+    pub fn set_faults(&mut self, faults: Faults) {
+        let planted = self.shared.faults.set(faults);
+        planted.expect("faults are planted once per world");
     }
 
     /// Handle for creating shared [`SimVar`](crate::SimVar)s.

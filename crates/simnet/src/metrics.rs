@@ -31,11 +31,6 @@ macro_rules! metrics {
                     $($name: self.$name.load(Ordering::Relaxed),)+
                 }
             }
-
-            /// Reset every counter to zero (between benchmark repetitions).
-            pub fn reset(&self) {
-                $(self.$name.store(0, Ordering::Relaxed);)+
-            }
         }
 
         impl MetricsSnapshot {
@@ -179,11 +174,6 @@ impl PlanByComm {
             .map(|(&c, &(h, m))| (c, h, m))
             .collect()
     }
-
-    /// Clear the breakdown (between benchmark repetitions).
-    pub fn reset(&self) {
-        self.inner.lock().expect("plan map poisoned").clear();
-    }
 }
 
 impl Metrics {
@@ -199,7 +189,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn snapshot_and_reset() {
+    fn snapshot_reads_counters() {
         let m = Metrics::default();
         m.shm_copies.fetch_add(3, Ordering::Relaxed);
         m.net_bytes.fetch_add(100, Ordering::Relaxed);
@@ -207,20 +197,16 @@ mod tests {
         assert_eq!(s.shm_copies, 3);
         assert_eq!(s.net_bytes, 100);
         assert_eq!(s.flag_ops, 0);
-        m.reset();
-        assert_eq!(m.snapshot(), MetricsSnapshot::default());
     }
 
     #[test]
-    fn plan_by_comm_tracks_and_resets() {
+    fn plan_by_comm_tracks_per_communicator() {
         let p = PlanByComm::default();
         p.miss(0);
         p.hit(0);
         p.hit(0);
         p.miss(3);
         assert_eq!(p.snapshot(), vec![(0, 2, 1), (3, 0, 1)]);
-        p.reset();
-        assert!(p.snapshot().is_empty());
     }
 
     #[test]

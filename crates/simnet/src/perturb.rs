@@ -340,10 +340,6 @@ impl PerturbState {
         }
     }
 
-    pub(crate) fn cfg(&self) -> &Perturb {
-        &self.cfg
-    }
-
     /// Jitter (and possibly hold back) one delivery from `src` to
     /// `dst` scheduled at `at`. Returns the perturbed delivery time:
     /// never earlier than `at`, and never earlier than the last

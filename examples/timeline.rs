@@ -19,10 +19,7 @@
 //! non-contiguous subgroup `[1, 3, 6]` runs an allreduce through its
 //! own communicator, so the swimlane headers also show the
 //! per-communicator plan-cache traffic the run generated (`comm 0` is
-//! the world; subgroups get fresh ids). Every plan compile also traces
-//! the planner's segment-routing decision as a `route:*` label —
-//! `route:staged` for the 2 KB broadcast, `route:direct` for the
-//! reduce_scatter — rendered in their own section.
+//! the world; subgroups get fresh ids).
 //!
 //! Output format:
 //!
@@ -136,24 +133,13 @@ fn main() {
         println!("comm {comm_id}{kind}: {hits} plan hits, {misses} plan misses");
     }
 
-    // The planner's segment-routing decisions, one `route:*` label per
-    // plan compile: the 2 KB broadcast stages through the landing
-    // buffers, the 64 KB reduce_scatter goes direct into the peer
-    // masters' scratch buffers.
-    let who_of = |lp: usize| names.get(lp).cloned().unwrap_or_else(|| format!("lp{lp}"));
+    // The 2 KB broadcast staged through the landing buffers; the 64 KB
+    // reduce_scatter went direct into the peer masters' scratch buffers.
     println!(
-        "\nSegment routes chosen at plan compile ({} direct puts issued):",
+        "{} direct puts issued\n",
         report.metrics.pairwise_direct_puts
     );
-    for e in trace.with_prefix("route:") {
-        println!(
-            "  {:>10} {:<6} {}",
-            format!("{}", e.at),
-            who_of(e.lp),
-            e.label
-        );
-    }
-    println!();
+    let who_of = |lp: usize| names.get(lp).cloned().unwrap_or_else(|| format!("lp{lp}"));
     print!("{}", trace.render(&names));
     println!("\n{} events traced", trace.len());
 

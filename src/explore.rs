@@ -42,8 +42,8 @@
 use crate::harness::{ragged_counts, Op};
 use collops::{reference_reduce, Collectives, DType, NonblockingCollectives, ReduceOp};
 use shmem::ShmBuffer;
-use simnet::{MachineConfig, Perturb, Sim, SimError, SimTime, SplitMix64, Topology};
-use srm::{SegmentRoute, SrmComm, SrmTuning, SrmWorld};
+use simnet::{Faults, MachineConfig, Perturb, Sim, SimError, SimTime, SplitMix64, Topology};
+use srm::{SrmComm, SrmTuning, SrmWorld};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
@@ -58,12 +58,14 @@ pub struct ExploreOpts {
     pub max_ops: usize,
     /// Allow subgroup-communicator steps.
     pub subgroups: bool,
-    /// Force every pairwise segment down one [`SegmentRoute`]
-    /// (`Direct` maps to `pairwise_direct_min = 0`, `Staged` to
-    /// `usize::MAX`); `None` keeps the default threshold. Both forced
-    /// sweeps must produce bit-identical results to the default one —
-    /// the CI smoke runs all three.
-    pub route: Option<SegmentRoute>,
+    /// The worlds' [`SrmTuning::pairwise_direct_min`]: 0 forces every
+    /// reduce_scatter segment down the direct route, `usize::MAX` down
+    /// the staged one. Both forced sweeps must produce bit-identical
+    /// results to the default one — the CI smoke runs all three.
+    pub pairwise_direct_min: usize,
+    /// Faults planted in every scenario's world: the sweep must then
+    /// *fail* (the `explore` binary's `--inject`).
+    pub faults: Faults,
 }
 
 impl Default for ExploreOpts {
@@ -73,7 +75,8 @@ impl Default for ExploreOpts {
             tpn: None,
             max_ops: 6,
             subgroups: true,
-            route: None,
+            pairwise_direct_min: SrmTuning::default().pairwise_direct_min,
+            faults: Faults::default(),
         }
     }
 }
@@ -495,10 +498,10 @@ pub fn repro_line(seed: u64, opts: &ExploreOpts) -> String {
     if !opts.subgroups {
         s.push_str(" --no-subgroups");
     }
-    match opts.route {
-        Some(SegmentRoute::Direct) => s.push_str(" --route direct"),
-        Some(SegmentRoute::Staged) => s.push_str(" --route staged"),
-        None => {}
+    match opts.pairwise_direct_min {
+        0 => s.push_str(" --route direct"),
+        usize::MAX => s.push_str(" --route staged"),
+        _ => {}
     }
     s
 }
@@ -631,47 +634,6 @@ fn verify_step(
     }
 }
 
-/// Run one collective step (blocking entry points).
-fn run_blocking(ctx: &simnet::Ctx, c: &SrmComm, op: Op, buf: &ShmBuffer, seg: usize, root: usize) {
-    let n = c.size();
-    match op {
-        Op::Bcast => c.broadcast(ctx, buf, seg, root),
-        Op::Reduce => c.reduce(ctx, buf, seg, DType::U64, ReduceOp::Sum, root),
-        Op::Allreduce => c.allreduce(ctx, buf, seg, DType::U64, ReduceOp::Sum),
-        Op::Barrier => c.barrier(ctx),
-        Op::Gather => c.gather(ctx, buf, seg, root),
-        Op::Scatter => c.scatter(ctx, buf, seg, root),
-        Op::Allgather => c.allgather(ctx, buf, seg),
-        Op::Alltoall => c.alltoall(ctx, buf, seg),
-        Op::Alltoallv => c.alltoallv(ctx, buf, seg, &ragged_counts(n, seg)),
-        Op::ReduceScatter => c.reduce_scatter(ctx, buf, seg, DType::U64, ReduceOp::Sum),
-    }
-}
-
-/// Issue one collective step nonblocking.
-fn issue_nb(
-    ctx: &simnet::Ctx,
-    c: &SrmComm,
-    op: Op,
-    buf: &ShmBuffer,
-    seg: usize,
-    root: usize,
-) -> collops::CollRequest {
-    let n = c.size();
-    match op {
-        Op::Bcast => c.ibroadcast(ctx, buf, seg, root),
-        Op::Reduce => c.ireduce(ctx, buf, seg, DType::U64, ReduceOp::Sum, root),
-        Op::Allreduce => c.iallreduce(ctx, buf, seg, DType::U64, ReduceOp::Sum),
-        Op::Barrier => c.ibarrier(ctx),
-        Op::Gather => c.igather(ctx, buf, seg, root),
-        Op::Scatter => c.iscatter(ctx, buf, seg, root),
-        Op::Allgather => c.iallgather(ctx, buf, seg),
-        Op::Alltoall => c.ialltoall(ctx, buf, seg),
-        Op::Alltoallv => c.ialltoallv(ctx, buf, seg, &ragged_counts(n, seg)),
-        Op::ReduceScatter => c.ireduce_scatter(ctx, buf, seg, DType::U64, ReduceOp::Sum),
-    }
-}
-
 /// Quiescence check: every contribution channel and master↔root
 /// handoff on every board this rank can see is drained — cumulative
 /// publish counts equal cumulative consume counts.
@@ -722,12 +684,9 @@ pub fn run_scenario(
     let n = topo.nprocs();
     let mut sim = Sim::new(MachineConfig::ibm_sp_colony());
     sim.set_perturb(scenario.perturb);
+    sim.set_faults(opts.faults);
     let tuning = SrmTuning {
-        pairwise_direct_min: match opts.route {
-            Some(SegmentRoute::Direct) => 0,
-            Some(SegmentRoute::Staged) => usize::MAX,
-            None => SrmTuning::default().pairwise_direct_min,
-        },
+        pairwise_direct_min: opts.pairwise_direct_min,
         ..SrmTuning::default()
     };
     let world = SrmWorld::new(&mut sim, topo, tuning);
@@ -810,8 +769,9 @@ pub fn run_scenario(
                 let total = s.op.buf_len(s.seg, csize);
                 let buf = c.alloc_buffer(total);
                 buf.with_mut(|d| d.copy_from_slice(&fill(me, i, total)));
+                let counts = s.op.counts(csize, s.seg);
                 if s.nonblocking {
-                    let req = issue_nb(&ctx, c, s.op, &buf, s.seg, s.root);
+                    let req = (s.op).issue(c, &ctx, &buf, s.seg, s.root, DType::U64, &counts);
                     outstanding.push((i, req, buf.clone(), s.comm));
                     if s.alias == AliasMode::SharedRoot {
                         // Second broadcast of the same step: the root
@@ -824,7 +784,7 @@ pub fn run_scenario(
                             b.with_mut(|d| d.copy_from_slice(&fill(me, i, total)));
                             b
                         };
-                        let req2 = issue_nb(&ctx, c, s.op, &buf2, s.seg, s.root);
+                        let req2 = (s.op).issue(c, &ctx, &buf2, s.seg, s.root, DType::U64, &counts);
                         outstanding.push((i, req2, buf2, s.comm));
                     }
                     // A slice of overlapped compute before the next step.
@@ -832,13 +792,14 @@ pub fn run_scenario(
                 } else {
                     drain(&ctx, &mut outstanding, &mut report);
                     let c = comm_of(s.comm).expect("membership is static");
-                    run_blocking(&ctx, c, s.op, &buf, s.seg, s.root);
+                    let run = || (s.op).call(c, &ctx, &buf, s.seg, s.root, DType::U64, &counts);
+                    run();
                     if s.alias == AliasMode::ChainBlocking {
                         // In-place chain: feed round 1's result straight
                         // back through the same buffer. Every rank now
                         // contributes the identical round-1 sum, so the
                         // expected result is that sum reduced n times.
-                        run_blocking(&ctx, c, s.op, &buf, s.seg, s.root);
+                        run();
                         let contribs: Vec<Vec<u8>> = (0..csize)
                             .map(|r| fill(r, i, total)[..s.seg].to_vec())
                             .collect();

@@ -3,10 +3,11 @@
 //! the mean virtual time per call — the paper's metric ("average
 //! execution time for 1000 calls of a given operation").
 
-use collops::{Collectives, DType, ReduceOp};
+use collops::{CollRequest, Collectives, DType, NonblockingCollectives, ReduceOp};
 use mpi_coll::MpiColl;
 use msg::{MsgWorld, Vendor};
-use simnet::{MachineConfig, MetricsSnapshot, Rank, Sim, SimTime, Topology};
+use shmem::ShmBuffer;
+use simnet::{Ctx, MachineConfig, MetricsSnapshot, Rank, Sim, SimTime, Topology};
 use srm::{SrmTuning, SrmWorld, TuneTable};
 use std::sync::{Arc, Mutex};
 
@@ -113,6 +114,73 @@ impl Op {
             Op::Gather | Op::Scatter | Op::Allgather | Op::ReduceScatter => (nprocs * len).max(8),
             Op::Alltoall | Op::Alltoallv => (2 * nprocs * len).max(8),
             _ => len.max(8),
+        }
+    }
+
+    /// The count matrix a call of this operation reads: the
+    /// [`ragged_counts`] for alltoallv — `nprocs²` entries, so built
+    /// once per rank and shape — and none for every other operation.
+    pub(crate) fn counts(self, nprocs: usize, len: usize) -> Vec<usize> {
+        if self == Op::Alltoallv {
+            ragged_counts(nprocs, len)
+        } else {
+            Vec::new()
+        }
+    }
+
+    /// One blocking call of this operation on `coll`, on a `len`-byte
+    /// payload (or segment) in `buf`: rooted at `root` where the
+    /// operation has a root, summing `dtype` elements where it reduces,
+    /// with `counts` as the alltoallv matrix.
+    #[allow(clippy::too_many_arguments)]
+    pub fn call(
+        self,
+        coll: &(impl Collectives + ?Sized),
+        ctx: &Ctx,
+        buf: &ShmBuffer,
+        len: usize,
+        root: Rank,
+        dtype: DType,
+        counts: &[usize],
+    ) {
+        match self {
+            Op::Bcast => coll.broadcast(ctx, buf, len, root),
+            Op::Reduce => coll.reduce(ctx, buf, len, dtype, ReduceOp::Sum, root),
+            Op::Allreduce => coll.allreduce(ctx, buf, len, dtype, ReduceOp::Sum),
+            Op::Barrier => coll.barrier(ctx),
+            Op::Gather => coll.gather(ctx, buf, len, root),
+            Op::Scatter => coll.scatter(ctx, buf, len, root),
+            Op::Allgather => coll.allgather(ctx, buf, len),
+            Op::Alltoall => coll.alltoall(ctx, buf, len),
+            Op::Alltoallv => coll.alltoallv(ctx, buf, len, counts),
+            Op::ReduceScatter => coll.reduce_scatter(ctx, buf, len, dtype, ReduceOp::Sum),
+        }
+    }
+
+    /// [`Op::call`]'s nonblocking twin: issue the operation and return
+    /// its request.
+    #[allow(clippy::too_many_arguments)]
+    pub fn issue(
+        self,
+        coll: &(impl NonblockingCollectives + ?Sized),
+        ctx: &Ctx,
+        buf: &ShmBuffer,
+        len: usize,
+        root: Rank,
+        dtype: DType,
+        counts: &[usize],
+    ) -> CollRequest {
+        match self {
+            Op::Bcast => coll.ibroadcast(ctx, buf, len, root),
+            Op::Reduce => coll.ireduce(ctx, buf, len, dtype, ReduceOp::Sum, root),
+            Op::Allreduce => coll.iallreduce(ctx, buf, len, dtype, ReduceOp::Sum),
+            Op::Barrier => coll.ibarrier(ctx),
+            Op::Gather => coll.igather(ctx, buf, len, root),
+            Op::Scatter => coll.iscatter(ctx, buf, len, root),
+            Op::Allgather => coll.iallgather(ctx, buf, len),
+            Op::Alltoall => coll.ialltoall(ctx, buf, len),
+            Op::Alltoallv => coll.ialltoallv(ctx, buf, len, counts),
+            Op::ReduceScatter => coll.ireduce_scatter(ctx, buf, len, dtype, ReduceOp::Sum),
         }
     }
 }
@@ -234,7 +302,7 @@ pub fn measure_with_table(
 
 #[allow(clippy::too_many_arguments)]
 fn run_rank(
-    ctx: &simnet::Ctx,
+    ctx: &Ctx,
     rank: Rank,
     nprocs: usize,
     coll: &(dyn Collectives + Send),
@@ -243,36 +311,15 @@ fn run_rank(
     iters: usize,
     out: &Samples,
 ) {
-    let buf = shmem::ShmBuffer::new(op.buf_len(len, nprocs));
-    let init = |b: &shmem::ShmBuffer| {
-        b.with_mut(|d| {
-            for (i, x) in d.iter_mut().enumerate() {
-                *x = (i as u8).wrapping_add(rank as u8);
-            }
-        })
-    };
-    init(&buf);
+    let buf = ShmBuffer::new(op.buf_len(len, nprocs));
+    buf.with_mut(|d| {
+        for (i, x) in d.iter_mut().enumerate() {
+            *x = (i as u8).wrapping_add(rank as u8);
+        }
+    });
+    let counts = op.counts(nprocs, len);
+    let one_call = |ctx: &Ctx| op.call(coll, ctx, &buf, len, 0, DType::F64, &counts);
 
-    // P² entries per rank: only for the one op that reads them.
-    let counts = if op == Op::Alltoallv {
-        ragged_counts(nprocs, len)
-    } else {
-        Vec::new()
-    };
-    let one_call = |ctx: &simnet::Ctx| match op {
-        Op::Bcast => coll.broadcast(ctx, &buf, len, 0),
-        Op::Reduce => coll.reduce(ctx, &buf, len, DType::F64, ReduceOp::Sum, 0),
-        Op::Allreduce => coll.allreduce(ctx, &buf, len, DType::F64, ReduceOp::Sum),
-        Op::Barrier => coll.barrier(ctx),
-        Op::Gather => coll.gather(ctx, &buf, len, 0),
-        Op::Scatter => coll.scatter(ctx, &buf, len, 0),
-        Op::Allgather => coll.allgather(ctx, &buf, len),
-        Op::Alltoall => coll.alltoall(ctx, &buf, len),
-        Op::Alltoallv => coll.alltoallv(ctx, &buf, len, &counts),
-        Op::ReduceScatter => coll.reduce_scatter(ctx, &buf, len, DType::F64, ReduceOp::Sum),
-    };
-
-    let _ = rank;
     // Warmup + sync.
     one_call(ctx);
     coll.barrier(ctx);

@@ -7,7 +7,7 @@
 
 use collops::{reference_reduce, Collectives, DType, NonblockingCollectives, ReduceOp};
 use simnet::{MachineConfig, MetricsSnapshot, Sim, Topology};
-use srm::plan::{BufRef, Step};
+use srm::plan::{BufRef, Hand, Step};
 use srm::{PlanShape, SrmComm, SrmTuning, SrmWorld};
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
@@ -250,14 +250,14 @@ fn exchange_plans_permute_the_wire_and_rotate_the_node() {
                             puts.push(to);
                         }
                         Step::ShmCopy {
-                            dst: BufRef::Contrib { slot: s },
+                            dst: BufRef::Hand(Hand::Slot(s)),
                             ..
                         } => {
                             assert_eq!(s, slot, "{what}: published in a foreign buffer");
                             published += 1;
                         }
                         Step::ShmCopy {
-                            src: BufRef::Contrib { slot: s },
+                            src: BufRef::Hand(Hand::Slot(s)),
                             ..
                         } => from.push(s),
                         _ => {}

@@ -8,21 +8,24 @@
 //! size. Alltoall and alltoallv have one wire and are held to the
 //! sequential reference.
 
-use collops::{Collectives, DType, ReduceOp};
+use collops::DType;
 use simnet::{MachineConfig, MetricsSnapshot, Perturb, Sim, Topology};
-use srm::{SegmentRoute, SrmTuning, SrmWorld};
+use srm::{SrmTuning, SrmWorld};
 use srm_cluster::{
     explore_sweep, ragged_counts, run_scenario, AliasMode, ExploreOpts, Op, ProgStep, Scenario,
 };
 use std::sync::{Arc, Mutex};
 
-/// A tuning that forces every reduce_scatter segment down `route`.
-fn forced(route: SegmentRoute) -> SrmTuning {
+/// The `pairwise_direct_min` that sends every reduce_scatter segment
+/// down the direct route, and the one that sends every one down the
+/// staged route.
+const DIRECT: usize = 0;
+const STAGED: usize = usize::MAX;
+
+/// A tuning with reduce_scatter's route switch at `pairwise_direct_min`.
+fn forced(pairwise_direct_min: usize) -> SrmTuning {
     SrmTuning {
-        pairwise_direct_min: match route {
-            SegmentRoute::Direct => 0,
-            SegmentRoute::Staged => usize::MAX,
-        },
+        pairwise_direct_min,
         ..SrmTuning::default()
     }
 }
@@ -69,14 +72,7 @@ fn run_op(
                     *x = initial(rank, i);
                 }
             });
-            match op {
-                Op::Alltoall => comm.alltoall(&ctx, &buf, len),
-                Op::Alltoallv => comm.alltoallv(&ctx, &buf, len, &counts),
-                Op::ReduceScatter => {
-                    comm.reduce_scatter(&ctx, &buf, len, DType::U64, ReduceOp::Sum)
-                }
-                _ => unreachable!("route equivalence covers the pairwise ops"),
-            }
+            op.call(&comm, &ctx, &buf, len, 0, DType::U64, &counts);
             out.lock().unwrap()[rank] = buf.with(|d| d.to_vec());
             comm.shutdown(&ctx);
         });
@@ -97,8 +93,8 @@ fn forced_routes_bit_exact_for_all_pairwise_ops() {
     let topo = Topology::new(3, 2);
     let n = topo.nprocs();
     for len in [8 * 1024usize, 64 * 1024, 128 * 1024] {
-        let (staged, ms) = run_op(topo, forced(SegmentRoute::Staged), Op::ReduceScatter, len);
-        let (direct, md) = run_op(topo, forced(SegmentRoute::Direct), Op::ReduceScatter, len);
+        let (staged, ms) = run_op(topo, forced(STAGED), Op::ReduceScatter, len);
+        let (direct, md) = run_op(topo, forced(DIRECT), Op::ReduceScatter, len);
         assert_eq!(staged, direct, "{len} B: routes disagree on the results");
         assert_eq!(ms.pairwise_direct_puts, 0, "{len}: staged went direct");
         assert!(ms.pairwise_puts > 0, "{len}: staged run must use the rings");
@@ -155,7 +151,7 @@ fn pinned_perturbed_pairwise_scenario_on_both_routes() {
         nonblocking,
         alias: AliasMode::None,
     };
-    for route in [SegmentRoute::Staged, SegmentRoute::Direct] {
+    for pairwise_direct_min in [STAGED, DIRECT] {
         let scenario = Scenario {
             nodes: 3,
             tpn: 2,
@@ -172,11 +168,13 @@ fn pinned_perturbed_pairwise_scenario_on_both_routes() {
         let opts = ExploreOpts {
             nodes: Some(3),
             tpn: Some(2),
-            route: Some(route),
+            pairwise_direct_min,
             ..ExploreOpts::default()
         };
         if let Err(f) = run_scenario(scenario.perturb.seed, scenario, &opts) {
-            panic!("pinned pairwise scenario failed on {route:?} route:\n{f}");
+            panic!(
+                "pinned pairwise scenario failed with the switch at {pairwise_direct_min}:\n{f}"
+            );
         }
     }
 }
@@ -187,15 +185,15 @@ fn pinned_perturbed_pairwise_scenario_on_both_routes() {
 /// perturbation surface (the CI smoke runs a larger such sweep).
 #[test]
 fn explorer_seeds_clean_under_forced_routes() {
-    for route in [SegmentRoute::Direct, SegmentRoute::Staged] {
+    for pairwise_direct_min in [DIRECT, STAGED] {
         let opts = ExploreOpts {
-            route: Some(route),
+            pairwise_direct_min,
             ..ExploreOpts::default()
         };
         let summary = explore_sweep(0, 6, &opts);
         assert!(
             summary.failures.is_empty(),
-            "forced {route:?} sweep failed:\n{}",
+            "sweep with the switch at {pairwise_direct_min} failed:\n{}",
             summary
                 .failures
                 .iter()

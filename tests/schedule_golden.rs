@@ -73,19 +73,12 @@ fn one_call(ctx: &Ctx, comm: &SrmComm, bufs: &[ShmBuffer], call: Call, len: usiz
     let buf = &bufs[0];
     match call {
         Call::Coll { op, last } => {
-            let root = root_of(last);
-            match op {
-                Op::Bcast => comm.broadcast(ctx, buf, len, root),
-                Op::Reduce => comm.reduce(ctx, buf, len, DType::U64, ReduceOp::Sum, root),
-                Op::Allreduce => comm.allreduce(ctx, buf, len, DType::U64, ReduceOp::Sum),
-                Op::Barrier => comm.barrier(ctx),
-                Op::Gather => comm.gather(ctx, buf, len, root),
-                Op::Scatter => comm.scatter(ctx, buf, len, root),
-                Op::Allgather => comm.allgather(ctx, buf, len),
-                Op::Alltoall => comm.alltoall(ctx, buf, len),
-                Op::Alltoallv => comm.alltoallv(ctx, buf, len, &ragged_counts(n, len)),
-                Op::ReduceScatter => comm.reduce_scatter(ctx, buf, len, DType::U64, ReduceOp::Sum),
-            }
+            let counts = if op == Op::Alltoallv {
+                ragged_counts(n, len)
+            } else {
+                Vec::new()
+            };
+            op.call(comm, ctx, buf, len, root_of(last), DType::U64, &counts)
         }
         Call::SmpBcast { last } => comm.broadcast(ctx, buf, len, root_of(last)),
         Call::Overlap => {
