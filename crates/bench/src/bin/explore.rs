@@ -208,7 +208,10 @@ fn parse() -> Args {
 fn stress(a: &Args, count: u64) -> ! {
     let defaults = ExploreOpts::default();
     if let Some(min) = a.route {
-        println!("route forcing: pairwise_direct_min = {min}");
+        let route = if min == 0 { "direct" } else { "staged" };
+        println!(
+            "route forcing: every reduce_scatter segment {route} (pairwise_direct_min = {min})"
+        );
     }
     let injecting = a.inject.is_some();
     let faults = match a.inject.as_deref() {
