@@ -206,13 +206,6 @@ fn parse() -> Args {
 
 /// Stress mode: sweep seeded perturbation scenarios and report.
 fn stress(a: &Args, count: u64) -> ! {
-    let defaults = ExploreOpts::default();
-    if let Some(min) = a.route {
-        let route = if min == 0 { "direct" } else { "staged" };
-        println!(
-            "route forcing: every reduce_scatter segment {route} (pairwise_direct_min = {min})"
-        );
-    }
     let injecting = a.inject.is_some();
     let faults = match a.inject.as_deref() {
         Some("raise-race") => {
@@ -238,14 +231,18 @@ fn stress(a: &Args, count: u64) -> ! {
         }
         _ => Faults::default(),
     };
-    let opts = ExploreOpts {
+    let mut opts = ExploreOpts {
         nodes: a.nodes_set.then_some(a.nodes),
         tpn: a.tpn_set.then_some(a.tpn),
         max_ops: a.max_ops,
         subgroups: a.subgroups,
-        pairwise_direct_min: a.route.unwrap_or(defaults.pairwise_direct_min),
         faults,
+        ..ExploreOpts::default()
     };
+    if let Some(min) = a.route {
+        println!("route forcing: every reduce_scatter segment, pairwise_direct_min = {min}");
+        opts.pairwise_direct_min = min;
+    }
     println!(
         "exploring {count} seed(s) from 0x{:016x} (topology {}, max {} ops, subgroups {})",
         a.start_seed,

@@ -593,12 +593,15 @@ impl SrmComm {
             }
             Step::AddrSend { to, src } => {
                 let handle = buf_of(self, &bases, buf, taken, scratch, src).clone();
-                let group = &self.comm.group;
-                let owner = group.comm_rank_of(to).expect("handle sent to a member");
+                let owner = self
+                    .group()
+                    .comm_rank_of(to)
+                    .expect("handle sent to a member");
                 // The mirror of `AddrTake`'s choice: a task on my
                 // node is handed the handle through shared memory.
                 if self.cnode_of(owner) == self.cnode() {
-                    (self.comm.mailbox).deposit(ctx, owner, self.crank(), handle);
+                    let mailbox = &self.comm.mailbox;
+                    mailbox.deposit(ctx, owner, self.crank(), handle);
                 } else {
                     metrics.engine_put_steps.fetch_add(1, Ordering::Relaxed);
                     self.rma
@@ -625,7 +628,7 @@ mod tests {
     /// not its node's master, so the `xfer` cell moves too.
     fn shapes(n: usize, len: usize) -> Vec<PlanShape> {
         use PlanShape as S;
-        let root = 1;
+        let (root, counts) = (1, vec![len; n * n].into());
         vec![
             S::Bcast { len, root },
             S::Reduce { len, root },
@@ -635,23 +638,29 @@ mod tests {
             S::Scatter { len, root },
             S::Allgather { len },
             S::Alltoall { len },
-            S::Alltoallv {
-                seg: len,
-                counts: vec![len; n * n].into(),
-            },
+            S::Alltoallv { seg: len, counts },
             S::ReduceScatter { len },
         ]
     }
 
+    /// How a call enters: blocking, nonblocking, or blocking behind a
+    /// non-empty pending queue (which routes it through issue + wait).
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Face {
+        Blocking,
+        Nonblocking,
+        BlockingBehindPending,
+    }
+
     /// One call of every shape moves the live sequence cells from
     /// `entry` to `entry + plan.advances` — at entry, and exactly once —
-    /// whichever of the three faces it enters through: blocking,
-    /// nonblocking, or blocking behind a non-empty pending queue.
+    /// whichever [`Face`] it enters through.
     #[test]
     fn every_face_relocates_the_cells_by_the_plan_totals_once() {
         let topo = Topology::new(2, 3);
         let (n, len) = (topo.nprocs(), 4096);
-        for face in ["blocking", "nonblocking", "blocking behind a pending call"] {
+        use Face::*;
+        for face in [Blocking, Nonblocking, BlockingBehindPending] {
             for shape in shapes(n, len) {
                 let mut sim = Sim::new(MachineConfig::ibm_sp_colony());
                 let world = SrmWorld::new(&mut sim, topo, SrmTuning::default());
@@ -665,9 +674,9 @@ mod tests {
                         let buf = comm.alloc_buffer(2 * n * len);
                         let op = Some((DType::U64, ReduceOp::Sum));
                         let key = comm.key(shape.clone());
-                        let what = format!("{face}, {shape:?}, rank {rank}");
+                        let what = format!("{face:?}, {shape:?}, rank {rank}");
                         // An outstanding barrier no rank can finish alone.
-                        let parked = (face == "blocking behind a pending call").then(|| {
+                        let parked = (face == Face::BlockingBehindPending).then(|| {
                             let none = ShmBuffer::new(0);
                             comm.nb_issue(&ctx, comm.key(PlanShape::Barrier), &none, None)
                         });
@@ -678,7 +687,7 @@ mod tests {
                         let moved: [u64; SEQ_BASES] =
                             std::array::from_fn(|i| entry[i] + advances[i]);
                         assert_ne!(moved, entry, "{what}: the shape moves no cell");
-                        if face == "nonblocking" {
+                        if face == Face::Nonblocking {
                             let id = comm.nb_issue(&ctx, key, &buf, op);
                             assert_eq!(cells(), moved, "{what}: at issue");
                             comm.nb_wait_id(&ctx, id);

@@ -774,8 +774,7 @@ impl SrmComm {
                     to: self.cmaster_of(my_node),
                     src: BufRef::User,
                 });
-            }
-            if multi && my == 0 {
+            } else if multi {
                 send_root_addr(b, BufRef::User);
             }
             // Consume every other local slot's segment.

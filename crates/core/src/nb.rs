@@ -340,9 +340,10 @@ impl SrmComm {
     /// blocking is scoped per communicator: only older calls on the
     /// *same* communicator contribute to a call's blocking mask.
     pub(crate) fn nb_progress(&self, ctx: &Ctx) {
+        let mut older: Vec<(u64, u8)> = Vec::new();
         loop {
             let mut progressed = false;
-            let mut older: Vec<(u64, u8)> = Vec::new();
+            older.clear();
             let mut i = 0;
             loop {
                 let mut q = self.shared.pending.lock().expect("queue poisoned");

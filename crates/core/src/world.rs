@@ -960,15 +960,6 @@ mod tests {
         group: Option<&[Rank]>,
         body: fn(&Ctx, &SrmComm, &ShmBuffer),
     ) -> Arc<CommState> {
-        run_comm_counted(topo, group, body).0
-    }
-
-    /// [`run_comm`], with the run's final counters.
-    fn run_comm_counted(
-        topo: Topology,
-        group: Option<&[Rank]>,
-        body: fn(&Ctx, &SrmComm, &ShmBuffer),
-    ) -> (Arc<CommState>, simnet::MetricsSnapshot) {
         let mut sim = Sim::new(MachineConfig::ibm_sp_colony());
         let world = SrmWorld::new(&mut sim, topo, SrmTuning::default());
         let handles = match group {
@@ -985,8 +976,8 @@ mod tests {
                 wcomm.shutdown(&ctx);
             });
         }
-        let report = sim.run().expect("simulation completes");
-        (handles[0].comm.clone(), report.metrics)
+        sim.run().expect("simulation completes");
+        handles[0].comm.clone()
     }
 
     #[test]
@@ -1086,12 +1077,17 @@ mod tests {
         // Gather rooted at rank 3, not its node's master: the root to
         // master 2 through shared memory — the same `AddrSend` step,
         // but no active message — master 2 to the other seven by AM.
-        let (gather, counted) =
-            run_comm_counted(topo, None, |ctx, comm, buf| comm.gather(ctx, buf, 64, 3));
+        // The root returns once every remote piece has landed, so every
+        // address message has been sent by then.
+        let gather = run_comm(topo, None, |ctx, comm, buf| {
+            comm.gather(ctx, buf, 64, 3);
+            if comm.rank() == 3 {
+                assert_eq!(ctx.metrics_snapshot().rma_ams, 7);
+            }
+        });
         let mut want: Vec<(usize, usize)> = (0..16).step_by(2).map(|m| (m, 2)).collect();
         want[1] = (2, 3);
         assert_eq!(mailbox_slots(&gather), want);
-        assert_eq!(counted.rma_ams, 7);
         // Alltoall: every ordered pair of ranks on different nodes.
         let alltoall = run_comm(topo, None, |ctx, comm, buf| {
             comm.alltoall(ctx, buf, 64 << 10)
