@@ -285,13 +285,13 @@ impl SrmComm {
                 // chunk, forward it down the tree, then consume it.
                 let forward =
                     |b: &mut PlanBuilder| self.plan_forward_landing_chunk(b, tree, rel, clen);
-                self.plan_pair_read_then(b, pair, rel, forward, mine);
+                self.plan_pair_read(b, pair, rel, forward, mine);
             } else if self.c_is_master() {
                 self.plan_tree_down(b, tree, rel, off, clen);
             } else {
                 // Plain reader: the put target is shared memory, so the
                 // data is consumed with a single copy.
-                self.plan_pair_read(b, pair, rel, mine);
+                self.plan_pair_read(b, pair, rel, |_| {}, mine);
             }
         }
         b.advance(SeqBase::Landing, chunks as u64);
@@ -630,7 +630,7 @@ impl SrmComm {
 
             if !self.c_is_master() {
                 // Consume the broadcast chunk from the landing buffer.
-                self.plan_pair_read(b, pair, lrel, Some((0, off, clen)));
+                self.plan_pair_read(b, pair, lrel, |_| {}, Some((0, off, clen)));
                 continue;
             }
             debug_assert!(has_acc, "master is the subtree root");
@@ -981,7 +981,7 @@ impl SrmComm {
         let read_block = |b: &mut PlanBuilder| {
             for (j, &(_, boff, plen)) in pieces[my_node].iter().enumerate() {
                 let mine = self.block_overlap(len, (boff, plen), my);
-                self.plan_pair_read(b, pair, lrel0 + j as u64, mine);
+                self.plan_pair_read(b, pair, lrel0 + j as u64, |_| {}, mine);
             }
         };
 

@@ -528,7 +528,7 @@ impl SrmComm {
             // My result segment's part of the piece.
             let mine = self.block_overlap(len, (blk, plen), my);
             if !is_root {
-                self.plan_pair_read(b, pair, lrel, mine);
+                self.plan_pair_read(b, pair, lrel, |_| {}, mine);
                 continue;
             }
             for s in peers() {

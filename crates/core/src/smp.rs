@@ -131,7 +131,7 @@ impl SrmComm {
     /// Reader leg of pair use `rel`: wait for my READY, run
     /// `after_wait` (a master's forwarding puts), copy my part out if I
     /// have one, release the side.
-    pub(crate) fn plan_pair_read_then(
+    pub(crate) fn plan_pair_read(
         &self,
         b: &mut PlanBuilder,
         pair: PairSel,
@@ -147,18 +147,6 @@ impl SrmComm {
             self.plan_pair_copy_out(b, pair, rel, copy);
         }
         b.push(Step::PairRelease { pair, side });
-    }
-
-    /// The plain reader leg: [`SrmComm::plan_pair_read_then`] with
-    /// nothing between the wait and the copy.
-    pub(crate) fn plan_pair_read(
-        &self,
-        b: &mut PlanBuilder,
-        pair: PairSel,
-        rel: u64,
-        copy: Option<(usize, usize, usize)>,
-    ) {
-        self.plan_pair_read_then(b, pair, rel, |_| {}, copy);
     }
 
     /// The parity side of handoff channel `hand` that use `rel` goes
@@ -253,7 +241,7 @@ impl SrmComm {
         clen: usize,
         rel: u64,
     ) {
-        self.plan_pair_read(b, PairSel::Smp, rel, Some((0, off, clen)));
+        self.plan_pair_read(b, PairSel::Smp, rel, |_| {}, Some((0, off, clen)));
     }
 
     /// Plan the flat double-buffer broadcast within the node: the
