@@ -96,19 +96,14 @@ pub fn children_ascending(kind: TreeKind, v: usize, size: usize) -> Vec<usize> {
     c
 }
 
+/// Hops from vertex `v` up to the root.
+pub fn depth(kind: TreeKind, v: usize, size: usize) -> usize {
+    std::iter::successors(Some(v), |&u| parent(kind, u, size)).count() - 1
+}
+
 /// Height (number of dependent hops root→deepest leaf) of the tree.
 pub fn height(kind: TreeKind, size: usize) -> usize {
-    let mut h = 0;
-    for v in 1..size {
-        let mut d = 0;
-        let mut cur = v;
-        while let Some(p) = parent(kind, cur, size) {
-            cur = p;
-            d += 1;
-        }
-        h = h.max(d);
-    }
-    h
+    (0..size).map(|v| depth(kind, v, size)).max().unwrap_or(0)
 }
 
 /// Parent table of the round-based postal tree: in every round each

@@ -49,7 +49,7 @@
 //! the steps ([`Plan::advances`](crate::plan::Plan)), applied when the
 //! call enters.
 
-use crate::embed::GroupTree;
+use crate::embed::{depth, GroupTree};
 use crate::plan::{
     BufRef, Chan, ChanKind, CopyCost, CtrRef, FlagRef, Hand, Off, PairSel, PlanBuilder, SeqBase,
     Side, Step, Until, Val, WaitCell,
@@ -608,46 +608,72 @@ impl SrmComm {
         self.plan_smp_bcast(b, len, self.cmaster_of(self.cnode()));
     }
 
-    /// Above 16 KB: the four-stage pipeline of Figure 5 — per chunk:
-    /// intra-node reduce, inter-node reduce toward group node 0,
-    /// inter-node broadcast away from group node 0, intra-node
-    /// broadcast. One-sided puts let the stages of consecutive chunks
-    /// overlap.
+    /// Above 16 KB: the four-stage pipeline of Figure 5 — per chunk an
+    /// **up half** (intra-node reduce, inter-node reduce toward group
+    /// node 0, whose master also starts the chunk's broadcast: the next
+    /// chunk overwrites the accumulator that holds it) and a **down
+    /// half** (inter-node broadcast away from group node 0, intra-node
+    /// broadcast), software-pipelined by [`Self::allreduce_skew`].
     fn plan_allreduce_large(&self, b: &mut PlanBuilder, len: usize) {
+        self.plan_allreduce_skewed(b, len, self.allreduce_skew());
+    }
+
+    /// How many chunks my down half runs behind my up half: 0 on group
+    /// node 0's master (it has no down half), `1 + depth(node)`
+    /// elsewhere — derived from the tree, not tuned. A master sends
+    /// chunk `j` down only after its own `up(j + d)`, which needs its
+    /// children's `up(j + d)`: a child at the same skew would still sit
+    /// behind its `down(j − 1)`, two wire hops per chunk, so every level
+    /// runs one chunk further ahead than its parent. Bounds: the ranks
+    /// of a node share one skew (a non-master behind its master would
+    /// deadlock the node), and node 0's non-masters may lead their
+    /// master by at most the two contribution plus two landing sides.
+    /// Up-leg cells (contribution sides, `Reduce` channels and credits)
+    /// are freed by up-leg steps only and down-leg cells (`Landing`
+    /// pair, `Bcast` channels) by down-leg steps only, so no wait
+    /// crosses the legs except through program order.
+    fn allreduce_skew(&self) -> usize {
+        let root_master = self.cnode() == 0 && self.c_is_master();
+        usize::from(!root_master) * (1 + depth(self.tree(), self.cnode(), self.cnodes()))
+    }
+
+    /// Iteration `i` emits `up(i)`, then `down(i − d)`.
+    fn plan_allreduce_skewed(&self, b: &mut PlanBuilder, len: usize, d: usize) {
         let tree = self.group().tree(0, self.cnode());
         let chunk = self.tuning().reduce_chunk;
         let chunks = SrmTuning::chunk_count(len, chunk);
         let rel0 = b.rel(SeqBase::Reduce);
         let lrel0 = b.rel(SeqBase::Landing);
         let pair = PairSel::Landing;
+        let (master, on_root) = (self.c_is_master(), self.cnode() == 0);
+        let span = |k: usize| (k * chunk, chunk.min(len - k * chunk), lrel0 + k as u64);
 
-        for k in 0..chunks {
-            let off = k * chunk;
-            let clen = chunk.min(len - off);
-            let rel = rel0 + k as u64;
-            let lrel = lrel0 + k as u64;
-            let has_acc = self.plan_smp_reduce_chunk(b, off, clen, rel, 0);
-
-            if !self.c_is_master() {
+        for i in 0..chunks + d {
+            if i < chunks {
+                let ((off, clen, lrel), rel) = (span(i), rel0 + i as u64);
+                let has_acc = self.plan_smp_reduce_chunk(b, off, clen, rel, 0);
+                if master {
+                    debug_assert!(has_acc, "master is the subtree root");
+                    self.plan_tree_up(b, &tree, rel, clen);
+                }
+                if master && on_root {
+                    self.plan_pair_write(b, pair, lrel, (BufRef::Acc, Off::Lit(0)), clen, 1);
+                    self.plan_forward_landing_chunk(b, &tree, lrel, clen);
+                    plan_acc_to_user(b, off, clen);
+                }
+            }
+            let Some((off, clen, lrel)) = i.checked_sub(d).map(span) else {
+                continue;
+            };
+            if !master {
                 // Consume the broadcast chunk from the landing buffer.
                 self.plan_pair_read(b, pair, lrel, |_| {}, Some((0, off, clen)));
-                continue;
-            }
-            debug_assert!(has_acc, "master is the subtree root");
-            self.plan_tree_up(b, &tree, rel, clen);
-            if self.cnode() != 0 {
-                // Wait for the combined chunk to come back, forward,
-                // distribute locally.
+            } else if !on_root {
+                // The combined chunk comes back: forward, distribute.
                 self.plan_tree_down(b, &tree, lrel, off, clen);
-            } else {
-                // Group node 0: the chunk is fully combined; start the
-                // broadcast leg from here.
-                self.plan_pair_write(b, pair, lrel, (BufRef::Acc, Off::Lit(0)), clen, 1);
-                self.plan_forward_landing_chunk(b, &tree, lrel, clen);
-                plan_acc_to_user(b, off, clen);
             }
         }
-        if self.c_is_master() {
+        if master {
             // The tree root's own contribution channel went unused.
             self.plan_contrib_catchup(b, rel0 + chunks as u64);
         }
@@ -1081,5 +1107,34 @@ impl SrmComm {
         }
         self.plan_gather(b, len, 0);
         self.plan_bcast(b, self.csize() * len, 0);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use simnet::{MachineConfig, Sim, Topology};
+
+    /// The large allreduce's skew reorders each rank's steps without
+    /// changing them — also where it exceeds the five chunks (16 nodes).
+    #[test]
+    fn allreduce_skew_only_reorders_each_ranks_steps() {
+        for nodes in [1, 5, 16] {
+            let mut sim = Sim::new(MachineConfig::ibm_sp_colony());
+            let world =
+                crate::SrmWorld::new(&mut sim, Topology::new(nodes, 3), SrmTuning::default());
+            for comm in (0..3 * nodes).map(|rank| world.comm(rank)) {
+                let sorted = |d| {
+                    let mut b = PlanBuilder::default();
+                    comm.plan_allreduce_skewed(&mut b, 80 << 10, d);
+                    let steps = b.finish().steps;
+                    let mut s: Vec<_> = steps.iter().map(|s| format!("{s:?}")).collect();
+                    s.sort();
+                    s
+                };
+                let what = format!("{nodes} nodes, rank {}", comm.rank());
+                assert_eq!(sorted(comm.allreduce_skew()), sorted(0), "{what}");
+            }
+        }
     }
 }
