@@ -106,10 +106,7 @@ impl SrmModel {
             let per_hop = self.put_time(chunk);
             // The root serializes its children's copies on one adapter:
             // the bottleneck interval is fanout x wire time.
-            let fanout = crate::embed::children(self.tuning.tree, 0, self.topo.nodes())
-                .len()
-                .max(1) as u64;
-            let interval = self.cfg.net_per_byte.cost_of(chunk) * fanout;
+            let interval = self.cfg.net_per_byte.cost_of(chunk) * self.root_fanout();
             let smp_cells = SrmTuning::chunk_count(chunk, SrmTuning::SMP_BUF) as u64;
             addr + per_hop * hops
                 + interval * (chunks - 1)
@@ -134,13 +131,10 @@ impl SrmModel {
         // Inter-node: each hop ships a chunk and combines it.
         let hop = self.put_time(chunk) + self.cfg.reduce_cost(chunk);
         let hops = self.net_hops();
-        // Steady-state interval: the root drains `fanout` children per
-        // chunk — inbound adapter serialization plus one combine each —
-        // and its node contributes one intra-node chunk.
-        let fanout = self.root_fanout();
-        let interval = (self.cfg.net_per_byte.cost_of(chunk) + self.cfg.reduce_cost(chunk))
-            * fanout
-            + self.cfg.reduce_cost(chunk);
+        // Steady-state interval: the slower of the root's master (one
+        // combine per child) and its adapter's inbound port.
+        let wire = self.cfg.net_per_byte.cost_of(chunk) * self.root_fanout();
+        let interval = (self.cfg.reduce_cost(chunk) * self.root_folds()).max(wire);
         smp + hop * hops + interval * (chunks - 1)
     }
 
@@ -149,6 +143,13 @@ impl SrmModel {
         crate::embed::children(self.tuning.tree, 0, self.topo.nodes())
             .len()
             .max(1) as u64
+    }
+
+    /// Combines the root node's master runs per chunk: one per child
+    /// slot of its intra-node tree and one per child node.
+    fn root_folds(&self) -> u64 {
+        let p = self.topo.tasks_per_node();
+        crate::embed::children(self.tuning.tree, 0, p).len() as u64 + self.root_fanout()
     }
 
     /// Predicted allreduce latency.
@@ -169,9 +170,10 @@ impl SrmModel {
             let round = self.put_time(len) + self.cfg.reduce_cost(len);
             smp_reduce + round * (rounds + extra) + self.stage(len) + self.smp_chunk_out(len)
         } else {
-            // Four-stage pipeline ≈ reduce to node 0 + broadcast back,
-            // overlapped chunk-wise: one full traversal plus the
-            // bottleneck interval per extra chunk.
+            // Four-stage pipeline: one full traversal (reduce to node 0,
+            // broadcast back) plus the bottleneck interval per extra
+            // chunk — the down leg trails the up leg, so a chunk's
+            // round trip is paid once, not per chunk.
             let chunk = self.tuning.reduce_chunk;
             let chunks = SrmTuning::chunk_count(len, chunk) as u64;
             let hop_r = self.put_time(chunk) + self.cfg.reduce_cost(chunk);
@@ -182,15 +184,13 @@ impl SrmModel {
                 + self.cfg.reduce_cost(chunk) * height(self.tuning.tree, p) as u64
                 + self.stage(chunk)
                 + self.smp_chunk_out(chunk);
-            // Steady-state interval: node 0 takes `fanout` chunks in
-            // (wire + combine each), then pushes `fanout` copies back
-            // out through the same adapter, staging and distributing
-            // its own copy meanwhile.
-            let fanout = self.root_fanout();
-            let wire = self.cfg.net_per_byte.cost_of(chunk);
-            let interval = (wire * 2 + self.cfg.reduce_cost(chunk)) * fanout
-                + self.stage(chunk)
-                + self.smp_chunk_out(chunk);
+            // Steady-state interval: the slower of node 0's master —
+            // reduce's combines, then staging the result for both
+            // broadcasts — and its adapter, which takes `fanout` chunks
+            // in and sends `fanout` out on separate ports.
+            let busy = self.cfg.reduce_cost(chunk) * self.root_folds() + self.stage(chunk);
+            let wire = self.cfg.net_per_byte.cost_of(chunk) * self.root_fanout();
+            let interval = busy.max(wire);
             smp + (hop_r + hop_b) * hops + interval * (chunks - 1)
         }
     }

@@ -9,6 +9,9 @@ use srm::{SrmModel, SrmTuning};
 use srm_cluster::{measure, HarnessOpts, Impl, Op};
 
 const MAX_FACTOR: f64 = 2.5;
+/// Allreduce is held tighter: its large term is the busy time of group
+/// node 0's master, which the skewed pipeline actually runs at.
+const ALLREDUCE_FACTOR: f64 = 1.5;
 
 #[test]
 fn model_within_factor_of_simulation() {
@@ -49,8 +52,13 @@ fn model_within_factor_of_simulation() {
             )
             .per_call;
             let ratio = sim.as_us() / predicted.as_us();
+            let factor = if op == Op::Allreduce {
+                ALLREDUCE_FACTOR
+            } else {
+                MAX_FACTOR
+            };
             assert!(
-                (1.0 / MAX_FACTOR..MAX_FACTOR).contains(&ratio),
+                (1.0 / factor..factor).contains(&ratio),
                 "{} {}B on {} nodes: model {predicted} vs sim {sim} (x{ratio:.2})",
                 op.name(),
                 len,
@@ -86,6 +94,35 @@ fn alltoall_within_tight_factor_of_simulation() {
         assert!(
             (1.0 / MAX_FACTOR..MAX_FACTOR).contains(&ratio),
             "alltoall {len}B on {nodes}x{tpn}: model {predicted} vs sim {sim} (x{ratio:.2})"
+        );
+    }
+}
+
+/// The large allreduce overlaps its reduce and broadcast legs across
+/// chunks, so it must not cost more than running the two one after the
+/// other (it did, by 1.5-2x, while the legs ran in lock step).
+#[test]
+fn large_allreduce_is_no_slower_than_reduce_then_broadcast() {
+    let machine = MachineConfig::ibm_sp_colony();
+    for (nodes, tpn, len) in [
+        (4usize, 16usize, 128usize << 10),
+        (4, 16, 1 << 20),
+        (16, 4, 256 << 10),
+    ] {
+        let topo = Topology::new(nodes, tpn);
+        let us = |op| {
+            let opts = HarnessOpts {
+                iters: 2,
+                ..Default::default()
+            };
+            measure(Impl::Srm, machine.clone(), topo, op, len, opts)
+                .per_call
+                .as_us()
+        };
+        let (all, parts) = (us(Op::Allreduce), us(Op::Reduce) + us(Op::Bcast));
+        assert!(
+            all <= 1.1 * parts,
+            "{len}B on {nodes}x{tpn}: allreduce {all:.1} us vs reduce + broadcast {parts:.1} us"
         );
     }
 }
