@@ -23,6 +23,10 @@
 //!   --route direct|staged  force every reduce_scatter segment down
 //!                          one route (direct: pairwise_direct_min =
 //!                          0, staged: usize::MAX)
+//!   --tree-scale K         multiply broadcast/reduce/allreduce lengths
+//!                          by K (default 1): 8 or 16 reaches the
+//!                          chunked reduce and allreduce pipelines and
+//!                          the large broadcast
 //!   --inject raise-race    fault injection: revert SpinFlag::raise to
 //!                          a non-monotone store; the sweep must CATCH
 //!                          it (exit 0 on detection, 1 on a miss)
@@ -81,13 +85,14 @@ struct Args {
     subgroups: bool,
     /// `--route`: the `pairwise_direct_min` that forces it.
     route: Option<usize>,
+    tree_scale: usize,
     inject: Option<String>,
 }
 
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}\n");
     eprintln!("usage: explore [--op OP] [--nodes N] [--tpn P] [--bytes B,..] [--impl I] [--machine M] [--iters K] [--tree T]");
-    eprintln!("       explore --seeds N [--start-seed S] [--nodes N] [--tpn P] [--max-ops K] [--no-subgroups] [--route direct|staged] [--inject raise-race|am-stall-race]");
+    eprintln!("       explore --seeds N [--start-seed S] [--nodes N] [--tpn P] [--max-ops K] [--no-subgroups] [--route direct|staged] [--tree-scale K] [--inject raise-race|am-stall-race]");
     std::process::exit(2)
 }
 
@@ -116,6 +121,7 @@ fn parse() -> Args {
         max_ops: 6,
         subgroups: true,
         route: None,
+        tree_scale: 1,
         inject: None,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -159,6 +165,9 @@ fn parse() -> Args {
                     "staged" => usize::MAX,
                     _ => usage("bad --route (direct|staged)"),
                 })
+            }
+            "--tree-scale" => {
+                a.tree_scale = val.parse().unwrap_or_else(|_| usage("bad --tree-scale"))
             }
             "--inject" => {
                 if val != "raise-race" && val != "am-stall-race" {
@@ -237,6 +246,7 @@ fn stress(a: &Args, count: u64) -> ! {
         max_ops: a.max_ops,
         subgroups: a.subgroups,
         faults,
+        tree_scale: a.tree_scale,
         ..ExploreOpts::default()
     };
     if let Some(min) = a.route {
@@ -244,7 +254,8 @@ fn stress(a: &Args, count: u64) -> ! {
         opts.pairwise_direct_min = min;
     }
     println!(
-        "exploring {count} seed(s) from 0x{:016x} (topology {}, max {} ops, subgroups {})",
+        "exploring {count} seed(s) from 0x{:016x} (topology {}, max {} ops, subgroups {}, \
+         tree ops x{})",
         a.start_seed,
         if a.nodes_set || a.tpn_set {
             format!(
@@ -257,6 +268,7 @@ fn stress(a: &Args, count: u64) -> ! {
         },
         a.max_ops,
         if a.subgroups { "on" } else { "off" },
+        a.tree_scale,
     );
     let mut explored = 0;
     let mut summary = srm_cluster::ExploreSummary::default();

@@ -66,6 +66,12 @@ pub struct ExploreOpts {
     /// Faults planted in every scenario's world: the sweep must then
     /// *fail* (the `explore` binary's `--inject`).
     pub faults: Faults,
+    /// Multiplier on the lengths of the tree operations (broadcast,
+    /// reduce, allreduce). The grammar's segments stop at 8 960 bytes —
+    /// recursive-doubling allreduces, single-chunk reduces and
+    /// broadcasts — so 8 or 16 is what reaches the chunked pipelines.
+    /// 1 (the default) derives every seed's scenario unchanged.
+    pub tree_scale: usize,
 }
 
 impl Default for ExploreOpts {
@@ -77,6 +83,7 @@ impl Default for ExploreOpts {
             subgroups: true,
             pairwise_direct_min: SrmTuning::default().pairwise_direct_min,
             faults: Faults::default(),
+            tree_scale: 1,
         }
     }
 }
@@ -435,6 +442,10 @@ pub fn derive_scenario(seed: u64, opts: &ExploreOpts) -> Scenario {
             SEGS[sm.below(SEGS.len() as u64) as usize]
         };
         let op = ALL_OPS[sm.below(ALL_OPS.len() as u64) as usize];
+        let seg = match op {
+            Op::Bcast | Op::Reduce | Op::Allreduce => seg * opts.tree_scale,
+            _ => seg,
+        };
         let root = sm.below(csize as u64) as usize;
         let nonblocking = sm.below(10) < 4;
         // Aliasing patterns ride on the ops whose contracts they
@@ -502,6 +513,9 @@ pub fn repro_line(seed: u64, opts: &ExploreOpts) -> String {
         0 => s.push_str(" --route direct"),
         usize::MAX => s.push_str(" --route staged"),
         _ => {}
+    }
+    if opts.tree_scale != 1 {
+        s.push_str(&format!(" --tree-scale {}", opts.tree_scale));
     }
     s
 }
@@ -1053,5 +1067,26 @@ mod tests {
             assert_eq!((s.nodes, s.tpn), (4, 2));
         }
         assert!(repro_line(7, &opts).contains("--nodes 4 --tpn 2"));
+    }
+
+    #[test]
+    fn tree_scale_stretches_the_tree_ops_only() {
+        let scaled = ExploreOpts {
+            tree_scale: 8,
+            ..ExploreOpts::default()
+        };
+        for seed in 0..50 {
+            let (a, b) = (
+                derive_scenario(seed, &ExploreOpts::default()),
+                derive_scenario(seed, &scaled),
+            );
+            for (x, y) in a.steps.iter().zip(&b.steps) {
+                let tree = matches!(x.op, Op::Bcast | Op::Reduce | Op::Allreduce);
+                assert_eq!(y.seg, x.seg * if tree { 8 } else { 1 });
+                assert_eq!((x.op, x.comm, x.root), (y.op, y.comm, y.root));
+            }
+        }
+        assert!(repro_line(7, &scaled).ends_with("--tree-scale 8"));
+        assert!(!repro_line(7, &ExploreOpts::default()).contains("tree-scale"));
     }
 }

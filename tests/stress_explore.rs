@@ -61,6 +61,20 @@ fn smoke_sweep_without_subgroups() {
     assert_clean(&summary);
 }
 
+/// Tree-op lengths x8: chunked reduces, multi-chunk pipelined
+/// allreduces (the grammar alone stops at recursive doubling) and large
+/// broadcasts, under the same perturbations and invariants.
+#[test]
+fn smoke_sweep_scaled_tree_ops() {
+    let opts = ExploreOpts {
+        tree_scale: 8,
+        ..ExploreOpts::default()
+    };
+    let summary = explore_sweep(300, 16, &opts);
+    assert_clean(&summary);
+    assert_eq!(summary.explored, 16);
+}
+
 /// The v2 grammar actually reaches its new constructs: within a small
 /// seed prefix, at least one derived scenario schedules a step on a
 /// `comm_split` communicator and at least one carries a buffer-aliasing
