@@ -21,13 +21,25 @@
 //!    per-round consumer hand-over) and a rotating-root scatter and
 //!    broadcast program that still hands the pair's writer role around.
 //!
+//! 3. **The skewed allreduce pipeline** is not a found bug but the
+//!    schedule most exposed to one: its down leg runs `1 + tree depth`
+//!    chunks behind its up leg, so chunks of one call are in flight on
+//!    the contribution sides, the landing pair and both channel
+//!    families at once. Five-chunk allreduces are swept with the
+//!    straggler where the skew is largest and where the lead is
+//!    bounded by buffer sides, back to back (parity continuity),
+//!    outstanding beside a broadcast, and on an uneven split part.
+//!
 //! Both bugs depended on `SpinFlag::raise` monotonicity for their fix,
 //! so these sweeps (run with the monotone default ON — see
 //! `tests/fault_injection.rs` for the reverted variant) pin exactly the
 //! behaviour the fault-injection detector checks from the other side.
 
 use simnet::{Perturb, SimTime};
-use srm_cluster::{explore_one, run_scenario, AliasMode, ExploreOpts, Op, ProgStep, Scenario};
+use srm::{embed::depth, TreeKind};
+use srm_cluster::{
+    explore_one, run_scenario, AliasMode, ExploreOpts, Op, ProgStep, Scenario, SplitSpec,
+};
 
 fn step(op: Op, seg: usize, root: usize, nonblocking: bool) -> ProgStep {
     ProgStep {
@@ -43,12 +55,24 @@ fn step(op: Op, seg: usize, root: usize, nonblocking: bool) -> ProgStep {
 /// Run a hand-built world-only program on `nodes`x`tpn` under `perturb`
 /// and panic with the harness's reproducer on any failure.
 fn run_pinned(nodes: usize, tpn: usize, steps: Vec<ProgStep>, perturb: Perturb) {
+    run_pinned_split(nodes, tpn, Vec::new(), steps, perturb)
+}
+
+/// [`run_pinned`] with `comm_split` partitions: a step's `comm` index
+/// `k > 0` runs on split `k - 1`.
+fn run_pinned_split(
+    nodes: usize,
+    tpn: usize,
+    splits: Vec<SplitSpec>,
+    steps: Vec<ProgStep>,
+    perturb: Perturb,
+) {
     let scenario = Scenario {
         nodes,
         tpn,
         perturb,
         groups: Vec::new(),
-        splits: Vec::new(),
+        splits,
         steps,
     };
     let opts = ExploreOpts {
@@ -152,5 +176,53 @@ fn pair_handoff_alltoallv_stall_straggler() {
     // The exact seed whose derived scenario exposed the handoff race.
     if let Err(f) = explore_one(0x65, &ExploreOpts::default()) {
         panic!("historic pair-handoff seed regressed:\n{f}");
+    }
+}
+
+/// Five-chunk allreduces through the skewed pipeline. The straggler
+/// sits on the deepest node's master (largest skew: everything below
+/// node 0 waits on its up leg) and on a node-0 non-master (the rank
+/// whose lead over its master is bounded by the two contribution and
+/// two landing sides). Two calls back to back carry odd chunk counts,
+/// so the second starts on the other parity of both the `Reduce` and
+/// the `Landing` sides, and the broadcast and reduce behind them take
+/// those sides over; then an allreduce and a broadcast are outstanding
+/// together; last, a block split whose first part holds two ranks of
+/// one node and one of the next.
+#[test]
+fn skewed_allreduce_pipeline_under_perturbation() {
+    let chunk = 16 << 10;
+    for (nodes, tpn) in [(4, 2), (3, 3), (2, 8), (8, 2)] {
+        let n = nodes * tpn;
+        let deepest = (0..nodes)
+            .max_by_key(|&v| depth(TreeKind::Binomial, v, nodes))
+            .expect("at least one node");
+        for (k, straggler) in [deepest * tpn, 1].into_iter().enumerate() {
+            let seed = 0xa11_0000 + (n * 2 + k) as u64;
+            let perturb = Perturb::standard(seed).with_straggler(straggler, SimTime::from_us(60));
+            let on_split = |s: ProgStep| ProgStep { comm: 1, ..s };
+            run_pinned_split(
+                nodes,
+                tpn,
+                vec![SplitSpec {
+                    ncolors: 3,
+                    block: true,
+                    rev: false,
+                    exclude: None,
+                }],
+                vec![
+                    step(Op::Allreduce, 5 * chunk, 0, false),
+                    step(Op::Allreduce, 5 * chunk, 0, false),
+                    step(Op::Bcast, 24 << 10, n - 1, false),
+                    step(Op::Reduce, 3 * chunk, 1, false),
+                    step(Op::Allreduce, 5 * chunk, 0, true),
+                    step(Op::Bcast, 24 << 10, 0, true),
+                    on_split(step(Op::Allreduce, 5 * chunk, 0, false)),
+                    on_split(step(Op::Allreduce, 2 * chunk + 8, 0, true)),
+                    step(Op::Allreduce, 5 * chunk, 0, false),
+                ],
+                perturb,
+            );
+        }
     }
 }
