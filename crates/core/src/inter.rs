@@ -480,12 +480,12 @@ impl SrmComm {
     // ----------------------------------------------------------------
 
     /// Plan an allreduce: recursive doubling between nodes up to 16 KB,
-    /// the four-stage pipeline above (§2.4, Figure 5); past
-    /// [`allreduce_rs_min`](crate::SrmTuning::allreduce_rs_min) (when
-    /// the payload splits evenly) the Rabenseifner composition —
-    /// reduce-scatter over the pairwise subsystem, then allgather —
-    /// which moves each byte over the wire only `2(P-1)/P` times
-    /// instead of streaming the full vector through every node.
+    /// the four-stage pipeline above (§2.4, Figure 5). Past
+    /// [`allreduce_rs_min`](crate::SrmTuning::allreduce_rs_min) (off by
+    /// default; the payload must split evenly) the Rabenseifner
+    /// composition instead — reduce-scatter over the pairwise
+    /// subsystem, then allgather: `2(P-1)/P` wire crossings per byte,
+    /// yet slower than the pipeline at every shape measured.
     pub(crate) fn plan_allreduce(&self, b: &mut PlanBuilder, len: usize) {
         if len == 0 || self.csize() == 1 {
             return;
