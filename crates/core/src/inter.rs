@@ -515,7 +515,7 @@ impl SrmComm {
         if len <= t.allreduce_rd_max {
             self.plan_allreduce_small(b, len);
         } else {
-            self.plan_allreduce_large(b, len);
+            self.plan_allreduce_large(b, len, self.allreduce_skew());
         }
         if toggles {
             b.push(Step::SetInterrupts(true));
@@ -608,16 +608,6 @@ impl SrmComm {
         self.plan_smp_bcast(b, len, self.cmaster_of(self.cnode()));
     }
 
-    /// Above 16 KB: the four-stage pipeline of Figure 5 — per chunk an
-    /// **up half** (intra-node reduce, inter-node reduce toward group
-    /// node 0, whose master also starts the chunk's broadcast: the next
-    /// chunk overwrites the accumulator that holds it) and a **down
-    /// half** (inter-node broadcast away from group node 0, intra-node
-    /// broadcast), software-pipelined by [`Self::allreduce_skew`].
-    fn plan_allreduce_large(&self, b: &mut PlanBuilder, len: usize) {
-        self.plan_allreduce_skewed(b, len, self.allreduce_skew());
-    }
-
     /// How many chunks my down half runs behind my up half: 0 on group
     /// node 0's master (it has no down half), `1 + depth(node)`
     /// elsewhere — derived from the tree, not tuned. A master sends
@@ -633,12 +623,20 @@ impl SrmComm {
     /// pair, `Bcast` channels) by down-leg steps only, so no wait
     /// crosses the legs except through program order.
     fn allreduce_skew(&self) -> usize {
-        let root_master = self.cnode() == 0 && self.c_is_master();
-        usize::from(!root_master) * (1 + depth(self.tree(), self.cnode(), self.cnodes()))
+        if self.cnode() == 0 && self.c_is_master() {
+            return 0;
+        }
+        1 + depth(self.tree(), self.cnode(), self.cnodes())
     }
 
-    /// Iteration `i` emits `up(i)`, then `down(i − d)`.
-    fn plan_allreduce_skewed(&self, b: &mut PlanBuilder, len: usize, d: usize) {
+    /// Above 16 KB: the four-stage pipeline of Figure 5 — per chunk an
+    /// **up half** (intra-node reduce, inter-node reduce toward group
+    /// node 0, whose master also starts the chunk's broadcast: the next
+    /// chunk overwrites the accumulator that holds it) and a **down
+    /// half** (inter-node broadcast away from group node 0, intra-node
+    /// broadcast). Iteration `i` emits `up(i)`, then `down(i − d)`; the
+    /// planner passes [`Self::allreduce_skew`] for `d`.
+    fn plan_allreduce_large(&self, b: &mut PlanBuilder, len: usize, d: usize) {
         let tree = self.group().tree(0, self.cnode());
         let chunk = self.tuning().reduce_chunk;
         let chunks = SrmTuning::chunk_count(len, chunk);
@@ -655,11 +653,12 @@ impl SrmComm {
                 if master {
                     debug_assert!(has_acc, "master is the subtree root");
                     self.plan_tree_up(b, &tree, rel, clen);
-                }
-                if master && on_root {
-                    self.plan_pair_write(b, pair, lrel, (BufRef::Acc, Off::Lit(0)), clen, 1);
-                    self.plan_forward_landing_chunk(b, &tree, lrel, clen);
-                    plan_acc_to_user(b, off, clen);
+                    if on_root {
+                        // Fully combined: start the broadcast leg here.
+                        self.plan_pair_write(b, pair, lrel, (BufRef::Acc, Off::Lit(0)), clen, 1);
+                        self.plan_forward_landing_chunk(b, &tree, lrel, clen);
+                        plan_acc_to_user(b, off, clen);
+                    }
                 }
             }
             let Some((off, clen, lrel)) = i.checked_sub(d).map(span) else {
@@ -1126,7 +1125,7 @@ mod tests {
             for comm in (0..3 * nodes).map(|rank| world.comm(rank)) {
                 let sorted = |d| {
                     let mut b = PlanBuilder::default();
-                    comm.plan_allreduce_skewed(&mut b, 80 << 10, d);
+                    comm.plan_allreduce_large(&mut b, 80 << 10, d);
                     let steps = b.finish().steps;
                     let mut s: Vec<_> = steps.iter().map(|s| format!("{s:?}")).collect();
                     s.sort();
