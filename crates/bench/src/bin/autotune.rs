@@ -25,15 +25,15 @@
 
 use collops::{Collectives, DType, ReduceOp};
 use simnet::{MachineConfig, Sim, Topology};
-use srm::{SrmTuning, SrmWorld, TuneEntry, TuneKey, TuneOp, TuneTable};
-use srm_cluster::{measure, measure_with_table, ragged_counts, HarnessOpts, Impl, Op};
+use srm::{SrmTuning, SrmWorld, TuneEntry, TuneKey, TuneTable};
+use srm_cluster::{measure, measure_with_table, HarnessOpts, Impl, Op};
 use std::sync::{Arc, Mutex};
 
 /// Parsed command line.
 struct Args {
     nodes: usize,
     tasks: usize,
-    ops: Vec<TuneOp>,
+    ops: Vec<Op>,
     edges: Vec<usize>,
     seed: u64,
     out: Option<String>,
@@ -53,12 +53,7 @@ fn parse_args() -> Args {
     let mut a = Args {
         nodes: 4,
         tasks: 4,
-        ops: vec![
-            TuneOp::Bcast,
-            TuneOp::Allreduce,
-            TuneOp::Alltoall,
-            TuneOp::ReduceScatter,
-        ],
+        ops: vec![Op::Bcast, Op::Allreduce, Op::Alltoall, Op::ReduceScatter],
         edges: vec![4 << 10, 64 << 10, 1 << 20],
         seed: 0xC011EC7,
         out: None,
@@ -78,7 +73,7 @@ fn parse_args() -> Args {
             "--ops" => {
                 a.ops = val()
                     .split(',')
-                    .map(|s| TuneOp::from_name(s.trim()).unwrap_or_else(|| usage()))
+                    .map(|s| Op::from_name(s.trim()).unwrap_or_else(|| usage()))
                     .collect();
             }
             "--classes" => {
@@ -93,21 +88,6 @@ fn parse_args() -> Args {
         }
     }
     a
-}
-
-fn harness_op(op: TuneOp) -> Op {
-    match op {
-        TuneOp::Bcast => Op::Bcast,
-        TuneOp::Reduce => Op::Reduce,
-        TuneOp::Allreduce => Op::Allreduce,
-        TuneOp::Barrier => Op::Barrier,
-        TuneOp::Gather => Op::Gather,
-        TuneOp::Scatter => Op::Scatter,
-        TuneOp::Allgather => Op::Allgather,
-        TuneOp::Alltoall => Op::Alltoall,
-        TuneOp::Alltoallv => Op::Alltoallv,
-        TuneOp::ReduceScatter => Op::ReduceScatter,
-    }
 }
 
 /// Representative payload for a size class: its upper edge, aligned to
@@ -126,7 +106,7 @@ fn rep_len(edge: usize, nprocs: usize) -> usize {
 /// tuning always first. Fixed curated lists (no sampling): the search
 /// is deterministic from the grid spec alone; every candidate
 /// individually passes [`SrmTuning::validate`].
-fn candidates_for(op: TuneOp, base: SrmTuning) -> Vec<SrmTuning> {
+fn candidates_for(op: Op, base: SrmTuning) -> Vec<SrmTuning> {
     let mut cands = vec![base];
     let mut push = |t: SrmTuning| {
         if t.validate().is_ok() {
@@ -134,7 +114,7 @@ fn candidates_for(op: TuneOp, base: SrmTuning) -> Vec<SrmTuning> {
         }
     };
     match op {
-        TuneOp::Bcast | TuneOp::Allgather => {
+        Op::Bcast | Op::Allgather => {
             let k = 1024;
             push(SrmTuning {
                 small_large_switch: 32 * k,
@@ -178,7 +158,7 @@ fn candidates_for(op: TuneOp, base: SrmTuning) -> Vec<SrmTuning> {
                 ..base
             });
         }
-        TuneOp::Reduce => {
+        Op::Reduce => {
             push(SrmTuning {
                 interrupt_disable_max: 0,
                 ..base
@@ -188,7 +168,7 @@ fn candidates_for(op: TuneOp, base: SrmTuning) -> Vec<SrmTuning> {
                 ..base
             });
         }
-        TuneOp::Allreduce => {
+        Op::Allreduce => {
             let k = 1024;
             for rd in [2 * k, 8 * k, base.reduce_chunk] {
                 push(SrmTuning {
@@ -213,7 +193,7 @@ fn candidates_for(op: TuneOp, base: SrmTuning) -> Vec<SrmTuning> {
                 ..base
             });
         }
-        TuneOp::Alltoall | TuneOp::Alltoallv | TuneOp::ReduceScatter => {
+        Op::Alltoall | Op::Alltoallv | Op::ReduceScatter => {
             let k = 1024;
             for c in [2 * k, 4 * k, 8 * k] {
                 push(SrmTuning {
@@ -225,7 +205,7 @@ fn candidates_for(op: TuneOp, base: SrmTuning) -> Vec<SrmTuning> {
             // chunk (it cuts their intra-node cells) is the only knob
             // that changes their plans. Window and route threshold
             // steer reduce_scatter's master-to-master streams.
-            if op != TuneOp::ReduceScatter {
+            if op != Op::ReduceScatter {
                 return cands;
             }
             for w in [1, 4] {
@@ -261,7 +241,7 @@ fn candidates_for(op: TuneOp, base: SrmTuning) -> Vec<SrmTuning> {
         }
         // No per-shape decision knobs reach these planners (their
         // chunking is buffer geometry): nothing to search.
-        TuneOp::Barrier | TuneOp::Gather | TuneOp::Scatter => {}
+        Op::Barrier | Op::Gather | Op::Scatter => {}
     }
     cands
 }
@@ -331,21 +311,20 @@ fn search(args: &Args) -> TuneTable {
         }
         for (class, &edge) in args.edges.iter().enumerate() {
             let len = rep_len(edge, nprocs);
-            let hop = harness_op(op);
             // Coarse pass: every candidate, few iterations.
             let coarse: Vec<u64> = cands
                 .iter()
-                .map(|&t| time_candidate(topo, hop, len, t, coarse_iters))
+                .map(|&t| time_candidate(topo, op, len, t, coarse_iters))
                 .collect();
             // Fine pass: the default plus the best three coarse
             // candidates, re-timed with more iterations.
             let mut order: Vec<usize> = (1..cands.len()).collect();
             order.sort_by_key(|&i| coarse[i]);
             order.truncate(3);
-            let default_ps = time_candidate(topo, hop, len, cands[0], fine_iters);
+            let default_ps = time_candidate(topo, op, len, cands[0], fine_iters);
             let mut best: Option<(usize, u64)> = None;
             for &i in &order {
-                let ps = time_candidate(topo, hop, len, cands[i], fine_iters);
+                let ps = time_candidate(topo, op, len, cands[i], fine_iters);
                 if best.is_none_or(|(_, b)| ps < b) {
                     best = Some((i, ps));
                 }
@@ -386,9 +365,8 @@ fn search(args: &Args) -> TuneTable {
         let mut drop_keys = Vec::new();
         for &key in table.entries.keys() {
             let len = rep_len(table.edges[key.class], nprocs);
-            let hop = harness_op(key.op);
-            let tuned = time_tabled(topo, hop, len, &shared, fine_iters);
-            let default_ps = time_candidate(topo, hop, len, base, fine_iters);
+            let tuned = time_tabled(topo, key.op, len, &shared, fine_iters);
+            let default_ps = time_candidate(topo, key.op, len, base, fine_iters);
             if tuned > default_ps {
                 eprintln!(
                     "[drop] {} class {} regressed through table ({:.1}%), round {round}",
@@ -420,32 +398,18 @@ fn run_outputs(topo: Topology, op: Op, len: usize, table: Option<Arc<TuneTable>>
         None => SrmWorld::new(&mut sim, topo, SrmTuning::default()),
     };
     let out = Arc::new(Mutex::new(vec![Vec::new(); n]));
-    let counts = Arc::new(ragged_counts(n, len));
     for rank in 0..n {
         let comm = world.comm(rank);
         let out = out.clone();
-        let counts = counts.clone();
         sim.spawn(format!("rank{rank}"), move |ctx| {
-            let buf = comm.alloc_buffer(op.buf_len(len, n));
+            let shape = op.shape(len, 0, n);
+            let buf = comm.alloc_buffer(shape.extent(n));
             buf.with_mut(|d| {
                 for (i, x) in d.iter_mut().enumerate() {
                     *x = (i as u8).wrapping_mul(31).wrapping_add(rank as u8 ^ 0x5A);
                 }
             });
-            match op {
-                Op::Bcast => comm.broadcast(&ctx, &buf, len, 0),
-                Op::Reduce => comm.reduce(&ctx, &buf, len, DType::U64, ReduceOp::Sum, 0),
-                Op::Allreduce => comm.allreduce(&ctx, &buf, len, DType::U64, ReduceOp::Sum),
-                Op::Barrier => comm.barrier(&ctx),
-                Op::Gather => comm.gather(&ctx, &buf, len, 0),
-                Op::Scatter => comm.scatter(&ctx, &buf, len, 0),
-                Op::Allgather => comm.allgather(&ctx, &buf, len),
-                Op::Alltoall => comm.alltoall(&ctx, &buf, len),
-                Op::Alltoallv => comm.alltoallv(&ctx, &buf, len, &counts),
-                Op::ReduceScatter => {
-                    comm.reduce_scatter(&ctx, &buf, len, DType::U64, ReduceOp::Sum)
-                }
-            }
+            comm.call(&ctx, shape, &buf, Some((DType::U64, ReduceOp::Sum)));
             out.lock().unwrap()[rank] = buf.with(|d| d.to_vec());
             comm.shutdown(&ctx);
         });
@@ -505,9 +469,8 @@ fn main() {
     for &op in &args.ops {
         for (class, &edge) in args.edges.iter().enumerate() {
             let len = rep_len(edge, nprocs);
-            let hop = harness_op(op);
-            let d = run_outputs(topo, hop, len, None);
-            let t = run_outputs(topo, hop, len, Some(shared.clone()));
+            let d = run_outputs(topo, op, len, None);
+            let t = run_outputs(topo, op, len, Some(shared.clone()));
             if d != t {
                 eprintln!(
                     "[FAIL] {} class {class}: loading the table changed results",
@@ -515,8 +478,8 @@ fn main() {
                 );
                 failures += 1;
             }
-            let default_ps = time_candidate(topo, hop, len, SrmTuning::default(), iters);
-            let tuned_ps = time_tabled(topo, hop, len, &shared, iters);
+            let default_ps = time_candidate(topo, op, len, SrmTuning::default(), iters);
+            let tuned_ps = time_tabled(topo, op, len, &shared, iters);
             let ratio = 100.0 * tuned_ps as f64 / default_ps as f64;
             let tuned_here = shared
                 .lookup(op, len, args.nodes, nprocs)

@@ -363,11 +363,11 @@ impl SrmComm {
             .get(&key)
         {
             ctx.metrics().plan_hits.fetch_add(1, Ordering::Relaxed);
-            ctx.plan_by_comm().hit(comm_id);
+            ctx.by_comm().record(comm_id, |r| r.plan_hits += 1);
             return plan;
         }
         ctx.metrics().plan_misses.fetch_add(1, Ordering::Relaxed);
-        ctx.plan_by_comm().miss(comm_id);
+        ctx.by_comm().record(comm_id, |r| r.plan_misses += 1);
         // Compile-time tuning-table consultation accounting: only on
         // the miss path (a cached plan was compiled under the same
         // effective tuning — the lookup is a pure function of the key).
@@ -376,14 +376,14 @@ impl SrmComm {
                 ctx.metrics()
                     .tune_table_hits
                     .fetch_add(1, Ordering::Relaxed);
-                ctx.tune_by_comm().hit(comm_id);
+                ctx.by_comm().record(comm_id, |r| r.tune_hits += 1);
                 ctx.trace("tuned:table");
             }
             Some(false) => {
                 ctx.metrics()
                     .tune_table_misses
                     .fetch_add(1, Ordering::Relaxed);
-                ctx.tune_by_comm().miss(comm_id);
+                ctx.by_comm().record(comm_id, |r| r.tune_misses += 1);
                 ctx.trace("tuned:default");
             }
             None => {}
@@ -619,15 +619,15 @@ impl SrmComm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::PlanShape;
     use crate::tuning::SrmTuning;
     use crate::world::SrmWorld;
+    use collops::Shape;
     use simnet::{MachineConfig, Sim, Topology};
 
     /// The ten shapes on 2×3, rooted where they have a root at rank 1 —
     /// not its node's master, so the `xfer` cell moves too.
-    fn shapes(n: usize, len: usize) -> Vec<PlanShape> {
-        use PlanShape as S;
+    fn shapes(n: usize, len: usize) -> Vec<Shape> {
+        use Shape as S;
         let (root, counts) = (1, vec![len; n * n].into());
         vec![
             S::Bcast { len, root },
@@ -678,7 +678,7 @@ mod tests {
                         // An outstanding barrier no rank can finish alone.
                         let parked = (face == Face::BlockingBehindPending).then(|| {
                             let none = ShmBuffer::new(0);
-                            comm.nb_issue(&ctx, comm.key(PlanShape::Barrier), &none, None)
+                            comm.nb_issue(&ctx, comm.key(Shape::Barrier), &none, None)
                         });
                         assert_eq!(pending(), usize::from(parked.is_some()), "{what}");
 

@@ -91,10 +91,12 @@ pub mod tune;
 pub mod tuning;
 pub mod world;
 
+/// [`collops::Shape`], the call value a [`PlanKey`] wraps.
+pub use collops::Shape as PlanShape;
 pub use embed::{GroupTree, TreeKind};
 pub use model::SrmModel;
 pub use pairwise::PairwiseState;
-pub use plan::{Plan, PlanBuilder, PlanCache, PlanKey, PlanShape, Step};
+pub use plan::{Plan, PlanBuilder, PlanCache, PlanKey, Step};
 pub use tune::{TableParseError, TuneEntry, TuneEntryError, TuneKey, TuneOp, TuneTable};
 pub use tuning::{SrmTuning, TuningError};
 pub use world::{Channel, CommGroup, InterState, NodeBoard, PeerLink, SrmComm, SrmWorld};

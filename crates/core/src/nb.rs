@@ -182,32 +182,6 @@ pub(crate) fn step_classes(step: &Step) -> u8 {
     }
 }
 
-/// Whether a schedule of this shape writes into the user buffer of the
-/// rank whose communicator-relative rank is `crank`: the aliasing guard
-/// admits sharing only between schedules that definitely do not.
-pub(crate) fn shape_writes_user(shape: &crate::plan::PlanShape, crank: usize) -> bool {
-    use crate::plan::PlanShape as S;
-    match *shape {
-        S::Barrier => false,
-        // A broadcast root only reads its buffer; everyone else lands
-        // the payload in it. Scatter is the same split.
-        S::Bcast { root, .. } | S::Scatter { root, .. } => crank != root,
-        // Reduce/gather write only at the root.
-        S::Reduce { root, .. } | S::Gather { root, .. } => crank == root,
-        // Every pairwise/all-to-all shape writes every rank's buffer.
-        // Named explicitly because the exchanges make the timing
-        // stricter, not looser: remote peers put straight into the user
-        // buffer as soon as the address exchange lands — earlier than
-        // any final copy-out — so write-aliased sharing between
-        // outstanding schedules must stay rejected at issue.
-        S::Alltoall { .. }
-        | S::Alltoallv { .. }
-        | S::ReduceScatter { .. }
-        | S::Allgather { .. }
-        | S::Allreduce { .. } => true,
-    }
-}
-
 /// One outstanding nonblocking collective: its compiled plan, the
 /// parked execution state, the communicator handle it was issued on,
 /// and per-class counts of remaining steps (the ordering-rule
@@ -295,11 +269,13 @@ impl SrmComm {
         // schedules is only safe when *neither* side writes it (e.g. a
         // root sourcing two ibroadcasts from the same payload). Any
         // write-aliased overlap races the interleaving executor, so
-        // reject it at issue. `run_planned` routes blocking calls
+        // reject it at issue — the exchanges' peers put straight into
+        // the user buffer as soon as the address exchange lands, earlier
+        // than any final copy-out. `run_planned` routes blocking calls
         // through here whenever anything is pending, so this one check
         // covers the blocking-over-nonblocking overlap too.
-        let writes =
-            shape_writes_user(&key.clone().normalized(self.size()).shape, self.comm_rank());
+        let shape = key.clone().normalized(self.size()).shape;
+        let writes = shape.writes(self.comm_rank());
         {
             let q = self.shared.pending.lock().expect("queue poisoned");
             for c in q.iter() {

@@ -26,6 +26,7 @@
 
 use crate::tuning::SrmTuning;
 use crate::world::SrmComm;
+use collops::Shape;
 use shmem::PairUse;
 use simnet::{NodeId, Rank};
 use std::sync::Arc;
@@ -625,86 +626,19 @@ impl PlanBuilder {
     }
 }
 
-/// The shape of a collective call. Topology, tuning and tree kind are
-/// fixed per world, the group is fixed per communicator, the datatype
-/// and operator are late-bound, so the shape is fully described by the
-/// operation, the payload length, the root (a **comm rank**, for
-/// rooted operations only) and — for `alltoallv` — the count matrix.
-/// Not `Copy`: the alltoallv shape shares its counts by `Arc`.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub enum PlanShape {
-    /// `broadcast(len, root)`.
-    Bcast {
-        /// Payload bytes.
-        len: usize,
-        /// Root rank.
-        root: Rank,
-    },
-    /// `reduce(len, root)` (any datatype/operator).
-    Reduce {
-        /// Payload bytes.
-        len: usize,
-        /// Root rank.
-        root: Rank,
-    },
-    /// `allreduce(len)` (any datatype/operator).
-    Allreduce {
-        /// Payload bytes.
-        len: usize,
-    },
-    /// `barrier()`.
-    Barrier,
-    /// `gather(len, root)` — `len` is the per-rank segment.
-    Gather {
-        /// Per-rank segment bytes.
-        len: usize,
-        /// Root rank.
-        root: Rank,
-    },
-    /// `scatter(len, root)` — `len` is the per-rank segment.
-    Scatter {
-        /// Per-rank segment bytes.
-        len: usize,
-        /// Root rank.
-        root: Rank,
-    },
-    /// `allgather(len)` — `len` is the per-rank segment.
-    Allgather {
-        /// Per-rank segment bytes.
-        len: usize,
-    },
-    /// `alltoall(len)` — `len` is the per-pair segment (rootless).
-    Alltoall {
-        /// Per-pair segment bytes.
-        len: usize,
-    },
-    /// `alltoallv(seg, counts)` — per-pair counts on a `seg`-strided
-    /// segment grid; `counts[i*n + j]` is the bytes rank `i` sends
-    /// rank `j`.
-    Alltoallv {
-        /// Segment grid stride (every count is at most this).
-        seg: usize,
-        /// Flattened `n × n` count matrix.
-        counts: Arc<[usize]>,
-    },
-    /// `reduce_scatter(len)` — `len` is the per-rank result segment
-    /// (any datatype/operator, rootless).
-    ReduceScatter {
-        /// Per-rank segment bytes.
-        len: usize,
-    },
-}
-
-/// Cache key: a [`PlanShape`] scoped to the communicator it was issued
-/// on. The comm dimension keeps keys from distinct communicators
-/// distinct even though caches are already per (rank, communicator) —
-/// and it is what the per-communicator plan metrics are attributed by.
+/// Cache key: a call [`Shape`] scoped to the communicator it was issued
+/// on. Topology, tuning and tree kind are fixed per world, the group is
+/// fixed per communicator and the datatype and operator are late-bound,
+/// so the shape is all a plan depends on. The comm dimension keeps keys
+/// from distinct communicators distinct even though caches are already
+/// per (rank, communicator) — and it is what the per-communicator plan
+/// metrics are attributed by.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct PlanKey {
     /// Communicator id (0 = world).
     pub comm: u64,
     /// The call shape.
-    pub shape: PlanShape,
+    pub shape: Shape,
 }
 
 impl PlanKey {
@@ -723,7 +657,7 @@ impl PlanKey {
     ///   likewise compiles to the empty schedule; all three collapse to
     ///   the canonical `Allreduce { len: 0 }` slot.
     pub fn normalized(self, csize: usize) -> PlanKey {
-        use PlanShape as S;
+        use Shape as S;
         let trivial = csize == 1;
         let shape = match self.shape {
             S::Alltoall { .. } | S::Alltoallv { .. } if trivial => self.shape,
@@ -800,7 +734,7 @@ impl PlanCache {
 
 impl SrmComm {
     /// Wrap a call shape in this communicator's cache key.
-    pub fn key(&self, shape: PlanShape) -> PlanKey {
+    pub fn key(&self, shape: Shape) -> PlanKey {
         PlanKey {
             comm: self.comm_id(),
             shape,
@@ -816,16 +750,16 @@ impl SrmComm {
     pub fn build_plan(&self, key: &PlanKey) -> Plan {
         let mut b = PlanBuilder::with_tuning(self.effective_tuning(&key.shape));
         match &key.shape {
-            PlanShape::Bcast { len, root } => self.plan_bcast(&mut b, *len, *root),
-            PlanShape::Reduce { len, root } => self.plan_reduce(&mut b, *len, *root),
-            PlanShape::Allreduce { len } => self.plan_allreduce(&mut b, *len),
-            PlanShape::Barrier => self.plan_barrier(&mut b),
-            PlanShape::Gather { len, root } => self.plan_gather(&mut b, *len, *root),
-            PlanShape::Scatter { len, root } => self.plan_scatter(&mut b, *len, *root),
-            PlanShape::Allgather { len } => self.plan_allgather(&mut b, *len),
-            PlanShape::Alltoall { len } => self.plan_alltoall(&mut b, *len),
-            PlanShape::Alltoallv { seg, counts } => self.plan_alltoallv(&mut b, *seg, counts),
-            PlanShape::ReduceScatter { len } => self.plan_reduce_scatter(&mut b, *len),
+            Shape::Bcast { len, root } => self.plan_bcast(&mut b, *len, *root),
+            Shape::Reduce { len, root } => self.plan_reduce(&mut b, *len, *root),
+            Shape::Allreduce { len } => self.plan_allreduce(&mut b, *len),
+            Shape::Barrier => self.plan_barrier(&mut b),
+            Shape::Gather { len, root } => self.plan_gather(&mut b, *len, *root),
+            Shape::Scatter { len, root } => self.plan_scatter(&mut b, *len, *root),
+            Shape::Allgather { len } => self.plan_allgather(&mut b, *len),
+            Shape::Alltoall { len } => self.plan_alltoall(&mut b, *len),
+            Shape::Alltoallv { seg, counts } => self.plan_alltoallv(&mut b, *seg, counts),
+            Shape::ReduceScatter { len } => self.plan_reduce_scatter(&mut b, *len),
         }
         b.finish()
     }
@@ -835,7 +769,7 @@ impl SrmComm {
 mod tests {
     use super::*;
 
-    fn key(shape: PlanShape) -> PlanKey {
+    fn key(shape: Shape) -> PlanKey {
         PlanKey { comm: 0, shape }
     }
 
@@ -843,20 +777,20 @@ mod tests {
     fn lru_evicts_oldest() {
         let mut c = PlanCache::new(2);
         let p = Arc::new(Plan::default());
-        c.insert(key(PlanShape::Barrier), p.clone());
-        c.insert(key(PlanShape::Allreduce { len: 8 }), p.clone());
-        assert!(c.get(&key(PlanShape::Barrier)).is_some()); // refresh
-        c.insert(key(PlanShape::Allgather { len: 8 }), p);
-        assert!(c.get(&key(PlanShape::Barrier)).is_some());
-        assert!(c.get(&key(PlanShape::Allreduce { len: 8 })).is_none());
+        c.insert(key(Shape::Barrier), p.clone());
+        c.insert(key(Shape::Allreduce { len: 8 }), p.clone());
+        assert!(c.get(&key(Shape::Barrier)).is_some()); // refresh
+        c.insert(key(Shape::Allgather { len: 8 }), p);
+        assert!(c.get(&key(Shape::Barrier)).is_some());
+        assert!(c.get(&key(Shape::Allreduce { len: 8 })).is_none());
         assert_eq!(c.len(), 2);
     }
 
     #[test]
     fn zero_capacity_disables_caching() {
         let mut c = PlanCache::new(0);
-        c.insert(key(PlanShape::Barrier), Arc::new(Plan::default()));
-        assert!(c.get(&key(PlanShape::Barrier)).is_none());
+        c.insert(key(Shape::Barrier), Arc::new(Plan::default()));
+        assert!(c.get(&key(Shape::Barrier)).is_none());
         assert!(c.is_empty());
     }
 
@@ -864,57 +798,51 @@ mod tests {
     fn comm_dimension_keeps_keys_distinct() {
         let mut c = PlanCache::new(4);
         let p = Arc::new(Plan::default());
-        c.insert(key(PlanShape::Barrier), p);
+        c.insert(key(Shape::Barrier), p);
         let other = PlanKey {
             comm: 7,
-            shape: PlanShape::Barrier,
+            shape: Shape::Barrier,
         };
         assert!(c.get(&other).is_none());
-        assert!(c.get(&key(PlanShape::Barrier)).is_some());
+        assert!(c.get(&key(Shape::Barrier)).is_some());
     }
 
     #[test]
     fn normalized_collapses_empty_rooted_roots() {
         for root in [1usize, 3] {
-            let k = key(PlanShape::Bcast { len: 0, root }).normalized(4);
-            assert_eq!(k, key(PlanShape::Bcast { len: 0, root: 0 }));
-            let k = key(PlanShape::Scatter { len: 0, root }).normalized(4);
-            assert_eq!(k, key(PlanShape::Scatter { len: 0, root: 0 }));
+            let k = key(Shape::Bcast { len: 0, root }).normalized(4);
+            assert_eq!(k, key(Shape::Bcast { len: 0, root: 0 }));
+            let k = key(Shape::Scatter { len: 0, root }).normalized(4);
+            assert_eq!(k, key(Shape::Scatter { len: 0, root: 0 }));
         }
         // Non-empty payloads keep their root.
-        let k = key(PlanShape::Bcast { len: 8, root: 2 }).normalized(4);
-        assert_eq!(k, key(PlanShape::Bcast { len: 8, root: 2 }));
+        let k = key(Shape::Bcast { len: 8, root: 2 }).normalized(4);
+        assert_eq!(k, key(Shape::Bcast { len: 8, root: 2 }));
     }
 
     #[test]
     fn normalized_collapses_empty_rootless_shapes() {
         // Satellite: the three rootless empty shapes share ONE slot.
-        let canon = key(PlanShape::Allreduce { len: 0 });
-        assert_eq!(key(PlanShape::Allgather { len: 0 }).normalized(4), canon);
-        assert_eq!(key(PlanShape::Allreduce { len: 0 }).normalized(4), canon);
-        assert_eq!(key(PlanShape::Alltoall { len: 0 }).normalized(4), canon);
+        let canon = key(Shape::Allreduce { len: 0 });
+        assert_eq!(key(Shape::Allgather { len: 0 }).normalized(4), canon);
+        assert_eq!(key(Shape::Allreduce { len: 0 }).normalized(4), canon);
+        assert_eq!(key(Shape::Alltoall { len: 0 }).normalized(4), canon);
         // Non-empty rootless shapes are untouched.
-        let k = key(PlanShape::Alltoall { len: 8 }).normalized(4);
-        assert_eq!(k, key(PlanShape::Alltoall { len: 8 }));
+        let k = key(Shape::Alltoall { len: 8 }).normalized(4);
+        assert_eq!(k, key(Shape::Alltoall { len: 8 }));
     }
 
     #[test]
     fn normalized_collapses_single_member_groups() {
-        let canon = key(PlanShape::Barrier);
-        assert_eq!(
-            key(PlanShape::Bcast { len: 64, root: 0 }).normalized(1),
-            canon
-        );
-        assert_eq!(key(PlanShape::Allreduce { len: 64 }).normalized(1), canon);
-        assert_eq!(key(PlanShape::Allgather { len: 64 }).normalized(1), canon);
-        assert_eq!(
-            key(PlanShape::ReduceScatter { len: 64 }).normalized(1),
-            canon
-        );
-        assert_eq!(key(PlanShape::Barrier).normalized(1), canon);
+        let canon = key(Shape::Barrier);
+        assert_eq!(key(Shape::Bcast { len: 64, root: 0 }).normalized(1), canon);
+        assert_eq!(key(Shape::Allreduce { len: 64 }).normalized(1), canon);
+        assert_eq!(key(Shape::Allgather { len: 64 }).normalized(1), canon);
+        assert_eq!(key(Shape::ReduceScatter { len: 64 }).normalized(1), canon);
+        assert_eq!(key(Shape::Barrier).normalized(1), canon);
         // alltoall still copies the own segment: not collapsed.
-        let k = key(PlanShape::Alltoall { len: 64 }).normalized(1);
-        assert_eq!(k, key(PlanShape::Alltoall { len: 64 }));
+        let k = key(Shape::Alltoall { len: 64 }).normalized(1);
+        assert_eq!(k, key(Shape::Alltoall { len: 64 }));
     }
 
     #[test]

@@ -48,90 +48,13 @@
 //! pair. No OS entropy is involved anywhere — same (grid spec, seed)
 //! → byte-identical table.
 
-use crate::plan::PlanShape;
 use crate::tuning::{SrmTuning, TuningError};
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// The operations a tuning table can hold entries for — the ten
-/// collectives, one per [`PlanShape`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum TuneOp {
-    /// `broadcast`.
-    Bcast,
-    /// `reduce`.
-    Reduce,
-    /// `allreduce`.
-    Allreduce,
-    /// `barrier`.
-    Barrier,
-    /// `gather`.
-    Gather,
-    /// `scatter`.
-    Scatter,
-    /// `allgather`.
-    Allgather,
-    /// `alltoall`.
-    Alltoall,
-    /// `alltoallv` (classed by its segment stride).
-    Alltoallv,
-    /// `reduce_scatter`.
-    ReduceScatter,
-}
-
-impl TuneOp {
-    /// All ops, in serialization order.
-    pub const ALL: [TuneOp; 10] = [
-        TuneOp::Bcast,
-        TuneOp::Reduce,
-        TuneOp::Allreduce,
-        TuneOp::Barrier,
-        TuneOp::Gather,
-        TuneOp::Scatter,
-        TuneOp::Allgather,
-        TuneOp::Alltoall,
-        TuneOp::Alltoallv,
-        TuneOp::ReduceScatter,
-    ];
-
-    /// Stable lower-case name used in table files and CLI flags.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            TuneOp::Bcast => "bcast",
-            TuneOp::Reduce => "reduce",
-            TuneOp::Allreduce => "allreduce",
-            TuneOp::Barrier => "barrier",
-            TuneOp::Gather => "gather",
-            TuneOp::Scatter => "scatter",
-            TuneOp::Allgather => "allgather",
-            TuneOp::Alltoall => "alltoall",
-            TuneOp::Alltoallv => "alltoallv",
-            TuneOp::ReduceScatter => "reduce_scatter",
-        }
-    }
-
-    /// Inverse of [`TuneOp::as_str`].
-    pub fn from_name(s: &str) -> Option<TuneOp> {
-        TuneOp::ALL.into_iter().find(|op| op.as_str() == s)
-    }
-
-    /// The operation and classing length of a call shape. Alltoallv
-    /// classes by its segment stride; the barrier has length 0.
-    pub fn of_shape(shape: &PlanShape) -> (TuneOp, usize) {
-        match shape {
-            PlanShape::Bcast { len, .. } => (TuneOp::Bcast, *len),
-            PlanShape::Reduce { len, .. } => (TuneOp::Reduce, *len),
-            PlanShape::Allreduce { len } => (TuneOp::Allreduce, *len),
-            PlanShape::Barrier => (TuneOp::Barrier, 0),
-            PlanShape::Gather { len, .. } => (TuneOp::Gather, *len),
-            PlanShape::Scatter { len, .. } => (TuneOp::Scatter, *len),
-            PlanShape::Allgather { len } => (TuneOp::Allgather, *len),
-            PlanShape::Alltoall { len } => (TuneOp::Alltoall, *len),
-            PlanShape::Alltoallv { seg, .. } => (TuneOp::Alltoallv, *seg),
-            PlanShape::ReduceScatter { len } => (TuneOp::ReduceScatter, *len),
-        }
-    }
-}
+/// The operations a tuning table can hold entries for: the ten
+/// collectives.
+pub use collops::Op as TuneOp;
 
 /// A table row's key: which calls the entry applies to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -765,19 +688,18 @@ mod tests {
 
     #[test]
     fn shape_mapping() {
-        use crate::plan::PlanShape as S;
-        assert_eq!(
-            TuneOp::of_shape(&S::Bcast { len: 7, root: 3 }),
-            (TuneOp::Bcast, 7)
-        );
-        assert_eq!(TuneOp::of_shape(&S::Barrier), (TuneOp::Barrier, 0));
-        assert_eq!(
-            TuneOp::of_shape(&S::Alltoallv {
-                seg: 9,
-                counts: vec![0usize; 4].into()
-            }),
-            (TuneOp::Alltoallv, 9)
-        );
+        // A call looks its entry up by the shape's operation and
+        // classing length (`SrmComm::tune_consult`).
+        use collops::Shape as S;
+        let t = sample();
+        let hit = |s: S| t.lookup(s.op(), s.class_len(), 4, 8).is_some();
+        assert!(hit(S::Bcast {
+            len: 16 << 10,
+            root: 3
+        }));
+        assert!(!hit(S::Bcast { len: 7, root: 3 }));
+        assert!(hit(S::Allreduce { len: 2 << 20 }));
+        assert!(!hit(S::Barrier));
         for op in TuneOp::ALL {
             assert_eq!(TuneOp::from_name(op.as_str()), Some(op));
         }

@@ -15,9 +15,10 @@
 
 use crate::embed::{self, GroupTree, TreeKind};
 use crate::pairwise::PairwiseState;
-use crate::plan::{PlanCache, PlanShape, SEQ_BASES};
-use crate::tune::{TuneOp, TuneTable};
+use crate::plan::{PlanCache, SEQ_BASES};
+use crate::tune::TuneTable;
 use crate::tuning::SrmTuning;
+use collops::Shape;
 use rma::{LapiCounter, Rma, RmaWorld};
 use shmem::{BufPair, FlagBank, ShmBuffer, SpinFlag};
 use simnet::{Ctx, NodeId, Rank, Sim, SimHandle, SimVar, Topology};
@@ -742,22 +743,21 @@ impl SrmComm {
     /// nodes, ranks)` entry — with that entry, clamped to the buffer
     /// geometry. A pure function of `(shape, communicator)`, so every
     /// rank resolves the same knobs and plans stay consistent.
-    pub fn effective_tuning(&self, shape: &PlanShape) -> SrmTuning {
+    pub fn effective_tuning(&self, shape: &Shape) -> SrmTuning {
         self.tune_consult(shape).0
     }
 
     /// [`SrmComm::effective_tuning`] plus the table-consultation
     /// outcome: `Some(true)` table entry hit, `Some(false)` table
     /// loaded but no entry for this shape, `None` no table.
-    pub(crate) fn tune_consult(&self, shape: &PlanShape) -> (SrmTuning, Option<bool>) {
+    pub(crate) fn tune_consult(&self, shape: &Shape) -> (SrmTuning, Option<bool>) {
         let base = self.world.base;
         let Some(table) = self.world.table.as_deref() else {
             return (base, None);
         };
-        let (op, len) = TuneOp::of_shape(shape);
         let nodes = self.comm.group.node_count();
         let ranks = self.comm.group.len();
-        match table.lookup(op, len, nodes, ranks) {
+        match table.lookup(shape.op(), shape.class_len(), nodes, ranks) {
             Some(entry) => (entry.apply(&base, &self.world.tuning), Some(true)),
             None => (base, Some(false)),
         }

@@ -34,7 +34,7 @@ pub mod tree;
 
 pub use ops::CommView;
 
-use collops::{CollRequest, Collectives, DType, NonblockingCollectives, ReduceOp};
+use collops::{CollRequest, Collectives, DType, NonblockingCollectives, ReduceOp, Shape};
 use msg::{MsgEndpoint, Vendor};
 use shmem::ShmBuffer;
 use simnet::{Ctx, Rank};
@@ -116,121 +116,57 @@ impl MpiColl {
             Some(g) => CommView::subgroup(&self.ep, g, self.ctx_id),
         }
     }
-
-    /// Eager-issue bookkeeping: record a request id for an operation
-    /// that already completed.
-    fn eager_request(&self) -> CollRequest {
-        let id = self.next_req.fetch_add(1, Ordering::Relaxed);
-        self.issued.lock().expect("request set poisoned").insert(id);
-        CollRequest::new(id)
-    }
 }
 
 impl Collectives for MpiColl {
-    fn broadcast(&self, ctx: &Ctx, buf: &ShmBuffer, len: usize, root: Rank) {
+    fn call(&self, ctx: &Ctx, shape: Shape, buf: &ShmBuffer, reduce: Option<(DType, ReduceOp)>) {
+        let n = self.size();
+        shape.check(n, buf.capacity());
         ctx.advance(ctx.config().mpi_coll_call_overhead);
-        let mut data = buf.with(|d| d[..len].to_vec());
-        ops::bcast_binomial(&self.view(), ctx, &mut data, root);
-        buf.with_mut(|d| d[..len].copy_from_slice(&data));
-    }
-
-    fn reduce(
-        &self,
-        ctx: &Ctx,
-        buf: &ShmBuffer,
-        len: usize,
-        dtype: DType,
-        op: ReduceOp,
-        root: Rank,
-    ) {
-        ctx.advance(ctx.config().mpi_coll_call_overhead);
-        let mut data = buf.with(|d| d[..len].to_vec());
-        ops::reduce_binomial(&self.view(), ctx, &mut data, dtype, op, root);
-        buf.with_mut(|d| d[..len].copy_from_slice(&data));
-    }
-
-    fn allreduce(&self, ctx: &Ctx, buf: &ShmBuffer, len: usize, dtype: DType, op: ReduceOp) {
-        ctx.advance(ctx.config().mpi_coll_call_overhead);
-        let mut data = buf.with(|d| d[..len].to_vec());
-        match self.ep.vendor() {
-            Vendor::IbmMpi => {
-                ops::allreduce_recursive_doubling(&self.view(), ctx, &mut data, dtype, op)
+        let ext = shape.extent(n);
+        let mut data = buf.with(|d| d[..ext].to_vec());
+        let (v, d) = (self.view(), &mut data);
+        let ibm = self.ep.vendor() == Vendor::IbmMpi;
+        let red = || reduce.expect("a reducing collective needs its datatype and operator");
+        match shape {
+            Shape::Bcast { root, .. } => ops::bcast_binomial(&v, ctx, d, root),
+            Shape::Reduce { root, .. } => {
+                let (dtype, op) = red();
+                ops::reduce_binomial(&v, ctx, d, dtype, op, root)
             }
-            Vendor::Mpich => ops::allreduce_reduce_bcast(&self.view(), ctx, &mut data, dtype, op),
-        }
-        buf.with_mut(|d| d[..len].copy_from_slice(&data));
-    }
-
-    fn barrier(&self, ctx: &Ctx) {
-        ctx.advance(ctx.config().mpi_coll_call_overhead);
-        // Both era implementations synchronized over a gather/release
-        // tree of point-to-point messages (MPICH1's combine+broadcast
-        // structure; IBM's was tree-shaped as well).
-        ops::barrier_tree(&self.view(), ctx);
-    }
-
-    fn gather(&self, ctx: &Ctx, buf: &ShmBuffer, len: usize, root: Rank) {
-        ctx.advance(ctx.config().mpi_coll_call_overhead);
-        let n = self.size();
-        let mut data = buf.with(|d| d[..n * len].to_vec());
-        ops::gather_linear(&self.view(), ctx, &mut data, len, root);
-        buf.with_mut(|d| d[..n * len].copy_from_slice(&data));
-    }
-
-    fn scatter(&self, ctx: &Ctx, buf: &ShmBuffer, len: usize, root: Rank) {
-        ctx.advance(ctx.config().mpi_coll_call_overhead);
-        let n = self.size();
-        let mut data = buf.with(|d| d[..n * len].to_vec());
-        ops::scatter_linear(&self.view(), ctx, &mut data, len, root);
-        buf.with_mut(|d| d[..n * len].copy_from_slice(&data));
-    }
-
-    fn allgather(&self, ctx: &Ctx, buf: &ShmBuffer, len: usize) {
-        ctx.advance(ctx.config().mpi_coll_call_overhead);
-        let n = self.size();
-        let mut data = buf.with(|d| d[..n * len].to_vec());
-        match self.ep.vendor() {
-            Vendor::IbmMpi => ops::allgather_gather_bcast(&self.view(), ctx, &mut data, len),
-            Vendor::Mpich => ops::allgather_ring(&self.view(), ctx, &mut data, len),
-        }
-        buf.with_mut(|d| d[..n * len].copy_from_slice(&data));
-    }
-
-    fn alltoall(&self, ctx: &Ctx, buf: &ShmBuffer, len: usize) {
-        ctx.advance(ctx.config().mpi_coll_call_overhead);
-        let n = self.size();
-        let mut data = buf.with(|d| d[..2 * n * len].to_vec());
-        ops::alltoall_pairwise(&self.view(), ctx, &mut data, len);
-        buf.with_mut(|d| d[..2 * n * len].copy_from_slice(&data));
-    }
-
-    fn alltoallv(&self, ctx: &Ctx, buf: &ShmBuffer, seg: usize, counts: &[usize]) {
-        ctx.advance(ctx.config().mpi_coll_call_overhead);
-        let n = self.size();
-        assert_eq!(counts.len(), n * n, "alltoallv needs the full count matrix");
-        let mut data = buf.with(|d| d[..2 * n * seg].to_vec());
-        ops::alltoallv_pairwise(&self.view(), ctx, &mut data, seg, counts);
-        buf.with_mut(|d| d[..2 * n * seg].copy_from_slice(&data));
-    }
-
-    fn reduce_scatter(&self, ctx: &Ctx, buf: &ShmBuffer, len: usize, dtype: DType, op: ReduceOp) {
-        ctx.advance(ctx.config().mpi_coll_call_overhead);
-        let n = self.size();
-        let mut data = buf.with(|d| d[..n * len].to_vec());
-        match self.ep.vendor() {
-            Vendor::IbmMpi => ops::reduce_scatter_reduce_then_scatter(
-                &self.view(),
-                ctx,
-                &mut data,
-                len,
-                dtype,
-                op,
-            ),
-            Vendor::Mpich => {
-                ops::reduce_scatter_pairwise(&self.view(), ctx, &mut data, len, dtype, op)
+            Shape::Allreduce { .. } => {
+                let (dtype, op) = red();
+                if ibm {
+                    ops::allreduce_recursive_doubling(&v, ctx, d, dtype, op)
+                } else {
+                    ops::allreduce_reduce_bcast(&v, ctx, d, dtype, op)
+                }
+            }
+            // Both era implementations synchronized over a gather/release
+            // tree of point-to-point messages (MPICH1's combine+broadcast
+            // structure; IBM's was tree-shaped as well).
+            Shape::Barrier => ops::barrier_tree(&v, ctx),
+            Shape::Gather { len, root } => ops::gather_linear(&v, ctx, d, len, root),
+            Shape::Scatter { len, root } => ops::scatter_linear(&v, ctx, d, len, root),
+            Shape::Allgather { len } => {
+                if ibm {
+                    ops::allgather_gather_bcast(&v, ctx, d, len)
+                } else {
+                    ops::allgather_ring(&v, ctx, d, len)
+                }
+            }
+            Shape::Alltoall { len } => ops::alltoall_pairwise(&v, ctx, d, len),
+            Shape::Alltoallv { seg, counts } => ops::alltoallv_pairwise(&v, ctx, d, seg, &counts),
+            Shape::ReduceScatter { len } => {
+                let (dtype, op) = red();
+                if ibm {
+                    ops::reduce_scatter_reduce_then_scatter(&v, ctx, d, len, dtype, op)
+                } else {
+                    ops::reduce_scatter_pairwise(&v, ctx, d, len, dtype, op)
+                }
             }
         }
-        buf.with_mut(|d| d[..n * len].copy_from_slice(&data));
+        buf.with_mut(|d| d[..ext].copy_from_slice(&data));
     }
 
     fn name(&self) -> &'static str {
@@ -239,83 +175,24 @@ impl Collectives for MpiColl {
 }
 
 /// **Eager** nonblocking collectives: the baselines have no progress
-/// engine for collectives, so each `i`-op simply runs its blocking twin
-/// to completion at issue time and returns an already-complete request.
+/// engine for collectives, so `issue` simply runs the blocking call to
+/// completion and returns an already-complete request.
 /// This is an honest model of era MPI libraries (MPI-1 had no
 /// nonblocking collectives at all; layered implementations made no
 /// asynchronous progress without calls into the library) and gives the
 /// overlap benchmarks a zero-overlap baseline with identical semantics.
 impl NonblockingCollectives for MpiColl {
-    fn ibroadcast(&self, ctx: &Ctx, buf: &ShmBuffer, len: usize, root: Rank) -> CollRequest {
-        self.broadcast(ctx, buf, len, root);
-        self.eager_request()
-    }
-
-    fn ireduce(
+    fn issue(
         &self,
         ctx: &Ctx,
+        shape: Shape,
         buf: &ShmBuffer,
-        len: usize,
-        dtype: DType,
-        op: ReduceOp,
-        root: Rank,
+        reduce: Option<(DType, ReduceOp)>,
     ) -> CollRequest {
-        self.reduce(ctx, buf, len, dtype, op, root);
-        self.eager_request()
-    }
-
-    fn iallreduce(
-        &self,
-        ctx: &Ctx,
-        buf: &ShmBuffer,
-        len: usize,
-        dtype: DType,
-        op: ReduceOp,
-    ) -> CollRequest {
-        self.allreduce(ctx, buf, len, dtype, op);
-        self.eager_request()
-    }
-
-    fn ibarrier(&self, ctx: &Ctx) -> CollRequest {
-        self.barrier(ctx);
-        self.eager_request()
-    }
-
-    fn igather(&self, ctx: &Ctx, buf: &ShmBuffer, len: usize, root: Rank) -> CollRequest {
-        self.gather(ctx, buf, len, root);
-        self.eager_request()
-    }
-
-    fn iscatter(&self, ctx: &Ctx, buf: &ShmBuffer, len: usize, root: Rank) -> CollRequest {
-        self.scatter(ctx, buf, len, root);
-        self.eager_request()
-    }
-
-    fn iallgather(&self, ctx: &Ctx, buf: &ShmBuffer, len: usize) -> CollRequest {
-        self.allgather(ctx, buf, len);
-        self.eager_request()
-    }
-
-    fn ialltoall(&self, ctx: &Ctx, buf: &ShmBuffer, len: usize) -> CollRequest {
-        self.alltoall(ctx, buf, len);
-        self.eager_request()
-    }
-
-    fn ialltoallv(&self, ctx: &Ctx, buf: &ShmBuffer, seg: usize, counts: &[usize]) -> CollRequest {
-        self.alltoallv(ctx, buf, seg, counts);
-        self.eager_request()
-    }
-
-    fn ireduce_scatter(
-        &self,
-        ctx: &Ctx,
-        buf: &ShmBuffer,
-        len: usize,
-        dtype: DType,
-        op: ReduceOp,
-    ) -> CollRequest {
-        self.reduce_scatter(ctx, buf, len, dtype, op);
-        self.eager_request()
+        self.call(ctx, shape, buf, reduce);
+        let id = self.next_req.fetch_add(1, Ordering::Relaxed);
+        self.issued.lock().expect("request set poisoned").insert(id);
+        CollRequest::new(id)
     }
 
     fn test(&self, _ctx: &Ctx, req: &CollRequest) -> bool {

@@ -112,8 +112,7 @@ pub(crate) struct Sched {
 pub(crate) struct Shared {
     pub(crate) sched: Mutex<Sched>,
     pub(crate) metrics: Metrics,
-    pub(crate) plan_by_comm: crate::metrics::PlanByComm,
-    pub(crate) tune_by_comm: crate::metrics::PlanByComm,
+    pub(crate) by_comm: crate::metrics::ByComm,
     pub(crate) config: MachineConfig,
     pub(crate) next_var_key: AtomicU64,
     /// Set at most once, by [`Sim::run`] before any LP starts.
@@ -301,16 +300,9 @@ impl Ctx {
         self.shared.metrics.snapshot()
     }
 
-    /// Per-communicator plan-cache breakdown.
-    pub fn plan_by_comm(&self) -> &crate::metrics::PlanByComm {
-        &self.shared.plan_by_comm
-    }
-
-    /// Per-communicator tuning-table consultation breakdown (hits =
-    /// compiles that found a table entry, misses = compiles that fell
-    /// back to the base tuning).
-    pub fn tune_by_comm(&self) -> &crate::metrics::PlanByComm {
-        &self.shared.tune_by_comm
+    /// Per-communicator plan-cache and tuning-table breakdown.
+    pub fn by_comm(&self) -> &crate::metrics::ByComm {
+        &self.shared.by_comm
     }
 
     /// Model `d` of busy CPU/memory time on this LP, then let any LP
@@ -669,16 +661,6 @@ impl SimHandle {
         &self.shared.metrics
     }
 
-    /// Per-communicator plan-cache breakdown.
-    pub fn plan_by_comm(&self) -> &crate::metrics::PlanByComm {
-        &self.shared.plan_by_comm
-    }
-
-    /// Per-communicator tuning-table consultation breakdown.
-    pub fn tune_by_comm(&self) -> &crate::metrics::PlanByComm {
-        &self.shared.tune_by_comm
-    }
-
     /// The planted faults of this world (see [`Ctx::faults`]).
     pub fn faults(&self) -> Faults {
         self.shared.faults.get().copied().unwrap_or_default()
@@ -724,12 +706,9 @@ pub struct Report {
     pub lp_times: Vec<SimTime>,
     /// Final event counters.
     pub metrics: MetricsSnapshot,
-    /// Per-communicator `(comm id, plan_hits, plan_misses)` rows.
-    pub plan_by_comm: Vec<(u64, u64, u64)>,
-    /// Per-communicator `(comm id, tune_table_hits, tune_table_misses)`
-    /// rows — which communicators' compiles found a tuning-table entry.
-    /// Empty unless a tuning table is loaded.
-    pub tune_by_comm: Vec<(u64, u64, u64)>,
+    /// Per-communicator plan-cache and tuning-table counters, in
+    /// ascending comm-id order.
+    pub by_comm: Vec<crate::metrics::CommRow>,
 }
 
 impl Sim {
@@ -746,8 +725,7 @@ impl Sim {
                     started: false,
                 }),
                 metrics: Metrics::default(),
-                plan_by_comm: crate::metrics::PlanByComm::default(),
-                tune_by_comm: crate::metrics::PlanByComm::default(),
+                by_comm: crate::metrics::ByComm::default(),
                 config,
                 next_var_key: AtomicU64::new(0),
                 trace: OnceLock::new(),
@@ -927,8 +905,7 @@ impl Sim {
             end_time,
             lp_times,
             metrics: shared.metrics.snapshot(),
-            plan_by_comm: shared.plan_by_comm.snapshot(),
-            tune_by_comm: shared.tune_by_comm.snapshot(),
+            by_comm: shared.by_comm.snapshot(),
         })
     }
 }
@@ -1332,8 +1309,7 @@ mod tests {
         assert_eq!(a.end_time, b.end_time);
         assert_eq!(a.lp_times, b.lp_times);
         assert_eq!(a.metrics, b.metrics);
-        assert_eq!(a.plan_by_comm, b.plan_by_comm);
-        assert_eq!(a.tune_by_comm, b.tune_by_comm);
+        assert_eq!(a.by_comm, b.by_comm);
     }
 
     /// Run `f` on a thread of its own, whose stack list starts empty.

@@ -60,7 +60,7 @@ pub mod trace;
 pub use config::MachineConfig;
 pub use error::{BlockedLp, SimError};
 pub use kernel::{Ctx, Faults, LpId, Report, Sim, SimHandle};
-pub use metrics::{Metrics, MetricsSnapshot, PlanByComm};
+pub use metrics::{ByComm, CommRow, Metrics, MetricsSnapshot};
 pub use perturb::{Perturb, SplitMix64, Xoshiro256};
 pub use simvar::SimVar;
 pub use time::{PerByte, SimTime};

@@ -135,44 +135,45 @@ metrics! {
     tune_table_misses,
 }
 
-/// Per-communicator breakdown of `plan_hits`/`plan_misses`, keyed by the
-/// communicator id that issued the collective. Kept outside
-/// [`MetricsSnapshot`] (which stays `Copy`); snapshot it separately with
-/// [`PlanByComm::snapshot`].
-#[derive(Default, Debug)]
-pub struct PlanByComm {
-    inner: Mutex<BTreeMap<u64, (u64, u64)>>,
+/// One communicator's share of the plan-cache and tuning-table
+/// counters — a row of [`ByComm::snapshot`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CommRow {
+    /// Id of the communicator that issued the collectives (0 = world).
+    pub comm: u64,
+    /// Calls served from the plan cache.
+    pub plan_hits: u64,
+    /// Calls that compiled their plan.
+    pub plan_misses: u64,
+    /// Compiles that found a tuning-table entry (zero unless a table
+    /// is loaded).
+    pub tune_hits: u64,
+    /// Compiles that fell back to the base tuning under a loaded table.
+    pub tune_misses: u64,
 }
 
-impl PlanByComm {
-    /// Record a plan-cache hit for communicator `comm`.
-    pub fn hit(&self, comm: u64) {
-        self.inner
-            .lock()
-            .expect("plan map poisoned")
-            .entry(comm)
-            .or_default()
-            .0 += 1;
+/// Per-communicator breakdown of the `plan_*` and `tune_table_*`
+/// counters. Kept outside [`MetricsSnapshot`] (which stays `Copy`);
+/// snapshot it separately with [`ByComm::snapshot`].
+#[derive(Default, Debug)]
+pub struct ByComm {
+    inner: Mutex<BTreeMap<u64, CommRow>>,
+}
+
+impl ByComm {
+    /// Update communicator `comm`'s row (created zeroed on first use).
+    pub fn record(&self, comm: u64, update: impl FnOnce(&mut CommRow)) {
+        let mut rows = self.inner.lock().expect("per-comm map poisoned");
+        update(rows.entry(comm).or_insert(CommRow {
+            comm,
+            ..CommRow::default()
+        }));
     }
 
-    /// Record a plan-cache miss (a compile) for communicator `comm`.
-    pub fn miss(&self, comm: u64) {
-        self.inner
-            .lock()
-            .expect("plan map poisoned")
-            .entry(comm)
-            .or_default()
-            .1 += 1;
-    }
-
-    /// `(comm id, hits, misses)` rows in ascending comm-id order.
-    pub fn snapshot(&self) -> Vec<(u64, u64, u64)> {
-        self.inner
-            .lock()
-            .expect("plan map poisoned")
-            .iter()
-            .map(|(&c, &(h, m))| (c, h, m))
-            .collect()
+    /// The rows in ascending comm-id order.
+    pub fn snapshot(&self) -> Vec<CommRow> {
+        let rows = self.inner.lock().expect("per-comm map poisoned");
+        rows.values().copied().collect()
     }
 }
 
@@ -201,12 +202,19 @@ mod tests {
 
     #[test]
     fn plan_by_comm_tracks_per_communicator() {
-        let p = PlanByComm::default();
-        p.miss(0);
-        p.hit(0);
-        p.hit(0);
-        p.miss(3);
-        assert_eq!(p.snapshot(), vec![(0, 2, 1), (3, 0, 1)]);
+        let p = ByComm::default();
+        p.record(0, |r| r.plan_misses += 1);
+        p.record(0, |r| r.plan_hits += 2);
+        p.record(3, |r| r.plan_misses += 1);
+        p.record(3, |r| r.tune_hits += 1);
+        let row = |comm, plan_hits, plan_misses, tune_hits| CommRow {
+            comm,
+            plan_hits,
+            plan_misses,
+            tune_hits,
+            tune_misses: 0,
+        };
+        assert_eq!(p.snapshot(), vec![row(0, 2, 1, 0), row(3, 0, 1, 1)]);
     }
 
     #[test]

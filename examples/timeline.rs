@@ -128,9 +128,10 @@ fn main() {
          on subgroup {group:?} ({} comm creates):\n",
         report.metrics.comm_creates
     );
-    for &(comm_id, hits, misses) in &report.plan_by_comm {
-        let kind = if comm_id == 0 { " (world)" } else { "" };
-        println!("comm {comm_id}{kind}: {hits} plan hits, {misses} plan misses");
+    for r in &report.by_comm {
+        let kind = if r.comm == 0 { " (world)" } else { "" };
+        let (id, hits, misses) = (r.comm, r.plan_hits, r.plan_misses);
+        println!("comm {id}{kind}: {hits} plan hits, {misses} plan misses");
     }
 
     // The 2 KB broadcast staged through the landing buffers; the 64 KB
@@ -272,11 +273,14 @@ fn main() {
     );
     let (ttrace, treport) = run_once(topo, None, Some(Arc::new(table)));
     println!("\nTuned replay (one wildcard allreduce entry, class edge 4 KB):\n");
-    for &(comm_id, hits, misses) in &treport.tune_by_comm {
-        let kind = if comm_id == 0 { " (world)" } else { "" };
-        println!(
-            "comm {comm_id}{kind}: {hits} tuned plan compiles, {misses} default plan compiles"
-        );
+    for r in treport
+        .by_comm
+        .iter()
+        .filter(|r| r.tune_hits + r.tune_misses > 0)
+    {
+        let kind = if r.comm == 0 { " (world)" } else { "" };
+        let (id, hits, misses) = (r.comm, r.tune_hits, r.tune_misses);
+        println!("comm {id}{kind}: {hits} tuned plan compiles, {misses} default plan compiles");
     }
     println!();
     for e in ttrace.with_prefix("tuned:") {

@@ -353,19 +353,6 @@ pub struct ExploreSummary {
     pub calls_checked: u64,
 }
 
-const ALL_OPS: [Op; 10] = [
-    Op::Bcast,
-    Op::Reduce,
-    Op::Allreduce,
-    Op::Barrier,
-    Op::Gather,
-    Op::Scatter,
-    Op::Allgather,
-    Op::Alltoall,
-    Op::Alltoallv,
-    Op::ReduceScatter,
-];
-
 /// Segment sizes the grammar draws from (all multiples of 8; the rare
 /// large one crosses the small-broadcast pipeline threshold).
 const SEGS: [usize; 5] = [8, 64, 256, 1024, 4096];
@@ -441,7 +428,7 @@ pub fn derive_scenario(seed: u64, opts: &ExploreOpts) -> Scenario {
         } else {
             SEGS[sm.below(SEGS.len() as u64) as usize]
         };
-        let op = ALL_OPS[sm.below(ALL_OPS.len() as u64) as usize];
+        let op = Op::ALL[sm.below(Op::ALL.len() as u64) as usize];
         let seg = match op {
             Op::Bcast | Op::Reduce | Op::Allreduce => seg * opts.tree_scale,
             _ => seg,
@@ -541,7 +528,7 @@ fn verify_step(
     step: usize,
     got: &[u8],
 ) -> Result<(), String> {
-    let total = op.buf_len(seg, n);
+    let total = op.shape(seg, root, n).extent(n);
     let init = |r: usize| fill(r, step, total);
     let fail = |what: &str| {
         Err(format!(
@@ -780,12 +767,13 @@ pub fn run_scenario(
             for (i, s) in steps.iter().enumerate() {
                 let Some(c) = comm_of(s.comm) else { continue };
                 let (me, csize) = (c.comm_rank(), c.size());
-                let total = s.op.buf_len(s.seg, csize);
+                let shape = s.op.shape(s.seg, s.root, csize);
+                let total = shape.extent(csize);
                 let buf = c.alloc_buffer(total);
                 buf.with_mut(|d| d.copy_from_slice(&fill(me, i, total)));
-                let counts = s.op.counts(csize, s.seg);
+                let sum = Some((DType::U64, ReduceOp::Sum));
                 if s.nonblocking {
-                    let req = (s.op).issue(c, &ctx, &buf, s.seg, s.root, DType::U64, &counts);
+                    let req = c.issue(&ctx, shape.clone(), &buf, sum);
                     outstanding.push((i, req, buf.clone(), s.comm));
                     if s.alias == AliasMode::SharedRoot {
                         // Second broadcast of the same step: the root
@@ -798,7 +786,7 @@ pub fn run_scenario(
                             b.with_mut(|d| d.copy_from_slice(&fill(me, i, total)));
                             b
                         };
-                        let req2 = (s.op).issue(c, &ctx, &buf2, s.seg, s.root, DType::U64, &counts);
+                        let req2 = c.issue(&ctx, shape, &buf2, sum);
                         outstanding.push((i, req2, buf2, s.comm));
                     }
                     // A slice of overlapped compute before the next step.
@@ -806,7 +794,7 @@ pub fn run_scenario(
                 } else {
                     drain(&ctx, &mut outstanding, &mut report);
                     let c = comm_of(s.comm).expect("membership is static");
-                    let run = || (s.op).call(c, &ctx, &buf, s.seg, s.root, DType::U64, &counts);
+                    let run = || c.call(&ctx, shape.clone(), &buf, sum);
                     run();
                     if s.alias == AliasMode::ChainBlocking {
                         // In-place chain: feed round 1's result straight
@@ -840,9 +828,8 @@ pub fn run_scenario(
 
             // Final verification allreduce + barrier, then quiescence.
             let vstep = steps.len();
-            let vtotal = Op::Allreduce.buf_len(64, n);
-            let vbuf = wcomm.alloc_buffer(vtotal);
-            vbuf.with_mut(|d| d.copy_from_slice(&fill(rank, vstep, vtotal)));
+            let vbuf = wcomm.alloc_buffer(64);
+            vbuf.with_mut(|d| d.copy_from_slice(&fill(rank, vstep, 64)));
             wcomm.allreduce(&ctx, &vbuf, 64, DType::U64, ReduceOp::Sum);
             let got = vbuf.with(|d| d.to_vec());
             if let Err(e) = verify_step(Op::Allreduce, rank, n, 64, 0, vstep, &got) {
@@ -895,12 +882,8 @@ pub fn run_scenario(
             + if cidx == 0 { 2 } else { 0 };
         for &(cid, size) in ids {
             let expect = calls * size as u64;
-            let got = report
-                .plan_by_comm
-                .iter()
-                .find(|&&(id, _, _)| id == cid)
-                .map(|&(_, h, m)| h + m)
-                .unwrap_or(0);
+            let row = report.by_comm.iter().find(|r| r.comm == cid);
+            let got = row.map_or(0, |r| r.plan_hits + r.plan_misses);
             if got != expect {
                 return Err(fail(format!(
                     "plan-cache incoherent on comm {cid}: hits+misses={got}, expected \

@@ -3,7 +3,8 @@
 //! the mean virtual time per call — the paper's metric ("average
 //! execution time for 1000 calls of a given operation").
 
-use collops::{CollRequest, Collectives, DType, NonblockingCollectives, ReduceOp};
+pub use collops::{ragged_counts, Op};
+use collops::{Collectives, DType, ReduceOp};
 use mpi_coll::MpiColl;
 use msg::{MsgWorld, Vendor};
 use shmem::ShmBuffer;
@@ -40,151 +41,6 @@ impl Impl {
     pub const ALL: [Impl; 3] = [Impl::Srm, Impl::IbmMpi, Impl::Mpich];
 }
 
-/// Which collective to measure.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Op {
-    /// `MPI_Bcast` equivalent, root 0.
-    Bcast,
-    /// `MPI_Reduce` equivalent (sum of doubles, root 0).
-    Reduce,
-    /// `MPI_Allreduce` equivalent (sum of doubles).
-    Allreduce,
-    /// `MPI_Barrier` equivalent.
-    Barrier,
-    /// `MPI_Gather` equivalent, root 0 (`len` is the per-rank segment).
-    Gather,
-    /// `MPI_Scatter` equivalent, root 0 (`len` is the per-rank segment).
-    Scatter,
-    /// `MPI_Allgather` equivalent (`len` is the per-rank segment).
-    Allgather,
-    /// `MPI_Alltoall` equivalent (`len` is the per-pair segment; the
-    /// buffer is split into send and receive halves).
-    Alltoall,
-    /// `MPI_Alltoallv` equivalent (`len` is the per-pair slot capacity;
-    /// the live counts are the deterministic ragged matrix of
-    /// [`ragged_counts`]).
-    Alltoallv,
-    /// `MPI_Reduce_scatter` equivalent (sum of doubles; `len` is the
-    /// per-rank result block).
-    ReduceScatter,
-}
-
-/// The deterministic ragged count matrix used by [`Op::Alltoallv`], a
-/// pure function of `(nprocs, seg)` and so identical on every rank:
-/// with `h = i·7 + j·13 + 3`, slot `(i, j)` is empty, full (`seg`
-/// bytes) or strictly partial as `h mod 3` is 0, 1 or 2 — a third of
-/// the pairs each, for every `seg`, and the partial sizes differ from
-/// pair to pair, so row and column sums are uneven.
-pub fn ragged_counts(nprocs: usize, seg: usize) -> Vec<usize> {
-    (0..nprocs * nprocs)
-        .map(|k| {
-            let h = (k / nprocs) * 7 + (k % nprocs) * 13 + 3;
-            match h % 3 {
-                0 => 0,
-                1 => seg,
-                // In `1..seg` wherever that range is not empty.
-                _ => (1 + h * 7919 % seg.saturating_sub(1).max(1)).min(seg),
-            }
-        })
-        .collect()
-}
-
-impl Op {
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Op::Bcast => "broadcast",
-            Op::Reduce => "reduce",
-            Op::Allreduce => "allreduce",
-            Op::Barrier => "barrier",
-            Op::Gather => "gather",
-            Op::Scatter => "scatter",
-            Op::Allgather => "allgather",
-            Op::Alltoall => "alltoall",
-            Op::Alltoallv => "alltoallv",
-            Op::ReduceScatter => "reduce-scatter",
-        }
-    }
-
-    /// Buffer capacity one rank needs for a payload parameter of `len`
-    /// bytes on `nprocs` ranks (the segment ops assemble `nprocs`
-    /// segments in place).
-    pub fn buf_len(self, len: usize, nprocs: usize) -> usize {
-        match self {
-            Op::Gather | Op::Scatter | Op::Allgather | Op::ReduceScatter => (nprocs * len).max(8),
-            Op::Alltoall | Op::Alltoallv => (2 * nprocs * len).max(8),
-            _ => len.max(8),
-        }
-    }
-
-    /// The count matrix a call of this operation reads: the
-    /// [`ragged_counts`] for alltoallv — `nprocs²` entries, so built
-    /// once per rank and shape — and none for every other operation.
-    pub(crate) fn counts(self, nprocs: usize, len: usize) -> Vec<usize> {
-        if self == Op::Alltoallv {
-            ragged_counts(nprocs, len)
-        } else {
-            Vec::new()
-        }
-    }
-
-    /// One blocking call of this operation on `coll`, on a `len`-byte
-    /// payload (or segment) in `buf`: rooted at `root` where the
-    /// operation has a root, summing `dtype` elements where it reduces,
-    /// with `counts` as the alltoallv matrix.
-    #[allow(clippy::too_many_arguments)]
-    pub fn call(
-        self,
-        coll: &(impl Collectives + ?Sized),
-        ctx: &Ctx,
-        buf: &ShmBuffer,
-        len: usize,
-        root: Rank,
-        dtype: DType,
-        counts: &[usize],
-    ) {
-        match self {
-            Op::Bcast => coll.broadcast(ctx, buf, len, root),
-            Op::Reduce => coll.reduce(ctx, buf, len, dtype, ReduceOp::Sum, root),
-            Op::Allreduce => coll.allreduce(ctx, buf, len, dtype, ReduceOp::Sum),
-            Op::Barrier => coll.barrier(ctx),
-            Op::Gather => coll.gather(ctx, buf, len, root),
-            Op::Scatter => coll.scatter(ctx, buf, len, root),
-            Op::Allgather => coll.allgather(ctx, buf, len),
-            Op::Alltoall => coll.alltoall(ctx, buf, len),
-            Op::Alltoallv => coll.alltoallv(ctx, buf, len, counts),
-            Op::ReduceScatter => coll.reduce_scatter(ctx, buf, len, dtype, ReduceOp::Sum),
-        }
-    }
-
-    /// [`Op::call`]'s nonblocking twin: issue the operation and return
-    /// its request.
-    #[allow(clippy::too_many_arguments)]
-    pub fn issue(
-        self,
-        coll: &(impl NonblockingCollectives + ?Sized),
-        ctx: &Ctx,
-        buf: &ShmBuffer,
-        len: usize,
-        root: Rank,
-        dtype: DType,
-        counts: &[usize],
-    ) -> CollRequest {
-        match self {
-            Op::Bcast => coll.ibroadcast(ctx, buf, len, root),
-            Op::Reduce => coll.ireduce(ctx, buf, len, dtype, ReduceOp::Sum, root),
-            Op::Allreduce => coll.iallreduce(ctx, buf, len, dtype, ReduceOp::Sum),
-            Op::Barrier => coll.ibarrier(ctx),
-            Op::Gather => coll.igather(ctx, buf, len, root),
-            Op::Scatter => coll.iscatter(ctx, buf, len, root),
-            Op::Allgather => coll.iallgather(ctx, buf, len),
-            Op::Alltoall => coll.ialltoall(ctx, buf, len),
-            Op::Alltoallv => coll.ialltoallv(ctx, buf, len, counts),
-            Op::ReduceScatter => coll.ireduce_scatter(ctx, buf, len, dtype, ReduceOp::Sum),
-        }
-    }
-}
-
 /// Result of one measurement configuration.
 #[derive(Clone, Debug)]
 pub struct Measurement {
@@ -215,7 +71,9 @@ impl Default for HarnessOpts {
     }
 }
 
-/// Measure `op` at payload `len` bytes under `imp` on `topo`.
+/// Measure `op` at payload `len` bytes under `imp` on `topo`: the
+/// call is [`Op::shape`] rooted at rank 0, summing doubles where it
+/// reduces.
 ///
 /// Methodology: every rank performs one warmup call (fills pipelines,
 /// triggers any lazy setup), synchronizes with the implementation's own
@@ -249,8 +107,6 @@ pub fn measure_with_table(
     let iters = opts.iters;
     let out: Samples = Arc::new(Mutex::new(Vec::new()));
 
-    // Factory per implementation; each rank gets its own collectives
-    // object plus a shutdown hook.
     enum World {
         Srm(SrmWorld),
         Mpi(MsgWorld),
@@ -264,26 +120,24 @@ pub fn measure_with_table(
         Impl::Mpich => World::Mpi(MsgWorld::new(&mut sim, topo, Vendor::Mpich)),
     };
 
-    for rank in 0..topo.nprocs() {
+    let nprocs = topo.nprocs();
+    for rank in 0..nprocs {
         let out = out.clone();
-        let (coll, srm_comm): (Box<dyn Collectives + Send>, Option<srm::SrmComm>) = match &world {
+        match &world {
             World::Srm(w) => {
-                let c = w.comm(rank);
-                // SAFETY-free duplication: SrmComm is cheap to create;
-                // make one for the trait object and keep none aside —
-                // shutdown goes through a second comm handle.
-                let c2 = w.comm(rank);
-                (Box::new(c), Some(c2))
+                let comm = w.comm(rank);
+                sim.spawn(format!("rank{rank}"), move |ctx| {
+                    run_rank(&ctx, rank, nprocs, &comm, op, len, iters, &out);
+                    comm.shutdown(&ctx);
+                });
             }
-            World::Mpi(w) => (Box::new(MpiColl::new(w.endpoint(rank))), None),
-        };
-        let nprocs = topo.nprocs();
-        sim.spawn(format!("rank{rank}"), move |ctx| {
-            run_rank(&ctx, rank, nprocs, coll.as_ref(), op, len, iters, &out);
-            if let Some(c) = srm_comm {
-                c.shutdown(&ctx);
+            World::Mpi(w) => {
+                let coll = MpiColl::new(w.endpoint(rank));
+                sim.spawn(format!("rank{rank}"), move |ctx| {
+                    run_rank(&ctx, rank, nprocs, &coll, op, len, iters, &out);
+                });
             }
-        });
+        }
     }
     let _report = sim.run().expect("measurement run must complete");
     let samples = out.lock().unwrap();
@@ -305,20 +159,23 @@ fn run_rank(
     ctx: &Ctx,
     rank: Rank,
     nprocs: usize,
-    coll: &(dyn Collectives + Send),
+    coll: &dyn Collectives,
     op: Op,
     len: usize,
     iters: usize,
     out: &Samples,
 ) {
-    let buf = ShmBuffer::new(op.buf_len(len, nprocs));
+    // The count matrix is `nprocs²` entries: built once per rank, its
+    // `Arc` cloned per call.
+    let shape = op.shape(len, 0, nprocs);
+    let buf = ShmBuffer::new(shape.extent(nprocs));
     buf.with_mut(|d| {
         for (i, x) in d.iter_mut().enumerate() {
             *x = (i as u8).wrapping_add(rank as u8);
         }
     });
-    let counts = op.counts(nprocs, len);
-    let one_call = |ctx: &Ctx| op.call(coll, ctx, &buf, len, 0, DType::F64, &counts);
+    let sum = Some((DType::F64, ReduceOp::Sum));
+    let one_call = |ctx: &Ctx| coll.call(ctx, shape.clone(), &buf, sum);
 
     // Warmup + sync.
     one_call(ctx);

@@ -78,11 +78,11 @@ fn disjoint_subgroup_collectives_overlap() {
     // Per-comm accounting saw both subcommunicators (world is comm 0;
     // the subgroups get fresh nonzero ids) and the creates were counted.
     let sub_rows: Vec<_> = report
-        .plan_by_comm
+        .by_comm
         .iter()
-        .filter(|&&(id, _, misses)| id != 0 && misses > 0)
+        .filter(|r| r.comm != 0 && r.plan_misses > 0)
         .collect();
-    assert_eq!(sub_rows.len(), 2, "rows: {:?}", report.plan_by_comm);
+    assert_eq!(sub_rows.len(), 2, "rows: {:?}", report.by_comm);
     assert!(report.metrics.comm_creates >= 2);
 }
 
@@ -102,11 +102,11 @@ fn subgroup_collectives_survive_perturbation() {
             "seed {seed}: nothing was injected"
         );
         let sub_rows = report
-            .plan_by_comm
+            .by_comm
             .iter()
-            .filter(|&&(id, _, misses)| id != 0 && misses > 0)
+            .filter(|r| r.comm != 0 && r.plan_misses > 0)
             .count();
-        assert_eq!(sub_rows, 2, "seed {seed}: rows {:?}", report.plan_by_comm);
+        assert_eq!(sub_rows, 2, "seed {seed}: rows {:?}", report.by_comm);
     }
 }
 

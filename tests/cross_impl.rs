@@ -3,24 +3,27 @@
 //! and the paper's structural claims must hold in the metrics and in
 //! the modelled times.
 
-use collops::{from_bytes_u64, reference_reduce, to_bytes_u64, Collectives, DType, ReduceOp};
+use collops::{
+    from_bytes_u64, reference_reduce, to_bytes_u64, Collectives, DType, ReduceOp, Shape,
+};
 use mpi_coll::MpiColl;
 use msg::{MsgWorld, Vendor};
-use simnet::{MachineConfig, Sim, SimTime, Topology};
+use simnet::{MachineConfig, Sim, SimError, SimTime, Topology};
 use srm::{SrmTuning, SrmWorld};
 use srm_cluster::{measure, HarnessOpts, Impl, Op};
 use std::sync::{Arc, Mutex};
 
-/// Run one collective under an implementation, returning every rank's
-/// final buffer.
-fn run_once(
+/// Every rank of `topo` makes one call of `shape` under `imp` — summing
+/// `u64`s where it reduces — on a `cap`-byte buffer that starts as
+/// `init(rank)` followed by zeros. Returns every rank's final buffer,
+/// or the message of the panic the world ended in.
+fn run_call(
     imp: Impl,
     topo: Topology,
-    len: usize,
+    shape: Shape,
+    cap: usize,
     init: impl Fn(usize) -> Vec<u8> + Send + Sync + 'static,
-    op: Op,
-    root: usize,
-) -> Vec<Vec<u8>> {
+) -> Result<Vec<Vec<u8>>, String> {
     let mut sim = Sim::new(MachineConfig::ibm_sp_colony());
     enum World {
         Srm(SrmWorld),
@@ -38,40 +41,92 @@ fn run_once(
             World::Srm(w) => (Box::new(w.comm(rank)), Some(w.comm(rank))),
             World::Mpi(w) => (Box::new(MpiColl::new(w.endpoint(rank))), None),
         };
-        let out = out.clone();
-        let init = init.clone();
-        let nprocs = topo.nprocs();
+        let (out, init, shape) = (out.clone(), init.clone(), shape.clone());
         sim.spawn(format!("rank{rank}"), move |ctx| {
-            // `init` may fill anywhere up to the op's full working set
-            // (e.g. the send half of a split alltoall buffer); the rest
-            // starts zeroed.
-            let buf = shmem::ShmBuffer::new(op.buf_len(len, nprocs));
+            let buf = shmem::ShmBuffer::new(cap);
             let image = init(rank);
             buf.with_mut(|d| d[..image.len()].copy_from_slice(&image));
-            match op {
-                Op::Bcast => coll.broadcast(&ctx, &buf, len, root),
-                Op::Reduce => coll.reduce(&ctx, &buf, len, DType::U64, ReduceOp::Sum, root),
-                Op::Allreduce => coll.allreduce(&ctx, &buf, len, DType::U64, ReduceOp::Sum),
-                Op::Barrier => coll.barrier(&ctx),
-                Op::Alltoall => coll.alltoall(&ctx, &buf, len),
-                Op::Alltoallv => {
-                    coll.alltoallv(&ctx, &buf, len, &srm_cluster::ragged_counts(nprocs, len))
-                }
-                Op::ReduceScatter => {
-                    coll.reduce_scatter(&ctx, &buf, len, DType::U64, ReduceOp::Sum)
-                }
-                // Segment ops need nprocs*len buffers; their cross-impl
-                // agreement lives in tests/prop_collectives.rs.
-                Op::Gather | Op::Scatter | Op::Allgather => unreachable!(),
-            }
+            coll.call(&ctx, shape, &buf, Some((DType::U64, ReduceOp::Sum)));
             out.lock().unwrap()[rank] = buf.with(|d| d.to_vec());
             if let Some(c) = srm_comm {
                 c.shutdown(&ctx);
             }
         });
     }
-    sim.run().expect("run completes");
-    Arc::try_unwrap(out).unwrap().into_inner().unwrap()
+    match sim.run() {
+        Ok(_) => Ok(Arc::try_unwrap(out).unwrap().into_inner().unwrap()),
+        Err(SimError::LpPanic { message, .. }) => Err(message),
+        Err(other) => panic!("{}: {other:?}", imp.name()),
+    }
+}
+
+/// One well-formed call of `op` ([`Op::shape`]) in a buffer of exactly
+/// its extent; `init` may fill anywhere up to that (e.g. the send half
+/// of a split alltoall buffer).
+fn run_once(
+    imp: Impl,
+    topo: Topology,
+    len: usize,
+    init: impl Fn(usize) -> Vec<u8> + Send + Sync + 'static,
+    op: Op,
+    root: usize,
+) -> Vec<Vec<u8>> {
+    let shape = op.shape(len, root, topo.nprocs());
+    let cap = shape.extent(topo.nprocs());
+    run_call(imp, topo, shape, cap, init).expect("run completes")
+}
+
+/// The baselines reject what SRM rejects, and all three name the same
+/// rule: a root outside the communicator, a buffer one byte short of
+/// the operation's layout, a count matrix that is not `n × n`, a count
+/// past its slot. 64-byte segments on 4 ranks.
+#[test]
+fn malformed_calls_name_the_same_rule_on_every_implementation() {
+    let topo = Topology::new(2, 2);
+    let n = topo.nprocs();
+    let capacity = [
+        (Op::Bcast, "payload longer than buffer"),
+        (Op::Reduce, "payload longer than buffer"),
+        (Op::Allreduce, "payload longer than buffer"),
+        (Op::Gather, "gather needs size*len capacity"),
+        (Op::Scatter, "scatter needs size*len capacity"),
+        (Op::Allgather, "allgather needs size*len capacity"),
+        (Op::Alltoall, "alltoall needs 2*size*len capacity"),
+        (Op::Alltoallv, "alltoallv needs 2*size*seg capacity"),
+        (Op::ReduceScatter, "reduce_scatter needs size*len capacity"),
+    ];
+    let mut cases: Vec<(String, Shape, usize, &str)> = Vec::new();
+    for (op, rule) in capacity {
+        let shape = op.shape(64, 0, n);
+        let need = shape.extent(n);
+        if shape.root().is_some() {
+            let what = format!("{} rooted at rank {n}", op.name());
+            let rule = "root out of communicator range";
+            cases.push((what, op.shape(64, n, n), need, rule));
+        }
+        let what = format!("{} one byte short", op.name());
+        cases.push((what, shape, need - 1, rule));
+    }
+    let alltoallv = |counts: Vec<usize>| Shape::Alltoallv {
+        seg: 64,
+        counts: counts.into(),
+    };
+    let rule = "alltoallv counts must be the full size*size matrix";
+    let short = alltoallv(vec![64; n * n - 1]);
+    cases.push(("alltoallv with 15 counts".into(), short, 512, rule));
+    let mut wide = vec![64; n * n];
+    wide[5] = 65;
+    let rule = "alltoallv count exceeds its segment capacity";
+    let wide = alltoallv(wide);
+    cases.push(("alltoallv with a count past seg".into(), wide, 512, rule));
+
+    for imp in Impl::ALL {
+        for (what, shape, cap, rule) in &cases {
+            let got = run_call(imp, topo, shape.clone(), *cap, |_| Vec::new());
+            let msg = got.expect_err(&format!("{} admitted {what}", imp.name()));
+            assert!(msg.contains(rule), "{} on {what}: {msg}", imp.name());
+        }
+    }
 }
 
 #[test]

@@ -790,7 +790,12 @@ fn zero_len_rootless_families_share_one_plan_slot() {
     );
     assert_eq!(m.plan_hits, 5 * n);
     // All of it accounted to the world communicator (id 0).
-    assert_eq!(report.plan_by_comm, vec![(0, 5 * n, n)]);
+    let world = simnet::CommRow {
+        plan_hits: 5 * n,
+        plan_misses: n,
+        ..simnet::CommRow::default()
+    };
+    assert_eq!(report.by_comm, vec![world]);
 }
 
 // Tree-structure properties over the full parameter space (cheap, so

@@ -8,7 +8,7 @@
 //! size. Alltoall and alltoallv have one wire and are held to the
 //! sequential reference.
 
-use collops::DType;
+use collops::{Collectives, DType, ReduceOp};
 use simnet::{MachineConfig, MetricsSnapshot, Perturb, Sim, Topology};
 use srm::{SrmTuning, SrmWorld};
 use srm_cluster::{
@@ -60,19 +60,18 @@ fn run_op(
     let mut sim = Sim::new(MachineConfig::ibm_sp_colony());
     let world = SrmWorld::new(&mut sim, topo, tuning);
     let out = Arc::new(Mutex::new(vec![Vec::new(); n]));
-    let counts = Arc::new(ragged_counts(n, len));
     for rank in 0..n {
         let comm = world.comm(rank);
         let out = out.clone();
-        let counts = counts.clone();
         sim.spawn(format!("rank{rank}"), move |ctx| {
-            let buf = comm.alloc_buffer(op.buf_len(len, n));
+            let shape = op.shape(len, 0, n);
+            let buf = comm.alloc_buffer(shape.extent(n));
             buf.with_mut(|d| {
                 for (i, x) in d.iter_mut().enumerate() {
                     *x = initial(rank, i);
                 }
             });
-            op.call(&comm, &ctx, &buf, len, 0, DType::U64, &counts);
+            comm.call(&ctx, shape, &buf, Some((DType::U64, ReduceOp::Sum)));
             out.lock().unwrap()[rank] = buf.with(|d| d.to_vec());
             comm.shutdown(&ctx);
         });

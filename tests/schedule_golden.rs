@@ -17,26 +17,13 @@ use collops::{Collectives, DType, NonblockingCollectives, ReduceOp};
 use shmem::ShmBuffer;
 use simnet::{Ctx, MachineConfig, Sim, Topology, Trace};
 use srm::{SrmComm, SrmTuning, SrmWorld};
-use srm_cluster::{ragged_counts, Op};
+use srm_cluster::Op;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 
 const TABLE: &str = include_str!("schedule_golden.digests");
 const SIZES: [usize; 4] = [8, 4 << 10, 24 << 10, 128 << 10];
 const CALLS: usize = 3;
-
-const OPS: [Op; 10] = [
-    Op::Bcast,
-    Op::Reduce,
-    Op::Allreduce,
-    Op::Barrier,
-    Op::Gather,
-    Op::Scatter,
-    Op::Allgather,
-    Op::Alltoall,
-    Op::Alltoallv,
-    Op::ReduceScatter,
-];
 
 /// What one scenario calls, three times over.
 #[derive(Clone, Copy)]
@@ -73,12 +60,8 @@ fn one_call(ctx: &Ctx, comm: &SrmComm, bufs: &[ShmBuffer], call: Call, len: usiz
     let buf = &bufs[0];
     match call {
         Call::Coll { op, last } => {
-            let counts = if op == Op::Alltoallv {
-                ragged_counts(n, len)
-            } else {
-                Vec::new()
-            };
-            op.call(comm, ctx, buf, len, root_of(last), DType::U64, &counts)
+            let sum = Some((DType::U64, ReduceOp::Sum));
+            comm.call(ctx, op.shape(len, root_of(last), n), buf, sum)
         }
         Call::SmpBcast { last } => comm.broadcast(ctx, buf, len, root_of(last)),
         Call::Overlap => {
@@ -116,10 +99,13 @@ fn digest(topo: Topology, tuning: SrmTuning, split: bool, call: Call, len: usize
         let finals = finals.clone();
         sim.spawn(format!("rank{rank}"), move |ctx| {
             let comm = sub.as_ref().unwrap_or(&wcomm);
-            let cap = match call {
-                Call::Coll { op, .. } => op.buf_len(len, comm.size()),
-                _ => Op::Alltoall.buf_len(len, comm.size()),
+            // At least 8 bytes: the digests cover the whole buffer and
+            // were recorded with that floor.
+            let op = match call {
+                Call::Coll { op, .. } => op,
+                _ => Op::Alltoall,
             };
+            let cap = op.shape(len, 0, comm.size()).extent(comm.size()).max(8);
             let nbufs = if matches!(call, Call::Overlap) { 3 } else { 1 };
             let bufs: Vec<ShmBuffer> = (0..nbufs)
                 .map(|b| {
@@ -189,19 +175,15 @@ fn check(scenarios: Vec<(String, u64)>) {
     );
 }
 
-fn is_rooted(op: Op) -> bool {
-    matches!(op, Op::Bcast | Op::Reduce | Op::Gather | Op::Scatter)
-}
-
 /// The ten ops × sizes × roots × {world, parity split} on one topology.
 fn lattice(nodes: usize, tpn: usize) {
     let topo = Topology::new(nodes, tpn);
     let mut out = Vec::new();
     for split in [false, true] {
         let scope = if split { "split" } else { "world" };
-        for op in OPS {
+        for op in Op::ALL {
             let sizes: &[usize] = if op == Op::Barrier { &[8] } else { &SIZES };
-            let roots: &[bool] = if is_rooted(op) {
+            let roots: &[bool] = if op.shape(8, 0, 1).root().is_some() {
                 &[false, true]
             } else {
                 &[false]

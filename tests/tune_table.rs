@@ -125,13 +125,16 @@ fn tuned_world_results_unchanged_and_observable() {
     // No table: the consult path is never taken.
     assert_eq!(dreport.metrics.tune_table_hits, 0);
     assert_eq!(dreport.metrics.tune_table_misses, 0);
-    assert!(dreport.tune_by_comm.is_empty());
+    assert!(dreport
+        .by_comm
+        .iter()
+        .all(|r| r.tune_hits + r.tune_misses == 0));
     assert!(dtuned.is_empty());
 
     // With the table: every program op has a wildcard entry, so every
     // plan compile is a tune hit, traced as `tuned:table`.
     assert!(treport.metrics.tune_table_hits > 0);
-    let hits: u64 = treport.tune_by_comm.iter().map(|&(_, h, _)| h).sum();
+    let hits: u64 = treport.by_comm.iter().map(|r| r.tune_hits).sum();
     assert_eq!(hits, treport.metrics.tune_table_hits);
     assert!(ttuned.iter().any(|l| l == "tuned:table"));
     assert!(
@@ -156,8 +159,7 @@ fn serialize_load_replan_bit_identical() {
     let (bres, breport, bsteps, _) = run_program(topo, Some(Arc::new(parsed)));
     assert_eq!(ares, bres);
     assert_eq!(asteps, bsteps, "re-planned schedules must be bit-identical");
-    assert_eq!(areport.plan_by_comm, breport.plan_by_comm);
-    assert_eq!(breport.tune_by_comm, areport.tune_by_comm);
+    assert_eq!(areport.by_comm, breport.by_comm);
     assert_eq!(areport.end_time, breport.end_time);
 }
 
@@ -249,8 +251,7 @@ proptest! {
         prop_assert_eq!(dres, ares.clone(), "table changed results");
         prop_assert_eq!(ares, bres);
         prop_assert_eq!(asteps, bsteps);
-        prop_assert_eq!(areport.plan_by_comm, breport.plan_by_comm);
-        prop_assert_eq!(areport.tune_by_comm, breport.tune_by_comm);
+        prop_assert_eq!(areport.by_comm, breport.by_comm);
         prop_assert_eq!(areport.end_time, breport.end_time);
     }
 }
