@@ -1,33 +1,39 @@
-//! Ablation A1 (paper §2.1): inter-node tree shape. The authors
-//! "implemented and experimented with the three tree types and found
-//! binomial trees perform the best" — this binary reruns that
-//! experiment on the model.
+//! Ablation A1 (paper §2.1): tree shape. The authors "implemented and
+//! experimented with the three tree types and found binomial trees
+//! perform the best" — a latency result. This binary reruns the
+//! experiment with every kind forced (on a reduce the forced kind is
+//! the intra-node tree too) next to the default, which derives the
+//! trees of each multi-chunk broadcast and reduce
+//! (`SrmModel::trees`, printed beside its time).
 
 use simnet::{MachineConfig, Topology};
-use srm::{SrmTuning, TreeKind};
+use srm::{SrmModel, SrmTuning, TreeKind};
 use srm_cluster::{measure, HarnessOpts, Impl, Op};
 
 fn main() {
     let machine = MachineConfig::ibm_sp_colony();
     let topo = Topology::sp_16way(16);
-    println!("Ablation A1: inter-node tree kind, SRM broadcast, P=256\n");
-    println!(
-        "{:>10} {:>12} {:>12} {:>12}",
-        "bytes", "binomial", "binary", "fibonacci"
-    );
-    for len in [8usize, 4096, 64 << 10, 1 << 20] {
-        let mut row = format!("{len:>10}");
-        for kind in [TreeKind::Binomial, TreeKind::Binary, TreeKind::Fibonacci] {
-            let opts = HarnessOpts {
-                iters: srm_bench::iters_for(len),
-                srm: SrmTuning {
-                    tree: kind,
-                    ..SrmTuning::default()
-                },
-            };
-            let m = measure(Impl::Srm, machine.clone(), topo, Op::Bcast, len, opts);
-            row += &format!(" {:>11.1}u", m.per_call.as_us());
+    println!("Ablation A1: tree kind, SRM on P=256 (us per call)");
+    for op in [Op::Bcast, Op::Reduce] {
+        print!("\n{}\n{:>10}", op.name(), "bytes");
+        for kind in TreeKind::ALL {
+            print!(" {:>12}", format!("{kind:?}").to_lowercase());
         }
-        println!("{row}");
+        println!("  derived");
+        for len in [8usize, 4096, 64 << 10, 256 << 10, 1 << 20] {
+            let mut row = format!("{len:>10}");
+            for tree in TreeKind::ALL.map(Some).into_iter().chain([None]) {
+                let srm = SrmTuning {
+                    tree,
+                    ..SrmTuning::default()
+                };
+                let iters = srm_bench::iters_for(len);
+                let opts = HarnessOpts { iters, srm };
+                let m = measure(Impl::Srm, machine.clone(), topo, op, len, opts);
+                row += &format!(" {:>12.1}", m.per_call.as_us());
+            }
+            let trees = SrmModel::new(machine.clone(), topo, SrmTuning::default()).trees(op, len);
+            println!("{row}  {:?} / {:?}", trees.inter, trees.intra);
+        }
     }
 }

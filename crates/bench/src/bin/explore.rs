@@ -11,7 +11,8 @@
 //!   --impl srm|ibm|mpich|all                (default all)
 //!   --machine colony|via                    (default colony)
 //!   --iters K                               (default 5)
-//!   --tree binomial|binary|fibonacci        (default binomial)
+//!   --tree binomial|binary|fibonacci|chain|hungbinary
+//!                          (default: derived per call)
 //!
 //! explore --seeds N [OPTIONS]               stress mode
 //!   --seeds N              run N seeded perturbation scenarios
@@ -78,7 +79,7 @@ struct Args {
     imps: Vec<Impl>,
     machine: MachineConfig,
     iters: usize,
-    tree: TreeKind,
+    tree: Option<TreeKind>,
     seeds: Option<u64>,
     start_seed: u64,
     max_ops: usize,
@@ -115,7 +116,7 @@ fn parse() -> Args {
         imps: Impl::ALL.to_vec(),
         machine: MachineConfig::ibm_sp_colony(),
         iters: 5,
-        tree: TreeKind::Binomial,
+        tree: None,
         seeds: None,
         start_seed: 0,
         max_ops: 6,
@@ -199,11 +200,10 @@ fn parse() -> Args {
             }
             "--iters" => a.iters = val.parse().unwrap_or_else(|_| usage("bad --iters")),
             "--tree" => {
-                a.tree = match val.as_str() {
-                    "binomial" => TreeKind::Binomial,
-                    "binary" => TreeKind::Binary,
-                    "fibonacci" => TreeKind::Fibonacci,
-                    other => usage(&format!("unknown tree '{other}'")),
+                let named = |k: &&TreeKind| format!("{k:?}").to_lowercase() == *val;
+                a.tree = match TreeKind::ALL.iter().find(named) {
+                    Some(&kind) => Some(kind),
+                    None => usage(&format!("unknown tree '{val}'")),
                 }
             }
             other => usage(&format!("unknown flag '{other}'")),
@@ -325,10 +325,10 @@ fn main() {
     }
     let topo = Topology::new(a.nodes, a.tpn);
     println!(
-        "{} on {topo}, {} iteration(s) per point, {:?} tree\n",
+        "{} on {topo}, {} iteration(s) per point, {} tree\n",
         a.op.name(),
         a.iters,
-        a.tree
+        a.tree.map_or("derived".into(), |k| format!("{k:?}"))
     );
     print!("{:>10}", "bytes");
     for imp in &a.imps {

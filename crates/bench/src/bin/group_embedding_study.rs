@@ -22,15 +22,15 @@ fn naive_inter_edges(topo: Topology, order: &[usize]) -> usize {
 
 fn study(name: &str, topo: Topology, group: Vec<usize>) {
     let naive = naive_inter_edges(topo, &group);
-    let g = CommGroup::new(topo, TreeKind::Binomial, 1, group);
+    let g = CommGroup::new(topo, 1, group);
     println!(
         "{:>34}: |group|={:3} nodes={:2}  net edges {:3} (naive {:3})  height {}",
         name,
         g.len(),
         g.node_count(),
-        g.inter_edges(0).len(),
+        g.inter_edges(TreeKind::Binomial, 0).len(),
         naive,
-        g.embedded_height(),
+        g.embedded_height(TreeKind::Binomial),
     );
 }
 

@@ -14,7 +14,7 @@ use srm_cluster::{measure, HarnessOpts, Impl, Op};
 fn main() {
     let machine = MachineConfig::ibm_sp_colony();
     println!(
-        "{:>10} {:>6} {:>8} {:>12} {:>12} {:>8}",
+        "{:>10} {:>6} {:>8} {:>12} {:>12} {:>8}  trees (inter / intra-node reduce)",
         "op", "topo", "bytes", "model (us)", "sim (us)", "ratio"
     );
     let mut worst: f64 = 1.0;
@@ -37,14 +37,17 @@ fn main() {
         let sim = measure(Impl::Srm, machine.clone(), topo, op, len, opts);
         let ratio = sim.per_call.as_us() / predicted.as_us();
         worst = worst.max(ratio.max(1.0 / ratio));
+        let trees = model.trees(op, len);
         println!(
-            "{:>10} {:>6} {:>8} {:>12.1} {:>12.1} {:>8.2}",
+            "{:>10} {:>6} {:>8} {:>12.1} {:>12.1} {:>8.2}  {:?} / {:?}",
             op.name(),
             format!("{}x{}", topo.nodes(), topo.tasks_per_node()),
             len,
             predicted.as_us(),
             sim.per_call.as_us(),
-            ratio
+            ratio,
+            trees.inter,
+            trees.intra
         );
     };
     for nodes in [2usize, 4, 16] {

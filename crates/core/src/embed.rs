@@ -10,82 +10,97 @@
 //! when `n` and `p` are powers of two, and never more than one step
 //! above it otherwise (see the `height_optimality` tests).
 //!
-//! Three inter-node tree shapes are supported because the authors
-//! "implemented and experimented with the three tree types and found
-//! binomial trees perform the best": binomial (distance power-of-two),
-//! binary, and Fibonacci (postal-model trees for send latency 2).
+//! Five tree shapes. Three because the authors "implemented and
+//! experimented with the three tree types and found binomial trees
+//! perform the best" — a latency result: binomial (distance
+//! power-of-two), binary, and Fibonacci (postal-model trees for send
+//! latency 2). Two because a multi-chunk pipeline is bound by its
+//! busiest vertex, not its height ([`crate::SrmModel::trees`] picks
+//! per call): the chain, and a binary tree hung under a root that
+//! keeps one child.
+
+use simnet::SimTime;
 
 /// Shape of the inter-node (and intra-node reduce) tree.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum TreeKind {
-    /// Distance-power-of-two binomial tree — SRM's default and the
-    /// paper's experimental winner.
+    /// Distance-power-of-two binomial tree — the paper's experimental
+    /// winner, and what every one-chunk call runs on by default.
+    #[default]
     Binomial,
     /// Complete binary tree (children `2i+1`, `2i+2`).
     Binary,
     /// Postal-model tree with forwarding delay 2 rounds: subtree sizes
     /// grow as Fibonacci numbers.
     Fibonacci,
+    /// Every vertex has one child: the deepest tree and the narrowest.
+    Chain,
+    /// A binary tree over vertices `1..size` hung under the root
+    /// (children of `v ≥ 1` are `2v`, `2v+1`): the root handles one
+    /// operand per chunk whatever the size.
+    HungBinary,
+}
+
+impl TreeKind {
+    /// Every kind, in declaration order.
+    pub const ALL: [TreeKind; 5] = [
+        TreeKind::Binomial,
+        TreeKind::Binary,
+        TreeKind::Fibonacci,
+        TreeKind::Chain,
+        TreeKind::HungBinary,
+    ];
 }
 
 /// Parent of vertex `v` (relative numbering, root 0) in a tree of
-/// `size` vertices.
+/// `size` vertices. A parent's number is below its child's in every
+/// kind.
 pub fn parent(kind: TreeKind, v: usize, size: usize) -> Option<usize> {
     assert!(v < size);
-    if v == 0 {
-        return None;
+    (v != 0).then(|| match kind {
+        TreeKind::Binomial => v & (v - 1),
+        TreeKind::Binary => (v - 1) / 2,
+        TreeKind::Fibonacci => rounds_tree_parents(size, 2)[v],
+        TreeKind::Chain => v - 1,
+        TreeKind::HungBinary => v / 2,
+    })
+}
+
+/// [`parent`] of every vertex (the root's entry is 0).
+pub fn parents(kind: TreeKind, size: usize) -> Vec<usize> {
+    if kind == TreeKind::Fibonacci {
+        return rounds_tree_parents(size, 2);
     }
-    match kind {
-        TreeKind::Binomial => {
-            let mut mask = 1usize;
-            while mask < size {
-                if v & mask != 0 {
-                    return Some(v - mask);
-                }
-                mask <<= 1;
-            }
-            unreachable!("v has a set bit below size")
-        }
-        TreeKind::Binary => Some((v - 1) / 2),
-        TreeKind::Fibonacci => Some(rounds_tree_parents(size, 2)[v]),
-    }
+    let up = |v| parent(kind, v, size).unwrap_or(0);
+    (0..size).map(up).collect()
 }
 
 /// Children of vertex `v`, in the order a broadcast should send to them
 /// (subtrees that take longest first).
 pub fn children(kind: TreeKind, v: usize, size: usize) -> Vec<usize> {
     assert!(v < size);
-    match kind {
+    let kids: Vec<usize> = match kind {
         TreeKind::Binomial => {
-            let stop = match parent(kind, v, size) {
-                Some(p) => v - p, // mask at which the parent link was found
-                None => {
-                    let mut m = 1usize;
-                    while m < size {
-                        m <<= 1;
-                    }
-                    m
-                }
+            // Below the bit that links `v` to its parent (every bit,
+            // for the root), highest first.
+            let top = if v == 0 {
+                size.next_power_of_two()
+            } else {
+                v & v.wrapping_neg()
             };
-            let mut out = Vec::new();
-            let mut mask = stop >> 1;
-            while mask > 0 {
-                if v + mask < size {
-                    out.push(v + mask);
-                }
-                mask >>= 1;
-            }
-            out
+            let masks = std::iter::successors(Some(top >> 1), |m| Some(m >> 1));
+            masks.take_while(|&m| m > 0).map(|m| v + m).collect()
         }
-        TreeKind::Binary => [2 * v + 1, 2 * v + 2]
-            .into_iter()
-            .filter(|&c| c < size)
-            .collect(),
+        TreeKind::Binary => vec![2 * v + 1, 2 * v + 2],
+        TreeKind::Chain => vec![v + 1],
+        TreeKind::HungBinary if v == 0 => vec![1],
+        TreeKind::HungBinary => vec![2 * v, 2 * v + 1],
         TreeKind::Fibonacci => {
             let parents = rounds_tree_parents(size, 2);
-            (0..size).filter(|&c| c != 0 && parents[c] == v).collect()
+            (1..size).filter(|&c| parents[c] == v).collect()
         }
-    }
+    };
+    kids.into_iter().filter(|&c| c < size).collect()
 }
 
 /// Children in increasing-completion order — the order a reduce should
@@ -96,14 +111,76 @@ pub fn children_ascending(kind: TreeKind, v: usize, size: usize) -> Vec<usize> {
     c
 }
 
+/// Hops from every vertex up to the root, in one pass over the parent
+/// table.
+pub fn depths(kind: TreeKind, size: usize) -> Vec<usize> {
+    let up = parents(kind, size);
+    let mut depth = vec![0; size];
+    for v in 1..size {
+        depth[v] = depth[up[v]] + 1;
+    }
+    depth
+}
+
 /// Hops from vertex `v` up to the root.
 pub fn depth(kind: TreeKind, v: usize, size: usize) -> usize {
-    std::iter::successors(Some(v), |&u| parent(kind, u, size)).count() - 1
+    depths(kind, size)[v]
 }
 
 /// Height (number of dependent hops root→deepest leaf) of the tree.
 pub fn height(kind: TreeKind, size: usize) -> usize {
-    (0..size).map(|v| depth(kind, v, size)).max().unwrap_or(0)
+    depths(kind, size).into_iter().max().unwrap_or(0)
+}
+
+/// What a pipeline's closed form reads off a tree.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TreeProfile {
+    /// When the last vertex has a chunk the root started sending at 0,
+    /// a vertex serving its children one after the other at `send`
+    /// each and a chunk taking `hop` more to arrive. A reduce runs the
+    /// same schedule backwards, so it is also when the root has folded
+    /// a chunk every leaf contributed at 0.
+    pub fill: SimTime,
+    /// Most children of any vertex: the sends a chunk costs the
+    /// busiest one.
+    pub fan: usize,
+    /// Children of the root.
+    pub root_fan: usize,
+}
+
+/// The [`TreeProfile`] of the `kind` tree on `size` vertices, in one
+/// pass over its parent table.
+pub fn profile(kind: TreeKind, size: usize, send: SimTime, hop: SimTime) -> TreeProfile {
+    if kind == TreeKind::Chain {
+        let fan = usize::from(size > 1);
+        let fill = (send + hop) * size.saturating_sub(1) as u64;
+        return TreeProfile {
+            fill,
+            fan,
+            root_fan: fan,
+        };
+    }
+    let up = parents(kind, size);
+    let mut fan = vec![0usize; size];
+    up.iter().skip(1).for_each(|&p| fan[p] += 1);
+    let mut served = vec![0usize; size];
+    let mut reach = vec![SimTime::ZERO; size];
+    for v in 1..size {
+        let p = up[v];
+        served[p] += 1;
+        // Siblings are served in ascending order, a binomial vertex's
+        // in descending order (`children`).
+        let turn = match kind {
+            TreeKind::Binomial => fan[p] + 1 - served[p],
+            _ => served[p],
+        };
+        reach[v] = reach[p] + send * turn as u64 + hop;
+    }
+    TreeProfile {
+        fill: reach.into_iter().max().unwrap_or(SimTime::ZERO),
+        fan: fan.iter().copied().max().unwrap_or(0),
+        root_fan: fan.first().copied().unwrap_or(0),
+    }
 }
 
 /// Parent table of the round-based postal tree: in every round each
@@ -201,7 +278,7 @@ mod tests {
 
     #[test]
     fn all_kinds_span_all_sizes() {
-        for kind in [TreeKind::Binomial, TreeKind::Binary, TreeKind::Fibonacci] {
+        for kind in TreeKind::ALL {
             for size in 1..=40 {
                 check_spanning(kind, size);
             }
@@ -251,7 +328,7 @@ mod tests {
 
     /// The communicator of `ranks` (comm rank order) on `topo`, binomial.
     fn group(topo: Topology, ranks: &[Rank]) -> CommGroup {
-        CommGroup::new(topo, TreeKind::Binomial, 1, ranks.to_vec())
+        CommGroup::new(topo, 1, ranks.to_vec())
     }
 
     fn world(nodes: usize, tpn: usize) -> CommGroup {
@@ -266,15 +343,15 @@ mod tests {
         // The paper's Figure 1: 128 procs on 8 x 16.
         let g = world(8, 16);
         // Inter-node binomial on 8 nodes from node 0.
-        assert_eq!(g.tree(0, 0).down(), [4, 2, 1]);
-        assert_eq!(g.tree(0, 3).parent(), Some(2));
-        assert_eq!(g.tree(0, 0).parent(), None);
+        assert_eq!(g.tree(TreeKind::Binomial, 0, 0).down(), [4, 2, 1]);
+        assert_eq!(g.tree(TreeKind::Binomial, 0, 3).parent(), Some(2));
+        assert_eq!(g.tree(TreeKind::Binomial, 0, 0).parent(), None);
         // Intra-node subtree over each node's slots, rooted at the
         // master (slot 0).
         assert_eq!(parent(TreeKind::Binomial, 1, 16), Some(0));
         assert_eq!(parent(TreeKind::Binomial, 8, 16), Some(0));
         // Total steps: log2(16) + log2(8) = 4 + 3 = 7 = log2(128).
-        assert_eq!(g.embedded_height(), 7);
+        assert_eq!(g.embedded_height(TreeKind::Binomial), 7);
     }
 
     #[test]
@@ -282,7 +359,11 @@ mod tests {
         // n*p a power of two: embedding adds no steps.
         for (n, p) in [(8usize, 16usize), (16, 16), (4, 8), (2, 2)] {
             let flat = height(TreeKind::Binomial, n * p);
-            assert_eq!(world(n, p).embedded_height(), flat, "{n}x{p}");
+            assert_eq!(
+                world(n, p).embedded_height(TreeKind::Binomial),
+                flat,
+                "{n}x{p}"
+            );
         }
     }
 
@@ -293,8 +374,11 @@ mod tests {
         // (8 nodes, 3 hops) equals the flat tree on 120 (deepest
         // 0b1110111 = 6 hops).
         let g = world(8, 15);
-        assert_eq!(g.embedded_height(), 6);
-        assert_eq!(g.embedded_height(), height(TreeKind::Binomial, 120));
+        assert_eq!(g.embedded_height(TreeKind::Binomial), 6);
+        assert_eq!(
+            g.embedded_height(TreeKind::Binomial),
+            height(TreeKind::Binomial, 120)
+        );
     }
 
     #[test]
@@ -302,15 +386,18 @@ mod tests {
         let g = world(4, 4);
         let root_node = g.coord_of(9).0;
         assert_eq!(root_node, 2);
-        assert_eq!(g.tree(root_node, 2).parent(), None);
+        assert_eq!(g.tree(TreeKind::Binomial, root_node, 2).parent(), None);
         // Node children of root's node: vnodes 2,1 -> nodes (2+2)%4=0, 3.
-        assert_eq!(g.tree(root_node, 2).down(), [0, 3]);
+        assert_eq!(g.tree(TreeKind::Binomial, root_node, 2).down(), [0, 3]);
         // All nodes reachable.
         let mut seen = HashSet::from([2usize]);
         for node in 0..4 {
-            for &c in g.tree(root_node, node).down() {
+            for &c in g.tree(TreeKind::Binomial, root_node, node).down() {
                 assert!(seen.insert(c));
-                assert_eq!(g.tree(root_node, c).parent(), Some(node));
+                assert_eq!(
+                    g.tree(TreeKind::Binomial, root_node, c).parent(),
+                    Some(node)
+                );
             }
         }
         assert_eq!(seen.len(), 4);
@@ -339,7 +426,7 @@ mod tests {
             // The network edges hang every node's master off the master
             // of the root's node (the root is one shared-memory hop
             // from it, as is every member from its own master).
-            let edges = g.inter_edges(root);
+            let edges = g.inter_edges(TreeKind::Binomial, root);
             let mut reached = HashSet::from([g.master_of(g.coord_of(root).0)]);
             while let Some(&(_, c)) = edges
                 .iter()
@@ -365,7 +452,7 @@ mod tests {
             .flat_map(|slot| (0..4).map(move |node| topo.rank_of(node, slot)))
             .collect();
         let g = group(topo, &ranks);
-        assert_eq!(g.inter_edges(0).len(), 3);
+        assert_eq!(g.inter_edges(TreeKind::Binomial, 0).len(), 3);
         let naive = (1..ranks.len())
             .filter(|&v| {
                 let p = parent(TreeKind::Binomial, v, ranks.len()).expect("non-root");
@@ -390,7 +477,7 @@ mod tests {
         );
         // Each inter edge connects masters of distinct nodes.
         for root in 0..ranks.len() {
-            for (p, c) in g.inter_edges(root) {
+            for (p, c) in g.inter_edges(TreeKind::Binomial, root) {
                 assert!(!topo.same_node(p, c));
                 assert!([2, 5, 9].contains(&p) && [2, 5, 9].contains(&c));
             }
@@ -401,13 +488,13 @@ mod tests {
     fn group_embedding_height_never_exceeds_naive_plus_one_level() {
         let g = group(Topology::new(4, 4), &[0, 1, 4, 5, 8, 9, 12, 13]);
         // 4 nodes x 2 members: 1 + 2 = 3 hops; flat tree on 8: 3.
-        assert_eq!(g.embedded_height(), 3);
+        assert_eq!(g.embedded_height(TreeKind::Binomial), 3);
     }
 
     #[test]
     #[should_panic(expected = "root out of communicator range")]
     fn group_requires_root_membership() {
-        let _ = group(Topology::new(2, 2), &[0, 1]).inter_edges(3);
+        let _ = group(Topology::new(2, 2), &[0, 1]).inter_edges(TreeKind::Binomial, 3);
     }
 
     #[test]

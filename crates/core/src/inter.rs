@@ -55,6 +55,7 @@ use crate::plan::{
     Side, Step, Until, Val, WaitCell,
 };
 use crate::smp::{plan_acc_to_user, plan_stage_acc, smp_cell, smp_cells};
+use crate::tune::TuneOp as Op;
 use crate::tuning::SrmTuning;
 use crate::world::SrmComm;
 use shmem::PairUse;
@@ -238,7 +239,8 @@ impl SrmComm {
         // Decision knobs (switch points) come from the builder's
         // effective per-shape tuning; buffer geometry stays world-wide.
         let t = *b.tuning();
-        let tree = self.group().tree(self.cnode_of(root), self.cnode());
+        let kind = self.trees(&t, Op::Bcast, len).inter;
+        let tree = self.group().tree(kind, self.cnode_of(root), self.cnode());
         let toggles = self.c_is_master() && len <= t.interrupt_disable_max;
         if toggles {
             b.push(Step::SetInterrupts(false));
@@ -417,7 +419,8 @@ impl SrmComm {
             return;
         }
         let (root_node, root_gslot) = self.ccoord_of(root);
-        let tree = self.group().tree(root_node, self.cnode());
+        let kinds = self.trees(b.tuning(), Op::Reduce, len);
+        let tree = self.group().tree(kinds.inter, root_node, self.cnode());
         let toggles =
             self.cmulti() && self.c_is_master() && len <= b.tuning().interrupt_disable_max;
         if toggles {
@@ -434,7 +437,7 @@ impl SrmComm {
             let off = k * chunk;
             let clen = chunk.min(len - off);
             let xrel = xrel0 + k as u64;
-            let has_acc = self.plan_smp_reduce_chunk(b, off, clen, rel0 + k as u64, 0);
+            let has_acc = self.plan_smp_reduce_chunk(b, off, clen, rel0 + k as u64, kinds.intra);
 
             if self.c_is_master() {
                 debug_assert!(has_acc, "master is the intra-node subtree root");
@@ -527,7 +530,7 @@ impl SrmComm {
     /// intra-node broadcast.
     fn plan_allreduce_small(&self, b: &mut PlanBuilder, len: usize) {
         let rel = b.rel(SeqBase::Reduce);
-        let has_acc = self.plan_smp_reduce_chunk(b, 0, len, rel, 0);
+        let has_acc = self.plan_smp_reduce_chunk(b, 0, len, rel, self.tree());
         // Puts ship the accumulator from the master's own (otherwise
         // idle) contribution buffer.
         let staging = self.hand_side(Hand::Slot(0), rel);
@@ -637,7 +640,7 @@ impl SrmComm {
     /// broadcast). Iteration `i` emits `up(i)`, then `down(i − d)`; the
     /// planner passes [`Self::allreduce_skew`] for `d`.
     fn plan_allreduce_large(&self, b: &mut PlanBuilder, len: usize, d: usize) {
-        let tree = self.group().tree(0, self.cnode());
+        let tree = self.group().tree(self.tree(), 0, self.cnode());
         let chunk = self.tuning().reduce_chunk;
         let chunks = SrmTuning::chunk_count(len, chunk);
         let rel0 = b.rel(SeqBase::Reduce);
@@ -649,7 +652,7 @@ impl SrmComm {
         for i in 0..chunks + d {
             if i < chunks {
                 let ((off, clen, lrel), rel) = (span(i), rel0 + i as u64);
-                let has_acc = self.plan_smp_reduce_chunk(b, off, clen, rel, 0);
+                let has_acc = self.plan_smp_reduce_chunk(b, off, clen, rel, self.tree());
                 if master {
                     debug_assert!(has_acc, "master is the subtree root");
                     self.plan_tree_up(b, &tree, rel, clen);

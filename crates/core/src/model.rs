@@ -19,9 +19,25 @@
 //! `t` LAPI target overhead, `c` counter check, `γ` shm per-byte under
 //! contention, `f`/`fs` flag read/store, `ρ` reduce per-byte.
 
-use crate::embed::height;
+use crate::embed::{children, height, profile, TreeKind};
+use crate::tune::TuneOp as Op;
 use crate::tuning::SrmTuning;
 use simnet::{MachineConfig, SimTime, Topology};
+
+/// The trees one rooted call runs on: between the node masters, and
+/// (reduce only) over each node's slots under its master.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Trees {
+    /// Inter-node tree over the group's nodes.
+    pub inter: TreeKind,
+    /// Intra-node reduce tree over a node's slots.
+    pub intra: TreeKind,
+}
+
+/// A landing has two sides: half a side's round trip per chunk.
+fn half(round_trip: SimTime) -> SimTime {
+    SimTime::from_ps(round_trip.as_ps() / 2)
+}
 
 /// Closed-form latency predictions for the SRM collectives.
 #[derive(Clone, Debug)]
@@ -37,9 +53,46 @@ impl SrmModel {
         SrmModel { cfg, topo, tuning }
     }
 
-    /// Height of the inter-node tree.
-    fn net_hops(&self) -> u64 {
-        height(self.tuning.tree, self.topo.nodes()) as u64
+    /// The trees an `op` call of `len` bytes runs on. A call that is
+    /// one chunk, or not a broadcast or reduce, or made under a forced
+    /// [`SrmTuning::tree`], runs on the configured kind. A pipeline
+    /// runs on whichever candidate its closed form
+    /// (`fill + (chunks − 1) · interval`) says finishes first — between
+    /// the nodes the configured kind, binary or a chain; under a
+    /// reducing master the configured kind or a hung binary tree — the
+    /// earlier candidate on a tie.
+    pub fn trees(&self, op: Op, len: usize) -> Trees {
+        let own = self.tuning.tree.unwrap_or_default();
+        let on = |inter, intra| Trees { inter, intra };
+        let (inters, intras) = (
+            [own, TreeKind::Binary, TreeKind::Chain],
+            [own, TreeKind::HungBinary],
+        );
+        let intras = match op {
+            _ if self.tuning.tree.is_some() => return on(own, own),
+            Op::Bcast if self.bcast_chunking(len).1 > 1 => &intras[..1],
+            Op::Reduce if len > self.tuning.reduce_chunk => &intras[..],
+            _ => return on(own, own),
+        };
+        let time = |t: &Trees| match op {
+            Op::Bcast => self.bcast_on(len, t.inter),
+            _ => self.reduce_on(len, *t),
+        };
+        let candidates = (inters.iter()).flat_map(|&e| intras.iter().map(move |&i| on(e, i)));
+        candidates
+            .min_by_key(time)
+            .expect("six candidates or three")
+    }
+
+    /// Chunk size and count of a multi-node broadcast of `len` bytes.
+    fn bcast_chunking(&self, len: usize) -> (usize, u64) {
+        let t = &self.tuning;
+        let chunk = if len > t.small_large_switch {
+            t.large_chunk
+        } else {
+            t.small_bcast_chunk(len)
+        };
+        (chunk.min(len), SrmTuning::chunk_count(len, chunk) as u64)
     }
 
     /// One LAPI put of `bytes`, origin call to data landed (no queueing).
@@ -70,6 +123,11 @@ impl SrmModel {
 
     /// Predicted broadcast latency for a `len`-byte payload.
     pub fn bcast(&self, len: usize) -> SimTime {
+        self.bcast_on(len, self.trees(Op::Bcast, len).inter)
+    }
+
+    /// [`Self::bcast`] on the `inter` tree between the nodes.
+    fn bcast_on(&self, len: usize, inter: TreeKind) -> SimTime {
         if len == 0 || self.topo.nprocs() == 1 {
             return SimTime::ZERO;
         }
@@ -83,33 +141,33 @@ impl SrmModel {
                 + self.smp_chunk_out(cell.min(len)) * (chunks - 1)
                 + self.smp_chunk_out(last);
         }
-        let hops = self.net_hops();
+        // A chunk reaches the last node after the tree's fill; each
+        // further chunk costs the busiest master's adapter one wire
+        // time per child.
+        let (chunk, chunks) = self.bcast_chunking(len);
+        let wire = self.cfg.net_per_byte.cost_of(chunk);
+        let tree = profile(inter, self.topo.nodes(), wire, self.put_time(0));
+        let sends = wire * tree.fan as u64;
         if len <= self.tuning.small_large_switch {
-            // Small protocol: stage at the root, pipeline chunks down
-            // `hops` put stages, distribute the last chunk locally.
-            let chunk = self.tuning.small_bcast_chunk(len);
-            let chunks = SrmTuning::chunk_count(len, chunk) as u64;
-            let per_hop = self.put_time(chunk);
-            // Pipeline: latency of one chunk over all hops + (chunks-1)
-            // intervals at the bottleneck stage (the put).
-            self.stage(chunk)
-                + per_hop * hops
-                + per_hop * (chunks - 1)
-                + self.smp_chunk_out(chunk.min(len))
+            // Small protocol: stage at the root, distribute the last
+            // chunk locally. A landing side comes back once its node
+            // has drained it and the credit has flown home — to a
+            // master staging the next chunk: two sides, so half of that
+            // per chunk.
+            let credit = self.put_time(chunk)
+                + self.smp_chunk_out(chunk)
+                + self.put_time(0)
+                + self.cfg.interrupt_cost;
+            let interval = sends.max(half(credit));
+            self.stage(chunk) + tree.fill + interval * (chunks - 1) + self.smp_chunk_out(chunk)
         } else {
-            // Large protocol: address exchange, then `large_chunk` puts
-            // pipeline down the tree while each node's SMP pipeline
+            // Large protocol: address exchange, then puts straight into
+            // the user buffers while each node's SMP pipeline
             // redistributes.
-            let chunk = self.tuning.large_chunk;
-            let chunks = SrmTuning::chunk_count(len, chunk) as u64;
-            let addr = self.put_time(0);
-            let per_hop = self.put_time(chunk);
-            // The root serializes its children's copies on one adapter:
-            // the bottleneck interval is fanout x wire time.
-            let interval = self.cfg.net_per_byte.cost_of(chunk) * self.root_fanout();
             let smp_cells = SrmTuning::chunk_count(chunk, SrmTuning::SMP_BUF) as u64;
-            addr + per_hop * hops
-                + interval * (chunks - 1)
+            self.put_time(0)
+                + tree.fill
+                + sends * (chunks - 1)
                 + (self.stage(SrmTuning::SMP_BUF) + self.smp_chunk_out(SrmTuning::SMP_BUF))
                     * smp_cells
         }
@@ -118,50 +176,50 @@ impl SrmModel {
     /// Predicted reduce latency (sum over the intra-node combine tree,
     /// the inter-node pipeline, and the per-chunk operator work).
     pub fn reduce(&self, len: usize) -> SimTime {
+        self.reduce_on(len, self.trees(Op::Reduce, len))
+    }
+
+    /// [`Self::reduce`] on `trees`.
+    fn reduce_on(&self, len: usize, trees: Trees) -> SimTime {
         if len == 0 || self.topo.nprocs() == 1 {
             return SimTime::ZERO;
         }
-        let p = self.topo.tasks_per_node();
+        let (n, p) = (self.topo.nodes(), self.topo.tasks_per_node());
         let chunk = self.tuning.reduce_chunk.min(len);
         let chunks = SrmTuning::chunk_count(len, self.tuning.reduce_chunk) as u64;
-        // Intra-node: leaf copy + one combine per tree level.
-        let smp_levels = height(self.tuning.tree, p) as u64;
-        let smp = self.cfg.shm_copy_cost(chunk, (p / 2).max(1))
-            + (self.cfg.reduce_cost(chunk) + self.cfg.flag_op + self.cfg.flag_set_op) * smp_levels;
+        let fold = self.cfg.reduce_cost(chunk);
+        // Intra-node: leaf copy, then one combine per child, a level
+        // after the other.
+        let flags = self.cfg.flag_op + self.cfg.flag_set_op;
+        let intra = profile(trees.intra, p, fold + flags, SimTime::ZERO);
         // Inter-node: each hop ships a chunk and combines it.
-        let hop = self.put_time(chunk) + self.cfg.reduce_cost(chunk);
-        let hops = self.net_hops();
-        // Steady-state interval: the slower of the root's master (one
-        // combine per child) and its adapter's inbound port.
-        let wire = self.cfg.net_per_byte.cost_of(chunk) * self.root_fanout();
-        let interval = (self.cfg.reduce_cost(chunk) * self.root_folds()).max(wire);
-        smp + hop * hops + interval * (chunks - 1)
+        let inter = profile(trees.inter, n, fold, self.put_time(chunk));
+        // Steady-state interval: the slowest of the busiest master (one
+        // combine per child slot and child node), the busiest slot, the
+        // busiest adapter's inbound port, and a channel side's round
+        // trip — put, combine, credit, both landing on masters that are
+        // combining — over its two sides.
+        let wire = self.cfg.net_per_byte.cost_of(chunk) * inter.fan as u64;
+        let credit = self.put_time(chunk) + fold + self.put_time(0) + self.cfg.interrupt_cost * 2;
+        let credit = if n > 1 { half(credit) } else { SimTime::ZERO };
+        let busiest = (intra.root_fan + inter.fan).max(intra.fan) as u64;
+        let interval = (fold * busiest).max(wire).max(credit);
+        self.cfg.shm_copy_cost(chunk, (p / 2).max(1))
+            + intra.fill
+            + inter.fill
+            + interval * (chunks - 1)
     }
 
-    /// Children of the tree root (the widest fan-in/out in the tree).
-    fn root_fanout(&self) -> u64 {
-        crate::embed::children(self.tuning.tree, 0, self.topo.nodes())
-            .len()
-            .max(1) as u64
-    }
-
-    /// Combines the root node's master runs per chunk: one per child
-    /// slot of its intra-node tree and one per child node.
-    fn root_folds(&self) -> u64 {
-        let p = self.topo.tasks_per_node();
-        crate::embed::children(self.tuning.tree, 0, p).len() as u64 + self.root_fanout()
-    }
-
-    /// Predicted allreduce latency.
+    /// Predicted allreduce latency (on the configured tree).
     pub fn allreduce(&self, len: usize) -> SimTime {
         if len == 0 || self.topo.nprocs() == 1 {
             return SimTime::ZERO;
         }
-        let n = self.topo.nodes();
+        let (n, p) = (self.topo.nodes(), self.topo.tasks_per_node());
+        let own = self.tuning.tree.unwrap_or_default();
+        let smp_levels = height(own, p) as u64;
         if len <= self.tuning.allreduce_rd_max {
             // SMP reduce + log2(n) pairwise exchange rounds + SMP bcast.
-            let p = self.topo.tasks_per_node();
-            let smp_levels = height(self.tuning.tree, p) as u64;
             let smp_reduce = self.cfg.shm_copy_cost(len, (p / 2).max(1))
                 + (self.cfg.reduce_cost(len) + self.cfg.flag_op + self.cfg.flag_set_op)
                     * smp_levels;
@@ -178,18 +236,20 @@ impl SrmModel {
             let chunks = SrmTuning::chunk_count(len, chunk) as u64;
             let hop_r = self.put_time(chunk) + self.cfg.reduce_cost(chunk);
             let hop_b = self.put_time(chunk);
-            let hops = self.net_hops();
-            let p = self.topo.tasks_per_node();
+            let hops = height(own, n) as u64;
             let smp = self.cfg.shm_copy_cost(chunk, (p / 2).max(1))
-                + self.cfg.reduce_cost(chunk) * height(self.tuning.tree, p) as u64
+                + self.cfg.reduce_cost(chunk) * smp_levels
                 + self.stage(chunk)
                 + self.smp_chunk_out(chunk);
             // Steady-state interval: the slower of node 0's master —
-            // reduce's combines, then staging the result for both
-            // broadcasts — and its adapter, which takes `fanout` chunks
-            // in and sends `fanout` out on separate ports.
-            let busy = self.cfg.reduce_cost(chunk) * self.root_folds() + self.stage(chunk);
-            let wire = self.cfg.net_per_byte.cost_of(chunk) * self.root_fanout();
+            // one combine per child slot and child node, then staging
+            // the result for both broadcasts — and its adapter, which
+            // takes `fanout` chunks in and sends `fanout` out on
+            // separate ports.
+            let fanout = children(own, 0, n).len().max(1) as u64;
+            let folds = children(own, 0, p).len() as u64 + fanout;
+            let busy = self.cfg.reduce_cost(chunk) * folds + self.stage(chunk);
+            let wire = self.cfg.net_per_byte.cost_of(chunk) * fanout;
             let interval = busy.max(wire);
             smp + (hop_r + hop_b) * hops + interval * (chunks - 1)
         }

@@ -484,7 +484,7 @@ impl SrmComm {
                 let Some(&(boff, blk, plen)) = pieces[d].get(k) else {
                     continue;
                 };
-                let is_root = self.plan_smp_reduce_chunk(b, boff, plen, rel, 0);
+                let is_root = self.plan_smp_reduce_chunk(b, boff, plen, rel, self.tree());
                 rel += 1;
                 if !is_root {
                     continue;
@@ -522,7 +522,7 @@ impl SrmComm {
             let Some(&(boff, blk, plen)) = pieces[me].get(k) else {
                 continue;
             };
-            let is_root = self.plan_smp_reduce_chunk(b, boff, plen, rel, 0);
+            let is_root = self.plan_smp_reduce_chunk(b, boff, plen, rel, self.tree());
             rel += 1;
             let lrel = lrel0 + k as u64;
             // My result segment's part of the piece.

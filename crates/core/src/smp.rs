@@ -23,6 +23,7 @@
 //! between the buffers"). The inter-node planners interleave cell writes with
 //! network steps to build their pipelines.
 
+use crate::embed::{children_ascending, TreeKind};
 use crate::inter::{par, poff, seq};
 use crate::plan::{
     BufRef, CopyCost, FlagRef, Hand, Off, PairSel, PlanBuilder, SeqBase, Step, Until, Val, WaitCell,
@@ -309,21 +310,22 @@ impl SrmComm {
     /// Plan one chunk of the intra-node reduce tree (Figure 2) for
     /// every task on the node. `rel` is the plan-relative chunk index
     /// against [`SeqBase::Reduce`] (drives buffer parity and the
-    /// cumulative flags); `dst_slot` is the slot the subtree is rooted
-    /// at. Returns `true` at the subtree root, where the accumulator
-    /// holds the combined chunk after the emitted steps run.
+    /// cumulative flags); the tree is the `kind` one over the node's
+    /// slots, rooted at the master. Returns `true` at the subtree root,
+    /// where the accumulator holds the combined chunk after the emitted
+    /// steps run.
     pub(crate) fn plan_smp_reduce_chunk(
         &self,
         b: &mut PlanBuilder,
         off: usize,
         clen: usize,
         rel: u64,
-        dst_slot: usize,
+        kind: TreeKind,
     ) -> bool {
         let p = self.cslots_here();
         debug_assert!(clen <= self.tuning().reduce_chunk);
-        let vs = (self.cslot() + p - dst_slot) % p;
-        let kids = crate::embed::children_ascending(self.tree(), vs, p);
+        let vs = self.cslot();
+        let kids = children_ascending(kind, vs, p);
         let mine = Hand::Slot(self.cslot());
 
         b.push(Step::LoadAcc { off, len: clen });
@@ -338,8 +340,7 @@ impl SrmComm {
 
         // Interior (or root): fold each child's shared buffer into the
         // running chunk — operator execution only, no data movement.
-        for kv in kids {
-            let child = (kv + dst_slot) % p;
+        for child in kids {
             self.plan_hand_consume(
                 b,
                 (Hand::Slot(child), rel),

@@ -66,8 +66,11 @@ impl std::error::Error for TuningError {}
 #[derive(Clone, Copy, Debug)]
 pub struct SrmTuning {
     /// Tree shape for the inter-node and intra-node reduce trees
-    /// (broadcast within a node is flat; see §2.2).
-    pub tree: TreeKind,
+    /// (broadcast within a node is flat; see §2.2). `Some` forces the
+    /// kind on every call. `None` (the default) is binomial, except
+    /// that each multi-chunk broadcast and reduce runs on the trees
+    /// [`SrmModel::trees`](crate::SrmModel::trees) derives for it.
+    pub tree: Option<TreeKind>,
     /// Broadcasts at or below this size use the buffered small-message
     /// protocol; above it, the zero-copy large-message protocol
     /// (Figure 4; the paper's switch is 64 KB).
@@ -134,7 +137,7 @@ pub struct SrmTuning {
 impl Default for SrmTuning {
     fn default() -> Self {
         SrmTuning {
-            tree: TreeKind::Binomial,
+            tree: None,
             small_large_switch: 64 * 1024,
             pipeline_min: 8 * 1024,
             pipeline_max: 32 * 1024,

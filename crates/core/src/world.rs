@@ -14,9 +14,10 @@
 //! whatever it goes on to run.
 
 use crate::embed::{self, GroupTree, TreeKind};
+use crate::model::{SrmModel, Trees};
 use crate::pairwise::PairwiseState;
 use crate::plan::{PlanCache, SEQ_BASES};
-use crate::tune::TuneTable;
+use crate::tune::{TuneOp, TuneTable};
 use crate::tuning::SrmTuning;
 use collops::Shape;
 use rma::{LapiCounter, Rma, RmaWorld};
@@ -197,13 +198,11 @@ impl Mailbox {
 /// A communicator's membership and its mapping onto the machine: the
 /// stable comm id, the member world ranks in caller order (= comm rank
 /// order), the distinct SMP nodes the group touches, and per-node
-/// member lists — plus the tree kind, which with the node list fixes
-/// the SMP-aware embedding of every rooted operation
-/// ([`CommGroup::tree`]).
+/// member lists. With a tree kind the node list fixes the SMP-aware
+/// embedding of a rooted operation ([`CommGroup::tree`]).
 #[derive(Clone, Debug)]
 pub struct CommGroup {
     id: u64,
-    kind: TreeKind,
     /// Comm rank → world rank (caller order).
     ranks: Vec<Rank>,
     /// Group node index → world node id, ascending.
@@ -222,15 +221,15 @@ pub struct CommGroup {
 }
 
 impl CommGroup {
-    /// The group of `ranks` (comm rank order) on `topo`, with id `id`
-    /// and inter-node trees of shape `kind`. Worlds build theirs in
+    /// The group of `ranks` (comm rank order) on `topo`, with id `id`.
+    /// Worlds build theirs in
     /// [`SrmWorld::comm_create`]; building one directly needs no
     /// simulator, for studying embeddings.
     ///
     /// # Panics
     /// If `ranks` is empty, names a rank outside `topo`, or names one
     /// twice.
-    pub fn new(topo: Topology, kind: TreeKind, id: u64, ranks: Vec<Rank>) -> Self {
+    pub fn new(topo: Topology, id: u64, ranks: Vec<Rank>) -> Self {
         assert!(!ranks.is_empty(), "empty communicator group");
         assert!(
             ranks.iter().all(|&r| r < topo.nprocs()),
@@ -273,7 +272,6 @@ impl CommGroup {
             .collect();
         CommGroup {
             id,
-            kind,
             ranks,
             nodes,
             members,
@@ -345,35 +343,38 @@ impl CommGroup {
         self.contig[g]
     }
 
-    /// Group node `my_node`'s place in the inter-node tree of an
+    /// Group node `my_node`'s place in the `kind` inter-node tree of an
     /// operation rooted on group node `root_node` — what the planners
     /// compile the master-to-master legs from.
-    pub fn tree(&self, root_node: usize, my_node: usize) -> GroupTree {
-        GroupTree::new(self.kind, self.nodes.len(), root_node, my_node)
+    pub fn tree(&self, kind: TreeKind, root_node: usize, my_node: usize) -> GroupTree {
+        GroupTree::new(kind, self.nodes.len(), root_node, my_node)
     }
 
-    /// The network edges of an operation rooted at comm rank `root`, as
-    /// `(parent, child)` pairs of the world ranks that talk over them —
-    /// the two nodes' masters ([`CommGroup::master_of`]) — in relative
-    /// vertex order.
+    /// The network edges of an operation on the `kind` tree rooted at
+    /// comm rank `root`, as `(parent, child)` pairs of the world ranks
+    /// that talk over them — the two nodes' masters
+    /// ([`CommGroup::master_of`]) — in relative vertex order.
     ///
     /// # Panics
     /// If `root` is not a comm rank of the group.
-    pub fn inter_edges(&self, root: usize) -> Vec<(Rank, Rank)> {
+    pub fn inter_edges(&self, kind: TreeKind, root: usize) -> Vec<(Rank, Rank)> {
         assert!(root < self.len(), "root out of communicator range");
         let (n, root_node) = (self.nodes.len(), self.coord_of[root].0);
         let edge = |child: usize| {
-            let parent = self.tree(root_node, child).parent().expect("non-root");
+            let parent = self
+                .tree(kind, root_node, child)
+                .parent()
+                .expect("non-root");
             (self.master_of(parent), self.master_of(child))
         };
         (1..n).map(|v| edge((v + root_node) % n)).collect()
     }
 
-    /// Dependent hops of the embedded tree: the deepest intra-node
-    /// subtree plus the inter-node tree.
-    pub fn embedded_height(&self) -> usize {
-        let intra = (self.members.iter()).map(|m| embed::height(self.kind, m.len()));
-        intra.max().expect("nonempty group") + embed::height(self.kind, self.nodes.len())
+    /// Dependent hops of the embedded `kind` tree: the deepest
+    /// intra-node subtree plus the inter-node tree.
+    pub fn embedded_height(&self, kind: TreeKind) -> usize {
+        let intra = (self.members.iter()).map(|m| embed::height(kind, m.len()));
+        intra.max().expect("nonempty group") + embed::height(kind, self.nodes.len())
     }
 }
 
@@ -579,7 +580,7 @@ impl SrmWorld {
         base.validate().expect("inconsistent SrmTuning");
         let handle = sim.handle();
         let rma = RmaWorld::new(sim, topo.nprocs());
-        let world_group = CommGroup::new(topo, geometry.tree, 0, (0..topo.nprocs()).collect());
+        let world_group = CommGroup::new(topo, 0, (0..topo.nprocs()).collect());
         let world_comm = CommState::new(&handle, &rma, &geometry, world_group);
         let per_rank = (0..topo.nprocs())
             .map(|_| Arc::new(RankShared::new()))
@@ -630,7 +631,7 @@ impl SrmWorld {
     /// Call during setup (before `Sim::run`), like [`SrmWorld::new`].
     pub fn comm_create(&self, ranks: &[Rank]) -> Vec<SrmComm> {
         let id = self.next_comm.fetch_add(1, Ordering::Relaxed);
-        let group = CommGroup::new(self.inner.topo, self.inner.tuning.tree, id, ranks.to_vec());
+        let group = CommGroup::new(self.inner.topo, id, ranks.to_vec());
         let (handle, rma) = (&self.inner.handle, &self.inner.rma);
         let comm = CommState::new(handle, rma, &self.inner.tuning, group);
         (0..comm.group.len())
@@ -763,9 +764,19 @@ impl SrmComm {
         }
     }
 
-    /// The tree kind in effect.
+    /// The configured tree kind: what every call runs on that
+    /// [`SrmModel::trees`] does not derive a tree for.
     pub fn tree(&self) -> TreeKind {
-        self.comm.group.kind
+        self.world.tuning.tree.unwrap_or_default()
+    }
+
+    /// The trees a rooted `op` call of `len` bytes compiled under `t`
+    /// runs on here ([`SrmModel::trees`] on this group's node count and
+    /// its fullest node).
+    pub(crate) fn trees(&self, t: &SrmTuning, op: TuneOp, len: usize) -> Trees {
+        let p = (0..self.cnodes()).map(|g| self.cslots_on(g)).max();
+        let topo = Topology::new(self.cnodes(), p.expect("nonempty group"));
+        SrmModel::new(self.world.handle.config().clone(), topo, *t).trees(op, len)
     }
 
     /// My world node id.
@@ -992,14 +1003,22 @@ mod tests {
             }
         });
         assert_eq!(pairwise_families(&comm), (false, false));
-        let edges: Vec<(NodeId, NodeId)> = (comm.group.inter_edges(0).iter())
-            .map(|&(parent, child)| (topo.node_of(parent), topo.node_of(child)))
-            .collect();
-        assert_eq!(edges.len(), 7);
+        // The one-chunk calls and the allreduce ran on the configured
+        // tree, both ways. The 256 KB broadcast and reduce derive a
+        // binary one (the mailbox test below reads it off the address
+        // exchange), and only the reduce lands in channels: a parent's,
+        // from its child.
+        let nodes = |kind| -> Vec<(NodeId, NodeId)> {
+            (comm.group.inter_edges(kind, 0).iter())
+                .map(|&(parent, child)| (topo.node_of(parent), topo.node_of(child)))
+                .collect()
+        };
+        let (own, derived) = (nodes(TreeKind::Binomial), nodes(TreeKind::Binary));
         for a in 0..8 {
             for b in 0..8 {
                 let linked = comm.inter[a].peers[b].get().is_some();
-                let edge = edges.contains(&(a, b)) || edges.contains(&(b, a));
+                let edge =
+                    own.contains(&(a, b)) || own.contains(&(b, a)) || derived.contains(&(a, b));
                 assert_eq!(linked, edge, "link {a} -> {b}");
             }
         }
@@ -1016,7 +1035,7 @@ mod tests {
                 comm.broadcast(ctx, buf, 256 << 10, 0);
             },
         );
-        assert_eq!(sub.group.inter_edges(0), [(1, 4)]);
+        assert_eq!(sub.group.inter_edges(TreeKind::Binomial, 0), [(1, 4)]);
         assert!(sub.inter[1].peers[0].get().is_some());
         let exchanged: Vec<(Rank, Rank)> = (mailbox_slots(&sub).iter())
             .map(|&(owner, sender)| (sub.group.ranks()[owner], sub.group.ranks()[sender]))
@@ -1070,7 +1089,8 @@ mod tests {
         let bcast = run_comm(topo, None, |ctx, comm, buf| {
             comm.broadcast(ctx, buf, 256 << 10, 0)
         });
-        let mut edges = bcast.group.inter_edges(0);
+        // Four chunks on eight nodes: the derived tree is binary.
+        let mut edges = bcast.group.inter_edges(TreeKind::Binary, 0);
         edges.sort_unstable();
         assert_eq!(edges.len(), 7);
         assert_eq!(mailbox_slots(&bcast), edges);

@@ -311,9 +311,9 @@ fn repeated_reduce_back_to_back() {
 
 #[test]
 fn alternative_tree_kinds_are_correct() {
-    for kind in [srm::TreeKind::Binary, srm::TreeKind::Fibonacci] {
+    for kind in &srm::TreeKind::ALL[1..] {
         let tuning = SrmTuning {
-            tree: kind,
+            tree: Some(*kind),
             ..SrmTuning::default()
         };
         let topo = Topology::new(4, 3);

@@ -18,19 +18,19 @@ use srm::{embed, CommGroup, SrmComm, SrmTuning, SrmWorld, TreeKind};
 use std::sync::{Arc, Mutex};
 
 fn describe(topo: Topology, kind: TreeKind) {
-    let world = CommGroup::new(topo, kind, 0, (0..topo.nprocs()).collect());
+    let world = CommGroup::new(topo, 0, (0..topo.nprocs()).collect());
     println!("\n{kind:?} tree embedded in {topo}");
     println!(
         "  intra-node height {} + inter-node height {} = {} dependent hops (flat tree on {}: {})",
         embed::height(kind, topo.tasks_per_node()),
         embed::height(kind, topo.nodes()),
-        world.embedded_height(),
+        world.embedded_height(kind),
         topo.nprocs(),
         embed::height(kind, topo.nprocs()),
     );
     println!("  inter-node tree (node -> children):");
     for node in 0..topo.nodes() {
-        let tree = world.tree(0, node);
+        let tree = world.tree(kind, 0, node);
         if !tree.down().is_empty() {
             println!("    node {node:2} -> {:?}", tree.down());
         }
@@ -119,7 +119,7 @@ fn describe_group(topo: Topology, group: &[usize], root: usize) {
         "  {} members on {} node(s), embedded height {}",
         g.len(),
         g.node_count(),
-        g.embedded_height()
+        g.embedded_height(TreeKind::Binomial)
     );
     println!(
         "  group masters: {:?}",
@@ -127,7 +127,10 @@ fn describe_group(topo: Topology, group: &[usize], root: usize) {
             .map(|n| g.master_of(n))
             .collect::<Vec<_>>()
     );
-    println!("  inter-node edges (network): {:?}", g.inter_edges(croot));
+    println!(
+        "  inter-node edges (network): {:?}",
+        g.inter_edges(TreeKind::Binomial, croot)
+    );
     println!("  intra-node edges (shared memory): {:?}", smp_edges(&g));
 
     // Run the broadcast for real: the root fills a buffer; every

@@ -41,12 +41,12 @@ fn observed_skew(plan: &Plan) -> Option<usize> {
 
 #[test]
 fn down_leg_trails_by_one_plus_tree_depth() {
-    // Eight chunks: more than the deepest skew below (16 binomial nodes: 5).
-    let shape = PlanShape::Allreduce { len: 128 << 10 };
-    for tree in [TreeKind::Binomial, TreeKind::Binary, TreeKind::Fibonacci] {
+    // Twenty chunks: more than the deepest skew below (a chain of 16 nodes: 16).
+    let shape = PlanShape::Allreduce { len: 320 << 10 };
+    for tree in TreeKind::ALL {
         for nodes in [1, 2, 5, 16] {
             let tuning = SrmTuning {
-                tree,
+                tree: Some(tree),
                 ..SrmTuning::default()
             };
             let mut sim = Sim::new(MachineConfig::ibm_sp_colony());

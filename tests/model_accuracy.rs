@@ -5,7 +5,7 @@
 //! this test pins the envelope.
 
 use simnet::{MachineConfig, Topology};
-use srm::{SrmModel, SrmTuning};
+use srm::{SrmModel, SrmTuning, TreeKind};
 use srm_cluster::{measure, HarnessOpts, Impl, Op};
 
 const MAX_FACTOR: f64 = 2.5;
@@ -100,7 +100,9 @@ fn alltoall_within_tight_factor_of_simulation() {
 
 /// The large allreduce overlaps its reduce and broadcast legs across
 /// chunks, so it must not cost more than running the two one after the
-/// other (it did, by 1.5-2x, while the legs ran in lock step).
+/// other on the tree it runs on (it did, by 1.5-2x, while the legs ran
+/// in lock step). The tree is forced: alone, a multi-chunk reduce or
+/// broadcast derives its own.
 #[test]
 fn large_allreduce_is_no_slower_than_reduce_then_broadcast() {
     let machine = MachineConfig::ibm_sp_colony();
@@ -111,10 +113,11 @@ fn large_allreduce_is_no_slower_than_reduce_then_broadcast() {
     ] {
         let topo = Topology::new(nodes, tpn);
         let us = |op| {
-            let opts = HarnessOpts {
-                iters: 2,
-                ..Default::default()
+            let srm = SrmTuning {
+                tree: Some(TreeKind::Binomial),
+                ..SrmTuning::default()
             };
+            let opts = HarnessOpts { iters: 2, srm };
             measure(Impl::Srm, machine.clone(), topo, op, len, opts)
                 .per_call
                 .as_us()
@@ -125,6 +128,49 @@ fn large_allreduce_is_no_slower_than_reduce_then_broadcast() {
             "{len}B on {nodes}x{tpn}: allreduce {all:.1} us vs reduce + broadcast {parts:.1} us"
         );
     }
+}
+
+/// The crossovers `SrmModel::trees` computes, at the shapes
+/// EXPERIMENTS.md A1 quotes.
+#[test]
+fn pipelines_pick_their_trees() {
+    use srm::model::Trees;
+    use srm::TuneOp::{Allreduce, Bcast, Reduce};
+    use TreeKind::{Binary, Binomial, Chain, Fibonacci, HungBinary};
+    let model = |nodes, tree| {
+        let tuning = SrmTuning {
+            tree,
+            ..SrmTuning::default()
+        };
+        SrmModel::new(
+            MachineConfig::ibm_sp_colony(),
+            Topology::sp_16way(nodes),
+            tuning,
+        )
+    };
+    let on = |inter, intra| Trees { inter, intra };
+    let m = model(4, None);
+    // One chunk, another operation, a forced kind: the configured tree.
+    assert_eq!(m.trees(Bcast, 64 << 10), on(Binomial, Binomial));
+    assert_eq!(m.trees(Reduce, 16 << 10), on(Binomial, Binomial));
+    assert_eq!(m.trees(Allreduce, 1 << 20), on(Binomial, Binomial));
+    let forced = model(4, Some(Fibonacci));
+    assert_eq!(forced.trees(Reduce, 1 << 20), on(Fibonacci, Fibonacci));
+    // Pipelines: the chain once there are chunks enough to pay its
+    // fill, binary before that on 16 nodes, never in a 4 KB-chunk
+    // pipeline on 4.
+    assert_eq!(m.trees(Bcast, 32 << 10), on(Binomial, Binomial));
+    assert_eq!(m.trees(Bcast, 128 << 10), on(Binomial, Binomial));
+    assert_eq!(m.trees(Bcast, 1 << 20), on(Chain, Binomial));
+    assert_eq!(m.trees(Reduce, 64 << 10), on(Binomial, HungBinary));
+    assert_eq!(m.trees(Reduce, 1 << 20), on(Chain, HungBinary));
+    let m = model(16, None);
+    assert_eq!(m.trees(Bcast, 32 << 10), on(Binary, Binomial));
+    assert_eq!(m.trees(Bcast, 256 << 10), on(Binary, Binomial));
+    assert_eq!(m.trees(Bcast, 1 << 20), on(Chain, Binomial));
+    assert_eq!(m.trees(Reduce, 32 << 10), on(Binary, Binomial));
+    assert_eq!(m.trees(Reduce, 256 << 10), on(Binary, HungBinary));
+    assert_eq!(m.trees(Reduce, 1 << 20), on(Chain, HungBinary));
 }
 
 #[test]

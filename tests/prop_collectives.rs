@@ -6,7 +6,7 @@ use collops::{reference_reduce, Collectives, DType, ReduceOp};
 use mpi_coll::MpiColl;
 use msg::{MsgWorld, Vendor};
 use proptest::prelude::*;
-use simnet::{MachineConfig, Sim, Topology};
+use simnet::{MachineConfig, Sim, SimTime, Topology};
 use srm::{SrmTuning, SrmWorld, TreeKind};
 use std::sync::{Arc, Mutex};
 
@@ -49,7 +49,9 @@ fn arb_tree() -> impl Strategy<Value = TreeKind> {
     prop_oneof![
         Just(TreeKind::Binomial),
         Just(TreeKind::Binary),
-        Just(TreeKind::Fibonacci)
+        Just(TreeKind::Fibonacci),
+        Just(TreeKind::Chain),
+        Just(TreeKind::HungBinary)
     ]
 }
 
@@ -64,7 +66,7 @@ fn run_srm(
 ) -> Vec<Vec<u8>> {
     let len = contribs[0].len() * 8;
     let tuning = SrmTuning {
-        tree,
+        tree: Some(tree),
         ..SrmTuning::default()
     };
     let mut sim = Sim::new(MachineConfig::ibm_sp_colony());
@@ -807,8 +809,8 @@ proptest! {
     })]
 
     #[test]
-    fn trees_span_and_are_acyclic(size in 1usize..200, kind_pick in 0usize..3) {
-        let kind = [TreeKind::Binomial, TreeKind::Binary, TreeKind::Fibonacci][kind_pick];
+    fn trees_span_and_are_acyclic(size in 1usize..200, kind_pick in 0usize..5) {
+        let kind = TreeKind::ALL[kind_pick];
         let mut seen = vec![false; size];
         seen[0] = true;
         let mut count = 1;
@@ -824,11 +826,37 @@ proptest! {
         prop_assert_eq!(count, size, "{:?}: not spanning", kind);
     }
 
+    /// The one-pass profile against a walk over `children` in send
+    /// order and `parent` chains.
+    #[test]
+    fn profile_agrees_with_a_walk_over_children(size in 1usize..200, kind_pick in 0usize..5) {
+        use srm::embed::{children, depth, height, parent, profile};
+        let kind = TreeKind::ALL[kind_pick];
+        let (send, hop) = (SimTime::from_ns(7), SimTime::from_us(1));
+        let mut reach = vec![SimTime::ZERO; size];
+        let mut fan = 0;
+        for v in 0..size {
+            let kids = children(kind, v, size);
+            fan = fan.max(kids.len());
+            for (turn, &c) in kids.iter().enumerate() {
+                reach[c] = reach[v] + send * (turn as u64 + 1) + hop;
+            }
+        }
+        let got = profile(kind, size, send, hop);
+        prop_assert_eq!(got.fill, reach.into_iter().max().expect("nonempty"), "{:?}", kind);
+        prop_assert_eq!((got.fan, got.root_fan), (fan, children(kind, 0, size).len()));
+        let walk = |v| std::iter::successors(Some(v), |&u| parent(kind, u, size)).count() - 1;
+        for v in 0..size {
+            prop_assert_eq!(depth(kind, v, size), walk(v));
+        }
+        prop_assert_eq!(height(kind, size), (0..size).map(walk).max().expect("nonempty"));
+    }
+
     #[test]
     fn embedding_covers_every_rank(nodes in 1usize..12, tpn in 1usize..12, root_seed in 0usize..144) {
         let topo = Topology::new(nodes, tpn);
         let root = root_seed % topo.nprocs();
-        let g = srm::CommGroup::new(topo, TreeKind::Binomial, 0, (0..topo.nprocs()).collect());
+        let g = srm::CommGroup::new(topo, 0, (0..topo.nprocs()).collect());
         let root_node = g.coord_of(root).0;
         // Every node is reachable from the root's node, and the tree
         // each node sees agrees with its children's.
@@ -836,20 +864,20 @@ proptest! {
         seen_nodes[root_node] = true;
         let mut stack = vec![root_node];
         while let Some(n) = stack.pop() {
-            for &c in g.tree(root_node, n).down() {
+            for &c in g.tree(TreeKind::Binomial, root_node, n).down() {
                 prop_assert!(!seen_nodes[c]);
-                prop_assert_eq!(g.tree(root_node, c).parent(), Some(n));
+                prop_assert_eq!(g.tree(TreeKind::Binomial, root_node, c).parent(), Some(n));
                 seen_nodes[c] = true;
                 stack.push(c);
             }
         }
         prop_assert!(seen_nodes.iter().all(|&b| b));
         // The reported network edges are that tree, between masters.
-        let edges = g.inter_edges(root);
+        let edges = g.inter_edges(TreeKind::Binomial, root);
         prop_assert_eq!(edges.len(), nodes - 1);
         for (p, c) in edges {
             prop_assert!(topo.is_master(p) && topo.is_master(c));
-            prop_assert_eq!(g.tree(root_node, topo.node_of(c)).parent(), Some(topo.node_of(p)));
+            prop_assert_eq!(g.tree(TreeKind::Binomial, root_node, topo.node_of(c)).parent(), Some(topo.node_of(p)));
         }
         // Every rank has a path to its node master.
         for rank in 0..topo.nprocs() {

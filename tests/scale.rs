@@ -68,7 +68,10 @@ fn run_world(nodes: usize) -> Outcome {
             comm.shutdown(&ctx);
         });
     }
-    let height = world.comm(0).group().embedded_height();
+    let height = world
+        .comm(0)
+        .group()
+        .embedded_height(srm::TreeKind::Binomial);
     drop(world);
     sim.run().expect("every rank verifies and finishes");
     let spans = spans.lock().unwrap();

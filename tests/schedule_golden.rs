@@ -16,7 +16,7 @@
 use collops::{Collectives, DType, NonblockingCollectives, ReduceOp};
 use shmem::ShmBuffer;
 use simnet::{Ctx, MachineConfig, Sim, Topology, Trace};
-use srm::{SrmComm, SrmTuning, SrmWorld};
+use srm::{SrmComm, SrmTuning, SrmWorld, TreeKind};
 use srm_cluster::Op;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
@@ -191,16 +191,21 @@ fn lattice(nodes: usize, tpn: usize) {
             for &len in sizes {
                 for &last in roots {
                     let root = if last { "last" } else { "0" };
-                    out.push((
-                        format!("{}/{len}/{nodes}x{tpn}/r{root}/{scope}", op.name()),
-                        digest(
-                            topo,
-                            SrmTuning::default(),
-                            split,
-                            Call::Coll { op, last },
-                            len,
-                        ),
-                    ));
+                    let name = format!("{}/{len}/{nodes}x{tpn}/r{root}/{scope}", op.name());
+                    let call = Call::Coll { op, last };
+                    // A multi-chunk broadcast or reduce derives its
+                    // trees; a forced kind overrides that. These hold
+                    // the digests the derived lines had while binomial
+                    // was the one default.
+                    if matches!(op, Op::Bcast | Op::Reduce) && len > 16 << 10 && nodes > 1 {
+                        let forced = SrmTuning {
+                            tree: Some(TreeKind::Binomial),
+                            ..SrmTuning::default()
+                        };
+                        let forced = digest(topo, forced, split, call, len);
+                        out.push((format!("binomial/{name}"), forced));
+                    }
+                    out.push((name, digest(topo, SrmTuning::default(), split, call, len)));
                 }
             }
         }
