@@ -22,11 +22,10 @@
 use simnet::SimTime;
 
 /// Shape of the inter-node (and intra-node reduce) tree.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum TreeKind {
     /// Distance-power-of-two binomial tree — the paper's experimental
     /// winner, and what every one-chunk call runs on by default.
-    #[default]
     Binomial,
     /// Complete binary tree (children `2i+1`, `2i+2`).
     Binary,
@@ -67,7 +66,7 @@ pub fn parent(kind: TreeKind, v: usize, size: usize) -> Option<usize> {
 }
 
 /// [`parent`] of every vertex (the root's entry is 0).
-pub fn parents(kind: TreeKind, size: usize) -> Vec<usize> {
+fn parents(kind: TreeKind, size: usize) -> Vec<usize> {
     if kind == TreeKind::Fibonacci {
         return rounds_tree_parents(size, 2);
     }
@@ -113,7 +112,7 @@ pub fn children_ascending(kind: TreeKind, v: usize, size: usize) -> Vec<usize> {
 
 /// Hops from every vertex up to the root, in one pass over the parent
 /// table.
-pub fn depths(kind: TreeKind, size: usize) -> Vec<usize> {
+fn depths(kind: TreeKind, size: usize) -> Vec<usize> {
     let up = parents(kind, size);
     let mut depth = vec![0; size];
     for v in 1..size {
@@ -122,9 +121,13 @@ pub fn depths(kind: TreeKind, size: usize) -> Vec<usize> {
     depth
 }
 
-/// Hops from vertex `v` up to the root.
+/// Hops from vertex `v` up to the root: a walk over the closed-form
+/// parents (the Fibonacci tree has a table to build instead).
 pub fn depth(kind: TreeKind, v: usize, size: usize) -> usize {
-    depths(kind, size)[v]
+    if kind == TreeKind::Fibonacci {
+        return depths(kind, size)[v];
+    }
+    std::iter::successors(Some(v), |&u| parent(kind, u, size)).count() - 1
 }
 
 /// Height (number of dependent hops root→deepest leaf) of the tree.

@@ -410,10 +410,10 @@ impl SrmComm {
     // Reduce
     // ----------------------------------------------------------------
 
-    /// Plan the pipelined reduce (§2.4): a binomial tree within each
-    /// node and between the masters, chunked so that memory copies,
-    /// operator execution and network transfers overlap. `root` is a
-    /// communicator rank.
+    /// Plan the pipelined reduce (§2.4): a tree within each node and
+    /// one between the masters ([`SrmComm::trees`] names the kinds),
+    /// chunked so that memory copies, operator execution and network
+    /// transfers overlap. `root` is a communicator rank.
     pub(crate) fn plan_reduce(&self, b: &mut PlanBuilder, len: usize, root: usize) {
         if len == 0 || self.csize() == 1 {
             return;

@@ -34,11 +34,6 @@ pub struct Trees {
     pub intra: TreeKind,
 }
 
-/// A landing has two sides: half a side's round trip per chunk.
-fn half(round_trip: SimTime) -> SimTime {
-    SimTime::from_ps(round_trip.as_ps() / 2)
-}
-
 /// Closed-form latency predictions for the SRM collectives.
 #[derive(Clone, Debug)]
 pub struct SrmModel {
@@ -62,7 +57,7 @@ impl SrmModel {
     /// reducing master the configured kind or a hung binary tree — the
     /// earlier candidate on a tie.
     pub fn trees(&self, op: Op, len: usize) -> Trees {
-        let own = self.tuning.tree.unwrap_or_default();
+        let own = self.tuning.configured_tree();
         let on = |inter, intra| Trees { inter, intra };
         let (inters, intras) = (
             [own, TreeKind::Binary, TreeKind::Chain],
@@ -141,24 +136,25 @@ impl SrmModel {
                 + self.smp_chunk_out(cell.min(len)) * (chunks - 1)
                 + self.smp_chunk_out(last);
         }
-        // A chunk reaches the last node after the tree's fill; each
-        // further chunk costs the busiest master's adapter one wire
-        // time per child.
+        // A chunk reaches the last node after the tree's fill; what
+        // follows it costs the busiest master's adapter one wire time
+        // per child.
         let (chunk, chunks) = self.bcast_chunking(len);
         let wire = self.cfg.net_per_byte.cost_of(chunk);
         let tree = profile(inter, self.topo.nodes(), wire, self.put_time(0));
-        let sends = wire * tree.fan as u64;
+        let fan = tree.fan as u64;
         if len <= self.tuning.small_large_switch {
             // Small protocol: stage at the root, distribute the last
             // chunk locally. A landing side comes back once its node
             // has drained it and the credit has flown home — to a
             // master staging the next chunk: two sides, so half of that
-            // per chunk.
+            // per chunk. This floor is what keeps the chain out of the
+            // 4 KB-chunk pipelines, whose wire time it undercuts.
             let credit = self.put_time(chunk)
                 + self.smp_chunk_out(chunk)
                 + self.put_time(0)
                 + self.cfg.interrupt_cost;
-            let interval = sends.max(half(credit));
+            let interval = (wire * fan).max(SimTime::from_ps(credit.as_ps() / 2));
             self.stage(chunk) + tree.fill + interval * (chunks - 1) + self.smp_chunk_out(chunk)
         } else {
             // Large protocol: address exchange, then puts straight into
@@ -167,7 +163,7 @@ impl SrmModel {
             let smp_cells = SrmTuning::chunk_count(chunk, SrmTuning::SMP_BUF) as u64;
             self.put_time(0)
                 + tree.fill
-                + sends * (chunks - 1)
+                + self.cfg.net_per_byte.cost_of(len - chunk) * fan
                 + (self.stage(SrmTuning::SMP_BUF) + self.smp_chunk_out(SrmTuning::SMP_BUF))
                     * smp_cells
         }
@@ -186,7 +182,6 @@ impl SrmModel {
         }
         let (n, p) = (self.topo.nodes(), self.topo.tasks_per_node());
         let chunk = self.tuning.reduce_chunk.min(len);
-        let chunks = SrmTuning::chunk_count(len, self.tuning.reduce_chunk) as u64;
         let fold = self.cfg.reduce_cost(chunk);
         // Intra-node: leaf copy, then one combine per child, a level
         // after the other.
@@ -194,20 +189,15 @@ impl SrmModel {
         let intra = profile(trees.intra, p, fold + flags, SimTime::ZERO);
         // Inter-node: each hop ships a chunk and combines it.
         let inter = profile(trees.inter, n, fold, self.put_time(chunk));
-        // Steady-state interval: the slowest of the busiest master (one
-        // combine per child slot and child node), the busiest slot, the
-        // busiest adapter's inbound port, and a channel side's round
-        // trip — put, combine, credit, both landing on masters that are
-        // combining — over its two sides.
-        let wire = self.cfg.net_per_byte.cost_of(chunk) * inter.fan as u64;
-        let credit = self.put_time(chunk) + fold + self.put_time(0) + self.cfg.interrupt_cost * 2;
-        let credit = if n > 1 { half(credit) } else { SimTime::ZERO };
+        // The bytes after the first chunk pass at the pace of the
+        // slowest of the busiest master (one combine per child slot and
+        // child node), the busiest slot and the busiest adapter's
+        // inbound port.
+        let rest = len - chunk;
+        let wire = self.cfg.net_per_byte.cost_of(rest) * inter.fan as u64;
         let busiest = (intra.root_fan + inter.fan).max(intra.fan) as u64;
-        let interval = (fold * busiest).max(wire).max(credit);
-        self.cfg.shm_copy_cost(chunk, (p / 2).max(1))
-            + intra.fill
-            + inter.fill
-            + interval * (chunks - 1)
+        let pipeline = (self.cfg.reduce_cost(rest) * busiest).max(wire);
+        self.cfg.shm_copy_cost(chunk, (p / 2).max(1)) + intra.fill + inter.fill + pipeline
     }
 
     /// Predicted allreduce latency (on the configured tree).
@@ -216,7 +206,7 @@ impl SrmModel {
             return SimTime::ZERO;
         }
         let (n, p) = (self.topo.nodes(), self.topo.tasks_per_node());
-        let own = self.tuning.tree.unwrap_or_default();
+        let own = self.tuning.configured_tree();
         let smp_levels = height(own, p) as u64;
         if len <= self.tuning.allreduce_rd_max {
             // SMP reduce + log2(n) pairwise exchange rounds + SMP bcast.

@@ -167,6 +167,12 @@ impl SrmTuning {
     /// the interleaving executor's per-poll scan).
     pub const MAX_OUTSTANDING: usize = 8;
 
+    /// The kind every call runs on that derives no tree of its own:
+    /// the forced [`Self::tree`], else binomial.
+    pub fn configured_tree(&self) -> TreeKind {
+        self.tree.unwrap_or(TreeKind::Binomial)
+    }
+
     /// Check the knob combinations for internal consistency. The world
     /// constructors call this and panic on error; callers assembling a
     /// tuning programmatically (e.g. the autotuner) can check first.

@@ -767,7 +767,7 @@ impl SrmComm {
     /// The configured tree kind: what every call runs on that
     /// [`SrmModel::trees`] does not derive a tree for.
     pub fn tree(&self) -> TreeKind {
-        self.world.tuning.tree.unwrap_or_default()
+        self.world.tuning.configured_tree()
     }
 
     /// The trees a rooted `op` call of `len` bytes compiled under `t`
@@ -1004,16 +1004,16 @@ mod tests {
         });
         assert_eq!(pairwise_families(&comm), (false, false));
         // The one-chunk calls and the allreduce ran on the configured
-        // tree, both ways. The 256 KB broadcast and reduce derive a
-        // binary one (the mailbox test below reads it off the address
-        // exchange), and only the reduce lands in channels: a parent's,
-        // from its child.
+        // tree, both ways. The 256 KB broadcast derives a binary one
+        // (the mailbox test below reads it off the address exchange)
+        // and the reduce a chain, and only the reduce lands in
+        // channels: a parent's, from its child.
         let nodes = |kind| -> Vec<(NodeId, NodeId)> {
             (comm.group.inter_edges(kind, 0).iter())
                 .map(|&(parent, child)| (topo.node_of(parent), topo.node_of(child)))
                 .collect()
         };
-        let (own, derived) = (nodes(TreeKind::Binomial), nodes(TreeKind::Binary));
+        let (own, derived) = (nodes(TreeKind::Binomial), nodes(TreeKind::Chain));
         for a in 0..8 {
             for b in 0..8 {
                 let linked = comm.inter[a].peers[b].get().is_some();

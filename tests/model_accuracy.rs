@@ -101,32 +101,37 @@ fn alltoall_within_tight_factor_of_simulation() {
 /// The large allreduce overlaps its reduce and broadcast legs across
 /// chunks, so it must not cost more than running the two one after the
 /// other on the tree it runs on (it did, by 1.5-2x, while the legs ran
-/// in lock step). The tree is forced: alone, a multi-chunk reduce or
-/// broadcast derives its own.
+/// in lock step). On the default tuning the two rooted calls derive
+/// their own trees and the allreduce does not (DESIGN.md §9.5), so
+/// there the invariant is a pinned gap: what the allreduce gives away
+/// by staying on the configured tree, which must not widen unseen.
 #[test]
 fn large_allreduce_is_no_slower_than_reduce_then_broadcast() {
     let machine = MachineConfig::ibm_sp_colony();
-    for (nodes, tpn, len) in [
-        (4usize, 16usize, 128usize << 10),
-        (4, 16, 1 << 20),
-        (16, 4, 256 << 10),
+    for (nodes, tpn, len, gap) in [
+        (4usize, 16usize, 128usize << 10, 1.20),
+        (4, 16, 1 << 20, 1.77),
+        (16, 4, 256 << 10, 1.22),
     ] {
         let topo = Topology::new(nodes, tpn);
-        let us = |op| {
-            let srm = SrmTuning {
-                tree: Some(TreeKind::Binomial),
-                ..SrmTuning::default()
+        for (tree, bound) in [(Some(TreeKind::Binomial), 1.1), (None, gap)] {
+            let us = |op| {
+                let srm = SrmTuning {
+                    tree,
+                    ..SrmTuning::default()
+                };
+                let opts = HarnessOpts { iters: 2, srm };
+                measure(Impl::Srm, machine.clone(), topo, op, len, opts)
+                    .per_call
+                    .as_us()
             };
-            let opts = HarnessOpts { iters: 2, srm };
-            measure(Impl::Srm, machine.clone(), topo, op, len, opts)
-                .per_call
-                .as_us()
-        };
-        let (all, parts) = (us(Op::Allreduce), us(Op::Reduce) + us(Op::Bcast));
-        assert!(
-            all <= 1.1 * parts,
-            "{len}B on {nodes}x{tpn}: allreduce {all:.1} us vs reduce + broadcast {parts:.1} us"
-        );
+            let (all, parts) = (us(Op::Allreduce), us(Op::Reduce) + us(Op::Bcast));
+            assert!(
+                all <= bound * parts,
+                "{len}B on {nodes}x{tpn}, tree {tree:?}: allreduce {all:.1} us vs \
+                 reduce + broadcast {parts:.1} us (bound x{bound})"
+            );
+        }
     }
 }
 
@@ -162,10 +167,14 @@ fn pipelines_pick_their_trees() {
     assert_eq!(m.trees(Bcast, 32 << 10), on(Binomial, Binomial));
     assert_eq!(m.trees(Bcast, 128 << 10), on(Binomial, Binomial));
     assert_eq!(m.trees(Bcast, 1 << 20), on(Chain, Binomial));
-    assert_eq!(m.trees(Reduce, 64 << 10), on(Binomial, HungBinary));
+    assert_eq!(m.trees(Reduce, 64 << 10), on(Chain, HungBinary));
     assert_eq!(m.trees(Reduce, 1 << 20), on(Chain, HungBinary));
     let m = model(16, None);
     assert_eq!(m.trees(Bcast, 32 << 10), on(Binary, Binomial));
+    // Bytes past the first chunk are what a narrow tree saves on: half
+    // a second chunk is too few (simulated: binary 1 469 µs, binomial
+    // 1 306).
+    assert_eq!(m.trees(Bcast, 96 << 10), on(Binomial, Binomial));
     assert_eq!(m.trees(Bcast, 256 << 10), on(Binary, Binomial));
     assert_eq!(m.trees(Bcast, 1 << 20), on(Chain, Binomial));
     assert_eq!(m.trees(Reduce, 32 << 10), on(Binary, Binomial));

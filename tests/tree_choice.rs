@@ -36,7 +36,7 @@ const FORCED: [TreeKind; 4] = [
 
 /// On every grid point the derived default is within 3 % of forced
 /// binomial (it never gives up what the one default had) and within
-/// 10 % of the best forced kind.
+/// 10 % of the best forced kind (one named cell: 15 %).
 fn derived_tracks_forced(tpn: usize, node_counts: &[usize]) {
     for &nodes in node_counts {
         let topo = Topology::new(nodes, tpn);
@@ -55,15 +55,15 @@ fn derived_tracks_forced(tpn: usize, node_counts: &[usize]) {
                     "{what}: derived {derived:.1} us vs binomial {:.1} us",
                     forced[0]
                 );
-                // Whether a 4 KB-chunk broadcast pipeline takes its
-                // interrupts is decided by a few microseconds either
-                // way, which no closed form tracks (8x4 / 16 KB: binary
-                // 160 us, every other kind and the derived one 180 or
-                // more): a wider band.
-                let band = if op == Op::Bcast && len <= 32 << 10 {
-                    1.15
-                } else {
-                    1.10
+                // The one cell off the 1.10 band: binary reads 160 us
+                // here, binomial and the derived tree 180 (1.12) —
+                // whether this 4 KB-chunk pipeline's credits meet a
+                // polling master is decided by a few microseconds, which
+                // the closed form does not track (8x16: binary is 7 %
+                // *slower*).
+                let band = match (nodes, tpn, op, len) {
+                    (8, 4, Op::Bcast, 16_384) => 1.15,
+                    _ => 1.10,
                 };
                 assert!(
                     derived <= band * best,
