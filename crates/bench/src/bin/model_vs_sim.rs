@@ -14,7 +14,7 @@ use srm_cluster::{measure, HarnessOpts, Impl, Op};
 fn main() {
     let machine = MachineConfig::ibm_sp_colony();
     println!(
-        "{:>10} {:>6} {:>8} {:>12} {:>12} {:>8}  trees (inter / intra-node reduce)",
+        "{:>10} {:>6} {:>8} {:>12} {:>12} {:>8}  plan: trees (inter / intra-node reduce)",
         "op", "topo", "bytes", "model (us)", "sim (us)", "ratio"
     );
     let mut worst: f64 = 1.0;
@@ -37,24 +37,38 @@ fn main() {
         let sim = measure(Impl::Srm, machine.clone(), topo, op, len, opts);
         let ratio = sim.per_call.as_us() / predicted.as_us();
         worst = worst.max(ratio.max(1.0 / ratio));
-        let trees = model.trees(op, len);
+        let trees = |op| {
+            let t = model.trees(op, len);
+            format!("{:?} / {:?}", t.inter, t.intra)
+        };
+        // The allreduce names the plan the model picks for it.
+        let plan = match op {
+            Op::Allreduce if model.allreduce_composes(len) => format!(
+                "reduce {} then bcast {}",
+                trees(Op::Reduce),
+                trees(Op::Bcast)
+            ),
+            Op::Allreduce if len <= SrmTuning::default().allreduce_rd_max => {
+                "recursive doubling".to_string()
+            }
+            Op::Allreduce => format!("four-stage {}", trees(op)),
+            _ => trees(op),
+        };
         println!(
-            "{:>10} {:>6} {:>8} {:>12.1} {:>12.1} {:>8.2}  {:?} / {:?}",
+            "{:>10} {:>6} {:>8} {:>12.1} {:>12.1} {:>8.2}  {plan}",
             op.name(),
             format!("{}x{}", topo.nodes(), topo.tasks_per_node()),
             len,
             predicted.as_us(),
             sim.per_call.as_us(),
             ratio,
-            trees.inter,
-            trees.intra
         );
     };
     for nodes in [2usize, 4, 16] {
         for (op, lens) in [
             (Op::Bcast, vec![512usize, 8 << 10, 64 << 10, 1 << 20]),
             (Op::Reduce, vec![512, 64 << 10, 1 << 20]),
-            (Op::Allreduce, vec![512, 64 << 10, 1 << 20]),
+            (Op::Allreduce, vec![512, 64 << 10, 256 << 10, 1 << 20]),
             (Op::Barrier, vec![8]),
         ] {
             for len in lens {

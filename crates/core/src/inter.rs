@@ -239,7 +239,7 @@ impl SrmComm {
         // Decision knobs (switch points) come from the builder's
         // effective per-shape tuning; buffer geometry stays world-wide.
         let t = *b.tuning();
-        let kind = self.trees(&t, Op::Bcast, len).inter;
+        let kind = self.model(&t).trees(Op::Bcast, len).inter;
         let tree = self.group().tree(kind, self.cnode_of(root), self.cnode());
         let toggles = self.c_is_master() && len <= t.interrupt_disable_max;
         if toggles {
@@ -411,7 +411,8 @@ impl SrmComm {
     // ----------------------------------------------------------------
 
     /// Plan the pipelined reduce (§2.4): a tree within each node and
-    /// one between the masters ([`SrmComm::trees`] names the kinds),
+    /// one between the masters
+    /// ([`SrmModel::trees`](crate::SrmModel::trees) names the kinds),
     /// chunked so that memory copies, operator execution and network
     /// transfers overlap. `root` is a communicator rank.
     pub(crate) fn plan_reduce(&self, b: &mut PlanBuilder, len: usize, root: usize) {
@@ -419,7 +420,7 @@ impl SrmComm {
             return;
         }
         let (root_node, root_gslot) = self.ccoord_of(root);
-        let kinds = self.trees(b.tuning(), Op::Reduce, len);
+        let kinds = self.model(b.tuning()).trees(Op::Reduce, len);
         let tree = self.group().tree(kinds.inter, root_node, self.cnode());
         let toggles =
             self.cmulti() && self.c_is_master() && len <= b.tuning().interrupt_disable_max;
@@ -483,7 +484,11 @@ impl SrmComm {
     // ----------------------------------------------------------------
 
     /// Plan an allreduce: recursive doubling between nodes up to 16 KB,
-    /// the four-stage pipeline above (§2.4, Figure 5). Past
+    /// above that the four-stage pipeline (§2.4, Figure 5) or — where
+    /// [`SrmModel::allreduce_composes`](crate::SrmModel::allreduce_composes)
+    /// prices it lower — a reduce to group node 0's master followed by
+    /// a broadcast from it, each half on the trees its own closed form
+    /// derives (the pipeline stays on the configured tree). Past
     /// [`allreduce_rs_min`](crate::SrmTuning::allreduce_rs_min) (off by
     /// default; the payload must split evenly) the Rabenseifner
     /// composition instead — reduce-scatter over the pairwise
@@ -509,6 +514,12 @@ impl SrmComm {
             // allgather then fills in everyone else's blocks.
             self.plan_reduce_scatter(b, len / nprocs);
             self.plan_allgather(b, len / nprocs);
+            return;
+        }
+        if self.model(&t).allreduce_composes(len) {
+            let root = self.crank_at(0, 0);
+            self.plan_reduce(b, len, root);
+            self.plan_bcast(b, len, root);
             return;
         }
         let toggles = self.cmulti() && self.c_is_master() && len <= t.interrupt_disable_max;

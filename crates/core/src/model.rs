@@ -200,8 +200,34 @@ impl SrmModel {
         self.cfg.shm_copy_cost(chunk, (p / 2).max(1)) + intra.fill + inter.fill + pipeline
     }
 
-    /// Predicted allreduce latency (on the configured tree).
+    /// Does an allreduce of `len` bytes run as a reduce to group node
+    /// 0's master and a broadcast from it, each on the trees it derives,
+    /// rather than as the four-stage pipeline on the configured tree?
+    /// Only past recursive doubling, between nodes and on the default
+    /// [`SrmTuning::tree`] — and where the two closed forms in sequence
+    /// finish first: the pipeline overlaps its legs but stays on the
+    /// configured tree, which a large call pays for per chunk at node
+    /// 0's master; a mid-sized one gains more from the overlap.
+    pub fn allreduce_composes(&self, len: usize) -> bool {
+        self.tuning.tree.is_none()
+            && self.topo.multi_node()
+            && len > self.tuning.allreduce_rd_max
+            && self.reduce(len) + self.bcast(len) < self.allreduce_pipeline(len)
+    }
+
+    /// Predicted allreduce latency of the plan that runs: recursive
+    /// doubling, the four-stage pipeline, or a reduce then a broadcast
+    /// ([`Self::allreduce_composes`]).
     pub fn allreduce(&self, len: usize) -> SimTime {
+        if self.allreduce_composes(len) {
+            self.reduce(len) + self.bcast(len)
+        } else {
+            self.allreduce_pipeline(len)
+        }
+    }
+
+    /// [`Self::allreduce`] without the composition.
+    fn allreduce_pipeline(&self, len: usize) -> SimTime {
         if len == 0 || self.topo.nprocs() == 1 {
             return SimTime::ZERO;
         }
@@ -219,11 +245,11 @@ impl SrmModel {
             smp_reduce + round * (rounds + extra) + self.stage(len) + self.smp_chunk_out(len)
         } else {
             // Four-stage pipeline: one full traversal (reduce to node 0,
-            // broadcast back) plus the bottleneck interval per extra
-            // chunk — the down leg trails the up leg, so a chunk's
-            // round trip is paid once, not per chunk.
-            let chunk = self.tuning.reduce_chunk;
-            let chunks = SrmTuning::chunk_count(len, chunk) as u64;
+            // broadcast back) plus the bottleneck pace for the bytes
+            // after the first chunk — the down leg trails the up leg,
+            // so a chunk's round trip is paid once, not per chunk.
+            let chunk = self.tuning.reduce_chunk.min(len);
+            let rest = len - chunk;
             let hop_r = self.put_time(chunk) + self.cfg.reduce_cost(chunk);
             let hop_b = self.put_time(chunk);
             let hops = height(own, n) as u64;
@@ -231,17 +257,16 @@ impl SrmModel {
                 + self.cfg.reduce_cost(chunk) * smp_levels
                 + self.stage(chunk)
                 + self.smp_chunk_out(chunk);
-            // Steady-state interval: the slower of node 0's master —
-            // one combine per child slot and child node, then staging
-            // the result for both broadcasts — and its adapter, which
+            // Steady-state pace: the slower of node 0's master — one
+            // combine per child slot and child node, then staging the
+            // result for both broadcasts — and its adapter, which
             // takes `fanout` chunks in and sends `fanout` out on
             // separate ports.
             let fanout = children(own, 0, n).len().max(1) as u64;
             let folds = children(own, 0, p).len() as u64 + fanout;
-            let busy = self.cfg.reduce_cost(chunk) * folds + self.stage(chunk);
-            let wire = self.cfg.net_per_byte.cost_of(chunk) * fanout;
-            let interval = busy.max(wire);
-            smp + (hop_r + hop_b) * hops + interval * (chunks - 1)
+            let busy = self.cfg.reduce_cost(rest) * folds + self.stage(rest);
+            let wire = self.cfg.net_per_byte.cost_of(rest) * fanout;
+            smp + (hop_r + hop_b) * hops + busy.max(wire)
         }
     }
 

@@ -14,10 +14,10 @@
 //! whatever it goes on to run.
 
 use crate::embed::{self, GroupTree, TreeKind};
-use crate::model::{SrmModel, Trees};
+use crate::model::SrmModel;
 use crate::pairwise::PairwiseState;
 use crate::plan::{PlanCache, SEQ_BASES};
-use crate::tune::{TuneOp, TuneTable};
+use crate::tune::TuneTable;
 use crate::tuning::SrmTuning;
 use collops::Shape;
 use rma::{LapiCounter, Rma, RmaWorld};
@@ -770,13 +770,13 @@ impl SrmComm {
         self.world.tuning.configured_tree()
     }
 
-    /// The trees a rooted `op` call of `len` bytes compiled under `t`
-    /// runs on here ([`SrmModel::trees`] on this group's node count and
-    /// its fullest node).
-    pub(crate) fn trees(&self, t: &SrmTuning, op: TuneOp, len: usize) -> Trees {
+    /// The closed form a call compiled under `t` derives its plan from
+    /// ([`SrmModel::trees`], [`SrmModel::allreduce_composes`]): this
+    /// group's node count and its fullest node.
+    pub(crate) fn model(&self, t: &SrmTuning) -> SrmModel {
         let p = (0..self.cnodes()).map(|g| self.cslots_on(g)).max();
         let topo = Topology::new(self.cnodes(), p.expect("nonempty group"));
-        SrmModel::new(self.world.handle.config().clone(), topo, *t).trees(op, len)
+        SrmModel::new(self.world.handle.config().clone(), topo, *t)
     }
 
     /// My world node id.

@@ -10,7 +10,8 @@ use srm_cluster::{measure, HarnessOpts, Impl, Op};
 
 const MAX_FACTOR: f64 = 2.5;
 /// Allreduce is held tighter: its large term is the busy time of group
-/// node 0's master, which the skewed pipeline actually runs at.
+/// node 0's master, which the skewed pipeline actually runs at, or the
+/// reduce and broadcast terms of the composition that runs instead.
 const ALLREDUCE_FACTOR: f64 = 1.5;
 
 #[test]
@@ -27,6 +28,7 @@ fn model_within_factor_of_simulation() {
             (Op::Reduce, 256 << 10),
             (Op::Allreduce, 512),
             (Op::Allreduce, 256 << 10),
+            (Op::Allreduce, 1 << 20),
             (Op::Barrier, 8),
         ] {
             let predicted = match op {
@@ -102,15 +104,17 @@ fn alltoall_within_tight_factor_of_simulation() {
 /// chunks, so it must not cost more than running the two one after the
 /// other on the tree it runs on (it did, by 1.5-2x, while the legs ran
 /// in lock step). On the default tuning the two rooted calls derive
-/// their own trees and the allreduce does not (DESIGN.md §9.5), so
-/// there the invariant is a pinned gap: what the allreduce gives away
-/// by staying on the configured tree, which must not widen unseen.
+/// their own trees and the pipeline does not, so the allreduce runs as
+/// those two calls wherever the closed form says they finish first
+/// (DESIGN.md §9.5): the invariant holds there too, up to what one
+/// call boundary and the model's misses cost (1.05 at 4x16 / 1 MB;
+/// 16x4 / 256 KB stays four-stage at 1.18).
 #[test]
 fn large_allreduce_is_no_slower_than_reduce_then_broadcast() {
     let machine = MachineConfig::ibm_sp_colony();
     for (nodes, tpn, len, gap) in [
-        (4usize, 16usize, 128usize << 10, 1.20),
-        (4, 16, 1 << 20, 1.77),
+        (4usize, 16usize, 128usize << 10, 1.15),
+        (4, 16, 1 << 20, 1.10),
         (16, 4, 256 << 10, 1.22),
     ] {
         let topo = Topology::new(nodes, tpn);
@@ -169,6 +173,11 @@ fn pipelines_pick_their_trees() {
     assert_eq!(m.trees(Bcast, 1 << 20), on(Chain, Binomial));
     assert_eq!(m.trees(Reduce, 64 << 10), on(Chain, HungBinary));
     assert_eq!(m.trees(Reduce, 1 << 20), on(Chain, HungBinary));
+    // The allreduce runs as those two calls once they beat the pipeline.
+    assert!(!m.allreduce_composes(64 << 10));
+    assert!(m.allreduce_composes(128 << 10));
+    assert!(m.allreduce_composes(1 << 20));
+    assert!(!forced.allreduce_composes(1 << 20));
     let m = model(16, None);
     assert_eq!(m.trees(Bcast, 32 << 10), on(Binary, Binomial));
     // Bytes past the first chunk are what a narrow tree saves on: half

@@ -12,7 +12,7 @@ use collops::{reference_reduce, DType, NonblockingCollectives, ReduceOp};
 use mpi_coll::MpiColl;
 use msg::{MsgWorld, Vendor};
 use simnet::{Ctx, MachineConfig, Perturb, Sim, SimTime, Topology};
-use srm::{SrmTuning, SrmWorld};
+use srm::{SrmComm, SrmModel, SrmTuning, SrmWorld};
 use std::sync::{Arc, Mutex};
 
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -339,4 +339,66 @@ fn srm_large_ibcast_with_outstanding_reduce() {
         });
     }
     sim.run().expect("no deadlock");
+}
+
+/// An `iallreduce` the closed form composes — a reduce to group node
+/// 0's master, then a broadcast from it — outstanding together with a
+/// large `ibroadcast` (address mailbox) and a chunked `ireduce`, on the
+/// world and on the two parts of a split that each span both nodes.
+#[test]
+fn srm_composed_iallreduce_with_outstanding_rooted_calls() {
+    let topo = Topology::new(2, 8);
+    let n = topo.nprocs();
+    let (all_len, bcast_len, reduce_len) = (512 << 10, 100_000, 40_000);
+    for split in [false, true] {
+        let mut sim = Sim::new(MachineConfig::ibm_sp_colony());
+        let world = SrmWorld::new(&mut sim, topo, SrmTuning::default());
+        let comms: Vec<SrmComm> = if split {
+            let colors: Vec<i64> = (0..n).map(|r| (r % 2) as i64).collect();
+            let parts = world.comm_split(&colors, &vec![0; n]).into_iter();
+            parts.map(|c| c.expect("colored")).collect()
+        } else {
+            (0..n).map(|r| world.comm(r)).collect()
+        };
+        let tpn = comms[0].size() / topo.nodes();
+        let model = SrmModel::new(
+            MachineConfig::ibm_sp_colony(),
+            Topology::new(topo.nodes(), tpn),
+            SrmTuning::default(),
+        );
+        assert!(model.allreduce_composes(all_len), "2x{tpn}");
+        for comm in comms {
+            sim.spawn(format!("rank{}", comm.rank()), move |ctx| {
+                let group = comm.group().ranks().to_vec();
+                let (me, last) = (comm.comm_rank(), group.len() - 1);
+                let bufs = [all_len, bcast_len, reduce_len].map(|len| {
+                    let buf = comm.alloc_buffer(len);
+                    buf.with_mut(|d| d.copy_from_slice(&init_bytes(comm.rank(), len)));
+                    buf
+                });
+                let [all, big, red] = &bufs;
+                let reqs = [
+                    comm.ibroadcast(&ctx, big, bcast_len, 1),
+                    comm.iallreduce(&ctx, all, all_len, DType::U64, ReduceOp::Sum),
+                    comm.ireduce(&ctx, red, reduce_len, DType::U64, ReduceOp::Sum, last),
+                ];
+                ctx.advance(SimTime::from_us(20));
+                reqs.into_iter().for_each(|r| comm.wait(&ctx, r));
+                let sum = |len| {
+                    let contribs: Vec<Vec<u8>> =
+                        group.iter().map(|&r| init_bytes(r, len)).collect();
+                    reference_reduce(DType::U64, ReduceOp::Sum, &contribs)
+                };
+                let tag = format!("split {split}, comm rank {me}");
+                all.with(|d| assert_eq!(d[..], sum(all_len)[..], "{tag}: allreduce"));
+                let payload = init_bytes(group[1], bcast_len);
+                big.with(|d| assert_eq!(d[..], payload[..], "{tag}: broadcast"));
+                if me == last {
+                    red.with(|d| assert_eq!(d[..], sum(reduce_len)[..], "{tag}: reduce"));
+                }
+                comm.shutdown(&ctx);
+            });
+        }
+        sim.run().expect("no deadlock");
+    }
 }

@@ -23,6 +23,9 @@ use std::sync::{Arc, Mutex};
 
 const TABLE: &str = include_str!("schedule_golden.digests");
 const SIZES: [usize; 4] = [8, 4 << 10, 24 << 10, 128 << 10];
+/// The allreduce adds a size at which the 2x3 and 4x4 worlds run it as
+/// a reduce then a broadcast.
+const ALLREDUCE_SIZES: [usize; 5] = [8, 4 << 10, 24 << 10, 128 << 10, 512 << 10];
 const CALLS: usize = 3;
 
 /// What one scenario calls, three times over.
@@ -182,7 +185,11 @@ fn lattice(nodes: usize, tpn: usize) {
     for split in [false, true] {
         let scope = if split { "split" } else { "world" };
         for op in Op::ALL {
-            let sizes: &[usize] = if op == Op::Barrier { &[8] } else { &SIZES };
+            let sizes: &[usize] = match op {
+                Op::Barrier => &[8],
+                Op::Allreduce => &ALLREDUCE_SIZES,
+                _ => &SIZES,
+            };
             let roots: &[bool] = if op.shape(8, 0, 1).root().is_some() {
                 &[false, true]
             } else {
@@ -194,10 +201,12 @@ fn lattice(nodes: usize, tpn: usize) {
                     let name = format!("{}/{len}/{nodes}x{tpn}/r{root}/{scope}", op.name());
                     let call = Call::Coll { op, last };
                     // A multi-chunk broadcast or reduce derives its
-                    // trees; a forced kind overrides that. These hold
-                    // the digests the derived lines had while binomial
-                    // was the one default.
-                    if matches!(op, Op::Bcast | Op::Reduce) && len > 16 << 10 && nodes > 1 {
+                    // trees, and a multi-chunk allreduce may run as the
+                    // two; a forced kind overrides that. These hold the
+                    // digests the derived lines had while binomial was
+                    // the one default.
+                    let tree_op = matches!(op, Op::Bcast | Op::Reduce | Op::Allreduce);
+                    if tree_op && len > 16 << 10 && nodes > 1 {
                         let forced = SrmTuning {
                             tree: Some(TreeKind::Binomial),
                             ..SrmTuning::default()
