@@ -67,8 +67,9 @@ fn run_sweep(op: Op) -> Sweep {
     Sweep { points }
 }
 
-/// Rabenseifner vs pipeline allreduce: same machine, same topology,
-/// only the `allreduce_rs_min` switch differs.
+/// Rabenseifner vs the default allreduce plan (the four-stage pipeline
+/// or a reduce then a broadcast): same machine, same topology, only the
+/// `allreduce_rs_min` switch differs.
 fn rabenseifner_panel() {
     let machine = MachineConfig::ibm_sp_colony();
     let sizes: Vec<usize> = if fast_mode() {
@@ -76,11 +77,11 @@ fn rabenseifner_panel() {
     } else {
         vec![128 << 10, 256 << 10, 1 << 20, 2 << 20, 8 << 20]
     };
-    println!("\nAllreduce: four-stage pipeline vs reduce-scatter+allgather");
+    println!("\nAllreduce: default plan vs reduce-scatter+allgather");
     println!("{}", "-".repeat(66));
     println!(
         "{:>8} {:>10} {:>14} {:>14} {:>8}",
-        "nodes", "bytes", "pipeline (us)", "rs+ag (us)", "rs/pipe"
+        "nodes", "bytes", "default (us)", "rs+ag (us)", "rs/def"
     );
     for topo in proc_grid() {
         if topo.nodes() < 2 {
@@ -108,15 +109,15 @@ fn rabenseifner_panel() {
                 .per_call
                 .as_us()
             };
-            let pipe = run(usize::MAX);
+            let default = run(usize::MAX);
             let rs = run(1);
             println!(
                 "{:>8} {:>10} {:>14.1} {:>14.1} {:>7.0}%",
                 topo.nodes(),
                 len,
-                pipe,
+                default,
                 rs,
-                100.0 * rs / pipe
+                100.0 * rs / default
             );
         }
     }

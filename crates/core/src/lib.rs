@@ -27,8 +27,9 @@
 //! * [`inter`] (methods on [`SrmComm`]) — the integrated protocols of
 //!   §2.3–2.4: buffered small-message broadcast with counter flow
 //!   control and 4 KB pipelining, zero-copy large-message broadcast
-//!   with address exchange, pipelined reduce, recursive-doubling and
-//!   four-stage-pipeline allreduce, and the dissemination barrier;
+//!   with address exchange, pipelined reduce, recursive-doubling,
+//!   four-stage-pipeline or reduce-then-broadcast allreduce, and the
+//!   dissemination barrier;
 //! * [`pairwise`] (methods on [`SrmComm`]) — the pairwise RMA exchange
 //!   subsystem: alltoall and alltoallv as one put per remote rank pair
 //!   over a node-local rotation through the contribution buffers, and

@@ -90,8 +90,10 @@ pub struct SrmTuning {
     /// Put size of the zero-copy large-message broadcast pipeline.
     pub large_chunk: usize,
     /// Allreduce uses inter-node recursive doubling up to this size
-    /// ("for messages up to 16 KB", §2.4) and the pipelined
-    /// reduce+broadcast combination above it.
+    /// ("for messages up to 16 KB", §2.4) and above it the four-stage
+    /// pipeline or a reduce then a broadcast, whichever
+    /// [`SrmModel::allreduce_composes`](crate::SrmModel::allreduce_composes)
+    /// prices lower.
     pub allreduce_rd_max: usize,
     /// Collectives with payloads at or below this size disable LAPI
     /// interrupts for their duration (§2.3); the barrier always does.
