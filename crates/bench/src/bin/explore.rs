@@ -4,7 +4,9 @@
 //!
 //! ```text
 //! explore [OPTIONS]                          measurement mode
-//!   --op bcast|reduce|allreduce|barrier     (default bcast)
+//!   --op OP                                 (default bcast; any of
+//!                          bcast reduce allreduce barrier gather scatter
+//!                          allgather alltoall alltoallv reduce_scatter)
 //!   --nodes N                               (default 4)
 //!   --tpn P                                 (default 16)
 //!   --bytes B[,B...]                        (default 4096)
@@ -139,13 +141,7 @@ fn parse() -> Args {
             .unwrap_or_else(|| usage(&format!("{flag} needs a value")));
         match flag {
             "--op" => {
-                a.op = match val.as_str() {
-                    "bcast" => Op::Bcast,
-                    "reduce" => Op::Reduce,
-                    "allreduce" => Op::Allreduce,
-                    "barrier" => Op::Barrier,
-                    other => usage(&format!("unknown op '{other}'")),
-                }
+                a.op = Op::from_name(val).unwrap_or_else(|| usage(&format!("unknown op '{val}'")))
             }
             "--nodes" => {
                 a.nodes = val.parse().unwrap_or_else(|_| usage("bad --nodes"));

@@ -241,20 +241,16 @@ impl SrmComm {
         let t = *b.tuning();
         let kind = self.model(&t).trees(Op::Bcast, len).inter;
         let tree = self.group().tree(kind, self.cnode_of(root), self.cnode());
-        let toggles = self.c_is_master() && len <= t.interrupt_disable_max;
-        if toggles {
-            b.push(Step::SetInterrupts(false));
-        }
+        let quiet = self.c_is_master() && len <= t.interrupt_disable_max;
         // Staged through the landing buffers, or one direct put per
         // child after an address exchange.
-        if len > t.small_large_switch {
-            self.plan_bcast_large(b, len, root, &tree);
-        } else {
-            self.plan_bcast_small(b, len, root, &tree);
-        }
-        if toggles {
-            b.push(Step::SetInterrupts(true));
-        }
+        b.interrupts_off(quiet, |b| {
+            if len > t.small_large_switch {
+                self.plan_bcast_large(b, len, root, &tree);
+            } else {
+                self.plan_bcast_small(b, len, root, &tree);
+            }
+        });
     }
 
     /// Small-message broadcast (≤ 64 KB): puts land in the node's two
@@ -422,61 +418,57 @@ impl SrmComm {
         let (root_node, root_gslot) = self.ccoord_of(root);
         let kinds = self.model(b.tuning()).trees(Op::Reduce, len);
         let tree = self.group().tree(kinds.inter, root_node, self.cnode());
-        let toggles =
-            self.cmulti() && self.c_is_master() && len <= b.tuning().interrupt_disable_max;
-        if toggles {
-            b.push(Step::SetInterrupts(false));
-        }
+        let quiet = self.cmulti() && self.c_is_master() && len <= b.tuning().interrupt_disable_max;
+        b.interrupts_off(quiet, |b| {
+            let chunk = self.tuning().reduce_chunk;
+            let chunks = SrmTuning::chunk_count(len, chunk);
+            let xfer_case = self.cnode() == root_node && root_gslot != 0;
+            let rel0 = b.rel(SeqBase::Reduce);
+            let xrel0 = b.rel(SeqBase::Xfer);
 
-        let chunk = self.tuning().reduce_chunk;
-        let chunks = SrmTuning::chunk_count(len, chunk);
-        let xfer_case = self.cnode() == root_node && root_gslot != 0;
-        let rel0 = b.rel(SeqBase::Reduce);
-        let xrel0 = b.rel(SeqBase::Xfer);
+            for k in 0..chunks {
+                let off = k * chunk;
+                let clen = chunk.min(len - off);
+                let xrel = xrel0 + k as u64;
+                let has_acc =
+                    self.plan_smp_reduce_chunk(b, off, clen, rel0 + k as u64, kinds.intra);
 
-        for k in 0..chunks {
-            let off = k * chunk;
-            let clen = chunk.min(len - off);
-            let xrel = xrel0 + k as u64;
-            let has_acc = self.plan_smp_reduce_chunk(b, off, clen, rel0 + k as u64, kinds.intra);
-
-            if self.c_is_master() {
-                debug_assert!(has_acc, "master is the intra-node subtree root");
-                self.plan_tree_up(b, &tree, rel0 + k as u64, clen);
-                if self.crank() == root {
-                    plan_acc_to_user(b, off, clen);
-                } else if xfer_case {
-                    // Root is a non-master task on this node: hand the
-                    // chunk over through the xfer buffer.
-                    let acc = (BufRef::Acc, Off::Lit(0));
-                    self.plan_hand_publish(b, (Hand::Xfer, xrel), acc, clen, CopyCost::Free);
+                if self.c_is_master() {
+                    debug_assert!(has_acc, "master is the intra-node subtree root");
+                    self.plan_tree_up(b, &tree, rel0 + k as u64, clen);
+                    if self.crank() == root {
+                        plan_acc_to_user(b, off, clen);
+                    } else if xfer_case {
+                        // Root is a non-master task on this node: hand
+                        // the chunk over through the xfer buffer.
+                        let acc = (BufRef::Acc, Off::Lit(0));
+                        self.plan_hand_publish(b, (Hand::Xfer, xrel), acc, clen, CopyCost::Free);
+                    }
+                } else if self.crank() == root {
+                    let label = "xfer chunk ready";
+                    let xfer = (Hand::Xfer, xrel);
+                    self.plan_hand_consume(b, xfer, false, label, |b, src, src_off| {
+                        b.push(Step::ShmCopy {
+                            src,
+                            src_off,
+                            dst: BufRef::User,
+                            dst_off: Off::Lit(off),
+                            len: clen,
+                            cost: CopyCost::Read(1),
+                        })
+                    });
                 }
-            } else if self.crank() == root {
-                let label = "xfer chunk ready";
-                self.plan_hand_consume(b, (Hand::Xfer, xrel), false, label, |b, src, src_off| {
-                    b.push(Step::ShmCopy {
-                        src,
-                        src_off,
-                        dst: BufRef::User,
-                        dst_off: Off::Lit(off),
-                        len: clen,
-                        cost: CopyCost::Read(1),
-                    })
-                });
             }
-        }
-        if self.c_is_master() {
-            // The tree root's own contribution channel went unused
-            // (slot 0's buffer stages puts; its flags carry no data).
-            self.plan_contrib_catchup(b, rel0 + chunks as u64);
-        }
-        b.advance(SeqBase::Reduce, chunks as u64);
-        if xfer_case {
-            b.advance(SeqBase::Xfer, chunks as u64);
-        }
-        if toggles {
-            b.push(Step::SetInterrupts(true));
-        }
+            if self.c_is_master() {
+                // The tree root's own contribution channel went unused
+                // (slot 0's buffer stages puts; its flags carry no data).
+                self.plan_contrib_catchup(b, rel0 + chunks as u64);
+            }
+            b.advance(SeqBase::Reduce, chunks as u64);
+            if xfer_case {
+                b.advance(SeqBase::Xfer, chunks as u64);
+            }
+        });
     }
 
     // ----------------------------------------------------------------
@@ -522,18 +514,14 @@ impl SrmComm {
             self.plan_bcast(b, len, root);
             return;
         }
-        let toggles = self.cmulti() && self.c_is_master() && len <= t.interrupt_disable_max;
-        if toggles {
-            b.push(Step::SetInterrupts(false));
-        }
-        if len <= t.allreduce_rd_max {
-            self.plan_allreduce_small(b, len);
-        } else {
-            self.plan_allreduce_large(b, len, self.allreduce_skew());
-        }
-        if toggles {
-            b.push(Step::SetInterrupts(true));
-        }
+        let quiet = self.cmulti() && self.c_is_master() && len <= t.interrupt_disable_max;
+        b.interrupts_off(quiet, |b| {
+            if len <= t.allreduce_rd_max {
+                self.plan_allreduce_small(b, len);
+            } else {
+                self.plan_allreduce_large(b, len, self.allreduce_skew());
+            }
+        });
     }
 
     /// Up to 16 KB: one intra-node reduce to the master,
@@ -706,35 +694,30 @@ impl SrmComm {
         if self.csize() == 1 {
             return;
         }
-        let toggles = self.cmulti() && self.c_is_master();
-        if toggles {
-            b.push(Step::SetInterrupts(false));
-        }
-        self.plan_smp_barrier_enter(b);
-        let n = self.cnodes();
-        if self.c_is_master() && n > 1 {
-            let my = self.cnode();
-            let mut dist = 1usize;
-            let mut round = 0usize;
-            while dist < n {
-                let to = (my + dist) % n;
-                b.push(Step::CounterPut {
-                    to: self.cmaster_of(to),
-                    ctr: CtrRef::BarRound { node: to, round },
-                });
-                b.wait_ctr_ge(
-                    CtrRef::BarRound { node: my, round },
-                    seq(SeqBase::Barrier, 1),
-                );
-                dist <<= 1;
-                round += 1;
+        b.interrupts_off(self.cmulti() && self.c_is_master(), |b| {
+            self.plan_smp_barrier_enter(b);
+            let n = self.cnodes();
+            if self.c_is_master() && n > 1 {
+                let my = self.cnode();
+                let mut dist = 1usize;
+                let mut round = 0usize;
+                while dist < n {
+                    let to = (my + dist) % n;
+                    b.push(Step::CounterPut {
+                        to: self.cmaster_of(to),
+                        ctr: CtrRef::BarRound { node: to, round },
+                    });
+                    b.wait_ctr_ge(
+                        CtrRef::BarRound { node: my, round },
+                        seq(SeqBase::Barrier, 1),
+                    );
+                    dist <<= 1;
+                    round += 1;
+                }
             }
-        }
-        b.advance(SeqBase::Barrier, 1);
-        self.plan_smp_barrier_release(b);
-        if toggles {
-            b.push(Step::SetInterrupts(true));
-        }
+            b.advance(SeqBase::Barrier, 1);
+            self.plan_smp_barrier_release(b);
+        });
     }
 
     // ----------------------------------------------------------------

@@ -247,6 +247,13 @@ impl SrmComm {
     /// counter back at zero, and a taken mailbox slot is provably empty
     /// again before the next call's send can land in it (DESIGN.md
     /// §16.2).
+    ///
+    /// A multi-node exchange of segments up to
+    /// [`interrupt_disable_max`](crate::SrmTuning::interrupt_disable_max)
+    /// runs with interrupts off on **every** rank, since every rank is a
+    /// put target: its inbound puts land while it polls in the drain
+    /// waits, not as interrupts inside the rotation's flag waits
+    /// (DESIGN.md §16.2, "Reception progress").
     fn plan_exchange(
         &self,
         b: &mut PlanBuilder,
@@ -256,50 +263,53 @@ impl SrmComm {
         if seg == 0 {
             return;
         }
-        let me = self.crank();
-        let rbase = self.csize() * seg;
-        // Own segment: already local, one private copy.
-        if count(me, me) > 0 {
-            b.push(Step::ShmCopy {
-                src: BufRef::User,
-                src_off: Off::Lit(me * seg),
-                dst: BufRef::User,
-                dst_off: Off::Lit(rbase + me * seg),
-                len: count(me, me),
-                cost: CopyCost::Read(1),
-            });
-        }
-        let mut inbound = self.remote_order(false);
-        inbound.retain(|&s| count(s, me) > 0);
-        for &s in &inbound {
-            b.push(Step::AddrSend {
-                to: self.cworld_of(s),
-                src: BufRef::User,
-            });
-        }
-        for d in self.remote_order(true) {
-            let len = count(me, d);
-            if len == 0 {
-                continue;
+        let quiet = self.cmulti() && seg <= b.tuning().interrupt_disable_max;
+        b.interrupts_off(quiet, |b| {
+            let me = self.crank();
+            let rbase = self.csize() * seg;
+            // Own segment: already local, one private copy.
+            if count(me, me) > 0 {
+                b.push(Step::ShmCopy {
+                    src: BufRef::User,
+                    src_off: Off::Lit(me * seg),
+                    dst: BufRef::User,
+                    dst_off: Off::Lit(rbase + me * seg),
+                    len: count(me, me),
+                    cost: CopyCost::Read(1),
+                });
             }
-            let idx = b.take_addr(d);
-            b.push(Step::RmaPut {
-                to: self.cworld_of(d),
-                src: BufRef::User,
-                src_off: Off::Lit(d * seg),
-                dst: BufRef::Taken { idx },
-                dst_off: Off::Lit(rbase + me * seg),
-                len,
-                ctr: Some(CtrRef::PairwiseDirect { src: me, dst: d }),
-            });
-        }
-        self.plan_local_exchange(b, seg, &count);
-        // Drain: consume one completion per inbound stream. When these
-        // return, every expected segment has landed and the counters
-        // are at zero for the next call.
-        for &s in &inbound {
-            b.wait_ctr(CtrRef::PairwiseDirect { src: s, dst: me }, 1);
-        }
+            let mut inbound = self.remote_order(false);
+            inbound.retain(|&s| count(s, me) > 0);
+            for &s in &inbound {
+                b.push(Step::AddrSend {
+                    to: self.cworld_of(s),
+                    src: BufRef::User,
+                });
+            }
+            for d in self.remote_order(true) {
+                let len = count(me, d);
+                if len == 0 {
+                    continue;
+                }
+                let idx = b.take_addr(d);
+                b.push(Step::RmaPut {
+                    to: self.cworld_of(d),
+                    src: BufRef::User,
+                    src_off: Off::Lit(d * seg),
+                    dst: BufRef::Taken { idx },
+                    dst_off: Off::Lit(rbase + me * seg),
+                    len,
+                    ctr: Some(CtrRef::PairwiseDirect { src: me, dst: d }),
+                });
+            }
+            self.plan_local_exchange(b, seg, &count);
+            // Drain: consume one completion per inbound stream. When these
+            // return, every expected segment has landed and the counters
+            // are at zero for the next call.
+            for &s in &inbound {
+                b.wait_ctr(CtrRef::PairwiseDirect { src: s, dst: me }, 1);
+            }
+        });
     }
 
     /// Intra-node leg of the exchange: a rotation over the per-slot

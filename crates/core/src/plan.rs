@@ -608,6 +608,20 @@ impl PlanBuilder {
         );
     }
 
+    /// Emit `body`, bracketed by [`Step::SetInterrupts`] `false` …
+    /// `true` when `quiet` holds: the small-message policy of §2.3, under
+    /// which this rank takes the puts aimed at it by polling inside its
+    /// counter waits instead of by interrupt.
+    pub(crate) fn interrupts_off(&mut self, quiet: bool, body: impl FnOnce(&mut Self)) {
+        if quiet {
+            self.push(Step::SetInterrupts(false));
+        }
+        body(self);
+        if quiet {
+            self.push(Step::SetInterrupts(true));
+        }
+    }
+
     /// Emit an [`Step::AddrTake`] of comm rank `from`'s handle and
     /// return its capture index (for [`BufRef::Taken`]).
     pub fn take_addr(&mut self, from: usize) -> usize {

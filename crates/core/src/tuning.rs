@@ -95,8 +95,14 @@ pub struct SrmTuning {
     /// [`SrmModel::allreduce_composes`](crate::SrmModel::allreduce_composes)
     /// prices lower.
     pub allreduce_rd_max: usize,
-    /// Collectives with payloads at or below this size disable LAPI
-    /// interrupts for their duration (§2.3); the barrier always does.
+    /// Multi-node collectives at or below this size run with LAPI
+    /// interrupts disabled (§2.3), so their put targets take puts by
+    /// polling: broadcast, reduce and allreduce on the node masters,
+    /// alltoall and alltoallv (by segment) on every rank, since every
+    /// rank is a put target. The barrier's masters always do. Gather,
+    /// scatter, reduce_scatter and allgather's gather half never do:
+    /// their root-node master already waits inside a counter wait, and
+    /// toggling their masters measured slower (EXPERIMENTS.md D5).
     pub interrupt_disable_max: usize,
     /// Capacity of each per-(rank, communicator) compiled-schedule cache
     /// ([`crate::plan::PlanCache`]): how many distinct call shapes

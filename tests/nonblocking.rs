@@ -341,6 +341,98 @@ fn srm_large_ibcast_with_outstanding_reduce() {
     sim.run().expect("no deadlock");
 }
 
+/// Five calls whose plans switch LAPI interrupts off outstanding
+/// together: a small `ialltoall` and `ialltoallv` (every rank toggles)
+/// beside an `ibroadcast`, an `ireduce` and an `ibarrier` (the masters
+/// toggle). Whichever call switches interrupts back on first, a put
+/// still lands once its target next polls, so every payload is exact:
+/// on the world and on a parity split, in both issue orders, with and
+/// without perturbation.
+#[test]
+fn srm_interrupt_toggling_calls_outstanding_together() {
+    let topo = Topology::new(4, 4);
+    let n = topo.nprocs();
+    let (x_len, bcast_len, reduce_len) = (512, 4096, 8);
+    for split in [false, true] {
+        for reversed in [false, true] {
+            for perturb in [None, Some(Perturb::standard(7))] {
+                let mut sim = Sim::new(MachineConfig::ibm_sp_colony());
+                if let Some(p) = perturb {
+                    sim.set_perturb(p);
+                }
+                let world = SrmWorld::new(&mut sim, topo, SrmTuning::default());
+                let comms: Vec<SrmComm> = if split {
+                    let colors: Vec<i64> = (0..n).map(|r| (r % 2) as i64).collect();
+                    let parts = world.comm_split(&colors, &vec![0; n]).into_iter();
+                    parts.map(|c| c.expect("colored")).collect()
+                } else {
+                    (0..n).map(|r| world.comm(r)).collect()
+                };
+                let tag = format!(
+                    "split {split}, reversed {reversed}, perturbed {}",
+                    perturb.is_some()
+                );
+                for comm in comms {
+                    let tag = format!("{tag}, rank {}", comm.rank());
+                    sim.spawn(format!("rank{}", comm.rank()), move |ctx| {
+                        let group = comm.group().ranks().to_vec();
+                        let (gn, me) = (group.len(), comm.comm_rank());
+                        let counts = srm_cluster::ragged_counts(gn, x_len);
+                        let init = |len| {
+                            let buf = comm.alloc_buffer(len);
+                            buf.with_mut(|d| d.copy_from_slice(&init_bytes(comm.rank(), len)));
+                            buf
+                        };
+                        let (a2a, a2av) = (init(2 * gn * x_len), init(2 * gn * x_len));
+                        let (big, red) = (init(bcast_len), init(reduce_len));
+                        let issue = |k| match k {
+                            0 => comm.ialltoall(&ctx, &a2a, x_len),
+                            1 => comm.ialltoallv(&ctx, &a2av, x_len, &counts),
+                            2 => comm.ibroadcast(&ctx, &big, bcast_len, 1),
+                            3 => comm.ireduce(&ctx, &red, reduce_len, DType::U64, ReduceOp::Sum, 0),
+                            _ => comm.ibarrier(&ctx),
+                        };
+                        let mut order = [0, 1, 2, 3, 4];
+                        if reversed {
+                            order.reverse();
+                        }
+                        let reqs = order.into_iter().map(issue).collect();
+                        ctx.advance(SimTime::from_us(20));
+                        comm.wait_all(&ctx, reqs);
+                        let sent = |r: usize| init_bytes(group[r], 2 * gn * x_len);
+                        let rbase = gn * x_len;
+                        a2a.with(|d| {
+                            for src in 0..gn {
+                                let got = &d[rbase + src * x_len..][..x_len];
+                                let want = &sent(src)[me * x_len..][..x_len];
+                                assert_eq!(got, want, "{tag}: alltoall from {src}");
+                            }
+                        });
+                        a2av.with(|d| {
+                            for src in 0..gn {
+                                let c = counts[src * gn + me];
+                                let got = &d[rbase + src * x_len..][..c];
+                                let want = &sent(src)[me * x_len..][..c];
+                                assert_eq!(got, want, "{tag}: alltoallv from {src}");
+                            }
+                        });
+                        let payload = init_bytes(group[1], bcast_len);
+                        big.with(|d| assert_eq!(d[..], payload[..], "{tag}: broadcast"));
+                        if me == 0 {
+                            let contribs: Vec<Vec<u8>> =
+                                group.iter().map(|&r| init_bytes(r, reduce_len)).collect();
+                            let sum = reference_reduce(DType::U64, ReduceOp::Sum, &contribs);
+                            red.with(|d| assert_eq!(d[..], sum[..], "{tag}: reduce"));
+                        }
+                        comm.shutdown(&ctx);
+                    });
+                }
+                sim.run().expect("no deadlock");
+            }
+        }
+    }
+}
+
 /// An `iallreduce` the closed form composes — a reduce to group node
 /// 0's master, then a broadcast from it — outstanding together with a
 /// large `ibroadcast` (address mailbox) and a chunked `ireduce`, on the

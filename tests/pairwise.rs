@@ -9,6 +9,7 @@ use collops::{reference_reduce, Collectives, DType, NonblockingCollectives, Redu
 use simnet::{MachineConfig, MetricsSnapshot, Sim, Topology};
 use srm::plan::{BufRef, Hand, Step};
 use srm::{PlanShape, SrmComm, SrmTuning, SrmWorld};
+use srm_cluster::{measure, HarnessOpts, Impl, Op};
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
@@ -295,6 +296,97 @@ fn exchange_plans_permute_the_wire_and_rotate_the_node() {
             }
         }
     }
+}
+
+/// A multi-node exchange of segments up to `interrupt_disable_max` runs
+/// with interrupts off on every rank (§2.3): each rank lands its inbound
+/// puts by polling in its drain waits, so no put takes an interrupt.
+/// The ragged 8 KB alltoallv keeps fewer than one interrupt per rank
+/// over the four timed calls (294 on 4×4 with interrupts on): ranks
+/// finish unevenly, and a peer's address message for the next call can
+/// reach a rank after its last LAPI call of this one (it lands as an
+/// interrupt when the rank switches them back on) or while the rank
+/// still sits in the harness barrier. Above the cut, and on one node,
+/// the plan carries no toggle,
+/// and the 4×4 / 16 KB exchange keeps the time it had before.
+#[test]
+fn small_exchanges_take_no_interrupts() {
+    let toggles = |topo: Topology, shape: PlanShape| {
+        let mut sim = Sim::new(MachineConfig::ibm_sp_colony());
+        let world = SrmWorld::new(&mut sim, topo, SrmTuning::default());
+        (0..topo.nprocs())
+            .map(|r| {
+                let comm = world.comm(r);
+                let plan = comm.build_plan(&comm.key(shape.clone()));
+                let on: Vec<bool> = (plan.steps.iter())
+                    .filter_map(|s| match *s {
+                        Step::SetInterrupts(on) => Some(on),
+                        _ => None,
+                    })
+                    .collect();
+                let ends = (plan.steps.first(), plan.steps.last());
+                let bracketed = matches!(
+                    ends,
+                    (
+                        Some(Step::SetInterrupts(false)),
+                        Some(Step::SetInterrupts(true))
+                    )
+                );
+                assert_eq!(
+                    bracketed,
+                    !on.is_empty(),
+                    "rank {r}: toggles inside the plan"
+                );
+                on.len()
+            })
+            .collect::<BTreeSet<usize>>()
+    };
+    let us = |topo, op, len| {
+        let m = measure(
+            Impl::Srm,
+            MachineConfig::ibm_sp_colony(),
+            topo,
+            op,
+            len,
+            HarnessOpts::default(),
+        );
+        (m.per_call.as_us(), m.metrics.interrupts)
+    };
+    for (nodes, tpn) in [(4, 4), (2, 8), (4, 16)] {
+        let topo = Topology::new(nodes, tpn);
+        for op in [Op::Alltoall, Op::Alltoallv] {
+            for len in [8, 512, 8 << 10] {
+                let what = format!("{} {len} B on {nodes}x{tpn}", op.name());
+                let shape = op.shape(len, 0, topo.nprocs());
+                assert_eq!(
+                    toggles(topo, shape),
+                    BTreeSet::from([2]),
+                    "{what}: every rank"
+                );
+                let taken = us(topo, op, len).1;
+                if op == Op::Alltoallv && len > 512 {
+                    assert!(taken < topo.nprocs() as u64, "{what}: {taken}");
+                } else {
+                    assert_eq!(taken, 0, "{what}");
+                }
+            }
+            let shape = op.shape(16 << 10, 0, topo.nprocs());
+            assert_eq!(
+                toggles(topo, shape),
+                BTreeSet::from([0]),
+                "{nodes}x{tpn} 16 KB"
+            );
+        }
+    }
+    let one_node = Topology::new(1, 4);
+    let shape = Op::Alltoall.shape(8, 0, 4);
+    assert_eq!(toggles(one_node, shape), BTreeSet::from([0]), "single node");
+    let (t, _) = us(Topology::new(4, 4), Op::Alltoall, 512);
+    assert!(t <= 75.0, "4x4 / 512 B: {t:.1} us");
+    let (t, _) = us(Topology::new(4, 16), Op::Alltoall, 512);
+    assert!(t <= 320.0, "4x16 / 512 B: {t:.1} us");
+    let (t, _) = us(Topology::new(4, 4), Op::Alltoall, 16 << 10);
+    assert_eq!(format!("{t:.1}"), "637.8", "4x4 / 16 KB");
 }
 
 /// Above `allreduce_rs_min` the allreduce switches to the Rabenseifner
