@@ -17,7 +17,12 @@
 //!                          (default: derived per call)
 //!
 //! explore --seeds N [OPTIONS]               stress mode
+//! explore --shrink S [OPTIONS]              shrink one failing seed
 //!   --seeds N              run N seeded perturbation scenarios
+//!   --shrink S             delta-debug seed S's scenario: drop steps,
+//!                          then switch off perturbation mechanisms,
+//!                          while it still fails; print the result
+//!                          (exit 0 if the seed fails, 1 if it passes)
 //!   --start-seed S         first seed (decimal or 0x-hex, default 0)
 //!   --nodes N / --tpn P    pin the topology (default: drawn per seed)
 //!   --max-ops K            program length upper bound (default 6)
@@ -58,6 +63,13 @@
 //! explore --seeds 1 --start-seed 0x00000000000000a7
 //! ```
 //!
+//! Cut a failing seed down to the steps and perturbation mechanisms it
+//! needs (the stress-mode options pin the same scenario):
+//!
+//! ```text
+//! explore --shrink 0x1c6 --nodes 2 --tpn 8
+//! ```
+//!
 //! Prove the detector catches a planted dispatcher race: the run flips
 //! the premature-ack switch and sweeps until a data check fails,
 //! printing the seed and its one-line reproducer. Exit 0 means
@@ -69,7 +81,9 @@
 
 use simnet::{Faults, MachineConfig, Topology};
 use srm::{SrmTuning, TreeKind};
-use srm_cluster::{explore_sweep, measure, ExploreOpts, HarnessOpts, Impl, Op};
+use srm_cluster::{
+    derive_scenario, explore_sweep, measure, shrink, ExploreOpts, HarnessOpts, Impl, Op,
+};
 
 struct Args {
     op: Op,
@@ -84,6 +98,7 @@ struct Args {
     tree: Option<TreeKind>,
     seeds: Option<u64>,
     start_seed: u64,
+    shrink: Option<u64>,
     max_ops: usize,
     subgroups: bool,
     /// `--route`: the `pairwise_direct_min` that forces it.
@@ -96,6 +111,7 @@ fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}\n");
     eprintln!("usage: explore [--op OP] [--nodes N] [--tpn P] [--bytes B,..] [--impl I] [--machine M] [--iters K] [--tree T]");
     eprintln!("       explore --seeds N [--start-seed S] [--nodes N] [--tpn P] [--max-ops K] [--no-subgroups] [--route direct|staged] [--tree-scale K] [--inject raise-race|am-stall-race]");
+    eprintln!("       explore --shrink S [same options as --seeds]");
     std::process::exit(2)
 }
 
@@ -121,6 +137,7 @@ fn parse() -> Args {
         tree: None,
         seeds: None,
         start_seed: 0,
+        shrink: None,
         max_ops: 6,
         subgroups: true,
         route: None,
@@ -155,6 +172,7 @@ fn parse() -> Args {
             "--start-seed" => {
                 a.start_seed = parse_seed(val).unwrap_or_else(|| usage("bad --start-seed"))
             }
+            "--shrink" => a.shrink = Some(parse_seed(val).unwrap_or_else(|| usage("bad --shrink"))),
             "--max-ops" => a.max_ops = val.parse().unwrap_or_else(|_| usage("bad --max-ops")),
             "--route" => {
                 a.route = Some(match val.as_str() {
@@ -209,9 +227,9 @@ fn parse() -> Args {
     a
 }
 
-/// Stress mode: sweep seeded perturbation scenarios and report.
-fn stress(a: &Args, count: u64) -> ! {
-    let injecting = a.inject.is_some();
+/// The explorer options the stress-mode flags pin, announcing any
+/// planted fault or forced route.
+fn explore_opts(a: &Args) -> ExploreOpts {
     let faults = match a.inject.as_deref() {
         Some("raise-race") => {
             println!(
@@ -249,6 +267,31 @@ fn stress(a: &Args, count: u64) -> ! {
         println!("route forcing: every reduce_scatter segment, pairwise_direct_min = {min}");
         opts.pairwise_direct_min = min;
     }
+    opts
+}
+
+/// Shrink mode: cut one failing seed down and print what is left.
+fn shrink_seed(a: &Args, seed: u64) -> ! {
+    let opts = explore_opts(a);
+    let Some((shrunk, failure)) = shrink(seed, &opts) else {
+        println!("seed 0x{seed:016x} passes: nothing to shrink");
+        std::process::exit(1);
+    };
+    let full = derive_scenario(seed, &opts);
+    println!("seed 0x{seed:016x} fails\n  scenario: {full}");
+    println!(
+        "shrunk: {} -> {} step(s)\n  scenario: {shrunk}\n  error: {}",
+        full.steps.len(),
+        shrunk.steps.len(),
+        failure.error
+    );
+    std::process::exit(0);
+}
+
+/// Stress mode: sweep seeded perturbation scenarios and report.
+fn stress(a: &Args, count: u64) -> ! {
+    let injecting = a.inject.is_some();
+    let opts = explore_opts(a);
     println!(
         "exploring {count} seed(s) from 0x{:016x} (topology {}, max {} ops, subgroups {}, \
          tree ops x{})",
@@ -316,6 +359,9 @@ fn stress(a: &Args, count: u64) -> ! {
 
 fn main() {
     let a = parse();
+    if let Some(seed) = a.shrink {
+        shrink_seed(&a, seed);
+    }
     if let Some(count) = a.seeds {
         stress(&a, count);
     }

@@ -153,6 +153,58 @@ mod tests {
         assert_eq!(r.metrics.interrupts, 0);
     }
 
+    /// One 8-byte put issued at `put_at` to a target that switches
+    /// interrupts off at once, computes until 100 µs, switches them
+    /// back on (done at 100.1 µs) and computes on without polling.
+    /// Returns the run's interrupt count and when the put landed.
+    fn put_around_reenable(put_at: SimTime) -> (u64, SimTime) {
+        let mut sim = Sim::new(MachineConfig::uniform_test());
+        let world = RmaWorld::new(&mut sim, 2);
+        let done = LapiCounter::new(&sim.handle(), 0);
+        let landed = sim.handle().var(SimTime::ZERO);
+        let (r0, r1) = (world.endpoint(0), world.endpoint(1));
+        let c0 = done.clone();
+        sim.spawn("origin", move |ctx| {
+            ctx.advance(put_at);
+            let (src, dst) = (ShmBuffer::new(8), ShmBuffer::new(8));
+            r0.put(&ctx, 1, &src, 0, 8, &dst, 0, Some(&c0));
+            r0.shutdown(&ctx);
+        });
+        sim.spawn("target", move |ctx| {
+            r1.set_interrupts(&ctx, false);
+            ctx.advance(SimTime::from_us(100) - ctx.now());
+            r1.set_interrupts(&ctx, true);
+            ctx.advance(SimTime::from_us(200));
+            r1.shutdown(&ctx);
+        });
+        // An observer outside LAPI: it neither polls nor blocks delivery.
+        let l = landed.clone();
+        sim.spawn("observer", move |ctx| {
+            done.var.wait(&ctx, "put landed", |v| *v >= 1);
+            l.store(&ctx, ctx.now());
+        });
+        let r = sim.run().unwrap();
+        (r.metrics.interrupts, landed.get())
+    }
+
+    #[test]
+    fn reenabling_interrupts_polls_what_stalled() {
+        // Reaches the adapter at 11.008 µs and stalls; the re-enable at
+        // 100.1 µs takes it by polling: only the 1 µs target overhead.
+        let (interrupts, landed) = put_around_reenable(SimTime::ZERO);
+        assert_eq!(interrupts, 0);
+        assert_eq!(landed, SimTime::from_ns(101_100));
+    }
+
+    #[test]
+    fn arrival_after_reenable_still_takes_an_interrupt() {
+        // Reaches the adapter at 131.008 µs while the target computes with
+        // interrupts on: 20 µs interrupt + 1 µs overhead.
+        let (interrupts, landed) = put_around_reenable(SimTime::from_us(120));
+        assert_eq!(interrupts, 1);
+        assert_eq!(landed, SimTime::from_ns(152_008));
+    }
+
     #[test]
     fn back_to_back_puts_serialize_on_origin_link() {
         // Two 10_000-byte puts issued immediately: second must wait for

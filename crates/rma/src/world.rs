@@ -37,7 +37,11 @@
 //! * target elsewhere, interrupts disabled: delivery **stalls** until
 //!   the target enters a LAPI call — exactly the hazard the paper warns
 //!   about ("the put operation would not be able to complete without
-//!   implicit cooperation of the destination task").
+//!   implicit cooperation of the destination task");
+//! * target switches interrupts back on ([`Rma::set_interrupts`]):
+//!   that is a LAPI call too, so every arrival that reached the adapter
+//!   by then (`deliver_at` after the inbound serialization) is taken by
+//!   polling, with no interrupt; later arrivals follow the rules above.
 
 use crate::counter::LapiCounter;
 use parking_lot::Mutex;
@@ -93,6 +97,9 @@ type AmHandler = Arc<dyn Fn(&Ctx, AmMsg) + Send + Sync>;
 struct LapiState {
     in_call: bool,
     interrupts_on: bool,
+    /// When [`Rma::set_interrupts`] last switched interrupts on: that
+    /// call polls whatever had reached the adapter by then.
+    enabled_at: SimTime,
 }
 
 struct TaskNet {
@@ -147,6 +154,7 @@ impl RmaWorld {
                 state: handle.var(LapiState {
                     in_call: false,
                     interrupts_on: true,
+                    enabled_at: SimTime::ZERO,
                 }),
                 handlers: Mutex::new(HashMap::new()),
             })
@@ -349,11 +357,17 @@ impl Rma {
 
     /// Enable or disable interrupt-mode reception for this task
     /// (SRM disables interrupts for small-message collectives, §2.3).
+    /// Enabling is a LAPI call like any other: arrivals that reached
+    /// the adapter by now are taken by polling, not as interrupts.
     pub fn set_interrupts(&self, ctx: &Ctx, on: bool) {
         ctx.advance(ctx.config().lapi_counter_check);
-        self.world.tasks[self.me]
-            .state
-            .update(ctx, |s| s.interrupts_on = on);
+        let now = ctx.now();
+        self.world.tasks[self.me].state.update(ctx, |s| {
+            s.interrupts_on = on;
+            if on {
+                s.enabled_at = now;
+            }
+        });
     }
 
     /// Tear down this task's dispatcher. Call exactly once, after all
@@ -444,7 +458,8 @@ fn deliver(ctx: &Ctx, world: &Arc<WorldInner>, me: Rank, a: Arrival) {
     t.state.wait(ctx, "target polls or takes interrupt", |s| {
         s.in_call || s.interrupts_on
     });
-    let polled = t.state.get().in_call;
+    let s = t.state.get();
+    let polled = s.in_call || a.deliver_at <= s.enabled_at;
     if !polled {
         ctx.advance(cfg.interrupt_cost);
         ctx.metrics().interrupts.fetch_add(1, Ordering::Relaxed);

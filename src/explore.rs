@@ -34,10 +34,11 @@
 //!
 //! On failure the harness reports the exact seed and a one-line
 //! reproducer command ([`repro_line`]); the seed alone regenerates the
-//! scenario, so every failure replays bit-exactly. The `explore`
-//! binary in the bench crate drives [`explore_sweep`] from the command
-//! line (`--seeds N`); `tests/stress_explore.rs` runs a small tier-1
-//! smoke sweep.
+//! scenario, so every failure replays bit-exactly, and [`shrink`] cuts
+//! it down to the fewest steps and perturbation mechanisms that still
+//! fail. The `explore` binary in the bench crate drives
+//! [`explore_sweep`] from the command line (`--seeds N`, `--shrink
+//! SEED`); `tests/stress_explore.rs` runs a small tier-1 smoke sweep.
 
 use crate::harness::{ragged_counts, Op};
 use collops::{reference_reduce, Collectives, DType, NonblockingCollectives, ReduceOp};
@@ -957,6 +958,55 @@ pub fn explore_sweep(start: u64, count: u64, opts: &ExploreOpts) -> ExploreSumma
         }
     }
     summary
+}
+
+/// The perturbation mechanisms [`shrink`] tries to switch off, each
+/// as the edit that switches it off.
+const KNOBS: [fn(&mut Perturb); 8] = [
+    |p| p.delivery_jitter = SimTime::ZERO,
+    |p| p.reorder_permille = 0,
+    |p| p.stall_permille = 0,
+    |p| p.straggler = None,
+    |p| p.coalesce_permille = 0,
+    |p| p.am_stall_permille = 0,
+    |p| p.bw_permille = 0,
+    |p| p.bw_dip_permille = 0,
+];
+
+/// Delta-debug the scenario `seed` derives under `opts`: drop program
+/// steps one at a time until no single drop still fails, then switch
+/// off perturbation mechanisms one at a time, keeping each cut under
+/// which [`run_scenario`] still fails. Returns the smallest failing
+/// scenario found and its failure, or `None` if the seed passes.
+pub fn shrink(seed: u64, opts: &ExploreOpts) -> Option<(Scenario, ExploreFailure)> {
+    let fails = |s: &Scenario| run_scenario(seed, s.clone(), opts).err();
+    let mut best = derive_scenario(seed, opts);
+    let mut failure = fails(&best)?;
+    loop {
+        let before = best.steps.len();
+        let mut i = 0;
+        while i < best.steps.len() {
+            let mut cand = best.clone();
+            cand.steps.remove(i);
+            match fails(&cand) {
+                Some(f) => (best, failure) = (cand, f),
+                None => i += 1,
+            }
+        }
+        if best.steps.len() == before {
+            break;
+        }
+    }
+    for off in KNOBS {
+        let mut cand = best.clone();
+        off(&mut cand.perturb);
+        if cand.perturb != best.perturb {
+            if let Some(f) = fails(&cand) {
+                (best, failure) = (cand, f);
+            }
+        }
+    }
+    Some((best, failure))
 }
 
 #[cfg(test)]

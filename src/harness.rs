@@ -12,8 +12,9 @@ use simnet::{Ctx, MachineConfig, MetricsSnapshot, Rank, Sim, SimTime, Topology};
 use srm::{SrmTuning, SrmWorld, TuneTable};
 use std::sync::{Arc, Mutex};
 
-/// Per-rank timing sample: (timed-region start, end, metrics over it).
-type Samples = Arc<Mutex<Vec<(SimTime, SimTime, MetricsSnapshot)>>>;
+/// Per-rank timing sample: the timed region's start and end, each with
+/// the world's counters at that instant.
+type Samples = Arc<Mutex<Vec<((SimTime, MetricsSnapshot), (SimTime, MetricsSnapshot))>>>;
 
 /// Which implementation to measure.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -47,7 +48,7 @@ pub struct Measurement {
     /// Mean virtual time per call.
     pub per_call: SimTime,
     /// Event counters accumulated over the measured calls (not the
-    /// warmup).
+    /// warmup): from the first rank's start to the last rank's finish.
     pub metrics: MetricsSnapshot,
     /// Calls measured.
     pub iters: usize,
@@ -77,8 +78,8 @@ impl Default for HarnessOpts {
 ///
 /// Methodology: every rank performs one warmup call (fills pipelines,
 /// triggers any lazy setup), synchronizes with the implementation's own
-/// barrier, then performs `iters` timed calls. The reported time is
-/// rank 0's elapsed virtual time over the timed region divided by
+/// barrier, then performs `iters` timed calls. The reported time runs
+/// from the last rank's start to the last rank's finish, divided by
 /// `iters` — the same "mean time per call" the paper plots.
 pub fn measure(
     imp: Impl,
@@ -143,13 +144,15 @@ pub fn measure_with_table(
     let samples = out.lock().unwrap();
     assert_eq!(samples.len(), topo.nprocs());
     // The operation starts when the last rank is ready and completes
-    // when the last rank finishes.
-    let start = samples.iter().map(|s| s.0).max().expect("nonempty");
-    let end = samples.iter().map(|s| s.1).max().expect("nonempty");
-    let metrics = samples.iter().min_by_key(|s| s.0).expect("nonempty").2;
+    // when the last rank finishes. The counters are global, so they
+    // cover everything from the first rank's start to that finish.
+    let (begins, ends): (Vec<_>, Vec<_>) = samples.iter().copied().unzip();
+    let start = begins.iter().map(|b| b.0).max().expect("nonempty");
+    let (_, m0) = *begins.iter().min_by_key(|b| b.0).expect("nonempty");
+    let (end, m1) = *ends.iter().max_by_key(|e| e.0).expect("nonempty");
     Measurement {
         per_call: SimTime::from_ps((end - start).as_ps() / iters as u64),
-        metrics,
+        metrics: m1.since(&m0),
         iters,
     }
 }
@@ -181,14 +184,12 @@ fn run_rank(
     one_call(ctx);
     coll.barrier(ctx);
 
-    let t0 = ctx.now();
-    let m0 = ctx.metrics_snapshot();
+    let begin = (ctx.now(), ctx.metrics_snapshot());
     for _ in 0..iters {
         one_call(ctx);
     }
-    let t1 = ctx.now();
-    let metrics = ctx.metrics_snapshot().since(&m0);
-    out.lock().unwrap().push((t0, t1, metrics));
+    let end = (ctx.now(), ctx.metrics_snapshot());
+    out.lock().unwrap().push((begin, end));
 }
 
 /// `T_SRM / T_MPI × 100 %` — the ratio the paper's Figures 9–11 plot

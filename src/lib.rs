@@ -30,7 +30,7 @@ pub use simnet;
 pub use srm;
 
 pub use explore::{
-    derive_scenario, explore_one, explore_sweep, repro_line, run_scenario, AliasMode,
+    derive_scenario, explore_one, explore_sweep, repro_line, run_scenario, shrink, AliasMode,
     ExploreFailure, ExploreOpts, ExploreOutcome, ExploreSummary, ProgStep, Scenario, SplitSpec,
 };
 pub use harness::{

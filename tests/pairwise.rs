@@ -304,9 +304,9 @@ fn exchange_plans_permute_the_wire_and_rotate_the_node() {
 /// The ragged 8 KB alltoallv keeps fewer than one interrupt per rank
 /// over the four timed calls (294 on 4×4 with interrupts on): ranks
 /// finish unevenly, and a peer's address message for the next call can
-/// reach a rank after its last LAPI call of this one (it lands as an
-/// interrupt when the rank switches them back on) or while the rank
-/// still sits in the harness barrier. Above the cut, and on one node,
+/// reach a rank after it switched interrupts back on (what reached it
+/// before is polled by the switch) or while the rank still sits in the
+/// harness barrier. Above the cut, and on one node,
 /// the plan carries no toggle,
 /// and the 4×4 / 16 KB exchange keeps the time it had before.
 #[test]

@@ -8,8 +8,8 @@
 
 use simnet::Perturb;
 use srm_cluster::{
-    derive_scenario, explore_sweep, run_scenario, AliasMode, ExploreOpts, Op, ProgStep, Scenario,
-    SplitSpec,
+    derive_scenario, explore_sweep, run_scenario, shrink, AliasMode, ExploreOpts, Op, ProgStep,
+    Scenario, SplitSpec,
 };
 
 fn assert_clean(summary: &srm_cluster::ExploreSummary) {
@@ -96,6 +96,31 @@ fn grammar_v2_features_are_reachable() {
         "no seed in 0..64 stepped on a comm_split communicator"
     );
     assert!(alias_step, "no seed in 0..64 drew a buffer-aliasing step");
+}
+
+/// `shrink` cuts a failing seed down and keeps it failing. 2x8 seed
+/// 0x1c6 returns a wrong gather at non-master root 6 (a known open
+/// defect; when its fix lands this test needs another failing seed or a
+/// planted fault). A passing seed has nothing to shrink.
+#[test]
+fn shrink_cuts_a_failing_seed_down_and_keeps_it_failing() {
+    let opts = ExploreOpts {
+        nodes: Some(2),
+        tpn: Some(8),
+        ..ExploreOpts::default()
+    };
+    let seed = 0x1c6;
+    let full = derive_scenario(seed, &opts);
+    let (shrunk, _) = shrink(seed, &opts).expect("seed 0x1c6 fails on 2x8");
+    assert!(
+        shrunk.steps.len() < full.steps.len(),
+        "{} steps left of {}: {shrunk}",
+        shrunk.steps.len(),
+        full.steps.len()
+    );
+    let replay = run_scenario(seed, shrunk.clone(), &opts);
+    assert!(replay.is_err(), "shrunk scenario passes: {shrunk}");
+    assert!(shrink(0, &opts).is_none(), "seed 0 passes on 2x8");
 }
 
 fn pinned(opts: &ExploreOpts, scenario: Scenario) {
