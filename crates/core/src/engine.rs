@@ -89,8 +89,7 @@ pub(crate) fn chan_of<'a>(comm: &'a SrmComm, bases: &[u64; SEQ_BASES], c: Chan) 
     match c.kind {
         ChanKind::Bcast => &comm.peer(c.dst, c.src).bcast[parity(SeqBase::Landing)],
         ChanKind::Reduce => &comm.peer(c.dst, c.src).reduce[parity(SeqBase::Reduce)],
-        ChanKind::Rd => &comm.inter(c.dst).rd[c.lane as usize],
-        ChanKind::Fold => &comm.inter(c.dst).fold,
+        ChanKind::Rd => &comm.exchange(c.dst, c.src).rd,
         ChanKind::Ring => comm.pairwise().ring(c.src, c.dst),
     }
 }
@@ -104,7 +103,7 @@ pub(crate) fn ctr_of<'a>(
         CtrRef::Data(ch) => &chan_of(comm, bases, ch).data,
         CtrRef::Free(ch) => &chan_of(comm, bases, ch).free,
         CtrRef::LargeData { node } => &comm.inter(node).large_data,
-        CtrRef::BarRound { node, round } => &comm.inter(node).bar_round[round],
+        CtrRef::BarRound { node, from } => &comm.exchange(node, from).bar,
         CtrRef::PairwiseDirect { src, dst } => comm.pairwise().direct(src, dst),
     }
 }

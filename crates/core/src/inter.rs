@@ -526,87 +526,92 @@ impl SrmComm {
 
     /// Up to 16 KB: one intra-node reduce to the master,
     /// recursive-doubling pairwise exchange between the masters,
-    /// intra-node broadcast.
+    /// intra-node broadcast. No exchange takes a credit: each lands in
+    /// its receiver's landing from the sender, in the half of this
+    /// call's [`SeqBase::Rd`] parity, which the sender writes again only
+    /// two such allreduces later (DESIGN.md §16.2).
     fn plan_allreduce_small(&self, b: &mut PlanBuilder, len: usize) {
         let rel = b.rel(SeqBase::Reduce);
         let has_acc = self.plan_smp_reduce_chunk(b, 0, len, rel, self.tree());
         // Puts ship the accumulator from the master's own (otherwise
         // idle) contribution buffer.
         let staging = self.hand_side(Hand::Slot(0), rel);
+        let (my, n) = (self.cnode(), self.cnodes());
+        let half = poff(
+            SeqBase::Rd,
+            b.rel(SeqBase::Rd),
+            self.tuning().allreduce_rd_max,
+        );
+        let put = |b: &mut PlanBuilder, to: usize| {
+            let c = Chan::new(ChanKind::Rd, my, to, 0);
+            plan_stage_acc(b, staging.0, staging.1, len);
+            b.push(Step::RmaPut {
+                to: self.cmaster_of(to),
+                src: staging.0,
+                src_off: staging.1,
+                dst: BufRef::Chan(c),
+                dst_off: half,
+                len,
+                ctr: Some(CtrRef::Data(c)),
+            });
+        };
+        // Wait for `from`'s exchange, then fold it in or take it as the
+        // result.
+        let take = |b: &mut PlanBuilder, from: usize, fold: bool| {
+            let c = Chan::new(ChanKind::Rd, from, my, 0);
+            b.wait_ctr(CtrRef::Data(c), 1);
+            let (src, src_off) = (BufRef::Chan(c), half);
+            b.push(if fold {
+                Step::LocalReduce { src, src_off, len }
+            } else {
+                let (dst, dst_off, cost) = (BufRef::Acc, Off::Lit(0), CopyCost::Read(1));
+                Step::ShmCopy {
+                    src,
+                    src_off,
+                    dst,
+                    dst_off,
+                    len,
+                    cost,
+                }
+            });
+        };
 
         if self.c_is_master() {
             debug_assert!(has_acc, "master is the subtree root");
-            let n = self.cnodes();
-            if n > 1 {
-                let my = self.cnode();
-                let pof2 = 1usize << (usize::BITS - 1 - n.leading_zeros());
-                let rem = n - pof2;
-
-                // Fold the extra nodes into their even neighbours.
-                let newnode = if my >= 2 * rem {
-                    Some(my - rem)
-                } else if my % 2 == 1 {
-                    let to = Chan::new(ChanKind::Fold, my, my - 1, 0);
-                    self.plan_credit_put(b, (to, 0), true, staging, len);
-                    None
-                } else {
-                    let from = Chan::new(ChanKind::Fold, my + 1, my, 0);
-                    self.plan_fold_landed(b, (from, 0), len);
-                    Some(my / 2)
-                };
-
-                if let Some(newnode) = newnode {
-                    let mut mask = 1usize;
-                    let mut round = 0u64;
-                    while mask < pof2 {
-                        let pn = newnode ^ mask;
-                        let partner = if pn < rem { pn * 2 } else { pn + rem };
-                        let to = Chan::new(ChanKind::Rd, my, partner, round);
-                        self.plan_credit_put(b, (to, 0), true, staging, len);
-                        let from = Chan::new(ChanKind::Rd, partner, my, round);
-                        self.plan_fold_landed(b, (from, 0), len);
-                        mask <<= 1;
-                        round += 1;
-                    }
+            let pof2 = 1usize << n.ilog2();
+            let rem = n - pof2;
+            // Fold the extra nodes into their even neighbours.
+            let newnode = if my >= 2 * rem {
+                Some(my - rem)
+            } else if my % 2 == 1 {
+                put(b, my - 1);
+                None
+            } else {
+                take(b, my + 1, true);
+                Some(my / 2)
+            };
+            if let Some(newnode) = newnode {
+                let mut mask = 1usize;
+                while mask < pof2 {
+                    let pn = newnode ^ mask;
+                    let partner = if pn < rem { pn * 2 } else { pn + rem };
+                    put(b, partner);
+                    take(b, partner, true);
+                    mask <<= 1;
                 }
-
-                // Unfold: hand the result back to the folded-out nodes
-                // over the fold channel the other way. No credit: the
-                // odd node's fold-in of the next call follows its
-                // read, and the even node folds that in before it can
-                // put here again.
-                if my < 2 * rem {
-                    if my.is_multiple_of(2) {
-                        let back = Chan::new(ChanKind::Fold, my, my + 1, 0);
-                        plan_stage_acc(b, staging.0, staging.1, len);
-                        b.push(Step::RmaPut {
-                            to: self.cmaster_of(my + 1),
-                            src: staging.0,
-                            src_off: staging.1,
-                            dst: BufRef::Chan(back),
-                            dst_off: Off::Lit(0),
-                            len,
-                            ctr: Some(CtrRef::Data(back)),
-                        });
-                    } else {
-                        let back = Chan::new(ChanKind::Fold, my - 1, my, 0);
-                        b.wait_ctr(CtrRef::Data(back), 1);
-                        b.push(Step::ShmCopy {
-                            src: BufRef::Chan(back),
-                            src_off: Off::Lit(0),
-                            dst: BufRef::Acc,
-                            dst_off: Off::Lit(0),
-                            len,
-                            cost: CopyCost::Read(1),
-                        });
-                    }
-                }
+            }
+            // Unfold: hand the result back to the folded-out nodes.
+            if my < 2 * rem && my.is_multiple_of(2) {
+                put(b, my + 1);
+            } else if my < 2 * rem {
+                take(b, my - 1, false);
             }
             plan_acc_to_user(b, 0, len);
             // The tree root's own contribution channel went unused.
             self.plan_contrib_catchup(b, rel + 1);
         }
         b.advance(SeqBase::Reduce, 1);
+        b.advance(SeqBase::Rd, 1);
         self.plan_smp_bcast(b, len, self.cmaster_of(self.cnode()));
     }
 
@@ -687,33 +692,37 @@ impl SrmComm {
     // ----------------------------------------------------------------
 
     /// Plan a communicator barrier (§2.4 and [17]): flat flag check-in
-    /// on each node, pairwise-exchange (dissemination) rounds with
-    /// zero-byte puts between the masters on cumulative counters, then
-    /// the flag reset releases the node.
+    /// on each node, k-ary dissemination rounds between the masters,
+    /// then the flag reset releases the node. In round `r` master `i`
+    /// bumps the counters of masters `i + j·kʳ` (mod n) for every
+    /// `0 < j < k` with `j·kʳ < n` with zero-byte puts, then waits for
+    /// the matching bumps, each on the cumulative counter of its peer.
+    /// `k` is [`SrmModel::barrier_radix`](crate::SrmModel::barrier_radix).
     pub(crate) fn plan_barrier(&self, b: &mut PlanBuilder) {
         if self.csize() == 1 {
             return;
         }
+        let k = self.model(b.tuning()).barrier_radix();
         b.interrupts_off(self.cmulti() && self.c_is_master(), |b| {
             self.plan_smp_barrier_enter(b);
-            let n = self.cnodes();
-            if self.c_is_master() && n > 1 {
-                let my = self.cnode();
-                let mut dist = 1usize;
-                let mut round = 0usize;
-                while dist < n {
-                    let to = (my + dist) % n;
+            let (my, n) = (self.cnode(), self.cnodes());
+            let mut dist = 1usize;
+            while self.c_is_master() && dist < n {
+                let peers: Vec<usize> = (1..k).map(|j| j * dist).take_while(|&d| d < n).collect();
+                for &d in &peers {
+                    let to = (my + d) % n;
+                    let ctr = CtrRef::BarRound { node: to, from: my };
                     b.push(Step::CounterPut {
                         to: self.cmaster_of(to),
-                        ctr: CtrRef::BarRound { node: to, round },
+                        ctr,
                     });
-                    b.wait_ctr_ge(
-                        CtrRef::BarRound { node: my, round },
-                        seq(SeqBase::Barrier, 1),
-                    );
-                    dist <<= 1;
-                    round += 1;
                 }
+                for &d in &peers {
+                    let from = (my + n - d) % n;
+                    let ctr = CtrRef::BarRound { node: my, from };
+                    b.wait_ctr_ge(ctr, seq(SeqBase::Barrier, 1));
+                }
+                dist *= k;
             }
             b.advance(SeqBase::Barrier, 1);
             self.plan_smp_barrier_release(b);

@@ -297,22 +297,50 @@ impl SrmModel {
             + self.cfg.lapi_counter_check
     }
 
-    /// Predicted barrier latency: flat check-in, `⌈log₂ n⌉`
-    /// dissemination rounds, flat release.
+    /// The radix of the barrier's dissemination rounds between the
+    /// nodes: the `k` whose closed form is lowest, the smaller on a tie.
+    /// The barrier has no tree, so a forced [`SrmTuning::tree`] leaves
+    /// it alone: `harness::measure` syncs with it, and a forced-tree
+    /// measurement must start the way a derived one does.
+    pub fn barrier_radix(&self) -> usize {
+        let n = self.topo.nodes();
+        if n < 3 {
+            return 2;
+        }
+        (2..=n)
+            .min_by_key(|&k| self.barrier_on(k))
+            .expect("three nodes or more")
+    }
+
+    /// Predicted barrier latency: flat check-in, the dissemination
+    /// rounds at [`Self::barrier_radix`], flat release.
     pub fn barrier(&self) -> SimTime {
+        self.barrier_on(self.barrier_radix())
+    }
+
+    /// [`Self::barrier`] at radix `k`. In a round where every master
+    /// bumps `m` peers, a master with interrupts off takes a bump only
+    /// inside a LAPI call: the last one lands after its own `m` origin
+    /// overheads or the first bump's flight, whichever ends later, and
+    /// then the receiving dispatcher's `m` target overheads alternate
+    /// with the waiter's `m` counter checks.
+    fn barrier_on(&self, k: usize) -> SimTime {
         if self.topo.nprocs() == 1 {
             return SimTime::ZERO;
         }
-        let p = self.topo.tasks_per_node() as u64;
-        let n = self.topo.nodes();
-        let checkin = self.cfg.flag_set_op + self.cfg.flag_op * (p - 1);
-        let release = self.cfg.flag_set_op * (p - 1) + self.cfg.flag_op;
-        let rounds = (usize::BITS - (n - 1).leading_zeros()) as u64;
-        let round = self.cfg.lapi_origin_overhead
-            + self.cfg.net_latency
-            + self.cfg.lapi_target_overhead
-            + self.cfg.lapi_counter_check;
-        checkin + round * rounds + release
+        let cfg = &self.cfg;
+        let (p, n) = (self.topo.tasks_per_node() as u64, self.topo.nodes());
+        let checkin = cfg.flag_set_op + cfg.flag_op * (p - 1);
+        let release = cfg.flag_set_op * (p - 1) + cfg.flag_op;
+        let (mut time, mut dist) = (checkin + release, 1);
+        while dist < n {
+            let m = (1..k).take_while(|j| j * dist < n).count() as u64;
+            let o = cfg.lapi_origin_overhead;
+            let landed = (o * m).max(o + cfg.net_latency);
+            time += landed + (cfg.lapi_target_overhead + cfg.lapi_counter_check) * m;
+            dist *= k;
+        }
+        time
     }
 }
 
@@ -346,9 +374,9 @@ mod tests {
 
     #[test]
     fn barrier_scales_logarithmically() {
-        let b2 = model(2, 16).barrier();
-        let b4 = model(4, 16).barrier();
-        let b16 = model(16, 16).barrier();
+        // The paper's radix 2.
+        let radix2 = |nodes| model(nodes, 16).barrier_on(2);
+        let (b2, b4, b16) = (radix2(2), radix2(4), radix2(16));
         // 1, 2, 4 rounds: equal increments.
         assert_eq!((b4 - b2).as_ps(), (b16 - b4).as_ps() / 2);
     }

@@ -119,7 +119,7 @@ fn hand_class(h: Hand) -> u8 {
 fn chan_class(kind: ChanKind) -> u8 {
     match kind {
         ChanKind::Bcast => CL_LANDING,
-        ChanKind::Reduce | ChanKind::Rd | ChanKind::Fold => CL_REDUCE,
+        ChanKind::Reduce | ChanKind::Rd => CL_REDUCE,
         ChanKind::Ring => CL_PAIRWISE,
     }
 }

@@ -46,10 +46,13 @@ pub enum SeqBase {
     Xfer,
     /// Barriers completed.
     Barrier,
+    /// Recursive-doubling allreduces completed: their [`ChanKind::Rd`]
+    /// landings alternate halves with this cell.
+    Rd,
 }
 
 /// Number of [`SeqBase`] cells (size of the engine's sample array).
-pub const SEQ_BASES: usize = 5;
+pub const SEQ_BASES: usize = 6;
 
 impl SeqBase {
     /// Index of this base in the engine's sample array.
@@ -129,12 +132,10 @@ pub enum ChanKind {
     /// Pipelined-reduce edge child → parent (scatter borrows it the
     /// other way); lane = chunk index ([`SeqBase::Reduce`] parity).
     Reduce,
-    /// Recursive-doubling exchange; lane = round.
+    /// Recursive-doubling exchange, and the non-power-of-two fold (odd →
+    /// even the fold-in, even → odd the result). Uncredited: the halves
+    /// of its landing alternate with [`SeqBase::Rd`]. One lane, 0.
     Rd,
-    /// Non-power-of-two fold: odd → even carries the fold-in, even →
-    /// odd the result return (uncredited: the odd node's next fold-in
-    /// follows its read of the result). One lane, 0.
-    Fold,
     /// Staged reduce_scatter stream into the destination's landing ring
     /// of [`SrmTuning::pairwise_window`](crate::SrmTuning) slots
     /// (credits start at the window; ring offsets are plan literals
@@ -243,12 +244,13 @@ pub enum CtrRef {
         /// Whose counter.
         node: NodeId,
     },
-    /// `node`'s dissemination-barrier counter for `round`.
+    /// `node`'s cumulative dissemination-barrier counter for the bumps
+    /// of group node `from` (a peer bumps it in one round only).
     BarRound {
         /// Whose counter.
         node: NodeId,
-        /// Round.
-        round: usize,
+        /// The peer whose bumps it counts.
+        from: NodeId,
     },
     /// The completion counter of the `(src → dst)` comm-rank stream,
     /// bumped at `dst` by each of `src`'s puts into `dst`'s user buffer

@@ -8,8 +8,9 @@
 //! never share a flag, counter or buffer.
 //!
 //! Setup builds what is linear in the group. What grows with a product
-//! of two group dimensions — a master's channels from each peer node
-//! ([`PeerLink`]), the pairwise registry, the address mailbox's slots —
+//! of two group dimensions — a master's channels and counters from each
+//! peer node ([`PeerLink`], [`PeerExchange`]), the pairwise registry,
+//! the address mailbox's slots —
 //! is created when first used, so building a world costs O(ranks)
 //! whatever it goes on to run.
 
@@ -113,6 +114,19 @@ pub struct PeerLink {
     pub reduce: [Channel; 2],
 }
 
+/// One group node master's inbound state from one peer group node that
+/// no tree uses: the small allreduce's exchange and the barrier's
+/// counter. A communicator has nodes² of these and a call touches only
+/// its partners, so each is created on first use (`SrmComm::exchange`).
+pub struct PeerExchange {
+    /// Recursive doubling and the fold from this peer: a landing of two
+    /// `allreduce_rd_max` halves, one per
+    /// [`SeqBase::Rd`](crate::plan::SeqBase::Rd) parity, and no credits.
+    pub rd: Channel,
+    /// Cumulative dissemination-barrier bumps from this peer.
+    pub bar: LapiCounter,
+}
+
 /// Network-facing state of one node's master, addressable by the other
 /// masters (handles distributed at setup, like registered memory): the
 /// channels **into** this node and its stand-alone counters. Like
@@ -122,29 +136,20 @@ pub struct InterState {
     /// Per-peer-node channels, each link created when first resolved
     /// (`SrmComm::peer`).
     peers: Vec<OnceLock<PeerLink>>,
+    /// Per-peer-node exchange state, each created when first resolved
+    /// (`SrmComm::exchange`).
+    exchanges: Vec<OnceLock<PeerExchange>>,
     /// Cumulative counter of large-broadcast chunks landed in my user
     /// buffer.
     pub large_data: LapiCounter,
-    /// Recursive-doubling channels, one per round (allreduce ≤16 KB): a
-    /// node has one partner per round.
-    pub rd: Vec<Channel>,
-    /// The non-power-of-two fold channel: the fold-in on an even node,
-    /// the result return on an odd one.
-    pub fold: Channel,
-    /// Cumulative barrier round counters (dissemination).
-    pub bar_round: Vec<LapiCounter>,
 }
 
 impl InterState {
-    fn new(handle: &SimHandle, nodes: usize, tuning: &SrmTuning) -> Self {
-        let rounds = usize::BITS as usize - nodes.leading_zeros() as usize + 1;
-        let exchange = || Channel::new(handle, ShmBuffer::new(tuning.allreduce_rd_max), 1);
+    fn new(handle: &SimHandle, nodes: usize) -> Self {
         InterState {
             peers: (0..nodes).map(|_| OnceLock::new()).collect(),
+            exchanges: (0..nodes).map(|_| OnceLock::new()).collect(),
             large_data: LapiCounter::new(handle, 0),
-            rd: (0..rounds).map(|_| exchange()).collect(),
-            fold: exchange(),
-            bar_round: (0..rounds).map(|_| LapiCounter::new(handle, 0)).collect(),
         }
     }
 }
@@ -413,7 +418,7 @@ impl CommState {
             .map(|g| Arc::new(NodeBoard::new(handle, group.slots_on(g), tuning)))
             .collect();
         let inter = (0..gnodes)
-            .map(|_| Arc::new(InterState::new(handle, gnodes, tuning)))
+            .map(|_| Arc::new(InterState::new(handle, gnodes)))
             .collect();
         // Every member accepts handles into its mailbox row, keyed by
         // the sender's comm rank.
@@ -449,7 +454,7 @@ impl CommState {
     }
 }
 
-/// One member's per-communicator protocol state: the five cumulative
+/// One member's per-communicator protocol state: the six cumulative
 /// sequence cells the plan engine resolves relative values against, and
 /// the compiled-schedule cache. Shared (via `Arc`) between every
 /// [`SrmComm`] handle of that (rank, communicator) pair — including the
@@ -460,7 +465,8 @@ pub(crate) struct CommSeat {
     /// [`SeqBase::index`](crate::plan::SeqBase::index): chunks pushed
     /// through the node's SMP pair, its landing pair ("consecutive
     /// operations alternate buffers", §2.2), the contribution buffers
-    /// and the master→root `xfer` buffer, and barriers completed.
+    /// and the master→root `xfer` buffer, barriers and
+    /// recursive-doubling allreduces completed.
     pub seq: [AtomicU64; SEQ_BASES],
     /// Compiled-schedule cache, keyed by call shape (see
     /// [`crate::plan::PlanCache`]).
@@ -896,6 +902,18 @@ impl SrmComm {
         })
     }
 
+    /// Group node `dst`'s inbound exchange state from group node `src`.
+    pub(crate) fn exchange(&self, dst: usize, src: usize) -> &PeerExchange {
+        self.comm.inter[dst].exchanges[src].get_or_init(|| {
+            let handle = &self.world.handle;
+            let landing = ShmBuffer::new(2 * self.world.tuning.allreduce_rd_max);
+            PeerExchange {
+                rd: Channel::new(handle, landing, 0),
+                bar: LapiCounter::new(handle, 0),
+            }
+        })
+    }
+
     /// This communicator's pairwise exchange registry (ring channels
     /// and completion counters; see [`crate::pairwise`]), each family
     /// created for the whole group when a member first resolves it.
@@ -950,16 +968,15 @@ mod tests {
 
     #[test]
     fn construction_allocates_simvars_linear_in_ranks() {
-        // Per rank 3 in `rma` and 11 on its board; per node 5 (the xfer
-        // flags, `large_data`, the fold channel) plus 3 per barrier /
-        // recursive-doubling round (6 rounds at 16 nodes, 8 at 64).
+        // Per rank 3 in `rma` and 11 on its board; per node 3 (the xfer
+        // flags, `large_data`). Per-peer-node state waits for first use.
         assert_eq!(
             vars_allocated_by_new(Topology::new(16, 16)),
-            256 * 14 + 16 * 23
+            256 * 14 + 16 * 3
         );
         assert_eq!(
             vars_allocated_by_new(Topology::new(64, 16)),
-            1024 * 14 + 64 * 29
+            1024 * 14 + 64 * 3
         );
     }
 

@@ -153,11 +153,12 @@ mod tests {
         assert_eq!(r.metrics.interrupts, 0);
     }
 
-    /// One 8-byte put issued at `put_at` to a target that switches
-    /// interrupts off at once, computes until 100 µs, switches them
-    /// back on (done at 100.1 µs) and computes on without polling.
-    /// Returns the run's interrupt count and when the put landed.
-    fn put_around_reenable(put_at: SimTime) -> (u64, SimTime) {
+    /// One 8-byte put issued at `put_at` to a target that opens
+    /// `windows` nested quiet windows at once, closes all but the
+    /// outermost at 50 µs, computes until 100 µs, closes that one (done
+    /// at 100.1 µs) and computes on without polling. Returns the run's
+    /// interrupt count and when the put landed.
+    fn put_around_reenable(put_at: SimTime, windows: usize) -> (u64, SimTime) {
         let mut sim = Sim::new(MachineConfig::uniform_test());
         let world = RmaWorld::new(&mut sim, 2);
         let done = LapiCounter::new(&sim.handle(), 0);
@@ -171,7 +172,13 @@ mod tests {
             r0.shutdown(&ctx);
         });
         sim.spawn("target", move |ctx| {
-            r1.set_interrupts(&ctx, false);
+            for _ in 0..windows {
+                r1.set_interrupts(&ctx, false);
+            }
+            ctx.advance(SimTime::from_us(50) - ctx.now());
+            for _ in 1..windows {
+                r1.set_interrupts(&ctx, true);
+            }
             ctx.advance(SimTime::from_us(100) - ctx.now());
             r1.set_interrupts(&ctx, true);
             ctx.advance(SimTime::from_us(200));
@@ -191,7 +198,7 @@ mod tests {
     fn reenabling_interrupts_polls_what_stalled() {
         // Reaches the adapter at 11.008 µs and stalls; the re-enable at
         // 100.1 µs takes it by polling: only the 1 µs target overhead.
-        let (interrupts, landed) = put_around_reenable(SimTime::ZERO);
+        let (interrupts, landed) = put_around_reenable(SimTime::ZERO, 1);
         assert_eq!(interrupts, 0);
         assert_eq!(landed, SimTime::from_ns(101_100));
     }
@@ -200,9 +207,29 @@ mod tests {
     fn arrival_after_reenable_still_takes_an_interrupt() {
         // Reaches the adapter at 131.008 µs while the target computes with
         // interrupts on: 20 µs interrupt + 1 µs overhead.
-        let (interrupts, landed) = put_around_reenable(SimTime::from_us(120));
+        let (interrupts, landed) = put_around_reenable(SimTime::from_us(120), 1);
         assert_eq!(interrupts, 1);
         assert_eq!(landed, SimTime::from_ns(152_008));
+    }
+
+    #[test]
+    fn nested_quiet_windows_keep_interrupts_off_until_the_outer_one_closes() {
+        // Two windows: the `true` at 50 µs closes only the inner one, so
+        // the put reaching the adapter at 71.008 µs stalls instead of
+        // taking an interrupt, and the outer `true` polls it at 100.1 µs.
+        let (interrupts, landed) = put_around_reenable(SimTime::from_us(60), 2);
+        assert_eq!(interrupts, 0);
+        assert_eq!(landed, SimTime::from_ns(101_100));
+    }
+
+    #[test]
+    fn closing_an_inner_quiet_window_still_polls() {
+        // Reaches the adapter at 11.008 µs and stalls; the inner `true`
+        // (done at 50.1 µs) leaves interrupts off but is a LAPI call, so
+        // it takes the put by polling there.
+        let (interrupts, landed) = put_around_reenable(SimTime::ZERO, 2);
+        assert_eq!(interrupts, 0);
+        assert_eq!(landed, SimTime::from_ns(51_100));
     }
 
     #[test]

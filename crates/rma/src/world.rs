@@ -42,6 +42,8 @@
 //!   that is a LAPI call too, so every arrival that reached the adapter
 //!   by then (`deliver_at` after the inbound serialization) is taken by
 //!   polling, with no interrupt; later arrivals follow the rules above.
+//!   The switches nest: with two `false`s outstanding, the first `true`
+//!   leaves interrupts off, but it still polls.
 
 use crate::counter::LapiCounter;
 use parking_lot::Mutex;
@@ -96,10 +98,12 @@ type AmHandler = Arc<dyn Fn(&Ctx, AmMsg) + Send + Sync>;
 #[derive(Clone, Copy, Debug)]
 struct LapiState {
     in_call: bool,
-    interrupts_on: bool,
-    /// When [`Rma::set_interrupts`] last switched interrupts on: that
-    /// call polls whatever had reached the adapter by then.
-    enabled_at: SimTime,
+    /// [`Rma::set_interrupts`]`(false)` calls not yet matched by a
+    /// `true`: interrupts are on at 0.
+    quiet: u32,
+    /// When [`Rma::set_interrupts`]`(true)` last ran, switching or not:
+    /// that call polls whatever had reached the adapter by then.
+    polled_at: SimTime,
 }
 
 struct TaskNet {
@@ -153,8 +157,8 @@ impl RmaWorld {
                 link_free: handle.var(SimTime::ZERO),
                 state: handle.var(LapiState {
                     in_call: false,
-                    interrupts_on: true,
-                    enabled_at: SimTime::ZERO,
+                    quiet: 0,
+                    polled_at: SimTime::ZERO,
                 }),
                 handlers: Mutex::new(HashMap::new()),
             })
@@ -355,17 +359,23 @@ impl Rma {
         ctx.advance(ctx.config().lapi_counter_check);
     }
 
-    /// Enable or disable interrupt-mode reception for this task
-    /// (SRM disables interrupts for small-message collectives, §2.3).
-    /// Enabling is a LAPI call like any other: arrivals that reached
-    /// the adapter by now are taken by polling, not as interrupts.
+    /// Disable (`false`) or re-enable interrupt-mode reception for this
+    /// task (SRM disables interrupts for small-message collectives,
+    /// §2.3). The switches nest, so that calls outstanding together can
+    /// each bracket themselves: interrupts stay off from the first
+    /// `false` to the `true` that matches it. Every switch is a LAPI
+    /// call, and every `true` polls, whether or not it is the outermost
+    /// one: arrivals that reached the adapter by then are taken by
+    /// polling, not as interrupts.
     pub fn set_interrupts(&self, ctx: &Ctx, on: bool) {
         ctx.advance(ctx.config().lapi_counter_check);
         let now = ctx.now();
         self.world.tasks[self.me].state.update(ctx, |s| {
-            s.interrupts_on = on;
             if on {
-                s.enabled_at = now;
+                s.quiet = s.quiet.saturating_sub(1);
+                s.polled_at = now;
+            } else {
+                s.quiet += 1;
             }
         });
     }
@@ -456,10 +466,10 @@ fn deliver(ctx: &Ctx, world: &Arc<WorldInner>, me: Rank, a: Arrival) {
     ctx.advance_to(a.deliver_at);
     // Reception gate (paper §2.3).
     t.state.wait(ctx, "target polls or takes interrupt", |s| {
-        s.in_call || s.interrupts_on
+        s.in_call || s.quiet == 0 || a.deliver_at <= s.polled_at
     });
     let s = t.state.get();
-    let polled = s.in_call || a.deliver_at <= s.enabled_at;
+    let polled = s.in_call || a.deliver_at <= s.polled_at;
     if !polled {
         ctx.advance(cfg.interrupt_cost);
         ctx.metrics().interrupts.fetch_add(1, Ordering::Relaxed);

@@ -424,8 +424,8 @@ fn reenabling_interrupts_drains_back_to_back_small_tree_ops() {
         assert!(taken <= CALLS as u64, "{what}");
         assert!(t.as_us() <= max_us, "{what}");
     }
-    assert_eq!(run(Op::Barrier).0, SimTime::from_ps(68_600_000));
-    assert_eq!(run(Op::Allreduce).0, SimTime::from_ps(80_286_530));
+    assert_eq!(run(Op::Barrier).0, SimTime::from_ps(39_600_000));
+    assert_eq!(run(Op::Allreduce).0, SimTime::from_ps(74_280_816));
 }
 
 /// The embedding claim: with SMP-aware SRM, only masters touch the

@@ -1,0 +1,250 @@
+//! The latency-bound calls between the nodes: the barrier's k-ary
+//! dissemination rounds and the small allreduce's credit-free recursive
+//! doubling. The radix is derived from `SrmModel` and never loses to the
+//! paper's pairwise exchange, no rank leaves a barrier before the last
+//! one has entered, and the exchange landings, reused two recursive-
+//! doubling allreduces later without a credit, give every rank the same
+//! bits.
+
+use collops::{from_bytes_u64, to_bytes_u64, Collectives, DType, NonblockingCollectives, ReduceOp};
+use shmem::ShmBuffer;
+use simnet::{MachineConfig, Sim, SimTime, Topology};
+use srm::{SrmComm, SrmModel, SrmTuning, SrmWorld, TreeKind};
+use srm_cluster::{measure, HarnessOpts, Impl, Op};
+use std::sync::{Arc, Mutex};
+
+fn tuning(tree: Option<TreeKind>) -> SrmTuning {
+    SrmTuning {
+        tree,
+        ..SrmTuning::default()
+    }
+}
+
+/// The radix the closed form picks is the best one of the barrier sweep
+/// on 16-way nodes (CHANGES.md; at 256 nodes radix 7 and 8 both read
+/// 73.3 µs), and a forced tree does not change it: the barrier has no
+/// tree.
+#[test]
+fn the_model_picks_the_swept_radix_whatever_the_tree() {
+    let radix = |nodes, tree| {
+        let topo = Topology::sp_16way(nodes);
+        SrmModel::new(MachineConfig::ibm_sp_colony(), topo, tuning(tree)).barrier_radix()
+    };
+    for (nodes, k) in [(2, 2), (3, 3), (4, 4), (8, 8), (16, 4), (64, 8), (256, 7)] {
+        assert_eq!(radix(nodes, None), k, "{nodes} nodes");
+        for kind in TreeKind::ALL {
+            assert_eq!(radix(nodes, Some(kind)), k, "{nodes} nodes, {kind:?}");
+        }
+    }
+}
+
+/// The derived barrier is no slower than the paper's radix-2 exchange,
+/// which every barrier ran before the radix was derived (`explore --op
+/// barrier --iters 2` then). With one task per node that exchange cost
+/// 0.6 µs plus 14.9 per round, checked on every node count from 2 to
+/// 256; on 16-way nodes these are its times from one round on 2 nodes
+/// to eight on 256.
+#[test]
+fn derived_barrier_is_no_slower_than_radix_two() {
+    let check = |topo: Topology, radix2_us: f64| {
+        let opts = HarnessOpts {
+            iters: 2,
+            srm: tuning(None),
+        };
+        let machine = MachineConfig::ibm_sp_colony();
+        let derived = measure(Impl::Srm, machine, topo, Op::Barrier, 8, opts).per_call;
+        // The radix-2 times are read to 0.1 µs.
+        assert!(
+            (derived.as_us() * 10.0).round() <= (radix2_us * 10.0).round(),
+            "{topo}: derived {derived} vs radix 2 {radix2_us} us"
+        );
+    };
+    for nodes in 2..=256usize {
+        let rounds = nodes.next_power_of_two().trailing_zeros();
+        check(Topology::new(nodes, 1), 0.6 + 14.9 * rounds as f64);
+    }
+    let radix2 = [
+        (2, 19.1),
+        (3, 34.0),
+        (4, 34.0),
+        (5, 48.9),
+        (8, 48.9),
+        (16, 68.6),
+        (17, 83.5),
+        (64, 98.4),
+        (256, 128.2),
+    ];
+    for (nodes, radix2_us) in radix2 {
+        check(Topology::sp_16way(nodes), radix2_us);
+    }
+}
+
+/// Doubles whose sum depends on the order of the additions.
+fn order_sensitive(rank: usize, call: usize) -> Vec<u8> {
+    let vals: Vec<f64> = (0..64)
+        .map(|i| [1e16, 1.0, -1e16][(rank + i + call) % 3] * (1 + (i + call) % 5) as f64)
+        .collect();
+    collops::to_bytes_f64(&vals)
+}
+
+/// Staggered entries on 2–8 nodes (one round of up to seven bumps), 14
+/// and 16 (two rounds of three) and 17 (four, then a partial three): no
+/// rank leaves a barrier before the last rank has entered it, whether
+/// it is the world's blocking barrier or an `ibarrier` outstanding
+/// beside an `iallreduce` and an `ibroadcast` on a parity split (whose
+/// results are checked too).
+#[test]
+fn no_rank_leaves_a_barrier_before_the_last_one_enters() {
+    for nodes in [2, 3, 5, 6, 7, 8, 14, 16, 17] {
+        for nonblocking in [false, true] {
+            let topo = Topology::new(nodes, 3);
+            let n = topo.nprocs();
+            let mut sim = Sim::new(MachineConfig::ibm_sp_colony());
+            let world = SrmWorld::new(&mut sim, topo, SrmTuning::default());
+            let colors: Vec<i64> = (0..n).map(|r| (r % 2) as i64).collect();
+            let subs = world.comm_split(&colors, &vec![0; n]);
+            // (comm id, entered, left) per rank.
+            let spans = Arc::new(Mutex::new(Vec::new()));
+            for (rank, sub) in subs.into_iter().enumerate() {
+                let (wcomm, spans) = (world.comm(rank), spans.clone());
+                let sub = sub.expect("every rank has a color");
+                sim.spawn(format!("rank{rank}"), move |ctx| {
+                    // The latest entry is not always on the last node.
+                    ctx.advance(SimTime::from_us((rank * 37 % 23) as u64 * 5));
+                    let comm = if nonblocking { &sub } else { &wcomm };
+                    let (entered, left) = if nonblocking {
+                        let (gn, len) = (sub.size(), 512);
+                        let sum = sub.alloc_buffer(len);
+                        sum.with_mut(|d| d.copy_from_slice(&to_bytes_u64(&[rank as u64; 64])));
+                        let bcast = sub.alloc_buffer(len);
+                        if sub.comm_rank() == gn - 1 {
+                            bcast.with_mut(|d| d.fill(0xa5));
+                        }
+                        let (u64_sum, op) = (DType::U64, ReduceOp::Sum);
+                        let reqs = vec![
+                            sub.iallreduce(&ctx, &sum, len, u64_sum, op),
+                            sub.ibroadcast(&ctx, &bcast, len, gn - 1),
+                        ];
+                        let entered = ctx.now();
+                        let barrier = sub.ibarrier(&ctx);
+                        sub.wait(&ctx, barrier);
+                        let left = ctx.now();
+                        sub.wait_all(&ctx, reqs);
+                        let total: u64 = sub.group().ranks().iter().map(|&r| r as u64).sum();
+                        assert_eq!(from_bytes_u64(&sum.with(|d| d.to_vec())), [total; 64]);
+                        assert!(bcast.with(|d| d.iter().all(|&b| b == 0xa5)));
+                        (entered, left)
+                    } else {
+                        let entered = ctx.now();
+                        wcomm.barrier(&ctx);
+                        (entered, ctx.now())
+                    };
+                    spans.lock().unwrap().push((comm.comm_id(), entered, left));
+                    wcomm.shutdown(&ctx);
+                });
+            }
+            sim.run().expect("no deadlock");
+            let spans = spans.lock().unwrap();
+            for &(id, _, left) in spans.iter() {
+                let entries = spans.iter().filter(|s| s.0 == id).map(|s| s.1);
+                let last = entries.max().expect("the rank itself");
+                let what = format!("{nodes} nodes, nonblocking {nonblocking}, comm {id}");
+                assert!(left >= last, "{what}: left at {left}, last entry {last}");
+            }
+        }
+    }
+}
+
+/// Order-sensitive doubles: every rank ends with the same bits, over
+/// five back-to-back allreduces and then two `iallreduce`s outstanding
+/// together, on 3×2 and 5×3 (a fold and an unfold) and 16×1.
+#[test]
+fn small_allreduce_gives_every_rank_the_same_bits() {
+    for (nodes, tpn) in [(3, 2), (5, 3), (16, 1)] {
+        let topo = Topology::new(nodes, tpn);
+        let n = topo.nprocs();
+        let mut sim = Sim::new(MachineConfig::ibm_sp_colony());
+        let world = SrmWorld::new(&mut sim, topo, SrmTuning::default());
+        let out = Arc::new(Mutex::new(vec![Vec::new(); n]));
+        for rank in 0..n {
+            let (comm, out) = (world.comm(rank), out.clone());
+            sim.spawn(format!("rank{rank}"), move |ctx| {
+                let (len, sum) = (512, (DType::F64, ReduceOp::Sum));
+                let fill = |call| {
+                    let buf = comm.alloc_buffer(len);
+                    buf.with_mut(|d| d.copy_from_slice(&order_sensitive(rank, call)));
+                    buf
+                };
+                let mut bits = Vec::new();
+                for call in 0..5 {
+                    let buf = fill(call);
+                    comm.allreduce(&ctx, &buf, len, sum.0, sum.1);
+                    bits.extend(buf.with(|d| d.to_vec()));
+                }
+                let (a, b) = (fill(5), fill(6));
+                let reqs = vec![
+                    comm.iallreduce(&ctx, &a, len, sum.0, sum.1),
+                    comm.iallreduce(&ctx, &b, len, sum.0, sum.1),
+                ];
+                comm.wait_all(&ctx, reqs);
+                bits.extend(a.with(|d| d.to_vec()));
+                bits.extend(b.with(|d| d.to_vec()));
+                out.lock().unwrap()[rank] = bits;
+                comm.shutdown(&ctx);
+            });
+        }
+        sim.run().expect("no deadlock");
+        let out = out.lock().unwrap();
+        for (rank, bits) in out.iter().enumerate() {
+            assert_eq!(bits, &out[0], "{topo}: rank {rank}");
+        }
+    }
+}
+
+/// The exchange landings alternate with the recursive-doubling
+/// allreduces, not with the `Reduce` cell: a one-chunk reduce between
+/// two allreduces advances that by one, so the second allreduce would
+/// land on the first one's half. Rank 0 leaves its first 12 KB
+/// allreduce outstanding through 300 µs of compute with interrupts on
+/// (above the quiet cut); rank 1 finishes it meanwhile, runs the reduce
+/// to root 0 (as a leaf it needs nothing from rank 0) and sends its
+/// next allreduce's contribution, which must not overwrite the first
+/// one's before rank 0 has folded it.
+#[test]
+fn an_outstanding_allreduce_keeps_its_landing_across_a_rooted_call() {
+    let topo = Topology::new(2, 1);
+    let len = 12 << 10;
+    let mut sim = Sim::new(MachineConfig::ibm_sp_colony());
+    let world = SrmWorld::new(&mut sim, topo, SrmTuning::default());
+    let out = Arc::new(Mutex::new(vec![Vec::new(); 2]));
+    for rank in 0..2 {
+        let (comm, out) = (world.comm(rank), out.clone());
+        sim.spawn(format!("rank{rank}"), move |ctx| {
+            let fill = |call: u64| {
+                let buf = comm.alloc_buffer(len);
+                let words = vec![(rank as u64 + 1) * 10 + call; len / 8];
+                buf.with_mut(|d| d.copy_from_slice(&to_bytes_u64(&words)));
+                buf
+            };
+            let (first, rooted, second) = (fill(0), fill(1), fill(2));
+            let run =
+                |c: &SrmComm, b: &ShmBuffer| c.allreduce(&ctx, b, len, DType::U64, ReduceOp::Sum);
+            if rank == 0 {
+                let req = comm.iallreduce(&ctx, &first, len, DType::U64, ReduceOp::Sum);
+                ctx.advance(SimTime::from_us(300));
+                comm.wait(&ctx, req);
+            } else {
+                run(&comm, &first);
+            }
+            comm.reduce(&ctx, &rooted, len, DType::U64, ReduceOp::Sum, 0);
+            run(&comm, &second);
+            let words = |b: &ShmBuffer| from_bytes_u64(&b.with(|d| d.to_vec()))[0];
+            out.lock().unwrap()[rank] = vec![words(&first), words(&second)];
+            comm.shutdown(&ctx);
+        });
+    }
+    sim.run().expect("no deadlock");
+    for words in out.lock().unwrap().iter() {
+        assert_eq!(words, &[10 + 20, 12 + 22]);
+    }
+}
