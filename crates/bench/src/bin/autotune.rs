@@ -91,15 +91,9 @@ fn parse_args() -> Args {
 }
 
 /// Representative payload for a size class: its upper edge, aligned to
-/// both the 8-byte element grid and (when room allows) the rank count,
-/// so allreduce candidates may exercise the Rabenseifner split.
-fn rep_len(edge: usize, nprocs: usize) -> usize {
-    let grid = nprocs * 8;
-    if edge >= grid {
-        edge - (edge % grid)
-    } else {
-        (edge & !7).max(8)
-    }
+/// the 8-byte element grid.
+fn rep_len(edge: usize) -> usize {
+    (edge & !7).max(8)
 }
 
 /// The candidate decision tunings for one operation, the all-default
@@ -178,18 +172,6 @@ fn candidates_for(op: Op, base: SrmTuning) -> Vec<SrmTuning> {
             }
             push(SrmTuning {
                 allreduce_rd_max: 0,
-                ..base
-            });
-            for rs in [1, 64 * k, 256 * k] {
-                push(SrmTuning {
-                    allreduce_rs_min: rs,
-                    ..base
-                });
-            }
-            push(SrmTuning {
-                allreduce_rs_min: 64 * k,
-                pairwise_chunk: 8 * k,
-                pairwise_window: 4,
                 ..base
             });
         }
@@ -310,7 +292,7 @@ fn search(args: &Args) -> TuneTable {
             continue;
         }
         for (class, &edge) in args.edges.iter().enumerate() {
-            let len = rep_len(edge, nprocs);
+            let len = rep_len(edge);
             // Coarse pass: every candidate, few iterations.
             let coarse: Vec<u64> = cands
                 .iter()
@@ -364,7 +346,7 @@ fn search(args: &Args) -> TuneTable {
         let shared = Arc::new(table.clone());
         let mut drop_keys = Vec::new();
         for &key in table.entries.keys() {
-            let len = rep_len(table.edges[key.class], nprocs);
+            let len = rep_len(table.edges[key.class]);
             let tuned = time_tabled(topo, key.op, len, &shared, fine_iters);
             let default_ps = time_candidate(topo, key.op, len, base, fine_iters);
             if tuned > default_ps {
@@ -468,7 +450,7 @@ fn main() {
     );
     for &op in &args.ops {
         for (class, &edge) in args.edges.iter().enumerate() {
-            let len = rep_len(edge, nprocs);
+            let len = rep_len(edge);
             let d = run_outputs(topo, op, len, None);
             let t = run_outputs(topo, op, len, Some(shared.clone()));
             if d != t {

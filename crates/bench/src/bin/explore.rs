@@ -234,7 +234,7 @@ fn explore_opts(a: &Args) -> ExploreOpts {
         Some("raise-race") => {
             println!(
                 "fault injection: SpinFlag::raise reverted to a non-monotone store, \
-                 contrib consumed-in-order guards omitted"
+                 handoff order guards omitted"
             );
             Faults {
                 nonmonotone_raise: true,

@@ -1,10 +1,9 @@
 //! Extra figure: the pairwise RMA exchange family — alltoall (one put
 //! per remote rank pair over a node-local rotation) and reduce-scatter
 //! (credit-windowed landing rings below 64 KB, direct above) — against
-//! both MPI baselines, plus the Rabenseifner allreduce switch built
-//! on it. (alltoallv compiles through the same planner as alltoall
-//! with a third of its harness cells empty, so the figure sticks to
-//! the uniform ops.)
+//! both MPI baselines. (alltoallv compiles through the same planner as
+//! alltoall with a third of its harness cells empty, so the figure
+//! sticks to the uniform ops.)
 //!
 //! `len` is the per-pair segment, so an alltoall point moves
 //! `nprocs² × len` bytes in total; the grid is filtered so each rank's
@@ -14,7 +13,6 @@
 //! personalized traffic patterns.
 
 use simnet::MachineConfig;
-use srm::SrmTuning;
 use srm_bench::{
     fast_mode, iters_for, print_comparison_panel, print_ratio_panels, proc_grid, Point, Sweep,
 };
@@ -67,62 +65,6 @@ fn run_sweep(op: Op) -> Sweep {
     Sweep { points }
 }
 
-/// Rabenseifner vs the default allreduce plan (the four-stage pipeline
-/// or a reduce then a broadcast): same machine, same topology, only the
-/// `allreduce_rs_min` switch differs.
-fn rabenseifner_panel() {
-    let machine = MachineConfig::ibm_sp_colony();
-    let sizes: Vec<usize> = if fast_mode() {
-        vec![256 << 10, 2 << 20]
-    } else {
-        vec![128 << 10, 256 << 10, 1 << 20, 2 << 20, 8 << 20]
-    };
-    println!("\nAllreduce: default plan vs reduce-scatter+allgather");
-    println!("{}", "-".repeat(66));
-    println!(
-        "{:>8} {:>10} {:>14} {:>14} {:>8}",
-        "nodes", "bytes", "default (us)", "rs+ag (us)", "rs/def"
-    );
-    for topo in proc_grid() {
-        if topo.nodes() < 2 {
-            continue;
-        }
-        for &len in &sizes {
-            if len % topo.nprocs() != 0 {
-                continue;
-            }
-            let run = |rs_min: usize| {
-                measure(
-                    Impl::Srm,
-                    machine.clone(),
-                    topo,
-                    Op::Allreduce,
-                    len,
-                    HarnessOpts {
-                        iters: iters_for(len),
-                        srm: SrmTuning {
-                            allreduce_rs_min: rs_min,
-                            ..SrmTuning::default()
-                        },
-                    },
-                )
-                .per_call
-                .as_us()
-            };
-            let default = run(usize::MAX);
-            let rs = run(1);
-            println!(
-                "{:>8} {:>10} {:>14.1} {:>14.1} {:>7.0}%",
-                topo.nodes(),
-                len,
-                default,
-                rs,
-                100.0 * rs / default
-            );
-        }
-    }
-}
-
 fn main() {
     for op in [Op::Alltoall, Op::ReduceScatter] {
         let s = run_sweep(op);
@@ -132,5 +74,4 @@ fn main() {
         print_comparison_panel(&title, &s, (512 << 10) / 256);
         print_ratio_panels(&title, &s);
     }
-    rabenseifner_panel();
 }

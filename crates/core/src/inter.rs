@@ -480,34 +480,15 @@ impl SrmComm {
     /// [`SrmModel::allreduce_composes`](crate::SrmModel::allreduce_composes)
     /// prices it lower — a reduce to group node 0's master followed by
     /// a broadcast from it, each half on the trees its own closed form
-    /// derives (the pipeline stays on the configured tree). Past
-    /// [`allreduce_rs_min`](crate::SrmTuning::allreduce_rs_min) (off by
-    /// default; the payload must split evenly) the Rabenseifner
-    /// composition instead — reduce-scatter over the pairwise
-    /// subsystem, then allgather: `2(P-1)/P` wire crossings per byte,
-    /// yet slower than the pipeline at every shape measured.
+    /// derives (the pipeline stays on the configured tree).
     pub(crate) fn plan_allreduce(&self, b: &mut PlanBuilder, len: usize) {
         if len == 0 || self.csize() == 1 {
             return;
         }
-        // Algorithm choice (Rabenseifner / recursive doubling / the
-        // four-stage pipeline) is per-shape tunable; the pairwise and
-        // reduce sub-planners below read the same effective tuning off
+        // The recursive-doubling cap is per-shape tunable; the reduce and
+        // broadcast sub-planners below read the same effective tuning off
         // the builder, so one table entry governs the whole call.
         let t = *b.tuning();
-        let nprocs = self.csize();
-        if self.cmulti()
-            && len >= t.allreduce_rs_min
-            && len.is_multiple_of(nprocs)
-            && len / nprocs > 0
-        {
-            // Both halves use the same n-segment single-buffer layout:
-            // reduce-scatter leaves block `me` reduced in place, the
-            // allgather then fills in everyone else's blocks.
-            self.plan_reduce_scatter(b, len / nprocs);
-            self.plan_allgather(b, len / nprocs);
-            return;
-        }
         if self.model(&t).allreduce_composes(len) {
             let root = self.crank_at(0, 0);
             self.plan_reduce(b, len, root);

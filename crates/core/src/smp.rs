@@ -159,6 +159,13 @@ impl SrmComm {
 
     /// Producer leg of handoff channel `hand`, use `rel`: wait until
     /// the parity side is drained, fill it from `from`, raise READY.
+    ///
+    /// The `xfer` channel has two producers: the node master (reduce,
+    /// and gather's "remote pieces landed" signal) and a non-master
+    /// scatter root. A plan's first `xfer` use therefore waits until
+    /// the previous use is published: a max-raise past a producer that
+    /// has not raised yet would release that use's consumer early.
+    /// Later uses of the same plan share one producer and are ordered.
     pub(crate) fn plan_hand_publish(
         &self,
         b: &mut PlanBuilder,
@@ -169,6 +176,11 @@ impl SrmComm {
     ) {
         let (dst, dst_off) = self.hand_side(hand, rel);
         let base = hand.base();
+        let first = matches!(hand, Hand::Xfer) && rel == b.rel(base);
+        if first && !self.world.handle.faults().skip_order_guards {
+            let ready = FlagRef::Ready(hand);
+            b.wait_flag(ready, seq(base, rel), "handoff published in order");
+        }
         let drained = Until::SideDrained { base, rel };
         let done = WaitCell::Flag(FlagRef::Done(hand));
         b.wait(done, drained, "handoff side drained");
@@ -197,8 +209,9 @@ impl SrmComm {
     /// that has not drained it yet, and a max-raise past it would let
     /// the contributor overwrite that side early. One consumer's
     /// consecutive chunks are ordered, so only its `first` waits for
-    /// the channel to be drained through `rel`. (The `xfer` channel has
-    /// never carried the guard; its consumers pass `false`.)
+    /// the channel to be drained through `rel`. (The `xfer` channel's
+    /// consumers pass `false`: its guard sits on the producer side, see
+    /// [`Self::plan_hand_publish`].)
     pub(crate) fn plan_hand_consume(
         &self,
         b: &mut PlanBuilder,

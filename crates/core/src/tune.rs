@@ -88,8 +88,9 @@ pub struct TuneEntry {
     pub large_chunk: usize,
     /// Recursive-doubling allreduce cap.
     pub allreduce_rd_max: usize,
-    /// Rabenseifner (reduce_scatter + allgather) allreduce switch;
-    /// `usize::MAX` keeps the paper's four-stage pipeline everywhere.
+    /// Ignored: the allreduce switch it once set is gone. It keeps its
+    /// column in the v2 text format, so older tables still parse and
+    /// round-trip, until ROADMAP item 8(g) removes it.
     pub allreduce_rs_min: usize,
     /// Interrupt-disable payload cap.
     pub interrupt_disable_max: usize,
@@ -124,7 +125,8 @@ const ENTRY_FIELDS: [&str; 11] = [
 ];
 
 impl TuneEntry {
-    /// The decision knobs of `t`, verbatim.
+    /// The decision knobs of `t`, verbatim (the ignored
+    /// `allreduce_rs_min` reads `usize::MAX`).
     pub fn from_tuning(t: &SrmTuning) -> TuneEntry {
         TuneEntry {
             small_large_switch: t.small_large_switch,
@@ -133,7 +135,7 @@ impl TuneEntry {
             pipeline_chunk: t.pipeline_chunk,
             large_chunk: t.large_chunk,
             allreduce_rd_max: t.allreduce_rd_max,
-            allreduce_rs_min: t.allreduce_rs_min,
+            allreduce_rs_min: usize::MAX,
             interrupt_disable_max: t.interrupt_disable_max,
             pairwise_chunk: t.pairwise_chunk,
             pairwise_window: t.pairwise_window,
@@ -166,12 +168,11 @@ impl TuneEntry {
             pipeline_chunk: pchunk,
             large_chunk: cells * SrmTuning::SMP_BUF,
             allreduce_rd_max: self.allreduce_rd_max.min(cap),
-            allreduce_rs_min: self.allreduce_rs_min,
             interrupt_disable_max: self.interrupt_disable_max,
             pairwise_chunk: self.pairwise_chunk.clamp(1, pw_cap),
             pairwise_window: self.pairwise_window.clamp(1, geometry.pairwise_window),
             // Pure route decision — no buffer is sized from it, so it
-            // passes through unclamped (like allreduce_rs_min).
+            // passes through unclamped.
             pairwise_direct_min: self.pairwise_direct_min,
             ..*base
         }
@@ -338,7 +339,6 @@ impl TuneTable {
                 pipeline_chunk: entry.pipeline_chunk,
                 large_chunk: entry.large_chunk,
                 allreduce_rd_max: entry.allreduce_rd_max,
-                allreduce_rs_min: entry.allreduce_rs_min,
                 interrupt_disable_max: entry.interrupt_disable_max,
                 pairwise_chunk: entry.pairwise_chunk,
                 pairwise_window: entry.pairwise_window,
@@ -547,7 +547,7 @@ mod tests {
                 ranks: 0,
             },
             TuneEntry {
-                allreduce_rs_min: 262144,
+                allreduce_rd_max: 8192,
                 ..TuneEntry::from_tuning(&d)
             },
         );
@@ -581,8 +581,8 @@ mod tests {
         assert_eq!(
             t.lookup(TuneOp::Allreduce, 2 << 20, 7, 3)
                 .unwrap()
-                .allreduce_rs_min,
-            262144
+                .allreduce_rd_max,
+            8192
         );
         // Other classes miss.
         assert!(t.lookup(TuneOp::Allreduce, 1024, 4, 8).is_none());

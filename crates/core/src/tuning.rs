@@ -126,12 +126,6 @@ pub struct SrmTuning {
     /// ring (the ring has this many `pairwise_chunk` slots per source).
     /// At least 1. Alltoall and alltoallv have no credits.
     pub pairwise_window: usize,
-    /// Allreduce payloads at or above this size switch from the paper's
-    /// four-stage pipeline to `reduce_scatter + allgather`
-    /// (Rabenseifner); requires the payload to split evenly across
-    /// ranks, else the pipeline is kept. `usize::MAX` (the default)
-    /// disables the switch — the paper's protocol everywhere.
-    pub allreduce_rs_min: usize,
     /// reduce_scatter segments at or above this size take the **direct
     /// route**: a per-call address exchange between the node masters,
     /// then puts straight into the destination master's scratch buffer,
@@ -158,7 +152,6 @@ impl Default for SrmTuning {
             trace_steps: false,
             pairwise_chunk: 16 * 1024,
             pairwise_window: 2,
-            allreduce_rs_min: usize::MAX,
             pairwise_direct_min: 64 * 1024,
         }
     }

@@ -37,7 +37,7 @@ fn detected_and_reported(seed: u64, faults: Faults) {
 }
 
 /// `SpinFlag::raise` reverted to a plain (non-monotone) store and the
-/// "handoff consumed in order" plan guards omitted — together re-opening
+/// handoff order guards omitted — together re-opening
 /// the exact out-of-order contribution overwrite the harness originally
 /// found.
 #[test]

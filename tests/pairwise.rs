@@ -2,8 +2,7 @@
 //! metrics: alltoall takes its one wire with exact message counts at
 //! every size, reduce_scatter's two routes agree, its credit window
 //! genuinely throttles (stalls appear when it is tight and disappear
-//! when it is ample), and the Rabenseifner allreduce composition built
-//! on reduce-scatter matches the pipeline path bit for bit.
+//! when it is ample).
 
 use collops::{reference_reduce, Collectives, DType, NonblockingCollectives, ReduceOp};
 use simnet::{MachineConfig, MetricsSnapshot, Sim, Topology};
@@ -387,52 +386,6 @@ fn small_exchanges_take_no_interrupts() {
     assert!(t <= 320.0, "4x16 / 512 B: {t:.1} us");
     let (t, _) = us(Topology::new(4, 4), Op::Alltoall, 16 << 10);
     assert_eq!(format!("{t:.1}"), "637.8", "4x4 / 16 KB");
-}
-
-/// Above `allreduce_rs_min` the allreduce switches to the Rabenseifner
-/// composition (reduce-scatter + allgather over the pairwise rings) and
-/// must produce exactly the pipeline path's result.
-#[test]
-fn rabenseifner_allreduce_matches_pipeline() {
-    let topo = Topology::new(2, 3);
-    let n = topo.nprocs();
-    let elems = 6 * 1024usize; // len = 288 KB, divisible by nprocs=6
-    let len = elems * 8;
-    assert_eq!(len % n, 0);
-    let contribs: Vec<Vec<u8>> = (0..n)
-        .map(|r| {
-            collops::to_bytes_u64(
-                &(0..elems)
-                    .map(|i| (r * 6007 + i * 13 + 1) as u64)
-                    .collect::<Vec<_>>(),
-            )
-        })
-        .collect();
-    let expect = reference_reduce(DType::U64, ReduceOp::Sum, &contribs);
-    let run = |tuning: SrmTuning| {
-        let c = contribs.clone();
-        run_with_metrics(
-            topo,
-            tuning,
-            len,
-            move |rank| c[rank].clone(),
-            move |ctx, comm, buf| comm.allreduce(ctx, buf, len, DType::U64, ReduceOp::Sum),
-        )
-    };
-    let (pipeline, m_pipe) = run(SrmTuning::default());
-    let (rs, m_rs) = run(SrmTuning {
-        allreduce_rs_min: 1,
-        ..SrmTuning::default()
-    });
-    assert_eq!(m_pipe.pairwise_puts, 0, "pipeline path must not use rings");
-    assert!(
-        m_rs.pairwise_puts > 0,
-        "rs+allgather path must use the rings"
-    );
-    for (rank, r) in rs.iter().enumerate() {
-        assert_eq!(r, &pipeline[rank], "paths diverge on rank {rank}");
-        assert_eq!(&r[..len], &expect[..], "wrong reduction on rank {rank}");
-    }
 }
 
 // --- First use -------------------------------------------------------

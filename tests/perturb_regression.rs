@@ -30,8 +30,17 @@
 //!    bounded by buffer sides, back to back (parity continuity),
 //!    outstanding beside a broadcast, and on an uneven split part.
 //!
-//! Both bugs depended on `SpinFlag::raise` monotonicity for their fix,
-//! so these sweeps (run with the monotone default ON — see
+//! 4. **The xfer Ready-skip** (2x8 seed 0x1c6, deterministic): the
+//!    `xfer` channel has two producers, the node master (gather's
+//!    "remote pieces landed" signal) and a non-master scatter root. A
+//!    scatter root that published right after its gather max-raised
+//!    READY past the master's pending signal, so the gather root
+//!    returned before the remote puts landed. Fixed by the "handoff
+//!    published in order" guard; the two-step program here is the
+//!    explorer's shrink of that seed, with no perturbation at all.
+//!
+//! The first two bugs depended on `SpinFlag::raise` monotonicity for
+//! their fix, so these sweeps (run with the monotone default ON — see
 //! `tests/fault_injection.rs` for the reverted variant) pin exactly the
 //! behaviour the fault-injection detector checks from the other side.
 
@@ -225,4 +234,21 @@ fn skewed_allreduce_pipeline_under_perturbation() {
             );
         }
     }
+}
+
+/// The xfer Ready-skip, shrunk: a blocking gather to non-master root 6,
+/// then a scatter from non-master root 1 on the same node, every
+/// perturbation mechanism off. Before the guard rank 9's segment still
+/// held root 6's own fill when the gather returned.
+#[test]
+fn xfer_ready_skip_gather_then_scatter_at_non_master_roots() {
+    run_pinned(
+        2,
+        8,
+        vec![
+            step(Op::Gather, 4096, 6, false),
+            step(Op::Scatter, 4096, 1, false),
+        ],
+        Perturb::new(0x1c6),
+    );
 }

@@ -242,7 +242,7 @@ fn lattice_4x4() {
     lattice(4, 4);
 }
 
-/// The single-node broadcast, forced algorithm and route choices, and
+/// The single-node broadcast, reduce_scatter's other route, and
 /// overlapped nonblocking calls.
 #[test]
 fn forced_variants() {
@@ -263,38 +263,23 @@ fn forced_variants() {
         for split in [false, true] {
             let scope = if split { "split" } else { "world" };
             for len in SIZES {
-                // Rabenseifner needs whole u64 elements per rank: the
-                // 8-byte payload cannot split.
-                if len > 8 {
-                    let rs = SrmTuning {
-                        allreduce_rs_min: 1,
-                        ..SrmTuning::default()
-                    };
-                    let call = Call::Coll {
-                        op: Op::Allreduce,
-                        last: false,
-                    };
-                    out.push((
-                        format!("rabenseifner/{len}/{nodes}x{tpn}/{scope}"),
-                        digest(topo, rs, split, call, len),
-                    ));
-                }
-                for (direct_min, route) in [(0, "direct"), (usize::MAX, "staged")] {
-                    let forced = SrmTuning {
-                        pairwise_direct_min: direct_min,
-                        ..SrmTuning::default()
-                    };
-                    for op in [Op::Alltoall, Op::Alltoallv, Op::ReduceScatter] {
-                        // Only reduce_scatter has a staged route.
-                        if route == "staged" && op != Op::ReduceScatter {
-                            continue;
-                        }
-                        out.push((
-                            format!("{route}/{}/{len}/{nodes}x{tpn}/{scope}", op.name()),
-                            digest(topo, forced, split, Call::Coll { op, last: false }, len),
-                        ));
-                    }
-                }
+                // Only reduce_scatter has two routes; force the one the
+                // default does not pick at this segment size (the lattice
+                // already pins the other).
+                let (direct_min, route) = if len >= SrmTuning::default().pairwise_direct_min {
+                    (usize::MAX, "staged")
+                } else {
+                    (0, "direct")
+                };
+                let forced = SrmTuning {
+                    pairwise_direct_min: direct_min,
+                    ..SrmTuning::default()
+                };
+                let op = Op::ReduceScatter;
+                out.push((
+                    format!("{route}/{}/{len}/{nodes}x{tpn}/{scope}", op.name()),
+                    digest(topo, forced, split, Call::Coll { op, last: false }, len),
+                ));
                 out.push((
                     format!("overlap/{len}/{nodes}x{tpn}/{scope}"),
                     digest(topo, SrmTuning::default(), split, Call::Overlap, len),

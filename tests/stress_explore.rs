@@ -6,7 +6,7 @@
 //! CI run. The big sweeps (hundreds of seeds, release mode) live in
 //! the bench-crate `explore` binary and the CI `stress-smoke` job.
 
-use simnet::Perturb;
+use simnet::{Faults, Perturb};
 use srm_cluster::{
     derive_scenario, explore_sweep, run_scenario, shrink, AliasMode, ExploreOpts, Op, ProgStep,
     Scenario, SplitSpec,
@@ -98,20 +98,24 @@ fn grammar_v2_features_are_reachable() {
     assert!(alias_step, "no seed in 0..64 drew a buffer-aliasing step");
 }
 
-/// `shrink` cuts a failing seed down and keeps it failing. 2x8 seed
-/// 0x1c6 returns a wrong gather at non-master root 6 (a known open
-/// defect; when its fix lands this test needs another failing seed or a
-/// planted fault). A passing seed has nothing to shrink.
+/// `shrink` cuts a failing seed down and keeps it failing. The planted
+/// `skip_order_guards` fault drops the "handoff published in order"
+/// guard, and 2x8 seed 0x1c6 then returns a wrong gather at non-master
+/// root 6 again (DESIGN.md §13.5). A passing seed has nothing to shrink.
 #[test]
 fn shrink_cuts_a_failing_seed_down_and_keeps_it_failing() {
     let opts = ExploreOpts {
         nodes: Some(2),
         tpn: Some(8),
+        faults: Faults {
+            skip_order_guards: true,
+            ..Faults::default()
+        },
         ..ExploreOpts::default()
     };
     let seed = 0x1c6;
     let full = derive_scenario(seed, &opts);
-    let (shrunk, _) = shrink(seed, &opts).expect("seed 0x1c6 fails on 2x8");
+    let (shrunk, _) = shrink(seed, &opts).expect("seed 0x1c6 fails on 2x8 without the guard");
     assert!(
         shrunk.steps.len() < full.steps.len(),
         "{} steps left of {}: {shrunk}",

@@ -52,14 +52,29 @@ fn demo_table() -> TuneTable {
     t
 }
 
+/// What one run leaves: per-rank result buffers, the report, per-rank
+/// executed step-label sequences and the `tuned:*` labels.
+type Run = (Vec<Vec<u8>>, simnet::Report, Vec<Vec<String>>, Vec<String>);
+
 /// Run a fixed three-op program (bcast, allreduce, alltoall) on every
-/// rank, with step tracing on. Returns (per-rank result buffers,
-/// report, per-rank executed step-label sequences, `tuned:*` labels).
-#[allow(clippy::type_complexity)]
-fn run_program(
+/// rank, with step tracing on.
+fn run_program(topo: Topology, table: Option<Arc<TuneTable>>) -> Run {
+    let cap = (2 * topo.nprocs() * SEG).max(ALLREDUCE_LEN).max(BCAST_LEN);
+    run_body(topo, table, cap, |ctx, comm, buf| {
+        comm.broadcast(ctx, buf, BCAST_LEN, 0);
+        comm.allreduce(ctx, buf, ALLREDUCE_LEN, DType::U64, ReduceOp::Sum);
+        comm.alltoall(ctx, buf, SEG);
+    })
+}
+
+/// Run `body` on every rank over a `cap`-byte buffer, with step tracing
+/// on.
+fn run_body(
     topo: Topology,
     table: Option<Arc<TuneTable>>,
-) -> (Vec<Vec<u8>>, simnet::Report, Vec<Vec<String>>, Vec<String>) {
+    cap: usize,
+    body: fn(&simnet::Ctx, &srm::SrmComm, &shmem::ShmBuffer),
+) -> Run {
     let n = topo.nprocs();
     let mut sim = Sim::new(MachineConfig::ibm_sp_colony());
     let trace = Trace::new();
@@ -77,15 +92,13 @@ fn run_program(
         let comm = world.comm(rank);
         let out = out.clone();
         sim.spawn(format!("rank{rank}"), move |ctx| {
-            let buf = comm.alloc_buffer((2 * n * SEG).max(ALLREDUCE_LEN).max(BCAST_LEN));
+            let buf = comm.alloc_buffer(cap);
             buf.with_mut(|d| {
                 for (i, x) in d.iter_mut().enumerate() {
                     *x = (i as u8).wrapping_mul(13).wrapping_add(rank as u8);
                 }
             });
-            comm.broadcast(&ctx, &buf, BCAST_LEN, 0);
-            comm.allreduce(&ctx, &buf, ALLREDUCE_LEN, DType::U64, ReduceOp::Sum);
-            comm.alltoall(&ctx, &buf, SEG);
+            body(&ctx, &comm, &buf);
             out.lock().unwrap()[rank] = buf.with(|d| d.to_vec());
             comm.shutdown(&ctx);
         });
@@ -141,6 +154,38 @@ fn tuned_world_results_unchanged_and_observable() {
         !ttuned.iter().any(|l| l == "tuned:default"),
         "all three ops are covered by wildcard entries"
     );
+}
+
+/// `TuneEntry::allreduce_rs_min` is a column the planner ignores. The
+/// benchmark's `cold_sweep` table sets it to 32 KB on a wildcard
+/// allreduce row; on 4x4 a 64 KB allreduce under that table runs the
+/// untuned world's steps, returns its results, and still counts a hit.
+#[test]
+fn ignored_rs_min_column_changes_nothing() {
+    let topo = Topology::new(4, 4);
+    let mut t = TuneTable::new(15, "ignored column", vec![32 * 1024]);
+    let key = TuneKey {
+        op: TuneOp::Allreduce,
+        class: 1,
+        nodes: 0,
+        ranks: 0,
+    };
+    let entry = TuneEntry {
+        allreduce_rs_min: 32 * 1024,
+        ..TuneEntry::from_tuning(&SrmTuning::default())
+    };
+    t.insert(key, entry);
+    const LEN: usize = 64 * 1024;
+    let allreduce: fn(&simnet::Ctx, &srm::SrmComm, &shmem::ShmBuffer) =
+        |ctx, comm, buf| comm.allreduce(ctx, buf, LEN, DType::U64, ReduceOp::Sum);
+    let (dres, dreport, dsteps, _) = run_body(topo, None, LEN, allreduce);
+    let (tres, treport, tsteps, ttuned) = run_body(topo, Some(Arc::new(t)), LEN, allreduce);
+    assert_eq!(dsteps, tsteps, "the ignored column changed the schedule");
+    assert_eq!(dres, tres, "the ignored column changed the results");
+    assert_eq!(dreport.end_time, treport.end_time);
+    assert!(treport.metrics.tune_table_hits > 0);
+    assert_eq!(treport.metrics.tune_table_misses, 0);
+    assert!(ttuned.iter().all(|l| l == "tuned:table"));
 }
 
 /// serialize → load → re-plan is bit-identical: the parsed table equals
