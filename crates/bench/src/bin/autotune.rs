@@ -140,14 +140,6 @@ fn candidates_for(op: Op, base: SrmTuning) -> Vec<SrmTuning> {
                 ..base
             });
             push(SrmTuning {
-                large_chunk: 32 * k,
-                ..base
-            });
-            push(SrmTuning {
-                large_chunk: 128 * k,
-                ..base
-            });
-            push(SrmTuning {
                 interrupt_disable_max: 0,
                 ..base
             });
@@ -159,19 +151,6 @@ fn candidates_for(op: Op, base: SrmTuning) -> Vec<SrmTuning> {
             });
             push(SrmTuning {
                 interrupt_disable_max: 64 * 1024,
-                ..base
-            });
-        }
-        Op::Allreduce => {
-            let k = 1024;
-            for rd in [2 * k, 8 * k, base.reduce_chunk] {
-                push(SrmTuning {
-                    allreduce_rd_max: rd,
-                    ..base
-                });
-            }
-            push(SrmTuning {
-                allreduce_rd_max: 0,
                 ..base
             });
         }
@@ -222,8 +201,9 @@ fn candidates_for(op: Op, base: SrmTuning) -> Vec<SrmTuning> {
             });
         }
         // No per-shape decision knobs reach these planners (their
-        // chunking is buffer geometry): nothing to search.
-        Op::Barrier | Op::Gather | Op::Scatter => {}
+        // chunking and the allreduce's recursive-doubling cap are
+        // buffer geometry): nothing to search.
+        Op::Allreduce | Op::Barrier | Op::Gather | Op::Scatter => {}
     }
     cands
 }

@@ -54,7 +54,7 @@ use crate::plan::{
     BufRef, Chan, ChanKind, CopyCost, CtrRef, FlagRef, Hand, Off, PairSel, PlanBuilder, SeqBase,
     Side, Step, Until, Val, WaitCell,
 };
-use crate::smp::{plan_acc_to_user, plan_stage_acc, smp_cell, smp_cells};
+use crate::smp::{plan_acc_to_user, plan_pair_release, plan_stage_acc, smp_cell, smp_cells};
 use crate::tune::TuneOp as Op;
 use crate::tuning::SrmTuning;
 use crate::world::SrmComm;
@@ -199,8 +199,8 @@ impl SrmComm {
 
     /// One chunk down the inter-node tree on a non-root node's master
     /// (Figure 4, step 2): take the parent's put, publish it to the
-    /// node, send it down the tree first, copy my own part out, and
-    /// return the credit once the node has drained the side.
+    /// node, send it down the tree first, copy my own part out, release
+    /// the side, and return the credit once the node has drained it.
     fn plan_tree_down(
         &self,
         b: &mut PlanBuilder,
@@ -216,6 +216,7 @@ impl SrmComm {
         b.push(Step::PairPublish { pair, side });
         self.plan_forward_landing_chunk(b, tree, rel, clen);
         self.plan_pair_copy_out(b, pair, rel, (0, off, clen));
+        plan_pair_release(b, pair, rel);
         let cell = WaitCell::Pair { pair, side };
         b.wait(cell, Until::Use(PairUse::Drained), "buffer use drained");
         self.plan_credit_return(b, from);
@@ -278,6 +279,7 @@ impl SrmComm {
                 if self.c_is_master() {
                     self.plan_forward_landing_chunk(b, tree, rel, clen);
                 }
+                plan_pair_release(b, pair, rel);
             } else if on_root_node && self.c_is_master() {
                 // Root is another task on this node: read its published
                 // chunk, forward it down the tree, then consume it.
@@ -298,12 +300,11 @@ impl SrmComm {
     /// Large-message broadcast (> 64 KB, Figure 4 right): an address
     /// exchange, then pipelined puts straight into the user buffers —
     /// no intermediate buffers whatsoever — overlapped with the
-    /// intra-node two-buffer broadcast.
+    /// intra-node two-buffer broadcast. Each put carries one
+    /// [`SrmTuning::SMP_BUF`] cell, so wire chunk `j` is intra-node
+    /// cell `j`.
     fn plan_bcast_large(&self, b: &mut PlanBuilder, len: usize, root: usize, tree: &GroupTree) {
-        // Effective put size (a whole number of SMP_BUF cells, so the
-        // chunk boundaries stay aligned with the intra-node cell grid).
-        let lc = b.tuning().large_chunk;
-        let chunks = SrmTuning::chunk_count(len, lc);
+        let cells = smp_cells(len);
         let p = self.cslots_here();
         let my_node = self.cnode();
         let root_node = tree.root();
@@ -325,73 +326,55 @@ impl SrmComm {
             Vec::new()
         };
 
-        let emit_puts_for_chunk = |b: &mut PlanBuilder, k: usize| {
-            let coff = k * lc;
-            let cl = lc.min(len - coff);
+        let emit_puts_for_cell = |b: &mut PlanBuilder, j: usize| {
+            let (off, clen) = smp_cell(len, j);
             for &(c, idx) in &child_idx {
                 b.push(Step::RmaPut {
                     to: self.cmaster_of(c),
                     src: BufRef::User,
-                    src_off: Off::Lit(coff),
+                    src_off: Off::Lit(off),
                     dst: BufRef::Taken { idx },
-                    dst_off: Off::Lit(coff),
-                    len: cl,
+                    dst_off: Off::Lit(off),
+                    len: clen,
                     ctr: Some(CtrRef::LargeData { node: c }),
                 });
             }
         };
+        let rel0 = b.rel(SeqBase::Smp);
 
         if my_node == root_node {
             if self.crank() == root {
                 if master {
                     // Stage 2: pipelined zero-copy puts down the tree.
-                    for k in 0..chunks {
-                        emit_puts_for_chunk(b, k);
+                    for j in 0..cells {
+                        emit_puts_for_cell(b, j);
                     }
                 }
                 // Stage 3: intra-node broadcast on the root node.
                 self.plan_smp_bcast(b, len, self.cworld_of(root));
             } else if master {
                 // Master is an ordinary reader locally, but forwards
-                // each completed large chunk down the tree as soon as
-                // its cells have arrived through shared memory.
-                let cells = smp_cells(len);
-                let rel0 = b.rel(SeqBase::Smp);
-                let mut next_chunk = 0usize;
+                // each cell down the tree as soon as it has arrived
+                // through shared memory.
                 for j in 0..cells {
                     let (off, clen) = smp_cell(len, j);
                     self.plan_smp_cell_read(b, off, clen, rel0 + j as u64);
-                    let done = off + clen;
-                    while next_chunk < chunks && done >= (next_chunk * lc + lc).min(len) {
-                        emit_puts_for_chunk(b, next_chunk);
-                        next_chunk += 1;
-                    }
+                    emit_puts_for_cell(b, j);
                 }
                 b.advance(SeqBase::Smp, cells as u64);
             } else {
                 self.plan_smp_bcast(b, len, self.cworld_of(root));
             }
         } else if master {
-            // Stage 4 driver on a non-root node: as each chunk lands in
-            // the user buffer, forward it, then feed the intra-node
-            // pipeline cell by cell.
-            let cells = smp_cells(len);
-            let rel0 = b.rel(SeqBase::Smp);
-            let mut j = 0usize;
-            for k in 0..chunks {
-                let coff = k * lc;
-                let cl = lc.min(len - coff);
+            // Stage 4 driver on a non-root node: as each cell lands in
+            // the user buffer, forward it, then feed it to the
+            // intra-node pipeline.
+            for j in 0..cells {
                 b.wait_ctr(CtrRef::LargeData { node: my_node }, 1);
-                emit_puts_for_chunk(b, k);
+                emit_puts_for_cell(b, j);
                 if p > 1 {
-                    while j < cells {
-                        let (off, clen) = smp_cell(len, j);
-                        if off + clen > coff + cl {
-                            break;
-                        }
-                        self.plan_smp_cell_write(b, off, clen, rel0 + j as u64);
-                        j += 1;
-                    }
+                    let (off, clen) = smp_cell(len, j);
+                    self.plan_smp_cell_write(b, off, clen, rel0 + j as u64);
                 }
             }
             if p > 1 {
@@ -447,7 +430,7 @@ impl SrmComm {
                 } else if self.crank() == root {
                     let label = "xfer chunk ready";
                     let xfer = (Hand::Xfer, xrel);
-                    self.plan_hand_consume(b, xfer, false, label, |b, src, src_off| {
+                    self.plan_hand_consume(b, xfer, k == 0, label, |b, src, src_off| {
                         b.push(Step::ShmCopy {
                             src,
                             src_off,
@@ -475,8 +458,9 @@ impl SrmComm {
     // Allreduce
     // ----------------------------------------------------------------
 
-    /// Plan an allreduce: recursive doubling between nodes up to 16 KB,
-    /// above that the four-stage pipeline (§2.4, Figure 5) or — where
+    /// Plan an allreduce: recursive doubling between nodes up to one
+    /// reduce chunk (16 KB), above that the four-stage pipeline (§2.4,
+    /// Figure 5) or — where
     /// [`SrmModel::allreduce_composes`](crate::SrmModel::allreduce_composes)
     /// prices it lower — a reduce to group node 0's master followed by
     /// a broadcast from it, each half on the trees its own closed form
@@ -485,9 +469,9 @@ impl SrmComm {
         if len == 0 || self.csize() == 1 {
             return;
         }
-        // The recursive-doubling cap is per-shape tunable; the reduce and
-        // broadcast sub-planners below read the same effective tuning off
-        // the builder, so one table entry governs the whole call.
+        // The reduce and broadcast sub-planners below read the same
+        // effective tuning off the builder, so one table entry governs
+        // the whole call.
         let t = *b.tuning();
         if self.model(&t).allreduce_composes(len) {
             let root = self.crank_at(0, 0);
@@ -497,7 +481,7 @@ impl SrmComm {
         }
         let quiet = self.cmulti() && self.c_is_master() && len <= t.interrupt_disable_max;
         b.interrupts_off(quiet, |b| {
-            if len <= t.allreduce_rd_max {
+            if len <= t.reduce_chunk {
                 self.plan_allreduce_small(b, len);
             } else {
                 self.plan_allreduce_large(b, len, self.allreduce_skew());
@@ -505,7 +489,7 @@ impl SrmComm {
         });
     }
 
-    /// Up to 16 KB: one intra-node reduce to the master,
+    /// Up to one reduce chunk: one intra-node reduce to the master,
     /// recursive-doubling pairwise exchange between the masters,
     /// intra-node broadcast. No exchange takes a credit: each lands in
     /// its receiver's landing from the sender, in the half of this
@@ -518,11 +502,7 @@ impl SrmComm {
         // idle) contribution buffer.
         let staging = self.hand_side(Hand::Slot(0), rel);
         let (my, n) = (self.cnode(), self.cnodes());
-        let half = poff(
-            SeqBase::Rd,
-            b.rel(SeqBase::Rd),
-            self.tuning().allreduce_rd_max,
-        );
+        let half = poff(SeqBase::Rd, b.rel(SeqBase::Rd), self.tuning().reduce_chunk);
         let put = |b: &mut PlanBuilder, to: usize| {
             let c = Chan::new(ChanKind::Rd, my, to, 0);
             plan_stage_acc(b, staging.0, staging.1, len);
@@ -617,10 +597,10 @@ impl SrmComm {
         1 + depth(self.tree(), self.cnode(), self.cnodes())
     }
 
-    /// Above 16 KB: the four-stage pipeline of Figure 5 — per chunk an
-    /// **up half** (intra-node reduce, inter-node reduce toward group
-    /// node 0, whose master also starts the chunk's broadcast: the next
-    /// chunk overwrites the accumulator that holds it) and a **down
+    /// Above one reduce chunk: the four-stage pipeline of Figure 5 — per
+    /// chunk an **up half** (intra-node reduce, inter-node reduce toward
+    /// group node 0, whose master also starts the chunk's broadcast: the
+    /// next chunk overwrites the accumulator that holds it) and a **down
     /// half** (inter-node broadcast away from group node 0, intra-node
     /// broadcast). Iteration `i` emits `up(i)`, then `down(i − d)`; the
     /// planner passes [`Self::allreduce_skew`] for `d`.
@@ -645,6 +625,7 @@ impl SrmComm {
                         // Fully combined: start the broadcast leg here.
                         self.plan_pair_write(b, pair, lrel, (BufRef::Acc, Off::Lit(0)), clen, 1);
                         self.plan_forward_landing_chunk(b, &tree, lrel, clen);
+                        plan_pair_release(b, pair, lrel);
                         plan_acc_to_user(b, off, clen);
                     }
                 }
@@ -815,7 +796,7 @@ impl SrmComm {
             if multi {
                 if master_waits {
                     let label = "gather remote pieces landed";
-                    self.plan_hand_consume(b, (Hand::Xfer, xrel0), false, label, |_, _, _| {});
+                    self.plan_hand_consume(b, (Hand::Xfer, xrel0), true, label, |_, _, _| {});
                 } else {
                     absorb_remote(b);
                 }
@@ -1014,6 +995,7 @@ impl SrmComm {
                 for (j, &(roff, _, plen)) in pieces[my_node].iter().enumerate() {
                     let from = (BufRef::User, Off::Lit(roff));
                     self.plan_pair_write(b, pair, lrel0 + j as u64, from, plen, 1);
+                    plan_pair_release(b, pair, lrel0 + j as u64);
                 }
             }
         } else if my_node == root_node {
@@ -1022,8 +1004,8 @@ impl SrmComm {
                 // The put snapshots the source synchronously, so the
                 // side is reusable as soon as it is issued.
                 for (c, rel, xrel, _, plen) in stream() {
-                    let label = "xfer chunk ready";
-                    self.plan_hand_consume(b, (Hand::Xfer, xrel), false, label, |b, src, off| {
+                    let (label, first) = ("xfer chunk ready", xrel == xrel0);
+                    self.plan_hand_consume(b, (Hand::Xfer, xrel), first, label, |b, src, off| {
                         let to = Chan::new(ChanKind::Reduce, root_node, c, rel);
                         self.plan_credit_put(b, (to, 0), false, (src, off), plen);
                     });
@@ -1044,6 +1026,7 @@ impl SrmComm {
                     if let Some(mine) = self.block_overlap(len, (boff, plen), my) {
                         self.plan_pair_copy_out(b, pair, lrel, mine);
                     }
+                    plan_pair_release(b, pair, lrel);
                 } else {
                     b.push(Step::ShmCopy {
                         src: landed.0,

@@ -83,7 +83,7 @@ impl SrmModel {
     fn bcast_chunking(&self, len: usize) -> (usize, u64) {
         let t = &self.tuning;
         let chunk = if len > t.small_large_switch {
-            t.large_chunk
+            SrmTuning::SMP_BUF
         } else {
             t.small_bcast_chunk(len)
         };
@@ -160,12 +160,11 @@ impl SrmModel {
             // Large protocol: address exchange, then puts straight into
             // the user buffers while each node's SMP pipeline
             // redistributes.
-            let smp_cells = SrmTuning::chunk_count(chunk, SrmTuning::SMP_BUF) as u64;
             self.put_time(0)
                 + tree.fill
                 + self.cfg.net_per_byte.cost_of(len - chunk) * fan
-                + (self.stage(SrmTuning::SMP_BUF) + self.smp_chunk_out(SrmTuning::SMP_BUF))
-                    * smp_cells
+                + self.stage(chunk)
+                + self.smp_chunk_out(chunk)
         }
     }
 
@@ -211,7 +210,7 @@ impl SrmModel {
     pub fn allreduce_composes(&self, len: usize) -> bool {
         self.tuning.tree.is_none()
             && self.topo.multi_node()
-            && len > self.tuning.allreduce_rd_max
+            && len > self.tuning.reduce_chunk
             && self.reduce(len) + self.bcast(len) < self.allreduce_pipeline(len)
     }
 
@@ -234,7 +233,7 @@ impl SrmModel {
         let (n, p) = (self.topo.nodes(), self.topo.tasks_per_node());
         let own = self.tuning.configured_tree();
         let smp_levels = height(own, p) as u64;
-        if len <= self.tuning.allreduce_rd_max {
+        if len <= self.tuning.reduce_chunk {
             // SMP reduce + log2(n) pairwise exchange rounds + SMP bcast.
             let smp_reduce = self.cfg.shm_copy_cost(len, (p / 2).max(1))
                 + (self.cfg.reduce_cost(len) + self.cfg.flag_op + self.cfg.flag_set_op)

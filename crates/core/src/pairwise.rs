@@ -105,7 +105,7 @@ use crate::plan::{
     BufRef, Chan, ChanKind, CopyCost, CtrRef, FlagRef, Hand, Off, PairSel, PlanBuilder, SeqBase,
     Step, Val,
 };
-use crate::smp::{plan_acc_to_user, plan_stage_acc};
+use crate::smp::{plan_acc_to_user, plan_pair_release, plan_stage_acc};
 use crate::tuning::SrmTuning;
 use crate::world::{Channel, SrmComm};
 use rma::{CounterFamily, LapiCounter};
@@ -568,6 +568,7 @@ impl SrmComm {
                 if let Some(mine) = mine {
                     self.plan_pair_copy_out(b, pair, lrel, mine);
                 }
+                plan_pair_release(b, pair, lrel);
             } else {
                 // Single-member node: the accumulator is the result.
                 plan_acc_to_user(b, self.crank() * len + blk, plen);

@@ -60,6 +60,16 @@ pub(crate) fn plan_stage_acc(b: &mut PlanBuilder, dst: BufRef, dst_off: Off, len
     });
 }
 
+/// Release pair use `rel`: every slot that takes part in a use, its
+/// writer included, releases it after its last read of the side. A
+/// writer forwarding the side onto the wire or copying its own part
+/// out reads it after the publish, and the next writer may not claim
+/// the side before those reads are done.
+pub(crate) fn plan_pair_release(b: &mut PlanBuilder, pair: PairSel, rel: u64) {
+    let side = par(pair_base(pair), rel);
+    b.push(Step::PairRelease { pair, side });
+}
+
 /// The global cell grid of a `len`-byte payload: `(offset, length)` of
 /// cell `j`.
 pub(crate) fn smp_cell(len: usize, j: usize) -> (usize, usize) {
@@ -81,6 +91,8 @@ impl SrmComm {
 
     /// Writer leg of pair use `rel` (Figure 3): claim the parity
     /// buffer, fill it from `from`, raise every other task's READY.
+    /// The writer still owes [`plan_pair_release`] after its last read
+    /// of the side.
     pub(crate) fn plan_pair_write(
         &self,
         b: &mut PlanBuilder,
@@ -147,7 +159,7 @@ impl SrmComm {
         if let Some(copy) = copy {
             self.plan_pair_copy_out(b, pair, rel, copy);
         }
-        b.push(Step::PairRelease { pair, side });
+        plan_pair_release(b, pair, rel);
     }
 
     /// The parity side of handoff channel `hand` that use `rel` goes
@@ -209,9 +221,11 @@ impl SrmComm {
     /// that has not drained it yet, and a max-raise past it would let
     /// the contributor overwrite that side early. One consumer's
     /// consecutive chunks are ordered, so only its `first` waits for
-    /// the channel to be drained through `rel`. (The `xfer` channel's
-    /// consumers pass `false`: its guard sits on the producer side, see
-    /// [`Self::plan_hand_publish`].)
+    /// the channel to be drained through `rel`. The `xfer` channel has
+    /// two consumers as well as two producers — a non-master root in
+    /// reduce and gather, the master in scatter — so its consumers pass
+    /// the plan's first `xfer` use too, beside the producer-side guard
+    /// of [`Self::plan_hand_publish`].
     pub(crate) fn plan_hand_consume(
         &self,
         b: &mut PlanBuilder,
@@ -244,6 +258,7 @@ impl SrmComm {
         rel: u64,
     ) {
         self.plan_pair_write(b, PairSel::Smp, rel, (BufRef::User, Off::Lit(off)), clen, 1);
+        plan_pair_release(b, PairSel::Smp, rel);
     }
 
     /// Reader side of one broadcast cell (all `p-1` readers drain

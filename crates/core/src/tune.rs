@@ -1,13 +1,13 @@
 //! Persisted per-shape tuning tables (`srm::tune`).
 //!
 //! The paper's switch points (64 KB small/large, 8–32 KB pipelined
-//! sub-range, 16 KB recursive-doubling cap) were hand-measured on one
-//! machine. This module makes them *searchable*: an offline driver
-//! (the `autotune` bench binary) sweeps the decision knobs of
-//! [`SrmTuning`] per **(operation, payload size class, topology shape,
-//! communicator size)** over the simulator and persists the winners in
-//! a [`TuneTable`] — a versioned, deterministic, plain-text decision
-//! table. [`crate::SrmWorld::with_tuning_table`] loads one, and the
+//! sub-range) were hand-measured on one machine. This module makes
+//! them *searchable*: an offline driver (the `autotune` bench binary)
+//! sweeps the decision knobs of [`SrmTuning`] per **(operation, payload
+//! size class, topology shape, communicator size)** over the simulator
+//! and persists the winners in a [`TuneTable`] — a versioned,
+//! deterministic, plain-text decision table.
+//! [`crate::SrmWorld::with_tuning_table`] loads one, and the
 //! planner consults it at [`PlanKey`](crate::PlanKey) resolution, so
 //! each call shape compiles with its own thresholds instead of one
 //! global struct.
@@ -21,18 +21,21 @@
 //! the same contribution and transfer buffers, and a per-shape stride
 //! would overlap live parity regions across calls. The world instead builds a **geometry
 //! envelope**: capacity-relevant decision knobs
-//! (`small_large_switch`, `allreduce_rd_max`, `pairwise_chunk`,
-//! `pairwise_window`) are raised to the table's maxima so every
-//! entry's schedule fits the buffers actually allocated.
+//! (`small_large_switch`, `pairwise_chunk`, `pairwise_window`) are
+//! raised to the table's maxima so every entry's schedule fits the
+//! buffers actually allocated. What the geometry itself decides — the
+//! large broadcast's put size (one `SMP_BUF` cell) and the
+//! recursive-doubling cap (one `reduce_chunk`) — has no column.
 //!
 //! ## Table file format
 //!
-//! Line-oriented text, `srm-tune-table v2` (v2 added the
-//! `pairwise_direct_min` route knob; v1 files are rejected — re-search
-//! to regenerate):
+//! Line-oriented text, `srm-tune-table v3` (v3 dropped the
+//! `large_chunk` and `allreduce_rd_max` columns, v2 had added the
+//! `pairwise_direct_min` route knob; v1 and v2 files are rejected —
+//! re-search to regenerate):
 //!
 //! ```text
-//! srm-tune-table v2
+//! srm-tune-table v3
 //! seed 42
 //! grid nodes=4 tasks=2 ops=bcast,allreduce
 //! edges 4096 65536 1048576
@@ -84,13 +87,8 @@ pub struct TuneEntry {
     pub pipeline_max: usize,
     /// Chunk size inside the pipelined sub-range.
     pub pipeline_chunk: usize,
-    /// Put size of the zero-copy large-broadcast pipeline.
-    pub large_chunk: usize,
-    /// Recursive-doubling allreduce cap.
-    pub allreduce_rd_max: usize,
     /// Ignored: the allreduce switch it once set is gone. It keeps its
-    /// column in the v2 text format, so older tables still parse and
-    /// round-trip, until ROADMAP item 8(g) removes it.
+    /// column in the text format until ROADMAP item 8(g) removes it.
     pub allreduce_rs_min: usize,
     /// Interrupt-disable payload cap.
     pub interrupt_disable_max: usize,
@@ -110,13 +108,11 @@ pub struct TuneEntry {
 
 /// Field names in serialization order, paired off by
 /// [`TuneEntry::get`] / [`TuneEntry::set`].
-const ENTRY_FIELDS: [&str; 11] = [
+const ENTRY_FIELDS: [&str; 9] = [
     "small_large_switch",
     "pipeline_min",
     "pipeline_max",
     "pipeline_chunk",
-    "large_chunk",
-    "allreduce_rd_max",
     "allreduce_rs_min",
     "interrupt_disable_max",
     "pairwise_chunk",
@@ -133,8 +129,6 @@ impl TuneEntry {
             pipeline_min: t.pipeline_min,
             pipeline_max: t.pipeline_max,
             pipeline_chunk: t.pipeline_chunk,
-            large_chunk: t.large_chunk,
-            allreduce_rd_max: t.allreduce_rd_max,
             allreduce_rs_min: usize::MAX,
             interrupt_disable_max: t.interrupt_disable_max,
             pairwise_chunk: t.pairwise_chunk,
@@ -146,9 +140,7 @@ impl TuneEntry {
     /// Overlay this entry on `base` (the world's decision defaults),
     /// clamped to `geometry` (the world's buffer envelope) so the
     /// result can never address past an allocated buffer:
-    /// chunk/threshold knobs are capped at the envelope's, the large
-    /// chunk is rounded to a whole number of [`SrmTuning::SMP_BUF`]
-    /// cells, and the
+    /// chunk/threshold knobs are capped at the envelope's and the
     /// pipeline range is kept internally consistent. The result always
     /// passes [`SrmTuning::validate`] when `geometry` does.
     pub fn apply(&self, base: &SrmTuning, geometry: &SrmTuning) -> SrmTuning {
@@ -158,16 +150,12 @@ impl TuneEntry {
         let pmax = self.pipeline_max.min(sls);
         let pmin = self.pipeline_min.min(pmax);
         let pchunk = self.pipeline_chunk.clamp(1, sls);
-        let cells = (self.large_chunk / SrmTuning::SMP_BUF).max(1);
-        let cap = geometry.allreduce_rd_max.min(geometry.reduce_chunk);
         let pw_cap = geometry.pairwise_chunk.min(geometry.reduce_chunk);
         SrmTuning {
             small_large_switch: sls,
             pipeline_min: pmin,
             pipeline_max: pmax,
             pipeline_chunk: pchunk,
-            large_chunk: cells * SrmTuning::SMP_BUF,
-            allreduce_rd_max: self.allreduce_rd_max.min(cap),
             interrupt_disable_max: self.interrupt_disable_max,
             pairwise_chunk: self.pairwise_chunk.clamp(1, pw_cap),
             pairwise_window: self.pairwise_window.clamp(1, geometry.pairwise_window),
@@ -184,8 +172,6 @@ impl TuneEntry {
             "pipeline_min" => self.pipeline_min,
             "pipeline_max" => self.pipeline_max,
             "pipeline_chunk" => self.pipeline_chunk,
-            "large_chunk" => self.large_chunk,
-            "allreduce_rd_max" => self.allreduce_rd_max,
             "allreduce_rs_min" => self.allreduce_rs_min,
             "interrupt_disable_max" => self.interrupt_disable_max,
             "pairwise_chunk" => self.pairwise_chunk,
@@ -201,8 +187,6 @@ impl TuneEntry {
             "pipeline_min" => self.pipeline_min = v,
             "pipeline_max" => self.pipeline_max = v,
             "pipeline_chunk" => self.pipeline_chunk = v,
-            "large_chunk" => self.large_chunk = v,
-            "allreduce_rd_max" => self.allreduce_rd_max = v,
             "allreduce_rs_min" => self.allreduce_rs_min = v,
             "interrupt_disable_max" => self.interrupt_disable_max = v,
             "pairwise_chunk" => self.pairwise_chunk = v,
@@ -258,7 +242,7 @@ impl fmt::Display for TuneEntryError {
 
 impl std::error::Error for TuneEntryError {}
 
-const HEADER: &str = "srm-tune-table v2";
+const HEADER: &str = "srm-tune-table v3";
 
 /// A searched, persisted per-shape tuning table. See the module docs
 /// for the file format and the decision/geometry split.
@@ -337,8 +321,6 @@ impl TuneTable {
                 pipeline_min: entry.pipeline_min,
                 pipeline_max: entry.pipeline_max,
                 pipeline_chunk: entry.pipeline_chunk,
-                large_chunk: entry.large_chunk,
-                allreduce_rd_max: entry.allreduce_rd_max,
                 interrupt_disable_max: entry.interrupt_disable_max,
                 pairwise_chunk: entry.pairwise_chunk,
                 pairwise_window: entry.pairwise_window,
@@ -362,13 +344,12 @@ impl TuneTable {
         let mut g = *base;
         for e in self.entries.values() {
             g.small_large_switch = g.small_large_switch.max(e.small_large_switch);
-            g.allreduce_rd_max = g.allreduce_rd_max.max(e.allreduce_rd_max);
             g.pairwise_chunk = g.pairwise_chunk.max(e.pairwise_chunk);
             g.pairwise_window = g.pairwise_window.max(e.pairwise_window);
             g.pipeline_max = g.pipeline_max.max(e.pipeline_max);
         }
         // The raised switch can only widen the pipeline headroom; the
-        // raised staging caps stay within the (fixed) reduce chunk
+        // raised pairwise chunk stays within the (fixed) reduce chunk
         // because validate() held per entry.
         g
     }
@@ -419,12 +400,12 @@ impl TuneTable {
             .filter(|(_, l)| !l.is_empty() && !l.starts_with('#'));
         let (_, header) = lines.next().ok_or(TableParseError {
             line: 0,
-            what: "empty file (expected `srm-tune-table v2` header)",
+            what: "empty file (expected `srm-tune-table v3` header)",
         })?;
         if header != HEADER {
             return Err(TableParseError {
                 line: 1,
-                what: "unsupported header (expected `srm-tune-table v2`)",
+                what: "unsupported header (expected `srm-tune-table v3`)",
             });
         }
         let mut table = TuneTable::default();
@@ -547,7 +528,7 @@ mod tests {
                 ranks: 0,
             },
             TuneEntry {
-                allreduce_rd_max: 8192,
+                interrupt_disable_max: 0,
                 ..TuneEntry::from_tuning(&d)
             },
         );
@@ -581,8 +562,8 @@ mod tests {
         assert_eq!(
             t.lookup(TuneOp::Allreduce, 2 << 20, 7, 3)
                 .unwrap()
-                .allreduce_rd_max,
-            8192
+                .interrupt_disable_max,
+            0
         );
         // Other classes miss.
         assert!(t.lookup(TuneOp::Allreduce, 1024, 4, 8).is_none());
@@ -602,6 +583,8 @@ mod tests {
     fn parse_rejects_malformed() {
         assert_eq!(TuneTable::parse("").unwrap_err().line, 0);
         assert_eq!(TuneTable::parse("nonsense v9").unwrap_err().line, 1);
+        // Tables of an older format carry columns v3 dropped.
+        assert_eq!(TuneTable::parse("srm-tune-table v2").unwrap_err().line, 1);
         let bad_entry = format!("{HEADER}\nedges 4096\nentry op=bcast class=0 nodes=0");
         assert!(TuneTable::parse(&bad_entry).is_err());
         let bad_knob = format!("{HEADER}\nentry op=bcast class=0 nodes=0 ranks=0 bogus_knob=7");
@@ -641,8 +624,6 @@ mod tests {
             pipeline_max: base.small_large_switch * 8,
             pipeline_min: base.small_large_switch * 8,
             pipeline_chunk: 0,
-            large_chunk: SrmTuning::SMP_BUF + 1,
-            allreduce_rd_max: base.reduce_chunk * 2,
             allreduce_rs_min: 1,
             interrupt_disable_max: 0,
             pairwise_chunk: base.reduce_chunk * 2,
@@ -653,8 +634,6 @@ mod tests {
         assert_eq!(eff.validate(), Ok(()));
         assert_eq!(eff.small_large_switch, geom.small_large_switch);
         assert_eq!(eff.pipeline_max, geom.small_large_switch);
-        assert_eq!(eff.large_chunk, SrmTuning::SMP_BUF);
-        assert_eq!(eff.allreduce_rd_max, geom.allreduce_rd_max);
         assert_eq!(eff.pairwise_chunk, geom.pairwise_chunk);
         assert_eq!(eff.pairwise_window, 1);
         // Route decision passes through unclamped.

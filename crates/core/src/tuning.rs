@@ -3,8 +3,10 @@
 //! All protocol switch points and buffer geometries in one place. The
 //! defaults are the paper's published values where it gives them
 //! (64 KB small/large broadcast switch, 4 KB pipeline chunks applied
-//! between 8 KB and 32 KB, 16 KB recursive-doubling limit for
-//! allreduce) and sensible choices where it does not.
+//! between 8 KB and 32 KB, 16 KB reduce chunks, which also bound
+//! recursive doubling for allreduce) and sensible choices where it does
+//! not. What the buffer geometry already decides is not a knob: the
+//! large broadcast puts one [`SrmTuning::SMP_BUF`] cell at a time.
 
 use crate::embed::TreeKind;
 use std::fmt;
@@ -15,16 +17,9 @@ use std::fmt;
 /// [`crate::SrmWorld::new`] panics with the same messages.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TuningError {
-    /// `reduce_chunk` or `large_chunk` is zero — every protocol chunks
-    /// through buffers of these sizes.
+    /// `reduce_chunk` is zero — the reduce, scatter, gather and
+    /// recursive-doubling protocols chunk through buffers of this size.
     ZeroGeometry,
-    /// `large_chunk` is not a whole number of
-    /// [`SrmTuning::SMP_BUF`]-byte cells; the zero-copy broadcast
-    /// pipeline shares the intra-node cell grid.
-    LargeChunkNotCellMultiple,
-    /// `allreduce_rd_max > reduce_chunk`: recursive-doubling payloads
-    /// are staged in reduce-chunk-sized buffers.
-    RdMaxExceedsReduceChunk,
     /// The small-broadcast pipeline range is inconsistent:
     /// `pipeline_min > pipeline_max`, or `pipeline_chunk` /
     /// `pipeline_max` above `small_large_switch`. (Equal min and max
@@ -41,11 +36,7 @@ pub enum TuningError {
 impl fmt::Display for TuningError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let msg = match self {
-            TuningError::ZeroGeometry => "reduce_chunk and large_chunk must be nonzero",
-            TuningError::LargeChunkNotCellMultiple => "large_chunk must be a multiple of SMP_BUF",
-            TuningError::RdMaxExceedsReduceChunk => {
-                "recursive-doubling payloads are staged in reduce-chunk-sized buffers"
-            }
+            TuningError::ZeroGeometry => "reduce_chunk must be nonzero",
             TuningError::PipelineRangeInvalid => {
                 "small-broadcast pipeline range must lie below the large switch"
             }
@@ -85,16 +76,13 @@ pub struct SrmTuning {
     /// Chunk size used in the pipelined sub-range.
     pub pipeline_chunk: usize,
     /// Chunk size of the pipelined reduce (and of the large-allreduce
-    /// four-stage pipeline).
-    pub reduce_chunk: usize,
-    /// Put size of the zero-copy large-message broadcast pipeline.
-    pub large_chunk: usize,
-    /// Allreduce uses inter-node recursive doubling up to this size
-    /// ("for messages up to 16 KB", §2.4) and above it the four-stage
-    /// pipeline or a reduce then a broadcast, whichever
+    /// four-stage pipeline). It also sizes the recursive-doubling
+    /// landings, so allreduce uses inter-node recursive doubling up to
+    /// this size ("for messages up to 16 KB", §2.4) and above it the
+    /// four-stage pipeline or a reduce then a broadcast, whichever
     /// [`SrmModel::allreduce_composes`](crate::SrmModel::allreduce_composes)
     /// prices lower.
-    pub allreduce_rd_max: usize,
+    pub reduce_chunk: usize,
     /// Multi-node collectives at or below this size run with LAPI
     /// interrupts disabled (§2.3), so their put targets take puts by
     /// polling: broadcast, reduce and allreduce on the node masters,
@@ -145,8 +133,6 @@ impl Default for SrmTuning {
             pipeline_max: 32 * 1024,
             pipeline_chunk: 4 * 1024,
             reduce_chunk: 16 * 1024,
-            large_chunk: 64 * 1024,
-            allreduce_rd_max: 16 * 1024,
             interrupt_disable_max: 8 * 1024,
             plan_cache_cap: 32,
             trace_steps: false,
@@ -160,6 +146,8 @@ impl Default for SrmTuning {
 impl SrmTuning {
     /// Capacity of each of the two intra-node broadcast buffers
     /// (Figure 3); messages longer than this are chunked through them.
+    /// It is also the put size of the zero-copy large broadcast, whose
+    /// chunk `k` is the intra-node pipeline's cell `k`.
     pub const SMP_BUF: usize = 32 * 1024;
 
     /// Maximum nonblocking collectives outstanding per rank. Issuing
@@ -182,14 +170,8 @@ impl SrmTuning {
     /// pipelined sub-range (no length is strictly above the min and at
     /// or below the max), which the ablation studies rely on.
     pub fn validate(&self) -> Result<(), TuningError> {
-        if self.reduce_chunk == 0 || self.large_chunk == 0 {
+        if self.reduce_chunk == 0 {
             return Err(TuningError::ZeroGeometry);
-        }
-        if !self.large_chunk.is_multiple_of(Self::SMP_BUF) {
-            return Err(TuningError::LargeChunkNotCellMultiple);
-        }
-        if self.allreduce_rd_max > self.reduce_chunk {
-            return Err(TuningError::RdMaxExceedsReduceChunk);
         }
         if self.pipeline_chunk > self.small_large_switch
             || self.pipeline_min > self.pipeline_max
@@ -236,7 +218,7 @@ mod tests {
         let t = SrmTuning::default();
         assert_eq!(t.small_large_switch, 65536);
         assert_eq!(t.pipeline_chunk, 4096);
-        assert_eq!(t.allreduce_rd_max, 16384);
+        assert_eq!(t.reduce_chunk, 16384);
         // 16 KB message: inside the pipelined sub-range.
         assert_eq!(t.small_bcast_chunk(16 * 1024), 4096);
         // 4 KB and 64 KB messages: single chunk.
@@ -262,24 +244,10 @@ mod tests {
         let cases = [
             (
                 SrmTuning {
-                    large_chunk: 0,
+                    reduce_chunk: 0,
                     ..d
                 },
                 TuningError::ZeroGeometry,
-            ),
-            (
-                SrmTuning {
-                    large_chunk: SrmTuning::SMP_BUF + 1,
-                    ..d
-                },
-                TuningError::LargeChunkNotCellMultiple,
-            ),
-            (
-                SrmTuning {
-                    allreduce_rd_max: d.reduce_chunk + 1,
-                    ..d
-                },
-                TuningError::RdMaxExceedsReduceChunk,
             ),
             (
                 SrmTuning {

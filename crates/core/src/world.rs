@@ -120,7 +120,7 @@ pub struct PeerLink {
 /// its partners, so each is created on first use (`SrmComm::exchange`).
 pub struct PeerExchange {
     /// Recursive doubling and the fold from this peer: a landing of two
-    /// `allreduce_rd_max` halves, one per
+    /// `reduce_chunk` halves, one per
     /// [`SeqBase::Rd`](crate::plan::SeqBase::Rd) parity, and no credits.
     pub rd: Channel,
     /// Cumulative dissemination-barrier bumps from this peer.
@@ -906,7 +906,7 @@ impl SrmComm {
     pub(crate) fn exchange(&self, dst: usize, src: usize) -> &PeerExchange {
         self.comm.inter[dst].exchanges[src].get_or_init(|| {
             let handle = &self.world.handle;
-            let landing = ShmBuffer::new(2 * self.world.tuning.allreduce_rd_max);
+            let landing = ShmBuffer::new(2 * self.world.tuning.reduce_chunk);
             PeerExchange {
                 rd: Channel::new(handle, landing, 0),
                 bar: LapiCounter::new(handle, 0),
@@ -1106,8 +1106,8 @@ mod tests {
         let bcast = run_comm(topo, None, |ctx, comm, buf| {
             comm.broadcast(ctx, buf, 256 << 10, 0)
         });
-        // Four chunks on eight nodes: the derived tree is binary.
-        let mut edges = bcast.group.inter_edges(TreeKind::Binary, 0);
+        // Eight 32 KB puts on eight nodes: the derived tree is the chain.
+        let mut edges = bcast.group.inter_edges(TreeKind::Chain, 0);
         edges.sort_unstable();
         assert_eq!(edges.len(), 7);
         assert_eq!(mailbox_slots(&bcast), edges);

@@ -453,22 +453,10 @@ fn fifteen_of_sixteen_configuration_works() {
 }
 
 #[test]
-#[should_panic(expected = "LargeChunkNotCellMultiple")]
-fn misaligned_large_chunk_rejected() {
+#[should_panic(expected = "ZeroGeometry")]
+fn zero_reduce_chunk_rejected() {
     let tuning = SrmTuning {
-        large_chunk: 48 << 10, // not a multiple of the 32 KB cell
-        ..SrmTuning::default()
-    };
-    let mut sim = Sim::new(MachineConfig::ibm_sp_colony());
-    let _ = SrmWorld::new(&mut sim, Topology::new(2, 2), tuning);
-}
-
-#[test]
-#[should_panic(expected = "RdMaxExceedsReduceChunk")]
-fn oversized_rd_payload_rejected() {
-    let tuning = SrmTuning {
-        allreduce_rd_max: 64 << 10,
-        reduce_chunk: 16 << 10,
+        reduce_chunk: 0, // also the recursive-doubling landing half
         ..SrmTuning::default()
     };
     let mut sim = Sim::new(MachineConfig::ibm_sp_colony());

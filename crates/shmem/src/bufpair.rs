@@ -34,9 +34,11 @@
 //! * publishing use `q` raises each reader's READY flag for that side
 //!   to `c + 1`;
 //! * releasing it raises the reader's own RELEASED flag to `c + 1`;
-//! * a writer drawn from the slot bank *self-releases* after its last
-//!   publish store ([`BufPair::publish_from`]), so the released bank
-//!   also records publish completion;
+//! * a writer drawn from the slot bank releases its own use like a
+//!   reader, after its last read of the side (a master forwarding the
+//!   side onto the wire or copying its own part out reads it after the
+//!   publish), so the released bank also records that the publish
+//!   completed and that the writer is done with the side;
 //! * the free-wait for use `q` waits for every RELEASED flag of that
 //!   side to reach `q / 2` — distinguishing "everyone is done with use
 //!   `q - 2`" from "use `q - 2` was never announced".
@@ -138,19 +140,17 @@ impl BufPair {
     }
 
     /// Writer side: publish use `q` to every slot except `writer`
-    /// (the writer's own slot), then self-release. The self-release is
-    /// ordered after the last READY store, so the RELEASED bank also
-    /// witnesses that this publish completed — the next writer of the
-    /// side cannot pass [`BufPair::wait_free`] mid-publish.
+    /// (the writer's own slot). The writer still owes its own
+    /// [`BufPair::release`], after its last read of the side: ordered
+    /// after the last READY store, it witnesses that this publish
+    /// completed, so the next writer of the side can pass
+    /// [`BufPair::wait_free`] neither mid-publish nor while this writer
+    /// still reads the side.
     pub fn publish_from(&self, ctx: &Ctx, q: u64, writer: usize) {
-        let s = (q % 2) as usize;
-        let bank = &self.ready[s];
-        for r in 0..bank.len() {
-            if r != writer {
-                bank.flag(r).raise(ctx, q / 2 + 1);
-            }
+        let bank = &self.ready[(q % 2) as usize];
+        for r in (0..bank.len()).filter(|&r| r != writer) {
+            bank.flag(r).raise(ctx, q / 2 + 1);
         }
-        self.released[s].flag(writer).raise(ctx, q / 2 + 1);
     }
 
     /// Reader side: block until use `q` is published to reader `me`.
@@ -249,20 +249,26 @@ mod tests {
 
     /// The writer-handoff invariant: when writers are drawn from the
     /// slot bank and rotate between uses, the next writer's free-wait
-    /// must also wait for the *previous writer's publish to finish*
-    /// (witnessed by its self-release), not only for reader releases.
+    /// must also wait for the *previous writer* to be done with the
+    /// side — its publish finished and its own reads of the side over,
+    /// witnessed by its explicit release — not only for reader
+    /// releases.
     #[test]
     fn writer_handoff_waits_for_previous_publish() {
         let mut s = Sim::new(MachineConfig::uniform_test());
         let pair = BufPair::new(&s.handle(), 64, 3);
 
-        // Slot 0 writes use 0 of side 0, self-releasing only at 20us.
+        // Slot 0 writes use 0 of side 0, publishes it at 20us and reads
+        // the side until 30us before it releases.
         let p = pair.clone();
         s.spawn("w1", move |ctx| {
             p.wait_free(&ctx, 0);
             p.buf(0).write(&ctx, 0, &[7u8; 64], 1);
             ctx.advance(SimTime::from_us(20)); // stalled mid-publish
             p.publish_from(&ctx, 0, 0);
+            ctx.advance(SimTime::from_us(10)); // still forwarding the side
+            assert_eq!(p.buf(0).with(|d| d[0]), 7);
+            p.release(&ctx, 0, 0);
         });
         // Slots 1 and 2 read use 0, then slot 1 writes use 2 (side 0
         // again): its free-wait must not pass before w1's publish.
@@ -274,9 +280,10 @@ mod tests {
                 p.release(&ctx, 0, me);
                 if me == 1 {
                     p.wait_free(&ctx, 2);
-                    assert!(ctx.now() >= SimTime::from_us(20));
+                    assert!(ctx.now() >= SimTime::from_us(30));
                     p.buf(0).write(&ctx, 0, &[9u8; 64], 1);
                     p.publish_from(&ctx, 2, me);
+                    p.release(&ctx, 2, me);
                 }
             });
         }

@@ -252,9 +252,9 @@ fn main() {
 
     // Tuned replay: the same program with a small searched tuning
     // table loaded. The single wildcard allreduce entry sets
-    // `allreduce_rd_max = 0`, which flips the subgroup's 2 KB
-    // allreduce from recursive doubling onto the pipelined path —
-    // same results, different schedule. Every plan-cache miss now
+    // `interrupt_disable_max = 0`, which keeps LAPI interrupts on for
+    // the subgroup's 2 KB allreduce — same results, different
+    // schedule. Every plan-cache miss now
     // consults the table: the engine traces `tuned:table` /
     // `tuned:default` and the report carries the per-communicator
     // tune-hit breakdown next to the plan-cache one.
@@ -267,7 +267,7 @@ fn main() {
             ranks: 0,
         },
         TuneEntry {
-            allreduce_rd_max: 0,
+            interrupt_disable_max: 0,
             ..TuneEntry::from_tuning(&SrmTuning::default())
         },
     );

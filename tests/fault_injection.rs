@@ -64,5 +64,5 @@ fn planted_am_stall_race_is_detected_and_reported() {
         stall_counter_race: true,
         ..Faults::default()
     };
-    detected_and_reported(0x00, faults);
+    detected_and_reported(0x03, faults);
 }

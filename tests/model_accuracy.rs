@@ -110,33 +110,35 @@ fn alltoall_within_tight_factor_of_simulation() {
 /// their own trees and the pipeline does not, so the allreduce runs as
 /// those two calls wherever the closed form says they finish first
 /// (DESIGN.md §9.5): the invariant holds there too, up to what one
-/// call boundary and the model's misses cost (1.05 at 4x16 / 1 MB;
-/// 16x4 / 256 KB stays four-stage at 1.18).
+/// call boundary and the model's misses cost. One call each, the
+/// isolated latency: back-to-back reduces and broadcasts overlap one
+/// another, which a single allreduce cannot. Measured: forced binomial
+/// 0.72-0.81 of reduce + broadcast, derived 0.986-0.998.
 #[test]
 fn large_allreduce_is_no_slower_than_reduce_then_broadcast() {
     let machine = MachineConfig::ibm_sp_colony();
-    for (nodes, tpn, len, gap) in [
-        (4usize, 16usize, 128usize << 10, 1.15),
-        (4, 16, 1 << 20, 1.10),
-        (16, 4, 256 << 10, 1.22),
+    for (nodes, tpn, len) in [
+        (4usize, 16usize, 128usize << 10),
+        (4, 16, 1 << 20),
+        (16, 4, 256 << 10),
     ] {
         let topo = Topology::new(nodes, tpn);
-        for (tree, bound) in [(Some(TreeKind::Binomial), 1.1), (None, gap)] {
+        for tree in [Some(TreeKind::Binomial), None] {
             let us = |op| {
                 let srm = SrmTuning {
                     tree,
                     ..SrmTuning::default()
                 };
-                let opts = HarnessOpts { iters: 2, srm };
+                let opts = HarnessOpts { iters: 1, srm };
                 measure(Impl::Srm, machine.clone(), topo, op, len, opts)
                     .per_call
                     .as_us()
             };
             let (all, parts) = (us(Op::Allreduce), us(Op::Reduce) + us(Op::Bcast));
             assert!(
-                all <= bound * parts,
+                all <= 1.05 * parts,
                 "{len}B on {nodes}x{tpn}, tree {tree:?}: allreduce {all:.1} us vs \
-                 reduce + broadcast {parts:.1} us (bound x{bound})"
+                 reduce + broadcast {parts:.1} us (bound x1.05)"
             );
         }
     }
@@ -172,7 +174,7 @@ fn pipelines_pick_their_trees() {
     // fill, binary before that on 16 nodes, never in a 4 KB-chunk
     // pipeline on 4.
     assert_eq!(m.trees(Bcast, 32 << 10), on(Binomial, Binomial));
-    assert_eq!(m.trees(Bcast, 128 << 10), on(Binomial, Binomial));
+    assert_eq!(m.trees(Bcast, 128 << 10), on(Chain, Binomial));
     assert_eq!(m.trees(Bcast, 1 << 20), on(Chain, Binomial));
     assert_eq!(m.trees(Reduce, 64 << 10), on(Chain, HungBinary));
     assert_eq!(m.trees(Reduce, 1 << 20), on(Chain, HungBinary));
@@ -183,10 +185,10 @@ fn pipelines_pick_their_trees() {
     assert!(!forced.allreduce_composes(1 << 20));
     let m = model(16, None);
     assert_eq!(m.trees(Bcast, 32 << 10), on(Binary, Binomial));
-    // Bytes past the first chunk are what a narrow tree saves on: half
-    // a second chunk is too few (simulated: binary 1 469 µs, binomial
-    // 1 306).
-    assert_eq!(m.trees(Bcast, 96 << 10), on(Binomial, Binomial));
+    // Bytes past the first chunk are what a narrow tree saves on: two
+    // more 32 KB puts are enough (simulated: binomial 1 227 µs, binary
+    // 885, chain 718).
+    assert_eq!(m.trees(Bcast, 96 << 10), on(Binary, Binomial));
     assert_eq!(m.trees(Bcast, 256 << 10), on(Binary, Binomial));
     assert_eq!(m.trees(Bcast, 1 << 20), on(Chain, Binomial));
     assert_eq!(m.trees(Reduce, 32 << 10), on(Binary, Binomial));

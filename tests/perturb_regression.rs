@@ -1,4 +1,4 @@
-//! Regression pins for the two real bugs the schedule-exploration
+//! Regression pins for the real bugs the schedule-exploration
 //! harness found, replayed under perturbation sweeps.
 //!
 //! 1. **Cross-collective Done-skip** (deterministic seeds 0x8c/0xfc): a
@@ -39,6 +39,16 @@
 //!    published in order" guard; the two-step program here is the
 //!    explorer's shrink of that seed, with no perturbation at all.
 //!
+//! 5. **A landing-pair writer's early release** (4x2 seed 0x5f0,
+//!    deterministic): publishing raised the writer's own RELEASED
+//!    counter, so a different next writer could claim the side while
+//!    the publishing master still forwarded it or copied its own part
+//!    out. Fixed by the writer's explicit release after its last read.
+//!
+//! 6. **The xfer channel's two consumers** (4x4 x32 seed 0x447): a
+//!    scatter master's DONE max-raise covered a reduce root's unread
+//!    use. Fixed by the consumer-side guard at the first xfer use.
+//!
 //! The first two bugs depended on `SpinFlag::raise` monotonicity for
 //! their fix, so these sweeps (run with the monotone default ON — see
 //! `tests/fault_injection.rs` for the reverted variant) pin exactly the
@@ -64,15 +74,15 @@ fn step(op: Op, seg: usize, root: usize, nonblocking: bool) -> ProgStep {
 /// Run a hand-built world-only program on `nodes`x`tpn` under `perturb`
 /// and panic with the harness's reproducer on any failure.
 fn run_pinned(nodes: usize, tpn: usize, steps: Vec<ProgStep>, perturb: Perturb) {
-    run_pinned_split(nodes, tpn, Vec::new(), steps, perturb)
+    run_pinned_comms(nodes, tpn, (Vec::new(), Vec::new()), steps, perturb)
 }
 
-/// [`run_pinned`] with `comm_split` partitions: a step's `comm` index
-/// `k > 0` runs on split `k - 1`.
-fn run_pinned_split(
+/// [`run_pinned`] with subgroups and `comm_split` partitions: a step's
+/// `comm` index `k > 0` runs on group `k - 1`, then on the splits.
+fn run_pinned_comms(
     nodes: usize,
     tpn: usize,
-    splits: Vec<SplitSpec>,
+    (groups, splits): (Vec<Vec<usize>>, Vec<SplitSpec>),
     steps: Vec<ProgStep>,
     perturb: Perturb,
 ) {
@@ -80,7 +90,7 @@ fn run_pinned_split(
         nodes,
         tpn,
         perturb,
-        groups: Vec::new(),
+        groups,
         splits,
         steps,
     };
@@ -210,15 +220,16 @@ fn skewed_allreduce_pipeline_under_perturbation() {
             let seed = 0xa11_0000 + (n * 2 + k) as u64;
             let perturb = Perturb::standard(seed).with_straggler(straggler, SimTime::from_us(60));
             let on_split = |s: ProgStep| ProgStep { comm: 1, ..s };
-            run_pinned_split(
+            let split = SplitSpec {
+                ncolors: 3,
+                block: true,
+                rev: false,
+                exclude: None,
+            };
+            run_pinned_comms(
                 nodes,
                 tpn,
-                vec![SplitSpec {
-                    ncolors: 3,
-                    block: true,
-                    rev: false,
-                    exclude: None,
-                }],
+                (Vec::new(), vec![split]),
                 vec![
                     step(Op::Allreduce, 5 * chunk, 0, false),
                     step(Op::Allreduce, 5 * chunk, 0, false),
@@ -250,5 +261,53 @@ fn xfer_ready_skip_gather_then_scatter_at_non_master_roots() {
             step(Op::Scatter, 4096, 1, false),
         ],
         Perturb::new(0x1c6),
+    );
+}
+
+/// A landing-pair writer that released its use at publish: on 4x2 a
+/// blocking allgather's broadcast half leaves node 1's master still
+/// forwarding and copying out of a landing side when the next
+/// broadcast's root-node writer claims it, because the publish had
+/// already raised the writer's own RELEASED counter. Ranks 2 and 3
+/// then held the broadcast's bytes at byte 0 of segment 7. Every
+/// writer now releases after its last read of the side; the program
+/// needs no perturbation.
+#[test]
+fn pair_writer_releases_after_its_last_read() {
+    run_pinned(
+        4,
+        2,
+        vec![
+            step(Op::Allgather, 4096, 0, false),
+            step(Op::Bcast, 8960, 1, false),
+        ],
+        Perturb::new(0x5f0),
+    );
+}
+
+/// The xfer channel's two consumers, shrunk from 4x4 x32 seed 0x447
+/// with every mechanism off: a reduce at non-master root 10 consumes
+/// its chunk from the xfer side, and the scatter behind it at
+/// non-master root 9 has node 2's master consume its first piece. A
+/// max-raise of DONE for that piece covered the reduce use root 10 had
+/// not read yet, and root 9's next piece overwrote it. The "handoff
+/// consumed in order" guard at the plan's first xfer use orders the
+/// two consumers. The program fails without the guard whether or not
+/// the pair writers release after their last read.
+#[test]
+fn xfer_consumers_take_their_uses_in_order() {
+    run_pinned_comms(
+        4,
+        4,
+        (vec![vec![3, 7, 9]], Vec::new()),
+        vec![
+            ProgStep {
+                comm: 1,
+                ..step(Op::Allreduce, 131072, 0, true)
+            },
+            step(Op::Reduce, 256, 10, false),
+            step(Op::Scatter, 256, 9, true),
+        ],
+        Perturb::new(0x447),
     );
 }

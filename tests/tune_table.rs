@@ -16,7 +16,7 @@ const SEG: usize = 4 * 1024;
 const BCAST_LEN: usize = 8 * 1024;
 
 /// A table whose entries reroute every op of [`run_program`]: the
-/// allreduce off recursive doubling, the alltoall onto a wider
+/// allreduce onto interrupts-off masters, the alltoall onto a wider
 /// narrower-chunk window, the broadcast onto a finer pipeline.
 fn demo_table() -> TuneTable {
     let base = TuneEntry::from_tuning(&SrmTuning::default());
@@ -30,7 +30,7 @@ fn demo_table() -> TuneTable {
     t.insert(
         wild(TuneOp::Allreduce),
         TuneEntry {
-            allreduce_rd_max: 0,
+            interrupt_disable_max: ALLREDUCE_LEN,
             ..base
         },
     );
@@ -210,35 +210,30 @@ fn serialize_load_replan_bit_identical() {
 
 /// Strategy for an arbitrary decision entry over the default base
 /// tuning — valid by construction (power-of-two knobs kept within the
-/// default geometry: `rd_max`/`pairwise_chunk` within the 16 KB reduce
-/// chunk, pipeline range within the chosen switch).
+/// default geometry: `pairwise_chunk` within the 16 KB reduce chunk,
+/// pipeline range within the chosen switch).
 fn arb_entry() -> impl Strategy<Value = TuneEntry> {
     let base = SrmTuning::default();
     (
         (1usize..=7, 0usize..=4), // small_large_switch, pipeline_chunk: 2^k KB
-        (
-            prop_oneof![Just(0usize), Just(2), Just(8), Just(16)], // rd_max KB
-            prop_oneof![Just(usize::MAX), Just(1), Just(64 * 1024)], // rs_min
-        ),
+        prop_oneof![Just(usize::MAX), Just(1), Just(64 * 1024)], // rs_min
         (1usize..=4, 1usize..=4), // pairwise chunk 2^k KB, window
         prop_oneof![Just(0usize), Just(8 * 1024), Just(64 * 1024)],
         // pairwise_direct_min: off / always-direct / the default edge
         prop_oneof![Just(usize::MAX), Just(0usize), Just(64 * 1024)],
     )
-        .prop_map(move |((sls, pc), (rd, rs), (pwc, pww), idm, pdm)| {
+        .prop_map(move |((sls, pc), rs, (pwc, pww), idm, pdm)| {
             let sls = (1 << sls) * 1024;
             TuneEntry {
                 small_large_switch: sls,
                 pipeline_min: base.pipeline_min.min(sls),
                 pipeline_max: base.pipeline_max.min(sls),
                 pipeline_chunk: ((1 << pc) * 1024usize).min(sls),
-                allreduce_rd_max: rd * 1024,
                 allreduce_rs_min: rs,
                 interrupt_disable_max: idm,
                 pairwise_chunk: (1 << pwc) * 1024,
                 pairwise_window: pww,
                 pairwise_direct_min: pdm,
-                ..TuneEntry::from_tuning(&base)
             }
         })
 }
