@@ -35,6 +35,9 @@
 //!                          by K (default 1): 8 or 16 reaches the
 //!                          chunked reduce and allreduce pipelines and
 //!                          the large broadcast
+//!   --ops OP               every step runs OP (an `--op` token) in
+//!                          place of the drawn operation; the rest of
+//!                          the scenario is drawn as usual
 //!   --inject raise-race    fault injection: revert SpinFlag::raise to
 //!                          a non-monotone store; the sweep must CATCH
 //!                          it (exit 0 on detection, 1 on a miss)
@@ -104,13 +107,15 @@ struct Args {
     /// `--route`: the `pairwise_direct_min` that forces it.
     route: Option<usize>,
     tree_scale: usize,
+    /// `--ops`: the one operation every stress step runs.
+    only: Option<Op>,
     inject: Option<String>,
 }
 
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}\n");
     eprintln!("usage: explore [--op OP] [--nodes N] [--tpn P] [--bytes B,..] [--impl I] [--machine M] [--iters K] [--tree T]");
-    eprintln!("       explore --seeds N [--start-seed S] [--nodes N] [--tpn P] [--max-ops K] [--no-subgroups] [--route direct|staged] [--tree-scale K] [--inject raise-race|am-stall-race]");
+    eprintln!("       explore --seeds N [--start-seed S] [--nodes N] [--tpn P] [--max-ops K] [--no-subgroups] [--route direct|staged] [--tree-scale K] [--ops OP] [--inject raise-race|am-stall-race]");
     eprintln!("       explore --shrink S [same options as --seeds]");
     std::process::exit(2)
 }
@@ -142,6 +147,7 @@ fn parse() -> Args {
         subgroups: true,
         route: None,
         tree_scale: 1,
+        only: None,
         inject: None,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -183,6 +189,10 @@ fn parse() -> Args {
             }
             "--tree-scale" => {
                 a.tree_scale = val.parse().unwrap_or_else(|_| usage("bad --tree-scale"))
+            }
+            "--ops" => {
+                let op = Op::from_name(val);
+                a.only = Some(op.unwrap_or_else(|| usage(&format!("unknown op '{val}'"))))
             }
             "--inject" => {
                 if val != "raise-race" && val != "am-stall-race" {
@@ -261,6 +271,7 @@ fn explore_opts(a: &Args) -> ExploreOpts {
         subgroups: a.subgroups,
         faults,
         tree_scale: a.tree_scale,
+        only: a.only,
         ..ExploreOpts::default()
     };
     if let Some(min) = a.route {
@@ -294,7 +305,7 @@ fn stress(a: &Args, count: u64) -> ! {
     let opts = explore_opts(a);
     println!(
         "exploring {count} seed(s) from 0x{:016x} (topology {}, max {} ops, subgroups {}, \
-         tree ops x{})",
+         tree ops x{}, ops {})",
         a.start_seed,
         if a.nodes_set || a.tpn_set {
             format!(
@@ -308,6 +319,7 @@ fn stress(a: &Args, count: u64) -> ! {
         a.max_ops,
         if a.subgroups { "on" } else { "off" },
         a.tree_scale,
+        a.only.map_or("all", Op::as_str),
     );
     let mut explored = 0;
     let mut summary = srm_cluster::ExploreSummary::default();

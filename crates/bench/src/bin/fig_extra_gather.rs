@@ -6,7 +6,7 @@
 //! bytes in total; the grid therefore stops at 64 KB segments where
 //! the 8 MB figures stop. The paper did not measure these operations;
 //! this sweep documents that its protocol components (contribution
-//! channels, direct user-buffer puts, landing-pair distribution)
+//! channels, direct user-buffer puts, node-pair distribution)
 //! compose into vector collectives with the same kind of advantage.
 
 use simnet::MachineConfig;

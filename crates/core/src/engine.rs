@@ -27,13 +27,13 @@
 //! own predecessors.
 
 use crate::plan::{
-    BufRef, Chan, ChanKind, CopyCost, CtrRef, FlagRef, Hand, Off, PairSel, Plan, PlanKey, SeqBase,
-    Side, Step, Until, Val, WaitCell, SEQ_BASES,
+    BufRef, Chan, ChanKind, CopyCost, CtrRef, FlagRef, Hand, Off, Plan, PlanKey, SeqBase, Side,
+    Step, Until, Val, WaitCell, SEQ_BASES,
 };
 use crate::world::{Channel, HandleSlot, SrmComm};
 use collops::{combine_from_buffer_costed, DType, ReduceOp};
 use rma::{LapiCounter, Rma};
-use shmem::{BufPair, ShmBuffer, SpinFlag};
+use shmem::{ShmBuffer, SpinFlag};
 use simnet::Ctx;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -45,28 +45,17 @@ pub(crate) fn val_of(bases: &[u64; SEQ_BASES], v: Val) -> u64 {
     }
 }
 
-pub(crate) fn side_of(bases: &[u64; SEQ_BASES], s: Side) -> usize {
-    (seq_of(bases, s) % 2) as usize
-}
-
 /// The full use-sequence number a `Side` resolves to — the buffer pair
 /// protocol counts *uses*, not parities, so writer handoffs between
 /// uses of the same side stay ordered (see [`shmem::BufPair`]).
 pub(crate) fn seq_of(bases: &[u64; SEQ_BASES], s: Side) -> u64 {
-    bases[s.base.index()] + s.rel
+    bases[SeqBase::Pair.index()] + s.rel
 }
 
 pub(crate) fn off_of(bases: &[u64; SEQ_BASES], o: Off) -> usize {
     match o {
         Off::Lit(x) => x,
         Off::Parity { base, rel, stride } => ((bases[base.index()] + rel) % 2) as usize * stride,
-    }
-}
-
-pub(crate) fn pair_of(comm: &SrmComm, sel: PairSel) -> &BufPair {
-    match sel {
-        PairSel::Smp => &comm.board().smp,
-        PairSel::Landing => &comm.board().landing,
     }
 }
 
@@ -87,7 +76,7 @@ pub(crate) fn flag_of(comm: &SrmComm, f: FlagRef) -> &SpinFlag {
 pub(crate) fn chan_of<'a>(comm: &'a SrmComm, bases: &[u64; SEQ_BASES], c: Chan) -> &'a Channel {
     let parity = |base: SeqBase| ((bases[base.index()] + c.lane as u64) % 2) as usize;
     match c.kind {
-        ChanKind::Bcast => &comm.peer(c.dst, c.src).bcast[parity(SeqBase::Landing)],
+        ChanKind::Bcast => &comm.peer(c.dst, c.src).bcast[parity(SeqBase::Bcast)],
         ChanKind::Reduce => &comm.peer(c.dst, c.src).reduce[parity(SeqBase::Reduce)],
         ChanKind::Rd => &comm.exchange(c.dst, c.src).rd,
         ChanKind::Ring => comm.pairwise().ring(c.src, c.dst),
@@ -121,7 +110,7 @@ pub(crate) fn buf_of<'a>(
     match r {
         BufRef::User => user,
         BufRef::Acc => panic!("accumulator is not an addressable buffer"),
-        BufRef::Pair { pair, side } => pair_of(comm, pair).buf(side_of(bases, side)),
+        BufRef::Pair { side } => comm.board().pair.buf((seq_of(bases, side) % 2) as usize),
         BufRef::Hand(Hand::Slot(slot)) => &comm.board().contrib[slot],
         BufRef::Hand(Hand::Xfer) => &comm.board().xfer,
         BufRef::Chan(ch) => &chan_of(comm, bases, ch).landing,
@@ -202,9 +191,9 @@ impl SrmComm {
                 consume,
                 label,
             } => {
-                if let (WaitCell::Pair { pair, side }, Until::Use(what)) = (cell, until) {
+                if let (WaitCell::Pair { side }, Until::Use(what)) = (cell, until) {
                     let q = seq_of(bases, side);
-                    let (flags, value) = pair_of(self, pair).watch(q, what, self.cslot());
+                    let (flags, value) = self.board().pair.watch(q, what, self.cslot());
                     return Some(Watch::Flags {
                         flags,
                         eq: false,
@@ -553,15 +542,13 @@ impl SrmComm {
                     .and_then(|w| w.block(ctx, &mut st.stalled));
                 st.taken.extend(handle);
             }
-            Step::PairPublish { pair, side } => {
-                pair_of(self, pair).publish_from(ctx, seq_of(&bases, side), self.cslot());
+            Step::PairPublish { side } => {
+                let q = seq_of(&bases, side);
+                self.board().pair.publish_from(ctx, q, self.cslot());
             }
-            Step::PairRelease { pair, side } => {
-                pair_of(self, pair).release(ctx, seq_of(&bases, side), self.cslot());
-            }
-            Step::PairCatchUp { pair, base, rel } => {
-                let q_end = bases[base.index()] + rel;
-                pair_of(self, pair).catch_up(ctx, q_end, self.cslot());
+            Step::PairRelease { side } => {
+                let q = seq_of(&bases, side);
+                self.board().pair.release(ctx, q, self.cslot());
             }
             Step::RmaPut {
                 to,

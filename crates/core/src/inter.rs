@@ -14,15 +14,15 @@
 //!
 //! Only one task per node — the **master** (group slot 0) — touches the
 //! network. Data put by a parent node lands in shared memory (the
-//! node's landing buffers or, for large broadcasts, directly in the
+//! edge's landing buffers or, for large broadcasts, directly in the
 //! master's user buffer), where it "is directly available to all the
 //! tasks running on that node without the need for copying the data".
 //!
 //! Flow control is explicit, exactly as the paper describes replacing
-//! MPI's eager/rendezvous machinery: two landing buffers per node, a
-//! data counter per buffer bumped by the parent's put, and a credit
-//! counter per (parent, child) edge restored by the child's zero-byte
-//! put when its node has drained a buffer. Counters are waited on with
+//! MPI's eager/rendezvous machinery: two landing buffers per (parent,
+//! child) edge, a data counter per buffer bumped by the parent's put,
+//! and a credit counter per buffer restored by the child's zero-byte
+//! put when its node has drained it. Counters are waited on with
 //! `LAPI_Waitcntr`-style calls so the dispatcher makes progress without
 //! interrupts while interrupts are disabled for small operations.
 //!
@@ -34,15 +34,16 @@
 //! zero staging at the root), and allgather is literally a gather plan
 //! concatenated with a broadcast plan.
 //!
-//! Because cross-node counters are parity-indexed against the
-//! [`SeqBase::Landing`] and [`SeqBase::Reduce`] cumulatives, every
-//! plan advances those two bases by the **same amount on every member
-//! of the communicator** (the maximum over nodes when per-node work
+//! Because cross-node channels are parity-indexed against the
+//! [`SeqBase::Bcast`] and [`SeqBase::Reduce`] cumulatives, every plan
+//! advances those two bases by the **same amount on every member of
+//! the communicator** (the maximum over nodes when per-node work
 //! differs, as in scatter on a group with uneven membership).
 //! Under-advancing a rank that skipped the work would desynchronize
-//! the parities; over-advancing is safe because the landing-pair flags
-//! are stateless and the contribution channels re-synchronize through
-//! `SrmComm::plan_contrib_catchup`.
+//! the parities; the contribution channels re-synchronize an
+//! over-advance through `SrmComm::plan_contrib_catchup`. The node's
+//! buffer pair is no cross-node state: [`SeqBase::Pair`] advances per
+//! node, by the uses the node made.
 //!
 //! A plan holds only what the protocol does — copies, flag operations,
 //! puts and waits. How far it moves each cumulative is a total beside
@@ -51,10 +52,12 @@
 
 use crate::embed::{depth, GroupTree};
 use crate::plan::{
-    BufRef, Chan, ChanKind, CopyCost, CtrRef, FlagRef, Hand, Off, PairSel, PlanBuilder, SeqBase,
-    Side, Step, Until, Val, WaitCell,
+    BufRef, Chan, ChanKind, CopyCost, CtrRef, FlagRef, Hand, Off, PlanBuilder, SeqBase, Side, Step,
+    Until, Val, WaitCell,
 };
-use crate::smp::{plan_acc_to_user, plan_pair_release, plan_stage_acc, smp_cell, smp_cells};
+use crate::smp::{
+    pair_buf, plan_acc_to_user, plan_pair_release, plan_stage_acc, smp_cell, smp_cells,
+};
 use crate::tune::TuneOp as Op;
 use crate::tuning::SrmTuning;
 use crate::world::SrmComm;
@@ -62,10 +65,6 @@ use shmem::PairUse;
 
 pub(crate) fn seq(base: SeqBase, rel: u64) -> Val {
     Val::Seq { base, rel }
-}
-
-pub(crate) fn par(base: SeqBase, rel: u64) -> Side {
-    Side { base, rel }
 }
 
 pub(crate) fn poff(base: SeqBase, rel: u64, stride: usize) -> Off {
@@ -160,22 +159,31 @@ impl SrmComm {
         self.plan_credit_return(b, c);
     }
 
-    /// Forward landing-pair use `rel` to every child node, honouring
-    /// the per-edge credits (Figure 4, left).
-    fn plan_forward_landing_chunk(
+    /// Forward broadcast chunk `brel` (a [`SeqBase::Bcast`] lane) from
+    /// `data` to every child node, honouring the per-edge credits
+    /// (Figure 4, left).
+    fn plan_forward_chunk(
         &self,
         b: &mut PlanBuilder,
         tree: &GroupTree,
-        rel: u64,
+        brel: u64,
+        data: BufRef,
         clen: usize,
     ) {
-        let mine = BufRef::Pair {
-            pair: PairSel::Landing,
-            side: par(SeqBase::Landing, rel),
-        };
         for &c in tree.down() {
-            let to = Chan::new(ChanKind::Bcast, self.cnode(), c, rel);
-            self.plan_credit_put(b, (to, 0), false, (mine, Off::Lit(0)), clen);
+            let to = Chan::new(ChanKind::Bcast, self.cnode(), c, brel);
+            self.plan_credit_put(b, (to, 0), false, (data, Off::Lit(0)), clen);
+        }
+    }
+
+    /// Where broadcast chunk `(rel, brel)` — pair use `rel`, lane
+    /// `brel` — is read on my node: the pair side its local writer
+    /// filled on the tree's root node, else the edge landing the
+    /// parent's put left it in.
+    fn bcast_data(&self, tree: &GroupTree, (rel, brel): (u64, u64)) -> BufRef {
+        match tree.parent() {
+            None => pair_buf(rel),
+            Some(parent) => BufRef::Chan(Chan::new(ChanKind::Bcast, parent, self.cnode(), brel)),
         }
     }
 
@@ -198,26 +206,27 @@ impl SrmComm {
     }
 
     /// One chunk down the inter-node tree on a non-root node's master
-    /// (Figure 4, step 2): take the parent's put, publish it to the
-    /// node, send it down the tree first, copy my own part out, release
-    /// the side, and return the credit once the node has drained it.
+    /// (Figure 4, step 2): take the parent's put into the edge landing,
+    /// publish pair use `rel` for it, send it down the tree first, copy
+    /// my own part out, release the use, and return the credit once the
+    /// node has drained it.
     fn plan_tree_down(
         &self,
         b: &mut PlanBuilder,
         tree: &GroupTree,
-        rel: u64,
+        (rel, brel): (u64, u64),
         off: usize,
         clen: usize,
     ) {
         let parent = tree.parent().expect("non-root node has a parent");
-        let from = Chan::new(ChanKind::Bcast, parent, self.cnode(), rel);
-        let (pair, side) = (PairSel::Landing, par(SeqBase::Landing, rel));
+        let from = Chan::new(ChanKind::Bcast, parent, self.cnode(), brel);
+        let side = Side { rel };
         b.wait_ctr(CtrRef::Data(from), 1);
-        b.push(Step::PairPublish { pair, side });
-        self.plan_forward_landing_chunk(b, tree, rel, clen);
-        self.plan_pair_copy_out(b, pair, rel, (0, off, clen));
-        plan_pair_release(b, pair, rel);
-        let cell = WaitCell::Pair { pair, side };
+        b.push(Step::PairPublish { side });
+        self.plan_forward_chunk(b, tree, brel, BufRef::Chan(from), clen);
+        self.plan_pair_copy_out(b, BufRef::Chan(from), (0, off, clen));
+        plan_pair_release(b, rel);
+        let cell = WaitCell::Pair { side };
         b.wait(cell, Until::Use(PairUse::Drained), "buffer use drained");
         self.plan_credit_return(b, from);
     }
@@ -243,8 +252,8 @@ impl SrmComm {
         let kind = self.model(&t).trees(Op::Bcast, len).inter;
         let tree = self.group().tree(kind, self.cnode_of(root), self.cnode());
         let quiet = self.c_is_master() && len <= t.interrupt_disable_max;
-        // Staged through the landing buffers, or one direct put per
-        // child after an address exchange.
+        // Staged through the pair and the edge landings, or one direct
+        // put per child after an address exchange.
         b.interrupts_off(quiet, |b| {
             if len > t.small_large_switch {
                 self.plan_bcast_large(b, len, root, &tree);
@@ -254,47 +263,50 @@ impl SrmComm {
         });
     }
 
-    /// Small-message broadcast (≤ 64 KB): puts land in the node's two
-    /// shared landing buffers; 8–32 KB messages are pipelined in 4 KB
-    /// chunks through them (§2.4).
+    /// Small-message broadcast (≤ 64 KB): the root node stages each
+    /// chunk in its buffer pair, every other node takes it in its
+    /// parent edge's landing; 8–32 KB messages are pipelined in 4 KB
+    /// chunks (§2.4).
     fn plan_bcast_small(&self, b: &mut PlanBuilder, len: usize, root: usize, tree: &GroupTree) {
         let chunk = b.tuning().small_bcast_chunk(len);
         let chunks = SrmTuning::chunk_count(len, chunk);
         let on_root_node = self.cnode() == tree.root();
-        let rel0 = b.rel(SeqBase::Landing);
-        let pair = PairSel::Landing;
+        let (rel0, brel0) = (b.rel(SeqBase::Pair), b.rel(SeqBase::Bcast));
 
         for k in 0..chunks {
             let off = k * chunk;
             let clen = chunk.min(len - off);
-            let rel = rel0 + k as u64;
+            let rels = (rel0 + k as u64, brel0 + k as u64);
+            let (rel, brel) = rels;
+            let data = self.bcast_data(tree, rels);
             let mine = Some((0, off, clen));
             if self.crank() == root {
-                // Stage the chunk into the landing buffer: it serves
-                // both the local distribution and the network puts.
-                // Publish locally before the (possibly credit-blocked)
-                // puts: they are one-sided and lose nothing, while the
-                // local readers can start draining at once.
-                self.plan_pair_write(b, pair, rel, (BufRef::User, Off::Lit(off)), clen, 1);
+                // Stage the chunk into the pair: it serves both the
+                // local distribution and the network puts. Publish
+                // locally before the (possibly credit-blocked) puts:
+                // they are one-sided and lose nothing, while the local
+                // readers can start draining at once.
+                self.plan_pair_write(b, rel, (BufRef::User, Off::Lit(off)), clen, 1);
                 if self.c_is_master() {
-                    self.plan_forward_landing_chunk(b, tree, rel, clen);
+                    self.plan_forward_chunk(b, tree, brel, data, clen);
                 }
-                plan_pair_release(b, pair, rel);
+                plan_pair_release(b, rel);
             } else if on_root_node && self.c_is_master() {
                 // Root is another task on this node: read its published
                 // chunk, forward it down the tree, then consume it.
                 let forward =
-                    |b: &mut PlanBuilder| self.plan_forward_landing_chunk(b, tree, rel, clen);
-                self.plan_pair_read(b, pair, rel, forward, mine);
+                    |b: &mut PlanBuilder| self.plan_forward_chunk(b, tree, brel, data, clen);
+                self.plan_pair_read(b, (rel, data), forward, mine);
             } else if self.c_is_master() {
-                self.plan_tree_down(b, tree, rel, off, clen);
+                self.plan_tree_down(b, tree, rels, off, clen);
             } else {
                 // Plain reader: the put target is shared memory, so the
                 // data is consumed with a single copy.
-                self.plan_pair_read(b, pair, rel, |_| {}, mine);
+                self.plan_pair_read(b, (rel, data), |_| {}, mine);
             }
         }
-        b.advance(SeqBase::Landing, chunks as u64);
+        b.advance(SeqBase::Pair, chunks as u64);
+        b.advance(SeqBase::Bcast, chunks as u64);
     }
 
     /// Large-message broadcast (> 64 KB, Figure 4 right): an address
@@ -340,7 +352,7 @@ impl SrmComm {
                 });
             }
         };
-        let rel0 = b.rel(SeqBase::Smp);
+        let rel0 = b.rel(SeqBase::Pair);
 
         if my_node == root_node {
             if self.crank() == root {
@@ -361,7 +373,7 @@ impl SrmComm {
                     self.plan_smp_cell_read(b, off, clen, rel0 + j as u64);
                     emit_puts_for_cell(b, j);
                 }
-                b.advance(SeqBase::Smp, cells as u64);
+                b.advance(SeqBase::Pair, cells as u64);
             } else {
                 self.plan_smp_bcast(b, len, self.cworld_of(root));
             }
@@ -378,7 +390,7 @@ impl SrmComm {
                 }
             }
             if p > 1 {
-                b.advance(SeqBase::Smp, cells as u64);
+                b.advance(SeqBase::Pair, cells as u64);
             }
         } else {
             self.plan_smp_bcast(b, len, self.cmaster_of(my_node));
@@ -585,9 +597,9 @@ impl SrmComm {
     /// runs one chunk further ahead than its parent. Bounds: the ranks
     /// of a node share one skew (a non-master behind its master would
     /// deadlock the node), and node 0's non-masters may lead their
-    /// master by at most the two contribution plus two landing sides.
+    /// master by at most the two contribution plus two pair sides.
     /// Up-leg cells (contribution sides, `Reduce` channels and credits)
-    /// are freed by up-leg steps only and down-leg cells (`Landing`
+    /// are freed by up-leg steps only and down-leg cells (the node
     /// pair, `Bcast` channels) by down-leg steps only, so no wait
     /// crosses the legs except through program order.
     fn allreduce_skew(&self) -> usize {
@@ -609,36 +621,40 @@ impl SrmComm {
         let chunk = self.tuning().reduce_chunk;
         let chunks = SrmTuning::chunk_count(len, chunk);
         let rel0 = b.rel(SeqBase::Reduce);
-        let lrel0 = b.rel(SeqBase::Landing);
-        let pair = PairSel::Landing;
+        let (prel0, brel0) = (b.rel(SeqBase::Pair), b.rel(SeqBase::Bcast));
         let (master, on_root) = (self.c_is_master(), self.cnode() == 0);
-        let span = |k: usize| (k * chunk, chunk.min(len - k * chunk), lrel0 + k as u64);
+        let span = |k: usize| {
+            let rels = (prel0 + k as u64, brel0 + k as u64);
+            (k * chunk, chunk.min(len - k * chunk), rels)
+        };
 
         for i in 0..chunks + d {
             if i < chunks {
-                let ((off, clen, lrel), rel) = (span(i), rel0 + i as u64);
+                let ((off, clen, rels), rel) = (span(i), rel0 + i as u64);
                 let has_acc = self.plan_smp_reduce_chunk(b, off, clen, rel, self.tree());
                 if master {
                     debug_assert!(has_acc, "master is the subtree root");
                     self.plan_tree_up(b, &tree, rel, clen);
                     if on_root {
                         // Fully combined: start the broadcast leg here.
-                        self.plan_pair_write(b, pair, lrel, (BufRef::Acc, Off::Lit(0)), clen, 1);
-                        self.plan_forward_landing_chunk(b, &tree, lrel, clen);
-                        plan_pair_release(b, pair, lrel);
+                        let (prel, brel) = rels;
+                        self.plan_pair_write(b, prel, (BufRef::Acc, Off::Lit(0)), clen, 1);
+                        self.plan_forward_chunk(b, &tree, brel, pair_buf(prel), clen);
+                        plan_pair_release(b, prel);
                         plan_acc_to_user(b, off, clen);
                     }
                 }
             }
-            let Some((off, clen, lrel)) = i.checked_sub(d).map(span) else {
+            let Some((off, clen, rels)) = i.checked_sub(d).map(span) else {
                 continue;
             };
             if !master {
-                // Consume the broadcast chunk from the landing buffer.
-                self.plan_pair_read(b, pair, lrel, |_| {}, Some((0, off, clen)));
+                // Consume the broadcast chunk where it landed.
+                let data = (rels.0, self.bcast_data(&tree, rels));
+                self.plan_pair_read(b, data, |_| {}, Some((0, off, clen)));
             } else if !on_root {
                 // The combined chunk comes back: forward, distribute.
-                self.plan_tree_down(b, &tree, lrel, off, clen);
+                self.plan_tree_down(b, &tree, rels, off, clen);
             }
         }
         if master {
@@ -646,7 +662,8 @@ impl SrmComm {
             self.plan_contrib_catchup(b, rel0 + chunks as u64);
         }
         b.advance(SeqBase::Reduce, chunks as u64);
-        b.advance(SeqBase::Landing, chunks as u64);
+        b.advance(SeqBase::Pair, chunks as u64);
+        b.advance(SeqBase::Bcast, chunks as u64);
     }
 
     // ----------------------------------------------------------------
@@ -926,7 +943,7 @@ impl SrmComm {
     /// Protocol: the root streams each destination node's block in
     /// pieces (see [`SrmComm::scatter_pieces`]) through the reduce
     /// landing channels (reusing their credit protocol unchanged); the
-    /// receiving master relays each piece into the node's landing pair,
+    /// receiving master relays each piece into the node's buffer pair,
     /// where every slot copies out just the overlap with its own
     /// segment. A root that is not its node's master hands pieces to
     /// the master through the `xfer` buffer, exactly like the reduce
@@ -944,16 +961,15 @@ impl SrmComm {
         let (root_node, root_gslot) = self.ccoord_of(root);
         let xfer_relay = self.cmulti() && root_gslot != 0;
         let rel0 = b.rel(SeqBase::Reduce);
-        let lrel0 = b.rel(SeqBase::Landing);
+        let prel0 = b.rel(SeqBase::Pair);
         let xrel0 = b.rel(SeqBase::Xfer);
-        let pair = PairSel::Landing;
         let pieces: Vec<Vec<(usize, usize, usize)>> = (0..nodes)
             .map(|g| self.scatter_pieces(g, len, chunk))
             .collect();
         // Uniform advance: per-node piece counts differ on uneven
-        // groups, but the Reduce/Landing cumulatives must advance
-        // identically on every member (see the module doc), so all
-        // ranks advance by the maximum.
+        // groups, but the Reduce cumulative must advance identically on
+        // every member (see the module doc), so all ranks advance by
+        // the maximum.
         let max_pieces = pieces.iter().map(Vec::len).max().expect("nonempty group");
         // The wire pieces in stream order, as `(destination node,
         // reduce chunk, xfer use, root offset, bytes)`.
@@ -969,12 +985,12 @@ impl SrmComm {
                 .enumerate()
                 .map(|(xi, (c, j, &(roff, _, plen)))| (c, rel0 + j, xrel0 + xi as u64, roff, plen))
         };
-        // Reader side of the landing-pair distribution of my node's
-        // block (every non-publishing slot must release every piece).
+        // Reader side of the pair distribution of my node's block
+        // (every non-publishing slot must release every piece).
         let read_block = |b: &mut PlanBuilder| {
             for (j, &(_, boff, plen)) in pieces[my_node].iter().enumerate() {
-                let mine = self.block_overlap(len, (boff, plen), my);
-                self.plan_pair_read(b, pair, lrel0 + j as u64, |_| {}, mine);
+                let (rel, mine) = (prel0 + j as u64, self.block_overlap(len, (boff, plen), my));
+                self.plan_pair_read(b, (rel, pair_buf(rel)), |_| {}, mine);
             }
         };
 
@@ -990,12 +1006,12 @@ impl SrmComm {
                     self.plan_hand_publish(b, (Hand::Xfer, xrel), from, plen, CopyCost::Free);
                 }
             }
-            // Distribute my own node's block through the landing pair.
+            // Distribute my own node's block through the pair.
             if p > 1 {
                 for (j, &(roff, _, plen)) in pieces[my_node].iter().enumerate() {
                     let from = (BufRef::User, Off::Lit(roff));
-                    self.plan_pair_write(b, pair, lrel0 + j as u64, from, plen, 1);
-                    plan_pair_release(b, pair, lrel0 + j as u64);
+                    self.plan_pair_write(b, prel0 + j as u64, from, plen, 1);
+                    plan_pair_release(b, prel0 + j as u64);
                 }
             }
         } else if my_node == root_node {
@@ -1014,19 +1030,19 @@ impl SrmComm {
             read_block(b);
         } else if my == 0 {
             // Destination-node master: land each piece, republish it on
-            // the landing pair, return the credit, take my overlap.
+            // the pair, return the credit, take my overlap.
             for (j, &(_, boff, plen)) in pieces[my_node].iter().enumerate() {
                 let from = Chan::new(ChanKind::Reduce, root_node, my_node, rel0 + j as u64);
                 let landed = (BufRef::Chan(from), Off::Lit(0));
-                let lrel = lrel0 + j as u64;
+                let rel = prel0 + j as u64;
                 b.wait_ctr(CtrRef::Data(from), 1);
                 if p > 1 {
-                    self.plan_pair_write(b, pair, lrel, landed, plen, 1);
+                    self.plan_pair_write(b, rel, landed, plen, 1);
                     self.plan_credit_return(b, from);
                     if let Some(mine) = self.block_overlap(len, (boff, plen), my) {
-                        self.plan_pair_copy_out(b, pair, lrel, mine);
+                        self.plan_pair_copy_out(b, pair_buf(rel), mine);
                     }
-                    plan_pair_release(b, pair, lrel);
+                    plan_pair_release(b, rel);
                 } else {
                     b.push(Step::ShmCopy {
                         src: landed.0,
@@ -1047,19 +1063,12 @@ impl SrmComm {
         // reduce landing channels) but no contribution channel carries
         // data — every rank re-synchronizes its own.
         self.plan_contrib_catchup(b, rel0 + max_pieces as u64);
-        // My node's landing pair carried only its own block's pieces
-        // (none on a single-slot node); account the skipped uses of the
-        // group-wide advance as released.
-        let mine = if p > 1 { pieces[my_node].len() } else { 0 };
-        if mine < max_pieces {
-            b.push(Step::PairCatchUp {
-                pair,
-                base: SeqBase::Landing,
-                rel: lrel0 + max_pieces as u64,
-            });
-        }
         b.advance(SeqBase::Reduce, max_pieces as u64);
-        b.advance(SeqBase::Landing, max_pieces as u64);
+        // My node's pair carried its own block's pieces (none on a
+        // single-slot node).
+        if p > 1 {
+            b.advance(SeqBase::Pair, pieces[my_node].len() as u64);
+        }
         if xfer_relay && my_node == root_node {
             b.advance(SeqBase::Xfer, stream().count() as u64);
         }

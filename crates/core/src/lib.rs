@@ -12,8 +12,8 @@
 //! **registered memory**: the network may put into them directly (the
 //! zero-copy large-message broadcast), exactly as LAPI could target any
 //! user address on the SP. Intra-node sharing, however, only happens
-//! through the designated per-node structures (landing buffers, the
-//! two-buffer broadcast pair, contribution slots) — a user buffer is
+//! through the designated per-node structures (edge landings, the
+//! node's buffer pair, contribution slots) — a user buffer is
 //! private to its rank as far as other local tasks are concerned, which
 //! is why the protocols pay the copies the paper says they pay and no
 //! others.

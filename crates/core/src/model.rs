@@ -145,7 +145,7 @@ impl SrmModel {
         let fan = tree.fan as u64;
         if len <= self.tuning.small_large_switch {
             // Small protocol: stage at the root, distribute the last
-            // chunk locally. A landing side comes back once its node
+            // chunk locally. An edge landing comes back once its node
             // has drained it and the credit has flown home — to a
             // master staging the next chunk: two sides, so half of that
             // per chunk. This floor is what keeps the chain out of the

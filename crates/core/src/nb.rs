@@ -42,7 +42,7 @@
 //! > pending call has remaining steps in any of the head's classes.
 //!
 //! Within one class this reproduces blocking execution order exactly;
-//! across classes (an `ibroadcast` over the landing pair, an `ireduce`
+//! across classes (an `ibroadcast` over the buffer pair, an `ireduce`
 //! over the contribution buffers, an `ibarrier` over the barrier
 //! flags) schedules interleave freely — which is where the overlap
 //! comes from. Since the communicator refactor the ordering rule is
@@ -67,9 +67,7 @@
 //! suspension").
 
 use crate::engine::CallState;
-use crate::plan::{
-    BufRef, ChanKind, CtrRef, FlagRef, Hand, PairSel, Plan, PlanKey, Step, WaitCell,
-};
+use crate::plan::{BufRef, ChanKind, CtrRef, FlagRef, Hand, Plan, PlanKey, Step, WaitCell};
 use crate::tuning::SrmTuning;
 use crate::world::SrmComm;
 use collops::{DType, ReduceOp};
@@ -78,27 +76,26 @@ use simnet::Ctx;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// Substrate class: the intra-node broadcast pair.
-const CL_SMP: u8 = 1 << 0;
-/// Substrate class: the landing pair and its flow-control counters.
-const CL_LANDING: u8 = 1 << 1;
+/// Substrate class: the node's buffer pair and the broadcast channels
+/// whose uses it numbers.
+const CL_PAIR: u8 = 1 << 0;
 /// Substrate class: reduce contribution/landing state and counters.
-const CL_REDUCE: u8 = 1 << 2;
+const CL_REDUCE: u8 = 1 << 1;
 /// Substrate class: the master→root `xfer` handoff.
-const CL_XFER: u8 = 1 << 3;
+const CL_XFER: u8 = 1 << 2;
 /// Substrate class: the address mailbox (handle exchange) and the
 /// completion counters of the transfers it sets up.
-const CL_ADDR: u8 = 1 << 4;
+const CL_ADDR: u8 = 1 << 3;
 /// Substrate class: barrier flags and round counters.
-const CL_BARRIER: u8 = 1 << 5;
+const CL_BARRIER: u8 = 1 << 4;
 /// Substrate class: the ring channels of the staged reduce_scatter
 /// (see [`crate::pairwise`]). The exchanges order in `CL_ADDR` (their
 /// wire) and `CL_REDUCE` (their intra-node leg).
-const CL_PAIRWISE: u8 = 1 << 6;
+const CL_PAIRWISE: u8 = 1 << 5;
 
 /// Number of substrate classes (width of the per-call remaining-step
 /// counters).
-const NCLASSES: usize = 7;
+const NCLASSES: usize = 6;
 
 fn flag_class(f: FlagRef) -> u8 {
     match f {
@@ -118,7 +115,7 @@ fn hand_class(h: Hand) -> u8 {
 /// order in.
 fn chan_class(kind: ChanKind) -> u8 {
     match kind {
-        ChanKind::Bcast => CL_LANDING,
+        ChanKind::Bcast => CL_PAIR,
         ChanKind::Reduce | ChanKind::Rd => CL_REDUCE,
         ChanKind::Ring => CL_PAIRWISE,
     }
@@ -139,19 +136,12 @@ fn ctr_class(c: CtrRef) -> u8 {
 fn buf_class(b: BufRef) -> u8 {
     match b {
         BufRef::User | BufRef::Acc => 0,
-        BufRef::Pair { pair, .. } => pair_class(pair),
+        BufRef::Pair { .. } => CL_PAIR,
         BufRef::Hand(hand) => hand_class(hand),
         BufRef::Chan(ch) => chan_class(ch.kind),
         // Scratch is per-call private, but it is published through the
         // address exchange, so its uses order with that class.
         BufRef::Taken { .. } | BufRef::Scratch => CL_ADDR,
-    }
-}
-
-fn pair_class(p: PairSel) -> u8 {
-    match p {
-        PairSel::Smp => CL_SMP,
-        PairSel::Landing => CL_LANDING,
     }
 }
 
@@ -169,11 +159,9 @@ pub(crate) fn step_classes(step: &Step) -> u8 {
         Step::Wait { cell, .. } => match cell {
             WaitCell::Flag(flag) => flag_class(flag),
             WaitCell::Ctr(ctr) => ctr_class(ctr),
-            WaitCell::Pair { pair, .. } => pair_class(pair),
+            WaitCell::Pair { .. } => CL_PAIR,
         },
-        Step::PairPublish { pair, .. }
-        | Step::PairRelease { pair, .. }
-        | Step::PairCatchUp { pair, .. } => pair_class(pair),
+        Step::PairPublish { .. } | Step::PairRelease { .. } => CL_PAIR,
         Step::RmaPut { src, dst, ctr, .. } => {
             buf_class(src) | buf_class(dst) | ctr.map_or(0, ctr_class)
         }

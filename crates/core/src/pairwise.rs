@@ -85,27 +85,26 @@
 //!
 //! Every rank walks the same global round sequence; each blocking step
 //! of round `k` waits only on events of rounds `< k` (credit of piece
-//! `k - window`, contribution drain two chunks back, landing-pair
-//! release two pieces back) or on same-round predecessors that are
+//! `k - window`, contribution drain two chunks back, pair release two
+//! pieces back) or on same-round predecessors that are
 //! unconditionally reachable. Induction over the round order gives
 //! progress for any `window ≥ 1`. The exchange wire blocks only on
 //! address takes and completion counters, and every rank issues all its
 //! address sends and all its puts before its first wait on a peer's
 //! put.
 //!
-//! Because the Reduce and Landing sequence bases index cross-node
-//! buffer parities, their advances are computed as maxima over the
-//! *whole group* and applied on every member, even members whose own
-//! node moved less; a slot that published less than the maximum
+//! Because the Reduce sequence base indexes cross-node buffer
+//! parities, its advance is the same on every member, even members
+//! whose own node moved less; a slot that published less
 //! re-synchronizes its contribution channel through
-//! `plan_contrib_catchup` (DESIGN.md §9.3, §12.3).
+//! `plan_contrib_catchup` (DESIGN.md §9.3, §12.3). The node pair's base
+//! counts only the uses my node made.
 
 use crate::inter::seq;
 use crate::plan::{
-    BufRef, Chan, ChanKind, CopyCost, CtrRef, FlagRef, Hand, Off, PairSel, PlanBuilder, SeqBase,
-    Step, Val,
+    BufRef, Chan, ChanKind, CopyCost, CtrRef, FlagRef, Hand, Off, PlanBuilder, SeqBase, Step, Val,
 };
-use crate::smp::{plan_acc_to_user, plan_pair_release, plan_stage_acc};
+use crate::smp::{pair_buf, plan_acc_to_user, plan_pair_release, plan_stage_acc};
 use crate::tuning::SrmTuning;
 use crate::world::{Channel, SrmComm};
 use rma::{CounterFamily, LapiCounter};
@@ -426,11 +425,11 @@ impl SrmComm {
     /// segment `me`. Each piece round reduces one piece of every peer
     /// node's block up the SMP tree, streams it into the peer's landing
     /// ring, then folds the arrived peer pieces into the own-block
-    /// reduction and scatters the finished piece through the landing
-    /// pair. Node blocks decompose exactly like the scatter protocol's
-    /// ([`SrmComm::scatter_pieces`]), so non-contiguous and uneven
-    /// groups work and both ends of every stream agree on the piece
-    /// sequence.
+    /// reduction and scatters the finished piece through the node's
+    /// buffer pair. Node blocks decompose exactly like the scatter
+    /// protocol's ([`SrmComm::scatter_pieces`]), so non-contiguous and
+    /// uneven groups work and both ends of every stream agree on the
+    /// piece sequence.
     pub(crate) fn plan_reduce_scatter(&self, b: &mut PlanBuilder, len: usize) {
         let n = self.csize();
         if len == 0 || n == 1 {
@@ -448,9 +447,8 @@ impl SrmComm {
         let my = self.cslot();
         let p = self.cslots_here();
         let multi = self.cmulti();
-        let pair = PairSel::Landing;
         let rel0 = b.rel(SeqBase::Reduce);
-        let lrel0 = b.rel(SeqBase::Landing);
+        let prel0 = b.rel(SeqBase::Pair);
         let mut rel = rel0;
 
         let pieces: Vec<Vec<(usize, usize, usize)>> = (0..nodes)
@@ -534,11 +532,11 @@ impl SrmComm {
             };
             let is_root = self.plan_smp_reduce_chunk(b, boff, plen, rel, self.tree());
             rel += 1;
-            let lrel = lrel0 + k as u64;
+            let prel = prel0 + k as u64;
             // My result segment's part of the piece.
             let mine = self.block_overlap(len, (blk, plen), my);
             if !is_root {
-                self.plan_pair_read(b, pair, lrel, |_| {}, mine);
+                self.plan_pair_read(b, (prel, pair_buf(prel)), |_| {}, mine);
                 continue;
             }
             for s in peers() {
@@ -564,11 +562,11 @@ impl SrmComm {
                 }
             }
             if p > 1 {
-                self.plan_pair_write(b, pair, lrel, (BufRef::Acc, Off::Lit(0)), plen, 1);
+                self.plan_pair_write(b, prel, (BufRef::Acc, Off::Lit(0)), plen, 1);
                 if let Some(mine) = mine {
-                    self.plan_pair_copy_out(b, pair, lrel, mine);
+                    self.plan_pair_copy_out(b, pair_buf(prel), mine);
                 }
-                plan_pair_release(b, pair, lrel);
+                plan_pair_release(b, prel);
             } else {
                 // Single-member node: the accumulator is the result.
                 plan_acc_to_user(b, self.crank() * len + blk, plen);
@@ -589,23 +587,11 @@ impl SrmComm {
         }
         // `rel - rel0` is `Σ_d pieces[d].len()` on every member (each
         // walks all destinations plus its own block), so the Reduce
-        // advance is uniform by construction; Landing advances by the
-        // round count — the largest per-node piece count — on every
-        // member for the same parity-uniformity reason as the wire.
+        // advance is uniform by construction. My node's pair carried
+        // its own block's pieces (none on a single-slot node).
         b.advance(SeqBase::Reduce, rel - rel0);
-        if rounds > 0 {
-            // My node distributed only its own `pieces[me]` rounds
-            // through the landing pair (none on a single-slot node);
-            // account the skipped uses as released.
-            let mine = if p > 1 { pieces[me].len() } else { 0 };
-            if mine < rounds {
-                b.push(Step::PairCatchUp {
-                    pair,
-                    base: SeqBase::Landing,
-                    rel: lrel0 + rounds as u64,
-                });
-            }
-            b.advance(SeqBase::Landing, rounds as u64);
+        if p > 1 {
+            b.advance(SeqBase::Pair, pieces[me].len() as u64);
         }
     }
 }

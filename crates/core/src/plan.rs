@@ -36,10 +36,12 @@ use std::sync::Arc;
 /// starts; `Seq { base, rel }` then means `sample[base] + rel`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SeqBase {
-    /// Chunks through the node's intra-node broadcast pair.
-    Smp,
-    /// Chunks through the node's landing pair.
-    Landing,
+    /// Uses of my node's buffer pair, counted by the uses the node made.
+    Pair,
+    /// Chunks down the [`ChanKind::Bcast`] channels: the same on every
+    /// member of the communicator, so both ends of an edge agree on the
+    /// lane's parity.
+    Bcast,
     /// Reduce chunks through the contribution buffers.
     Reduce,
     /// Chunks through the master→root `xfer` handoff buffer.
@@ -75,14 +77,12 @@ pub enum Val {
     },
 }
 
-/// A double-buffer side (0 or 1), resolved at execution time to
-/// `(bases[base] + rel) % 2` — consecutive operations alternate
-/// buffers.
+/// A use of my node's buffer pair, resolved at execution time to the
+/// use number `bases[Pair] + rel`, whose parity is the side it takes —
+/// consecutive operations alternate buffers.
 #[derive(Clone, Copy, Debug)]
 pub struct Side {
-    /// Sequence cell driving the alternation.
-    pub base: SeqBase,
-    /// Chunk index within this plan.
+    /// Use index within this plan.
     pub rel: u64,
 }
 
@@ -126,8 +126,8 @@ pub enum CopyCost {
 /// `lane` means and which substrate ordering class its steps join.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ChanKind {
-    /// Small-broadcast edge parent → child: lands in the child node's
-    /// landing pair; lane = chunk index ([`SeqBase::Landing`] parity).
+    /// Small-broadcast edge parent → child, landing in the edge's own
+    /// buffers; lane = chunk index ([`SeqBase::Bcast`] parity).
     Bcast,
     /// Pipelined-reduce edge child → parent (scatter borrows it the
     /// other way); lane = chunk index ([`SeqBase::Reduce`] parity).
@@ -208,10 +208,8 @@ pub enum BufRef {
     User,
     /// The executor's private accumulator (operator scratch).
     Acc,
-    /// One side of one of my node's double-buffer pairs.
+    /// One side of my node's buffer pair.
     Pair {
-        /// Which pair.
-        pair: PairSel,
         /// Which side.
         side: Side,
     },
@@ -280,15 +278,6 @@ pub enum FlagRef {
     Done(Hand),
 }
 
-/// Which of my node's double-buffer pairs a pair-protocol step drives.
-#[derive(Clone, Copy, Debug)]
-pub enum PairSel {
-    /// The intra-node broadcast pair.
-    Smp,
-    /// The landing pair.
-    Landing,
-}
-
 /// The cell a [`Step::Wait`] watches.
 #[derive(Clone, Copy, Debug)]
 pub enum WaitCell {
@@ -296,11 +285,9 @@ pub enum WaitCell {
     Flag(FlagRef),
     /// A LAPI counter.
     Ctr(CtrRef),
-    /// The use counters of one side of one of my node's buffer pairs;
+    /// The use counters of one side of my node's buffer pair;
     /// [`Until::Use`] says which of them, and how far.
     Pair {
-        /// Which pair.
-        pair: PairSel,
         /// Which side (resolves to the full use sequence number).
         side: Side,
     },
@@ -394,31 +381,13 @@ pub enum Step {
     },
     /// Raise the READY flag of every other slot for a pair side.
     PairPublish {
-        /// Which pair.
-        pair: PairSel,
         /// Which side.
         side: Side,
     },
-    /// Reader release of a pair side.
+    /// Release of a pair side, after my last read of it.
     PairRelease {
-        /// Which pair.
-        pair: PairSel,
         /// Which side.
         side: Side,
-    },
-    /// Raise my own RELEASED counters on both pair sides to cover every
-    /// use below `bases[base] + rel`. Emitted where a plan advances a
-    /// pair-bearing sequence base by a *group-wide* amount while this
-    /// node participated in fewer uses (ragged streams, single-member
-    /// nodes): the skipped uses must still be accounted as released or
-    /// a later writer's free-wait would starve.
-    PairCatchUp {
-        /// Which pair.
-        pair: PairSel,
-        /// Cumulative base the pair sequences against.
-        base: SeqBase,
-        /// Plan-relative end of the advance (`rel0 + advance`).
-        rel: u64,
     },
     /// One-sided put to rank `to`, optionally bumping a counter there.
     RmaPut {
@@ -489,7 +458,6 @@ impl Step {
             Step::Wait { .. } => "step:flag-wait",
             Step::PairPublish { .. } => "step:pair-publish",
             Step::PairRelease { .. } => "step:pair-release",
-            Step::PairCatchUp { .. } => "step:pair-catch-up",
             Step::RmaPut { .. } => "step:rma-put",
             Step::CounterPut { .. } => "step:counter-put",
             Step::AddrSend { .. } => "step:addr-send",
@@ -864,16 +832,16 @@ mod tests {
     #[test]
     fn builder_tracks_rel_and_addrs() {
         let mut b = PlanBuilder::default();
-        assert_eq!(b.rel(SeqBase::Landing), 0);
-        b.advance(SeqBase::Landing, 3);
-        assert_eq!(b.rel(SeqBase::Landing), 3);
-        assert_eq!(b.rel(SeqBase::Smp), 0);
+        assert_eq!(b.rel(SeqBase::Bcast), 0);
+        b.advance(SeqBase::Bcast, 3);
+        assert_eq!(b.rel(SeqBase::Bcast), 3);
+        assert_eq!(b.rel(SeqBase::Pair), 0);
         assert_eq!(b.take_addr(1), 0);
         assert_eq!(b.take_addr(2), 1);
         let plan = b.finish();
         assert_eq!(plan.len(), 2); // the two takes: an advance is not a step
         assert!(!plan.is_empty());
-        assert_eq!(plan.advances[SeqBase::Landing.index()], 3);
-        assert_eq!(plan.advances[SeqBase::Smp.index()], 0);
+        assert_eq!(plan.advances[SeqBase::Bcast.index()], 3);
+        assert_eq!(plan.advances[SeqBase::Pair.index()], 0);
     }
 }

@@ -18,28 +18,20 @@
 //!
 //! The broadcast is exposed as *cell* operations: the message is cut on
 //! a global grid of [`SrmTuning::SMP_BUF`]-byte cells, and each cell
-//! moves through one side of the two-buffer pair (side = cumulative
-//! cell sequence mod 2 — "consecutive broadcast operations alternate
-//! between the buffers"). The inter-node planners interleave cell writes with
-//! network steps to build their pipelines.
+//! moves through one side of the node's buffer pair (side = the node's
+//! cumulative pair-use sequence mod 2 — "consecutive broadcast
+//! operations alternate between the buffers"). The inter-node planners
+//! interleave cell writes with network steps to build their pipelines.
 
 use crate::embed::{children_ascending, TreeKind};
-use crate::inter::{par, poff, seq};
+use crate::inter::{poff, seq};
 use crate::plan::{
-    BufRef, CopyCost, FlagRef, Hand, Off, PairSel, PlanBuilder, SeqBase, Step, Until, Val, WaitCell,
+    BufRef, CopyCost, FlagRef, Hand, Off, PlanBuilder, SeqBase, Side, Step, Until, Val, WaitCell,
 };
 use crate::tuning::SrmTuning;
 use crate::world::SrmComm;
 use shmem::PairUse;
 use simnet::Rank;
-
-/// The sequence base a pair's uses are numbered against.
-fn pair_base(pair: PairSel) -> SeqBase {
-    match pair {
-        PairSel::Smp => SeqBase::Smp,
-        PairSel::Landing => SeqBase::Landing,
-    }
-}
 
 /// The last operator pass writes the accumulator straight to its
 /// destination in the user buffer (no intermediate buffer, §4).
@@ -65,9 +57,14 @@ pub(crate) fn plan_stage_acc(b: &mut PlanBuilder, dst: BufRef, dst_off: Off, len
 /// writer forwarding the side onto the wire or copying its own part
 /// out reads it after the publish, and the next writer may not claim
 /// the side before those reads are done.
-pub(crate) fn plan_pair_release(b: &mut PlanBuilder, pair: PairSel, rel: u64) {
-    let side = par(pair_base(pair), rel);
-    b.push(Step::PairRelease { pair, side });
+pub(crate) fn plan_pair_release(b: &mut PlanBuilder, rel: u64) {
+    b.push(Step::PairRelease { side: Side { rel } });
+}
+
+/// The side of my node's pair that use `rel` writes, as a buffer
+/// operand.
+pub(crate) fn pair_buf(rel: u64) -> BufRef {
+    BufRef::Pair { side: Side { rel } }
 }
 
 /// The global cell grid of a `len`-byte payload: `(offset, length)` of
@@ -96,14 +93,13 @@ impl SrmComm {
     pub(crate) fn plan_pair_write(
         &self,
         b: &mut PlanBuilder,
-        pair: PairSel,
         rel: u64,
         from: (BufRef, Off),
         len: usize,
         streams: usize,
     ) {
-        let side = par(pair_base(pair), rel);
-        let cell = WaitCell::Pair { pair, side };
+        let side = Side { rel };
+        let cell = WaitCell::Pair { side };
         b.wait(
             cell,
             Until::Use(PairUse::Free),
@@ -112,27 +108,26 @@ impl SrmComm {
         b.push(Step::ShmCopy {
             src: from.0,
             src_off: from.1,
-            dst: BufRef::Pair { pair, side },
+            dst: BufRef::Pair { side },
             dst_off: Off::Lit(0),
             len,
             cost: CopyCost::Write(streams),
         });
-        b.push(Step::PairPublish { pair, side });
+        b.push(Step::PairPublish { side });
     }
 
-    /// Copy `(pair offset, user offset, bytes)` of pair use `rel` out
-    /// to the user buffer, sharing the bus with the node's other
-    /// readers.
+    /// Copy `(source offset, user offset, bytes)` of a pair use's bytes
+    /// out of `data` — the pair side, or the edge landing a broadcast
+    /// put left them in — to the user buffer, sharing the bus with the
+    /// node's other readers.
     pub(crate) fn plan_pair_copy_out(
         &self,
         b: &mut PlanBuilder,
-        pair: PairSel,
-        rel: u64,
+        data: BufRef,
         (src_off, dst_off, len): (usize, usize, usize),
     ) {
-        let side = par(pair_base(pair), rel);
         b.push(Step::ShmCopy {
-            src: BufRef::Pair { pair, side },
+            src: data,
             src_off: Off::Lit(src_off),
             dst: BufRef::User,
             dst_off: Off::Lit(dst_off),
@@ -141,25 +136,23 @@ impl SrmComm {
         });
     }
 
-    /// Reader leg of pair use `rel`: wait for my READY, run
-    /// `after_wait` (a master's forwarding puts), copy my part out if I
-    /// have one, release the side.
+    /// Reader leg of pair use `rel`, whose bytes are in `data`: wait
+    /// for my READY, run `after_wait` (a master's forwarding puts), copy
+    /// my part out if I have one, release the side.
     pub(crate) fn plan_pair_read(
         &self,
         b: &mut PlanBuilder,
-        pair: PairSel,
-        rel: u64,
+        (rel, data): (u64, BufRef),
         after_wait: impl FnOnce(&mut PlanBuilder),
         copy: Option<(usize, usize, usize)>,
     ) {
-        let side = par(pair_base(pair), rel);
-        let cell = WaitCell::Pair { pair, side };
+        let cell = WaitCell::Pair { side: Side { rel } };
         b.wait(cell, Until::Use(PairUse::Published), "buffer published");
         after_wait(b);
         if let Some(copy) = copy {
-            self.plan_pair_copy_out(b, pair, rel, copy);
+            self.plan_pair_copy_out(b, data, copy);
         }
-        plan_pair_release(b, pair, rel);
+        plan_pair_release(b, rel);
     }
 
     /// The parity side of handoff channel `hand` that use `rel` goes
@@ -257,8 +250,8 @@ impl SrmComm {
         clen: usize,
         rel: u64,
     ) {
-        self.plan_pair_write(b, PairSel::Smp, rel, (BufRef::User, Off::Lit(off)), clen, 1);
-        plan_pair_release(b, PairSel::Smp, rel);
+        self.plan_pair_write(b, rel, (BufRef::User, Off::Lit(off)), clen, 1);
+        plan_pair_release(b, rel);
     }
 
     /// Reader side of one broadcast cell (all `p-1` readers drain
@@ -270,7 +263,7 @@ impl SrmComm {
         clen: usize,
         rel: u64,
     ) {
-        self.plan_pair_read(b, PairSel::Smp, rel, |_| {}, Some((0, off, clen)));
+        self.plan_pair_read(b, (rel, pair_buf(rel)), |_| {}, Some((0, off, clen)));
     }
 
     /// Plan the flat double-buffer broadcast within the node: the
@@ -281,7 +274,7 @@ impl SrmComm {
             return;
         }
         let cells = smp_cells(len);
-        let rel0 = b.rel(SeqBase::Smp);
+        let rel0 = b.rel(SeqBase::Pair);
         let am_writer = self.me == writer;
         for j in 0..cells {
             let (off, clen) = smp_cell(len, j);
@@ -292,7 +285,7 @@ impl SrmComm {
                 self.plan_smp_cell_read(b, off, clen, rel);
             }
         }
-        b.advance(SeqBase::Smp, cells as u64);
+        b.advance(SeqBase::Pair, cells as u64);
     }
 
     /// First half of the flat barrier: non-masters check in; the master

@@ -64,12 +64,15 @@ pub struct SrmTuning {
     pub tree: Option<TreeKind>,
     /// Broadcasts at or below this size use the buffered small-message
     /// protocol; above it, the zero-copy large-message protocol
-    /// (Figure 4; the paper's switch is 64 KB).
+    /// (Figure 4; the paper's switch is 64 KB). It also sizes each
+    /// broadcast edge's landing and, with [`SrmTuning::SMP_BUF`], the
+    /// node's buffer pair.
     pub small_large_switch: usize,
     /// Small-protocol messages in `(pipeline_min, pipeline_max]` are
     /// split into `pipeline_chunk` pieces and pipelined through the two
-    /// landing buffers ("messages larger than 8 KB and smaller than
-    /// 32 KB are split into 4 KB chunks", §2.4).
+    /// sides of the pair and of each edge landing ("messages larger
+    /// than 8 KB and smaller than 32 KB are split into 4 KB chunks",
+    /// §2.4).
     pub pipeline_min: usize,
     /// Upper bound of the pipelined sub-range.
     pub pipeline_max: usize,
@@ -144,10 +147,11 @@ impl Default for SrmTuning {
 }
 
 impl SrmTuning {
-    /// Capacity of each of the two intra-node broadcast buffers
-    /// (Figure 3); messages longer than this are chunked through them.
-    /// It is also the put size of the zero-copy large broadcast, whose
-    /// chunk `k` is the intra-node pipeline's cell `k`.
+    /// The intra-node broadcast cell (Figure 3): messages longer than
+    /// this are chunked through the node's buffer pair, whose sides hold
+    /// the larger of this and `small_large_switch`. It is also the put
+    /// size of the zero-copy large broadcast, whose chunk `k` is the
+    /// intra-node pipeline's cell `k`.
     pub const SMP_BUF: usize = 32 * 1024;
 
     /// Maximum nonblocking collectives outstanding per rank. Issuing

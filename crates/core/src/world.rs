@@ -33,12 +33,15 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// number of group members on the node, and disjoint groups sharing a
 /// physical node still get disjoint flags and buffers.
 pub struct NodeBoard {
-    /// Intra-node broadcast double buffer (Figure 3). Readers = slots.
-    pub smp: BufPair,
-    /// Landing zone for inter-node small-message broadcast puts; reused
-    /// as the intra-node distribution buffer without re-copying
-    /// ("data moved by LAPI is directly available to all the tasks").
-    pub landing: BufPair,
+    /// The node's double buffer (Figure 3), one slot per member: the
+    /// intra-node broadcast cells and every node-local distribution of
+    /// a broadcast, scatter or reduce_scatter chunk. Only tasks of the
+    /// node write it; its uses are numbered by the uses the node made
+    /// ([`SeqBase::Pair`](crate::plan::SeqBase::Pair)). A chunk a parent
+    /// node put into its edge's landing ([`PeerLink::bcast`]) takes a
+    /// use of the pair's counters while its bytes stay in the landing,
+    /// "directly available to all the tasks".
+    pub pair: BufPair,
     /// Flat-barrier flags, one cache line per slot.
     pub barrier_flags: FlagBank,
     /// Per-slot reduce contribution buffers (Figure 2), double-buffered
@@ -60,8 +63,11 @@ pub struct NodeBoard {
 impl NodeBoard {
     fn new(handle: &SimHandle, tasks_per_node: usize, tuning: &SrmTuning) -> Self {
         NodeBoard {
-            smp: BufPair::new(handle, SrmTuning::SMP_BUF, tasks_per_node),
-            landing: BufPair::new(handle, tuning.small_large_switch, tasks_per_node),
+            pair: BufPair::new(
+                handle,
+                SrmTuning::SMP_BUF.max(tuning.small_large_switch),
+                tasks_per_node,
+            ),
             barrier_flags: FlagBank::new(handle, tasks_per_node, 0),
             contrib: (0..tasks_per_node)
                 .map(|_| ShmBuffer::new(2 * tuning.reduce_chunk))
@@ -107,8 +113,10 @@ impl Channel {
 /// tree collective touches only its tree edges, so each is created on
 /// first use (`SrmComm::peer`).
 pub struct PeerLink {
-    /// Small-broadcast channels from this parent node; they land in my
-    /// node's landing pair.
+    /// Small-broadcast channels from this parent node, each with its
+    /// own `small_large_switch` landing: this edge's puts are the only
+    /// writes into it, ordered by its credit. My node's tasks read the
+    /// chunks there.
     pub bcast: [Channel; 2],
     /// Pipelined-reduce (and scatter) channels from this node.
     pub reduce: [Channel; 2],
@@ -462,11 +470,11 @@ impl CommState {
 /// all of them observe the same protocol position.
 pub(crate) struct CommSeat {
     /// The cumulative sequence cells, indexed by
-    /// [`SeqBase::index`](crate::plan::SeqBase::index): chunks pushed
-    /// through the node's SMP pair, its landing pair ("consecutive
-    /// operations alternate buffers", §2.2), the contribution buffers
-    /// and the master→root `xfer` buffer, barriers and
-    /// recursive-doubling allreduces completed.
+    /// [`SeqBase::index`](crate::plan::SeqBase::index): uses of the
+    /// node's buffer pair ("consecutive operations alternate buffers",
+    /// §2.2), chunks down the broadcast channels, through the
+    /// contribution buffers and the master→root `xfer` buffer, barriers
+    /// and recursive-doubling allreduces completed.
     pub seq: [AtomicU64; SEQ_BASES],
     /// Compiled-schedule cache, keyed by call shape (see
     /// [`crate::plan::PlanCache`]).
@@ -540,11 +548,9 @@ impl SrmWorld {
     /// Assemble the fabric for `topo` with the given tuning.
     ///
     /// # Panics
-    /// If the tuning is internally inconsistent: the large-broadcast
-    /// chunk must be a whole number of intra-node broadcast cells (the
-    /// pipelines share the cell grid), the recursive-doubling payload
-    /// must fit the staging buffers, and the small-protocol chunks must
-    /// fit the landing buffers.
+    /// If the tuning is internally inconsistent
+    /// ([`SrmTuning::validate`]): the small-protocol chunks must fit the
+    /// edge landings, and the pairwise pieces the contribution buffers.
     pub fn new(sim: &mut Sim, topo: Topology, tuning: SrmTuning) -> Self {
         SrmWorld::build(sim, topo, tuning, tuning, None)
     }
@@ -893,11 +899,11 @@ impl SrmComm {
     /// Group node `dst`'s inbound tree channels from group node `src`.
     pub(crate) fn peer(&self, dst: usize, src: usize) -> &PeerLink {
         self.comm.inter[dst].peers[src].get_or_init(|| {
-            let (handle, chunk) = (&self.world.handle, self.world.tuning.reduce_chunk);
-            let landing = &self.comm.boards[dst].landing;
+            let (handle, t) = (&self.world.handle, &self.world.tuning);
+            let chans = |cap| [0, 1].map(|_| Channel::new(handle, ShmBuffer::new(cap), 1));
             PeerLink {
-                bcast: [0, 1].map(|side| Channel::new(handle, landing.buf(side).clone(), 1)),
-                reduce: [0, 1].map(|_| Channel::new(handle, ShmBuffer::new(chunk), 1)),
+                bcast: chans(t.small_large_switch),
+                reduce: chans(t.reduce_chunk),
             }
         })
     }
@@ -968,15 +974,16 @@ mod tests {
 
     #[test]
     fn construction_allocates_simvars_linear_in_ranks() {
-        // Per rank 3 in `rma` and 11 on its board; per node 3 (the xfer
+        // Per rank 3 in `rma` and 7 on its board (four pair banks, the
+        // barrier flag, two contribution flags); per node 3 (the xfer
         // flags, `large_data`). Per-peer-node state waits for first use.
         assert_eq!(
             vars_allocated_by_new(Topology::new(16, 16)),
-            256 * 14 + 16 * 3
+            256 * 10 + 16 * 3
         );
         assert_eq!(
             vars_allocated_by_new(Topology::new(64, 16)),
-            1024 * 14 + 64 * 3
+            1024 * 10 + 64 * 3
         );
     }
 

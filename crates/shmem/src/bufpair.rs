@@ -1,36 +1,43 @@
 //! The paper's double-buffer structure (its Figure 3): two shared
 //! buffers A and B, each protected by a bank of per-reader READY flags.
 //!
-//! One writer alternates between the buffers: it fills buffer `i`,
+//! A writer alternates between the buffers: it fills buffer `i`,
 //! publishes it to every reader, and moves on to fill buffer `1 - i`
 //! while the readers drain `i` — a two-stage pipeline. Each reader
 //! releases the buffer when done, and the writer must see a buffer
 //! fully released before refilling it.
 //!
-//! The same structure serves two roles in SRM:
-//! * intra-node broadcast (root = writer, other tasks = readers);
-//! * the landing zone for inter-node small-message puts (network parent
-//!   = writer via RMA, node tasks = readers).
+//! # One writer per buffer
+//!
+//! The protocol is sound only if one writer at a time fills a side, and
+//! that is the rule every user of a pair keeps:
+//! * the writers are the tasks of the node that owns the pair; they
+//!   take a side in turn, each claiming it through [`PairUse::Free`];
+//! * a remote put never targets the pair. A chunk a parent node puts
+//!   lands in that edge's own landing, where the edge's credit orders
+//!   it. The node master then publishes a use of the pair's counters
+//!   for it, so the node's tasks read the landing in the pair's order
+//!   and the credit returns once [`PairUse::Drained`] holds.
 //!
 //! # Use sequences, not 0/1 flags
 //!
 //! The paper's protocol sets a READY flag to 1 on publish and clears it
-//! on release, which is sound **only with a single writer**: the writer
-//! alone sets flags, so when it observes all-clear it knows its own
-//! previous publish completed and every reader drained it.
+//! on release, which is sound only while the writer never changes: the
+//! writer alone sets flags, so when it observes all-clear it knows its
+//! own previous publish completed and every reader drained it.
 //!
-//! SRM reuses one pair for streams whose writer *changes between uses*
-//! (alltoall cells rotate the publisher; broadcast roots rotate across
-//! calls). There a cleared flag is ambiguous — it means both "released"
-//! and "not yet published" — and a new writer can pass its free-wait
-//! while the previous writer's publish (a per-reader sequence of flag
-//! stores) is still in flight, overwrite the buffer, and feed the
-//! late-notified readers the wrong data. The schedule-exploration
-//! stress harness caught exactly this under compute-stall perturbation.
+//! SRM hands the writer role around the node between uses (broadcast
+//! roots rotate across calls). There a cleared flag is ambiguous — it
+//! means both "released" and "not yet published" — and a new writer can
+//! pass its free-wait while the previous writer's publish (a per-reader
+//! sequence of flag stores) is still in flight, overwrite the buffer,
+//! and feed the late-notified readers the wrong data. The
+//! schedule-exploration stress harness caught exactly this under
+//! compute-stall perturbation.
 //!
 //! The flags are therefore **cumulative use counters**. Uses of the
-//! pair are numbered by a global sequence `q` (side `q % 2`, per-side
-//! use index `c = q / 2`):
+//! pair are numbered by a sequence `q` that counts every use the node
+//! made (side `q % 2`, per-side use index `c = q / 2`):
 //! * publishing use `q` raises each reader's READY flag for that side
 //!   to `c + 1`;
 //! * releasing it raises the reader's own RELEASED flag to `c + 1`;
@@ -57,8 +64,8 @@ pub enum PairUse {
     /// Reader: use `q` is published to my slot.
     Published,
     /// Writer drain-acknowledge: use `q` itself is fully released —
-    /// what a node master needs before returning a flow-control credit
-    /// to the remote producer that overwrites this side next.
+    /// what a node master needs before returning the flow-control
+    /// credit of the edge landing the use's bytes came in.
     Drained,
 }
 
@@ -163,20 +170,6 @@ impl BufPair {
         self.released[(q % 2) as usize]
             .flag(me)
             .raise(ctx, q / 2 + 1);
-    }
-
-    /// Account every use below `q_end` as released by slot `me` on both
-    /// sides. Used when a globally-advancing use sequence skips this
-    /// node (it had fewer stream pieces than the group maximum): the
-    /// skipped uses never touched the buffers, but the RELEASED
-    /// counters must still cover them or a later writer's
-    /// [`BufPair::wait_free`] would starve. Monotone — uses the slot
-    /// actually released are unaffected.
-    pub fn catch_up(&self, ctx: &Ctx, q_end: u64, me: usize) {
-        // Side 0 holds uses {0, 2, ...} below `q_end`: ⌈q_end/2⌉ of
-        // them; side 1 holds the remaining ⌊q_end/2⌋.
-        self.released[0].flag(me).raise(ctx, q_end.div_ceil(2));
-        self.released[1].flag(me).raise(ctx, q_end / 2);
     }
 }
 

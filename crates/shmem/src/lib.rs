@@ -10,8 +10,8 @@
 //!   contention-aware copy cost model (concurrent streams share the
 //!   node memory bus);
 //! * [`BufPair`] — the two-buffer + READY-flag structure of the paper's
-//!   Figure 3, used for pipelined broadcast and as the landing zone for
-//!   inter-node puts.
+//!   Figure 3: each node's one pair, written only by the node's own
+//!   tasks, for pipelined broadcast and every node-local distribution.
 //!
 //! Everything here is per-node: two tasks may share these structures
 //! only if the topology places them on the same node; the higher layers

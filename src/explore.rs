@@ -73,6 +73,11 @@ pub struct ExploreOpts {
     /// broadcasts — so 8 or 16 is what reaches the chunked pipelines.
     /// 1 (the default) derives every seed's scenario unchanged.
     pub tree_scale: usize,
+    /// Replace every step's drawn operation with this one (the
+    /// `explore` binary's `--ops`). The override follows the usual op
+    /// draw, so `None` (the default) derives every seed's scenario
+    /// unchanged.
+    pub only: Option<Op>,
 }
 
 impl Default for ExploreOpts {
@@ -85,6 +90,7 @@ impl Default for ExploreOpts {
             pairwise_direct_min: SrmTuning::default().pairwise_direct_min,
             faults: Faults::default(),
             tree_scale: 1,
+            only: None,
         }
     }
 }
@@ -430,6 +436,7 @@ pub fn derive_scenario(seed: u64, opts: &ExploreOpts) -> Scenario {
             SEGS[sm.below(SEGS.len() as u64) as usize]
         };
         let op = Op::ALL[sm.below(Op::ALL.len() as u64) as usize];
+        let op = opts.only.unwrap_or(op);
         let seg = match op {
             Op::Bcast | Op::Reduce | Op::Allreduce => seg * opts.tree_scale,
             _ => seg,
@@ -504,6 +511,9 @@ pub fn repro_line(seed: u64, opts: &ExploreOpts) -> String {
     }
     if opts.tree_scale != 1 {
         s.push_str(&format!(" --tree-scale {}", opts.tree_scale));
+    }
+    if let Some(op) = opts.only {
+        s.push_str(&format!(" --ops {}", op.as_str()));
     }
     s
 }
@@ -1121,5 +1131,29 @@ mod tests {
         }
         assert!(repro_line(7, &scaled).ends_with("--tree-scale 8"));
         assert!(!repro_line(7, &ExploreOpts::default()).contains("tree-scale"));
+    }
+
+    #[test]
+    fn only_replaces_the_drawn_op_and_keeps_the_world() {
+        let only = ExploreOpts {
+            only: Some(Op::Bcast),
+            ..ExploreOpts::default()
+        };
+        for seed in 0..50 {
+            let (a, b) = (
+                derive_scenario(seed, &ExploreOpts::default()),
+                derive_scenario(seed, &only),
+            );
+            assert_eq!(
+                (a.nodes, a.tpn, &a.groups, &a.splits),
+                (b.nodes, b.tpn, &b.groups, &b.splits)
+            );
+            assert!(b.steps.iter().all(|s| s.op == Op::Bcast));
+            // Until the first step whose draws depend on its op, the
+            // program is the same one.
+            let (x, y) = (&a.steps[0], &b.steps[0]);
+            assert_eq!((x.comm, x.seg), (y.comm, y.seg));
+        }
+        assert!(repro_line(7, &only).ends_with("--ops bcast"));
     }
 }

@@ -12,7 +12,7 @@
 use shmem::PairUse;
 use simnet::{MachineConfig, Sim, Topology};
 use srm::embed::parent;
-use srm::plan::{Chan, ChanKind, CtrRef, PairSel, Until, WaitCell};
+use srm::plan::{Chan, ChanKind, CtrRef, Until, WaitCell};
 use srm::{Plan, PlanShape, SrmTuning, SrmWorld, Step, TreeKind};
 
 const TPN: usize = 3;
@@ -20,11 +20,11 @@ const TPN: usize = 3;
 /// Chunks of the up leg emitted ahead of the first down-leg step, less
 /// the one that belongs to the same iteration; `None` without a down leg.
 fn observed_skew(plan: &Plan) -> Option<usize> {
-    use {PairSel::Landing, PairUse::Published};
+    use PairUse::Published;
     let down = plan.steps.iter().position(|s| match s {
         Step::Wait { cell, until, .. } => matches!(
             (cell, until),
-            (WaitCell::Pair { pair: Landing, .. }, Until::Use(Published))
+            (WaitCell::Pair { .. }, Until::Use(Published))
                 | (
                     WaitCell::Ctr(CtrRef::Data(Chan {
                         kind: ChanKind::Bcast,

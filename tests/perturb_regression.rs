@@ -24,7 +24,7 @@
 //! 3. **The skewed allreduce pipeline** is not a found bug but the
 //!    schedule most exposed to one: its down leg runs `1 + tree depth`
 //!    chunks behind its up leg, so chunks of one call are in flight on
-//!    the contribution sides, the landing pair and both channel
+//!    the contribution sides, the node pair and both channel
 //!    families at once. Five-chunk allreduces are swept with the
 //!    straggler where the skew is largest and where the lead is
 //!    bounded by buffer sides, back to back (parity continuity),
@@ -48,6 +48,16 @@
 //! 6. **The xfer channel's two consumers** (4x4 x32 seed 0x447): a
 //!    scatter master's DONE max-raise covered a reduce root's unread
 //!    use. Fixed by the consumer-side guard at the first xfer use.
+//!
+//! 7. **Two writers on one landing side** (4x2, four blocking 8 B
+//!    broadcasts, no perturbation): every parent's broadcast channel
+//!    landed in the child node's one landing pair, ordered only by its
+//!    own edge's credit, so puts of two calls from two parents hit one
+//!    side. Fixed by giving each broadcast edge its own landing.
+//!
+//! 8. **A local writer beside broadcast puts** (5x3 seed 0x21c): a
+//!    subgroup scatter's segment came out wrong. The same fix, the edge
+//!    landings, cures it; the interleaving was not traced.
 //!
 //! The first two bugs depended on `SpinFlag::raise` monotonicity for
 //! their fix, so these sweeps (run with the monotone default ON — see
@@ -202,9 +212,9 @@ fn pair_handoff_alltoallv_stall_straggler() {
 /// sits on the deepest node's master (largest skew: everything below
 /// node 0 waits on its up leg) and on a node-0 non-master (the rank
 /// whose lead over its master is bounded by the two contribution and
-/// two landing sides). Two calls back to back carry odd chunk counts,
-/// so the second starts on the other parity of both the `Reduce` and
-/// the `Landing` sides, and the broadcast and reduce behind them take
+/// two pair sides). Two calls back to back carry odd chunk counts,
+/// so the second starts on the other parity of the `Reduce`, `Pair`
+/// and `Bcast` sides, and the broadcast and reduce behind them take
 /// those sides over; then an allreduce and a broadcast are outstanding
 /// together; last, a block split whose first part holds two ranks of
 /// one node and one of the next.
@@ -309,5 +319,63 @@ fn xfer_consumers_take_their_uses_in_order() {
             step(Op::Scatter, 256, 9, true),
         ],
         Perturb::new(0x447),
+    );
+}
+
+/// Broadcast puts at rotating roots, no perturbation: four blocking
+/// 8 B broadcasts from roots 4, 7, 0, 0. The root node returns once its
+/// puts are issued and runs ahead of a slow subtree, so two parents'
+/// puts for different calls aimed at one side of node 2's landing pair,
+/// ordered only by their own edges' credits; rank 5 returned 0xb5 from
+/// the third call where 0x5a was due. Every broadcast edge now lands
+/// in its own buffers, which no other writer touches.
+#[test]
+fn broadcast_edges_land_in_their_own_buffers() {
+    let steps = [4, 7, 0, 0].map(|root| step(Op::Bcast, 8, root, false));
+    run_pinned(4, 2, steps.to_vec(), Perturb::new(0));
+}
+
+/// A node-local writer beside broadcast puts, shrunk from 5x3 seed
+/// 0x21c (the shrinker keeps all six steps and switches coalescing
+/// off): rank 8 of the subgroup got a wrong scattered segment at byte
+/// 71 680. The edge landings alone fix it; the interleaving that
+/// corrupted the segment was not traced.
+#[test]
+fn scatter_beside_broadcast_puts_on_a_subgroup() {
+    let split = |ncolors, rev| SplitSpec {
+        ncolors,
+        block: true,
+        rev,
+        exclude: None,
+    };
+    let groups = vec![vec![3, 5, 6, 7, 8, 9, 10, 11, 12, 13]];
+    let on = |comm, s: ProgStep| ProgStep { comm, ..s };
+    let perturb = Perturb {
+        delivery_jitter: SimTime::from_us(3),
+        reorder_permille: 55,
+        reorder_window: SimTime::from_us(13),
+        stall_permille: 1,
+        stall_max: SimTime::from_us(1),
+        am_stall_permille: 51,
+        am_stall_max: SimTime::from_us(6),
+        bw_permille: 348,
+        bw_dip_permille: 26,
+        bw_dip_mult: 3,
+        bw_dip_window: SimTime::from_us(17),
+        ..Perturb::new(0x31ad06e5c1b3d2ce)
+    };
+    run_pinned_comms(
+        5,
+        3,
+        (groups, vec![split(3, false), split(2, true)]),
+        vec![
+            step(Op::Allgather, 4096, 11, false),
+            step(Op::Gather, 1024, 14, true),
+            on(2, step(Op::Alltoall, 4096, 3, true)),
+            step(Op::Allgather, 1024, 14, false),
+            on(1, step(Op::Scatter, 8960, 3, false)),
+            on(1, step(Op::Bcast, 256, 6, true)),
+        ],
+        perturb,
     );
 }
