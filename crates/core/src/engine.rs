@@ -27,8 +27,8 @@
 //! own predecessors.
 
 use crate::plan::{
-    BufRef, Chan, ChanKind, CopyCost, CtrRef, FlagRef, Hand, Off, Plan, PlanKey, SeqBase, Side,
-    Step, Until, Val, WaitCell, SEQ_BASES,
+    BufRef, Chan, ChanKind, CopyCost, CtrRef, FlagRef, Off, Plan, PlanKey, SeqBase, Side, Step,
+    Until, Val, WaitCell, SEQ_BASES,
 };
 use crate::world::{Channel, HandleSlot, SrmComm};
 use collops::{combine_from_buffer_costed, DType, ReduceOp};
@@ -63,10 +63,8 @@ pub(crate) fn flag_of(comm: &SrmComm, f: FlagRef) -> &SpinFlag {
     let board = comm.board();
     match f {
         FlagRef::Barrier { slot } => board.barrier_flags.flag(slot),
-        FlagRef::Ready(Hand::Slot(slot)) => &board.contrib_ready[slot],
-        FlagRef::Done(Hand::Slot(slot)) => &board.contrib_done[slot],
-        FlagRef::Ready(Hand::Xfer) => &board.xfer_ready,
-        FlagRef::Done(Hand::Xfer) => &board.xfer_done,
+        FlagRef::Ready(slot) => &board.contrib_ready[slot],
+        FlagRef::Done(slot) => &board.contrib_done[slot],
     }
 }
 
@@ -111,8 +109,7 @@ pub(crate) fn buf_of<'a>(
         BufRef::User => user,
         BufRef::Acc => panic!("accumulator is not an addressable buffer"),
         BufRef::Pair { side } => comm.board().pair.buf((seq_of(bases, side) % 2) as usize),
-        BufRef::Hand(Hand::Slot(slot)) => &comm.board().contrib[slot],
-        BufRef::Hand(Hand::Xfer) => &comm.board().xfer,
+        BufRef::Contrib(slot) => &comm.board().contrib[slot],
         BufRef::Chan(ch) => &chan_of(comm, bases, ch).landing,
         BufRef::Taken { idx } => &taken[idx],
         BufRef::Scratch => scratch
@@ -611,7 +608,7 @@ mod tests {
     use simnet::{MachineConfig, Sim, Topology};
 
     /// The ten shapes on 2×3, rooted where they have a root at rank 1 —
-    /// not its node's master, so the `xfer` cell moves too.
+    /// not its node's master.
     fn shapes(n: usize, len: usize) -> Vec<Shape> {
         use Shape as S;
         let (root, counts) = (1, vec![len; n * n].into());

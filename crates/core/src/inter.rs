@@ -52,7 +52,7 @@
 
 use crate::embed::{depth, GroupTree};
 use crate::plan::{
-    BufRef, Chan, ChanKind, CopyCost, CtrRef, FlagRef, Hand, Off, PlanBuilder, SeqBase, Side, Step,
+    BufRef, Chan, ChanKind, CopyCost, CtrRef, FlagRef, Off, PlanBuilder, SeqBase, Side, Step,
     Until, Val, WaitCell,
 };
 use crate::smp::{
@@ -72,34 +72,40 @@ pub(crate) fn poff(base: SeqBase, rel: u64, stride: usize) -> Off {
 }
 
 impl SrmComm {
-    /// Re-synchronize my contribution channel with [`SeqBase::Reduce`].
+    /// Re-synchronize my contribution channel with [`SeqBase::Reduce`],
+    /// after I published `sent` uses on it in this operation.
     ///
     /// Invariant of the contrib channels: after every operation that
     /// advances the reduce cumulative, **every** slot's READY and DONE
-    /// equal the new cumulative. Contributing slots
-    /// get there through the protocol itself (the contributor raises
-    /// READY, its consumer raises DONE); a slot whose channel went
-    /// unused this operation — the consumer of a reduce tree, a gather
-    /// root, every rank of a scatter — raises both itself so a later
-    /// operation's drain guard sees a fully drained channel.
+    /// equal the new cumulative `rel_end`. A slot that published
+    /// through `rel_end` gets there through the protocol itself (it
+    /// raises READY, its consumers raise DONE); a slot that published
+    /// less — the consumer of a reduce tree, a gather root, a scatter
+    /// member, a slot of a ragged exchange — raises both the rest of
+    /// the way itself, so a later operation's drain guard sees a fully
+    /// drained channel.
     ///
-    /// DONE is a statement about the *previous* operation's
-    /// consumer, so the owner must not raise it past reads that have
-    /// not happened yet: a gather's relaying master can lag a full
-    /// operation behind (it blocks on the root's address AM before it
-    /// reads), and an unchecked raise would let the owner's next
-    /// contribution overwrite the unread parity slot. The catch-up
-    /// therefore first waits until the channel is drained through this
-    /// operation's entry cumulative. Raising READY needs no such wait —
-    /// only the owner itself ever raises it, in program order.
-    pub(crate) fn plan_contrib_catchup(&self, b: &mut PlanBuilder, rel_end: u64) {
-        let mine = Hand::Slot(self.cslot());
-        b.wait_flag(
-            FlagRef::Done(mine),
-            seq(SeqBase::Reduce, b.rel(SeqBase::Reduce)),
-            "contrib drained before catch-up",
-        );
-        for flag in [FlagRef::Ready(mine), FlagRef::Done(mine)] {
+    /// DONE is a statement about the channel's consumers, so the owner
+    /// must not raise it past reads that have not happened yet: the
+    /// previous operation's consumer can lag a full operation behind (a
+    /// gather's relaying master blocks on the root's address AM before
+    /// it reads), and this operation's consumers may still be reading
+    /// my `sent` uses. The catch-up therefore first waits until the
+    /// channel is drained through them. Raising READY needs no such
+    /// wait — only the owner itself ever raises it, in program order.
+    pub(crate) fn plan_contrib_catchup(&self, b: &mut PlanBuilder, sent: u64, rel_end: u64) {
+        let rel0 = b.rel(SeqBase::Reduce);
+        if rel0 + sent >= rel_end {
+            return;
+        }
+        let done = FlagRef::Done(self.cslot());
+        if sent > 0 {
+            let consumed = seq(SeqBase::Reduce, rel0 + sent);
+            b.wait_flag(done, consumed, "contrib consumed before catch-up");
+        }
+        let drained = seq(SeqBase::Reduce, rel0);
+        b.wait_flag(done, drained, "contrib drained before catch-up");
+        for flag in [FlagRef::Ready(self.cslot()), done] {
             let val = seq(SeqBase::Reduce, rel_end);
             b.push(Step::FlagRaise { flag, val });
         }
@@ -199,7 +205,7 @@ impl SrmComm {
             self.plan_fold_landed(b, (from, 0), clen);
         }
         if let Some(parent) = tree.parent() {
-            let staging = self.hand_side(Hand::Slot(0), rel);
+            let staging = self.contrib_side(0, rel);
             let to = Chan::new(ChanKind::Reduce, my_node, parent, rel);
             self.plan_credit_put(b, (to, 0), true, staging, clen);
         }
@@ -417,32 +423,30 @@ impl SrmComm {
         b.interrupts_off(quiet, |b| {
             let chunk = self.tuning().reduce_chunk;
             let chunks = SrmTuning::chunk_count(len, chunk);
-            let xfer_case = self.cnode() == root_node && root_gslot != 0;
+            // A root that is not its node's master takes each combined
+            // chunk from the master's contribution channel, which the
+            // tree leaves idle on the root's node.
+            let hand_over = self.cnode() == root_node && root_gslot != 0;
             let rel0 = b.rel(SeqBase::Reduce);
-            let xrel0 = b.rel(SeqBase::Xfer);
 
             for k in 0..chunks {
                 let off = k * chunk;
                 let clen = chunk.min(len - off);
-                let xrel = xrel0 + k as u64;
-                let has_acc =
-                    self.plan_smp_reduce_chunk(b, off, clen, rel0 + k as u64, kinds.intra);
+                let rel = rel0 + k as u64;
+                let has_acc = self.plan_smp_reduce_chunk(b, off, clen, rel, kinds.intra);
 
                 if self.c_is_master() {
                     debug_assert!(has_acc, "master is the intra-node subtree root");
-                    self.plan_tree_up(b, &tree, rel0 + k as u64, clen);
+                    self.plan_tree_up(b, &tree, rel, clen);
                     if self.crank() == root {
                         plan_acc_to_user(b, off, clen);
-                    } else if xfer_case {
-                        // Root is a non-master task on this node: hand
-                        // the chunk over through the xfer buffer.
+                    } else if hand_over {
                         let acc = (BufRef::Acc, Off::Lit(0));
-                        self.plan_hand_publish(b, (Hand::Xfer, xrel), acc, clen, CopyCost::Free);
+                        self.plan_contrib_publish(b, rel, acc, clen, CopyCost::Free);
                     }
                 } else if self.crank() == root {
-                    let label = "xfer chunk ready";
-                    let xfer = (Hand::Xfer, xrel);
-                    self.plan_hand_consume(b, xfer, k == 0, label, |b, src, src_off| {
+                    let label = "combined chunk ready";
+                    self.plan_contrib_consume(b, (0, rel), k == 0, label, |b, src, src_off| {
                         b.push(Step::ShmCopy {
                             src,
                             src_off,
@@ -455,14 +459,12 @@ impl SrmComm {
                 }
             }
             if self.c_is_master() {
-                // The tree root's own contribution channel went unused
-                // (slot 0's buffer stages puts; its flags carry no data).
-                self.plan_contrib_catchup(b, rel0 + chunks as u64);
+                // Slot 0's channel carries the hand-over or nothing (its
+                // buffer only stages puts off the root's node).
+                let sent = if hand_over { chunks as u64 } else { 0 };
+                self.plan_contrib_catchup(b, sent, rel0 + chunks as u64);
             }
             b.advance(SeqBase::Reduce, chunks as u64);
-            if xfer_case {
-                b.advance(SeqBase::Xfer, chunks as u64);
-            }
         });
     }
 
@@ -512,7 +514,7 @@ impl SrmComm {
         let has_acc = self.plan_smp_reduce_chunk(b, 0, len, rel, self.tree());
         // Puts ship the accumulator from the master's own (otherwise
         // idle) contribution buffer.
-        let staging = self.hand_side(Hand::Slot(0), rel);
+        let staging = self.contrib_side(0, rel);
         let (my, n) = (self.cnode(), self.cnodes());
         let half = poff(SeqBase::Rd, b.rel(SeqBase::Rd), self.tuning().reduce_chunk);
         let put = |b: &mut PlanBuilder, to: usize| {
@@ -581,7 +583,7 @@ impl SrmComm {
             }
             plan_acc_to_user(b, 0, len);
             // The tree root's own contribution channel went unused.
-            self.plan_contrib_catchup(b, rel + 1);
+            self.plan_contrib_catchup(b, 0, rel + 1);
         }
         b.advance(SeqBase::Reduce, 1);
         b.advance(SeqBase::Rd, 1);
@@ -659,7 +661,7 @@ impl SrmComm {
         }
         if master {
             // The tree root's own contribution channel went unused.
-            self.plan_contrib_catchup(b, rel0 + chunks as u64);
+            self.plan_contrib_catchup(b, 0, rel0 + chunks as u64);
         }
         b.advance(SeqBase::Reduce, chunks as u64);
         b.advance(SeqBase::Pair, chunks as u64);
@@ -723,8 +725,10 @@ impl SrmComm {
     /// the root — after a one-AM address exchange, bumping the root
     /// node's `large_data` counter per piece. The root consumes local
     /// contributions through shared memory and finally waits for the
-    /// full remote piece count. Interrupts stay enabled: the root-node
-    /// master may finish its own steps before remote puts arrive.
+    /// full remote piece count — or, when it is not its node's master,
+    /// for the master's READY saying they landed. Interrupts stay
+    /// enabled: the root-node master may finish its own steps before
+    /// remote puts arrive.
     pub(crate) fn plan_gather(&self, b: &mut PlanBuilder, len: usize, root: usize) {
         if len == 0 || self.csize() == 1 {
             return;
@@ -740,11 +744,14 @@ impl SrmComm {
         // When the root is not its node's master, the *master* is the
         // target of the remote puts, so the master must be the rank
         // that waits for them (it may not leave the call — and later
-        // disable interrupts or shut down — while puts are in flight);
-        // it then signals the root over the xfer channel.
+        // disable interrupts or shut down — while puts are in flight).
+        // Holding the root's handle, it copies its own segment straight
+        // into the root's buffer, absorbs the puts, then raises its
+        // channel's READY through all of this call's uses at once: the
+        // root's "every piece landed" signal.
         let master_waits = multi && root_gslot != 0;
         let rel0 = b.rel(SeqBase::Reduce);
-        let xrel0 = b.rel(SeqBase::Xfer);
+        let rel_end = rel0 + chunks as u64;
         // Chunk `k` of a segment as `(chunk index, offset, bytes)`.
         let pieces =
             || (0..chunks).map(|k| (rel0 + k as u64, k * chunk, chunk.min(len - k * chunk)));
@@ -767,12 +774,12 @@ impl SrmComm {
             }
         };
         // Relay my segment chunk-by-chunk through my contribution
-        // buffer (producer half of the reduce-leaf pattern).
+        // channel (producer half of the reduce-leaf pattern).
         let contribute = |b: &mut PlanBuilder| {
             let cost = CopyCost::Write(self.peer_streams());
             for (rel, koff, clen) in pieces() {
                 let from = (BufRef::User, Off::Lit(self.crank() * len + koff));
-                self.plan_hand_publish(b, (Hand::Slot(my), rel), from, clen, cost);
+                self.plan_contrib_publish(b, rel, from, clen, cost);
             }
         };
 
@@ -787,13 +794,14 @@ impl SrmComm {
             } else if multi {
                 send_root_addr(b, BufRef::User);
             }
-            // Consume every other local slot's segment.
-            for s in (0..p).filter(|&s| s != my) {
+            // Consume every other local slot's segment; a master that
+            // absorbs the remote puts is consumed last, in one range.
+            for s in (0..p).filter(|&s| s != my && !(master_waits && s == 0)) {
                 let seg = self.crank_at(my_node, s) * len;
                 for (rel, koff, clen) in pieces() {
-                    self.plan_hand_consume(
+                    self.plan_contrib_consume(
                         b,
-                        (Hand::Slot(s), rel),
+                        (s, rel),
                         rel == rel0,
                         "gather contribution ready",
                         |b, src, src_off| {
@@ -810,34 +818,39 @@ impl SrmComm {
                 }
             }
             // Wait for every remote piece to land in my buffer.
-            if multi {
-                if master_waits {
-                    let label = "gather remote pieces landed";
-                    self.plan_hand_consume(b, (Hand::Xfer, xrel0), true, label, |_, _, _| {});
-                } else {
-                    absorb_remote(b);
-                }
+            if master_waits {
+                let landed = seq(SeqBase::Reduce, rel_end);
+                b.wait_flag(FlagRef::Ready(0), landed, "gather remote pieces landed");
+                self.plan_contrib_in_order(b, 0, rel0);
+                b.push(Step::FlagRaise {
+                    flag: FlagRef::Done(0),
+                    val: landed,
+                });
+            } else if multi {
+                absorb_remote(b);
             }
             // The root's own contribution channel went unused.
-            self.plan_contrib_catchup(b, rel0 + chunks as u64);
-        } else if my_node == root_node {
-            // Root-node master (when it is not the root) forwards the
-            // root's handle before contributing its own segment.
-            if multi && my == 0 {
-                let idx = b.take_addr(root);
-                send_root_addr(b, BufRef::Taken { idx });
-            }
-            contribute(b);
-            if master_waits && my == 0 {
-                // I am the target of the remote puts: absorb them all,
-                // then wake the root through the xfer flags.
-                absorb_remote(b);
-                b.push(Step::FlagRaise {
-                    flag: FlagRef::Ready(Hand::Xfer),
-                    val: seq(SeqBase::Xfer, xrel0 + 1),
-                });
-            }
-        } else if my == 0 {
+            self.plan_contrib_catchup(b, 0, rel_end);
+        } else if my_node == root_node && master_waits && my == 0 {
+            // Forward the root's handle, copy my own segment into the
+            // root's buffer, take the remote puts, wake the root.
+            let idx = b.take_addr(root);
+            send_root_addr(b, BufRef::Taken { idx });
+            let at = self.crank() * len;
+            b.push(Step::ShmCopy {
+                src: BufRef::User,
+                src_off: Off::Lit(at),
+                dst: BufRef::Taken { idx },
+                dst_off: Off::Lit(at),
+                len,
+                cost: CopyCost::Write(self.peer_streams()),
+            });
+            absorb_remote(b);
+            b.push(Step::FlagRaise {
+                flag: FlagRef::Ready(0),
+                val: seq(SeqBase::Reduce, rel_end),
+            });
+        } else if my == 0 && my_node != root_node {
             // Remote master: learn the root's buffer from the root
             // node's master, put my own segment, then relay every local
             // slot's pieces.
@@ -861,9 +874,9 @@ impl SrmComm {
             for s in 1..p {
                 let seg = self.crank_at(my_node, s) * len;
                 for (rel, koff, clen) in pieces() {
-                    self.plan_hand_consume(
+                    self.plan_contrib_consume(
                         b,
-                        (Hand::Slot(s), rel),
+                        (s, rel),
                         rel == rel0,
                         "gather contribution ready",
                         |b, src, src_off| put(b, src, src_off, seg + koff, clen),
@@ -871,14 +884,11 @@ impl SrmComm {
                 }
             }
             // My own segment bypassed my contribution channel.
-            self.plan_contrib_catchup(b, rel0 + chunks as u64);
+            self.plan_contrib_catchup(b, 0, rel_end);
         } else {
             contribute(b);
         }
         b.advance(SeqBase::Reduce, chunks as u64);
-        if master_waits && my_node == root_node {
-            b.advance(SeqBase::Xfer, 1);
-        }
     }
 
     /// Piece decomposition of group node `g`'s scatter block as
@@ -945,9 +955,9 @@ impl SrmComm {
     /// landing channels (reusing their credit protocol unchanged); the
     /// receiving master relays each piece into the node's buffer pair,
     /// where every slot copies out just the overlap with its own
-    /// segment. A root that is not its node's master hands pieces to
-    /// the master through the `xfer` buffer, exactly like the reduce
-    /// handoff in the other direction.
+    /// segment. A root that is not its node's master publishes the
+    /// pieces on its own contribution channel, which scatter otherwise
+    /// leaves idle, and the master puts them on the wire.
     pub(crate) fn plan_scatter(&self, b: &mut PlanBuilder, len: usize, root: usize) {
         if len == 0 || self.csize() == 1 {
             return;
@@ -959,32 +969,30 @@ impl SrmComm {
         let my_node = self.cnode();
         let my = self.cslot();
         let (root_node, root_gslot) = self.ccoord_of(root);
-        let xfer_relay = self.cmulti() && root_gslot != 0;
+        let relay = self.cmulti() && root_gslot != 0;
         let rel0 = b.rel(SeqBase::Reduce);
         let prel0 = b.rel(SeqBase::Pair);
-        let xrel0 = b.rel(SeqBase::Xfer);
         let pieces: Vec<Vec<(usize, usize, usize)>> = (0..nodes)
             .map(|g| self.scatter_pieces(g, len, chunk))
             .collect();
+        // The wire pieces in stream order, as `(destination node,
+        // reduce chunk, root offset, bytes)`; the `i`-th is use
+        // `rel0 + i` of a relaying root's channel.
+        let stream: Vec<(usize, u64, usize, usize)> = (0..nodes)
+            .filter(|&c| c != root_node)
+            .flat_map(|c| {
+                (pieces[c].iter().enumerate())
+                    .map(move |(j, &(roff, _, plen))| (c, rel0 + j as u64, roff, plen))
+            })
+            .collect();
+        let relayed = if relay { stream.len() as u64 } else { 0 };
         // Uniform advance: per-node piece counts differ on uneven
         // groups, but the Reduce cumulative must advance identically on
         // every member (see the module doc), so all ranks advance by
-        // the maximum.
-        let max_pieces = pieces.iter().map(Vec::len).max().expect("nonempty group");
-        // The wire pieces in stream order, as `(destination node,
-        // reduce chunk, xfer use, root offset, bytes)`.
-        let stream = || {
-            (0..nodes)
-                .filter(|&c| c != root_node)
-                .flat_map(|c| {
-                    pieces[c]
-                        .iter()
-                        .enumerate()
-                        .map(move |(j, p)| (c, j as u64, p))
-                })
-                .enumerate()
-                .map(|(xi, (c, j, &(roff, _, plen)))| (c, rel0 + j, xrel0 + xi as u64, roff, plen))
-        };
+        // the most any node receives or the relaying root publishes.
+        let max_pieces = pieces.iter().map(Vec::len).max().expect("nonempty group") as u64;
+        let adv = max_pieces.max(relayed);
+        let uses = (rel0..).zip(&stream);
         // Reader side of the pair distribution of my node's block
         // (every non-publishing slot must release every piece).
         let read_block = |b: &mut PlanBuilder| {
@@ -996,14 +1004,14 @@ impl SrmComm {
 
         if self.crank() == root {
             // Ship every other node's block through the reduce landing
-            // channels (directly, or via my master over `xfer`).
-            for (c, rel, xrel, roff, plen) in stream() {
+            // channels (directly, or via my master over my channel).
+            for (use_rel, &(c, rel, roff, plen)) in uses {
                 let from = (BufRef::User, Off::Lit(roff));
-                if root_gslot == 0 {
+                if relay {
+                    self.plan_contrib_publish(b, use_rel, from, plen, CopyCost::Free);
+                } else {
                     let to = Chan::new(ChanKind::Reduce, root_node, c, rel);
                     self.plan_credit_put(b, (to, 0), false, from, plen);
-                } else {
-                    self.plan_hand_publish(b, (Hand::Xfer, xrel), from, plen, CopyCost::Free);
                 }
             }
             // Distribute my own node's block through the pair.
@@ -1015,13 +1023,14 @@ impl SrmComm {
                 }
             }
         } else if my_node == root_node {
-            if my == 0 && xfer_relay {
-                // Master relays the root's xfer pieces onto the wire.
-                // The put snapshots the source synchronously, so the
-                // side is reusable as soon as it is issued.
-                for (c, rel, xrel, _, plen) in stream() {
-                    let (label, first) = ("xfer chunk ready", xrel == xrel0);
-                    self.plan_hand_consume(b, (Hand::Xfer, xrel), first, label, |b, src, off| {
+            if my == 0 && relay {
+                // Master relays the root's pieces onto the wire. The put
+                // snapshots the source synchronously, so the side is
+                // reusable as soon as it is issued.
+                for (use_rel, &(c, rel, _, plen)) in uses {
+                    let (label, first) = ("scatter piece ready", use_rel == rel0);
+                    let at = (root_gslot, use_rel);
+                    self.plan_contrib_consume(b, at, first, label, |b, src, off| {
                         let to = Chan::new(ChanKind::Reduce, root_node, c, rel);
                         self.plan_credit_put(b, (to, 0), false, (src, off), plen);
                     });
@@ -1060,17 +1069,16 @@ impl SrmComm {
         }
 
         // Scatter advances the reduce cumulative (it borrows the
-        // reduce landing channels) but no contribution channel carries
-        // data — every rank re-synchronizes its own.
-        self.plan_contrib_catchup(b, rel0 + max_pieces as u64);
-        b.advance(SeqBase::Reduce, max_pieces as u64);
+        // reduce landing channels); every rank re-synchronizes its own
+        // contribution channel, a relaying root after its master took
+        // the last piece.
+        let sent = if self.crank() == root { relayed } else { 0 };
+        self.plan_contrib_catchup(b, sent, rel0 + adv);
+        b.advance(SeqBase::Reduce, adv);
         // My node's pair carried its own block's pieces (none on a
         // single-slot node).
         if p > 1 {
             b.advance(SeqBase::Pair, pieces[my_node].len() as u64);
-        }
-        if xfer_relay && my_node == root_node {
-            b.advance(SeqBase::Xfer, stream().count() as u64);
         }
     }
 

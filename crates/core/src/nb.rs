@@ -67,7 +67,7 @@
 //! suspension").
 
 use crate::engine::CallState;
-use crate::plan::{BufRef, ChanKind, CtrRef, FlagRef, Hand, Plan, PlanKey, Step, WaitCell};
+use crate::plan::{BufRef, ChanKind, CtrRef, FlagRef, Plan, PlanKey, Step, WaitCell};
 use crate::tuning::SrmTuning;
 use crate::world::SrmComm;
 use collops::{DType, ReduceOp};
@@ -79,35 +79,27 @@ use std::sync::Arc;
 /// Substrate class: the node's buffer pair and the broadcast channels
 /// whose uses it numbers.
 const CL_PAIR: u8 = 1 << 0;
-/// Substrate class: reduce contribution/landing state and counters.
+/// Substrate class: the contribution channels (every intra-node
+/// handoff) and the reduce landings and counters.
 const CL_REDUCE: u8 = 1 << 1;
-/// Substrate class: the master→root `xfer` handoff.
-const CL_XFER: u8 = 1 << 2;
 /// Substrate class: the address mailbox (handle exchange) and the
 /// completion counters of the transfers it sets up.
-const CL_ADDR: u8 = 1 << 3;
+const CL_ADDR: u8 = 1 << 2;
 /// Substrate class: barrier flags and round counters.
-const CL_BARRIER: u8 = 1 << 4;
+const CL_BARRIER: u8 = 1 << 3;
 /// Substrate class: the ring channels of the staged reduce_scatter
 /// (see [`crate::pairwise`]). The exchanges order in `CL_ADDR` (their
 /// wire) and `CL_REDUCE` (their intra-node leg).
-const CL_PAIRWISE: u8 = 1 << 5;
+const CL_PAIRWISE: u8 = 1 << 4;
 
 /// Number of substrate classes (width of the per-call remaining-step
 /// counters).
-const NCLASSES: usize = 6;
+const NCLASSES: usize = 5;
 
 fn flag_class(f: FlagRef) -> u8 {
     match f {
         FlagRef::Barrier { .. } => CL_BARRIER,
-        FlagRef::Ready(hand) | FlagRef::Done(hand) => hand_class(hand),
-    }
-}
-
-fn hand_class(h: Hand) -> u8 {
-    match h {
-        Hand::Slot(_) => CL_REDUCE,
-        Hand::Xfer => CL_XFER,
+        FlagRef::Ready(_) | FlagRef::Done(_) => CL_REDUCE,
     }
 }
 
@@ -137,7 +129,7 @@ fn buf_class(b: BufRef) -> u8 {
     match b {
         BufRef::User | BufRef::Acc => 0,
         BufRef::Pair { .. } => CL_PAIR,
-        BufRef::Hand(hand) => hand_class(hand),
+        BufRef::Contrib(_) => CL_REDUCE,
         BufRef::Chan(ch) => chan_class(ch.kind),
         // Scratch is per-call private, but it is published through the
         // address exchange, so its uses order with that class.

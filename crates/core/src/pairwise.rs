@@ -36,7 +36,7 @@
 //! parity buffer and consumes slot `(u - r) mod p`'s. All `p` slots copy
 //! at once, so every copy is charged at full bus contention. A channel
 //! changes consumer every round; the consumed-in-order guard of
-//! `SrmComm::plan_hand_consume` at each hand-over keeps its DONE flag
+//! `SrmComm::plan_contrib_consume` at each hand-over keeps its DONE flag
 //! skip-free.
 //!
 //! ## Reduce-scatter: two routes between node masters
@@ -100,10 +100,7 @@
 //! `plan_contrib_catchup` (DESIGN.md §9.3, §12.3). The node pair's base
 //! counts only the uses my node made.
 
-use crate::inter::seq;
-use crate::plan::{
-    BufRef, Chan, ChanKind, CopyCost, CtrRef, FlagRef, Hand, Off, PlanBuilder, SeqBase, Step, Val,
-};
+use crate::plan::{BufRef, Chan, ChanKind, CopyCost, CtrRef, Off, PlanBuilder, SeqBase, Step, Val};
 use crate::smp::{pair_buf, plan_acc_to_user, plan_pair_release, plan_stage_acc};
 use crate::tuning::SrmTuning;
 use crate::world::{Channel, SrmComm};
@@ -360,14 +357,14 @@ impl SrmComm {
                 if koff < out {
                     let user = (BufRef::User, Off::Lit(cto * seg + koff));
                     let len = cs.min(out - koff);
-                    let mine = (Hand::Slot(my), rel0 + sent);
-                    self.plan_hand_publish(b, mine, user, len, CopyCost::Write(p));
+                    let cost = CopyCost::Write(p);
+                    self.plan_contrib_publish(b, rel0 + sent, user, len, cost);
                     sent += 1;
                 }
                 if koff < inb {
-                    self.plan_hand_consume(
+                    self.plan_contrib_consume(
                         b,
-                        (Hand::Slot(from), rel_in + k as u64),
+                        (from, rel_in + k as u64),
                         k == 0,
                         "exchange cell published",
                         |b, src, src_off| {
@@ -384,21 +381,10 @@ impl SrmComm {
                 }
             }
         }
-        // Re-synchronize my channel with the group-wide advance. A slot
+        // Re-synchronize my channel with the group-wide advance: a slot
         // that published fewer pieces than the group maximum (ragged
-        // counts, uneven nodes) raises its own flags the rest of the
-        // way — but only after its last consumer finished, so the
-        // flags never move backwards.
-        if sent < r_adv {
-            if sent > 0 {
-                b.wait_flag(
-                    FlagRef::Done(Hand::Slot(my)),
-                    seq(SeqBase::Reduce, rel0 + sent),
-                    "exchange cells consumed",
-                );
-            }
-            self.plan_contrib_catchup(b, rel0 + r_adv);
-        }
+        // counts, uneven nodes) raises its own flags the rest of the way.
+        self.plan_contrib_catchup(b, sent, rel0 + r_adv);
         b.advance(SeqBase::Reduce, r_adv);
     }
 
@@ -501,7 +487,7 @@ impl SrmComm {
                 // (otherwise idle) contribution buffer so the put has
                 // an addressable source; the put snapshots it
                 // synchronously.
-                let staging = (BufRef::Hand(Hand::Slot(0)), Off::Lit(0));
+                let staging = (BufRef::Contrib(0), Off::Lit(0));
                 if direct {
                     // Land the piece straight in the peer master's
                     // scratch region — no credits, no window, one
@@ -583,7 +569,7 @@ impl SrmComm {
         if my == 0 {
             // The subtree root consumed everyone's contributions but
             // staged none of its own.
-            self.plan_contrib_catchup(b, rel);
+            self.plan_contrib_catchup(b, 0, rel);
         }
         // `rel - rel0` is `Σ_d pieces[d].len()` on every member (each
         // walks all destinations plus its own block), so the Reduce

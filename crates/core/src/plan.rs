@@ -42,10 +42,9 @@ pub enum SeqBase {
     /// member of the communicator, so both ends of an edge agree on the
     /// lane's parity.
     Bcast,
-    /// Reduce chunks through the contribution buffers.
+    /// Uses of the contribution channels — every handoff between two
+    /// tasks of a node — and chunks through the reduce landings.
     Reduce,
-    /// Chunks through the master→root `xfer` handoff buffer.
-    Xfer,
     /// Barriers completed.
     Barrier,
     /// Recursive-doubling allreduces completed: their [`ChanKind::Rd`]
@@ -54,7 +53,7 @@ pub enum SeqBase {
 }
 
 /// Number of [`SeqBase`] cells (size of the engine's sample array).
-pub const SEQ_BASES: usize = 6;
+pub const SEQ_BASES: usize = 5;
 
 impl SeqBase {
     /// Index of this base in the engine's sample array.
@@ -175,30 +174,6 @@ impl Chan {
     }
 }
 
-/// One of my node's handoff channels: a parity-double-buffered staging
-/// area ([`BufRef::Hand`]) its producer fills and flags
-/// [`FlagRef::Ready`], and its consumer drains and flags
-/// [`FlagRef::Done`] — both cumulative use counts against
-/// [`Hand::base`].
-#[derive(Clone, Copy, Debug)]
-pub enum Hand {
-    /// The contribution channel slot `.0` produces into (Figure 2).
-    Slot(usize),
-    /// The master↔root `xfer` channel, for roots that are not their
-    /// node's master.
-    Xfer,
-}
-
-impl Hand {
-    /// The sequence base the channel's uses are numbered against.
-    pub fn base(self) -> SeqBase {
-        match self {
-            Hand::Slot(_) => SeqBase::Reduce,
-            Hand::Xfer => SeqBase::Xfer,
-        }
-    }
-}
-
 /// A buffer operand. `User` is the executing call's payload buffer;
 /// everything else names a shared structure of the fabric or a handle
 /// the plan captured earlier ([`Step::AddrTake`]).
@@ -213,8 +188,10 @@ pub enum BufRef {
         /// Which side.
         side: Side,
     },
-    /// The staging area of one of my node's handoff channels.
-    Hand(Hand),
+    /// The parity-double-buffered staging area of slot `.0`'s
+    /// contribution channel (Figure 2), numbered against
+    /// [`SeqBase::Reduce`].
+    Contrib(usize),
     /// The landing of a channel (remote for put targets, mine when I
     /// read what landed).
     Chan(Chan),
@@ -272,10 +249,12 @@ pub enum FlagRef {
         /// Which slot's flag.
         slot: usize,
     },
-    /// Cumulative chunks the channel's producer has published.
-    Ready(Hand),
-    /// Cumulative chunks the channel's consumer has drained.
-    Done(Hand),
+    /// Cumulative uses slot `.0` has published on its contribution
+    /// channel.
+    Ready(usize),
+    /// Cumulative uses of slot `.0`'s contribution channel its
+    /// consumers have drained.
+    Done(usize),
 }
 
 /// The cell a [`Step::Wait`] watches.

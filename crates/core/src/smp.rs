@@ -26,7 +26,7 @@
 use crate::embed::{children_ascending, TreeKind};
 use crate::inter::{poff, seq};
 use crate::plan::{
-    BufRef, CopyCost, FlagRef, Hand, Off, PlanBuilder, SeqBase, Side, Step, Until, Val, WaitCell,
+    BufRef, CopyCost, FlagRef, Off, PlanBuilder, SeqBase, Side, Step, Until, Val, WaitCell,
 };
 use crate::tuning::SrmTuning;
 use crate::world::SrmComm;
@@ -155,40 +155,32 @@ impl SrmComm {
         plan_pair_release(b, rel);
     }
 
-    /// The parity side of handoff channel `hand` that use `rel` goes
-    /// through (the two sides lie one reduce chunk apart).
-    pub(crate) fn hand_side(&self, hand: Hand, rel: u64) -> (BufRef, Off) {
-        let side = poff(hand.base(), rel, self.tuning().reduce_chunk);
-        (BufRef::Hand(hand), side)
+    /// The parity side of slot `slot`'s contribution channel that use
+    /// `rel` goes through (the two sides lie one reduce chunk apart).
+    pub(crate) fn contrib_side(&self, slot: usize, rel: u64) -> (BufRef, Off) {
+        let side = poff(SeqBase::Reduce, rel, self.tuning().reduce_chunk);
+        (BufRef::Contrib(slot), side)
     }
 
-    /// Producer leg of handoff channel `hand`, use `rel`: wait until
-    /// the parity side is drained, fill it from `from`, raise READY.
-    ///
-    /// The `xfer` channel has two producers: the node master (reduce,
-    /// and gather's "remote pieces landed" signal) and a non-master
-    /// scatter root. A plan's first `xfer` use therefore waits until
-    /// the previous use is published: a max-raise past a producer that
-    /// has not raised yet would release that use's consumer early.
-    /// Later uses of the same plan share one producer and are ordered.
-    pub(crate) fn plan_hand_publish(
+    /// Producer leg of use `rel` of my own contribution channel — the
+    /// only one I ever produce into: wait until the parity side is
+    /// drained, fill it from `from`, raise READY.
+    pub(crate) fn plan_contrib_publish(
         &self,
         b: &mut PlanBuilder,
-        (hand, rel): (Hand, u64),
+        rel: u64,
         from: (BufRef, Off),
         len: usize,
         cost: CopyCost,
     ) {
-        let (dst, dst_off) = self.hand_side(hand, rel);
-        let base = hand.base();
-        let first = matches!(hand, Hand::Xfer) && rel == b.rel(base);
-        if first && !self.world.handle.faults().skip_order_guards {
-            let ready = FlagRef::Ready(hand);
-            b.wait_flag(ready, seq(base, rel), "handoff published in order");
-        }
-        let drained = Until::SideDrained { base, rel };
-        let done = WaitCell::Flag(FlagRef::Done(hand));
-        b.wait(done, drained, "handoff side drained");
+        let mine = self.cslot();
+        let (dst, dst_off) = self.contrib_side(mine, rel);
+        let drained = Until::SideDrained {
+            base: SeqBase::Reduce,
+            rel,
+        };
+        let done = WaitCell::Flag(FlagRef::Done(mine));
+        b.wait(done, drained, "contribution side drained");
         b.push(Step::ShmCopy {
             src: from.0,
             src_off: from.1,
@@ -198,47 +190,49 @@ impl SrmComm {
             cost,
         });
         b.push(Step::FlagRaise {
-            flag: FlagRef::Ready(hand),
-            val: seq(base, rel + 1),
+            flag: FlagRef::Ready(mine),
+            val: seq(SeqBase::Reduce, rel + 1),
         });
     }
 
-    /// Consumer leg of handoff channel `hand`, use `rel`: wait for
-    /// READY, let `consume` emit whatever reads the side (handed the
-    /// operand), raise DONE.
+    /// Consumer leg of use `rel` of slot `slot`'s contribution channel:
+    /// wait for READY, let `consume` emit whatever reads the side
+    /// (handed the operand), raise DONE.
     ///
-    /// A contribution channel's DONE must advance without skipping
-    /// sequence numbers: the chunk before `rel` may have had a
-    /// *different* consumer rank — the previous collective's (a gather
-    /// root, say), or the previous round's in the exchange rotation —
-    /// that has not drained it yet, and a max-raise past it would let
-    /// the contributor overwrite that side early. One consumer's
-    /// consecutive chunks are ordered, so only its `first` waits for
-    /// the channel to be drained through `rel`. The `xfer` channel has
-    /// two consumers as well as two producers — a non-master root in
-    /// reduce and gather, the master in scatter — so its consumers pass
-    /// the plan's first `xfer` use too, beside the producer-side guard
-    /// of [`Self::plan_hand_publish`].
-    pub(crate) fn plan_hand_consume(
+    /// DONE must advance without skipping uses: the use before `rel`
+    /// may have had a *different* consumer — the previous collective's
+    /// (a gather root, say), or the previous round's in the exchange
+    /// rotation — that has not drained it yet, and a max-raise past it
+    /// would let the producer overwrite that side early. One consumer's
+    /// consecutive uses are ordered, so only its `first` waits for the
+    /// channel to be drained through `rel`.
+    pub(crate) fn plan_contrib_consume(
         &self,
         b: &mut PlanBuilder,
-        (hand, rel): (Hand, u64),
+        (slot, rel): (usize, u64),
         first: bool,
         label: &'static str,
         consume: impl FnOnce(&mut PlanBuilder, BufRef, Off),
     ) {
-        let base = hand.base();
-        b.wait_flag(FlagRef::Ready(hand), seq(base, rel + 1), label);
-        let (src, src_off) = self.hand_side(hand, rel);
+        b.wait_flag(FlagRef::Ready(slot), seq(SeqBase::Reduce, rel + 1), label);
+        let (src, src_off) = self.contrib_side(slot, rel);
         consume(b, src, src_off);
-        if first && !self.world.handle.faults().skip_order_guards {
-            let done = FlagRef::Done(hand);
-            b.wait_flag(done, seq(base, rel), "handoff consumed in order");
+        if first {
+            self.plan_contrib_in_order(b, slot, rel);
         }
         b.push(Step::FlagRaise {
-            flag: FlagRef::Done(hand),
-            val: seq(base, rel + 1),
+            flag: FlagRef::Done(slot),
+            val: seq(SeqBase::Reduce, rel + 1),
         });
+    }
+
+    /// The consumer's in-order guard: slot `slot`'s channel is drained
+    /// through use `rel` before I raise its DONE past it.
+    pub(crate) fn plan_contrib_in_order(&self, b: &mut PlanBuilder, slot: usize, rel: u64) {
+        if !self.world.handle.faults().skip_order_guards {
+            let done = FlagRef::Done(slot);
+            b.wait_flag(done, seq(SeqBase::Reduce, rel), "contrib consumed in order");
+        }
     }
 
     /// Writer side of one broadcast cell: `user[off..off+clen]` through
@@ -347,24 +341,22 @@ impl SrmComm {
         debug_assert!(clen <= self.tuning().reduce_chunk);
         let vs = self.cslot();
         let kids = children_ascending(kind, vs, p);
-        let mine = Hand::Slot(self.cslot());
-
         b.push(Step::LoadAcc { off, len: clen });
 
         if vs != 0 && kids.is_empty() {
             // Lowest level: the one real memory copy of the algorithm.
             // Roughly half the node's tasks copy concurrently.
             let cost = CopyCost::Write((p / 2).max(1));
-            self.plan_hand_publish(b, (mine, rel), (BufRef::Acc, Off::Lit(0)), clen, cost);
+            self.plan_contrib_publish(b, rel, (BufRef::Acc, Off::Lit(0)), clen, cost);
             return false;
         }
 
         // Interior (or root): fold each child's shared buffer into the
         // running chunk — operator execution only, no data movement.
         for child in kids {
-            self.plan_hand_consume(
+            self.plan_contrib_consume(
                 b,
-                (Hand::Slot(child), rel),
+                (child, rel),
                 rel == b.rel(SeqBase::Reduce),
                 "child contribution ready",
                 |b, src, src_off| {
@@ -381,7 +373,7 @@ impl SrmComm {
             // Publish the partial result (the last operator pass's
             // output stream — no extra copy).
             let acc = (BufRef::Acc, Off::Lit(0));
-            self.plan_hand_publish(b, (mine, rel), acc, clen, CopyCost::Free);
+            self.plan_contrib_publish(b, rel, acc, clen, CopyCost::Free);
         }
         // At the subtree root the accumulator holds the result; the
         // caller routes it onward.

@@ -44,20 +44,25 @@ pub struct NodeBoard {
     pub pair: BufPair,
     /// Flat-barrier flags, one cache line per slot.
     pub barrier_flags: FlagBank,
-    /// Per-slot reduce contribution buffers (Figure 2), double-buffered
-    /// by chunk parity: capacity `2 × reduce_chunk`.
+    /// Per-slot contribution channels (Figure 2), double-buffered by
+    /// use parity: capacity `2 × reduce_chunk`. Every handoff between
+    /// two tasks of the node goes through one of them — a reduce
+    /// tree's partial results, gather segments, the exchange's cells,
+    /// a combined reduce chunk or scatter piece between a non-master
+    /// root and its master.
+    ///
+    /// A channel has **one producer, its slot**: only slot `s` writes
+    /// `contrib[s]` and raises `contrib_ready[s]`, in program order, so
+    /// READY never needs a guard. Its consumers change between calls
+    /// (the parent in a reduce tree, a gather root, the next slot of an
+    /// exchange round), so each consumer takes its first use of a plan
+    /// in order: it waits until DONE reaches that use before raising it
+    /// further, and no raise skips a use another consumer has not read.
     pub contrib: Vec<ShmBuffer>,
-    /// Cumulative count of chunks each slot has published in `contrib`.
+    /// Cumulative uses each slot has published on its channel.
     pub contrib_ready: Vec<SpinFlag>,
-    /// Cumulative count of each slot's chunks its parent has consumed.
+    /// Cumulative uses of each slot's channel its consumers drained.
     pub contrib_done: Vec<SpinFlag>,
-    /// Master→root handoff buffer for reduce when the root is not the
-    /// node master (double-buffered by chunk parity).
-    pub xfer: ShmBuffer,
-    /// Cumulative chunks the master wrote into `xfer`.
-    pub xfer_ready: SpinFlag,
-    /// Cumulative chunks the root consumed from `xfer`.
-    pub xfer_done: SpinFlag,
 }
 
 impl NodeBoard {
@@ -78,9 +83,6 @@ impl NodeBoard {
             contrib_done: (0..tasks_per_node)
                 .map(|_| SpinFlag::new(handle, 0))
                 .collect(),
-            xfer: ShmBuffer::new(2 * tuning.reduce_chunk),
-            xfer_ready: SpinFlag::new(handle, 0),
-            xfer_done: SpinFlag::new(handle, 0),
         }
     }
 }
@@ -462,7 +464,7 @@ impl CommState {
     }
 }
 
-/// One member's per-communicator protocol state: the six cumulative
+/// One member's per-communicator protocol state: the five cumulative
 /// sequence cells the plan engine resolves relative values against, and
 /// the compiled-schedule cache. Shared (via `Arc`) between every
 /// [`SrmComm`] handle of that (rank, communicator) pair — including the
@@ -472,9 +474,9 @@ pub(crate) struct CommSeat {
     /// The cumulative sequence cells, indexed by
     /// [`SeqBase::index`](crate::plan::SeqBase::index): uses of the
     /// node's buffer pair ("consecutive operations alternate buffers",
-    /// §2.2), chunks down the broadcast channels, through the
-    /// contribution buffers and the master→root `xfer` buffer, barriers
-    /// and recursive-doubling allreduces completed.
+    /// §2.2), chunks down the broadcast channels, uses of the
+    /// contribution channels, barriers and recursive-doubling
+    /// allreduces completed.
     pub seq: [AtomicU64; SEQ_BASES],
     /// Compiled-schedule cache, keyed by call shape (see
     /// [`crate::plan::PlanCache`]).
@@ -975,16 +977,10 @@ mod tests {
     #[test]
     fn construction_allocates_simvars_linear_in_ranks() {
         // Per rank 3 in `rma` and 7 on its board (four pair banks, the
-        // barrier flag, two contribution flags); per node 3 (the xfer
-        // flags, `large_data`). Per-peer-node state waits for first use.
-        assert_eq!(
-            vars_allocated_by_new(Topology::new(16, 16)),
-            256 * 10 + 16 * 3
-        );
-        assert_eq!(
-            vars_allocated_by_new(Topology::new(64, 16)),
-            1024 * 10 + 64 * 3
-        );
+        // barrier flag, two contribution flags); per node 1
+        // (`large_data`). Per-peer-node state waits for first use.
+        assert_eq!(vars_allocated_by_new(Topology::new(16, 16)), 256 * 10 + 16);
+        assert_eq!(vars_allocated_by_new(Topology::new(64, 16)), 1024 * 10 + 64);
     }
 
     /// Run `body` on every member of a fresh `topo` world's communicator

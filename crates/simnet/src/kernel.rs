@@ -138,13 +138,12 @@ pub(crate) struct Shared {
 /// off unless installed. Test-harness machinery, never for protocol use.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Faults {
-    /// The SRM planners omit the order guards of their handoff
+    /// The SRM planners omit the order guards of their contribution
     /// channels: the "contrib consumed in order" guards that keep a
-    /// contribution channel's DONE flag skip-free when its consumer
-    /// changes between collectives (a gather root handing over to an
-    /// SMP-tree interior rank, say), and the "handoff published in
-    /// order" guard that does the same for the `xfer` channel's READY
-    /// when its producer changes. Read when a plan is built.
+    /// channel's DONE flag skip-free when its consumer changes between
+    /// collectives (a gather root handing over to an SMP-tree interior
+    /// rank, say). A channel's READY needs no guard: its one producer
+    /// raises it in program order. Read when a plan is built.
     /// With `nonmonotone_raise` this re-opens the cross-collective
     /// overwrite race the harness originally found.
     pub skip_order_guards: bool,

@@ -24,8 +24,7 @@
 //!   `tests/nonblocking.rs`);
 //! * **quiescence** — after a final verification allreduce and world
 //!   barrier, every contribution channel is drained
-//!   (`contrib_ready == contrib_done`, `xfer_ready == xfer_done` on
-//!   every board) and shutdown asserts the nonblocking queue is empty;
+//!   (`contrib_ready == contrib_done` on every board) and shutdown asserts the nonblocking queue is empty;
 //! * **plan-cache coherence** — per-communicator `hits + misses`
 //!   equals collective calls issued, and `nb_issued` matches the
 //!   program's nonblocking step count;
@@ -646,9 +645,9 @@ fn verify_step(
     }
 }
 
-/// Quiescence check: every contribution channel and master↔root
-/// handoff on every board this rank can see is drained — cumulative
-/// publish counts equal cumulative consume counts.
+/// Quiescence check: every contribution channel on every board this
+/// rank can see is drained — cumulative publish counts equal cumulative
+/// consume counts.
 fn check_quiescent(comm: &SrmComm, tag: &str) {
     let board = comm.board();
     for (slot, (r, d)) in board
@@ -663,11 +662,6 @@ fn check_quiescent(comm: &SrmComm, tag: &str) {
             "{tag}: contribution channel slot {slot} not drained"
         );
     }
-    assert_eq!(
-        board.xfer_ready.peek(),
-        board.xfer_done.peek(),
-        "{tag}: xfer handoff not drained"
-    );
 }
 
 /// Run the scenario derived from `seed`; check bit-exactness and all

@@ -6,7 +6,7 @@
 
 use collops::{reference_reduce, Collectives, DType, NonblockingCollectives, ReduceOp};
 use simnet::{MachineConfig, MetricsSnapshot, Sim, Topology};
-use srm::plan::{BufRef, Hand, Step};
+use srm::plan::{BufRef, Step};
 use srm::{PlanShape, SrmComm, SrmTuning, SrmWorld};
 use srm_cluster::{measure, HarnessOpts, Impl, Op};
 use std::collections::BTreeSet;
@@ -250,14 +250,14 @@ fn exchange_plans_permute_the_wire_and_rotate_the_node() {
                             puts.push(to);
                         }
                         Step::ShmCopy {
-                            dst: BufRef::Hand(Hand::Slot(s)),
+                            dst: BufRef::Contrib(s),
                             ..
                         } => {
                             assert_eq!(s, slot, "{what}: published in a foreign buffer");
                             published += 1;
                         }
                         Step::ShmCopy {
-                            src: BufRef::Hand(Hand::Slot(s)),
+                            src: BufRef::Contrib(s),
                             ..
                         } => from.push(s),
                         _ => {}

@@ -30,14 +30,17 @@
 //!    bounded by buffer sides, back to back (parity continuity),
 //!    outstanding beside a broadcast, and on an uneven split part.
 //!
-//! 4. **The xfer Ready-skip** (2x8 seed 0x1c6, deterministic): the
-//!    `xfer` channel has two producers, the node master (gather's
-//!    "remote pieces landed" signal) and a non-master scatter root. A
-//!    scatter root that published right after its gather max-raised
-//!    READY past the master's pending signal, so the gather root
-//!    returned before the remote puts landed. Fixed by the "handoff
-//!    published in order" guard; the two-step program here is the
-//!    explorer's shrink of that seed, with no perturbation at all.
+//! 4. **Two producers on one handoff channel** (2x8 seed 0x1c6,
+//!    deterministic): the master↔root `xfer` channel had two producers,
+//!    the node master (gather's "remote pieces landed" signal) and a
+//!    non-master scatter root. A scatter root that published right
+//!    after its gather max-raised READY past the master's pending
+//!    signal, so the gather root returned before the remote puts
+//!    landed. First fixed by a producer-side order guard; since the
+//!    channel is gone the signal is the master's own contribution
+//!    channel's READY and the scatter pieces go through the root's own,
+//!    so each channel has one producer. The two-step program here is
+//!    the explorer's shrink of that seed, with no perturbation at all.
 //!
 //! 5. **A landing-pair writer's early release** (4x2 seed 0x5f0,
 //!    deterministic): publishing raised the writer's own RELEASED
@@ -45,9 +48,12 @@
 //!    the publishing master still forwarded it or copied its own part
 //!    out. Fixed by the writer's explicit release after its last read.
 //!
-//! 6. **The xfer channel's two consumers** (4x4 x32 seed 0x447): a
-//!    scatter master's DONE max-raise covered a reduce root's unread
-//!    use. Fixed by the consumer-side guard at the first xfer use.
+//! 6. **Two consumers of one handoff channel** (4x4 x32 seed 0x447): a
+//!    scatter master's DONE max-raise on the `xfer` channel covered a
+//!    reduce root's unread use. First fixed by a consumer-side guard;
+//!    now the reduce root reads its master's contribution channel and
+//!    the scatter master reads the root's, and each consumer's first
+//!    use waits for the channel's earlier uses like any other.
 //!
 //! 7. **Two writers on one landing side** (4x2, four blocking 8 B
 //!    broadcasts, no perturbation): every parent's broadcast channel
@@ -257,12 +263,14 @@ fn skewed_allreduce_pipeline_under_perturbation() {
     }
 }
 
-/// The xfer Ready-skip, shrunk: a blocking gather to non-master root 6,
-/// then a scatter from non-master root 1 on the same node, every
-/// perturbation mechanism off. Before the guard rank 9's segment still
-/// held root 6's own fill when the gather returned.
+/// Two producers on one handoff channel, shrunk: a blocking gather to
+/// non-master root 6, then a scatter from non-master root 1 on the same
+/// node, every perturbation mechanism off. When both went through the
+/// `xfer` channel, rank 9's segment still held root 6's own fill when
+/// the gather returned. The gather's signal is now node 0's master's
+/// READY, the scatter's pieces root 1's own channel.
 #[test]
-fn xfer_ready_skip_gather_then_scatter_at_non_master_roots() {
+fn gather_signal_and_scatter_pieces_take_their_producers_channels() {
     run_pinned(
         2,
         8,
@@ -295,17 +303,16 @@ fn pair_writer_releases_after_its_last_read() {
     );
 }
 
-/// The xfer channel's two consumers, shrunk from 4x4 x32 seed 0x447
-/// with every mechanism off: a reduce at non-master root 10 consumes
-/// its chunk from the xfer side, and the scatter behind it at
-/// non-master root 9 has node 2's master consume its first piece. A
-/// max-raise of DONE for that piece covered the reduce use root 10 had
-/// not read yet, and root 9's next piece overwrote it. The "handoff
-/// consumed in order" guard at the plan's first xfer use orders the
-/// two consumers. The program fails without the guard whether or not
-/// the pair writers release after their last read.
+/// Two consumers of one handoff channel, shrunk from 4x4 x32 seed 0x447
+/// with every mechanism off: a reduce at non-master root 10, then a
+/// scatter behind it at non-master root 9 on the same node. On the
+/// shared `xfer` channel node 2's master consumed the scatter's first
+/// piece with a max-raise of DONE that covered the reduce use root 10
+/// had not read yet, and root 9's next piece overwrote it. Now root 10
+/// reads node 2's master's contribution channel and the master reads
+/// root 9's.
 #[test]
-fn xfer_consumers_take_their_uses_in_order() {
+fn reduce_and_scatter_hand_overs_take_their_producers_channels() {
     run_pinned_comms(
         4,
         4,

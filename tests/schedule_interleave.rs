@@ -2,8 +2,8 @@
 //! compose with every other on the same communicator without deadlock.
 //!
 //! The schedules share substrate state across calls — the cumulative
-//! sequence cells, the per-slot contribution channels, the xfer
-//! handoff buffer and the credit counters — so the dangerous bugs are
+//! sequence cells, the per-slot contribution channels and the credit
+//! counters — so the dangerous bugs are
 //! *interleaving* bugs: an op that leaves a channel out of sync with
 //! the cumulative it advanced, or that returns from the call while
 //! puts targeting it are still in flight. These scans sweep topology
