@@ -89,7 +89,7 @@ pub(crate) fn ctr_of<'a>(
     match c {
         CtrRef::Data(ch) => &chan_of(comm, bases, ch).data,
         CtrRef::Free(ch) => &chan_of(comm, bases, ch).free,
-        CtrRef::LargeData { node } => &comm.inter(node).large_data,
+        CtrRef::Landed { rank } => &comm.comm.mailbox.landed[rank],
         CtrRef::BarRound { node, from } => &comm.exchange(node, from).bar,
         CtrRef::PairwiseDirect { src, dst } => comm.pairwise().direct(src, dst),
     }
@@ -163,15 +163,12 @@ pub(crate) enum Watch<'a> {
         consume: bool,
         credit: bool,
     },
-    /// A mailbox slot fills. AM-fed slots park *inside a LAPI call*
-    /// (like the counter waits): with interrupts disabled the
-    /// dispatcher only delivers that AM to a polling target, so a task
-    /// parked outside a call would deadlock the exchange. A slot a task
-    /// on my node fills through shared memory needs no call.
-    Slot {
-        var: HandleSlot,
-        in_call: Option<&'a Rma>,
-    },
+    /// A mailbox slot fills. Every slot is fed by the address AM, so
+    /// the wait parks *inside a LAPI call* (like the counter waits):
+    /// with interrupts disabled the dispatcher only delivers that AM to
+    /// a polling target, so a task parked outside a call would deadlock
+    /// the exchange.
+    Slot { var: HandleSlot, rma: &'a Rma },
 }
 
 impl SrmComm {
@@ -227,7 +224,7 @@ impl SrmComm {
             }
             Step::AddrTake { from } => Watch::Slot {
                 var: self.comm.mailbox.slot(self.crank(), from),
-                in_call: (self.cnode_of(from) != self.cnode()).then_some(&self.rma),
+                rma: &self.rma,
             },
             _ => return None,
         })
@@ -318,14 +315,10 @@ impl Watch<'_> {
                 }
                 None
             }
-            Watch::Slot { ref var, in_call } => {
-                if let Some(rma) = in_call {
-                    rma.begin_call(ctx);
-                }
+            Watch::Slot { ref var, rma } => {
+                rma.begin_call(ctx);
                 let taken = var.wait_take(ctx, "peer buffer address", |s| s.take());
-                if let Some(rma) = in_call {
-                    rma.end_call(ctx);
-                }
+                rma.end_call(ctx);
                 Some(taken)
             }
         }
@@ -575,21 +568,10 @@ impl SrmComm {
                 self.rma.put_counter(ctx, to, ctr_of(self, &bases, ctr));
             }
             Step::AddrSend { to, src } => {
+                metrics.engine_put_steps.fetch_add(1, Ordering::Relaxed);
                 let handle = buf_of(self, &bases, buf, taken, scratch, src).clone();
-                let owner = self
-                    .group()
-                    .comm_rank_of(to)
-                    .expect("handle sent to a member");
-                // The mirror of `AddrTake`'s choice: a task on my
-                // node is handed the handle through shared memory.
-                if self.cnode_of(owner) == self.cnode() {
-                    let mailbox = &self.comm.mailbox;
-                    mailbox.deposit(ctx, owner, self.crank(), handle);
-                } else {
-                    metrics.engine_put_steps.fetch_add(1, Ordering::Relaxed);
-                    self.rma
-                        .am(ctx, to, self.comm.am_addr, Vec::new(), Some(handle));
-                }
+                self.rma
+                    .am(ctx, to, self.comm.am_addr, Vec::new(), Some(handle));
             }
             Step::ScratchAlloc { len } => {
                 *scratch = Some(ShmBuffer::new(len));

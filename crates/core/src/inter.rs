@@ -12,8 +12,10 @@
 //! schedules over the subgroup's own boards, inter-state and flags,
 //! which is what lets disjoint communicators run concurrently.
 //!
-//! Only one task per node — the **master** (group slot 0) — touches the
-//! network. Data put by a parent node lands in shared memory (the
+//! One task per node — the **master** (group slot 0) — carries the
+//! node's tree traffic; only a root that ships its own user buffer's
+//! handle (gather, the large broadcast) is a put source or target
+//! beside it. Data put by a parent node lands in shared memory (the
 //! edge's landing buffers or, for large broadcasts, directly in the
 //! master's user buffer), where it "is directly available to all the
 //! tasks running on that node without the need for copying the data".
@@ -30,9 +32,9 @@
 //! streams per-node blocks through the reduce landing channels (whose
 //! credit protocol it reuses unchanged), gather relays segments through
 //! the per-slot contribution buffers and puts them straight into the
-//! root's user buffer at their final offsets (one address exchange,
-//! zero staging at the root), and allgather is literally a gather plan
-//! concatenated with a broadcast plan.
+//! root's user buffer at their final offsets (the root ships its
+//! handle, zero staging at the root), and allgather is literally a
+//! gather plan concatenated with a broadcast plan.
 //!
 //! Because cross-node channels are parity-indexed against the
 //! [`SeqBase::Bcast`] and [`SeqBase::Reduce`] cumulatives, every plan
@@ -320,86 +322,67 @@ impl SrmComm {
     /// no intermediate buffers whatsoever — overlapped with the
     /// intra-node two-buffer broadcast. Each put carries one
     /// [`SrmTuning::SMP_BUF`] cell, so wire chunk `j` is intra-node
-    /// cell `j`.
+    /// cell `j`. The root drives its node's puts itself, wherever it
+    /// sits on the node: the root node's children ship their handles to
+    /// it, every other child to its parent's master, and each child
+    /// counts the cells landed in its own [`CtrRef::Landed`].
     fn plan_bcast_large(&self, b: &mut PlanBuilder, len: usize, root: usize, tree: &GroupTree) {
         let cells = smp_cells(len);
-        let p = self.cslots_here();
         let my_node = self.cnode();
-        let root_node = tree.root();
-        let master = self.c_is_master();
+        let writer = match tree.parent() {
+            None => self.cworld_of(root),
+            Some(_) => self.cmaster_of(my_node),
+        };
+        if self.me != writer {
+            self.plan_smp_bcast(b, len, writer);
+            return;
+        }
 
-        // Stage 1: address exchange (leaf→parent user-buffer handles).
-        if master && my_node != root_node {
-            let parent = tree.parent().expect("non-root node has a parent");
+        // Stage 1: address exchange (child → parent user-buffer handles).
+        if let Some(parent) = tree.parent() {
+            let to = if parent == tree.root() {
+                self.cworld_of(root)
+            } else {
+                self.cmaster_of(parent)
+            };
             b.push(Step::AddrSend {
-                to: self.cmaster_of(parent),
+                to,
                 src: BufRef::User,
             });
         }
-        let child_idx: Vec<(usize, usize)> = if master {
-            (tree.down().iter())
-                .map(|&c| (c, b.take_addr(self.crank_at(c, 0))))
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let children: Vec<(usize, usize)> = (tree.down().iter())
+            .map(|&c| self.crank_at(c, 0))
+            .map(|child| (child, b.take_addr(child)))
+            .collect();
 
-        let emit_puts_for_cell = |b: &mut PlanBuilder, j: usize| {
+        // Stages 2–4: as each cell is in my user buffer, put it to every
+        // child and, off the root's node, feed it to my node's pipeline.
+        let rel0 = b.rel(SeqBase::Pair);
+        let relay = tree.parent().is_some();
+        for j in 0..cells {
             let (off, clen) = smp_cell(len, j);
-            for &(c, idx) in &child_idx {
+            if relay {
+                b.wait_ctr(CtrRef::Landed { rank: self.crank() }, 1);
+            }
+            for &(child, idx) in &children {
                 b.push(Step::RmaPut {
-                    to: self.cmaster_of(c),
+                    to: self.cworld_of(child),
                     src: BufRef::User,
                     src_off: Off::Lit(off),
                     dst: BufRef::Taken { idx },
                     dst_off: Off::Lit(off),
                     len: clen,
-                    ctr: Some(CtrRef::LargeData { node: c }),
+                    ctr: Some(CtrRef::Landed { rank: child }),
                 });
             }
-        };
-        let rel0 = b.rel(SeqBase::Pair);
-
-        if my_node == root_node {
-            if self.crank() == root {
-                if master {
-                    // Stage 2: pipelined zero-copy puts down the tree.
-                    for j in 0..cells {
-                        emit_puts_for_cell(b, j);
-                    }
-                }
-                // Stage 3: intra-node broadcast on the root node.
-                self.plan_smp_bcast(b, len, self.cworld_of(root));
-            } else if master {
-                // Master is an ordinary reader locally, but forwards
-                // each cell down the tree as soon as it has arrived
-                // through shared memory.
-                for j in 0..cells {
-                    let (off, clen) = smp_cell(len, j);
-                    self.plan_smp_cell_read(b, off, clen, rel0 + j as u64);
-                    emit_puts_for_cell(b, j);
-                }
-                b.advance(SeqBase::Pair, cells as u64);
-            } else {
-                self.plan_smp_bcast(b, len, self.cworld_of(root));
+            if relay && self.cslots_here() > 1 {
+                self.plan_smp_cell_write(b, off, clen, rel0 + j as u64);
             }
-        } else if master {
-            // Stage 4 driver on a non-root node: as each cell lands in
-            // the user buffer, forward it, then feed it to the
-            // intra-node pipeline.
-            for j in 0..cells {
-                b.wait_ctr(CtrRef::LargeData { node: my_node }, 1);
-                emit_puts_for_cell(b, j);
-                if p > 1 {
-                    let (off, clen) = smp_cell(len, j);
-                    self.plan_smp_cell_write(b, off, clen, rel0 + j as u64);
-                }
-            }
-            if p > 1 {
-                b.advance(SeqBase::Pair, cells as u64);
-            }
-        } else {
-            self.plan_smp_bcast(b, len, self.cmaster_of(my_node));
+        }
+        if !relay {
+            self.plan_smp_bcast(b, len, writer);
+        } else if self.cslots_here() > 1 {
+            b.advance(SeqBase::Pair, cells as u64);
         }
     }
 
@@ -718,17 +701,17 @@ impl SrmComm {
     /// (indexed by **communicator rank** `c`) reaches the root's buffer
     /// at the same offsets. `root` is a communicator rank.
     ///
-    /// Protocol: non-master tasks relay their segment in reduce-chunk
-    /// pieces through their per-slot contribution buffers (the reduce
-    /// leaf pattern); each master puts the pieces **straight into the
-    /// root's user buffer** at their final offsets — zero staging at
-    /// the root — after a one-AM address exchange, bumping the root
-    /// node's `large_data` counter per piece. The root consumes local
-    /// contributions through shared memory and finally waits for the
-    /// full remote piece count — or, when it is not its node's master,
-    /// for the master's READY saying they landed. Interrupts stay
-    /// enabled: the root-node master may finish its own steps before
-    /// remote puts arrive.
+    /// Protocol: the root ships its user-buffer handle to every remote
+    /// master by active message; each remote master puts its own segment
+    /// and, in reduce-chunk pieces, every local slot's relayed through
+    /// that slot's contribution channel (the reduce leaf pattern)
+    /// **straight into the root's user buffer** at their final offsets —
+    /// zero staging at the root — bumping the root's
+    /// [`CtrRef::Landed`]. The root consumes every other task of its node
+    /// through its contribution channel, the master's included, and
+    /// waits last for the full remote piece count. Interrupts stay
+    /// enabled: the root's node may finish its own steps before remote
+    /// puts arrive.
     pub(crate) fn plan_gather(&self, b: &mut PlanBuilder, len: usize, root: usize) {
         if len == 0 || self.csize() == 1 {
             return;
@@ -738,155 +721,88 @@ impl SrmComm {
         let p = self.cslots_here();
         let nodes = self.cnodes();
         let my_node = self.cnode();
-        let my = self.cslot();
-        let (root_node, root_gslot) = self.ccoord_of(root);
-        let multi = self.cmulti();
-        // When the root is not its node's master, the *master* is the
-        // target of the remote puts, so the master must be the rank
-        // that waits for them (it may not leave the call — and later
-        // disable interrupts or shut down — while puts are in flight).
-        // Holding the root's handle, it copies its own segment straight
-        // into the root's buffer, absorbs the puts, then raises its
-        // channel's READY through all of this call's uses at once: the
-        // root's "every piece landed" signal.
-        let master_waits = multi && root_gslot != 0;
+        let root_node = self.cnode_of(root);
         let rel0 = b.rel(SeqBase::Reduce);
         let rel_end = rel0 + chunks as u64;
         // Chunk `k` of a segment as `(chunk index, offset, bytes)`.
         let pieces =
             || (0..chunks).map(|k| (rel0 + k as u64, k * chunk, chunk.min(len - k * chunk)));
-        // Wait for every remote piece: every member of every non-root
-        // node relays `chunks` of them.
-        let absorb_remote = |b: &mut PlanBuilder| {
-            let n: usize = (0..nodes)
-                .filter(|&g| g != root_node)
-                .map(|g| self.cslots_on(g) * chunks)
-                .sum();
-            b.wait_ctr(CtrRef::LargeData { node: root_node }, n as u64);
-        };
-        // Ship the root's buffer handle to every remote master.
-        let send_root_addr = |b: &mut PlanBuilder, src: BufRef| {
+        // Every other local slot's pieces, consumed through its
+        // contribution channel, as `(slot, chunk index, offset in the
+        // root's buffer, bytes)`.
+        let others: Vec<(usize, u64, usize, usize)> = (0..p)
+            .filter(|&s| s != self.cslot())
+            .flat_map(|s| {
+                let seg = self.crank_at(my_node, s) * len;
+                pieces().map(move |(rel, koff, clen)| (s, rel, seg + koff, clen))
+            })
+            .collect();
+        let label = "gather contribution ready";
+
+        if self.crank() == root {
             for m in (0..nodes).filter(|&m| m != root_node) {
                 b.push(Step::AddrSend {
                     to: self.cmaster_of(m),
-                    src,
+                    src: BufRef::User,
                 });
             }
-        };
-        // Relay my segment chunk-by-chunk through my contribution
-        // channel (producer half of the reduce-leaf pattern).
-        let contribute = |b: &mut PlanBuilder| {
+            for &(s, rel, at, clen) in &others {
+                self.plan_contrib_consume(b, (s, rel), rel == rel0, label, |b, src, src_off| {
+                    b.push(Step::ShmCopy {
+                        src,
+                        src_off,
+                        dst: BufRef::User,
+                        dst_off: Off::Lit(at),
+                        len: clen,
+                        cost: CopyCost::Read(1),
+                    })
+                });
+            }
+            // Wait for every remote piece to land in my buffer: every
+            // member of every other node relays `chunks` of them.
+            if self.cmulti() {
+                let n: usize = (0..nodes)
+                    .filter(|&g| g != root_node)
+                    .map(|g| self.cslots_on(g) * chunks)
+                    .sum();
+                b.wait_ctr(CtrRef::Landed { rank: root }, n as u64);
+            }
+            // My own contribution channel went unused.
+            self.plan_contrib_catchup(b, 0, rel_end);
+        } else if self.c_is_master() && my_node != root_node {
+            // Remote master: take the root's handle, put my own segment,
+            // then relay every local slot's pieces.
+            let idx = b.take_addr(root);
+            let put = |b: &mut PlanBuilder, src, src_off, dst_off, len| {
+                b.push(Step::RmaPut {
+                    to: self.cworld_of(root),
+                    src,
+                    src_off,
+                    dst: BufRef::Taken { idx },
+                    dst_off: Off::Lit(dst_off),
+                    len,
+                    ctr: Some(CtrRef::Landed { rank: root }),
+                })
+            };
+            for (_, koff, clen) in pieces() {
+                let at = self.crank() * len + koff;
+                put(b, BufRef::User, Off::Lit(at), at, clen);
+            }
+            for &(s, rel, at, clen) in &others {
+                self.plan_contrib_consume(b, (s, rel), rel == rel0, label, |b, src, src_off| {
+                    put(b, src, src_off, at, clen)
+                });
+            }
+            // My own segment bypassed my contribution channel.
+            self.plan_contrib_catchup(b, 0, rel_end);
+        } else {
+            // Relay my segment chunk by chunk through my contribution
+            // channel (producer half of the reduce-leaf pattern).
             let cost = CopyCost::Write(self.peer_streams());
             for (rel, koff, clen) in pieces() {
                 let from = (BufRef::User, Off::Lit(self.crank() * len + koff));
                 self.plan_contrib_publish(b, rel, from, clen, cost);
             }
-        };
-
-        if self.crank() == root {
-            // Ship my buffer handle to the remote masters — through my
-            // own master (a shared-memory hand-over) if I am not it.
-            if multi && my != 0 {
-                b.push(Step::AddrSend {
-                    to: self.cmaster_of(my_node),
-                    src: BufRef::User,
-                });
-            } else if multi {
-                send_root_addr(b, BufRef::User);
-            }
-            // Consume every other local slot's segment; a master that
-            // absorbs the remote puts is consumed last, in one range.
-            for s in (0..p).filter(|&s| s != my && !(master_waits && s == 0)) {
-                let seg = self.crank_at(my_node, s) * len;
-                for (rel, koff, clen) in pieces() {
-                    self.plan_contrib_consume(
-                        b,
-                        (s, rel),
-                        rel == rel0,
-                        "gather contribution ready",
-                        |b, src, src_off| {
-                            b.push(Step::ShmCopy {
-                                src,
-                                src_off,
-                                dst: BufRef::User,
-                                dst_off: Off::Lit(seg + koff),
-                                len: clen,
-                                cost: CopyCost::Read(1),
-                            })
-                        },
-                    );
-                }
-            }
-            // Wait for every remote piece to land in my buffer.
-            if master_waits {
-                let landed = seq(SeqBase::Reduce, rel_end);
-                b.wait_flag(FlagRef::Ready(0), landed, "gather remote pieces landed");
-                self.plan_contrib_in_order(b, 0, rel0);
-                b.push(Step::FlagRaise {
-                    flag: FlagRef::Done(0),
-                    val: landed,
-                });
-            } else if multi {
-                absorb_remote(b);
-            }
-            // The root's own contribution channel went unused.
-            self.plan_contrib_catchup(b, 0, rel_end);
-        } else if my_node == root_node && master_waits && my == 0 {
-            // Forward the root's handle, copy my own segment into the
-            // root's buffer, take the remote puts, wake the root.
-            let idx = b.take_addr(root);
-            send_root_addr(b, BufRef::Taken { idx });
-            let at = self.crank() * len;
-            b.push(Step::ShmCopy {
-                src: BufRef::User,
-                src_off: Off::Lit(at),
-                dst: BufRef::Taken { idx },
-                dst_off: Off::Lit(at),
-                len,
-                cost: CopyCost::Write(self.peer_streams()),
-            });
-            absorb_remote(b);
-            b.push(Step::FlagRaise {
-                flag: FlagRef::Ready(0),
-                val: seq(SeqBase::Reduce, rel_end),
-            });
-        } else if my == 0 && my_node != root_node {
-            // Remote master: learn the root's buffer from the root
-            // node's master, put my own segment, then relay every local
-            // slot's pieces.
-            let idx = b.take_addr(self.crank_at(root_node, 0));
-            let put =
-                |b: &mut PlanBuilder, src: BufRef, src_off: Off, dst_off: usize, len: usize| {
-                    b.push(Step::RmaPut {
-                        to: self.cmaster_of(root_node),
-                        src,
-                        src_off,
-                        dst: BufRef::Taken { idx },
-                        dst_off: Off::Lit(dst_off),
-                        len,
-                        ctr: Some(CtrRef::LargeData { node: root_node }),
-                    })
-                };
-            for (_, koff, clen) in pieces() {
-                let at = self.crank() * len + koff;
-                put(b, BufRef::User, Off::Lit(at), at, clen);
-            }
-            for s in 1..p {
-                let seg = self.crank_at(my_node, s) * len;
-                for (rel, koff, clen) in pieces() {
-                    self.plan_contrib_consume(
-                        b,
-                        (s, rel),
-                        rel == rel0,
-                        "gather contribution ready",
-                        |b, src, src_off| put(b, src, src_off, seg + koff, clen),
-                    );
-                }
-            }
-            // My own segment bypassed my contribution channel.
-            self.plan_contrib_catchup(b, 0, rel_end);
-        } else {
-            contribute(b);
         }
         b.advance(SeqBase::Reduce, chunks as u64);
     }

@@ -83,7 +83,10 @@ const CL_PAIR: u8 = 1 << 0;
 /// handoff) and the reduce landings and counters.
 const CL_REDUCE: u8 = 1 << 1;
 /// Substrate class: the address mailbox (handle exchange) and the
-/// completion counters of the transfers it sets up.
+/// completion counters of the transfers it sets up. A rank's last wait
+/// on its own counter retires before its next `AddrSend`, which is what
+/// keeps every mailbox slot single (the address rule at
+/// [`CtrRef::Landed`]).
 const CL_ADDR: u8 = 1 << 2;
 /// Substrate class: barrier flags and round counters.
 const CL_BARRIER: u8 = 1 << 3;
@@ -117,11 +120,7 @@ fn ctr_class(c: CtrRef) -> u8 {
     match c {
         CtrRef::Data(ch) | CtrRef::Free(ch) => chan_class(ch.kind),
         CtrRef::BarRound { .. } => CL_BARRIER,
-        // Both completion counters serialize with the address exchange
-        // they rendezvous through: an older call's consuming waits must
-        // retire before a younger call's AddrSend may land in the same
-        // mailbox slot (the cross-call slot argument, DESIGN.md §16.2).
-        CtrRef::LargeData { .. } | CtrRef::PairwiseDirect { .. } => CL_ADDR,
+        CtrRef::Landed { .. } | CtrRef::PairwiseDirect { .. } => CL_ADDR,
     }
 }
 

@@ -214,10 +214,21 @@ pub enum CtrRef {
     Data(Chan),
     /// The credit counter of a channel, at its sender.
     Free(Chan),
-    /// `node`'s large-transfer chunk counter.
-    LargeData {
+    /// Comm rank `rank`'s counter of puts into a handle it shipped.
+    ///
+    /// **The address rule**, which every exchange follows: the rank
+    /// that ships a handle ([`Step::AddrSend`], always to a rank on
+    /// another node) is the target of every put into it, and its last
+    /// address step is a wait for those puts on its own counter — this
+    /// one, or the [`CtrRef::PairwiseDirect`] counters of the
+    /// exchanges. Counters, takes and sends are one nonblocking
+    /// ordering class, so a rank cannot ship again before every taker
+    /// of its last handle has taken it, and no mailbox slot is ever
+    /// overrun (DESIGN.md §16.2). A large-broadcast child and a gather
+    /// root own one.
+    Landed {
         /// Whose counter.
-        node: NodeId,
+        rank: usize,
     },
     /// `node`'s cumulative dissemination-barrier counter for the bumps
     /// of group node `from` (a peer bumps it in one round only).
@@ -392,22 +403,20 @@ pub enum Step {
         /// Counter to bump.
         ctr: CtrRef,
     },
-    /// Leave a buffer handle in rank `to`'s mailbox slot for me:
-    /// through shared memory when `to` is on my node (a gather root
-    /// handing its buffer to its master), by the communicator's address
-    /// active message otherwise.
+    /// Leave a handle of one of my buffers in rank `to`'s mailbox slot
+    /// for me, by the communicator's address active message. `to` is on
+    /// another node, and every put into the buffer comes from it (the
+    /// address rule at [`CtrRef::Landed`]).
     AddrSend {
         /// Target rank.
         to: Rank,
-        /// The buffer whose handle to ship ([`BufRef::User`], a
-        /// [`BufRef::Taken`] one being forwarded, or the
+        /// The buffer whose handle to ship ([`BufRef::User`], or the
         /// [`BufRef::Scratch`] an earlier step allocated).
         src: BufRef,
     },
-    /// Block until my mailbox slot for comm rank `from` holds a buffer
-    /// handle, take it and append it to the call's capture list
-    /// ([`BufRef::Taken`]). Waits inside a LAPI call unless `from` is on
-    /// my node (its handle arrives through shared memory, not by AM).
+    /// Block inside a LAPI call until my mailbox slot for comm rank
+    /// `from` (on another node) holds a buffer handle, take it and
+    /// append it to the call's capture list ([`BufRef::Taken`]).
     AddrTake {
         /// The comm rank whose handle I take.
         from: usize,

@@ -92,7 +92,7 @@ pub struct SrmTuning {
     /// alltoall and alltoallv (by segment) on every rank, since every
     /// rank is a put target. The barrier's masters always do. Gather,
     /// scatter, reduce_scatter and allgather's gather half never do:
-    /// their root-node master already waits inside a counter wait, and
+    /// their put targets already wait inside counter waits, and
     /// toggling their masters measured slower (EXPERIMENTS.md D5).
     pub interrupt_disable_max: usize,
     /// Capacity of each per-(rank, communicator) compiled-schedule cache

@@ -139,9 +139,8 @@ pub struct PeerExchange {
 
 /// Network-facing state of one node's master, addressable by the other
 /// masters (handles distributed at setup, like registered memory): the
-/// channels **into** this node and its stand-alone counters. Like
-/// [`NodeBoard`], allocated per communicator and indexed by **group
-/// node** numbers.
+/// channels **into** this node. Like [`NodeBoard`], allocated per
+/// communicator and indexed by **group node** numbers.
 pub struct InterState {
     /// Per-peer-node channels, each link created when first resolved
     /// (`SrmComm::peer`).
@@ -149,17 +148,13 @@ pub struct InterState {
     /// Per-peer-node exchange state, each created when first resolved
     /// (`SrmComm::exchange`).
     exchanges: Vec<OnceLock<PeerExchange>>,
-    /// Cumulative counter of large-broadcast chunks landed in my user
-    /// buffer.
-    pub large_data: LapiCounter,
 }
 
 impl InterState {
-    fn new(handle: &SimHandle, nodes: usize) -> Self {
+    fn new(nodes: usize) -> Self {
         InterState {
             peers: (0..nodes).map(|_| OnceLock::new()).collect(),
             exchanges: (0..nodes).map(|_| OnceLock::new()).collect(),
-            large_data: LapiCounter::new(handle, 0),
         }
     }
 }
@@ -168,21 +163,25 @@ impl InterState {
 pub(crate) type HandleSlot = SimVar<Option<ShmBuffer>>;
 
 /// The communicator's one address mailbox: slot `(owner, sender)` holds
-/// the buffer handle comm rank `sender` handed comm rank `owner` until
+/// the buffer handle comm rank `sender` handed comm rank `owner`, on
+/// another node, by the communicator's address active message, until
 /// the owner's [`Step::AddrTake`](crate::plan::Step::AddrTake) empties
-/// it. Fed by the communicator's address active message and, between
-/// tasks of one node, through shared memory. A slot is created by
-/// whichever of the deposit and the take touches it first.
+/// it. A slot is created by whichever of the deposit and the take
+/// touches it first. Beside the slots, each comm rank's
+/// [`CtrRef::Landed`](crate::plan::CtrRef::Landed) counter.
 pub(crate) struct Mailbox {
     handle: SimHandle,
     slots: Mutex<BTreeMap<(usize, usize), HandleSlot>>,
+    /// Per comm rank: puts landed in a handle it shipped.
+    pub(crate) landed: Vec<LapiCounter>,
 }
 
 impl Mailbox {
-    fn new(handle: &SimHandle) -> Self {
+    fn new(handle: &SimHandle, ranks: usize) -> Self {
         Mailbox {
             handle: handle.clone(),
             slots: Mutex::default(),
+            landed: (0..ranks).map(|_| LapiCounter::new(handle, 0)).collect(),
         }
     }
 
@@ -197,7 +196,8 @@ impl Mailbox {
     ///
     /// # Panics
     /// Naming both ranks, if the slot still holds an untaken handle. A
-    /// sender cannot finish a call before the owner has taken, so the
+    /// sender cannot ship again before the owner has taken (the address
+    /// rule at [`CtrRef::Landed`](crate::plan::CtrRef::Landed)), so the
     /// slot is empty again by its next deposit (DESIGN.md §16.2).
     pub(crate) fn deposit(&self, ctx: &Ctx, owner: usize, sender: usize, handle: ShmBuffer) {
         let slot = self.slot(owner, sender);
@@ -428,12 +428,12 @@ impl CommState {
             .map(|g| Arc::new(NodeBoard::new(handle, group.slots_on(g), tuning)))
             .collect();
         let inter = (0..gnodes)
-            .map(|_| Arc::new(InterState::new(handle, gnodes)))
+            .map(|_| Arc::new(InterState::new(gnodes)))
             .collect();
         // Every member accepts handles into its mailbox row, keyed by
         // the sender's comm rank.
         let am_addr = group.id() as u32;
-        let mailbox = Arc::new(Mailbox::new(handle));
+        let mailbox = Arc::new(Mailbox::new(handle, group.len()));
         let crank_of = Arc::new(group.crank_of.clone());
         for (owner, &rank) in group.ranks().iter().enumerate() {
             let (mailbox, crank_of) = (mailbox.clone(), crank_of.clone());
@@ -893,11 +893,6 @@ impl SrmComm {
         &self.comm.boards[self.gnode]
     }
 
-    /// The network-facing state of group node `g`'s master.
-    pub fn inter(&self, g: usize) -> &InterState {
-        &self.comm.inter[g]
-    }
-
     /// Group node `dst`'s inbound tree channels from group node `src`.
     pub(crate) fn peer(&self, dst: usize, src: usize) -> &PeerLink {
         self.comm.inter[dst].peers[src].get_or_init(|| {
@@ -976,11 +971,11 @@ mod tests {
 
     #[test]
     fn construction_allocates_simvars_linear_in_ranks() {
-        // Per rank 3 in `rma` and 7 on its board (four pair banks, the
-        // barrier flag, two contribution flags); per node 1
-        // (`large_data`). Per-peer-node state waits for first use.
-        assert_eq!(vars_allocated_by_new(Topology::new(16, 16)), 256 * 10 + 16);
-        assert_eq!(vars_allocated_by_new(Topology::new(64, 16)), 1024 * 10 + 64);
+        // Per rank 3 in `rma`, 7 on its board (four pair banks, the
+        // barrier flag, two contribution flags) and its `Landed`
+        // counter. Per-peer-node state waits for first use.
+        assert_eq!(vars_allocated_by_new(Topology::new(16, 16)), 256 * 11);
+        assert_eq!(vars_allocated_by_new(Topology::new(64, 16)), 1024 * 11);
     }
 
     /// Run `body` on every member of a fresh `topo` world's communicator
@@ -1044,9 +1039,9 @@ mod tests {
         }
 
         // A group whose root shares its node with a lower rank: the
-        // edge the group reports joins the ranks that put over it — the
-        // masters, 1 and 4 — not the root. The large broadcast's
-        // address exchange names them: child master to parent master.
+        // edge the group reports joins the masters, 1 and 4, but the
+        // root puts over it itself. The large broadcast's address
+        // exchange names the pair: child master 4 to root 3.
         let sub = run_comm(
             Topology::new(2, 4),
             Some(&[3, 1, 4, 6]),
@@ -1060,7 +1055,7 @@ mod tests {
         let exchanged: Vec<(Rank, Rank)> = (mailbox_slots(&sub).iter())
             .map(|&(owner, sender)| (sub.group.ranks()[owner], sub.group.ranks()[sender]))
             .collect();
-        assert_eq!(exchanged, [(1, 4)]);
+        assert_eq!(exchanged, [(3, 4)]);
     }
 
     /// Which of the pairwise registry's two families exist: `(ring
@@ -1115,18 +1110,20 @@ mod tests {
         assert_eq!(edges.len(), 7);
         assert_eq!(mailbox_slots(&bcast), edges);
         // Gather rooted at rank 3, not its node's master: the root to
-        // master 2 through shared memory — the same `AddrSend` step,
-        // but no active message — master 2 to the other seven by AM.
-        // The root returns once every remote piece has landed, so every
-        // address message has been sent by then.
+        // the seven remote masters by AM, none to its own master. It
+        // returns once every remote piece has landed, so every address
+        // message has been sent by then.
         let gather = run_comm(topo, None, |ctx, comm, buf| {
             comm.gather(ctx, buf, 64, 3);
             if comm.rank() == 3 {
                 assert_eq!(ctx.metrics_snapshot().rma_ams, 7);
             }
         });
-        let mut want: Vec<(usize, usize)> = (0..16).step_by(2).map(|m| (m, 2)).collect();
-        want[1] = (2, 3);
+        let want: Vec<(usize, usize)> = (0..16)
+            .step_by(2)
+            .filter(|&m| m != 2)
+            .map(|m| (m, 3))
+            .collect();
         assert_eq!(mailbox_slots(&gather), want);
         // Alltoall: every ordered pair of ranks on different nodes.
         let alltoall = run_comm(topo, None, |ctx, comm, buf| {
@@ -1145,7 +1142,7 @@ mod tests {
     #[test]
     fn a_second_deposit_before_the_take_panics_naming_both_ranks() {
         let mut sim = Sim::new(MachineConfig::ibm_sp_colony());
-        let mailbox = Mailbox::new(&sim.handle());
+        let mailbox = Mailbox::new(&sim.handle(), 3);
         sim.spawn("depositor", move |ctx| {
             for _ in 0..2 {
                 mailbox.deposit(&ctx, 2, 1, ShmBuffer::new(8));

@@ -65,6 +65,14 @@
 //!    subgroup scatter's segment came out wrong. The same fix, the edge
 //!    landings, cures it; the interleaving was not traced.
 //!
+//! 9. **Two `igather`s outstanding at one non-master root** (4x2 seed
+//!    0x1d8 under `--ops gather`, deterministic): the root handed its
+//!    address to its own master through shared memory and waited last
+//!    on a flag, which orders with no address step, so its second call's
+//!    hand-off overran the master's untaken mailbox slot. Fixed by the
+//!    root shipping its handle to every remote master itself and
+//!    waiting last on its own `Landed` counter.
+//!
 //! The first two bugs depended on `SpinFlag::raise` monotonicity for
 //! their fix, so these sweeps (run with the monotone default ON — see
 //! `tests/fault_injection.rs` for the reverted variant) pin exactly the
@@ -384,5 +392,26 @@ fn scatter_beside_broadcast_puts_on_a_subgroup() {
             on(1, step(Op::Bcast, 256, 6, true)),
         ],
         perturb,
+    );
+}
+
+/// Two `igather`s outstanding at one non-master root, shrunk from 4x2
+/// seed 0x1d8 of `--ops gather` with every mechanism off: rank 3's
+/// second gather handed its address to master 2 before master 2 took
+/// the first, and the mailbox panicked with "address mailbox overrun".
+/// The root now ships its handle to the remote masters and returns
+/// only once their puts landed, so its next handle finds every slot
+/// empty.
+#[test]
+fn two_igathers_outstanding_at_a_non_master_root() {
+    run_pinned(
+        4,
+        2,
+        vec![
+            step(Op::Gather, 8, 7, true),
+            step(Op::Gather, 1024, 3, true),
+            step(Op::Gather, 64, 3, true),
+        ],
+        Perturb::new(0x1d8),
     );
 }

@@ -6,10 +6,17 @@
 //! the channel of the task that produces it. The channel's consumers
 //! change between calls and keep its DONE flag in order themselves
 //! (`NodeBoard::contrib`).
+//!
+//! **One address rule.** Every `AddrSend` ships one of the sender's own
+//! buffers (`User` or `Scratch`, never a `Taken` handle) to a rank on
+//! another node, and every put into a taken handle goes to the rank
+//! that shipped it and bumps that rank's counter: its `Landed`, or the
+//! `PairwiseDirect` counter of the stream into it. So the shipper is
+//! the put target and waits for the puts itself (`CtrRef::Landed`).
 
-use collops::Op;
+use collops::{Op, Shape};
 use simnet::{MachineConfig, Sim, Topology};
-use srm::plan::{BufRef, FlagRef, Step};
+use srm::plan::{BufRef, CtrRef, FlagRef, Plan, Step};
 use srm::{SrmComm, SrmTuning, SrmWorld};
 
 /// The contribution channel `step` produces into, if any: a copy into
@@ -39,42 +46,44 @@ fn roots(members: &[SrmComm]) -> Vec<usize> {
     vec![0, n - 1, middle]
 }
 
-/// Compile every member's plan of the ten shapes at every root and
-/// sizes of one and of three reduce chunks; return how many plans
-/// produced into a channel.
-fn check_members(what: &str, members: &[SrmComm]) -> usize {
+/// The ten shapes at every root and sizes of one and of three reduce
+/// chunks, plus a 256 KB broadcast (the large protocol) at every root.
+fn shapes(members: &[SrmComm]) -> Vec<Shape> {
     let chunk = SrmTuning::default().reduce_chunk;
-    let mut producing = 0;
-    for op in Op::ALL {
-        for len in [8, 3 * chunk - 8] {
-            for root in roots(members) {
-                let shape = op.shape(len, root, members.len());
-                for comm in members {
-                    let mine = comm.group().coord_of(comm.comm_rank()).1;
-                    let plan = comm.build_plan(&comm.key(shape.clone()));
-                    let mut produced = false;
-                    for step in &plan.steps {
-                        if let Some(s) = produced_channel(step) {
-                            assert_eq!(
-                                s,
-                                mine,
-                                "{what}, {shape:?}: comm rank {} (slot {mine}) produces \
-                                 into slot {s}'s channel: {step:?}",
-                                comm.comm_rank()
-                            );
-                            produced = true;
-                        }
-                    }
-                    producing += usize::from(produced);
-                }
+    let n = members.len();
+    let mut out = Vec::new();
+    for root in roots(members) {
+        for op in Op::ALL {
+            for len in [8, 3 * chunk - 8] {
+                out.push(op.shape(len, root, n));
             }
         }
+        out.push(Op::Bcast.shape(256 << 10, root, n));
     }
-    producing
+    out
 }
 
-#[test]
-fn every_contribution_channel_has_one_producer() {
+/// A rule over one member's plan, handed a description of the plan for
+/// its messages; true if the rule had anything to check.
+type Rule = fn(&str, &SrmComm, &Plan) -> bool;
+
+/// Compile every member's plan of every shape and apply `rule` to it;
+/// return how many plans the rule applied to.
+fn check_members(what: &str, members: &[SrmComm], rule: Rule) -> usize {
+    let mut applied = 0;
+    for shape in shapes(members) {
+        for comm in members {
+            let plan = comm.build_plan(&comm.key(shape.clone()));
+            let what = format!("{what}, {shape:?}, comm rank {}", comm.comm_rank());
+            applied += usize::from(rule(&what, comm, &plan));
+        }
+    }
+    applied
+}
+
+/// Every world of the three topologies, plus an uneven and
+/// non-contiguous 4x4 subgroup; `rule` must apply somewhere in each.
+fn check_worlds(rule: Rule) {
     for (nodes, tpn) in [(2, 3), (3, 2), (4, 4)] {
         let mut sim = Sim::new(MachineConfig::ibm_sp_colony());
         let topo = Topology::new(nodes, tpn);
@@ -82,13 +91,79 @@ fn every_contribution_channel_has_one_producer() {
         let members = (0..topo.nprocs()).map(|r| world.comm(r)).collect();
         let mut comms = vec![(format!("{nodes}x{tpn} world"), members)];
         if (nodes, tpn) == (4, 4) {
-            // Uneven and non-contiguous: one to three members per node.
+            // One to three members per node.
             let subgroup = world.comm_create(&[1, 3, 4, 6, 7, 10, 13, 14, 15]);
             comms.push(("4x4 subgroup".to_string(), subgroup));
         }
         for (what, members) in comms {
-            let producing = check_members(&what, &members);
-            assert!(producing > 0, "{what}: no plan produced into a channel");
+            let applied = check_members(&what, &members, rule);
+            assert!(applied > 0, "{what}: the rule applied to no plan");
         }
     }
+}
+
+/// Slot `s` produces into slot `s`'s channel only; true if the plan
+/// produced into one.
+fn one_producer(what: &str, comm: &SrmComm, plan: &Plan) -> bool {
+    let mine = comm.group().coord_of(comm.comm_rank()).1;
+    let mut produced = false;
+    for step in &plan.steps {
+        if let Some(s) = produced_channel(step) {
+            let broken = format!("{what}: slot {mine} produces into slot {s}'s channel");
+            assert_eq!(s, mine, "{broken}: {step:?}");
+            produced = true;
+        }
+    }
+    produced
+}
+
+/// The address rule; true if the plan ships or takes a handle.
+fn address_rule(what: &str, comm: &SrmComm, plan: &Plan) -> bool {
+    let group = comm.group();
+    let node_of = |c: usize| group.coord_of(c).0;
+    let me = comm.comm_rank();
+    // Comm rank each `AddrTake` took from, in capture order.
+    let (mut taken, mut shipped) = (Vec::new(), false);
+    for step in &plan.steps {
+        match *step {
+            Step::AddrSend { to, src } => {
+                shipped = true;
+                let to = group.comm_rank_of(to).expect("a member");
+                let on_one_node = node_of(to) == node_of(me);
+                assert!(!on_one_node, "{what}: handed over on one node: {step:?}");
+                let own = matches!(src, BufRef::User | BufRef::Scratch);
+                assert!(own, "{what}: ships a handle it does not own: {step:?}");
+            }
+            Step::AddrTake { from } => taken.push(from),
+            Step::RmaPut {
+                to,
+                dst: BufRef::Taken { idx },
+                ctr,
+                ..
+            } => {
+                let owner = taken[idx];
+                let past = format!("{what}: put past the handle's owner");
+                assert_eq!(to, group.ranks()[owner], "{past}: {step:?}");
+                let owners = match ctr {
+                    Some(CtrRef::Landed { rank }) => rank == owner,
+                    Some(CtrRef::PairwiseDirect { src, dst }) => src == me && dst == owner,
+                    _ => false,
+                };
+                let none = format!("{what}: bumps no counter of owner {owner}");
+                assert!(owners, "{none}: {step:?}");
+            }
+            _ => {}
+        }
+    }
+    shipped || !taken.is_empty()
+}
+
+#[test]
+fn every_contribution_channel_has_one_producer() {
+    check_worlds(one_producer);
+}
+
+#[test]
+fn every_handle_is_shipped_by_its_owner_to_another_node_and_put_into_by_the_taker() {
+    check_worlds(address_rule);
 }
