@@ -167,26 +167,27 @@ pub fn combine_costed(ctx: &Ctx, dtype: DType, op: ReduceOp, acc: &mut [u8], src
     charge_reduce(ctx, src.len());
 }
 
-/// Combine `src[offset..offset + acc.len()]` from a shared buffer into
-/// `acc`, with cost.
+/// Combine `src[offset..offset + len]` into `acc[..len]`, two different
+/// shared buffers, with cost.
 ///
-/// Combine under the lock, advance after it: the operator reads its
-/// operand in place, under the buffer's host-level lock, and the clock
-/// moves only once the lock is released. Simulation operations (which
-/// may suspend the calling logical process) must never run while a
-/// buffer lock is held, or a task writing the same buffer can wedge the
-/// whole simulation. Always use this instead of calling
-/// [`combine_costed`] inside [`shmem::ShmBuffer::with`].
-pub fn combine_from_buffer_costed(
+/// Combine under the locks, advance after them: the operator reads and
+/// writes its operands in place, under the buffers' host-level locks,
+/// and the clock moves only once the locks are released. Simulation
+/// operations (which may suspend the calling logical process) must
+/// never run while a buffer lock is held, or a task writing the same
+/// buffer can wedge the whole simulation. Always use this instead of
+/// calling [`combine_costed`] inside [`shmem::ShmBuffer::with`].
+pub fn combine_buffers_costed(
     ctx: &Ctx,
     dtype: DType,
     op: ReduceOp,
-    acc: &mut [u8],
+    acc: &shmem::ShmBuffer,
     src: &shmem::ShmBuffer,
     offset: usize,
+    len: usize,
 ) {
-    src.with(|d| combine(dtype, op, acc, &d[offset..offset + acc.len()]));
-    charge_reduce(ctx, acc.len());
+    acc.with_mut(|a| src.with(|d| combine(dtype, op, &mut a[..len], &d[offset..offset + len])));
+    charge_reduce(ctx, len);
 }
 
 /// Charge the operator pass over `len` operand bytes.

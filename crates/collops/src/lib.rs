@@ -14,7 +14,7 @@ pub mod shape;
 pub mod traits;
 
 pub use dtype::{
-    combine, combine_costed, combine_from_buffer_costed, from_bytes_f64, from_bytes_u64,
+    combine, combine_buffers_costed, combine_costed, from_bytes_f64, from_bytes_u64,
     reference_reduce, to_bytes_f64, to_bytes_u64, DType, ReduceOp,
 };
 pub use shape::{ragged_counts, Op, Shape};

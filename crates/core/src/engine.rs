@@ -16,10 +16,10 @@
 //! trace event per step for timeline rendering.
 //!
 //! Execution state is factored so a call can be **suspended**: every
-//! mutable per-call datum (the sampled bases, the reduce accumulator,
-//! captured address handles) lives in a `CallState`, and `exec_step`
-//! executes exactly one step against it. The blocking path here simply
-//! folds `exec_step` over the plan; the nonblocking executor
+//! per-call datum (the sampled bases, the accumulator and scratch
+//! buffers, captured address handles) lives in a `CallState`, and
+//! `exec_step` executes exactly one step against it. The blocking path
+//! here simply folds `exec_step` over the plan; the nonblocking executor
 //! ([`crate::nb`]) runs the same steps with parks in between. A
 //! blocking call that arrives while nonblocking requests are
 //! outstanding routes through the nonblocking queue (issue + wait) so
@@ -27,11 +27,11 @@
 //! own predecessors.
 
 use crate::plan::{
-    BufRef, Chan, ChanKind, CopyCost, CtrRef, FlagRef, Off, Plan, PlanKey, SeqBase, Side, Step,
-    Until, Val, WaitCell, SEQ_BASES,
+    BufRef, Chan, ChanKind, CopyCost, CtrRef, FlagRef, Plan, PlanKey, SeqBase, Step, Until, Val,
+    WaitCell, SEQ_BASES,
 };
 use crate::world::{Channel, HandleSlot, SrmComm};
-use collops::{combine_from_buffer_costed, DType, ReduceOp};
+use collops::{combine_buffers_costed, DType, ReduceOp};
 use rma::{LapiCounter, Rma};
 use shmem::{ShmBuffer, SpinFlag};
 use simnet::Ctx;
@@ -45,18 +45,16 @@ pub(crate) fn val_of(bases: &[u64; SEQ_BASES], v: Val) -> u64 {
     }
 }
 
-/// The full use-sequence number a `Side` resolves to — the buffer pair
+/// The full use number pair use `rel` resolves to — the buffer pair
 /// protocol counts *uses*, not parities, so writer handoffs between
-/// uses of the same side stay ordered (see [`shmem::BufPair`]).
-pub(crate) fn seq_of(bases: &[u64; SEQ_BASES], s: Side) -> u64 {
-    bases[SeqBase::Pair.index()] + s.rel
+/// uses of the same buffer stay ordered (see [`shmem::BufPair`]).
+pub(crate) fn pair_use(bases: &[u64; SEQ_BASES], rel: u64) -> u64 {
+    bases[SeqBase::Pair.index()] + rel
 }
 
-pub(crate) fn off_of(bases: &[u64; SEQ_BASES], o: Off) -> usize {
-    match o {
-        Off::Lit(x) => x,
-        Off::Parity { base, rel, stride } => ((bases[base.index()] + rel) % 2) as usize * stride,
-    }
+/// Which of a double buffer's two buffers use `rel` against `base` takes.
+fn parity(bases: &[u64; SEQ_BASES], base: SeqBase, rel: u64) -> usize {
+    ((bases[base.index()] + rel) % 2) as usize
 }
 
 pub(crate) fn flag_of(comm: &SrmComm, f: FlagRef) -> &SpinFlag {
@@ -72,11 +70,11 @@ pub(crate) fn flag_of(comm: &SrmComm, f: FlagRef) -> &SpinFlag {
 /// knows where each family keeps its channels and what its lane means.
 /// Every channel lives with its receiver.
 pub(crate) fn chan_of<'a>(comm: &'a SrmComm, bases: &[u64; SEQ_BASES], c: Chan) -> &'a Channel {
-    let parity = |base: SeqBase| ((bases[base.index()] + c.lane as u64) % 2) as usize;
+    let side = |base: SeqBase| parity(bases, base, c.lane.into());
     match c.kind {
-        ChanKind::Bcast => &comm.peer(c.dst, c.src).bcast[parity(SeqBase::Bcast)],
-        ChanKind::Reduce => &comm.peer(c.dst, c.src).reduce[parity(SeqBase::Reduce)],
-        ChanKind::Rd => &comm.exchange(c.dst, c.src).rd,
+        ChanKind::Bcast => &comm.peer(c.dst, c.src).bcast[side(SeqBase::Bcast)],
+        ChanKind::Reduce => &comm.peer(c.dst, c.src).reduce[side(SeqBase::Reduce)],
+        ChanKind::Rd => &comm.exchange(c.dst, c.src).rd[side(SeqBase::Rd)],
         ChanKind::Ring => comm.pairwise().ring(c.src, c.dst),
     }
 }
@@ -95,46 +93,43 @@ pub(crate) fn ctr_of<'a>(
     }
 }
 
-/// Resolve a shared-memory buffer operand. [`BufRef::Acc`] has no
-/// backing `ShmBuffer` and is special-cased by the copy steps.
+/// Resolve a buffer operand of the call `st`, whose payload is `user`.
 pub(crate) fn buf_of<'a>(
     comm: &'a SrmComm,
-    bases: &[u64; SEQ_BASES],
+    st: &'a CallState,
     user: &'a ShmBuffer,
-    taken: &'a [ShmBuffer],
-    scratch: &'a Option<ShmBuffer>,
     r: BufRef,
 ) -> &'a ShmBuffer {
+    let bases = &st.bases;
     match r {
         BufRef::User => user,
-        BufRef::Acc => panic!("accumulator is not an addressable buffer"),
-        BufRef::Pair { side } => comm.board().pair.buf((seq_of(bases, side) % 2) as usize),
-        BufRef::Contrib(slot) => &comm.board().contrib[slot],
+        BufRef::Acc => &st.acc,
+        BufRef::Pair { rel } => comm.board().pair.buf(parity(bases, SeqBase::Pair, rel)),
+        BufRef::Contrib { slot, rel } => {
+            &comm.board().contrib[slot][parity(bases, SeqBase::Reduce, rel)]
+        }
         BufRef::Chan(ch) => &chan_of(comm, bases, ch).landing,
-        BufRef::Taken { idx } => &taken[idx],
-        BufRef::Scratch => scratch
-            .as_ref()
-            .expect("scratch not allocated (missing ScratchAlloc)"),
+        BufRef::Taken { idx } => &st.taken[idx],
+        BufRef::Scratch => &st.scratch,
     }
 }
 
-/// Mutable state of one collective call mid-execution: the sequence
-/// bases sampled at entry plus everything the steps accumulate (the
-/// operator scratch and captured buffer handles). Extracting this from
-/// the executor loop is what lets the nonblocking engine park a call at
-/// a blocking step and resume it later with nothing lost.
+/// State of one collective call mid-execution: the sequence bases
+/// sampled at entry, the call's own buffers and the handles its steps
+/// captured. Extracting this from the executor loop is what lets the
+/// nonblocking engine park a call at a blocking step and resume it
+/// later with nothing lost.
 pub(crate) struct CallState {
     /// [`SeqBase`] cells sampled once when the call entered
     /// ([`SrmComm::enter_call`]).
     pub(crate) bases: [u64; SEQ_BASES],
-    /// Operator scratch ([`BufRef::Acc`]).
-    pub(crate) acc: Vec<u8>,
+    /// The accumulator ([`BufRef::Acc`], [`Plan::acc`] bytes).
+    pub(crate) acc: ShmBuffer,
+    /// The scratch ([`BufRef::Scratch`], [`Plan::scratch`] bytes).
+    pub(crate) scratch: ShmBuffer,
     /// Handles captured by [`Step::AddrTake`], in take order
     /// ([`BufRef::Taken`]).
     pub(crate) taken: Vec<ShmBuffer>,
-    /// Per-call scratch allocated by [`Step::ScratchAlloc`]
-    /// ([`BufRef::Scratch`]); dies with the call.
-    pub(crate) scratch: Option<ShmBuffer>,
     /// The step about to execute has already failed a readiness probe
     /// (see [`Watch::probe`]); cleared when a step executes.
     pub(crate) stalled: bool,
@@ -185,8 +180,8 @@ impl SrmComm {
                 consume,
                 label,
             } => {
-                if let (WaitCell::Pair { side }, Until::Use(what)) = (cell, until) {
-                    let q = seq_of(bases, side);
+                if let (WaitCell::Pair { rel }, Until::Use(what)) = (cell, until) {
+                    let q = pair_use(bases, rel);
                     let (flags, value) = self.board().pair.watch(q, what, self.cslot());
                     return Some(Watch::Flags {
                         flags,
@@ -431,15 +426,16 @@ impl SrmComm {
     /// values against — then relocate them by [`Plan::advances`], so
     /// the next call to enter samples bases as if this one had already
     /// completed. The cells are per (rank, communicator): a call on one
-    /// communicator never shifts another's bases.
+    /// communicator never shifts another's bases. The call's
+    /// accumulator and scratch are created here, at the plan's sizes.
     pub(crate) fn enter_call(&self, plan: &Plan) -> CallState {
         CallState {
             bases: std::array::from_fn(|i| {
                 self.seat.seq[i].fetch_add(plan.advances[i], Ordering::Relaxed)
             }),
-            acc: Vec::new(),
+            acc: ShmBuffer::new(plan.acc),
+            scratch: ShmBuffer::new(plan.scratch),
             taken: Vec::new(),
-            scratch: None,
             stalled: false,
         }
     }
@@ -456,13 +452,11 @@ impl SrmComm {
         step: &Step,
     ) {
         let bases = st.bases;
-        let acc = &mut st.acc;
-        let taken = &st.taken;
-        let scratch = &mut st.scratch;
         let metrics = ctx.metrics();
         if self.world.tuning.trace_steps {
             ctx.trace(step.label());
         }
+        let resolve = |r: BufRef| buf_of(self, st, buf, r);
         match *step {
             Step::SetInterrupts(on) => self.rma.set_interrupts(ctx, on),
             Step::ShmCopy {
@@ -474,43 +468,22 @@ impl SrmComm {
                 cost,
             } => {
                 metrics.engine_copy_steps.fetch_add(1, Ordering::Relaxed);
-                let so = off_of(&bases, src_off);
-                let dofs = off_of(&bases, dst_off);
-                let resolve = |r: BufRef| buf_of(self, &bases, buf, taken, scratch, r);
                 // One pass over the bytes, charged once: as a read
                 // out of shared memory or a write into it; the
                 // private side of either rides along, and operator
-                // output streams are free.
-                match (src, dst) {
-                    (BufRef::Acc, _) => {
-                        resolve(dst).with_mut(|d| d[dofs..dofs + len].copy_from_slice(&acc[..len]))
-                    }
-                    (_, BufRef::Acc) => {
-                        acc.clear();
-                        resolve(src).with(|d| acc.extend_from_slice(&d[so..so + len]));
-                    }
-                    _ => resolve(src).copy_to(so, resolve(dst), dofs, len),
+                // streams are free.
+                let (src, dst) = (resolve(src), resolve(dst));
+                src.copy_to(src_off, dst, dst_off, len);
+                match cost {
+                    CopyCost::Free => {}
+                    CopyCost::Read(streams) => src.charge_copy(ctx, len, streams),
+                    CopyCost::Write(streams) => dst.charge_copy(ctx, len, streams),
                 }
-                let charged = match cost {
-                    CopyCost::Free => None,
-                    CopyCost::Read(streams) => Some((src, streams)),
-                    CopyCost::Write(streams) => Some((dst, streams)),
-                };
-                if let Some((side, n)) = charged.filter(|c| !matches!(c.0, BufRef::Acc)) {
-                    resolve(side).charge_copy(ctx, len, n);
-                }
-            }
-            Step::LoadAcc { off, len } => {
-                acc.clear();
-                buf.with(|d| acc.extend_from_slice(&d[off..off + len]));
             }
             Step::LocalReduce { src, src_off, len } => {
                 metrics.engine_copy_steps.fetch_add(1, Ordering::Relaxed);
                 let (dtype, op) = reduce.expect("plan reduces but the call carries no operator");
-                debug_assert_eq!(acc.len(), len);
-                let so = off_of(&bases, src_off);
-                let src = buf_of(self, &bases, buf, taken, scratch, src);
-                combine_from_buffer_costed(ctx, dtype, op, acc, src, so);
+                combine_buffers_costed(ctx, dtype, op, &st.acc, resolve(src), src_off, len);
             }
             Step::FlagRaise { flag, val } => {
                 // Cumulative sequence flags can be raised out of
@@ -532,12 +505,12 @@ impl SrmComm {
                     .and_then(|w| w.block(ctx, &mut st.stalled));
                 st.taken.extend(handle);
             }
-            Step::PairPublish { side } => {
-                let q = seq_of(&bases, side);
+            Step::PairPublish { rel } => {
+                let q = pair_use(&bases, rel);
                 self.board().pair.publish_from(ctx, q, self.cslot());
             }
-            Step::PairRelease { side } => {
-                let q = seq_of(&bases, side);
+            Step::PairRelease { rel } => {
+                let q = pair_use(&bases, rel);
                 self.board().pair.release(ctx, q, self.cslot());
             }
             Step::RmaPut {
@@ -556,12 +529,9 @@ impl SrmComm {
                 if matches!(ctr, Some(CtrRef::PairwiseDirect { .. })) {
                     metrics.pairwise_direct_puts.fetch_add(1, Ordering::Relaxed);
                 }
-                let so = off_of(&bases, src_off);
-                let dofs = off_of(&bases, dst_off);
-                let src = buf_of(self, &bases, buf, taken, scratch, src);
-                let dst = buf_of(self, &bases, buf, taken, scratch, dst);
                 let ctr = ctr.map(|c| ctr_of(self, &bases, c));
-                self.rma.put(ctx, to, src, so, len, dst, dofs, ctr);
+                let (src, dst) = (resolve(src), resolve(dst));
+                self.rma.put(ctx, to, src, src_off, len, dst, dst_off, ctr);
             }
             Step::CounterPut { to, ctr } => {
                 metrics.engine_put_steps.fetch_add(1, Ordering::Relaxed);
@@ -569,12 +539,9 @@ impl SrmComm {
             }
             Step::AddrSend { to, src } => {
                 metrics.engine_put_steps.fetch_add(1, Ordering::Relaxed);
-                let handle = buf_of(self, &bases, buf, taken, scratch, src).clone();
+                let handle = resolve(src).clone();
                 self.rma
                     .am(ctx, to, self.comm.am_addr, Vec::new(), Some(handle));
-            }
-            Step::ScratchAlloc { len } => {
-                *scratch = Some(ShmBuffer::new(len));
             }
         }
         st.stalled = false;
@@ -606,6 +573,37 @@ mod tests {
             S::Alltoallv { seg: len, counts },
             S::ReduceScatter { len },
         ]
+    }
+
+    /// Each plan sizes the call's own buffers: the accumulator to the
+    /// most a step loads into it, the scratch to a direct-route
+    /// reduce_scatter master's landing.
+    #[test]
+    fn plans_size_the_calls_accumulator_and_scratch() {
+        let topo = Topology::new(2, 3);
+        let t = SrmTuning::default();
+        let (n, chunk) = (topo.nprocs(), t.reduce_chunk);
+        let mut sim = Sim::new(MachineConfig::ibm_sp_colony());
+        let world = SrmWorld::new(&mut sim, topo, t);
+        for comm in (0..n).map(|rank| world.comm(rank)) {
+            let plan = |shape: Shape| comm.build_plan(&comm.key(shape));
+            let what = format!("rank {}", comm.rank());
+            for shape in shapes(n, 3 * chunk) {
+                let p = plan(shape.clone());
+                assert_eq!(p.scratch, 0, "{what}, {shape:?}");
+                let acc = match shape {
+                    Shape::Reduce { .. } => chunk,
+                    Shape::Allreduce { .. } | Shape::ReduceScatter { .. } => p.acc,
+                    _ => 0,
+                };
+                assert_eq!(p.acc, acc, "{what}, {shape:?}");
+            }
+            assert_eq!(plan(Shape::Allreduce { len: 8 }).acc, 8, "{what}");
+            let direct = plan(Shape::ReduceScatter {
+                len: t.pairwise_direct_min,
+            });
+            assert_eq!(direct.scratch > 0, comm.c_is_master(), "{what}");
+        }
     }
 
     /// How a call enters: blocking, nonblocking, or blocking behind a

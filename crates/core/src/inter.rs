@@ -54,12 +54,10 @@
 
 use crate::embed::{depth, GroupTree};
 use crate::plan::{
-    BufRef, Chan, ChanKind, CopyCost, CtrRef, FlagRef, Off, PlanBuilder, SeqBase, Side, Step,
-    Until, Val, WaitCell,
+    BufRef, Chan, ChanKind, CopyCost, CtrRef, FlagRef, PlanBuilder, SeqBase, Step, Until, Val,
+    WaitCell,
 };
-use crate::smp::{
-    pair_buf, plan_acc_to_user, plan_pair_release, plan_stage_acc, smp_cell, smp_cells,
-};
+use crate::smp::{plan_acc_to_user, plan_pair_release, smp_cell, smp_cells};
 use crate::tune::TuneOp as Op;
 use crate::tuning::SrmTuning;
 use crate::world::SrmComm;
@@ -67,10 +65,6 @@ use shmem::PairUse;
 
 pub(crate) fn seq(base: SeqBase, rel: u64) -> Val {
     Val::Seq { base, rel }
-}
-
-pub(crate) fn poff(base: SeqBase, rel: u64, stride: usize) -> Off {
-    Off::Parity { base, rel, stride }
 }
 
 impl SrmComm {
@@ -119,27 +113,21 @@ impl SrmComm {
 
     /// Sender leg of channel `c`: spend a credit, put `len` bytes of
     /// `from` at byte `at` of the receiver's landing, bump its data
-    /// counter. With `stage_acc` the accumulator is first laid down at
-    /// `from` (the operator's output stream) so the put has an
-    /// addressable source.
+    /// counter.
     pub(crate) fn plan_credit_put(
         &self,
         b: &mut PlanBuilder,
         (c, at): (Chan, usize),
-        stage_acc: bool,
-        from: (BufRef, Off),
+        (src, src_off): (BufRef, usize),
         len: usize,
     ) {
         b.wait_ctr(CtrRef::Free(c), 1);
-        if stage_acc {
-            plan_stage_acc(b, from.0, from.1, len);
-        }
         b.push(Step::RmaPut {
             to: self.cmaster_of(c.dst),
-            src: from.0,
-            src_off: from.1,
+            src,
+            src_off,
             dst: BufRef::Chan(c),
-            dst_off: Off::Lit(at),
+            dst_off: at,
             len,
             ctr: Some(CtrRef::Data(c)),
         });
@@ -161,7 +149,7 @@ impl SrmComm {
         b.wait_ctr(CtrRef::Data(c), 1);
         b.push(Step::LocalReduce {
             src: BufRef::Chan(c),
-            src_off: Off::Lit(at),
+            src_off: at,
             len,
         });
         self.plan_credit_return(b, c);
@@ -180,7 +168,7 @@ impl SrmComm {
     ) {
         for &c in tree.down() {
             let to = Chan::new(ChanKind::Bcast, self.cnode(), c, brel);
-            self.plan_credit_put(b, (to, 0), false, (data, Off::Lit(0)), clen);
+            self.plan_credit_put(b, (to, 0), (data, 0), clen);
         }
     }
 
@@ -190,16 +178,15 @@ impl SrmComm {
     /// parent's put left it in.
     fn bcast_data(&self, tree: &GroupTree, (rel, brel): (u64, u64)) -> BufRef {
         match tree.parent() {
-            None => pair_buf(rel),
+            None => BufRef::Pair { rel },
             Some(parent) => BufRef::Chan(Chan::new(ChanKind::Bcast, parent, self.cnode(), brel)),
         }
     }
 
     /// One chunk up the inter-node tree (master only; the accumulator
     /// holds my node's partial result): fold every child node's landed
-    /// chunk, then — off the root's node — ship the combined chunk to
-    /// my parent, staged in the master's otherwise idle contribution
-    /// buffer.
+    /// chunk, then — off the root's node — put the combined chunk to
+    /// my parent straight from the accumulator.
     fn plan_tree_up(&self, b: &mut PlanBuilder, tree: &GroupTree, rel: u64, clen: usize) {
         let my_node = self.cnode();
         for c in tree.up() {
@@ -207,9 +194,8 @@ impl SrmComm {
             self.plan_fold_landed(b, (from, 0), clen);
         }
         if let Some(parent) = tree.parent() {
-            let staging = self.contrib_side(0, rel);
             let to = Chan::new(ChanKind::Reduce, my_node, parent, rel);
-            self.plan_credit_put(b, (to, 0), true, staging, clen);
+            self.plan_credit_put(b, (to, 0), (BufRef::Acc, 0), clen);
         }
     }
 
@@ -228,13 +214,12 @@ impl SrmComm {
     ) {
         let parent = tree.parent().expect("non-root node has a parent");
         let from = Chan::new(ChanKind::Bcast, parent, self.cnode(), brel);
-        let side = Side { rel };
         b.wait_ctr(CtrRef::Data(from), 1);
-        b.push(Step::PairPublish { side });
+        b.push(Step::PairPublish { rel });
         self.plan_forward_chunk(b, tree, brel, BufRef::Chan(from), clen);
         self.plan_pair_copy_out(b, BufRef::Chan(from), (0, off, clen));
         plan_pair_release(b, rel);
-        let cell = WaitCell::Pair { side };
+        let cell = WaitCell::Pair { rel };
         b.wait(cell, Until::Use(PairUse::Drained), "buffer use drained");
         self.plan_credit_return(b, from);
     }
@@ -294,7 +279,7 @@ impl SrmComm {
                 // locally before the (possibly credit-blocked) puts:
                 // they are one-sided and lose nothing, while the local
                 // readers can start draining at once.
-                self.plan_pair_write(b, rel, (BufRef::User, Off::Lit(off)), clen, 1);
+                self.plan_pair_write(b, rel, (BufRef::User, off), clen, 1);
                 if self.c_is_master() {
                     self.plan_forward_chunk(b, tree, brel, data, clen);
                 }
@@ -368,9 +353,9 @@ impl SrmComm {
                 b.push(Step::RmaPut {
                     to: self.cworld_of(child),
                     src: BufRef::User,
-                    src_off: Off::Lit(off),
+                    src_off: off,
                     dst: BufRef::Taken { idx },
-                    dst_off: Off::Lit(off),
+                    dst_off: off,
                     len: clen,
                     ctr: Some(CtrRef::Landed { rank: child }),
                 });
@@ -424,26 +409,18 @@ impl SrmComm {
                     if self.crank() == root {
                         plan_acc_to_user(b, off, clen);
                     } else if hand_over {
-                        let acc = (BufRef::Acc, Off::Lit(0));
+                        let acc = (BufRef::Acc, 0);
                         self.plan_contrib_publish(b, rel, acc, clen, CopyCost::Free);
                     }
                 } else if self.crank() == root {
                     let label = "combined chunk ready";
-                    self.plan_contrib_consume(b, (0, rel), k == 0, label, |b, src, src_off| {
-                        b.push(Step::ShmCopy {
-                            src,
-                            src_off,
-                            dst: BufRef::User,
-                            dst_off: Off::Lit(off),
-                            len: clen,
-                            cost: CopyCost::Read(1),
-                        })
+                    self.plan_contrib_consume(b, (0, rel), k == 0, label, |b, src| {
+                        b.copy((src, 0), (BufRef::User, off), clen, CopyCost::Read(1))
                     });
                 }
             }
             if self.c_is_master() {
-                // Slot 0's channel carries the hand-over or nothing (its
-                // buffer only stages puts off the root's node).
+                // Slot 0's channel carries the hand-over or nothing.
                 let sent = if hand_over { chunks as u64 } else { 0 };
                 self.plan_contrib_catchup(b, sent, rel0 + chunks as u64);
             }
@@ -489,26 +466,21 @@ impl SrmComm {
     /// Up to one reduce chunk: one intra-node reduce to the master,
     /// recursive-doubling pairwise exchange between the masters,
     /// intra-node broadcast. No exchange takes a credit: each lands in
-    /// its receiver's landing from the sender, in the half of this
-    /// call's [`SeqBase::Rd`] parity, which the sender writes again only
-    /// two such allreduces later (DESIGN.md §16.2).
+    /// its receiver's channel of this call's [`SeqBase::Rd`] parity,
+    /// which the sender writes again only two such allreduces later
+    /// (DESIGN.md §16.2).
     fn plan_allreduce_small(&self, b: &mut PlanBuilder, len: usize) {
         let rel = b.rel(SeqBase::Reduce);
         let has_acc = self.plan_smp_reduce_chunk(b, 0, len, rel, self.tree());
-        // Puts ship the accumulator from the master's own (otherwise
-        // idle) contribution buffer.
-        let staging = self.contrib_side(0, rel);
-        let (my, n) = (self.cnode(), self.cnodes());
-        let half = poff(SeqBase::Rd, b.rel(SeqBase::Rd), self.tuning().reduce_chunk);
+        let (my, n, lane) = (self.cnode(), self.cnodes(), b.rel(SeqBase::Rd));
         let put = |b: &mut PlanBuilder, to: usize| {
-            let c = Chan::new(ChanKind::Rd, my, to, 0);
-            plan_stage_acc(b, staging.0, staging.1, len);
+            let c = Chan::new(ChanKind::Rd, my, to, lane);
             b.push(Step::RmaPut {
                 to: self.cmaster_of(to),
-                src: staging.0,
-                src_off: staging.1,
+                src: BufRef::Acc,
+                src_off: 0,
                 dst: BufRef::Chan(c),
-                dst_off: half,
+                dst_off: 0,
                 len,
                 ctr: Some(CtrRef::Data(c)),
             });
@@ -516,22 +488,14 @@ impl SrmComm {
         // Wait for `from`'s exchange, then fold it in or take it as the
         // result.
         let take = |b: &mut PlanBuilder, from: usize, fold: bool| {
-            let c = Chan::new(ChanKind::Rd, from, my, 0);
+            let c = Chan::new(ChanKind::Rd, from, my, lane);
             b.wait_ctr(CtrRef::Data(c), 1);
-            let (src, src_off) = (BufRef::Chan(c), half);
-            b.push(if fold {
-                Step::LocalReduce { src, src_off, len }
+            let (src, src_off) = (BufRef::Chan(c), 0);
+            if fold {
+                b.push(Step::LocalReduce { src, src_off, len });
             } else {
-                let (dst, dst_off, cost) = (BufRef::Acc, Off::Lit(0), CopyCost::Read(1));
-                Step::ShmCopy {
-                    src,
-                    src_off,
-                    dst,
-                    dst_off,
-                    len,
-                    cost,
-                }
-            });
+                b.copy((src, src_off), (BufRef::Acc, 0), len, CopyCost::Read(1));
+            }
         };
 
         if self.c_is_master() {
@@ -582,8 +546,8 @@ impl SrmComm {
     /// runs one chunk further ahead than its parent. Bounds: the ranks
     /// of a node share one skew (a non-master behind its master would
     /// deadlock the node), and node 0's non-masters may lead their
-    /// master by at most the two contribution plus two pair sides.
-    /// Up-leg cells (contribution sides, `Reduce` channels and credits)
+    /// master by at most the two contribution plus two pair buffers.
+    /// Up-leg cells (contribution buffers, `Reduce` channels and credits)
     /// are freed by up-leg steps only and down-leg cells (the node
     /// pair, `Bcast` channels) by down-leg steps only, so no wait
     /// crosses the legs except through program order.
@@ -623,8 +587,9 @@ impl SrmComm {
                     if on_root {
                         // Fully combined: start the broadcast leg here.
                         let (prel, brel) = rels;
-                        self.plan_pair_write(b, prel, (BufRef::Acc, Off::Lit(0)), clen, 1);
-                        self.plan_forward_chunk(b, &tree, brel, pair_buf(prel), clen);
+                        self.plan_pair_write(b, prel, (BufRef::Acc, 0), clen, 1);
+                        let data = BufRef::Pair { rel: prel };
+                        self.plan_forward_chunk(b, &tree, brel, data, clen);
                         plan_pair_release(b, prel);
                         plan_acc_to_user(b, off, clen);
                     }
@@ -747,15 +712,8 @@ impl SrmComm {
                 });
             }
             for &(s, rel, at, clen) in &others {
-                self.plan_contrib_consume(b, (s, rel), rel == rel0, label, |b, src, src_off| {
-                    b.push(Step::ShmCopy {
-                        src,
-                        src_off,
-                        dst: BufRef::User,
-                        dst_off: Off::Lit(at),
-                        len: clen,
-                        cost: CopyCost::Read(1),
-                    })
+                self.plan_contrib_consume(b, (s, rel), rel == rel0, label, |b, src| {
+                    b.copy((src, 0), (BufRef::User, at), clen, CopyCost::Read(1))
                 });
             }
             // Wait for every remote piece to land in my buffer: every
@@ -779,18 +737,18 @@ impl SrmComm {
                     src,
                     src_off,
                     dst: BufRef::Taken { idx },
-                    dst_off: Off::Lit(dst_off),
+                    dst_off,
                     len,
                     ctr: Some(CtrRef::Landed { rank: root }),
                 })
             };
             for (_, koff, clen) in pieces() {
                 let at = self.crank() * len + koff;
-                put(b, BufRef::User, Off::Lit(at), at, clen);
+                put(b, BufRef::User, at, at, clen);
             }
             for &(s, rel, at, clen) in &others {
-                self.plan_contrib_consume(b, (s, rel), rel == rel0, label, |b, src, src_off| {
-                    put(b, src, src_off, at, clen)
+                self.plan_contrib_consume(b, (s, rel), rel == rel0, label, |b, src| {
+                    put(b, src, 0, at, clen)
                 });
             }
             // My own segment bypassed my contribution channel.
@@ -800,7 +758,7 @@ impl SrmComm {
             // channel (producer half of the reduce-leaf pattern).
             let cost = CopyCost::Write(self.peer_streams());
             for (rel, koff, clen) in pieces() {
-                let from = (BufRef::User, Off::Lit(self.crank() * len + koff));
+                let from = (BufRef::User, self.crank() * len + koff);
                 self.plan_contrib_publish(b, rel, from, clen, cost);
             }
         }
@@ -914,7 +872,7 @@ impl SrmComm {
         let read_block = |b: &mut PlanBuilder| {
             for (j, &(_, boff, plen)) in pieces[my_node].iter().enumerate() {
                 let (rel, mine) = (prel0 + j as u64, self.block_overlap(len, (boff, plen), my));
-                self.plan_pair_read(b, (rel, pair_buf(rel)), |_| {}, mine);
+                self.plan_pair_read(b, (rel, BufRef::Pair { rel }), |_| {}, mine);
             }
         };
 
@@ -922,18 +880,18 @@ impl SrmComm {
             // Ship every other node's block through the reduce landing
             // channels (directly, or via my master over my channel).
             for (use_rel, &(c, rel, roff, plen)) in uses {
-                let from = (BufRef::User, Off::Lit(roff));
+                let from = (BufRef::User, roff);
                 if relay {
                     self.plan_contrib_publish(b, use_rel, from, plen, CopyCost::Free);
                 } else {
                     let to = Chan::new(ChanKind::Reduce, root_node, c, rel);
-                    self.plan_credit_put(b, (to, 0), false, from, plen);
+                    self.plan_credit_put(b, (to, 0), from, plen);
                 }
             }
             // Distribute my own node's block through the pair.
             if p > 1 {
                 for (j, &(roff, _, plen)) in pieces[my_node].iter().enumerate() {
-                    let from = (BufRef::User, Off::Lit(roff));
+                    let from = (BufRef::User, roff);
                     self.plan_pair_write(b, prel0 + j as u64, from, plen, 1);
                     plan_pair_release(b, prel0 + j as u64);
                 }
@@ -941,14 +899,14 @@ impl SrmComm {
         } else if my_node == root_node {
             if my == 0 && relay {
                 // Master relays the root's pieces onto the wire. The put
-                // snapshots the source synchronously, so the side is
+                // snapshots the source synchronously, so the buffer is
                 // reusable as soon as it is issued.
                 for (use_rel, &(c, rel, _, plen)) in uses {
                     let (label, first) = ("scatter piece ready", use_rel == rel0);
                     let at = (root_gslot, use_rel);
-                    self.plan_contrib_consume(b, at, first, label, |b, src, off| {
+                    self.plan_contrib_consume(b, at, first, label, |b, src| {
                         let to = Chan::new(ChanKind::Reduce, root_node, c, rel);
-                        self.plan_credit_put(b, (to, 0), false, (src, off), plen);
+                        self.plan_credit_put(b, (to, 0), (src, 0), plen);
                     });
                 }
             }
@@ -958,25 +916,19 @@ impl SrmComm {
             // the pair, return the credit, take my overlap.
             for (j, &(_, boff, plen)) in pieces[my_node].iter().enumerate() {
                 let from = Chan::new(ChanKind::Reduce, root_node, my_node, rel0 + j as u64);
-                let landed = (BufRef::Chan(from), Off::Lit(0));
+                let landed = (BufRef::Chan(from), 0);
                 let rel = prel0 + j as u64;
                 b.wait_ctr(CtrRef::Data(from), 1);
                 if p > 1 {
                     self.plan_pair_write(b, rel, landed, plen, 1);
                     self.plan_credit_return(b, from);
                     if let Some(mine) = self.block_overlap(len, (boff, plen), my) {
-                        self.plan_pair_copy_out(b, pair_buf(rel), mine);
+                        self.plan_pair_copy_out(b, BufRef::Pair { rel }, mine);
                     }
                     plan_pair_release(b, rel);
                 } else {
-                    b.push(Step::ShmCopy {
-                        src: landed.0,
-                        src_off: landed.1,
-                        dst: BufRef::User,
-                        dst_off: Off::Lit(self.crank() * len + boff),
-                        len: plen,
-                        cost: CopyCost::Read(1),
-                    });
+                    let mine = (BufRef::User, self.crank() * len + boff);
+                    b.copy(landed, mine, plen, CopyCost::Read(1));
                     self.plan_credit_return(b, from);
                 }
             }

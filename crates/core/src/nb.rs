@@ -128,7 +128,7 @@ fn buf_class(b: BufRef) -> u8 {
     match b {
         BufRef::User | BufRef::Acc => 0,
         BufRef::Pair { .. } => CL_PAIR,
-        BufRef::Contrib(_) => CL_REDUCE,
+        BufRef::Contrib { .. } => CL_REDUCE,
         BufRef::Chan(ch) => chan_class(ch.kind),
         // Scratch is per-call private, but it is published through the
         // address exchange, so its uses order with that class.
@@ -137,13 +137,11 @@ fn buf_class(b: BufRef) -> u8 {
 }
 
 /// Bitset of substrate classes a step touches. Steps with class 0
-/// (accumulator loads, interrupt toggles, the scratch allocation) never
+/// (interrupt toggles, copies between the call's own buffers) never
 /// order against other schedules.
 pub(crate) fn step_classes(step: &Step) -> u8 {
     match *step {
-        // Allocating a per-call scratch touches only this call's own
-        // state.
-        Step::SetInterrupts(_) | Step::LoadAcc { .. } | Step::ScratchAlloc { .. } => 0,
+        Step::SetInterrupts(_) => 0,
         Step::ShmCopy { src, dst, .. } => buf_class(src) | buf_class(dst),
         Step::LocalReduce { src, .. } => buf_class(src),
         Step::FlagRaise { flag, .. } => flag_class(flag),

@@ -100,8 +100,8 @@
 //! `plan_contrib_catchup` (DESIGN.md §9.3, §12.3). The node pair's base
 //! counts only the uses my node made.
 
-use crate::plan::{BufRef, Chan, ChanKind, CopyCost, CtrRef, Off, PlanBuilder, SeqBase, Step, Val};
-use crate::smp::{pair_buf, plan_acc_to_user, plan_pair_release, plan_stage_acc};
+use crate::plan::{BufRef, Chan, ChanKind, CopyCost, CtrRef, PlanBuilder, SeqBase, Step, Val};
+use crate::smp::{plan_acc_to_user, plan_pair_release};
 use crate::tuning::SrmTuning;
 use crate::world::{Channel, SrmComm};
 use rma::{CounterFamily, LapiCounter};
@@ -180,26 +180,19 @@ impl SrmComm {
         b.wait_ctr_ge(CtrRef::Free(ring), Val::Lit(n as u64));
     }
 
-    /// Credit-gated put toward group node `d` into the ring slot at
-    /// byte `at`, under the effective window `w` of the shape being
-    /// compiled. When `w` is narrower than the geometry credit pool, a
-    /// non-consuming wait for `geometry - w + 1` credits first keeps at
-    /// most `w` puts in flight, so ring slot `r % w` is always drained
-    /// before it is reused.
-    fn plan_ring_put(
-        &self,
-        b: &mut PlanBuilder,
-        (d, at): (NodeId, usize),
-        stage_acc: bool,
-        from: (BufRef, Off),
-        len: usize,
-    ) {
+    /// Credit-gated put of the accumulator toward group node `d` into
+    /// the ring slot at byte `at`, under the effective window `w` of the
+    /// shape being compiled. When `w` is narrower than the geometry
+    /// credit pool, a non-consuming wait for `geometry - w + 1` credits
+    /// first keeps at most `w` puts in flight, so ring slot `r % w` is
+    /// always drained before it is reused.
+    fn plan_ring_put(&self, b: &mut PlanBuilder, (d, at): (NodeId, usize), len: usize) {
         let (w, w_geom) = (b.tuning().pairwise_window, self.tuning().pairwise_window);
         if w < w_geom {
             self.plan_credits_ge(b, d, w_geom - w + 1);
         }
         let ring = Chan::new(ChanKind::Ring, self.cnode(), d, 0);
-        self.plan_credit_put(b, (ring, at), stage_acc, from, len);
+        self.plan_credit_put(b, (ring, at), (BufRef::Acc, 0), len);
     }
 
     /// The comm ranks off my node in the order this rank's wire visits
@@ -265,14 +258,8 @@ impl SrmComm {
             let rbase = self.csize() * seg;
             // Own segment: already local, one private copy.
             if count(me, me) > 0 {
-                b.push(Step::ShmCopy {
-                    src: BufRef::User,
-                    src_off: Off::Lit(me * seg),
-                    dst: BufRef::User,
-                    dst_off: Off::Lit(rbase + me * seg),
-                    len: count(me, me),
-                    cost: CopyCost::Read(1),
-                });
+                let (own, cost) = ((BufRef::User, rbase + me * seg), CopyCost::Read(1));
+                b.copy((BufRef::User, me * seg), own, count(me, me), cost);
             }
             let mut inbound = self.remote_order(false);
             inbound.retain(|&s| count(s, me) > 0);
@@ -291,9 +278,9 @@ impl SrmComm {
                 b.push(Step::RmaPut {
                     to: self.cworld_of(d),
                     src: BufRef::User,
-                    src_off: Off::Lit(d * seg),
+                    src_off: d * seg,
                     dst: BufRef::Taken { idx },
-                    dst_off: Off::Lit(rbase + me * seg),
+                    dst_off: rbase + me * seg,
                     len,
                     ctr: Some(CtrRef::PairwiseDirect { src: me, dst: d }),
                 });
@@ -310,7 +297,7 @@ impl SrmComm {
 
     /// Intra-node leg of the exchange: a rotation over the per-slot
     /// contribution channels. In round `r` slot `u` publishes its cell
-    /// for slot `(u + r) mod p` in its own parity buffer and consumes
+    /// for slot `(u + r) mod p` in its own channel and consumes
     /// slot `(u - r) mod p`'s, cut into `pairwise_chunk` pieces and
     /// interleaved piece by piece (a slot that published a whole
     /// three-piece cell before reading would wait on a reader that is
@@ -355,7 +342,7 @@ impl SrmComm {
             for k in 0..out.max(inb).div_ceil(cs) {
                 let koff = k * cs;
                 if koff < out {
-                    let user = (BufRef::User, Off::Lit(cto * seg + koff));
+                    let user = (BufRef::User, cto * seg + koff);
                     let len = cs.min(out - koff);
                     let cost = CopyCost::Write(p);
                     self.plan_contrib_publish(b, rel0 + sent, user, len, cost);
@@ -367,15 +354,9 @@ impl SrmComm {
                         (from, rel_in + k as u64),
                         k == 0,
                         "exchange cell published",
-                        |b, src, src_off| {
-                            b.push(Step::ShmCopy {
-                                src,
-                                src_off,
-                                dst: BufRef::User,
-                                dst_off: Off::Lit(rbase + cfrom * seg + koff),
-                                len: cs.min(inb - koff),
-                                cost: CopyCost::Read(p),
-                            })
+                        |b, src| {
+                            let dst = (BufRef::User, rbase + cfrom * seg + koff);
+                            b.copy((src, 0), dst, cs.min(inb - koff), CopyCost::Read(p))
                         },
                     );
                 }
@@ -454,15 +435,13 @@ impl SrmComm {
         let region = |d: usize, s: usize| if s < d { s } else { s - 1 };
         let mut scratch_idx: Vec<Option<usize>> = vec![None; nodes];
         if direct && my == 0 {
-            b.push(Step::ScratchAlloc {
-                len: (nodes - 1) * block_of(me),
-            });
+            let scratch = b.scratch((nodes - 1) * block_of(me));
             // Sends strictly before takes: no master can stall a
             // peer's rendezvous setup.
             for s in peers() {
                 b.push(Step::AddrSend {
                     to: self.cmaster_of(s),
-                    src: BufRef::Scratch,
+                    src: scratch,
                 });
             }
             for d in peers() {
@@ -483,24 +462,19 @@ impl SrmComm {
                 if !is_root {
                     continue;
                 }
-                // The accumulator ships from the master's own
-                // (otherwise idle) contribution buffer so the put has
-                // an addressable source; the put snapshots it
-                // synchronously.
-                let staging = (BufRef::Contrib(0), Off::Lit(0));
+                // The put snapshots the accumulator synchronously.
                 if direct {
                     // Land the piece straight in the peer master's
                     // scratch region — no credits, no window, one
                     // counter bump at the target.
-                    plan_stage_acc(b, staging.0, staging.1, plen);
                     b.push(Step::RmaPut {
                         to: self.cmaster_of(d),
-                        src: staging.0,
-                        src_off: staging.1,
+                        src: BufRef::Acc,
+                        src_off: 0,
                         dst: BufRef::Taken {
                             idx: scratch_idx[d].expect("scratch handle taken"),
                         },
-                        dst_off: Off::Lit(region(d, me) * block_of(d) + blk),
+                        dst_off: region(d, me) * block_of(d) + blk,
                         len: plen,
                         ctr: Some(CtrRef::PairwiseDirect {
                             src: self.crank(),
@@ -508,7 +482,7 @@ impl SrmComm {
                         }),
                     });
                 } else {
-                    self.plan_ring_put(b, (d, ring_off), true, staging, plen);
+                    self.plan_ring_put(b, (d, ring_off), plen);
                 }
             }
             // Own block: reduce the node's contributions, fold in the
@@ -522,7 +496,7 @@ impl SrmComm {
             // My result segment's part of the piece.
             let mine = self.block_overlap(len, (blk, plen), my);
             if !is_root {
-                self.plan_pair_read(b, (prel, pair_buf(prel)), |_| {}, mine);
+                self.plan_pair_read(b, (prel, BufRef::Pair { rel: prel }), |_| {}, mine);
                 continue;
             }
             for s in peers() {
@@ -539,7 +513,7 @@ impl SrmComm {
                     b.wait_ctr(done, 1);
                     b.push(Step::LocalReduce {
                         src: BufRef::Scratch,
-                        src_off: Off::Lit(region(me, s) * block_of(me) + blk),
+                        src_off: region(me, s) * block_of(me) + blk,
                         len: plen,
                     });
                 } else {
@@ -548,9 +522,9 @@ impl SrmComm {
                 }
             }
             if p > 1 {
-                self.plan_pair_write(b, prel, (BufRef::Acc, Off::Lit(0)), plen, 1);
+                self.plan_pair_write(b, prel, (BufRef::Acc, 0), plen, 1);
                 if let Some(mine) = mine {
-                    self.plan_pair_copy_out(b, pair_buf(prel), mine);
+                    self.plan_pair_copy_out(b, BufRef::Pair { rel: prel }, mine);
                 }
                 plan_pair_release(b, prel);
             } else {
@@ -568,7 +542,7 @@ impl SrmComm {
         }
         if my == 0 {
             // The subtree root consumed everyone's contributions but
-            // staged none of its own.
+            // published none of its own.
             self.plan_contrib_catchup(b, 0, rel);
         }
         // `rel - rel0` is `Σ_d pieces[d].len()` on every member (each

@@ -76,43 +76,17 @@ pub enum Val {
     },
 }
 
-/// A use of my node's buffer pair, resolved at execution time to the
-/// use number `bases[Pair] + rel`, whose parity is the side it takes —
-/// consecutive operations alternate buffers.
-#[derive(Clone, Copy, Debug)]
-pub struct Side {
-    /// Use index within this plan.
-    pub rel: u64,
-}
-
-/// A byte offset resolved at execution time.
-#[derive(Clone, Copy, Debug)]
-pub enum Off {
-    /// A fixed offset.
-    Lit(usize),
-    /// `((bases[base] + rel) % 2) * stride` — the side-selected half of
-    /// a parity-double-buffered staging area.
-    Parity {
-        /// Sequence cell driving the alternation.
-        base: SeqBase,
-        /// Chunk index within this plan.
-        rel: u64,
-        /// Byte stride between the two halves.
-        stride: usize,
-    },
-}
-
 /// Which side of a [`Step::ShmCopy`] pays the simulated memory cost.
 ///
 /// The SRM protocols charge each logical data movement exactly once:
 /// a copy *into* shared memory is charged as the shared-side write
 /// (the private-side read rides the same pass), a copy *out of* shared
-/// memory as the shared-side read, and operator output streams (an
-/// accumulator staged for a put) are free because the last operator
-/// pass already produced the bytes.
+/// memory as the shared-side read, and the operator's streams (loading
+/// the accumulator, writing it to its destination) are free because the
+/// operator pass over the same bytes is charged.
 #[derive(Clone, Copy, Debug)]
 pub enum CopyCost {
-    /// No charge (operator output stream).
+    /// No charge (an operator stream).
     Free,
     /// Charge a read of the source with this many concurrent streams.
     Read(usize),
@@ -132,8 +106,9 @@ pub enum ChanKind {
     /// other way); lane = chunk index ([`SeqBase::Reduce`] parity).
     Reduce,
     /// Recursive-doubling exchange, and the non-power-of-two fold (odd →
-    /// even the fold-in, even → odd the result). Uncredited: the halves
-    /// of its landing alternate with [`SeqBase::Rd`]. One lane, 0.
+    /// even the fold-in, even → odd the result); lane = the call's
+    /// [`SeqBase::Rd`] index, whose parity picks one of two uncredited
+    /// channels.
     Rd,
     /// Staged reduce_scatter stream into the destination's landing ring
     /// of [`SrmTuning::pairwise_window`](crate::SrmTuning) slots
@@ -174,24 +149,31 @@ impl Chan {
     }
 }
 
-/// A buffer operand. `User` is the executing call's payload buffer;
-/// everything else names a shared structure of the fabric or a handle
-/// the plan captured earlier ([`Step::AddrTake`]).
+/// A buffer operand, always a whole buffer. `User`, `Acc` and `Scratch`
+/// are the executing call's own; everything else names a shared
+/// structure of the fabric, where a double-buffered one takes a use
+/// number whose parity picks the buffer, or a handle the plan captured
+/// earlier ([`Step::AddrTake`]).
 #[derive(Clone, Copy, Debug)]
 pub enum BufRef {
     /// The collective call's user payload buffer.
     User,
-    /// The executor's private accumulator (operator scratch).
+    /// The call's accumulator: [`Plan::acc`] bytes that the operator
+    /// folds into ([`Step::LocalReduce`]) and copies and puts read.
     Acc,
-    /// One side of my node's buffer pair.
+    /// The buffer of my node's pair that use `bases[Pair] + rel` takes.
     Pair {
-        /// Which side.
-        side: Side,
+        /// Use index within this plan.
+        rel: u64,
     },
-    /// The parity-double-buffered staging area of slot `.0`'s
-    /// contribution channel (Figure 2), numbered against
-    /// [`SeqBase::Reduce`].
-    Contrib(usize),
+    /// The buffer of slot `slot`'s contribution channel (Figure 2) that
+    /// use `bases[Reduce] + rel` takes.
+    Contrib {
+        /// The producing slot.
+        slot: usize,
+        /// Use index within this plan.
+        rel: u64,
+    },
     /// The landing of a channel (remote for put targets, mine when I
     /// read what landed).
     Chan(Chan),
@@ -201,9 +183,8 @@ pub enum BufRef {
         /// Capture index.
         idx: usize,
     },
-    /// The executing call's per-call scratch buffer, allocated by
-    /// [`Step::ScratchAlloc`] (direct-route reduce_scatter fold
-    /// staging). Dies with the call.
+    /// The call's scratch: [`Plan::scratch`] bytes
+    /// ([`PlanBuilder::scratch`]; direct-route reduce_scatter landing).
     Scratch,
 }
 
@@ -275,11 +256,12 @@ pub enum WaitCell {
     Flag(FlagRef),
     /// A LAPI counter.
     Ctr(CtrRef),
-    /// The use counters of one side of my node's buffer pair;
-    /// [`Until::Use`] says which of them, and how far.
+    /// The use counters of the buffer that use `bases[Pair] + rel` of
+    /// my node's pair takes; [`Until::Use`] says which of them, and how
+    /// far.
     Pair {
-        /// Which side (resolves to the full use sequence number).
-        side: Side,
+        /// Use index within this plan.
+        rel: u64,
     },
 }
 
@@ -301,7 +283,7 @@ pub enum Until {
         rel: u64,
     },
     /// The pair-protocol condition on the use a [`WaitCell::Pair`]
-    /// side resolves to.
+    /// resolves to.
     Use(PairUse),
 }
 
@@ -317,31 +299,23 @@ pub enum Step {
         /// Source buffer.
         src: BufRef,
         /// Source byte offset.
-        src_off: Off,
+        src_off: usize,
         /// Destination buffer.
         dst: BufRef,
         /// Destination byte offset.
-        dst_off: Off,
+        dst_off: usize,
         /// Bytes to move.
         len: usize,
         /// Which side is charged, and with how many streams.
         cost: CopyCost,
     },
-    /// Snapshot `user[off..off+len]` into the accumulator (free: the
-    /// operator's input stream).
-    LoadAcc {
-        /// User-buffer offset.
-        off: usize,
-        /// Bytes.
-        len: usize,
-    },
-    /// Fold `src[src_off..src_off+len]` into the accumulator with the
+    /// Fold `src[src_off..src_off+len]` into `acc[..len]` with the
     /// executing call's `(dtype, op)` — operator execution only.
     LocalReduce {
         /// Contribution buffer.
         src: BufRef,
         /// Its byte offset.
-        src_off: Off,
+        src_off: usize,
         /// Bytes.
         len: usize,
     },
@@ -369,15 +343,16 @@ pub enum Step {
         /// cells; counter waits report under the RMA layer's label).
         label: &'static str,
     },
-    /// Raise the READY flag of every other slot for a pair side.
+    /// Raise the READY flag of every other slot for use `bases[Pair] +
+    /// rel` of my node's pair.
     PairPublish {
-        /// Which side.
-        side: Side,
+        /// Use index within this plan.
+        rel: u64,
     },
-    /// Release of a pair side, after my last read of it.
+    /// Release of pair use `bases[Pair] + rel`, after my last read of it.
     PairRelease {
-        /// Which side.
-        side: Side,
+        /// Use index within this plan.
+        rel: u64,
     },
     /// One-sided put to rank `to`, optionally bumping a counter there.
     RmaPut {
@@ -386,11 +361,11 @@ pub enum Step {
         /// Source buffer (mine).
         src: BufRef,
         /// Source offset.
-        src_off: Off,
+        src_off: usize,
         /// Destination buffer (the target's).
         dst: BufRef,
         /// Destination offset.
-        dst_off: Off,
+        dst_off: usize,
         /// Bytes.
         len: usize,
         /// Counter bumped at the target on completion.
@@ -410,8 +385,8 @@ pub enum Step {
     AddrSend {
         /// Target rank.
         to: Rank,
-        /// The buffer whose handle to ship ([`BufRef::User`], or the
-        /// [`BufRef::Scratch`] an earlier step allocated).
+        /// The buffer whose handle to ship ([`BufRef::User`] or
+        /// [`BufRef::Scratch`]).
         src: BufRef,
     },
     /// Block inside a LAPI call until my mailbox slot for comm rank
@@ -421,13 +396,6 @@ pub enum Step {
         /// The comm rank whose handle I take.
         from: usize,
     },
-    /// Allocate this call's `len`-byte scratch buffer
-    /// ([`BufRef::Scratch`]); an [`Step::AddrSend`] can then ship its
-    /// handle.
-    ScratchAlloc {
-        /// Scratch capacity in bytes.
-        len: usize,
-    },
 }
 
 impl Step {
@@ -436,7 +404,6 @@ impl Step {
         match self {
             Step::SetInterrupts(_) => "step:interrupts",
             Step::ShmCopy { .. } => "step:shm-copy",
-            Step::LoadAcc { .. } => "step:load-acc",
             Step::LocalReduce { .. } => "step:local-reduce",
             Step::FlagRaise { .. } => "step:flag-raise",
             Step::Wait {
@@ -450,7 +417,6 @@ impl Step {
             Step::CounterPut { .. } => "step:counter-put",
             Step::AddrSend { .. } => "step:addr-send",
             Step::AddrTake { .. } => "step:addr-take",
-            Step::ScratchAlloc { .. } => "step:scratch-alloc",
         }
     }
 }
@@ -468,6 +434,13 @@ pub struct Plan {
     /// even with this one still outstanding, samples bases as if this
     /// one had already completed.
     pub advances: [u64; SEQ_BASES],
+    /// Bytes of the call's accumulator ([`BufRef::Acc`]): the most a
+    /// step loads into it, and so the most any step reads from it. Call
+    /// entry creates it.
+    pub acc: usize,
+    /// Bytes of the call's scratch ([`BufRef::Scratch`]). Call entry
+    /// creates it.
+    pub scratch: usize,
 }
 
 impl Plan {
@@ -497,6 +470,8 @@ pub struct PlanBuilder {
     steps: Vec<Step>,
     adv: [u64; SEQ_BASES],
     addrs: usize,
+    acc: usize,
+    scratch: usize,
     tuning: SrmTuning,
 }
 
@@ -515,9 +490,24 @@ impl PlanBuilder {
         &self.tuning
     }
 
-    /// Append a step.
+    /// Append a step, growing [`Plan::acc`] to what it loads into the
+    /// accumulator.
     pub fn push(&mut self, step: Step) {
+        if let Step::ShmCopy {
+            dst: BufRef::Acc,
+            len,
+            ..
+        } = step
+        {
+            self.acc = self.acc.max(len);
+        }
         self.steps.push(step);
+    }
+
+    /// The call's scratch, sized to at least `len` bytes.
+    pub fn scratch(&mut self, len: usize) -> BufRef {
+        self.scratch = self.scratch.max(len);
+        BufRef::Scratch
     }
 
     /// How far this plan has advanced `base` so far — the relative
@@ -530,6 +520,20 @@ impl PlanBuilder {
     /// subsequent [`Self::rel`]s and adds to [`Plan::advances`].
     pub fn advance(&mut self, base: SeqBase, by: u64) {
         self.adv[base.index()] += by;
+    }
+
+    /// Copy `len` bytes from `src` to `dst`, each a buffer and a byte
+    /// offset, charging per `cost`.
+    pub fn copy(&mut self, src: (BufRef, usize), dst: (BufRef, usize), len: usize, cost: CopyCost) {
+        let ((src, src_off), (dst, dst_off)) = (src, dst);
+        self.push(Step::ShmCopy {
+            src,
+            src_off,
+            dst,
+            dst_off,
+            len,
+            cost,
+        });
     }
 
     /// Block until `cell` shows `until` (no consumption).
@@ -594,6 +598,8 @@ impl PlanBuilder {
         Plan {
             steps: self.steps,
             advances: self.adv,
+            acc: self.acc,
+            scratch: self.scratch,
         }
     }
 }

@@ -24,32 +24,18 @@
 //! interleave cell writes with network steps to build their pipelines.
 
 use crate::embed::{children_ascending, TreeKind};
-use crate::inter::{poff, seq};
-use crate::plan::{
-    BufRef, CopyCost, FlagRef, Off, PlanBuilder, SeqBase, Side, Step, Until, Val, WaitCell,
-};
+use crate::inter::seq;
+use crate::plan::{BufRef, CopyCost, FlagRef, PlanBuilder, SeqBase, Step, Until, Val, WaitCell};
 use crate::tuning::SrmTuning;
 use crate::world::SrmComm;
 use shmem::PairUse;
 use simnet::Rank;
 
 /// The last operator pass writes the accumulator straight to its
-/// destination in the user buffer (no intermediate buffer, §4).
+/// destination in the user buffer (no intermediate buffer, §4) — the
+/// operator's output stream, so no charged copy.
 pub(crate) fn plan_acc_to_user(b: &mut PlanBuilder, off: usize, len: usize) {
-    plan_stage_acc(b, BufRef::User, Off::Lit(off), len);
-}
-
-/// Lay the accumulator down at `dst` — the operator's output stream,
-/// so no charged copy.
-pub(crate) fn plan_stage_acc(b: &mut PlanBuilder, dst: BufRef, dst_off: Off, len: usize) {
-    b.push(Step::ShmCopy {
-        src: BufRef::Acc,
-        src_off: Off::Lit(0),
-        dst,
-        dst_off,
-        len,
-        cost: CopyCost::Free,
-    });
+    b.copy((BufRef::Acc, 0), (BufRef::User, off), len, CopyCost::Free);
 }
 
 /// Release pair use `rel`: every slot that takes part in a use, its
@@ -58,13 +44,7 @@ pub(crate) fn plan_stage_acc(b: &mut PlanBuilder, dst: BufRef, dst_off: Off, len
 /// out reads it after the publish, and the next writer may not claim
 /// the side before those reads are done.
 pub(crate) fn plan_pair_release(b: &mut PlanBuilder, rel: u64) {
-    b.push(Step::PairRelease { side: Side { rel } });
-}
-
-/// The side of my node's pair that use `rel` writes, as a buffer
-/// operand.
-pub(crate) fn pair_buf(rel: u64) -> BufRef {
-    BufRef::Pair { side: Side { rel } }
+    b.push(Step::PairRelease { rel });
 }
 
 /// The global cell grid of a `len`-byte payload: `(offset, length)` of
@@ -94,26 +74,19 @@ impl SrmComm {
         &self,
         b: &mut PlanBuilder,
         rel: u64,
-        from: (BufRef, Off),
+        from: (BufRef, usize),
         len: usize,
         streams: usize,
     ) {
-        let side = Side { rel };
-        let cell = WaitCell::Pair { side };
+        let cell = WaitCell::Pair { rel };
         b.wait(
             cell,
             Until::Use(PairUse::Free),
             "buffer released by readers",
         );
-        b.push(Step::ShmCopy {
-            src: from.0,
-            src_off: from.1,
-            dst: BufRef::Pair { side },
-            dst_off: Off::Lit(0),
-            len,
-            cost: CopyCost::Write(streams),
-        });
-        b.push(Step::PairPublish { side });
+        let cost = CopyCost::Write(streams);
+        b.copy(from, (BufRef::Pair { rel }, 0), len, cost);
+        b.push(Step::PairPublish { rel });
     }
 
     /// Copy `(source offset, user offset, bytes)` of a pair use's bytes
@@ -126,14 +99,8 @@ impl SrmComm {
         data: BufRef,
         (src_off, dst_off, len): (usize, usize, usize),
     ) {
-        b.push(Step::ShmCopy {
-            src: data,
-            src_off: Off::Lit(src_off),
-            dst: BufRef::User,
-            dst_off: Off::Lit(dst_off),
-            len,
-            cost: CopyCost::Read(self.peer_streams()),
-        });
+        let cost = CopyCost::Read(self.peer_streams());
+        b.copy((data, src_off), (BufRef::User, dst_off), len, cost);
     }
 
     /// Reader leg of pair use `rel`, whose bytes are in `data`: wait
@@ -146,7 +113,7 @@ impl SrmComm {
         after_wait: impl FnOnce(&mut PlanBuilder),
         copy: Option<(usize, usize, usize)>,
     ) {
-        let cell = WaitCell::Pair { side: Side { rel } };
+        let cell = WaitCell::Pair { rel };
         b.wait(cell, Until::Use(PairUse::Published), "buffer published");
         after_wait(b);
         if let Some(copy) = copy {
@@ -155,40 +122,25 @@ impl SrmComm {
         plan_pair_release(b, rel);
     }
 
-    /// The parity side of slot `slot`'s contribution channel that use
-    /// `rel` goes through (the two sides lie one reduce chunk apart).
-    pub(crate) fn contrib_side(&self, slot: usize, rel: u64) -> (BufRef, Off) {
-        let side = poff(SeqBase::Reduce, rel, self.tuning().reduce_chunk);
-        (BufRef::Contrib(slot), side)
-    }
-
     /// Producer leg of use `rel` of my own contribution channel — the
-    /// only one I ever produce into: wait until the parity side is
-    /// drained, fill it from `from`, raise READY.
+    /// only one I ever produce into: wait until the buffer that use
+    /// takes is drained, fill it from `from`, raise READY.
     pub(crate) fn plan_contrib_publish(
         &self,
         b: &mut PlanBuilder,
         rel: u64,
-        from: (BufRef, Off),
+        from: (BufRef, usize),
         len: usize,
         cost: CopyCost,
     ) {
         let mine = self.cslot();
-        let (dst, dst_off) = self.contrib_side(mine, rel);
         let drained = Until::SideDrained {
             base: SeqBase::Reduce,
             rel,
         };
         let done = WaitCell::Flag(FlagRef::Done(mine));
         b.wait(done, drained, "contribution side drained");
-        b.push(Step::ShmCopy {
-            src: from.0,
-            src_off: from.1,
-            dst,
-            dst_off,
-            len,
-            cost,
-        });
+        b.copy(from, (BufRef::Contrib { slot: mine, rel }, 0), len, cost);
         b.push(Step::FlagRaise {
             flag: FlagRef::Ready(mine),
             val: seq(SeqBase::Reduce, rel + 1),
@@ -196,7 +148,7 @@ impl SrmComm {
     }
 
     /// Consumer leg of use `rel` of slot `slot`'s contribution channel:
-    /// wait for READY, let `consume` emit whatever reads the side
+    /// wait for READY, let `consume` emit whatever reads the buffer
     /// (handed the operand), raise DONE.
     ///
     /// DONE must advance without skipping uses: the use before `rel`
@@ -212,11 +164,10 @@ impl SrmComm {
         (slot, rel): (usize, u64),
         first: bool,
         label: &'static str,
-        consume: impl FnOnce(&mut PlanBuilder, BufRef, Off),
+        consume: impl FnOnce(&mut PlanBuilder, BufRef),
     ) {
         b.wait_flag(FlagRef::Ready(slot), seq(SeqBase::Reduce, rel + 1), label);
-        let (src, src_off) = self.contrib_side(slot, rel);
-        consume(b, src, src_off);
+        consume(b, BufRef::Contrib { slot, rel });
         if first {
             self.plan_contrib_in_order(b, slot, rel);
         }
@@ -244,7 +195,7 @@ impl SrmComm {
         clen: usize,
         rel: u64,
     ) {
-        self.plan_pair_write(b, rel, (BufRef::User, Off::Lit(off)), clen, 1);
+        self.plan_pair_write(b, rel, (BufRef::User, off), clen, 1);
         plan_pair_release(b, rel);
     }
 
@@ -257,7 +208,7 @@ impl SrmComm {
         clen: usize,
         rel: u64,
     ) {
-        self.plan_pair_read(b, (rel, pair_buf(rel)), |_| {}, Some((0, off, clen)));
+        self.plan_pair_read(b, (rel, BufRef::Pair { rel }), |_| {}, Some((0, off, clen)));
     }
 
     /// Plan the flat double-buffer broadcast within the node: the
@@ -341,13 +292,13 @@ impl SrmComm {
         debug_assert!(clen <= self.tuning().reduce_chunk);
         let vs = self.cslot();
         let kids = children_ascending(kind, vs, p);
-        b.push(Step::LoadAcc { off, len: clen });
+        b.copy((BufRef::User, off), (BufRef::Acc, 0), clen, CopyCost::Free);
 
         if vs != 0 && kids.is_empty() {
             // Lowest level: the one real memory copy of the algorithm.
             // Roughly half the node's tasks copy concurrently.
             let cost = CopyCost::Write((p / 2).max(1));
-            self.plan_contrib_publish(b, rel, (BufRef::Acc, Off::Lit(0)), clen, cost);
+            self.plan_contrib_publish(b, rel, (BufRef::Acc, 0), clen, cost);
             return false;
         }
 
@@ -359,10 +310,10 @@ impl SrmComm {
                 (child, rel),
                 rel == b.rel(SeqBase::Reduce),
                 "child contribution ready",
-                |b, src, src_off| {
+                |b, src| {
                     b.push(Step::LocalReduce {
                         src,
-                        src_off,
+                        src_off: 0,
                         len: clen,
                     })
                 },
@@ -372,8 +323,7 @@ impl SrmComm {
         if vs != 0 {
             // Publish the partial result (the last operator pass's
             // output stream — no extra copy).
-            let acc = (BufRef::Acc, Off::Lit(0));
-            self.plan_contrib_publish(b, rel, acc, clen, CopyCost::Free);
+            self.plan_contrib_publish(b, rel, (BufRef::Acc, 0), clen, CopyCost::Free);
         }
         // At the subtree root the accumulator holds the result; the
         // caller routes it onward.

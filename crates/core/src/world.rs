@@ -44,21 +44,23 @@ pub struct NodeBoard {
     pub pair: BufPair,
     /// Flat-barrier flags, one cache line per slot.
     pub barrier_flags: FlagBank,
-    /// Per-slot contribution channels (Figure 2), double-buffered by
-    /// use parity: capacity `2 × reduce_chunk`. Every handoff between
-    /// two tasks of the node goes through one of them — a reduce
-    /// tree's partial results, gather segments, the exchange's cells,
-    /// a combined reduce chunk or scatter piece between a non-master
-    /// root and its master.
+    /// Per-slot contribution channels (Figure 2): two `reduce_chunk`
+    /// buffers each, taken by use parity
+    /// ([`BufRef::Contrib`](crate::plan::BufRef::Contrib)). Every
+    /// handoff between two tasks of the node goes through one of them —
+    /// a reduce tree's partial results, gather segments, the exchange's
+    /// cells, a combined reduce chunk or scatter piece between a
+    /// non-master root and its master.
     ///
     /// A channel has **one producer, its slot**: only slot `s` writes
-    /// `contrib[s]` and raises `contrib_ready[s]`, in program order, so
-    /// READY never needs a guard. Its consumers change between calls
+    /// `contrib[s]`, each buffer in its publish alone, and raises
+    /// `contrib_ready[s]`, in program order, so READY never needs a
+    /// guard. Its consumers change between calls
     /// (the parent in a reduce tree, a gather root, the next slot of an
     /// exchange round), so each consumer takes its first use of a plan
     /// in order: it waits until DONE reaches that use before raising it
     /// further, and no raise skips a use another consumer has not read.
-    pub contrib: Vec<ShmBuffer>,
+    pub contrib: Vec<[ShmBuffer; 2]>,
     /// Cumulative uses each slot has published on its channel.
     pub contrib_ready: Vec<SpinFlag>,
     /// Cumulative uses of each slot's channel its consumers drained.
@@ -75,7 +77,7 @@ impl NodeBoard {
             ),
             barrier_flags: FlagBank::new(handle, tasks_per_node, 0),
             contrib: (0..tasks_per_node)
-                .map(|_| ShmBuffer::new(2 * tuning.reduce_chunk))
+                .map(|_| [0, 1].map(|_| ShmBuffer::new(tuning.reduce_chunk)))
                 .collect(),
             contrib_ready: (0..tasks_per_node)
                 .map(|_| SpinFlag::new(handle, 0))
@@ -129,10 +131,10 @@ pub struct PeerLink {
 /// counter. A communicator has nodes² of these and a call touches only
 /// its partners, so each is created on first use (`SrmComm::exchange`).
 pub struct PeerExchange {
-    /// Recursive doubling and the fold from this peer: a landing of two
-    /// `reduce_chunk` halves, one per
-    /// [`SeqBase::Rd`](crate::plan::SeqBase::Rd) parity, and no credits.
-    pub rd: Channel,
+    /// Recursive doubling and the fold from this peer: one uncredited
+    /// channel with a `reduce_chunk` landing per
+    /// [`SeqBase::Rd`](crate::plan::SeqBase::Rd) parity.
+    pub rd: [Channel; 2],
     /// Cumulative dissemination-barrier bumps from this peer.
     pub bar: LapiCounter,
 }
@@ -908,10 +910,9 @@ impl SrmComm {
     /// Group node `dst`'s inbound exchange state from group node `src`.
     pub(crate) fn exchange(&self, dst: usize, src: usize) -> &PeerExchange {
         self.comm.inter[dst].exchanges[src].get_or_init(|| {
-            let handle = &self.world.handle;
-            let landing = ShmBuffer::new(2 * self.world.tuning.reduce_chunk);
+            let (handle, t) = (&self.world.handle, &self.world.tuning);
             PeerExchange {
-                rd: Channel::new(handle, landing, 0),
+                rd: [0, 1].map(|_| Channel::new(handle, ShmBuffer::new(t.reduce_chunk), 0)),
                 bar: LapiCounter::new(handle, 0),
             }
         })

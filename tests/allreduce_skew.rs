@@ -12,7 +12,7 @@
 use shmem::PairUse;
 use simnet::{MachineConfig, Sim, Topology};
 use srm::embed::parent;
-use srm::plan::{Chan, ChanKind, CtrRef, Until, WaitCell};
+use srm::plan::{BufRef, Chan, ChanKind, CtrRef, Until, WaitCell};
 use srm::{Plan, PlanShape, SrmTuning, SrmWorld, Step, TreeKind};
 
 const TPN: usize = 3;
@@ -36,7 +36,17 @@ fn observed_skew(plan: &Plan) -> Option<usize> {
         _ => false,
     })?;
     let ups = plan.steps[..down].iter();
-    Some(ups.filter(|s| matches!(s, Step::LoadAcc { .. })).count() - 1)
+    let load = |s: &&Step| {
+        matches!(
+            s,
+            Step::ShmCopy {
+                src: BufRef::User,
+                dst: BufRef::Acc,
+                ..
+            }
+        )
+    };
+    Some(ups.filter(load).count() - 1)
 }
 
 #[test]

@@ -250,14 +250,14 @@ fn exchange_plans_permute_the_wire_and_rotate_the_node() {
                             puts.push(to);
                         }
                         Step::ShmCopy {
-                            dst: BufRef::Contrib(s),
+                            dst: BufRef::Contrib { slot: s, .. },
                             ..
                         } => {
                             assert_eq!(s, slot, "{what}: published in a foreign buffer");
                             published += 1;
                         }
                         Step::ShmCopy {
-                            src: BufRef::Contrib(s),
+                            src: BufRef::Contrib { slot: s, .. },
                             ..
                         } => from.push(s),
                         _ => {}

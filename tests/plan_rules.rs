@@ -5,7 +5,9 @@
 //! `s` alone: every handoff between two tasks of a node goes through
 //! the channel of the task that produces it. The channel's consumers
 //! change between calls and keep its DONE flag in order themselves
-//! (`NodeBoard::contrib`).
+//! (`NodeBoard::contrib`). The producer writes a buffer of its channel
+//! only in a publish: right after the drain guard of that use, right
+//! before the READY raise past it.
 //!
 //! **One address rule.** Every `AddrSend` ships one of the sender's own
 //! buffers (`User` or `Scratch`, never a `Taken` handle) to a rank on
@@ -16,7 +18,7 @@
 
 use collops::{Op, Shape};
 use simnet::{MachineConfig, Sim, Topology};
-use srm::plan::{BufRef, CtrRef, FlagRef, Plan, Step};
+use srm::plan::{BufRef, CtrRef, FlagRef, Plan, SeqBase, Step, Until, Val, WaitCell};
 use srm::{SrmComm, SrmTuning, SrmWorld};
 
 /// The contribution channel `step` produces into, if any: a copy into
@@ -24,7 +26,7 @@ use srm::{SrmComm, SrmTuning, SrmWorld};
 fn produced_channel(step: &Step) -> Option<usize> {
     match *step {
         Step::ShmCopy {
-            dst: BufRef::Contrib(s),
+            dst: BufRef::Contrib { slot: s, .. },
             ..
         }
         | Step::FlagRaise {
@@ -117,6 +119,37 @@ fn one_producer(what: &str, comm: &SrmComm, plan: &Plan) -> bool {
     produced
 }
 
+/// Every copy into a contribution buffer, of use `rel` of slot `s`'s
+/// channel, sits between the `Done(s)` drain guard of that use and the
+/// `Ready(s)` raise past it; true if the plan published.
+fn writes_only_in_publish(what: &str, _: &SrmComm, plan: &Plan) -> bool {
+    let steps = &plan.steps;
+    let mut published = false;
+    for (i, step) in steps.iter().enumerate() {
+        let Step::ShmCopy {
+            dst: BufRef::Contrib { slot, rel },
+            ..
+        } = *step
+        else {
+            continue;
+        };
+        let guarded = i > 0
+            && matches!(steps[i - 1], Step::Wait {
+                cell: WaitCell::Flag(FlagRef::Done(s)),
+                until: Until::SideDrained { base: SeqBase::Reduce, rel: r },
+                ..
+            } if (s, r) == (slot, rel));
+        let raised = matches!(steps.get(i + 1), Some(&Step::FlagRaise {
+            flag: FlagRef::Ready(s),
+            val: Val::Seq { base: SeqBase::Reduce, rel: r },
+        }) if (s, r) == (slot, rel + 1));
+        let broken = format!("{what}: step {i} writes slot {slot}'s channel outside a publish");
+        assert!(guarded && raised, "{broken}: {step:?}");
+        published = true;
+    }
+    published
+}
+
 /// The address rule; true if the plan ships or takes a handle.
 fn address_rule(what: &str, comm: &SrmComm, plan: &Plan) -> bool {
     let group = comm.group();
@@ -161,6 +194,11 @@ fn address_rule(what: &str, comm: &SrmComm, plan: &Plan) -> bool {
 #[test]
 fn every_contribution_channel_has_one_producer() {
     check_worlds(one_producer);
+}
+
+#[test]
+fn contribution_buffers_are_written_only_by_a_publish() {
+    check_worlds(writes_only_in_publish);
 }
 
 #[test]
