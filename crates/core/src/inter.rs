@@ -53,6 +53,7 @@
 //! call enters.
 
 use crate::embed::{depth, GroupTree};
+use crate::model::radix_power;
 use crate::plan::{
     BufRef, Chan, ChanKind, CopyCost, CtrRef, FlagRef, PlanBuilder, SeqBase, Step, Until, Val,
     WaitCell,
@@ -432,7 +433,7 @@ impl SrmComm {
     // Allreduce
     // ----------------------------------------------------------------
 
-    /// Plan an allreduce: recursive doubling between nodes up to one
+    /// Plan an allreduce: recursive k-ing between nodes up to one
     /// reduce chunk (16 KB), above that the four-stage pipeline (§2.4,
     /// Figure 5) or — where
     /// [`SrmModel::allreduce_composes`](crate::SrmModel::allreduce_composes)
@@ -464,11 +465,17 @@ impl SrmComm {
     }
 
     /// Up to one reduce chunk: one intra-node reduce to the master,
-    /// recursive-doubling pairwise exchange between the masters,
-    /// intra-node broadcast. No exchange takes a credit: each lands in
-    /// its receiver's channel of this call's [`SeqBase::Rd`] parity,
-    /// which the sender writes again only two such allreduces later
-    /// (DESIGN.md §16.2).
+    /// recursive k-ing between the masters, intra-node broadcast. The
+    /// radix is [`SrmModel::allreduce_radix`](crate::SrmModel::allreduce_radix)
+    /// for `len`. The `n − kʳ` extra nodes fold into the `kʳ` core nodes,
+    /// each core taking the run of extras that follows it. In round `r`
+    /// each core puts its accumulator to the `k − 1` other members of its
+    /// digit-`r` group and folds the group's `k` values in group order,
+    /// so every member ends with the same bits. The cores then hand the
+    /// result back to their extras. No exchange takes a credit: each
+    /// lands in its receiver's channel from the sender, of this call's
+    /// [`SeqBase::Rd`] parity, which the sender writes again only two
+    /// such allreduces later (DESIGN.md §16.2).
     fn plan_allreduce_small(&self, b: &mut PlanBuilder, len: usize) {
         let rel = b.rel(SeqBase::Reduce);
         let has_acc = self.plan_smp_reduce_chunk(b, 0, len, rel, self.tree());
@@ -500,33 +507,54 @@ impl SrmComm {
 
         if self.c_is_master() {
             debug_assert!(has_acc, "master is the subtree root");
-            let pof2 = 1usize << n.ilog2();
-            let rem = n - pof2;
-            // Fold the extra nodes into their even neighbours.
-            let newnode = if my >= 2 * rem {
-                Some(my - rem)
-            } else if my % 2 == 1 {
-                put(b, my - 1);
-                None
+            let k = self.model(b.tuning()).allreduce_radix(len);
+            // Core `c` is node `first[c]`, its extras the nodes up to
+            // `first[c + 1]`: the `n − kʳ` extras spread evenly.
+            let (cores, _) = radix_power(n, k);
+            let (each, rest) = ((n - cores) / cores, (n - cores) % cores);
+            let first: Vec<usize> = (0..=cores).map(|c| c * (1 + each) + c.min(rest)).collect();
+            let core = first.partition_point(|&f| f <= my) - 1;
+            let extras = first[core] + 1..first[core + 1];
+            if my != first[core] {
+                put(b, first[core]);
+                take(b, first[core], false);
             } else {
-                take(b, my + 1, true);
-                Some(my / 2)
-            };
-            if let Some(newnode) = newnode {
-                let mut mask = 1usize;
-                while mask < pof2 {
-                    let pn = newnode ^ mask;
-                    let partner = if pn < rem { pn * 2 } else { pn + rem };
-                    put(b, partner);
-                    take(b, partner, true);
-                    mask <<= 1;
+                for e in extras.clone() {
+                    take(b, e, true);
                 }
-            }
-            // Unfold: hand the result back to the folded-out nodes.
-            if my < 2 * rem && my.is_multiple_of(2) {
-                put(b, my + 1);
-            } else if my < 2 * rem {
-                take(b, my - 1, false);
+                let mut dist = 1;
+                while dist < cores {
+                    let digit = core / dist % k;
+                    let base = core - digit * dist;
+                    let group: Vec<usize> = (0..k).map(|j| first[base + j * dist]).collect();
+                    for (j, &to) in group.iter().enumerate() {
+                        if j != digit {
+                            put(b, to);
+                        }
+                    }
+                    // My accumulator holds my value: folding the rest
+                    // in group order starting from it is the group's
+                    // order for the first two members only, since the
+                    // operator commutes. The others park it in the
+                    // call's scratch and start from the first member's.
+                    let parked = digit >= 2;
+                    if parked {
+                        let scratch = b.scratch(len);
+                        b.copy((BufRef::Acc, 0), (scratch, 0), len, CopyCost::Write(1));
+                    }
+                    for (j, &from) in group.iter().enumerate() {
+                        if j != digit {
+                            take(b, from, j > 0 || !parked);
+                        } else if parked {
+                            let (src, src_off) = (BufRef::Scratch, 0);
+                            b.push(Step::LocalReduce { src, src_off, len });
+                        }
+                    }
+                    dist *= k;
+                }
+                for e in extras {
+                    put(b, e);
+                }
             }
             plan_acc_to_user(b, 0, len);
             // The tree root's own contribution channel went unused.

@@ -27,7 +27,7 @@
 //! * [`inter`] (methods on [`SrmComm`]) — the integrated protocols of
 //!   §2.3–2.4: buffered small-message broadcast with counter flow
 //!   control and 4 KB pipelining, zero-copy large-message broadcast
-//!   with address exchange, pipelined reduce, recursive-doubling,
+//!   with address exchange, pipelined reduce, recursive-k-ing,
 //!   four-stage-pipeline or reduce-then-broadcast allreduce, and the
 //!   dissemination barrier;
 //! * [`pairwise`] (methods on [`SrmComm`]) — the pairwise RMA exchange

@@ -202,7 +202,7 @@ impl SrmModel {
     /// Does an allreduce of `len` bytes run as a reduce to group node
     /// 0's master and a broadcast from it, each on the trees it derives,
     /// rather than as the four-stage pipeline on the configured tree?
-    /// Only past recursive doubling, between nodes and on the default
+    /// Only past one reduce chunk, between nodes and on the default
     /// [`SrmTuning::tree`] — and where the two closed forms in sequence
     /// finish first: the pipeline overlaps its legs but stays on the
     /// configured tree, which a large call pays for per chunk at node
@@ -238,10 +238,8 @@ impl SrmModel {
             let smp_reduce = self.cfg.shm_copy_cost(len, (p / 2).max(1))
                 + (self.cfg.reduce_cost(len) + self.cfg.flag_op + self.cfg.flag_set_op)
                     * smp_levels;
-            let rounds = (usize::BITS - n.leading_zeros()) as u64 - 1;
-            let extra = if n.is_power_of_two() { 0 } else { 2 };
-            let round = self.put_time(len) + self.cfg.reduce_cost(len);
-            smp_reduce + round * (rounds + extra) + self.stage(len) + self.smp_chunk_out(len)
+            let exchange = self.exchange_on(self.allreduce_radix(len), len);
+            smp_reduce + exchange + self.stage(len) + self.smp_chunk_out(len)
         } else {
             // Four-stage pipeline: one full traversal (reduce to node 0,
             // broadcast back) plus the bottleneck pace for the bytes
@@ -302,12 +300,26 @@ impl SrmModel {
     /// it alone: `harness::measure` syncs with it, and a forced-tree
     /// measurement must start the way a derived one does.
     pub fn barrier_radix(&self) -> usize {
+        self.radix(|k| self.barrier_on(k))
+    }
+
+    /// The radix of the small allreduce's exchange between the nodes
+    /// for `len` bytes, chosen like [`Self::barrier_radix`] from the
+    /// exchange's closed form: per payload size, because each round's
+    /// `k − 1` wires and folds serialize on one master.
+    pub fn allreduce_radix(&self, len: usize) -> usize {
+        self.radix(|k| self.exchange_on(k, len))
+    }
+
+    /// The `k` in `2..=n` at which `time` is lowest, the smaller on a
+    /// tie; 2 below three nodes.
+    fn radix(&self, time: impl Fn(usize) -> SimTime) -> usize {
         let n = self.topo.nodes();
         if n < 3 {
             return 2;
         }
         (2..=n)
-            .min_by_key(|&k| self.barrier_on(k))
+            .min_by_key(|&k| time(k))
             .expect("three nodes or more")
     }
 
@@ -317,12 +329,8 @@ impl SrmModel {
         self.barrier_on(self.barrier_radix())
     }
 
-    /// [`Self::barrier`] at radix `k`. In a round where every master
-    /// bumps `m` peers, a master with interrupts off takes a bump only
-    /// inside a LAPI call: the last one lands after its own `m` origin
-    /// overheads or the first bump's flight, whichever ends later, and
-    /// then the receiving dispatcher's `m` target overheads alternate
-    /// with the waiter's `m` counter checks.
+    /// [`Self::barrier`] at radix `k`: a round in which every master
+    /// bumps `m` peers is a [`Self::round`] of `m` empty puts.
     fn barrier_on(&self, k: usize) -> SimTime {
         if self.topo.nprocs() == 1 {
             return SimTime::ZERO;
@@ -334,13 +342,65 @@ impl SrmModel {
         let (mut time, mut dist) = (checkin + release, 1);
         while dist < n {
             let m = (1..k).take_while(|j| j * dist < n).count() as u64;
-            let o = cfg.lapi_origin_overhead;
-            let landed = (o * m).max(o + cfg.net_latency);
-            time += landed + (cfg.lapi_target_overhead + cfg.lapi_counter_check) * m;
+            time += self.round(m, SimTime::ZERO, SimTime::ZERO);
             dist *= k;
         }
         time
     }
+
+    /// The small allreduce's exchange between the masters at radix `k`
+    /// on `len` bytes, as `plan_allreduce_small` compiles it: the
+    /// `n − kʳ` extra nodes fold into the `kʳ ≤ n` core nodes, at most
+    /// `j` into one core, and take the result back; the cores run `r`
+    /// rounds of `k − 1` peers. At radix 2 a core late from its fold-in
+    /// delays one partner a round, and the hand-back overlaps that: the
+    /// two fold rounds cost one. Past radix 2 the delay reaches every
+    /// group it enters, and a member that is neither first nor second in
+    /// its group parks its own value and starts from the first member's:
+    /// two copies a round.
+    fn exchange_on(&self, k: usize, len: usize) -> SimTime {
+        let n = self.topo.nodes();
+        let (cores, rounds) = radix_power(n, k);
+        let wire = self.cfg.net_per_byte.cost_of(len);
+        let fold = self.cfg.reduce_cost(len);
+        let park = if k > 2 {
+            self.stage(len) * 2
+        } else {
+            SimTime::ZERO
+        };
+        let j = (n - cores).div_ceil(cores) as u64;
+        let folds = match j {
+            0 => SimTime::ZERO,
+            _ if k == 2 => self.round(j, wire, fold),
+            _ => self.round(j, wire, fold) * 2,
+        };
+        folds + (self.round(k as u64 - 1, wire, fold) + park) * rounds as u64
+    }
+
+    /// One exchange round in which every master puts a `wire`-long
+    /// message to `m` peers and folds (`fold` each) as many. A master
+    /// with interrupts off takes an arrival only inside a LAPI call: the
+    /// last one lands after its own `m` origin overheads or the first
+    /// put's flight, whichever ends later, plus the `m` wires its one
+    /// port serializes; then the receiving dispatcher's `m` target
+    /// overheads alternate with the waiter's `m` counter checks and
+    /// folds.
+    fn round(&self, m: u64, wire: SimTime, fold: SimTime) -> SimTime {
+        let cfg = &self.cfg;
+        let o = cfg.lapi_origin_overhead;
+        let landed = (o * m).max(o + cfg.net_latency) + wire * m;
+        landed + (cfg.lapi_target_overhead + cfg.lapi_counter_check + fold) * m
+    }
+}
+
+/// The largest power of `k` that is at most `n`, and its exponent.
+pub(crate) fn radix_power(n: usize, k: usize) -> (usize, usize) {
+    let (mut power, mut exp) = (1, 0);
+    while power * k <= n {
+        power *= k;
+        exp += 1;
+    }
+    (power, exp)
 }
 
 #[cfg(test)]

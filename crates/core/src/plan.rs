@@ -47,7 +47,7 @@ pub enum SeqBase {
     Reduce,
     /// Barriers completed.
     Barrier,
-    /// Recursive-doubling allreduces completed: their [`ChanKind::Rd`]
+    /// Small (recursive k-ing) allreduces completed: their [`ChanKind::Rd`]
     /// landings alternate halves with this cell.
     Rd,
 }
@@ -105,10 +105,9 @@ pub enum ChanKind {
     /// Pipelined-reduce edge child → parent (scatter borrows it the
     /// other way); lane = chunk index ([`SeqBase::Reduce`] parity).
     Reduce,
-    /// Recursive-doubling exchange, and the non-power-of-two fold (odd →
-    /// even the fold-in, even → odd the result); lane = the call's
-    /// [`SeqBase::Rd`] index, whose parity picks one of two uncredited
-    /// channels.
+    /// Recursive k-ing exchange, the fold-in (extra → core) and the
+    /// hand-back (core → extra); lane = the call's [`SeqBase::Rd`]
+    /// index, whose parity picks one of two uncredited channels.
     Rd,
     /// Staged reduce_scatter stream into the destination's landing ring
     /// of [`SrmTuning::pairwise_window`](crate::SrmTuning) slots
@@ -184,7 +183,8 @@ pub enum BufRef {
         idx: usize,
     },
     /// The call's scratch: [`Plan::scratch`] bytes
-    /// ([`PlanBuilder::scratch`]; direct-route reduce_scatter landing).
+    /// ([`PlanBuilder::scratch`]; direct-route reduce_scatter landing,
+    /// or a small-allreduce member's parked value).
     Scratch,
 }
 

@@ -25,7 +25,7 @@
 //! raised to the table's maxima so every entry's schedule fits the
 //! buffers actually allocated. What the geometry itself decides — the
 //! large broadcast's put size (one `SMP_BUF` cell) and the
-//! recursive-doubling cap (one `reduce_chunk`) — has no column.
+//! small allreduce's cap (one `reduce_chunk`) — has no column.
 //!
 //! ## Table file format
 //!

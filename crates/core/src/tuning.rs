@@ -4,7 +4,7 @@
 //! defaults are the paper's published values where it gives them
 //! (64 KB small/large broadcast switch, 4 KB pipeline chunks applied
 //! between 8 KB and 32 KB, 16 KB reduce chunks, which also bound
-//! recursive doubling for allreduce) and sensible choices where it does
+//! the small allreduce's exchange) and sensible choices where it does
 //! not. What the buffer geometry already decides is not a knob: the
 //! large broadcast puts one [`SrmTuning::SMP_BUF`] cell at a time.
 
@@ -18,7 +18,7 @@ use std::fmt;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TuningError {
     /// `reduce_chunk` is zero — the reduce, scatter, gather and
-    /// recursive-doubling protocols chunk through buffers of this size.
+    /// small-allreduce protocols chunk through buffers of this size.
     ZeroGeometry,
     /// The small-broadcast pipeline range is inconsistent:
     /// `pipeline_min > pipeline_max`, or `pipeline_chunk` /
@@ -79,9 +79,9 @@ pub struct SrmTuning {
     /// Chunk size used in the pipelined sub-range.
     pub pipeline_chunk: usize,
     /// Chunk size of the pipelined reduce (and of the large-allreduce
-    /// four-stage pipeline). It also sizes the recursive-doubling
-    /// landings, so allreduce uses inter-node recursive doubling up to
-    /// this size ("for messages up to 16 KB", §2.4) and above it the
+    /// four-stage pipeline). It also sizes the exchange landings, so
+    /// allreduce uses inter-node recursive k-ing up to this size ("for
+    /// messages up to 16 KB", §2.4) and above it the
     /// four-stage pipeline or a reduce then a broadcast, whichever
     /// [`SrmModel::allreduce_composes`](crate::SrmModel::allreduce_composes)
     /// prices lower.

@@ -131,8 +131,8 @@ pub struct PeerLink {
 /// counter. A communicator has nodes² of these and a call touches only
 /// its partners, so each is created on first use (`SrmComm::exchange`).
 pub struct PeerExchange {
-    /// Recursive doubling and the fold from this peer: one uncredited
-    /// channel with a `reduce_chunk` landing per
+    /// The small allreduce's exchange, fold-in and hand-back from this
+    /// peer: one uncredited channel with a `reduce_chunk` landing per
     /// [`SeqBase::Rd`](crate::plan::SeqBase::Rd) parity.
     pub rd: [Channel; 2],
     /// Cumulative dissemination-barrier bumps from this peer.
@@ -477,8 +477,8 @@ pub(crate) struct CommSeat {
     /// [`SeqBase::index`](crate::plan::SeqBase::index): uses of the
     /// node's buffer pair ("consecutive operations alternate buffers",
     /// §2.2), chunks down the broadcast channels, uses of the
-    /// contribution channels, barriers and recursive-doubling
-    /// allreduces completed.
+    /// contribution channels, barriers and small allreduces
+    /// completed.
     pub seq: [AtomicU64; SEQ_BASES],
     /// Compiled-schedule cache, keyed by call shape (see
     /// [`crate::plan::PlanCache`]).

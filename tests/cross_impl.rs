@@ -425,7 +425,7 @@ fn reenabling_interrupts_drains_back_to_back_small_tree_ops() {
         assert!(t.as_us() <= max_us, "{what}");
     }
     assert_eq!(run(Op::Barrier).0, SimTime::from_ps(39_600_000));
-    assert_eq!(run(Op::Allreduce).0, SimTime::from_ps(74_280_816));
+    assert_eq!(run(Op::Allreduce).0, SimTime::from_ps(45_102_532));
 }
 
 /// The embedding claim: with SMP-aware SRM, only masters touch the

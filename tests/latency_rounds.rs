@@ -1,10 +1,9 @@
 //! The latency-bound calls between the nodes: the barrier's k-ary
 //! dissemination rounds and the small allreduce's credit-free recursive
-//! doubling. The radix is derived from `SrmModel` and never loses to the
+//! k-ing. Both radices are derived from `SrmModel` and never lose to the
 //! paper's pairwise exchange, no rank leaves a barrier before the last
-//! one has entered, and the exchange landings, reused two recursive-
-//! doubling allreduces later without a credit, give every rank the same
-//! bits.
+//! one has entered, and the exchange landings, reused two small
+//! allreduces later without a credit, give every rank the same bits.
 
 use collops::{from_bytes_u64, to_bytes_u64, Collectives, DType, NonblockingCollectives, ReduceOp};
 use shmem::ShmBuffer;
@@ -76,6 +75,107 @@ fn derived_barrier_is_no_slower_than_radix_two() {
     ];
     for (nodes, radix2_us) in radix2 {
         check(Topology::sp_16way(nodes), radix2_us);
+    }
+}
+
+/// The small allreduce's radix on 16-way nodes, 2 to 16 of them: at 8 B
+/// one round of `n − 1` peers up to 15 nodes and two radix-4 rounds on
+/// 16; at 4 KB the wires and folds a round serializes keep recursive
+/// doubling except on 3 and 9 nodes, a power of 3 each; at 16 KB
+/// recursive doubling throughout. A forced tree does not change it.
+#[test]
+fn the_model_picks_the_allreduce_radix_per_size_whatever_the_tree() {
+    let radix = |nodes, len, tree| {
+        let topo = Topology::sp_16way(nodes);
+        let model = SrmModel::new(MachineConfig::ibm_sp_colony(), topo, tuning(tree));
+        model.allreduce_radix(len)
+    };
+    let pins: [(usize, [usize; 15]); 3] = [
+        (8, [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 4]),
+        (4 << 10, [2, 3, 2, 2, 2, 2, 2, 3, 2, 2, 2, 2, 2, 2, 2]),
+        (16 << 10, [2; 15]),
+    ];
+    for (len, ks) in pins {
+        for (nodes, k) in (2..=16).zip(ks) {
+            assert_eq!(radix(nodes, len, None), k, "{nodes} nodes, {len} B");
+            for kind in TreeKind::ALL {
+                assert_eq!(
+                    radix(nodes, len, Some(kind)),
+                    k,
+                    "{nodes} nodes, {len} B, {kind:?}"
+                );
+            }
+        }
+    }
+}
+
+// Recursive doubling's allreduce times (`harness::measure`, two calls a
+// measurement) before the radix was derived, in µs rounded up: on 16-way
+// nodes from 2 to 16 and on single-task nodes from 2 to 64.
+const WIDE_8: [f64; 15] = [
+    23.09, 39.03, 38.03, 52.76, 55.23, 74.06, 52.97, 73.95, 74.55, 75.92, 75.92, 87.95, 86.40,
+    87.90, 73.91,
+];
+const WIDE_4K: [f64; 15] = [
+    102.80, 143.45, 137.59, 170.37, 187.93, 202.46, 172.39, 211.02, 206.07, 219.78, 220.23, 241.68,
+    236.11, 236.66, 207.18,
+];
+const WIDE_16K: [f64; 15] = [
+    326.58, 453.87, 421.06, 511.27, 576.70, 596.20, 515.54, 599.51, 604.85, 689.92, 649.87, 713.93,
+    690.43, 690.98, 610.02,
+];
+const ONE_8: [f64; 63] = [
+    15.84, 31.79, 30.78, 45.97, 47.98, 60.81, 45.72, 60.91, 60.91, 62.67, 62.92, 76.09, 75.40,
+    76.09, 60.66, 71.21, 74.95, 76.25, 74.95, 78.15, 78.42, 77.86, 77.36, 91.04, 90.59, 91.38,
+    90.94, 91.18, 91.04, 91.03, 75.60, 87.04, 87.04, 91.04, 87.04, 91.29, 91.24, 91.29, 89.89,
+    93.10, 92.99, 92.80, 93.56, 92.35, 92.75, 92.40, 93.05, 105.97, 105.52, 106.57, 105.52, 106.32,
+    105.27, 106.22, 105.72, 106.02, 105.52, 105.92, 105.72, 105.97, 105.97, 105.82, 90.54,
+];
+const ONE_4K: [f64; 63] = [
+    35.70, 76.34, 70.49, 103.27, 120.83, 137.40, 105.29, 137.40, 138.87, 154.07, 155.62, 177.36,
+    183.65, 177.80, 140.08, 178.50, 179.33, 178.96, 173.66, 195.81, 190.76, 190.56, 190.61, 213.06,
+    213.66, 218.89, 218.44, 212.74, 206.49, 207.44, 174.88, 213.29, 213.88, 213.51, 213.41, 213.51,
+    224.00, 214.23, 213.96, 224.36, 230.51, 231.81, 225.36, 224.96, 225.21, 225.56, 225.56, 248.57,
+    247.30, 248.30, 247.81, 253.59, 253.14, 248.45, 253.04, 247.69, 247.61, 248.24, 247.08, 242.34,
+    246.93, 242.08, 209.67,
+];
+const ONE_16K: [f64; 63] = [
+    94.78, 224.73, 189.26, 281.39, 347.84, 367.34, 283.74, 373.00, 373.52, 441.21, 442.26, 484.79,
+    508.37, 484.97, 378.21, 490.43, 487.86, 489.08, 493.42, 554.10, 537.14, 536.94, 536.99, 584.91,
+    607.43, 603.55, 602.85, 579.56, 579.44, 578.79, 472.69, 584.46, 557.69, 582.41, 628.17, 584.03,
+    629.47, 585.99, 588.09, 629.92, 648.58, 631.82, 631.52, 648.33, 631.27, 631.62, 631.62, 679.39,
+    679.39, 678.84, 702.01, 701.91, 701.21, 697.88, 697.33, 678.26, 673.74, 673.87, 673.62, 674.19,
+    671.02, 651.22, 567.17,
+];
+
+/// The derived small allreduce is no slower than recursive doubling,
+/// which every small allreduce ran before the radix was derived, at 8 B,
+/// 4 KB and 16 KB (one reduce chunk) on 16-way nodes (2–16) and on
+/// single-task nodes (2–64).
+#[test]
+fn derived_allreduce_is_no_slower_than_recursive_doubling() {
+    let grids: [(usize, usize, &[f64]); 6] = [
+        (16, 8, &WIDE_8),
+        (16, 4 << 10, &WIDE_4K),
+        (16, 16 << 10, &WIDE_16K),
+        (1, 8, &ONE_8),
+        (1, 4 << 10, &ONE_4K),
+        (1, 16 << 10, &ONE_16K),
+    ];
+    for (tpn, len, radix2) in grids {
+        for (nodes, &radix2_us) in (2..).zip(radix2) {
+            let topo = Topology::new(nodes, tpn);
+            let opts = HarnessOpts {
+                iters: 2,
+                srm: tuning(None),
+            };
+            let machine = MachineConfig::ibm_sp_colony();
+            let derived = measure(Impl::Srm, machine, topo, Op::Allreduce, len, opts).per_call;
+            assert!(
+                derived.as_us() <= radix2_us,
+                "{topo}, {len} B: derived {derived} vs recursive doubling {radix2_us} us"
+            );
+        }
     }
 }
 
@@ -157,11 +257,16 @@ fn no_rank_leaves_a_barrier_before_the_last_one_enters() {
 
 /// Order-sensitive doubles: every rank ends with the same bits, over
 /// five back-to-back allreduces and then two `iallreduce`s outstanding
-/// together, on 3×2 and 5×3 (a fold and an unfold) and 16×1.
+/// together. At 512 B, 3×2 and 5×3 run one round of two and of four
+/// peers, 16×1 and 16×2 two radix-4 rounds (members 2 and 3 of a group
+/// park their own value), and 17×2 radix 6: eleven extra nodes fold into
+/// the six cores, two into most, and take the result back.
 #[test]
 fn small_allreduce_gives_every_rank_the_same_bits() {
-    for (nodes, tpn) in [(3, 2), (5, 3), (16, 1)] {
+    for (nodes, tpn, k) in [(3, 2, 3), (5, 3, 5), (16, 1, 4), (16, 2, 4), (17, 2, 6)] {
         let topo = Topology::new(nodes, tpn);
+        let model = SrmModel::new(MachineConfig::ibm_sp_colony(), topo, SrmTuning::default());
+        assert_eq!(model.allreduce_radix(512), k, "{topo}");
         let n = topo.nprocs();
         let mut sim = Sim::new(MachineConfig::ibm_sp_colony());
         let world = SrmWorld::new(&mut sim, topo, SrmTuning::default());

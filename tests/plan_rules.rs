@@ -15,11 +15,22 @@
 //! that shipped it and bumps that rank's counter: its `Landed`, or the
 //! `PairwiseDirect` counter of the stream into it. So the shipper is
 //! the put target and waits for the puts itself (`CtrRef::Landed`).
+//!
+//! **One write per exchange landing.** Across every member's plan of
+//! one small allreduce, each `Rd` landing (receiver, sender, parity) is
+//! written at most once, and only by its sender's master, with a put
+//! that bumps the landing's own counter. Every wait on an `Rd` data
+//! counter, at its receiver's master, has exactly one such put. So a
+//! landing needs no credit within a call (DESIGN.md §16.2), however
+//! many senders a round has.
 
 use collops::{Op, Shape};
 use simnet::{MachineConfig, Sim, Topology};
-use srm::plan::{BufRef, CtrRef, FlagRef, Plan, SeqBase, Step, Until, Val, WaitCell};
+use srm::plan::{
+    BufRef, Chan, ChanKind, CtrRef, FlagRef, Plan, SeqBase, Step, Until, Val, WaitCell,
+};
 use srm::{SrmComm, SrmTuning, SrmWorld};
+use std::collections::HashMap;
 
 /// The contribution channel `step` produces into, if any: a copy into
 /// its buffer or a raise of its READY flag.
@@ -204,4 +215,94 @@ fn contribution_buffers_are_written_only_by_a_publish() {
 #[test]
 fn every_handle_is_shipped_by_its_owner_to_another_node_and_put_into_by_the_taker() {
     check_worlds(address_rule);
+}
+
+/// An `Rd` landing: its receiving and sending group nodes and its lane.
+fn rd_key(c: Chan) -> (usize, usize, u32) {
+    (c.dst, c.src, c.lane)
+}
+
+/// The landing rule over every member's plan of one call: count the
+/// puts into and the waits on each `Rd` landing, checking each writer
+/// and waiter; return how many landings were waited on.
+fn rd_landings_are_written_once(what: &str, members: &[SrmComm], plans: &[Plan]) -> usize {
+    let group = members[0].group();
+    let (mut puts, mut waits) = (HashMap::new(), HashMap::new());
+    for (comm, plan) in members.iter().zip(plans) {
+        let (node, slot) = group.coord_of(comm.comm_rank());
+        for step in &plan.steps {
+            let at = format!("{what}, comm rank {}: {step:?}", comm.comm_rank());
+            match *step {
+                Step::RmaPut {
+                    to,
+                    dst: BufRef::Chan(c),
+                    ctr,
+                    ..
+                } if c.kind == ChanKind::Rd => {
+                    assert_eq!((c.src, slot), (node, 0), "{at}: not the sender's master");
+                    assert_eq!(to, group.master_of(c.dst), "{at}: past the receiver");
+                    let own = matches!(ctr, Some(CtrRef::Data(d))
+                        if d.kind == c.kind && rd_key(d) == rd_key(c));
+                    assert!(own, "{at}: bumps another counter");
+                    *puts.entry(rd_key(c)).or_insert(0) += 1;
+                }
+                Step::ShmCopy {
+                    dst: BufRef::Chan(c),
+                    ..
+                } if c.kind == ChanKind::Rd => panic!("{at}: written by a copy"),
+                Step::Wait {
+                    cell: WaitCell::Ctr(CtrRef::Data(c)),
+                    until,
+                    ..
+                } if c.kind == ChanKind::Rd => {
+                    assert_eq!((c.dst, slot), (node, 0), "{at}: not the receiver's master");
+                    let one = matches!(until, Until::Ge(Val::Lit(1)));
+                    assert!(one, "{at}: waits for more than one put");
+                    *waits.entry(rd_key(c)).or_insert(0) += 1;
+                }
+                _ => {}
+            }
+        }
+    }
+    for (key, n) in &puts {
+        assert_eq!(*n, 1, "{what}: landing {key:?} written {n} times");
+    }
+    for (key, n) in &waits {
+        assert_eq!(*n, 1, "{what}: landing {key:?} waited on {n} times");
+        let put = puts.contains_key(key);
+        assert!(put, "{what}: landing {key:?} waited on without a put");
+    }
+    waits.len()
+}
+
+/// Small allreduces at 8 B, 512 B, 4 KB and one reduce chunk on worlds
+/// that run one round (3×2, 4×4), two radix-4 rounds (16×1), and folds
+/// at radix 6 and at radix 2 (17×1 at 512 B and at 4 KB), plus the
+/// uneven 4×4 subgroup.
+#[test]
+fn every_exchange_landing_is_written_once_per_call_by_its_sender() {
+    let chunk = SrmTuning::default().reduce_chunk;
+    for (nodes, tpn) in [(3, 2), (4, 4), (16, 1), (17, 1)] {
+        let mut sim = Sim::new(MachineConfig::ibm_sp_colony());
+        let topo = Topology::new(nodes, tpn);
+        let world = SrmWorld::new(&mut sim, topo, SrmTuning::default());
+        let members: Vec<SrmComm> = (0..topo.nprocs()).map(|r| world.comm(r)).collect();
+        let mut comms = vec![(format!("{nodes}x{tpn} world"), members)];
+        if (nodes, tpn) == (4, 4) {
+            let subgroup = world.comm_create(&[1, 3, 4, 6, 7, 10, 13, 14, 15]);
+            comms.push(("4x4 subgroup".to_string(), subgroup));
+        }
+        for (what, members) in comms {
+            for len in [8, 512, 4 << 10, chunk] {
+                let shape = Op::Allreduce.shape(len, 0, members.len());
+                let plans: Vec<Plan> = members
+                    .iter()
+                    .map(|c| c.build_plan(&c.key(shape.clone())))
+                    .collect();
+                let what = format!("{what}, {len} B");
+                let waited = rd_landings_are_written_once(&what, &members, &plans);
+                assert!(waited > 0, "{what}: no exchange landing waited on");
+            }
+        }
+    }
 }
