@@ -48,9 +48,7 @@ fn main() {
                 trees(Op::Reduce),
                 trees(Op::Bcast)
             ),
-            Op::Allreduce if len <= SrmTuning::default().reduce_chunk => {
-                "recursive doubling".to_string()
-            }
+            Op::Allreduce if len <= SrmTuning::REDUCE_CHUNK => "recursive doubling".to_string(),
             Op::Allreduce => format!("four-stage {}", trees(op)),
             _ => trees(op),
         };

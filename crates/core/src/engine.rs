@@ -68,14 +68,15 @@ pub(crate) fn flag_of(comm: &SrmComm, f: FlagRef) -> &SpinFlag {
 
 /// Resolve a channel operand to its stored state — the one place that
 /// knows where each family keeps its channels and what its lane means.
-/// Every channel lives with its receiver.
+/// Every channel lives with its receiver's node.
 pub(crate) fn chan_of<'a>(comm: &'a SrmComm, bases: &[u64; SEQ_BASES], c: Chan) -> &'a Channel {
     let side = |base: SeqBase| parity(bases, base, c.lane.into());
+    let (src, dst) = (comm.cnode_of(c.src), comm.cnode_of(c.dst));
     match c.kind {
-        ChanKind::Bcast => &comm.peer(c.dst, c.src).bcast[side(SeqBase::Bcast)],
-        ChanKind::Reduce => &comm.peer(c.dst, c.src).reduce[side(SeqBase::Reduce)],
-        ChanKind::Rd => &comm.exchange(c.dst, c.src).rd[side(SeqBase::Rd)],
-        ChanKind::Ring => comm.pairwise().ring(c.src, c.dst),
+        ChanKind::Bcast => &comm.tree_chans(c)[side(SeqBase::Bcast)],
+        ChanKind::Reduce => &comm.tree_chans(c)[side(SeqBase::Reduce)],
+        ChanKind::Rd => &comm.exchange(dst, src).rd[side(SeqBase::Rd)],
+        ChanKind::Ring => comm.pairwise().ring(src, dst),
     }
 }
 
@@ -582,7 +583,7 @@ mod tests {
     fn plans_size_the_calls_accumulator_and_scratch() {
         let topo = Topology::new(2, 3);
         let t = SrmTuning::default();
-        let (n, chunk) = (topo.nprocs(), t.reduce_chunk);
+        let (n, chunk) = (topo.nprocs(), SrmTuning::REDUCE_CHUNK);
         let mut sim = Sim::new(MachineConfig::ibm_sp_colony());
         let world = SrmWorld::new(&mut sim, topo, t);
         for comm in (0..n).map(|rank| world.comm(rank)) {

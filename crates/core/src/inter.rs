@@ -12,13 +12,14 @@
 //! schedules over the subgroup's own boards, inter-state and flags,
 //! which is what lets disjoint communicators run concurrently.
 //!
-//! One task per node — the **master** (group slot 0) — carries the
-//! node's tree traffic; only a root that ships its own user buffer's
-//! handle (gather, the large broadcast) is a put source or target
-//! beside it. Data put by a parent node lands in shared memory (the
-//! edge's landing buffers or, for large broadcasts, directly in the
-//! master's user buffer), where it "is directly available to all the
-//! tasks running on that node without the need for copying the data".
+//! One task per node — its **wire rank** for the call
+//! (`SrmComm::wire_rank`): the root on the root's node, the **master**
+//! (group slot 0) everywhere else — carries the node's tree traffic; a
+//! gather root also takes every remote master's puts. Data put by a
+//! parent node lands in shared memory (the edge's landing buffers or,
+//! for large broadcasts, directly in the master's user buffer), where
+//! it "is directly available to all the tasks running on that node
+//! without the need for copying the data".
 //!
 //! Flow control is explicit, exactly as the paper describes replacing
 //! MPI's eager/rendezvous machinery: two landing buffers per (parent,
@@ -29,9 +30,9 @@
 //! interrupts while interrupts are disabled for small operations.
 //!
 //! The gather/scatter family extends the same machinery: scatter
-//! streams per-node blocks through the reduce landing channels (whose
-//! credit protocol it reuses unchanged), gather relays segments through
-//! the per-slot contribution buffers and puts them straight into the
+//! streams per-node blocks into the broadcast landings, published in
+//! place like broadcast chunks; gather relays segments through the
+//! per-slot contribution buffers and puts them straight into the
 //! root's user buffer at their final offsets (the root ships its
 //! handle, zero staging at the root), and allgather is literally a
 //! gather plan concatenated with a broadcast plan.
@@ -77,8 +78,8 @@ impl SrmComm {
     /// equal the new cumulative `rel_end`. A slot that published
     /// through `rel_end` gets there through the protocol itself (it
     /// raises READY, its consumers raise DONE); a slot that published
-    /// less — the consumer of a reduce tree, a gather root, a scatter
-    /// member, a slot of a ragged exchange — raises both the rest of
+    /// less — the root of a reduce tree, a gather root, a slot of a
+    /// ragged exchange — raises both the rest of
     /// the way itself, so a later operation's drain guard sees a fully
     /// drained channel.
     ///
@@ -109,8 +110,31 @@ impl SrmComm {
     }
 
     // ----------------------------------------------------------------
-    // Master-to-master legs
+    // Wire legs
     // ----------------------------------------------------------------
+
+    /// The interrupt rule (§2.3), for every call between nodes: my
+    /// node's wire rank for the call, `wire`, runs a call of at most
+    /// [`interrupt_disable_max`](crate::SrmTuning::interrupt_disable_max)
+    /// bytes with interrupts off, bracketing `body`, and takes the puts
+    /// aimed at it by polling inside its counter waits.
+    pub(crate) fn plan_quiet(
+        &self,
+        b: &mut PlanBuilder,
+        wire: usize,
+        len: usize,
+        body: impl FnOnce(&mut PlanBuilder),
+    ) {
+        let quiet =
+            self.cmulti() && self.crank() == wire && len <= b.tuning().interrupt_disable_max;
+        if quiet {
+            b.push(Step::SetInterrupts(false));
+        }
+        body(b);
+        if quiet {
+            b.push(Step::SetInterrupts(true));
+        }
+    }
 
     /// Sender leg of channel `c`: spend a credit, put `len` bytes of
     /// `from` at byte `at` of the receiver's landing, bump its data
@@ -124,7 +148,7 @@ impl SrmComm {
     ) {
         b.wait_ctr(CtrRef::Free(c), 1);
         b.push(Step::RmaPut {
-            to: self.cmaster_of(c.dst),
+            to: self.cworld_of(c.dst),
             src,
             src_off,
             dst: BufRef::Chan(c),
@@ -138,7 +162,7 @@ impl SrmComm {
     /// reusable — hand the credit back to the sender.
     pub(crate) fn plan_credit_return(&self, b: &mut PlanBuilder, c: Chan) {
         b.push(Step::CounterPut {
-            to: self.cmaster_of(c.src),
+            to: self.cworld_of(c.src),
             ctr: CtrRef::Free(c),
         });
     }
@@ -157,72 +181,93 @@ impl SrmComm {
     }
 
     /// Forward broadcast chunk `brel` (a [`SeqBase::Bcast`] lane) from
-    /// `data` to every child node, honouring the per-edge credits
-    /// (Figure 4, left).
+    /// `data` to every child node of the call rooted at `root`,
+    /// honouring the per-edge credits (Figure 4, left).
     fn plan_forward_chunk(
         &self,
         b: &mut PlanBuilder,
-        tree: &GroupTree,
+        (tree, root): (&GroupTree, usize),
         brel: u64,
         data: BufRef,
         clen: usize,
     ) {
         for &c in tree.down() {
-            let to = Chan::new(ChanKind::Bcast, self.cnode(), c, brel);
+            let to = Chan::new(ChanKind::Bcast, self.crank(), self.wire_rank(c, root), brel);
             self.plan_credit_put(b, (to, 0), (data, 0), clen);
         }
     }
 
-    /// Where broadcast chunk `(rel, brel)` — pair use `rel`, lane
-    /// `brel` — is read on my node: the pair side its local writer
-    /// filled on the tree's root node, else the edge landing the
-    /// parent's put left it in.
-    fn bcast_data(&self, tree: &GroupTree, (rel, brel): (u64, u64)) -> BufRef {
-        match tree.parent() {
-            None => BufRef::Pair { rel },
-            Some(parent) => BufRef::Chan(Chan::new(ChanKind::Bcast, parent, self.cnode(), brel)),
-        }
+    /// The edge broadcast lane `brel` of the call rooted at `root`
+    /// reaches my node over, from its parent's wire rank; `None` on the
+    /// tree's root node.
+    fn bcast_edge(&self, (tree, root): (&GroupTree, usize), brel: u64) -> Option<Chan> {
+        let (wire, me) = (|g| self.wire_rank(g, root), self.cnode());
+        (tree.parent()).map(|parent| Chan::new(ChanKind::Bcast, wire(parent), wire(me), brel))
     }
 
-    /// One chunk up the inter-node tree (master only; the accumulator
-    /// holds my node's partial result): fold every child node's landed
-    /// chunk, then — off the root's node — put the combined chunk to
-    /// my parent straight from the accumulator.
-    fn plan_tree_up(&self, b: &mut PlanBuilder, tree: &GroupTree, rel: u64, clen: usize) {
-        let my_node = self.cnode();
+    /// Where broadcast chunk `(rel, brel)` — pair use `rel`, lane
+    /// `brel` — is read on my node: the pair side the root filled on
+    /// its own node, else the edge landing the parent's put left it in.
+    fn bcast_data(&self, call: (&GroupTree, usize), (rel, brel): (u64, u64)) -> BufRef {
+        (self.bcast_edge(call, brel)).map_or(BufRef::Pair { rel }, BufRef::Chan)
+    }
+
+    /// One chunk up the inter-node tree of the call rooted at `root`
+    /// (my node's wire rank only; the accumulator holds my node's
+    /// partial result): fold every child node's landed chunk, then —
+    /// off the root's node — put the combined chunk to my parent's wire
+    /// rank straight from the accumulator.
+    fn plan_tree_up(&self, b: &mut PlanBuilder, call: (&GroupTree, usize), rel: u64, len: usize) {
+        let ((tree, root), me) = (call, self.crank());
         for c in tree.up() {
-            let from = Chan::new(ChanKind::Reduce, c, my_node, rel);
-            self.plan_fold_landed(b, (from, 0), clen);
+            let from = Chan::new(ChanKind::Reduce, self.wire_rank(c, root), me, rel);
+            self.plan_fold_landed(b, (from, 0), len);
         }
         if let Some(parent) = tree.parent() {
-            let to = Chan::new(ChanKind::Reduce, my_node, parent, rel);
-            self.plan_credit_put(b, (to, 0), (BufRef::Acc, 0), clen);
+            let to = Chan::new(ChanKind::Reduce, me, self.wire_rank(parent, root), rel);
+            self.plan_credit_put(b, (to, 0), (BufRef::Acc, 0), len);
         }
     }
 
-    /// One chunk down the inter-node tree on a non-root node's master
-    /// (Figure 4, step 2): take the parent's put into the edge landing,
-    /// publish pair use `rel` for it, send it down the tree first, copy
-    /// my own part out, release the use, and return the credit once the
-    /// node has drained it.
-    fn plan_tree_down(
+    /// A chunk put into my node's landing `from` (on the master, its
+    /// receiver; Figure 4, step 2): take the put, publish pair use
+    /// `rel` for the landing in place, run `forward` (a tree's puts to
+    /// my children), copy my part out, release the use, and return the
+    /// credit once the node has drained it.
+    fn plan_landed(
         &self,
         b: &mut PlanBuilder,
-        tree: &GroupTree,
-        (rel, brel): (u64, u64),
-        off: usize,
-        clen: usize,
+        (rel, from): (u64, Chan),
+        forward: impl FnOnce(&mut PlanBuilder),
+        mine: Option<(usize, usize, usize)>,
     ) {
-        let parent = tree.parent().expect("non-root node has a parent");
-        let from = Chan::new(ChanKind::Bcast, parent, self.cnode(), brel);
         b.wait_ctr(CtrRef::Data(from), 1);
         b.push(Step::PairPublish { rel });
-        self.plan_forward_chunk(b, tree, brel, BufRef::Chan(from), clen);
-        self.plan_pair_copy_out(b, BufRef::Chan(from), (0, off, clen));
+        forward(b);
+        if let Some(mine) = mine {
+            self.plan_pair_copy_out(b, BufRef::Chan(from), mine);
+        }
         plan_pair_release(b, rel);
         let cell = WaitCell::Pair { rel };
         b.wait(cell, Until::Use(PairUse::Drained), "buffer use drained");
         self.plan_credit_return(b, from);
+    }
+
+    /// One chunk down the inter-node tree on a non-root node's master:
+    /// land it, send it down the tree first, then distribute it.
+    fn plan_tree_down(
+        &self,
+        b: &mut PlanBuilder,
+        call: (&GroupTree, usize),
+        (rel, brel): (u64, u64),
+        (off, clen): (usize, usize),
+    ) {
+        let from = self
+            .bcast_edge(call, brel)
+            .expect("non-root node has a parent");
+        let data = BufRef::Chan(from);
+        let forward = |b: &mut PlanBuilder| self.plan_forward_chunk(b, call, brel, data, clen);
+        self.plan_landed(b, (rel, from), forward, Some((0, off, clen)));
     }
 
     // ----------------------------------------------------------------
@@ -245,26 +290,26 @@ impl SrmComm {
         let t = *b.tuning();
         let kind = self.model(&t).trees(Op::Bcast, len).inter;
         let tree = self.group().tree(kind, self.cnode_of(root), self.cnode());
-        let quiet = self.c_is_master() && len <= t.interrupt_disable_max;
         // Staged through the pair and the edge landings, or one direct
         // put per child after an address exchange.
-        b.interrupts_off(quiet, |b| {
+        self.plan_quiet(b, self.wire_rank(self.cnode(), root), len, |b| {
             if len > t.small_large_switch {
                 self.plan_bcast_large(b, len, root, &tree);
             } else {
-                self.plan_bcast_small(b, len, root, &tree);
+                self.plan_bcast_small(b, len, (&tree, root));
             }
         });
     }
 
-    /// Small-message broadcast (≤ 64 KB): the root node stages each
-    /// chunk in its buffer pair, every other node takes it in its
-    /// parent edge's landing; 8–32 KB messages are pipelined in 4 KB
-    /// chunks (§2.4).
-    fn plan_bcast_small(&self, b: &mut PlanBuilder, len: usize, root: usize, tree: &GroupTree) {
+    /// Small-message broadcast (≤ 64 KB): the root stages each chunk in
+    /// its node's buffer pair and puts it to its child nodes itself;
+    /// every other node takes it in its parent edge's landing; 8–32 KB
+    /// messages are pipelined in 4 KB chunks (§2.4).
+    fn plan_bcast_small(&self, b: &mut PlanBuilder, len: usize, call: (&GroupTree, usize)) {
+        let root = call.1;
         let chunk = b.tuning().small_bcast_chunk(len);
         let chunks = SrmTuning::chunk_count(len, chunk);
-        let on_root_node = self.cnode() == tree.root();
+        let wire = self.wire_rank(self.cnode(), root);
         let (rel0, brel0) = (b.rel(SeqBase::Pair), b.rel(SeqBase::Bcast));
 
         for k in 0..chunks {
@@ -272,8 +317,7 @@ impl SrmComm {
             let clen = chunk.min(len - off);
             let rels = (rel0 + k as u64, brel0 + k as u64);
             let (rel, brel) = rels;
-            let data = self.bcast_data(tree, rels);
-            let mine = Some((0, off, clen));
+            let data = self.bcast_data(call, rels);
             if self.crank() == root {
                 // Stage the chunk into the pair: it serves both the
                 // local distribution and the network puts. Publish
@@ -281,22 +325,14 @@ impl SrmComm {
                 // they are one-sided and lose nothing, while the local
                 // readers can start draining at once.
                 self.plan_pair_write(b, rel, (BufRef::User, off), clen, 1);
-                if self.c_is_master() {
-                    self.plan_forward_chunk(b, tree, brel, data, clen);
-                }
+                self.plan_forward_chunk(b, call, brel, data, clen);
                 plan_pair_release(b, rel);
-            } else if on_root_node && self.c_is_master() {
-                // Root is another task on this node: read its published
-                // chunk, forward it down the tree, then consume it.
-                let forward =
-                    |b: &mut PlanBuilder| self.plan_forward_chunk(b, tree, brel, data, clen);
-                self.plan_pair_read(b, (rel, data), forward, mine);
-            } else if self.c_is_master() {
-                self.plan_tree_down(b, tree, rels, off, clen);
+            } else if self.crank() == wire {
+                self.plan_tree_down(b, call, rels, (off, clen));
             } else {
                 // Plain reader: the put target is shared memory, so the
                 // data is consumed with a single copy.
-                self.plan_pair_read(b, (rel, data), |_| {}, mine);
+                self.plan_pair_read(b, (rel, data), Some((0, off, clen)));
             }
         }
         b.advance(SeqBase::Pair, chunks as u64);
@@ -308,17 +344,12 @@ impl SrmComm {
     /// no intermediate buffers whatsoever — overlapped with the
     /// intra-node two-buffer broadcast. Each put carries one
     /// [`SrmTuning::SMP_BUF`] cell, so wire chunk `j` is intra-node
-    /// cell `j`. The root drives its node's puts itself, wherever it
-    /// sits on the node: the root node's children ship their handles to
-    /// it, every other child to its parent's master, and each child
-    /// counts the cells landed in its own [`CtrRef::Landed`].
+    /// cell `j`. Each node's wire rank drives its puts and ships its
+    /// handle to its parent's, and counts the cells landed in its own
+    /// [`CtrRef::Landed`].
     fn plan_bcast_large(&self, b: &mut PlanBuilder, len: usize, root: usize, tree: &GroupTree) {
         let cells = smp_cells(len);
-        let my_node = self.cnode();
-        let writer = match tree.parent() {
-            None => self.cworld_of(root),
-            Some(_) => self.cmaster_of(my_node),
-        };
+        let writer = self.cworld_of(self.wire_rank(self.cnode(), root));
         if self.me != writer {
             self.plan_smp_bcast(b, len, writer);
             return;
@@ -326,18 +357,13 @@ impl SrmComm {
 
         // Stage 1: address exchange (child → parent user-buffer handles).
         if let Some(parent) = tree.parent() {
-            let to = if parent == tree.root() {
-                self.cworld_of(root)
-            } else {
-                self.cmaster_of(parent)
-            };
             b.push(Step::AddrSend {
-                to,
+                to: self.cworld_of(self.wire_rank(parent, root)),
                 src: BufRef::User,
             });
         }
         let children: Vec<(usize, usize)> = (tree.down().iter())
-            .map(|&c| self.crank_at(c, 0))
+            .map(|&c| self.wire_rank(c, root))
             .map(|child| (child, b.take_addr(child)))
             .collect();
 
@@ -376,54 +402,42 @@ impl SrmComm {
     // Reduce
     // ----------------------------------------------------------------
 
-    /// Plan the pipelined reduce (§2.4): a tree within each node and
-    /// one between the masters
+    /// Plan the pipelined reduce (§2.4): a tree within each node, rooted
+    /// at its wire rank, and one between the wire ranks
     /// ([`SrmModel::trees`](crate::SrmModel::trees) names the kinds),
     /// chunked so that memory copies, operator execution and network
-    /// transfers overlap. `root` is a communicator rank.
+    /// transfers overlap. `root` is a communicator rank; its node's
+    /// tree is rooted at it, and the child nodes put into its landings.
     pub(crate) fn plan_reduce(&self, b: &mut PlanBuilder, len: usize, root: usize) {
         if len == 0 || self.csize() == 1 {
             return;
         }
-        let (root_node, root_gslot) = self.ccoord_of(root);
         let kinds = self.model(b.tuning()).trees(Op::Reduce, len);
-        let tree = self.group().tree(kinds.inter, root_node, self.cnode());
-        let quiet = self.cmulti() && self.c_is_master() && len <= b.tuning().interrupt_disable_max;
-        b.interrupts_off(quiet, |b| {
-            let chunk = self.tuning().reduce_chunk;
+        let tree = self
+            .group()
+            .tree(kinds.inter, self.cnode_of(root), self.cnode());
+        let wire = self.wire_rank(self.cnode(), root);
+        let top = self.ccoord_of(wire).1;
+        self.plan_quiet(b, wire, len, |b| {
+            let chunk = SrmTuning::REDUCE_CHUNK;
             let chunks = SrmTuning::chunk_count(len, chunk);
-            // A root that is not its node's master takes each combined
-            // chunk from the master's contribution channel, which the
-            // tree leaves idle on the root's node.
-            let hand_over = self.cnode() == root_node && root_gslot != 0;
             let rel0 = b.rel(SeqBase::Reduce);
 
             for k in 0..chunks {
                 let off = k * chunk;
                 let clen = chunk.min(len - off);
                 let rel = rel0 + k as u64;
-                let has_acc = self.plan_smp_reduce_chunk(b, off, clen, rel, kinds.intra);
-
-                if self.c_is_master() {
-                    debug_assert!(has_acc, "master is the intra-node subtree root");
-                    self.plan_tree_up(b, &tree, rel, clen);
+                let intra = (kinds.intra, top);
+                if self.plan_smp_reduce_chunk(b, (off, clen, rel), intra) {
+                    self.plan_tree_up(b, (&tree, root), rel, clen);
                     if self.crank() == root {
                         plan_acc_to_user(b, off, clen);
-                    } else if hand_over {
-                        let acc = (BufRef::Acc, 0);
-                        self.plan_contrib_publish(b, rel, acc, clen, CopyCost::Free);
                     }
-                } else if self.crank() == root {
-                    let label = "combined chunk ready";
-                    self.plan_contrib_consume(b, (0, rel), k == 0, label, |b, src| {
-                        b.copy((src, 0), (BufRef::User, off), clen, CopyCost::Read(1))
-                    });
                 }
             }
-            if self.c_is_master() {
-                // Slot 0's channel carries the hand-over or nothing.
-                let sent = if hand_over { chunks as u64 } else { 0 };
-                self.plan_contrib_catchup(b, sent, rel0 + chunks as u64);
+            if self.crank() == wire {
+                // The intra-node tree root's own channel went unused.
+                self.plan_contrib_catchup(b, 0, rel0 + chunks as u64);
             }
             b.advance(SeqBase::Reduce, chunks as u64);
         });
@@ -454,9 +468,8 @@ impl SrmComm {
             self.plan_bcast(b, len, root);
             return;
         }
-        let quiet = self.cmulti() && self.c_is_master() && len <= t.interrupt_disable_max;
-        b.interrupts_off(quiet, |b| {
-            if len <= t.reduce_chunk {
+        self.plan_quiet(b, self.crank_at(self.cnode(), 0), len, |b| {
+            if len <= SrmTuning::REDUCE_CHUNK {
                 self.plan_allreduce_small(b, len);
             } else {
                 self.plan_allreduce_large(b, len, self.allreduce_skew());
@@ -478,10 +491,10 @@ impl SrmComm {
     /// such allreduces later (DESIGN.md §16.2).
     fn plan_allreduce_small(&self, b: &mut PlanBuilder, len: usize) {
         let rel = b.rel(SeqBase::Reduce);
-        let has_acc = self.plan_smp_reduce_chunk(b, 0, len, rel, self.tree());
+        let has_acc = self.plan_smp_reduce_chunk(b, (0, len, rel), (self.tree(), 0));
         let (my, n, lane) = (self.cnode(), self.cnodes(), b.rel(SeqBase::Rd));
         let put = |b: &mut PlanBuilder, to: usize| {
-            let c = Chan::new(ChanKind::Rd, my, to, lane);
+            let c = Chan::new(ChanKind::Rd, self.crank(), self.crank_at(to, 0), lane);
             b.push(Step::RmaPut {
                 to: self.cmaster_of(to),
                 src: BufRef::Acc,
@@ -495,7 +508,7 @@ impl SrmComm {
         // Wait for `from`'s exchange, then fold it in or take it as the
         // result.
         let take = |b: &mut PlanBuilder, from: usize, fold: bool| {
-            let c = Chan::new(ChanKind::Rd, from, my, lane);
+            let c = Chan::new(ChanKind::Rd, self.crank_at(from, 0), self.crank(), lane);
             b.wait_ctr(CtrRef::Data(c), 1);
             let (src, src_off) = (BufRef::Chan(c), 0);
             if fold {
@@ -595,7 +608,8 @@ impl SrmComm {
     /// planner passes [`Self::allreduce_skew`] for `d`.
     fn plan_allreduce_large(&self, b: &mut PlanBuilder, len: usize, d: usize) {
         let tree = self.group().tree(self.tree(), 0, self.cnode());
-        let chunk = self.tuning().reduce_chunk;
+        let call = (&tree, self.crank_at(0, 0));
+        let chunk = SrmTuning::REDUCE_CHUNK;
         let chunks = SrmTuning::chunk_count(len, chunk);
         let rel0 = b.rel(SeqBase::Reduce);
         let (prel0, brel0) = (b.rel(SeqBase::Pair), b.rel(SeqBase::Bcast));
@@ -608,16 +622,16 @@ impl SrmComm {
         for i in 0..chunks + d {
             if i < chunks {
                 let ((off, clen, rels), rel) = (span(i), rel0 + i as u64);
-                let has_acc = self.plan_smp_reduce_chunk(b, off, clen, rel, self.tree());
+                let has_acc = self.plan_smp_reduce_chunk(b, (off, clen, rel), (self.tree(), 0));
                 if master {
                     debug_assert!(has_acc, "master is the subtree root");
-                    self.plan_tree_up(b, &tree, rel, clen);
+                    self.plan_tree_up(b, call, rel, clen);
                     if on_root {
                         // Fully combined: start the broadcast leg here.
                         let (prel, brel) = rels;
                         self.plan_pair_write(b, prel, (BufRef::Acc, 0), clen, 1);
                         let data = BufRef::Pair { rel: prel };
-                        self.plan_forward_chunk(b, &tree, brel, data, clen);
+                        self.plan_forward_chunk(b, call, brel, data, clen);
                         plan_pair_release(b, prel);
                         plan_acc_to_user(b, off, clen);
                     }
@@ -628,11 +642,11 @@ impl SrmComm {
             };
             if !master {
                 // Consume the broadcast chunk where it landed.
-                let data = (rels.0, self.bcast_data(&tree, rels));
-                self.plan_pair_read(b, data, |_| {}, Some((0, off, clen)));
+                let data = (rels.0, self.bcast_data(call, rels));
+                self.plan_pair_read(b, data, Some((0, off, clen)));
             } else if !on_root {
                 // The combined chunk comes back: forward, distribute.
-                self.plan_tree_down(b, &tree, rels, off, clen);
+                self.plan_tree_down(b, call, rels, (off, clen));
             }
         }
         if master {
@@ -660,7 +674,7 @@ impl SrmComm {
             return;
         }
         let k = self.model(b.tuning()).barrier_radix();
-        b.interrupts_off(self.cmulti() && self.c_is_master(), |b| {
+        self.plan_quiet(b, self.crank_at(self.cnode(), 0), 0, |b| {
             self.plan_smp_barrier_enter(b);
             let (my, n) = (self.cnode(), self.cnodes());
             let mut dist = 1usize;
@@ -709,7 +723,7 @@ impl SrmComm {
         if len == 0 || self.csize() == 1 {
             return;
         }
-        let chunk = self.tuning().reduce_chunk;
+        let chunk = SrmTuning::REDUCE_CHUNK;
         let chunks = SrmTuning::chunk_count(len, chunk);
         let p = self.cslots_here();
         let nodes = self.cnodes();
@@ -852,128 +866,66 @@ impl SrmComm {
     /// per-rank segments; communicator rank `c` receives
     /// `buf[c*len..(c+1)*len]`. `root` is a communicator rank.
     ///
-    /// Protocol: the root streams each destination node's block in
-    /// pieces (see [`SrmComm::scatter_pieces`]) through the reduce
-    /// landing channels (reusing their credit protocol unchanged); the
-    /// receiving master relays each piece into the node's buffer pair,
-    /// where every slot copies out just the overlap with its own
-    /// segment. A root that is not its node's master publishes the
-    /// pieces on its own contribution channel, which scatter otherwise
-    /// leaves idle, and the master puts them on the wire.
+    /// Protocol: the root credit-puts each other node's block, in
+    /// pieces (see [`SrmComm::scatter_pieces`]), into its own broadcast
+    /// landings at that node's master, which publishes each piece to
+    /// its node in place, as it does a broadcast chunk; every slot
+    /// copies out just the overlap with its own segment. The root's own
+    /// node takes its block through the buffer pair.
     pub(crate) fn plan_scatter(&self, b: &mut PlanBuilder, len: usize, root: usize) {
         if len == 0 || self.csize() == 1 {
             return;
         }
-        let t = self.tuning();
-        let chunk = t.reduce_chunk.min(t.small_large_switch);
-        let p = self.cslots_here();
-        let nodes = self.cnodes();
-        let my_node = self.cnode();
-        let my = self.cslot();
-        let (root_node, root_gslot) = self.ccoord_of(root);
-        let relay = self.cmulti() && root_gslot != 0;
-        let rel0 = b.rel(SeqBase::Reduce);
-        let prel0 = b.rel(SeqBase::Pair);
-        let pieces: Vec<Vec<(usize, usize, usize)>> = (0..nodes)
+        let chunk = SrmTuning::REDUCE_CHUNK.min(self.tuning().small_large_switch);
+        let (my_node, root_node) = (self.cnode(), self.cnode_of(root));
+        let pieces: Vec<Vec<(usize, usize, usize)>> = (0..self.cnodes())
             .map(|g| self.scatter_pieces(g, len, chunk))
             .collect();
-        // The wire pieces in stream order, as `(destination node,
-        // reduce chunk, root offset, bytes)`; the `i`-th is use
-        // `rel0 + i` of a relaying root's channel.
-        let stream: Vec<(usize, u64, usize, usize)> = (0..nodes)
-            .filter(|&c| c != root_node)
-            .flat_map(|c| {
-                (pieces[c].iter().enumerate())
-                    .map(move |(j, &(roff, _, plen))| (c, rel0 + j as u64, roff, plen))
-            })
-            .collect();
-        let relayed = if relay { stream.len() as u64 } else { 0 };
-        // Uniform advance: per-node piece counts differ on uneven
-        // groups, but the Reduce cumulative must advance identically on
-        // every member (see the module doc), so all ranks advance by
-        // the most any node receives or the relaying root publishes.
-        let max_pieces = pieces.iter().map(Vec::len).max().expect("nonempty group") as u64;
-        let adv = max_pieces.max(relayed);
-        let uses = (rel0..).zip(&stream);
-        // Reader side of the pair distribution of my node's block
-        // (every non-publishing slot must release every piece).
-        let read_block = |b: &mut PlanBuilder| {
-            for (j, &(_, boff, plen)) in pieces[my_node].iter().enumerate() {
-                let (rel, mine) = (prel0 + j as u64, self.block_overlap(len, (boff, plen), my));
-                self.plan_pair_read(b, (rel, BufRef::Pair { rel }), |_| {}, mine);
-            }
+        // Piece `j` of a node's block takes pair use `prel0 + j` there
+        // and travels on lane `brel0 + j`.
+        let (prel0, brel0) = (b.rel(SeqBase::Pair), b.rel(SeqBase::Bcast));
+        let remote = || (0..self.cnodes()).filter(|&g| g != root_node);
+        let edge = |g, j: usize| {
+            let lane = brel0 + j as u64;
+            Chan::new(ChanKind::Bcast, root, self.wire_rank(g, root), lane)
         };
+        let lanes = remote().map(|g| pieces[g].len()).max().unwrap_or(0);
+        let uses_pair = my_node != root_node || self.cslots_here() > 1;
 
         if self.crank() == root {
-            // Ship every other node's block through the reduce landing
-            // channels (directly, or via my master over my channel).
-            for (use_rel, &(c, rel, roff, plen)) in uses {
-                let from = (BufRef::User, roff);
-                if relay {
-                    self.plan_contrib_publish(b, use_rel, from, plen, CopyCost::Free);
-                } else {
-                    let to = Chan::new(ChanKind::Reduce, root_node, c, rel);
-                    self.plan_credit_put(b, (to, 0), from, plen);
+            // Piece by piece across the nodes, my own node's last, so
+            // each node drains a piece and returns its credit while the
+            // others are served.
+            let own = if uses_pair { &pieces[my_node][..] } else { &[] };
+            for j in 0..lanes.max(own.len()) {
+                for g in remote().filter(|&g| j < pieces[g].len()) {
+                    let (roff, _, plen) = pieces[g][j];
+                    self.plan_credit_put(b, (edge(g, j), 0), (BufRef::User, roff), plen);
                 }
-            }
-            // Distribute my own node's block through the pair.
-            if p > 1 {
-                for (j, &(roff, _, plen)) in pieces[my_node].iter().enumerate() {
-                    let from = (BufRef::User, roff);
-                    self.plan_pair_write(b, prel0 + j as u64, from, plen, 1);
-                    plan_pair_release(b, prel0 + j as u64);
-                }
-            }
-        } else if my_node == root_node {
-            if my == 0 && relay {
-                // Master relays the root's pieces onto the wire. The put
-                // snapshots the source synchronously, so the buffer is
-                // reusable as soon as it is issued.
-                for (use_rel, &(c, rel, _, plen)) in uses {
-                    let (label, first) = ("scatter piece ready", use_rel == rel0);
-                    let at = (root_gslot, use_rel);
-                    self.plan_contrib_consume(b, at, first, label, |b, src| {
-                        let to = Chan::new(ChanKind::Reduce, root_node, c, rel);
-                        self.plan_credit_put(b, (to, 0), (src, 0), plen);
-                    });
-                }
-            }
-            read_block(b);
-        } else if my == 0 {
-            // Destination-node master: land each piece, republish it on
-            // the pair, return the credit, take my overlap.
-            for (j, &(_, boff, plen)) in pieces[my_node].iter().enumerate() {
-                let from = Chan::new(ChanKind::Reduce, root_node, my_node, rel0 + j as u64);
-                let landed = (BufRef::Chan(from), 0);
-                let rel = prel0 + j as u64;
-                b.wait_ctr(CtrRef::Data(from), 1);
-                if p > 1 {
-                    self.plan_pair_write(b, rel, landed, plen, 1);
-                    self.plan_credit_return(b, from);
-                    if let Some(mine) = self.block_overlap(len, (boff, plen), my) {
-                        self.plan_pair_copy_out(b, BufRef::Pair { rel }, mine);
-                    }
+                if let Some(&(roff, _, plen)) = own.get(j) {
+                    let rel = prel0 + j as u64;
+                    self.plan_pair_write(b, rel, (BufRef::User, roff), plen, 1);
                     plan_pair_release(b, rel);
-                } else {
-                    let mine = (BufRef::User, self.crank() * len + boff);
-                    b.copy(landed, mine, plen, CopyCost::Read(1));
-                    self.plan_credit_return(b, from);
                 }
             }
         } else {
-            read_block(b);
+            for (j, &(_, boff, plen)) in pieces[my_node].iter().enumerate() {
+                let rel = prel0 + j as u64;
+                let mine = self.block_overlap(len, (boff, plen), self.cslot());
+                if my_node == root_node {
+                    self.plan_pair_read(b, (rel, BufRef::Pair { rel }), mine);
+                } else if self.c_is_master() {
+                    self.plan_landed(b, (rel, edge(my_node, j)), |_| {}, mine);
+                } else {
+                    self.plan_pair_read(b, (rel, BufRef::Chan(edge(my_node, j))), mine);
+                }
+            }
         }
-
-        // Scatter advances the reduce cumulative (it borrows the
-        // reduce landing channels); every rank re-synchronizes its own
-        // contribution channel, a relaying root after its master took
-        // the last piece.
-        let sent = if self.crank() == root { relayed } else { 0 };
-        self.plan_contrib_catchup(b, sent, rel0 + adv);
-        b.advance(SeqBase::Reduce, adv);
-        // My node's pair carried its own block's pieces (none on a
-        // single-slot node).
-        if p > 1 {
+        // Uniform advance: per-node piece counts differ on uneven
+        // groups, but the Bcast cumulative must advance identically on
+        // every member (see the module doc).
+        b.advance(SeqBase::Bcast, lanes as u64);
+        if uses_pair {
             b.advance(SeqBase::Pair, pieces[my_node].len() as u64);
         }
     }

@@ -66,7 +66,7 @@ impl SrmModel {
         let intras = match op {
             _ if self.tuning.tree.is_some() => return on(own, own),
             Op::Bcast if self.bcast_chunking(len).1 > 1 => &intras[..1],
-            Op::Reduce if len > self.tuning.reduce_chunk => &intras[..],
+            Op::Reduce if len > SrmTuning::REDUCE_CHUNK => &intras[..],
             _ => return on(own, own),
         };
         let time = |t: &Trees| match op {
@@ -180,7 +180,7 @@ impl SrmModel {
             return SimTime::ZERO;
         }
         let (n, p) = (self.topo.nodes(), self.topo.tasks_per_node());
-        let chunk = self.tuning.reduce_chunk.min(len);
+        let chunk = SrmTuning::REDUCE_CHUNK.min(len);
         let fold = self.cfg.reduce_cost(chunk);
         // Intra-node: leaf copy, then one combine per child, a level
         // after the other.
@@ -210,7 +210,7 @@ impl SrmModel {
     pub fn allreduce_composes(&self, len: usize) -> bool {
         self.tuning.tree.is_none()
             && self.topo.multi_node()
-            && len > self.tuning.reduce_chunk
+            && len > SrmTuning::REDUCE_CHUNK
             && self.reduce(len) + self.bcast(len) < self.allreduce_pipeline(len)
     }
 
@@ -233,7 +233,7 @@ impl SrmModel {
         let (n, p) = (self.topo.nodes(), self.topo.tasks_per_node());
         let own = self.tuning.configured_tree();
         let smp_levels = height(own, p) as u64;
-        if len <= self.tuning.reduce_chunk {
+        if len <= SrmTuning::REDUCE_CHUNK {
             // SMP reduce + log2(n) pairwise exchange rounds + SMP bcast.
             let smp_reduce = self.cfg.shm_copy_cost(len, (p / 2).max(1))
                 + (self.cfg.reduce_cost(len) + self.cfg.flag_op + self.cfg.flag_set_op)
@@ -245,7 +245,7 @@ impl SrmModel {
             // broadcast back) plus the bottleneck pace for the bytes
             // after the first chunk — the down leg trails the up leg,
             // so a chunk's round trip is paid once, not per chunk.
-            let chunk = self.tuning.reduce_chunk.min(len);
+            let chunk = SrmTuning::REDUCE_CHUNK.min(len);
             let rest = len - chunk;
             let hop_r = self.put_time(chunk) + self.cfg.reduce_cost(chunk);
             let hop_b = self.put_time(chunk);

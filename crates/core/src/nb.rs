@@ -77,7 +77,8 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Substrate class: the node's buffer pair and the broadcast channels
-/// whose uses it numbers.
+/// whose uses it numbers, which carry the broadcast's chunks and the
+/// scatter's pieces.
 const CL_PAIR: u8 = 1 << 0;
 /// Substrate class: the contribution channels (every intra-node
 /// handoff) and the reduce landings and counters.

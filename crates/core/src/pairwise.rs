@@ -176,7 +176,7 @@ impl SrmComm {
     /// Block until my node holds at least `n` credits toward `d`
     /// without spending any.
     fn plan_credits_ge(&self, b: &mut PlanBuilder, d: NodeId, n: usize) {
-        let ring = Chan::new(ChanKind::Ring, self.cnode(), d, 0);
+        let ring = Chan::new(ChanKind::Ring, self.crank(), self.crank_at(d, 0), 0);
         b.wait_ctr_ge(CtrRef::Free(ring), Val::Lit(n as u64));
     }
 
@@ -191,7 +191,7 @@ impl SrmComm {
         if w < w_geom {
             self.plan_credits_ge(b, d, w_geom - w + 1);
         }
-        let ring = Chan::new(ChanKind::Ring, self.cnode(), d, 0);
+        let ring = Chan::new(ChanKind::Ring, self.crank(), self.crank_at(d, 0), 0);
         self.plan_credit_put(b, (ring, at), (BufRef::Acc, 0), len);
     }
 
@@ -252,8 +252,8 @@ impl SrmComm {
         if seg == 0 {
             return;
         }
-        let quiet = self.cmulti() && seg <= b.tuning().interrupt_disable_max;
-        b.interrupts_off(quiet, |b| {
+        // Every rank is its own wire rank here.
+        self.plan_quiet(b, self.crank(), seg, |b| {
             let me = self.crank();
             let rbase = self.csize() * seg;
             // Own segment: already local, one private copy.
@@ -457,7 +457,7 @@ impl SrmComm {
                 let Some(&(boff, blk, plen)) = pieces[d].get(k) else {
                     continue;
                 };
-                let is_root = self.plan_smp_reduce_chunk(b, boff, plen, rel, self.tree());
+                let is_root = self.plan_smp_reduce_chunk(b, (boff, plen, rel), (self.tree(), 0));
                 rel += 1;
                 if !is_root {
                     continue;
@@ -490,13 +490,13 @@ impl SrmComm {
             let Some(&(boff, blk, plen)) = pieces[me].get(k) else {
                 continue;
             };
-            let is_root = self.plan_smp_reduce_chunk(b, boff, plen, rel, self.tree());
+            let is_root = self.plan_smp_reduce_chunk(b, (boff, plen, rel), (self.tree(), 0));
             rel += 1;
             let prel = prel0 + k as u64;
             // My result segment's part of the piece.
             let mine = self.block_overlap(len, (blk, plen), my);
             if !is_root {
-                self.plan_pair_read(b, (prel, BufRef::Pair { rel: prel }), |_| {}, mine);
+                self.plan_pair_read(b, (prel, BufRef::Pair { rel: prel }), mine);
                 continue;
             }
             for s in peers() {
@@ -517,7 +517,7 @@ impl SrmComm {
                         len: plen,
                     });
                 } else {
-                    let from = Chan::new(ChanKind::Ring, s, me, 0);
+                    let from = Chan::new(ChanKind::Ring, self.crank_at(s, 0), self.crank(), 0);
                     self.plan_fold_landed(b, (from, ring_off), plen);
                 }
             }

@@ -38,9 +38,9 @@ use std::sync::Arc;
 pub enum SeqBase {
     /// Uses of my node's buffer pair, counted by the uses the node made.
     Pair,
-    /// Chunks down the [`ChanKind::Bcast`] channels: the same on every
-    /// member of the communicator, so both ends of an edge agree on the
-    /// lane's parity.
+    /// Chunks and scatter pieces through the [`ChanKind::Bcast`]
+    /// channels: the same on every member of the communicator, so both
+    /// ends of an edge agree on the lane's parity.
     Bcast,
     /// Uses of the contribution channels — every handoff between two
     /// tasks of a node — and chunks through the reduce landings.
@@ -94,16 +94,17 @@ pub enum CopyCost {
     Write(usize),
 }
 
-/// Which of the communicator's flow-controlled master-to-master channel
+/// Which of the communicator's flow-controlled cross-node channel
 /// families a [`Chan`] belongs to. The family fixes what the channel's
 /// `lane` means and which substrate ordering class its steps join.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ChanKind {
-    /// Small-broadcast edge parent → child, landing in the edge's own
-    /// buffers; lane = chunk index ([`SeqBase::Bcast`] parity).
+    /// Small-broadcast edge parent → child, or a scatter root → a
+    /// destination master, landing in the edge's own buffers; lane =
+    /// chunk index ([`SeqBase::Bcast`] parity). Kept per sending slot.
     Bcast,
-    /// Pipelined-reduce edge child → parent (scatter borrows it the
-    /// other way); lane = chunk index ([`SeqBase::Reduce`] parity).
+    /// Pipelined-reduce edge child → parent; lane = chunk index
+    /// ([`SeqBase::Reduce`] parity). Kept per receiving slot.
     Reduce,
     /// Recursive k-ing exchange, the fold-in (extra → core) and the
     /// hand-back (core → extra); lane = the call's [`SeqBase::Rd`]
@@ -117,28 +118,32 @@ pub enum ChanKind {
     Ring,
 }
 
-/// One flow-controlled channel between two group-node masters (§2.3,
-/// Figure 4), named structurally: the sender spends a credit
-/// ([`CtrRef::Free`], held at `src`), puts into the landing
+/// One flow-controlled channel between two comm ranks on different
+/// nodes (§2.3, Figure 4), named structurally: the sender spends a
+/// credit ([`CtrRef::Free`], held at `src`), puts into the landing
 /// ([`BufRef::Chan`], at `dst`) and bumps the data counter there
 /// ([`CtrRef::Data`]); the receiver consumes the data counter and, once
 /// the landing is reusable, restores the credit with a zero-byte put.
+/// Each end is its node's wire rank for the call
+/// (`SrmComm::wire_rank`), so a credit always returns to the rank that
+/// spends it.
 #[derive(Clone, Copy, Debug)]
 pub struct Chan {
     /// The channel family.
     pub kind: ChanKind,
-    /// Sending group node.
-    pub src: NodeId,
-    /// Receiving group node.
-    pub dst: NodeId,
+    /// Sending comm rank.
+    pub src: usize,
+    /// Receiving comm rank.
+    pub dst: usize,
     /// Which of the pair's parallel channels (see [`ChanKind`]). Kept
     /// narrow: every step carries up to three channel operands.
     pub lane: u32,
 }
 
 impl Chan {
-    /// The `kind` channel `src → dst`, lane `lane`.
-    pub fn new(kind: ChanKind, src: NodeId, dst: NodeId, lane: u64) -> Chan {
+    /// The `kind` channel from comm rank `src` to comm rank `dst`, lane
+    /// `lane`.
+    pub fn new(kind: ChanKind, src: usize, dst: usize, lane: u64) -> Chan {
         Chan {
             kind,
             src,
@@ -568,20 +573,6 @@ impl PlanBuilder {
             Until::Ge(val),
             "LAPI counter (cumulative)",
         );
-    }
-
-    /// Emit `body`, bracketed by [`Step::SetInterrupts`] `false` …
-    /// `true` when `quiet` holds: the small-message policy of §2.3, under
-    /// which this rank takes the puts aimed at it by polling inside its
-    /// counter waits instead of by interrupt.
-    pub(crate) fn interrupts_off(&mut self, quiet: bool, body: impl FnOnce(&mut Self)) {
-        if quiet {
-            self.push(Step::SetInterrupts(false));
-        }
-        body(self);
-        if quiet {
-            self.push(Step::SetInterrupts(true));
-        }
     }
 
     /// Emit an [`Step::AddrTake`] of comm rank `from`'s handle and

@@ -104,18 +104,15 @@ impl SrmComm {
     }
 
     /// Reader leg of pair use `rel`, whose bytes are in `data`: wait
-    /// for my READY, run `after_wait` (a master's forwarding puts), copy
-    /// my part out if I have one, release the side.
+    /// for my READY, copy my part out if I have one, release the side.
     pub(crate) fn plan_pair_read(
         &self,
         b: &mut PlanBuilder,
         (rel, data): (u64, BufRef),
-        after_wait: impl FnOnce(&mut PlanBuilder),
         copy: Option<(usize, usize, usize)>,
     ) {
         let cell = WaitCell::Pair { rel };
         b.wait(cell, Until::Use(PairUse::Published), "buffer published");
-        after_wait(b);
         if let Some(copy) = copy {
             self.plan_pair_copy_out(b, data, copy);
         }
@@ -208,7 +205,7 @@ impl SrmComm {
         clen: usize,
         rel: u64,
     ) {
-        self.plan_pair_read(b, (rel, BufRef::Pair { rel }), |_| {}, Some((0, off, clen)));
+        self.plan_pair_read(b, (rel, BufRef::Pair { rel }), Some((0, off, clen)));
     }
 
     /// Plan the flat double-buffer broadcast within the node: the
@@ -277,21 +274,22 @@ impl SrmComm {
     /// every task on the node. `rel` is the plan-relative chunk index
     /// against [`SeqBase::Reduce`] (drives buffer parity and the
     /// cumulative flags); the tree is the `kind` one over the node's
-    /// slots, rooted at the master. Returns `true` at the subtree root,
-    /// where the accumulator holds the combined chunk after the emitted
-    /// steps run.
+    /// slots, rooted at slot `top` (the node's wire rank). Returns
+    /// `true` at the subtree root, where the accumulator holds the
+    /// combined chunk after the emitted steps run.
     pub(crate) fn plan_smp_reduce_chunk(
         &self,
         b: &mut PlanBuilder,
-        off: usize,
-        clen: usize,
-        rel: u64,
-        kind: TreeKind,
+        (off, clen, rel): (usize, usize, u64),
+        (kind, top): (TreeKind, usize),
     ) -> bool {
         let p = self.cslots_here();
-        debug_assert!(clen <= self.tuning().reduce_chunk);
-        let vs = self.cslot();
-        let kids = children_ascending(kind, vs, p);
+        debug_assert!(clen <= SrmTuning::REDUCE_CHUNK);
+        // Tree vertex `v` is slot `(v + top) % p`.
+        let vs = (self.cslot() + p - top) % p;
+        let kids: Vec<usize> = (children_ascending(kind, vs, p).iter())
+            .map(|&v| (v + top) % p)
+            .collect();
         b.copy((BufRef::User, off), (BufRef::Acc, 0), clen, CopyCost::Free);
 
         if vs != 0 && kids.is_empty() {

@@ -15,17 +15,16 @@
 //! ## Decision vs. geometry knobs
 //!
 //! Only knobs that steer *which schedule is compiled* may vary per
-//! shape (the [`TuneEntry`] fields). Knobs that size **shared buffers
-//! at world construction** — `reduce_chunk`, `plan_cache_cap`, `tree`,
-//! `trace_steps` — stay world-global: consecutive collectives stride
-//! the same contribution and transfer buffers, and a per-shape stride
-//! would overlap live parity regions across calls. The world instead builds a **geometry
+//! shape (the [`TuneEntry`] fields). Knobs fixed **at world
+//! construction** — `plan_cache_cap`, `tree`, `trace_steps` — stay
+//! world-global, and the contribution buffers' size is a constant
+//! ([`SrmTuning::REDUCE_CHUNK`]). The world instead builds a **geometry
 //! envelope**: capacity-relevant decision knobs
 //! (`small_large_switch`, `pairwise_chunk`, `pairwise_window`) are
 //! raised to the table's maxima so every entry's schedule fits the
 //! buffers actually allocated. What the geometry itself decides — the
 //! large broadcast's put size (one `SMP_BUF` cell) and the
-//! small allreduce's cap (one `reduce_chunk`) — has no column.
+//! small allreduce's cap (one `REDUCE_CHUNK`) — has no column.
 //!
 //! ## Table file format
 //!
@@ -150,7 +149,7 @@ impl TuneEntry {
         let pmax = self.pipeline_max.min(sls);
         let pmin = self.pipeline_min.min(pmax);
         let pchunk = self.pipeline_chunk.clamp(1, sls);
-        let pw_cap = geometry.pairwise_chunk.min(geometry.reduce_chunk);
+        let pw_cap = geometry.pairwise_chunk.min(SrmTuning::REDUCE_CHUNK);
         SrmTuning {
             small_large_switch: sls,
             pipeline_min: pmin,
@@ -606,7 +605,7 @@ mod tests {
                 ranks: 0,
             },
             TuneEntry {
-                pairwise_chunk: base.reduce_chunk + 1,
+                pairwise_chunk: SrmTuning::REDUCE_CHUNK + 1,
                 ..TuneEntry::from_tuning(&base)
             },
         );
@@ -626,7 +625,7 @@ mod tests {
             pipeline_chunk: 0,
             allreduce_rs_min: 1,
             interrupt_disable_max: 0,
-            pairwise_chunk: base.reduce_chunk * 2,
+            pairwise_chunk: SrmTuning::REDUCE_CHUNK * 2,
             pairwise_window: 0,
             pairwise_direct_min: 1,
         };
@@ -638,8 +637,6 @@ mod tests {
         assert_eq!(eff.pairwise_window, 1);
         // Route decision passes through unclamped.
         assert_eq!(eff.pairwise_direct_min, 1);
-        // Fixed knobs come from base untouched.
-        assert_eq!(eff.reduce_chunk, base.reduce_chunk);
     }
 
     #[test]

@@ -17,15 +17,13 @@ use std::fmt;
 /// [`crate::SrmWorld::new`] panics with the same messages.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TuningError {
-    /// `reduce_chunk` is zero — the reduce, scatter, gather and
-    /// small-allreduce protocols chunk through buffers of this size.
-    ZeroGeometry,
     /// The small-broadcast pipeline range is inconsistent:
     /// `pipeline_min > pipeline_max`, or `pipeline_chunk` /
     /// `pipeline_max` above `small_large_switch`. (Equal min and max
     /// is legal — it disables pipelining.)
     PipelineRangeInvalid,
-    /// `pairwise_chunk` is zero or exceeds `reduce_chunk` (pairwise
+    /// `pairwise_chunk` is zero or exceeds
+    /// [`SrmTuning::REDUCE_CHUNK`] (pairwise
     /// pieces stage through the contribution buffers).
     PairwiseChunkInvalid,
     /// `pairwise_window == 0`: the credit window must allow at least
@@ -36,7 +34,6 @@ pub enum TuningError {
 impl fmt::Display for TuningError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let msg = match self {
-            TuningError::ZeroGeometry => "reduce_chunk must be nonzero",
             TuningError::PipelineRangeInvalid => {
                 "small-broadcast pipeline range must lie below the large switch"
             }
@@ -78,22 +75,15 @@ pub struct SrmTuning {
     pub pipeline_max: usize,
     /// Chunk size used in the pipelined sub-range.
     pub pipeline_chunk: usize,
-    /// Chunk size of the pipelined reduce (and of the large-allreduce
-    /// four-stage pipeline). It also sizes the exchange landings, so
-    /// allreduce uses inter-node recursive k-ing up to this size ("for
-    /// messages up to 16 KB", §2.4) and above it the
-    /// four-stage pipeline or a reduce then a broadcast, whichever
-    /// [`SrmModel::allreduce_composes`](crate::SrmModel::allreduce_composes)
-    /// prices lower.
-    pub reduce_chunk: usize,
     /// Multi-node collectives at or below this size run with LAPI
-    /// interrupts disabled (§2.3), so their put targets take puts by
-    /// polling: broadcast, reduce and allreduce on the node masters,
-    /// alltoall and alltoallv (by segment) on every rank, since every
-    /// rank is a put target. The barrier's masters always do. Gather,
-    /// scatter, reduce_scatter and allgather's gather half never do:
-    /// their put targets already wait inside counter waits, and
-    /// toggling their masters measured slower (EXPERIMENTS.md D5).
+    /// interrupts disabled (§2.3) on each node's wire rank, which takes
+    /// the puts aimed at it by polling (`SrmComm::plan_quiet`):
+    /// broadcast and reduce (the root on its node), allreduce on the
+    /// masters, alltoall and alltoallv (by segment) on every rank; the
+    /// barrier's masters at every size. Gather, scatter,
+    /// reduce_scatter and allgather's gather half never do: their put
+    /// targets already wait inside counter waits, and toggling their
+    /// masters measured slower (EXPERIMENTS.md D5).
     pub interrupt_disable_max: usize,
     /// Capacity of each per-(rank, communicator) compiled-schedule cache
     /// ([`crate::plan::PlanCache`]): how many distinct call shapes
@@ -108,8 +98,8 @@ pub struct SrmTuning {
     /// stream between two node masters moves in puts of at most this
     /// many bytes, and alltoall/alltoallv cut their intra-node cells
     /// into pieces of it (their remote segments travel whole). Must not
-    /// exceed `reduce_chunk` (the pieces stage through the contribution
-    /// buffers).
+    /// exceed [`SrmTuning::REDUCE_CHUNK`] (the pieces stage through the
+    /// contribution buffers).
     pub pairwise_chunk: usize,
     /// Credit window of reduce_scatter's staged streams: how many puts
     /// a source master may have outstanding toward one destination
@@ -135,7 +125,6 @@ impl Default for SrmTuning {
             pipeline_min: 8 * 1024,
             pipeline_max: 32 * 1024,
             pipeline_chunk: 4 * 1024,
-            reduce_chunk: 16 * 1024,
             interrupt_disable_max: 8 * 1024,
             plan_cache_cap: 32,
             trace_steps: false,
@@ -153,6 +142,16 @@ impl SrmTuning {
     /// size of the zero-copy large broadcast, whose chunk `k` is the
     /// intra-node pipeline's cell `k`.
     pub const SMP_BUF: usize = 32 * 1024;
+
+    /// Chunk size of the pipelined reduce (and of the large-allreduce
+    /// four-stage pipeline), the most a scatter piece carries, and the
+    /// size of each contribution buffer and exchange landing. Allreduce
+    /// uses inter-node recursive k-ing up to this size ("for messages
+    /// up to 16 KB", §2.4) and above it the four-stage pipeline or a
+    /// reduce then a broadcast, whichever
+    /// [`SrmModel::allreduce_composes`](crate::SrmModel::allreduce_composes)
+    /// prices lower.
+    pub const REDUCE_CHUNK: usize = 16 * 1024;
 
     /// Maximum nonblocking collectives outstanding per rank. Issuing
     /// one more blocks until *some* outstanding request completes (MPI
@@ -174,16 +173,13 @@ impl SrmTuning {
     /// pipelined sub-range (no length is strictly above the min and at
     /// or below the max), which the ablation studies rely on.
     pub fn validate(&self) -> Result<(), TuningError> {
-        if self.reduce_chunk == 0 {
-            return Err(TuningError::ZeroGeometry);
-        }
         if self.pipeline_chunk > self.small_large_switch
             || self.pipeline_min > self.pipeline_max
             || self.pipeline_max > self.small_large_switch
         {
             return Err(TuningError::PipelineRangeInvalid);
         }
-        if self.pairwise_chunk == 0 || self.pairwise_chunk > self.reduce_chunk {
+        if self.pairwise_chunk == 0 || self.pairwise_chunk > Self::REDUCE_CHUNK {
             return Err(TuningError::PairwiseChunkInvalid);
         }
         if self.pairwise_window == 0 {
@@ -222,7 +218,7 @@ mod tests {
         let t = SrmTuning::default();
         assert_eq!(t.small_large_switch, 65536);
         assert_eq!(t.pipeline_chunk, 4096);
-        assert_eq!(t.reduce_chunk, 16384);
+        assert_eq!(SrmTuning::REDUCE_CHUNK, 16384);
         // 16 KB message: inside the pipelined sub-range.
         assert_eq!(t.small_bcast_chunk(16 * 1024), 4096);
         // 4 KB and 64 KB messages: single chunk.
@@ -248,13 +244,6 @@ mod tests {
         let cases = [
             (
                 SrmTuning {
-                    reduce_chunk: 0,
-                    ..d
-                },
-                TuningError::ZeroGeometry,
-            ),
-            (
-                SrmTuning {
                     pipeline_min: d.pipeline_max + 1,
                     ..d
                 },
@@ -269,7 +258,7 @@ mod tests {
             ),
             (
                 SrmTuning {
-                    pairwise_chunk: d.reduce_chunk + 1,
+                    pairwise_chunk: SrmTuning::REDUCE_CHUNK + 1,
                     ..d
                 },
                 TuningError::PairwiseChunkInvalid,

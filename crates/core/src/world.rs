@@ -8,16 +8,15 @@
 //! never share a flag, counter or buffer.
 //!
 //! Setup builds what is linear in the group. What grows with a product
-//! of two group dimensions — a master's channels and counters from each
+//! of two group dimensions — a node's channels and counters from each
 //! peer node ([`PeerLink`], [`PeerExchange`]), the pairwise registry,
-//! the address mailbox's slots —
-//! is created when first used, so building a world costs O(ranks)
-//! whatever it goes on to run.
+//! the address mailbox's slots — is created when first used, so
+//! building a world costs O(ranks) whatever it goes on to run.
 
 use crate::embed::{self, GroupTree, TreeKind};
 use crate::model::SrmModel;
 use crate::pairwise::PairwiseState;
-use crate::plan::{PlanCache, SEQ_BASES};
+use crate::plan::{Chan, ChanKind, PlanCache, SEQ_BASES};
 use crate::tune::TuneTable;
 use crate::tuning::SrmTuning;
 use collops::Shape;
@@ -44,13 +43,12 @@ pub struct NodeBoard {
     pub pair: BufPair,
     /// Flat-barrier flags, one cache line per slot.
     pub barrier_flags: FlagBank,
-    /// Per-slot contribution channels (Figure 2): two `reduce_chunk`
-    /// buffers each, taken by use parity
+    /// Per-slot contribution channels (Figure 2): two
+    /// [`SrmTuning::REDUCE_CHUNK`] buffers each, taken by use parity
     /// ([`BufRef::Contrib`](crate::plan::BufRef::Contrib)). Every
     /// handoff between two tasks of the node goes through one of them —
     /// a reduce tree's partial results, gather segments, the exchange's
-    /// cells, a combined reduce chunk or scatter piece between a
-    /// non-master root and its master.
+    /// cells.
     ///
     /// A channel has **one producer, its slot**: only slot `s` writes
     /// `contrib[s]`, each buffer in its publish alone, and raises
@@ -77,7 +75,7 @@ impl NodeBoard {
             ),
             barrier_flags: FlagBank::new(handle, tasks_per_node, 0),
             contrib: (0..tasks_per_node)
-                .map(|_| [0, 1].map(|_| ShmBuffer::new(tuning.reduce_chunk)))
+                .map(|_| [0, 1].map(|_| ShmBuffer::new(SrmTuning::REDUCE_CHUNK)))
                 .collect(),
             contrib_ready: (0..tasks_per_node)
                 .map(|_| SpinFlag::new(handle, 0))
@@ -89,8 +87,8 @@ impl NodeBoard {
     }
 }
 
-/// One flow-controlled master-to-master channel (§2.3, Figure 4), the
-/// stored form of a [`Chan`](crate::plan::Chan) operand: the landing
+/// One flow-controlled cross-node channel (§2.3, Figure 4), the stored
+/// form of a [`Chan`](crate::plan::Chan) operand: the landing
 /// the sender's puts target, the data counter each put bumps, and the
 /// sender's credits, restored by the receiver's zero-byte puts.
 pub struct Channel {
@@ -112,18 +110,22 @@ impl Channel {
     }
 }
 
-/// One group node master's inbound tree channels from one peer group
-/// node, one per buffer side: a communicator has nodes² of these and a
-/// tree collective touches only its tree edges, so each is created on
-/// first use (`SrmComm::peer`).
+/// One group node's inbound tree channels from one peer group node,
+/// two (one per buffer side) per wire rank the edge can have at the
+/// far end: a communicator has nodes² of these and a tree collective
+/// touches only its tree edges, so each link and each pair of channels
+/// is created on first use (`SrmComm::tree_chans`). Every channel has
+/// one sender and one receiver, and the sender owns its credits.
 pub struct PeerLink {
-    /// Small-broadcast channels from this parent node, each with its
-    /// own `small_large_switch` landing: this edge's puts are the only
+    /// Small-broadcast and scatter channels from the peer node, per
+    /// sending slot there (its master, or a root), each with its own
+    /// `small_large_switch` landing: that sender's puts are the only
     /// writes into it, ordered by its credit. My node's tasks read the
     /// chunks there.
-    pub bcast: [Channel; 2],
-    /// Pipelined-reduce (and scatter) channels from this node.
-    pub reduce: [Channel; 2],
+    pub bcast: Vec<OnceLock<[Channel; 2]>>,
+    /// Pipelined-reduce channels from the peer node's master, per
+    /// receiving slot here (my master, or a root).
+    pub reduce: Vec<OnceLock<[Channel; 2]>>,
 }
 
 /// One group node master's inbound state from one peer group node that
@@ -132,7 +134,8 @@ pub struct PeerLink {
 /// its partners, so each is created on first use (`SrmComm::exchange`).
 pub struct PeerExchange {
     /// The small allreduce's exchange, fold-in and hand-back from this
-    /// peer: one uncredited channel with a `reduce_chunk` landing per
+    /// peer: one uncredited channel with a
+    /// [`SrmTuning::REDUCE_CHUNK`] landing per
     /// [`SeqBase::Rd`](crate::plan::SeqBase::Rd) parity.
     pub rd: [Channel; 2],
     /// Cumulative dissemination-barrier bumps from this peer.
@@ -145,7 +148,7 @@ pub struct PeerExchange {
 /// communicator and indexed by **group node** numbers.
 pub struct InterState {
     /// Per-peer-node channels, each link created when first resolved
-    /// (`SrmComm::peer`).
+    /// (`SrmComm::tree_chans`).
     peers: Vec<OnceLock<PeerLink>>,
     /// Per-peer-node exchange state, each created when first resolved
     /// (`SrmComm::exchange`).
@@ -869,6 +872,19 @@ impl SrmComm {
         self.comm.group.coord_of(c).0
     }
 
+    /// The comm rank that carries group node `node`'s wire traffic in a
+    /// call rooted at comm rank `root`: the root on its own node, the
+    /// master everywhere else. It is both ends of every cross-node
+    /// channel and address exchange of the call, and the rank that runs
+    /// a small call with interrupts off (`SrmComm::plan_quiet`).
+    pub(crate) fn wire_rank(&self, node: usize, root: usize) -> usize {
+        if node == self.cnode_of(root) {
+            root
+        } else {
+            self.crank_at(node, 0)
+        }
+    }
+
     /// Does the group span more than one node?
     pub(crate) fn cmulti(&self) -> bool {
         self.comm.group.node_count() > 1
@@ -895,24 +911,35 @@ impl SrmComm {
         &self.comm.boards[self.gnode]
     }
 
-    /// Group node `dst`'s inbound tree channels from group node `src`.
-    pub(crate) fn peer(&self, dst: usize, src: usize) -> &PeerLink {
-        self.comm.inter[dst].peers[src].get_or_init(|| {
-            let (handle, t) = (&self.world.handle, &self.world.tuning);
-            let chans = |cap| [0, 1].map(|_| Channel::new(handle, ShmBuffer::new(cap), 1));
+    /// The two sides of tree channel `c` (a [`ChanKind::Bcast`] or
+    /// [`ChanKind::Reduce`] operand): kept at `c.dst`'s node, in the
+    /// link from `c.src`'s, under the sending slot for a broadcast edge
+    /// and the receiving slot for a reduce edge.
+    pub(crate) fn tree_chans(&self, c: Chan) -> &[Channel; 2] {
+        let ((dst, dslot), (src, sslot)) = (self.ccoord_of(c.dst), self.ccoord_of(c.src));
+        let link = self.comm.inter[dst].peers[src].get_or_init(|| {
+            let slots = |g| (0..self.cslots_on(g)).map(|_| OnceLock::new()).collect();
             PeerLink {
-                bcast: chans(t.small_large_switch),
-                reduce: chans(t.reduce_chunk),
+                bcast: slots(src),
+                reduce: slots(dst),
             }
-        })
+        });
+        let (side, cap) = match c.kind {
+            ChanKind::Bcast => (&link.bcast[sslot], self.world.tuning.small_large_switch),
+            ChanKind::Reduce => (&link.reduce[dslot], SrmTuning::REDUCE_CHUNK),
+            kind => panic!("{kind:?} is not a tree channel"),
+        };
+        let handle = &self.world.handle;
+        side.get_or_init(|| [0, 1].map(|_| Channel::new(handle, ShmBuffer::new(cap), 1)))
     }
 
     /// Group node `dst`'s inbound exchange state from group node `src`.
     pub(crate) fn exchange(&self, dst: usize, src: usize) -> &PeerExchange {
         self.comm.inter[dst].exchanges[src].get_or_init(|| {
-            let (handle, t) = (&self.world.handle, &self.world.tuning);
+            let handle = &self.world.handle;
+            let landing = || ShmBuffer::new(SrmTuning::REDUCE_CHUNK);
             PeerExchange {
-                rd: [0, 1].map(|_| Channel::new(handle, ShmBuffer::new(t.reduce_chunk), 0)),
+                rd: [0, 1].map(|_| Channel::new(handle, landing(), 0)),
                 bar: LapiCounter::new(handle, 0),
             }
         })
@@ -1041,8 +1068,9 @@ mod tests {
 
         // A group whose root shares its node with a lower rank: the
         // edge the group reports joins the masters, 1 and 4, but the
-        // root puts over it itself. The large broadcast's address
-        // exchange names the pair: child master 4 to root 3.
+        // root puts over it itself, into the channels node 1 keeps for
+        // slot 1 of node 0. The large broadcast's address exchange
+        // names the pair: child master 4 to root 3.
         let sub = run_comm(
             Topology::new(2, 4),
             Some(&[3, 1, 4, 6]),
@@ -1052,7 +1080,14 @@ mod tests {
             },
         );
         assert_eq!(sub.group.inter_edges(TreeKind::Binomial, 0), [(1, 4)]);
-        assert!(sub.inter[1].peers[0].get().is_some());
+        let link = sub.inter[1].peers[0].get().expect("the edge's link");
+        let made = |slots: &[OnceLock<[Channel; 2]>]| -> Vec<bool> {
+            slots.iter().map(|s| s.get().is_some()).collect()
+        };
+        assert_eq!(
+            (made(&link.bcast), made(&link.reduce)),
+            (vec![false, true], vec![false, false])
+        );
         let exchanged: Vec<(Rank, Rank)> = (mailbox_slots(&sub).iter())
             .map(|&(owner, sender)| (sub.group.ranks()[owner], sub.group.ranks()[sender]))
             .collect();

@@ -453,17 +453,6 @@ fn fifteen_of_sixteen_configuration_works() {
 }
 
 #[test]
-#[should_panic(expected = "ZeroGeometry")]
-fn zero_reduce_chunk_rejected() {
-    let tuning = SrmTuning {
-        reduce_chunk: 0, // also the recursive-doubling landing half
-        ..SrmTuning::default()
-    };
-    let mut sim = Sim::new(MachineConfig::ibm_sp_colony());
-    let _ = SrmWorld::new(&mut sim, Topology::new(2, 2), tuning);
-}
-
-#[test]
 fn payload_larger_than_buffer_is_caught() {
     let tuning = SrmTuning::default();
     let topo = Topology::new(2, 2);

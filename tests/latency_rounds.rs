@@ -353,3 +353,129 @@ fn an_outstanding_allreduce_keeps_its_landing_across_a_rooted_call() {
         assert_eq!(words, &[10 + 20, 12 + 22]);
     }
 }
+
+/// The mean virtual time of two `op` calls of `len` bytes rooted at comm
+/// rank `root`, in µs, measured as `harness::measure` measures rank 0's:
+/// one warm-up call and a barrier first, from the last rank's start to
+/// the last rank's finish.
+fn rooted_us(topo: Topology, op: Op, len: usize, root: usize) -> f64 {
+    let (n, iters) = (topo.nprocs(), 2);
+    let mut sim = Sim::new(MachineConfig::ibm_sp_colony());
+    let world = SrmWorld::new(&mut sim, topo, SrmTuning::default());
+    let spans = Arc::new(Mutex::new(Vec::new()));
+    for rank in 0..n {
+        let (comm, spans) = (world.comm(rank), spans.clone());
+        sim.spawn(format!("rank{rank}"), move |ctx| {
+            let shape = op.shape(len, root, n);
+            let buf = comm.alloc_buffer(shape.extent(n));
+            let sum = Some((DType::F64, ReduceOp::Sum));
+            comm.call(&ctx, shape.clone(), &buf, sum);
+            comm.barrier(&ctx);
+            let begin = ctx.now();
+            for _ in 0..iters {
+                comm.call(&ctx, shape.clone(), &buf, sum);
+            }
+            spans.lock().unwrap().push((begin, ctx.now()));
+            comm.shutdown(&ctx);
+        });
+    }
+    sim.run().expect("no deadlock");
+    let spans = spans.lock().unwrap();
+    let start = spans.iter().map(|s| s.0).max().expect("ranks");
+    let end = spans.iter().map(|s| s.1).max().expect("ranks");
+    (end - start).as_us() / iters as f64
+}
+
+// The reduce and the scatter before their root's node master stopped
+// relaying (`harness::measure`'s method, `rooted_us`), in µs rounded up,
+// rooted at the last rank and at `n/2 + 1`: on 16-way nodes from 2 to
+// 16, then (the reduce) on 4×4.
+const RELAYED_REDUCE_8: [[f64; 2]; 16] = [
+    [13.56, 13.20],
+    [14.62, 14.38],
+    [22.54, 22.18],
+    [23.60, 23.36],
+    [23.35, 23.55],
+    [23.66, 23.42],
+    [43.57, 34.21],
+    [44.64, 38.40],
+    [44.19, 34.83],
+    [43.74, 37.50],
+    [44.33, 34.97],
+    [44.64, 41.29],
+    [44.89, 35.53],
+    [32.92, 32.65],
+    [52.55, 43.19],
+    [21.36, 21.24],
+];
+const RELAYED_REDUCE_4K: [[f64; 2]; 16] = [
+    [86.25, 73.89],
+    [96.50, 90.26],
+    [114.47, 102.11],
+    [123.71, 117.47],
+    [124.27, 114.91],
+    [123.82, 117.58],
+    [142.11, 132.75],
+    [151.35, 145.11],
+    [150.90, 141.54],
+    [150.45, 144.21],
+    [151.01, 141.65],
+    [150.56, 144.32],
+    [152.56, 143.20],
+    [148.24, 141.97],
+    [160.46, 151.10],
+    [82.71, 79.59],
+];
+const RELAYED_SCATTER_512: [[f64; 2]; 15] = [
+    [40.40, 40.37],
+    [77.18, 77.00],
+    [89.34, 89.37],
+    [112.29, 113.01],
+    [135.25, 136.18],
+    [158.20, 159.37],
+    [181.16, 182.54],
+    [204.11, 205.73],
+    [227.07, 228.90],
+    [250.02, 252.09],
+    [272.98, 275.26],
+    [295.93, 298.45],
+    [323.84, 318.67],
+    [340.39, 342.76],
+    [363.34, 368.87],
+];
+
+/// At roots that are not their node's master the reduce and the scatter
+/// are no slower than when the master relayed for the root: the reduce
+/// now runs its node's tree rooted at the root, and the child nodes put
+/// straight into the root's landings; the scatter's root puts each
+/// remote node's pieces into that node's broadcast landings itself.
+///
+/// Points measured slower, and so not asserted here (CHANGES.md): the
+/// scatter on 4×4 (29.14 and 31.37 µs against 26.95 and 27.64), and the
+/// small broadcast on these worlds at all 32 points at 8 B (0.1–12 µs
+/// slower) and 29 of 32 at 4 KB (up to 0.5 µs). The root now pays the
+/// interrupt switch the master paid beside it, and a credit that comes
+/// back to it after its call, in the harness's barrier, is taken as an
+/// interrupt.
+#[test]
+fn the_reduce_and_scatter_at_non_master_roots_are_no_slower_than_relayed() {
+    let worlds: Vec<Topology> = (2..=16).map(Topology::sp_16way).collect();
+    let worlds = worlds.into_iter().chain([Topology::new(4, 4)]);
+    let grids: [(Op, usize, &[[f64; 2]]); 3] = [
+        (Op::Reduce, 8, &RELAYED_REDUCE_8),
+        (Op::Reduce, 4 << 10, &RELAYED_REDUCE_4K),
+        (Op::Scatter, 512, &RELAYED_SCATTER_512),
+    ];
+    for (op, len, relayed) in grids {
+        for (topo, pins) in worlds.clone().zip(relayed) {
+            let n = topo.nprocs();
+            for (root, &relayed_us) in [n - 1, n / 2 + 1].into_iter().zip(pins) {
+                let us = rooted_us(topo, op, len, root);
+                assert!(
+                    us <= relayed_us,
+                    "{topo}, {op:?} {len} B at root {root}: {us:.2} vs relayed {relayed_us} us"
+                );
+            }
+        }
+    }
+}

@@ -23,6 +23,13 @@
 //! counter, at its receiver's master, has exactly one such put. So a
 //! landing needs no credit within a call (DESIGN.md §16.2), however
 //! many senders a round has.
+//!
+//! **One wire rank per node.** In a rooted call each node's cross-node
+//! traffic goes through one rank, its wire rank: the root on the root's
+//! node, the master elsewhere. On the root's node only the root issues
+//! a put or is the target of one. Every channel names its two wire
+//! ranks: a credit goes back to the channel's sender, a put lands at
+//! its receiver.
 
 use collops::{Op, Shape};
 use simnet::{MachineConfig, Sim, Topology};
@@ -62,7 +69,7 @@ fn roots(members: &[SrmComm]) -> Vec<usize> {
 /// The ten shapes at every root and sizes of one and of three reduce
 /// chunks, plus a 256 KB broadcast (the large protocol) at every root.
 fn shapes(members: &[SrmComm]) -> Vec<Shape> {
-    let chunk = SrmTuning::default().reduce_chunk;
+    let chunk = SrmTuning::REDUCE_CHUNK;
     let n = members.len();
     let mut out = Vec::new();
     for root in roots(members) {
@@ -217,7 +224,7 @@ fn every_handle_is_shipped_by_its_owner_to_another_node_and_put_into_by_the_take
     check_worlds(address_rule);
 }
 
-/// An `Rd` landing: its receiving and sending group nodes and its lane.
+/// An `Rd` landing: its receiving and sending masters and its lane.
 fn rd_key(c: Chan) -> (usize, usize, u32) {
     (c.dst, c.src, c.lane)
 }
@@ -229,7 +236,7 @@ fn rd_landings_are_written_once(what: &str, members: &[SrmComm], plans: &[Plan])
     let group = members[0].group();
     let (mut puts, mut waits) = (HashMap::new(), HashMap::new());
     for (comm, plan) in members.iter().zip(plans) {
-        let (node, slot) = group.coord_of(comm.comm_rank());
+        let (me, slot) = (comm.comm_rank(), group.coord_of(comm.comm_rank()).1);
         for step in &plan.steps {
             let at = format!("{what}, comm rank {}: {step:?}", comm.comm_rank());
             match *step {
@@ -239,8 +246,10 @@ fn rd_landings_are_written_once(what: &str, members: &[SrmComm], plans: &[Plan])
                     ctr,
                     ..
                 } if c.kind == ChanKind::Rd => {
-                    assert_eq!((c.src, slot), (node, 0), "{at}: not the sender's master");
-                    assert_eq!(to, group.master_of(c.dst), "{at}: past the receiver");
+                    assert_eq!((c.src, slot), (me, 0), "{at}: not the sender's master");
+                    let master = group.coord_of(c.dst).1 == 0;
+                    assert!(master, "{at}: not to a master");
+                    assert_eq!(to, group.ranks()[c.dst], "{at}: past the receiver");
                     let own = matches!(ctr, Some(CtrRef::Data(d))
                         if d.kind == c.kind && rd_key(d) == rd_key(c));
                     assert!(own, "{at}: bumps another counter");
@@ -255,7 +264,7 @@ fn rd_landings_are_written_once(what: &str, members: &[SrmComm], plans: &[Plan])
                     until,
                     ..
                 } if c.kind == ChanKind::Rd => {
-                    assert_eq!((c.dst, slot), (node, 0), "{at}: not the receiver's master");
+                    assert_eq!((c.dst, slot), (me, 0), "{at}: not the receiver's master");
                     let one = matches!(until, Until::Ge(Val::Lit(1)));
                     assert!(one, "{at}: waits for more than one put");
                     *waits.entry(rd_key(c)).or_insert(0) += 1;
@@ -281,7 +290,7 @@ fn rd_landings_are_written_once(what: &str, members: &[SrmComm], plans: &[Plan])
 /// uneven 4×4 subgroup.
 #[test]
 fn every_exchange_landing_is_written_once_per_call_by_its_sender() {
-    let chunk = SrmTuning::default().reduce_chunk;
+    let chunk = SrmTuning::REDUCE_CHUNK;
     for (nodes, tpn) in [(3, 2), (4, 4), (16, 1), (17, 1)] {
         let mut sim = Sim::new(MachineConfig::ibm_sp_colony());
         let topo = Topology::new(nodes, tpn);
@@ -305,4 +314,117 @@ fn every_exchange_landing_is_written_once_per_call_by_its_sender() {
             }
         }
     }
+}
+
+/// The rooted calls the wire-rank rule covers, at every root: broadcasts
+/// up to the small/large switch (one chunk, pipelined, the largest),
+/// scatters of one and of several pieces per node, and reduces of one
+/// and of three chunks.
+fn rooted_shapes(n: usize) -> Vec<Shape> {
+    let (t, chunk) = (SrmTuning::default(), SrmTuning::REDUCE_CHUNK);
+    let calls = [
+        (Op::Bcast, [8, 4 << 10, 24 << 10, t.small_large_switch]),
+        (Op::Scatter, [8, 512, 4 << 10, 24 << 10]),
+        (Op::Reduce, [8, 4 << 10, chunk, 3 * chunk - 8]),
+    ];
+    let mut out = Vec::new();
+    for root in 0..n {
+        for (op, lens) in calls {
+            out.extend(lens.map(|len| op.shape(len, root, n)));
+        }
+    }
+    out
+}
+
+/// The golden lattice's worlds (1×4, 2×3, 3×2, 4×4), each whole and
+/// split by rank parity, as `(description, members)`.
+fn lattice() -> Vec<(String, Vec<SrmComm>)> {
+    let mut out = Vec::new();
+    for (nodes, tpn) in [(1, 4), (2, 3), (3, 2), (4, 4)] {
+        let mut sim = Sim::new(MachineConfig::ibm_sp_colony());
+        let topo = Topology::new(nodes, tpn);
+        let world = SrmWorld::new(&mut sim, topo, SrmTuning::default());
+        let n = topo.nprocs();
+        out.push((
+            format!("{nodes}x{tpn} world"),
+            (0..n).map(|r| world.comm(r)).collect(),
+        ));
+        let colors: Vec<i64> = (0..n as i64).map(|r| r % 2).collect();
+        let subs = world.comm_split(&colors, &vec![0; n]);
+        for parity in 0..2 {
+            let members = (subs.iter().flatten())
+                .filter(|c| c.rank() % 2 == parity)
+                .cloned()
+                .collect();
+            out.push((format!("{nodes}x{tpn} split {parity}"), members));
+        }
+    }
+    out
+}
+
+/// Every member's plan of every rooted shape on every lattice world, as
+/// `(description, member, root, plan)` to `check`.
+fn check_rooted(check: impl Fn(&str, &SrmComm, usize, &Plan)) {
+    for (what, members) in lattice() {
+        for shape in rooted_shapes(members.len()) {
+            let root = shape.root().expect("a rooted shape");
+            for comm in &members {
+                let plan = comm.build_plan(&comm.key(shape.clone()));
+                let what = format!("{what}, {shape:?}, comm rank {}", comm.comm_rank());
+                check(&what, comm, root, &plan);
+            }
+        }
+    }
+}
+
+/// The target of a put step, if `step` is one.
+fn put_target(step: &Step) -> Option<usize> {
+    match *step {
+        Step::RmaPut { to, .. } | Step::CounterPut { to, .. } => Some(to),
+        _ => None,
+    }
+}
+
+#[test]
+fn on_the_roots_node_only_the_root_puts_or_is_put_to() {
+    check_rooted(|what, comm, root, plan| {
+        let group = comm.group();
+        let node_of = |c: usize| group.coord_of(c).0;
+        let me = comm.comm_rank();
+        for step in &plan.steps {
+            let Some(to) = put_target(step) else {
+                continue;
+            };
+            let to = group.comm_rank_of(to).expect("a member");
+            if node_of(me) == node_of(root) {
+                let broken = format!("{what}: puts from the root's node past the root");
+                assert_eq!(me, root, "{broken}: {step:?}");
+            }
+            if node_of(to) == node_of(root) {
+                let broken = format!("{what}: puts to the root's node past the root");
+                assert_eq!(to, root, "{broken}: {step:?}");
+            }
+        }
+    });
+}
+
+#[test]
+fn credits_go_back_to_the_sender_and_puts_land_at_the_receiver() {
+    check_rooted(|what, comm, _, plan| {
+        let ranks = comm.group().ranks();
+        for step in &plan.steps {
+            match *step {
+                Step::CounterPut {
+                    to,
+                    ctr: CtrRef::Free(c),
+                } => assert_eq!(to, ranks[c.src], "{what}: credit past its sender: {step:?}"),
+                Step::RmaPut {
+                    to,
+                    dst: BufRef::Chan(c),
+                    ..
+                } => assert_eq!(to, ranks[c.dst], "{what}: put past its receiver: {step:?}"),
+                _ => {}
+            }
+        }
+    });
 }

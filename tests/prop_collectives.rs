@@ -477,7 +477,7 @@ fn run_group_alltoallv(
 fn pair_tuning(chunk_pick: usize, window_pick: usize) -> SrmTuning {
     let d = SrmTuning::default();
     SrmTuning {
-        pairwise_chunk: [3, 64, d.pairwise_chunk][chunk_pick].min(d.reduce_chunk),
+        pairwise_chunk: [3, 64, d.pairwise_chunk][chunk_pick].min(SrmTuning::REDUCE_CHUNK),
         pairwise_window: [1, d.pairwise_window][window_pick],
         ..d
     }

@@ -99,7 +99,7 @@ fn try_seq(nodes: usize, tpn: usize, calls: &[(&str, usize, usize)]) -> Result<(
 /// shared substrate in a state every other op can start from.
 #[test]
 fn scan_sequences() {
-    let len = 40_000; // chunks = 3 at the default 16 KB reduce_chunk
+    let len = 40_000; // chunks = 3 at the default 16 KB `SrmTuning::REDUCE_CHUNK`
     let mut failures = Vec::new();
     for (nodes, tpn) in [(1, 4), (2, 2), (2, 3), (3, 2), (3, 4)] {
         let n = nodes * tpn;

@@ -448,7 +448,7 @@ fn comm_split_orders_by_key_and_opts_out() {
 /// the same ranks, across shapes with uneven per-node membership.
 #[test]
 fn scan_subgroup_sequences() {
-    let len = 40_000; // multi-chunk at the default 16 KB reduce_chunk
+    let len = 40_000; // multi-chunk at the default 16 KB `SrmTuning::REDUCE_CHUNK`
     let cases: Vec<(usize, usize, Vec<usize>)> = vec![
         (2, 3, vec![0, 2, 4, 5]), // 2 members on node0, 2 on node1
         (3, 2, vec![1, 2, 5]),    // 1+1+1 across three nodes
