@@ -664,10 +664,10 @@ impl SrmComm {
 
     /// Plan a communicator barrier (§2.4 and [17]): flat flag check-in
     /// on each node, k-ary dissemination rounds between the masters,
-    /// then the flag reset releases the node. In round `r` master `i`
-    /// bumps the counters of masters `i + j·kʳ` (mod n) for every
-    /// `0 < j < k` with `j·kʳ < n` with zero-byte puts, then waits for
-    /// the matching bumps, each on the cumulative counter of its peer.
+    /// then the master's flag raise releases the node. In round `r`
+    /// master `i` bumps the counters of masters `i + j·kʳ` (mod n) for
+    /// every `0 < j < k` with `j·kʳ < n` with zero-byte puts, then
+    /// consumes one bump from each matching peer's counter.
     /// `k` is [`SrmModel::barrier_radix`](crate::SrmModel::barrier_radix).
     pub(crate) fn plan_barrier(&self, b: &mut PlanBuilder) {
         if self.csize() == 1 {
@@ -675,7 +675,7 @@ impl SrmComm {
         }
         let k = self.model(b.tuning()).barrier_radix();
         self.plan_quiet(b, self.crank_at(self.cnode(), 0), 0, |b| {
-            self.plan_smp_barrier_enter(b);
+            self.plan_smp_barrier_phase(b, 1);
             let (my, n) = (self.cnode(), self.cnodes());
             let mut dist = 1usize;
             while self.c_is_master() && dist < n {
@@ -690,13 +690,12 @@ impl SrmComm {
                 }
                 for &d in &peers {
                     let from = (my + n - d) % n;
-                    let ctr = CtrRef::BarRound { node: my, from };
-                    b.wait_ctr_ge(ctr, seq(SeqBase::Barrier, 1));
+                    b.wait_ctr(CtrRef::BarRound { node: my, from }, 1);
                 }
                 dist *= k;
             }
-            b.advance(SeqBase::Barrier, 1);
-            self.plan_smp_barrier_release(b);
+            self.plan_smp_barrier_phase(b, 2);
+            b.advance(SeqBase::Barrier, 2);
         });
     }
 

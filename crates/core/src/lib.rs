@@ -96,8 +96,7 @@ pub mod world;
 pub use collops::Shape as PlanShape;
 pub use embed::{GroupTree, TreeKind};
 pub use model::SrmModel;
-pub use pairwise::PairwiseState;
 pub use plan::{Plan, PlanBuilder, PlanCache, PlanKey, Step};
 pub use tune::{TableParseError, TuneEntry, TuneEntryError, TuneKey, TuneOp, TuneTable};
 pub use tuning::{SrmTuning, TuningError};
-pub use world::{Channel, CommGroup, InterState, NodeBoard, PeerLink, SrmComm, SrmWorld};
+pub use world::{Channel, CommGroup, NodeBoard, SrmComm, SrmWorld};

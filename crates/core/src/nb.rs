@@ -150,13 +150,14 @@ pub(crate) fn step_classes(step: &Step) -> u8 {
             WaitCell::Flag(flag) => flag_class(flag),
             WaitCell::Ctr(ctr) => ctr_class(ctr),
             WaitCell::Pair { .. } => CL_PAIR,
+            WaitCell::Slot { .. } => CL_ADDR,
         },
         Step::PairPublish { .. } | Step::PairRelease { .. } => CL_PAIR,
         Step::RmaPut { src, dst, ctr, .. } => {
             buf_class(src) | buf_class(dst) | ctr.map_or(0, ctr_class)
         }
         Step::CounterPut { ctr, .. } => ctr_class(ctr),
-        Step::AddrSend { .. } | Step::AddrTake { .. } => CL_ADDR,
+        Step::AddrSend { .. } => CL_ADDR,
     }
 }
 

@@ -14,10 +14,10 @@
 //! buffer's handle to every remote rank with data for it (a per-call
 //! address exchange through the communicator's mailbox), then takes
 //! each remote peer's handle and lands that peer's whole segment in its
-//! receive half with **one put**, completion-counted by the `direct`
-//! [`rma::CounterFamily`] — no node master in between, no staging copy,
-//! no credits, at every segment size. Two orderings make it a wire a
-//! one-sided transport likes:
+//! receive half with **one put**, completion-counted by the mailbox's
+//! per-rank-pair [`CtrRef::PairwiseDirect`] counter — no node master
+//! in between, no staging copy, no credits, at every segment size. Two
+//! orderings make it a wire a one-sided transport likes:
 //!
 //! * **Puts before the intra-node leg.** A put occupies its origin for
 //!   the issue overhead only, so the node's shared-memory copies run
@@ -45,11 +45,11 @@
 //! node masters, and it has two routes:
 //!
 //! * **Staged**, below
-//!   [`SrmTuning::pairwise_direct_min`](crate::SrmTuning): a registry
-//!   of [`ChanKind::Ring`] channels ([`PairwiseState`]), one per
-//!   ordered `(src, dst)` group-node pair — an inbound *landing ring*
-//!   at `dst`, its data counter and `src`'s credits — whose handles are
-//!   exchanged like registered memory, so a put needs no per-call
+//!   [`SrmTuning::pairwise_direct_min`](crate::SrmTuning): a
+//!   [`ChanKind::Ring`] channel per ordered `(src, dst)` group-node
+//!   pair — an inbound *landing ring* at `dst`, its data counter and
+//!   `src`'s credits, kept in `dst`'s link from `src` — whose handles
+//!   are exchanged like registered memory, so a put needs no per-call
 //!   address traffic. A source may have at most
 //!   [`pairwise_window`](crate::SrmTuning) puts outstanding toward one
 //!   destination (the ring has that many
@@ -60,7 +60,8 @@
 //!   all streams stay in flight together.
 //! * **Direct**, at or above it: the masters exchange per-call scratch
 //!   handles and put every piece straight into the peer's scratch
-//!   region, counted by the `direct` family — no rings, no credits.
+//!   region, counted by the same per-pair counters — no rings, no
+//!   credits.
 //!
 //! ## Group coordinates
 //!
@@ -102,75 +103,8 @@
 
 use crate::plan::{BufRef, Chan, ChanKind, CopyCost, CtrRef, PlanBuilder, SeqBase, Step, Val};
 use crate::smp::{plan_acc_to_user, plan_pair_release};
-use crate::tuning::SrmTuning;
-use crate::world::{Channel, SrmComm};
-use rma::{CounterFamily, LapiCounter};
-use shmem::ShmBuffer;
-use simnet::{NodeId, SimHandle};
-use std::sync::OnceLock;
-
-/// The registry of the pairwise exchange subsystem: the ring channel of
-/// every ordered group-node pair and the per-rank-pair completion
-/// counters. The two families grow with nodes² and ranks², no tree
-/// collective uses either, and each pairwise collective uses one of
-/// them — staged reduce-scatter the rings, alltoall, alltoallv and
-/// direct reduce-scatter the counters — so each is built, whole, like
-/// registered-memory handles exchanged at initialization, when a member
-/// first resolves one of its operands.
-pub struct PairwiseState {
-    handle: SimHandle,
-    nodes: usize,
-    ranks: usize,
-    window: usize,
-    /// Bytes of one ring: `window` slots of at least 8 bytes each —
-    /// reduce-scatter rounds its piece size up to the element grid even
-    /// when `pairwise_chunk` is configured smaller.
-    ring: usize,
-    /// `rings[dst * nodes + src]`: the [`ChanKind::Ring`] channel of the
-    /// stream `src → dst` — a landing ring of `window` slots of
-    /// `pairwise_chunk` bytes at `dst`, its data counter (consumed one
-    /// per piece by the destination master) and the source's credits
-    /// (init `window`, spent per put, restored by `dst`'s zero-byte put
-    /// when a ring slot drains).
-    pub(crate) rings: OnceLock<Vec<Channel>>,
-    /// Completion counters, one per ordered **comm-rank** pair:
-    /// `pair(src, dst)` lives at `dst` and is bumped by each of `src`'s
-    /// direct puts into `dst`'s user or scratch buffer. The receiver's
-    /// consuming waits drain it back to zero every call.
-    pub(crate) direct: OnceLock<CounterFamily>,
-}
-
-impl PairwiseState {
-    /// The empty registry of a `nodes`-node, `ranks`-member group.
-    pub(crate) fn new(handle: &SimHandle, tuning: &SrmTuning, nodes: usize, ranks: usize) -> Self {
-        PairwiseState {
-            handle: handle.clone(),
-            nodes,
-            ranks,
-            window: tuning.pairwise_window,
-            ring: tuning.pairwise_window * tuning.pairwise_chunk.max(8),
-            rings: OnceLock::new(),
-            direct: OnceLock::new(),
-        }
-    }
-
-    /// The ring channel of the group-node stream `src → dst`.
-    pub fn ring(&self, src: NodeId, dst: NodeId) -> &Channel {
-        let rings = self.rings.get_or_init(|| {
-            (0..self.nodes * self.nodes)
-                .map(|_| Channel::new(&self.handle, ShmBuffer::new(self.ring), self.window as u64))
-                .collect()
-        });
-        &rings[dst * self.nodes + src]
-    }
-
-    /// The completion counter of the **comm-rank** stream `src → dst`
-    /// (lives at `dst`).
-    pub fn direct(&self, src: usize, dst: usize) -> &LapiCounter {
-        let family = || CounterFamily::new(&self.handle, self.ranks, 0);
-        self.direct.get_or_init(family).pair(src, dst)
-    }
-}
+use crate::world::SrmComm;
+use simnet::NodeId;
 
 impl SrmComm {
     /// Block until my node holds at least `n` credits toward `d`

@@ -45,7 +45,8 @@ pub enum SeqBase {
     /// Uses of the contribution channels — every handoff between two
     /// tasks of a node — and chunks through the reduce landings.
     Reduce,
-    /// Barriers completed.
+    /// Flat-barrier phases completed, two per barrier: the check-in and
+    /// the release ([`FlagRef::Barrier`]).
     Barrier,
     /// Small (recursive k-ing) allreduces completed: their [`ChanKind::Rd`]
     /// landings alternate halves with this cell.
@@ -156,8 +157,8 @@ impl Chan {
 /// A buffer operand, always a whole buffer. `User`, `Acc` and `Scratch`
 /// are the executing call's own; everything else names a shared
 /// structure of the fabric, where a double-buffered one takes a use
-/// number whose parity picks the buffer, or a handle the plan captured
-/// earlier ([`Step::AddrTake`]).
+/// number whose parity picks the buffer, or a handle the plan took
+/// earlier ([`WaitCell::Slot`]).
 #[derive(Clone, Copy, Debug)]
 pub enum BufRef {
     /// The collective call's user payload buffer.
@@ -181,8 +182,8 @@ pub enum BufRef {
     /// The landing of a channel (remote for put targets, mine when I
     /// read what landed).
     Chan(Chan),
-    /// The buffer handle taken by the `idx`-th [`Step::AddrTake`] of
-    /// this plan.
+    /// The buffer handle taken by the `idx`-th [`WaitCell::Slot`] wait
+    /// of this plan.
     Taken {
         /// Capture index.
         idx: usize,
@@ -216,8 +217,9 @@ pub enum CtrRef {
         /// Whose counter.
         rank: usize,
     },
-    /// `node`'s cumulative dissemination-barrier counter for the bumps
-    /// of group node `from` (a peer bumps it in one round only).
+    /// `node`'s dissemination-barrier counter for the bumps of group
+    /// node `from` (a peer bumps it once per barrier, in one round),
+    /// consumed one bump per barrier.
     BarRound {
         /// Whose counter.
         node: NodeId,
@@ -238,10 +240,12 @@ pub enum CtrRef {
     },
 }
 
-/// A spin-flag operand on my node's board.
+/// A spin-flag operand on my node's board. Every flag counts up: a
+/// raise names a [`Val::Seq`] target and a wait waits for at least one.
 #[derive(Clone, Copy, Debug)]
 pub enum FlagRef {
-    /// Flat-barrier flag of `slot`.
+    /// Flat-barrier flag of `slot`: raised to `bases[Barrier] + 1` by
+    /// the slot's check-in and to `+ 2` by the master's release.
     Barrier {
         /// Which slot's flag.
         slot: usize,
@@ -268,13 +272,19 @@ pub enum WaitCell {
         /// Use index within this plan.
         rel: u64,
     },
+    /// My address-mailbox slot for comm rank `from` (on another node).
+    /// A consuming wait for one takes the handle left there and appends
+    /// it to the call's captures ([`BufRef::Taken`]); it waits inside a
+    /// LAPI call, since only the address active message fills a slot.
+    Slot {
+        /// The comm rank whose handle I take.
+        from: usize,
+    },
 }
 
 /// What a [`Step::Wait`] waits for its cell to show.
 #[derive(Clone, Copy, Debug)]
 pub enum Until {
-    /// `cell == val` (the 0/1 barrier flags).
-    Eq(Val),
     /// `cell >= val`.
     Ge(Val),
     /// The double-buffer drain guard: with `cum = bases[base] + rel`,
@@ -324,28 +334,30 @@ pub enum Step {
         /// Bytes.
         len: usize,
     },
-    /// Set `flag` to `val` (cumulative flags only ever grow).
+    /// Raise `flag` to at least `val` (flags only ever grow).
     FlagRaise {
         /// Target flag.
         flag: FlagRef,
         /// New value.
         val: Val,
     },
-    /// Block until `cell` shows `until`. The one blocking step besides
-    /// [`Step::AddrTake`]: flag cells spin (spin-then-yield cost),
-    /// counter cells wait inside a LAPI call and, with `consume`,
-    /// subtract the awaited value (`LAPI_Waitcntr`). A consuming wait
-    /// on a [`ChanKind::Ring`] credit is what the `credit_stalls`
-    /// metric observes.
+    /// Block until `cell` shows `until`: the one blocking step. Flag
+    /// cells spin (spin-then-yield cost), counter cells wait inside a
+    /// LAPI call and, with `consume`, subtract the awaited value
+    /// (`LAPI_Waitcntr`); a mailbox slot hands over its handle. A
+    /// consuming wait on a [`ChanKind::Ring`] credit is what the
+    /// `credit_stalls` metric observes.
     Wait {
         /// Cell to watch.
         cell: WaitCell,
         /// Condition to wait for.
         until: Until,
-        /// Subtract the awaited value once reached (counter cells).
+        /// Subtract the awaited value once reached (counter cells), or
+        /// take the handle (a mailbox slot).
         consume: bool,
-        /// Wait label for traces and deadlock reports (flag and pair
-        /// cells; counter waits report under the RMA layer's label).
+        /// Wait label for traces and deadlock reports (flag, pair and
+        /// slot cells; counter waits report under the RMA layer's
+        /// label).
         label: &'static str,
     },
     /// Raise the READY flag of every other slot for use `bases[Pair] +
@@ -385,21 +397,15 @@ pub enum Step {
     },
     /// Leave a handle of one of my buffers in rank `to`'s mailbox slot
     /// for me, by the communicator's address active message. `to` is on
-    /// another node, and every put into the buffer comes from it (the
-    /// address rule at [`CtrRef::Landed`]).
+    /// another node, takes it with a [`WaitCell::Slot`] wait, and every
+    /// put into the buffer comes from it (the address rule at
+    /// [`CtrRef::Landed`]).
     AddrSend {
         /// Target rank.
         to: Rank,
         /// The buffer whose handle to ship ([`BufRef::User`] or
         /// [`BufRef::Scratch`]).
         src: BufRef,
-    },
-    /// Block inside a LAPI call until my mailbox slot for comm rank
-    /// `from` (on another node) holds a buffer handle, take it and
-    /// append it to the call's capture list ([`BufRef::Taken`]).
-    AddrTake {
-        /// The comm rank whose handle I take.
-        from: usize,
     },
 }
 
@@ -411,17 +417,16 @@ impl Step {
             Step::ShmCopy { .. } => "step:shm-copy",
             Step::LocalReduce { .. } => "step:local-reduce",
             Step::FlagRaise { .. } => "step:flag-raise",
-            Step::Wait {
-                cell: WaitCell::Ctr(_),
-                ..
-            } => "step:counter-wait",
-            Step::Wait { .. } => "step:flag-wait",
+            Step::Wait { cell, .. } => match cell {
+                WaitCell::Ctr(_) => "step:counter-wait",
+                WaitCell::Slot { .. } => "step:addr-take",
+                WaitCell::Flag(_) | WaitCell::Pair { .. } => "step:flag-wait",
+            },
             Step::PairPublish { .. } => "step:pair-publish",
             Step::PairRelease { .. } => "step:pair-release",
             Step::RmaPut { .. } => "step:rma-put",
             Step::CounterPut { .. } => "step:counter-put",
             Step::AddrSend { .. } => "step:addr-send",
-            Step::AddrTake { .. } => "step:addr-take",
         }
     }
 }
@@ -575,12 +580,17 @@ impl PlanBuilder {
         );
     }
 
-    /// Emit an [`Step::AddrTake`] of comm rank `from`'s handle and
-    /// return its capture index (for [`BufRef::Taken`]).
+    /// Take comm rank `from`'s handle (a consuming [`WaitCell::Slot`]
+    /// wait) and return its capture index (for [`BufRef::Taken`]).
     pub fn take_addr(&mut self, from: usize) -> usize {
         let idx = self.addrs;
         self.addrs += 1;
-        self.steps.push(Step::AddrTake { from });
+        self.push(Step::Wait {
+            cell: WaitCell::Slot { from },
+            until: Until::Ge(Val::Lit(1)),
+            consume: true,
+            label: "peer buffer address",
+        });
         idx
     }
 

@@ -25,7 +25,7 @@
 
 use crate::embed::{children_ascending, TreeKind};
 use crate::inter::seq;
-use crate::plan::{BufRef, CopyCost, FlagRef, PlanBuilder, SeqBase, Step, Until, Val, WaitCell};
+use crate::plan::{BufRef, CopyCost, FlagRef, PlanBuilder, SeqBase, Step, Until, WaitCell};
 use crate::tuning::SrmTuning;
 use crate::world::SrmComm;
 use shmem::PairUse;
@@ -230,43 +230,24 @@ impl SrmComm {
         b.advance(SeqBase::Pair, cells as u64);
     }
 
-    /// First half of the flat barrier: non-masters check in; the master
-    /// observes every check-in.
-    pub(crate) fn plan_smp_barrier_enter(&self, b: &mut PlanBuilder) {
+    /// One phase of the flat barrier, whose flags count the phases on
+    /// [`SeqBase::Barrier`] (two per barrier). Phase 1: every non-master
+    /// checks in by raising its own flag, and the master waits for every
+    /// check-in. Phase 2: the master raises every flag, releasing the
+    /// non-masters, which wait on their own.
+    pub(crate) fn plan_smp_barrier_phase(&self, b: &mut PlanBuilder, phase: u64) {
         let p = self.cslots_here();
         if p == 1 {
             return;
         }
-        if self.c_is_master() {
-            for s in 1..p {
-                let cell = WaitCell::Flag(FlagRef::Barrier { slot: s });
-                b.wait(cell, Until::Eq(Val::Lit(1)), "smp barrier check-in");
-            }
-        } else {
-            b.push(Step::FlagRaise {
-                flag: FlagRef::Barrier { slot: self.cslot() },
-                val: Val::Lit(1),
-            });
-        }
-    }
-
-    /// Second half: the master resets every flag, releasing the
-    /// non-masters, which spin on their own flag.
-    pub(crate) fn plan_smp_barrier_release(&self, b: &mut PlanBuilder) {
-        let p = self.cslots_here();
-        if p == 1 {
-            return;
-        }
-        if self.c_is_master() {
-            for s in 1..p {
-                b.push(Step::FlagRaise {
-                    flag: FlagRef::Barrier { slot: s },
-                    val: Val::Lit(0),
-                });
-            }
-        } else {
-            let cell = WaitCell::Flag(FlagRef::Barrier { slot: self.cslot() });
-            b.wait(cell, Until::Eq(Val::Lit(0)), "smp barrier release");
+        let val = seq(SeqBase::Barrier, b.rel(SeqBase::Barrier) + phase);
+        let mine = FlagRef::Barrier { slot: self.cslot() };
+        let others = (1..p).map(|slot| FlagRef::Barrier { slot });
+        match (phase, self.c_is_master()) {
+            (1, true) => others.for_each(|f| b.wait_flag(f, val, "smp barrier check-in")),
+            (1, false) => b.push(Step::FlagRaise { flag: mine, val }),
+            (_, true) => others.for_each(|flag| b.push(Step::FlagRaise { flag, val })),
+            (_, false) => b.wait_flag(mine, val, "smp barrier release"),
         }
     }
 

@@ -18,9 +18,9 @@ use std::fmt;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TuningError {
     /// The small-broadcast pipeline range is inconsistent:
-    /// `pipeline_min > pipeline_max`, or `pipeline_chunk` /
-    /// `pipeline_max` above `small_large_switch`. (Equal min and max
-    /// is legal — it disables pipelining.)
+    /// `pipeline_min > pipeline_max`, `pipeline_chunk` zero, or
+    /// `pipeline_chunk` / `pipeline_max` above `small_large_switch`.
+    /// (Equal min and max is legal — it disables pipelining.)
     PipelineRangeInvalid,
     /// `pairwise_chunk` is zero or exceeds
     /// [`SrmTuning::REDUCE_CHUNK`] (pairwise
@@ -35,7 +35,7 @@ impl fmt::Display for TuningError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let msg = match self {
             TuningError::PipelineRangeInvalid => {
-                "small-broadcast pipeline range must lie below the large switch"
+                "small-broadcast pipeline chunk must be nonzero and its range lie below the large switch"
             }
             TuningError::PairwiseChunkInvalid => {
                 "pairwise_chunk must be nonzero and fit the contribution buffers"
@@ -173,7 +173,8 @@ impl SrmTuning {
     /// pipelined sub-range (no length is strictly above the min and at
     /// or below the max), which the ablation studies rely on.
     pub fn validate(&self) -> Result<(), TuningError> {
-        if self.pipeline_chunk > self.small_large_switch
+        if self.pipeline_chunk == 0
+            || self.pipeline_chunk > self.small_large_switch
             || self.pipeline_min > self.pipeline_max
             || self.pipeline_max > self.small_large_switch
         {
@@ -252,6 +253,15 @@ mod tests {
             (
                 SrmTuning {
                     pipeline_max: d.small_large_switch + 1,
+                    ..d
+                },
+                TuningError::PipelineRangeInvalid,
+            ),
+            // A zero chunk would cut a pipelined broadcast into no
+            // chunks: `chunk_count` divides by it.
+            (
+                SrmTuning {
+                    pipeline_chunk: 0,
                     ..d
                 },
                 TuningError::PipelineRangeInvalid,
