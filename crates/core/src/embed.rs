@@ -18,8 +18,12 @@
 //! busiest vertex, not its height ([`crate::SrmModel::trees`] picks
 //! per call): the chain, and a binary tree hung under a root that
 //! keeps one child.
+//!
+//! The calls between nodes that run no tree exchange in k-ary rounds
+//! instead, which [`Rounds`] enumerates.
 
 use simnet::SimTime;
+use std::ops::Range;
 
 /// Shape of the inter-node (and intra-node reduce) tree.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -261,6 +265,152 @@ impl GroupTree {
     }
 }
 
+/// The largest power of `k` that is at most `n`, and its exponent.
+pub(crate) fn radix_power(n: usize, k: usize) -> (usize, usize) {
+    let (mut power, mut exp) = (1, 0);
+    while power * k <= n {
+        power *= k;
+        exp += 1;
+    }
+    (power, exp)
+}
+
+/// The rounds of a k-ary exchange between a group's `n` nodes, as node
+/// `my` runs them: the one round loop of the barrier, the small
+/// allreduce and the allgather (DESIGN.md §9.6). Round `r` spans
+/// `kʳ` nodes or cores.
+/// * **Dissemination** (the barrier): every node runs every round, and
+///   in round `r` puts to the nodes `j·kʳ` ahead of it and takes from
+///   the nodes `j·kʳ` behind it (mod `n`), `0 < j < k`, `j·kʳ < n`.
+/// * **Recursive k-ing** (the small allreduce, the allgather): the
+///   `n − kʳ` extra nodes fold into the `kʳ ≤ n` core nodes, each core
+///   taking the run of extras that follows it, and take the result
+///   back. Only the cores run rounds: in round `r` each puts to and
+///   takes from the `k − 1` other members of its digit-`r` group.
+#[derive(Clone, Debug)]
+pub struct Rounds {
+    n: usize,
+    k: usize,
+    my: usize,
+    /// Recursive k-ing: core `c` is node `first[c]`, its extras the
+    /// nodes up to `first[c + 1]`. Empty for dissemination.
+    first: Vec<usize>,
+    /// The next round.
+    round: usize,
+}
+
+/// One round of [`Rounds`], as my node runs it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Round {
+    /// `r`, counted from 0.
+    pub round: usize,
+    /// The nodes my node puts to in this round, in group order, my node
+    /// included, at `digit`.
+    pub group: Vec<usize>,
+    /// My node's place in `group`.
+    pub digit: usize,
+    /// Per other member of `group`, in group order: the node I put to
+    /// and the node whose put I take (the same node in recursive
+    /// k-ing).
+    pub peers: Vec<(usize, usize)>,
+}
+
+impl Rounds {
+    /// The dissemination rounds of node `my` among `n` at radix `k`.
+    pub fn dissemination(n: usize, k: usize, my: usize) -> Rounds {
+        Rounds::new(n, k, my, Vec::new())
+    }
+
+    /// The recursive k-ing rounds of node `my` among `n` at radix `k`:
+    /// none unless `my` is a core.
+    pub fn k_ing(n: usize, k: usize, my: usize) -> Rounds {
+        // The `n − kʳ` extras spread evenly, the first cores take one
+        // more.
+        let (cores, _) = radix_power(n, k);
+        let (each, rest) = ((n - cores) / cores, (n - cores) % cores);
+        let first = (0..=cores).map(|c| c * (1 + each) + c.min(rest));
+        Rounds::new(n, k, my, first.collect())
+    }
+
+    fn new(n: usize, k: usize, my: usize, first: Vec<usize>) -> Rounds {
+        assert!(my < n && k >= 2, "node {my} of {n}, radix {k}");
+        Rounds {
+            n,
+            k,
+            my,
+            first,
+            round: 0,
+        }
+    }
+
+    /// The index of the core `node` folds into.
+    fn core_index(&self, node: usize) -> usize {
+        self.first.partition_point(|&f| f <= node) - 1
+    }
+
+    /// Recursive k-ing: the core node my node folds into, itself on a
+    /// core.
+    pub fn core(&self) -> usize {
+        self.first[self.core_index(self.my)]
+    }
+
+    /// Recursive k-ing: the extra nodes that fold into mine, none off a
+    /// core.
+    pub fn extras(&self) -> Range<usize> {
+        let c = self.core_index(self.my);
+        match self.first[c] == self.my {
+            true => self.my + 1..self.first[c + 1],
+            false => self.my..self.my,
+        }
+    }
+
+    /// Recursive k-ing: the nodes whose values core `node` holds when
+    /// round `round` starts: its own run of extras, then its groups' runs; after the
+    /// last round, every node.
+    pub fn held(&self, round: usize, node: usize) -> Range<usize> {
+        let span = self.k.pow(round as u32).min(self.first.len() - 1);
+        let lo = self.core_index(node) / span * span;
+        self.first[lo]..self.first[lo + span]
+    }
+}
+
+impl Iterator for Rounds {
+    type Item = Round;
+
+    fn next(&mut self) -> Option<Round> {
+        let (n, k, my, round) = (self.n, self.k, self.my, self.round);
+        let dist = k.pow(round as u32);
+        let (group, digit, peers) = if self.first.is_empty() {
+            if dist >= n {
+                return None;
+            }
+            let m = (0..k).take_while(|j| j * dist < n).count();
+            let group: Vec<usize> = (0..m).map(|j| (my + j * dist) % n).collect();
+            let from = |j: usize| (my + n - j * dist) % n;
+            let peers = (1..m).map(|j| (group[j], from(j))).collect();
+            (group, 0, peers)
+        } else {
+            let core = self.core_index(my);
+            if dist >= self.first.len() - 1 || self.first[core] != my {
+                return None;
+            }
+            let digit = core / dist % k;
+            let base = core - digit * dist;
+            let group: Vec<usize> = (0..k).map(|j| self.first[base + j * dist]).collect();
+            let others = (group.iter().enumerate()).filter(|&(j, _)| j != digit);
+            let peers = others.map(|(_, &g)| (g, g)).collect();
+            (group, digit, peers)
+        };
+        self.round += 1;
+        Some(Round {
+            round,
+            group,
+            digit,
+            peers,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -327,6 +477,43 @@ mod tests {
                     > children(TreeKind::Binomial, 0, size).len()
             );
         }
+    }
+
+    #[test]
+    fn dissemination_puts_ahead_and_takes_from_behind() {
+        let peers = |r: Round| (r.round, r.peers);
+        let rounds: Vec<_> = Rounds::dissemination(5, 2, 3).map(peers).collect();
+        assert_eq!(
+            rounds,
+            [(0, vec![(4, 2)]), (1, vec![(0, 1)]), (2, vec![(2, 4)])]
+        );
+        // Radix 3 on 5 nodes: two bumps, then the one that fits.
+        let rounds: Vec<_> = Rounds::dissemination(5, 3, 0).map(peers).collect();
+        assert_eq!(rounds, [(0, vec![(1, 4), (2, 3)]), (1, vec![(3, 2)])]);
+    }
+
+    #[test]
+    fn k_ing_groups_cores_by_digit_and_folds_the_extras() {
+        let groups = |n, k, my| -> Vec<(Vec<usize>, usize)> {
+            Rounds::k_ing(n, k, my)
+                .map(|r| (r.group, r.digit))
+                .collect()
+        };
+        assert_eq!(
+            groups(16, 4, 6),
+            [(vec![4, 5, 6, 7], 2), (vec![2, 6, 10, 14], 1)]
+        );
+        let sixteen = Rounds::k_ing(16, 4, 6);
+        let held: Vec<_> = (0..3).map(|r| sixteen.held(r, 6)).collect();
+        assert_eq!(held, [6..7, 4..8, 0..16]);
+        // 21 nodes at radix 7: seven cores, two extras after each.
+        let core = Rounds::k_ing(21, 7, 3);
+        assert_eq!((core.core(), core.extras()), (3, 4..6));
+        assert_eq!(groups(21, 7, 3), [(vec![0, 3, 6, 9, 12, 15, 18], 1)]);
+        assert_eq!((core.held(0, 3), core.held(1, 3)), (3..6, 0..21));
+        let extra = Rounds::k_ing(21, 7, 5);
+        assert_eq!((extra.core(), extra.extras()), (3, 5..5));
+        assert_eq!(extra.count(), 0);
     }
 
     /// The communicator of `ranks` (comm rank order) on `topo`, binomial.

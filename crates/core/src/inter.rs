@@ -34,8 +34,14 @@
 //! place like broadcast chunks; gather relays segments through the
 //! per-slot contribution buffers and puts them straight into the
 //! root's user buffer at their final offsets (the root ships its
-//! handle, zero staging at the root), and allgather is literally a
-//! gather plan concatenated with a broadcast plan.
+//! handle, zero staging at the root). Allgather gathers each node's
+//! segments to its master the same way, exchanges the node blocks
+//! between the masters by recursive k-ing, and broadcasts the
+//! assembled buffer within each node.
+//!
+//! The calls between nodes that run no tree — the barrier, the small
+//! allreduce and the allgather — walk one round iterator,
+//! [`Rounds`].
 //!
 //! Because cross-node channels are parity-indexed against the
 //! [`SeqBase::Bcast`] and [`SeqBase::Reduce`] cumulatives, every plan
@@ -53,8 +59,7 @@
 //! the steps ([`Plan::advances`](crate::plan::Plan)), applied when the
 //! call enters.
 
-use crate::embed::{depth, GroupTree};
-use crate::model::radix_power;
+use crate::embed::{depth, GroupTree, Rounds};
 use crate::plan::{
     BufRef, Chan, ChanKind, CopyCost, CtrRef, FlagRef, PlanBuilder, SeqBase, Step, Until, Val,
     WaitCell,
@@ -478,8 +483,9 @@ impl SrmComm {
     }
 
     /// Up to one reduce chunk: one intra-node reduce to the master,
-    /// recursive k-ing between the masters, intra-node broadcast. The
-    /// radix is [`SrmModel::allreduce_radix`](crate::SrmModel::allreduce_radix)
+    /// recursive k-ing between the masters ([`Rounds::k_ing`]), intra-node
+    /// broadcast. The radix is
+    /// [`SrmModel::allreduce_radix`](crate::SrmModel::allreduce_radix)
     /// for `len`. The `n − kʳ` extra nodes fold into the `kʳ` core nodes,
     /// each core taking the run of extras that follows it. In round `r`
     /// each core puts its accumulator to the `k − 1` other members of its
@@ -521,49 +527,37 @@ impl SrmComm {
         if self.c_is_master() {
             debug_assert!(has_acc, "master is the subtree root");
             let k = self.model(b.tuning()).allreduce_radix(len);
-            // Core `c` is node `first[c]`, its extras the nodes up to
-            // `first[c + 1]`: the `n − kʳ` extras spread evenly.
-            let (cores, _) = radix_power(n, k);
-            let (each, rest) = ((n - cores) / cores, (n - cores) % cores);
-            let first: Vec<usize> = (0..=cores).map(|c| c * (1 + each) + c.min(rest)).collect();
-            let core = first.partition_point(|&f| f <= my) - 1;
-            let extras = first[core] + 1..first[core + 1];
-            if my != first[core] {
-                put(b, first[core]);
-                take(b, first[core], false);
+            let rounds = Rounds::k_ing(n, k, my);
+            let (core, extras) = (rounds.core(), rounds.extras());
+            if my != core {
+                put(b, core);
+                take(b, core, false);
             } else {
                 for e in extras.clone() {
                     take(b, e, true);
                 }
-                let mut dist = 1;
-                while dist < cores {
-                    let digit = core / dist % k;
-                    let base = core - digit * dist;
-                    let group: Vec<usize> = (0..k).map(|j| first[base + j * dist]).collect();
-                    for (j, &to) in group.iter().enumerate() {
-                        if j != digit {
-                            put(b, to);
-                        }
+                for round in rounds {
+                    for &(to, _) in &round.peers {
+                        put(b, to);
                     }
                     // My accumulator holds my value: folding the rest
                     // in group order starting from it is the group's
                     // order for the first two members only, since the
                     // operator commutes. The others park it in the
                     // call's scratch and start from the first member's.
-                    let parked = digit >= 2;
+                    let parked = round.digit >= 2;
                     if parked {
                         let scratch = b.scratch(len);
                         b.copy((BufRef::Acc, 0), (scratch, 0), len, CopyCost::Write(1));
                     }
-                    for (j, &from) in group.iter().enumerate() {
-                        if j != digit {
+                    for (j, &from) in round.group.iter().enumerate() {
+                        if j != round.digit {
                             take(b, from, j > 0 || !parked);
                         } else if parked {
                             let (src, src_off) = (BufRef::Scratch, 0);
                             b.push(Step::LocalReduce { src, src_off, len });
                         }
                     }
-                    dist *= k;
                 }
                 for e in extras {
                     put(b, e);
@@ -663,8 +657,9 @@ impl SrmComm {
     // ----------------------------------------------------------------
 
     /// Plan a communicator barrier (§2.4 and [17]): flat flag check-in
-    /// on each node, k-ary dissemination rounds between the masters,
-    /// then the master's flag raise releases the node. In round `r`
+    /// on each node, k-ary dissemination rounds between the masters
+    /// ([`Rounds::dissemination`]), then the master's flag raise
+    /// releases the node. In round `r`
     /// master `i` bumps the counters of masters `i + j·kʳ` (mod n) for
     /// every `0 < j < k` with `j·kʳ < n` with zero-byte puts, then
     /// consumes one bump from each matching peer's counter.
@@ -676,23 +671,19 @@ impl SrmComm {
         let k = self.model(b.tuning()).barrier_radix();
         self.plan_quiet(b, self.crank_at(self.cnode(), 0), 0, |b| {
             self.plan_smp_barrier_phase(b, 1);
-            let (my, n) = (self.cnode(), self.cnodes());
-            let mut dist = 1usize;
-            while self.c_is_master() && dist < n {
-                let peers: Vec<usize> = (1..k).map(|j| j * dist).take_while(|&d| d < n).collect();
-                for &d in &peers {
-                    let to = (my + d) % n;
+            let my = self.cnode();
+            let rounds = Rounds::dissemination(self.cnodes(), k, my);
+            for round in rounds.filter(|_| self.c_is_master()) {
+                for &(to, _) in &round.peers {
                     let ctr = CtrRef::BarRound { node: to, from: my };
                     b.push(Step::CounterPut {
                         to: self.cmaster_of(to),
                         ctr,
                     });
                 }
-                for &d in &peers {
-                    let from = (my + n - d) % n;
+                for &(_, from) in &round.peers {
                     b.wait_ctr(CtrRef::BarRound { node: my, from }, 1);
                 }
-                dist *= k;
             }
             self.plan_smp_barrier_phase(b, 2);
             b.advance(SeqBase::Barrier, 2);
@@ -724,26 +715,16 @@ impl SrmComm {
         }
         let chunk = SrmTuning::REDUCE_CHUNK;
         let chunks = SrmTuning::chunk_count(len, chunk);
-        let p = self.cslots_here();
         let nodes = self.cnodes();
         let my_node = self.cnode();
         let root_node = self.cnode_of(root);
-        let rel0 = b.rel(SeqBase::Reduce);
-        let rel_end = rel0 + chunks as u64;
-        // Chunk `k` of a segment as `(chunk index, offset, bytes)`.
-        let pieces =
-            || (0..chunks).map(|k| (rel0 + k as u64, k * chunk, chunk.min(len - k * chunk)));
-        // Every other local slot's pieces, consumed through its
-        // contribution channel, as `(slot, chunk index, offset in the
-        // root's buffer, bytes)`.
-        let others: Vec<(usize, u64, usize, usize)> = (0..p)
-            .filter(|&s| s != self.cslot())
-            .flat_map(|s| {
-                let seg = self.crank_at(my_node, s) * len;
-                pieces().map(move |(rel, koff, clen)| (s, rel, seg + koff, clen))
-            })
-            .collect();
-        let label = "gather contribution ready";
+        let rel_end = b.rel(SeqBase::Reduce) + chunks as u64;
+        // My node gathers to the root on its node, to the master elsewhere.
+        let top = if my_node == root_node {
+            self.ccoord_of(root).1
+        } else {
+            0
+        };
 
         if self.crank() == root {
             for m in (0..nodes).filter(|&m| m != root_node) {
@@ -752,11 +733,9 @@ impl SrmComm {
                     src: BufRef::User,
                 });
             }
-            for &(s, rel, at, clen) in &others {
-                self.plan_contrib_consume(b, (s, rel), rel == rel0, label, |b, src| {
-                    b.copy((src, 0), (BufRef::User, at), clen, CopyCost::Read(1))
-                });
-            }
+            self.plan_node_gather(b, len, top, |b, src, at, clen| {
+                b.copy((src, 0), (BufRef::User, at), clen, CopyCost::Read(1))
+            });
             // Wait for every remote piece to land in my buffer: every
             // member of every other node relays `chunks` of them.
             if self.cmulti() {
@@ -768,7 +747,7 @@ impl SrmComm {
             }
             // My own contribution channel went unused.
             self.plan_contrib_catchup(b, 0, rel_end);
-        } else if self.c_is_master() && my_node != root_node {
+        } else if self.cslot() == top {
             // Remote master: take the root's handle, put my own segment,
             // then relay every local slot's pieces.
             let idx = b.take_addr(root);
@@ -783,27 +762,54 @@ impl SrmComm {
                     ctr: Some(CtrRef::Landed { rank: root }),
                 })
             };
-            for (_, koff, clen) in pieces() {
-                let at = self.crank() * len + koff;
-                put(b, BufRef::User, at, at, clen);
+            for k in 0..chunks {
+                let at = self.crank() * len + k * chunk;
+                put(b, BufRef::User, at, at, chunk.min(len - k * chunk));
             }
-            for &(s, rel, at, clen) in &others {
-                self.plan_contrib_consume(b, (s, rel), rel == rel0, label, |b, src| {
-                    put(b, src, 0, at, clen)
-                });
-            }
+            self.plan_node_gather(b, len, top, |b, src, at, clen| put(b, src, 0, at, clen));
             // My own segment bypassed my contribution channel.
             self.plan_contrib_catchup(b, 0, rel_end);
         } else {
-            // Relay my segment chunk by chunk through my contribution
-            // channel (producer half of the reduce-leaf pattern).
+            self.plan_node_gather(b, len, top, |_, _, _, _| {});
+        }
+        b.advance(SeqBase::Reduce, chunks as u64);
+    }
+
+    /// Gather's leaf pattern on my node, for `len`-byte segments: every
+    /// task but slot `top` relays its segment to it chunk by chunk
+    /// through its own contribution channel (the producer half of the
+    /// reduce-leaf pattern); `top` consumes every other slot's pieces,
+    /// slot by slot, handing `sink` each one's contribution buffer, its
+    /// offset in the gathered buffer and its length.
+    fn plan_node_gather(
+        &self,
+        b: &mut PlanBuilder,
+        len: usize,
+        top: usize,
+        sink: impl Fn(&mut PlanBuilder, BufRef, usize, usize),
+    ) {
+        let chunk = SrmTuning::REDUCE_CHUNK;
+        let rel0 = b.rel(SeqBase::Reduce);
+        // Chunk `k` of a segment as `(chunk index, offset, bytes)`.
+        let pieces = (0..SrmTuning::chunk_count(len, chunk))
+            .map(|k| (rel0 + k as u64, k * chunk, chunk.min(len - k * chunk)));
+        if self.cslot() != top {
             let cost = CopyCost::Write(self.peer_streams());
-            for (rel, koff, clen) in pieces() {
+            for (rel, koff, clen) in pieces {
                 let from = (BufRef::User, self.crank() * len + koff);
                 self.plan_contrib_publish(b, rel, from, clen, cost);
             }
+            return;
         }
-        b.advance(SeqBase::Reduce, chunks as u64);
+        let label = "gather contribution ready";
+        for s in (0..self.cslots_here()).filter(|&s| s != top) {
+            let seg = self.crank_at(self.cnode(), s) * len;
+            for (rel, koff, clen) in pieces.clone() {
+                self.plan_contrib_consume(b, (s, rel), rel == rel0, label, |b, src| {
+                    sink(b, src, seg + koff, clen)
+                });
+            }
+        }
     }
 
     /// Piece decomposition of group node `g`'s scatter block as
@@ -929,17 +935,165 @@ impl SrmComm {
         }
     }
 
-    /// Plan an allgather: a gather to communicator rank 0 concatenated
-    /// with a broadcast of the assembled `csize*len` bytes — the
-    /// planner composition the schedule IR makes trivial (the
-    /// broadcast's relative sequence values land after the gather's
-    /// advances).
+    /// Plan an allgather: every member's segment `buf[c*len..(c+1)*len]`
+    /// (indexed by **communicator rank** `c`) reaches every member's
+    /// buffer at the same offsets.
+    ///
+    /// Protocol: each node's tasks hand their segments to its master
+    /// through their contribution channels (gather's leaf pattern),
+    /// which copies each to its final offset; the masters exchange their
+    /// nodes' blocks ([`Self::plan_allgather_exchange`]); each master
+    /// broadcasts the assembled `csize·len` bytes within its node.
     pub(crate) fn plan_allgather(&self, b: &mut PlanBuilder, len: usize) {
         if len == 0 || self.csize() == 1 {
             return;
         }
-        self.plan_gather(b, len, 0);
-        self.plan_bcast(b, self.csize() * len, 0);
+        let total = self.csize() * len;
+        let chunks = SrmTuning::chunk_count(len, SrmTuning::REDUCE_CHUNK) as u64;
+        let landed = self.cmulti() && total <= SrmTuning::REDUCE_CHUNK;
+        self.plan_quiet(b, self.crank_at(self.cnode(), 0), len, |b| {
+            let rel_end = b.rel(SeqBase::Reduce) + chunks;
+            self.plan_node_gather(b, len, 0, |b, src, at, clen| {
+                b.copy((src, 0), (BufRef::User, at), clen, CopyCost::Read(1))
+            });
+            if self.c_is_master() {
+                // My own segment is in place already.
+                self.plan_contrib_catchup(b, 0, rel_end);
+                if self.cmulti() {
+                    self.plan_allgather_exchange(b, len, landed);
+                }
+            }
+            b.advance(SeqBase::Reduce, chunks);
+            if landed {
+                b.advance(SeqBase::Rd, 1);
+            }
+            self.plan_smp_bcast(b, total, self.cmaster_of(self.cnode()));
+        });
+    }
+
+    /// The allgather's exchange between the masters, which hold their
+    /// nodes' blocks: recursive k-ing at
+    /// [`SrmModel::allgather_radix`](crate::SrmModel::allgather_radix)
+    /// with no fold. The extras' blocks fold into their cores; in round
+    /// `r` each core puts the nodes it holds to the `k − 1` other members
+    /// of its digit-`r` group; the cores hand the assembled buffer back
+    /// to their extras. A message is the runs its nodes' segments cover
+    /// in comm-rank order, one put each, at their final offsets.
+    ///
+    /// Where the assembled buffer fits one landing (`landed`), every
+    /// message goes into the receiver's [`ChanKind::Rd`] landing, and
+    /// the receiver copies each run out; the call advances
+    /// [`SeqBase::Rd`] like a small allreduce, and its landings are
+    /// reused the same way (DESIGN.md §16.2). Otherwise every message
+    /// goes straight into the receiver's user buffer under the address
+    /// rule ([`CtrRef::Landed`]): a receiver ships its handle to a step's
+    /// senders only once it has taken everything before, so its counter
+    /// only ever counts that step's puts.
+    fn plan_allgather_exchange(&self, b: &mut PlanBuilder, len: usize, landed: bool) {
+        let (my, n) = (self.cnode(), self.cnodes());
+        let k = self.model(b.tuning()).allgather_radix(len);
+        let rounds = Rounds::k_ing(n, k, my);
+        let (core, extras, lane) = (rounds.core(), rounds.extras(), b.rel(SeqBase::Rd));
+        let master = |g| self.crank_at(g, 0);
+        // A message: the runs `(offset, bytes)` of `nodes`' segments.
+        let runs = |nodes: &mut dyn Iterator<Item = usize>| self.block_runs(nodes, len);
+        let but = |g: usize| runs(&mut (0..n).filter(move |&h| h != g));
+        let held = |r: usize, g: usize| runs(&mut rounds.held(r, g));
+        let rd = |from, to| Chan::new(ChanKind::Rd, master(from), master(to), lane);
+        let send = |b: &mut PlanBuilder, to: usize, msg: &[(usize, usize)]| {
+            let (dst, ctr) = if landed {
+                (BufRef::Chan(rd(my, to)), CtrRef::Data(rd(my, to)))
+            } else {
+                let idx = b.take_addr(master(to));
+                (BufRef::Taken { idx }, CtrRef::Landed { rank: master(to) })
+            };
+            for &(off, len) in msg {
+                b.push(Step::RmaPut {
+                    to: self.cmaster_of(to),
+                    src: BufRef::User,
+                    src_off: off,
+                    dst,
+                    dst_off: off,
+                    len,
+                    ctr: Some(ctr),
+                });
+            }
+        };
+        // A step's senders and their messages: before my own puts, ship
+        // my handle to each; after them, take everything they put.
+        type From = [(usize, Vec<(usize, usize)>)];
+        let open = |b: &mut PlanBuilder, from: &From| {
+            for &(g, _) in from.iter().filter(|_| !landed) {
+                let (to, src) = (self.cmaster_of(g), BufRef::User);
+                b.push(Step::AddrSend { to, src });
+            }
+        };
+        let close = |b: &mut PlanBuilder, from: &From| {
+            if !landed {
+                let puts = from.iter().map(|(_, msg)| msg.len()).sum::<usize>();
+                b.wait_ctr(CtrRef::Landed { rank: master(my) }, puts as u64);
+                return;
+            }
+            for (g, msg) in from {
+                let c = rd(*g, my);
+                b.wait_ctr(CtrRef::Data(c), msg.len() as u64);
+                for &(off, bytes) in msg {
+                    let (src, dst) = ((BufRef::Chan(c), off), (BufRef::User, off));
+                    b.copy(src, dst, bytes, CopyCost::Read(1));
+                }
+            }
+        };
+
+        if my != core {
+            let from = [(core, but(my))];
+            open(b, &from);
+            send(b, core, &runs(&mut (my..my + 1)));
+            close(b, &from);
+            return;
+        }
+        let from: Vec<_> = extras.clone().map(|e| (e, runs(&mut (e..e + 1)))).collect();
+        open(b, &from);
+        close(b, &from);
+        for round in rounds.clone() {
+            // Each member puts to the members after it first, so that no
+            // receiver's port takes the whole group's first puts, and
+            // takes from the members before it first.
+            let (before, after) = round.peers.split_at(round.digit);
+            let from: Vec<_> = (after.iter().chain(before).rev())
+                .map(|&(_, g)| (g, held(round.round, g)))
+                .collect();
+            open(b, &from);
+            let mine = held(round.round, my);
+            for &(to, _) in after.iter().chain(before) {
+                send(b, to, &mine);
+            }
+            close(b, &from);
+        }
+        for e in extras {
+            send(b, e, &but(e));
+        }
+    }
+
+    /// The byte runs `(offset, bytes)` that the `len`-byte segments of
+    /// the members on group nodes `nodes` cover in a buffer indexed by
+    /// comm rank, ascending, each as long as the ranks are consecutive:
+    /// on the world communicator one per run of consecutive nodes.
+    fn block_runs(
+        &self,
+        nodes: &mut dyn Iterator<Item = usize>,
+        len: usize,
+    ) -> Vec<(usize, usize)> {
+        let members = nodes.flat_map(|g| (0..self.cslots_on(g)).map(move |s| (g, s)));
+        let mut ranks: Vec<usize> = members.map(|(g, s)| self.crank_at(g, s)).collect();
+        ranks.sort_unstable();
+        let mut runs: Vec<(usize, usize)> = Vec::new();
+        for off in ranks.into_iter().map(|c| c * len) {
+            match runs.last_mut() {
+                Some((start, bytes)) if *start + *bytes == off => *bytes += len,
+                _ => runs.push((off, len)),
+            }
+        }
+        runs
     }
 }
 

@@ -19,7 +19,7 @@
 //! `t` LAPI target overhead, `c` counter check, `γ` shm per-byte under
 //! contention, `f`/`fs` flag read/store, `ρ` reduce per-byte.
 
-use crate::embed::{children, height, profile, TreeKind};
+use crate::embed::{children, height, profile, radix_power, Rounds, TreeKind};
 use crate::tune::TuneOp as Op;
 use crate::tuning::SrmTuning;
 use simnet::{MachineConfig, SimTime, Topology};
@@ -116,6 +116,18 @@ impl SrmModel {
         self.cfg.shm_copy_cost(bytes, 1)
     }
 
+    /// The flat broadcast of `len` bytes within a node. Chunks
+    /// pipeline, so one staging plus the drain of every chunk's reader
+    /// phase.
+    fn smp_bcast(&self, len: usize) -> SimTime {
+        let cell = SrmTuning::SMP_BUF;
+        let chunks = SrmTuning::chunk_count(len, cell) as u64;
+        let last = len - (chunks as usize - 1) * cell.min(len);
+        self.stage(cell.min(len))
+            + self.smp_chunk_out(cell.min(len)) * (chunks - 1)
+            + self.smp_chunk_out(last)
+    }
+
     /// Predicted broadcast latency for a `len`-byte payload.
     pub fn bcast(&self, len: usize) -> SimTime {
         self.bcast_on(len, self.trees(Op::Bcast, len).inter)
@@ -127,14 +139,7 @@ impl SrmModel {
             return SimTime::ZERO;
         }
         if !self.topo.multi_node() {
-            // Chunked flat broadcast; chunks pipeline, so one staging
-            // plus the drain of every chunk's reader phase.
-            let cell = SrmTuning::SMP_BUF;
-            let chunks = SrmTuning::chunk_count(len, cell) as u64;
-            let last = len - (chunks as usize - 1) * cell.min(len);
-            return self.stage(cell.min(len))
-                + self.smp_chunk_out(cell.min(len)) * (chunks - 1)
-                + self.smp_chunk_out(last);
+            return self.smp_bcast(len);
         }
         // A chunk reaches the last node after the tree's fill; what
         // follows it costs the busiest master's adapter one wire time
@@ -311,6 +316,14 @@ impl SrmModel {
         self.radix(|k| self.exchange_on(k, len))
     }
 
+    /// The radix of the allgather's exchange between the nodes for
+    /// `len`-byte segments, chosen like [`Self::barrier_radix`] from
+    /// the exchange's closed form: per segment size, because a round's
+    /// messages grow with `kʳ`.
+    pub fn allgather_radix(&self, len: usize) -> usize {
+        self.radix(|k| self.allgather_on(k, len))
+    }
+
     /// The `k` in `2..=n` at which `time` is lowest, the smaller on a
     /// tie; 2 below three nodes.
     fn radix(&self, time: impl Fn(usize) -> SimTime) -> usize {
@@ -339,13 +352,9 @@ impl SrmModel {
         let (p, n) = (self.topo.tasks_per_node() as u64, self.topo.nodes());
         let checkin = cfg.flag_set_op + cfg.flag_op * (p - 1);
         let release = cfg.flag_set_op * (p - 1) + cfg.flag_op;
-        let (mut time, mut dist) = (checkin + release, 1);
-        while dist < n {
-            let m = (1..k).take_while(|j| j * dist < n).count() as u64;
-            time += self.round(m, SimTime::ZERO, SimTime::ZERO);
-            dist *= k;
-        }
-        time
+        let rounds = Rounds::dissemination(n, k, 0);
+        let bumps = rounds.map(|r| self.round(r.peers.len() as u64, SimTime::ZERO, SimTime::ZERO));
+        bumps.fold(checkin + release, |time, round| time + round)
     }
 
     /// The small allreduce's exchange between the masters at radix `k`
@@ -377,6 +386,55 @@ impl SrmModel {
         folds + (self.round(k as u64 - 1, wire, fold) + park) * rounds as u64
     }
 
+    /// Predicted allgather latency for `len`-byte segments: each node's
+    /// tasks hand their segments to the master, the masters exchange
+    /// at [`Self::allgather_radix`], and each master broadcasts the
+    /// assembled `P·len` bytes within its node.
+    pub fn allgather(&self, len: usize) -> SimTime {
+        let (n, p) = (self.topo.nodes(), self.topo.tasks_per_node());
+        if len == 0 || n * p == 1 {
+            return SimTime::ZERO;
+        }
+        let gather = self.stage(len) + (self.cfg.flag_op + self.stage(len)) * (p as u64 - 1);
+        let exchange = match n {
+            1 => SimTime::ZERO,
+            _ => self.allgather_on(self.allgather_radix(len), len),
+        };
+        gather + exchange + self.smp_bcast(n * p * len)
+    }
+
+    /// The allgather's exchange between the masters at radix `k`, as
+    /// `plan_allgather` compiles it: the extras' blocks fold into the
+    /// cores, each core puts the nodes it holds to the `k − 1` others of
+    /// each round's group (`kʳ` runs of a core and its extras), and the
+    /// cores hand the assembled buffer back to their extras — priced
+    /// from core 0, which holds the longest run. A call whose assembled
+    /// buffer fits one landing copies each message out where it lands;
+    /// a larger one puts straight into the user buffers once each
+    /// receiver's address has arrived.
+    fn allgather_on(&self, k: usize, len: usize) -> SimTime {
+        let (n, p) = (self.topo.nodes(), self.topo.tasks_per_node());
+        let block = p * len;
+        let landed = n * block <= SrmTuning::REDUCE_CHUNK;
+        let round = |m: usize, nodes: usize| {
+            let (bytes, m) = (nodes * block, m as u64);
+            let wire = self.cfg.net_per_byte.cost_of(bytes);
+            match landed {
+                true => self.round(m, wire, self.stage(bytes)),
+                false => self.round(m, wire, SimTime::ZERO) + self.put_time(0),
+            }
+        };
+        let rounds = Rounds::k_ing(n, k, 0);
+        let extras = rounds.extras().len();
+        let folds = match extras {
+            0 => SimTime::ZERO,
+            j => round(j, 1) + round(j, n - 1),
+        };
+        let held = |r: usize| rounds.held(r, 0).len();
+        let exchange = (rounds.clone()).map(|r| round(k - 1, held(r.round)));
+        exchange.fold(folds, |time, round| time + round)
+    }
+
     /// One exchange round in which every master puts a `wire`-long
     /// message to `m` peers and folds (`fold` each) as many. A master
     /// with interrupts off takes an arrival only inside a LAPI call: the
@@ -391,16 +449,6 @@ impl SrmModel {
         let landed = (o * m).max(o + cfg.net_latency) + wire * m;
         landed + (cfg.lapi_target_overhead + cfg.lapi_counter_check + fold) * m
     }
-}
-
-/// The largest power of `k` that is at most `n`, and its exponent.
-pub(crate) fn radix_power(n: usize, k: usize) -> (usize, usize) {
-    let (mut power, mut exp) = (1, 0);
-    while power * k <= n {
-        power *= k;
-        exp += 1;
-    }
-    (power, exp)
 }
 
 #[cfg(test)]

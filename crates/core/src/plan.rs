@@ -48,8 +48,10 @@ pub enum SeqBase {
     /// Flat-barrier phases completed, two per barrier: the check-in and
     /// the release ([`FlagRef::Barrier`]).
     Barrier,
-    /// Small (recursive k-ing) allreduces completed: their [`ChanKind::Rd`]
-    /// landings alternate halves with this cell.
+    /// Calls completed that exchange through the [`ChanKind::Rd`]
+    /// landings — small (recursive k-ing) allreduces, and allgathers
+    /// whose assembled buffer fits one landing: the landings alternate
+    /// halves with this cell.
     Rd,
 }
 
@@ -108,8 +110,9 @@ pub enum ChanKind {
     /// ([`SeqBase::Reduce`] parity). Kept per receiving slot.
     Reduce,
     /// Recursive k-ing exchange, the fold-in (extra → core) and the
-    /// hand-back (core → extra); lane = the call's [`SeqBase::Rd`]
-    /// index, whose parity picks one of two uncredited channels.
+    /// hand-back (core → extra), of a small allreduce or allgather;
+    /// lane = the call's [`SeqBase::Rd`] index, whose parity picks one
+    /// of two uncredited channels.
     Rd,
     /// Staged reduce_scatter stream into the destination's landing ring
     /// of [`SrmTuning::pairwise_window`](crate::SrmTuning) slots
@@ -211,8 +214,8 @@ pub enum CtrRef {
     /// exchanges. Counters, takes and sends are one nonblocking
     /// ordering class, so a rank cannot ship again before every taker
     /// of its last handle has taken it, and no mailbox slot is ever
-    /// overrun (DESIGN.md §16.2). A large-broadcast child and a gather
-    /// root own one.
+    /// overrun (DESIGN.md §16.2). A large-broadcast child, a gather
+    /// root and the masters of an allgather above one landing own one.
     Landed {
         /// Whose counter.
         rank: usize,
@@ -467,8 +470,9 @@ impl Plan {
 
 /// Incremental plan construction. The builder tracks, per [`SeqBase`],
 /// how far the plan has already advanced each cumulative cell, so
-/// planners composed back to back (allgather = gather ++ broadcast)
-/// emit correctly offset relative values.
+/// planners composed back to back (the large allreduce's reduce then
+/// broadcast, where the model prices that lower) emit correctly offset
+/// relative values.
 /// The builder also carries the **effective tuning** of the call shape
 /// being compiled: the world's decision defaults, overlaid with the
 /// matching [`TuneTable`](crate::TuneTable) entry when a table is

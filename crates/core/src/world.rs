@@ -908,8 +908,8 @@ impl SrmComm {
     ///   credit a side.
     /// * `Reduce`, per receiving slot: [`SrmTuning::REDUCE_CHUNK`]
     ///   landings, one credit a side.
-    /// * `Rd`: `REDUCE_CHUNK` landings and no credits, since each is
-    ///   written once per call (DESIGN.md §16.2).
+    /// * `Rd`: `REDUCE_CHUNK` landings and no credits, since no byte of
+    ///   one is written twice in a call (DESIGN.md §16.2).
     /// * `Ring`, one side: `pairwise_window` slots of `pairwise_chunk`
     ///   bytes (at least 8) and `pairwise_window` credits.
     pub(crate) fn chan(&self, c: Chan, side: usize) -> &Channel {
@@ -1162,6 +1162,41 @@ mod tests {
         for comm in [barriers, allreduces] {
             assert!(comm.mailbox.direct.get().is_none(), "rank-pair counters");
             assert_eq!(mailbox_slots(&comm), []);
+        }
+    }
+
+    /// An allgather lands only where its exchange partners put: in the
+    /// `Rd` pairs of their links where the assembled buffer fits one
+    /// landing, else in the user buffers behind mailbox slots between
+    /// the masters, with no link at all, and no tree channel either way.
+    /// Sixteen 2-way nodes run radix 4 at 8 B, the allreduce's partners,
+    /// and one round of fifteen peers at 4 KB.
+    #[test]
+    fn an_allgather_creates_only_its_partners_state() {
+        let topo = Topology::new(16, 2);
+        let model = SrmModel::new(MachineConfig::ibm_sp_colony(), topo, SrmTuning::default());
+        assert_eq!(
+            (model.allgather_radix(8), model.allgather_radix(4 << 10)),
+            (4, 16)
+        );
+        let landed = run_comm(topo, None, |ctx, comm, buf| {
+            comm.allgather(ctx, buf, 8);
+            comm.allgather(ctx, buf, 8);
+        });
+        let partner = |a: usize, b: usize| (a % 4 != b % 4) != (a / 4 != b / 4);
+        let want = pairs_holding(16, partner, Made { rd: true, ..NONE });
+        assert_eq!(links(&landed), want);
+        assert_eq!(mailbox_slots(&landed), []);
+        let direct = run_comm(topo, None, |ctx, comm, buf| {
+            comm.allgather(ctx, buf, 4 << 10);
+            comm.allgather(ctx, buf, 4 << 10);
+        });
+        assert_eq!(links(&direct), []);
+        let masters = node_pairs(16).filter(|(owner, sender)| owner != sender);
+        let want: Vec<(usize, usize)> = masters.map(|(o, s)| (2 * o, 2 * s)).collect();
+        assert_eq!(mailbox_slots(&direct), want);
+        for comm in [landed, direct] {
+            assert!(comm.mailbox.direct.get().is_none(), "rank-pair counters");
         }
     }
 

@@ -1,9 +1,11 @@
 //! The latency-bound calls between the nodes: the barrier's k-ary
-//! dissemination rounds and the small allreduce's credit-free recursive
-//! k-ing. Both radices are derived from `SrmModel` and never lose to the
-//! paper's pairwise exchange, no rank leaves a barrier before the last
-//! one has entered, and the exchange landings, reused two small
-//! allreduces later without a credit, give every rank the same bits.
+//! dissemination rounds and the small allreduce's and the allgather's
+//! recursive k-ing. The radices are derived from `SrmModel` and never
+//! lose to the paper's pairwise exchange or, for the allgather, to the
+//! gather and broadcast it replaced; no rank leaves a barrier before the
+//! last one has entered, and the exchange landings, reused two
+//! exchanging calls later without a credit, give every rank the same
+//! bits.
 
 use collops::{from_bytes_u64, to_bytes_u64, Collectives, DType, NonblockingCollectives, ReduceOp};
 use shmem::ShmBuffer;
@@ -179,6 +181,106 @@ fn derived_allreduce_is_no_slower_than_recursive_doubling() {
     }
 }
 
+/// The allgather's radix on 16-way nodes, 2 to 16 of them: one round of
+/// `n − 1` peers, except two radix-4 rounds on 16 nodes at 8 B. A forced
+/// tree does not change it.
+#[test]
+fn the_model_picks_the_allgather_radix_per_size_whatever_the_tree() {
+    let radix = |nodes, len, tree| {
+        let topo = Topology::sp_16way(nodes);
+        let model = SrmModel::new(MachineConfig::ibm_sp_colony(), topo, tuning(tree));
+        model.allgather_radix(len)
+    };
+    for len in [8, 512, 4 << 10] {
+        for nodes in 2..=16 {
+            let k = if (nodes, len) == (16, 8) { 4 } else { nodes };
+            assert_eq!(radix(nodes, len, None), k, "{nodes} nodes, {len} B");
+            for kind in TreeKind::ALL {
+                let forced = radix(nodes, len, Some(kind));
+                assert_eq!(forced, k, "{nodes} nodes, {len} B, {kind:?}");
+            }
+        }
+    }
+}
+
+// The allgather's times as a gather to rank 0 and a broadcast of the
+// assembled buffer (`harness::measure`, two calls a measurement), in µs
+// rounded up: on 16-way nodes from 2 to 16 and on single-task nodes
+// from 2 to 64.
+const GB_WIDE_8: [f64; 15] = [
+    79.38, 101.03, 131.42, 154.43, 178.24, 202.04, 232.10, 258.22, 282.02, 305.83, 329.63, 364.54,
+    389.82, 410.21, 440.96,
+];
+const GB_WIDE_512: [f64; 15] = [
+    200.11, 306.89, 397.44, 693.57, 828.77, 965.03, 1175.16, 963.17, 1033.80, 1167.31, 1278.86,
+    1347.16, 1430.01, 1578.03, 1683.01,
+];
+const GB_WIDE_4K: [f64; 15] = [
+    730.53, 1158.61, 1586.89, 2015.17, 2443.45, 2871.74, 3300.02, 3728.30, 4156.58, 4584.86,
+    5013.14, 5441.43, 5875.11, 6296.99, 6725.27,
+];
+const GB_ONE_8: [f64; 63] = [
+    42.04, 44.34, 57.22, 59.48, 60.25, 61.72, 73.87, 76.16, 76.95, 77.74, 78.53, 79.72, 82.91,
+    79.30, 92.40, 100.76, 95.33, 95.99, 96.53, 100.71, 101.98, 103.25, 112.97, 122.23, 129.63,
+    125.96, 131.75, 131.74, 133.68, 136.82, 145.21, 146.05, 143.39, 144.13, 149.00, 150.77, 149.10,
+    153.19, 154.60, 157.82, 159.76, 161.43, 163.19, 171.75, 188.25, 190.20, 192.15, 194.85, 198.23,
+    200.62, 199.41, 200.66, 203.29, 199.66, 203.36, 207.11, 209.51, 211.91, 211.77, 214.92, 215.91,
+    213.37, 220.15,
+];
+const GB_ONE_512: [f64; 63] = [
+    48.34, 56.29, 75.61, 87.95, 94.43, 101.65, 124.91, 146.02, 155.43, 164.84, 174.98, 184.39,
+    196.33, 208.85, 234.34, 212.33, 219.23, 230.02, 219.91, 243.51, 262.38, 282.43, 276.06, 297.39,
+    312.59, 325.74, 308.39, 308.08, 319.09, 327.96, 336.58, 365.38, 360.95, 386.02, 367.08, 388.58,
+    409.95, 424.17, 410.35, 423.65, 422.38, 429.98, 434.64, 438.49, 450.82, 479.78, 472.03, 489.68,
+    500.03, 510.03, 495.02, 507.96, 523.59, 528.52, 527.28, 552.00, 539.78, 543.55, 553.08, 559.32,
+    574.26, 577.20, 573.88,
+];
+const GB_ONE_4K: [f64; 63] = [
+    98.17, 145.31, 194.16, 276.12, 329.92, 389.43, 433.38, 738.27, 813.55, 888.83, 969.97, 1045.25,
+    1128.18, 1273.13, 1369.61, 1059.00, 1098.96, 1178.47, 1215.08, 1263.34, 1298.04, 1402.01,
+    1440.72, 1494.78, 1541.09, 1599.15, 1626.71, 1677.32, 1722.78, 1821.15, 1875.06, 1940.12,
+    1980.38, 2026.74, 2074.00, 2127.10, 2150.51, 2210.67, 2257.63, 2315.59, 2365.00, 2415.26,
+    2459.17, 2506.43, 2541.88, 2638.20, 2687.41, 2746.02, 2797.28, 2835.19, 2881.45, 2928.51,
+    2968.72, 3015.13, 3068.89, 3134.00, 3183.16, 3230.52, 3279.18, 3325.69, 3351.69, 3442.91,
+    3491.77,
+];
+
+/// The allgather between the nodes is no slower than the gather to rank
+/// 0 and the broadcast of the assembled buffer it replaced, at 8 B, 512
+/// B and 4 KB segments on 16-way nodes (2–16) and on single-task nodes
+/// (2–64). The closest point is 2×16 at 4 KB (711.6 against 730.5 µs);
+/// the median one takes 0.36 of the old time.
+#[test]
+fn derived_allgather_is_no_slower_than_gather_plus_bcast() {
+    let grids: [(usize, usize, &[f64]); 6] = [
+        (16, 8, &GB_WIDE_8),
+        (16, 512, &GB_WIDE_512),
+        (16, 4 << 10, &GB_WIDE_4K),
+        (1, 8, &GB_ONE_8),
+        (1, 512, &GB_ONE_512),
+        (1, 4 << 10, &GB_ONE_4K),
+    ];
+    let mut slower = Vec::new();
+    for (tpn, len, composed) in grids {
+        for (nodes, &composed_us) in (2..).zip(composed) {
+            let topo = Topology::new(nodes, tpn);
+            let opts = HarnessOpts {
+                iters: 2,
+                srm: tuning(None),
+            };
+            let machine = MachineConfig::ibm_sp_colony();
+            let derived = measure(Impl::Srm, machine, topo, Op::Allgather, len, opts).per_call;
+            if derived.as_us() > composed_us {
+                slower.push(format!("{topo}, {len} B: {derived} vs {composed_us} us"));
+            }
+        }
+    }
+    assert!(
+        slower.is_empty(),
+        "slower than gather + broadcast: {slower:#?}"
+    );
+}
+
 /// Doubles whose sum depends on the order of the additions.
 fn order_sensitive(rank: usize, call: usize) -> Vec<u8> {
     let vals: Vec<f64> = (0..64)
@@ -306,6 +408,90 @@ fn small_allreduce_gives_every_rank_the_same_bits() {
     }
 }
 
+/// Segment `c` of call `call`: bytes that name both.
+fn segment(c: usize, call: usize, len: usize) -> Vec<u8> {
+    (0..len).map(|i| (c * 31 + call * 7 + i) as u8).collect()
+}
+
+/// Every member ends with every member's segment, over five back-to-back
+/// allgathers and then two `iallgather`s outstanding together, through
+/// the landings (8 B, 512 B) and straight into the user buffers (4 KB).
+/// 16×2 runs two radix-4 rounds up to 512 B and one round of fifteen
+/// peers at 4 KB; 17×2 one round of sixteen; 21×2 radix 7 at 8 B, fourteen extra
+/// nodes folded into the seven cores and back. On 4×4 the subgroup
+/// `[1, 3, 4, 6, 7, 10, 13, 14, 15]` has one to three members a node,
+/// and its permutation puts each node's blocks at scattered comm ranks,
+/// so a message is several runs.
+#[test]
+fn allgather_gives_every_member_every_segment() {
+    let subgroup = [1, 3, 4, 6, 7, 10, 13, 14, 15];
+    let scattered = [14, 1, 7, 10, 3, 15, 4, 13, 6];
+    // The radix at 8 B, 512 B and 4 KB.
+    let worlds = [
+        (16, 2, None, [4, 4, 16]),
+        (17, 2, None, [17; 3]),
+        (21, 2, None, [7, 21, 21]),
+        (4, 4, Some(&subgroup[..]), [4; 3]),
+        (4, 4, Some(&scattered[..]), [4; 3]),
+    ];
+    for (nodes, tpn, group, ks) in worlds {
+        for (len, k) in [8, 512, 4 << 10].into_iter().zip(ks) {
+            let topo = Topology::new(nodes, tpn);
+            // A subgroup's model has its busiest node's members on each.
+            let busiest = if group.is_some() { 3 } else { tpn };
+            let machine = MachineConfig::ibm_sp_colony();
+            let model = SrmModel::new(machine, Topology::new(nodes, busiest), SrmTuning::default());
+            assert_eq!(model.allgather_radix(len), k, "{topo} {group:?}, {len} B");
+            let mut sim = Sim::new(MachineConfig::ibm_sp_colony());
+            let world = SrmWorld::new(&mut sim, topo, SrmTuning::default());
+            let members = match group {
+                Some(ranks) => world.comm_create(ranks),
+                None => (0..topo.nprocs()).map(|r| world.comm(r)).collect(),
+            };
+            let n = members.len();
+            let out = Arc::new(Mutex::new(vec![Vec::new(); n]));
+            for rank in 0..topo.nprocs() {
+                let (wcomm, out) = (world.comm(rank), out.clone());
+                let member = members.iter().find(|m| m.rank() == rank).cloned();
+                sim.spawn(format!("rank{rank}"), move |ctx| {
+                    if let Some(comm) = member {
+                        let me = comm.comm_rank();
+                        let fill = |call| {
+                            let buf = comm.alloc_buffer(n * len);
+                            let mine = segment(me, call, len);
+                            buf.with_mut(|d| d[me * len..][..len].copy_from_slice(&mine));
+                            buf
+                        };
+                        let mut got = Vec::new();
+                        for call in 0..5 {
+                            let buf = fill(call);
+                            comm.allgather(&ctx, &buf, len);
+                            got.push(buf.with(|d| d.to_vec()));
+                        }
+                        let (a, b) = (fill(5), fill(6));
+                        let reqs = vec![
+                            comm.iallgather(&ctx, &a, len),
+                            comm.iallgather(&ctx, &b, len),
+                        ];
+                        comm.wait_all(&ctx, reqs);
+                        got.extend([&a, &b].map(|buf| buf.with(|d| d.to_vec())));
+                        out.lock().unwrap()[me] = got;
+                    }
+                    wcomm.shutdown(&ctx);
+                });
+            }
+            sim.run().expect("no deadlock");
+            for (me, got) in out.lock().unwrap().iter().enumerate() {
+                for (call, buf) in got.iter().enumerate() {
+                    let want: Vec<u8> = (0..n).flat_map(|c| segment(c, call, len)).collect();
+                    let what = format!("{topo} {group:?}, {len} B, call {call}, comm rank {me}");
+                    assert!(buf == &want, "{what}: wrong bytes");
+                }
+            }
+        }
+    }
+}
+
 /// The exchange landings alternate with the recursive-doubling
 /// allreduces, not with the `Reduce` cell: a one-chunk reduce between
 /// two allreduces advances that by one, so the second allreduce would
@@ -315,6 +501,16 @@ fn small_allreduce_gives_every_rank_the_same_bits() {
 /// to root 0 (as a leaf it needs nothing from rank 0) and sends its
 /// next allreduce's contribution, which must not overwrite the first
 /// one's before rank 0 has folded it.
+///
+/// The allgathers that fit one landing share those landings: rank 0
+/// then leaves a 4 KB `iallgather`, a 12 KB `iallreduce` and a second
+/// `iallgather` outstanding together through the same compute, while
+/// rank 1 runs the three blocking, with interrupts on everywhere
+/// (`interrupt_disable_max` 0) so that each put lands as it arrives.
+/// The allreduce's put must not land in the first allgather's landing
+/// before rank 0 has copied that out (it did when the allgather left
+/// `SeqBase::Rd` alone), and the second allgather lands in the first
+/// one's landing, two exchanging calls later.
 #[test]
 fn an_outstanding_allreduce_keeps_its_landing_across_a_rooted_call() {
     let topo = Topology::new(2, 1);
@@ -351,6 +547,54 @@ fn an_outstanding_allreduce_keeps_its_landing_across_a_rooted_call() {
     sim.run().expect("no deadlock");
     for words in out.lock().unwrap().iter() {
         assert_eq!(words, &[10 + 20, 12 + 22]);
+    }
+
+    let gather_len = 4 << 10;
+    let mut sim = Sim::new(MachineConfig::ibm_sp_colony());
+    let loud = SrmTuning {
+        interrupt_disable_max: 0,
+        ..SrmTuning::default()
+    };
+    let world = SrmWorld::new(&mut sim, topo, loud);
+    let out = Arc::new(Mutex::new(vec![Vec::new(); 2]));
+    for rank in 0..2 {
+        let (comm, out) = (world.comm(rank), out.clone());
+        sim.spawn(format!("rank{rank}"), move |ctx| {
+            let gathered = |call| {
+                let buf = comm.alloc_buffer(2 * gather_len);
+                let mine = segment(rank, call, gather_len);
+                buf.with_mut(|d| d[rank * gather_len..][..gather_len].copy_from_slice(&mine));
+                buf
+            };
+            let (first, second) = (gathered(0), gathered(1));
+            let sum = comm.alloc_buffer(len);
+            sum.with_mut(|d| d.copy_from_slice(&to_bytes_u64(&vec![rank as u64 + 1; len / 8])));
+            let (u64_sum, op) = (DType::U64, ReduceOp::Sum);
+            if rank == 0 {
+                let reqs = vec![
+                    comm.iallgather(&ctx, &first, gather_len),
+                    comm.iallreduce(&ctx, &sum, len, u64_sum, op),
+                    comm.iallgather(&ctx, &second, gather_len),
+                ];
+                ctx.advance(SimTime::from_us(300));
+                comm.wait_all(&ctx, reqs);
+            } else {
+                comm.allgather(&ctx, &first, gather_len);
+                comm.allreduce(&ctx, &sum, len, u64_sum, op);
+                comm.allgather(&ctx, &second, gather_len);
+            }
+            let bufs = [&first, &second].map(|b| b.with(|d| d.to_vec()));
+            assert_eq!(from_bytes_u64(&sum.with(|d| d.to_vec())), vec![3; len / 8]);
+            out.lock().unwrap()[rank] = bufs.concat();
+            comm.shutdown(&ctx);
+        });
+    }
+    sim.run().expect("no deadlock");
+    let want: Vec<u8> = (0..2)
+        .flat_map(|call| (0..2).flat_map(move |c| segment(c, call, gather_len)))
+        .collect();
+    for (rank, got) in out.lock().unwrap().iter().enumerate() {
+        assert!(got == &want, "rank {rank}: wrong allgathered bytes");
     }
 }
 

@@ -11,7 +11,9 @@ use srm_cluster::{measure, HarnessOpts, Impl, Op};
 const MAX_FACTOR: f64 = 2.5;
 /// Allreduce is held tighter: its large term is the busy time of group
 /// node 0's master, which the skewed pipeline actually runs at, or the
-/// reduce and broadcast terms of the composition that runs instead.
+/// reduce and broadcast terms of the composition that runs instead. So
+/// is the allgather, whose rounds the closed form walks as the planner
+/// does.
 const ALLREDUCE_FACTOR: f64 = 1.5;
 
 #[test]
@@ -30,15 +32,19 @@ fn model_within_factor_of_simulation() {
             (Op::Allreduce, 256 << 10),
             (Op::Allreduce, 1 << 20),
             (Op::Barrier, 8),
+            (Op::Allgather, 8),
+            (Op::Allgather, 4 << 10),
         ] {
             let predicted = match op {
                 Op::Bcast => model.bcast(len),
                 Op::Reduce => model.reduce(len),
                 Op::Allreduce => model.allreduce(len),
                 Op::Barrier => model.barrier(),
+                Op::Allgather => model.allgather(len),
                 // The analytical model covers the paper's four measured
-                // ops here and alltoall below; the other segment and
-                // pairwise ops are simulation-only for now.
+                // ops and the allgather here and alltoall below; the
+                // other segment and pairwise ops are simulation-only for
+                // now.
                 _ => unreachable!(),
             };
             // One call: the isolated latency the closed form prices.
@@ -57,7 +63,7 @@ fn model_within_factor_of_simulation() {
             )
             .per_call;
             let ratio = sim.as_us() / predicted.as_us();
-            let factor = if op == Op::Allreduce {
+            let factor = if matches!(op, Op::Allreduce | Op::Allgather) {
                 ALLREDUCE_FACTOR
             } else {
                 MAX_FACTOR

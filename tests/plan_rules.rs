@@ -17,12 +17,15 @@
 //! the put target and waits for the puts itself (`CtrRef::Landed`).
 //!
 //! **One write per exchange landing.** Across every member's plan of
-//! one small allreduce, each `Rd` landing (receiver, sender, parity) is
-//! written at most once, and only by its sender's master, with a put
-//! that bumps the landing's own counter. Every wait on an `Rd` data
-//! counter, at its receiver's master, has exactly one such put. So a
+//! one small allreduce, or of one allgather whose assembled buffer fits
+//! a landing, each byte of each `Rd` landing (receiver, sender, parity)
+//! is written at most once, and only by its sender's master, with puts
+//! that bump the landing's own counter. Each landing that is put into
+//! is waited on once, at its receiver's master, for exactly those puts
+//! (an allgather's message is one put per run of segments). So a
 //! landing needs no credit within a call (DESIGN.md §16.2), however
-//! many senders a round has.
+//! many senders a round has. A larger allgather puts into no landing,
+//! and the address rule holds on every master's plan of it.
 //!
 //! **Flags only count up.** Every flag raise names a sequence target
 //! and every wait on a flag waits for at least a value (or for a side
@@ -237,7 +240,7 @@ fn rd_key(c: Chan) -> (usize, usize, u32) {
     (c.dst, c.src, c.lane)
 }
 
-/// The landing rule over every member's plan of one call: count the
+/// The landing rule over every member's plan of one call: collect the
 /// puts into and the waits on each `Rd` landing, checking each writer
 /// and waiter; return how many landings were waited on.
 fn rd_landings_are_written_once(what: &str, members: &[SrmComm], plans: &[Plan]) -> usize {
@@ -251,6 +254,8 @@ fn rd_landings_are_written_once(what: &str, members: &[SrmComm], plans: &[Plan])
                 Step::RmaPut {
                     to,
                     dst: BufRef::Chan(c),
+                    dst_off,
+                    len,
                     ctr,
                     ..
                 } if c.kind == ChanKind::Rd => {
@@ -261,7 +266,8 @@ fn rd_landings_are_written_once(what: &str, members: &[SrmComm], plans: &[Plan])
                     let own = matches!(ctr, Some(CtrRef::Data(d))
                         if d.kind == c.kind && rd_key(d) == rd_key(c));
                     assert!(own, "{at}: bumps another counter");
-                    *puts.entry(rd_key(c)).or_insert(0) += 1;
+                    let bytes = dst_off..dst_off + len;
+                    puts.entry(rd_key(c)).or_insert_with(Vec::new).push(bytes);
                 }
                 Step::ShmCopy {
                     dst: BufRef::Chan(c),
@@ -273,21 +279,47 @@ fn rd_landings_are_written_once(what: &str, members: &[SrmComm], plans: &[Plan])
                     ..
                 } if c.kind == ChanKind::Rd => {
                     assert_eq!((c.dst, slot), (me, 0), "{at}: not the receiver's master");
-                    let one = matches!(until, Until::Ge(Val::Lit(1)));
-                    assert!(one, "{at}: waits for more than one put");
-                    *waits.entry(rd_key(c)).or_insert(0) += 1;
+                    let Until::Ge(Val::Lit(n)) = until else {
+                        panic!("{at}: waits for no count of puts");
+                    };
+                    waits.entry(rd_key(c)).or_insert_with(Vec::new).push(n);
                 }
                 _ => {}
             }
         }
     }
-    for (key, n) in &puts {
-        assert_eq!(*n, 1, "{what}: landing {key:?} written {n} times");
+    for (key, bytes) in &mut puts {
+        bytes.sort_by_key(|r| r.start);
+        let ends = bytes.iter().zip(bytes.iter().skip(1));
+        for (a, b) in ends {
+            assert!(
+                a.end <= b.start,
+                "{what}: landing {key:?} bytes {b:?} written twice"
+            );
+        }
+        let landed = SrmTuning::REDUCE_CHUNK;
+        assert!(
+            bytes.last().is_some_and(|r| r.end <= landed),
+            "{what}: {key:?} overflows"
+        );
+        assert!(
+            waits.contains_key(key),
+            "{what}: landing {key:?} put into, never waited on"
+        );
     }
-    for (key, n) in &waits {
-        assert_eq!(*n, 1, "{what}: landing {key:?} waited on {n} times");
-        let put = puts.contains_key(key);
-        assert!(put, "{what}: landing {key:?} waited on without a put");
+    for (key, ns) in &waits {
+        assert_eq!(
+            ns.len(),
+            1,
+            "{what}: landing {key:?} waited on {} times",
+            ns.len()
+        );
+        let put = puts.get(key).map_or(0, Vec::len) as u64;
+        assert_eq!(
+            ns[0], put,
+            "{what}: landing {key:?} waits for {} of {put} puts",
+            ns[0]
+        );
     }
     waits.len()
 }
@@ -295,7 +327,9 @@ fn rd_landings_are_written_once(what: &str, members: &[SrmComm], plans: &[Plan])
 /// Small allreduces at 8 B, 512 B, 4 KB and one reduce chunk on worlds
 /// that run one round (3×2, 4×4), two radix-4 rounds (16×1), and folds
 /// at radix 6 and at radix 2 (17×1 at 512 B and at 4 KB), plus the
-/// uneven 4×4 subgroup.
+/// uneven 4×4 subgroup; allgathers of the same segments, which use the
+/// landings where their assembled buffer fits one and put straight into
+/// the user buffers, under the address rule, where it does not.
 #[test]
 fn every_exchange_landing_is_written_once_per_call_by_its_sender() {
     let chunk = SrmTuning::REDUCE_CHUNK;
@@ -310,15 +344,27 @@ fn every_exchange_landing_is_written_once_per_call_by_its_sender() {
             comms.push(("4x4 subgroup".to_string(), subgroup));
         }
         for (what, members) in comms {
+            let n = members.len();
             for len in [8, 512, 4 << 10, chunk] {
-                let shape = Op::Allreduce.shape(len, 0, members.len());
-                let plans: Vec<Plan> = members
-                    .iter()
-                    .map(|c| c.build_plan(&c.key(shape.clone())))
-                    .collect();
-                let what = format!("{what}, {len} B");
-                let waited = rd_landings_are_written_once(&what, &members, &plans);
-                assert!(waited > 0, "{what}: no exchange landing waited on");
+                for op in [Op::Allreduce, Op::Allgather] {
+                    let shape = op.shape(len, 0, n);
+                    let plans: Vec<Plan> = members
+                        .iter()
+                        .map(|c| c.build_plan(&c.key(shape.clone())))
+                        .collect();
+                    let what = format!("{what}, {op:?} {len} B");
+                    let waited = rd_landings_are_written_once(&what, &members, &plans);
+                    if op == Op::Allreduce || n * len <= chunk {
+                        assert!(waited > 0, "{what}: no exchange landing waited on");
+                        continue;
+                    }
+                    assert_eq!(waited, 0, "{what}: a landing past its size");
+                    for (comm, plan) in members.iter().zip(&plans) {
+                        let what = format!("{what}, comm rank {}", comm.comm_rank());
+                        let master = comm.group().coord_of(comm.comm_rank()).1 == 0;
+                        assert_eq!(address_rule(&what, comm, plan), master, "{what}");
+                    }
+                }
             }
         }
     }
