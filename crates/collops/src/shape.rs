@@ -284,10 +284,13 @@ impl Shape {
             // A broadcast root only reads its buffer; everyone else lands
             // the payload in it. Scatter is the same split.
             Shape::Bcast { root, .. } | Shape::Scatter { root, .. } => crank != root,
-            // Reduce/gather write only at the root.
-            Shape::Reduce { root, .. } | Shape::Gather { root, .. } => crank == root,
-            // Every rootless shape writes every rank's buffer.
-            Shape::Alltoall { .. }
+            // Reduce writes only at the root.
+            Shape::Reduce { root, .. } => crank == root,
+            // A gather may stage a node's segments in any rank's buffer
+            // (outside its own segment it is unspecified); every rootless
+            // shape writes every rank's buffer.
+            Shape::Gather { .. }
+            | Shape::Alltoall { .. }
             | Shape::Alltoallv { .. }
             | Shape::ReduceScatter { .. }
             | Shape::Allgather { .. }
@@ -373,8 +376,8 @@ mod tests {
         assert_eq!(at(Shape::Bcast { len: 8, root: 2 }), [true, false]);
         assert_eq!(at(Shape::Scatter { len: 8, root: 2 }), [true, false]);
         assert_eq!(at(Shape::Reduce { len: 8, root: 2 }), [false, true]);
-        assert_eq!(at(Shape::Gather { len: 8, root: 2 }), [false, true]);
         for op in [
+            Op::Gather,
             Op::Allreduce,
             Op::Allgather,
             Op::Alltoall,

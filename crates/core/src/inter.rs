@@ -15,11 +15,13 @@
 //! One task per node — its **wire rank** for the call
 //! (`SrmComm::wire_rank`): the root on the root's node, the **master**
 //! (group slot 0) everywhere else — carries the node's tree traffic; a
-//! gather root also takes every remote master's puts. Data put by a
-//! parent node lands in shared memory (the edge's landing buffers or,
+//! gather root also takes every remote master's puts. Data put by
+//! another node lands in shared memory (the edge's landing buffers or,
 //! for large broadcasts, directly in the master's user buffer), where
 //! it "is directly available to all the tasks running on that node
-//! without the need for copying the data".
+//! without the need for copying the data": a master publishes a landed
+//! broadcast chunk, scatter piece or small allgather block to its node
+//! in place, and the node's tasks copy straight out of the landing.
 //!
 //! Flow control is explicit, exactly as the paper describes replacing
 //! MPI's eager/rendezvous machinery: two landing buffers per (parent,
@@ -31,13 +33,17 @@
 //!
 //! The gather/scatter family extends the same machinery: scatter
 //! streams per-node blocks into the broadcast landings, published in
-//! place like broadcast chunks; gather relays segments through the
-//! per-slot contribution buffers and puts them straight into the
-//! root's user buffer at their final offsets (the root ships its
-//! handle, zero staging at the root). Allgather gathers each node's
-//! segments to its master the same way, exchanges the node blocks
-//! between the masters by recursive k-ing, and broadcasts the
-//! assembled buffer within each node.
+//! place like broadcast chunks; gather collects each node's segments
+//! at its wire rank through the per-slot contribution buffers, then
+//! either credit-puts each remote node's block into the root's reduce
+//! landing from that node, no address moving, or — where the model
+//! prices it lower, or a block outgrows a landing — puts the segments
+//! straight into the root's user buffer at their final offsets (the
+//! root ships its handle, zero staging at the root). Allgather gathers
+//! each node's segments to its master the same way, exchanges the node
+//! blocks between the masters by recursive k-ing, and publishes them
+//! within each node: each block in place as it lands, or the assembled
+//! buffer once the exchange is over, as the model prices them.
 //!
 //! The calls between nodes that run no tree — the barrier, the small
 //! allreduce and the allgather — walk one round iterator,
@@ -696,35 +702,108 @@ impl SrmComm {
 
     /// Plan a gather: every member's segment `buf[c*len..(c+1)*len]`
     /// (indexed by **communicator rank** `c`) reaches the root's buffer
-    /// at the same offsets. `root` is a communicator rank.
-    ///
-    /// Protocol: the root ships its user-buffer handle to every remote
-    /// master by active message; each remote master puts its own segment
-    /// and, in reduce-chunk pieces, every local slot's relayed through
-    /// that slot's contribution channel (the reduce leaf pattern)
-    /// **straight into the root's user buffer** at their final offsets —
-    /// zero staging at the root — bumping the root's
+    /// at the same offsets. `root` is a communicator rank. Each node
+    /// gathers to its wire rank first (gather's leaf pattern,
+    /// [`Self::plan_node_gather`]); the remote blocks then travel one of
+    /// two ways, whichever
+    /// [`SrmModel::gather_lands`](crate::SrmModel::gather_lands) prices
+    /// lower: through the root's landings ([`Self::plan_gather_landed`])
+    /// or straight into its user buffer ([`Self::plan_gather_direct`]).
+    pub(crate) fn plan_gather(&self, b: &mut PlanBuilder, len: usize, root: usize) {
+        if len == 0 || self.csize() == 1 {
+            return;
+        }
+        let chunks = SrmTuning::chunk_count(len, SrmTuning::REDUCE_CHUNK) as u64;
+        let rel_end = b.rel(SeqBase::Reduce) + chunks;
+        let wire = self.wire_rank(self.cnode(), root);
+        // My own segment bypassed my contribution channel.
+        let catchup = |b: &mut PlanBuilder| {
+            if self.crank() == wire {
+                self.plan_contrib_catchup(b, 0, rel_end);
+            }
+        };
+        if self.model(b.tuning()).gather_lands(len) {
+            self.plan_quiet(b, wire, len, |b| {
+                self.plan_gather_landed(b, len, root);
+                catchup(b);
+            });
+        } else {
+            self.plan_gather_direct(b, len, root);
+            catchup(b);
+        }
+        b.advance(SeqBase::Reduce, chunks);
+    }
+
+    /// The gather through the root's landings, for node blocks of at
+    /// most one landing: each remote master stages its node's segments
+    /// in its own user buffer at their final offsets, then credit-puts
+    /// the block, one put per run, into the root's [`ChanKind::Reduce`]
+    /// landing from its node, packed. The root gathers its own node,
+    /// then takes each remote block inside its data counter wait,
+    /// copies it out and returns the credit. No address moves.
+    fn plan_gather_landed(&self, b: &mut PlanBuilder, len: usize, root: usize) {
+        let (rel, root_node) = (b.rel(SeqBase::Reduce), self.cnode_of(root));
+        let wire = self.wire_rank(self.cnode(), root);
+        let chan = |g| Chan::new(ChanKind::Reduce, self.crank_at(g, 0), root, rel);
+        // A node's block: its runs as `(user offset, landing offset,
+        // bytes)`, packed in the landing.
+        let block = |g: usize| {
+            let mut at = 0;
+            let runs = self.block_runs(&mut (g..g + 1), len).into_iter();
+            runs.map(|(off, bytes)| {
+                at += bytes;
+                (off, at - bytes, bytes)
+            })
+            .collect::<Vec<_>>()
+        };
+        let top = self.ccoord_of(wire).1;
+        self.plan_node_gather(b, len, top, |b, src, at, clen| {
+            b.copy((src, 0), (BufRef::User, at), clen, CopyCost::Read(1))
+        });
+        if self.crank() == root {
+            for g in (0..self.cnodes()).filter(|&g| g != root_node) {
+                let (c, runs) = (chan(g), block(g));
+                b.wait_ctr(CtrRef::Data(c), runs.len() as u64);
+                for (off, at, bytes) in runs {
+                    let (src, dst) = ((BufRef::Chan(c), at), (BufRef::User, off));
+                    b.copy(src, dst, bytes, CopyCost::Read(1));
+                }
+                self.plan_credit_return(b, c);
+            }
+        } else if self.crank() == wire {
+            let c = chan(self.cnode());
+            b.wait_ctr(CtrRef::Free(c), 1);
+            for (off, at, bytes) in block(self.cnode()) {
+                b.push(Step::RmaPut {
+                    to: self.cworld_of(root),
+                    src: BufRef::User,
+                    src_off: off,
+                    dst: BufRef::Chan(c),
+                    dst_off: at,
+                    len: bytes,
+                    ctr: Some(CtrRef::Data(c)),
+                });
+            }
+        }
+    }
+
+    /// The gather straight into the root's user buffer: the root ships
+    /// its user-buffer handle to every remote master by active message;
+    /// each remote master puts its own segment and, in reduce-chunk
+    /// pieces, every local slot's relayed through that slot's
+    /// contribution channel (the reduce leaf pattern) at their final
+    /// offsets — zero staging at the root — bumping the root's
     /// [`CtrRef::Landed`]. The root consumes every other task of its node
     /// through its contribution channel, the master's included, and
     /// waits last for the full remote piece count. Interrupts stay
     /// enabled: the root's node may finish its own steps before remote
     /// puts arrive.
-    pub(crate) fn plan_gather(&self, b: &mut PlanBuilder, len: usize, root: usize) {
-        if len == 0 || self.csize() == 1 {
-            return;
-        }
+    fn plan_gather_direct(&self, b: &mut PlanBuilder, len: usize, root: usize) {
         let chunk = SrmTuning::REDUCE_CHUNK;
         let chunks = SrmTuning::chunk_count(len, chunk);
         let nodes = self.cnodes();
-        let my_node = self.cnode();
         let root_node = self.cnode_of(root);
-        let rel_end = b.rel(SeqBase::Reduce) + chunks as u64;
-        // My node gathers to the root on its node, to the master elsewhere.
-        let top = if my_node == root_node {
-            self.ccoord_of(root).1
-        } else {
-            0
-        };
+        let top = self.ccoord_of(self.wire_rank(self.cnode(), root)).1;
 
         if self.crank() == root {
             for m in (0..nodes).filter(|&m| m != root_node) {
@@ -745,8 +824,6 @@ impl SrmComm {
                     .sum();
                 b.wait_ctr(CtrRef::Landed { rank: root }, n as u64);
             }
-            // My own contribution channel went unused.
-            self.plan_contrib_catchup(b, 0, rel_end);
         } else if self.cslot() == top {
             // Remote master: take the root's handle, put my own segment,
             // then relay every local slot's pieces.
@@ -767,12 +844,9 @@ impl SrmComm {
                 put(b, BufRef::User, at, at, chunk.min(len - k * chunk));
             }
             self.plan_node_gather(b, len, top, |b, src, at, clen| put(b, src, 0, at, clen));
-            // My own segment bypassed my contribution channel.
-            self.plan_contrib_catchup(b, 0, rel_end);
         } else {
             self.plan_node_gather(b, len, top, |_, _, _, _| {});
         }
-        b.advance(SeqBase::Reduce, chunks as u64);
     }
 
     /// Gather's leaf pattern on my node, for `len`-byte segments: every
@@ -943,134 +1017,286 @@ impl SrmComm {
     /// through their contribution channels (gather's leaf pattern),
     /// which copies each to its final offset; the masters exchange their
     /// nodes' blocks ([`Self::plan_allgather_exchange`]); each master
-    /// broadcasts the assembled `csize·len` bytes within its node.
+    /// publishes them within its node through the buffer pair
+    /// ([`Self::allgather_publication`]).
+    ///
+    /// Never inlined: its locals would otherwise grow the frame of
+    /// `build_plan`, which every call's compile runs on its rank's
+    /// stack (one more 4 KB page per rank, 2 MiB of peak RSS on 16×16).
+    #[inline(never)]
     pub(crate) fn plan_allgather(&self, b: &mut PlanBuilder, len: usize) {
         if len == 0 || self.csize() == 1 {
             return;
         }
-        let total = self.csize() * len;
         let chunks = SrmTuning::chunk_count(len, SrmTuning::REDUCE_CHUNK) as u64;
-        let landed = self.cmulti() && total <= SrmTuning::REDUCE_CHUNK;
+        let landed = self.cmulti() && self.csize() * len <= SrmTuning::REDUCE_CHUNK;
+        let model = self.model(b.tuning());
+        let swaps = match self.cmulti() {
+            true => self.allgather_swaps(len, model.allgather_radix(len)),
+            false => Vec::new(),
+        };
+        let groups = model.allgather_groups(len);
+        let [own, placed, last] = self.allgather_publication(b, len, &swaps, groups);
+        let rel_end = b.rel(SeqBase::Reduce) + chunks;
         self.plan_quiet(b, self.crank_at(self.cnode(), 0), len, |b| {
-            let rel_end = b.rel(SeqBase::Reduce) + chunks;
             self.plan_node_gather(b, len, 0, |b, src, at, clen| {
                 b.copy((src, 0), (BufRef::User, at), clen, CopyCost::Read(1))
             });
-            if self.c_is_master() {
+            let uses = || own.iter().chain(&placed).chain(&last);
+            if !self.c_is_master() {
+                uses().for_each(|u| self.plan_allgather_use(b, u));
+            } else {
                 // My own segment is in place already.
                 self.plan_contrib_catchup(b, 0, rel_end);
-                if self.cmulti() {
-                    self.plan_allgather_exchange(b, len, landed);
-                }
+                // My own block goes out after my first puts, or before my
+                // first take if that comes first (an extra's block); each
+                // landed message alone as it lands. My node's tasks have
+                // read a landing before they hand me their next
+                // contributions, and I gather those before any exchanging
+                // call's puts, so no sender writes it again early
+                // (DESIGN.md §16.2).
+                let (mut own, mut placed) = (own.iter(), placed.iter());
+                let mut take = |b: &mut PlanBuilder, taken: Option<Landed>| {
+                    own.by_ref().for_each(|u| self.plan_allgather_use(b, u));
+                    if let Some((c, msg)) = taken {
+                        match placed.next() {
+                            Some(u) => self.plan_allgather_use(b, u),
+                            None => self.plan_copy_landed(b, c, msg),
+                        }
+                    }
+                };
+                self.plan_allgather_exchange(b, landed, &swaps, &mut take);
+                last.iter().for_each(|u| self.plan_allgather_use(b, u));
             }
             b.advance(SeqBase::Reduce, chunks);
             if landed {
                 b.advance(SeqBase::Rd, 1);
             }
-            self.plan_smp_bcast(b, total, self.cmaster_of(self.cnode()));
+            b.advance(SeqBase::Pair, uses().count() as u64);
         });
     }
 
-    /// The allgather's exchange between the masters, which hold their
-    /// nodes' blocks: recursive k-ing at
-    /// [`SrmModel::allgather_radix`](crate::SrmModel::allgather_radix)
-    /// with no fold. The extras' blocks fold into their cores; in round
-    /// `r` each core puts the nodes it holds to the `k − 1` other members
-    /// of its digit-`r` group; the cores hand the assembled buffer back
-    /// to their extras. A message is the runs its nodes' segments cover
-    /// in comm-rank order, one put each, at their final offsets.
-    ///
-    /// Where the assembled buffer fits one landing (`landed`), every
-    /// message goes into the receiver's [`ChanKind::Rd`] landing, and
-    /// the receiver copies each run out; the call advances
-    /// [`SeqBase::Rd`] like a small allreduce, and its landings are
-    /// reused the same way (DESIGN.md §16.2). Otherwise every message
-    /// goes straight into the receiver's user buffer under the address
-    /// rule ([`CtrRef::Landed`]): a receiver ships its handle to a step's
-    /// senders only once it has taken everything before, so its counter
-    /// only ever counts that step's puts.
-    fn plan_allgather_exchange(&self, b: &mut PlanBuilder, len: usize, landed: bool) {
+    /// How my node's master publishes the blocks of an allgather in
+    /// `groups` groups
+    /// ([`SrmModel::allgather_groups`](crate::SrmModel::allgather_groups)),
+    /// as the uses of the node's pair, in order: the first `groups − 1`
+    /// blocks alone — my own block's cells, written into the pair once
+    /// the master's first puts are out, then one use in place for each
+    /// landed message, which the node's tasks copy straight out of the
+    /// landing as a broadcast chunk's — then the cells of the rest's
+    /// runs, broadcast together once the exchange is over; a last group
+    /// of one landed message goes in place too. One group is the whole
+    /// buffer's broadcast after the exchange. None on a one-task node.
+    fn allgather_publication(
+        &self,
+        b: &PlanBuilder,
+        len: usize,
+        swaps: &[Swap],
+        groups: usize,
+    ) -> [Vec<AllgatherUse>; 3] {
+        let mut out: [Vec<AllgatherUse>; 3] = Default::default();
+        if self.cslots_here() == 1 {
+            return out;
+        }
+        let (rel0, lane, my) = (b.rel(SeqBase::Pair), b.rel(SeqBase::Rd), self.cnode());
+        let takes: Vec<&Message> = swaps.iter().flat_map(|s| &s.from).collect();
+        let placed = match groups - 1 {
+            0 => 0,
+            g if g >= takes.len() => takes.len(),
+            g => g - 1,
+        };
+        let mut rel = rel0;
+        let mut next = |runs, landing| {
+            rel += 1;
+            AllgatherUse {
+                rel: rel - 1,
+                runs,
+                landing,
+            }
+        };
+        // The cells of some runs, one use each.
+        let cells = |runs: Runs| -> Runs {
+            let split = |(off, bytes): (usize, usize)| {
+                (0..smp_cells(bytes))
+                    .map(move |j| smp_cell(bytes, j))
+                    .map(move |(at, n)| (off + at, n))
+            };
+            runs.into_iter().flat_map(split).collect()
+        };
+        let own = self.block_runs(&mut (my..my + 1), len);
+        let mut last = Vec::new();
+        if groups > 1 {
+            out[0] = cells(own)
+                .into_iter()
+                .map(|run| next(vec![run], None))
+                .collect();
+        } else {
+            last.extend(own);
+        }
+        let me = self.crank_at(my, 0);
+        for (g, msg) in &takes[..placed] {
+            let c = Chan::new(ChanKind::Rd, self.crank_at(*g, 0), me, lane);
+            out[1].push(next(msg.clone(), Some(c)));
+        }
+        last.extend(takes[placed..].iter().flat_map(|(_, msg)| msg));
+        out[2] = cells(merge_runs(last))
+            .into_iter()
+            .map(|run| next(vec![run], None))
+            .collect();
+        out
+    }
+
+    /// My part of one pair use of an allgather: the master writes a cell
+    /// of its user buffer into the pair, or publishes a landed message in
+    /// place and copies it out itself; every other task copies the use
+    /// out of the side or the landing.
+    fn plan_allgather_use(&self, b: &mut PlanBuilder, u: &AllgatherUse) {
+        let (rel, landing) = (u.rel, u.landing);
+        let cell = WaitCell::Pair { rel };
+        if !self.c_is_master() {
+            b.wait(cell, Until::Use(PairUse::Published), "buffer published");
+        } else if landing.is_none() {
+            let (off, clen) = u.runs[0];
+            self.plan_smp_cell_write(b, off, clen, rel);
+            return;
+        } else {
+            b.wait(
+                cell,
+                Until::Use(PairUse::Free),
+                "buffer released by readers",
+            );
+            b.push(Step::PairPublish { rel });
+        }
+        // A landed message's runs sit at their own offsets, a cell at 0.
+        let data = landing.map_or(BufRef::Pair { rel }, BufRef::Chan);
+        for &(off, bytes) in &u.runs {
+            let at = if landing.is_some() { off } else { 0 };
+            self.plan_pair_copy_out(b, data, (at, off, bytes));
+        }
+        plan_pair_release(b, rel);
+    }
+
+    /// Copy the runs of a message landed in `c` to their offsets in my
+    /// user buffer.
+    fn plan_copy_landed(&self, b: &mut PlanBuilder, c: Chan, msg: &Runs) {
+        for &(off, bytes) in msg {
+            let (src, dst) = ((BufRef::Chan(c), off), (BufRef::User, off));
+            b.copy(src, dst, bytes, CopyCost::Read(1));
+        }
+    }
+
+    /// The allgather's exchange at my node's master, as the steps it
+    /// takes: recursive k-ing at radix `k` with no fold. The extras'
+    /// blocks fold into their cores; in round `r` each core puts the
+    /// nodes it holds to the `k − 1` other members of its digit-`r`
+    /// group; the cores hand the assembled buffer back to their extras.
+    /// A message is the runs its nodes' segments cover in comm-rank
+    /// order, one put each, at their final offsets.
+    fn allgather_swaps(&self, len: usize, k: usize) -> Vec<Swap> {
         let (my, n) = (self.cnode(), self.cnodes());
-        let k = self.model(b.tuning()).allgather_radix(len);
         let rounds = Rounds::k_ing(n, k, my);
-        let (core, extras, lane) = (rounds.core(), rounds.extras(), b.rel(SeqBase::Rd));
-        let master = |g| self.crank_at(g, 0);
+        let (core, extras) = (rounds.core(), rounds.extras());
         // A message: the runs `(offset, bytes)` of `nodes`' segments.
         let runs = |nodes: &mut dyn Iterator<Item = usize>| self.block_runs(nodes, len);
         let but = |g: usize| runs(&mut (0..n).filter(move |&h| h != g));
         let held = |r: usize, g: usize| runs(&mut rounds.held(r, g));
-        let rd = |from, to| Chan::new(ChanKind::Rd, master(from), master(to), lane);
-        let send = |b: &mut PlanBuilder, to: usize, msg: &[(usize, usize)]| {
-            let (dst, ctr) = if landed {
-                (BufRef::Chan(rd(my, to)), CtrRef::Data(rd(my, to)))
-            } else {
-                let idx = b.take_addr(master(to));
-                (BufRef::Taken { idx }, CtrRef::Landed { rank: master(to) })
-            };
-            for &(off, len) in msg {
-                b.push(Step::RmaPut {
-                    to: self.cmaster_of(to),
-                    src: BufRef::User,
-                    src_off: off,
-                    dst,
-                    dst_off: off,
-                    len,
-                    ctr: Some(ctr),
-                });
-            }
-        };
-        // A step's senders and their messages: before my own puts, ship
-        // my handle to each; after them, take everything they put.
-        type From = [(usize, Vec<(usize, usize)>)];
-        let open = |b: &mut PlanBuilder, from: &From| {
-            for &(g, _) in from.iter().filter(|_| !landed) {
-                let (to, src) = (self.cmaster_of(g), BufRef::User);
-                b.push(Step::AddrSend { to, src });
-            }
-        };
-        let close = |b: &mut PlanBuilder, from: &From| {
-            if !landed {
-                let puts = from.iter().map(|(_, msg)| msg.len()).sum::<usize>();
-                b.wait_ctr(CtrRef::Landed { rank: master(my) }, puts as u64);
-                return;
-            }
-            for (g, msg) in from {
-                let c = rd(*g, my);
-                b.wait_ctr(CtrRef::Data(c), msg.len() as u64);
-                for &(off, bytes) in msg {
-                    let (src, dst) = ((BufRef::Chan(c), off), (BufRef::User, off));
-                    b.copy(src, dst, bytes, CopyCost::Read(1));
-                }
-            }
-        };
-
         if my != core {
-            let from = [(core, but(my))];
-            open(b, &from);
-            send(b, core, &runs(&mut (my..my + 1)));
-            close(b, &from);
-            return;
+            let (from, to) = (vec![(core, but(my))], vec![(core, runs(&mut (my..my + 1)))]);
+            return vec![Swap { from, to }];
         }
-        let from: Vec<_> = extras.clone().map(|e| (e, runs(&mut (e..e + 1)))).collect();
-        open(b, &from);
-        close(b, &from);
+        let from = extras.clone().map(|e| (e, runs(&mut (e..e + 1)))).collect();
+        let mut swaps = vec![Swap {
+            from,
+            to: Vec::new(),
+        }];
         for round in rounds.clone() {
             // Each member puts to the members after it first, so that no
             // receiver's port takes the whole group's first puts, and
             // takes from the members before it first.
             let (before, after) = round.peers.split_at(round.digit);
-            let from: Vec<_> = (after.iter().chain(before).rev())
+            let from = (after.iter().chain(before).rev())
                 .map(|&(_, g)| (g, held(round.round, g)))
                 .collect();
-            open(b, &from);
             let mine = held(round.round, my);
-            for &(to, _) in after.iter().chain(before) {
-                send(b, to, &mine);
-            }
-            close(b, &from);
+            let to = (after.iter().chain(before))
+                .map(|&(to, _)| (to, mine.clone()))
+                .collect();
+            swaps.push(Swap { from, to });
         }
-        for e in extras {
-            send(b, e, &but(e));
+        let to = extras.map(|e| (e, but(e))).collect();
+        swaps.push(Swap {
+            from: Vec::new(),
+            to,
+        });
+        swaps
+    }
+
+    /// The allgather's exchange between the masters, which hold their
+    /// nodes' blocks ([`Self::allgather_swaps`]): `take` runs after each
+    /// step's puts, handed `None`, and after each landed message's wait,
+    /// handed its landing and runs.
+    ///
+    /// Where the assembled buffer fits one landing (`landed`), every
+    /// message goes into the receiver's [`ChanKind::Rd`] landing; the
+    /// call advances [`SeqBase::Rd`] like a small allreduce, and its
+    /// landings are reused the same way (DESIGN.md §16.2). Otherwise
+    /// every message goes straight into the receiver's user buffer under
+    /// the address rule ([`CtrRef::Landed`]): a receiver ships its
+    /// handle to a step's senders only once it has taken everything
+    /// before, so its counter only ever counts that step's puts.
+    fn plan_allgather_exchange(
+        &self,
+        b: &mut PlanBuilder,
+        landed: bool,
+        swaps: &[Swap],
+        take: &mut dyn FnMut(&mut PlanBuilder, Option<Landed>),
+    ) {
+        let (my, lane) = (self.cnode(), b.rel(SeqBase::Rd));
+        let master = |g| self.crank_at(g, 0);
+        let rd = |from, to| Chan::new(ChanKind::Rd, master(from), master(to), lane);
+        for (i, swap) in swaps.iter().enumerate() {
+            // Before my own puts, ship my handle to each sender.
+            for &(g, _) in swap.from.iter().filter(|_| !landed) {
+                let (to, src) = (self.cmaster_of(g), BufRef::User);
+                b.push(Step::AddrSend { to, src });
+            }
+            for (to, msg) in &swap.to {
+                let (dst, ctr) = if landed {
+                    (BufRef::Chan(rd(my, *to)), CtrRef::Data(rd(my, *to)))
+                } else {
+                    let idx = b.take_addr(master(*to));
+                    (BufRef::Taken { idx }, CtrRef::Landed { rank: master(*to) })
+                };
+                for &(off, len) in msg {
+                    b.push(Step::RmaPut {
+                        to: self.cmaster_of(*to),
+                        src: BufRef::User,
+                        src_off: off,
+                        dst,
+                        dst_off: off,
+                        len,
+                        ctr: Some(ctr),
+                    });
+                }
+            }
+            if !swap.to.is_empty() {
+                take(b, None);
+            }
+            // After them, take everything the senders put; a core's
+            // last step, the hand-back to its extras, takes nothing.
+            if i > 0 && i + 1 == swaps.len() {
+                continue;
+            }
+            if !landed {
+                let puts = swap.from.iter().map(|(_, msg)| msg.len()).sum::<usize>();
+                b.wait_ctr(CtrRef::Landed { rank: master(my) }, puts as u64);
+                continue;
+            }
+            for (g, msg) in &swap.from {
+                let c = rd(*g, my);
+                b.wait_ctr(CtrRef::Data(c), msg.len() as u64);
+                take(b, Some((c, msg)));
+            }
         }
     }
 
@@ -1078,23 +1304,52 @@ impl SrmComm {
     /// the members on group nodes `nodes` cover in a buffer indexed by
     /// comm rank, ascending, each as long as the ranks are consecutive:
     /// on the world communicator one per run of consecutive nodes.
-    fn block_runs(
-        &self,
-        nodes: &mut dyn Iterator<Item = usize>,
-        len: usize,
-    ) -> Vec<(usize, usize)> {
+    fn block_runs(&self, nodes: &mut dyn Iterator<Item = usize>, len: usize) -> Runs {
         let members = nodes.flat_map(|g| (0..self.cslots_on(g)).map(move |s| (g, s)));
-        let mut ranks: Vec<usize> = members.map(|(g, s)| self.crank_at(g, s)).collect();
-        ranks.sort_unstable();
-        let mut runs: Vec<(usize, usize)> = Vec::new();
-        for off in ranks.into_iter().map(|c| c * len) {
-            match runs.last_mut() {
-                Some((start, bytes)) if *start + *bytes == off => *bytes += len,
-                _ => runs.push((off, len)),
-            }
-        }
-        runs
+        let segments = members.map(|(g, s)| (self.crank_at(g, s) * len, len));
+        merge_runs(segments.collect())
     }
+}
+
+/// The byte runs `(offset, bytes)` of an allgather's message, or of the
+/// segments it carries: what one put or one copy moves.
+type Runs = Vec<(usize, usize)>;
+
+/// A message of the allgather's exchange: the peer group node it goes
+/// to or comes from, and its runs.
+type Message = (usize, Runs);
+
+/// A message landed at my node's master: its landing and its runs.
+type Landed<'a> = (Chan, &'a Runs);
+
+/// One step of the allgather's exchange at my node's master: the
+/// messages it takes, from the peers it ships its handle to first, and
+/// the messages it puts.
+struct Swap {
+    from: Vec<Message>,
+    to: Vec<Message>,
+}
+
+/// One use of my node's buffer pair in an allgather
+/// (`SrmComm::allgather_publication`): use `rel` carries `runs`, out of
+/// the pair side or, in place, out of `landing`.
+struct AllgatherUse {
+    rel: u64,
+    runs: Runs,
+    landing: Option<Chan>,
+}
+
+/// `runs` in ascending order, adjacent ones merged.
+fn merge_runs(mut runs: Runs) -> Runs {
+    runs.sort_unstable();
+    let mut out: Runs = Vec::new();
+    for (off, bytes) in runs {
+        match out.last_mut() {
+            Some((start, n)) if *start + *n == off => *n += bytes,
+            _ => out.push((off, bytes)),
+        }
+    }
+    out
 }
 
 #[cfg(test)]

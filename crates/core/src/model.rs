@@ -19,7 +19,7 @@
 //! `t` LAPI target overhead, `c` counter check, `γ` shm per-byte under
 //! contention, `f`/`fs` flag read/store, `ρ` reduce per-byte.
 
-use crate::embed::{children, height, profile, radix_power, Rounds, TreeKind};
+use crate::embed::{children, height, profile, radix_power, Round, Rounds, TreeKind};
 use crate::tune::TuneOp as Op;
 use crate::tuning::SrmTuning;
 use simnet::{MachineConfig, SimTime, Topology};
@@ -324,6 +324,72 @@ impl SrmModel {
         self.radix(|k| self.allgather_on(k, len))
     }
 
+    /// How many groups an allgather of `len`-byte segments publishes
+    /// its node blocks in within each node (`plan_allgather`): the first
+    /// `g − 1` alone as they come, the rest together once the exchange
+    /// is over. One group, the whole buffer's broadcast after the
+    /// exchange, unless the exchange lands in the landings (priced with
+    /// every node as full as the fullest, so the plan's lands too) and
+    /// another count's closed form is lower; the smaller count on a tie.
+    pub fn allgather_groups(&self, len: usize) -> usize {
+        let takes = self.allgather_takes(len).len();
+        (1..=takes + 1)
+            .min_by_key(|&g| self.allgather_publication(len, g))
+            .expect("one group at least")
+    }
+
+    /// The bytes of each node block core 0's master takes in the
+    /// allgather's exchange through the landings, in take order: the
+    /// extras', then each round's. None where the exchange does not
+    /// land or a node has one task and publishes nothing.
+    fn allgather_takes(&self, len: usize) -> Vec<usize> {
+        let (n, p) = (self.topo.nodes(), self.topo.tasks_per_node());
+        if n == 1 || p == 1 || n * p * len > SrmTuning::REDUCE_CHUNK {
+            return Vec::new();
+        }
+        let rounds = Rounds::k_ing(n, self.allgather_radix(len), 0);
+        let extras = rounds.extras().map(|_| p * len);
+        let held = |r: usize, g: usize| rounds.held(r, g).len() * p * len;
+        let round = |r: Round| {
+            r.peers
+                .iter()
+                .map(|&(_, g)| held(r.round, g))
+                .collect::<Vec<_>>()
+        };
+        extras.chain(rounds.clone().flat_map(round)).collect()
+    }
+
+    /// The allgather's publication within a node in `groups` groups, as
+    /// the master works it on top of the exchange: a block published
+    /// alone costs one use's flags and a copy out beside the readers
+    /// (the master's own block first goes into the pair), in place of
+    /// the copy out that the exchange's rounds price; the last group is
+    /// one broadcast of its bytes. One group is the broadcast of all
+    /// `P·len` bytes.
+    fn allgather_publication(&self, len: usize, groups: usize) -> SimTime {
+        let (n, p) = (self.topo.nodes(), self.topo.tasks_per_node());
+        let takes = self.allgather_takes(len);
+        if groups == 1 || takes.is_empty() {
+            return self.smp_bcast(n * p * len);
+        }
+        let cfg = &self.cfg;
+        let use_of = |bytes| {
+            cfg.flag_set_op * (p as u64 - 1) + cfg.flag_op * 2 + cfg.shm_copy_cost(bytes, p - 1)
+        };
+        let block = p * len;
+        let own = self.stage(block) + use_of(block);
+        let alone = match groups - 1 {
+            g if g >= takes.len() => takes.len(),
+            g => g - 1,
+        };
+        let published =
+            (takes[..alone].iter()).fold(own, |t, &bytes| t + use_of(bytes) - self.stage(bytes));
+        match takes[alone..].iter().sum::<usize>() {
+            0 => published,
+            last => published + self.smp_bcast(last),
+        }
+    }
+
     /// The `k` in `2..=n` at which `time` is lowest, the smaller on a
     /// tie; 2 below three nodes.
     fn radix(&self, time: impl Fn(usize) -> SimTime) -> usize {
@@ -388,8 +454,8 @@ impl SrmModel {
 
     /// Predicted allgather latency for `len`-byte segments: each node's
     /// tasks hand their segments to the master, the masters exchange
-    /// at [`Self::allgather_radix`], and each master broadcasts the
-    /// assembled `P·len` bytes within its node.
+    /// at [`Self::allgather_radix`], and each master publishes the
+    /// blocks within its node in [`Self::allgather_groups`] groups.
     pub fn allgather(&self, len: usize) -> SimTime {
         let (n, p) = (self.topo.nodes(), self.topo.tasks_per_node());
         if len == 0 || n * p == 1 {
@@ -400,7 +466,8 @@ impl SrmModel {
             1 => SimTime::ZERO,
             _ => self.allgather_on(self.allgather_radix(len), len),
         };
-        gather + exchange + self.smp_bcast(n * p * len)
+        let groups = self.allgather_groups(len);
+        gather + exchange + self.allgather_publication(len, groups)
     }
 
     /// The allgather's exchange between the masters at radix `k`, as
@@ -433,6 +500,65 @@ impl SrmModel {
         let held = |r: usize| rounds.held(r, 0).len();
         let exchange = (rounds.clone()).map(|r| round(k - 1, held(r.round)));
         exchange.fold(folds, |time, round| time + round)
+    }
+
+    /// Predicted gather latency for `len`-byte segments, of the plan
+    /// that runs ([`Self::gather_lands`]).
+    pub fn gather(&self, len: usize) -> SimTime {
+        let (n, p) = (self.topo.nodes(), self.topo.tasks_per_node());
+        if len == 0 || n * p == 1 {
+            return SimTime::ZERO;
+        }
+        if n == 1 {
+            return self.node_gather(len);
+        }
+        let (landed, direct) = self.gather_ways(len);
+        landed.map_or(direct, |landed| landed.min(direct))
+    }
+
+    /// Does a gather of `len`-byte segments take the remote node blocks
+    /// in the root's landings rather than straight in its user buffer?
+    /// Only between nodes, where a node's block fits one landing and the
+    /// landed closed form is the lower.
+    pub fn gather_lands(&self, len: usize) -> bool {
+        let (landed, direct) = self.gather_ways(len);
+        self.topo.multi_node() && landed.is_some_and(|landed| landed < direct)
+    }
+
+    /// A wire rank's gather of its node's other `p − 1` segments: a flag
+    /// wait and a copy each.
+    fn node_gather(&self, len: usize) -> SimTime {
+        let p = self.topo.tasks_per_node() as u64;
+        (self.cfg.flag_op + self.stage(len)) * (p - 1)
+    }
+
+    /// The gather's two ways between the nodes, `(landed, direct)`, from
+    /// the root's side; `landed` is `None` where a node's block
+    /// outgrows one landing. Both wait for the `m = n − 1` remote
+    /// blocks, one wire time each through the root's port, and the
+    /// direct way first ships the root's address.
+    /// * Direct: the address's and the first piece's flight, then per
+    ///   block the wire or the `p·chunks` pieces' target overheads,
+    ///   whichever is longer; a master's node gather hides under the
+    ///   address's flight.
+    /// * Landed: the masters' node gather and one flight, then per block
+    ///   the wire or the root's take, copy-out and credit, whichever is
+    ///   longer. The root takes the blocks in node order while they land
+    ///   in any, so every copy but one is priced as queued behind the
+    ///   block it waits for.
+    fn gather_ways(&self, len: usize) -> (Option<SimTime>, SimTime) {
+        let cfg = &self.cfg;
+        let (n, p) = (self.topo.nodes(), self.topo.tasks_per_node());
+        let (m, block) = ((n.max(2) - 1) as u64, p * len);
+        let chunks = SrmTuning::chunk_count(len, SrmTuning::REDUCE_CHUNK) as u64;
+        let flight = cfg.lapi_origin_overhead + cfg.net_latency + cfg.lapi_target_overhead;
+        let wire = cfg.net_per_byte.cost_of(block);
+        let pieces = cfg.lapi_target_overhead * (p as u64 * chunks);
+        let direct = flight * 2 + wire.max(pieces) * m;
+        let copy = cfg.lapi_counter_check + self.stage(block);
+        let take = cfg.lapi_target_overhead + copy + cfg.lapi_origin_overhead;
+        let landed = self.node_gather(len) + flight + wire.max(take) * m + copy * (m - 1);
+        ((block <= SrmTuning::REDUCE_CHUNK).then_some(landed), direct)
     }
 
     /// One exchange round in which every master puts a `wire`-long

@@ -43,7 +43,8 @@ pub enum SeqBase {
     /// ends of an edge agree on the lane's parity.
     Bcast,
     /// Uses of the contribution channels — every handoff between two
-    /// tasks of a node — and chunks through the reduce landings.
+    /// tasks of a node — and chunks and gather blocks through the reduce
+    /// landings.
     Reduce,
     /// Flat-barrier phases completed, two per barrier: the check-in and
     /// the release ([`FlagRef::Barrier`]).
@@ -106,8 +107,9 @@ pub enum ChanKind {
     /// destination master, landing in the edge's own buffers; lane =
     /// chunk index ([`SeqBase::Bcast`] parity). Kept per sending slot.
     Bcast,
-    /// Pipelined-reduce edge child → parent; lane = chunk index
-    /// ([`SeqBase::Reduce`] parity). Kept per receiving slot.
+    /// Pipelined-reduce edge child → parent, or a remote master's node
+    /// block to a gather root; lane = chunk index ([`SeqBase::Reduce`]
+    /// parity). Kept per receiving slot.
     Reduce,
     /// Recursive k-ing exchange, the fold-in (extra → core) and the
     /// hand-back (core → extra), of a small allreduce or allgather;
@@ -214,8 +216,9 @@ pub enum CtrRef {
     /// exchanges. Counters, takes and sends are one nonblocking
     /// ordering class, so a rank cannot ship again before every taker
     /// of its last handle has taken it, and no mailbox slot is ever
-    /// overrun (DESIGN.md §16.2). A large-broadcast child, a gather
-    /// root and the masters of an allgather above one landing own one.
+    /// overrun (DESIGN.md §16.2). A large-broadcast child, the root of
+    /// a gather straight into its user buffer and the masters of an
+    /// allgather above one landing own one.
     Landed {
         /// Whose counter.
         rank: usize,

@@ -1231,7 +1231,7 @@ mod tests {
     }
 
     /// One mailbox serves all three exchanges, and a slot exists only
-    /// where a handle travelled. (The `Overlap` scenarios of
+    /// where a handle travelled: not in a gather through the landings. (The `Overlap` scenarios of
     /// `tests/schedule_golden.rs` at 128 KB keep a large `ibroadcast`
     /// and an `ialltoall` in flight through it together.)
     #[test]
@@ -1247,12 +1247,16 @@ mod tests {
         edges.sort_unstable();
         assert_eq!(edges.len(), 7);
         assert_eq!(mailbox_slots(&bcast), edges);
-        // Gather rooted at rank 3, not its node's master: the root to
-        // the seven remote masters by AM, none to its own master. It
-        // returns once every remote piece has landed, so every address
-        // message has been sent by then.
+        // A 64 B gather rooted at rank 3, not its node's master, takes
+        // the node blocks in the root's landings: no address moves.
+        let landed = run_comm(topo, None, |ctx, comm, buf| comm.gather(ctx, buf, 64, 3));
+        assert_eq!(mailbox_slots(&landed), []);
+        // At 16 KB a node's block outgrows a landing: the root ships its
+        // address to the seven remote masters by AM, none to its own
+        // master. It returns once every remote piece has landed, so
+        // every address message has been sent by then.
         let gather = run_comm(topo, None, |ctx, comm, buf| {
-            comm.gather(ctx, buf, 64, 3);
+            comm.gather(ctx, buf, 16 << 10, 3);
             if comm.rank() == 3 {
                 assert_eq!(ctx.metrics_snapshot().rma_ams, 7);
             }

@@ -47,7 +47,7 @@ fn planted_raise_race_is_detected_and_reported() {
         skip_order_guards: true,
         ..Faults::default()
     };
-    detected_and_reported(0x07, faults);
+    detected_and_reported(0x34, faults);
 }
 
 /// The RMA dispatcher acknowledges a message's completion counter

@@ -1,6 +1,6 @@
 //! The latency-bound calls between the nodes: the barrier's k-ary
-//! dissemination rounds and the small allreduce's and the allgather's
-//! recursive k-ing. The radices are derived from `SrmModel` and never
+//! dissemination rounds, the small allreduce's and the allgather's
+//! recursive k-ing, and the gather's node blocks in the root's landings. The radices are derived from `SrmModel` and never
 //! lose to the paper's pairwise exchange or, for the allgather, to the
 //! gather and broadcast it replaced; no rank leaves a barrier before the
 //! last one has entered, and the exchange landings, reused two
@@ -281,6 +281,153 @@ fn derived_allgather_is_no_slower_than_gather_plus_bcast() {
     );
 }
 
+// The gather's and the allgather's times before the gather could take
+// the node blocks in the root's landings and the allgather could publish
+// landed blocks in place (`harness::measure`, two calls a measurement),
+// in µs rounded up: on 16-way nodes from 2 to 16 and on single-task nodes
+// from 2 to 64. The gather went straight into the root's user buffer
+// after an address exchange; the allgather broadcast the assembled
+// buffer within each node after the exchange.
+const DIRECT_WIDE_8: [f64; 15] = [
+    46.01, 64.74, 87.99, 111.24, 134.49, 157.74, 180.99, 204.24, 227.39, 249.79, 272.19, 318.59,
+    340.54, 363.39, 375.79,
+];
+const DIRECT_WIDE_512: [f64; 15] = [
+    48.08, 79.15, 102.90, 126.66, 159.93, 183.18, 206.43, 229.68, 252.83, 275.23, 297.63, 320.03,
+    341.98, 364.83, 377.23,
+];
+const DIRECT_WIDE_4K: [f64; 15] = [
+    209.12, 395.09, 582.47, 769.86, 957.25, 1144.63, 1332.02, 1519.41, 1706.79, 1894.18, 2081.56,
+    2268.95, 2460.79, 2648.47, 2825.01,
+];
+const DIRECT_ONE_8: [f64; 63] = [
+    30.13, 31.53, 27.93, 30.18, 32.43, 34.68, 36.93, 39.18, 41.33, 42.73, 44.13, 45.53, 46.48,
+    48.33, 39.73, 50.23, 52.08, 53.93, 46.18, 55.38, 57.23, 59.08, 60.93, 78.03, 86.38, 88.23,
+    90.08, 91.93, 85.18, 92.93, 94.78, 96.63, 98.48, 100.33, 93.73, 101.33, 103.18, 105.03, 106.88,
+    108.73, 102.98, 109.28, 111.13, 112.98, 138.83, 140.68, 142.53, 136.93, 143.08, 144.93, 146.78,
+    148.63, 150.48, 152.33, 147.58, 152.43, 154.28, 156.13, 157.98, 159.83, 161.68, 163.53, 158.93,
+];
+const DIRECT_ONE_512: [f64; 63] = [
+    24.97, 27.18, 29.49, 31.81, 34.12, 36.43, 38.74, 41.06, 43.27, 44.73, 46.20, 47.66, 48.67,
+    50.58, 42.05, 52.61, 54.52, 56.44, 48.75, 58.01, 59.92, 61.84, 63.75, 56.21, 87.82, 89.67,
+    91.52, 93.37, 86.62, 94.37, 96.22, 98.07, 99.92, 101.77, 95.17, 102.77, 104.62, 106.47, 108.32,
+    110.17, 104.42, 110.72, 112.57, 114.42, 116.27, 142.12, 143.97, 138.37, 144.52, 146.37, 148.22,
+    150.07, 151.92, 153.77, 148.32, 153.87, 155.72, 157.57, 159.42, 161.27, 163.12, 164.97, 159.67,
+];
+const DIRECT_ONE_4K: [f64; 63] = [
+    35.21, 46.96, 58.81, 70.66, 82.52, 94.37, 106.22, 118.07, 129.93, 141.78, 153.63, 165.48,
+    181.78, 193.94, 194.94, 216.44, 228.59, 240.75, 241.90, 262.80, 274.95, 287.10, 299.26, 300.56,
+    321.31, 333.46, 345.62, 357.77, 358.52, 379.37, 391.53, 403.68, 415.83, 427.98, 428.88, 449.59,
+    461.74, 473.89, 486.04, 498.20, 499.25, 519.35, 531.50, 543.65, 555.81, 567.96, 580.11, 581.31,
+    601.27, 613.42, 625.57, 637.72, 649.88, 662.03, 663.38, 682.73, 694.88, 707.04, 719.19, 731.34,
+    743.49, 755.65, 757.15,
+];
+
+const ONE_GROUP_WIDE_8: [f64; 15] = [
+    36.31, 38.21, 40.10, 41.99, 43.88, 45.77, 47.66, 49.55, 51.44, 53.34, 55.23, 57.95, 61.04,
+    64.13, 73.90,
+];
+const ONE_GROUP_WIDE_512: [f64; 15] = [
+    149.00, 210.63, 265.47, 310.14, 354.06, 397.99, 441.91, 486.58, 530.51, 574.43, 618.36, 664.22,
+    709.35, 754.47, 799.60,
+];
+const ONE_GROUP_WIDE_4K: [f64; 15] = [
+    711.61, 1064.49, 1417.37, 1770.26, 2123.14, 2476.03, 2828.91, 3181.79, 3534.68, 3887.56,
+    4240.45, 4594.53, 4948.61, 5302.70, 5656.78,
+];
+const ONE_GROUP_ONE_8: [f64; 63] = [
+    16.34, 17.74, 19.14, 20.54, 21.94, 23.34, 24.74, 26.14, 27.54, 28.94, 30.34, 32.92, 35.52,
+    38.12, 37.47, 43.32, 45.92, 48.52, 60.21, 60.22, 61.87, 62.36, 61.71, 40.31, 62.63, 51.74,
+    63.54, 65.22, 65.26, 64.60, 65.47, 66.86, 66.64, 66.31, 43.14, 69.30, 68.50, 74.17, 74.04,
+    74.41, 74.54, 74.56, 75.98, 75.09, 75.09, 74.76, 75.85, 45.97, 75.50, 77.24, 76.17, 74.90,
+    77.26, 77.91, 76.95, 78.18, 77.17, 78.26, 77.34, 76.71, 78.54, 77.06, 48.81,
+];
+const ONE_GROUP_ONE_512: [f64; 63] = [
+    18.45, 21.33, 22.82, 25.70, 27.18, 30.06, 31.55, 34.43, 35.91, 38.79, 40.28, 43.16, 45.58,
+    48.26, 58.50, 55.02, 59.11, 61.79, 65.87, 68.55, 72.64, 75.32, 79.40, 73.77, 86.17, 95.43,
+    92.93, 95.61, 99.70, 102.38, 144.41, 155.10, 159.20, 164.70, 114.95, 174.30, 178.40, 183.90,
+    188.00, 193.50, 197.60, 203.10, 207.20, 212.70, 216.80, 222.30, 226.40, 134.00, 236.00, 241.50,
+    245.60, 251.10, 255.20, 260.70, 264.80, 270.30, 274.40, 279.90, 284.00, 289.50, 293.61, 299.11,
+    157.38,
+];
+const ONE_GROUP_ONE_4K: [f64; 63] = [
+    33.47, 45.17, 56.87, 77.81, 89.52, 101.22, 112.92, 124.62, 136.33, 148.03, 159.73, 172.63,
+    185.53, 198.44, 211.34, 224.24, 237.14, 250.05, 262.95, 275.85, 288.75, 301.65, 314.56, 341.66,
+    340.36, 353.26, 366.17, 379.07, 391.97, 404.87, 417.78, 430.68, 443.58, 456.48, 470.38, 482.29,
+    495.19, 508.09, 520.99, 533.90, 546.80, 559.70, 572.60, 585.50, 598.41, 611.31, 624.21, 622.51,
+    650.02, 662.92, 675.82, 688.72, 701.63, 714.53, 727.43, 740.33, 753.23, 766.14, 779.04, 791.94,
+    804.84, 817.75, 798.05,
+];
+
+/// The gather and the allgather are no slower than before the model
+/// priced the gather's landings and the allgather's publication groups,
+/// at 8 B, 512 B and 4 KB segments on 16-way nodes (2–16) and on
+/// single-task nodes (2–64). The gather takes the landings on 16-way
+/// nodes at 8 B (0.14–0.46 of the old time), on two to six single-task
+/// nodes at 8 B and two to four at 512 B and 4 KB (0.36–0.78). On 16-way
+/// nodes at 512 B, where the landed gather wins by up to 11 % on most
+/// node counts but loses on 2 and 14, it stays direct. The allgather
+/// publishes its blocks alone on 2×16 at 512 B (0.60); its other points
+/// keep one group (8 B) or outgrow a landing, at the same time.
+#[test]
+fn gather_and_allgather_are_no_slower_than_before_the_landings() {
+    let grids: [(Op, usize, usize, &[f64]); 12] = [
+        (Op::Gather, 16, 8, &DIRECT_WIDE_8),
+        (Op::Gather, 16, 512, &DIRECT_WIDE_512),
+        (Op::Gather, 16, 4 << 10, &DIRECT_WIDE_4K),
+        (Op::Gather, 1, 8, &DIRECT_ONE_8),
+        (Op::Gather, 1, 512, &DIRECT_ONE_512),
+        (Op::Gather, 1, 4 << 10, &DIRECT_ONE_4K),
+        (Op::Allgather, 16, 8, &ONE_GROUP_WIDE_8),
+        (Op::Allgather, 16, 512, &ONE_GROUP_WIDE_512),
+        (Op::Allgather, 16, 4 << 10, &ONE_GROUP_WIDE_4K),
+        (Op::Allgather, 1, 8, &ONE_GROUP_ONE_8),
+        (Op::Allgather, 1, 512, &ONE_GROUP_ONE_512),
+        (Op::Allgather, 1, 4 << 10, &ONE_GROUP_ONE_4K),
+    ];
+    let mut slower = Vec::new();
+    for (op, tpn, len, before) in grids {
+        for (nodes, &before_us) in (2..).zip(before) {
+            let topo = Topology::new(nodes, tpn);
+            let opts = HarnessOpts {
+                iters: 2,
+                srm: tuning(None),
+            };
+            let machine = MachineConfig::ibm_sp_colony();
+            let us = measure(Impl::Srm, machine, topo, op, len, opts).per_call;
+            if us.as_us() > before_us {
+                slower.push(format!("{op:?} {topo}, {len} B: {us} vs {before_us} us"));
+            }
+        }
+    }
+    assert!(slower.is_empty(), "slower than before: {slower:#?}");
+}
+
+/// The publication groups the model picks on 16-way nodes: one (the
+/// broadcast of the whole buffer after the exchange) at 8 B on 2 to 16
+/// nodes, where a use's fifteen flags cost more than the bytes it saves
+/// copying, and every block alone at 512 B on 2 nodes, the one node
+/// count whose assembled buffer fits a landing; one wherever it does
+/// not. On 4×4 at 512 B, `cold_sweep`'s shape, all four blocks alone.
+#[test]
+fn the_model_publishes_small_blocks_together_and_larger_ones_alone() {
+    let groups = |topo, len| {
+        let model = SrmModel::new(MachineConfig::ibm_sp_colony(), topo, SrmTuning::default());
+        model.allgather_groups(len)
+    };
+    for nodes in 2..=16 {
+        let topo = Topology::sp_16way(nodes);
+        assert_eq!(groups(topo, 8), 1, "{topo}, 8 B");
+        assert_eq!(
+            groups(topo, 512),
+            if nodes == 2 { 2 } else { 1 },
+            "{topo}, 512 B"
+        );
+        assert_eq!(groups(topo, 4 << 10), 1, "{topo}, 4 KB");
+    }
+    assert_eq!(groups(Topology::new(4, 4), 512), 4);
+}
+
 /// Doubles whose sum depends on the order of the additions.
 fn order_sensitive(rank: usize, call: usize) -> Vec<u8> {
     let vals: Vec<f64> = (0..64)
@@ -488,6 +635,123 @@ fn allgather_gives_every_member_every_segment() {
                     assert!(buf == &want, "{what}: wrong bytes");
                 }
             }
+        }
+    }
+}
+
+/// Gathers whose root rotates through the ranks of one node, where the
+/// node blocks land in the root's `Reduce` landings: on 4×4 at 8 B and
+/// 512 B and on 3×3 at 8 B, each root of node 1 in turn, twice round,
+/// then an `igather` to one root outstanding beside an `iallreduce` and
+/// an `igather` to the next. A landing is per receiving slot and reused
+/// two `Reduce` advances later, after its credit has come back, so a
+/// later gather's block cannot land on one a root is still copying out.
+/// Every root must end with every member's segment of its own call.
+#[test]
+fn gathers_rotating_through_one_nodes_roots_keep_their_landings() {
+    for (nodes, tpn, len) in [(4, 4, 8), (4, 4, 512), (3, 3, 8)] {
+        let topo = Topology::new(nodes, tpn);
+        let model = SrmModel::new(MachineConfig::ibm_sp_colony(), topo, SrmTuning::default());
+        assert!(
+            model.gather_lands(len),
+            "{topo}, {len} B: the gather goes direct"
+        );
+        let n = topo.nprocs();
+        let roots: Vec<usize> = (0..2).flat_map(|_| tpn..2 * tpn).collect();
+        let blocking = roots.len();
+        let mut sim = Sim::new(MachineConfig::ibm_sp_colony());
+        let world = SrmWorld::new(&mut sim, topo, SrmTuning::default());
+        let out = Arc::new(Mutex::new(vec![Vec::new(); n]));
+        for rank in 0..n {
+            let (comm, out, roots) = (world.comm(rank), out.clone(), roots.clone());
+            sim.spawn(format!("rank{rank}"), move |ctx| {
+                let fill = |call| {
+                    let buf = comm.alloc_buffer(n * len);
+                    let mine = segment(rank, call, len);
+                    buf.with_mut(|d| d[rank * len..][..len].copy_from_slice(&mine));
+                    buf
+                };
+                let mut got = Vec::new();
+                for (call, &root) in roots.iter().enumerate() {
+                    let buf = fill(call);
+                    comm.gather(&ctx, &buf, len, root);
+                    got.push((call, root, buf.with(|d| d.to_vec())));
+                }
+                let (a, b) = (fill(blocking), fill(blocking + 1));
+                let sum = comm.alloc_buffer(64);
+                sum.with_mut(|d| d.copy_from_slice(&to_bytes_u64(&[rank as u64; 8])));
+                let (u64_sum, op) = (DType::U64, ReduceOp::Sum);
+                let reqs = vec![
+                    comm.igather(&ctx, &a, len, tpn + 1),
+                    comm.iallreduce(&ctx, &sum, 64, u64_sum, op),
+                    comm.igather(&ctx, &b, len, tpn + 2),
+                ];
+                comm.wait_all(&ctx, reqs);
+                let total = (n * (n - 1) / 2) as u64;
+                assert_eq!(from_bytes_u64(&sum.with(|d| d.to_vec())), vec![total; 8]);
+                got.push((blocking, tpn + 1, a.with(|d| d.to_vec())));
+                got.push((blocking + 1, tpn + 2, b.with(|d| d.to_vec())));
+                out.lock().unwrap()[rank] = got;
+                comm.shutdown(&ctx);
+            });
+        }
+        sim.run().expect("no deadlock");
+        for (rank, got) in out.lock().unwrap().iter().enumerate() {
+            for (call, root, buf) in got.iter().filter(|g| g.1 == rank) {
+                let want: Vec<u8> = (0..n).flat_map(|c| segment(c, *call, len)).collect();
+                let what = format!("{topo}, {len} B, call {call} to root {root}");
+                assert!(buf == &want, "{what}: wrong bytes");
+            }
+        }
+    }
+}
+
+/// A landing published in place stays until the node has read it. On
+/// 2×2 at 512 B the masters publish each landed block in place (two
+/// groups), so rank 1 copies its peer node's block straight out of its
+/// master's `Rd` landing. It leaves its first `iallgather` outstanding
+/// through 300 µs of compute while the others run three allgathers
+/// back to back; the third lands in the first one's landing. It must
+/// not before rank 1 has read it: its master gathers rank 1's next
+/// contribution, which follows that read, before putting again.
+#[test]
+fn a_slow_reader_keeps_its_in_place_landing() {
+    let (topo, len) = (Topology::new(2, 2), 512);
+    let model = SrmModel::new(MachineConfig::ibm_sp_colony(), topo, SrmTuning::default());
+    assert_eq!(model.allgather_groups(len), 2);
+    let mut sim = Sim::new(MachineConfig::ibm_sp_colony());
+    let world = SrmWorld::new(&mut sim, topo, SrmTuning::default());
+    let out = Arc::new(Mutex::new(vec![Vec::new(); 4]));
+    for rank in 0..4 {
+        let (comm, out) = (world.comm(rank), out.clone());
+        sim.spawn(format!("rank{rank}"), move |ctx| {
+            let bufs: Vec<ShmBuffer> = (0..3)
+                .map(|call| {
+                    let buf = comm.alloc_buffer(4 * len);
+                    let mine = segment(rank, call, len);
+                    buf.with_mut(|d| d[rank * len..][..len].copy_from_slice(&mine));
+                    buf
+                })
+                .collect();
+            if rank == 1 {
+                let req = comm.iallgather(&ctx, &bufs[0], len);
+                ctx.advance(SimTime::from_us(300));
+                comm.wait(&ctx, req);
+            } else {
+                comm.allgather(&ctx, &bufs[0], len);
+            }
+            for buf in &bufs[1..] {
+                comm.allgather(&ctx, buf, len);
+            }
+            out.lock().unwrap()[rank] = bufs.iter().map(|b| b.with(|d| d.to_vec())).collect();
+            comm.shutdown(&ctx);
+        });
+    }
+    sim.run().expect("no deadlock");
+    for (rank, got) in out.lock().unwrap().iter().enumerate() {
+        for (call, buf) in got.iter().enumerate() {
+            let want: Vec<u8> = (0..4).flat_map(|c| segment(c, call, len)).collect();
+            assert!(buf == &want, "rank {rank}, call {call}: wrong bytes");
         }
     }
 }

@@ -34,6 +34,8 @@ fn model_within_factor_of_simulation() {
             (Op::Barrier, 8),
             (Op::Allgather, 8),
             (Op::Allgather, 4 << 10),
+            (Op::Gather, 8),
+            (Op::Gather, 512),
         ] {
             let predicted = match op {
                 Op::Bcast => model.bcast(len),
@@ -41,8 +43,9 @@ fn model_within_factor_of_simulation() {
                 Op::Allreduce => model.allreduce(len),
                 Op::Barrier => model.barrier(),
                 Op::Allgather => model.allgather(len),
+                Op::Gather => model.gather(len),
                 // The analytical model covers the paper's four measured
-                // ops and the allgather here and alltoall below; the
+                // ops, the allgather and the gather here and alltoall below; the
                 // other segment and pairwise ops are simulation-only for
                 // now.
                 _ => unreachable!(),

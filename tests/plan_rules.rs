@@ -27,6 +27,13 @@
 //! many senders a round has. A larger allgather puts into no landing,
 //! and the address rule holds on every master's plan of it.
 //!
+//! **One writer per gather landing.** Where a gather takes the node
+//! blocks in the root's `Reduce` landings, each remote node's block is
+//! put into one landing by that node's master alone, at disjoint bytes
+//! that fit it; the root waits on it once for exactly those puts, and
+//! returns the one credit the master spent, so every credit is back at
+//! its entry value when the call ends.
+//!
 //! **Flags only count up.** Every flag raise names a sequence target
 //! and every wait on a flag waits for at least a value (or for a side
 //! to drain), so no flag is ever stored back down: the flat barrier's
@@ -44,7 +51,7 @@ use simnet::{MachineConfig, Sim, Topology};
 use srm::plan::{
     BufRef, Chan, ChanKind, CtrRef, FlagRef, Plan, SeqBase, Step, Until, Val, WaitCell,
 };
-use srm::{SrmComm, SrmTuning, SrmWorld};
+use srm::{SrmComm, SrmModel, SrmTuning, SrmWorld};
 use std::collections::HashMap;
 
 /// The contribution channel `step` produces into, if any: a copy into
@@ -235,8 +242,8 @@ fn every_handle_is_shipped_by_its_owner_to_another_node_and_put_into_by_the_take
     check_worlds(address_rule);
 }
 
-/// An `Rd` landing: its receiving and sending masters and its lane.
-fn rd_key(c: Chan) -> (usize, usize, u32) {
+/// A landing: its receiving and sending ranks and its lane.
+fn landing_key(c: Chan) -> (usize, usize, u32) {
     (c.dst, c.src, c.lane)
 }
 
@@ -264,10 +271,12 @@ fn rd_landings_are_written_once(what: &str, members: &[SrmComm], plans: &[Plan])
                     assert!(master, "{at}: not to a master");
                     assert_eq!(to, group.ranks()[c.dst], "{at}: past the receiver");
                     let own = matches!(ctr, Some(CtrRef::Data(d))
-                        if d.kind == c.kind && rd_key(d) == rd_key(c));
+                        if d.kind == c.kind && landing_key(d) == landing_key(c));
                     assert!(own, "{at}: bumps another counter");
                     let bytes = dst_off..dst_off + len;
-                    puts.entry(rd_key(c)).or_insert_with(Vec::new).push(bytes);
+                    puts.entry(landing_key(c))
+                        .or_insert_with(Vec::new)
+                        .push(bytes);
                 }
                 Step::ShmCopy {
                     dst: BufRef::Chan(c),
@@ -282,7 +291,7 @@ fn rd_landings_are_written_once(what: &str, members: &[SrmComm], plans: &[Plan])
                     let Until::Ge(Val::Lit(n)) = until else {
                         panic!("{at}: waits for no count of puts");
                     };
-                    waits.entry(rd_key(c)).or_insert_with(Vec::new).push(n);
+                    waits.entry(landing_key(c)).or_insert_with(Vec::new).push(n);
                 }
                 _ => {}
             }
@@ -366,6 +375,171 @@ fn every_exchange_landing_is_written_once_per_call_by_its_sender() {
                     }
                 }
             }
+        }
+    }
+}
+
+/// The gather landing rule over every member's plan of one gather to
+/// `root`: collect the puts into, the waits on and the credits of each
+/// `Reduce` landing, checking each writer and waiter; return how many
+/// landings were put into.
+fn gather_landings_are_credited(
+    what: &str,
+    members: &[SrmComm],
+    plans: &[Plan],
+    root: usize,
+) -> usize {
+    let group = members[0].group();
+    let node_of = |c: usize| group.coord_of(c).0;
+    // Per landing: the puts' senders and bytes, the root's waits, and
+    // the credits taken and returned.
+    let (mut puts, mut waits) = (HashMap::new(), HashMap::new());
+    let mut credits: HashMap<_, i64> = HashMap::new();
+    for (comm, plan) in members.iter().zip(plans) {
+        let me = comm.comm_rank();
+        for step in &plan.steps {
+            let at = format!("{what}, comm rank {me}: {step:?}");
+            match *step {
+                Step::RmaPut {
+                    to,
+                    dst: BufRef::Chan(c),
+                    dst_off,
+                    len,
+                    ctr,
+                    ..
+                } => {
+                    assert_eq!(c.kind, ChanKind::Reduce, "{at}: not a gather landing");
+                    assert_eq!((c.src, c.dst), (me, root), "{at}: not mine to the root");
+                    let remote_master = group.coord_of(me).1 == 0 && node_of(me) != node_of(root);
+                    assert!(remote_master, "{at}: not a remote master");
+                    assert_eq!(to, group.ranks()[root], "{at}: past the root");
+                    let own = matches!(ctr, Some(CtrRef::Data(d))
+                        if d.kind == c.kind && landing_key(d) == landing_key(c));
+                    assert!(own, "{at}: bumps another counter");
+                    let put = (me, dst_off..dst_off + len);
+                    puts.entry(landing_key(c))
+                        .or_insert_with(Vec::new)
+                        .push(put);
+                }
+                Step::Wait {
+                    cell: WaitCell::Ctr(CtrRef::Data(c)),
+                    until,
+                    ..
+                } => {
+                    assert_eq!(me, root, "{at}: not the root");
+                    let Until::Ge(Val::Lit(n)) = until else {
+                        panic!("{at}: waits for no count of puts");
+                    };
+                    waits.entry(landing_key(c)).or_insert_with(Vec::new).push(n);
+                }
+                Step::Wait {
+                    cell: WaitCell::Ctr(CtrRef::Free(c)),
+                    until: Until::Ge(Val::Lit(n)),
+                    consume: true,
+                    ..
+                } => *credits.entry(landing_key(c)).or_default() -= n as i64,
+                Step::CounterPut {
+                    to,
+                    ctr: CtrRef::Free(c),
+                } => {
+                    assert_eq!((me, to), (root, group.ranks()[c.src]), "{at}");
+                    *credits.entry(landing_key(c)).or_default() += 1;
+                }
+                _ => {}
+            }
+        }
+    }
+    for (key, puts) in &mut puts {
+        let senders: Vec<usize> = puts.iter().map(|p| p.0).collect();
+        let one = senders.iter().all(|&s| s == senders[0]);
+        assert!(one, "{what}: landing {key:?} written by {senders:?}");
+        puts.sort_by_key(|p| p.1.start);
+        for (a, b) in puts.iter().zip(puts.iter().skip(1)) {
+            assert!(
+                a.1.end <= b.1.start,
+                "{what}: landing {key:?} bytes {:?} written twice",
+                b.1
+            );
+        }
+        let fits = puts
+            .last()
+            .is_some_and(|p| p.1.end <= SrmTuning::REDUCE_CHUNK);
+        assert!(fits, "{what}: {key:?} overflows");
+        let n = waits.get(key).map(Vec::as_slice);
+        assert_eq!(
+            n,
+            Some(&[puts.len() as u64][..]),
+            "{what}: landing {key:?} waits"
+        );
+        let credit = credits.get(key).copied();
+        assert_eq!(credit, Some(0), "{what}: landing {key:?} credits");
+    }
+    assert_eq!(
+        waits.len(),
+        puts.len(),
+        "{what}: a landing waited on, never put into"
+    );
+    assert!(
+        credits.values().all(|&c| c == 0),
+        "{what}: credits {credits:?}"
+    );
+    puts.len()
+}
+
+/// Gathers at roots 0, last and middle, at 8 B, 512 B and 4 KB segments,
+/// on 3×2, 4×4 and its uneven subgroup, 16×1 and 17×1. Where the model
+/// takes the landings, every remote node's block lands in one `Reduce`
+/// landing of the root's, written by that node's master alone at
+/// disjoint bytes, waited on once by the root for exactly its puts, and
+/// the credit the master spends the root returns. Elsewhere no landing
+/// is put into and the address rule holds on every plan.
+#[test]
+fn every_gather_landing_is_written_by_one_remote_master_and_its_credit_returns() {
+    for (nodes, tpn) in [(3, 2), (4, 4), (16, 1), (17, 1)] {
+        let mut sim = Sim::new(MachineConfig::ibm_sp_colony());
+        let topo = Topology::new(nodes, tpn);
+        let world = SrmWorld::new(&mut sim, topo, SrmTuning::default());
+        let members: Vec<SrmComm> = (0..topo.nprocs()).map(|r| world.comm(r)).collect();
+        let mut comms = vec![(format!("{nodes}x{tpn} world"), members)];
+        if (nodes, tpn) == (4, 4) {
+            let subgroup = world.comm_create(&[1, 3, 4, 6, 7, 10, 13, 14, 15]);
+            comms.push(("4x4 subgroup".to_string(), subgroup));
+        }
+        for (what, members) in comms {
+            let n = members.len();
+            let busiest = (0..members[0].group().node_count())
+                .map(|g| members[0].group().slots_on(g))
+                .max()
+                .expect("a node");
+            let model_topo = Topology::new(members[0].group().node_count(), busiest);
+            let model = SrmModel::new(
+                MachineConfig::ibm_sp_colony(),
+                model_topo,
+                SrmTuning::default(),
+            );
+            let mut landed = 0;
+            for root in [0, n - 1, n / 2] {
+                for len in [8, 512, 4 << 10] {
+                    let shape = Op::Gather.shape(len, root, n);
+                    let plans: Vec<Plan> = (members.iter())
+                        .map(|c| c.build_plan(&c.key(shape.clone())))
+                        .collect();
+                    let what = format!("{what}, gather {len} B to {root}");
+                    let put_into = gather_landings_are_credited(&what, &members, &plans, root);
+                    if model.gather_lands(len) {
+                        assert_eq!(put_into, members[0].group().node_count() - 1, "{what}");
+                        landed += 1;
+                        continue;
+                    }
+                    assert_eq!(put_into, 0, "{what}: a landing the model did not price");
+                    for (comm, plan) in members.iter().zip(&plans) {
+                        let what = format!("{what}, comm rank {}", comm.comm_rank());
+                        address_rule(&what, comm, plan);
+                    }
+                }
+            }
+            let lands = (nodes, tpn) != (16, 1) && (nodes, tpn) != (17, 1);
+            assert_eq!(landed > 0, lands, "{what}: landed {landed} gathers");
         }
     }
 }
