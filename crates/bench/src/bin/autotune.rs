@@ -9,8 +9,8 @@
 //! an entry is only recorded when the winner beats the all-default
 //! tuning by at least 1 %. A final through-table verification pass
 //! drops any entry that does not hold up when executed via the loaded
-//! table (whose geometry envelope can add narrowed-window guards), so
-//! the persisted table never regresses a searched shape.
+//! table (over its geometry envelope's buffers), so the persisted table
+//! never regresses a searched shape.
 //!
 //! Everything is measured in **virtual time** on the deterministic
 //! simulator — no OS entropy anywhere — so the same grid spec and seed
@@ -164,27 +164,11 @@ fn candidates_for(op: Op, base: SrmTuning) -> Vec<SrmTuning> {
             }
             // The exchanges have one wire, direct at every size: the
             // chunk (it cuts their intra-node cells) is the only knob
-            // that changes their plans. Window and route threshold
-            // steer reduce_scatter's master-to-master streams.
+            // that changes their plans. The route threshold steers
+            // reduce_scatter's master-to-master streams.
             if op != Op::ReduceScatter {
                 return cands;
             }
-            for w in [1, 4] {
-                push(SrmTuning {
-                    pairwise_window: w,
-                    ..base
-                });
-            }
-            push(SrmTuning {
-                pairwise_chunk: 8 * k,
-                pairwise_window: 4,
-                ..base
-            });
-            push(SrmTuning {
-                pairwise_chunk: 4 * k,
-                pairwise_window: 4,
-                ..base
-            });
             // Segment-route knob: lower the direct-route threshold so
             // mid-size classes can flip to direct puts, or disable the
             // direct route outright (usize::MAX = off).
@@ -194,11 +178,6 @@ fn candidates_for(op: Op, base: SrmTuning) -> Vec<SrmTuning> {
                     ..base
                 });
             }
-            push(SrmTuning {
-                pairwise_direct_min: 16 * k,
-                pairwise_window: 4,
-                ..base
-            });
         }
         // No per-shape decision knobs reach these planners (their
         // chunking and the allreduce's recursive-doubling cap are
@@ -318,10 +297,9 @@ fn search(args: &Args) -> TuneTable {
     }
 
     // Through-table verification: re-time every searched shape with
-    // the assembled table loaded (its geometry envelope may add
-    // narrowed-window guards a lone candidate run did not pay). Drop
-    // entries that no longer beat the default and repeat — dropping
-    // shrinks the envelope, which can only help the survivors.
+    // the assembled table loaded, over its geometry envelope's
+    // buffers. Drop entries that no longer beat the default and
+    // repeat — dropping shrinks the envelope.
     for round in 0..3 {
         let shared = Arc::new(table.clone());
         let mut drop_keys = Vec::new();

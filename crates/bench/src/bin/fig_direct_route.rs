@@ -5,15 +5,15 @@
 //!
 //! Three runs per point, identical except for `pairwise_direct_min`:
 //! **staged** (`usize::MAX`) chunks every master-to-master piece
-//! through the credit-windowed landing rings (put to ring slot, fold,
-//! put a credit back); **direct** (`0`) exchanges scratch addresses at
+//! through the two credited `Ring` landings of each node pair (spend
+//! the side's credit, put, fold, put the credit back); **direct** (`0`) exchanges scratch addresses at
 //! call time and lands every piece in the peer master's scratch with
 //! no credits; **default** leaves the 64 KB threshold in place, so the
 //! printed route column shows which side the planner picked on its
 //! own. The two routes differ only in their flow control — the
-//! reduction needs a landing place either way — so they tie within a
-//! few percent wherever bandwidth dominates; the figure is the grid a
-//! collapse to one route has to be judged on (ROADMAP item 4).
+//! reduction needs a landing place either way — yet neither wins
+//! everywhere; the figure is the grid a model-derived route choice has
+//! to be judged on.
 //!
 //! ```sh
 //! cargo run --release -p srm-bench --bin fig_direct_route
@@ -49,7 +49,7 @@ fn main() {
     };
     let threshold = SrmTuning::default().pairwise_direct_min;
     println!(
-        "reduce_scatter segment routing: staged (landing rings + credits) vs direct \
+        "reduce_scatter segment routing: staged (credited landings) vs direct \
          (address exchange + scratch)\ndefault pairwise_direct_min = {threshold} B\n"
     );
     for &(nodes, tpn) in shapes {

@@ -1,6 +1,6 @@
 //! Extra figure: the pairwise RMA exchange family — alltoall (one put
 //! per remote rank pair over a node-local rotation) and reduce-scatter
-//! (credit-windowed landing rings below 64 KB, direct above) — against
+//! (two credited landings per node pair below 64 KB, direct above) — against
 //! both MPI baselines. (alltoallv compiles through the same planner as
 //! alltoall with a third of its harness cells empty, so the figure
 //! sticks to the uniform ops.)

@@ -68,13 +68,12 @@ pub(crate) fn flag_of(comm: &SrmComm, f: FlagRef) -> &SpinFlag {
 
 /// Resolve a channel operand to its stored state: its lane's parity
 /// against the family's sequence cell picks the side
-/// ([`SrmComm::chan`]). A ring has one side.
+/// ([`SrmComm::chan`]).
 pub(crate) fn chan_of<'a>(comm: &'a SrmComm, bases: &[u64; SEQ_BASES], c: Chan) -> &'a Channel {
     let base = match c.kind {
         ChanKind::Bcast => SeqBase::Bcast,
-        ChanKind::Reduce => SeqBase::Reduce,
+        ChanKind::Reduce | ChanKind::Ring => SeqBase::Reduce,
         ChanKind::Rd => SeqBase::Rd,
-        ChanKind::Ring => return comm.chan(c, 0),
     };
     comm.chan(c, parity(bases, base, c.lane.into()))
 }
@@ -149,8 +148,8 @@ pub(crate) enum Watch<'a> {
         label: &'static str,
     },
     /// A LAPI counter reaches `value`, optionally consuming it; waited
-    /// inside a LAPI call. `credit` marks the pairwise window's credit
-    /// waits, the ones `credit_stalls` counts.
+    /// inside a LAPI call. `credit` marks the staged reduce_scatter's
+    /// credit waits, the ones `credit_stalls` counts.
     Counter {
         rma: &'a Rma,
         ctr: &'a LapiCounter,

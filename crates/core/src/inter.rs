@@ -1017,8 +1017,9 @@ impl SrmComm {
     /// through their contribution channels (gather's leaf pattern),
     /// which copies each to its final offset; the masters exchange their
     /// nodes' blocks ([`Self::plan_allgather_exchange`]); each master
-    /// publishes them within its node through the buffer pair
-    /// ([`Self::allgather_publication`]).
+    /// publishes them within its node through the buffer pair, in place
+    /// as they land ([`Self::allgather_in_place_uses`]) or as the
+    /// broadcast of the assembled buffer once the exchange is over.
     ///
     /// Never inlined: its locals would otherwise grow the frame of
     /// `build_plan`, which every call's compile runs on its rank's
@@ -1035,14 +1036,18 @@ impl SrmComm {
             true => self.allgather_swaps(len, model.allgather_radix(len)),
             false => Vec::new(),
         };
-        let groups = model.allgather_groups(len);
-        let [own, placed, last] = self.allgather_publication(b, len, &swaps, groups);
+        let in_place = model.allgather_in_place(len);
+        let [own, placed] = match in_place {
+            true => self.allgather_in_place_uses(b, len, &swaps),
+            false => Default::default(),
+        };
+        let master = self.crank_at(self.cnode(), 0);
         let rel_end = b.rel(SeqBase::Reduce) + chunks;
-        self.plan_quiet(b, self.crank_at(self.cnode(), 0), len, |b| {
+        self.plan_quiet(b, master, len, |b| {
             self.plan_node_gather(b, len, 0, |b, src, at, clen| {
                 b.copy((src, 0), (BufRef::User, at), clen, CopyCost::Read(1))
             });
-            let uses = || own.iter().chain(&placed).chain(&last);
+            let uses = || own.iter().chain(&placed);
             if !self.c_is_master() {
                 uses().for_each(|u| self.plan_allgather_use(b, u));
             } else {
@@ -1066,46 +1071,37 @@ impl SrmComm {
                     }
                 };
                 self.plan_allgather_exchange(b, landed, &swaps, &mut take);
-                last.iter().for_each(|u| self.plan_allgather_use(b, u));
             }
             b.advance(SeqBase::Reduce, chunks);
             if landed {
                 b.advance(SeqBase::Rd, 1);
             }
             b.advance(SeqBase::Pair, uses().count() as u64);
+            if !in_place {
+                self.plan_smp_bcast(b, self.csize() * len, self.cworld_of(master));
+            }
         });
     }
 
     /// How my node's master publishes the blocks of an allgather in
-    /// `groups` groups
-    /// ([`SrmModel::allgather_groups`](crate::SrmModel::allgather_groups)),
-    /// as the uses of the node's pair, in order: the first `groups − 1`
-    /// blocks alone — my own block's cells, written into the pair once
-    /// the master's first puts are out, then one use in place for each
-    /// landed message, which the node's tasks copy straight out of the
-    /// landing as a broadcast chunk's — then the cells of the rest's
-    /// runs, broadcast together once the exchange is over; a last group
-    /// of one landed message goes in place too. One group is the whole
-    /// buffer's broadcast after the exchange. None on a one-task node.
-    fn allgather_publication(
+    /// place
+    /// ([`SrmModel::allgather_in_place`](crate::SrmModel::allgather_in_place)),
+    /// as the uses of the node's pair, in order: my own block's cells,
+    /// written into the pair once the master's first puts are out, then
+    /// one use in place for each landed message, which the node's tasks
+    /// copy straight out of the landing as a broadcast chunk's. None on
+    /// a one-task node.
+    fn allgather_in_place_uses(
         &self,
         b: &PlanBuilder,
         len: usize,
         swaps: &[Swap],
-        groups: usize,
-    ) -> [Vec<AllgatherUse>; 3] {
-        let mut out: [Vec<AllgatherUse>; 3] = Default::default();
+    ) -> [Vec<AllgatherUse>; 2] {
+        let mut out: [Vec<AllgatherUse>; 2] = Default::default();
         if self.cslots_here() == 1 {
             return out;
         }
-        let (rel0, lane, my) = (b.rel(SeqBase::Pair), b.rel(SeqBase::Rd), self.cnode());
-        let takes: Vec<&Message> = swaps.iter().flat_map(|s| &s.from).collect();
-        let placed = match groups - 1 {
-            0 => 0,
-            g if g >= takes.len() => takes.len(),
-            g => g - 1,
-        };
-        let mut rel = rel0;
+        let (mut rel, lane, my) = (b.rel(SeqBase::Pair), b.rel(SeqBase::Rd), self.cnode());
         let mut next = |runs, landing| {
             rel += 1;
             AllgatherUse {
@@ -1114,35 +1110,18 @@ impl SrmComm {
                 landing,
             }
         };
-        // The cells of some runs, one use each.
-        let cells = |runs: Runs| -> Runs {
-            let split = |(off, bytes): (usize, usize)| {
-                (0..smp_cells(bytes))
-                    .map(move |j| smp_cell(bytes, j))
-                    .map(move |(at, n)| (off + at, n))
-            };
-            runs.into_iter().flat_map(split).collect()
-        };
         let own = self.block_runs(&mut (my..my + 1), len);
-        let mut last = Vec::new();
-        if groups > 1 {
-            out[0] = cells(own)
-                .into_iter()
-                .map(|run| next(vec![run], None))
-                .collect();
-        } else {
-            last.extend(own);
-        }
+        let cells = own.into_iter().flat_map(|(off, bytes)| {
+            (0..smp_cells(bytes))
+                .map(move |j| smp_cell(bytes, j))
+                .map(move |(at, n)| (off + at, n))
+        });
+        out[0] = cells.map(|run| next(vec![run], None)).collect();
         let me = self.crank_at(my, 0);
-        for (g, msg) in &takes[..placed] {
+        for (g, msg) in swaps.iter().flat_map(|s| &s.from) {
             let c = Chan::new(ChanKind::Rd, self.crank_at(*g, 0), me, lane);
             out[1].push(next(msg.clone(), Some(c)));
         }
-        last.extend(takes[placed..].iter().flat_map(|(_, msg)| msg));
-        out[2] = cells(merge_runs(last))
-            .into_iter()
-            .map(|run| next(vec![run], None))
-            .collect();
         out
     }
 
@@ -1330,9 +1309,9 @@ struct Swap {
     to: Vec<Message>,
 }
 
-/// One use of my node's buffer pair in an allgather
-/// (`SrmComm::allgather_publication`): use `rel` carries `runs`, out of
-/// the pair side or, in place, out of `landing`.
+/// One use of my node's buffer pair in an allgather published in place
+/// (`SrmComm::allgather_in_place_uses`): use `rel` carries `runs`, out of
+/// the pair side or out of `landing`.
 struct AllgatherUse {
     rel: u64,
     runs: Runs,

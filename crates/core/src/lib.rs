@@ -33,8 +33,8 @@
 //! * [`pairwise`] (methods on [`SrmComm`]) — the pairwise RMA exchange
 //!   subsystem: alltoall and alltoallv as one put per remote rank pair
 //!   over a node-local rotation through the contribution buffers, and
-//!   reduce-scatter as per-node-pair put streams, credit-windowed over
-//!   landing rings or direct into per-call scratch;
+//!   reduce-scatter as per-node-pair put streams, over two credited
+//!   landings per node pair or direct into per-call scratch;
 //! * [`plan`] — the schedule IR: every collective call compiles to a
 //!   per-rank [`Plan`] of primitive steps, cached per call shape;
 //! * [`engine`] (methods on [`SrmComm`]) — the executor that replays a

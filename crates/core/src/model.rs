@@ -324,18 +324,16 @@ impl SrmModel {
         self.radix(|k| self.allgather_on(k, len))
     }
 
-    /// How many groups an allgather of `len`-byte segments publishes
-    /// its node blocks in within each node (`plan_allgather`): the first
-    /// `g − 1` alone as they come, the rest together once the exchange
-    /// is over. One group, the whole buffer's broadcast after the
-    /// exchange, unless the exchange lands in the landings (priced with
-    /// every node as full as the fullest, so the plan's lands too) and
-    /// another count's closed form is lower; the smaller count on a tie.
-    pub fn allgather_groups(&self, len: usize) -> usize {
-        let takes = self.allgather_takes(len).len();
-        (1..=takes + 1)
-            .min_by_key(|&g| self.allgather_publication(len, g))
-            .expect("one group at least")
+    /// Whether an allgather of `len`-byte segments publishes its node
+    /// blocks within each node in place (`plan_allgather`): each alone
+    /// as it comes, the master's own block first, rather than the
+    /// whole buffer's broadcast once the exchange is over. Only where
+    /// the exchange lands in the landings (priced with every node as
+    /// full as the fullest, so the plan's lands too) and in place is
+    /// priced strictly lower.
+    pub fn allgather_in_place(&self, len: usize) -> bool {
+        !self.allgather_takes(len).is_empty()
+            && self.allgather_publication(len, true) < self.allgather_publication(len, false)
     }
 
     /// The bytes of each node block core 0's master takes in the
@@ -359,17 +357,15 @@ impl SrmModel {
         extras.chain(rounds.clone().flat_map(round)).collect()
     }
 
-    /// The allgather's publication within a node in `groups` groups, as
-    /// the master works it on top of the exchange: a block published
-    /// alone costs one use's flags and a copy out beside the readers
-    /// (the master's own block first goes into the pair), in place of
-    /// the copy out that the exchange's rounds price; the last group is
-    /// one broadcast of its bytes. One group is the broadcast of all
+    /// The allgather's publication within a node, as the master works
+    /// it on top of the exchange. In place, a block costs one use's
+    /// flags and a copy out beside the readers (the master's own block
+    /// first goes into the pair), in place of the copy out that the
+    /// exchange's rounds price; otherwise it is the broadcast of all
     /// `P·len` bytes.
-    fn allgather_publication(&self, len: usize, groups: usize) -> SimTime {
+    fn allgather_publication(&self, len: usize, in_place: bool) -> SimTime {
         let (n, p) = (self.topo.nodes(), self.topo.tasks_per_node());
-        let takes = self.allgather_takes(len);
-        if groups == 1 || takes.is_empty() {
+        if !in_place {
             return self.smp_bcast(n * p * len);
         }
         let cfg = &self.cfg;
@@ -378,16 +374,8 @@ impl SrmModel {
         };
         let block = p * len;
         let own = self.stage(block) + use_of(block);
-        let alone = match groups - 1 {
-            g if g >= takes.len() => takes.len(),
-            g => g - 1,
-        };
-        let published =
-            (takes[..alone].iter()).fold(own, |t, &bytes| t + use_of(bytes) - self.stage(bytes));
-        match takes[alone..].iter().sum::<usize>() {
-            0 => published,
-            last => published + self.smp_bcast(last),
-        }
+        (self.allgather_takes(len).into_iter())
+            .fold(own, |t, bytes| t + use_of(bytes) - self.stage(bytes))
     }
 
     /// The `k` in `2..=n` at which `time` is lowest, the smaller on a
@@ -455,7 +443,8 @@ impl SrmModel {
     /// Predicted allgather latency for `len`-byte segments: each node's
     /// tasks hand their segments to the master, the masters exchange
     /// at [`Self::allgather_radix`], and each master publishes the
-    /// blocks within its node in [`Self::allgather_groups`] groups.
+    /// blocks within its node, in place where
+    /// [`Self::allgather_in_place`] says so.
     pub fn allgather(&self, len: usize) -> SimTime {
         let (n, p) = (self.topo.nodes(), self.topo.tasks_per_node());
         if len == 0 || n * p == 1 {
@@ -466,8 +455,8 @@ impl SrmModel {
             1 => SimTime::ZERO,
             _ => self.allgather_on(self.allgather_radix(len), len),
         };
-        let groups = self.allgather_groups(len);
-        gather + exchange + self.allgather_publication(len, groups)
+        let in_place = self.allgather_in_place(len);
+        gather + exchange + self.allgather_publication(len, in_place)
     }
 
     /// The allgather's exchange between the masters at radix `k`, as

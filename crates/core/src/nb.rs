@@ -91,9 +91,11 @@ const CL_REDUCE: u8 = 1 << 1;
 const CL_ADDR: u8 = 1 << 2;
 /// Substrate class: barrier flags and round counters.
 const CL_BARRIER: u8 = 1 << 3;
-/// Substrate class: the ring channels of the staged reduce_scatter
-/// (see [`crate::pairwise`]). The exchanges order in `CL_ADDR` (their
-/// wire) and `CL_REDUCE` (their intra-node leg).
+/// Substrate class: the `Ring` pairs of the staged reduce_scatter (see
+/// [`crate::pairwise`]). No other family touches them, so their steps
+/// need not wait behind an older call's `CL_REDUCE` landings. The
+/// exchanges order in `CL_ADDR` (their wire) and `CL_REDUCE` (their
+/// intra-node leg).
 const CL_PAIRWISE: u8 = 1 << 4;
 
 /// Number of substrate classes (width of the per-call remaining-step

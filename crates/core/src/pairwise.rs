@@ -45,23 +45,25 @@
 //! node masters, and it has two routes:
 //!
 //! * **Staged**, below
-//!   [`SrmTuning::pairwise_direct_min`](crate::SrmTuning): a
-//!   [`ChanKind::Ring`] channel per ordered `(src, dst)` group-node
-//!   pair — an inbound *landing ring* at `dst`, its data counter and
-//!   `src`'s credits, kept in `dst`'s link from `src` — whose handles
-//!   are exchanged like registered memory, so a put needs no per-call
-//!   address traffic. A source may have at most
-//!   [`pairwise_window`](crate::SrmTuning) puts outstanding toward one
-//!   destination (the ring has that many
-//!   [`pairwise_chunk`](crate::SrmTuning)-sized slots per source); it
-//!   spends a credit per put (a consuming [`Step::Wait`] on the credit
-//!   counter) and the destination returns the credit once it drains the
-//!   slot. Masters round-robin across destinations piece by piece, so
-//!   all streams stay in flight together.
+//!   [`SrmTuning::pairwise_direct_min`](crate::SrmTuning): each ordered
+//!   `(src, dst)` pair of group nodes has a [`ChanKind::Ring`] channel
+//!   pair, kept in `dst`'s link from `src` like every other channel:
+//!   two [`pairwise_chunk`](crate::SrmTuning)-sized landings, each with
+//!   a data counter and one credit (§2.3). Piece `k` of a stream
+//!   travels on lane `rel0 + k` against [`SeqBase::Reduce`], whose
+//!   advance is uniform, so both ends resolve it to the same side. The
+//!   source spends the side's credit before its put; the destination
+//!   returns it once it has folded the piece. Masters round-robin
+//!   across destinations piece by piece, so all streams stay in flight
+//!   together, and no per-call address traffic is needed.
 //! * **Direct**, at or above it: the masters exchange per-call scratch
 //!   handles and put every piece straight into the peer's scratch
-//!   region, counted by the same per-pair counters — no rings, no
+//!   region, counted by the per-pair counters — no landings, no
 //!   credits.
+//!
+//! `Ring` stays a family of its own rather than borrowing the `Reduce`
+//! channels: its puts and credit waits are what the `pairwise_puts`
+//! and `credit_stalls` metrics count.
 //!
 //! ## Group coordinates
 //!
@@ -71,28 +73,27 @@
 //! rank. Both endpoints of every stream derive its pieces from the
 //! group shape and the call shape alone.
 //!
-//! ## Why literal ring offsets are safe
+//! ## Why the staged route still drains
 //!
-//! Piece `k` of a ring stream lands at ring offset `(k % window) ·
-//! chunk`, a plan-time constant — no sequence base is consumed. Two
-//! facts make this sound: the credit window keeps at most `window`
-//! *consecutive* pieces of a stream outstanding (consecutive indices
-//! map to distinct slots), and every master ends its plan waiting for
-//! all credits to return (a non-consuming wait for `== window` per
-//! destination), so the rings are fully drained between operations and
-//! the next plan can restart indexing at zero.
+//! Each side's credit guards its own reuse, within a call and across
+//! calls, so no landing is overwritten early whatever the calls
+//! around it. Each source master still ends the call with one
+//! non-consuming wait per destination, for the credit of its last
+//! piece's side: the destination returns its credits in piece order,
+//! so none of this call's credits comes back as an interrupt after the
+//! call.
 //!
 //! ## Deadlock freedom
 //!
 //! Every rank walks the same global round sequence; each blocking step
-//! of round `k` waits only on events of rounds `< k` (credit of piece
-//! `k - window`, contribution drain two chunks back, pair release two
-//! pieces back) or on same-round predecessors that are
-//! unconditionally reachable. Induction over the round order gives
-//! progress for any `window ≥ 1`. The exchange wire blocks only on
-//! address takes and completion counters, and every rank issues all its
-//! address sends and all its puts before its first wait on a peer's
-//! put.
+//! of round `k` waits only on events of rounds `< k` (the credit of
+//! piece `k - 2` on the same side, contribution drain two chunks back,
+//! pair release two pieces back), on a credit the previous call's
+//! destination has already returned, or on same-round predecessors
+//! that are unconditionally reachable. Induction over the round order
+//! gives progress. The exchange wire blocks only on address takes and
+//! completion counters, and every rank issues all its address sends and
+//! all its puts before its first wait on a peer's put.
 //!
 //! Because the Reduce sequence base indexes cross-node buffer
 //! parities, its advance is the same on every member, even members
@@ -107,26 +108,15 @@ use crate::world::SrmComm;
 use simnet::NodeId;
 
 impl SrmComm {
-    /// Block until my node holds at least `n` credits toward `d`
-    /// without spending any.
-    fn plan_credits_ge(&self, b: &mut PlanBuilder, d: NodeId, n: usize) {
-        let ring = Chan::new(ChanKind::Ring, self.crank(), self.crank_at(d, 0), 0);
-        b.wait_ctr_ge(CtrRef::Free(ring), Val::Lit(n as u64));
-    }
-
-    /// Credit-gated put of the accumulator toward group node `d` into
-    /// the ring slot at byte `at`, under the effective window `w` of the
-    /// shape being compiled. When `w` is narrower than the geometry
-    /// credit pool, a non-consuming wait for `geometry - w + 1` credits
-    /// first keeps at most `w` puts in flight, so ring slot `r % w` is
-    /// always drained before it is reused.
-    fn plan_ring_put(&self, b: &mut PlanBuilder, (d, at): (NodeId, usize), len: usize) {
-        let (w, w_geom) = (b.tuning().pairwise_window, self.tuning().pairwise_window);
-        if w < w_geom {
-            self.plan_credits_ge(b, d, w_geom - w + 1);
-        }
-        let ring = Chan::new(ChanKind::Ring, self.crank(), self.crank_at(d, 0), 0);
-        self.plan_credit_put(b, (ring, at), (BufRef::Acc, 0), len);
+    /// The [`ChanKind::Ring`] channel of piece lane `lane` from group
+    /// node `from`'s master to group node `to`'s.
+    fn ring(&self, (from, to): (NodeId, NodeId), lane: u64) -> Chan {
+        Chan::new(
+            ChanKind::Ring,
+            self.crank_at(from, 0),
+            self.crank_at(to, 0),
+            lane,
+        )
     }
 
     /// The comm ranks off my node in the order this rank's wire visits
@@ -324,8 +314,8 @@ impl SrmComm {
     /// buffer holds `csize` contribution segments; after the call,
     /// segment `me` holds the element-wise reduction of every member's
     /// segment `me`. Each piece round reduces one piece of every peer
-    /// node's block up the SMP tree, streams it into the peer's landing
-    /// ring, then folds the arrived peer pieces into the own-block
+    /// node's block up the SMP tree, streams it into the peer's `Ring`
+    /// landing, then folds the arrived peer pieces into the own-block
     /// reduction and scatters the finished piece through the node's
     /// buffer pair. Node blocks decompose exactly like the scatter
     /// protocol's ([`SrmComm::scatter_pieces`]), so non-contiguous and
@@ -343,7 +333,6 @@ impl SrmComm {
         // chunk down to the 8-byte grid (a multiple of every supported
         // element size).
         let chunk = (b.tuning().pairwise_chunk & !7).max(8);
-        let w = b.tuning().pairwise_window;
         let me = self.cnode();
         let my = self.cslot();
         let p = self.cslots_here();
@@ -360,7 +349,7 @@ impl SrmComm {
 
         // Direct route: pieces rendezvous in a per-call scratch region
         // at the destination master instead of staging through the
-        // landing rings — the SMP pre-reduction and landing-pair
+        // `Ring` landings — the SMP pre-reduction and landing-pair
         // distribution are unchanged, only the wire differs. The
         // scratch holds one logical block per peer; `region(d, s)` is
         // source `s`'s index among `d`'s peers, ascending.
@@ -384,7 +373,7 @@ impl SrmComm {
         }
 
         for k in 0..rounds {
-            let ring_off = (k % w) * chunk;
+            let lane = rel0 + k as u64;
             // Peer-node blocks: reduce this piece to the master and
             // stream it out, round-robin over destinations.
             for d in peers() {
@@ -399,8 +388,8 @@ impl SrmComm {
                 // The put snapshots the accumulator synchronously.
                 if direct {
                     // Land the piece straight in the peer master's
-                    // scratch region — no credits, no window, one
-                    // counter bump at the target.
+                    // scratch region — no credits, one counter bump at
+                    // the target.
                     b.push(Step::RmaPut {
                         to: self.cmaster_of(d),
                         src: BufRef::Acc,
@@ -416,7 +405,8 @@ impl SrmComm {
                         }),
                     });
                 } else {
-                    self.plan_ring_put(b, (d, ring_off), plen);
+                    let to = (self.ring((me, d), lane), 0);
+                    self.plan_credit_put(b, to, (BufRef::Acc, 0), plen);
                 }
             }
             // Own block: reduce the node's contributions, fold in the
@@ -451,8 +441,7 @@ impl SrmComm {
                         len: plen,
                     });
                 } else {
-                    let from = Chan::new(ChanKind::Ring, self.crank_at(s, 0), self.crank(), 0);
-                    self.plan_fold_landed(b, (from, ring_off), plen);
+                    self.plan_fold_landed(b, (self.ring((s, me), lane), 0), plen);
                 }
             }
             if p > 1 {
@@ -468,10 +457,11 @@ impl SrmComm {
         }
 
         if multi && my == 0 && !direct {
-            for d in peers() {
-                if !pieces[d].is_empty() {
-                    self.plan_credits_ge(b, d, self.tuning().pairwise_window);
-                }
+            // The drain: the credit of each stream's last piece is home
+            // (see the module doc).
+            for d in peers().filter(|&d| !pieces[d].is_empty()) {
+                let last = self.ring((me, d), rel0 + pieces[d].len() as u64 - 1);
+                b.wait_ctr_ge(CtrRef::Free(last), Val::Lit(1));
             }
         }
         if my == 0 {

@@ -116,11 +116,10 @@ pub enum ChanKind {
     /// lane = the call's [`SeqBase::Rd`] index, whose parity picks one
     /// of two uncredited channels.
     Rd,
-    /// Staged reduce_scatter stream into the destination's landing ring
-    /// of [`SrmTuning::pairwise_window`](crate::SrmTuning) slots
-    /// (credits start at the window; ring offsets are plan literals
-    /// because every ring is drained when the operation completes). One
-    /// lane, 0.
+    /// Staged reduce_scatter stream, peer master → destination master;
+    /// lane = the piece's [`SeqBase::Reduce`] index. Stored like
+    /// `Reduce`, but its own family: its puts and credit waits are what
+    /// the `pairwise_puts` and `credit_stalls` metrics count.
     Ring,
 }
 

@@ -20,7 +20,7 @@
 //! world-global, and the contribution buffers' size is a constant
 //! ([`SrmTuning::REDUCE_CHUNK`]). The world instead builds a **geometry
 //! envelope**: capacity-relevant decision knobs
-//! (`small_large_switch`, `pairwise_chunk`, `pairwise_window`) are
+//! (`small_large_switch`, `pairwise_chunk`) are
 //! raised to the table's maxima so every entry's schedule fits the
 //! buffers actually allocated. What the geometry itself decides — the
 //! large broadcast's put size (one `SMP_BUF` cell) and the
@@ -94,11 +94,12 @@ pub struct TuneEntry {
     /// Piece size of reduce_scatter's streams and of the intra-node
     /// cells of alltoall/alltoallv.
     pub pairwise_chunk: usize,
-    /// Credit window of reduce_scatter's staged streams (alltoall and
-    /// alltoallv have no credits).
+    /// Ignored: the staged reduce_scatter's landings are two credited
+    /// sides, so the window it once set is gone. It keeps its column in
+    /// the text format until ROADMAP item 1(h) removes it.
     pub pairwise_window: usize,
     /// reduce_scatter's direct-route switch: segments at or above this
-    /// size skip the landing rings and put straight into the
+    /// size skip the credited `Ring` landings and put straight into the
     /// destination master's scratch buffer; `usize::MAX` (`off` in
     /// table files) disables the direct route for the shape. Alltoall
     /// and alltoallv are direct at every size and ignore it.
@@ -121,7 +122,7 @@ const ENTRY_FIELDS: [&str; 9] = [
 
 impl TuneEntry {
     /// The decision knobs of `t`, verbatim (the ignored
-    /// `allreduce_rs_min` reads `usize::MAX`).
+    /// `allreduce_rs_min` and `pairwise_window` read `usize::MAX`).
     pub fn from_tuning(t: &SrmTuning) -> TuneEntry {
         TuneEntry {
             small_large_switch: t.small_large_switch,
@@ -131,7 +132,7 @@ impl TuneEntry {
             allreduce_rs_min: usize::MAX,
             interrupt_disable_max: t.interrupt_disable_max,
             pairwise_chunk: t.pairwise_chunk,
-            pairwise_window: t.pairwise_window,
+            pairwise_window: usize::MAX,
             pairwise_direct_min: t.pairwise_direct_min,
         }
     }
@@ -157,7 +158,6 @@ impl TuneEntry {
             pipeline_chunk: pchunk,
             interrupt_disable_max: self.interrupt_disable_max,
             pairwise_chunk: self.pairwise_chunk.clamp(1, pw_cap),
-            pairwise_window: self.pairwise_window.clamp(1, geometry.pairwise_window),
             // Pure route decision — no buffer is sized from it, so it
             // passes through unclamped.
             pairwise_direct_min: self.pairwise_direct_min,
@@ -322,7 +322,6 @@ impl TuneTable {
                 pipeline_chunk: entry.pipeline_chunk,
                 interrupt_disable_max: entry.interrupt_disable_max,
                 pairwise_chunk: entry.pairwise_chunk,
-                pairwise_window: entry.pairwise_window,
                 pairwise_direct_min: entry.pairwise_direct_min,
                 ..*base
             };
@@ -344,7 +343,6 @@ impl TuneTable {
         for e in self.entries.values() {
             g.small_large_switch = g.small_large_switch.max(e.small_large_switch);
             g.pairwise_chunk = g.pairwise_chunk.max(e.pairwise_chunk);
-            g.pairwise_window = g.pairwise_window.max(e.pairwise_window);
             g.pipeline_max = g.pipeline_max.max(e.pipeline_max);
         }
         // The raised switch can only widen the pipeline headroom; the
@@ -634,7 +632,6 @@ mod tests {
         assert_eq!(eff.small_large_switch, geom.small_large_switch);
         assert_eq!(eff.pipeline_max, geom.small_large_switch);
         assert_eq!(eff.pairwise_chunk, geom.pairwise_chunk);
-        assert_eq!(eff.pairwise_window, 1);
         // Route decision passes through unclamped.
         assert_eq!(eff.pairwise_direct_min, 1);
     }

@@ -26,9 +26,6 @@ pub enum TuningError {
     /// [`SrmTuning::REDUCE_CHUNK`] (pairwise
     /// pieces stage through the contribution buffers).
     PairwiseChunkInvalid,
-    /// `pairwise_window == 0`: the credit window must allow at least
-    /// one outstanding put or every pairwise stream deadlocks.
-    PairwiseWindowZero,
 }
 
 impl fmt::Display for TuningError {
@@ -39,9 +36,6 @@ impl fmt::Display for TuningError {
             }
             TuningError::PairwiseChunkInvalid => {
                 "pairwise_chunk must be nonzero and fit the contribution buffers"
-            }
-            TuningError::PairwiseWindowZero => {
-                "pairwise credit window must allow at least one outstanding put"
             }
         };
         f.write_str(msg)
@@ -101,16 +95,10 @@ pub struct SrmTuning {
     /// exceed [`SrmTuning::REDUCE_CHUNK`] (the pieces stage through the
     /// contribution buffers).
     pub pairwise_chunk: usize,
-    /// Credit window of reduce_scatter's staged streams: how many puts
-    /// a source master may have outstanding toward one destination
-    /// before it must wait for the destination to drain its landing
-    /// ring (the ring has this many `pairwise_chunk` slots per source).
-    /// At least 1. Alltoall and alltoallv have no credits.
-    pub pairwise_window: usize,
     /// reduce_scatter segments at or above this size take the **direct
     /// route**: a per-call address exchange between the node masters,
     /// then puts straight into the destination master's scratch buffer,
-    /// skipping the landing rings and their credits. `usize::MAX`
+    /// skipping the credited `Ring` landings. `usize::MAX`
     /// disables the direct route (staged everywhere); 0 forces it for
     /// every segment size. Alltoall and alltoallv are direct at every
     /// size and ignore it.
@@ -129,7 +117,6 @@ impl Default for SrmTuning {
             plan_cache_cap: 32,
             trace_steps: false,
             pairwise_chunk: 16 * 1024,
-            pairwise_window: 2,
             pairwise_direct_min: 64 * 1024,
         }
     }
@@ -182,9 +169,6 @@ impl SrmTuning {
         }
         if self.pairwise_chunk == 0 || self.pairwise_chunk > Self::REDUCE_CHUNK {
             return Err(TuningError::PairwiseChunkInvalid);
-        }
-        if self.pairwise_window == 0 {
-            return Err(TuningError::PairwiseWindowZero);
         }
         Ok(())
     }
@@ -272,13 +256,6 @@ mod tests {
                     ..d
                 },
                 TuningError::PairwiseChunkInvalid,
-            ),
-            (
-                SrmTuning {
-                    pairwise_window: 0,
-                    ..d
-                },
-                TuningError::PairwiseWindowZero,
             ),
         ];
         for (t, want) in cases {

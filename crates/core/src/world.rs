@@ -129,8 +129,8 @@ pub(crate) struct Link {
     rd: OnceLock<[Channel; 2]>,
     /// Dissemination-barrier bumps from the peer node's master.
     bar: OnceLock<LapiCounter>,
-    /// The [`ChanKind::Ring`] channel from the peer node's master.
-    ring: OnceLock<Channel>,
+    /// The [`ChanKind::Ring`] pair from the peer node's master.
+    ring: OnceLock<[Channel; 2]>,
 }
 
 /// One mailbox slot: empty, or the handle left in it.
@@ -910,8 +910,8 @@ impl SrmComm {
     ///   landings, one credit a side.
     /// * `Rd`: `REDUCE_CHUNK` landings and no credits, since no byte of
     ///   one is written twice in a call (DESIGN.md §16.2).
-    /// * `Ring`, one side: `pairwise_window` slots of `pairwise_chunk`
-    ///   bytes (at least 8) and `pairwise_window` credits.
+    /// * `Ring`: `pairwise_chunk` landings (at least 8 bytes), one
+    ///   credit a side.
     pub(crate) fn chan(&self, c: Chan, side: usize) -> &Channel {
         let ((dst, dslot), (src, sslot)) = (self.ccoord_of(c.dst), self.ccoord_of(c.src));
         let (link, t, handle) = (self.link(dst, src), &self.world.tuning, &self.world.handle);
@@ -919,11 +919,7 @@ impl SrmComm {
             ChanKind::Bcast => (&link.bcast[sslot], t.small_large_switch, 1),
             ChanKind::Reduce => (&link.reduce[dslot], SrmTuning::REDUCE_CHUNK, 1),
             ChanKind::Rd => (&link.rd, SrmTuning::REDUCE_CHUNK, 0),
-            ChanKind::Ring => {
-                let (w, chunk) = (t.pairwise_window, t.pairwise_chunk.max(8));
-                let ring = || Channel::new(handle, ShmBuffer::new(w * chunk), w as u64);
-                return link.ring.get_or_init(ring);
-            }
+            ChanKind::Ring => (&link.ring, t.pairwise_chunk.max(8), 1),
         };
         &sides.get_or_init(|| [0, 1].map(|_| Channel::new(handle, ShmBuffer::new(cap), credits)))
             [side]
@@ -1201,9 +1197,10 @@ mod tests {
     }
 
     /// The pairwise collectives pay only for what they run: alltoall at
-    /// any size needs the rank-pair counters and no ring; a
-    /// reduce_scatter below the direct threshold a ring on every pair
-    /// of distinct nodes, nothing else in those links, and no counters.
+    /// any size needs the rank-pair counters and no `Ring` pair; a
+    /// reduce_scatter below the direct threshold a `Ring` pair on every
+    /// pair of distinct nodes, nothing else in those links, and no
+    /// counters.
     #[test]
     fn pairwise_families_appear_with_the_collective_that_uses_them() {
         let topo = Topology::new(4, 4);
@@ -1223,6 +1220,25 @@ mod tests {
         assert!(staged.mailbox.direct.get().is_none(), "rank-pair counters");
         let want = pairs_holding(4, |dst, src| dst != src, Made { ring: true, ..NONE });
         assert_eq!(links(&staged), want);
+    }
+
+    /// Each `Ring` side's credit guards its own reuse, and the drain
+    /// waits only on the last piece's side; once a staged
+    /// reduce_scatter of three pieces a stream (12 KB segments on 4×4,
+    /// 16 KB pieces) and a barrier are over, every side of every pair
+    /// is home: its credit back, its data counter taken to zero.
+    #[test]
+    fn a_staged_reduce_scatter_leaves_every_ring_side_drained() {
+        let comm = run_comm(Topology::new(4, 4), None, |ctx, comm, buf| {
+            comm.reduce_scatter(ctx, buf, 12 << 10, DType::U64, ReduceOp::Max);
+            comm.barrier(ctx);
+        });
+        for (dst, src) in node_pairs(4).filter(|(dst, src)| dst != src) {
+            let link = comm.links[dst * 4 + src].get().expect("link made");
+            let sides = link.ring.get().expect("ring pair made");
+            let held = sides.each_ref().map(|c| (c.free.peek(), c.data.peek()));
+            assert_eq!(held, [(1, 0); 2], "ring {src} -> {dst}");
+        }
     }
 
     /// The `(owner, sender)` mailbox slots that exist, ascending.

@@ -92,18 +92,19 @@ metrics! {
     /// Times an outstanding schedule was parked at a blocking step by
     /// the interleaving executor (its head probe came back not-ready).
     nb_parks,
-    /// One-sided data puts into the pairwise landing rings: the staged
-    /// route of reduce_scatter, the rings' only user (alltoall and
+    /// One-sided data puts into the staged reduce_scatter's credited
+    /// landings (`ChanKind::Ring`), their only user (alltoall and
     /// alltoallv put nothing through them).
     pairwise_puts,
     /// Times a pairwise sender reached a credit wait with no credit
-    /// available (its destination's landing ring was full), blocking or
+    /// available (its destination had not yet folded the landing's last
+    /// piece), blocking or
     /// nonblocking — staged reduce_scatter only.
     credit_stalls,
     /// One-sided puts landed straight in the destination user buffer
     /// (alltoall, alltoallv: one per remote rank pair, at every size) or
     /// per-call scratch buffer (reduce_scatter's direct route) after a
-    /// per-call address exchange, skipping the landing rings.
+    /// per-call address exchange, skipping the staged landings.
     pairwise_direct_puts,
     /// Communicators created (the world communicator counts once; each
     /// `comm_create`/`comm_split` group counts once more).

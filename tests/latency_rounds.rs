@@ -360,15 +360,16 @@ const ONE_GROUP_ONE_4K: [f64; 63] = [
 ];
 
 /// The gather and the allgather are no slower than before the model
-/// priced the gather's landings and the allgather's publication groups,
+/// priced the gather's landings and the allgather's publication in place,
 /// at 8 B, 512 B and 4 KB segments on 16-way nodes (2–16) and on
 /// single-task nodes (2–64). The gather takes the landings on 16-way
 /// nodes at 8 B (0.14–0.46 of the old time), on two to six single-task
 /// nodes at 8 B and two to four at 512 B and 4 KB (0.36–0.78). On 16-way
 /// nodes at 512 B, where the landed gather wins by up to 11 % on most
 /// node counts but loses on 2 and 14, it stays direct. The allgather
-/// publishes its blocks alone on 2×16 at 512 B (0.60); its other points
-/// keep one group (8 B) or outgrow a landing, at the same time.
+/// publishes its blocks in place on 2×16 at 512 B (0.60); its other
+/// points keep the broadcast (8 B) or outgrow a landing, at the same
+/// time.
 #[test]
 fn gather_and_allgather_are_no_slower_than_before_the_landings() {
     let grids: [(Op, usize, usize, &[f64]); 12] = [
@@ -403,32 +404,26 @@ fn gather_and_allgather_are_no_slower_than_before_the_landings() {
     assert!(slower.is_empty(), "slower than before: {slower:#?}");
 }
 
-/// The publication groups the model picks on 16-way nodes: one (the
-/// broadcast of the whole buffer after the exchange) at 8 B on 2 to 16
-/// nodes, where a use's fifteen flags cost more than the bytes it saves
-/// copying, and every block alone at 512 B on 2 nodes, the one node
-/// count whose assembled buffer fits a landing; one wherever it does
-/// not. On 4×4 at 512 B, `cold_sweep`'s shape, all four blocks alone.
+/// Where the model publishes an allgather's blocks in place on 16-way
+/// nodes: never at 8 B on 2 to 16 nodes, where a use's fifteen flags
+/// cost more than the bytes it saves copying, but at 512 B on 2 nodes,
+/// the one node count whose assembled buffer fits a landing; never
+/// where it does not. On 4×4 at 512 B, `cold_sweep`'s shape, it does.
 #[test]
 fn the_model_publishes_small_blocks_together_and_larger_ones_alone() {
-    let groups = |topo, len| {
+    let in_place = |topo, len| {
         let model = SrmModel::new(MachineConfig::ibm_sp_colony(), topo, SrmTuning::default());
-        model.allgather_groups(len)
+        model.allgather_in_place(len)
     };
     for nodes in 2..=16 {
         let topo = Topology::sp_16way(nodes);
-        assert_eq!(groups(topo, 8), 1, "{topo}, 8 B");
-        assert_eq!(
-            groups(topo, 512),
-            if nodes == 2 { 2 } else { 1 },
-            "{topo}, 512 B"
-        );
-        assert_eq!(groups(topo, 4 << 10), 1, "{topo}, 4 KB");
+        assert!(!in_place(topo, 8), "{topo}, 8 B");
+        assert_eq!(in_place(topo, 512), nodes == 2, "{topo}, 512 B");
+        assert!(!in_place(topo, 4 << 10), "{topo}, 4 KB");
     }
-    assert_eq!(groups(Topology::new(4, 4), 512), 4);
+    assert!(in_place(Topology::new(4, 4), 512));
 }
 
-/// Doubles whose sum depends on the order of the additions.
 fn order_sensitive(rank: usize, call: usize) -> Vec<u8> {
     let vals: Vec<f64> = (0..64)
         .map(|i| [1e16, 1.0, -1e16][(rank + i + call) % 3] * (1 + (i + call) % 5) as f64)
@@ -707,8 +702,8 @@ fn gathers_rotating_through_one_nodes_roots_keep_their_landings() {
 }
 
 /// A landing published in place stays until the node has read it. On
-/// 2×2 at 512 B the masters publish each landed block in place (two
-/// groups), so rank 1 copies its peer node's block straight out of its
+/// 2×2 at 512 B the masters publish each landed block in place, so
+/// rank 1 copies its peer node's block straight out of its
 /// master's `Rd` landing. It leaves its first `iallgather` outstanding
 /// through 300 µs of compute while the others run three allgathers
 /// back to back; the third lands in the first one's landing. It must
@@ -718,7 +713,7 @@ fn gathers_rotating_through_one_nodes_roots_keep_their_landings() {
 fn a_slow_reader_keeps_its_in_place_landing() {
     let (topo, len) = (Topology::new(2, 2), 512);
     let model = SrmModel::new(MachineConfig::ibm_sp_colony(), topo, SrmTuning::default());
-    assert_eq!(model.allgather_groups(len), 2);
+    assert!(model.allgather_in_place(len));
     let mut sim = Sim::new(MachineConfig::ibm_sp_colony());
     let world = SrmWorld::new(&mut sim, topo, SrmTuning::default());
     let out = Arc::new(Mutex::new(vec![Vec::new(); 4]));

@@ -1,8 +1,8 @@
 //! The pairwise RMA exchange subsystem observed through the simulator
 //! metrics: alltoall takes its one wire with exact message counts at
-//! every size, reduce_scatter's two routes agree, its credit window
-//! genuinely throttles (stalls appear when it is tight and disappear
-//! when it is ample).
+//! every size, reduce_scatter's two routes agree, and the staged
+//! route's credits genuinely throttle its streams without moving its
+//! times.
 
 use collops::{reference_reduce, Collectives, DType, NonblockingCollectives, ReduceOp};
 use simnet::{MachineConfig, MetricsSnapshot, Sim, Topology};
@@ -68,7 +68,7 @@ fn reduce_scatter_inputs(n: usize, elems: usize) -> (Vec<Vec<u8>>, Vec<u8>) {
 
 /// Alltoall has one route at default tuning, whatever the segment size:
 /// one address message and one put per ordered remote pair, nothing
-/// through the rings.
+/// through the `Ring` landings.
 #[test]
 fn alltoall_takes_its_one_route_with_exact_counts() {
     let topo = Topology::new(3, 2);
@@ -95,7 +95,7 @@ fn alltoall_takes_its_one_route_with_exact_counts() {
 /// At 64 KB alltoall issues exactly one address-exchanged put per
 /// ordered remote pair and matches the sequential reference; at the
 /// default 64 KB threshold reduce_scatter takes the direct route too —
-/// nothing through the rings, no credit traffic at all — with results
+/// nothing through the `Ring` landings, no credit traffic at all — with results
 /// bit-identical to a forced-staged run of the same call.
 #[test]
 fn direct_route_exact_put_count_and_staged_parity() {
@@ -112,8 +112,11 @@ fn direct_route_exact_put_count_and_staged_parity() {
     // 6 ranks x 4 remote peers = 24 ordered pairs, one unchunked put
     // each.
     assert_eq!(m.pairwise_direct_puts, 24);
-    assert_eq!(m.pairwise_puts, 0, "alltoall must not touch the rings");
-    assert_eq!(m.credit_stalls, 0, "no ring credits, no credit stalls");
+    assert_eq!(
+        m.pairwise_puts, 0,
+        "alltoall must not touch the `Ring` landings"
+    );
+    assert_eq!(m.credit_stalls, 0, "no `Ring` credits, no credit stalls");
     for (rank, buf) in got.iter().enumerate() {
         assert!(buf == &alltoall_expect(rank, n, len, |c| c), "rank {rank}");
     }
@@ -133,14 +136,14 @@ fn direct_route_exact_put_count_and_staged_parity() {
     // Each master streams its 2 x 64 KB block for either peer node in
     // 16 KB pieces: 3 masters x 2 peers x 8 pieces.
     assert_eq!(m.pairwise_direct_puts, 48);
-    assert_eq!(m.pairwise_puts, 0, "direct route must bypass the rings");
-    assert_eq!(m.credit_stalls, 0, "no ring credits, no credit stalls");
+    assert_eq!(m.pairwise_puts, 0, "direct route must skip `Ring`");
+    assert_eq!(m.credit_stalls, 0, "no `Ring` credits, no credit stalls");
     let (res_staged, m_staged) = run(SrmTuning {
         pairwise_direct_min: usize::MAX,
         ..SrmTuning::default()
     });
     assert_eq!(m_staged.pairwise_direct_puts, 0);
-    assert_eq!(m_staged.pairwise_puts, 48, "the same pieces, ring by ring");
+    assert_eq!(m_staged.pairwise_puts, 48, "the same pieces, on `Ring`");
     for rank in 0..n {
         let seg = rank * len..(rank + 1) * len;
         assert!(res_direct[rank][seg.clone()] == expect[seg.clone()]);
@@ -148,65 +151,124 @@ fn direct_route_exact_put_count_and_staged_parity() {
     }
 }
 
-/// The credit window is real back-pressure on the staged reduce_scatter
-/// streams, its one user: a window of 1 with many pieces per stream
-/// stalls the sender, an ample window does not, and the results are
-/// identical either way.
+/// Each `Ring` side's one credit is real back-pressure on the staged
+/// reduce_scatter streams, its one user: a source master waits for the
+/// credit of piece `k - 2` before it puts piece `k`. Between two masters
+/// that stream to each other equally the returns keep pace with the
+/// puts, so the group is uneven: ranks 0, 1 and 2 of 2×2, whose
+/// one-task node streams 64 pieces to the two-task node and takes 32
+/// back. Past its own block it only reduces and puts, and stalls on
+/// credits — blocking, and issued nonblocking then waited — with
+/// results exact either way.
 #[test]
 fn credit_window_throttles_and_preserves_results() {
     let topo = Topology::new(2, 2);
-    let n = topo.nprocs();
-    let len = 16 * 1024usize;
-    let tight = SrmTuning {
-        pairwise_chunk: 512, // 64 pieces per 2-task block
-        pairwise_window: 1,  // every piece waits for the previous drain
-        ..SrmTuning::default()
-    };
-    let ample = SrmTuning {
+    let group = [0, 1, 2];
+    let (n, len) = (group.len(), 16 * 1024usize);
+    let staged = SrmTuning {
         pairwise_chunk: 512,
-        pairwise_window: 64,
+        pairwise_direct_min: usize::MAX,
         ..SrmTuning::default()
     };
     let (contribs, expect) = reduce_scatter_inputs(n, len / 8);
-    // Blocking, and the same call issued nonblocking then waited: the
-    // interleaving executor parks on an empty credit counter instead of
-    // blocking in place, and must observe the same stalls.
+    // The interleaving executor parks on an empty credit counter
+    // instead of blocking in place, and must observe the stalls too.
     for nonblocking in [false, true] {
-        let run = |t: SrmTuning| {
-            let contribs = contribs.clone();
-            run_with_metrics(
-                topo,
-                t,
-                n * len,
-                move |rank| contribs[rank].clone(),
-                move |ctx, comm, buf| {
+        let mut sim = Sim::new(MachineConfig::ibm_sp_colony());
+        let world = SrmWorld::new(&mut sim, topo, staged);
+        let mut subs = world.comm_create(&group).into_iter();
+        let out = Arc::new(Mutex::new(vec![Vec::new(); n]));
+        for rank in 0..topo.nprocs() {
+            let (wcomm, sub, out) = (world.comm(rank), subs.next(), out.clone());
+            let mine = contribs.get(rank).cloned();
+            sim.spawn(format!("rank{rank}"), move |ctx| {
+                if let (Some(comm), Some(mine)) = (sub, mine) {
+                    let buf = comm.alloc_buffer(n * len);
+                    buf.with_mut(|d| d.copy_from_slice(&mine));
                     if nonblocking {
-                        let req = comm.ireduce_scatter(ctx, buf, len, DType::U64, ReduceOp::Sum);
-                        comm.wait(ctx, req);
+                        let req = comm.ireduce_scatter(&ctx, &buf, len, DType::U64, ReduceOp::Sum);
+                        comm.wait(&ctx, req);
                     } else {
-                        comm.reduce_scatter(ctx, buf, len, DType::U64, ReduceOp::Sum);
+                        comm.reduce_scatter(&ctx, &buf, len, DType::U64, ReduceOp::Sum);
                     }
-                },
-            )
-        };
-        let (res_tight, m_tight) = run(tight);
-        let (res_ample, m_ample) = run(ample);
+                    out.lock().unwrap()[rank] = buf.with(|d| d.to_vec());
+                }
+                wcomm.shutdown(&ctx);
+            });
+        }
+        let m = sim.run().expect("simulation completes").metrics;
         assert!(
-            m_tight.credit_stalls > 0,
-            "window=1 with 64-piece streams must stall on credits (nonblocking: {nonblocking})"
+            m.credit_stalls > 0,
+            "a 64-piece stream must stall on credits (nonblocking: {nonblocking})"
         );
-        assert_eq!(
-            m_ample.credit_stalls, 0,
-            "a window covering the whole stream must never stall (nonblocking: {nonblocking})"
-        );
-        assert_eq!(m_tight.pairwise_puts, 128, "2 masters x 64 pieces");
-        assert_eq!(m_tight.pairwise_puts, m_ample.pairwise_puts);
-        for rank in 0..n {
+        assert_eq!(m.pairwise_puts, 96, "64 pieces one way, 32 back");
+        for (rank, res) in out.lock().unwrap().iter().enumerate() {
             let seg = rank * len..(rank + 1) * len;
-            assert!(res_tight[rank][seg.clone()] == expect[seg.clone()]);
-            assert!(res_ample[rank][seg.clone()] == expect[seg], "rank {rank}");
+            assert!(res[seg.clone()] == expect[seg], "rank {rank}");
         }
     }
+}
+
+// The staged reduce_scatter's times (`harness::measure`, four calls a
+// measurement, the direct route off), in picoseconds, from when its
+// landing was one ring of `pairwise_window` slots under a shared pool
+// of credits: on each `(nodes, tasks per node)` of `STAGED_TOPOS`, at
+// 8 B, 512 B, 4 KB, 16 KB, 32 KB and 48 KB segments.
+const STAGED_TOPOS: [(usize, usize); 11] = [
+    (4, 4),
+    (2, 16),
+    (4, 8),
+    (4, 16),
+    (8, 4),
+    (16, 1),
+    (16, 4),
+    (3, 5),
+    (8, 16),
+    (2, 2),
+    (5, 3),
+];
+#[rustfmt::skip]
+const STAGED_PS: [[u64; 6]; 11] = [
+    [75218088, 109485416, 442877752, 1749629536, 3488620256, 5227610976],
+    [34103448, 194167128, 1463495504, 6201242864, 12403295728, 18605348592],
+    [78226176, 180314872, 1127866240, 4545504256, 9088381696, 13631259136],
+    [81655448, 364397384, 2817445504, 11570797864, 23142450728, 34714103592],
+    [98288232, 193805632, 862306656, 3389904624, 6757439344, 10124974064],
+    [212480714, 219000000, 352941464, 1270378200, 2231994600, 3154367456],
+    [205588520, 364805632, 1708160832, 6679799440, 13304422160, 19929044880],
+    [61824040, 112657040, 565400472, 2155853432, 4305611896, 6455370360],
+    [136804448, 722919768, 5494791408, 22315503768, 44626356632, 66937209496],
+    [31090044, 38337816, 113877528, 383619536, 767089072, 1150558608],
+    [84424282, 117431136, 417440592, 1616299160, 3213374264, 4810449368],
+];
+
+/// The two credited sides gate the same puts as the ring's two slots
+/// and pool of two credits did — a piece waits for the credit of the
+/// piece two before it — and the drain waits for the same last credit,
+/// so every staged time is the same to the picosecond.
+#[test]
+fn staged_reduce_scatter_keeps_its_times() {
+    let lens = [8, 512, 4 << 10, 16 << 10, 32 << 10, 48 << 10];
+    let opts = HarnessOpts {
+        iters: 4,
+        srm: SrmTuning {
+            pairwise_direct_min: usize::MAX,
+            ..SrmTuning::default()
+        },
+    };
+    let mut moved = Vec::new();
+    for ((nodes, tpn), pinned) in STAGED_TOPOS.into_iter().zip(STAGED_PS) {
+        let topo = Topology::new(nodes, tpn);
+        for (len, want) in lens.into_iter().zip(pinned) {
+            let machine = MachineConfig::ibm_sp_colony();
+            let got = measure(Impl::Srm, machine, topo, Op::ReduceScatter, len, opts);
+            let got = got.per_call.as_ps();
+            if got != want {
+                moved.push(format!("{topo}, {len} B: {got} vs {want} ps"));
+            }
+        }
+    }
+    assert!(moved.is_empty(), "staged times moved: {moved:#?}");
 }
 
 /// The exchange's orderings, read off the **compiled plans** of every
@@ -390,7 +452,7 @@ fn small_exchanges_take_no_interrupts() {
 
 // --- First use -------------------------------------------------------
 //
-// The pairwise registry (ring channels, completion counters) and the
+// The pairwise registry (`Ring` pairs, completion counters) and the
 // mailbox slots of the address exchange are created when a
 // communicator first touches them. These are the orderings in which a
 // peer's address send could arrive before its target has touched

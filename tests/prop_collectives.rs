@@ -472,13 +472,12 @@ fn run_group_alltoallv(
 }
 
 /// A pairwise tuning drawn from the interesting corners: tiny chunks
-/// (many pieces per segment) and a window of 1 (every put waits for a
-/// credit) up to the defaults.
-fn pair_tuning(chunk_pick: usize, window_pick: usize) -> SrmTuning {
+/// (many pieces per segment, every staged put waiting on a credit) up
+/// to the default.
+fn pair_tuning(chunk_pick: usize) -> SrmTuning {
     let d = SrmTuning::default();
     SrmTuning {
         pairwise_chunk: [3, 64, d.pairwise_chunk][chunk_pick].min(SrmTuning::REDUCE_CHUNK),
-        pairwise_window: [1, d.pairwise_window][window_pick],
         ..d
     }
 }
@@ -490,21 +489,20 @@ proptest! {
     })]
 
     /// alltoall delivers segment `me -> j` into `j`'s receive half for
-    /// every topology (including non-power-of-two rank counts), chunk
-    /// size and credit window; the send half is left untouched.
+    /// every topology (including non-power-of-two rank counts) and
+    /// chunk size; the send half is left untouched.
     #[test]
     fn alltoall_matches_reference(
         topo in arb_topology(),
         len in 1usize..200,
         seed in any::<u64>(),
         chunk_pick in 0usize..3,
-        window_pick in 0usize..2,
     ) {
         let n = topo.nprocs();
         let init = seg_init(n, 2 * len, seed); // 2*n*len bytes per rank
         let results = run_pair_srm(
             topo,
-            pair_tuning(chunk_pick, window_pick),
+            pair_tuning(chunk_pick),
             PairOp::Alltoall,
             len,
             Arc::from(Vec::new()),
@@ -534,7 +532,6 @@ proptest! {
         seg_cap in 1usize..120,
         seed in any::<u64>(),
         chunk_pick in 0usize..3,
-        window_pick in 0usize..2,
     ) {
         let n = topo.nprocs();
         let counts: Vec<usize> = (0..n * n)
@@ -546,7 +543,7 @@ proptest! {
         let init = seg_init(n, 2 * seg_cap, seed);
         let results = run_pair_srm(
             topo,
-            pair_tuning(chunk_pick, window_pick),
+            pair_tuning(chunk_pick),
             PairOp::Alltoallv,
             seg_cap,
             Arc::from(counts.clone()),
@@ -602,7 +599,7 @@ proptest! {
         let init = seg_init(n, 2 * seg_cap, seed);
         let results = run_group_alltoallv(
             topo,
-            pair_tuning(chunk_pick, 1),
+            pair_tuning(chunk_pick),
             &ranks,
             seg_cap,
             Arc::from(counts.clone()),
@@ -636,7 +633,6 @@ proptest! {
         elems in 1usize..24,
         seed in any::<u64>(),
         chunk_pick in 0usize..3,
-        window_pick in 0usize..2,
     ) {
         let n = topo.nprocs();
         let len = elems * 8;
@@ -650,7 +646,7 @@ proptest! {
         let init: Vec<Vec<u8>> = contribs.iter().map(|c| collops::to_bytes_u64(c)).collect();
         let results = run_pair_srm(
             topo,
-            pair_tuning(chunk_pick, window_pick),
+            pair_tuning(chunk_pick),
             PairOp::ReduceScatter,
             len,
             Arc::from(Vec::new()),

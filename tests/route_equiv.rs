@@ -1,6 +1,6 @@
 //! Route equivalence for reduce_scatter, the routed pairwise
-//! collective: the staged route (chunked puts through the landing
-//! rings, credit-throttled) and the direct route (per-call address
+//! collective: the staged route (chunked puts through the credited
+//! `Ring` landings) and the direct route (per-call address
 //! exchange, puts straight into the destination master's scratch
 //! buffer) must produce bit-identical results — on plain runs
 //! straddling the default threshold, on perturbed pinned scenarios, and
@@ -83,10 +83,10 @@ fn run_op(
 
 /// Both routes, bit for bit, for reduce_scatter at sizes below, at and
 /// above the default 64 KB threshold — the forced-direct run must
-/// actually take the direct route (and skip the rings entirely), the
+/// actually take the direct route (and skip the `Ring` landings), the
 /// forced-staged run must never touch it. Alltoall and alltoallv have
 /// no route to force: one put per remote pair with data, nothing
-/// through the rings, and the sequential reference's bytes.
+/// through the `Ring` landings, and the sequential reference's bytes.
 #[test]
 fn forced_routes_bit_exact_for_all_pairwise_ops() {
     let topo = Topology::new(3, 2);
@@ -96,9 +96,9 @@ fn forced_routes_bit_exact_for_all_pairwise_ops() {
         let (direct, md) = run_op(topo, forced(DIRECT), Op::ReduceScatter, len);
         assert_eq!(staged, direct, "{len} B: routes disagree on the results");
         assert_eq!(ms.pairwise_direct_puts, 0, "{len}: staged went direct");
-        assert!(ms.pairwise_puts > 0, "{len}: staged run must use the rings");
+        assert!(ms.pairwise_puts > 0, "{len}: staged run must use `Ring`");
         assert!(md.pairwise_direct_puts > 0, "{len}: no direct put");
-        assert_eq!(md.pairwise_puts, 0, "{len}: direct run touched the rings");
+        assert_eq!(md.pairwise_puts, 0, "{len}: direct run touched `Ring`");
 
         for (op, counts) in [
             (Op::Alltoall, vec![len; n * n]),
@@ -123,8 +123,8 @@ fn forced_routes_bit_exact_for_all_pairwise_ops() {
 }
 
 /// The default tuning switches reduce_scatter's route exactly at
-/// `pairwise_direct_min` (64 KB): below it the rings carry the data,
-/// at it the planner goes direct — without any forcing.
+/// `pairwise_direct_min` (64 KB): below it the `Ring` landings carry
+/// the data, at it the planner goes direct — without any forcing.
 #[test]
 fn default_threshold_picks_the_route() {
     let topo = Topology::new(2, 2);

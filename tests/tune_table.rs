@@ -16,8 +16,9 @@ const SEG: usize = 4 * 1024;
 const BCAST_LEN: usize = 8 * 1024;
 
 /// A table whose entries reroute every op of [`run_program`]: the
-/// allreduce onto interrupts-off masters, the alltoall onto a wider
-/// narrower-chunk window, the broadcast onto a finer pipeline.
+/// allreduce onto interrupts-off masters, the alltoall onto narrower
+/// chunks, the broadcast onto a finer pipeline. The alltoall's entry
+/// also sets the ignored `pairwise_window` column.
 fn demo_table() -> TuneTable {
     let base = TuneEntry::from_tuning(&SrmTuning::default());
     let mut t = TuneTable::new(42, "tune_table test grid", vec![32 * 1024]);
@@ -176,10 +177,47 @@ fn ignored_rs_min_column_changes_nothing() {
     };
     t.insert(key, entry);
     const LEN: usize = 64 * 1024;
-    let allreduce: fn(&simnet::Ctx, &srm::SrmComm, &shmem::ShmBuffer) =
-        |ctx, comm, buf| comm.allreduce(ctx, buf, LEN, DType::U64, ReduceOp::Sum);
-    let (dres, dreport, dsteps, _) = run_body(topo, None, LEN, allreduce);
-    let (tres, treport, tsteps, ttuned) = run_body(topo, Some(Arc::new(t)), LEN, allreduce);
+    assert_ignored(topo, t, LEN, |ctx, comm, buf| {
+        comm.allreduce(ctx, buf, LEN, DType::U64, ReduceOp::Sum)
+    });
+}
+
+/// `TuneEntry::pairwise_window` is a column the planner ignores too: the
+/// staged reduce_scatter's landings are two credited sides, whatever the
+/// column says. On 4x2 a 4 KB reduce_scatter under a wildcard row that
+/// sets it to 1 runs the untuned world's steps.
+#[test]
+fn ignored_window_column_changes_nothing() {
+    let topo = Topology::new(4, 2);
+    let mut t = TuneTable::new(15, "ignored column", vec![32 * 1024]);
+    let key = TuneKey {
+        op: TuneOp::ReduceScatter,
+        class: 0,
+        nodes: 0,
+        ranks: 0,
+    };
+    let entry = TuneEntry {
+        pairwise_window: 1,
+        ..TuneEntry::from_tuning(&SrmTuning::default())
+    };
+    t.insert(key, entry);
+    const LEN: usize = 4 * 1024;
+    assert_ignored(topo, t, 8 * LEN, |ctx, comm, buf| {
+        comm.reduce_scatter(ctx, buf, LEN, DType::U64, ReduceOp::Sum)
+    });
+}
+
+/// `body` under table `t`, whose one entry sets only an ignored column,
+/// runs the untuned world's steps to its results and end time, and
+/// still counts a hit on every compile.
+fn assert_ignored(
+    topo: Topology,
+    t: TuneTable,
+    cap: usize,
+    body: fn(&simnet::Ctx, &srm::SrmComm, &shmem::ShmBuffer),
+) {
+    let (dres, dreport, dsteps, _) = run_body(topo, None, cap, body);
+    let (tres, treport, tsteps, ttuned) = run_body(topo, Some(Arc::new(t)), cap, body);
     assert_eq!(dsteps, tsteps, "the ignored column changed the schedule");
     assert_eq!(dres, tres, "the ignored column changed the results");
     assert_eq!(dreport.end_time, treport.end_time);
