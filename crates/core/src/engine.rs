@@ -384,13 +384,7 @@ impl SrmComm {
         buf: &ShmBuffer,
         reduce: Option<(DType, ReduceOp)>,
     ) {
-        if !self
-            .shared
-            .pending
-            .lock()
-            .expect("queue poisoned")
-            .is_empty()
-        {
+        if !self.queue().is_empty() {
             let id = self.nb_issue(ctx, key, buf, reduce);
             self.nb_wait_id(ctx, id);
             return;
@@ -625,7 +619,7 @@ mod tests {
                         let cells = || -> [u64; SEQ_BASES] {
                             std::array::from_fn(|i| comm.seat.seq[i].load(Ordering::Relaxed))
                         };
-                        let pending = || comm.shared.pending.lock().unwrap().len();
+                        let pending = || !comm.queue().is_empty();
                         let buf = comm.alloc_buffer(2 * n * len);
                         let op = Some((DType::U64, ReduceOp::Sum));
                         let key = comm.key(shape.clone());
@@ -635,7 +629,7 @@ mod tests {
                             let none = ShmBuffer::new(0);
                             comm.nb_issue(&ctx, comm.key(Shape::Barrier), &none, None)
                         });
-                        assert_eq!(pending(), usize::from(parked.is_some()), "{what}");
+                        assert_eq!(pending(), parked.is_some(), "{what}");
 
                         let entry = cells();
                         let advances = comm.plan_for(&ctx, key.clone()).advances;

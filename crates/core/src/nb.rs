@@ -27,38 +27,41 @@
 //! wake a task parked on it, is answered for every cell kind by the
 //! engine's one resolver (`SrmComm::watch`, in [`crate::engine`]).
 //!
-//! # Ordering classes
+//! # The ordering rule
 //!
 //! Schedules synchronize through shared substrate state — double-buffer
 //! READY flags, cumulative contribution flags, barrier flags, LAPI
 //! counters, address mailboxes. All of these encode *per-substrate
 //! FIFO* assumptions: a binary pair flag does not say which operation
 //! published it, so a reader parked in operation 1 could consume
-//! operation 2's publish if the executor ran them out of order. The
-//! executor therefore tags every step with the bitset of substrate
-//! **classes** it touches (`step_classes`) and enforces:
+//! operation 2's publish if the executor ran them out of order. Every
+//! step is therefore tagged with the bitset of substrate **classes** it
+//! touches (`step_classes`, the one place that says so), and:
 //!
 //! > a pending call may execute its head step only if no *older*
-//! > pending call has remaining steps in any of the head's classes.
+//! > pending call on the same communicator has remaining steps in any
+//! > of the head's classes.
 //!
 //! Within one class this reproduces blocking execution order exactly;
 //! across classes (an `ibroadcast` over the buffer pair, an `ireduce`
 //! over the contribution buffers, an `ibarrier` over the barrier
 //! flags) schedules interleave freely — which is where the overlap
-//! comes from. Since the communicator refactor the ordering rule is
-//! additionally scoped **per communicator**: calls on *disjoint*
-//! communicators share no substrate at all (each communicator owns its
-//! boards, landing state and pairwise registry), so an older schedule
-//! on communicator A never class-blocks a younger schedule on
-//! communicator B — they interleave freely — while two calls on the
-//! *same* communicator keep their issue order exactly as before. The
-//! queue itself is **per rank** (shared by all of the rank's
-//! communicator handles): a blocking call on any communicator drives
-//! every outstanding schedule, so a rank spinning inside one
-//! communicator cannot starve a parked schedule its peers on another
-//! communicator are waiting for. The oldest call is never
-//! class-blocked, so the executor can always name a wake key and the
-//! wait cannot sleep forever.
+//! comes from. Calls on disjoint communicators share no substrate (each
+//! owns its boards, landing state and pairwise registry), so they never
+//! block each other. The oldest call is never class-blocked, so the
+//! executor can always name a wake key and a wait cannot sleep forever.
+//!
+//! The rule keeps no state of its own. A call's remaining classes are
+//! the OR over its plan's steps from the program counter on, computed
+//! once when the plan is compiled (`Plan::classes_from`) and cached
+//! with it. The queue is **per rank**, one lock around the pending
+//! calls and the retired ids (`RankShared`), shared by
+//! all of the rank's communicator handles: a blocking call on any
+//! communicator drives every outstanding schedule, so a rank spinning
+//! inside one communicator cannot starve a parked schedule its peers on
+//! another are waiting for. One walk (`Queue::walk`) applies the
+//! rule; progress, the parked wait's re-check and its wake keys all go
+//! through it.
 //!
 //! A parked call entered like any other (`SrmComm::enter_call`): its
 //! [`Plan::advances`] totals moved the live sequence cells at issue, so
@@ -73,8 +76,9 @@ use crate::world::SrmComm;
 use collops::{DType, ReduceOp};
 use shmem::ShmBuffer;
 use simnet::Ctx;
+use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, MutexGuard};
 
 /// Substrate class: the node's buffer pair and the broadcast channels
 /// whose uses it numbers, which carry the broadcast's chunks and the
@@ -97,10 +101,6 @@ const CL_BARRIER: u8 = 1 << 3;
 /// exchanges order in `CL_ADDR` (their wire) and `CL_REDUCE` (their
 /// intra-node leg).
 const CL_PAIRWISE: u8 = 1 << 4;
-
-/// Number of substrate classes (width of the per-call remaining-step
-/// counters).
-const NCLASSES: usize = 5;
 
 fn flag_class(f: FlagRef) -> u8 {
     match f {
@@ -164,12 +164,10 @@ pub(crate) fn step_classes(step: &Step) -> u8 {
 }
 
 /// One outstanding nonblocking collective: its compiled plan, the
-/// parked execution state, the communicator handle it was issued on,
-/// and per-class counts of remaining steps (the ordering-rule
-/// bookkeeping).
+/// parked execution state and the communicator handle it was issued on.
 pub(crate) struct PendingCall {
     /// Request id handed to the caller.
-    pub(crate) id: u64,
+    id: u64,
     /// Handle on the issuing communicator (a cheap clone): steps of
     /// this call resolve against *its* boards, landing state and seat,
     /// not against whichever handle happens to drive progress.
@@ -185,49 +183,87 @@ pub(crate) struct PendingCall {
     st: CallState,
     /// Index of the next step to execute.
     pc: usize,
-    /// Remaining steps per substrate class — `rem_mask()` is the OR of
-    /// classes with nonzero count, kept incrementally so the ordering
-    /// rule costs O(1) per query.
-    class_rem: [u32; NCLASSES],
 }
 
 impl PendingCall {
-    /// How many steps `plan` has in each substrate class.
-    fn class_counts(plan: &Plan) -> [u32; NCLASSES] {
-        let mut counts = [0; NCLASSES];
-        for step in &plan.steps {
-            let mask = step_classes(step);
-            for (c, n) in counts.iter_mut().enumerate() {
-                *n += u32::from(mask >> c & 1);
-            }
-        }
-        counts
-    }
-
-    /// Id of the communicator this call was issued on (the ordering
-    /// classes are scoped by it).
-    fn comm_id(&self) -> u64 {
-        self.comm.comm_id()
-    }
-
     fn done(&self) -> bool {
         self.pc >= self.plan.steps.len()
     }
+}
 
-    /// OR of the classes this call still has steps in.
-    fn rem_mask(&self) -> u8 {
-        let live = (0..NCLASSES).filter(|&c| self.class_rem[c] > 0);
-        live.fold(0, |m, c| m | 1 << c)
+/// What a visitor of [`Queue::walk`] did with the head step it was
+/// handed.
+enum Visit {
+    /// Executed it: hand over the call's next head.
+    Ran,
+    /// Left it where it is: go on to the next call.
+    Left,
+    /// End the walk.
+    Stop,
+}
+
+/// One rank's nonblocking executor state: the outstanding calls, oldest
+/// first, and the ids of those that retired but were not waited yet.
+#[derive(Default)]
+pub(crate) struct Queue {
+    pending: VecDeque<PendingCall>,
+    completed: HashSet<u64>,
+    next_req: u64,
+}
+
+impl Queue {
+    /// Whether this rank has no outstanding nonblocking call.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.pending.is_empty()
     }
 
-    fn retire_step_classes(&mut self, mask: u8) {
-        for (c, rem) in self.class_rem.iter_mut().enumerate() {
-            *rem -= u32::from(mask >> c & 1);
+    /// The ordering rule's one walk: visit the calls oldest-first and
+    /// hand `visit` each call whose head step is not class-blocked,
+    /// again after every head it ran, until it leaves one. A call
+    /// that runs out of steps retires into the completed set. Returns
+    /// whether any step ran or any call retired.
+    fn walk(&mut self, mut visit: impl FnMut(&mut PendingCall) -> Visit) -> bool {
+        let mut moved = false;
+        let mut i = 0;
+        while i < self.pending.len() {
+            let comm = self.pending[i].comm.comm_id();
+            let older = self.pending.range(..i).filter(|o| o.comm.comm_id() == comm);
+            let blocked = older.fold(0, |m, o| m | o.plan.classes_from(o.pc));
+            let call = &mut self.pending[i];
+            while !call.done() && step_classes(&call.plan.steps[call.pc]) & blocked == 0 {
+                match visit(call) {
+                    Visit::Ran => moved = true,
+                    Visit::Left => break,
+                    Visit::Stop => return moved,
+                }
+            }
+            if call.done() {
+                let id = self.pending.remove(i).expect("index in bounds").id;
+                self.completed.insert(id);
+                moved = true;
+            } else {
+                i += 1;
+            }
         }
+        moved
+    }
+
+    /// Assert that request `id` is still outstanding (`what` names the
+    /// caller's operation).
+    fn assert_pending(&self, id: u64, what: &str) {
+        assert!(
+            self.pending.iter().any(|c| c.id == id),
+            "{what} on unknown or already-waited request {id}"
+        );
     }
 }
 
 impl SrmComm {
+    /// This rank's nonblocking queue.
+    pub(crate) fn queue(&self) -> MutexGuard<'_, Queue> {
+        self.shared.lock().expect("queue poisoned")
+    }
+
     /// Compile (or fetch) the plan for `key`, relocate the sequence
     /// bases, and park the call on the pending queue. Returns the
     /// request id. When [`SrmTuning::MAX_OUTSTANDING`] schedules are
@@ -243,7 +279,7 @@ impl SrmComm {
     ) -> u64 {
         ctx.perturb_straggler(self.rank());
         let cap = SrmTuning::MAX_OUTSTANDING;
-        if self.shared.pending.lock().expect("queue poisoned").len() >= cap {
+        if self.queue().pending.len() >= cap {
             self.nb_wait_below(ctx, cap);
         }
         // Aliasing guard: sharing one buffer between outstanding
@@ -257,154 +293,69 @@ impl SrmComm {
         // covers the blocking-over-nonblocking overlap too.
         let shape = key.clone().normalized(self.size()).shape;
         let writes = shape.writes(self.comm_rank());
-        {
-            let q = self.shared.pending.lock().expect("queue poisoned");
-            for c in q.iter() {
-                assert!(
-                    !c.buf.same_storage(buf) || !(writes || c.writes_user),
-                    "buffer aliasing between outstanding collectives: the new call \
-                     shares storage with pending request {} and at least one of them \
-                     writes it (read-only sharing is allowed)",
-                    c.id
-                );
-            }
+        for c in &self.queue().pending {
+            assert!(
+                !c.buf.same_storage(buf) || !(writes || c.writes_user),
+                "buffer aliasing between outstanding collectives: the new call \
+                 shares storage with pending request {} and at least one of them \
+                 writes it (read-only sharing is allowed)",
+                c.id
+            );
         }
         let plan = self.plan_for(ctx, key);
         let st = self.enter_call(&plan);
-        let id = self.shared.next_req.fetch_add(1, Ordering::Relaxed);
         ctx.metrics().nb_issued.fetch_add(1, Ordering::Relaxed);
-        let call = PendingCall {
-            id,
-            comm: self.clone(),
-            class_rem: PendingCall::class_counts(&plan),
-            plan,
-            buf: buf.clone(),
-            writes_user: writes,
-            reduce,
-            st,
-            pc: 0,
+        let id = {
+            let mut q = self.queue();
+            let id = q.next_req;
+            q.next_req += 1;
+            q.pending.push_back(PendingCall {
+                id,
+                comm: self.clone(),
+                plan,
+                buf: buf.clone(),
+                writes_user: writes,
+                reduce,
+                st,
+                pc: 0,
+            });
+            id
         };
-        let mut pending = self.shared.pending.lock().expect("queue poisoned");
-        pending.push_back(call);
-        drop(pending);
         self.nb_progress(ctx);
         id
     }
 
-    /// Sweep the pending queue oldest-first, executing every head step
-    /// that is ready and not class-blocked, until a full sweep makes no
-    /// progress. Retired calls move to the completed set. Class
-    /// blocking is scoped per communicator: only older calls on the
-    /// *same* communicator contribute to a call's blocking mask.
+    /// Execute every head step that is ready and not class-blocked,
+    /// walk after walk, until a walk moves nothing.
     pub(crate) fn nb_progress(&self, ctx: &Ctx) {
-        let mut older: Vec<(u64, u8)> = Vec::new();
-        loop {
-            let mut progressed = false;
-            older.clear();
-            let mut i = 0;
-            loop {
-                let mut q = self.shared.pending.lock().expect("queue poisoned");
-                let Some(call) = q.get_mut(i) else { break };
-                let blocked = Self::older_mask(&older, call.comm_id());
-                // Run call i as far as it can go right now.
-                while !call.done() {
-                    let step = call.plan.steps[call.pc];
-                    let mask = step_classes(&step);
-                    if mask & blocked != 0 {
-                        break; // class-blocked behind an older same-comm schedule
-                    }
-                    if let Some(watch) = call.comm.watch(&call.st, &step) {
-                        if !watch.probe(ctx, &mut call.st.stalled) {
-                            break; // genuinely waiting: park here
-                        }
-                    }
-                    let comm = call.comm.clone();
-                    let buf = call.buf.clone();
-                    call.pc += 1;
-                    call.retire_step_classes(mask);
-                    comm.exec_step(ctx, &mut call.st, &buf, call.reduce, &step);
-                    ctx.metrics().engine_steps.fetch_add(1, Ordering::Relaxed);
-                    progressed = true;
-                }
-                if call.done() {
-                    // Do not bump i: the next call shifts down.
-                    let id = q.remove(i).expect("index in bounds").id;
-                    let mut completed = self.shared.completed.lock().expect("set poisoned");
-                    completed.insert(id);
-                    progressed = true;
-                } else {
-                    Self::fold_older(&mut older, call.comm_id(), call.rem_mask());
-                    i += 1;
+        let run = |call: &mut PendingCall| {
+            let step = call.plan.steps[call.pc];
+            if let Some(watch) = call.comm.watch(&call.st, &step) {
+                if !watch.probe(ctx, &mut call.st.stalled) {
+                    return Visit::Left; // genuinely waiting: park here
                 }
             }
-            if !progressed {
-                return;
-            }
-        }
+            call.pc += 1;
+            call.comm
+                .exec_step(ctx, &mut call.st, &call.buf, call.reduce, &step);
+            ctx.metrics().engine_steps.fetch_add(1, Ordering::Relaxed);
+            Visit::Ran
+        };
+        while self.queue().walk(run) {}
     }
 
-    /// OR of the remaining-class masks of same-communicator calls
-    /// preceding each queue position, folded left to right by the
-    /// caller: tracked as `(comm id, mask)` rows because a rank rarely
-    /// holds more than a handful of communicators.
-    fn fold_older(older: &mut Vec<(u64, u8)>, comm: u64, mask: u8) {
-        match older.iter_mut().find(|(c, _)| *c == comm) {
-            Some((_, m)) => *m |= mask,
-            None => older.push((comm, mask)),
-        }
-    }
-
-    fn older_mask(older: &[(u64, u8)], comm: u64) -> u8 {
-        older
-            .iter()
-            .find(|(c, _)| *c == comm)
-            .map_or(0, |&(_, m)| m)
-    }
-
-    /// Could any non-class-blocked head step execute right now? The
-    /// re-check predicate of the parked wait.
-    fn nb_any_head_ready(&self) -> bool {
-        let q = self.shared.pending.lock().expect("queue poisoned");
-        let mut older: Vec<(u64, u8)> = Vec::new();
-        for call in q.iter() {
-            if !call.done() {
-                let step = &call.plan.steps[call.pc];
-                if step_classes(step) & Self::older_mask(&older, call.comm_id()) == 0
-                    && call.comm.watch(&call.st, step).is_none_or(|w| w.ready())
-                {
-                    return true;
-                }
-            }
-            Self::fold_older(&mut older, call.comm_id(), call.rem_mask());
-        }
-        false
-    }
-
-    /// Wake keys of every runnable-but-stuck head step (class-blocked
-    /// heads contribute nothing — an older same-communicator schedule
-    /// in their class must move first, and its keys are already
-    /// included).
-    fn nb_collect_wait_keys(&self) -> Vec<u64> {
+    /// Park until a head the rule lets run can move, on the wake keys
+    /// of every such head, bracketed as a LAPI call so the dispatcher
+    /// delivers to this task meanwhile.
+    fn nb_park(&self, ctx: &Ctx) {
         let mut keys = Vec::new();
-        let q = self.shared.pending.lock().expect("queue poisoned");
-        let mut older: Vec<(u64, u8)> = Vec::new();
-        for call in q.iter() {
-            if !call.done() {
-                let step = &call.plan.steps[call.pc];
-                if step_classes(step) & Self::older_mask(&older, call.comm_id()) == 0 {
-                    if let Some(watch) = call.comm.watch(&call.st, step) {
-                        watch.wake_keys(&mut keys);
-                    }
-                }
+        self.queue().walk(|call| {
+            let head = &call.plan.steps[call.pc];
+            if let Some(watch) = call.comm.watch(&call.st, head) {
+                watch.wake_keys(&mut keys);
             }
-            Self::fold_older(&mut older, call.comm_id(), call.rem_mask());
-        }
-        keys
-    }
-
-    /// Park until a stuck head can move, bracketed as a LAPI call so
-    /// the dispatcher delivers to this task meanwhile.
-    fn nb_park(&self, ctx: &Ctx, keys: &[u64]) {
+            Visit::Left
+        });
         // The oldest schedule is never class-blocked, so it always
         // contributed its head's keys (or was ready, in which case
         // progress would have run it).
@@ -412,8 +363,18 @@ impl SrmComm {
         ctx.metrics().nb_parks.fetch_add(1, Ordering::Relaxed);
         ctx.perturb_stall_point("perturb:stall-park");
         self.rma.begin_call(ctx);
-        ctx.wait_any_until(keys, "nb: outstanding collective", || {
-            self.nb_any_head_ready()
+        ctx.wait_any_until(&keys, "nb: outstanding collective", || {
+            let mut ready = false;
+            self.queue().walk(|call| {
+                let head = &call.plan.steps[call.pc];
+                ready = call.comm.watch(&call.st, head).is_none_or(|w| w.ready());
+                if ready {
+                    Visit::Stop
+                } else {
+                    Visit::Left
+                }
+            });
+            ready
         });
         self.rma.end_call(ctx);
         ctx.perturb_stall_point("perturb:stall-unpark");
@@ -425,41 +386,26 @@ impl SrmComm {
     fn nb_wait_below(&self, ctx: &Ctx, cap: usize) {
         loop {
             self.nb_progress(ctx);
-            if self.shared.pending.lock().expect("queue poisoned").len() < cap {
+            if self.queue().pending.len() < cap {
                 return;
             }
-            let keys = self.nb_collect_wait_keys();
-            self.nb_park(ctx, &keys);
+            self.nb_park(ctx);
         }
     }
 
     /// Block until request `id` completes, driving every outstanding
-    /// schedule meanwhile. Parks on the union of all stuck heads' wake
-    /// keys; the LAPI dispatcher may deliver to this task while parked
-    /// (the wait is bracketed as an API call).
+    /// schedule meanwhile.
     pub(crate) fn nb_wait_id(&self, ctx: &Ctx, id: u64) {
         loop {
             self.nb_progress(ctx);
-            if self
-                .shared
-                .completed
-                .lock()
-                .expect("set poisoned")
-                .remove(&id)
             {
-                return;
+                let mut q = self.queue();
+                if q.completed.remove(&id) {
+                    return;
+                }
+                q.assert_pending(id, "wait");
             }
-            assert!(
-                self.shared
-                    .pending
-                    .lock()
-                    .expect("queue poisoned")
-                    .iter()
-                    .any(|c| c.id == id),
-                "wait on unknown or already-waited request {id}"
-            );
-            let keys = self.nb_collect_wait_keys();
-            self.nb_park(ctx, &keys);
+            self.nb_park(ctx);
         }
     }
 
@@ -469,32 +415,15 @@ impl SrmComm {
     /// consume the completion — `wait` still must be called.
     pub(crate) fn nb_test(&self, ctx: &Ctx, id: u64) -> bool {
         self.nb_progress(ctx);
-        if !self
-            .shared
-            .completed
-            .lock()
-            .expect("set poisoned")
-            .contains(&id)
-        {
+        if !self.queue().completed.contains(&id) {
             self.rma.poll(ctx, ctx.config().lapi_counter_check);
             self.nb_progress(ctx);
         }
-        let done = self
-            .shared
-            .completed
-            .lock()
-            .expect("set poisoned")
-            .contains(&id);
-        assert!(
-            done || self
-                .shared
-                .pending
-                .lock()
-                .expect("queue poisoned")
-                .iter()
-                .any(|c| c.id == id),
-            "test on unknown or already-waited request {id}"
-        );
+        let q = self.queue();
+        let done = q.completed.contains(&id);
+        if !done {
+            q.assert_pending(id, "test");
+        }
         done
     }
 }

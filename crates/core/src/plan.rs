@@ -456,9 +456,18 @@ pub struct Plan {
     /// Bytes of the call's scratch ([`BufRef::Scratch`]). Call entry
     /// creates it.
     pub scratch: usize,
+    /// `rem_classes[pc]`: the nonblocking ordering classes of
+    /// `steps[pc..]` (see [`crate::nb`]).
+    rem_classes: Vec<u8>,
 }
 
 impl Plan {
+    /// The ordering classes a call parked at step `pc` still has steps
+    /// in (none once it has run them all).
+    pub(crate) fn classes_from(&self, pc: usize) -> u8 {
+        self.rem_classes.get(pc).copied().unwrap_or(0)
+    }
+
     /// Number of steps.
     pub fn len(&self) -> usize {
         self.steps.len()
@@ -602,7 +611,16 @@ impl PlanBuilder {
 
     /// Finish: hand over the plan, with its per-base advance totals.
     pub fn finish(self) -> Plan {
+        let mut rem = 0;
+        let mut rem_classes: Vec<u8> = (self.steps.iter().rev())
+            .map(|step| {
+                rem |= crate::nb::step_classes(step);
+                rem
+            })
+            .collect();
+        rem_classes.reverse();
         Plan {
+            rem_classes,
             steps: self.steps,
             advances: self.adv,
             acc: self.acc,

@@ -22,7 +22,7 @@ use collops::Shape;
 use rma::{CounterFamily, LapiCounter, Rma, RmaWorld};
 use shmem::{BufPair, FlagBank, ShmBuffer, SpinFlag};
 use simnet::{Ctx, NodeId, Rank, Sim, SimHandle, SimVar, Topology};
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -473,32 +473,14 @@ impl CommSeat {
     }
 }
 
-/// One rank's nonblocking-executor state, shared by **all** of the
-/// rank's communicator handles: a single pending queue per rank means a
-/// blocking call on one communicator still drives outstanding schedules
-/// issued on another (otherwise a rank spinning inside comm A could
-/// starve a parked comm-B schedule its peers are waiting on), and lets
-/// `shutdown` assert that every subcommunicator is drained.
-pub(crate) struct RankShared {
-    /// Outstanding nonblocking collectives, oldest first (see
-    /// [`crate::nb`]).
-    pub pending: Mutex<VecDeque<crate::nb::PendingCall>>,
-    /// Request ids whose schedules have retired but whose
-    /// [`CollRequest`](collops::CollRequest) has not been waited yet.
-    pub completed: Mutex<HashSet<u64>>,
-    /// Next request id to hand out.
-    pub next_req: AtomicU64,
-}
-
-impl RankShared {
-    fn new() -> Self {
-        RankShared {
-            pending: Mutex::new(VecDeque::new()),
-            completed: Mutex::new(HashSet::new()),
-            next_req: AtomicU64::new(0),
-        }
-    }
-}
+/// One rank's nonblocking-executor state (see [`crate::nb`]), shared
+/// by **all** of the rank's communicator handles: a single pending
+/// queue per rank means a blocking call on one communicator still
+/// drives outstanding schedules issued on another (otherwise a rank
+/// spinning inside comm A could starve a parked comm-B schedule its
+/// peers are waiting on), and lets `shutdown` assert that every
+/// subcommunicator is drained.
+pub(crate) type RankShared = Mutex<crate::nb::Queue>;
 
 pub(crate) struct WorldInner {
     pub topo: Topology,
@@ -577,9 +559,7 @@ impl SrmWorld {
         let rma = RmaWorld::new(sim, topo.nprocs());
         let world_group = CommGroup::new(topo, 0, (0..topo.nprocs()).collect());
         let world_comm = CommState::new(&handle, &rma, &geometry, world_group);
-        let per_rank = (0..topo.nprocs())
-            .map(|_| Arc::new(RankShared::new()))
-            .collect();
+        let per_rank = (0..topo.nprocs()).map(|_| Arc::default()).collect();
         SrmWorld {
             inner: Arc::new(WorldInner {
                 topo,
@@ -950,14 +930,9 @@ impl SrmComm {
     /// this asserts that every subcommunicator is drained).
     pub fn shutdown(&self, ctx: &simnet::Ctx) {
         assert!(
-            self.shared
-                .pending
-                .lock()
-                .expect("queue poisoned")
-                .is_empty(),
-            "rank {} shut down with {} outstanding nonblocking collective(s)",
+            self.queue().is_empty(),
+            "rank {} shut down with outstanding nonblocking collectives",
             self.me,
-            self.shared.pending.lock().expect("queue poisoned").len()
         );
         self.rma.shutdown(ctx);
     }

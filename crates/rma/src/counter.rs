@@ -69,8 +69,7 @@ pub struct CounterFamily {
 }
 
 impl CounterFamily {
-    /// Family of `n × n` counters, each starting at `init` (data
-    /// counters start at 0; credit counters start at the window size).
+    /// Family of `n × n` counters, each starting at `init`.
     pub fn new(handle: &SimHandle, n: usize, init: u64) -> Self {
         CounterFamily {
             n,
@@ -85,11 +84,6 @@ impl CounterFamily {
     pub fn pair(&self, src: usize, dst: usize) -> &LapiCounter {
         assert!(src < self.n && dst < self.n, "pair index out of range");
         &self.ctrs[src * self.n + dst]
-    }
-
-    /// Number of endpoints (the family holds `n × n` counters).
-    pub fn endpoints(&self) -> usize {
-        self.n
     }
 }
 
@@ -110,7 +104,6 @@ mod tests {
     fn family_pairs_are_distinct() {
         let s = Sim::new(MachineConfig::uniform_test());
         let f = CounterFamily::new(&s.handle(), 3, 1);
-        assert_eq!(f.endpoints(), 3);
         // Distinct pairs are distinct counters.
         let keys: std::collections::HashSet<u64> = (0..3)
             .flat_map(|a| (0..3).map(move |b| (a, b)))

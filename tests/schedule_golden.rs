@@ -40,6 +40,10 @@ enum Call {
     SmpBcast { last: bool },
     /// Four nonblocking collectives outstanding together, then waited.
     Overlap,
+    /// Four more, outstanding together, then waited: the reduce
+    /// landings and the staged reduce_scatter's rings beside each
+    /// other, which `Overlap`'s mix never puts side by side.
+    OverlapLandings,
 }
 
 /// FNV-1a over 8-byte words (result buffers run to megabytes and
@@ -76,6 +80,16 @@ fn one_call(ctx: &Ctx, comm: &SrmComm, bufs: &[ShmBuffer], call: Call, len: usiz
             ];
             comm.wait_all(ctx, reqs);
         }
+        Call::OverlapLandings => {
+            let sum = (DType::U64, ReduceOp::Sum);
+            let reqs = vec![
+                comm.iallreduce(ctx, &bufs[0], len, sum.0, sum.1),
+                comm.iallgather(ctx, &bufs[1], len),
+                comm.ireduce_scatter(ctx, &bufs[2], len, sum.0, sum.1),
+                comm.igather(ctx, &bufs[3], len, n - 1),
+            ];
+            comm.wait_all(ctx, reqs);
+        }
     }
 }
 
@@ -109,7 +123,11 @@ fn digest(topo: Topology, tuning: SrmTuning, split: bool, call: Call, len: usize
                 _ => Op::Alltoall,
             };
             let cap = op.shape(len, 0, comm.size()).extent(comm.size()).max(8);
-            let nbufs = if matches!(call, Call::Overlap) { 3 } else { 1 };
+            let nbufs = match call {
+                Call::Overlap => 3,
+                Call::OverlapLandings => 4,
+                _ => 1,
+            };
             let bufs: Vec<ShmBuffer> = (0..nbufs)
                 .map(|b| {
                     let buf = comm.alloc_buffer(cap);
@@ -283,6 +301,26 @@ fn forced_variants() {
                 out.push((
                     format!("overlap/{len}/{nodes}x{tpn}/{scope}"),
                     digest(topo, SrmTuning::default(), split, Call::Overlap, len),
+                ));
+            }
+        }
+    }
+    check(out);
+}
+
+/// The second nonblocking mix on the lattice's topologies.
+#[test]
+fn overlap_landings() {
+    let mut out = Vec::new();
+    for (nodes, tpn) in [(1, 4), (2, 3), (3, 2), (4, 4)] {
+        let topo = Topology::new(nodes, tpn);
+        for split in [false, true] {
+            let scope = if split { "split" } else { "world" };
+            for len in SIZES {
+                let call = Call::OverlapLandings;
+                out.push((
+                    format!("overlap-landings/{len}/{nodes}x{tpn}/{scope}"),
+                    digest(topo, SrmTuning::default(), split, call, len),
                 ));
             }
         }
