@@ -145,12 +145,13 @@ fn candidates_for(op: Op, base: SrmTuning) -> Vec<SrmTuning> {
             });
         }
         Op::Reduce => {
+            // Interrupts on everywhere, and the paper's small-call cut.
             push(SrmTuning {
                 interrupt_disable_max: 0,
                 ..base
             });
             push(SrmTuning {
-                interrupt_disable_max: 64 * 1024,
+                interrupt_disable_max: 8 * 1024,
                 ..base
             });
         }

@@ -29,7 +29,9 @@
 //! and a credit counter per buffer restored by the child's zero-byte
 //! put when its node has drained it. Counters are waited on with
 //! `LAPI_Waitcntr`-style calls so the dispatcher makes progress without
-//! interrupts while interrupts are disabled for small operations.
+//! interrupts while the wire ranks run with interrupts disabled (the
+//! paper does so for small operations; here at every size,
+//! `SrmComm::plan_quiet`).
 //!
 //! The gather/scatter family extends the same machinery: scatter
 //! streams per-node blocks into the broadcast landings, published in

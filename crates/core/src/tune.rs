@@ -89,7 +89,9 @@ pub struct TuneEntry {
     /// Ignored: the allreduce switch it once set is gone. It keeps its
     /// column in the text format until ROADMAP item 8(g) removes it.
     pub allreduce_rs_min: usize,
-    /// Interrupt-disable payload cap.
+    /// Interrupt-disable payload cap: calls up to it run their wire
+    /// ranks with interrupts off; `usize::MAX` (`off` in table files,
+    /// the default) is no cap, 0 keeps interrupts on.
     pub interrupt_disable_max: usize,
     /// Piece size of reduce_scatter's streams and of the intra-node
     /// cells of alltoall/alltoallv.

@@ -72,12 +72,21 @@ pub struct SrmTuning {
     /// Multi-node collectives at or below this size run with LAPI
     /// interrupts disabled (§2.3) on each node's wire rank, which takes
     /// the puts aimed at it by polling (`SrmComm::plan_quiet`):
-    /// broadcast and reduce (the root on its node), allreduce on the
-    /// masters, alltoall and alltoallv (by segment) on every rank; the
-    /// barrier's masters at every size. Gather, scatter,
-    /// reduce_scatter and allgather's gather half never do: their put
-    /// targets already wait inside counter waits, and toggling their
-    /// masters measured slower (EXPERIMENTS.md D5).
+    /// broadcast and reduce (the root on its node), allreduce and
+    /// allgather on the masters, alltoall on every rank, alltoallv on
+    /// every rank for segments up to 8 KiB only
+    /// (`ALLTOALLV_QUIET_MAX` in `pairwise.rs`), the landed gather on
+    /// its root and masters; the barrier's masters at every size.
+    /// Scatter, reduce_scatter and the direct gather never do: their
+    /// put targets already wait inside counter waits, and toggling
+    /// their masters measured slower (EXPERIMENTS.md D5).
+    ///
+    /// The default, `usize::MAX`, is no cap: the paper's small-call cut
+    /// (8 KiB) made a 1 MB reduce's masters take each arriving chunk as
+    /// a 24 µs interrupt, where polling is what `SrmModel` prices
+    /// (EXPERIMENTS.md A4). The field stays as an override for
+    /// ablations, forced candidates and tune tables (`off` in a table
+    /// file is `usize::MAX`); 0 keeps interrupts on everywhere.
     pub interrupt_disable_max: usize,
     /// Capacity of each per-(rank, communicator) compiled-schedule cache
     /// ([`crate::plan::PlanCache`]): how many distinct call shapes
@@ -113,7 +122,7 @@ impl Default for SrmTuning {
             pipeline_min: 8 * 1024,
             pipeline_max: 32 * 1024,
             pipeline_chunk: 4 * 1024,
-            interrupt_disable_max: 8 * 1024,
+            interrupt_disable_max: usize::MAX,
             plan_cache_cap: 32,
             trace_steps: false,
             pairwise_chunk: 16 * 1024,

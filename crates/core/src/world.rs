@@ -832,7 +832,7 @@ impl SrmComm {
     /// call rooted at comm rank `root`: the root on its own node, the
     /// master everywhere else. It is both ends of every cross-node
     /// channel and address exchange of the call, and the rank that runs
-    /// a small call with interrupts off (`SrmComm::plan_quiet`).
+    /// the call with interrupts off (`SrmComm::plan_quiet`).
     pub(crate) fn wire_rank(&self, node: usize, root: usize) -> usize {
         if node == self.cnode_of(root) {
             root

@@ -113,7 +113,9 @@ fn the_model_picks_the_allreduce_radix_per_size_whatever_the_tree() {
 
 // Recursive doubling's allreduce times (`harness::measure`, two calls a
 // measurement) before the radix was derived, in µs rounded up: on 16-way
-// nodes from 2 to 16 and on single-task nodes from 2 to 64.
+// nodes from 2 to 16 and on single-task nodes from 2 to 64. The 16 KB
+// rows are measured with the masters polling (no interrupt cut), the
+// rule the derived call runs under.
 const WIDE_8: [f64; 15] = [
     23.09, 39.03, 38.03, 52.76, 55.23, 74.06, 52.97, 73.95, 74.55, 75.92, 75.92, 87.95, 86.40,
     87.90, 73.91,
@@ -123,7 +125,7 @@ const WIDE_4K: [f64; 15] = [
     236.11, 236.66, 207.18,
 ];
 const WIDE_16K: [f64; 15] = [
-    326.58, 453.87, 421.06, 511.27, 576.70, 596.20, 515.54, 599.51, 604.85, 689.92, 649.87, 713.93,
+    326.58, 453.87, 421.06, 511.27, 576.70, 596.20, 515.54, 599.16, 604.85, 648.54, 648.37, 713.65,
     690.43, 690.98, 610.02,
 ];
 const ONE_8: [f64; 63] = [
@@ -142,12 +144,12 @@ const ONE_4K: [f64; 63] = [
     246.93, 242.08, 209.67,
 ];
 const ONE_16K: [f64; 63] = [
-    94.78, 224.73, 189.26, 281.39, 347.84, 367.34, 283.74, 373.00, 373.52, 441.21, 442.26, 484.79,
-    508.37, 484.97, 378.21, 490.43, 487.86, 489.08, 493.42, 554.10, 537.14, 536.94, 536.99, 584.91,
-    607.43, 603.55, 602.85, 579.56, 579.44, 578.79, 472.69, 584.46, 557.69, 582.41, 628.17, 584.03,
-    629.47, 585.99, 588.09, 629.92, 648.58, 631.82, 631.52, 648.33, 631.27, 631.62, 631.62, 679.39,
-    679.39, 678.84, 702.01, 701.91, 701.21, 697.88, 697.33, 678.26, 673.74, 673.87, 673.62, 674.19,
-    671.02, 651.22, 567.17,
+    95.38, 224.90, 189.86, 283.01, 348.44, 367.94, 284.34, 370.90, 376.58, 441.36, 442.91, 489.03,
+    508.97, 485.57, 378.81, 489.23, 468.08, 541.62, 471.96, 554.70, 537.74, 537.54, 537.59, 585.51,
+    608.03, 604.15, 603.45, 580.16, 580.04, 557.34, 473.29, 583.71, 562.55, 562.55, 584.51, 589.54,
+    584.96, 584.86, 565.99, 630.52, 649.18, 632.67, 632.12, 648.93, 631.87, 632.22, 632.22, 694.78,
+    679.54, 679.44, 702.51, 702.51, 701.81, 698.48, 697.93, 678.86, 674.34, 674.47, 674.22, 674.79,
+    671.47, 651.82, 567.77,
 ];
 
 /// The derived small allreduce is no slower than recursive doubling,

@@ -112,6 +112,29 @@ fn alltoall_within_tight_factor_of_simulation() {
     }
 }
 
+/// The 1 MB reduce of the benchmark's `large_p64` is held tight: the
+/// closed form prices masters that take each chunk by polling, which
+/// is how its wire ranks run: interrupts stay off at every size (one
+/// call: 5 070.1 µs against 4 665.6, x1.087).
+#[test]
+fn large_reduce_within_tight_factor_of_simulation() {
+    const MAX_FACTOR: f64 = 1.10;
+    let machine = MachineConfig::ibm_sp_colony();
+    let (topo, len) = (Topology::sp_16way(4), 1 << 20);
+    let predicted = SrmModel::new(machine.clone(), topo, SrmTuning::default()).reduce(len);
+    let opts = HarnessOpts {
+        iters: 1,
+        ..Default::default()
+    };
+    let sim = measure(Impl::Srm, machine, topo, Op::Reduce, len, opts).per_call;
+    let ratio = sim.as_us() / predicted.as_us();
+    println!("reduce {len}B on {topo}: model {predicted} vs sim {sim} (x{ratio:.3})");
+    assert!(
+        (1.0 / MAX_FACTOR..MAX_FACTOR).contains(&ratio),
+        "reduce {len}B on {topo}: model {predicted} vs sim {sim} (x{ratio:.2})"
+    );
+}
+
 /// The large allreduce overlaps its reduce and broadcast legs across
 /// chunks, so it must not cost more than running the two one after the
 /// other on the tree it runs on (it did, by 1.5-2x, while the legs ran

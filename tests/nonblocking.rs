@@ -12,7 +12,9 @@ use collops::{reference_reduce, DType, NonblockingCollectives, ReduceOp};
 use mpi_coll::MpiColl;
 use msg::{MsgWorld, Vendor};
 use simnet::{Ctx, MachineConfig, Perturb, Sim, SimTime, Topology};
-use srm::{SrmComm, SrmModel, SrmTuning, SrmWorld};
+use srm::plan::Step;
+use srm::{PlanShape, SrmComm, SrmModel, SrmTuning, SrmWorld};
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -424,6 +426,122 @@ fn srm_interrupt_toggling_calls_outstanding_together() {
                             let sum = reference_reduce(DType::U64, ReduceOp::Sum, &contribs);
                             red.with(|d| assert_eq!(d[..], sum[..], "{tag}: reduce"));
                         }
+                        comm.shutdown(&ctx);
+                    });
+                }
+                sim.run().expect("no deadlock");
+            }
+        }
+    }
+}
+
+/// Three large calls whose wire ranks switch interrupts off at every
+/// size (§2.3 with no cap) outstanding together through user compute:
+/// a 256 KB `ireduce`, `iallreduce` and `ibroadcast`. On every node one
+/// rank toggles in each plan, the root on its own node. Compute between
+/// `test` polls only delays the puts aimed at a quiet wire rank to its
+/// next poll, so every payload is exact: on the world and on a parity
+/// split, in both issue orders, with and without perturbation.
+#[test]
+fn srm_large_quiet_calls_outstanding_through_compute() {
+    let topo = Topology::new(4, 4);
+    let n = topo.nprocs();
+    let len = 256 << 10;
+    let (bcast_root, reduce_root) = (1, 2);
+    let shapes = [
+        PlanShape::Reduce {
+            len,
+            root: reduce_root,
+        },
+        PlanShape::Allreduce { len },
+        PlanShape::Bcast {
+            len,
+            root: bcast_root,
+        },
+    ];
+    for split in [false, true] {
+        for reversed in [false, true] {
+            for perturb in [None, Some(Perturb::standard(11))] {
+                let mut sim = Sim::new(MachineConfig::ibm_sp_colony());
+                if let Some(p) = perturb {
+                    sim.set_perturb(p);
+                }
+                let world = SrmWorld::new(&mut sim, topo, SrmTuning::default());
+                let comms: Vec<SrmComm> = if split {
+                    let colors: Vec<i64> = (0..n).map(|r| (r % 2) as i64).collect();
+                    let parts = world.comm_split(&colors, &vec![0; n]).into_iter();
+                    parts.map(|c| c.expect("colored")).collect()
+                } else {
+                    (0..n).map(|r| world.comm(r)).collect()
+                };
+                let tag = format!(
+                    "split {split}, reversed {reversed}, perturbed {}",
+                    perturb.is_some()
+                );
+                // The toggling ranks of each plan, by (part, node): one
+                // each, and on a rooted call's own node the root.
+                let place =
+                    |c: &SrmComm| (c.rank() % 2 * usize::from(split), topo.node_of(c.rank()));
+                for shape in &shapes {
+                    let mut togglers: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
+                    for comm in &comms {
+                        let plan = comm.build_plan(&comm.key(shape.clone()));
+                        if (plan.steps.iter()).any(|s| matches!(s, Step::SetInterrupts(false))) {
+                            togglers
+                                .entry(place(comm))
+                                .or_default()
+                                .push(comm.comm_rank());
+                        }
+                    }
+                    let parts = if split { 2 } else { 1 };
+                    assert_eq!(togglers.len(), parts * topo.nodes(), "{tag}, {shape:?}");
+                    for (at, on) in &togglers {
+                        assert_eq!(on.len(), 1, "{tag}, {shape:?}: {at:?}: {on:?}");
+                    }
+                    if let PlanShape::Bcast { root, .. } | PlanShape::Reduce { root, .. } = *shape {
+                        for c in comms.iter().filter(|c| c.comm_rank() == root) {
+                            assert_eq!(togglers[&place(c)], [root], "{tag}, {shape:?}: root");
+                        }
+                    }
+                }
+                for comm in comms {
+                    let tag = format!("{tag}, rank {}", comm.rank());
+                    sim.spawn(format!("rank{}", comm.rank()), move |ctx| {
+                        let group = comm.group().ranks().to_vec();
+                        let me = comm.comm_rank();
+                        let [red, all, big] = [0; 3].map(|_| {
+                            let buf = comm.alloc_buffer(len);
+                            buf.with_mut(|d| d.copy_from_slice(&init_bytes(comm.rank(), len)));
+                            buf
+                        });
+                        let (sum, u64s) = (ReduceOp::Sum, DType::U64);
+                        let issue = |k| match k {
+                            0 => comm.ireduce(&ctx, &red, len, u64s, sum, reduce_root),
+                            1 => comm.iallreduce(&ctx, &all, len, u64s, sum),
+                            _ => comm.ibroadcast(&ctx, &big, len, bcast_root),
+                        };
+                        let mut order = [0, 1, 2];
+                        if reversed {
+                            order.reverse();
+                        }
+                        let reqs: Vec<_> = order.into_iter().map(issue).collect();
+                        // User compute in slices, polling every call.
+                        for _ in 0..8 {
+                            ctx.advance(SimTime::from_us(150));
+                            for req in &reqs {
+                                comm.test(&ctx, req);
+                            }
+                        }
+                        comm.wait_all(&ctx, reqs);
+                        let contribs: Vec<Vec<u8>> =
+                            group.iter().map(|&r| init_bytes(r, len)).collect();
+                        let total = reference_reduce(DType::U64, ReduceOp::Sum, &contribs);
+                        all.with(|d| assert_eq!(d[..], total[..], "{tag}: allreduce"));
+                        if me == reduce_root {
+                            red.with(|d| assert_eq!(d[..], total[..], "{tag}: reduce"));
+                        }
+                        let payload = init_bytes(group[bcast_root], len);
+                        big.with(|d| assert_eq!(d[..], payload[..], "{tag}: broadcast"));
                         comm.shutdown(&ctx);
                     });
                 }

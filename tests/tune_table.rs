@@ -16,7 +16,7 @@ const SEG: usize = 4 * 1024;
 const BCAST_LEN: usize = 8 * 1024;
 
 /// A table whose entries reroute every op of [`run_program`]: the
-/// allreduce onto interrupts-off masters, the alltoall onto narrower
+/// allreduce onto interrupts-on masters, the alltoall onto narrower
 /// chunks, the broadcast onto a finer pipeline. The alltoall's entry
 /// also sets the ignored `pairwise_window` column.
 fn demo_table() -> TuneTable {
@@ -31,7 +31,7 @@ fn demo_table() -> TuneTable {
     t.insert(
         wild(TuneOp::Allreduce),
         TuneEntry {
-            interrupt_disable_max: ALLREDUCE_LEN,
+            interrupt_disable_max: 0,
             ..base
         },
     );
@@ -256,7 +256,13 @@ fn arb_entry() -> impl Strategy<Value = TuneEntry> {
         (1usize..=7, 0usize..=4), // small_large_switch, pipeline_chunk: 2^k KB
         prop_oneof![Just(usize::MAX), Just(1), Just(64 * 1024)], // rs_min
         (1usize..=4, 1usize..=4), // pairwise chunk 2^k KB, window
-        prop_oneof![Just(0usize), Just(8 * 1024), Just(64 * 1024)],
+        // interrupt_disable_max: always on / the paper's cut / 64 KB / no cap
+        prop_oneof![
+            Just(0usize),
+            Just(8 * 1024),
+            Just(64 * 1024),
+            Just(usize::MAX)
+        ],
         // pairwise_direct_min: off / always-direct / the default edge
         prop_oneof![Just(usize::MAX), Just(0usize), Just(64 * 1024)],
     )
