@@ -299,6 +299,41 @@ impl SrmModel {
             + self.cfg.lapi_counter_check
     }
 
+    /// Predicted reduce_scatter latency for `len`-byte result segments.
+    /// The node leg reduces every piece of the node's `n·len` bytes on
+    /// its own tree, the roots spread over the slots; each slot works
+    /// the pieces in order, so a piece holds the leg for the most
+    /// operator passes any one vertex makes on it, the root's fan-in.
+    /// Each master's port and inbound wire carry `cslots·len·(nodes −
+    /// 1)` bytes, and every peer piece that lands costs a fold and, as
+    /// the call runs with interrupts on, an interrupt. The call takes
+    /// the largest of the three, plus one piece's fill: its leaf copy,
+    /// a fold per tree level and, between nodes, a put out and a credit
+    /// or counter back.
+    pub fn reduce_scatter(&self, len: usize) -> SimTime {
+        let (nodes, p) = (self.topo.nodes(), self.topo.tasks_per_node());
+        if len == 0 || nodes * p == 1 {
+            return SimTime::ZERO;
+        }
+        let kind = self.tuning.configured_tree();
+        let block = p * len;
+        let piece = ((self.tuning.pairwise_chunk & !7).max(8)).min(block);
+        let per_block = SrmTuning::chunk_count(block, piece) as u64;
+        let fold = self.cfg.reduce_cost(piece);
+        let fan_in = children(kind, 0, p).len() as u64;
+        let node = fold * (fan_in * per_block * nodes as u64);
+        let wire = self.cfg.net_per_byte.cost_of(block) * (nodes as u64 - 1);
+        let landed = (fold + self.cfg.interrupt_cost) * (per_block * (nodes as u64 - 1));
+        let mut fill = fold * height(kind, p) as u64;
+        if p > 1 {
+            fill += self.cfg.shm_copy_cost(piece, (p / 2).max(1));
+        }
+        if nodes > 1 {
+            fill += self.put_time(piece) * 2;
+        }
+        node.max(wire).max(landed) + fill
+    }
+
     /// The radix of the barrier's dissemination rounds between the
     /// nodes: the `k` whose closed form is lowest, the smaller on a tie.
     /// The barrier has no tree, so a forced [`SrmTuning::tree`] leaves

@@ -65,6 +65,27 @@
 //! channels: its puts and credit waits are what the `pairwise_puts`
 //! and `credit_stalls` metrics count.
 //!
+//! The node leg is the same on both routes. Where a node has several
+//! slots and a block several pieces it is **spread** over the slots:
+//! each piece is reduced on its own tree over the node
+//! (`SrmComm::plan_smp_reduce_spread`), rooted at the slot
+//! `SrmComm::reduce_scatter_roots` picks, so the operator passes of the
+//! whole `n·len` buffer are shared out instead of all landing on the
+//! master. A peer piece's root publishes the piece in its own
+//! contribution buffer, as an interior vertex publishes a partial, and
+//! the master puts it onto the wire from there, no copy. An own-block
+//! piece inside one slot's result segment is reduced at that slot,
+//! which writes it to its user buffer; one across several segments is
+//! reduced at the master and goes through the buffer pair. Between
+//! nodes the master is hung last in every tree it does not root, a
+//! leaf, and folds the peers' pieces of the own block into its
+//! contribution as they land: it takes them anyway, the credit goes
+//! back as soon as the piece is folded, and a master folding nothing
+//! would leave the other `p − 1` slots `p/(p − 1)` of the node's mean
+//! each. A node of one slot, or a call whose segments are shorter than
+//! a piece (the 8 B to 4 KB calls at the default 16 KB piece), reduces
+//! every piece at the master as before.
+//!
 //! ## Group coordinates
 //!
 //! Everything here is phrased over the communicator's shape: node
@@ -95,17 +116,41 @@
 //! completion counters, and every rank issues all its address sends and
 //! all its puts before its first wait on a peer's put.
 //!
+//! The spread node leg adds the master's consumes of the roots' uses
+//! (the puts from a root's buffer, and the copy of the master's own
+//! result). The roots rotate, so a channel changes consumer from use to
+//! use and every consume carries the in-order guard: the consumer of
+//! use `u` waits until use `u - 1` is drained. A root's use is consumed
+//! by the master two of its own tree vertices later, so the master
+//! publishes into three trees at once. Two is as far as the guards
+//! allow: my publish of use `u` waits for my parent to drain use `u -
+//! 2`; my parent's vertex of that tree may wait (guard) on a consume of
+//! use `u - 3`, and that consume must already be behind me. A master
+//! that roots a tree waits on every slot of the node, so it owes no
+//! consume when it starts one; nor does it when it waits on a peer's
+//! put of a round whose puts of its own it has not all issued — every
+//! master issues them before it waits. A root that keeps its result
+//! skips its channel's use for it (`SrmComm::plan_contrib_skip`) once
+//! the use before is drained, so every channel stays gap-free. A spread
+//! node reduces its own block's piece a round late, after the peers'
+//! pieces of the next round, so the peers' puts of it land under a
+//! round of tree work; the credit it returns is that of piece `k`,
+//! which the peers need two rounds on.
+//!
 //! Because the Reduce sequence base indexes cross-node buffer
 //! parities, its advance is the same on every member, even members
 //! whose own node moved less; a slot that published less
 //! re-synchronizes its contribution channel through
-//! `plan_contrib_catchup` (DESIGN.md §9.3, §12.3). The node pair's base
+//! `plan_contrib_catchup` (DESIGN.md §9.3, §12.3); on a spread node
+//! every slot publishes or skips every use itself. The node pair's base
 //! counts only the uses my node made.
 
+use crate::embed::children_ascending;
 use crate::plan::{BufRef, Chan, ChanKind, CopyCost, CtrRef, PlanBuilder, SeqBase, Step, Val};
-use crate::smp::{plan_acc_to_user, plan_pair_release};
+use crate::smp::{plan_acc_to_user, plan_pair_release, spread_slot};
 use crate::world::SrmComm;
 use simnet::NodeId;
+use std::collections::VecDeque;
 
 /// The largest alltoallv segment that runs with interrupts off
 /// ([`SrmComm::plan_alltoallv`]): the paper's small-call cut (§2.3).
@@ -330,13 +375,23 @@ impl SrmComm {
     /// buffer holds `csize` contribution segments; after the call,
     /// segment `me` holds the element-wise reduction of every member's
     /// segment `me`. Each piece round reduces one piece of every peer
-    /// node's block up the SMP tree, streams it into the peer's `Ring`
-    /// landing, then folds the arrived peer pieces into the own-block
-    /// reduction and scatters the finished piece through the node's
-    /// buffer pair. Node blocks decompose exactly like the scatter
+    /// node's block on the node and streams it into the peer's master,
+    /// then reduces the piece of the own block, folds in the peers'
+    /// pieces of it and leaves the result in the owning members' user
+    /// buffers. Node blocks decompose exactly like the scatter
     /// protocol's ([`SrmComm::scatter_pieces`]), so non-contiguous and
     /// uneven groups work and both ends of every stream agree on the
     /// piece sequence.
+    ///
+    /// Where a node has several slots and a segment is at least one
+    /// piece long, the node leg is spread over the slots
+    /// (module doc): each piece is reduced on a tree rooted where
+    /// [`SrmComm::reduce_scatter_roots`] puts it; the master puts a
+    /// peer piece from its root's contribution buffer and folds the
+    /// landed peer pieces of its own block into its vertex; an
+    /// own-block piece inside one slot's result segment is written to
+    /// that slot's user buffer by it, one across several goes through
+    /// the buffer pair. Otherwise every piece is reduced at the master.
     pub(crate) fn plan_reduce_scatter(&self, b: &mut PlanBuilder, len: usize) {
         let n = self.csize();
         if len == 0 || n == 1 {
@@ -360,15 +415,14 @@ impl SrmComm {
         let pieces: Vec<Vec<(usize, usize, usize)>> = (0..nodes)
             .map(|d| self.scatter_pieces(d, len, chunk))
             .collect();
-        let rounds = pieces.iter().map(|v| v.len()).max().unwrap_or(0);
+        let rounds = rounds_of(&pieces);
         let peers = || (0..nodes).filter(|&g| g != me);
 
         // Direct route: pieces rendezvous in a per-call scratch region
         // at the destination master instead of staging through the
-        // `Ring` landings — the SMP pre-reduction and landing-pair
-        // distribution are unchanged, only the wire differs. The
-        // scratch holds one logical block per peer; `region(d, s)` is
-        // source `s`'s index among `d`'s peers, ascending.
+        // `Ring` landings — only the wire differs. The scratch holds
+        // one logical block per peer; `region(d, s)` is source `s`'s
+        // index among `d`'s peers, ascending.
         let direct = multi && len >= b.tuning().pairwise_direct_min;
         let block_of = |g: usize| self.cslots_on(g) * len;
         let region = |d: usize, s: usize| if s < d { s } else { s - 1 };
@@ -388,59 +442,117 @@ impl SrmComm {
             }
         }
 
-        for k in 0..rounds {
-            let lane = rel0 + k as u64;
-            // Peer-node blocks: reduce this piece to the master and
-            // stream it out, round-robin over destinations.
-            for d in peers() {
-                let Some(&(boff, blk, plen)) = pieces[d].get(k) else {
-                    continue;
-                };
-                let is_root = self.plan_smp_reduce_chunk(b, (boff, plen, rel), (self.tree(), 0));
-                rel += 1;
-                if !is_root {
-                    continue;
-                }
-                // The put snapshots the accumulator synchronously.
-                if direct {
-                    // Land the piece straight in the peer master's
-                    // scratch region — no credits, one counter bump at
-                    // the target.
-                    b.push(Step::RmaPut {
-                        to: self.cmaster_of(d),
-                        src: BufRef::Acc,
-                        src_off: 0,
-                        dst: BufRef::Taken {
-                            idx: scratch_idx[d].expect("scratch handle taken"),
-                        },
-                        dst_off: region(d, me) * block_of(d) + blk,
-                        len: plen,
-                        ctr: Some(CtrRef::PairwiseDirect {
-                            src: self.crank(),
-                            dst: self.crank_at(d, 0),
-                        }),
-                    });
-                } else {
-                    let to = (self.ring((me, d), lane), 0);
-                    self.plan_credit_put(b, to, (BufRef::Acc, 0), plen);
-                }
+        // Spreading pieces shorter than a segment measured slower
+        // (2×16 / 4 KB: 1 535.7 against 1 463.5 µs).
+        let spread = p > 1 && len >= chunk;
+        let roots = spread.then(|| self.reduce_scatter_roots(&pieces, len));
+        // The master's put of piece `k` of group node `d`'s block from
+        // `src` (a put snapshots its source synchronously).
+        let put = |b: &mut PlanBuilder, (d, k): (usize, usize), src: BufRef| {
+            let (_, blk, plen) = pieces[d][k];
+            if direct {
+                // Land the piece straight in the peer master's scratch
+                // region — no credits, one counter bump at the target.
+                b.push(Step::RmaPut {
+                    to: self.cmaster_of(d),
+                    src,
+                    src_off: 0,
+                    dst: BufRef::Taken {
+                        idx: scratch_idx[d].expect("scratch handle taken"),
+                    },
+                    dst_off: region(d, me) * block_of(d) + blk,
+                    len: plen,
+                    ctr: Some(CtrRef::PairwiseDirect {
+                        src: self.crank(),
+                        dst: self.crank_at(d, 0),
+                    }),
+                });
+            } else {
+                let to = (self.ring((me, d), rel0 + k as u64), 0);
+                self.plan_credit_put(b, to, (src, 0), plen);
             }
-            // Own block: reduce the node's contributions, fold in the
-            // peers' arrived pieces, distribute the finished piece.
-            let Some(&(boff, blk, plen)) = pieces[me].get(k) else {
+        };
+        // What the master still owes, oldest first.
+        let mut owed: VecDeque<Owed> = VecDeque::new();
+        let hand_off = |b: &mut PlanBuilder, h: Owed| match h {
+            // Put the reduced peer piece from the root's buffer.
+            Owed::Put { r, root, d, k } => {
+                let label = "reduced piece ready";
+                let on = |b: &mut PlanBuilder, src| put(b, (d, k), src);
+                self.plan_contrib_consume(b, (root, r), true, label, on);
+            }
+            // Copy my own result out of the root's buffer.
+            Owed::Result { r, root, k } => {
+                let (boff, _, plen) = pieces[me][k];
+                let label = "reduced piece ready";
+                let on = |b: &mut PlanBuilder, src| {
+                    b.copy((src, 0), (BufRef::User, boff), plen, CopyCost::Read(1))
+                };
+                self.plan_contrib_consume(b, (root, r), true, label, on);
+            }
+        };
+        let mut pair_uses = 0;
+
+        for (k, d) in self.reduce_scatter_order(rounds, spread) {
+            let Some(&(boff, blk, plen)) = pieces[d].get(k) else {
                 continue;
             };
-            let is_root = self.plan_smp_reduce_chunk(b, (boff, plen, rel), (self.tree(), 0));
+            let r = rel;
             rel += 1;
-            let prel = prel0 + k as u64;
-            // My result segment's part of the piece.
-            let mine = self.block_overlap(len, (blk, plen), my);
-            if !is_root {
-                self.plan_pair_read(b, (prel, BufRef::Pair { rel: prel }), mine);
+            let root = roots.as_ref().map_or(0, |roots| roots[k][d]);
+            if my == 0 {
+                // A hand-off trails my vertex of its tree by
+                // `HAND_OFF_LAG` uses. Before my own block's piece of a
+                // round, every put of that round goes out, so it
+                // precedes my waits on the peers' puts; a master that
+                // roots a tree owes nothing.
+                let due = |h: &mut Owed| {
+                    h.rel() + HAND_OFF_LAG < r || root == 0 || d == me && h.round() <= k
+                };
+                while let Some(h) = owed.pop_front_if(due) {
+                    hand_off(b, h);
+                }
+            }
+            if d != me {
+                // A peer node's block: reduce the piece and stream it
+                // out, round-robin over destinations.
+                if !spread {
+                    if self.plan_smp_reduce_chunk(b, (boff, plen, r), (self.tree(), 0)) {
+                        put(b, (d, k), BufRef::Acc);
+                    }
+                    continue;
+                }
+                let at_root =
+                    self.plan_smp_reduce_spread(b, (boff, plen, r), (root, multi), |_| false);
+                match (my == 0, at_root) {
+                    (true, true) => {
+                        put(b, (d, k), BufRef::Acc);
+                        self.plan_contrib_skip(b, r);
+                    }
+                    (true, false) => owed.push_back(Owed::Put { r, root, d, k }),
+                    // Hand the piece to the master in place.
+                    (false, true) => {
+                        let cost = CopyCost::Free;
+                        self.plan_contrib_publish(b, r, (BufRef::Acc, 0), plen, cost);
+                    }
+                    (false, false) => {}
+                }
                 continue;
             }
-            for s in peers() {
-                if direct {
+            // My own block: reduce the node's contributions, fold in the
+            // peers' arrived pieces, leave the result with its owners.
+            let lane = rel0 + k as u64;
+            // The peers' pieces of it land at the master, which folds
+            // them into its vertex of the tree.
+            let fold_in = |b: &mut PlanBuilder| {
+                if my != 0 || !multi {
+                    return false;
+                }
+                for s in peers() {
+                    if !direct {
+                        self.plan_fold_landed(b, (self.ring((s, me), lane), 0), plen);
+                        continue;
+                    }
                     // Per-pair in-order delivery: the k-th completion
                     // from `s` implies pieces `0..=k` have landed, so
                     // piece `k`'s scratch range is readable. These
@@ -456,11 +568,39 @@ impl SrmComm {
                         src_off: region(me, s) * block_of(me) + blk,
                         len: plen,
                     });
-                } else {
-                    self.plan_fold_landed(b, (self.ring((s, me), lane), 0), plen);
                 }
+                true
+            };
+            let at_root = match spread {
+                true => self.plan_smp_reduce_spread(b, (boff, plen, r), (root, multi), fold_in),
+                false => {
+                    let at_root = self.plan_smp_reduce_chunk(b, (boff, plen, r), (self.tree(), 0));
+                    if at_root {
+                        fold_in(b);
+                    }
+                    at_root
+                }
+            };
+            if let Some(owner) = spread.then(|| segment_owner(len, (blk, plen))).flatten() {
+                if at_root && owner == my {
+                    // The piece lies in my own result segment.
+                    plan_acc_to_user(b, boff, plen);
+                    self.plan_contrib_skip(b, r);
+                } else if my == 0 && owner == 0 {
+                    owed.push_back(Owed::Result { r, root, k });
+                } else if at_root {
+                    // The master's result: it copies it out in place.
+                    self.plan_contrib_publish(b, r, (BufRef::Acc, 0), plen, CopyCost::Free);
+                }
+                continue;
             }
-            if p > 1 {
+            let prel = prel0 + pair_uses;
+            pair_uses += 1;
+            // My result segment's part of the piece.
+            let mine = self.block_overlap(len, (blk, plen), my);
+            if !at_root {
+                self.plan_pair_read(b, (prel, BufRef::Pair { rel: prel }), mine);
+            } else if p > 1 {
                 self.plan_pair_write(b, prel, (BufRef::Acc, 0), plen, 1);
                 if let Some(mine) = mine {
                     self.plan_pair_copy_out(b, BufRef::Pair { rel: prel }, mine);
@@ -470,6 +610,12 @@ impl SrmComm {
                 // Single-member node: the accumulator is the result.
                 plan_acc_to_user(b, self.crank() * len + blk, plen);
             }
+            if spread && my == 0 {
+                self.plan_contrib_skip(b, r);
+            }
+        }
+        while let Some(h) = owed.pop_front() {
+            hand_off(b, h);
         }
 
         if multi && my == 0 && !direct {
@@ -480,7 +626,7 @@ impl SrmComm {
                 b.wait_ctr_ge(CtrRef::Free(last), Val::Lit(1));
             }
         }
-        if my == 0 {
+        if my == 0 && !spread {
             // The subtree root consumed everyone's contributions but
             // published none of its own.
             self.plan_contrib_catchup(b, 0, rel);
@@ -488,10 +634,198 @@ impl SrmComm {
         // `rel - rel0` is `Σ_d pieces[d].len()` on every member (each
         // walks all destinations plus its own block), so the Reduce
         // advance is uniform by construction. My node's pair carried
-        // its own block's pieces (none on a single-slot node).
+        // the pieces of its own block that no one slot owns (none on a
+        // single-slot node).
         b.advance(SeqBase::Reduce, rel - rel0);
         if p > 1 {
-            b.advance(SeqBase::Pair, pieces[me].len() as u64);
+            b.advance(SeqBase::Pair, pair_uses);
         }
     }
+
+    /// The `(round, group node)` pieces of a reduce_scatter in the order
+    /// my node reduces them: round by round, the peer nodes' pieces then
+    /// the own block's. A spread node reduces its own block's piece a
+    /// round late, so the peers' puts of it have a round of tree work to
+    /// land under.
+    fn reduce_scatter_order(&self, rounds: usize, spread: bool) -> Vec<(usize, usize)> {
+        let me = self.cnode();
+        let late = if spread { OWN_LATE } else { 0 };
+        let mut order = Vec::new();
+        for k in 0..rounds + late {
+            order.extend((0..self.cnodes()).filter(|&d| d != me).map(|d| (k, d)));
+            if let Some(own) = k.checked_sub(late) {
+                order.push((own, me));
+            }
+        }
+        order
+    }
+
+    /// The slot that reduces each piece on my node when the node leg is
+    /// spread, as `[round][group node]`. An own-block piece inside one
+    /// slot's result segment goes to that slot — between nodes, unless
+    /// it is the master's, which is busy with the wire — and one across
+    /// several to the master. Every other piece goes, in my node's
+    /// order, to the root under which its tree finishes first by the
+    /// machine's copy and operator costs — list scheduling: each slot
+    /// works its pieces in order, a vertex folds its children as they
+    /// finish and publishes once its use two back is drained — among
+    /// the roots that leave no slot folding more than 1.2× the node's
+    /// mean operands over the call, else the one that leaves the
+    /// fewest on the busiest slot.
+    fn reduce_scatter_roots(
+        &self,
+        pieces: &[Vec<(usize, usize, usize)>],
+        len: usize,
+    ) -> Vec<Vec<usize>> {
+        let (nodes, me, p) = (self.cnodes(), self.cnode(), self.cslots_here());
+        let cfg = self.world.handle.config();
+        let kids: Vec<Vec<usize>> = (0..p)
+            .map(|v| children_ascending(self.tree(), v, p))
+            .collect();
+        let hung = self.cmulti();
+        let mut free = vec![0u64; p];
+        // When each slot's last two channel uses were consumed: a slot
+        // publishes a use only once the one two before it is.
+        let mut drained = vec![[0u64; 2]; p];
+        // An own-block piece inside a non-master slot's result segment
+        // is reduced there, one across several at the master.
+        let forced = |k: usize, d: usize| {
+            let (_, blk, plen) = pieces[d][k];
+            match (d == me).then(|| segment_owner(len, (blk, plen)))? {
+                Some(0) if hung => None,
+                owner => Some(owner.unwrap_or(0)),
+            }
+        };
+        // Operands each slot folds: the forced trees' up front, the
+        // master's of the landed pieces, and the others' as placed.
+        let mut work = vec![0; p];
+        let place = |work: &mut Vec<usize>, top| {
+            for (v, kids) in kids.iter().enumerate() {
+                work[spread_slot(p, (top, hung), v)] += kids.len();
+            }
+        };
+        for k in 0..pieces[me].len() {
+            if let Some(top) = forced(k, me) {
+                place(&mut work, top);
+            }
+            if hung {
+                work[0] += nodes - 1;
+            }
+        }
+        let mut roots = vec![vec![0; nodes]; rounds_of(pieces)];
+        // Every tree folds `p - 1` operands.
+        let free_trees = (0..nodes).map(|d| {
+            (0..pieces[d].len())
+                .filter(|&k| forced(k, d).is_none())
+                .count()
+        });
+        let total = work.iter().sum::<usize>() + free_trees.sum::<usize>() * (p - 1);
+        let order = self.reduce_scatter_order(roots.len(), true);
+        let order = order.into_iter().filter(|&(k, d)| k < pieces[d].len());
+        for (i, (k, d)) in order.enumerate() {
+            let plen = pieces[d][k].2;
+            let side = i % 2;
+            let fold = cfg.reduce_cost(plen).as_ps();
+            let copy = cfg.shm_copy_cost(plen, (p / 2).max(1)).as_ps();
+            // The master's vertex of my own block's tree folds the
+            // landed pieces.
+            let landed = if d == me && hung { nodes as u64 - 1 } else { 0 };
+            // Each vertex's finish under a tree rooted at `top`, and
+            // when its parent has consumed it.
+            let finish = |top: usize| {
+                let (mut fin, mut taken) = (vec![0; p], vec![0; p]);
+                for v in (0..p).rev() {
+                    let u = spread_slot(p, (top, hung), v);
+                    let mut at = free[u];
+                    if kids[v].is_empty() {
+                        at += if u == 0 && landed > 0 {
+                            fold * landed
+                        } else {
+                            copy
+                        };
+                    }
+                    for &c in &kids[v] {
+                        at = at.max(fin[c]) + fold;
+                        taken[c] = at;
+                    }
+                    fin[v] = at.max(drained[u][side]);
+                }
+                taken[0] = fin[0];
+                (fin, taken)
+            };
+            let top = forced(k, d).unwrap_or_else(|| {
+                // The earliest finish among the roots that leave no
+                // slot folding more than 1.2× the node's mean operands,
+                // else the root that leaves the fewest on the busiest.
+                let most = |t| {
+                    let folds = |v: usize| work[spread_slot(p, (t, hung), v)] + kids[v].len();
+                    (0..p).map(folds).max().unwrap_or(0)
+                };
+                let fair = (0..p).filter(|&t| most(t) * 5 * p <= 6 * total);
+                let top = fair.min_by_key(|&t| finish(t).0[0]);
+                let top = top.unwrap_or_else(|| (0..p).min_by_key(|&t| most(t)).expect("a slot"));
+                place(&mut work, top);
+                top
+            });
+            let (fin, taken) = finish(top);
+            for (v, (fin, taken)) in fin.into_iter().zip(taken).enumerate() {
+                let u = spread_slot(p, (top, hung), v);
+                (free[u], drained[u][side]) = (fin, taken);
+            }
+            roots[k][d] = top;
+        }
+        roots
+    }
+}
+
+/// Rounds of a reduce_scatter: pieces in the longest node block.
+fn rounds_of(pieces: &[Vec<(usize, usize, usize)>]) -> usize {
+    pieces.iter().map(|v| v.len()).max().unwrap_or(0)
+}
+
+/// A consume the master owes after its own vertex of a tree: of use
+/// `r` of `root`'s contribution channel, holding piece round `k`.
+#[derive(Clone, Copy)]
+enum Owed {
+    /// Put peer node `d`'s piece onto the wire.
+    Put {
+        r: u64,
+        root: usize,
+        d: usize,
+        k: usize,
+    },
+    /// Copy my own result out.
+    Result { r: u64, root: usize, k: usize },
+}
+
+impl Owed {
+    fn rel(self) -> u64 {
+        match self {
+            Owed::Put { r, .. } | Owed::Result { r, .. } => r,
+        }
+    }
+
+    fn round(self) -> usize {
+        match self {
+            Owed::Put { k, .. } | Owed::Result { k, .. } => k,
+        }
+    }
+}
+
+/// How many consumes the master's hand-offs trail its own tree
+/// vertices by. A master that waited for each peer piece's root before
+/// publishing its contribution to the next tree would run one tree at a
+/// time; with this lag three trees are in flight. Two is as far as the
+/// in-order guards allow (see the module doc).
+const HAND_OFF_LAG: u64 = 2;
+
+/// How many rounds a spread node reduces its own block's piece after
+/// the peers' pieces of the same round.
+const OWN_LATE: usize = 1;
+
+/// The slot whose result segment holds all of the block piece
+/// `(block_off, plen)`, if one does.
+fn segment_owner(len: usize, (blk, plen): (usize, usize)) -> Option<usize> {
+    let s = blk / len;
+    ((blk + plen - 1) / len == s).then_some(s)
 }

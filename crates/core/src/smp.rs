@@ -174,6 +174,20 @@ impl SrmComm {
         });
     }
 
+    /// Pass over use `rel` of my own contribution channel without
+    /// filling it — a tree root whose result leaves through no
+    /// channel: once the use before it is drained, raise READY and DONE
+    /// past it, so the channel stays gap-free for the next consumer's
+    /// in-order guard and my next publish's drain guard.
+    pub(crate) fn plan_contrib_skip(&self, b: &mut PlanBuilder, rel: u64) {
+        let mine = self.cslot();
+        self.plan_contrib_in_order(b, mine, rel);
+        for flag in [FlagRef::Ready(mine), FlagRef::Done(mine)] {
+            let val = seq(SeqBase::Reduce, rel + 1);
+            b.push(Step::FlagRaise { flag, val });
+        }
+    }
+
     /// The consumer's in-order guard: slot `slot`'s channel is drained
     /// through use `rel` before I raise its DONE past it.
     pub(crate) fn plan_contrib_in_order(&self, b: &mut PlanBuilder, slot: usize, rel: u64) {
@@ -264,19 +278,64 @@ impl SrmComm {
         (off, clen, rel): (usize, usize, u64),
         (kind, top): (TreeKind, usize),
     ) -> bool {
+        // Tree vertex `v` is slot `(v + top) % p`.
+        let vertex = self.tree_vertex(kind, (top, false));
+        let first = rel == b.rel(SeqBase::Reduce);
+        self.plan_smp_fold(b, (off, clen, rel), vertex, first, |_| false)
+    }
+
+    /// One piece of the intra-node reduce tree rooted at slot `top`,
+    /// laid out by [`spread_slot`]: the reduce_scatter's spread node
+    /// leg. Its trees change root from piece to piece, so a contribution
+    /// channel changes consumer from use to use and every consume
+    /// carries the in-order guard. `fold_in` runs after the children's
+    /// folds, before the publish; it returns whether it ran an operator
+    /// pass over the accumulator (a leaf that did publishes the pass's
+    /// output stream, no extra copy). Returns `true` at the root.
+    pub(crate) fn plan_smp_reduce_spread(
+        &self,
+        b: &mut PlanBuilder,
+        (off, clen, rel): (usize, usize, u64),
+        tree: (usize, bool),
+        fold_in: impl FnOnce(&mut PlanBuilder) -> bool,
+    ) -> bool {
+        let vertex = self.tree_vertex(self.tree(), tree);
+        self.plan_smp_fold(b, (off, clen, rel), vertex, true, fold_in)
+    }
+
+    /// Whether I root the `kind` tree [`spread_slot`] lays out over my
+    /// node, and my children's slots in fold order.
+    fn tree_vertex(&self, kind: TreeKind, tree: (usize, bool)) -> (bool, Vec<usize>) {
+        let p = self.cslots_here();
+        let vs = spread_vertex(p, tree, self.cslot());
+        let kids = children_ascending(kind, vs, p).into_iter();
+        (vs == 0, kids.map(|v| spread_slot(p, tree, v)).collect())
+    }
+
+    /// The steps of one tree vertex for one chunk: load my
+    /// contribution, fold my children's (`kids`, in fold order), run
+    /// `fold_in`, and publish the partial result unless I am the root.
+    /// `guard` puts the in-order guard on every consume, not only on
+    /// the plan's first use of the channel.
+    fn plan_smp_fold(
+        &self,
+        b: &mut PlanBuilder,
+        (off, clen, rel): (usize, usize, u64),
+        (root, kids): (bool, Vec<usize>),
+        guard: bool,
+        fold_in: impl FnOnce(&mut PlanBuilder) -> bool,
+    ) -> bool {
         let p = self.cslots_here();
         debug_assert!(clen <= SrmTuning::REDUCE_CHUNK);
-        // Tree vertex `v` is slot `(v + top) % p`.
-        let vs = (self.cslot() + p - top) % p;
-        let kids: Vec<usize> = (children_ascending(kind, vs, p).iter())
-            .map(|&v| (v + top) % p)
-            .collect();
         b.copy((BufRef::User, off), (BufRef::Acc, 0), clen, CopyCost::Free);
 
-        if vs != 0 && kids.is_empty() {
+        if !root && kids.is_empty() {
             // Lowest level: the one real memory copy of the algorithm.
             // Roughly half the node's tasks copy concurrently.
-            let cost = CopyCost::Write((p / 2).max(1));
+            let cost = match fold_in(b) {
+                true => CopyCost::Free,
+                false => CopyCost::Write((p / 2).max(1)),
+            };
             self.plan_contrib_publish(b, rel, (BufRef::Acc, 0), clen, cost);
             return false;
         }
@@ -287,7 +346,7 @@ impl SrmComm {
             self.plan_contrib_consume(
                 b,
                 (child, rel),
-                rel == b.rel(SeqBase::Reduce),
+                guard,
                 "child contribution ready",
                 |b, src| {
                     b.push(Step::LocalReduce {
@@ -298,14 +357,37 @@ impl SrmComm {
                 },
             );
         }
+        fold_in(b);
 
-        if vs != 0 {
+        if !root {
             // Publish the partial result (the last operator pass's
             // output stream — no extra copy).
             self.plan_contrib_publish(b, rel, (BufRef::Acc, 0), clen, CopyCost::Free);
         }
         // At the subtree root the accumulator holds the result; the
         // caller routes it onward.
-        vs == 0
+        root
+    }
+}
+
+/// Slot of vertex `v` of a tree over a node's `p` slots rooted at slot
+/// `top`: the slots follow the root in rotation, or — `hung` — the
+/// master (slot 0) takes vertex `p - 1`, a leaf in every tree kind
+/// since children number above their parent, and the others follow the
+/// root. Rooted at the master, the two are the same.
+pub(crate) fn spread_slot(p: usize, (top, hung): (usize, bool), v: usize) -> usize {
+    match (hung && top != 0, v == p - 1) {
+        (false, _) => (v + top) % p,
+        (true, true) => 0,
+        (true, false) => (v + top - 1) % (p - 1) + 1,
+    }
+}
+
+/// Vertex of slot `u` in the tree [`spread_slot`] lays out.
+pub(crate) fn spread_vertex(p: usize, (top, hung): (usize, bool), u: usize) -> usize {
+    match (hung && top != 0, u) {
+        (false, _) => (u + p - top) % p,
+        (true, 0) => p - 1,
+        (true, _) => (u + p - 1 - top) % (p - 1),
     }
 }

@@ -61,7 +61,9 @@ pub struct ExploreOpts {
     /// The worlds' [`SrmTuning::pairwise_direct_min`]: 0 forces every
     /// reduce_scatter segment down the direct route, `usize::MAX` down
     /// the staged one. Both forced sweeps must produce bit-identical
-    /// results to the default one — the CI smoke runs all three.
+    /// results to the default one — the CI smoke runs all three. A
+    /// forced route also stretches the drawn reduce_scatter segments
+    /// (`ROUTE_SCALE`).
     pub pairwise_direct_min: usize,
     /// Faults planted in every scenario's world: the sweep must then
     /// *fail* (the `explore` binary's `--inject`).
@@ -363,6 +365,12 @@ pub struct ExploreSummary {
 /// large one crosses the small-broadcast pipeline threshold).
 const SEGS: [usize; 5] = [8, 64, 256, 1024, 4096];
 const RARE_SEG: usize = 8960;
+/// Multiplier on reduce_scatter segments under a forced route: up to
+/// 140 KB, so segments of one piece or more, some with pieces across
+/// segment edges, run the node leg spread over the slots
+/// (`SrmComm::plan_reduce_scatter`), which the grammar's segments never
+/// reach at the default 16 KB piece.
+const ROUTE_SCALE: usize = 16;
 
 /// Derive the scenario for `seed` under `opts` — pure and total, so a
 /// failure report's seed regenerates it exactly.
@@ -418,6 +426,7 @@ pub fn derive_scenario(seed: u64, opts: &ExploreOpts) -> Scenario {
     };
     let ncomms = 1 + partial.groups.len() + partial.splits.len();
 
+    let default_direct_min = SrmTuning::default().pairwise_direct_min;
     let nsteps = 3 + sm.below(opts.max_ops.saturating_sub(2).max(1) as u64) as usize;
     let mut steps = Vec::with_capacity(nsteps);
     for _ in 0..nsteps {
@@ -438,6 +447,9 @@ pub fn derive_scenario(seed: u64, opts: &ExploreOpts) -> Scenario {
         let op = opts.only.unwrap_or(op);
         let seg = match op {
             Op::Bcast | Op::Reduce | Op::Allreduce => seg * opts.tree_scale,
+            Op::ReduceScatter if opts.pairwise_direct_min != default_direct_min => {
+                seg * ROUTE_SCALE
+            }
             _ => seg,
         };
         let root = sm.below(csize as u64) as usize;

@@ -112,6 +112,33 @@ fn alltoall_within_tight_factor_of_simulation() {
     }
 }
 
+/// The reduce_scatter's closed form holds within 1.25× of the
+/// simulation with the node leg spread over the slots, one task per
+/// node (no node leg) included, at a staged and a direct segment size.
+#[test]
+fn reduce_scatter_within_factor_of_simulation() {
+    const MAX_FACTOR: f64 = 1.25;
+    let machine = MachineConfig::ibm_sp_colony();
+    for (nodes, tpn) in [(4usize, 4usize), (2, 8), (1, 16), (16, 1)] {
+        for len in [16usize << 10, 256 << 10] {
+            let topo = Topology::new(nodes, tpn);
+            let model = SrmModel::new(machine.clone(), topo, SrmTuning::default());
+            let predicted = model.reduce_scatter(len);
+            let opts = HarnessOpts {
+                iters: 2,
+                ..Default::default()
+            };
+            let op = Op::ReduceScatter;
+            let sim = measure(Impl::Srm, machine.clone(), topo, op, len, opts).per_call;
+            let ratio = sim.as_us() / predicted.as_us();
+            assert!(
+                (1.0 / MAX_FACTOR..MAX_FACTOR).contains(&ratio),
+                "reduce_scatter {len}B on {nodes}x{tpn}: model {predicted} vs sim {sim} (x{ratio:.2})"
+            );
+        }
+    }
+}
+
 /// The 1 MB reduce of the benchmark's `large_p64` is held tight: the
 /// closed form prices masters that take each chunk by polling, which
 /// is how its wire ranks run: interrupts stay off at every size (one

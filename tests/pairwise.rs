@@ -9,7 +9,7 @@ use simnet::{MachineConfig, MetricsSnapshot, Sim, Topology};
 use srm::plan::{BufRef, Step};
 use srm::{PlanShape, SrmComm, SrmTuning, SrmWorld};
 use srm_cluster::{measure, HarnessOpts, Impl, Op};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 
 /// Run `body` on every rank; return final buffers and the run metrics.
@@ -212,8 +212,9 @@ fn credit_window_throttles_and_preserves_results() {
 // The staged reduce_scatter's times (`harness::measure`, four calls a
 // measurement, the direct route off), in picoseconds, from when its
 // landing was one ring of `pairwise_window` slots under a shared pool
-// of credits: on each `(nodes, tasks per node)` of `STAGED_TOPOS`, at
-// 8 B, 512 B, 4 KB, 16 KB, 32 KB and 48 KB segments.
+// of credits and the master reduced every piece: on each `(nodes, tasks
+// per node)` of `STAGED_TOPOS`, at 8 B, 512 B, 4 KB, 16 KB, 32 KB and
+// 48 KB segments.
 const STAGED_TOPOS: [(usize, usize); 11] = [
     (4, 4),
     (2, 16),
@@ -242,10 +243,11 @@ const STAGED_PS: [[u64; 6]; 11] = [
     [84424282, 117431136, 417440592, 1616299160, 3213374264, 4810449368],
 ];
 
-/// The two credited sides gate the same puts as the ring's two slots
-/// and pool of two credits did — a piece waits for the credit of the
-/// piece two before it — and the drain waits for the same last credit,
-/// so every staged time is the same to the picosecond.
+/// No staged time is above its pin: the two credited sides gate the
+/// same puts as the ring's two slots and pool of two credits did, and
+/// spreading the node leg over the slots only takes fold work off the
+/// master. With one task per node there is no node leg, so those times
+/// stay the same to the picosecond.
 #[test]
 fn staged_reduce_scatter_keeps_its_times() {
     let lens = [8, 512, 4 << 10, 16 << 10, 32 << 10, 48 << 10];
@@ -263,12 +265,96 @@ fn staged_reduce_scatter_keeps_its_times() {
             let machine = MachineConfig::ibm_sp_colony();
             let got = measure(Impl::Srm, machine, topo, Op::ReduceScatter, len, opts);
             let got = got.per_call.as_ps();
-            if got != want {
+            if got > want || tpn == 1 && got != want {
                 moved.push(format!("{topo}, {len} B: {got} vs {want} ps"));
             }
         }
     }
-    assert!(moved.is_empty(), "staged times moved: {moved:#?}");
+    assert!(
+        moved.is_empty(),
+        "staged times above their pins: {moved:#?}"
+    );
+}
+
+/// The reduce_scatter's node leg, read off the **compiled plans** of
+/// every member (plans are data; nothing runs): the folds are spread
+/// over each node's slots, no slot folding more than 1.25× its node's
+/// mean (the master held 73 % of them on 4×4 / 256 KB when it reduced
+/// every piece), and the wire stays between the masters, each ordered
+/// node pair carrying the destination's block, `cslots_on(dst)·len`
+/// bytes.
+#[test]
+fn reduce_scatter_folds_spread_over_the_node() {
+    for (nodes, tpn) in [(4, 4), (2, 8), (1, 16), (3, 5)] {
+        for (len, split) in [16 << 10, 256 << 10]
+            .into_iter()
+            .flat_map(|l| [(l, false), (l, true)])
+        {
+            let topo = Topology::new(nodes, tpn);
+            let n = topo.nprocs();
+            let mut sim = Sim::new(MachineConfig::ibm_sp_colony());
+            let world = SrmWorld::new(&mut sim, topo, SrmTuning::default());
+            let handles: Vec<SrmComm> = if split {
+                let colors: Vec<i64> = (0..n).map(|r| (r % 2) as i64).collect();
+                let subs = world.comm_split(&colors, &vec![0; n]);
+                subs.into_iter().map(|c| c.expect("colored")).collect()
+            } else {
+                (0..n).map(|r| world.comm(r)).collect()
+            };
+            let comm_ids: BTreeSet<u64> = handles.iter().map(|c| c.comm_id()).collect();
+            for id in comm_ids {
+                let members: Vec<&SrmComm> = handles.iter().filter(|c| c.comm_id() == id).collect();
+                let group = members[0].group();
+                let what = format!("{nodes}x{tpn} comm {id}, {len} B");
+                // Bytes folded per (node, slot), bytes put per node pair.
+                let mut folded: BTreeMap<(usize, usize), usize> = BTreeMap::new();
+                let mut wire: BTreeMap<(usize, usize), usize> = BTreeMap::new();
+                for comm in &members {
+                    let plan = comm.build_plan(&comm.key(PlanShape::ReduceScatter { len }));
+                    let (node, slot) = group.coord_of(comm.comm_rank());
+                    let at = folded.entry((node, slot)).or_default();
+                    for step in &plan.steps {
+                        let (to, bytes) = match *step {
+                            Step::LocalReduce { len, .. } => {
+                                *at += len;
+                                continue;
+                            }
+                            Step::RmaPut { to, len, .. } => (to, len),
+                            Step::CounterPut { to, .. } => (to, 0),
+                            _ => continue,
+                        };
+                        let to = group.coord_of(group.comm_rank_of(to).expect("a member"));
+                        assert_eq!((slot, to.1), (0, 0), "{what}: a put off the masters");
+                        *wire.entry((node, to.0)).or_default() += bytes;
+                    }
+                }
+                for g in 0..group.node_count() {
+                    let slots: Vec<usize> =
+                        (0..group.slots_on(g)).map(|s| folded[&(g, s)]).collect();
+                    let mean = slots.iter().sum::<usize>() as f64 / slots.len() as f64;
+                    let max = *slots.iter().max().expect("a slot");
+                    assert!(
+                        max as f64 <= 1.25 * mean,
+                        "{what}: node {g} folds {slots:?}"
+                    );
+                }
+                for (src, dst) in (0..group.node_count())
+                    .flat_map(|s| (0..group.node_count()).map(move |d| (s, d)))
+                {
+                    let want = if src == dst {
+                        None
+                    } else {
+                        Some(group.slots_on(dst) * len)
+                    };
+                    assert_eq!(
+                        wire.get(&(src, dst)).copied(),
+                        want,
+                        "{what}: {src} -> {dst}"
+                    );
+                }
+            }
+        }
+    }
 }
 
 /// The exchange's orderings, read off the **compiled plans** of every
