@@ -9,8 +9,7 @@
 //! an entry is only recorded when the winner beats the all-default
 //! tuning by at least 1 %. A final through-table verification pass
 //! drops any entry that does not hold up when executed via the loaded
-//! table (over its geometry envelope's buffers), so the persisted table
-//! never regresses a searched shape.
+//! table, so the persisted table never regresses a searched shape.
 //!
 //! Everything is measured in **virtual time** on the deterministic
 //! simulator — no OS entropy anywhere — so the same grid spec and seed
@@ -110,15 +109,6 @@ fn candidates_for(op: Op, base: SrmTuning) -> Vec<SrmTuning> {
     match op {
         Op::Bcast | Op::Allgather => {
             let k = 1024;
-            push(SrmTuning {
-                small_large_switch: 32 * k,
-                pipeline_max: 32 * k,
-                ..base
-            });
-            push(SrmTuning {
-                small_large_switch: 128 * k,
-                ..base
-            });
             // Pipelined sub-range variants: off, widened, finer/coarser.
             push(SrmTuning {
                 pipeline_min: base.small_large_switch,
@@ -139,21 +129,6 @@ fn candidates_for(op: Op, base: SrmTuning) -> Vec<SrmTuning> {
                 pipeline_chunk: 2 * k,
                 ..base
             });
-            push(SrmTuning {
-                interrupt_disable_max: 0,
-                ..base
-            });
-        }
-        Op::Reduce => {
-            // Interrupts on everywhere, and the paper's small-call cut.
-            push(SrmTuning {
-                interrupt_disable_max: 0,
-                ..base
-            });
-            push(SrmTuning {
-                interrupt_disable_max: 8 * 1024,
-                ..base
-            });
         }
         Op::Alltoall | Op::Alltoallv | Op::ReduceScatter => {
             let k = 1024;
@@ -163,27 +138,12 @@ fn candidates_for(op: Op, base: SrmTuning) -> Vec<SrmTuning> {
                     ..base
                 });
             }
-            // The exchanges have one wire, direct at every size: the
-            // chunk (it cuts their intra-node cells) is the only knob
-            // that changes their plans. The route threshold steers
-            // reduce_scatter's master-to-master streams.
-            if op != Op::ReduceScatter {
-                return cands;
-            }
-            // Segment-route knob: lower the direct-route threshold so
-            // mid-size classes can flip to direct puts, or disable the
-            // direct route outright (usize::MAX = off).
-            for m in [usize::MAX, 16 * k, 256 * k] {
-                push(SrmTuning {
-                    pairwise_direct_min: m,
-                    ..base
-                });
-            }
         }
         // No per-shape decision knobs reach these planners (their
         // chunking and the allreduce's recursive-doubling cap are
-        // buffer geometry): nothing to search.
-        Op::Allreduce | Op::Barrier | Op::Gather | Op::Scatter => {}
+        // buffer geometry, the wire ranks poll at every size): nothing
+        // to search.
+        Op::Reduce | Op::Allreduce | Op::Barrier | Op::Gather | Op::Scatter => {}
     }
     cands
 }
@@ -298,33 +258,24 @@ fn search(args: &Args) -> TuneTable {
     }
 
     // Through-table verification: re-time every searched shape with
-    // the assembled table loaded, over its geometry envelope's
-    // buffers. Drop entries that no longer beat the default and
-    // repeat — dropping shrinks the envelope.
-    for round in 0..3 {
-        let shared = Arc::new(table.clone());
-        let mut drop_keys = Vec::new();
-        for &key in table.entries.keys() {
-            let len = rep_len(table.edges[key.class]);
-            let tuned = time_tabled(topo, key.op, len, &shared, fine_iters);
-            let default_ps = time_candidate(topo, key.op, len, base, fine_iters);
-            if tuned > default_ps {
-                eprintln!(
-                    "[drop] {} class {} regressed through table ({:.1}%), round {round}",
-                    key.op.as_str(),
-                    key.class,
-                    100.0 * tuned as f64 / default_ps as f64
-                );
-                drop_keys.push(key);
-            }
+    // the assembled table loaded and drop the entries that no longer
+    // beat the default. One pass settles it: no entry changes another
+    // shape's plan or the world's buffers.
+    let shared = Arc::new(table.clone());
+    table.entries.retain(|key, _| {
+        let len = rep_len(shared.edges[key.class]);
+        let tuned = time_tabled(topo, key.op, len, &shared, fine_iters);
+        let default_ps = time_candidate(topo, key.op, len, base, fine_iters);
+        if tuned > default_ps {
+            eprintln!(
+                "[drop] {} class {} regressed through table ({:.1}%)",
+                key.op.as_str(),
+                key.class,
+                100.0 * tuned as f64 / default_ps as f64
+            );
         }
-        if drop_keys.is_empty() {
-            break;
-        }
-        for k in drop_keys {
-            table.entries.remove(&k);
-        }
-    }
+        tuned <= default_ps
+    });
     table
 }
 

@@ -290,6 +290,7 @@ impl SrmComm {
     /// Plan a broadcast: route to pure shared memory, the buffered
     /// small-message protocol, or the zero-copy large-message protocol.
     /// `root` is a communicator rank.
+    #[inline(never)]
     pub(crate) fn plan_bcast(&self, b: &mut PlanBuilder, len: usize, root: usize) {
         if len == 0 || self.csize() == 1 {
             return;
@@ -421,6 +422,7 @@ impl SrmComm {
     /// chunked so that memory copies, operator execution and network
     /// transfers overlap. `root` is a communicator rank; its node's
     /// tree is rooted at it, and the child nodes put into its landings.
+    #[inline(never)]
     pub(crate) fn plan_reduce(&self, b: &mut PlanBuilder, len: usize, root: usize) {
         if len == 0 || self.csize() == 1 {
             return;
@@ -467,6 +469,7 @@ impl SrmComm {
     /// prices it lower — a reduce to group node 0's master followed by
     /// a broadcast from it, each half on the trees its own closed form
     /// derives (the pipeline stays on the configured tree).
+    #[inline(never)]
     pub(crate) fn plan_allreduce(&self, b: &mut PlanBuilder, len: usize) {
         if len == 0 || self.csize() == 1 {
             return;
@@ -672,6 +675,7 @@ impl SrmComm {
     /// every `0 < j < k` with `j·kʳ < n` with zero-byte puts, then
     /// consumes one bump from each matching peer's counter.
     /// `k` is [`SrmModel::barrier_radix`](crate::SrmModel::barrier_radix).
+    #[inline(never)]
     pub(crate) fn plan_barrier(&self, b: &mut PlanBuilder) {
         if self.csize() == 1 {
             return;
@@ -711,6 +715,7 @@ impl SrmComm {
     /// [`SrmModel::gather_lands`](crate::SrmModel::gather_lands) prices
     /// lower: through the root's landings ([`Self::plan_gather_landed`])
     /// or straight into its user buffer ([`Self::plan_gather_direct`]).
+    #[inline(never)]
     pub(crate) fn plan_gather(&self, b: &mut PlanBuilder, len: usize, root: usize) {
         if len == 0 || self.csize() == 1 {
             return;
@@ -953,11 +958,12 @@ impl SrmComm {
     /// its node in place, as it does a broadcast chunk; every slot
     /// copies out just the overlap with its own segment. The root's own
     /// node takes its block through the buffer pair.
+    #[inline(never)]
     pub(crate) fn plan_scatter(&self, b: &mut PlanBuilder, len: usize, root: usize) {
         if len == 0 || self.csize() == 1 {
             return;
         }
-        let chunk = SrmTuning::REDUCE_CHUNK.min(self.tuning().small_large_switch);
+        let chunk = SrmTuning::REDUCE_CHUNK.min(b.tuning().small_large_switch);
         let (my_node, root_node) = (self.cnode(), self.cnode_of(root));
         let pieces: Vec<Vec<(usize, usize, usize)>> = (0..self.cnodes())
             .map(|g| self.scatter_pieces(g, len, chunk))
@@ -1022,10 +1028,6 @@ impl SrmComm {
     /// publishes them within its node through the buffer pair, in place
     /// as they land ([`Self::allgather_in_place_uses`]) or as the
     /// broadcast of the assembled buffer once the exchange is over.
-    ///
-    /// Never inlined: its locals would otherwise grow the frame of
-    /// `build_plan`, which every call's compile runs on its rank's
-    /// stack (one more 4 KB page per rank, 2 MiB of peak RSS on 16×16).
     #[inline(never)]
     pub(crate) fn plan_allgather(&self, b: &mut PlanBuilder, len: usize) {
         if len == 0 || self.csize() == 1 {

@@ -52,7 +52,8 @@
 //! * [`tune`] — searched, persisted per-shape tuning tables: a world
 //!   loaded with [`SrmWorld::with_tuning_table`] resolves a
 //!   [`TuneTable`] entry per (op, size class, topology, comm size) at
-//!   plan compile, so each call shape gets its own switch points.
+//!   plan compile, so each call shape gets its own pipeline range and
+//!   pairwise piece size.
 //!
 //! ```
 //! use collops::Collectives;

@@ -350,6 +350,7 @@ impl SrmComm {
     /// user buffer (`csize·len` bytes, segment `j` for communicator
     /// rank `j`) is exchanged into the receive half (the next
     /// `csize·len` bytes, segment `i` from communicator rank `i`).
+    #[inline(never)]
     pub(crate) fn plan_alltoall(&self, b: &mut PlanBuilder, len: usize) {
         self.plan_exchange(b, (len, true), |_, _| len);
     }
@@ -365,6 +366,7 @@ impl SrmComm {
     /// measured slower (`harness::measure`, four calls, against this
     /// cut): +20.4 % on 4×16 / 32 KB, +12.8 % on 4×4 / 16 KB and
     /// +10.9 % on 8×2 / 32 KB (4×4 / 64 KB gained 10.1 %).
+    #[inline(never)]
     pub(crate) fn plan_alltoallv(&self, b: &mut PlanBuilder, seg: usize, counts: &[usize]) {
         let n = self.csize();
         let quiet = seg <= ALLTOALLV_QUIET_MAX;
@@ -392,6 +394,7 @@ impl SrmComm {
     /// own-block piece inside one slot's result segment is written to
     /// that slot's user buffer by it, one across several goes through
     /// the buffer pair. Otherwise every piece is reduced at the master.
+    #[inline(never)]
     pub(crate) fn plan_reduce_scatter(&self, b: &mut PlanBuilder, len: usize) {
         let n = self.csize();
         if len == 0 || n == 1 {

@@ -485,11 +485,11 @@ impl Plan {
 /// broadcast, where the model prices that lower) emit correctly offset
 /// relative values.
 /// The builder also carries the **effective tuning** of the call shape
-/// being compiled: the world's decision defaults, overlaid with the
-/// matching [`TuneTable`](crate::TuneTable) entry when a table is
-/// loaded. Planners read decision knobs (switch points, chunk choices)
-/// from here; buffer *geometry* (cell sizes, contribution strides)
-/// always comes from the world tuning, which sizes the shared buffers.
+/// being compiled: the world's tuning, overlaid with the matching
+/// [`TuneTable`](crate::TuneTable) entry when a table is loaded.
+/// Planners read decision knobs (switch points, chunk choices) from
+/// here; buffer *geometry* (cell sizes, contribution strides) always
+/// comes from the world tuning, which sizes the shared buffers.
 #[derive(Debug, Default)]
 pub struct PlanBuilder {
     steps: Vec<Step>,
@@ -750,6 +750,11 @@ impl SrmComm {
     /// defaults, overlaid with the loaded tuning-table entry if one
     /// matches — which is a pure function of the shape, so every rank
     /// resolves the same knobs and compiles consistent plans.
+    ///
+    /// Every planner it dispatches to is `#[inline(never)]`: inlined,
+    /// their locals would grow this frame, which every call's compile
+    /// runs on its rank's stack (one more 4 KB page per rank, 2 MiB of
+    /// peak RSS on 16×16).
     pub fn build_plan(&self, key: &PlanKey) -> Plan {
         let mut b = PlanBuilder::with_tuning(self.effective_tuning(&key.shape));
         match &key.shape {

@@ -2,43 +2,37 @@
 //!
 //! The paper's switch points (64 KB small/large, 8–32 KB pipelined
 //! sub-range) were hand-measured on one machine. This module makes
-//! them *searchable*: an offline driver (the `autotune` bench binary)
-//! sweeps the decision knobs of [`SrmTuning`] per **(operation, payload
-//! size class, topology shape, communicator size)** over the simulator
-//! and persists the winners in a [`TuneTable`] — a versioned,
-//! deterministic, plain-text decision table.
-//! [`crate::SrmWorld::with_tuning_table`] loads one, and the
+//! the few a search still wins *searchable*: an offline driver (the
+//! `autotune` bench binary) sweeps the decision knobs of [`SrmTuning`]
+//! per **(operation, payload size class, topology shape, communicator
+//! size)** over the simulator and persists the winners in a
+//! [`TuneTable`] — a versioned, deterministic, plain-text decision
+//! table. [`crate::SrmWorld::with_tuning_table`] loads one, and the
 //! planner consults it at [`PlanKey`](crate::PlanKey) resolution, so
-//! each call shape compiles with its own thresholds instead of one
-//! global struct.
+//! each call shape compiles with its own knobs instead of one global
+//! struct.
 //!
-//! ## Decision vs. geometry knobs
-//!
-//! Only knobs that steer *which schedule is compiled* may vary per
-//! shape (the [`TuneEntry`] fields). Knobs fixed **at world
-//! construction** — `plan_cache_cap`, `tree`, `trace_steps` — stay
-//! world-global, and the contribution buffers' size is a constant
-//! ([`SrmTuning::REDUCE_CHUNK`]). The world instead builds a **geometry
-//! envelope**: capacity-relevant decision knobs
-//! (`small_large_switch`, `pairwise_chunk`) are
-//! raised to the table's maxima so every entry's schedule fits the
-//! buffers actually allocated. What the geometry itself decides — the
-//! large broadcast's put size (one `SMP_BUF` cell) and the
-//! small allreduce's cap (one `REDUCE_CHUNK`) — has no column.
+//! An entry holds only the knobs that steer *which schedule is
+//! compiled* and that a search has won with ([`TuneEntry`]; the
+//! protocol switch, the interrupt cut and the reduce_scatter route
+//! never were, EXPERIMENTS.md X15), and no buffer is sized from one:
+//! the world's buffers come from its one [`SrmTuning`], and
+//! [`TuneEntry::apply`] clamps each entry to them.
 //!
 //! ## Table file format
 //!
-//! Line-oriented text, `srm-tune-table v3` (v3 dropped the
-//! `large_chunk` and `allreduce_rd_max` columns, v2 had added the
-//! `pairwise_direct_min` route knob; v1 and v2 files are rejected —
-//! re-search to regenerate):
+//! Line-oriented text, `srm-tune-table v4` (v4 dropped the
+//! `small_large_switch`, `interrupt_disable_max` and
+//! `pairwise_direct_min` columns, v3 the `large_chunk` and
+//! `allreduce_rd_max` ones; older files are rejected — re-search to
+//! regenerate):
 //!
 //! ```text
-//! srm-tune-table v3
+//! srm-tune-table v4
 //! seed 42
 //! grid nodes=4 tasks=2 ops=bcast,allreduce
 //! edges 4096 65536 1048576
-//! entry op=bcast class=1 nodes=4 ranks=8 small_large_switch=131072 ...
+//! entry op=bcast class=1 nodes=4 ranks=8 pipeline_min=4096 ...
 //! ```
 //!
 //! `edges` are ascending upper bounds of the size classes (a payload
@@ -73,13 +67,11 @@ pub struct TuneKey {
 }
 
 /// The per-shape **decision** knobs — the subset of [`SrmTuning`] a
-/// table entry may override. Everything else (buffer geometry, tree
-/// kind, cache sizing) stays world-global; see the module docs for
-/// why.
+/// table entry may override. Everything else (buffer geometry, the
+/// protocol switch, interrupts, the route, tree kind, cache sizing)
+/// stays world-global; see the module docs for why.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TuneEntry {
-    /// Small/large broadcast protocol switch.
-    pub small_large_switch: usize,
     /// Lower bound of the pipelined small-broadcast sub-range.
     pub pipeline_min: usize,
     /// Upper bound of the pipelined small-broadcast sub-range.
@@ -87,39 +79,30 @@ pub struct TuneEntry {
     /// Chunk size inside the pipelined sub-range.
     pub pipeline_chunk: usize,
     /// Ignored: the allreduce switch it once set is gone. It keeps its
-    /// column in the text format until ROADMAP item 8(g) removes it.
+    /// column only because the benchmark's `small_table_text` names it,
+    /// until ROADMAP item 1(h) removes it.
     pub allreduce_rs_min: usize,
-    /// Interrupt-disable payload cap: calls up to it run their wire
-    /// ranks with interrupts off; `usize::MAX` (`off` in table files,
-    /// the default) is no cap, 0 keeps interrupts on.
-    pub interrupt_disable_max: usize,
     /// Piece size of reduce_scatter's streams and of the intra-node
-    /// cells of alltoall/alltoallv.
+    /// cells of alltoall/alltoallv. The benchmark's `small_table_text`
+    /// names it (ROADMAP item 1(h)), and it is the one column a search
+    /// has won with besides the pipeline range: 4 KB pieces for the
+    /// 4×4 / 4 KB reduce_scatter (EXPERIMENTS.md X15).
     pub pairwise_chunk: usize,
     /// Ignored: the staged reduce_scatter's landings are two credited
-    /// sides, so the window it once set is gone. It keeps its column in
-    /// the text format until ROADMAP item 1(h) removes it.
+    /// sides, so the window it once set is gone. It keeps its column
+    /// only because the benchmark's `small_table_text` names it, until
+    /// ROADMAP item 1(h) removes it.
     pub pairwise_window: usize,
-    /// reduce_scatter's direct-route switch: segments at or above this
-    /// size skip the credited `Ring` landings and put straight into the
-    /// destination master's scratch buffer; `usize::MAX` (`off` in
-    /// table files) disables the direct route for the shape. Alltoall
-    /// and alltoallv are direct at every size and ignore it.
-    pub pairwise_direct_min: usize,
 }
 
-/// Field names in serialization order, paired off by
-/// [`TuneEntry::get`] / [`TuneEntry::set`].
-const ENTRY_FIELDS: [&str; 9] = [
-    "small_large_switch",
+/// Column names in serialization order ([`TuneEntry::column`]).
+const ENTRY_FIELDS: [&str; 6] = [
     "pipeline_min",
     "pipeline_max",
     "pipeline_chunk",
     "allreduce_rs_min",
-    "interrupt_disable_max",
     "pairwise_chunk",
     "pairwise_window",
-    "pairwise_direct_min",
 ];
 
 impl TuneEntry {
@@ -127,75 +110,43 @@ impl TuneEntry {
     /// `allreduce_rs_min` and `pairwise_window` read `usize::MAX`).
     pub fn from_tuning(t: &SrmTuning) -> TuneEntry {
         TuneEntry {
-            small_large_switch: t.small_large_switch,
             pipeline_min: t.pipeline_min,
             pipeline_max: t.pipeline_max,
             pipeline_chunk: t.pipeline_chunk,
             allreduce_rs_min: usize::MAX,
-            interrupt_disable_max: t.interrupt_disable_max,
             pairwise_chunk: t.pairwise_chunk,
             pairwise_window: usize::MAX,
-            pairwise_direct_min: t.pairwise_direct_min,
         }
     }
 
-    /// Overlay this entry on `base` (the world's decision defaults),
-    /// clamped to `geometry` (the world's buffer envelope) so the
-    /// result can never address past an allocated buffer:
-    /// chunk/threshold knobs are capped at the envelope's and the
-    /// pipeline range is kept internally consistent. The result always
-    /// passes [`SrmTuning::validate`] when `geometry` does.
-    pub fn apply(&self, base: &SrmTuning, geometry: &SrmTuning) -> SrmTuning {
-        let sls = self
-            .small_large_switch
-            .clamp(1, geometry.small_large_switch);
+    /// Overlay this entry on `base`, the world's tuning, clamped to the
+    /// buffers `base` sized so the result can never address past one:
+    /// the pipeline range stays under the small/large switch and the
+    /// pairwise pieces within [`SrmTuning::REDUCE_CHUNK`]. The result
+    /// always passes [`SrmTuning::validate`] when `base` does.
+    pub fn apply(&self, base: &SrmTuning) -> SrmTuning {
+        let sls = base.small_large_switch;
         let pmax = self.pipeline_max.min(sls);
-        let pmin = self.pipeline_min.min(pmax);
-        let pchunk = self.pipeline_chunk.clamp(1, sls);
-        let pw_cap = geometry.pairwise_chunk.min(SrmTuning::REDUCE_CHUNK);
         SrmTuning {
-            small_large_switch: sls,
-            pipeline_min: pmin,
+            pipeline_min: self.pipeline_min.min(pmax),
             pipeline_max: pmax,
-            pipeline_chunk: pchunk,
-            interrupt_disable_max: self.interrupt_disable_max,
-            pairwise_chunk: self.pairwise_chunk.clamp(1, pw_cap),
-            // Pure route decision — no buffer is sized from it, so it
-            // passes through unclamped.
-            pairwise_direct_min: self.pairwise_direct_min,
+            pipeline_chunk: self.pipeline_chunk.clamp(1, sls),
+            pairwise_chunk: self.pairwise_chunk.clamp(1, SrmTuning::REDUCE_CHUNK),
             ..*base
         }
     }
 
-    fn get(&self, field: &str) -> usize {
-        match field {
-            "small_large_switch" => self.small_large_switch,
-            "pipeline_min" => self.pipeline_min,
-            "pipeline_max" => self.pipeline_max,
-            "pipeline_chunk" => self.pipeline_chunk,
-            "allreduce_rs_min" => self.allreduce_rs_min,
-            "interrupt_disable_max" => self.interrupt_disable_max,
-            "pairwise_chunk" => self.pairwise_chunk,
-            "pairwise_window" => self.pairwise_window,
-            "pairwise_direct_min" => self.pairwise_direct_min,
-            _ => unreachable!("unknown entry field {field}"),
-        }
-    }
-
-    fn set(&mut self, field: &str, v: usize) -> bool {
-        match field {
-            "small_large_switch" => self.small_large_switch = v,
-            "pipeline_min" => self.pipeline_min = v,
-            "pipeline_max" => self.pipeline_max = v,
-            "pipeline_chunk" => self.pipeline_chunk = v,
-            "allreduce_rs_min" => self.allreduce_rs_min = v,
-            "interrupt_disable_max" => self.interrupt_disable_max = v,
-            "pairwise_chunk" => self.pairwise_chunk = v,
-            "pairwise_window" => self.pairwise_window = v,
-            "pairwise_direct_min" => self.pairwise_direct_min = v,
-            _ => return false,
-        }
-        true
+    /// The column called `name`, if there is one.
+    fn column(&mut self, name: &str) -> Option<&mut usize> {
+        Some(match name {
+            "pipeline_min" => &mut self.pipeline_min,
+            "pipeline_max" => &mut self.pipeline_max,
+            "pipeline_chunk" => &mut self.pipeline_chunk,
+            "allreduce_rs_min" => &mut self.allreduce_rs_min,
+            "pairwise_chunk" => &mut self.pairwise_chunk,
+            "pairwise_window" => &mut self.pairwise_window,
+            _ => return None,
+        })
     }
 }
 
@@ -243,10 +194,10 @@ impl fmt::Display for TuneEntryError {
 
 impl std::error::Error for TuneEntryError {}
 
-const HEADER: &str = "srm-tune-table v3";
+const HEADER: &str = "srm-tune-table v4";
 
 /// A searched, persisted per-shape tuning table. See the module docs
-/// for the file format and the decision/geometry split.
+/// for the file format.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TuneTable {
     /// Seed the search ran with (provenance; replaying the search with
@@ -318,13 +269,10 @@ impl TuneTable {
     pub fn validate(&self, base: &SrmTuning) -> Result<(), TuneEntryError> {
         for (key, entry) in &self.entries {
             let merged = SrmTuning {
-                small_large_switch: entry.small_large_switch,
                 pipeline_min: entry.pipeline_min,
                 pipeline_max: entry.pipeline_max,
                 pipeline_chunk: entry.pipeline_chunk,
-                interrupt_disable_max: entry.interrupt_disable_max,
                 pairwise_chunk: entry.pairwise_chunk,
-                pairwise_direct_min: entry.pairwise_direct_min,
                 ..*base
             };
             merged
@@ -332,25 +280,6 @@ impl TuneTable {
                 .map_err(|err| TuneEntryError { key: *key, err })?;
         }
         Ok(())
-    }
-
-    /// The **geometry envelope** for loading this table over `base`:
-    /// `base` with every capacity-relevant knob raised to the table's
-    /// maximum, so buffers sized at world construction fit every
-    /// entry's schedule. Valid whenever [`TuneTable::validate`]
-    /// accepted the table (the maxima preserve each pairwise
-    /// constraint the entries individually satisfy).
-    pub fn geometry_envelope(&self, base: &SrmTuning) -> SrmTuning {
-        let mut g = *base;
-        for e in self.entries.values() {
-            g.small_large_switch = g.small_large_switch.max(e.small_large_switch);
-            g.pairwise_chunk = g.pairwise_chunk.max(e.pairwise_chunk);
-            g.pipeline_max = g.pipeline_max.max(e.pipeline_max);
-        }
-        // The raised switch can only widen the pipeline headroom; the
-        // raised pairwise chunk stays within the (fixed) reduce chunk
-        // because validate() held per entry.
-        g
     }
 
     /// Canonical serialization (see the module docs). Deterministic:
@@ -368,7 +297,7 @@ impl TuneTable {
             out.push_str(&format!(" {e}"));
         }
         out.push('\n');
-        for (k, e) in &self.entries {
+        for (k, &(mut e)) in &self.entries {
             out.push_str(&format!(
                 "entry op={} class={} nodes={} ranks={}",
                 k.op.as_str(),
@@ -377,7 +306,7 @@ impl TuneTable {
                 k.ranks
             ));
             for f in ENTRY_FIELDS {
-                let v = e.get(f);
+                let v = *e.column(f).expect("a column name");
                 if v == usize::MAX {
                     out.push_str(&format!(" {f}=off"));
                 } else {
@@ -399,12 +328,12 @@ impl TuneTable {
             .filter(|(_, l)| !l.is_empty() && !l.starts_with('#'));
         let (_, header) = lines.next().ok_or(TableParseError {
             line: 0,
-            what: "empty file (expected `srm-tune-table v3` header)",
+            what: "empty file (expected `srm-tune-table v4` header)",
         })?;
         if header != HEADER {
             return Err(TableParseError {
                 line: 1,
-                what: "unsupported header (expected `srm-tune-table v3`)",
+                what: "unsupported header (expected `srm-tune-table v4`)",
             });
         }
         let mut table = TuneTable::default();
@@ -481,9 +410,7 @@ fn parse_entry<'a>(
                 } else {
                     v.parse().map_err(|_| bad("bad knob value"))?
                 };
-                if !entry.set(k, v) {
-                    return Err(bad("unknown knob"));
-                }
+                *entry.column(k).ok_or_else(|| bad("unknown knob"))? = v;
                 seen += 1;
             }
         }
@@ -527,7 +454,7 @@ mod tests {
                 ranks: 0,
             },
             TuneEntry {
-                interrupt_disable_max: 0,
+                pairwise_chunk: 4096,
                 ..TuneEntry::from_tuning(&d)
             },
         );
@@ -561,8 +488,8 @@ mod tests {
         assert_eq!(
             t.lookup(TuneOp::Allreduce, 2 << 20, 7, 3)
                 .unwrap()
-                .interrupt_disable_max,
-            0
+                .pairwise_chunk,
+            4096
         );
         // Other classes miss.
         assert!(t.lookup(TuneOp::Allreduce, 1024, 4, 8).is_none());
@@ -582,8 +509,10 @@ mod tests {
     fn parse_rejects_malformed() {
         assert_eq!(TuneTable::parse("").unwrap_err().line, 0);
         assert_eq!(TuneTable::parse("nonsense v9").unwrap_err().line, 1);
-        // Tables of an older format carry columns v3 dropped.
-        assert_eq!(TuneTable::parse("srm-tune-table v2").unwrap_err().line, 1);
+        // Tables of an older format carry columns v4 dropped.
+        for old in ["srm-tune-table v2", "srm-tune-table v3"] {
+            assert_eq!(TuneTable::parse(old).unwrap_err().line, 1);
+        }
         let bad_entry = format!("{HEADER}\nedges 4096\nentry op=bcast class=0 nodes=0");
         assert!(TuneTable::parse(&bad_entry).is_err());
         let bad_knob = format!("{HEADER}\nentry op=bcast class=0 nodes=0 ranks=0 bogus_knob=7");
@@ -617,48 +546,19 @@ mod tests {
     #[test]
     fn apply_clamps_to_geometry() {
         let base = SrmTuning::default();
-        let geom = base; // envelope == base
         let wild = TuneEntry {
-            small_large_switch: base.small_large_switch * 4,
             pipeline_max: base.small_large_switch * 8,
             pipeline_min: base.small_large_switch * 8,
             pipeline_chunk: 0,
             allreduce_rs_min: 1,
-            interrupt_disable_max: 0,
             pairwise_chunk: SrmTuning::REDUCE_CHUNK * 2,
             pairwise_window: 0,
-            pairwise_direct_min: 1,
         };
-        let eff = wild.apply(&base, &geom);
+        let eff = wild.apply(&base);
         assert_eq!(eff.validate(), Ok(()));
-        assert_eq!(eff.small_large_switch, geom.small_large_switch);
-        assert_eq!(eff.pipeline_max, geom.small_large_switch);
-        assert_eq!(eff.pairwise_chunk, geom.pairwise_chunk);
-        // Route decision passes through unclamped.
-        assert_eq!(eff.pairwise_direct_min, 1);
-    }
-
-    #[test]
-    fn envelope_raises_capacities() {
-        let base = SrmTuning::default();
-        let mut t = sample();
-        t.insert(
-            TuneKey {
-                op: TuneOp::Bcast,
-                class: 2,
-                nodes: 0,
-                ranks: 0,
-            },
-            TuneEntry {
-                small_large_switch: 128 * 1024,
-                pipeline_max: 128 * 1024,
-                ..TuneEntry::from_tuning(&base)
-            },
-        );
-        let g = t.geometry_envelope(&base);
-        assert_eq!(g.small_large_switch, 128 * 1024);
-        assert_eq!(g.pipeline_max, 128 * 1024);
-        assert_eq!(g.validate(), Ok(()));
+        assert_eq!(eff.pipeline_max, base.small_large_switch);
+        assert_eq!(eff.pipeline_chunk, 1);
+        assert_eq!(eff.pairwise_chunk, SrmTuning::REDUCE_CHUNK);
     }
 
     #[test]

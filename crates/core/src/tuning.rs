@@ -85,8 +85,8 @@ pub struct SrmTuning {
     /// (8 KiB) made a 1 MB reduce's masters take each arriving chunk as
     /// a 24 µs interrupt, where polling is what `SrmModel` prices
     /// (EXPERIMENTS.md A4). The field stays as an override for
-    /// ablations, forced candidates and tune tables (`off` in a table
-    /// file is `usize::MAX`); 0 keeps interrupts on everywhere.
+    /// ablations and forced candidates; 0 keeps interrupts on
+    /// everywhere.
     pub interrupt_disable_max: usize,
     /// Capacity of each per-(rank, communicator) compiled-schedule cache
     /// ([`crate::plan::PlanCache`]): how many distinct call shapes

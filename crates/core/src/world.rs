@@ -484,14 +484,9 @@ pub(crate) type RankShared = Mutex<crate::nb::Queue>;
 
 pub(crate) struct WorldInner {
     pub topo: Topology,
-    /// The **geometry** tuning every shared buffer was sized with. On
-    /// a default world this equals `base`; with a tuning table loaded
-    /// it is the table's geometry envelope (capacity knobs raised to
-    /// the table maxima).
+    /// The tuning every shared buffer was sized with, and every call
+    /// shape compiles under where no table entry matches it.
     pub tuning: SrmTuning,
-    /// Decision defaults: the tuning a call shape compiles under when
-    /// no table entry matches it.
-    pub base: SrmTuning,
     /// The loaded per-shape tuning table, if any.
     pub table: Option<Arc<TuneTable>>,
     pub rma: RmaWorld,
@@ -517,17 +512,17 @@ impl SrmWorld {
     /// ([`SrmTuning::validate`]): the small-protocol chunks must fit the
     /// edge landings, and the pairwise pieces the contribution buffers.
     pub fn new(sim: &mut Sim, topo: Topology, tuning: SrmTuning) -> Self {
-        SrmWorld::build(sim, topo, tuning, tuning, None)
+        SrmWorld::build(sim, topo, tuning, None)
     }
 
     /// Assemble the fabric with a searched per-shape [`TuneTable`]
     /// loaded: collectives whose `(op, size class, topology, comm
     /// size)` matches a table entry compile under that entry's
     /// decision knobs; everything else uses `base`. Shared buffers are
-    /// sized with the table's **geometry envelope** (`base` with
-    /// capacity knobs raised to the table maxima), so every entry's
-    /// schedule fits. Loading a table never changes collective
-    /// *results* — only the compiled schedules.
+    /// sized with `base` alone, as [`SrmWorld::new`] sizes them, and
+    /// each entry is clamped to them ([`TuneEntry::apply`](crate::TuneEntry::apply)).
+    /// Loading a table never changes collective *results* — only the
+    /// compiled schedules.
     ///
     /// # Panics
     /// If `base` is inconsistent (see [`SrmWorld::new`]) or any table
@@ -542,29 +537,25 @@ impl SrmWorld {
         table
             .validate(&base)
             .expect("tuning-table entry inconsistent with base tuning");
-        let geometry = table.geometry_envelope(&base);
-        SrmWorld::build(sim, topo, geometry, base, Some(table))
+        SrmWorld::build(sim, topo, base, Some(table))
     }
 
     fn build(
         sim: &mut Sim,
         topo: Topology,
-        geometry: SrmTuning,
-        base: SrmTuning,
+        tuning: SrmTuning,
         table: Option<Arc<TuneTable>>,
     ) -> Self {
-        geometry.validate().expect("inconsistent SrmTuning");
-        base.validate().expect("inconsistent SrmTuning");
+        tuning.validate().expect("inconsistent SrmTuning");
         let handle = sim.handle();
         let rma = RmaWorld::new(sim, topo.nprocs());
         let world_group = CommGroup::new(topo, 0, (0..topo.nprocs()).collect());
-        let world_comm = CommState::new(&handle, &rma, &geometry, world_group);
+        let world_comm = CommState::new(&handle, &rma, &tuning, world_group);
         let per_rank = (0..topo.nprocs()).map(|_| Arc::default()).collect();
         SrmWorld {
             inner: Arc::new(WorldInner {
                 topo,
-                tuning: geometry,
-                base,
+                tuning,
                 table,
                 rma,
                 handle,
@@ -643,8 +634,8 @@ impl SrmWorld {
         self.inner.topo
     }
 
-    /// The **geometry** tuning every shared buffer was sized with (the
-    /// table's envelope when one is loaded, else the base tuning).
+    /// The tuning this world was built with: the one every shared
+    /// buffer was sized with, and the base a loaded table overlays.
     pub fn tuning(&self) -> SrmTuning {
         self.inner.tuning
     }
@@ -705,19 +696,11 @@ impl SrmComm {
         self.world.topo
     }
 
-    /// The **geometry** tuning this world's shared buffers were sized
-    /// with. Planners take cell sizes and buffer strides from here;
-    /// per-shape *decision* knobs come from
-    /// [`SrmComm::effective_tuning`] via the plan builder.
-    pub fn tuning(&self) -> SrmTuning {
-        self.world.tuning
-    }
-
     /// The effective decision knobs for compiling `shape` on this
     /// communicator: the world's base tuning, overlaid — when a
     /// [`TuneTable`] is loaded and holds a matching `(op, size class,
-    /// nodes, ranks)` entry — with that entry, clamped to the buffer
-    /// geometry. A pure function of `(shape, communicator)`, so every
+    /// nodes, ranks)` entry — with that entry, clamped to the world's
+    /// buffers. A pure function of `(shape, communicator)`, so every
     /// rank resolves the same knobs and plans stay consistent.
     pub fn effective_tuning(&self, shape: &Shape) -> SrmTuning {
         self.tune_consult(shape).0
@@ -727,14 +710,14 @@ impl SrmComm {
     /// outcome: `Some(true)` table entry hit, `Some(false)` table
     /// loaded but no entry for this shape, `None` no table.
     pub(crate) fn tune_consult(&self, shape: &Shape) -> (SrmTuning, Option<bool>) {
-        let base = self.world.base;
+        let base = self.world.tuning;
         let Some(table) = self.world.table.as_deref() else {
             return (base, None);
         };
         let nodes = self.comm.group.node_count();
         let ranks = self.comm.group.len();
         match table.lookup(shape.op(), shape.class_len(), nodes, ranks) {
-            Some(entry) => (entry.apply(&base, &self.world.tuning), Some(true)),
+            Some(entry) => (entry.apply(&base), Some(true)),
             None => (base, Some(false)),
         }
     }
@@ -890,8 +873,8 @@ impl SrmComm {
     ///   landings, one credit a side.
     /// * `Rd`: `REDUCE_CHUNK` landings and no credits, since no byte of
     ///   one is written twice in a call (DESIGN.md §16.2).
-    /// * `Ring`: `pairwise_chunk` landings (at least 8 bytes), one
-    ///   credit a side.
+    /// * `Ring`: `REDUCE_CHUNK` landings, one credit a side: a piece is
+    ///   at most a clamped `pairwise_chunk`.
     pub(crate) fn chan(&self, c: Chan, side: usize) -> &Channel {
         let ((dst, dslot), (src, sslot)) = (self.ccoord_of(c.dst), self.ccoord_of(c.src));
         let (link, t, handle) = (self.link(dst, src), &self.world.tuning, &self.world.handle);
@@ -899,7 +882,7 @@ impl SrmComm {
             ChanKind::Bcast => (&link.bcast[sslot], t.small_large_switch, 1),
             ChanKind::Reduce => (&link.reduce[dslot], SrmTuning::REDUCE_CHUNK, 1),
             ChanKind::Rd => (&link.rd, SrmTuning::REDUCE_CHUNK, 0),
-            ChanKind::Ring => (&link.ring, t.pairwise_chunk.max(8), 1),
+            ChanKind::Ring => (&link.ring, SrmTuning::REDUCE_CHUNK, 1),
         };
         &sides.get_or_init(|| [0, 1].map(|_| Channel::new(handle, ShmBuffer::new(cap), credits)))
             [side]
@@ -971,6 +954,18 @@ mod tests {
     ) -> Arc<CommState> {
         let mut sim = Sim::new(MachineConfig::ibm_sp_colony());
         let world = SrmWorld::new(&mut sim, topo, SrmTuning::default());
+        run_world(sim, &world, group, body).0
+    }
+
+    /// [`run_comm`] on `world`, built over `sim`, also handing back the
+    /// run's report.
+    fn run_world(
+        mut sim: Sim,
+        world: &SrmWorld,
+        group: Option<&[Rank]>,
+        body: fn(&Ctx, &SrmComm, &ShmBuffer),
+    ) -> (Arc<CommState>, simnet::Report) {
+        let topo = world.topology();
         let handles = match group {
             Some(ranks) => world.comm_create(ranks),
             None => (0..topo.nprocs()).map(|r| world.comm(r)).collect(),
@@ -985,8 +980,8 @@ mod tests {
                 wcomm.shutdown(&ctx);
             });
         }
-        sim.run().expect("simulation completes");
-        handles[0].comm.clone()
+        let report = sim.run().expect("simulation completes");
+        (handles[0].comm.clone(), report)
     }
 
     /// The families group node `dst`'s link from `src` holds, if the
@@ -1214,6 +1209,80 @@ mod tests {
             let held = sides.each_ref().map(|c| (c.free.peek(), c.data.peek()));
             assert_eq!(held, [(1, 0); 2], "ring {src} -> {dst}");
         }
+    }
+
+    /// The capacity of every buffer a communicator sized: each board's
+    /// pair, then each made channel side's landing, link by link.
+    fn capacities(comm: &CommState) -> Vec<usize> {
+        let mut caps: Vec<usize> = comm.boards.iter().map(|b| b.pair.capacity()).collect();
+        for link in comm.links.iter().filter_map(OnceLock::get) {
+            let families = link.bcast.iter().chain(&link.reduce);
+            for sides in families.chain([&link.rd, &link.ring]) {
+                let made = sides.get().into_iter().flatten();
+                caps.extend(made.map(|c| c.landing.capacity()));
+            }
+        }
+        caps
+    }
+
+    /// A loaded table sizes no buffer: on 2×2 a reduce_scatter, a
+    /// broadcast and a reduce leave a tabled world with the pair and
+    /// `Bcast`, `Reduce` and `Ring` landings an untabled one has on the
+    /// same base, also when the table's reduce_scatter entry raises
+    /// `pairwise_chunk` above the base's, and the reduce_scatter it
+    /// re-plans sums what the sequential reference does.
+    #[test]
+    fn a_tuning_table_sizes_no_buffer() {
+        use crate::tune::{TuneEntry, TuneKey, TuneOp};
+        let (topo, k) = (Topology::new(2, 2), 1 << 10);
+        let base = SrmTuning {
+            pairwise_chunk: 4 * k,
+            ..SrmTuning::default()
+        };
+        let mut table = TuneTable::new(1, "capacities", vec![]);
+        let key = TuneKey {
+            op: TuneOp::ReduceScatter,
+            class: 0,
+            nodes: 0,
+            ranks: 0,
+        };
+        let entry = TuneEntry {
+            pairwise_chunk: 8 * k,
+            ..TuneEntry::from_tuning(&base)
+        };
+        table.insert(key, entry);
+        let body: fn(&Ctx, &SrmComm, &ShmBuffer) = |ctx, comm, buf| {
+            const LEN: usize = 16 << 10;
+            let (n, me) = (comm.size(), comm.comm_rank());
+            let word = |r: usize, w: usize| (r as u64 + 1) * 1_000_003 + w as u64;
+            buf.with_mut(|d| {
+                for (w, x) in d[..n * LEN].chunks_exact_mut(8).enumerate() {
+                    x.copy_from_slice(&word(me, w).to_le_bytes());
+                }
+            });
+            comm.reduce_scatter(ctx, buf, LEN, DType::U64, ReduceOp::Sum);
+            buf.with(|d| {
+                for (i, x) in d[me * LEN..(me + 1) * LEN].chunks_exact(8).enumerate() {
+                    let w = me * LEN / 8 + i;
+                    let want: u64 = (0..n).map(|r| word(r, w)).sum();
+                    assert_eq!(u64::from_le_bytes(x.try_into().unwrap()), want, "word {w}");
+                }
+            });
+            comm.broadcast(ctx, buf, 8 << 10, 0);
+            comm.reduce(ctx, buf, 64 << 10, DType::U64, ReduceOp::Max, 0);
+        };
+        let mut sim = Sim::new(MachineConfig::ibm_sp_colony());
+        let world = SrmWorld::new(&mut sim, topo, base);
+        let (plain, _) = run_world(sim, &world, None, body);
+        let mut sim = Sim::new(MachineConfig::ibm_sp_colony());
+        let world = SrmWorld::with_tuning_table(&mut sim, topo, base, Arc::new(table));
+        let (tabled, report) = run_world(sim, &world, None, body);
+        assert!(report.metrics.tune_table_hits > 0, "the entry re-planned");
+        // Pairs; the link to node 0: `Reduce`, `Ring`; to node 1:
+        // `Bcast`, `Ring`.
+        let want = [64, 64, 16, 16, 16, 16, 64, 64, 16, 16].map(|c| c * k);
+        assert_eq!(capacities(&plain), want);
+        assert_eq!(capacities(&tabled), want);
     }
 
     /// The `(owner, sender)` mailbox slots that exist, ascending.

@@ -45,10 +45,11 @@
 //! `perturb:bw-dip` event.
 //!
 //! A final **tuned replay** loads a hand-authored [`TuneTable`] whose
-//! one wildcard allreduce entry re-routes the subgroup's allreduce
-//! onto the pipelined path: the run prints the per-communicator
-//! tune-hit breakdown from the report and the `tuned:table` /
-//! `tuned:default` labels the engine traces on every plan compile.
+//! one wildcard broadcast entry widens the pipelined sub-range down to
+//! 1 KB, so the world's 2 KB broadcast moves as two 1 KB chunks instead
+//! of one: the run prints the per-communicator tune-hit breakdown from
+//! the report and the `tuned:table` / `tuned:default` labels the engine
+//! traces on every plan compile.
 //!
 //! ```sh
 //! cargo run --release --example timeline
@@ -251,28 +252,30 @@ fn main() {
     );
 
     // Tuned replay: the same program with a small searched tuning
-    // table loaded. The single wildcard allreduce entry sets
-    // `interrupt_disable_max = 0`, which keeps LAPI interrupts on for
-    // the subgroup's 2 KB allreduce — same results, different
-    // schedule. Every plan-cache miss now
+    // table loaded. The single wildcard broadcast entry pipelines
+    // everything above 1 KB in 1 KB chunks, so the 2 KB broadcast
+    // takes two chunks — same results, different schedule. The
+    // reduce_scatter and the subgroup's allreduce have no entry.
+    // Every plan-cache miss now
     // consults the table: the engine traces `tuned:table` /
     // `tuned:default` and the report carries the per-communicator
     // tune-hit breakdown next to the plan-cache one.
     let mut table = TuneTable::new(7, "hand-authored timeline demo", vec![4096]);
     table.insert(
         TuneKey {
-            op: TuneOp::Allreduce,
+            op: TuneOp::Bcast,
             class: 0,
             nodes: 0,
             ranks: 0,
         },
         TuneEntry {
-            interrupt_disable_max: 0,
+            pipeline_min: 1024,
+            pipeline_chunk: 1024,
             ..TuneEntry::from_tuning(&SrmTuning::default())
         },
     );
     let (ttrace, treport) = run_once(topo, None, Some(Arc::new(table)));
-    println!("\nTuned replay (one wildcard allreduce entry, class edge 4 KB):\n");
+    println!("\nTuned replay (one wildcard broadcast entry, class edge 4 KB):\n");
     for r in treport
         .by_comm
         .iter()
@@ -293,14 +296,18 @@ fn main() {
     }
     let labels =
         |t: &Trace, r: usize| -> Vec<String> { sched(t, r).into_iter().map(|(l, _)| l).collect() };
-    // Rank 0 only runs world ops (no table entries for them): schedule
-    // unchanged. Rank 1 is in the subgroup: its allreduce re-planned.
-    assert_eq!(labels(&trace, 0), labels(&ttrace, 0));
-    assert_ne!(labels(&trace, 1), labels(&ttrace, 1));
+    // Every rank's broadcast re-planned; only the world compiled a
+    // tuned plan.
+    for rank in 0..topo.nprocs() {
+        assert_ne!(labels(&trace, rank), labels(&ttrace, rank));
+    }
+    assert!(treport
+        .by_comm
+        .iter()
+        .all(|r| r.comm == 0 || r.tune_hits == 0));
     println!(
-        "\nrank0 (world ops only): schedule unchanged; \
-         rank1 (subgroup allreduce): {} steps default -> {} steps tuned",
-        labels(&trace, 1).len(),
-        labels(&ttrace, 1).len()
+        "\nrank0 (broadcast root): {} steps default -> {} steps tuned",
+        labels(&trace, 0).len(),
+        labels(&ttrace, 0).len()
     );
 }

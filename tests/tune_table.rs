@@ -15,10 +15,12 @@ const ALLREDUCE_LEN: usize = 16 * 1024;
 const SEG: usize = 4 * 1024;
 const BCAST_LEN: usize = 8 * 1024;
 
-/// A table whose entries reroute every op of [`run_program`]: the
-/// allreduce onto interrupts-on masters, the alltoall onto narrower
-/// chunks, the broadcast onto a finer pipeline. The alltoall's entry
-/// also sets the ignored `pairwise_window` column.
+/// A table with an entry for every op of [`run_program`]: the
+/// broadcast's pipelines it in 2 KB chunks from 4 KB up and the
+/// alltoall's cuts its intra-node cells into 2 KB pieces. No column
+/// reaches the allreduce's plan, so its entry sets only the ignored
+/// `allreduce_rs_min`; the alltoall's also sets the ignored
+/// `pairwise_window`.
 fn demo_table() -> TuneTable {
     let base = TuneEntry::from_tuning(&SrmTuning::default());
     let mut t = TuneTable::new(42, "tune_table test grid", vec![32 * 1024]);
@@ -31,14 +33,14 @@ fn demo_table() -> TuneTable {
     t.insert(
         wild(TuneOp::Allreduce),
         TuneEntry {
-            interrupt_disable_max: 0,
+            allreduce_rs_min: 32 * 1024,
             ..base
         },
     );
     t.insert(
         wild(TuneOp::Alltoall),
         TuneEntry {
-            pairwise_chunk: 4 * 1024,
+            pairwise_chunk: 2 * 1024,
             pairwise_window: 4,
             ..base
         },
@@ -46,6 +48,7 @@ fn demo_table() -> TuneTable {
     t.insert(
         wild(TuneOp::Bcast),
         TuneEntry {
+            pipeline_min: 4 * 1024,
             pipeline_chunk: 2 * 1024,
             ..base
         },
@@ -249,35 +252,23 @@ fn serialize_load_replan_bit_identical() {
 /// Strategy for an arbitrary decision entry over the default base
 /// tuning — valid by construction (power-of-two knobs kept within the
 /// default geometry: `pairwise_chunk` within the 16 KB reduce chunk,
-/// pipeline range within the chosen switch).
+/// the pipeline range within the 64 KB switch).
 fn arb_entry() -> impl Strategy<Value = TuneEntry> {
     let base = SrmTuning::default();
     (
-        (1usize..=7, 0usize..=4), // small_large_switch, pipeline_chunk: 2^k KB
+        (0usize..=4, 1usize..=6), // pipeline_chunk, pipeline_max: 2^k KB
         prop_oneof![Just(usize::MAX), Just(1), Just(64 * 1024)], // rs_min
         (1usize..=4, 1usize..=4), // pairwise chunk 2^k KB, window
-        // interrupt_disable_max: always on / the paper's cut / 64 KB / no cap
-        prop_oneof![
-            Just(0usize),
-            Just(8 * 1024),
-            Just(64 * 1024),
-            Just(usize::MAX)
-        ],
-        // pairwise_direct_min: off / always-direct / the default edge
-        prop_oneof![Just(usize::MAX), Just(0usize), Just(64 * 1024)],
     )
-        .prop_map(move |((sls, pc), rs, (pwc, pww), idm, pdm)| {
-            let sls = (1 << sls) * 1024;
+        .prop_map(move |((pc, pmax), rs, (pwc, pww))| {
+            let pmax = (1 << pmax) * 1024;
             TuneEntry {
-                small_large_switch: sls,
-                pipeline_min: base.pipeline_min.min(sls),
-                pipeline_max: base.pipeline_max.min(sls),
-                pipeline_chunk: ((1 << pc) * 1024usize).min(sls),
+                pipeline_min: base.pipeline_min.min(pmax),
+                pipeline_max: pmax,
+                pipeline_chunk: (1 << pc) * 1024,
                 allreduce_rs_min: rs,
-                interrupt_disable_max: idm,
                 pairwise_chunk: (1 << pwc) * 1024,
                 pairwise_window: pww,
-                pairwise_direct_min: pdm,
             }
         })
 }
