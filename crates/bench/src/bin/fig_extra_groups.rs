@@ -158,7 +158,7 @@ fn main() {
         let world_part = vec![(0..topo.nprocs()).collect::<Vec<usize>>()];
         let node_part: Vec<Vec<usize>> = (0..n).map(|node| topo.ranks_on(node).collect()).collect();
         for &len in &sizes {
-            let iters = iters_for(len);
+            let iters = if fast_mode() { 2 } else { iters_for(len) };
             let w = measure_groups(Impl::Srm, machine.clone(), topo, &world_part, len, iters);
             let s = measure_groups(Impl::Srm, machine.clone(), topo, &node_part, len, iters);
             let i = measure_groups(Impl::IbmMpi, machine.clone(), topo, &node_part, len, iters);

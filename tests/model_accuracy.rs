@@ -1,7 +1,7 @@
 //! The analytical model (the paper's §5 future work) must stay within
 //! a bounded factor of the full simulation across operations, sizes
 //! and cluster shapes — otherwise it is useless as the tuning tool the
-//! authors wanted. The `model_vs_sim` binary prints the full grid;
+//! authors wanted. `figures print model` (srm-bench) prints the full grid;
 //! this test pins the envelope.
 
 use simnet::{MachineConfig, Topology};
